@@ -134,7 +134,7 @@ func BenchmarkCheckpointSizes(b *testing.B) {
 func BenchmarkConsequencePrediction(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		res := searchFormedTree(mc.Consequence, 2000, 1, false)
+		res := searchFormedTree(mc.Consequence, 2000, 1)
 		if res.StatesExplored == 0 {
 			b.Fatal("no states explored")
 		}
@@ -145,7 +145,7 @@ func BenchmarkConsequencePrediction(b *testing.B) {
 func BenchmarkExhaustiveSearch(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		res := searchFormedTree(mc.Exhaustive, 2000, 1, false)
+		res := searchFormedTree(mc.Exhaustive, 2000, 1)
 		if res.StatesExplored == 0 {
 			b.Fatal("no states explored")
 		}
@@ -153,54 +153,47 @@ func BenchmarkExhaustiveSearch(b *testing.B) {
 }
 
 // BenchmarkParallelSearch compares worker-pool exploration throughput
-// across worker counts for both breadth-first strategies, under the
-// work-stealing per-worker deques ("steal") and the retired shared
-// per-level FIFO ("legacy") — the frontier swap's scaling claim lives in
-// the steal-vs-legacy delta at 4 and 8 workers (needs physical cores;
-// states/sec is reported so CI hardware differences are visible).
+// across worker counts for both breadth-first modes (needs physical cores;
+// states/sec is reported so hardware differences are visible).
 func BenchmarkParallelSearch(b *testing.B) {
 	const states = 20000
 	for _, mode := range []mc.Mode{mc.Exhaustive, mc.Consequence} {
-		for _, frontier := range []string{"steal", "legacy"} {
-			for _, workers := range []int{1, 2, 4, 8} {
-				b.Run(fmt.Sprintf("%s/%s/workers-%d", mode, frontier, workers), func(b *testing.B) {
-					b.ReportAllocs()
-					var explored, nanos int64
-					for i := 0; i < b.N; i++ {
-						res := searchFormedTree(mode, states, workers, frontier == "legacy")
-						if res.StatesExplored == 0 {
-							b.Fatal("no states explored")
-						}
-						explored += int64(res.StatesExplored)
-						nanos += res.Elapsed.Nanoseconds()
+		for _, workers := range []int{1, 2, 4, 8} {
+			b.Run(fmt.Sprintf("%s/workers-%d", mode, workers), func(b *testing.B) {
+				b.ReportAllocs()
+				var explored, nanos int64
+				for i := 0; i < b.N; i++ {
+					res := searchFormedTree(mode, states, workers)
+					if res.StatesExplored == 0 {
+						b.Fatal("no states explored")
 					}
-					b.ReportMetric(float64(explored)/(float64(nanos)/1e9), "states/sec")
-				})
-			}
+					explored += int64(res.StatesExplored)
+					nanos += res.Elapsed.Nanoseconds()
+				}
+				b.ReportMetric(float64(explored)/(float64(nanos)/1e9), "states/sec")
+			})
 		}
 	}
 }
 
-func searchFormedTree(mode mc.Mode, states, workers int, legacy bool) *mc.Result {
+func searchFormedTree(mode mc.Mode, states, workers int) *mc.Result {
 	factory := randtree.New(randtree.Config{Bootstrap: []sm.NodeID{1}, MaxChildren: 3})
 	g := mc.NewGState()
 	for i := 1; i <= 5; i++ {
 		g.AddNode(sm.NodeID(i), factory(sm.NodeID(i)), nil)
 	}
 	s := mc.NewSearch(mc.Config{
-		Props:          randtree.Properties,
-		Factory:        factory,
-		Mode:           mode,
-		Workers:        workers,
-		ExploreResets:  true,
-		MaxStates:      states,
-		LegacyFrontier: legacy,
+		Props:         randtree.Properties,
+		Factory:       factory,
+		Mode:          mode,
+		Budget:        mc.Budget{States: states, Workers: workers},
+		ExploreResets: true,
 	})
 	return s.Run(g)
 }
 
 // BenchmarkReducedSearch is the partial-order reduction's coverage bench:
-// the two scenarios the BENCH_6 acceptance bar names, searched with
+// paxos and chord, searched with
 // reduction off and on at the same depth. The reduced search claims the
 // identical state and distinct-local-state sets (the reduction oracle pins
 // this), so the coverage-per-budget gain is the locals/Mtrans ratio between
@@ -221,7 +214,7 @@ func BenchmarkReducedSearch(b *testing.B) {
 			b.Fatal(err)
 		}
 		cfg.Mode = mc.Consequence
-		cfg.MaxDepth = tc.depth
+		cfg.Budget.Depth = tc.depth
 		cfg.Seed = 7
 		if tc.warmSteps > 0 {
 			g = warmPrefix(b, mc.NewSearch(cfg), g, tc.warmSteps)

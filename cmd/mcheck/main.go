@@ -184,8 +184,7 @@ func main() {
 		res.StatesExplored, res.Transitions, res.MaxDepthReached, res.Elapsed.Round(time.Millisecond),
 		res.PeakMemoryBytes, res.PerStateBytes,
 		float64(res.StatesExplored)/res.Elapsed.Seconds())
-	fmt.Printf("pruned=%d (sleep-hits=%d) steals=%d steal-fails=%d\n",
-		res.TransitionsPruned, res.SleepHits, res.Steals, res.StealFails)
+	fmt.Printf("pruned=%d (sleep-hits=%d)\n", res.TransitionsPruned, res.SleepHits)
 	if *shards > 0 {
 		fmt.Printf("shards=%d forwarded=%d received=%d remote-deduped=%d batch-flushes=%d\n",
 			*shards, dstats.StatesForwarded, dstats.StatesReceived, dstats.RemoteDeduped, dstats.BatchFlushes)

@@ -63,8 +63,8 @@ func figure10() {
 
 	cfg.Props = props.Set{chord.PropPredSelfImpliesSuccSelf}
 	cfg.Mode = mc.Consequence
-	cfg.MaxStates = 150000
-	cfg.MaxViolations = 1
+	cfg.Budget.States = 150000
+	cfg.Budget.Violations = 1
 	report(mc.NewSearch(cfg).Run(g))
 }
 
@@ -83,8 +83,8 @@ func figure11() {
 	cfg.Mode = mc.Consequence
 	cfg.ExploreResets = false
 	cfg.ExploreConnBreaks = false
-	cfg.MaxStates = 150000
-	cfg.MaxViolations = 1
+	cfg.Budget.States = 150000
+	cfg.Budget.Violations = 1
 	report(mc.NewSearch(cfg).Run(g))
 }
 

@@ -81,25 +81,11 @@ type Config struct {
 	// controller builds one fresh Policy instance from this spec,
 	// consults Plan before every consequence-prediction round (snapshot
 	// size, round number, snapshot interval) and feeds Observe the
-	// round's report afterwards. Zero Base fields are filled from the
-	// deprecated MCStates/MCDepth/Workers scalars, and a zero spec
-	// reproduces exactly the old fixed per-round budget.
+	// round's report afterwards. Policy.Base is the per-round budget
+	// template (states, depth, workers; Workers 0 = GOMAXPROCS), and the
+	// filter-safety recheck runs under the same plan. A zero Kind is the
+	// fixed policy: every round gets Base verbatim.
 	Policy mc.PolicySpec
-	// MCStates bounds consequence prediction per round.
-	//
-	// Deprecated: set Policy.Base.States; this scalar fills the policy
-	// base only where it is zero.
-	MCStates int
-	// MCDepth bounds search depth (0 = unbounded).
-	//
-	// Deprecated: set Policy.Base.Depth.
-	MCDepth int
-	// Workers is the checker's worker-pool size per round (0 =
-	// GOMAXPROCS); the filter-safety recheck runs on the same engine
-	// with the same pool size.
-	//
-	// Deprecated: set Policy.Base.Workers.
-	Workers int
 	// PerStateCost is the virtual model-checking time charged per
 	// explored state; the report arrives only after the total latency.
 	PerStateCost time.Duration
@@ -151,8 +137,7 @@ func DefaultConfig(ps props.Set, factory sm.Factory) Config {
 		Props:             ps,
 		Factory:           factory,
 		SnapshotInterval:  10 * time.Second,
-		MCStates:          20000,
-		MCDepth:           0,
+		Policy:            mc.PolicySpec{Base: mc.Budget{States: 20000}},
 		PerStateCost:      300 * time.Microsecond,
 		ExploreResets:     true,
 		EnableISC:         true,
@@ -167,19 +152,9 @@ func DefaultConfig(ps props.Set, factory sm.Factory) Config {
 const defaultMaxViolations = 8
 
 // policySpec resolves the controller's budget-policy spec: the declared
-// spec with zero Base fields filled from the deprecated scalars and the
-// controller defaults.
+// spec with the default violation quota filled in.
 func (c *Config) policySpec() mc.PolicySpec {
 	spec := c.Policy
-	if spec.Base.States == 0 {
-		spec.Base.States = c.MCStates
-	}
-	if spec.Base.Depth == 0 {
-		spec.Base.Depth = c.MCDepth
-	}
-	if spec.Base.Workers == 0 {
-		spec.Base.Workers = c.Workers
-	}
 	if spec.Base.Violations == 0 {
 		spec.Base.Violations = defaultMaxViolations
 	}
@@ -227,14 +202,11 @@ type Stats struct {
 	FilterUnsafe        int64 // filters rejected by the safety recheck
 	ReplayReinstalls    int64
 	StatesExplored      int64
-	// TransitionsPruned, SleepHits, Steals and StealFails aggregate the
-	// checker's partial-order-reduction and work-stealing counters over
-	// all rounds (including filter-safety rechecks). Steal counts are
-	// scheduling telemetry, not part of the deterministic search result.
+	// TransitionsPruned and SleepHits aggregate the checker's
+	// partial-order-reduction counters over all rounds (including
+	// filter-safety rechecks).
 	TransitionsPruned int64
 	SleepHits         int64
-	Steals            int64
-	StealFails        int64
 	MCVirtualTime     time.Duration
 	// CheckerFailures counts checker rounds that returned an error (a
 	// crashed/timed-out checker process in the paper's deployment). Each
@@ -384,9 +356,8 @@ func (c *Controller) onSnapshot(snap *snapshot.Snapshot) {
 
 	// The policy plans this round's exploration budget from what is
 	// known before the search: the round number, the snapshot's encoded
-	// size and the interval the round must fit inside. This replaces the
-	// old verbatim MCStates/Workers copy with the paper's adaptive
-	// StopCriterion seam.
+	// size and the interval the round must fit inside — the paper's
+	// adaptive StopCriterion seam.
 	plan := c.policy.Plan(mc.RoundInfo{
 		Round:         int(c.Stats.Rounds),
 		SnapshotBytes: start.EncodedSize(),
@@ -602,13 +573,11 @@ func (c *Controller) filterIsSafe(start *mc.GState, searchCfg mc.Config, f sm.Fi
 	return len(res.Violations) == 0
 }
 
-// observeCounters folds one search's reduction and work-stealing counters
-// into the controller stats.
+// observeCounters folds one search's reduction counters into the
+// controller stats.
 func (c *Controller) observeCounters(res *mc.Result) {
 	c.Stats.TransitionsPruned += int64(res.TransitionsPruned)
 	c.Stats.SleepHits += int64(res.SleepHits)
-	c.Stats.Steals += int64(res.Steals)
-	c.Stats.StealFails += int64(res.StealFails)
 }
 
 func (c *Controller) recordFinding(f Finding) {

@@ -50,7 +50,6 @@ func TestAdaptiveBudgetFitsSnapshotInterval(t *testing.T) {
 
 	// Fixed arm: every round runs the full 20000-state ask and overruns.
 	fixedCfg := base()
-	fixedCfg.MCStates = ask
 	fixedCfg.Policy = mc.PolicySpec{Kind: mc.PolicyFixed, Base: mc.Budget{States: ask, Workers: 1}}
 	s, ctrls := deployWithController(t, 2, fixedCfg)
 	s.RunFor(60 * time.Second)

@@ -2,6 +2,7 @@ package dist
 
 import (
 	"bytes"
+	"math"
 	"reflect"
 	"testing"
 	"time"
@@ -43,7 +44,7 @@ func sampleMsgs() []Msg {
 		RoundEnd{},
 		ShardReport{
 			Shard: 1, States: 400, Expansions: 390, Transitions: 2200,
-			MaxDepth: 12, Exhausted: true,
+			MaxDepth: 12, Exhausted: true, PeakBytes: 1 << 20,
 			Violations: []Violation{
 				{Props: []string{"ring", "safety"}, Depth: 4, StateHash: 0xabc, Path: path[:2]},
 			},
@@ -81,6 +82,7 @@ func TestDecodeRejectsInvalid(t *testing.T) {
 		Idle{Shard: 0, Received: -1},
 		ShardReport{Shard: -1},
 		ShardReport{Shard: 0, States: -4},
+		ShardReport{Shard: 0, PeakBytes: -1},
 		RoundAbort{Round: -1},
 		AbortAck{Shard: -1, Round: 1},
 		AbortAck{Shard: 0, Round: 0},
@@ -169,6 +171,13 @@ func FuzzCodec(f *testing.F) {
 	}
 	f.Add([]byte{})
 	f.Add([]byte{'B', 0, 0})
+	// A report that is nothing but its memory field, at the top of the
+	// range the decoder's sign check guards.
+	enc := sm.NewEncoder()
+	if err := encodeMsg(enc, ShardReport{PeakBytes: math.MaxInt64}); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(append([]byte(nil), enc.Bytes()...))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		m, err := decodeMsg(sm.NewDecoder(data))
 		if err != nil {

@@ -216,10 +216,10 @@ func (c *Coordinator) Shutdown() {
 // Result is one distributed round's merged outcome.
 type Result struct {
 	// Checker is the merged search result in the single-process engine's
-	// shape: claimed-state totals, max depth, merged deduplicated
-	// violations, distinct local-state coverage, and — on RecordStates
-	// rounds — the unioned claimed-fingerprint dump. Memory accounting
-	// (PeakMemoryBytes/PerStateBytes) is per-process and stays zero.
+	// shape: explored-state totals, max depth, merged deduplicated
+	// violations, distinct local-state coverage, the shards' summed peak
+	// memory accounting, and — on RecordStates rounds — the unioned
+	// claimed-fingerprint dump.
 	Checker mc.Result
 	// Round is the merged per-round report in the shape the controller's
 	// budget policies Observe.
@@ -506,8 +506,14 @@ func (c *Coordinator) merge(planned mc.Budget, workers int, reports []ShardRepor
 	recorded := false
 	for i := range reports {
 		r := &reports[i]
-		res.Checker.StatesExplored += int(r.States)
+		// A state is explored once it is both claimed and expanded. A
+		// budget cutoff leaves claimed frontier states unexpanded
+		// (Expansions is exact, so the sum stays within Budget.States);
+		// a min-depth re-claim expands one claimed state twice. Run to
+		// the depth bound, this is the claimed-set size.
+		res.Checker.StatesExplored += int(min(r.States, r.Expansions))
 		res.Checker.Transitions += int(r.Transitions)
+		res.Checker.PeakMemoryBytes += r.PeakBytes
 		if int(r.MaxDepth) > res.Checker.MaxDepthReached {
 			res.Checker.MaxDepthReached = int(r.MaxDepth)
 		}
@@ -525,6 +531,9 @@ func (c *Coordinator) merge(planned mc.Budget, workers int, reports []ShardRepor
 	if recorded {
 		sort.Slice(claimed, func(i, j int) bool { return claimed[i] < claimed[j] })
 		res.Checker.ClaimedStates = claimed
+	}
+	if res.Checker.StatesExplored > 0 {
+		res.Checker.PerStateBytes = float64(res.Checker.PeakMemoryBytes) / float64(res.Checker.StatesExplored)
 	}
 	res.Checker.Workers = workers
 	res.Checker.Elapsed = c.cfg.Now().Sub(began)

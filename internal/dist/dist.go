@@ -1,38 +1,47 @@
-// Package dist is the distributed sharded state-space search: the ROADMAP's
-// "scale across processes and machines" arc, built on the seams the earlier
-// platform work left open (mc.HashRange/Expander, mc.Budget/Policy,
-// PR 6's per-worker frontier).
+// Package dist is the distributed sharded state-space search: the protocol
+// that lets several ranges of the one search engine (mc.Engine) run in
+// different goroutines or processes. It declares no search loop of its own.
 //
-// The visited set is partitioned by hash range over the 64-bit state
-// fingerprint (mc.ShardRange): each shard owns one contiguous range and
-// runs its own expansion engine over the states it owns. Successors hashing
-// outside the local range are accumulated into per-owner batches and
-// forwarded over a Transport — an in-process loopback for deterministic
-// tests and single-binary runs (mcheck -shards), or length-prefixed binary
-// TCP for real multi-process runs (cmd/shardd). All traffic flows through
-// the coordinator hub (a star topology): shard-to-shard batches are relayed
-// by the coordinator, which lets it run a credit-counted quiescence check —
-// every relayed batch is a credit that the destination shard repays in its
-// next idle report, so a distributed exhaustive round terminates the moment
-// all credits are repaid and every shard is drained, with no global barrier
-// per BFS level (termination.go).
+// The fingerprint space is partitioned by hash range (mc.ShardRange). Each
+// shard drives one mc.Engine restricted to the range it owns: the engine
+// expands and claims exactly as Search.Run's does, hands every proposed
+// successor outside the range to the shard's sink — which accumulates
+// per-owner batches and forwards them over a Transport (an in-process
+// loopback for deterministic tests and single-binary runs, mcheck -shards;
+// length-prefixed binary TCP for real multi-process runs, cmd/shardd) —
+// and between depth buckets lets the shard flush batches and inject the
+// arrivals queued meanwhile. What lives here is protocol: rounds and
+// budgets (coordinator.go), the batch/idle/report messages and their codec
+// (transport.go), path replay for states that crossed a wire (shard.go),
+// quiescence (termination.go) and failure recovery (coordinator.go,
+// faults.go).
 //
-// Unlike the in-process engine's level-synchronized frontier, shards
-// process their frontier asynchronously: a state can arrive from a remote
-// shard at any depth, including a smaller depth than it was first claimed
-// at. Each shard therefore keeps visited as fingerprint → minimal claimed
-// depth and re-expands a state whenever it re-arrives strictly shallower,
-// which restores exactly the subtree a depth-bounded BFS would have
-// explored. The claimed-state set of a depth-bounded distributed round is
-// consequently identical to the single-process engine's at any shard and
-// worker count (the differential oracle in internal/scenario pins this),
-// while expansion *counts* (transitions, re-expansions) are scheduling
-// telemetry, like the engine's steal counters.
+// All traffic flows through the coordinator hub (a star topology):
+// shard-to-shard batches are relayed by the coordinator, which lets it run
+// a credit-counted quiescence check — every relayed batch is a credit that
+// the destination shard repays in its next idle report, so a round
+// terminates the moment all credits are repaid and every shard is drained,
+// with no global barrier per BFS level.
 //
-// Scope: distributed rounds run Exhaustive mode only. Consequence
-// prediction's (node, local state) table and the sleep-set reduction's
-// same-level sibling claims are global coordination the shards deliberately
-// do not attempt; Reduce is forced off in shard engines.
+// Without that barrier a state can arrive from a remote shard at any depth,
+// including a smaller depth than it was first claimed at. The engine
+// therefore keeps visited as fingerprint → minimal claimed depth and
+// re-expands a state whenever it re-arrives strictly shallower, which
+// restores exactly the subtree a depth-bounded BFS would have explored. The
+// claimed-state set of a depth-bounded distributed round is consequently
+// identical to the single-process search's at any shard and worker count
+// (the differential oracle in internal/scenario pins this), while expansion
+// *counts* (transitions, re-expansions) are scheduling telemetry.
+//
+// Scope: distributed rounds run Exhaustive mode with Reduce forced off,
+// because the other two rules need claims that cross shards. Consequence
+// prediction prunes by a global (node, local state) table — the first state
+// to reach a local state expands its internal actions, all later ones prune
+// — and a per-shard table makes every shard its own "first". The sleep-set
+// reduction intersects the sleep sets of same-level duplicate proposals at
+// the claim barrier; duplicates claimed on different shards have no common
+// barrier. Both are questions for the shared core now, not for a second
+// engine.
 package dist
 
 import (
@@ -43,7 +52,7 @@ import (
 
 // Stats counts one shard's frontier-exchange traffic; the coordinator sums
 // them into the round's totals. cmd/experiments -exp sweep reports these
-// alongside the checker's Steals/Pruned telemetry.
+// alongside the checker's pruning telemetry.
 type Stats struct {
 	// StatesForwarded counts successors handed to a remote owner shard.
 	StatesForwarded int64

@@ -1,14 +1,8 @@
 package dist
 
 import (
-	"sort"
-	"strings"
-	"sync"
-	"time"
-
 	"crystalball/internal/mc"
 	"crystalball/internal/sm"
-	"crystalball/internal/stats"
 )
 
 // ShardConfig parameterises one shard of an n-way distributed search.
@@ -22,11 +16,10 @@ type ShardConfig struct {
 	Index  int
 	Shards int
 	// Search is the scenario's checker configuration. Mode must be
-	// Exhaustive with no custom Strategy; Reduce is forced off (the
-	// sleep-set reduction's same-level sibling claims are coordination the
-	// shards do not attempt). Every shard of a run must be built from a
-	// bit-identical configuration — same seed, same fault toggles — or the
-	// partitioned searches diverge.
+	// Exhaustive and Reduce is forced off (package doc: both other rules
+	// need claims that cross shards). Every shard of a run must be built
+	// from a bit-identical configuration — same seed, same fault toggles —
+	// or the partitioned searches diverge.
 	Search mc.Config
 	// Root is the shared start state.
 	Root *mc.GState
@@ -35,237 +28,24 @@ type ShardConfig struct {
 	BatchSize int
 }
 
-// node is a shard-frontier entry. Parent links reconstruct paths for
-// violation reports and wire forwarding; prefix replaces the chain for
-// states that arrived over a wire (the descriptor path from the root).
-// Once enqueued every field is immutable, so expansion workers may share
-// parent chains freely.
-type node struct {
-	state  *mc.GState
-	parent *node
-	event  sm.Event
-	prefix []EventDesc
-	depth  int32
-}
-
-// descPath returns the full descriptor path from the root to n,
-// re-describing in-process events and splicing in the wire prefix when the
-// path crossed a process boundary. scratch is the fingerprint encoder.
-func (n *node) descPath(scratch *sm.Encoder) []EventDesc {
-	var rev []sm.Event
-	cur := n
-	for cur.event != nil {
-		rev = append(rev, cur.event)
-		cur = cur.parent
-	}
-	out := make([]EventDesc, 0, len(cur.prefix)+len(rev))
-	out = append(out, cur.prefix...)
-	for i := len(rev) - 1; i >= 0; i-- {
-		out = append(out, DescribeEvent(rev[i], scratch))
+// descPath returns the full descriptor path from the search root to n:
+// prefix (the wire path of n's chain root, nil when the chain never crossed
+// a process boundary) followed by the in-process events re-described.
+// scratch is the fingerprint encoder.
+func descPath(prefix []EventDesc, n *mc.Node, scratch *sm.Encoder) []EventDesc {
+	events := n.Path()
+	out := make([]EventDesc, 0, len(prefix)+len(events))
+	out = append(out, prefix...)
+	for _, ev := range events {
+		out = append(out, DescribeEvent(ev, scratch))
 	}
 	return out
 }
 
-// eventPath returns the real event path from the root, or nil when the
-// path crossed a process boundary and only descriptors remain.
-func (n *node) eventPath() []sm.Event {
-	var rev []sm.Event
-	cur := n
-	for cur.event != nil {
-		rev = append(rev, cur.event)
-		cur = cur.parent
-	}
-	if cur.prefix != nil {
-		return nil
-	}
-	out := make([]sm.Event, len(rev))
-	for i := range rev {
-		out[i] = rev[len(rev)-1-i]
-	}
-	return out
-}
-
-// roundBudget is the shard's slice of the round's mc.Budget, with atomic
-// counters so expansion workers share it. Mirrors the engine's budget.
-type roundBudget struct {
-	maxStates      int64
-	maxDepth       int32
-	maxTransitions int64
-	deadline       time.Time
-	now            func() time.Time
-	states         stats.Counter // expansions admitted
-	transitions    stats.Counter
-	halted         stats.Counter // violation quota or fatal stop
-}
-
-func (b *roundBudget) admitState() bool {
-	if b.states.Add(1) > b.maxStates && b.maxStates > 0 {
-		return false
-	}
-	return b.halted.Load() == 0
-}
-
-func (b *roundBudget) admitTransition() bool {
-	if b.transitions.Add(1) > b.maxTransitions && b.maxTransitions > 0 {
-		return false
-	}
-	return true
-}
-
-func (b *roundBudget) refundTransition() { b.transitions.Add(-1) }
-
-func (b *roundBudget) halt() { b.halted.Store(1) }
-
-func (b *roundBudget) exhausted() bool {
-	if b.halted.Load() != 0 {
-		return true
-	}
-	if b.maxStates > 0 && b.states.Load() >= b.maxStates {
-		return true
-	}
-	if b.maxTransitions > 0 && b.transitions.Load() >= b.maxTransitions {
-		return true
-	}
-	return !b.deadline.IsZero() && b.now().After(b.deadline)
-}
-
-// expansions returns the admitted-expansion count, clamped to the budget
-// (racing workers may overshoot the atomic by their own admit).
-func (b *roundBudget) expansions() int64 {
-	n := b.states.Load()
-	if b.maxStates > 0 && n > b.maxStates {
-		n = b.maxStates
-	}
-	return n
-}
-
-// vioEntry is one recorded violation class: the canonical (sorted) violated
-// property set, with the minimal (depth, state hash) representative node.
-type vioEntry struct {
-	props []string
-	depth int32
-	hash  uint64
-	node  *node
-}
-
-// violationSet collects violations from expansion workers. Unlike the
-// serial engine — which reports each violation's path *onset* exactly once,
-// leaning on its deterministic claim order — a shard records the full
-// violated property set of every violating state it claims, and
-// deduplicates by that set. The result is a pure function of the claimed
-// state set, so the reported (props, depth, hash) triples are deterministic
-// at any shard and worker count; representative paths remain scheduling
-// telemetry. The quota counts record calls (violating expansions), an
-// intentionally loose analogue of the serial quota.
-type violationSet struct {
-	mu       sync.Mutex
-	bySig    map[string]int
-	list     []vioEntry
-	recorded int
-	max      int
-}
-
-func newViolationSet(max int) *violationSet {
-	return &violationSet{bySig: make(map[string]int), max: max}
-}
-
-// record merges one violating state and reports whether the quota is now
-// (or already was) filled. props must be sorted.
-func (c *violationSet) record(props []string, depth int32, hash uint64, n *node) bool {
-	sig := strings.Join(props, "|")
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.max > 0 && c.recorded >= c.max {
-		return true
-	}
-	c.recorded++
-	if i, seen := c.bySig[sig]; seen {
-		old := &c.list[i]
-		if depth < old.depth || (depth == old.depth && hash < old.hash) {
-			old.depth, old.hash, old.node = depth, hash, n
-		}
-	} else {
-		c.bySig[sig] = len(c.list)
-		c.list = append(c.list, vioEntry{props: props, depth: depth, hash: hash, node: n})
-	}
-	return c.max > 0 && c.recorded >= c.max
-}
-
-// report renders the collected set sorted by (depth, hash, signature),
-// materializing descriptor paths (and real event paths where the chain
-// never crossed a wire).
-func (c *violationSet) report(scratch *sm.Encoder) []Violation {
-	c.mu.Lock()
-	entries := make([]vioEntry, len(c.list))
-	copy(entries, c.list)
-	c.mu.Unlock()
-	sort.Slice(entries, func(i, j int) bool {
-		if entries[i].depth != entries[j].depth {
-			return entries[i].depth < entries[j].depth
-		}
-		if entries[i].hash != entries[j].hash {
-			return entries[i].hash < entries[j].hash
-		}
-		return strings.Join(entries[i].props, "|") < strings.Join(entries[j].props, "|")
-	})
-	out := make([]Violation, len(entries))
-	for i, en := range entries {
-		out[i] = Violation{
-			Props:     en.props,
-			Depth:     en.depth,
-			StateHash: en.hash,
-			Path:      en.node.descPath(scratch),
-			events:    en.node.eventPath(),
-		}
-	}
-	return out
-}
-
-// frontier is the shard's depth-bucketed work pool. Asynchronous arrivals
-// mean depths interleave; scanning buckets lowest-first keeps expansion
-// near breadth-first order, which minimizes re-expansions (a state
-// re-arrives shallower less often when shallow work drains first).
-type frontier struct {
-	buckets [][]*node
-	low     int
-	count   int
-}
-
-func (f *frontier) push(n *node) {
-	d := int(n.depth)
-	for d >= len(f.buckets) {
-		f.buckets = append(f.buckets, nil)
-	}
-	f.buckets[d] = append(f.buckets[d], n)
-	if f.count == 0 || d < f.low {
-		f.low = d
-	}
-	f.count++
-}
-
-// popBucket removes and returns the lowest non-empty bucket.
-func (f *frontier) popBucket() []*node {
-	for f.low < len(f.buckets) && len(f.buckets[f.low]) == 0 {
-		f.low++
-	}
-	b := f.buckets[f.low]
-	f.buckets[f.low] = nil
-	f.count -= len(b)
-	return b
-}
-
-func (f *frontier) clear() {
-	for i := range f.buckets {
-		f.buckets[i] = nil
-	}
-	f.count = 0
-	f.low = len(f.buckets)
-}
-
-// shard is one partition's engine: the visited map for its hash range, the
-// depth-bucketed frontier, the per-owner outgoing batches, and the round
-// protocol state. All fields except the expansion-phase counters are
-// touched only from the shard's main goroutine.
+// shard is one partition's protocol state: this round's range of the search
+// core (mc.Engine does the searching), the per-owner outgoing batches, and
+// the round bookkeeping. Everything is touched only from the shard's main
+// goroutine.
 type shard struct {
 	cfg     ShardConfig
 	slot    int // this round's partition slot
@@ -274,25 +54,20 @@ type shard struct {
 	search  *mc.Search
 	conn    Conn
 	scratch *sm.Encoder
+	replayX *mc.Expander // path-replay workspace
 
-	// visited maps owned fingerprints to the minimal depth claimed so far;
-	// a strictly shallower re-arrival re-claims and re-expands (package
-	// doc: min-depth re-expansion is what restores BFS set-equality).
-	visited map[uint64]int32
+	// eng is the round's engine over rng (nil outside a round).
+	eng *mc.Engine
+	// prefix holds, per chain root injected from a wire batch, the
+	// descriptor path from the search root to it: what violation reports
+	// and onward forwarding splice in front of the in-process events.
+	prefix map[*mc.Node][]EventDesc
 	// fwd is the sender-side forward cache: fingerprint → minimal depth
 	// already forwarded, so a successor is re-forwarded only when
 	// strictly shallower.
-	fwd       map[uint64]int32
-	locals    map[uint64]struct{}
-	localsBuf []uint64
-	fr        frontier
-	out       [][]ForwardState
-	res       []*mc.Expander
+	fwd map[uint64]int32
+	out [][]ForwardState
 
-	bdg      roundBudget
-	vio      *violationSet
-	maxDepth stats.Counter
-	workers  int
 	received int64
 	record   bool
 	st       Stats
@@ -302,7 +77,7 @@ func newShard(conn Conn, cfg ShardConfig) (*shard, error) {
 	if cfg.Shards <= 0 || cfg.Index < 0 || cfg.Index >= cfg.Shards {
 		return nil, errorf("bad shard index %d of %d", cfg.Index, cfg.Shards)
 	}
-	if cfg.Search.Strategy != nil || cfg.Search.Mode != mc.Exhaustive {
+	if cfg.Search.Mode != mc.Exhaustive {
 		return nil, errorf("distributed search supports Exhaustive mode only")
 	}
 	if cfg.Root == nil {
@@ -312,14 +87,16 @@ func newShard(conn Conn, cfg ShardConfig) (*shard, error) {
 	if cfg.BatchSize <= 0 {
 		cfg.BatchSize = DefaultBatchSize
 	}
+	search := mc.NewSearch(cfg.Search)
 	return &shard{
 		cfg:     cfg,
 		slot:    cfg.Index,
 		slots:   cfg.Shards,
 		rng:     mc.ShardRange(cfg.Index, cfg.Shards),
-		search:  mc.NewSearch(cfg.Search),
+		search:  search,
 		conn:    conn,
 		scratch: sm.NewEncoder(),
+		replayX: search.NewExpander(),
 	}, nil
 }
 
@@ -365,7 +142,7 @@ func (sh *shard) serve() error {
 				return sh.fault(err)
 			}
 		case RoundEnd:
-			if sh.visited == nil {
+			if sh.eng == nil {
 				return sh.fault(errorf("shard %d: round end outside a round", sh.cfg.Index))
 			}
 			if err := sh.conn.Send(sh.report()); err != nil {
@@ -409,69 +186,27 @@ func (sh *shard) startRound(rs RoundStart) error {
 		return errorf("shard %d: round start assigns slot %d of %d", sh.cfg.Index, rs.Slot, rs.Slots)
 	}
 	sh.rng = mc.ShardRange(sh.slot, sh.slots)
-	b := rs.Budget
-	sh.workers = b.Workers
-	if sh.workers <= 0 {
-		sh.workers = 1
-	}
-	for len(sh.res) < sh.workers {
-		sh.res = append(sh.res, sh.search.NewExpander())
-	}
-	sh.bdg = roundBudget{
-		maxStates:      int64(b.States),
-		maxDepth:       int32(b.Depth),
-		maxTransitions: int64(b.Transitions),
-		now:            sh.search.Config().Now,
-	}
-	if b.Wall > 0 {
-		sh.bdg.deadline = sh.bdg.now().Add(b.Wall)
-	}
-	sh.vio = newViolationSet(b.Violations)
-	sh.maxDepth.Store(0)
-	sh.visited = make(map[uint64]int32)
+	sh.eng = sh.search.NewEngine(rs.Budget, sh.rng, sh.route)
+	sh.prefix = make(map[*mc.Node][]EventDesc)
 	sh.fwd = make(map[uint64]int32)
-	sh.locals = make(map[uint64]struct{})
-	sh.fr = frontier{}
 	sh.out = make([][]ForwardState, sh.slots)
 	sh.received = 0
 	sh.record = rs.RecordStates
 	sh.st = Stats{}
 
-	if h := sh.cfg.Root.Hash(); sh.rng.Contains(h) {
-		sh.claim(&node{state: sh.cfg.Root}, h)
+	if sh.rng.Contains(sh.cfg.Root.Hash()) {
+		sh.eng.Inject(mc.NewNode(sh.cfg.Root, 0))
 	}
 	return nil
 }
 
-// endRound drops the round's tables so their memory is reclaimable between
-// rounds.
+// endRound drops the round's engine and tables so their memory is
+// reclaimable between rounds.
 func (sh *shard) endRound() {
-	sh.visited, sh.fwd, sh.locals = nil, nil, nil
-	sh.fr = frontier{}
-	sh.out = nil
-	sh.vio = nil
+	sh.eng, sh.prefix, sh.fwd, sh.out = nil, nil, nil, nil
 }
 
-// claim enters a state this shard owns: record its minimal depth and every
-// node-local fingerprint, and enqueue it for expansion. Recording *all*
-// node-local hashes per claimed state (rather than the serial engine's
-// one-changed-node-per-claim) makes the union a pure function of the
-// claimed set — and since every local value in a claimed state is created
-// by some claimed ancestor's edge, the union equals the serial engine's
-// distinct-local-state set exactly.
-func (sh *shard) claim(n *node, h uint64) {
-	if prior, ok := sh.visited[h]; ok && prior <= n.depth {
-		return
-	}
-	sh.visited[h] = n.depth
-	sh.localsBuf = n.state.LocalHashes(sh.localsBuf[:0])
-	for _, lh := range sh.localsBuf {
-		sh.locals[lh] = struct{}{}
-	}
-	sh.fr.push(n)
-}
-
-// drainAndIdle runs expansion to exhaustion (or budget), flushes every
+// drainAndIdle runs the engine to exhaustion (or budget), flushes every
 // outgoing batch, and reports idle to the coordinator. Between depth
 // buckets it flushes partial batches and folds queued arrivals: flushing
 // at level granularity hands peers their next wave while this shard keeps
@@ -479,23 +214,17 @@ func (sh *shard) claim(n *node, h uint64) {
 // shallow re-arrival now costs a map hit where the same state claimed
 // after the drain would re-expand its whole subtree.
 func (sh *shard) drainAndIdle(pending *Msg) error {
-	for sh.fr.count > 0 {
-		if sh.bdg.exhausted() {
-			sh.fr.clear()
-			break
-		}
-		bucket := sh.fr.popBucket()
-		if err := sh.processBucket(bucket); err != nil {
-			return err
-		}
+	err := sh.eng.Drain(func() error {
 		if err := sh.flushAll(); err != nil {
 			return err
 		}
-		if *pending == nil {
-			if err := sh.pollBatches(pending); err != nil {
-				return err
-			}
+		if *pending != nil {
+			return nil
 		}
+		return sh.pollBatches(pending)
+	})
+	if err != nil {
+		return err
 	}
 	if err := sh.flushAll(); err != nil {
 		return err
@@ -527,90 +256,20 @@ func (sh *shard) pollBatches(pending *Msg) error {
 	}
 }
 
-// processBucket expands one depth bucket — in parallel when the shard has
-// more than one worker — then claims and routes the proposed successors in
-// deterministic (bucket position, sibling) order.
-func (sh *shard) processBucket(bucket []*node) error {
-	outs := make([][]*node, len(bucket))
-	if sh.workers == 1 || len(bucket) == 1 {
-		for i, n := range bucket {
-			if sh.bdg.exhausted() || !sh.bdg.admitState() {
-				break
-			}
-			outs[i] = sh.expand(n, sh.res[0])
-		}
-	} else {
-		var cursor stats.Counter
-		var wg sync.WaitGroup
-		for w := 0; w < sh.workers; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				for {
-					i := int(cursor.Inc()) - 1
-					if i >= len(bucket) || sh.bdg.exhausted() || !sh.bdg.admitState() {
-						return
-					}
-					outs[i] = sh.expand(bucket[i], sh.res[w])
-				}
-			}(w)
-		}
-		wg.Wait()
-	}
-	for _, children := range outs {
-		for _, child := range children {
-			if err := sh.route(child); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
-
-// expand explores one admitted state: check properties, then propose
-// successors (unless the state sits at the depth bound). Safe to call from
-// expansion workers; x is the calling worker's workspace.
-func (sh *shard) expand(n *node, x *mc.Expander) []*node {
-	sh.maxDepth.Max(int64(n.depth))
-	if violated := x.Check(n.state); len(violated) > 0 {
-		sort.Strings(violated)
-		if sh.vio.record(violated, n.depth, n.state.Hash(), n) {
-			sh.bdg.halt()
-		}
-	}
-	if sh.bdg.maxDepth > 0 && n.depth >= sh.bdg.maxDepth {
+// route is the engine's sink: a proposed successor this shard's range does
+// not own is batched for its owner.
+func (sh *shard) route(child *mc.Node) error {
+	h, depth := child.State().Hash(), int32(child.Depth())
+	if prior, ok := sh.fwd[h]; ok && prior <= depth {
 		return nil
 	}
-	var children []*node
-	x.Events(n.state, func(ev sm.Event) {
-		if !sh.bdg.admitTransition() {
-			return
-		}
-		next := sh.search.ApplyEvent(n.state, ev)
-		if next == nil {
-			sh.bdg.refundTransition()
-			return
-		}
-		children = append(children, &node{
-			state: next, parent: n, event: ev, depth: n.depth + 1,
-		})
-	})
-	return children
-}
-
-// route claims a proposed successor locally or forwards it to its owner.
-func (sh *shard) route(child *node) error {
-	h := child.state.Hash()
-	if sh.rng.Contains(h) {
-		sh.claim(child, h)
-		return nil
+	sh.fwd[h] = depth
+	fs := ForwardState{Hash: h, Depth: depth, node: child}
+	if len(sh.prefix) > 0 {
+		fs.prefix = sh.prefix[child.Root()]
 	}
-	if prior, ok := sh.fwd[h]; ok && prior <= child.depth {
-		return nil
-	}
-	sh.fwd[h] = child.depth
 	owner := mc.ShardOwner(h, sh.slots)
-	sh.out[owner] = append(sh.out[owner], ForwardState{Hash: h, Depth: child.depth, node: child})
+	sh.out[owner] = append(sh.out[owner], fs)
 	sh.st.StatesForwarded++
 	if len(sh.out[owner]) >= sh.cfg.BatchSize {
 		return sh.flush(owner)
@@ -641,7 +300,7 @@ func (sh *shard) flushAll() error {
 // counts the batch (the quiescence protocol needs the credit repaid) but
 // drops its states.
 func (sh *shard) ingest(b Batch) error {
-	if sh.visited == nil {
+	if sh.eng == nil {
 		return errorf("shard %d: batch outside a round", sh.cfg.Index)
 	}
 	sh.received++
@@ -649,7 +308,7 @@ func (sh *shard) ingest(b Batch) error {
 		return errorf("shard %d: misrouted batch for slot %d (holding slot %d)", sh.cfg.Index, b.To, sh.slot)
 	}
 	sh.st.StatesReceived += int64(len(b.States))
-	if sh.bdg.exhausted() {
+	if sh.eng.Exhausted() {
 		return nil
 	}
 	for i := range b.States {
@@ -657,7 +316,7 @@ func (sh *shard) ingest(b Batch) error {
 		if !sh.rng.Contains(fs.Hash) {
 			return errorf("shard %d: received fingerprint %#x outside owned range", sh.cfg.Index, fs.Hash)
 		}
-		if prior, ok := sh.visited[fs.Hash]; ok && prior <= fs.Depth {
+		if sh.eng.Seen(fs.Hash, int(fs.Depth)) {
 			sh.st.RemoteDeduped++
 			continue
 		}
@@ -673,16 +332,17 @@ func (sh *shard) ingest(b Batch) error {
 			if g.Hash() != fs.Hash {
 				return errorf("shard %d: replayed state hash %#x, sender claimed %#x — diverged configurations?", sh.cfg.Index, g.Hash(), fs.Hash)
 			}
-			n = &node{state: g, prefix: fs.Path, depth: fs.Depth}
+			n = mc.NewNode(g, int(fs.Depth))
+			sh.prefix[n] = fs.Path
 		}
-		sh.claim(n, fs.Hash)
+		sh.eng.Inject(n)
 	}
 	return nil
 }
 
 // replay reconstructs a state from its descriptor path.
 func (sh *shard) replay(path []EventDesc) (*mc.GState, error) {
-	_, g, err := replayDescs(sh.search, sh.res[0], sh.scratch, sh.cfg.Root, path, false)
+	_, g, err := replayDescs(sh.search, sh.replayX, sh.scratch, sh.cfg.Root, path, false)
 	if err != nil {
 		return nil, errorf("shard %d: %w", sh.cfg.Index, err)
 	}
@@ -737,41 +397,39 @@ func resolveDesc(x *mc.Expander, scratch *sm.Encoder, g *mc.GState, desc *EventD
 
 // report assembles this shard's round report. Shard carries the *slot* the
 // report covers (like Batch.From and Idle.Shard), so the coordinator can
-// index reports by partition after a repartitioned retry.
+// index reports by partition after a repartitioned retry. Violation paths
+// travel as descriptors; chains that never crossed a wire also keep their
+// real events, sparing the coordinator the replay.
 func (sh *shard) report() ShardReport {
+	res := sh.eng.Result()
+	findings := sh.eng.Findings()
 	r := ShardReport{
 		Shard:       sh.slot,
-		States:      int64(len(sh.visited)),
-		Expansions:  sh.bdg.expansions(),
-		Transitions: sh.bdg.transitions.Load(),
-		MaxDepth:    int32(sh.maxDepth.Load()),
-		Exhausted:   sh.bdg.exhausted(),
-		Violations:  sh.vio.report(sh.scratch),
+		States:      int64(sh.eng.Claimed()),
+		Expansions:  int64(res.StatesExplored),
+		Transitions: int64(res.Transitions),
+		MaxDepth:    int32(res.MaxDepthReached),
+		Exhausted:   sh.eng.Exhausted(),
+		PeakBytes:   res.PeakMemoryBytes,
+		Violations:  make([]Violation, len(findings)),
 		Stats:       sh.st,
-		Locals:      dumpSet(sh.locals),
+		Locals:      sh.eng.LocalStates(),
+	}
+	for i, f := range findings {
+		prefix := sh.prefix[f.Node.Root()]
+		v := Violation{
+			Props:     f.Props,
+			Depth:     int32(f.Node.Depth()),
+			StateHash: f.Node.State().Hash(),
+			Path:      descPath(prefix, f.Node, sh.scratch),
+		}
+		if prefix == nil {
+			v.events = f.Node.Path()
+		}
+		r.Violations[i] = v
 	}
 	if sh.record {
-		r.Claimed = dumpDepthMap(sh.visited)
+		r.Claimed = sh.eng.ClaimedStates()
 	}
 	return r
-}
-
-// dumpSet returns the sorted members (collect, then sort).
-func dumpSet(m map[uint64]struct{}) []uint64 {
-	out := make([]uint64, 0, len(m))
-	for h := range m {
-		out = append(out, h)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
-// dumpDepthMap returns the sorted keys (collect, then sort).
-func dumpDepthMap(m map[uint64]int32) []uint64 {
-	out := make([]uint64, 0, len(m))
-	for h := range m {
-		out = append(out, h)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
 }

@@ -29,3 +29,35 @@ func TestUnbudgetedCountersTick(t *testing.T) {
 		}
 	}
 }
+
+// TestShardedStatesWithinBudget pins that a state-budgeted sharded round
+// never reports more explored states than it was given: every shard's
+// engine admits expansions against its exact share of Budget.States
+// (rejected admissions are rolled back, at any worker count), and the
+// merged count takes no credit for states that were claimed but never
+// expanded.
+func TestShardedStatesWithinBudget(t *testing.T) {
+	g, cfg := chordStart(t)
+	for _, shards := range []int{1, 2, 4} {
+		for _, workers := range []int{1, 4} {
+			for _, states := range []int{4, 7, 150} { // >= shards: a zero share would mean "unbounded"
+				b := mc.Budget{States: states, Workers: workers}
+				res, err := Local(LocalConfig{Shards: shards, Search: cfg, Root: g, Budget: b})
+				if err != nil {
+					t.Fatal(err)
+				}
+				var expansions int64
+				for _, r := range res.PerShard {
+					expansions += r.Expansions
+				}
+				if res.Checker.StatesExplored > states || expansions > int64(states) {
+					t.Errorf("shards=%d workers=%d: explored %d states (%d expansions) on a budget of %d",
+						shards, workers, res.Checker.StatesExplored, expansions, states)
+				}
+				if res.Checker.StatesExplored == 0 {
+					t.Errorf("shards=%d workers=%d budget=%d: nothing explored", shards, workers, states)
+				}
+			}
+		}
+	}
+}

@@ -177,15 +177,18 @@ func (d EventDesc) matches(ev sm.Event) bool {
 }
 
 // ForwardState is one successor handed to its owner shard. In process it
-// travels as a pointer into the sender's path tree (node); on the wire it
-// travels as the descriptor path from the root, which the receiver replays.
-// Hash and Depth describe the state either way, so the receiver
-// deduplicates against its visited set before paying for a replay.
+// travels as a pointer into the sender's search tree (node, plus the wire
+// prefix of that chain's root when the sender itself received it over a
+// wire); on the wire it travels as the descriptor path from the root, which
+// the receiver replays. Hash and Depth describe the state either way, so
+// the receiver deduplicates against its visited set before paying for a
+// replay.
 type ForwardState struct {
-	Hash  uint64
-	Depth int32
-	Path  []EventDesc // wire form (nil in-process)
-	node  *node       // in-process form (nil on the wire)
+	Hash   uint64
+	Depth  int32
+	Path   []EventDesc // wire form (nil in-process)
+	node   *mc.Node    // in-process form (nil on the wire)
+	prefix []EventDesc // wire path of node's chain root (in-process form)
 }
 
 // Batch carries forwarded states from slot From to owner slot To (round
@@ -232,15 +235,16 @@ type Violation struct {
 // ShardReport is a shard's contribution to the round's merged report.
 // States (the claimed-set size), MaxDepth, Violations, Claimed and Locals
 // are deterministic for a given seed and shard count; Expansions,
-// Transitions and Stats are scheduling telemetry (re-expansion counts vary
-// with arrival order, like the engine's steal counters).
+// Transitions, PeakBytes and Stats are scheduling telemetry (re-expansion
+// counts vary with batch arrival order).
 type ShardReport struct {
 	Shard       int
 	States      int64 // states claimed into the visited set
-	Expansions  int64
+	Expansions  int64 // states admitted for expansion (exact: never above the budget share)
 	Transitions int64
 	MaxDepth    int32
-	Exhausted   bool // stopped by budget, not by frontier exhaustion
+	Exhausted   bool  // stopped by budget, not by frontier exhaustion
+	PeakBytes   int64 // the shard engine's mc.Result.PeakMemoryBytes
 	Violations  []Violation
 	Stats       Stats
 	Claimed     []uint64 // sorted fingerprint dump (RecordStates rounds only)
@@ -320,6 +324,7 @@ func encodeMsg(e *sm.Encoder, m Msg) error {
 		e.Int64(v.Transitions)
 		e.Uint32(uint32(v.MaxDepth))
 		e.Bool(v.Exhausted)
+		e.Int64(v.PeakBytes)
 		e.Uint32(uint32(len(v.Violations)))
 		for i := range v.Violations {
 			encodeViolation(e, &v.Violations[i])
@@ -427,8 +432,9 @@ func decodeMsg(d *sm.Decoder) (Msg, error) {
 			Transitions: d.Int64(),
 			MaxDepth:    int32(d.Uint32()),
 			Exhausted:   d.Bool(),
+			PeakBytes:   d.Int64(),
 		}
-		if d.Err() == nil && (r.Shard < 0 || r.Shard >= maxShards || r.States < 0 || r.Expansions < 0 || r.Transitions < 0) {
+		if d.Err() == nil && (r.Shard < 0 || r.Shard >= maxShards || r.States < 0 || r.Expansions < 0 || r.Transitions < 0 || r.PeakBytes < 0) {
 			return nil, errorf("decode: report with impossible counters (shard=%d)", r.Shard)
 		}
 		n := int(d.Uint32())
@@ -589,7 +595,7 @@ func encodeForwardState(e *sm.Encoder, fs *ForwardState, scratch *sm.Encoder) er
 		if fs.node == nil {
 			return errorf("encode: forwarded state has neither path nor node")
 		}
-		path = fs.node.descPath(scratch)
+		path = descPath(fs.prefix, fs.node, scratch)
 	}
 	e.Uint64(fs.Hash)
 	e.Uint32(uint32(fs.Depth))

@@ -78,10 +78,7 @@ func runRandTreeSearch(seed int64, n int, mode mc.Mode, maxDepth, maxStates int,
 		panic(err)
 	}
 	cfg.Mode = mode
-	cfg.Workers = workers
-	cfg.MaxDepth = maxDepth
-	cfg.MaxStates = maxStates
-	cfg.MaxWall = maxWall
+	cfg.Budget = mc.Budget{States: maxStates, Depth: maxDepth, Wall: maxWall, Workers: workers}
 	cfg.ExploreResets = resets
 	cfg.Seed = seed
 	return mc.NewSearch(cfg).Run(g)
@@ -123,9 +120,7 @@ func Fig15Memory(cfg Fig15Config) []DepthPoint {
 			Props:         randtree.Properties,
 			Factory:       factory,
 			Mode:          mc.Consequence,
-			Workers:       cfg.Workers,
-			MaxDepth:      d,
-			MaxStates:     cfg.MaxStates,
+			Budget:        mc.Budget{States: cfg.MaxStates, Depth: d, Workers: cfg.Workers},
 			ExploreResets: true,
 			Seed:          cfg.Seed,
 		})
@@ -240,11 +235,9 @@ func DepthComparison(seed int64, budget time.Duration, nodeCounts []int, workers
 				Props:            props.Set{randtree.PropChildrenSiblingsDisjoint},
 				Factory:          factory,
 				Mode:             mode,
-				Workers:          workers,
+				Budget:           mc.Budget{Wall: budget, Violations: 1, Workers: workers},
 				ExploreResets:    true,
 				MaxResetsPerPath: 1,
-				MaxWall:          budget,
-				MaxViolations:    1,
 				Seed:             seed,
 			})
 			res := s.Run(g)

@@ -91,9 +91,8 @@ func TestSuccessorAllocBound(t *testing.T) {
 	}
 }
 
-// TestReductionCountersAllocBound: the reduction and work-stealing
-// counters are pre-allocated atomics on the engine — bumping them costs no
-// allocation — and the sleep-set bookkeeping itself adds at most a small
+// TestReductionCountersAllocBound: the reduction counters are pre-allocated
+// atomics on the engine — bumping them costs no allocation — and the sleep-set bookkeeping itself adds at most a small
 // constant per executed transition (one childSleep slice per expanded
 // child). The bound is relative to the unreduced engine so the existing
 // per-state allocation contract keeps gating both configurations.
@@ -103,8 +102,7 @@ func TestReductionCountersAllocBound(t *testing.T) {
 			Props:         poisonAt(1000),
 			Factory:       newToy,
 			Mode:          Exhaustive,
-			MaxDepth:      6,
-			Workers:       1,
+			Budget:        Budget{Depth: 6, Workers: 1},
 			Seed:          7,
 			ExploreResets: true,
 			Reduce:        reduce,

@@ -2,83 +2,13 @@ package mc
 
 import (
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 
 	"crystalball/internal/props"
 	"crystalball/internal/sm"
 )
-
-// visitedShards is the shard count of the concurrent hash sets. A power of
-// two well above any realistic worker count keeps lock contention off the
-// hot path.
-const visitedShards = 64
-
-// shardedSet is a concurrent set of state hashes, sharded by the hash's low
-// bits so workers rarely contend on the same lock.
-type shardedSet struct {
-	shards [visitedShards]struct {
-		mu sync.Mutex
-		m  map[uint64]struct{}
-		_  [48]byte // pad to a 64-byte cache line so shard locks don't false-share
-	}
-}
-
-func newShardedSet() *shardedSet {
-	s := &shardedSet{}
-	for i := range s.shards {
-		s.shards[i].m = make(map[uint64]struct{})
-	}
-	return s
-}
-
-// Add inserts h and reports whether it was absent (true = first sighting).
-func (s *shardedSet) Add(h uint64) bool {
-	sh := &s.shards[h%visitedShards]
-	sh.mu.Lock()
-	_, dup := sh.m[h]
-	if !dup {
-		sh.m[h] = struct{}{}
-	}
-	sh.mu.Unlock()
-	return !dup
-}
-
-// Has reports whether h is present.
-func (s *shardedSet) Has(h uint64) bool {
-	sh := &s.shards[h%visitedShards]
-	sh.mu.Lock()
-	_, ok := sh.m[h]
-	sh.mu.Unlock()
-	return ok
-}
-
-// Len returns the total number of entries.
-func (s *shardedSet) Len() int {
-	n := 0
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.Lock()
-		n += len(sh.m)
-		sh.mu.Unlock()
-	}
-	return n
-}
-
-// dump returns the sorted contents (differential oracles compare sets).
-func (s *shardedSet) dump() []uint64 {
-	out := make([]uint64, 0, s.Len())
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.Lock()
-		for h := range sh.m {
-			out = append(out, h)
-		}
-		sh.mu.Unlock()
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
 
 // atomicMax raises *v to x if x is larger (CAS-max).
 func atomicMax(v *atomic.Int64, x int64) {
@@ -90,26 +20,35 @@ func atomicMax(v *atomic.Int64, x int64) {
 	}
 }
 
-// collector gathers violations from all workers, deduplicating by bug-class
-// signature and keeping, per signature, the representative with the
-// smallest (depth, state hash). For runs bounded only by depth or
-// exhaustion the reported set is therefore identical no matter how worker
-// interleavings ordered the discoveries; under a MaxViolations cutoff,
-// which violating states fill the quota first — and so the reported
-// membership — can still vary with >1 worker, exactly as it varies with
-// the processing order of the serial checker. The quota counts violating
-// *states* (every record call — each corresponds to one distinct state's
-// violation onset), matching the serial checker: a search stops quickly
-// once violations pile up even when they share a signature.
+// Finding is one collected violation class before its path is rendered: the
+// violated properties and the representative node. A single-range search
+// renders Node.Path() into Result.Violations; a sharded search splices the
+// wire prefix of Node.Root() in front.
+type Finding struct {
+	Props []string
+	Node  *Node
+	sig   string
+}
+
+// collector gathers violations from all workers, deduplicating by a
+// caller-supplied bug-class signature and keeping, per signature, the
+// representative node with the smallest (depth, state hash). For runs
+// bounded only by depth or exhaustion the reported set is therefore
+// identical no matter how worker interleavings ordered the discoveries;
+// under a Budget.Violations cutoff, which violating states fill the quota
+// first — and so the reported membership — can still vary with >1 worker,
+// exactly as it varies with the processing order of the serial checker. The
+// quota counts violating *states* (every record call), not signatures: a
+// search stops quickly once violations pile up even when they share one.
 type collector struct {
 	mu       sync.Mutex
 	bySig    map[string]int
-	list     []Violation
+	list     []Finding
 	recorded int // violating states seen, including signature duplicates
-	max      int // MaxViolations (0 = unbounded)
+	max      int // Budget.Violations (0 = unbounded)
 	// filled flips once the quota is reached; record's lock-free fast path
 	// reads it so post-quota workers (which may still be draining violating
-	// states from their level slices) stop serializing on the mutex.
+	// states from their bucket) stop serializing on the mutex.
 	filled atomic.Bool
 }
 
@@ -117,13 +56,25 @@ func newCollector(max int) *collector {
 	return &collector{bySig: make(map[string]int), max: max}
 }
 
-// record merges v into the collection and reports whether the violation
-// quota is now (or already was) filled.
-func (c *collector) record(v Violation) (quotaFilled bool) {
+// less orders findings by (depth, state hash, signature): a total order
+// independent of discovery interleaving.
+func (f *Finding) less(o *Finding) bool {
+	if f.Node.depth != o.Node.depth {
+		return f.Node.depth < o.Node.depth
+	}
+	if fh, oh := f.Node.state.Hash(), o.Node.state.Hash(); fh != oh {
+		return fh < oh
+	}
+	return f.sig < o.sig
+}
+
+// record merges one violating state into the collection and reports whether
+// the violation quota is now (or already was) filled.
+func (c *collector) record(sig string, properties []string, n *Node) (quotaFilled bool) {
 	if c.filled.Load() {
 		return true
 	}
-	sig := v.Signature()
+	f := Finding{Props: properties, Node: n, sig: sig}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.max > 0 && c.recorded >= c.max {
@@ -131,13 +82,12 @@ func (c *collector) record(v Violation) (quotaFilled bool) {
 	}
 	c.recorded++
 	if i, seen := c.bySig[sig]; seen {
-		old := c.list[i]
-		if v.Depth < old.Depth || (v.Depth == old.Depth && v.StateHash < old.StateHash) {
-			c.list[i] = v
+		if f.less(&c.list[i]) {
+			c.list[i] = f
 		}
 	} else {
 		c.bySig[sig] = len(c.list)
-		c.list = append(c.list, v)
+		c.list = append(c.list, f)
 	}
 	if c.max > 0 && c.recorded >= c.max {
 		c.filled.Store(true)
@@ -146,40 +96,89 @@ func (c *collector) record(v Violation) (quotaFilled bool) {
 	return false
 }
 
-// violations returns the deduplicated set sorted by depth, then state hash,
-// then signature: a total order independent of discovery interleaving.
-func (c *collector) violations() []Violation {
+// findings returns the deduplicated set in Finding.less order.
+func (c *collector) findings() []Finding {
 	c.mu.Lock()
-	out := make([]Violation, len(c.list))
+	out := make([]Finding, len(c.list))
 	copy(out, c.list)
 	c.mu.Unlock()
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Depth != out[j].Depth {
-			return out[i].Depth < out[j].Depth
-		}
-		if out[i].StateHash != out[j].StateHash {
-			return out[i].StateHash < out[j].StateHash
-		}
-		return out[i].Signature() < out[j].Signature()
-	})
+	sort.Slice(out, func(i, j int) bool { return out[i].less(&out[j]) })
 	return out
 }
 
-// engine is the worker-pool breadth-first explorer shared by the Exhaustive
-// and Consequence strategies. Exploration is level-synchronized: all
-// frontier states of depth d are expanded before any state of depth d+1.
-// Within a level each worker owns a Chase-Lev deque seeded with a
-// contiguous chunk of the level (LIFO local pops, FIFO steals when a chunk
-// drains), so the frontier is contention-free in the common case; the
-// deprecated shared-cursor FIFO survives behind Config.LegacyFrontier for
-// benchmark comparison. Successor states are only *proposed* during
-// expansion — the visited-set claims happen in one deterministic pass at
-// the level barrier, in (level position, sibling) order, so every state is
-// claimed at its minimal BFS depth by the same representative path at every
-// worker count, and a racing worker interleaving can never change which
-// parent a state's violation path runs through. With workers == 1 the
-// engine reproduces the serial breadth-first search of the paper's Figures
-// 5 and 8 exactly, including expansion order.
+// violations renders the findings with each representative's path from its
+// chain root.
+func (c *collector) violations() []Violation {
+	findings := c.findings()
+	out := make([]Violation, len(findings))
+	for i, f := range findings {
+		out[i] = Violation{
+			Properties: f.Props,
+			Path:       f.Node.Path(),
+			StateHash:  f.Node.state.Hash(),
+			Depth:      f.Node.depth,
+		}
+	}
+	return out
+}
+
+// frontier is the engine's depth-bucketed work pool, drained lowest bucket
+// first. For one range with no injected arrivals a bucket is exactly a BFS
+// level; in a sharded search states arrive at any depth, and draining
+// shallow work first keeps expansion near breadth-first order, which
+// minimizes re-expansions (a state re-arrives shallower less often).
+type frontier struct {
+	buckets [][]*Node
+	low     int
+	count   int
+}
+
+func (f *frontier) push(n *Node) {
+	for n.depth >= len(f.buckets) {
+		f.buckets = append(f.buckets, nil)
+	}
+	f.buckets[n.depth] = append(f.buckets[n.depth], n)
+	if f.count == 0 || n.depth < f.low {
+		f.low = n.depth
+	}
+	f.count++
+}
+
+// popBucket removes and returns the lowest non-empty bucket.
+func (f *frontier) popBucket() []*Node {
+	for len(f.buckets[f.low]) == 0 {
+		f.low++
+	}
+	b := f.buckets[f.low]
+	f.buckets[f.low] = nil
+	f.count -= len(b)
+	return b
+}
+
+// Engine is the one breadth-first search loop: the paper's Figure 5
+// (Exhaustive) and Figure 8 (Consequence) differ by a single pruning rule,
+// and a shard of a distributed search is the same loop restricted to a
+// HashRange of the fingerprint space. Search.Run drives one Engine over the
+// whole space; internal/dist drives one per shard per round, with a sink
+// for the successors the range does not own and a hook between buckets to
+// exchange batches.
+//
+// Exploration is bucket-synchronized: every frontier state of the lowest
+// depth is expanded — in parallel across Budget.Workers workers pulling
+// from one shared cursor — before any claim is made. Successors are only
+// *proposed* during expansion; the visited-set claims happen in one
+// deterministic serial pass at the bucket barrier, in (bucket position,
+// sibling) order, so every state is claimed at its minimal BFS depth by the
+// same representative path at every worker count, and the tables need no
+// locks. With one worker the engine reproduces the serial breadth-first
+// search of the paper exactly, including expansion order.
+//
+// visited maps a fingerprint to the minimal depth it was claimed at; a
+// strictly shallower arrival re-claims and re-expands, which restores
+// exactly the subtree a depth-bounded BFS explores. Within one range that
+// never fires (buckets drain in depth order); it is what makes a sharded
+// search, where states arrive from other shards at any depth, claim the
+// same set as the serial one.
 //
 // With Config.Reduce on, expansion runs the sleep-set partial-order
 // reduction of reduce.go: network transitions slept by the claimed node's
@@ -188,122 +187,161 @@ func (c *collector) violations() []Violation {
 // the filtered, extended sleep sets. Because claims are deterministic at
 // the barrier, the sleep set attached to a claimed state — and therefore
 // the whole reduced exploration — is also identical at every worker count.
-type engine struct {
+type Engine struct {
 	s       *Search
 	workers int
 	prune   bool // consequence prediction's (node, local state) rule
 	reduce  bool // sleep-set partial-order reduction
-	legacy  bool // shared-cursor level FIFO instead of deques
 	red     Reducer
+	own     HashRange
+	// forward receives each proposed successor own does not contain (nil
+	// when the engine owns the whole space).
+	forward func(*Node) error
 	bdg     *budget
-	visited *shardedSet
-	local   *shardedSet // consequence-prediction dedup table
-	locals  *shardedSet // distinct node-local states over claimed states
+	visited map[uint64]int32    // fingerprint → minimal claimed depth
+	local   map[uint64]struct{} // consequence-prediction dedup table
+	locals  map[uint64]struct{} // distinct node-local states over claimed states
 	coll    *collector
-	deques  []wsDeque
-	// arrivals maps state hash → the claimed child of the current level
-	// (reduction only): duplicate same-level proposals intersect their
+	fr      frontier
+	// arrivals maps state hash → the child claimed in the current barrier
+	// pass (reduction only): duplicate same-level proposals intersect their
 	// sleep sets into the claimed child's, restoring the promises state
 	// matching would otherwise break (see intersectSleep).
-	arrivals map[uint64]*searchNode
-	// res holds one reusable workspace per worker (index 0 doubles as the
-	// serial fast path's): the property-check view and the event-enumeration
-	// buffers are recycled across every state a worker processes, so the
-	// per-state path allocates only for the successors it actually keeps.
-	res []workerRes
+	arrivals map[uint64]*Node
+	// ws holds one reusable workspace per worker (index 0 doubles as the
+	// serial path's).
+	ws  []*Expander
 	ctr counters
 }
 
-// workerRes is one worker's reusable per-state workspace.
-type workerRes struct {
-	view *props.View
-	evb  eventBuf
-	sibs []sleepKey  // explored-sibling descriptors (reduction)
-	enc  *sm.Encoder // app-call fingerprint scratch (reduction)
+// Expander is one worker's reusable per-state workspace: the property-check
+// view and the event-enumeration buffers are recycled across every state
+// the worker processes, so the per-state path allocates only for the
+// successors it actually keeps. Check and Events expose the same two steps
+// to callers outside the engine (path replay in internal/dist, the
+// benchmark's layer probes). An Expander is not safe for concurrent use.
+type Expander struct {
+	s      *Search
+	view   *props.View
+	evb    eventBuf
+	sibs   []sleepKey  // explored-sibling descriptors (reduction)
+	enc    *sm.Encoder // app-call fingerprint scratch (reduction)
+	claims []uint64    // consequence (node, local state) claims awaiting the barrier
 }
 
-func newEngine(s *Search, workers int, prune bool) *engine {
-	e := &engine{
-		s:       s,
-		workers: workers,
-		prune:   prune,
-		reduce:  s.cfg.Reduce,
-		legacy:  s.cfg.LegacyFrontier,
-		red:     s.cfg.Reducer,
-		bdg:     newBudget(s.cfg.Stop(), s.cfg.Now),
-		visited: newShardedSet(),
-		local:   newShardedSet(),
-		locals:  newShardedSet(),
-		coll:    newCollector(s.cfg.Budget.Violations),
-		deques:  make([]wsDeque, workers),
-		res:     make([]workerRes, workers),
+// NewExpander returns a fresh workspace bound to the search.
+func (s *Search) NewExpander() *Expander {
+	return &Expander{s: s, view: props.NewView(), enc: sm.NewEncoder()}
+}
+
+// Check evaluates the search's property set — local and global — on g
+// through the pooled view and returns the violated property names (nil when
+// g is consistent). The returned slice is freshly allocated per violation
+// and owned by the caller.
+func (x *Expander) Check(g *GState) []string {
+	g.FillView(x.view)
+	return x.s.checkProps(x.view)
+}
+
+// Events enumerates the transitions enabled at g in the engine's canonical
+// deterministic order — message-handler events in in-flight queue order,
+// then per node in sorted id order the internal actions (timers sorted,
+// model app calls, resets, conn breaks) — and calls emit for each. emit
+// must not reenter Events on the same Expander: the enumeration buffer is
+// recycled per call.
+func (x *Expander) Events(g *GState, emit func(sm.Event)) {
+	network, ids, internal := x.s.enabledInto(g, &x.evb)
+	for _, ev := range network {
+		emit(ev)
 	}
-	for w := range e.res {
-		e.res[w].view = props.NewView()
-		e.res[w].enc = sm.NewEncoder()
+	for i := range ids {
+		for _, ev := range internal[i] {
+			emit(ev)
+		}
+	}
+}
+
+// NewEngine returns a search loop over the fingerprints in own, spending b.
+// Proposed successors outside own go to forward, which must be non-nil
+// unless own is the whole space; an error from it aborts Drain. The engine
+// starts empty: Inject the start state (and, sharded, every arrival).
+//
+// With a sink, which path first reaches a state depends on batch arrival
+// order, so a violation's onset along "the" path is not a function of the
+// search. Such an engine instead records, per violating state, the full
+// sorted set of violated properties and deduplicates by that set alone —
+// a pure function of the claimed states, hence identical at any shard and
+// worker count; representative paths remain scheduling telemetry.
+func (s *Search) NewEngine(b Budget, own HashRange, forward func(*Node) error) *Engine {
+	if b.Workers < 1 {
+		b.Workers = 1
+	}
+	e := &Engine{
+		s:       s,
+		workers: b.Workers,
+		prune:   s.cfg.Mode == Consequence,
+		reduce:  s.cfg.Reduce,
+		red:     s.cfg.Reducer,
+		own:     own,
+		forward: forward,
+		bdg:     newBudget(b, s.cfg.Now),
+		visited: make(map[uint64]int32),
+		local:   make(map[uint64]struct{}),
+		locals:  make(map[uint64]struct{}),
+		coll:    newCollector(b.Violations),
+		ws:      make([]*Expander, b.Workers),
+	}
+	for w := range e.ws {
+		e.ws[w] = s.NewExpander()
 	}
 	if e.reduce {
-		e.arrivals = make(map[uint64]*searchNode)
+		e.arrivals = make(map[uint64]*Node)
 	}
 	return e
 }
 
-func (e *engine) run(start *GState) *Result {
-	// Encoding and hash caches are populated at state construction (AddNode
-	// / ApplyEvent), so every cross-goroutine read of shared states is a
-	// pure read and Hash is an O(1) lookup of the incremental fingerprint.
-	e.visited.Add(start.Hash())
-	e.recordLocals(start.nodes, start.ids, nil)
-	e.growFrontier(int64(start.EncodedSize()))
-	level := []*searchNode{{state: start}}
-	for len(level) > 0 && !e.bdg.exhausted() {
-		level = e.processLevel(level)
-	}
-
-	res := &Result{
-		Violations:          e.coll.violations(),
-		StatesExplored:      e.bdg.statesAdmitted(),
-		Transitions:         int(e.ctr.transitions.Load()),
-		MaxDepthReached:     int(e.ctr.maxDepth.Load()),
-		LocalPrunes:         int(e.ctr.localPrunes.Load()),
-		SleepHits:           int(e.ctr.sleepHits.Load()),
-		Steals:              int(e.ctr.steals.Load()),
-		StealFails:          int(e.ctr.stealFails.Load()),
-		DistinctLocalStates: e.locals.Len(),
-		Elapsed:             e.bdg.elapsed(),
-	}
-	res.TransitionsPruned = res.SleepHits + res.LocalPrunes
-	if e.s.cfg.RecordLocalStates {
-		res.LocalStates = e.locals.dump()
-	}
-	if e.s.cfg.RecordClaimedStates {
-		res.ClaimedStates = e.visited.dump()
-	}
-	// Hash-set entries cost roughly 16 bytes (8-byte key + bucket
-	// overhead amortised); frontier states dominate at shallow depths.
-	res.PeakMemoryBytes = e.ctr.peakBytes.Load() + int64(e.visited.Len()+e.local.Len())*16
-	if res.StatesExplored > 0 {
-		res.PerStateBytes = float64(res.PeakMemoryBytes) / float64(res.StatesExplored)
-	}
-	return res
+// Seen reports whether fingerprint h is already claimed at depth or
+// shallower — whether injecting such a state would be a duplicate. A
+// sharded search asks before paying for a wire arrival's path replay.
+func (e *Engine) Seen(h uint64, depth int) bool {
+	prior, ok := e.visited[h]
+	return ok && int(prior) <= depth
 }
 
-// recordLocals folds newly reached node-local states into the distinct
-// local-state set — the ROADMAP's coverage metric. A successor differs from
-// its parent in at most the node the claiming event executed at, so claims
-// record one hash; the root records every node.
-func (e *engine) recordLocals(nodes map[sm.NodeID]*NodeState, ids []sm.NodeID, ev sm.Event) {
-	if ev == nil {
-		for _, id := range ids {
-			e.locals.Add(nodes[id].localHash())
-		}
-		return
+// Inject claims n into the engine's range and queues it for expansion,
+// unless its state is already claimed at n's depth or shallower. It must
+// not be called while Drain is expanding (the between-buckets hook is the
+// place to inject mid-drain).
+func (e *Engine) Inject(n *Node) bool { return e.claim(n, n.state.Hash()) }
+
+// claim enters a state this engine owns: record its minimal depth, fold the
+// node-local state its event produced into the coverage set, and queue it.
+// Every write to the engine's tables happens here, on the goroutine driving
+// Drain, which is why they are plain maps.
+//
+//crystal:hotpath
+func (e *Engine) claim(n *Node, h uint64) bool {
+	if e.Seen(h, n.depth) {
+		return false
 	}
-	if id, ok := eventNode(ev); ok {
-		if ns := nodes[id]; ns != nil {
-			e.locals.Add(ns.localHash())
+	e.visited[h] = int32(n.depth)
+	atomicMax(&e.ctr.peakBytes, e.ctr.frontierBytes.Add(int64(n.state.EncodedSize())))
+	// A successor differs from its parent in at most the node its event
+	// executed at, so a claim records that one local state; a chain root
+	// (the start state, or a state that arrived without its event) records
+	// every node. The union over all claims is every local state of every
+	// claimed state either way.
+	if id, ok := eventNode(n.event); ok {
+		if ns := n.state.nodes[id]; ns != nil {
+			e.locals[ns.localHash()] = struct{}{}
+		}
+	} else if n.event == nil {
+		for _, id := range n.state.ids {
+			e.locals[n.state.nodes[id].localHash()] = struct{}{}
 		}
 	}
+	e.fr.push(n)
+	return true
 }
 
 // eventNode returns the node whose local state an event's handler mutates
@@ -325,142 +363,92 @@ func eventNode(ev sm.Event) (sm.NodeID, bool) {
 	}
 }
 
-// processLevel expands every state of one BFS level and returns the next.
-// Expansion only proposes children; the visited-set claims — and the
-// consequence-prediction (node, local state) claims — are applied at the
-// level barrier. The pruning tables therefore consult strictly earlier
-// levels and the claim order is a pure function of the level's order, so
-// the exploration is identical at every worker count.
-func (e *engine) processLevel(level []*searchNode) []*searchNode {
-	outs := make([][]*searchNode, len(level))
-	claims := make([][]uint64, e.workers)
-	switch {
-	case e.workers == 1 || len(level) == 1:
-		// Serial fast path: identical order to the paper's FIFO search.
-		for i, node := range level {
-			if !e.bdg.admitState() {
-				break
-			}
-			outs[i] = e.expandNode(node, &claims[0], &e.res[0])
-			if e.bdg.exhausted() {
-				break
+// Drain expands the frontier, lowest depth bucket first, until it is empty
+// or the budget is spent. between, when non-nil, runs after every bucket's
+// claim pass: the place a sharded search flushes its outgoing batches and
+// injects queued arrivals. The first error from the sink or from between
+// stops the drain.
+func (e *Engine) Drain(between func() error) error {
+	for e.fr.count > 0 && !e.bdg.exhausted() {
+		outs := e.expandBucket(e.fr.popBucket())
+		if err := e.claimChildren(outs); err != nil {
+			return err
+		}
+		if between != nil {
+			if err := between(); err != nil {
+				return err
 			}
 		}
-	case e.legacy:
-		e.runLevelShared(level, outs, claims)
-	default:
-		e.runLevelSteal(level, outs, claims)
 	}
-	for w := range claims {
-		e.mergeClaims(claims[w])
+	if e.bdg.exhausted() {
+		// Nothing queued will ever be expanded; let the states go.
+		e.fr = frontier{}
 	}
-	return e.claimChildren(outs)
+	return nil
 }
 
-// runLevelShared is the legacy frontier: N workers pulling from the shared
-// level slice through one atomic cursor. Kept behind Config.LegacyFrontier
-// as the baseline BenchmarkParallelSearch compares the deques against.
-func (e *engine) runLevelShared(level []*searchNode, outs [][]*searchNode, claims [][]uint64) {
+// expandBucket expands every state of one depth bucket and returns the
+// proposed children per bucket position. Workers pull positions from one
+// shared cursor; with a single worker (or a single state) the loop runs
+// inline in bucket order — the paper's FIFO search.
+func (e *Engine) expandBucket(bucket []*Node) [][]*Node {
+	outs := make([][]*Node, len(bucket))
 	var cursor atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < e.workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for {
-				i := int(cursor.Add(1)) - 1
-				if i >= len(level) || e.bdg.exhausted() || !e.bdg.admitState() {
-					break
-				}
-				outs[i] = e.expandNode(level[i], &claims[w], &e.res[w])
+	work := func(x *Expander) {
+		for {
+			i := int(cursor.Add(1)) - 1
+			if i >= len(bucket) || e.bdg.exhausted() || !e.bdg.admitState() {
+				return
 			}
-		}(w)
+			outs[i] = e.expand(bucket[i], x)
+		}
 	}
-	wg.Wait()
-}
-
-// runLevelSteal is the work-stealing frontier: each worker's deque is
-// seeded with a contiguous chunk of the level; owners pop LIFO from their
-// own deque and steal FIFO from round-robin victims once it drains.
-func (e *engine) runLevelSteal(level []*searchNode, outs [][]*searchNode, claims [][]uint64) {
-	chunk := (len(level) + e.workers - 1) / e.workers
-	for w := 0; w < e.workers; w++ {
-		lo := w * chunk
-		if lo > len(level) {
-			lo = len(level)
-		}
-		hi := lo + chunk
-		if hi > len(level) {
-			hi = len(level)
-		}
-		e.deques[w].reset(lo, hi-lo)
+	workers := min(e.workers, len(bucket))
+	if workers == 1 {
+		work(e.ws[0])
+		return outs
 	}
 	var wg sync.WaitGroup
-	for w := 0; w < e.workers; w++ {
+	for _, x := range e.ws[:workers] {
 		wg.Add(1)
-		go func(w int) {
+		go func(x *Expander) {
 			defer wg.Done()
-			for !e.bdg.exhausted() {
-				idx, ok := e.deques[w].pop()
-				if !ok {
-					idx, ok = e.stealWork(w)
-					if !ok {
-						return
-					}
-				}
-				if !e.bdg.admitState() {
-					return
-				}
-				outs[idx] = e.expandNode(level[idx], &claims[w], &e.res[w])
-			}
-		}(w)
+			work(x)
+		}(x)
 	}
 	wg.Wait()
+	return outs
 }
 
-// stealWork scans the other workers' deques round-robin for an item. It
-// returns ok=false only once every deque is empty; a lost CAS (the item
-// went to someone else) counts as a steal failure and rescans.
-func (e *engine) stealWork(w int) (int32, bool) {
-	for {
-		drained := true
-		for off := 1; off < e.workers; off++ {
-			idx, ok, raced := e.deques[(w+off)%e.workers].steal()
-			if ok {
-				e.ctr.steals.Add(1)
-				return idx, true
-			}
-			if raced {
-				e.ctr.stealFails.Add(1)
-				drained = false
-			}
-		}
-		if drained {
-			return 0, false
-		}
-	}
-}
-
-// claimChildren runs the deterministic claim pass of the level barrier:
-// proposed children are claimed against the visited set in (level
-// position, sibling) order — exactly the serial engine's order — so the
-// surviving next level, each state's representative parent path and each
-// state's sleep set are worker-count independent.
+// claimChildren is the deterministic claim pass of the bucket barrier. The
+// consequence-prediction (node, local state) claims the workers gathered
+// are merged first, so the pruning table consults strictly earlier buckets;
+// then proposed children are claimed — or, outside the owned range, handed
+// to the sink — in (bucket position, sibling) order, exactly the serial
+// search's order, so the surviving next level, each state's representative
+// parent path and each state's sleep set are worker-count independent.
 //
 //crystal:hotpath
-func (e *engine) claimChildren(outs [][]*searchNode) []*searchNode {
-	total := 0
-	for _, children := range outs {
-		total += len(children)
+func (e *Engine) claimChildren(outs [][]*Node) error {
+	for _, x := range e.ws {
+		for _, lh := range x.claims {
+			e.local[lh] = struct{}{}
+		}
+		x.claims = x.claims[:0]
 	}
-	next := make([]*searchNode, 0, total)
 	if e.reduce {
 		clear(e.arrivals)
 	}
 	for _, children := range outs {
 		for _, child := range children {
 			h := child.state.Hash()
-			if !e.visited.Add(h) {
+			if !e.own.Contains(h) {
+				if err := e.forward(child); err != nil {
+					return err
+				}
+				continue
+			}
+			if !e.claim(child, h) {
 				if e.reduce {
 					if prior, ok := e.arrivals[h]; ok {
 						prior.sleep = intersectSleep(prior.sleep, child.sleep)
@@ -471,76 +459,69 @@ func (e *engine) claimChildren(outs [][]*searchNode) []*searchNode {
 			if e.reduce {
 				e.arrivals[h] = child
 			}
-			e.growFrontier(int64(child.state.EncodedSize()))
-			e.recordLocals(child.state.nodes, child.state.ids, child.event)
-			next = append(next, child)
 		}
 	}
-	return next
+	return nil
 }
 
-func (e *engine) mergeClaims(claims []uint64) {
-	for _, lh := range claims {
-		e.local.Add(lh)
+// reportViolation records the violation found at n and returns the violated
+// set its children inherit (see NewEngine for the two recording rules).
+func (e *Engine) reportViolation(n *Node, violated []string) map[string]bool {
+	if e.forward != nil {
+		sort.Strings(violated)
+		if e.coll.record(strings.Join(violated, "|"), violated, n) {
+			e.bdg.halt()
+		}
+		return nil
 	}
-}
-
-func (e *engine) growFrontier(delta int64) {
-	atomicMax(&e.ctr.peakBytes, e.ctr.frontierBytes.Add(delta))
-}
-
-// expandNode explores one admitted state: check properties, expand
-// successors (cloning before every handler invocation, so the shared
-// predecessor state is never written), and return the proposed children —
-// the level barrier claims them. Consequence (node, local state) claims go
-// to *claims for the level-barrier merge. res is the calling worker's
-// reusable workspace: the property-check view and enumeration buffers are
-// refilled per state instead of reallocated. With reduction on, network
-// transitions slept by node's sleep set are skipped and each child carries
-// its inherited-and-extended sleep set (reduce.go).
-//
-//crystal:hotpath
-func (e *engine) expandNode(node *searchNode, claims *[]uint64, res *workerRes) []*searchNode {
-	e.ctr.frontierBytes.Add(-int64(node.state.EncodedSize()))
-	atomicMax(&e.ctr.maxDepth, int64(node.depth))
-
 	// Report the *onset* of each violation — properties violated here but
 	// not on the path so far — then keep exploring, as the paper's search
 	// does: a start state that already violates one property must not
 	// mask deeper, different bugs.
-	pathViolated := node.violated
-	node.state.FillView(res.view)
-	if violated := e.s.checkProps(res.view); len(violated) > 0 {
-		onset := make([]string, 0, len(violated))
-		for _, p := range violated {
-			if !pathViolated[p] {
-				onset = append(onset, p)
-			}
-		}
-		if len(onset) > 0 {
-			if e.coll.record(Violation{
-				Properties: onset,
-				Path:       node.path(),
-				StateHash:  node.state.Hash(),
-				Depth:      node.depth,
-			}) {
-				e.bdg.halt()
-			}
-			next := make(map[string]bool, len(pathViolated)+len(onset))
-			for p := range pathViolated {
-				next[p] = true
-			}
-			for _, p := range onset {
-				next[p] = true
-			}
-			pathViolated = next
+	onset := make([]string, 0, len(violated))
+	for _, p := range violated {
+		if !n.violated[p] {
+			onset = append(onset, p)
 		}
 	}
-	if e.bdg.crit.MaxDepth > 0 && node.depth >= e.bdg.crit.MaxDepth {
+	if len(onset) == 0 {
+		return n.violated
+	}
+	if e.coll.record(signature(onset, n.event), onset, n) {
+		e.bdg.halt()
+	}
+	next := make(map[string]bool, len(n.violated)+len(onset))
+	for p := range n.violated {
+		next[p] = true
+	}
+	for _, p := range onset {
+		next[p] = true
+	}
+	return next
+}
+
+// expand explores one admitted state: check properties, expand successors
+// (cloning before every handler invocation, so the shared predecessor state
+// is never written), and return the proposed children — the bucket barrier
+// claims them. Consequence (node, local state) claims go to x.claims for
+// the barrier merge. With reduction on, network transitions slept by the
+// node's sleep set are skipped and each child carries its
+// inherited-and-extended sleep set (reduce.go).
+//
+//crystal:hotpath
+func (e *Engine) expand(node *Node, x *Expander) []*Node {
+	e.ctr.frontierBytes.Add(-int64(node.state.EncodedSize()))
+	atomicMax(&e.ctr.maxDepth, int64(node.depth))
+
+	pathViolated := node.violated
+	if violated := x.Check(node.state); len(violated) > 0 {
+		pathViolated = e.reportViolation(node, violated)
+	}
+	if e.bdg.lim.Depth > 0 && node.depth >= e.bdg.lim.Depth {
 		return nil
 	}
 
-	var children []*searchNode
+	var children []*Node
 	expand := func(ev sm.Event, sleep sleepSet) bool {
 		if !e.bdg.admitTransition() {
 			return false
@@ -551,18 +532,18 @@ func (e *engine) expandNode(node *searchNode, claims *[]uint64, res *workerRes) 
 			return false
 		}
 		e.ctr.transitions.Add(1)
-		children = append(children, &searchNode{
+		children = append(children, &Node{
 			state: next, parent: node, event: ev,
 			depth: node.depth + 1, violated: pathViolated, sleep: sleep,
 		})
 		return true
 	}
 
-	network, ids, internal := e.s.enabledInto(node.state, &res.evb)
+	network, ids, internal := e.s.enabledInto(node.state, &x.evb)
 	// H_M: always process all network handlers (Figure 8 line 13) — minus,
 	// under reduction, the transitions this node's sleep set proves are
 	// commuting-square duplicates of a sibling branch.
-	sibs := res.sibs[:0]
+	sibs := x.sibs[:0]
 	for _, ev := range network {
 		if !e.reduce {
 			expand(ev, nil)
@@ -614,11 +595,11 @@ func (e *engine) expandNode(node *searchNode, claims *[]uint64, res *workerRes) 
 		}
 		if e.prune {
 			lh := node.state.nodes[id].localHash()
-			if e.local.Has(lh) {
+			if _, claimed := e.local[lh]; claimed {
 				e.ctr.localPrunes.Add(int64(len(evs)))
 				continue
 			}
-			*claims = append(*claims, lh)
+			x.claims = append(x.claims, lh)
 		}
 		for _, ev := range evs {
 			if !e.reduce {
@@ -632,9 +613,9 @@ func (e *engine) expandNode(node *searchNode, claims *[]uint64, res *workerRes) 
 			k, ok := e.red.Classify(ev)
 			if !ok {
 				if ae, isApp := ev.(sm.AppEvent); isApp {
-					res.enc.Reset()
-					ae.Call.EncodeCall(res.enc)
-					k = sleepKey{to: ae.At, typ: ae.Call.CallName(), arg: res.enc.Hash(), kind: sleepApp}
+					x.enc.Reset()
+					ae.Call.EncodeCall(x.enc)
+					k = sleepKey{to: ae.At, typ: ae.Call.CallName(), arg: x.enc.Hash(), kind: sleepApp}
 					ok = true
 				}
 			}
@@ -653,17 +634,75 @@ func (e *engine) expandNode(node *searchNode, claims *[]uint64, res *workerRes) 
 			}
 		}
 	}
-	res.sibs = sibs
+	x.sibs = sibs
 	return children
 }
 
 // internalSleep builds the sleep set for a child entered through the
 // internal (H_A) transition named by enter: the usual commuting filter in
 // exhaustive mode, the empty set in consequence mode (promises cannot
-// cross once-per-local-state edges; see the expandNode H_A comment).
-func (e *engine) internalSleep(inherited sleepSet, siblings []sleepKey, enter sleepKey) sleepSet {
+// cross once-per-local-state edges; see the expand H_A comment).
+func (e *Engine) internalSleep(inherited sleepSet, siblings []sleepKey, enter sleepKey) sleepSet {
 	if e.prune {
 		return nil
 	}
 	return childSleep(inherited, siblings, enter)
+}
+
+// Exhausted reports whether a budget bound (or the violation quota) has
+// stopped the search; a drained frontier alone does not count.
+func (e *Engine) Exhausted() bool { return e.bdg.exhausted() }
+
+// Claimed returns the number of distinct states claimed so far.
+func (e *Engine) Claimed() int { return len(e.visited) }
+
+// ClaimedStates returns the sorted fingerprints of the claimed states
+// (differential oracles compare the sets).
+func (e *Engine) ClaimedStates() []uint64 { return sortedKeys(e.visited) }
+
+// LocalStates returns the sorted distinct node-local state fingerprints
+// over all claimed states.
+func (e *Engine) LocalStates() []uint64 { return sortedKeys(e.locals) }
+
+// sortedKeys returns m's keys in ascending order (collect, then sort).
+func sortedKeys[V any](m map[uint64]V) []uint64 {
+	out := make([]uint64, 0, len(m))
+	for h := range m {
+		out = append(out, h)
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	return out
+}
+
+// Findings returns the collected violation classes sorted by (depth, state
+// hash, signature).
+func (e *Engine) Findings() []Finding { return e.coll.findings() }
+
+// Result summarises the search so far. Violation paths run from each
+// representative's chain root.
+func (e *Engine) Result() *Result {
+	res := &Result{
+		Violations:          e.coll.violations(),
+		StatesExplored:      e.bdg.statesAdmitted(),
+		Transitions:         int(e.ctr.transitions.Load()),
+		MaxDepthReached:     int(e.ctr.maxDepth.Load()),
+		LocalPrunes:         int(e.ctr.localPrunes.Load()),
+		SleepHits:           int(e.ctr.sleepHits.Load()),
+		DistinctLocalStates: len(e.locals),
+		Elapsed:             e.bdg.elapsed(),
+	}
+	res.TransitionsPruned = res.SleepHits + res.LocalPrunes
+	if e.s.cfg.RecordLocalStates {
+		res.LocalStates = e.LocalStates()
+	}
+	if e.s.cfg.RecordClaimedStates {
+		res.ClaimedStates = e.ClaimedStates()
+	}
+	// Hash-set entries cost roughly 16 bytes (8-byte key + bucket
+	// overhead amortised); frontier states dominate at shallow depths.
+	res.PeakMemoryBytes = e.ctr.peakBytes.Load() + int64(len(e.visited)+len(e.local))*16
+	if res.StatesExplored > 0 {
+		res.PerStateBytes = float64(res.PeakMemoryBytes) / float64(res.StatesExplored)
+	}
+	return res
 }

@@ -21,7 +21,7 @@ func TestConsequenceViolationsAreRealExecutions(t *testing.T) {
 		Props:         poisonAt(3),
 		Factory:       newToy,
 		Mode:          Consequence,
-		MaxStates:     5000,
+		Budget:        Budget{States: 5000},
 		ExploreResets: true,
 	}
 	res := NewSearch(cfg).Run(twoNodeStart())
@@ -53,14 +53,12 @@ func TestConsequenceSubsetOfExhaustive(t *testing.T) {
 			},
 		}}
 		s := NewSearch(Config{
-			Props:     rec,
-			Factory:   newToy,
-			Mode:      mode,
-			MaxDepth:  5,
-			MaxStates: 100000,
+			Props:   rec,
+			Factory: newToy,
+			Mode:    mode,
+			Budget:  Budget{States: 100000, Depth: 5, Workers: 1},
 			// The recorder property writes a plain map, so this test
 			// must run on the serial engine.
-			Workers: 1,
 		})
 		s.Run(twoNodeStart())
 		return seen
@@ -96,15 +94,14 @@ func TestPropertySearchDeterminism(t *testing.T) {
 			mode = Consequence
 		}
 		cfg := Config{
-			Props:     poisonAt(int(limit%4) + 2),
-			Factory:   newToy,
-			Mode:      mode,
-			MaxStates: 600,
-			Seed:      seed,
+			Props:   poisonAt(int(limit%4) + 2),
+			Factory: newToy,
+			Mode:    mode,
 			// Workers pinned: exact run-to-run equality under a state
 			// cutoff holds only serially (see parallel_test.go for the
 			// parallel determinism guarantees).
-			Workers: 1,
+			Budget: Budget{States: 600, Workers: 1},
+			Seed:   seed,
 		}
 		a := NewSearch(cfg).Run(twoNodeStart())
 		b := NewSearch(cfg).Run(twoNodeStart())
@@ -129,10 +126,10 @@ func TestPropertySearchDeterminism(t *testing.T) {
 func TestPropertyViolationDepthMatchesPathLength(t *testing.T) {
 	f := func(limit uint8) bool {
 		cfg := Config{
-			Props:     poisonAt(int(limit%5) + 1),
-			Factory:   newToy,
-			Mode:      Consequence,
-			MaxStates: 2000,
+			Props:   poisonAt(int(limit%5) + 1),
+			Factory: newToy,
+			Mode:    Consequence,
+			Budget:  Budget{States: 2000},
 		}
 		res := NewSearch(cfg).Run(twoNodeStart())
 		for _, v := range res.Violations {
@@ -152,11 +149,11 @@ func TestPropertyViolationDepthMatchesPathLength(t *testing.T) {
 func TestFilteredSearchNeverExpandsFilteredEvent(t *testing.T) {
 	filter := sm.Filter{Kind: sm.FilterMessage, Node: 2, From: 1, MsgType: "Ping"}
 	cfg := Config{
-		Props:     poisonAt(2),
-		Factory:   newToy,
-		Mode:      Consequence,
-		MaxStates: 20000,
-		Filters:   []sm.Filter{filter},
+		Props:   poisonAt(2),
+		Factory: newToy,
+		Mode:    Consequence,
+		Budget:  Budget{States: 20000},
+		Filters: []sm.Filter{filter},
 	}
 	res := NewSearch(cfg).Run(twoNodeStart())
 	for _, v := range res.Violations {

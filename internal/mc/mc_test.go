@@ -126,10 +126,10 @@ func twoNodeStart() *GState {
 
 func TestExhaustiveFindsShallowViolation(t *testing.T) {
 	s := NewSearch(Config{
-		Props:     poisonAt(3),
-		Factory:   newToy,
-		Mode:      Exhaustive,
-		MaxStates: 10000,
+		Props:   poisonAt(3),
+		Factory: newToy,
+		Mode:    Exhaustive,
+		Budget:  Budget{States: 10000},
 	})
 	res := s.Run(twoNodeStart())
 	if len(res.Violations) == 0 {
@@ -146,10 +146,10 @@ func TestExhaustiveFindsShallowViolation(t *testing.T) {
 
 func TestConsequenceFindsSameViolation(t *testing.T) {
 	s := NewSearch(Config{
-		Props:     poisonAt(3),
-		Factory:   newToy,
-		Mode:      Consequence,
-		MaxStates: 10000,
+		Props:   poisonAt(3),
+		Factory: newToy,
+		Mode:    Consequence,
+		Budget:  Budget{States: 10000},
 	})
 	res := s.Run(twoNodeStart())
 	if len(res.Violations) == 0 {
@@ -171,11 +171,10 @@ func TestConsequenceExploresFewerStates(t *testing.T) {
 		g.AddNode(2, b, map[sm.TimerID]bool{"tick": true})
 		g.AddMessage(1, 2, ping{N: 1})
 		s := NewSearch(Config{
-			Props:     poisonAt(1000), // unreachable: full exploration
-			Factory:   newToy,
-			Mode:      mode,
-			MaxDepth:  6,
-			MaxStates: 200000,
+			Props:   poisonAt(1000), // unreachable: full exploration
+			Factory: newToy,
+			Mode:    mode,
+			Budget:  Budget{States: 200000, Depth: 6},
 		})
 		return s.Run(g)
 	}
@@ -214,8 +213,7 @@ func TestResetExploration(t *testing.T) {
 		Mode:             Consequence,
 		ExploreResets:    true,
 		MaxResetsPerPath: 1,
-		MaxStates:        50000,
-		MaxViolations:    1,
+		Budget:           Budget{States: 50000, Violations: 1},
 	})
 	res := s.Run(twoNodeStart())
 	if len(res.Violations) == 0 {
@@ -246,10 +244,10 @@ func describePath(path []sm.Event) []string {
 
 func TestDepthBound(t *testing.T) {
 	s := NewSearch(Config{
-		Props:    poisonAt(1000),
-		Factory:  newToy,
-		Mode:     Exhaustive,
-		MaxDepth: 3,
+		Props:   poisonAt(1000),
+		Factory: newToy,
+		Mode:    Exhaustive,
+		Budget:  Budget{Depth: 3},
 	})
 	res := s.Run(twoNodeStart())
 	if res.MaxDepthReached > 3 {
@@ -262,10 +260,10 @@ func TestDepthBound(t *testing.T) {
 
 func TestStateBound(t *testing.T) {
 	s := NewSearch(Config{
-		Props:     poisonAt(1000),
-		Factory:   newToy,
-		Mode:      Exhaustive,
-		MaxStates: 10,
+		Props:   poisonAt(1000),
+		Factory: newToy,
+		Mode:    Exhaustive,
+		Budget:  Budget{States: 10},
 	})
 	res := s.Run(twoNodeStart())
 	if res.StatesExplored > 10 {
@@ -278,7 +276,7 @@ func TestWallClockBound(t *testing.T) {
 		Props:   poisonAt(1000),
 		Factory: newToy,
 		Mode:    Exhaustive,
-		MaxWall: time.Millisecond,
+		Budget:  Budget{Wall: time.Millisecond},
 	})
 	began := time.Now()
 	s.Run(twoNodeStart())
@@ -305,15 +303,14 @@ func TestRandomWalkFindsViolation(t *testing.T) {
 func TestDeterministicSearch(t *testing.T) {
 	run := func() *Result {
 		s := NewSearch(Config{
-			Props:     poisonAt(4),
-			Factory:   newToy,
-			Mode:      Consequence,
-			MaxStates: 5000,
-			Seed:      7,
+			Props:   poisonAt(4),
+			Factory: newToy,
+			Mode:    Consequence,
 			// Workers pinned: under a state cutoff only the serial
 			// engine explores a bit-identical prefix; parallel
 			// reproducibility is covered by parallel_test.go.
-			Workers: 1,
+			Budget: Budget{States: 5000, Workers: 1},
+			Seed:   7,
 		})
 		return s.Run(twoNodeStart())
 	}
@@ -329,10 +326,10 @@ func TestDeterministicSearch(t *testing.T) {
 
 func TestReplayReproducesViolation(t *testing.T) {
 	cfg := Config{
-		Props:     poisonAt(3),
-		Factory:   newToy,
-		Mode:      Consequence,
-		MaxStates: 10000,
+		Props:   poisonAt(3),
+		Factory: newToy,
+		Mode:    Consequence,
+		Budget:  Budget{States: 10000},
 	}
 	s := NewSearch(cfg)
 	res := s.Run(twoNodeStart())
@@ -355,10 +352,10 @@ func TestReplayReproducesViolation(t *testing.T) {
 
 func TestFilterBlocksViolation(t *testing.T) {
 	cfg := Config{
-		Props:     poisonAt(3),
-		Factory:   newToy,
-		Mode:      Consequence,
-		MaxStates: 10000,
+		Props:   poisonAt(3),
+		Factory: newToy,
+		Mode:    Consequence,
+		Budget:  Budget{States: 10000},
 	}
 	res := NewSearch(cfg).Run(twoNodeStart())
 	if len(res.Violations) == 0 {
@@ -393,10 +390,10 @@ func TestDummyNodeRedirection(t *testing.T) {
 	g.AddNode(1, a, nil)
 	g.AddMessage(99, 1, ping{N: 1}) // incoming from unknown node is fine
 	s := NewSearch(Config{
-		Props:     poisonAt(1000),
-		Factory:   newToy,
-		Mode:      Consequence,
-		MaxStates: 1000,
+		Props:   poisonAt(1000),
+		Factory: newToy,
+		Mode:    Consequence,
+		Budget:  Budget{States: 1000},
 	})
 	res := s.Run(g)
 	if res.DummyRedirects == 0 {
@@ -413,10 +410,10 @@ func TestStartStateNotMutated(t *testing.T) {
 	g := twoNodeStart()
 	before := g.Hash()
 	s := NewSearch(Config{
-		Props:     poisonAt(3),
-		Factory:   newToy,
-		Mode:      Exhaustive,
-		MaxStates: 2000,
+		Props:   poisonAt(3),
+		Factory: newToy,
+		Mode:    Exhaustive,
+		Budget:  Budget{States: 2000},
 	})
 	s.Run(g)
 	if g.Hash() != before {
@@ -472,11 +469,10 @@ func TestHashMsgOrderSemantics(t *testing.T) {
 
 func TestMemoryAccounting(t *testing.T) {
 	s := NewSearch(Config{
-		Props:     poisonAt(1000),
-		Factory:   newToy,
-		Mode:      Consequence,
-		MaxDepth:  5,
-		MaxStates: 100000,
+		Props:   poisonAt(1000),
+		Factory: newToy,
+		Mode:    Consequence,
+		Budget:  Budget{States: 100000, Depth: 5},
 	})
 	res := s.Run(twoNodeStart())
 	if res.PeakMemoryBytes <= 0 || res.PerStateBytes <= 0 {
@@ -487,11 +483,10 @@ func TestMemoryAccounting(t *testing.T) {
 
 func TestMaxViolationsStopsEarly(t *testing.T) {
 	s := NewSearch(Config{
-		Props:         poisonAt(2),
-		Factory:       newToy,
-		Mode:          Exhaustive,
-		MaxViolations: 1,
-		MaxStates:     100000,
+		Props:   poisonAt(2),
+		Factory: newToy,
+		Mode:    Exhaustive,
+		Budget:  Budget{States: 100000, Violations: 1},
 	})
 	res := s.Run(twoNodeStart())
 	if len(res.Violations) != 1 {

@@ -32,8 +32,7 @@ func TestParallelMatchesSerialToy(t *testing.T) {
 				Props:         poisonAt(3),
 				Factory:       newToy,
 				Mode:          mode,
-				MaxDepth:      6,
-				Workers:       workers,
+				Budget:        Budget{Depth: 6, Workers: workers},
 				ExploreResets: true,
 			})
 			return s.Run(twoNodeStart())
@@ -62,8 +61,7 @@ func TestParallelViolationsSortedDeterministically(t *testing.T) {
 		Props:         poisonAt(2),
 		Factory:       newToy,
 		Mode:          Exhaustive,
-		MaxDepth:      6,
-		Workers:       4,
+		Budget:        Budget{Depth: 6, Workers: 4},
 		ExploreResets: true,
 	})
 	res := s.Run(twoNodeStart())
@@ -87,7 +85,7 @@ func TestParallelRandomWalk(t *testing.T) {
 			Mode:      RandomWalk,
 			Walks:     60,
 			WalkDepth: 20,
-			Workers:   workers,
+			Budget:    Budget{Workers: workers},
 			Seed:      1,
 		})
 		return s.Run(twoNodeStart())
@@ -102,62 +100,12 @@ func TestParallelRandomWalk(t *testing.T) {
 	}
 }
 
-// TestCustomStrategyPluggable: Config.Strategy overrides Mode, and a
-// strategy built from the exported EnabledEvents/ApplyEvent surface can
-// drive its own exploration.
-func TestCustomStrategyPluggable(t *testing.T) {
-	s := NewSearch(Config{
-		Props:    poisonAt(3),
-		Factory:  newToy,
-		Mode:     RandomWalk, // must be ignored in favor of Strategy
-		Strategy: firstEnabledStrategy{},
-	})
-	res := s.Run(twoNodeStart())
-	if res.StatesExplored == 0 {
-		t.Fatal("custom strategy explored nothing")
-	}
-	if res.Workers == 0 {
-		t.Fatal("worker count not reported")
-	}
-}
-
-// firstEnabledStrategy walks the single path of always-first enabled
-// events, demonstrating an externally assembled Strategy.
-type firstEnabledStrategy struct{}
-
-func (firstEnabledStrategy) Name() string { return "first-enabled" }
-
-func (firstEnabledStrategy) Explore(s *Search, start *GState, workers int) *Result {
-	res := &Result{}
-	g := start
-	for depth := 0; depth < 10; depth++ {
-		res.StatesExplored++
-		network, internal := s.EnabledEvents(g)
-		all := network
-		for _, id := range g.Nodes() {
-			all = append(all, internal[id]...)
-		}
-		var next *GState
-		for _, ev := range all {
-			if next = s.ApplyEvent(g, ev); next != nil {
-				break
-			}
-		}
-		if next == nil {
-			break
-		}
-		res.Transitions++
-		g = next
-	}
-	return res
-}
-
 // --- Replay and filter-application coverage ---------------------------------
 
 // TestReplayStopsAtFirstViolation: Replay returns the violated properties
 // of the earliest violating state along the path, not the path's end.
 func TestReplayStopsAtFirstViolation(t *testing.T) {
-	cfg := Config{Props: poisonAt(3), Factory: newToy, Mode: Consequence, MaxStates: 10000}
+	cfg := Config{Props: poisonAt(3), Factory: newToy, Mode: Consequence, Budget: Budget{States: 10000}}
 	res := NewSearch(cfg).Run(twoNodeStart())
 	if len(res.Violations) == 0 {
 		t.Fatal("setup: no violation")
@@ -188,7 +136,7 @@ func TestReplayViolatingStartState(t *testing.T) {
 // follows the corrective action (drop), so the downstream violation
 // becomes unreachable.
 func TestReplayHonorsFilters(t *testing.T) {
-	cfg := Config{Props: poisonAt(3), Factory: newToy, Mode: Consequence, MaxStates: 10000}
+	cfg := Config{Props: poisonAt(3), Factory: newToy, Mode: Consequence, Budget: Budget{States: 10000}}
 	res := NewSearch(cfg).Run(twoNodeStart())
 	if len(res.Violations) == 0 {
 		t.Fatal("setup: no violation")

@@ -41,18 +41,6 @@ type Budget struct {
 	Workers int
 }
 
-// Stop projects the budget onto the paper's StopCriterion (the bounds
-// shared by every worker's admission check).
-func (b Budget) Stop() StopCriterion {
-	return StopCriterion{
-		MaxStates:      b.States,
-		MaxDepth:       b.Depth,
-		MaxWall:        b.Wall,
-		MaxViolations:  b.Violations,
-		MaxTransitions: b.Transitions,
-	}
-}
-
 // RoundInfo is what a Policy sees before planning a model-checking round.
 type RoundInfo struct {
 	// Round is the 1-based round number at the planning controller.
@@ -112,10 +100,9 @@ type Policy interface {
 	Observe(RoundReport)
 }
 
-// FixedPolicy returns the same budget every round and ignores feedback:
-// exactly the pre-policy behavior of the scattered MCStates/MCDepth/Workers
-// scalars, and the paper-faithful default (mcheck output under FixedPolicy
-// is byte-identical to the scalar configuration at every worker count).
+// FixedPolicy returns the same budget every round and ignores feedback: the
+// paper-faithful default (a search planned by a FixedPolicy is the same
+// search as one handed the base budget directly, at every worker count).
 type FixedPolicy struct {
 	Budget Budget
 }

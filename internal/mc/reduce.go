@@ -47,17 +47,16 @@ import "crystalball/internal/sm"
 // pruned there and never close. The engine therefore never lets a sleep
 // promise ride on an H_A expansion in Consequence mode: H_A-entered
 // children start with empty sleep sets and H_A expansions are not recorded
-// as siblings (engine.internalSleep). H_A transitions may still BE slept —
+// as siblings (Engine.internalSleep). H_A transitions may still BE slept —
 // closing that square replays only H_M edges, which are never
 // state-pruned.
 //
 // When reduction is NOT sound: the search still visits every state, so any
 // property over *states* (the props.Set surface) is preserved; what is not
 // preserved is the set of explored interleavings. A checker asserting
-// something about message-arrival order itself — e.g. a custom Strategy
-// counting orderings, or transition-level instrumentation — must run with
-// Reduce off. The README's "Partial-order reduction" section documents this
-// boundary.
+// something about message-arrival order itself — e.g. transition-level
+// instrumentation counting orderings — must run with Reduce off. The
+// README's "Partial-order reduction" section documents this boundary.
 
 // sleepKind distinguishes the transition flavours that can enter a sleep
 // set; transitions of different kinds never alias.
@@ -136,7 +135,7 @@ func (deliveryIndependence) Classify(ev sm.Event) (sleepKey, bool) {
 }
 
 // sleepSet is an immutable set of slept transitions carried on a
-// searchNode. Sets are tiny (bounded by the enabled network transitions of
+// Node. Sets are tiny (bounded by the enabled network transitions of
 // one ancestor chain), so linear scans beat any map.
 type sleepSet []sleepKey
 
@@ -159,7 +158,7 @@ func (s sleepSet) contains(k sleepKey) bool {
 // grounded. Without this, state matching breaks sleep-set completeness
 // (the first arrival's set wins and can sleep a transition a later
 // arrival's subtree needed explored); claimChildren applies the
-// intersection at the level barrier, before the child is ever expanded.
+// intersection at the bucket barrier, before the child is ever expanded.
 func intersectSleep(a, b sleepSet) sleepSet {
 	if len(a) == 0 || len(b) == 0 {
 		return nil

@@ -9,8 +9,7 @@ import (
 	"crystalball/internal/sm"
 )
 
-// Mode selects the built-in exploration algorithm (see Strategy for the
-// pluggable form; StrategyFor maps one to the other).
+// Mode selects the exploration algorithm.
 type Mode int
 
 // Exploration modes.
@@ -28,7 +27,16 @@ const (
 	RandomWalk
 )
 
-func (m Mode) String() string { return StrategyFor(m).Name() }
+func (m Mode) String() string {
+	switch m {
+	case Exhaustive:
+		return "exhaustive"
+	case Consequence:
+		return "consequence"
+	default:
+		return "random-walk"
+	}
+}
 
 // Config parameterises a search.
 type Config struct {
@@ -45,41 +53,12 @@ type Config struct {
 	Factory sm.Factory
 	// Mode selects the algorithm.
 	Mode Mode
-	// Strategy, when non-nil, overrides Mode with a custom exploration
-	// algorithm.
-	Strategy Strategy
 	// Budget is the search's resource envelope: states, depth, wall
-	// clock, violations and workers in one value — what a Policy plans
-	// per round and what the engine and every strategy consume. Zero
-	// fields are filled from the deprecated loose scalars below, so
-	// legacy configurations keep working unchanged.
+	// clock, violations, transitions and workers in one value — what a
+	// Policy plans per round and what the engine consumes. With
+	// Budget.Workers == 1 the breadth-first modes reproduce the serial
+	// search of the paper exactly.
 	Budget Budget
-	// Workers is the number of exploration goroutines sharing the work
-	// queue (0 = GOMAXPROCS). With Workers == 1 the breadth-first
-	// strategies reproduce the serial search of the paper exactly.
-	//
-	// Deprecated: set Budget.Workers; this scalar fills the Budget only
-	// where it is zero.
-	Workers int
-	// MaxStates bounds explored states (0 = unbounded).
-	//
-	// Deprecated: set Budget.States.
-	MaxStates int
-	// MaxDepth bounds search depth (0 = unbounded).
-	//
-	// Deprecated: set Budget.Depth.
-	MaxDepth int
-	// MaxWall bounds wall-clock time (0 = unbounded); part of the
-	// paper's StopCriterion for runtime deployment.
-	//
-	// Deprecated: set Budget.Wall.
-	MaxWall time.Duration
-	// MaxViolations stops the search after this many distinct violating
-	// states (0 = collect all within other bounds); the reported
-	// Violations list is additionally deduplicated by Signature.
-	//
-	// Deprecated: set Budget.Violations.
-	MaxViolations int
 	// ExploreResets enables node-reset fault transitions.
 	ExploreResets bool
 	// MaxResetsPerPath bounds resets along a single path (default 1).
@@ -122,39 +101,12 @@ type Config struct {
 	// (Result.ClaimedStates). The distributed-search differential oracle
 	// compares this set against the union of the shards' claims.
 	RecordClaimedStates bool
-	// LegacyFrontier selects the pre-deque shared-cursor level FIFO.
-	//
-	// Deprecated: benchmark escape hatch only — BenchmarkParallelSearch
-	// compares the work-stealing deques against it.
-	LegacyFrontier bool
 	// Now is the clock the wall budget (Budget.Wall) and Result.Elapsed
 	// read (nil = time.Now). Injecting a fake clock makes wall-budget
 	// expiry unit-testable; it is the only wall-clock access in the
 	// checker, keeping everything else a deterministic function of the
 	// configuration.
 	Now func() time.Time
-}
-
-// mergeLegacy resolves the effective budget: explicit Budget fields win,
-// zero fields fall back to the deprecated loose scalars.
-func (c *Config) mergeLegacy() Budget {
-	b := c.Budget
-	if b.States == 0 {
-		b.States = c.MaxStates
-	}
-	if b.Depth == 0 {
-		b.Depth = c.MaxDepth
-	}
-	if b.Wall == 0 {
-		b.Wall = c.MaxWall
-	}
-	if b.Violations == 0 {
-		b.Violations = c.MaxViolations
-	}
-	if b.Workers == 0 {
-		b.Workers = c.Workers
-	}
-	return b
 }
 
 func (c *Config) defaults() {
@@ -173,23 +125,9 @@ func (c *Config) defaults() {
 	if c.Now == nil {
 		c.Now = time.Now
 	}
-	b := c.mergeLegacy()
-	if b.Workers <= 0 {
-		b.Workers = runtime.GOMAXPROCS(0)
+	if c.Budget.Workers <= 0 {
+		c.Budget.Workers = runtime.GOMAXPROCS(0)
 	}
-	c.Budget = b
-	// Mirror the resolved budget back into the deprecated scalars so
-	// code that still reads them observes the same bounds.
-	c.MaxStates, c.MaxDepth, c.MaxWall = b.States, b.Depth, b.Wall
-	c.MaxViolations, c.Workers = b.Violations, b.Workers
-}
-
-// strategy resolves the configured exploration algorithm.
-func (c *Config) strategy() Strategy {
-	if c.Strategy != nil {
-		return c.Strategy
-	}
-	return StrategyFor(c.Mode)
 }
 
 // Violation is a predicted inconsistency: the properties violated and the
@@ -206,12 +144,22 @@ type Violation struct {
 // at fault), with node identities stripped so the same bug reached along
 // different interleavings — or at different nodes — counts once.
 func (v Violation) Signature() string {
+	var last sm.Event
+	if n := len(v.Path); n > 0 {
+		last = v.Path[n-1]
+	}
+	return signature(v.Properties, last)
+}
+
+// signature renders the bug-class key of a violation whose path ends in last
+// (nil for the start state).
+func signature(properties []string, last sm.Event) string {
 	sig := ""
-	for _, p := range v.Properties {
+	for _, p := range properties {
 		sig += p + "|"
 	}
-	if n := len(v.Path); n > 0 {
-		sig += EventKind(v.Path[n-1])
+	if last != nil {
+		sig += EventKind(last)
 	}
 	return sig
 }
@@ -265,11 +213,6 @@ type Result struct {
 	// LocalPrunes. Controllers report it per round so budget policies see
 	// honest per-state work.
 	TransitionsPruned int
-	// Steals and StealFails count work-stealing deque traffic: successful
-	// steals and lost steal races. Scheduling telemetry — unlike every
-	// counter above they are NOT deterministic across runs.
-	Steals     int
-	StealFails int
 	// DistinctLocalStates counts distinct node-local states over all
 	// claimed states — the ROADMAP's coverage metric ("distinct local
 	// states reached per budget").
@@ -302,12 +245,14 @@ func NewSearch(cfg Config) *Search {
 // Config returns the search's (defaulted) configuration.
 func (s *Search) Config() Config { return s.cfg }
 
-// searchNode is a frontier entry; parent links reconstruct violation paths.
-// Once a node is published to the work queue every field is immutable, so
-// workers may traverse parent chains freely.
-type searchNode struct {
+// Node is a frontier entry of the search tree; parent links reconstruct
+// violation paths. Once a node is claimed every field but sleep (narrowed
+// only at the claim barrier, before the node is ever expanded) is immutable,
+// so workers — and, in a sharded search, other shards holding a forwarded
+// node — may traverse parent chains freely.
+type Node struct {
 	state  *GState
-	parent *searchNode
+	parent *Node
 	event  sm.Event
 	depth  int
 	// violated carries the properties already violated along this path,
@@ -321,9 +266,29 @@ type searchNode struct {
 	sleep sleepSet
 }
 
-func (n *searchNode) path() []sm.Event {
+// NewNode returns a chain root: a node with no parent, standing for state g
+// at the given search depth. Run seeds the search with one at depth 0; a
+// sharded search makes one per state that arrived over a wire.
+func NewNode(g *GState, depth int) *Node { return &Node{state: g, depth: depth} }
+
+// State returns the node's state.
+func (n *Node) State() *GState { return n.state }
+
+// Depth returns the node's search depth.
+func (n *Node) Depth() int { return n.depth }
+
+// Root returns the chain root n descends from (n itself for a root).
+func (n *Node) Root() *Node {
+	for n.parent != nil {
+		n = n.parent
+	}
+	return n
+}
+
+// Path returns the events leading from n's chain root to n.
+func (n *Node) Path() []sm.Event {
 	var rev []sm.Event
-	for cur := n; cur != nil && cur.event != nil; cur = cur.parent {
+	for cur := n; cur.parent != nil; cur = cur.parent {
 		rev = append(rev, cur.event)
 	}
 	out := make([]sm.Event, len(rev))
@@ -392,7 +357,17 @@ func (s *Search) ApplyEvent(g *GState, ev sm.Event) *GState {
 // state is not mutated.
 func (s *Search) Run(start *GState) *Result {
 	s.dummyRedirects.Store(0)
-	res := s.cfg.strategy().Explore(s, start, s.cfg.Budget.Workers)
+	var res *Result
+	switch s.cfg.Mode {
+	case Exhaustive, Consequence:
+		e := s.NewEngine(s.cfg.Budget, HashRange{}, nil)
+		e.Inject(NewNode(start, 0))
+		// Without a sink nothing in the drain can fail.
+		_ = e.Drain(nil)
+		res = e.Result()
+	default:
+		res = s.randomWalks(start)
+	}
 	res.DummyRedirects = int(s.dummyRedirects.Load())
 	res.Workers = s.cfg.Budget.Workers
 	return res
@@ -402,9 +377,8 @@ func (s *Search) Run(start *GState) *Result {
 // the global (cross-node) set against the same filled view, returning the
 // combined violated names — locals first, globals after, each in
 // declaration order. Every property-evaluation site in the checker (engine
-// expansion, random walks, replay, the dist expander) funnels through this
-// one helper, which is what keeps serial, parallel, and sharded searches
-// reporting identical violation sets.
+// expansion, random walks, replay, Expander.Check) funnels through this one
+// helper.
 func (s *Search) checkProps(v *props.View) []string {
 	violated := s.cfg.Props.Check(v)
 	if len(s.cfg.GlobalProps) > 0 {

@@ -105,8 +105,7 @@ func TestParallelChordDeterminism(t *testing.T) {
 			ExploreResets:     true,
 			ExploreConnBreaks: true,
 			MaxResetsPerPath:  1,
-			MaxDepth:          chordDeterminismDepth,
-			Workers:           workers,
+			Budget:            mc.Budget{Depth: chordDeterminismDepth, Workers: workers},
 		})
 		return s.Run(g)
 	}
@@ -129,11 +128,10 @@ func TestParallelPaxosDeterminism(t *testing.T) {
 	factory := paxos.New(paxos.Config{Members: []sm.NodeID{1, 2, 3}, Bug1: true})
 	run := func(workers int) *mc.Result {
 		s := mc.NewSearch(mc.Config{
-			Props:    paxos.Properties,
-			Factory:  factory,
-			Mode:     mc.Consequence,
-			MaxDepth: paxosDeterminismDepth,
-			Workers:  workers,
+			Props:   paxos.Properties,
+			Factory: factory,
+			Mode:    mc.Consequence,
+			Budget:  mc.Budget{Depth: paxosDeterminismDepth, Workers: workers},
 		})
 		return s.Run(paxosPostRound1Start(factory))
 	}

@@ -1,19 +1,8 @@
 package mc
 
-import (
-	"crystalball/internal/props"
-	"crystalball/internal/sm"
-)
-
-// This file is the checker's sharding seam: the minimal exported surface a
-// distributed search (internal/dist) needs to partition the visited set by
-// state fingerprint and drive the engine's expansion hot path from outside
-// the package. The engine's own frontier stays level-synchronized and
-// in-process; a sharded search owns a HashRange of the fingerprint space,
-// expands its owned states through an Expander, and hands successors that
-// hash outside the range to their owner shard. PR 6's deque.go called the
-// per-worker deques "the first step toward a sharded" search — this is the
-// second.
+// This file is the partition arithmetic of a sharded search: an Engine owns
+// a HashRange of the fingerprint space and hands successors that hash
+// outside it to their owner (internal/dist).
 
 // HashRange is a half-open range [Lo, Hi) of 64-bit state fingerprints: the
 // unit of visited-set ownership in a sharded search. Hi == 0 means "top of
@@ -29,9 +18,6 @@ type HashRange struct {
 func (r HashRange) Contains(h uint64) bool {
 	return h >= r.Lo && (r.Hi == 0 || h < r.Hi)
 }
-
-// All reports whether the range covers the whole fingerprint space.
-func (r HashRange) All() bool { return r.Lo == 0 && r.Hi == 0 }
 
 // shardStep returns the width of each of n equal hash ranges. The value
 // wraps to 0 at n == 1 (the full space), which Contains and ShardOwner
@@ -71,79 +57,4 @@ func ShardOwner(h uint64, n int) int {
 		i = n - 1
 	}
 	return i
-}
-
-// Expander is one worker's reusable expansion workspace for driving the
-// checker's per-state hot path from outside the engine: a property check
-// through a pooled view and deterministic transition enumeration through a
-// pooled event buffer. It is what a shard engine calls per owned state
-// instead of the engine's expandNode. An Expander is not safe for
-// concurrent use — create one per worker goroutine, like the engine's
-// workerRes.
-type Expander struct {
-	s    *Search
-	view *props.View
-	evb  eventBuf
-}
-
-// NewExpander returns a fresh expansion workspace bound to the search.
-func (s *Search) NewExpander() *Expander {
-	return &Expander{s: s, view: props.NewView()}
-}
-
-// Check evaluates the search's property set — local and global — on g
-// through the expander's pooled view and returns the violated property
-// names (nil when g is consistent). The returned slice is freshly
-// allocated per violation and owned by the caller. Global properties are
-// a pure function of g, so a shard that only ever holds its own claimed
-// states still reports exactly the serial engine's violation set.
-func (x *Expander) Check(g *GState) []string {
-	g.FillView(x.view)
-	return x.s.checkProps(x.view)
-}
-
-// Events enumerates the transitions enabled at g in the engine's canonical
-// deterministic order — message-handler events in in-flight queue order,
-// then per node in sorted id order the internal actions (timers sorted,
-// model app calls, resets, conn breaks) — and calls emit for each. The
-// order is exactly what the serial engine expands, so a sharded search
-// proposing successors in emit order preserves the engine's
-// sibling-ordering guarantees. emit must not reenter Events on the same
-// Expander: the enumeration buffer is recycled per call.
-func (x *Expander) Events(g *GState, emit func(sm.Event)) {
-	network, ids, internal := x.s.enabledInto(g, &x.evb)
-	for _, ev := range network {
-		emit(ev)
-	}
-	for i := range ids {
-		for _, ev := range internal[i] {
-			emit(ev)
-		}
-	}
-}
-
-// EventLocalHash returns the local-state fingerprint of the node whose
-// handler ev executes at, after ev's execution produced g — the hash the
-// engine feeds its distinct-local-state coverage metric per claimed state.
-// ok is false for events that touch no node-local state (RST drops).
-func (g *GState) EventLocalHash(ev sm.Event) (uint64, bool) {
-	id, ok := eventNode(ev)
-	if !ok {
-		return 0, false
-	}
-	ns := g.nodes[id]
-	if ns == nil {
-		return 0, false
-	}
-	return ns.localHash(), true
-}
-
-// LocalHashes appends every node's local-state fingerprint to dst and
-// returns it — the root-state seeding of the distinct-local-state set
-// (claims thereafter record only the event's node, see EventLocalHash).
-func (g *GState) LocalHashes(dst []uint64) []uint64 {
-	for _, id := range g.ids {
-		dst = append(dst, g.nodes[id].localHash())
-	}
-	return dst
 }

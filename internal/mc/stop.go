@@ -5,77 +5,44 @@ import (
 	"time"
 )
 
-// StopCriterion unifies the search budgets: a search stops when any of the
-// non-zero bounds is reached. It is the "StopCriterion" the paper's runtime
-// deployment hands to consequence prediction so a round always finishes
-// within a snapshot interval.
-type StopCriterion struct {
-	// MaxStates bounds explored states (0 = unbounded).
-	MaxStates int
-	// MaxDepth bounds search depth (0 = unbounded).
-	MaxDepth int
-	// MaxWall bounds wall-clock time (0 = unbounded).
-	MaxWall time.Duration
-	// MaxViolations stops the search after this many distinct violating
-	// states (0 = collect all within other bounds).
-	MaxViolations int
-	// MaxTransitions bounds executed handler invocations (0 = unbounded):
-	// a deterministic stand-in for wall clock, since per-state cost is
-	// dominated by handler execution. It is the budget axis partial-order
-	// reduction actually stretches — at equal transitions a reduced search
-	// penetrates deeper than an unreduced one.
-	MaxTransitions int
-}
-
-// Stop returns the search's stop criterion, resolved from the budget (with
-// the deprecated loose scalars filling zero Budget fields).
-func (c *Config) Stop() StopCriterion {
-	return c.mergeLegacy().Stop()
-}
-
 // counters is the engine's shared telemetry block: exact atomic tallies of
-// work done (transitions executed), work avoided (consequence local prunes,
-// sleep-set hits) and work moved (deque steals and failed steal attempts).
-// Transitions, prunes and depth are deterministic functions of the search
-// configuration; steals and steal failures are scheduling telemetry and are
-// excluded from the determinism contracts.
+// work done (transitions executed) and work avoided (consequence local
+// prunes, sleep-set hits), plus the frontier's byte accounting. All are
+// updated by expansion workers, hence atomic.
 type counters struct {
 	transitions   atomic.Int64
 	localPrunes   atomic.Int64
 	sleepHits     atomic.Int64
-	steals        atomic.Int64
-	stealFails    atomic.Int64
 	maxDepth      atomic.Int64
 	frontierBytes atomic.Int64
 	peakBytes     atomic.Int64
 }
 
-// budget is the shared, atomically-updated accounting for one search run.
-// Every worker consults it before admitting a state; the counters are exact
-// (a rejected admission is rolled back), so bounded runs never overshoot
-// regardless of worker count.
+// budget is the shared, atomically-updated accounting of one search run
+// against its Budget — the paper's StopCriterion, which the runtime hands to
+// consequence prediction so a round always finishes within a snapshot
+// interval. Every worker consults it before admitting a state; the counters
+// are exact (a rejected admission is rolled back), so bounded runs never
+// overshoot regardless of worker count.
 type budget struct {
-	crit        StopCriterion
+	lim         Budget
 	now         func() time.Time // injected clock (Config.Now)
 	began       time.Time
-	deadline    time.Time // zero when MaxWall is unbounded
+	deadline    time.Time // zero when Wall is unbounded
 	states      atomic.Int64
 	transitions atomic.Int64
 	halted      atomic.Bool
 }
 
 // newBudget starts the accounting clock by reading now once; the same
-// injected clock serves the MaxWall deadline checks and Result.Elapsed, so a
+// injected clock serves the Wall deadline checks and Result.Elapsed, so a
 // fake clock exercises wall-budget expiry deterministically.
-func newBudget(crit StopCriterion, now func() time.Time) *budget {
-	if now == nil {
-		now = time.Now
+func newBudget(b Budget, now func() time.Time) *budget {
+	bdg := &budget{lim: b, now: now, began: now()}
+	if b.Wall > 0 {
+		bdg.deadline = bdg.began.Add(b.Wall)
 	}
-	b := &budget{crit: crit, now: now, began: now()}
-	if crit.MaxWall > 0 {
-		b.deadline = b.began.Add(crit.MaxWall)
-	}
-	return b
+	return bdg
 }
 
 // elapsed reports the wall time consumed so far, per the injected clock.
@@ -91,7 +58,7 @@ func (b *budget) admitState() bool {
 		b.halted.Store(true)
 		return false
 	}
-	if n := b.states.Add(1); b.crit.MaxStates > 0 && n > int64(b.crit.MaxStates) {
+	if n := b.states.Add(1); b.lim.States > 0 && n > int64(b.lim.States) {
 		b.states.Add(-1)
 		b.halted.Store(true)
 		return false
@@ -100,18 +67,18 @@ func (b *budget) admitState() bool {
 }
 
 // admitTransition atomically claims one unit of the transition budget; it
-// returns false when MaxTransitions is exhausted (after rolling the claim
+// returns false when Budget.Transitions is exhausted (after rolling the claim
 // back, so the count is exact). Serial runs stop at a deterministic
 // transition prefix; with several workers which expansions land inside the
 // budget varies with scheduling, like every non-depth cutoff.
 func (b *budget) admitTransition() bool {
-	if b.crit.MaxTransitions <= 0 {
+	if b.lim.Transitions <= 0 {
 		return !b.halted.Load()
 	}
 	if b.halted.Load() {
 		return false
 	}
-	if n := b.transitions.Add(1); n > int64(b.crit.MaxTransitions) {
+	if n := b.transitions.Add(1); n > int64(b.lim.Transitions) {
 		b.transitions.Add(-1)
 		b.halted.Store(true)
 		return false
@@ -122,7 +89,7 @@ func (b *budget) admitTransition() bool {
 // refundTransition returns one admitted unit (the event turned out to be
 // inapplicable — no handler ran).
 func (b *budget) refundTransition() {
-	if b.crit.MaxTransitions > 0 {
+	if b.lim.Transitions > 0 {
 		b.transitions.Add(-1)
 	}
 }

@@ -18,12 +18,12 @@ func (f *fakeClock) Now() time.Time {
 	return time.Unix(0, f.n.Add(1)*int64(f.step))
 }
 
-// TestBudgetWallExpiryFakeClock drives the budget's MaxWall deadline with a
+// TestBudgetWallExpiryFakeClock drives the budget's Wall deadline with a
 // fake clock: the number of admitted states is exactly the wall budget
 // divided by the clock step, with no real sleeping involved.
 func TestBudgetWallExpiryFakeClock(t *testing.T) {
 	fc := &fakeClock{step: time.Millisecond}
-	b := newBudget(StopCriterion{MaxWall: 10 * time.Millisecond}, fc.Now)
+	b := newBudget(Budget{Wall: 10 * time.Millisecond}, fc.Now)
 	admitted := 0
 	for b.admitState() {
 		admitted++

@@ -43,8 +43,8 @@ func TestWorkerCountDeterminismMatrix(t *testing.T) {
 					t.Fatal(err)
 				}
 				cfg.Mode = mc.Exhaustive
-				cfg.MaxDepth = d
-				cfg.Workers = workers
+				cfg.Budget.Depth = d
+				cfg.Budget.Workers = workers
 				cfg.Seed = 42
 				cfg.Reduce = reduce
 				return mc.NewSearch(cfg).Run(g)
@@ -81,11 +81,10 @@ func TestWorkerCountDeterminismMatrix(t *testing.T) {
 
 // TestFixedPolicyMatchesLegacyConfigMatrix: for every registered scenario
 // and worker count, a search whose budget was planned by a FixedPolicy is
-// the *same search* as the pre-redesign loose-scalar configuration — same
-// states, same transitions, same violations. Combined with the engine's
-// worker-count determinism above, this pins the acceptance claim that
-// mcheck under FixedPolicy stays byte-identical to the pre-policy checker
-// at every worker count.
+// the *same search* as one handed the budget directly — same states, same
+// transitions, same violations. Combined with the engine's worker-count
+// determinism above, this pins that mcheck under the default FixedPolicy
+// runs exactly the budget its flags spell out, at every worker count.
 func TestFixedPolicyMatchesLegacyConfigMatrix(t *testing.T) {
 	for _, name := range scenario.Names() {
 		name := name
@@ -109,8 +108,7 @@ func TestFixedPolicyMatchesLegacyConfigMatrix(t *testing.T) {
 							SnapshotNodes: len(g.Nodes()),
 						})
 					} else {
-						cfg.MaxDepth = 4
-						cfg.Workers = workers
+						cfg.Budget = mc.Budget{Depth: 4, Workers: workers}
 					}
 					return mc.NewSearch(cfg).Run(g)
 				}

@@ -140,19 +140,15 @@ func TestPolicyPrecedence(t *testing.T) {
 			if cfg.Policy.Kind != tc.wantKind {
 				t.Errorf("kind = %q, want %q", cfg.Policy.Kind, tc.wantKind)
 			}
-			if cfg.Policy.Base.States != tc.wantStates {
-				t.Errorf("states = %d, want %d", cfg.Policy.Base.States, tc.wantStates)
+			wantStates := tc.wantStates
+			if wantStates == 0 {
+				wantStates = 20000 // the controller default
+			}
+			if cfg.Policy.Base.States != wantStates {
+				t.Errorf("states = %d, want %d", cfg.Policy.Base.States, wantStates)
 			}
 			if cfg.Policy.Base.Workers != tc.wantWorkers {
 				t.Errorf("workers = %d, want %d", cfg.Policy.Base.Workers, tc.wantWorkers)
-			}
-			// The deprecated mirror must agree with the resolved spec so
-			// legacy readers of controller.Config see the same bounds.
-			if tc.wantStates > 0 && cfg.MCStates != tc.wantStates {
-				t.Errorf("deprecated MCStates mirror = %d, want %d", cfg.MCStates, tc.wantStates)
-			}
-			if tc.wantStates == 0 && cfg.MCStates != 20000 {
-				t.Errorf("MCStates fallback = %d, want controller default 20000", cfg.MCStates)
 			}
 		})
 	}

@@ -54,8 +54,8 @@ func TestReductionOracleMatrix(t *testing.T) {
 						t.Fatal(err)
 					}
 					cfg.Mode = mc.Exhaustive
-					cfg.MaxDepth = d
-					cfg.Workers = workers
+					cfg.Budget.Depth = d
+					cfg.Budget.Workers = workers
 					cfg.Seed = 42
 					cfg.Reduce = reduce
 					cfg.RecordLocalStates = true
@@ -134,8 +134,8 @@ func TestReductionOracleConsequence(t *testing.T) {
 					t.Fatal(err)
 				}
 				cfg.Mode = mc.Consequence
-				cfg.MaxDepth = d
-				cfg.Workers = workers
+				cfg.Budget.Depth = d
+				cfg.Budget.Workers = workers
 				cfg.Seed = 42
 				cfg.Reduce = reduce
 				cfg.RecordLocalStates = true
@@ -188,7 +188,7 @@ func TestReductionOracleWarmConsequence(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg.Mode = mc.Consequence
-	cfg.MaxDepth = 10
+	cfg.Budget.Depth = 10
 	cfg.Seed = 7
 	cfg.RecordLocalStates = true
 	s := mc.NewSearch(cfg)
@@ -223,7 +223,7 @@ func TestReductionOracleWarmConsequence(t *testing.T) {
 	run := func(reduce bool, workers int) *mc.Result {
 		c := cfg
 		c.Reduce = reduce
-		c.Workers = workers
+		c.Budget.Workers = workers
 		return mc.NewSearch(c).Run(g)
 	}
 	base := run(false, 1)
@@ -248,8 +248,7 @@ func TestReductionOracleWarmConsequence(t *testing.T) {
 }
 
 // TestReductionOracleDeep re-runs the differential oracle one to two
-// levels deeper on the two scenarios the BENCH_6 acceptance bar names
-// (chord, paxos), where the commuting-delivery diamonds are dense enough
+// levels deeper on the two densest scenarios (chord, paxos), where the commuting-delivery diamonds are dense enough
 // for reduction to prune a large transition share. Skipped under -short.
 func TestReductionOracleDeep(t *testing.T) {
 	if testing.Short() {
@@ -270,8 +269,8 @@ func TestReductionOracleDeep(t *testing.T) {
 					t.Fatal(err)
 				}
 				cfg.Mode = mc.Exhaustive
-				cfg.MaxDepth = tc.depth
-				cfg.Workers = 4
+				cfg.Budget.Depth = tc.depth
+				cfg.Budget.Workers = 4
 				cfg.Seed = 7
 				cfg.Reduce = reduce
 				cfg.RecordLocalStates = true

@@ -287,13 +287,10 @@ func (sc *Scenario) ControllerConfig(o DeployOptions) (controller.Config, error)
 	if err != nil {
 		return controller.Config{}, fmt.Errorf("scenario %s: %w", sc.Name, err)
 	}
-	cfg.Policy = spec
-	// Mirror the resolved base into the deprecated scalars so legacy
-	// readers of the controller config observe the same bounds.
-	if spec.Base.States > 0 {
-		cfg.MCStates = spec.Base.States
+	if spec.Base.States == 0 {
+		spec.Base.States = cfg.Policy.Base.States // the controller default
 	}
-	cfg.Workers = spec.Base.Workers
+	cfg.Policy = spec
 	if o.PerStateCost > 0 {
 		cfg.PerStateCost = o.PerStateCost
 	}
@@ -312,8 +309,9 @@ func (sc *Scenario) ControllerConfig(o DeployOptions) (controller.Config, error)
 //	workers       o.Workers     >  spec.Base.Workers >  GOMAXPROCS
 //
 // All other spec fields (depth, wall, violations, adaptive/scaled tuning)
-// come from the winning spec source; unset values fall to the controller
-// defaults (Config.policySpec). TestPolicyPrecedence pins this table.
+// come from the winning spec source; an unset violation quota falls to the
+// controller default (Config.policySpec). TestPolicyPrecedence pins this
+// table.
 func (sc *Scenario) resolvePolicySpec(o DeployOptions) (mc.PolicySpec, error) {
 	spec := sc.CheckerPolicy
 	if o.PolicySpec != nil {

@@ -281,14 +281,14 @@ func TestScenarioMatrix(t *testing.T) {
 				g = tc.stage(cfg.Factory)
 			}
 			cfg.Mode = tc.mode
-			cfg.Workers = 1
+			cfg.Budget.Workers = 1
 			cfg.Seed = 1
-			cfg.MaxStates = tc.maxStates
-			if cfg.MaxStates == 0 {
-				cfg.MaxStates = 60000
+			cfg.Budget.States = tc.maxStates
+			if cfg.Budget.States == 0 {
+				cfg.Budget.States = 60000
 			}
-			cfg.MaxDepth = tc.maxDepth
-			cfg.MaxWall = 2 * time.Minute
+			cfg.Budget.Depth = tc.maxDepth
+			cfg.Budget.Wall = 2 * time.Minute
 			res := mc.NewSearch(cfg).Run(g)
 			got := violatedProps(res)
 			if len(tc.want) == 0 {

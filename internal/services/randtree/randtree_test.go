@@ -354,8 +354,7 @@ func TestConsequencePredictionFindsFigure2(t *testing.T) {
 		Mode:             mc.Consequence,
 		ExploreResets:    true,
 		MaxResetsPerPath: 1,
-		MaxStates:        60000,
-		MaxViolations:    1,
+		Budget:           mc.Budget{States: 60000, Violations: 1},
 	})
 	res := s.Run(g)
 	if len(res.Violations) == 0 {

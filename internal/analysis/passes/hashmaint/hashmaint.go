@@ -175,7 +175,7 @@ func collect(pass *analysis.Pass, gstate *types.Named, fd *ast.FuncDecl) *funcFa
 
 	// recordTarget classifies one written lvalue.
 	recordTarget := func(lhs ast.Expr, at ast.Node) {
-		// Unwrap element writes: g.nodes[id] = ..., g.stale[p] = ...
+		// Unwrap element writes: g.nodes[i] = ..., g.msgs[j] = ...
 		if ix, ok := lhs.(*ast.IndexExpr); ok {
 			lhs = ix.X
 		}
@@ -201,10 +201,6 @@ func collect(pass *analysis.Pass, gstate *types.Named, fd *ast.FuncDecl) *funcFa
 		case *ast.IncDecStmt:
 			recordTarget(s.X, s)
 		case *ast.CallExpr:
-			if analysis.IsBuiltinCall(info, s, "delete") && len(s.Args) == 2 {
-				recordTarget(s.Args[0], s)
-				break
-			}
 			if fn := calleeFunc(info, s); fn != nil && fn.Pkg() == pass.Pkg.Types {
 				ff.calls[fn] = true
 			}

@@ -3,22 +3,33 @@
 // directly or through a helper.
 package a
 
+import "slices"
+
 type NodeState struct{ V int }
 
-// GState mirrors mc.GState's fingerprint structure.
+// GState mirrors mc.GState's fingerprint structure: every component is a
+// slice (nodes parallel to the sorted ids, stale kept sorted).
 type GState struct {
-	nodes   map[int]*NodeState
+	ids     []int
+	nodes   []*NodeState
 	msgs    []int
-	stale   map[int]bool
+	stale   []int
 	resets  int
 	hsum    uint64
 	encSize int
 }
 
-// setNode maintains the fingerprint directly.
-func (g *GState) setNode(id int, ns *NodeState, h uint64) {
-	g.nodes[id] = ns
+// swapNode maintains the fingerprint directly.
+func (g *GState) swapNode(i int, ns *NodeState, h uint64) {
+	g.nodes[i] = ns
 	g.hsum += h
+}
+
+// clearStale maintains hsum and encSize around a slice delete.
+func (g *GState) clearStale(i int, h uint64) {
+	g.stale = slices.Delete(g.stale, i, i+1)
+	g.hsum -= h
+	g.encSize -= 16
 }
 
 // addMsg maintains hsum and encSize.
@@ -41,22 +52,28 @@ func (g *GState) forget(m int) {
 }
 
 // clobber rewrites a node element unmaintained.
-func (g *GState) clobber(id int) {
-	g.nodes[id] = &NodeState{} // want `clobber writes GState.nodes`
+func (g *GState) clobber(i int) {
+	g.nodes[i] = &NodeState{} // want `clobber writes GState.nodes`
 }
 
 // drop deletes a stale entry unmaintained.
-func (g *GState) drop(p int) {
-	delete(g.stale, p) // want `drop writes GState.stale`
+func (g *GState) drop(i int) {
+	g.stale = slices.Delete(g.stale, i, i+1) // want `drop writes GState.stale`
+}
+
+// reindex rewrites the shared id list, which carries no hash of its own:
+// not a component, not flagged.
+func (g *GState) reindex(ids []int) {
+	g.ids = ids
 }
 
 // literal builds a GState with a component but no fingerprint key.
-func literal(ns map[int]*NodeState) *GState {
+func literal(ns []*NodeState) *GState {
 	return &GState{nodes: ns} // want `literal writes GState.nodes`
 }
 
 // literalWithGuard carries the fingerprint explicitly.
-func literalWithGuard(ns map[int]*NodeState, h uint64) *GState {
+func literalWithGuard(ns []*NodeState, h uint64) *GState {
 	return &GState{nodes: ns, hsum: h}
 }
 

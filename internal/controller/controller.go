@@ -172,25 +172,12 @@ type Finding struct {
 	Filter *sm.Filter
 }
 
-// Signature identifies the finding's bug class for deduplication: the
-// violated properties plus the kind of the path's final event (handler at
-// fault), with node identities stripped so the same bug found at different
-// nodes counts once.
+// Signature identifies the finding's bug class for deduplication; it is
+// the checker's definition (mc.Violation.Signature), so the same bug found
+// at different nodes counts once here and there alike.
 func (f Finding) Signature() string {
-	sig := ""
-	for _, p := range f.Properties {
-		sig += p + "|"
-	}
-	if n := len(f.Path); n > 0 {
-		sig += EventKind(f.Path[n-1])
-	}
-	return sig
+	return mc.Violation{Properties: f.Properties, Path: f.Path}.Signature()
 }
-
-// EventKind renders an event's identity-free kind ("msg:Join",
-// "timer:recovery", "reset", ...). It shares the checker's definition, so
-// finding signatures and mc.Violation signatures agree.
-func EventKind(ev sm.Event) string { return mc.EventKind(ev) }
 
 // Stats counts controller activity; the steering experiments read these.
 type Stats struct {

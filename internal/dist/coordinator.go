@@ -256,6 +256,9 @@ func (c *Coordinator) RunRound(b mc.Budget, recordStates bool) (*Result, error) 
 			res.Recovery = rec
 			return res, nil
 		}
+		// A bound smaller than the live shard count occupies only as many
+		// slots as it has units; the other shards sit the round out.
+		assign = assign[:usableSlots(b, len(assign))]
 		res, deaths, err := c.runAttempt(assign, b, recordStates, began, attempt)
 		if err != nil {
 			return nil, err
@@ -619,14 +622,28 @@ func (c *Coordinator) replayScratch() *sm.Encoder {
 	return c.enc
 }
 
-// SplitBudget divides a round's budget across n shards: States and
-// Transitions split near-evenly (low shards take the remainder); Depth and
-// Wall bound each shard identically; Workers is the per-shard worker
-// count; Violations gives every shard the full quota — the merged report
-// deduplicates, so a distributed round may record up to n× the quota
-// before all shards halt (quota rounds trade exactness for an early stop,
-// as the serial engine's do under >1 worker).
+// usableSlots returns how many of n shards budget b can occupy. A zero
+// share would read as *unbounded* (mc.Budget's zero), so a non-zero States
+// or Transitions bound smaller than n occupies only that many slots: every
+// share of a bounded dimension is then at least 1.
+func usableSlots(b mc.Budget, n int) int {
+	for _, bound := range []int{b.States, b.Transitions} {
+		if bound > 0 && bound < n {
+			n = bound
+		}
+	}
+	return n
+}
+
+// SplitBudget divides a round's budget across usableSlots(b, n) shards:
+// States and Transitions split near-evenly (low shards take the
+// remainder); Depth and Wall bound each shard identically; Workers is the
+// per-shard worker count; Violations gives every shard the full quota —
+// the merged report deduplicates, so a distributed round may record up to
+// n× the quota before all shards halt (quota rounds trade exactness for an
+// early stop, as the serial engine's do under >1 worker).
 func SplitBudget(b mc.Budget, n int) []mc.Budget {
+	n = usableSlots(b, n)
 	shares := make([]mc.Budget, n)
 	for i := range shares {
 		s := b

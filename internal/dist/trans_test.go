@@ -40,7 +40,7 @@ func TestShardedStatesWithinBudget(t *testing.T) {
 	g, cfg := chordStart(t)
 	for _, shards := range []int{1, 2, 4} {
 		for _, workers := range []int{1, 4} {
-			for _, states := range []int{4, 7, 150} { // >= shards: a zero share would mean "unbounded"
+			for _, states := range []int{4, 7, 150} {
 				b := mc.Budget{States: states, Workers: workers}
 				res, err := Local(LocalConfig{Shards: shards, Search: cfg, Root: g, Budget: b})
 				if err != nil {
@@ -59,5 +59,39 @@ func TestShardedStatesWithinBudget(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestSplitBudgetNeverSharesZeroOfABound pins the fix for bounds smaller
+// than the shard count: mc.Budget reads 0 as unbounded, so a zero share of
+// a non-zero bound would let that shard run free. Such a budget yields
+// fewer shares instead, and a 4-shard round on it stays inside the bound.
+func TestSplitBudgetNeverSharesZeroOfABound(t *testing.T) {
+	for _, b := range []mc.Budget{{States: 2}, {Transitions: 3}, {States: 5, Transitions: 2}, {States: 9}, {Depth: 3}} {
+		shares := SplitBudget(b, 4)
+		var states, transitions int
+		for _, s := range shares {
+			if (b.States > 0 && s.States == 0) || (b.Transitions > 0 && s.Transitions == 0) {
+				t.Errorf("%+v: share %+v leaves a bounded dimension unbounded", b, s)
+			}
+			states += s.States
+			transitions += s.Transitions
+		}
+		if states != b.States || transitions != b.Transitions {
+			t.Errorf("%+v: shares sum to states=%d transitions=%d", b, states, transitions)
+		}
+	}
+	if n := len(SplitBudget(mc.Budget{Depth: 3}, 4)); n != 4 {
+		t.Errorf("unbounded budget split into %d shares, want 4", n)
+	}
+
+	g, cfg := chordStart(t)
+	res, err := Local(LocalConfig{Shards: 4, Search: cfg, Root: g, Budget: mc.Budget{States: 2, Workers: 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Checker.StatesExplored > 2 || res.Recovery.FinalShards != 2 {
+		t.Errorf("4 shards, States=2: explored %d states on %d slots, want <= 2 on 2",
+			res.Checker.StatesExplored, res.Recovery.FinalShards)
 	}
 }

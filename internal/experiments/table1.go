@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"crystalball/internal/controller"
+	"crystalball/internal/mc"
 	"crystalball/internal/scenario"
 	"crystalball/internal/stats"
 )
@@ -112,5 +113,5 @@ func lastKind(f controller.Finding) string {
 	if len(f.Path) == 0 {
 		return "?"
 	}
-	return controller.EventKind(f.Path[len(f.Path)-1])
+	return mc.EventKind(f.Path[len(f.Path)-1])
 }

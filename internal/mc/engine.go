@@ -192,7 +192,6 @@ type Engine struct {
 	workers int
 	prune   bool // consequence prediction's (node, local state) rule
 	reduce  bool // sleep-set partial-order reduction
-	red     Reducer
 	own     HashRange
 	// forward receives each proposed successor own does not contain (nil
 	// when the engine owns the whole space).
@@ -281,7 +280,6 @@ func (s *Search) NewEngine(b Budget, own HashRange, forward func(*Node) error) *
 		workers: b.Workers,
 		prune:   s.cfg.Mode == Consequence,
 		reduce:  s.cfg.Reduce,
-		red:     s.cfg.Reducer,
 		own:     own,
 		forward: forward,
 		bdg:     newBudget(b, s.cfg.Now),
@@ -332,12 +330,12 @@ func (e *Engine) claim(n *Node, h uint64) bool {
 	// every node. The union over all claims is every local state of every
 	// claimed state either way.
 	if id, ok := eventNode(n.event); ok {
-		if ns := n.state.nodes[id]; ns != nil {
+		if ns := n.state.Node(id); ns != nil {
 			e.locals[ns.localHash()] = struct{}{}
 		}
 	} else if n.event == nil {
-		for _, id := range n.state.ids {
-			e.locals[n.state.nodes[id].localHash()] = struct{}{}
+		for _, ns := range n.state.nodes {
+			e.locals[ns.localHash()] = struct{}{}
 		}
 	}
 	e.fr.push(n)
@@ -549,7 +547,7 @@ func (e *Engine) expand(node *Node, x *Expander) []*Node {
 			expand(ev, nil)
 			continue
 		}
-		k, ok := e.red.Classify(ev)
+		k, ok := classify(ev)
 		if !ok {
 			// Unclassified network transition: never slept, and its
 			// effects are unknown, so children start a fresh sleep set.
@@ -588,13 +586,13 @@ func (e *Engine) expand(node *Node, x *Expander) []*Node {
 	// sleep sets and H_A expansions never promise; H_A transitions may
 	// still BE slept (their closure replays only the H_M edges the entry
 	// survived). The differential oracle pins set-equality for both modes.
-	for i, id := range ids {
+	for i := range ids {
 		evs := internal[i]
 		if len(evs) == 0 {
 			continue
 		}
 		if e.prune {
-			lh := node.state.nodes[id].localHash()
+			lh := node.state.nodes[i].localHash()
 			if _, claimed := e.local[lh]; claimed {
 				e.ctr.localPrunes.Add(int64(len(evs)))
 				continue
@@ -610,7 +608,7 @@ func (e *Engine) expand(node *Node, x *Expander) []*Node {
 				expand(ev, nil)
 				continue
 			}
-			k, ok := e.red.Classify(ev)
+			k, ok := classify(ev)
 			if !ok {
 				if ae, isApp := ev.(sm.AppEvent); isApp {
 					x.enc.Reset()

@@ -193,7 +193,10 @@ type AdaptivePolicy struct {
 	TargetFraction float64
 	// Alpha is the EWMA smoothing factor in (0, 1] (0 = 0.3).
 	Alpha float64
-	// MaxWorkers caps worker growth (0 = max(Base.Workers, GOMAXPROCS)).
+	// MaxWorkers caps worker growth (0 = Base.Workers: the pool never
+	// grows). PolicySpec.New resolves an unset cap to
+	// max(Base.Workers, GOMAXPROCS) once, at construction, so Plan itself
+	// reads nothing ambient.
 	MaxWorkers int
 	// MinStates / MaxStates clamp planned budgets
 	// (0 = 64 and Base.States*16 respectively).
@@ -231,10 +234,7 @@ func (p *AdaptivePolicy) Plan(in RoundInfo) Budget {
 	}
 	maxW := p.MaxWorkers
 	if maxW <= 0 {
-		maxW = runtime.GOMAXPROCS(0)
-		if b.Workers > maxW {
-			maxW = b.Workers
-		}
+		maxW = max(b.Workers, 1)
 	}
 	// Workers: enough that the coverage ask fits the window, if possible.
 	w := 1
@@ -318,7 +318,8 @@ type PolicySpec struct {
 	// defaults).
 	MinStates int
 	MaxStates int
-	// MaxWorkers caps AdaptivePolicy's worker growth (0 = kind default).
+	// MaxWorkers caps AdaptivePolicy's worker growth
+	// (0 = max(Base.Workers, GOMAXPROCS), read once by New).
 	MaxWorkers int
 	// Make, when set, overrides Kind with a custom constructor; it must
 	// return a fresh Policy per call.
@@ -342,11 +343,15 @@ func (s PolicySpec) New() (Policy, error) {
 			MaxStates: s.MaxStates,
 		}, nil
 	case PolicyAdaptive:
+		maxW := s.MaxWorkers
+		if maxW <= 0 {
+			maxW = max(s.Base.Workers, runtime.GOMAXPROCS(0))
+		}
 		return &AdaptivePolicy{
 			Base:           s.Base,
 			TargetFraction: s.TargetFraction,
 			Alpha:          s.Alpha,
-			MaxWorkers:     s.MaxWorkers,
+			MaxWorkers:     maxW,
 			MinStates:      s.MinStates,
 			MaxStates:      s.MaxStates,
 		}, nil

@@ -2,6 +2,7 @@ package mc
 
 import (
 	"reflect"
+	"runtime"
 	"testing"
 	"time"
 )
@@ -145,6 +146,28 @@ func TestAdaptivePolicyDeterministicPlans(t *testing.T) {
 	a, b := run(), run()
 	if !reflect.DeepEqual(a, b) {
 		t.Fatalf("same report sequence produced different plans:\n%v\nvs\n%v", a, b)
+	}
+}
+
+// TestAdaptivePolicyWorkerCapResolvedAtConstruction: Plan reads nothing
+// ambient. The default worker cap is max(Base.Workers, GOMAXPROCS) as seen
+// by PolicySpec.New; changing GOMAXPROCS afterwards must not change a plan,
+// and a directly constructed policy with no cap never grows its pool.
+func TestAdaptivePolicyWorkerCapResolvedAtConstruction(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	p := PolicySpec{Kind: PolicyAdaptive, Base: Budget{States: 20000, Workers: 1}}.MustNew()
+	runtime.GOMAXPROCS(1)
+	// 500 states/sec against a 20000-state ask in a 5 s window: the plan
+	// wants every worker it may have.
+	slow := RoundReport{Budget: Budget{Workers: 1}, States: 500, Elapsed: time.Second}
+	p.Observe(slow)
+	if got := p.Plan(RoundInfo{Round: 2, Interval: 10 * time.Second}).Workers; got != 4 {
+		t.Errorf("spec-built policy planned %d workers after GOMAXPROCS changed, want the 4 resolved by New", got)
+	}
+	bare := &AdaptivePolicy{Base: Budget{States: 20000, Workers: 2}}
+	bare.Observe(slow)
+	if got := bare.Plan(RoundInfo{Round: 2, Interval: 10 * time.Second}).Workers; got != 2 {
+		t.Errorf("uncapped literal policy planned %d workers, want Base.Workers = 2", got)
 	}
 }
 

@@ -67,7 +67,7 @@ const (
 	sleepErr                    // transport-error notification (RST-derived or conn-break)
 	sleepDrop                   // RST drop
 	sleepTimer                  // timer firing
-	sleepApp                    // application call (classified by the engine, not the Reducer)
+	sleepApp                    // application call (classified by the engine, not by classify)
 )
 
 // sleepKey names one transition independently of the state it is enabled
@@ -86,36 +86,20 @@ type sleepKey struct {
 	kind     sleepKind
 }
 
-// Reducer is the independence oracle behind Config.Reduce: it maps a
+// classify is the independence oracle behind Config.Reduce: it maps a
 // transition to its sleep descriptor, whose (kind, from, to) fields feed
-// the dependent() relation — transitions with independent descriptors must
-// commute exactly and must not enable or disable one another. ok=false
-// exempts an event from reduction: it is never slept, never promises
-// anything, and its children start fresh sleep sets (its effects are
-// unknown). DeliveryIndependence is the default; custom reducers can
-// narrow the relation for services with out-of-band dependencies.
-type Reducer interface {
-	// Name identifies the reducer in logs and results.
-	Name() string
-	// Classify returns ev's sleep descriptor.
-	Classify(ev sm.Event) (key sleepKey, ok bool)
-}
-
-// DeliveryIndependence is the default Reducer: transitions are classified
-// by the node they execute at, so deliveries to — and timers and
-// transport errors at — distinct nodes are independent, and RST drops
+// the dependent() relation — transitions with independent descriptors
+// commute exactly and neither enable nor disable one another. Transitions
+// are classified by the node they execute at, so deliveries to — and timers
+// and transport errors at — distinct nodes are independent, and RST drops
 // (which touch no node state) are dependent only on errors and drops of
-// the same (from, to) RST queue. Application calls and resets are handled
-// structurally by the engine, before the Reducer is consulted: app calls
-// are classified by (node, call name, EncodeCall fingerprint), and resets
-// clear sleep sets rather than participate in them.
-var DeliveryIndependence Reducer = deliveryIndependence{}
-
-type deliveryIndependence struct{}
-
-func (deliveryIndependence) Name() string { return "delivery-independence" }
-
-func (deliveryIndependence) Classify(ev sm.Event) (sleepKey, bool) {
+// the same (from, to) RST queue. ok=false exempts an event from reduction:
+// it is never slept, never promises anything, and its children start fresh
+// sleep sets (its effects are unknown). Application calls and resets are
+// handled structurally by the engine before classify is consulted: app
+// calls are classified by (node, call name, EncodeCall fingerprint), and
+// resets clear sleep sets rather than participate in them.
+func classify(ev sm.Event) (sleepKey, bool) {
 	switch e := ev.(type) {
 	case sm.MsgEvent:
 		return sleepKey{from: e.From, to: e.To, typ: e.Msg.MsgType(), kind: sleepMsg}, true

@@ -89,9 +89,6 @@ type Config struct {
 	// only redundant handler executions are skipped. Applies to the
 	// breadth-first strategies (Exhaustive, Consequence).
 	Reduce bool
-	// Reducer overrides the independence oracle consulted when Reduce is
-	// on (nil = DeliveryIndependence).
-	Reducer Reducer
 	// RecordLocalStates asks the breadth-first engine to return the
 	// sorted set of distinct node-local state hashes it claimed
 	// (Result.LocalStates); differential oracles compare the sets.
@@ -118,9 +115,6 @@ func (c *Config) defaults() {
 	}
 	if c.Walks == 0 {
 		c.Walks = 200
-	}
-	if c.Reducer == nil {
-		c.Reducer = DeliveryIndependence
 	}
 	if c.Now == nil {
 		c.Now = time.Now
@@ -324,7 +318,7 @@ func (s *Search) applyFiltered(g *GState, ev sm.Event, f sm.Filter, sc *scratch)
 	next := g.shallowClone()
 	next.removeMsgAt(i, sc)
 	if f.BreakConn {
-		if _, known := next.nodes[me.From]; known {
+		if _, known := next.index(me.From); known {
 			next.addMsg(InFlight{From: me.To, To: me.From, Msg: nil}, sc)
 		}
 	}

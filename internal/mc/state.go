@@ -14,6 +14,7 @@ package mc
 
 import (
 	"bytes"
+	"cmp"
 	"slices"
 
 	"crystalball/internal/props"
@@ -177,6 +178,15 @@ func (f InFlight) encode(e *sm.Encoder) {
 
 type pair struct{ a, b sm.NodeID }
 
+// comparePair orders stale pairs by (sender, peer), the order GState.stale
+// is kept in.
+func comparePair(x, y pair) int {
+	if c := cmp.Compare(x.a, y.a); c != 0 {
+		return c
+	}
+	return cmp.Compare(x.b, y.b)
+}
+
 // staleComp returns the fingerprint component hash of one stale pair,
 // encoding through the scratch encoder.
 //
@@ -219,28 +229,34 @@ var resetsComp0 = func() uint64 {
 // decides the FIFO delivery head) is captured by the position term — and
 // every mutation helper below updates the sum in O(1) amortised; a
 // successor's hash costs O(changed components) instead of a full
-// re-encoding of every node. The encoded
-// footprint (EncodedSize) and the sorted node-id list (Nodes) are
-// maintained the same way, so neither re-walks the state per query.
+// re-encoding of every node. The encoded footprint (EncodedSize) is
+// maintained the same way, so it never re-walks the state per query.
+//
+// The layout is four slices and no map: a state holds a handful of nodes
+// and at most a few stale pairs, so id lookup is one binary search (index)
+// and every walk — FullHash, FillView, event enumeration, reset handling —
+// runs in ascending id / pair order by construction. Enumeration order is
+// therefore a function of the state, not of map iteration.
 type GState struct {
-	nodes   map[sm.NodeID]*NodeState
-	ids     []sm.NodeID // sorted node ids; shared with successors (nodes are never removed)
+	ids     []sm.NodeID  // sorted node ids; shared with successors (nodes are never removed)
+	nodes   []*NodeState // local states, parallel to ids
 	msgs    []InFlight
-	stale   map[pair]bool // (sender, peer): sender holds a stale socket to peer; nil until first pair
-	resets  int           // reset events taken on this path (bounds fault depth)
-	hsum    uint64        // incrementally maintained commutative fingerprint
-	encSize int           // incrementally maintained EncodedSize
+	stale   []pair // sorted (sender, peer) pairs: sender holds a stale socket to peer
+	resets  int    // reset events taken on this path (bounds fault depth)
+	hsum    uint64 // incrementally maintained commutative fingerprint
+	encSize int    // incrementally maintained EncodedSize
 }
+
+// index returns id's position in ids (and nodes) and whether it is present;
+// for an absent id, the position it would be inserted at.
+//
+//crystal:hotpath
+func (g *GState) index(id sm.NodeID) (int, bool) { return slices.BinarySearch(g.ids, id) }
 
 // NewGState builds a global state from per-node services and timer sets.
 // The services are used as-is (not cloned); callers that keep using their
 // copies must clone first.
-func NewGState() *GState {
-	return &GState{
-		nodes: make(map[sm.NodeID]*NodeState),
-		hsum:  resetsComp0,
-	}
-}
+func NewGState() *GState { return &GState{hsum: resetsComp0} }
 
 // AddNode inserts a node's local state. The service's encoding and hashes
 // are captured here, so callers must finish mutating svc before AddNode.
@@ -262,36 +278,34 @@ func (g *GState) AddNode(id sm.NodeID, svc sm.Service, timers map[sm.TimerID]boo
 //
 //crystal:hotpath
 func (g *GState) setNode(id sm.NodeID, ns *NodeState, sc *scratch) {
-	old := g.nodes[id]
-	if old != nil {
+	i, present := g.index(id)
+	var old *NodeState
+	if present {
+		old = g.nodes[i]
 		g.hsum -= old.chash // every installed node is finalized
 		g.encSize -= 4 + old.encLen()
+	} else {
+		// The ids slice may be shared with predecessor states, so insert
+		// into a copy. Insertion only happens at state-construction time
+		// (exploration never adds nodes).
+		g.ids = slices.Insert(slices.Clone(g.ids), i, id)
+		g.nodes = slices.Insert(g.nodes, i, nil)
 	}
 	ns.finalize(id, old, sc)
 	g.hsum += ns.chash
 	g.encSize += 4 + ns.encLen()
-	if old == nil {
-		// Copy-insert: the ids slice may be shared with predecessor
-		// states, so never mutate it in place. Insertion only happens at
-		// state-construction time (exploration never adds nodes).
-		pos, _ := slices.BinarySearch(g.ids, id)
-		ids := make([]sm.NodeID, 0, len(g.ids)+1)
-		ids = append(ids, g.ids[:pos]...)
-		ids = append(ids, id)
-		ids = append(ids, g.ids[pos:]...)
-		g.ids = ids
-	}
-	g.nodes[id] = ns
+	g.nodes[i] = ns
 }
 
-// swapNode replaces id's already-finalized local state with the finalized
-// nw, adjusting fingerprint and footprint. The node-id list is unchanged.
+// swapNode replaces the already-finalized local state at position i with
+// the finalized nw, adjusting fingerprint and footprint.
 //
 //crystal:hotpath
-func (g *GState) swapNode(id sm.NodeID, old, nw *NodeState) {
+func (g *GState) swapNode(i int, nw *NodeState) {
+	old := g.nodes[i]
 	g.hsum += nw.chash - old.chash
 	g.encSize += nw.encLen() - old.encLen()
-	g.nodes[id] = nw
+	g.nodes[i] = nw
 }
 
 // AddMessage inserts an in-flight service message.
@@ -373,25 +387,42 @@ func (g *GState) removeMsgAt(i int, sc *scratch) {
 //
 //crystal:hotpath
 func (g *GState) setStale(p pair, sc *scratch) {
-	if !g.stale[p] {
-		if g.stale == nil {
-			g.stale = make(map[pair]bool)
-		}
-		g.stale[p] = true
+	if i, present := slices.BinarySearchFunc(g.stale, p, comparePair); !present {
+		g.stale = slices.Insert(g.stale, i, p)
 		g.hsum += staleComp(p, sc)
 		g.encSize += 16
 	}
 }
 
-// clearStale removes a stale pair, updating the totals if present.
+// clearStale removes a stale pair, updating the totals, and reports whether
+// it was present.
 //
 //crystal:hotpath
-func (g *GState) clearStale(p pair, sc *scratch) {
-	if g.stale[p] {
-		delete(g.stale, p)
+func (g *GState) clearStale(p pair, sc *scratch) bool {
+	i, present := slices.BinarySearchFunc(g.stale, p, comparePair)
+	if present {
+		g.stale = slices.Delete(g.stale, i, i+1)
 		g.hsum -= staleComp(p, sc)
 		g.encSize -= 16
 	}
+	return present
+}
+
+// clearStaleFrom removes every stale pair whose sender is a, updating the
+// totals; filtering in place keeps the survivors sorted.
+//
+//crystal:hotpath
+func (g *GState) clearStaleFrom(a sm.NodeID, sc *scratch) {
+	kept := g.stale[:0]
+	for _, p := range g.stale {
+		if p.a != a {
+			kept = append(kept, p)
+		} else {
+			g.hsum -= staleComp(p, sc)
+			g.encSize -= 16
+		}
+	}
+	g.stale = kept
 }
 
 // bumpResets increments the reset counter, swapping its component hash.
@@ -409,7 +440,12 @@ func (g *GState) bumpResets(sc *scratch) {
 func (g *GState) Nodes() []sm.NodeID { return g.ids }
 
 // Node returns the local state of id, or nil if absent from the snapshot.
-func (g *GState) Node(id sm.NodeID) *NodeState { return g.nodes[id] }
+func (g *GState) Node(id sm.NodeID) *NodeState {
+	if i, present := g.index(id); present {
+		return g.nodes[i]
+	}
+	return nil
+}
 
 // InFlightCount reports the number of in-flight items.
 func (g *GState) InFlightCount() int { return len(g.msgs) }
@@ -430,8 +466,8 @@ func (g *GState) View() *props.View {
 //crystal:hotpath
 func (g *GState) FillView(v *props.View) {
 	v.Reset()
-	for _, id := range g.ids {
-		ns := g.nodes[id]
+	for i, id := range g.ids {
+		ns := g.nodes[i]
 		v.Add(id, ns.Svc, ns.Timers)
 	}
 }
@@ -442,7 +478,7 @@ func (g *GState) FillView(v *props.View) {
 // incrementally by every mutation, so Hash is O(1) and never writes to the
 // state — concurrent workers may hash a shared state freely. States
 // differing only in bookkeeping order (slice order across distinct message
-// queues, map iteration) collide as they should, while states whose shared
+// queues) collide as they should, while states whose shared
 // FIFO queue holds the same messages in different orders — and which
 // therefore deliver different heads next — stay distinct; FullHash
 // recomputes the same value from scratch and serves as the differential
@@ -471,12 +507,12 @@ func (g *GState) Hash() uint64 {
 // checker's mutators.
 func (g *GState) FullHash() uint64 {
 	var sum uint64
-	for id, ns := range g.nodes {
+	for i, ns := range g.nodes {
 		ne := sm.NewEncoder()
 		ns.Svc.EncodeState(ne)
 		encodeTimers(ne, ns.Timers)
 		e := sm.NewEncoder()
-		e.NodeID(id)
+		e.NodeID(g.ids[i])
 		e.Bytes2(ne.Bytes())
 		sum += e.DomainHash(domainNode)
 	}
@@ -494,13 +530,11 @@ func (g *GState) FullHash() uint64 {
 		e.Int(pos)
 		sum += e.DomainHash(domainMsg)
 	}
-	for p, ok := range g.stale {
-		if ok {
-			e := sm.NewEncoder()
-			e.NodeID(p.a)
-			e.NodeID(p.b)
-			sum += e.DomainHash(domainStale)
-		}
+	for _, p := range g.stale {
+		e := sm.NewEncoder()
+		e.NodeID(p.a)
+		e.NodeID(p.b)
+		sum += e.DomainHash(domainStale)
 	}
 	e := sm.NewEncoder()
 	e.Int(g.resets)
@@ -557,23 +591,8 @@ func (g *GState) fullEncodedSize() int {
 //
 //crystal:hotpath
 func (g *GState) shallowClone() *GState {
-	nodes := make(map[sm.NodeID]*NodeState, len(g.nodes))
-	for id, ns := range g.nodes {
-		nodes[id] = ns
-	}
-	msgs := make([]InFlight, len(g.msgs))
-	copy(msgs, g.msgs)
-	var stale map[pair]bool
-	if len(g.stale) > 0 {
-		stale = make(map[pair]bool, len(g.stale))
-		for p, ok := range g.stale {
-			if ok {
-				stale[p] = true
-			}
-		}
-	}
 	return &GState{
-		nodes: nodes, ids: g.ids, msgs: msgs, stale: stale,
+		ids: g.ids, nodes: slices.Clone(g.nodes), msgs: slices.Clone(g.msgs), stale: slices.Clone(g.stale),
 		resets: g.resets, hsum: g.hsum, encSize: g.encSize,
 	}
 }
@@ -587,4 +606,7 @@ func (g *GState) MarkStale(from, peer sm.NodeID) {
 }
 
 // Stale reports whether from's socket to peer is stale.
-func (g *GState) Stale(from, peer sm.NodeID) bool { return g.stale[pair{from, peer}] }
+func (g *GState) Stale(from, peer sm.NodeID) bool {
+	_, present := slices.BinarySearchFunc(g.stale, pair{from, peer}, comparePair)
+	return present
+}

@@ -103,15 +103,14 @@ func findMsg(g *GState, from, to sm.NodeID, msgType string, rst bool) int {
 //crystal:hotpath
 func (s *Search) dispatchSends(next *GState, ctx *mcContext, sc *scratch) {
 	for _, sd := range ctx.sends {
-		if _, known := next.nodes[sd.To]; !known {
+		if _, known := next.index(sd.To); !known {
 			s.dummyRedirects.Add(1)
 			continue
 		}
-		if next.stale[pair{sd.From, sd.To}] {
+		if next.clearStale(pair{sd.From, sd.To}, sc) {
 			// Stale socket discovered: message lost, sender will
 			// observe a transport error; the pair is fresh again
 			// afterwards (next send reconnects).
-			next.clearStale(pair{sd.From, sd.To}, sc)
 			next.addMsg(InFlight{From: sd.To, To: sd.From, Msg: nil}, sc)
 			continue
 		}
@@ -121,10 +120,11 @@ func (s *Search) dispatchSends(next *GState, ctx *mcContext, sc *scratch) {
 
 //crystal:hotpath
 func (s *Search) runHandler(g *GState, node sm.NodeID, ev sm.Event, sc *scratch, run func(ctx *mcContext)) *GState {
-	ns := g.nodes[node]
-	if ns == nil {
+	i, known := g.index(node)
+	if !known {
 		return nil
 	}
+	ns := g.nodes[i]
 	next := g.shallowClone()
 	cloned := ns.clone()
 	ctx := &sc.ctx
@@ -135,7 +135,7 @@ func (s *Search) runHandler(g *GState, node sm.NodeID, ev sm.Event, sc *scratch,
 	// any segment the handler left unchanged with the parent) and swap it
 	// into the fingerprint.
 	cloned.finalize(node, ns, sc)
-	next.swapNode(node, ns, cloned)
+	next.swapNode(i, cloned)
 	return next
 }
 
@@ -160,7 +160,7 @@ func (s *Search) applyMessage(g *GState, e sm.MsgEvent, sc *scratch) *GState {
 
 //crystal:hotpath
 func (s *Search) applyTimer(g *GState, e sm.TimerEvent, sc *scratch) *GState {
-	ns := g.nodes[e.At]
+	ns := g.Node(e.At)
 	if ns == nil || !ns.Timers[e.Timer] {
 		return nil
 	}
@@ -221,10 +221,11 @@ func (s *Search) applyDrop(g *GState, e sm.DropEvent, sc *scratch) *GState {
 //
 //crystal:hotpath
 func (s *Search) applyReset(g *GState, e sm.ResetEvent, sc *scratch) *GState {
-	ns := g.nodes[e.At]
-	if ns == nil {
+	at, known := g.index(e.At)
+	if !known {
 		return nil
 	}
+	ns := g.nodes[at]
 	next := g.shallowClone()
 	next.bumpResets(sc)
 	// Drop in-flight traffic touching the node. The predicate depends only
@@ -245,11 +246,11 @@ func (s *Search) applyReset(g *GState, e sm.ResetEvent, sc *scratch) *GState {
 	// Iterate in sorted node order: the append order becomes the
 	// successor's in-flight order, which event enumeration (and so
 	// same-seed random walks) must see identically every run.
-	for _, id := range next.ids {
+	for i, id := range next.ids {
 		if id == e.At {
 			continue
 		}
-		for _, nb := range next.nodes[id].Svc.Neighbors() {
+		for _, nb := range next.nodes[i].Svc.Neighbors() {
 			if nb == e.At {
 				next.setStale(pair{id, e.At}, sc)
 				next.addMsg(InFlight{From: e.At, To: id, Msg: nil}, sc)
@@ -258,12 +259,7 @@ func (s *Search) applyReset(g *GState, e sm.ResetEvent, sc *scratch) *GState {
 		}
 	}
 	// The reset node has no stale knowledge of anyone.
-	//crystal:allow(maporder) clearStale removes distinct keys and maintains hsum by commutative subtraction, so the removal order cannot leak into the fingerprint or the successor state
-	for p := range next.stale {
-		if p.a == e.At {
-			next.clearStale(p, sc)
-		}
-	}
+	next.clearStaleFrom(e.At, sc)
 	// Fresh service, re-initialised; disk contents survive the crash.
 	var stable []byte
 	if ss, ok := ns.Svc.(sm.StableStore); ok {
@@ -278,7 +274,7 @@ func (s *Search) applyReset(g *GState, e sm.ResetEvent, sc *scratch) *GState {
 	fresh.Svc.Init(ctx)
 	s.dispatchSends(next, ctx, sc)
 	fresh.finalize(e.At, ns, sc)
-	next.swapNode(e.At, ns, fresh)
+	next.swapNode(at, fresh)
 	return next
 }
 
@@ -350,7 +346,7 @@ func (s *Search) enabledInto(g *GState, buf *eventBuf) (network []sm.Event, ids 
 	}
 	buf.internal = buf.internal[:len(ids)]
 	for i, id := range ids {
-		ns := g.nodes[id]
+		ns := g.nodes[i]
 		evs := buf.internal[i][:0]
 		// timerNames is precomputed sorted by finalize: map iteration
 		// order cannot leak into the transition order same-seed runs
@@ -368,7 +364,7 @@ func (s *Search) enabledInto(g *GState, buf *eventBuf) (network []sm.Event, ids 
 		}
 		if s.cfg.ExploreConnBreaks {
 			for _, nb := range ns.Svc.Neighbors() {
-				if _, known := g.nodes[nb]; known {
+				if _, known := g.index(nb); known {
 					evs = append(evs, sm.ErrorEvent{At: id, Peer: nb})
 				}
 			}

@@ -29,37 +29,33 @@ func (v NodeView) TimerPending(t sm.TimerID) bool { return v.Timers[t] }
 // neighborhood snapshot fed to the model checker, or the full system in
 // experiment harnesses.
 //
-// Views are reusable: Reset empties a view while keeping its storage (the
-// node map, the id list, and the NodeView structs, which are recycled
-// through an internal free list), so a hot loop — the checker evaluating
-// properties on every explored state, the runtime's immediate safety check
-// — can refill one view per worker instead of allocating per state.
+// The layout is two parallel slices kept in ascending id order — ids and
+// the NodeView values aligned with it — and no map: a view holds a handful
+// of nodes, so lookup is one binary search and every walk is in id order by
+// construction. Filling ascending (GState.FillView) appends; filling out of
+// order (the controller, from a Go map) inserts in place.
 //
-// Ownership rules: the NodeView structs belong to the view — insert nodes
-// with Add (never by writing the Nodes map directly), and do not retain a
-// *NodeView or the IDs slice across a Reset. A view may be refilled and
-// read by one goroutine at a time; concurrent workers each use their own.
+// Views are reusable: Reset empties a view while keeping both slices'
+// storage, so a hot loop — the checker evaluating properties on every
+// explored state, the runtime's immediate safety check — can refill one
+// view per worker instead of allocating per state.
+//
+// Ownership rules: the NodeViews belong to the view — do not retain a
+// *NodeView or the IDs slice across an Add of a new id or a Reset. A view
+// may be refilled and read by one goroutine at a time; concurrent workers
+// each use their own.
 type View struct {
-	Nodes map[sm.NodeID]*NodeView
-
-	ids    []sm.NodeID // cached id list; sorted when sorted is true
-	sorted bool
-	free   []*NodeView // recycled NodeViews, owned by this view
+	ids   []sm.NodeID // ascending
+	nodes []NodeView  // parallel to ids
 }
 
 // NewView returns an empty view.
-func NewView() *View { return &View{Nodes: make(map[sm.NodeID]*NodeView), sorted: true} }
+func NewView() *View { return &View{} }
 
 // Reset empties the view, retaining its storage for reuse.
 func (v *View) Reset() {
-	//crystal:allow(maporder) recycle order only decides which pooled NodeView a later Add hands out; the views are interchangeable empty containers, so no observable state depends on it
-	for id, nv := range v.Nodes {
-		nv.Svc, nv.Timers = nil, nil
-		v.free = append(v.free, nv)
-		delete(v.Nodes, id)
-	}
-	v.ids = v.ids[:0]
-	v.sorted = true
+	clear(v.nodes) // drop the service references so a pooled view pins no state
+	v.ids, v.nodes = v.ids[:0], v.nodes[:0]
 }
 
 // Add inserts a node's view, replacing any existing entry for id.
@@ -67,43 +63,32 @@ func (v *View) Add(id sm.NodeID, svc sm.Service, timers map[sm.TimerID]bool) {
 	if timers == nil {
 		timers = map[sm.TimerID]bool{}
 	}
-	if nv, ok := v.Nodes[id]; ok {
-		nv.Svc, nv.Timers = svc, timers
+	nv := NodeView{Svc: svc, Timers: timers}
+	i, present := slices.BinarySearch(v.ids, id)
+	if present {
+		v.nodes[i] = nv
 		return
 	}
-	var nv *NodeView
-	if n := len(v.free); n > 0 {
-		nv = v.free[n-1]
-		v.free = v.free[:n-1]
-	} else {
-		nv = &NodeView{}
-	}
-	nv.Svc, nv.Timers = svc, timers
-	v.Nodes[id] = nv
-	if v.sorted && len(v.ids) > 0 && id < v.ids[len(v.ids)-1] {
-		v.sorted = false
-	}
-	v.ids = append(v.ids, id)
+	v.ids = slices.Insert(v.ids, i, id)
+	v.nodes = slices.Insert(v.nodes, i, nv)
 }
 
 // Has reports whether the view contains node id.
-func (v *View) Has(id sm.NodeID) bool { _, ok := v.Nodes[id]; return ok }
+func (v *View) Has(id sm.NodeID) bool { _, ok := slices.BinarySearch(v.ids, id); return ok }
 
 // Get returns the node view or nil.
-func (v *View) Get(id sm.NodeID) *NodeView { return v.Nodes[id] }
+func (v *View) Get(id sm.NodeID) *NodeView {
+	if i, ok := slices.BinarySearch(v.ids, id); ok {
+		return &v.nodes[i]
+	}
+	return nil
+}
 
 // IDs returns the node ids in the view in ascending order, for
-// deterministic property evaluation and reporting. The list is cached —
-// sorted at most once between mutations, and already in order when the
-// view was filled ascending (GState.FillView) — and shared with the view:
-// callers must treat it as read-only and not retain it across Reset.
-func (v *View) IDs() []sm.NodeID {
-	if !v.sorted {
-		slices.Sort(v.ids)
-		v.sorted = true
-	}
-	return v.ids
-}
+// deterministic property evaluation and reporting. The slice is the view's
+// own: callers must treat it as read-only and not retain it across an Add
+// of a new id or a Reset.
+func (v *View) IDs() []sm.NodeID { return v.ids }
 
 // Property is a user- or developer-specified safety property (paper Figure
 // 7: "Safety Properties" feed the consequence-prediction checker).

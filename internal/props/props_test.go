@@ -111,3 +111,44 @@ func TestPartialViewConvention(t *testing.T) {
 		t.Fatal("full view should violate")
 	}
 }
+
+// TestViewAddAnyOrder: the controller fills its view from a Go map, so ids
+// arrive in any order. Whatever the order, IDs() is ascending, Get returns
+// the entry filed under that id, a second Add of an id replaces the first,
+// absent ids are nil, and a Reset view refills the same way.
+func TestViewAddAnyOrder(t *testing.T) {
+	ids := []sm.NodeID{9, 2, 14, 5, 11, 1, 7}
+	want := []sm.NodeID{1, 2, 5, 7, 9, 11, 14}
+	v := NewView()
+	for round, order := range [][]int{{0, 1, 2, 3, 4, 5, 6}, {6, 5, 4, 3, 2, 1, 0}, {3, 0, 6, 1, 5, 2, 4}} {
+		v.Reset()
+		if len(v.IDs()) != 0 || v.Has(9) || v.Get(9) != nil {
+			t.Fatalf("round %d: Reset left entries behind", round)
+		}
+		for _, i := range order {
+			v.Add(ids[i], &fakeSvc{self: ids[i], val: round}, nil)
+		}
+		v.Add(5, &fakeSvc{self: 5, val: 100 + round}, map[sm.TimerID]bool{"t": true}) // replaces
+		if got := v.IDs(); !reflect.DeepEqual(got, want) {
+			t.Fatalf("round %d: IDs = %v, want %v", round, got, want)
+		}
+		for _, id := range want {
+			nv := v.Get(id)
+			if nv == nil || !v.Has(id) || nv.Svc.(*fakeSvc).self != id {
+				t.Fatalf("round %d: Get(%d) = %+v, entries misaligned with ids", round, id, nv)
+			}
+			wantVal, wantTimer := round, false
+			if id == 5 {
+				wantVal, wantTimer = 100+round, true
+			}
+			if nv.Svc.(*fakeSvc).val != wantVal || nv.TimerPending("t") != wantTimer {
+				t.Fatalf("round %d: node %d holds val %d timer %v", round, id, nv.Svc.(*fakeSvc).val, nv.TimerPending("t"))
+			}
+		}
+		for _, absent := range []sm.NodeID{0, 3, 10, 15} {
+			if v.Has(absent) || v.Get(absent) != nil {
+				t.Fatalf("round %d: absent node %d found", round, absent)
+			}
+		}
+	}
+}

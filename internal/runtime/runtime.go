@@ -390,8 +390,9 @@ func (n *Node) iscBlocks(ev sm.Event) bool {
 		view.Reset()
 		if n.iscView != nil {
 			if nv := n.iscView(); nv != nil {
-				for id, node := range nv.Nodes {
+				for _, id := range nv.IDs() {
 					if id != n.ID {
+						node := nv.Get(id)
 						view.Add(id, node.Svc, node.Timers)
 					}
 				}

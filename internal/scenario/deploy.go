@@ -43,18 +43,6 @@ func LANPath() simnet.UniformPath {
 	return simnet.UniformPath{Latency: 20 * time.Millisecond, BwBps: 1e8}
 }
 
-// SnapDefaults returns the checkpointing configuration used across the
-// experiments (paper: 10 s checkpoint interval, LZW compression).
-func SnapDefaults() snapshot.Config {
-	return snapshot.Config{
-		Interval:       10 * time.Second,
-		Quota:          32,
-		CollectTimeout: 2 * time.Second,
-		Compress:       true,
-		MaxRetries:     1,
-	}
-}
-
 // DeployOptions assembles a live deployment behind one struct; the zero
 // value deploys the scenario's Live defaults bare on a fresh seed-0 clock.
 type DeployOptions struct {
@@ -78,7 +66,7 @@ type DeployOptions struct {
 	// scenario default for the control mode).
 	Props props.Set
 	// Snapshot overrides the checkpointing configuration (nil =
-	// SnapDefaults).
+	// snapshot.DefaultConfig).
 	Snapshot *snapshot.Config
 	// SnapshotInterval overrides both the checkpoint interval and the
 	// controller's model-checking round interval.
@@ -157,7 +145,7 @@ func (sc *Scenario) Deploy(o DeployOptions) (*Deployment, error) {
 	if path == nil {
 		path = LANPath()
 	}
-	snapCfg := SnapDefaults()
+	snapCfg := snapshot.DefaultConfig()
 	if o.Snapshot != nil {
 		snapCfg = *o.Snapshot
 	}

@@ -24,9 +24,11 @@ lint:
 	$(GO) run ./cmd/crystalvet ./...
 
 # The CI race job runs exactly this target (the scenario matrices run under
-# -race in their own CI jobs).
+# -race in their own CI jobs). dist is here because a forwarded node changes
+# hands between shard goroutines: the shard that expands it lets go of its
+# state.
 race:
-	$(GO) test -race ./internal/mc ./internal/controller
+	$(GO) test -race ./internal/mc ./internal/controller ./internal/dist
 
 # Every benchmark workload at test size, seconds: exercises the harness and
 # its differential checks, measures nothing. The real thing is

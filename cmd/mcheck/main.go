@@ -29,12 +29,21 @@
 // flag-provided base (fixed = the flags verbatim; scaled = states scaled by
 // the initial state's encoded size; adaptive = fixed on the first round —
 // adaptation needs round feedback, which only live controllers have).
+//
+// -cpuprofile and -memprofile write runtime/pprof profiles covering exactly
+// the search (not scenario set-up or result printing), so a real-size run
+// can be profiled without a throw-away main:
+//
+//	mcheck -service paxos -mode exhaustive -maxdepth 6 -workers 1 -memprofile mem.prof
+//	go tool pprof -sample_index=alloc_space -top mcheck mem.prof
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
+	"runtime"
+	"runtime/pprof"
 	"strings"
 	"time"
 
@@ -67,6 +76,8 @@ func main() {
 		shards     = flag.Int("shards", 0, "distributed in-process search with this many shards (0 = single engine; exhaustive mode only)")
 		batchSize  = flag.Int("batch", 0, "forwarded-state batch size for -shards (0 = default)")
 		faults     = flag.String("faults", "", "fault-plan spec for -shards, e.g. 'kill@s1r1m2, send:drop@s0~0.01' (ops: kill|sever|drop|dup|corrupt|delayN)")
+		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile of the search to this file")
+		memProfile = flag.String("memprofile", "", "write an allocation profile of the search to this file")
 	)
 	flag.Parse()
 
@@ -140,6 +151,11 @@ func main() {
 	cfg.WalkDepth = *walkDepth
 	cfg.Seed = *seed
 
+	stopProfiles, err := startProfiles(*cpuProfile, *memProfile)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
+	}
 	var res *mc.Result
 	var dstats dist.Stats
 	var drec dist.RecoveryStats
@@ -174,6 +190,10 @@ func main() {
 	} else {
 		res = mc.NewSearch(cfg).Run(g)
 	}
+	if err := stopProfiles(); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
 
 	fmt.Printf("mode=%s service=%s nodes=%d workers=%d\n", m, sc.Name, *nodes, res.Workers)
 	if *policy != "fixed" {
@@ -202,4 +222,42 @@ func main() {
 			fmt.Printf("  %s\n", ev.Describe())
 		}
 	}
+}
+
+// startProfiles starts the CPU profile (when cpu names a file) and returns
+// the function that stops it and writes the allocation profile (when mem
+// names a file): called right before and right after the search, the two
+// cover the search and nothing else.
+func startProfiles(cpu, mem string) (stop func() error, err error) {
+	var cpuFile *os.File
+	if cpu != "" {
+		if cpuFile, err = os.Create(cpu); err != nil {
+			return nil, err
+		}
+		if err := pprof.StartCPUProfile(cpuFile); err != nil {
+			cpuFile.Close()
+			return nil, fmt.Errorf("-cpuprofile: %w", err)
+		}
+	}
+	return func() error {
+		if cpuFile != nil {
+			pprof.StopCPUProfile()
+			if err := cpuFile.Close(); err != nil {
+				return err
+			}
+		}
+		if mem == "" {
+			return nil
+		}
+		f, err := os.Create(mem)
+		if err != nil {
+			return err
+		}
+		runtime.GC() // the profile reports allocations as of the last completed collection
+		if err := pprof.WriteHeapProfile(f); err != nil {
+			f.Close()
+			return fmt.Errorf("-memprofile: %w", err)
+		}
+		return f.Close()
+	}, nil
 }

@@ -9,6 +9,11 @@
 // differential oracle happens to execute that path. This pass surfaces it at
 // vet time.
 //
+// Components held by pointer (node states, in-flight items) are shared by
+// every state that holds them and immutable once stored, so a write
+// *through* an element — g.msgs[j].pos-- — is flagged wherever it stands,
+// paired or not: the element must be copied and the copy stored.
+//
 // The analysis is name-driven so golden tests can model the invariant: it
 // looks for a struct type named GState with a field hsum; packages without
 // one are vacuously clean.
@@ -55,6 +60,7 @@ type funcFacts struct {
 	decl        *ast.FuncDecl
 	writesGuard bool
 	compWrites  []compWrite
+	sharedWrite []compWrite // writes through a pointer-held element
 	calls       map[*types.Func]bool
 }
 
@@ -111,6 +117,11 @@ func run(pass *analysis.Pass) error {
 	// the fingerprint themselves nor call anything that does.
 	for _, fn := range order {
 		ff := facts[fn]
+		for _, w := range ff.sharedWrite {
+			pass.Reportf(w.pos.Pos(),
+				"%s writes through an element of %s.%s, which every state holding that element shares; copy the element and store the copy",
+				fn.Name(), structName, w.field)
+		}
 		if maintains[fn] {
 			continue
 		}
@@ -175,6 +186,17 @@ func collect(pass *analysis.Pass, gstate *types.Named, fd *ast.FuncDecl) *funcFa
 
 	// recordTarget classifies one written lvalue.
 	recordTarget := func(lhs ast.Expr, at ast.Node) {
+		// A write through a pointer-held element, g.msgs[j].pos--, reaches
+		// an item other states share.
+		if sel, ok := lhs.(*ast.SelectorExpr); ok {
+			if ix, ok := ast.Unparen(sel.X).(*ast.IndexExpr); ok {
+				_, shared := info.TypeOf(ix).(*types.Pointer)
+				if field, onG := onGState(ix.X); onG && componentFields[field] && shared {
+					ff.sharedWrite = append(ff.sharedWrite, compWrite{pos: at, field: field})
+					return
+				}
+			}
+		}
 		// Unwrap element writes: g.nodes[i] = ..., g.msgs[j] = ...
 		if ix, ok := lhs.(*ast.IndexExpr); ok {
 			lhs = ix.X

@@ -7,12 +7,20 @@ import "slices"
 
 type NodeState struct{ V int }
 
+// InFlight mirrors mc.InFlight: an item is shared by every state holding it
+// and carries its queue position and component hash.
+type InFlight struct {
+	pos   int
+	chash uint64
+}
+
 // GState mirrors mc.GState's fingerprint structure: every component is a
-// slice (nodes parallel to the sorted ids, stale kept sorted).
+// slice (nodes parallel to the sorted ids, stale kept sorted), and node
+// states and in-flight items are held by pointer and shared.
 type GState struct {
 	ids     []int
 	nodes   []*NodeState
-	msgs    []int
+	msgs    []*InFlight
 	stale   []int
 	resets  int
 	hsum    uint64
@@ -33,21 +41,49 @@ func (g *GState) clearStale(i int, h uint64) {
 }
 
 // addMsg maintains hsum and encSize.
-func (g *GState) addMsg(m int) {
-	g.msgs = append(g.msgs, m)
-	g.hsum += uint64(m)
+func (g *GState) addMsg(m InFlight) {
+	g.msgs = append(g.msgs, &m)
+	g.hsum += m.chash
 	g.encSize += 8
+}
+
+// reposition moves the j-th item one position up the way removeMsgAt does:
+// on a copy, stored in place of the shared original, with hsum moved along.
+func (g *GState) reposition(j int, h uint64) {
+	moved := *g.msgs[j]
+	moved.pos--
+	moved.chash = h
+	g.hsum += moved.chash - g.msgs[j].chash
+	g.msgs[j] = &moved
+}
+
+// replaceUnpaired swaps a shared item for another and leaves hsum behind.
+func (g *GState) replaceUnpaired(j int, m InFlight) {
+	g.msgs[j] = &m // want `replaceUnpaired writes GState.msgs without a paired incremental hsum update`
+}
+
+// repositionInPlace edits the shared item itself: every other state holding
+// it sees the new position and hash, however well hsum is kept here.
+func (g *GState) repositionInPlace(j int, h uint64) {
+	g.hsum += h - g.msgs[j].chash
+	g.msgs[j].pos--     // want `repositionInPlace writes through an element of GState.msgs`
+	g.msgs[j].chash = h // want `repositionInPlace writes through an element of GState.msgs`
+}
+
+// retune writes through a shared node state.
+func (g *GState) retune(i int) {
+	g.nodes[i].V = 1 // want `retune writes through an element of GState.nodes`
 }
 
 // viaHelper maintains through addMsg: the call-graph fixpoint covers the
 // resets bump too.
-func (g *GState) viaHelper(m int) {
+func (g *GState) viaHelper(m InFlight) {
 	g.addMsg(m)
 	g.resets++
 }
 
 // forget mutates a component with no fingerprint maintenance anywhere.
-func (g *GState) forget(m int) {
+func (g *GState) forget(m *InFlight) {
 	g.msgs = append(g.msgs, m) // want `forget writes GState.msgs without a paired incremental hsum update`
 }
 

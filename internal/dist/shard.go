@@ -259,7 +259,7 @@ func (sh *shard) pollBatches(pending *Msg) error {
 // route is the engine's sink: a proposed successor this shard's range does
 // not own is batched for its owner.
 func (sh *shard) route(child *mc.Node) error {
-	h, depth := child.State().Hash(), int32(child.Depth())
+	h, depth := child.Hash(), int32(child.Depth())
 	if prior, ok := sh.fwd[h]; ok && prior <= depth {
 		return nil
 	}
@@ -420,7 +420,7 @@ func (sh *shard) report() ShardReport {
 		v := Violation{
 			Props:     f.Props,
 			Depth:     int32(f.Node.Depth()),
-			StateHash: f.Node.State().Hash(),
+			StateHash: f.Node.Hash(),
 			Path:      descPath(prefix, f.Node, sh.scratch),
 		}
 		if prefix == nil {

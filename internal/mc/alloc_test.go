@@ -1,6 +1,7 @@
 package mc
 
 import (
+	"runtime"
 	"testing"
 
 	"crystalball/internal/props"
@@ -72,11 +73,13 @@ func TestEnabledEventsReusedBufferAllocBound(t *testing.T) {
 // The remaining allocations are the successor's own storage (GState and
 // NodeState containers, the service clone, copied slices) — the transient
 // workspace (encoders, handler context, random stream, hash state) comes
-// from the pooled scratch and must not count. The slice layout measures 12
-// (the map layout 13, the pre-scratch path ~30); under -race sync.Pool
-// sheds scratch at random and the same code reads 14-15, which is what the
-// bound leaves room for. TestShallowCloneAllocBound is the exact,
-// pool-free check that pins the containers themselves.
+// from the pooled scratch and must not count. A timer event neither consumes
+// nor sends, so the successor shares its parent's in-flight container and
+// measures 11 (the value-slice layout 12, the map layout 13, the pre-scratch
+// path ~30); under -race sync.Pool sheds scratch at random and the same code
+// reads 13-14, which is what the bound leaves room for.
+// TestShallowCloneAllocBound and TestSuccessorSendAllocBound are the exact,
+// pool-free checks that pin the containers and the in-flight items.
 func TestSuccessorAllocBound(t *testing.T) {
 	s := NewSearch(Config{Props: poisonAt(1000), Factory: newToy})
 	g := multiTimerStart()
@@ -94,10 +97,67 @@ func TestSuccessorAllocBound(t *testing.T) {
 	}
 }
 
+// successorWithSends measures one pool-free successor construction (the
+// scratch is the test's own, so the counts are exact under -race too): node 1
+// kicks, sending one Ping to each of its peers, from a state that carries
+// inherited in-flight items, each in a queue of its own. It returns the
+// allocations and the bytes of one construction.
+func successorWithSends(t *testing.T, peers, inherited int) (allocs, bytes float64) {
+	t.Helper()
+	g := NewGState()
+	k := newToy(1).(*toy)
+	for p := 2; p < 2+peers; p++ {
+		k.peers[sm.NodeID(p)] = true
+		g.AddNode(sm.NodeID(p), newToy(sm.NodeID(p)), nil)
+	}
+	g.AddNode(1, k, nil)
+	for i := 0; i < inherited; i++ {
+		g.AddMessage(2, 1, note{K: i})
+	}
+	s := NewSearch(Config{Props: poisonAt(1000), Factory: newToy})
+	sc := getScratch()
+	defer putScratch(sc)
+	ev := sm.AppEvent{At: 1, Call: kick{}}
+	build := func() {
+		if cloneSink = s.apply(g, ev, sc); cloneSink == nil || len(cloneSink.msgs) != inherited+peers {
+			t.Fatal("kick did not send one item per peer")
+		}
+	}
+	build() // warm the scratch
+	const runs = 200
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	allocs = testing.AllocsPerRun(runs, build)
+	runtime.ReadMemStats(&after)
+	// AllocsPerRun makes one warm-up call of its own.
+	return allocs, float64(after.TotalAlloc-before.TotalAlloc) / (runs + 1)
+}
+
+// TestSuccessorSendAllocBound: a successor pays one allocation per item its
+// event sends and none per item it inherits — inherited items are shared,
+// and the container that points at them is allocated once, at its final
+// size. In bytes an inherited item costs its pointer slot; copying item
+// values again (48 B each, and a regrown container on top) fails the bound.
+func TestSuccessorSendAllocBound(t *testing.T) {
+	base, baseBytes := successorWithSends(t, 1, 2)
+	if threePeers, _ := successorWithSends(t, 3, 2); threePeers != base+2 {
+		t.Errorf("two more sends cost %.1f allocations (%.1f against %.1f), want 2: one per new item", threePeers-base, threePeers, base)
+	}
+	const more = 64
+	loaded, loadedBytes := successorWithSends(t, 1, 2+more)
+	if loaded != base {
+		t.Errorf("%d more inherited items cost %.1f allocations (%.1f against %.1f), want none", more, loaded-base, loaded, base)
+	}
+	if perItem := (loadedBytes - baseBytes) / more; perItem > 12 {
+		t.Errorf("an inherited in-flight item costs its successor %.1f B, want its 8-byte slot (allow 12)", perItem)
+	}
+}
+
 // TestShallowCloneAllocBound: copying a state's containers is one
-// allocation for the GState plus one per non-empty slice (nodes, msgs,
-// stale) — the id list is shared. A per-successor map costs at least two
-// (header and buckets) and fails this bound.
+// allocation for the GState plus one per non-empty slice it copies (nodes,
+// stale) — the id list and the in-flight container are shared. A
+// per-successor map costs at least two (header and buckets) and fails this
+// bound.
 var cloneSink *GState
 
 func TestShallowCloneAllocBound(t *testing.T) {
@@ -105,7 +165,7 @@ func TestShallowCloneAllocBound(t *testing.T) {
 	for _, tc := range []struct {
 		name string
 		want float64
-	}{{"nodes+msgs", 3}, {"nodes+msgs+stale", 4}} {
+	}{{"nodes+msgs", 2}, {"nodes+msgs+stale", 3}} {
 		// Exactly, not at most: fewer would mean the clone stopped escaping
 		// and the bound stopped measuring anything.
 		if avg := testing.AllocsPerRun(1000, func() { cloneSink = g.shallowClone() }); avg != tc.want {
@@ -153,6 +213,43 @@ func TestReductionCountersAllocBound(t *testing.T) {
 	if redPer > basePer+slack {
 		t.Fatalf("reduced engine allocates %.1f/transition, unreduced %.1f (+%.0f allowed)",
 			redPer, basePer, slack)
+	}
+}
+
+// TestSearchBytesPerTransitionFlatInCarriedItems: the same search from a
+// start state that carries dozens of extra in-flight items — one queue
+// between two nodes outside the snapshot, so they are never delivered and
+// the state graph keeps its shape — allocates per transition what it
+// allocates without them plus, at most, their pointer slots. (The
+// value-slice layout copied 48 B per carried item into every successor and
+// regrew the copy on the first send.)
+func TestSearchBytesPerTransitionFlatInCarriedItems(t *testing.T) {
+	const carried = 40
+	run := func(items int) (res *Result, perTransition float64) {
+		start := multiTimerStart()
+		for k := 0; k < items; k++ {
+			start.AddMessage(98, 99, ping{N: k})
+		}
+		s := NewSearch(Config{
+			Props: poisonAt(1000), Factory: newToy, Mode: Exhaustive, ExploreResets: true, Reduce: true,
+			Budget: Budget{Depth: 6, Workers: 1},
+		})
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		res = s.Run(start)
+		runtime.ReadMemStats(&after)
+		return res, float64(after.TotalAlloc-before.TotalAlloc) / float64(res.Transitions)
+	}
+	bare, light := run(0)
+	full, loaded := run(carried)
+	if full.StatesExplored != bare.StatesExplored || full.Transitions != bare.Transitions || bare.Transitions < 5000 {
+		t.Fatalf("carried items changed the search: %d states / %d transitions against %d / %d",
+			full.StatesExplored, full.Transitions, bare.StatesExplored, bare.Transitions)
+	}
+	t.Logf("bytes per transition: %.0f bare, %.0f carrying %d more items", light, loaded, carried)
+	if perItem := (loaded - light) / carried; perItem > 10 {
+		t.Fatalf("a carried in-flight item costs %.1f B per transition (%.0f B against %.0f B), want at most its 8-byte slot",
+			perItem, loaded, light)
 	}
 }
 

@@ -62,8 +62,8 @@ func (f *Finding) less(o *Finding) bool {
 	if f.Node.depth != o.Node.depth {
 		return f.Node.depth < o.Node.depth
 	}
-	if fh, oh := f.Node.state.Hash(), o.Node.state.Hash(); fh != oh {
-		return fh < oh
+	if f.Node.hash != o.Node.hash {
+		return f.Node.hash < o.Node.hash
 	}
 	return f.sig < o.sig
 }
@@ -115,7 +115,7 @@ func (c *collector) violations() []Violation {
 		out[i] = Violation{
 			Properties: f.Props,
 			Path:       f.Node.Path(),
-			StateHash:  f.Node.state.Hash(),
+			StateHash:  f.Node.hash,
 			Depth:      f.Node.depth,
 		}
 	}
@@ -307,10 +307,11 @@ func (e *Engine) Seen(h uint64, depth int) bool {
 }
 
 // Inject claims n into the engine's range and queues it for expansion,
-// unless its state is already claimed at n's depth or shallower. It must
-// not be called while Drain is expanding (the between-buckets hook is the
-// place to inject mid-drain).
-func (e *Engine) Inject(n *Node) bool { return e.claim(n, n.state.Hash()) }
+// unless its state is already claimed at n's depth or shallower. n must
+// still hold its state: a node some engine has expanded (n.State() == nil)
+// cannot be claimed again. Inject must not be called while Drain is expanding
+// (the between-buckets hook is the place to inject mid-drain).
+func (e *Engine) Inject(n *Node) bool { return e.claim(n) }
 
 // claim enters a state this engine owns: record its minimal depth, fold the
 // node-local state its event produced into the coverage set, and queue it.
@@ -318,11 +319,11 @@ func (e *Engine) Inject(n *Node) bool { return e.claim(n, n.state.Hash()) }
 // Drain, which is why they are plain maps.
 //
 //crystal:hotpath
-func (e *Engine) claim(n *Node, h uint64) bool {
-	if e.Seen(h, n.depth) {
+func (e *Engine) claim(n *Node) bool {
+	if e.Seen(n.hash, n.depth) {
 		return false
 	}
-	e.visited[h] = int32(n.depth)
+	e.visited[n.hash] = int32(n.depth)
 	atomicMax(&e.ctr.peakBytes, e.ctr.frontierBytes.Add(int64(n.state.EncodedSize())))
 	// A successor differs from its parent in at most the node its event
 	// executed at, so a claim records that one local state; a chain root
@@ -388,7 +389,10 @@ func (e *Engine) Drain(between func() error) error {
 // expandBucket expands every state of one depth bucket and returns the
 // proposed children per bucket position. Workers pull positions from one
 // shared cursor; with a single worker (or a single state) the loop runs
-// inline in bucket order — the paper's FIFO search.
+// inline in bucket order — the paper's FIFO search. A node lets go of its
+// state and sleep set the moment its expansion returns: from then on the
+// search needs only its (parent, event, hash, depth) — paths replay from
+// events — so the retained tree never pins an expanded GState.
 func (e *Engine) expandBucket(bucket []*Node) [][]*Node {
 	outs := make([][]*Node, len(bucket))
 	var cursor atomic.Int64
@@ -399,6 +403,7 @@ func (e *Engine) expandBucket(bucket []*Node) [][]*Node {
 				return
 			}
 			outs[i] = e.expand(bucket[i], x)
+			bucket[i].state, bucket[i].sleep = nil, nil
 		}
 	}
 	workers := min(e.workers, len(bucket))
@@ -437,16 +442,22 @@ func (e *Engine) claimChildren(outs [][]*Node) error {
 	if e.reduce {
 		clear(e.arrivals)
 	}
+	proposals := 0
 	for _, children := range outs {
 		for _, child := range children {
-			h := child.state.Hash()
+			// Past the wall deadline nothing claimed here would ever be
+			// expanded: stop claiming, checking every few thousand children.
+			if proposals++; proposals%claimClockEvery == 0 && e.bdg.expired() {
+				return nil
+			}
+			h := child.hash
 			if !e.own.Contains(h) {
 				if err := e.forward(child); err != nil {
 					return err
 				}
 				continue
 			}
-			if !e.claim(child, h) {
+			if !e.claim(child) {
 				if e.reduce {
 					if prior, ok := e.arrivals[h]; ok {
 						prior.sleep = intersectSleep(prior.sleep, child.sleep)
@@ -519,48 +530,70 @@ func (e *Engine) expand(node *Node, x *Expander) []*Node {
 		return nil
 	}
 
+	// A child at the depth bound is checked but never expanded, so its sleep
+	// set would never be read.
+	leaves := e.bdg.lim.Depth > 0 && node.depth+1 >= e.bdg.lim.Depth
 	var children []*Node
-	expand := func(ev sm.Event, sleep sleepSet) bool {
+	sibs := x.sibs[:0]
+	// expand executes ev and reports whether its handler ran. The successor
+	// becomes a proposed child unless the visited table, which no one writes
+	// during expansion, already holds its fingerprint at this node's depth or
+	// shallower: the barrier would have to reject such a child, so no Node is
+	// built for it. A fingerprint claimed at the child's own depth still goes
+	// to the barrier (intersectSleep needs the arrival), as does one this
+	// engine does not own (visited holds only owned fingerprints).
+	expand := func(ev sm.Event) (child *Node, ran bool) {
 		if !e.bdg.admitTransition() {
-			return false
+			return nil, false
 		}
 		next := e.s.ApplyEvent(node.state, ev)
 		if next == nil {
 			e.bdg.refundTransition()
-			return false
+			return nil, false
 		}
 		e.ctr.transitions.Add(1)
-		children = append(children, &Node{
-			state: next, parent: node, event: ev,
-			depth: node.depth + 1, violated: pathViolated, sleep: sleep,
-		})
-		return true
+		if e.Seen(next.Hash(), node.depth) {
+			return nil, true
+		}
+		child = node.child(next, ev)
+		child.violated = pathViolated
+		children = append(children, child)
+		return child, true
+	}
+	// promise expands the classified transition k: its child, if one is
+	// proposed, carries the sleep set inherited through k, and once its
+	// handler ran k joins the explored siblings later children sleep on.
+	promise := func(ev sm.Event, k sleepKey) {
+		child, ran := expand(ev)
+		if child != nil && !leaves {
+			child.sleep = childSleep(node.sleep, sibs, k)
+		}
+		if ran {
+			sibs = append(sibs, k)
+		}
 	}
 
 	network, ids, internal := e.s.enabledInto(node.state, &x.evb)
 	// H_M: always process all network handlers (Figure 8 line 13) — minus,
 	// under reduction, the transitions this node's sleep set proves are
 	// commuting-square duplicates of a sibling branch.
-	sibs := x.sibs[:0]
 	for _, ev := range network {
 		if !e.reduce {
-			expand(ev, nil)
+			expand(ev)
 			continue
 		}
 		k, ok := classify(ev)
 		if !ok {
 			// Unclassified network transition: never slept, and its
 			// effects are unknown, so children start a fresh sleep set.
-			expand(ev, nil)
+			expand(ev)
 			continue
 		}
 		if node.sleep.contains(k) {
 			e.ctr.sleepHits.Add(1)
 			continue
 		}
-		if expand(ev, childSleep(node.sleep, sibs, k)) {
-			sibs = append(sibs, k)
-		}
+		promise(ev, k)
 	}
 	// H_A: internal actions, pruned per (node, local state) in
 	// consequence mode (Figure 8 lines 16-20). In exhaustive mode,
@@ -601,11 +634,11 @@ func (e *Engine) expand(node *Node, x *Expander) []*Node {
 		}
 		for _, ev := range evs {
 			if !e.reduce {
-				expand(ev, nil)
+				expand(ev)
 				continue
 			}
 			if _, isReset := ev.(sm.ResetEvent); isReset {
-				expand(ev, nil)
+				expand(ev)
 				continue
 			}
 			k, ok := classify(ev)
@@ -620,31 +653,24 @@ func (e *Engine) expand(node *Node, x *Expander) []*Node {
 			if !ok {
 				// Unclassified internal transition: effects unknown, so
 				// its children start a fresh sleep set.
-				expand(ev, nil)
+				expand(ev)
 				continue
 			}
 			if node.sleep.contains(k) {
 				e.ctr.sleepHits.Add(1)
 				continue
 			}
-			if expand(ev, e.internalSleep(node.sleep, sibs, k)) && !e.prune {
-				sibs = append(sibs, k)
+			// Consequence mode: the child starts an empty sleep set and
+			// the expansion promises nothing (see above).
+			if e.prune {
+				expand(ev)
+			} else {
+				promise(ev, k)
 			}
 		}
 	}
 	x.sibs = sibs
 	return children
-}
-
-// internalSleep builds the sleep set for a child entered through the
-// internal (H_A) transition named by enter: the usual commuting filter in
-// exhaustive mode, the empty set in consequence mode (promises cannot
-// cross once-per-local-state edges; see the expand H_A comment).
-func (e *Engine) internalSleep(inherited sleepSet, siblings []sleepKey, enter sleepKey) sleepSet {
-	if e.prune {
-		return nil
-	}
-	return childSleep(inherited, siblings, enter)
 }
 
 // Exhausted reports whether a budget bound (or the violation quota) has

@@ -1,6 +1,7 @@
 package mc
 
 import (
+	"strconv"
 	"testing"
 	"time"
 
@@ -24,6 +25,15 @@ type ping struct{ N int }
 func (ping) MsgType() string           { return "Ping" }
 func (ping) Size() int                 { return 8 }
 func (p ping) EncodeMsg(e *sm.Encoder) { e.Int(p.N) }
+
+// note is a message the toy ignores; each K travels its own (from,to,type)
+// queue, so tests can load a state with many in-flight items that are all
+// deliverable and none of which is ever re-positioned.
+type note struct{ K int }
+
+func (n note) MsgType() string         { return "Note" + strconv.Itoa(n.K) }
+func (note) Size() int                 { return 8 }
+func (n note) EncodeMsg(e *sm.Encoder) { e.Int(n.K) }
 
 type kick struct{}
 
@@ -53,9 +63,13 @@ func (t *toy) HandleMessage(ctx sm.Context, from sm.NodeID, msg sm.Message) {
 }
 
 func (t *toy) HandleTimer(ctx sm.Context, tid sm.TimerID) {
-	if tid == "tick" {
+	switch tid {
+	case "tick":
 		t.counter++
 		ctx.SetTimer("tick", sm.Second)
+	case "idle":
+		// Only re-arms itself: the successor is the state it fired in.
+		ctx.SetTimer("idle", sm.Second)
 	}
 }
 

@@ -47,7 +47,7 @@ import "crystalball/internal/sm"
 // pruned there and never close. The engine therefore never lets a sleep
 // promise ride on an H_A expansion in Consequence mode: H_A-entered
 // children start with empty sleep sets and H_A expansions are not recorded
-// as siblings (Engine.internalSleep). H_A transitions may still BE slept —
+// as siblings (Engine.expand). H_A transitions may still BE slept —
 // closing that square replays only H_M edges, which are never
 // state-pruned.
 //

@@ -239,13 +239,20 @@ func NewSearch(cfg Config) *Search {
 // Config returns the search's (defaulted) configuration.
 func (s *Search) Config() Config { return s.cfg }
 
-// Node is a frontier entry of the search tree; parent links reconstruct
-// violation paths. Once a node is claimed every field but sleep (narrowed
-// only at the claim barrier, before the node is ever expanded) is immutable,
-// so workers — and, in a sharded search, other shards holding a forwarded
-// node — may traverse parent chains freely.
+// Node is an entry of the search tree; parent links reconstruct violation
+// paths. A node carries its state (and, under reduction, its sleep set) only
+// until it has been expanded: the engine clears both the moment expansion
+// returns, so what the tree retains per expanded state is (parent, event,
+// hash, depth) and a path is replayed from its events, never read off
+// retained states. parent, event, depth, hash and violated are immutable
+// once the node is created; sleep is narrowed only at the claim barrier and
+// state and sleep are cleared only by the goroutine that expanded the node —
+// in a sharded search, the shard that claimed a forwarded node — so workers
+// and other shards may traverse parent chains and read hashes freely. An
+// expanded node has no state left to claim: it must never be injected again.
 type Node struct {
-	state  *GState
+	state  *GState // nil once expanded
+	hash   uint64  // state's fingerprint, kept after state is let go
 	parent *Node
 	event  sm.Event
 	depth  int
@@ -263,10 +270,20 @@ type Node struct {
 // NewNode returns a chain root: a node with no parent, standing for state g
 // at the given search depth. Run seeds the search with one at depth 0; a
 // sharded search makes one per state that arrived over a wire.
-func NewNode(g *GState, depth int) *Node { return &Node{state: g, depth: depth} }
+func NewNode(g *GState, depth int) *Node { return &Node{state: g, hash: g.Hash(), depth: depth} }
 
-// State returns the node's state.
+// child returns the node for next, the successor ev leads to from n. NewNode
+// and child are the only places a Node is built, so hash is never left unset.
+func (n *Node) child(next *GState, ev sm.Event) *Node {
+	return &Node{state: next, hash: next.Hash(), parent: n, event: ev, depth: n.depth + 1}
+}
+
+// State returns the node's state, or nil once the node has been expanded.
 func (n *Node) State() *GState { return n.state }
+
+// Hash returns the fingerprint of the node's state; unlike State it stays
+// available after expansion.
+func (n *Node) Hash() uint64 { return n.hash }
 
 // Depth returns the node's search depth.
 func (n *Node) Depth() int { return n.depth }
@@ -316,7 +333,7 @@ func (s *Search) applyFiltered(g *GState, ev sm.Event, f sm.Filter, sc *scratch)
 		return nil
 	}
 	next := g.shallowClone()
-	next.removeMsgAt(i, sc)
+	next.removeMsgAt(i, 1, sc) // room for the one RST below
 	if f.BreakConn {
 		if _, known := next.index(me.From); known {
 			next.addMsg(InFlight{From: me.To, To: me.From, Msg: nil}, sc)

@@ -1,0 +1,319 @@
+package mc
+
+import (
+	"reflect"
+	"runtime"
+	"testing"
+
+	"crystalball/internal/sm"
+)
+
+// Tests for what sharing buys and what it makes possible to get wrong:
+// in-flight items are shared by every state that holds them and must never
+// be written after construction; an expanded node lets go of its state; and
+// a successor the visited table already holds never becomes a Node.
+
+// longQueueStart builds a two-node state whose 1→2 Ping queue holds three
+// items (delivering the head moves two queue-mates one position up) next to
+// a one-item 2→1 queue.
+func longQueueStart() *GState {
+	g := NewGState()
+	a, b := newToy(1).(*toy), newToy(2).(*toy)
+	a.peers[2] = true
+	b.peers[1] = true
+	g.AddNode(1, a, map[sm.TimerID]bool{"tick": true})
+	g.AddNode(2, b, nil)
+	for n := 1; n <= 3; n++ {
+		g.AddMessage(1, 2, ping{N: n})
+	}
+	g.AddMessage(2, 1, ping{N: 1})
+	return g
+}
+
+// checkIntact asserts that g's maintained totals match the from-scratch
+// oracles and that every item still sits at the position it was built with.
+func checkIntact(t *testing.T, what string, g *GState, wantPos []int) {
+	t.Helper()
+	if got, full := g.Hash(), g.FullHash(); got != full {
+		t.Errorf("%s: Hash %#x != FullHash %#x", what, got, full)
+	}
+	if got, full := g.EncodedSize(), g.fullEncodedSize(); got != full {
+		t.Errorf("%s: EncodedSize %d != from-scratch %d", what, got, full)
+	}
+	pos := make([]int, len(g.msgs))
+	for i, m := range g.msgs {
+		pos[i] = m.pos
+	}
+	if !reflect.DeepEqual(pos, wantPos) {
+		t.Errorf("%s: item positions %v, want %v", what, pos, wantPos)
+	}
+}
+
+// TestDeliveryNeverWritesSharedItems: delivering the head of a three-item
+// queue re-positions its two queue-mates in the successor only. The parent
+// and a sibling successor, which share those very items, keep their
+// positions, hashes and footprint — and a second delivery from the parent,
+// which subtracts the shared items' cached hashes again, still agrees with
+// the from-scratch oracle.
+func TestDeliveryNeverWritesSharedItems(t *testing.T) {
+	s := NewSearch(Config{Props: poisonAt(1000), Factory: newToy})
+	parent := longQueueStart()
+	sibling := s.ApplyEvent(parent, sm.MsgEvent{From: 2, To: 1, Msg: ping{N: 1}})
+	if sibling == nil {
+		t.Fatal("2→1 delivery not applicable")
+	}
+	// The sibling consumed the 2→1 item and its handler sent a 1→2 Ping:
+	// the fourth item of that queue.
+	siblingPos := []int{0, 1, 2, 3}
+	checkIntact(t, "sibling before", sibling, siblingPos)
+	if sibling.msgs[0] != parent.msgs[0] || sibling.msgs[2] != parent.msgs[2] {
+		t.Fatal("sibling does not share its parent's items")
+	}
+
+	head := sm.MsgEvent{From: 1, To: 2, Msg: ping{N: 1}}
+	for round := 0; round < 2; round++ {
+		next := s.ApplyEvent(parent, head)
+		if next == nil {
+			t.Fatal("head delivery not applicable")
+		}
+		// Queue-mates N=2,3 moved up; then the untouched 2→1 item and the
+		// reply the handler sent (2→1, behind it).
+		checkIntact(t, "successor", next, []int{0, 1, 0, 1})
+		if next.msgs[0] == parent.msgs[1] {
+			t.Fatal("re-positioned queue-mate is still the parent's item")
+		}
+		if next.msgs[2] != parent.msgs[3] {
+			t.Fatal("item of an untouched queue was copied")
+		}
+		checkIntact(t, "parent", parent, []int{0, 1, 2, 0})
+		checkIntact(t, "sibling", sibling, siblingPos)
+	}
+}
+
+// TestSharedItemsUnderParallelExpansion runs the same shape through the
+// engine at four workers: siblings deliver from and re-position the same
+// shared queue concurrently, so under -race an in-place write to a shared
+// item is a reported race, and in any build the claimed set must match the
+// single-worker run.
+func TestSharedItemsUnderParallelExpansion(t *testing.T) {
+	for _, reduce := range []bool{false, true} {
+		run := func(workers int) *Result {
+			return NewSearch(Config{
+				Props: poisonAt(1000), Factory: newToy, Mode: Exhaustive, ExploreResets: true,
+				Reduce: reduce, RecordClaimedStates: true,
+				Budget: Budget{Depth: 5, Workers: workers},
+			}).Run(longQueueStart())
+		}
+		one, four := run(1), run(4)
+		if !reflect.DeepEqual(one.ClaimedStates, four.ClaimedStates) || one.Transitions != four.Transitions {
+			t.Fatalf("reduce=%v: workers 4 claimed %d states in %d transitions, workers 1 %d in %d",
+				reduce, len(four.ClaimedStates), four.Transitions, len(one.ClaimedStates), one.Transitions)
+		}
+	}
+}
+
+// applyPath applies path event by event from start and returns the state it
+// reaches.
+func applyPath(t *testing.T, s *Search, start *GState, path []sm.Event) *GState {
+	t.Helper()
+	g := start
+	for i, ev := range path {
+		if g = s.ApplyEvent(g, ev); g == nil {
+			t.Fatalf("path step %d (%s) not applicable", i, ev.Describe())
+		}
+	}
+	return g
+}
+
+// TestExpandedNodesLetGoOfState: every node the engine has expanded holds
+// neither state nor sleep set afterwards, still answers Hash with the
+// fingerprint it was claimed under, and a reported violation's path —
+// events only — leads from the start state to the reported state hash.
+func TestExpandedNodesLetGoOfState(t *testing.T) {
+	for _, reduce := range []bool{false, true} {
+		s := NewSearch(Config{
+			Props: poisonAt(3), Factory: newToy, Mode: Exhaustive, ExploreResets: true, Reduce: reduce,
+			Budget: Budget{Depth: 6, Workers: 2},
+		})
+		start := twoNodeStart()
+		e := s.NewEngine(s.Config().Budget, HashRange{}, nil)
+		e.Inject(NewNode(start, 0))
+		// Every claimed node sits in the frontier between two buckets, state
+		// still attached: remember each with the hash it was claimed under.
+		claimedUnder := map[*Node]uint64{}
+		remember := func() error {
+			for _, bucket := range e.fr.buckets {
+				for _, n := range bucket {
+					claimedUnder[n] = n.state.Hash()
+				}
+			}
+			return nil
+		}
+		_ = remember()
+		if err := e.Drain(remember); err != nil {
+			t.Fatal(err)
+		}
+		if len(claimedUnder) != e.Claimed() || e.Claimed() < 100 {
+			t.Fatalf("remembered %d nodes of %d claimed", len(claimedUnder), e.Claimed())
+		}
+		for n, h := range claimedUnder {
+			if n.state != nil || n.State() != nil || n.sleep != nil {
+				t.Fatalf("reduce=%v: expanded node at depth %d still holds state %v / sleep %v", reduce, n.depth, n.state, n.sleep)
+			}
+			if n.Hash() != h {
+				t.Fatalf("reduce=%v: node hash %#x, claimed under %#x", reduce, n.Hash(), h)
+			}
+		}
+		res := e.Result()
+		if len(res.Violations) == 0 {
+			t.Fatal("no violation to replay")
+		}
+		for _, v := range res.Violations {
+			if got := applyPath(t, s, start, v.Path).Hash(); got != v.StateHash {
+				t.Fatalf("reduce=%v: path replays to %#x, violation reports %#x", reduce, got, v.StateHash)
+			}
+		}
+	}
+}
+
+// TestRandomWalkViolationsCarryTheirStateHash: walk nodes store their
+// fingerprint like engine nodes do, so each reported path — events only —
+// leads from the start state to the reported state hash.
+func TestRandomWalkViolationsCarryTheirStateHash(t *testing.T) {
+	for _, workers := range []int{1, 4} {
+		s := NewSearch(Config{
+			Props: poisonAt(3), Factory: newToy, Mode: RandomWalk, ExploreResets: true,
+			Walks: 60, WalkDepth: 20, Seed: 1, Budget: Budget{Workers: workers},
+		})
+		start := twoNodeStart()
+		res := s.Run(start)
+		if len(res.Violations) == 0 {
+			t.Fatal("no violation to replay")
+		}
+		for _, v := range res.Violations {
+			if len(v.Path) == 0 {
+				t.Fatalf("workers=%d: violation at the start state; the test needs a walked one", workers)
+			}
+			if got := applyPath(t, s, start, v.Path).Hash(); got != v.StateHash {
+				t.Fatalf("workers=%d: path replays to %#x, violation reports %#x", workers, got, v.StateHash)
+			}
+		}
+	}
+}
+
+// TestRetainedHeapPerClaimedState pins what a finished search keeps alive
+// per claimed state. The model is one node ticking a counter: a chain of
+// states whose last one violates, so the engine — through the finding's
+// node and its parent links — retains the whole tree. An un-pinned node is
+// (parent, event, hash, depth) plus its visited entry; the same chain with
+// states pinned measures 815 B per state.
+func TestRetainedHeapPerClaimedState(t *testing.T) {
+	const depth = 4000
+	g := NewGState()
+	g.AddNode(1, newToy(1), map[sm.TimerID]bool{"tick": true})
+	s := NewSearch(Config{
+		Props: poisonAt(depth), Factory: newToy, Mode: Exhaustive,
+		Budget: Budget{Depth: depth, Workers: 1},
+	})
+	heap := func() uint64 {
+		runtime.GC()
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	before := heap()
+	e := s.NewEngine(s.Config().Budget, HashRange{}, nil)
+	e.Inject(NewNode(g, 0))
+	if err := e.Drain(nil); err != nil {
+		t.Fatal(err)
+	}
+	after := heap()
+	if e.Claimed() != depth+1 || len(e.Findings()) != 1 {
+		t.Fatalf("claimed %d states with %d findings, want a %d-state chain ending in one", e.Claimed(), len(e.Findings()), depth+1)
+	}
+	perState := float64(int64(after)-int64(before)) / float64(e.Claimed())
+	t.Logf("retained %.0f B per claimed state", perState)
+	// Measured 207 B: the 80-byte Node, its boxed event, and the visited and
+	// local-state table entries.
+	const maxPerState = 320
+	if perState > maxPerState {
+		t.Fatalf("search retains %.0f B per claimed state, want <= %d: is an expanded node pinning its state again?", perState, maxPerState)
+	}
+	runtime.KeepAlive(e)
+}
+
+// selfLoopStart is twoNodeStart with an idle timer at node 1: firing it
+// leads back to the state it fired in.
+func selfLoopStart() *GState {
+	g := NewGState()
+	a, b := newToy(1).(*toy), newToy(2).(*toy)
+	a.peers[2] = true
+	b.peers[1] = true
+	g.AddNode(1, a, map[sm.TimerID]bool{"idle": true, "tick": true})
+	g.AddNode(2, b, map[sm.TimerID]bool{"tick": true})
+	g.AddMessage(1, 2, ping{N: 1})
+	return g
+}
+
+// TestSelfLoopIsCountedNotProposed: a transition back into a state claimed
+// at the expanding node's depth or shallower runs its handler and is
+// counted, but no child is proposed for it; and rejecting it early changes
+// nothing the barrier would have decided — claimed set and local states
+// equal the unreduced run's, and transitions and sleep hits are the same at
+// every worker count.
+func TestSelfLoopIsCountedNotProposed(t *testing.T) {
+	cfg := Config{
+		Props: poisonAt(1000), Factory: newToy, Mode: Exhaustive, ExploreResets: true,
+		RecordClaimedStates: true, RecordLocalStates: true,
+		Budget: Budget{Depth: 5, Workers: 1},
+	}
+	s := NewSearch(cfg)
+	start := selfLoopStart()
+	e := s.NewEngine(cfg.Budget, HashRange{}, nil)
+	e.Inject(NewNode(start, 0))
+	children := e.expandBucket(e.fr.popBucket())[0]
+	network, internal := s.EnabledEvents(start)
+	enabled := len(network)
+	for _, evs := range internal {
+		enabled += len(evs)
+	}
+	if got := int(e.ctr.transitions.Load()); got != enabled {
+		t.Fatalf("expanding the start state counted %d transitions, %d are enabled", got, enabled)
+	}
+	if len(children) != enabled-1 {
+		t.Fatalf("%d children proposed for %d transitions, want all but the self-loop", len(children), enabled)
+	}
+	for _, c := range children {
+		if c.Hash() == start.Hash() {
+			t.Fatalf("self-loop proposed as a child through %s", c.event.Describe())
+		}
+	}
+
+	var unreduced *Result
+	for _, reduce := range []bool{false, true} {
+		var serial *Result
+		for _, workers := range []int{1, 2, 4} {
+			c := cfg
+			c.Reduce, c.Budget.Workers = reduce, workers
+			res := NewSearch(c).Run(selfLoopStart())
+			if unreduced == nil {
+				unreduced = res
+			}
+			if serial == nil {
+				serial = res
+			}
+			if !reflect.DeepEqual(res.ClaimedStates, unreduced.ClaimedStates) || !reflect.DeepEqual(res.LocalStates, unreduced.LocalStates) {
+				t.Fatalf("reduce=%v workers=%d: %d claimed / %d local states, unreduced serial run has %d / %d",
+					reduce, workers, len(res.ClaimedStates), len(res.LocalStates), len(unreduced.ClaimedStates), len(unreduced.LocalStates))
+			}
+			if res.Transitions != serial.Transitions || res.SleepHits != serial.SleepHits {
+				t.Fatalf("reduce=%v workers=%d: %d transitions / %d sleep hits, one worker made %d / %d",
+					reduce, workers, res.Transitions, res.SleepHits, serial.Transitions, serial.SleepHits)
+			}
+		}
+		if reduce && serial.SleepHits == 0 {
+			t.Fatal("reduced run slept nothing: the comparison is vacuous")
+		}
+	}
+}

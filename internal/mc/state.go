@@ -138,9 +138,16 @@ func (ns *NodeState) localHash() uint64 { return ns.lhash }
 
 // InFlight is one in-flight network item: a service message, or (when Msg
 // is nil) an RST notification telling To that its connection to From broke.
-// The component hash and footprint size are computed when the item is added
-// to a GState (messages are immutable), so hashing and enumeration never
-// write to shared state.
+//
+// An item is immutable from the moment addMsg stores it, and every state
+// that still holds it shares the one value: a successor's container is a
+// slice of pointers to its parent's items plus the items its own event sent.
+// The queue position, component hash and footprint size are therefore
+// written exactly once, by the goroutine constructing the item (addMsg for a
+// new item, removeMsgAt for the private copy of a queue-mate that moves one
+// position toward the head), before the state holding it is published — so
+// hashing, enumeration and successor construction never write to an item
+// another state can see.
 type InFlight struct {
 	From  sm.NodeID
 	To    sm.NodeID
@@ -151,7 +158,7 @@ type InFlight struct {
 }
 
 // RST reports whether the item is a connection-break notification.
-func (f InFlight) RST() bool { return f.Msg == nil }
+func (f *InFlight) RST() bool { return f.Msg == nil }
 
 // sameQueue reports whether a and b travel the same per-pair FIFO queue:
 // identical endpoints and message type (all RSTs for a pair share one
@@ -164,7 +171,7 @@ func sameQueue(a, b *InFlight) bool {
 	return a.RST() || a.Msg.MsgType() == b.Msg.MsgType()
 }
 
-func (f InFlight) encode(e *sm.Encoder) {
+func (f *InFlight) encode(e *sm.Encoder) {
 	e.NodeID(f.From)
 	e.NodeID(f.To)
 	if f.Msg == nil {
@@ -240,11 +247,11 @@ var resetsComp0 = func() uint64 {
 type GState struct {
 	ids     []sm.NodeID  // sorted node ids; shared with successors (nodes are never removed)
 	nodes   []*NodeState // local states, parallel to ids
-	msgs    []InFlight
-	stale   []pair // sorted (sender, peer) pairs: sender holds a stale socket to peer
-	resets  int    // reset events taken on this path (bounds fault depth)
-	hsum    uint64 // incrementally maintained commutative fingerprint
-	encSize int    // incrementally maintained EncodedSize
+	msgs    []*InFlight  // shared immutable items; the container is never written once the state is published
+	stale   []pair       // sorted (sender, peer) pairs: sender holds a stale socket to peer
+	resets  int          // reset events taken on this path (bounds fault depth)
+	hsum    uint64       // incrementally maintained commutative fingerprint
+	encSize int          // incrementally maintained EncodedSize
 }
 
 // index returns id's position in ids (and nodes) and whether it is present;
@@ -315,8 +322,10 @@ func (g *GState) AddMessage(from, to sm.NodeID, msg sm.Message) {
 	putScratch(sc)
 }
 
-// addMsg appends an in-flight item, computing its component hash and size
-// at construction time and folding them into the running totals.
+// addMsg appends an in-flight item, computing its queue position, component
+// hash and size at construction time and folding them into the running
+// totals. This is the one allocation a new item costs: m is stored by
+// pointer and shared, never copied, by every descendant that inherits it.
 //
 // The component hash covers the item's queue position — the number of
 // same-queue items already in flight — not just its content. The
@@ -331,8 +340,8 @@ func (g *GState) AddMessage(from, to sm.NodeID, msg sm.Message) {
 //crystal:hotpath
 func (g *GState) addMsg(m InFlight, sc *scratch) {
 	m.pos = 0
-	for i := range g.msgs {
-		if sameQueue(&g.msgs[i], &m) {
+	for _, q := range g.msgs {
+		if sameQueue(q, &m) {
 			m.pos++
 		}
 	}
@@ -343,7 +352,7 @@ func (g *GState) addMsg(m InFlight, sc *scratch) {
 	}
 	g.hsum += m.chash
 	g.encSize += m.sz
-	g.msgs = append(g.msgs, m)
+	g.msgs = append(g.msgs, &m)
 }
 
 // msgComp returns the fingerprint component hash of one in-flight item:
@@ -358,29 +367,36 @@ func msgComp(m *InFlight, sc *scratch) uint64 {
 	return e.DomainHash(domainMsg)
 }
 
-// removeMsgAt deletes the i-th in-flight item and updates the totals. The
-// slice is shifted in place: every caller operates on a successor whose
-// msgs slice was freshly copied by shallowClone, so no other state aliases
-// it. Later items in the removed item's queue shift one position toward
-// the head; their component hashes are swapped accordingly (queues longer
-// than one item are rare, so the rehash loop almost never fires).
+// removeMsgAt removes the i-th in-flight item of g — a successor still
+// sharing its parent's container after shallowClone — by building the
+// container g keeps: the parent's items without the i-th, allocated once with
+// room for the items g's event goes on to send.
+//
+// Later items in the removed item's queue shift one position toward the
+// head. Items are shared with every other state that holds them, so such a
+// queue-mate is copied and the copy gets the new position and component
+// hash; the original is never written (queues longer than one item are rare,
+// so the copy almost never happens).
 //
 //crystal:hotpath
-func (g *GState) removeMsgAt(i int, sc *scratch) {
-	removed := g.msgs[i]
+func (g *GState) removeMsgAt(i, room int, sc *scratch) {
+	parent := g.msgs
+	removed := parent[i]
 	g.hsum -= removed.chash
 	g.encSize -= removed.sz
-	copy(g.msgs[i:], g.msgs[i+1:])
-	g.msgs = g.msgs[:len(g.msgs)-1]
-	for j := i; j < len(g.msgs); j++ {
-		m := &g.msgs[j]
-		if sameQueue(m, &removed) {
-			g.hsum -= m.chash
-			m.pos--
-			m.chash = msgComp(m, sc)
-			g.hsum += m.chash
+	own := make([]*InFlight, len(parent)-1, len(parent)-1+room)
+	copy(own, parent[:i])
+	for j, m := range parent[i+1:] {
+		if sameQueue(m, removed) {
+			moved := *m
+			moved.pos--
+			moved.chash = msgComp(&moved, sc)
+			g.hsum += moved.chash - m.chash
+			m = &moved
 		}
+		own[i+j] = m
 	}
+	g.msgs = own
 }
 
 // setStale records a stale pair, updating the totals if it was absent.
@@ -521,7 +537,7 @@ func (g *GState) FullHash() uint64 {
 		// field: the count of earlier same-queue items in slice order.
 		pos := 0
 		for j := 0; j < i; j++ {
-			if sameQueue(&g.msgs[j], &g.msgs[i]) {
+			if sameQueue(g.msgs[j], g.msgs[i]) {
 				pos++
 			}
 		}
@@ -584,15 +600,17 @@ func (g *GState) fullEncodedSize() int {
 	return n + 16*len(g.stale)
 }
 
-// shallowClone copies the state's containers but shares all node states,
-// messages and the sorted id list; callers then replace what the event
-// changes, keeping the inherited fingerprint and footprint in sync through
-// the mutation helpers.
+// shallowClone copies the node and stale containers but shares all node
+// states, the sorted id list and — until removeMsgAt or applyReset builds the
+// successor its own — the parent's in-flight container, clipped to its
+// length so that an append can only copy, never write into room a sibling
+// shares. Callers then replace what the event changes, keeping the inherited
+// fingerprint and footprint in sync through the mutation helpers.
 //
 //crystal:hotpath
 func (g *GState) shallowClone() *GState {
 	return &GState{
-		ids: g.ids, nodes: slices.Clone(g.nodes), msgs: slices.Clone(g.msgs), stale: slices.Clone(g.stale),
+		ids: g.ids, nodes: slices.Clone(g.nodes), msgs: slices.Clip(g.msgs), stale: slices.Clone(g.stale),
 		resets: g.resets, hsum: g.hsum, encSize: g.encSize,
 	}
 }

@@ -77,8 +77,7 @@ func (s *Search) apply(g *GState, ev sm.Event, sc *scratch) *GState {
 //
 //crystal:hotpath
 func findMsg(g *GState, from, to sm.NodeID, msgType string, rst bool) int {
-	for i := range g.msgs {
-		m := &g.msgs[i]
+	for i, m := range g.msgs {
 		if m.From != from || m.To != to {
 			continue
 		}
@@ -118,8 +117,16 @@ func (s *Search) dispatchSends(next *GState, ctx *mcContext, sc *scratch) {
 	}
 }
 
+// runHandler builds the successor of g for a handler executed at node:
+// consumed is the index of the in-flight item the event delivers (negative
+// when it delivers none). The successor's in-flight container is built after
+// the handler ran, once, at the size the consumed item and the captured
+// sends leave it with (a send the dummy node swallows leaves its slot
+// unused); a handler that neither consumes nor sends leaves the parent's
+// container shared.
+//
 //crystal:hotpath
-func (s *Search) runHandler(g *GState, node sm.NodeID, ev sm.Event, sc *scratch, run func(ctx *mcContext)) *GState {
+func (s *Search) runHandler(g *GState, node sm.NodeID, ev sm.Event, consumed int, sc *scratch, run func(ctx *mcContext)) *GState {
 	i, known := g.index(node)
 	if !known {
 		return nil
@@ -130,6 +137,11 @@ func (s *Search) runHandler(g *GState, node sm.NodeID, ev sm.Event, sc *scratch,
 	ctx := &sc.ctx
 	ctx.self, ctx.ns, ctx.sends, ctx.rng = node, cloned, ctx.sends[:0], edgeRNG(s.cfg.Seed, ns, ev, sc)
 	run(ctx)
+	if room := len(ctx.sends); consumed >= 0 {
+		next.removeMsgAt(consumed, room, sc)
+	} else if room > 0 {
+		next.msgs = append(make([]*InFlight, 0, len(g.msgs)+room), g.msgs...)
+	}
 	s.dispatchSends(next, ctx, sc)
 	// All mutations applied: freeze the clone's encoding/hashes (sharing
 	// any segment the handler left unchanged with the parent) and swap it
@@ -146,16 +158,9 @@ func (s *Search) applyMessage(g *GState, e sm.MsgEvent, sc *scratch) *GState {
 		return nil
 	}
 	msg := g.msgs[i].Msg
-	next := s.runHandler(g, e.To, e, sc, func(ctx *mcContext) {
+	return s.runHandler(g, e.To, e, i, sc, func(ctx *mcContext) {
 		ctx.ns.Svc.HandleMessage(ctx, e.From, msg)
 	})
-	if next == nil {
-		return nil
-	}
-	// Remove the consumed message (runHandler copied the slice; handler
-	// sends only append, so index i is still valid).
-	next.removeMsgAt(i, sc)
-	return next
 }
 
 //crystal:hotpath
@@ -164,7 +169,7 @@ func (s *Search) applyTimer(g *GState, e sm.TimerEvent, sc *scratch) *GState {
 	if ns == nil || !ns.Timers[e.Timer] {
 		return nil
 	}
-	return s.runHandler(g, e.At, e, sc, func(ctx *mcContext) {
+	return s.runHandler(g, e.At, e, -1, sc, func(ctx *mcContext) {
 		// One-shot semantics: the timer is consumed before the
 		// handler runs; periodic services re-arm inside the handler.
 		delete(ctx.ns.Timers, e.Timer)
@@ -174,7 +179,7 @@ func (s *Search) applyTimer(g *GState, e sm.TimerEvent, sc *scratch) *GState {
 
 //crystal:hotpath
 func (s *Search) applyApp(g *GState, e sm.AppEvent, sc *scratch) *GState {
-	return s.runHandler(g, e.At, e, sc, func(ctx *mcContext) {
+	return s.runHandler(g, e.At, e, -1, sc, func(ctx *mcContext) {
 		ctx.ns.Svc.HandleApp(ctx, e.Call)
 	})
 }
@@ -185,16 +190,9 @@ func (s *Search) applyError(g *GState, e sm.ErrorEvent, sc *scratch) *GState {
 	if i < 0 && !s.cfg.ExploreConnBreaks {
 		return nil
 	}
-	next := s.runHandler(g, e.At, e, sc, func(ctx *mcContext) {
+	return s.runHandler(g, e.At, e, i, sc, func(ctx *mcContext) {
 		ctx.ns.Svc.HandleTransportError(ctx, e.Peer)
 	})
-	if next == nil {
-		return nil
-	}
-	if i >= 0 {
-		next.removeMsgAt(i, sc)
-	}
-	return next
 }
 
 //crystal:hotpath
@@ -204,7 +202,7 @@ func (s *Search) applyDrop(g *GState, e sm.DropEvent, sc *scratch) *GState {
 		return nil
 	}
 	next := g.shallowClone()
-	next.removeMsgAt(i, sc)
+	next.removeMsgAt(i, 0, sc)
 	return next
 }
 
@@ -232,16 +230,17 @@ func (s *Search) applyReset(g *GState, e sm.ResetEvent, sc *scratch) *GState {
 	// on the endpoints, so it removes whole (from,to,type) queues: the
 	// queue positions baked into surviving items' component hashes still
 	// count exactly their same-queue predecessors, and no rehash is needed.
-	kept := next.msgs[:0]
-	for _, m := range next.msgs {
+	// The survivors go into a container of the successor's own, sized for
+	// the case that all survive and every peer is sent an RST below.
+	next.msgs = make([]*InFlight, 0, len(g.msgs)+len(g.ids)-1)
+	for _, m := range g.msgs {
 		if m.From != e.At && m.To != e.At {
-			kept = append(kept, m)
+			next.msgs = append(next.msgs, m)
 		} else {
 			next.hsum -= m.chash
 			next.encSize -= m.sz
 		}
 	}
-	next.msgs = kept
 	// Peers that knew the node hold stale sockets and receive racing RSTs.
 	// Iterate in sorted node order: the append order becomes the
 	// successor's in-flight order, which event enumeration (and so
@@ -317,8 +316,7 @@ func (s *Search) enabledInto(g *GState, buf *eventBuf) (network []sm.Event, ids 
 		clear(buf.seen)
 	}
 	buf.network = buf.network[:0]
-	for i := range g.msgs {
-		m := &g.msgs[i]
+	for _, m := range g.msgs {
 		if m.RST() {
 			key := msgKey{from: m.From, to: m.To, rst: true}
 			if _, dup := buf.seen[key]; dup {

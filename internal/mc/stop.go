@@ -48,14 +48,27 @@ func newBudget(b Budget, now func() time.Time) *budget {
 // elapsed reports the wall time consumed so far, per the injected clock.
 func (b *budget) elapsed() time.Duration { return b.now().Sub(b.began) }
 
+// claimClockEvery is how many proposed children the claim pass handles
+// between two reads of the wall deadline.
+const claimClockEvery = 4096
+
+// expired reads the clock — only when a Wall is set — and halts the search
+// once the deadline has passed.
+func (b *budget) expired() bool {
+	if b.deadline.IsZero() || !b.now().After(b.deadline) {
+		return false
+	}
+	b.halted.Store(true)
+	return true
+}
+
 // admitState atomically claims one unit of the state budget; it returns
 // false when the budget (states or wall clock) is exhausted.
 func (b *budget) admitState() bool {
 	if b.halted.Load() {
 		return false
 	}
-	if !b.deadline.IsZero() && b.now().After(b.deadline) {
-		b.halted.Store(true)
+	if b.expired() {
 		return false
 	}
 	if n := b.states.Add(1); b.lim.States > 0 && n > int64(b.lim.States) {

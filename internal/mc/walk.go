@@ -96,7 +96,7 @@ func runWalk(s *Search, start *GState, walk int, bdg *budget, coll *collector,
 				sig := signature(onset, node.event)
 				sigHash := fnv.New64a()
 				sigHash.Write([]byte(sig))
-				if seen.add(node.state.Hash()^sigHash.Sum64()) && coll.record(sig, onset, node) {
+				if seen.add(node.hash^sigHash.Sum64()) && coll.record(sig, onset, node) {
 					bdg.halt()
 					return
 				}
@@ -126,6 +126,6 @@ func runWalk(s *Search, start *GState, walk int, bdg *budget, coll *collector,
 			return
 		}
 		transitions.Add(1)
-		node = &Node{state: next, parent: node, event: chosen, depth: node.depth + 1}
+		node = node.child(next, chosen)
 	}
 }

@@ -173,3 +173,44 @@ func TestDistDeterminism(t *testing.T) {
 		t.Errorf("violation sets differ between identical runs")
 	}
 }
+
+// TestViolationPathsReachReportedState: an expanded node keeps its
+// fingerprint but not its state, so a violation report is (event path,
+// state hash) and nothing else — and the two must agree. For the scenarios
+// whose seeded bugs surface within the bound, every reported path, applied
+// event by event from the start state, reaches a state with the reported
+// hash, in the serial engine and across two shards (where paths cross
+// shard goroutines as forwarded nodes).
+func TestViolationPathsReachReportedState(t *testing.T) {
+	for _, name := range []string{"gcounter", "orset", "lwwmap"} {
+		g, cfg, err := scenario.InitialState(name, scenario.Options{Nodes: 3})
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg.Mode = mc.Exhaustive
+		cfg.Seed = 42
+		cfg.Budget = mc.Budget{Depth: 6, Workers: 2}
+		sharded, err := dist.Local(dist.LocalConfig{Shards: 2, Search: cfg, Root: g, Budget: cfg.Budget})
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		s := mc.NewSearch(cfg)
+		for run, res := range map[string]*mc.Result{"serial": s.Run(g), "shards=2": &sharded.Checker} {
+			if len(res.Violations) == 0 {
+				t.Fatalf("%s %s: no violation within depth 6", name, run)
+			}
+			for _, v := range res.Violations {
+				at := g
+				for i, ev := range v.Path {
+					if at = s.ApplyEvent(at, ev); at == nil {
+						t.Fatalf("%s %s: path step %d (%s) not applicable", name, run, i, ev.Describe())
+					}
+				}
+				if at.Hash() != v.StateHash || len(v.Path) != v.Depth {
+					t.Errorf("%s %s: %d-event path reaches %#x, violation reports %#x at depth %d",
+						name, run, len(v.Path), at.Hash(), v.StateHash, v.Depth)
+				}
+			}
+		}
+	}
+}

@@ -110,7 +110,7 @@ func TestReductionOracleMatrix(t *testing.T) {
 // claimed local state), so a sleep promise whose commuting square closes
 // through an H_A edge could find the closure pruned at the sibling state;
 // the engine therefore never lets promises ride on H_A expansions
-// (engine.internalSleep). This oracle pins the result: identical claimed
+// (Engine.expand). This oracle pins the result: identical claimed
 // states, identical distinct local-state sets, identical violations, at
 // every worker count.
 func TestReductionOracleConsequence(t *testing.T) {

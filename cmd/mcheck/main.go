@@ -200,10 +200,15 @@ func main() {
 		fmt.Printf("policy=%s planned states=%d workers=%d (snapshot %dB)\n",
 			*policy, cfg.Budget.States, res.Workers, g.EncodedSize())
 	}
-	fmt.Printf("states=%d transitions=%d depth=%d elapsed=%v mem=%dB (%.0f B/state) states/sec=%.0f\n",
+	// Why the search ended; a sharded result does not say yet.
+	stop := ""
+	if res.StopReason != "" {
+		stop = " stop=" + res.StopReason
+	}
+	fmt.Printf("states=%d transitions=%d depth=%d elapsed=%v mem=%dB (%.0f B/state) states/sec=%.0f%s\n",
 		res.StatesExplored, res.Transitions, res.MaxDepthReached, res.Elapsed.Round(time.Millisecond),
 		res.PeakMemoryBytes, res.PerStateBytes,
-		float64(res.StatesExplored)/res.Elapsed.Seconds())
+		float64(res.StatesExplored)/res.Elapsed.Seconds(), stop)
 	fmt.Printf("pruned=%d (sleep-hits=%d)\n", res.TransitionsPruned, res.SleepHits)
 	if *shards > 0 {
 		fmt.Printf("shards=%d forwarded=%d received=%d remote-deduped=%d batch-flushes=%d\n",

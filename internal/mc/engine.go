@@ -1,6 +1,7 @@
 package mc
 
 import (
+	"cmp"
 	"sort"
 	"strings"
 	"sync"
@@ -144,6 +145,14 @@ func (f *frontier) push(n *Node) {
 	f.count++
 }
 
+// at returns the nodes queued at depth.
+func (f *frontier) at(depth int) []*Node {
+	if depth >= len(f.buckets) {
+		return nil
+	}
+	return f.buckets[depth]
+}
+
 // popBucket removes and returns the lowest non-empty bucket.
 func (f *frontier) popBucket() []*Node {
 	for len(f.buckets[f.low]) == 0 {
@@ -163,15 +172,29 @@ func (f *frontier) popBucket() []*Node {
 // for the successors the range does not own and a hook between buckets to
 // exchange batches.
 //
-// Exploration is bucket-synchronized: every frontier state of the lowest
-// depth is expanded — in parallel across Budget.Workers workers pulling
-// from one shared cursor — before any claim is made. Successors are only
-// *proposed* during expansion; the visited-set claims happen in one
-// deterministic serial pass at the bucket barrier, in (bucket position,
-// sibling) order, so every state is claimed at its minimal BFS depth by the
-// same representative path at every worker count, and the tables need no
-// locks. With one worker the engine reproduces the serial breadth-first
-// search of the paper exactly, including expansion order.
+// Exploration is bucket-synchronized, and a state is held only while the
+// engine still has to expand it. The lowest depth bucket is expanded a
+// window of claimWindow positions at a time — in parallel across
+// Budget.Workers workers pulling from one shared cursor. Successors are only
+// *proposed* during expansion; after each window the visited-set claims
+// happen in one deterministic serial pass on the draining goroutine, in
+// (bucket position, sibling) order, so every state is claimed at its minimal
+// BFS depth by the same representative path at every worker count and window
+// size, the proposals alive at once never exceed one window's, and the
+// tables — written only between windows — need no locks. Once per bucket
+// stays what must not see the bucket's own effects: the consequence (node,
+// local state) merge, the reduction's arrivals table and the between hook.
+// With one worker the engine reproduces the serial breadth-first search of
+// the paper exactly, including expansion order.
+//
+// Two kinds of claimed child are never held. A child at Budget.Depth is only
+// ever property-checked, so the workers check it right after the claim pass
+// that claimed it: a consistent one is queued as (parent, event, hash,
+// depth), a violating one keeps its state; either way it is admitted,
+// reported and counted when its bucket is drained, where an unchecked leaf
+// would be. And a child with at least as many nodes queued ahead of it as
+// Budget.States has units left can never be admitted: it enters the tables
+// but not the queue, and the engine ends Exhausted once that queue drains.
 //
 // visited maps a fingerprint to the minimal depth it was claimed at; a
 // strictly shallower arrival re-claims and re-expands, which restores
@@ -184,8 +207,8 @@ func (f *frontier) popBucket() []*Node {
 // reduction of reduce.go: network transitions slept by the claimed node's
 // sleep set are skipped (their targets are commuting-square duplicates of
 // states the sibling branch claims at the same level), and children carry
-// the filtered, extended sleep sets. Because claims are deterministic at
-// the barrier, the sleep set attached to a claimed state — and therefore
+// the filtered, extended sleep sets. Because the claim passes are
+// deterministic, the sleep set attached to a claimed state — and therefore
 // the whole reduced exploration — is also identical at every worker count.
 type Engine struct {
 	s       *Search
@@ -202,8 +225,20 @@ type Engine struct {
 	locals  map[uint64]struct{} // distinct node-local states over claimed states
 	coll    *collector
 	fr      frontier
-	// arrivals maps state hash → the child claimed in the current barrier
-	// pass (reduction only): duplicate same-level proposals intersect their
+	// window is claimWindow (a field so tests can show the search does not
+	// depend on it); outs holds the current window's proposed children per
+	// window position, cursor hands the window's positions to the workers
+	// (wg waits for them), proposals counts the children the claim passes have handled (the wall
+	// deadline is read every claimClockEvery of them), and capped records
+	// that the state budget kept a claimed child out of the queue.
+	window    int
+	outs      [][]*Node
+	cursor    atomic.Int64
+	wg        sync.WaitGroup
+	proposals int
+	capped    bool
+	// arrivals maps state hash → the child claimed from the current bucket
+	// (reduction only): duplicate same-level proposals intersect their
 	// sleep sets into the claimed child's, restoring the promises state
 	// matching would otherwise break (see intersectSleep).
 	arrivals map[uint64]*Node
@@ -225,7 +260,7 @@ type Expander struct {
 	evb    eventBuf
 	sibs   []sleepKey  // explored-sibling descriptors (reduction)
 	enc    *sm.Encoder // app-call fingerprint scratch (reduction)
-	claims []uint64    // consequence (node, local state) claims awaiting the barrier
+	claims []uint64    // consequence (node, local state) claims awaiting the end of the bucket
 }
 
 // NewExpander returns a fresh workspace bound to the search.
@@ -288,6 +323,7 @@ func (s *Search) NewEngine(b Budget, own HashRange, forward func(*Node) error) *
 		locals:  make(map[uint64]struct{}),
 		coll:    newCollector(b.Violations),
 		ws:      make([]*Expander, b.Workers),
+		window:  claimWindow,
 	}
 	for w := range e.ws {
 		e.ws[w] = s.NewExpander()
@@ -308,15 +344,29 @@ func (e *Engine) Seen(h uint64, depth int) bool {
 
 // Inject claims n into the engine's range and queues it for expansion,
 // unless its state is already claimed at n's depth or shallower. n must
-// still hold its state: a node some engine has expanded (n.State() == nil)
-// cannot be claimed again. Inject must not be called while Drain is expanding
-// (the between-buckets hook is the place to inject mid-drain).
-func (e *Engine) Inject(n *Node) bool { return e.claim(n) }
+// still hold its state: a node some engine has expanded or found a
+// consistent leaf (n.State() == nil) cannot be claimed again. Inject must not
+// be called while Drain is expanding (the between-buckets hook is the place
+// to inject mid-drain).
+func (e *Engine) Inject(n *Node) bool {
+	if !e.claim(n) {
+		return false
+	}
+	e.hold(n)
+	return true
+}
 
-// claim enters a state this engine owns: record its minimal depth, fold the
-// node-local state its event produced into the coverage set, and queue it.
-// Every write to the engine's tables happens here, on the goroutine driving
-// Drain, which is why they are plain maps.
+// hold queues a claimed node, state attached, and accounts the state's bytes
+// until the node is expanded or found a consistent leaf.
+func (e *Engine) hold(n *Node) {
+	atomicMax(&e.ctr.peakBytes, e.ctr.frontierBytes.Add(int64(n.state.EncodedSize())))
+	e.fr.push(n)
+}
+
+// claim enters a state this engine owns in its tables: record its minimal
+// depth and fold the node-local state its event produced into the coverage
+// set. Every write to the tables happens here, between windows on the
+// goroutine driving Drain, which is why they are plain maps.
 //
 //crystal:hotpath
 func (e *Engine) claim(n *Node) bool {
@@ -324,7 +374,6 @@ func (e *Engine) claim(n *Node) bool {
 		return false
 	}
 	e.visited[n.hash] = int32(n.depth)
-	atomicMax(&e.ctr.peakBytes, e.ctr.frontierBytes.Add(int64(n.state.EncodedSize())))
 	// A successor differs from its parent in at most the node its event
 	// executed at, so a claim records that one local state; a chain root
 	// (the start state, or a state that arrived without its event) records
@@ -339,7 +388,6 @@ func (e *Engine) claim(n *Node) bool {
 			e.locals[ns.localHash()] = struct{}{}
 		}
 	}
-	e.fr.push(n)
 	return true
 }
 
@@ -362,22 +410,39 @@ func eventNode(ev sm.Event) (sm.NodeID, bool) {
 	}
 }
 
-// Drain expands the frontier, lowest depth bucket first, until it is empty
-// or the budget is spent. between, when non-nil, runs after every bucket's
-// claim pass: the place a sharded search flushes its outgoing batches and
-// injects queued arrivals. The first error from the sink or from between
-// stops the drain.
+// Drain expands the frontier, lowest depth bucket first and each bucket a
+// window at a time, until it is empty or the budget is spent. between, when
+// non-nil, runs after every bucket's last claim pass: the place a sharded
+// search flushes its outgoing batches and injects queued arrivals. The first
+// error from the sink or from between stops the drain.
 func (e *Engine) Drain(between func() error) error {
 	for e.fr.count > 0 && !e.bdg.exhausted() {
-		outs := e.expandBucket(e.fr.popBucket())
-		if err := e.claimChildren(outs); err != nil {
-			return err
+		bucket := e.fr.popBucket()
+		for lo := 0; lo < len(bucket) && !e.bdg.exhausted(); lo += e.window {
+			hi := min(lo+e.window, len(bucket))
+			e.expandWindow(bucket[lo:hi])
+			if err := e.claimPass(bucket[lo].depth+1, len(bucket)-hi); err != nil {
+				return err
+			}
 		}
+		// The consequence (node, local state) claims the workers gathered are
+		// merged once the whole bucket is expanded, so the pruning table
+		// consults strictly earlier buckets.
+		for _, x := range e.ws {
+			for _, lh := range x.claims {
+				e.local[lh] = struct{}{}
+			}
+			x.claims = x.claims[:0]
+		}
+		clear(e.arrivals)
 		if between != nil {
 			if err := between(); err != nil {
 				return err
 			}
 		}
+	}
+	if e.capped {
+		e.bdg.halt(stopStates) // the queue ran dry because the budget capped it
 	}
 	if e.bdg.exhausted() {
 		// Nothing queued will ever be expanded; let the states go.
@@ -386,68 +451,83 @@ func (e *Engine) Drain(between func() error) error {
 	return nil
 }
 
-// expandBucket expands every state of one depth bucket and returns the
-// proposed children per bucket position. Workers pull positions from one
-// shared cursor; with a single worker (or a single state) the loop runs
-// inline in bucket order — the paper's FIFO search. A node lets go of its
+// sweep runs work over nodes on up to Budget.Workers workers, each with its
+// own workspace, and returns when all are done. work pulls positions from
+// e.cursor; with a single worker (or a single node) it runs inline, in
+// order — the paper's FIFO search.
+//
+//crystal:hotpath
+func (e *Engine) sweep(nodes []*Node, work func(*Engine, []*Node, *Expander)) {
+	e.cursor.Store(0)
+	workers := min(e.workers, len(nodes))
+	if workers <= 1 {
+		work(e, nodes, e.ws[0])
+		return
+	}
+	e.wg.Add(workers)
+	for _, x := range e.ws[:workers] {
+		go e.share(nodes, work, x)
+	}
+	e.wg.Wait()
+}
+
+// share is one worker's goroutine in a sweep.
+func (e *Engine) share(nodes []*Node, work func(*Engine, []*Node, *Expander), x *Expander) {
+	defer e.wg.Done()
+	work(e, nodes, x)
+}
+
+// expandWindow expands one window of a depth bucket, leaving the proposed
+// children per window position in e.outs (nil for a position the budget did
+// not admit).
+//
+//crystal:hotpath
+func (e *Engine) expandWindow(win []*Node) {
+	if cap(e.outs) < len(win) {
+		e.outs = make([][]*Node, len(win))
+	}
+	e.outs = e.outs[:len(win)]
+	clear(e.outs)
+	e.sweep(win, (*Engine).expandNodes)
+}
+
+// expandNodes is one worker's share of expandWindow. A node lets go of its
 // state and sleep set the moment its expansion returns: from then on the
 // search needs only its (parent, event, hash, depth) — paths replay from
 // events — so the retained tree never pins an expanded GState.
-func (e *Engine) expandBucket(bucket []*Node) [][]*Node {
-	outs := make([][]*Node, len(bucket))
-	var cursor atomic.Int64
-	work := func(x *Expander) {
-		for {
-			i := int(cursor.Add(1)) - 1
-			if i >= len(bucket) || e.bdg.exhausted() || !e.bdg.admitState() {
-				return
-			}
-			outs[i] = e.expand(bucket[i], x)
-			bucket[i].state, bucket[i].sleep = nil, nil
-		}
-	}
-	workers := min(e.workers, len(bucket))
-	if workers == 1 {
-		work(e.ws[0])
-		return outs
-	}
-	var wg sync.WaitGroup
-	for _, x := range e.ws[:workers] {
-		wg.Add(1)
-		go func(x *Expander) {
-			defer wg.Done()
-			work(x)
-		}(x)
-	}
-	wg.Wait()
-	return outs
-}
-
-// claimChildren is the deterministic claim pass of the bucket barrier. The
-// consequence-prediction (node, local state) claims the workers gathered
-// are merged first, so the pruning table consults strictly earlier buckets;
-// then proposed children are claimed — or, outside the owned range, handed
-// to the sink — in (bucket position, sibling) order, exactly the serial
-// search's order, so the surviving next level, each state's representative
-// parent path and each state's sleep set are worker-count independent.
 //
 //crystal:hotpath
-func (e *Engine) claimChildren(outs [][]*Node) error {
-	for _, x := range e.ws {
-		for _, lh := range x.claims {
-			e.local[lh] = struct{}{}
+func (e *Engine) expandNodes(win []*Node, x *Expander) {
+	for {
+		i := int(e.cursor.Add(1)) - 1
+		if i >= len(win) || e.bdg.exhausted() || !e.bdg.admitState() {
+			return
 		}
-		x.claims = x.claims[:0]
+		e.outs[i] = e.expand(win[i], x)
+		win[i].state, win[i].sleep = nil, nil
 	}
-	if e.reduce {
-		clear(e.arrivals)
-	}
-	proposals := 0
-	for _, children := range outs {
+}
+
+// claimPass is the deterministic claim pass that follows a window's
+// expansion: e.outs proposes children at depth, and rest positions of the
+// bucket being drained lie beyond the window. Proposed children are claimed —
+// or, outside the owned range, handed to the sink — in (bucket position,
+// sibling) order, exactly the serial search's order, so the surviving next
+// level, each state's representative parent path and each state's sleep set
+// are worker-count and window independent. A claimed child is queued unless
+// the state budget cannot reach it: rest + the nodes already queued at its
+// depth are admitted before it (several workers may admit up to workers-1
+// positions out of order, which the cap forgoes). Children claimed at the
+// depth bound are then checked by the workers.
+//
+//crystal:hotpath
+func (e *Engine) claimPass(depth, rest int) error {
+	first := len(e.fr.at(depth))
+	for _, children := range e.outs {
 		for _, child := range children {
 			// Past the wall deadline nothing claimed here would ever be
 			// expanded: stop claiming, checking every few thousand children.
-			if proposals++; proposals%claimClockEvery == 0 && e.bdg.expired() {
+			if e.proposals++; e.proposals%claimClockEvery == 0 && e.bdg.expired() {
 				return nil
 			}
 			h := child.hash
@@ -458,19 +538,44 @@ func (e *Engine) claimChildren(outs [][]*Node) error {
 				continue
 			}
 			if !e.claim(child) {
-				if e.reduce {
-					if prior, ok := e.arrivals[h]; ok {
-						prior.sleep = intersectSleep(prior.sleep, child.sleep)
-					}
+				if prior, ok := e.arrivals[h]; ok {
+					prior.sleep = intersectSleep(prior.sleep, child.sleep)
 				}
+				continue
+			}
+			if e.bdg.lim.States > 0 && rest+len(e.fr.at(depth)) >= e.bdg.statesLeft() {
+				e.capped = true
 				continue
 			}
 			if e.reduce {
 				e.arrivals[h] = child
 			}
+			e.hold(child)
 		}
 	}
+	if depth == e.bdg.lim.Depth {
+		e.sweep(e.fr.at(depth)[first:], (*Engine).checkLeaves)
+	}
 	return nil
+}
+
+// checkLeaves is one worker's share of checking the children a claim pass
+// claimed at the depth bound. A consistent leaf drops its state on the spot;
+// a violating one keeps it for expand, which reports it when the leaf bucket
+// is drained.
+//
+//crystal:hotpath
+func (e *Engine) checkLeaves(leaves []*Node, x *Expander) {
+	for {
+		i := int(e.cursor.Add(1)) - 1
+		if i >= len(leaves) {
+			return
+		}
+		if n := leaves[i]; len(x.Check(n.state)) == 0 {
+			e.ctr.frontierBytes.Add(-int64(n.state.EncodedSize()))
+			n.state = nil
+		}
+	}
 }
 
 // reportViolation records the violation found at n and returns the violated
@@ -479,7 +584,7 @@ func (e *Engine) reportViolation(n *Node, violated []string) map[string]bool {
 	if e.forward != nil {
 		sort.Strings(violated)
 		if e.coll.record(strings.Join(violated, "|"), violated, n) {
-			e.bdg.halt()
+			e.bdg.halt(stopViolations)
 		}
 		return nil
 	}
@@ -497,7 +602,7 @@ func (e *Engine) reportViolation(n *Node, violated []string) map[string]bool {
 		return n.violated
 	}
 	if e.coll.record(signature(onset, n.event), onset, n) {
-		e.bdg.halt()
+		e.bdg.halt(stopViolations)
 	}
 	next := make(map[string]bool, len(n.violated)+len(onset))
 	for p := range n.violated {
@@ -511,16 +616,20 @@ func (e *Engine) reportViolation(n *Node, violated []string) map[string]bool {
 
 // expand explores one admitted state: check properties, expand successors
 // (cloning before every handler invocation, so the shared predecessor state
-// is never written), and return the proposed children — the bucket barrier
-// claims them. Consequence (node, local state) claims go to x.claims for
-// the barrier merge. With reduction on, network transitions slept by the
-// node's sleep set are skipped and each child carries its
-// inherited-and-extended sleep set (reduce.go).
+// is never written), and return the proposed children — the window's claim
+// pass claims them. A leaf found consistent when it was claimed has no state
+// and nothing left to do. Consequence (node, local state) claims go to
+// x.claims for the merge at the end of the bucket. With reduction on, network
+// transitions slept by the node's sleep set are skipped and each child
+// carries its inherited-and-extended sleep set (reduce.go).
 //
 //crystal:hotpath
 func (e *Engine) expand(node *Node, x *Expander) []*Node {
-	e.ctr.frontierBytes.Add(-int64(node.state.EncodedSize()))
 	atomicMax(&e.ctr.maxDepth, int64(node.depth))
+	if node.state == nil {
+		return nil
+	}
+	e.ctr.frontierBytes.Add(-int64(node.state.EncodedSize()))
 
 	pathViolated := node.violated
 	if violated := x.Check(node.state); len(violated) > 0 {
@@ -538,10 +647,11 @@ func (e *Engine) expand(node *Node, x *Expander) []*Node {
 	// expand executes ev and reports whether its handler ran. The successor
 	// becomes a proposed child unless the visited table, which no one writes
 	// during expansion, already holds its fingerprint at this node's depth or
-	// shallower: the barrier would have to reject such a child, so no Node is
-	// built for it. A fingerprint claimed at the child's own depth still goes
-	// to the barrier (intersectSleep needs the arrival), as does one this
-	// engine does not own (visited holds only owned fingerprints).
+	// shallower: the claim pass would have to reject such a child, so no Node
+	// is built for it. A fingerprint claimed at the child's own depth — by an
+	// earlier window, say — still goes to the claim pass (intersectSleep needs
+	// the arrival), as does one this engine does not own (visited holds only
+	// owned fingerprints).
 	expand := func(ev sm.Event) (child *Node, ran bool) {
 		if !e.bdg.admitTransition() {
 			return nil, false
@@ -714,6 +824,7 @@ func (e *Engine) Result() *Result {
 		SleepHits:           int(e.ctr.sleepHits.Load()),
 		DistinctLocalStates: len(e.locals),
 		Elapsed:             e.bdg.elapsed(),
+		StopReason:          cmp.Or(e.bdg.stopReason(), "frontier-empty"),
 	}
 	res.TransitionsPruned = res.SleepHits + res.LocalPrunes
 	if e.s.cfg.RecordLocalStates {
@@ -723,7 +834,7 @@ func (e *Engine) Result() *Result {
 		res.ClaimedStates = e.ClaimedStates()
 	}
 	// Hash-set entries cost roughly 16 bytes (8-byte key + bucket
-	// overhead amortised); frontier states dominate at shallow depths.
+	// overhead amortised); held states dominate at shallow depths.
 	res.PeakMemoryBytes = e.ctr.peakBytes.Load() + int64(len(e.visited)+len(e.local))*16
 	if res.StatesExplored > 0 {
 		res.PerStateBytes = float64(res.PeakMemoryBytes) / float64(res.StatesExplored)

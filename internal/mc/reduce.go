@@ -141,8 +141,9 @@ func (s sleepSet) contains(k sleepKey) bool {
 // sleep set enters the intersection there — keeping the delegation chain
 // grounded. Without this, state matching breaks sleep-set completeness
 // (the first arrival's set wins and can sleep a transition a later
-// arrival's subtree needed explored); claimChildren applies the
-// intersection at the bucket barrier, before the child is ever expanded.
+// arrival's subtree needed explored); claimPass applies the intersection
+// in the claim passes of the parents' bucket, before the child is ever
+// expanded.
 func intersectSleep(a, b sleepSet) sleepSet {
 	if len(a) == 0 || len(b) == 0 {
 		return nil

@@ -219,6 +219,15 @@ type Result struct {
 	ClaimedStates []uint64
 	// Workers is the worker-pool size the search ran with.
 	Workers int
+	// StopReason says why the search ended: the first budget bound that
+	// tripped ("states", "wall", "violations", "transitions"), or
+	// "frontier-empty" when the breadth-first engine ran out of states and
+	// "walks" when random-walk mode ran all its walks. Under a wall or
+	// violations stop at the depth bound, leaves already checked at their
+	// claim but not yet admitted are not in StatesExplored. Sharded results
+	// (internal/dist) and controller.Stats do not carry it yet: that is the
+	// rest of ROADMAP direction 3, and no wire field exists for it.
+	StopReason string
 }
 
 // Search runs one exploration. Create with NewSearch, run with Run.
@@ -241,17 +250,20 @@ func (s *Search) Config() Config { return s.cfg }
 
 // Node is an entry of the search tree; parent links reconstruct violation
 // paths. A node carries its state (and, under reduction, its sleep set) only
-// until it has been expanded: the engine clears both the moment expansion
-// returns, so what the tree retains per expanded state is (parent, event,
-// hash, depth) and a path is replayed from its events, never read off
-// retained states. parent, event, depth, hash and violated are immutable
-// once the node is created; sleep is narrowed only at the claim barrier and
-// state and sleep are cleared only by the goroutine that expanded the node —
-// in a sharded search, the shard that claimed a forwarded node — so workers
-// and other shards may traverse parent chains and read hashes freely. An
-// expanded node has no state left to claim: it must never be injected again.
+// while the engine still has to expand it: the engine clears both the moment
+// expansion returns, and a child claimed at Budget.Depth — never expanded,
+// only checked — gives its state up right after the claim pass that claimed
+// it unless the check found a violation, so a queued leaf may hold no state.
+// What the tree retains per state is (parent, event, hash, depth), and a path
+// is replayed from its events, never read off retained states. parent, event,
+// depth, hash and violated are immutable once the node is created; sleep is
+// narrowed only in a claim pass, and state and sleep are cleared only by the
+// worker that expanded the node or checked it as a leaf — in a sharded
+// search, a worker of the shard that claimed a forwarded node — so workers
+// and other shards may traverse parent chains and read hashes freely. A node
+// without a state has nothing left to claim: it must never be injected again.
 type Node struct {
-	state  *GState // nil once expanded
+	state  *GState // nil once expanded, or checked as a consistent leaf
 	hash   uint64  // state's fingerprint, kept after state is let go
 	parent *Node
 	event  sm.Event
@@ -278,7 +290,8 @@ func (n *Node) child(next *GState, ev sm.Event) *Node {
 	return &Node{state: next, hash: next.Hash(), parent: n, event: ev, depth: n.depth + 1}
 }
 
-// State returns the node's state, or nil once the node has been expanded.
+// State returns the node's state, or nil once the node has been expanded or
+// checked as a consistent leaf at the depth bound.
 func (n *Node) State() *GState { return n.state }
 
 // Hash returns the fingerprint of the node's state; unlike State it stays

@@ -251,3 +251,60 @@ func TestHashOracleCRDT(t *testing.T) {
 		})
 	}
 }
+
+// paxosExhaustiveStart is the Figure 13 snapshot under the configuration the
+// window and state-budget tests explore from.
+func paxosExhaustiveStart() (mc.Config, *mc.GState) {
+	factory := paxos.New(paxos.Config{Members: []sm.NodeID{1, 2, 3}, Bug1: true})
+	return mc.Config{Props: paxos.Properties, Factory: factory, ExploreResets: true}, paxosPostRound1Start(factory)
+}
+
+// TestWindowIndependencePaxos and TestWindowIndependenceChord run the
+// window-independence oracle (mc.CheckWindowIndependence) on the two real
+// services at depths whose widest exhaustive bucket — 6,170 and 3,663
+// states — spans several default windows.
+func TestWindowIndependencePaxos(t *testing.T) {
+	cfg, start := paxosExhaustiveStart()
+	cfg.Budget = mc.Budget{Depth: 7}
+	mc.CheckWindowIndependence(t, cfg, start, mc.Exhaustive)
+}
+
+func TestWindowIndependenceChord(t *testing.T) {
+	factory, start := chordFigure10Start()
+	cfg := mc.Config{
+		Props: props.Set{chord.PropPredSelfImpliesSuccSelf}, Factory: factory,
+		ExploreResets: true, ExploreConnBreaks: true, MaxResetsPerPath: 1,
+		Budget: mc.Budget{Depth: 5},
+	}
+	mc.CheckWindowIndependence(t, cfg, start, mc.Exhaustive)
+}
+
+// TestStateBudgetCapsQueuePaxos is TestStateBudgetCapsQueueToy on paxos: the
+// serial state-bounded runs match the constants recorded at the parent
+// commit, where the queue was not capped.
+func TestStateBudgetCapsQueuePaxos(t *testing.T) {
+	cfg, start := paxosExhaustiveStart()
+	cfg.Reduce = true
+	for _, tc := range []struct {
+		mode   mc.Mode
+		states int
+		want   mc.CapRun
+	}{
+		{mc.Exhaustive, 10, mc.CapRun{Claimed: 45, Locals: 18, ClaimedSum: 0xa92d18249c75876c, LocalSum: 0x348fbc28e5fcda8e, Transitions: 54, Violations: 0}},
+		{mc.Exhaustive, 100, mc.CapRun{Claimed: 366, Locals: 50, ClaimedSum: 0xfda90bab68afee24, LocalSum: 0xf49ec994a8c36225, Transitions: 505, Violations: 0}},
+		{mc.Exhaustive, 1000, mc.CapRun{Claimed: 2978, Locals: 130, ClaimedSum: 0x12d79a4dc4e1d39c, LocalSum: 0x91e8f1b9f8ff8122, Transitions: 4538, Violations: 0}},
+		{mc.Consequence, 10, mc.CapRun{Claimed: 30, Locals: 20, ClaimedSum: 0x7f33520e41302fca, LocalSum: 0x48ab05c3364645d1, Transitions: 40, Violations: 0}},
+		{mc.Consequence, 100, mc.CapRun{Claimed: 244, Locals: 72, ClaimedSum: 0xcd44c8696f9cbafc, LocalSum: 0xe0f68b11f9c32107, Transitions: 326, Violations: 0}},
+		{mc.Consequence, 1000, mc.CapRun{Claimed: 2453, Locals: 289, ClaimedSum: 0x8307813640014876, LocalSum: 0xdba4a26803baa063, Transitions: 3299, Violations: 0}},
+	} {
+		cfg.Mode = tc.mode
+		if got := mc.StateBudgetRun(t, cfg, start, tc.states, 0, 1); got != tc.want {
+			t.Errorf("%v States=%d: %+v, recorded %+v", tc.mode, tc.states, got, tc.want)
+		}
+		mc.StateBudgetRun(t, cfg, start, tc.states, 0, 4)
+	}
+	cfg.Mode = mc.Exhaustive
+	if got := mc.StateBudgetRun(t, cfg, start, 100000, 4, 1); got.Claimed > 1000 {
+		t.Fatalf("%d states within depth 4, want a space the budget does not cut", got.Claimed)
+	}
+}

@@ -127,8 +127,9 @@ func applyPath(t *testing.T, s *Search, start *GState, path []sm.Event) *GState 
 
 // TestExpandedNodesLetGoOfState: every node the engine has expanded holds
 // neither state nor sleep set afterwards, still answers Hash with the
-// fingerprint it was claimed under, and a reported violation's path —
-// events only — leads from the start state to the reported state hash.
+// fingerprint it was claimed under (a leaf queued without its state answers
+// with what its path replays to), and a reported violation's path — events
+// only — leads from the start state to the reported state hash.
 func TestExpandedNodesLetGoOfState(t *testing.T) {
 	for _, reduce := range []bool{false, true} {
 		s := NewSearch(Config{
@@ -138,13 +139,22 @@ func TestExpandedNodesLetGoOfState(t *testing.T) {
 		start := twoNodeStart()
 		e := s.NewEngine(s.Config().Budget, HashRange{}, nil)
 		e.Inject(NewNode(start, 0))
-		// Every claimed node sits in the frontier between two buckets, state
-		// still attached: remember each with the hash it was claimed under.
+		// Every claimed node sits in the frontier between two buckets:
+		// remember each with the hash it was claimed under — its state's, or,
+		// for a leaf already checked and queued without one, the hash of the
+		// state its path replays to.
 		claimedUnder := map[*Node]uint64{}
 		remember := func() error {
 			for _, bucket := range e.fr.buckets {
 				for _, n := range bucket {
-					claimedUnder[n] = n.state.Hash()
+					g := n.state
+					if g == nil {
+						if n.depth != 6 {
+							t.Fatalf("node queued at depth %d without its state", n.depth)
+						}
+						g = applyPath(t, s, start, n.Path())
+					}
+					claimedUnder[n] = g.Hash()
 				}
 			}
 			return nil
@@ -272,7 +282,8 @@ func TestSelfLoopIsCountedNotProposed(t *testing.T) {
 	start := selfLoopStart()
 	e := s.NewEngine(cfg.Budget, HashRange{}, nil)
 	e.Inject(NewNode(start, 0))
-	children := e.expandBucket(e.fr.popBucket())[0]
+	e.expandWindow(e.fr.popBucket())
+	children := e.outs[0]
 	network, internal := s.EnabledEvents(start)
 	enabled := len(network)
 	for _, evs := range internal {

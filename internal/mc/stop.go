@@ -31,8 +31,20 @@ type budget struct {
 	deadline    time.Time // zero when Wall is unbounded
 	states      atomic.Int64
 	transitions atomic.Int64
-	halted      atomic.Bool
+	// halted is zero while the search runs and then the first bound that
+	// tripped (an index into stopNames); later halts do not overwrite it.
+	halted atomic.Int32
 }
+
+// The bounds that stop a search, in budget.halted's encoding.
+const (
+	stopStates = iota + 1
+	stopWall
+	stopViolations
+	stopTransitions
+)
+
+var stopNames = [...]string{stopStates: "states", stopWall: "wall", stopViolations: "violations", stopTransitions: "transitions"}
 
 // newBudget starts the accounting clock by reading now once; the same
 // injected clock serves the Wall deadline checks and Result.Elapsed, so a
@@ -48,9 +60,13 @@ func newBudget(b Budget, now func() time.Time) *budget {
 // elapsed reports the wall time consumed so far, per the injected clock.
 func (b *budget) elapsed() time.Duration { return b.now().Sub(b.began) }
 
-// claimClockEvery is how many proposed children the claim pass handles
+// claimClockEvery is how many proposed children the claim passes handle
 // between two reads of the wall deadline.
 const claimClockEvery = 4096
+
+// claimWindow is how many positions of a depth bucket are expanded between
+// two claim passes: what bounds the proposed successors alive at once.
+const claimWindow = 1024
 
 // expired reads the clock — only when a Wall is set — and halts the search
 // once the deadline has passed.
@@ -58,22 +74,19 @@ func (b *budget) expired() bool {
 	if b.deadline.IsZero() || !b.now().After(b.deadline) {
 		return false
 	}
-	b.halted.Store(true)
+	b.halt(stopWall)
 	return true
 }
 
 // admitState atomically claims one unit of the state budget; it returns
 // false when the budget (states or wall clock) is exhausted.
 func (b *budget) admitState() bool {
-	if b.halted.Load() {
-		return false
-	}
-	if b.expired() {
+	if b.exhausted() || b.expired() {
 		return false
 	}
 	if n := b.states.Add(1); b.lim.States > 0 && n > int64(b.lim.States) {
 		b.states.Add(-1)
-		b.halted.Store(true)
+		b.halt(stopStates)
 		return false
 	}
 	return true
@@ -86,14 +99,14 @@ func (b *budget) admitState() bool {
 // budget varies with scheduling, like every non-depth cutoff.
 func (b *budget) admitTransition() bool {
 	if b.lim.Transitions <= 0 {
-		return !b.halted.Load()
+		return !b.exhausted()
 	}
-	if b.halted.Load() {
+	if b.exhausted() {
 		return false
 	}
 	if n := b.transitions.Add(1); n > int64(b.lim.Transitions) {
 		b.transitions.Add(-1)
-		b.halted.Store(true)
+		b.halt(stopTransitions)
 		return false
 	}
 	return true
@@ -107,11 +120,17 @@ func (b *budget) refundTransition() {
 	}
 }
 
-// halt marks the budget exhausted (e.g. the violation quota filled).
-func (b *budget) halt() { b.halted.Store(true) }
+// halt marks the budget exhausted by bound why (one of the stop constants).
+func (b *budget) halt(why int32) { b.halted.CompareAndSwap(0, why) }
 
 // exhausted reports whether some bound tripped.
-func (b *budget) exhausted() bool { return b.halted.Load() }
+func (b *budget) exhausted() bool { return b.halted.Load() != 0 }
+
+// stopReason names the bound that stopped the search ("" when none did).
+func (b *budget) stopReason() string { return stopNames[b.halted.Load()] }
 
 // statesAdmitted returns the number of states admitted so far.
 func (b *budget) statesAdmitted() int { return int(b.states.Load()) }
+
+// statesLeft returns the unspent units of a bounded state budget.
+func (b *budget) statesLeft() int { return b.lim.States - b.statesAdmitted() }

@@ -90,57 +90,78 @@ func wideStart() *GState {
 }
 
 // TestWallDeadlineReadInsideClaimPass: the deadline is read between
-// proposed children, not only at state admission. Driving the buckets by
-// hand with a clock that advances per read finds the first claim pass long
-// enough to read it twice; a search whose Wall runs out at that pass's
-// first read stops claiming right there — one interval into the pass —
-// and reports an Elapsed past the Wall by the two readings that noticed
-// and reported it. Without a Wall the search reads the clock twice, ever.
+// proposed children, not only at state admission, and the count that paces
+// those reads runs across windows (no single window proposes a whole
+// interval). A probe drain under a clock that advances per read finds the
+// first read a claim pass made; a drain whose Wall runs out at exactly that
+// read stops claiming right there — mid-pass, nothing admitted or claimed
+// after it — and reports an Elapsed past the Wall by the two readings that
+// noticed and reported it. Without a Wall the search reads the clock twice,
+// ever.
 func TestWallDeadlineReadInsideClaimPass(t *testing.T) {
-	cfg := Config{Props: poisonAt(1000), Factory: newToy, Mode: Exhaustive, RecordClaimedStates: true}
-	fc := &fakeClock{step: time.Millisecond}
-	cfg.Now = fc.Now
-	s := NewSearch(cfg)
-	// A Wall the probe never reaches: every read happens, none expires.
-	e := s.NewEngine(Budget{Wall: time.Hour, Depth: 6, Workers: 1}, HashRange{}, nil)
-	e.Inject(NewNode(wideStart(), 0))
-	var readsBefore int64 // clock reads up to the start of the long claim pass
-	var claimedBefore, proposed int
-	for e.fr.count > 0 {
-		outs := e.expandBucket(e.fr.popBucket())
-		readsBefore, claimedBefore, proposed = fc.n.Load(), e.Claimed(), 0
-		for _, children := range outs {
-			proposed += len(children)
+	cfg := Config{Props: poisonAt(1000), Factory: newToy, Mode: Exhaustive}
+	// drain runs the search under a fresh per-read clock and returns, per
+	// clock read, the proposals handled and the states claimed by then.
+	type reading struct{ proposals, claimed int }
+	drain := func(wall time.Duration) (*Engine, []reading) {
+		fc := &fakeClock{step: time.Millisecond}
+		var e *Engine
+		var reads []reading
+		c := cfg
+		c.Now = func() time.Time {
+			if e == nil {
+				reads = append(reads, reading{})
+			} else {
+				reads = append(reads, reading{e.proposals, e.Claimed()})
+			}
+			return fc.Now()
 		}
-		if err := e.claimChildren(outs); err != nil {
+		e = NewSearch(c).NewEngine(Budget{Wall: wall, Depth: 6, Workers: 1}, HashRange{}, nil)
+		e.Inject(NewNode(wideStart(), 0))
+		if err := e.Drain(nil); err != nil {
 			t.Fatal(err)
 		}
-		if fc.n.Load()-readsBefore >= 2 {
-			break
+		return e, reads
+	}
+	// A Wall the probe never reaches: every read happens, none expires.
+	probe, reads := drain(time.Hour)
+	// Admission reads see the proposal count the last claim pass left; only a
+	// read from inside a claim pass sees a count that moved since the last
+	// read and sits on the interval.
+	hit := 0
+	for k := 1; k < len(reads) && hit == 0; k++ {
+		if reads[k].proposals != reads[k-1].proposals && reads[k].proposals%claimClockEvery == 0 {
+			hit = k
 		}
 	}
-	if proposed < 2*claimClockEvery {
-		t.Fatalf("no level above depth 6 proposed two claim-clock intervals of children (last: %d)", proposed)
+	if hit == 0 {
+		t.Fatalf("no claim pass read the deadline in %d proposals over %d windowed buckets", probe.proposals, probe.fr.low)
 	}
-	fullLevel := e.Claimed() - claimedBefore
+	if probe.window >= claimClockEvery {
+		t.Fatalf("window %d is a whole clock interval: the test no longer shows the count crossing windows", probe.window)
+	}
+	at := reads[hit]
+	if next := reads[hit+1]; next.claimed == at.claimed {
+		t.Fatalf("the probe's pass claimed nothing after its deadline read: stopping there would not be mid-pass")
+	}
 
-	// newBudget's reading is t=1ms, so the reading that starts the long
-	// pass (number readsBefore+1) is the first one past this Wall.
-	wall := time.Duration(readsBefore-1) * time.Millisecond
-	fc = &fakeClock{step: time.Millisecond}
-	cfg.Now = fc.Now
-	cfg.Budget = Budget{Wall: wall, Workers: 1}
-	res := NewSearch(cfg).Run(wideStart())
-	stoppedAt := len(res.ClaimedStates) - claimedBefore
-	if stoppedAt <= 0 || stoppedAt >= claimClockEvery || stoppedAt >= fullLevel {
-		t.Fatalf("claim pass claimed %d states after the deadline, want fewer than one interval (%d) of the level's %d",
-			stoppedAt, claimClockEvery, fullLevel)
+	// Reading k returns k ms and the first (newBudget's) starts the Wall, so
+	// reading hit+1 is the first one past this Wall.
+	wall := time.Duration(hit-1) * time.Millisecond
+	e, stopped := drain(wall)
+	res := e.Result()
+	if e.proposals != at.proposals || e.Claimed() != at.claimed || len(stopped) != hit+1 {
+		t.Fatalf("stopped after %d proposals, %d claimed, %d reads; want %d, %d, %d: the pass did not stop at its deadline read",
+			e.proposals, e.Claimed(), len(stopped), at.proposals, at.claimed, hit+1)
+	}
+	if res.StopReason != "wall" || !e.Exhausted() {
+		t.Fatalf("stop reason %q, exhausted %v; want wall", res.StopReason, e.Exhausted())
 	}
 	if over := res.Elapsed - wall; over <= 0 || over > 2*time.Millisecond {
 		t.Fatalf("Elapsed %v against Wall %v: over by %v, want the two readings that noticed and reported it", res.Elapsed, wall, over)
 	}
 
-	fc = &fakeClock{step: time.Millisecond}
+	fc := &fakeClock{step: time.Millisecond}
 	cfg.Now = fc.Now
 	cfg.Budget = Budget{Depth: 4, Workers: 1}
 	NewSearch(cfg).Run(wideStart())

@@ -1,6 +1,7 @@
 package mc
 
 import (
+	"cmp"
 	"hash/fnv"
 	"sync"
 	"sync/atomic"
@@ -67,6 +68,7 @@ func (s *Search) randomWalks(start *GState) *Result {
 		Transitions:     int(transitions.Load()),
 		MaxDepthReached: int(maxDepth.Load()),
 		Elapsed:         bdg.elapsed(),
+		StopReason:      cmp.Or(bdg.stopReason(), "walks"),
 	}
 }
 
@@ -97,7 +99,7 @@ func runWalk(s *Search, start *GState, walk int, bdg *budget, coll *collector,
 				sigHash := fnv.New64a()
 				sigHash.Write([]byte(sig))
 				if seen.add(node.hash^sigHash.Sum64()) && coll.record(sig, onset, node) {
-					bdg.halt()
+					bdg.halt(stopViolations)
 					return
 				}
 			}

@@ -13,13 +13,17 @@ test:
 # see internal/analysis). The vettool build is cached by the ordinary go
 # build cache, so repeat runs are fast. The checker's state and property
 # view are ordered by construction (sorted slices, no maps), so a
-# //crystal:allow there is never the answer and fails the lint outright.
+# //crystal:allow there is never the answer and fails the lint outright;
+# so does a pending-timer set held as a map anywhere in the tree — there is
+# one representation, sm.TimerSet.
 # The CI lint job runs exactly this target.
 lint:
 	@fmtout=$$(gofmt -l cmd internal examples bench); \
 	if [ -n "$$fmtout" ]; then echo "gofmt needed:"; echo "$$fmtout"; exit 1; fi
 	@if grep -rn 'crystal:allow' internal/mc internal/props; then \
 	echo "//crystal:allow is not accepted under internal/mc or internal/props: make the order structural"; exit 1; fi
+	@if grep -rn --include='*.go' -e 'map\[sm\.TimerID\]bool' -e 'map\[TimerID\]bool' .; then \
+	echo "a timer set is an sm.TimerSet, never a map"; exit 1; fi
 	$(GO) vet ./...
 	$(GO) run ./cmd/crystalvet ./...
 

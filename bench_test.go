@@ -614,7 +614,7 @@ func BenchmarkCheckpointEncode(b *testing.B) {
 		t.Children[sm.NodeID(i)] = true
 		t.Peers[sm.NodeID(i)] = true
 	}
-	timers := map[sm.TimerID]bool{randtree.TimerRecovery: true}
+	timers := sm.TimerSet{randtree.TimerRecovery}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		if len(sm.EncodeFullState(t, timers)) == 0 {
@@ -637,7 +637,7 @@ func formedTree(n int) (sm.Factory, *mc.GState) {
 		} else {
 			t.Parent = sm.NoNode
 		}
-		g.AddNode(id, t, map[sm.TimerID]bool{randtree.TimerRecovery: true})
+		g.AddNode(id, t, sm.TimerSet{randtree.TimerRecovery})
 	}
 	return factory, g
 }

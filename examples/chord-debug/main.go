@@ -57,9 +57,9 @@ func figure10() {
 	// the ring. The scenario's fault model (resets + connection breaks)
 	// is exactly what this figure needs.
 	g := mc.NewGState()
-	g.AddNode(1, mkRing(cfg.Factory, 1, 5, 3, 5, 1), map[sm.TimerID]bool{chord.TimerStabilize: true})
-	g.AddNode(3, mkRing(cfg.Factory, 3, 1, 5, 1, 3), map[sm.TimerID]bool{chord.TimerStabilize: true})
-	g.AddNode(5, mkRing(cfg.Factory, 5, 3, 1, 3, 5), map[sm.TimerID]bool{chord.TimerStabilize: true})
+	g.AddNode(1, mkRing(cfg.Factory, 1, 5, 3, 5, 1), sm.TimerSet{chord.TimerStabilize})
+	g.AddNode(3, mkRing(cfg.Factory, 3, 1, 5, 1, 3), sm.TimerSet{chord.TimerStabilize})
+	g.AddNode(5, mkRing(cfg.Factory, 5, 3, 1, 3, 5), sm.TimerSet{chord.TimerStabilize})
 
 	cfg.Props = props.Set{chord.PropPredSelfImpliesSuccSelf}
 	cfg.Mode = mc.Consequence
@@ -75,9 +75,9 @@ func figure11() {
 	// are needed — the ordering bug is reachable from stabilization
 	// alone, so the scenario's fault model is switched off.
 	g := mc.NewGState()
-	g.AddNode(1, mkRing(cfg.Factory, 1, 3, 3, 1), map[sm.TimerID]bool{chord.TimerStabilize: true})
-	g.AddNode(2, mkRing(cfg.Factory, 2, 3, 3, 2), map[sm.TimerID]bool{chord.TimerStabilize: true})
-	g.AddNode(3, mkRing(cfg.Factory, 3, 2, 1, 3), map[sm.TimerID]bool{chord.TimerStabilize: true})
+	g.AddNode(1, mkRing(cfg.Factory, 1, 3, 3, 1), sm.TimerSet{chord.TimerStabilize})
+	g.AddNode(2, mkRing(cfg.Factory, 2, 3, 3, 2), sm.TimerSet{chord.TimerStabilize})
+	g.AddNode(3, mkRing(cfg.Factory, 3, 2, 1, 3), sm.TimerSet{chord.TimerStabilize})
 
 	cfg.Props = props.Set{chord.PropNodeOrdering}
 	cfg.Mode = mc.Consequence

@@ -13,6 +13,10 @@
 //     helpers)
 //   - interface boxing of non-pointer values into ...any variadics or
 //     explicit any(x) conversions
+//   - map construction, make(map...) or a map literal: a header and its
+//     buckets per call (NodeState.clone rebuilt the pending-timer map for
+//     every handler run for sixteen PRs; a sorted slice shared with the
+//     parent took its place)
 package hotpathalloc
 
 import (
@@ -56,6 +60,10 @@ func checkFunc(pass *analysis.Pass, fd *ast.FuncDecl) {
 		switch e := n.(type) {
 		case *ast.CallExpr:
 			checkCall(pass, fd, e, loops)
+		case *ast.CompositeLit:
+			if _, isMap := info.TypeOf(e).Underlying().(*types.Map); isMap {
+				pass.Reportf(e.Pos(), "map literal builds a map on a hot path; keep a sorted slice, or reuse a map the caller owns")
+			}
 		case *ast.FuncLit:
 			if analysis.InAny(loops, e.Pos()) && capturesOuter(info, fd, e) {
 				pass.Reportf(e.Pos(),
@@ -77,6 +85,12 @@ func checkCall(pass *analysis.Pass, fd *ast.FuncDecl, call *ast.CallExpr, loops 
 			pass.Reportf(call.Pos(),
 				"%s.%s constructs a hash.Hash on a hot path; use the streamed sm.FNV64a helpers or a pooled instance",
 				pkgPath[strings.LastIndexByte(pkgPath, '/')+1:], name)
+			return
+		}
+	}
+	if analysis.IsBuiltinCall(info, call, "make") && len(call.Args) > 0 {
+		if _, isMap := info.TypeOf(call.Args[0]).Underlying().(*types.Map); isMap {
+			pass.Reportf(call.Pos(), "make builds a map on a hot path; keep a sorted slice, or reuse a map the caller owns")
 			return
 		}
 	}

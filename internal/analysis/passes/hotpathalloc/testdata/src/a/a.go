@@ -71,13 +71,51 @@ func convert(x int) any {
 	return any(x) // want `conversion boxes a non-pointer value into an interface`
 }
 
+// cloneSet is the shape NodeState.clone had: a map rebuilt per call.
+//
+//crystal:hotpath
+func cloneSet(set map[string]bool) map[string]bool {
+	out := make(map[string]bool, len(set)) // want `make builds a map on a hot path`
+	for k := range set {
+		out[k] = true
+	}
+	return out
+}
+
+type names map[string]bool
+
+//crystal:hotpath
+func literals(k string) (int, int) {
+	a := map[string]bool{k: true} // want `map literal builds a map on a hot path`
+	b := names{}                  // want `map literal builds a map on a hot path`
+	return len(a), len(b)
+}
+
+// reuseSet clears and refills a map its caller owns, and sizes a slice with
+// make: neither builds a map.
+//
+//crystal:hotpath
+func reuseSet(seen map[string]bool, ks []string) []string {
+	clear(seen)
+	out := make([]string, 0, len(ks))
+	for _, k := range ks {
+		if !seen[k] {
+			seen[k] = true
+			out = append(out, k)
+		}
+	}
+	return out
+}
+
 // cold is unannotated: the same constructs draw no findings.
 func cold(xs []int) string {
 	var out []int
 	for _, x := range xs {
 		out = append(out, x)
 	}
-	return fmt.Sprintf("%d", len(out))
+	seen := make(map[int]bool)
+	seen[len(map[int]bool{1: true})] = true
+	return fmt.Sprintf("%d", len(out)+len(seen))
 }
 
 // warm allocates knowingly; the func-doc directive covers the whole body.

@@ -179,7 +179,7 @@ func formedTreeState(n int) (sm.Factory, *mc.GState) {
 				}
 			}
 		}
-		g.AddNode(id, t, map[sm.TimerID]bool{randtree.TimerRecovery: true})
+		g.AddNode(id, t, sm.TimerSet{randtree.TimerRecovery})
 	}
 	return factory, g
 }

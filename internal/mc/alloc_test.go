@@ -48,52 +48,80 @@ func TestReusedViewCheckZeroAllocs(t *testing.T) {
 
 // TestEnabledEventsReusedBufferAllocBound: enumeration through a reused
 // eventBuf allocates at most one boxing per enumerated event (storing a
-// struct in an sm.Event interface) — the buffers themselves (slices, dedup
-// map, per-state sorting, string keys) contribute nothing once warm.
+// struct in an sm.Event interface) — the buffers themselves contribute
+// nothing once warm — and the count-only mode,
+// which the consequence rule runs on every (node, local state) it has
+// already claimed, reports the same number of internal actions without
+// allocating at all.
 func TestEnabledEventsReusedBufferAllocBound(t *testing.T) {
 	s := NewSearch(Config{Props: poisonAt(1000), Factory: newToy, ExploreResets: true})
 	g := multiTimerStart()
 	var buf eventBuf
-	network, _, internal := s.enabledInto(g, &buf) // warm + count
-	events := len(network)
-	for i := range internal {
-		events += len(internal[i])
+	var network, internal int
+	enumerate := func() {
+		network, internal = len(s.networkInto(g, &buf)), 0
+		for i := range g.ids {
+			internal += len(s.internalInto(g, i, &buf))
+		}
 	}
-	if events == 0 {
-		t.Fatal("no events enumerated")
+	enumerate() // warm + count
+	if network == 0 || internal == 0 {
+		t.Fatalf("%d network and %d internal events enumerated, want some of each", network, internal)
 	}
-	if avg := testing.AllocsPerRun(1000, func() {
-		s.enabledInto(g, &buf)
-	}); avg > float64(events) {
-		t.Fatalf("reused-buffer enumeration allocates %.2f/op for %d events, want <= one boxing per event", avg, events)
+	if avg := testing.AllocsPerRun(1000, enumerate); avg > float64(network+internal) {
+		t.Fatalf("reused-buffer enumeration allocates %.2f/op for %d events, want <= one boxing per event", avg, network+internal)
+	}
+	counted := 0
+	count := func() {
+		counted = 0
+		for i := range g.ids {
+			counted += s.internalAt(g, i, nil)
+		}
+	}
+	if count(); counted != internal {
+		t.Fatalf("count-only mode reports %d internal actions, enumeration lists %d", counted, internal)
+	}
+	if avg := testing.AllocsPerRun(1000, count); avg != 0 {
+		t.Fatalf("count-only enumeration allocates %.2f/op, want 0", avg)
 	}
 }
 
 // TestSuccessorAllocBound bounds the full apply+hash cost of one successor.
 // The remaining allocations are the successor's own storage (GState and
-// NodeState containers, the service clone, copied slices) — the transient
-// workspace (encoders, handler context, random stream, hash state) comes
-// from the pooled scratch and must not count. A timer event neither consumes
-// nor sends, so the successor shares its parent's in-flight container and
-// measures 11 (the value-slice layout 12, the map layout 13, the pre-scratch
-// path ~30); under -race sync.Pool sheds scratch at random and the same code
-// reads 13-14, which is what the bound leaves room for.
-// TestShallowCloneAllocBound and TestSuccessorSendAllocBound are the exact,
-// pool-free checks that pin the containers and the in-flight items.
+// NodeState containers, the service clone, the changed encoding segment) —
+// the transient workspace (encoders, handler context with its working timer
+// set, random stream, hash state) is the scratch's and must not count. The
+// scratch is the test's own, so the counts are exact under -race too.
+//
+// A timer event neither consumes nor sends, so the successor shares its
+// parent's in-flight container; "tick" bumps the counter and re-arms itself,
+// which leaves the timer set equal to the parent's: 8 allocations (11 while
+// the set was a map cloned per handler run, 12 with the value-slice layout,
+// ~30 before the scratch). "idle" only re-arms and "zap" only expires, so the
+// two differ in nothing but the timer set: a changed set costs exactly its
+// exact-size copy and its encoded segment, an equal one nothing.
+// TestShallowCloneAllocBound and TestSuccessorSendAllocBound pin the
+// containers and the in-flight items.
 func TestSuccessorAllocBound(t *testing.T) {
 	s := NewSearch(Config{Props: poisonAt(1000), Factory: newToy})
 	g := multiTimerStart()
-	ev := sm.TimerEvent{At: 1, Timer: "tick"}
-	if s.ApplyEvent(g, ev) == nil {
-		t.Fatal("timer event not applicable")
+	g.AddNode(1, g.Node(1).Svc, g.Node(1).Timers.With("idle"))
+	sc := getScratch()
+	defer putScratch(sc)
+	allocs := func(timer sm.TimerID) float64 {
+		ev := sm.TimerEvent{At: 1, Timer: timer}
+		return testing.AllocsPerRun(500, func() {
+			if cloneSink = s.apply(g, ev, sc); cloneSink == nil {
+				t.Fatalf("timer %q not applicable", timer)
+			}
+		})
 	}
-	const maxAllocs = 16
-	if avg := testing.AllocsPerRun(500, func() {
-		if s.ApplyEvent(g, ev) == nil {
-			t.Fatal("timer event not applicable")
-		}
-	}); avg > maxAllocs {
-		t.Fatalf("successor construction allocates %.1f/op, want <= %d", avg, maxAllocs)
+	const maxAllocs = 8
+	if tick := allocs("tick"); tick > maxAllocs {
+		t.Errorf("successor construction allocates %.1f/op, want <= %d", tick, maxAllocs)
+	}
+	if idle, zap := allocs("idle"), allocs("zap"); zap != idle+2 {
+		t.Errorf("a successor with a changed timer set allocates %.1f/op and one with an equal set %.1f/op, want exactly two apart (the set and its segment)", zap, idle)
 	}
 }
 

@@ -17,8 +17,8 @@ func multiTimerStart() *GState {
 	a, b := newToy(1).(*toy), newToy(2).(*toy)
 	a.peers[2] = true
 	b.peers[1] = true
-	g.AddNode(1, a, map[sm.TimerID]bool{"tick": true, "tock": true, "boom": true, "zap": true})
-	g.AddNode(2, b, map[sm.TimerID]bool{"tick": true, "alpha": true, "omega": true})
+	g.AddNode(1, a, sm.NewTimerSet("tick", "tock", "boom", "zap"))
+	g.AddNode(2, b, sm.NewTimerSet("tick", "alpha", "omega"))
 	g.AddMessage(1, 2, ping{N: 1})
 	return g
 }

@@ -284,12 +284,11 @@ func (x *Expander) Check(g *GState) []string {
 // must not reenter Events on the same Expander: the enumeration buffer is
 // recycled per call.
 func (x *Expander) Events(g *GState, emit func(sm.Event)) {
-	network, ids, internal := x.s.enabledInto(g, &x.evb)
-	for _, ev := range network {
+	for _, ev := range x.s.networkInto(g, &x.evb) {
 		emit(ev)
 	}
-	for i := range ids {
-		for _, ev := range internal[i] {
+	for i := range g.ids {
+		for _, ev := range x.s.internalInto(g, i, &x.evb) {
 			emit(ev)
 		}
 	}
@@ -683,11 +682,10 @@ func (e *Engine) expand(node *Node, x *Expander) []*Node {
 		}
 	}
 
-	network, ids, internal := e.s.enabledInto(node.state, &x.evb)
 	// H_M: always process all network handlers (Figure 8 line 13) — minus,
 	// under reduction, the transitions this node's sleep set proves are
 	// commuting-square duplicates of a sibling branch.
-	for _, ev := range network {
+	for _, ev := range e.s.networkInto(node.state, &x.evb) {
 		if !e.reduce {
 			expand(ev)
 			continue
@@ -729,18 +727,25 @@ func (e *Engine) expand(node *Node, x *Expander) []*Node {
 	// sleep sets and H_A expansions never promise; H_A transitions may
 	// still BE slept (their closure replays only the H_M edges the entry
 	// survived). The differential oracle pins set-equality for both modes.
-	for i := range ids {
-		evs := internal[i]
+	//
+	// The claim is tested before anything is enumerated: of a claimed (node,
+	// local state) the rule needs only the number of actions it prunes, and
+	// most nodes of most states are claimed.
+	for i, ns := range node.state.nodes {
+		claimed := false
+		if e.prune {
+			_, claimed = e.local[ns.localHash()]
+		}
+		if claimed {
+			e.ctr.localPrunes.Add(int64(e.s.internalAt(node.state, i, nil)))
+			continue
+		}
+		evs := e.s.internalInto(node.state, i, &x.evb)
 		if len(evs) == 0 {
 			continue
 		}
 		if e.prune {
-			lh := node.state.nodes[i].localHash()
-			if _, claimed := e.local[lh]; claimed {
-				e.ctr.localPrunes.Add(int64(len(evs)))
-				continue
-			}
-			x.claims = append(x.claims, lh)
+			x.claims = append(x.claims, ns.localHash())
 		}
 		for _, ev := range evs {
 			if !e.reduce {

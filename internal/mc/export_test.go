@@ -115,3 +115,12 @@ func StateBudgetRun(t *testing.T, cfg Config, start *GState, states, depth, work
 	}
 	return run
 }
+
+// CountInternal is the enumeration's count-only mode over every node of g:
+// the number of internal actions enabled there, with no event built.
+func (s *Search) CountInternal(g *GState) (n int) {
+	for i := range g.ids {
+		n += s.internalAt(g, i, nil)
+	}
+	return n
+}

@@ -17,7 +17,7 @@ import (
 func sparseStart() *GState {
 	g := NewGState()
 	for _, id := range []sm.NodeID{7, 12, 3} {
-		g.AddNode(id, newToy(id), map[sm.TimerID]bool{"tick": true})
+		g.AddNode(id, newToy(id), sm.TimerSet{"tick"})
 	}
 	return g
 }

@@ -109,7 +109,10 @@ func (t *toy) DecodeState(d *sm.Decoder) error {
 
 func (t *toy) ServiceName() string { return "toy" }
 
-func (t *toy) ModelAppCalls() []sm.AppCall { return []sm.AppCall{kick{}} }
+// kickCalls is shared by every toy: the checker only reads the list.
+var kickCalls = []sm.AppCall{kick{}}
+
+func (t *toy) ModelAppCalls() []sm.AppCall { return kickCalls }
 
 // poisonAt returns a property violated when any node's counter reaches n.
 func poisonAt(n int) props.Set {
@@ -181,8 +184,8 @@ func TestConsequenceExploresFewerStates(t *testing.T) {
 		a, b := newToy(1).(*toy), newToy(2).(*toy)
 		a.peers[2] = true
 		b.peers[1] = true
-		g.AddNode(1, a, map[sm.TimerID]bool{"tick": true})
-		g.AddNode(2, b, map[sm.TimerID]bool{"tick": true})
+		g.AddNode(1, a, sm.TimerSet{"tick"})
+		g.AddNode(2, b, sm.TimerSet{"tick"})
 		g.AddMessage(1, 2, ping{N: 1})
 		s := NewSearch(Config{
 			Props:   poisonAt(1000), // unreachable: full exploration

@@ -10,16 +10,15 @@ import (
 
 // scratch is the per-worker reusable workspace for successor construction:
 // one encoder for component hashing (finalize/addMsg/staleComp/resetsComp),
-// the timer-name sorting buffer, the handler context, and a re-seedable
-// random stream for edgeRNG. A scratch is checked out of scratchPool for
+// the handler context with its working timer set, and a re-seedable random
+// stream for edgeRNG. A scratch is checked out of scratchPool for
 // the duration of one ApplyEvent (or one public GState mutator) and never
 // escapes it: nothing constructed on the scratch is reachable from the
 // returned state except bytes explicitly copied out.
 type scratch struct {
-	enc   sm.Encoder
-	names []string // sorted timer names, reused by finalize
-	ctx   mcContext
-	rnd   *rand.Rand // re-seeded per edge; identical stream to a fresh sm.NewRand
+	enc sm.Encoder
+	ctx mcContext
+	rnd *rand.Rand // re-seeded per edge; identical stream to a fresh sm.NewRand
 }
 
 var scratchPool = sync.Pool{New: func() any {
@@ -29,7 +28,7 @@ var scratchPool = sync.Pool{New: func() any {
 func getScratch() *scratch { return scratchPool.Get().(*scratch) }
 
 func putScratch(sc *scratch) {
-	sc.ctx = mcContext{sends: sc.ctx.sends[:0]}
+	sc.ctx = mcContext{sends: sc.ctx.sends[:0], timers: sc.ctx.timers[:0]}
 	scratchPool.Put(sc)
 }
 

@@ -50,9 +50,9 @@ func chordFigure10Start() (sm.Factory, *mc.GState) {
 	d.Succs = []sm.NodeID{1, 3, 5}
 
 	g := mc.NewGState()
-	g.AddNode(1, a, map[sm.TimerID]bool{chord.TimerStabilize: true})
-	g.AddNode(3, c, map[sm.TimerID]bool{chord.TimerStabilize: true})
-	g.AddNode(5, d, map[sm.TimerID]bool{chord.TimerStabilize: true})
+	g.AddNode(1, a, sm.TimerSet{chord.TimerStabilize})
+	g.AddNode(3, c, sm.TimerSet{chord.TimerStabilize})
+	g.AddNode(5, d, sm.TimerSet{chord.TimerStabilize})
 	return factory, g
 }
 
@@ -306,5 +306,53 @@ func TestStateBudgetCapsQueuePaxos(t *testing.T) {
 	cfg.Mode = mc.Exhaustive
 	if got := mc.StateBudgetRun(t, cfg, start, 100000, 4, 1); got.Claimed > 1000 {
 		t.Fatalf("%d states within depth 4, want a space the budget does not cut", got.Claimed)
+	}
+}
+
+// TestCountOnlyMatchesEnumeration: on every state a paxos and a chord search
+// reach (chord with resets and connection breaks, so all four kinds of
+// internal action occur), the enumeration's count-only mode — what the
+// consequence rule runs on a (node, local state) it has already claimed, and
+// what LocalPrunes is summed from — reports exactly as many internal actions
+// as the enumeration lists.
+func TestCountOnlyMatchesEnumeration(t *testing.T) {
+	chordFactory, chordStart := chordFigure10Start()
+	paxosFactory := paxos.New(paxos.Config{Members: []sm.NodeID{1, 2, 3}})
+	for _, tc := range []struct {
+		name  string
+		cfg   mc.Config
+		start *mc.GState
+		depth int
+	}{
+		{"chord", mc.Config{Factory: chordFactory, ExploreResets: true, ExploreConnBreaks: true, MaxResetsPerPath: 1}, chordStart, 4},
+		{"paxos", mc.Config{Factory: paxosFactory, ExploreResets: true, MaxResetsPerPath: 1}, paxosPostRound1Start(paxosFactory), 4},
+	} {
+		s := mc.NewSearch(tc.cfg)
+		seen := map[uint64]bool{tc.start.Hash(): true}
+		level, listed := []*mc.GState{tc.start}, 0
+		for depth := 0; depth <= tc.depth; depth++ {
+			var next []*mc.GState
+			for _, g := range level {
+				network, internal := s.EnabledEvents(g)
+				events := network
+				for _, id := range g.Nodes() {
+					events = append(events, internal[id]...)
+				}
+				if got, want := s.CountInternal(g), len(events)-len(network); got != want {
+					t.Fatalf("%s, depth %d: count-only mode reports %d internal actions, the enumeration lists %d", tc.name, depth, got, want)
+				}
+				listed += len(events) - len(network)
+				for _, ev := range events {
+					if succ := s.ApplyEvent(g, ev); succ != nil && !seen[succ.Hash()] {
+						seen[succ.Hash()] = true
+						next = append(next, succ)
+					}
+				}
+			}
+			level = next
+		}
+		if len(seen) < 200 || listed == 0 {
+			t.Fatalf("%s: walked %d states and %d internal actions; the comparison is vacuous", tc.name, len(seen), listed)
+		}
 	}
 }

@@ -21,7 +21,7 @@ func longQueueStart() *GState {
 	a, b := newToy(1).(*toy), newToy(2).(*toy)
 	a.peers[2] = true
 	b.peers[1] = true
-	g.AddNode(1, a, map[sm.TimerID]bool{"tick": true})
+	g.AddNode(1, a, sm.TimerSet{"tick"})
 	g.AddNode(2, b, nil)
 	for n := 1; n <= 3; n++ {
 		g.AddMessage(1, 2, ping{N: n})
@@ -220,7 +220,7 @@ func TestRandomWalkViolationsCarryTheirStateHash(t *testing.T) {
 func TestRetainedHeapPerClaimedState(t *testing.T) {
 	const depth = 4000
 	g := NewGState()
-	g.AddNode(1, newToy(1), map[sm.TimerID]bool{"tick": true})
+	g.AddNode(1, newToy(1), sm.TimerSet{"tick"})
 	s := NewSearch(Config{
 		Props: poisonAt(depth), Factory: newToy, Mode: Exhaustive,
 		Budget: Budget{Depth: depth, Workers: 1},
@@ -260,8 +260,8 @@ func selfLoopStart() *GState {
 	a, b := newToy(1).(*toy), newToy(2).(*toy)
 	a.peers[2] = true
 	b.peers[1] = true
-	g.AddNode(1, a, map[sm.TimerID]bool{"idle": true, "tick": true})
-	g.AddNode(2, b, map[sm.TimerID]bool{"tick": true})
+	g.AddNode(1, a, sm.NewTimerSet("idle", "tick"))
+	g.AddNode(2, b, sm.TimerSet{"tick"})
 	g.AddMessage(1, 2, ping{N: 1})
 	return g
 }
@@ -327,4 +327,74 @@ func TestSelfLoopIsCountedNotProposed(t *testing.T) {
 			t.Fatal("reduced run slept nothing: the comparison is vacuous")
 		}
 	}
+}
+
+// TestTimerSetSharedUntilChanged walks every transition of a small search —
+// deliveries, self-re-arming and one-shot timers, application calls, resets —
+// and checks the timer set's sharing rule on each: a successor whose handler
+// left the set equal to its parent's (never touched it, or consumed a timer
+// and re-armed it) holds the parent's very set and encoded timer segment,
+// and one whose handler changed it holds an exact-size set of its own that
+// aliases neither. Every node the event did not execute at stays the
+// parent's *NodeState. All three cases must occur, or the walk shows nothing.
+func TestTimerSetSharedUntilChanged(t *testing.T) {
+	s := NewSearch(Config{Props: poisonAt(1000), Factory: newToy, ExploreResets: true, MaxResetsPerPath: 1})
+	sameSet := func(a, b sm.TimerSet) bool {
+		return len(a) == len(b) && (len(a) == 0 || &a[0] == &b[0])
+	}
+	var untouched, rearmed, changed int
+	seen := map[uint64]bool{}
+	level := []*GState{multiTimerStart()}
+	for depth := 0; depth < 4; depth++ {
+		var next []*GState
+		for _, g := range level {
+			network, internal := s.EnabledEvents(g)
+			events := network
+			for _, id := range g.Nodes() {
+				events = append(events, internal[id]...)
+			}
+			for _, ev := range events {
+				succ := s.ApplyEvent(g, ev)
+				if succ == nil {
+					continue
+				}
+				at, ran := eventNode(ev)
+				for i, id := range g.ids {
+					p, c := g.nodes[i], succ.nodes[i]
+					if !ran || id != at {
+						if p != c {
+							t.Fatalf("%s: node %v, which the event did not run at, was rebuilt", ev.Describe(), id)
+						}
+						continue
+					}
+					shared := sameSet(p.Timers, c.Timers) && &p.tmEnc[0] == &c.tmEnc[0]
+					switch _, fired := ev.(sm.TimerEvent); {
+					case !p.Timers.Equal(c.Timers):
+						changed++
+						if (len(c.Timers) > 0 && len(p.Timers) > 0 && &c.Timers[0] == &p.Timers[0]) || &p.tmEnc[0] == &c.tmEnc[0] {
+							t.Fatalf("%s: timer set changed from %v to %v but still aliases the parent's", ev.Describe(), p.Timers, c.Timers)
+						}
+						if cap(c.Timers) != len(c.Timers) {
+							t.Fatalf("%s: changed timer set %v has capacity %d, want an exact-size copy", ev.Describe(), c.Timers, cap(c.Timers))
+						}
+					case !shared:
+						t.Fatalf("%s: timer set %v equals the parent's but was copied or re-encoded", ev.Describe(), c.Timers)
+					case fired:
+						rearmed++
+					default:
+						untouched++
+					}
+				}
+				if h := succ.Hash(); !seen[h] {
+					seen[h] = true
+					next = append(next, succ)
+				}
+			}
+		}
+		level = next
+	}
+	if untouched == 0 || rearmed == 0 || changed == 0 {
+		t.Fatalf("walk saw %d untouched, %d re-armed and %d changed timer sets, want some of each", untouched, rearmed, changed)
+	}
+	t.Logf("%d states: %d untouched, %d re-armed, %d changed timer sets", len(seen), untouched, rearmed, changed)
 }

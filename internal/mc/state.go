@@ -42,91 +42,73 @@ const (
 // The canonical encoding is held as two segments, service then timers,
 // whose concatenation is the single encoding earlier revisions stored. A
 // successor that changed only one segment shares the other segment's bytes
-// (and, for timers, the sorted name list) with its parent, so the common
-// timer-only and send-only handlers never copy the unchanged segment.
+// with its parent, so the common timer-only and send-only handlers never copy
+// the unchanged segment.
+//
+// Timers is an sm.TimerSet — sorted, duplicate-free — that finalize sets and
+// nobody writes afterwards: a successor whose handler left the set equal to
+// its parent's (untouched, or a periodic timer consumed and re-armed) holds
+// the parent's very slice and timer segment. Handlers edit the scratch's
+// working copy (mcContext.timers), never this field.
 type NodeState struct {
 	Svc    sm.Service
-	Timers map[sm.TimerID]bool
+	Timers sm.TimerSet
 
-	svcEnc     []byte   // canonical encoding of Svc, set by finalize
-	tmEnc      []byte   // canonical encoding of Timers, set by finalize
-	timerNames []string // sorted pending-timer names, aligned with tmEnc
-	chash      uint64   // domain-tagged component hash, set by finalize
-	lhash      uint64   // consequence-prediction local hash, set by finalize
+	svcEnc []byte // canonical encoding of Svc, set by finalize
+	tmEnc  []byte // canonical encoding of Timers, set by finalize
+	chash  uint64 // domain-tagged component hash, set by finalize
+	lhash  uint64 // consequence-prediction local hash, set by finalize
 }
 
 // encLen is the length of the node's canonical encoding (both segments).
 func (ns *NodeState) encLen() int { return len(ns.svcEnc) + len(ns.tmEnc) }
 
-//crystal:hotpath
-func (ns *NodeState) clone() *NodeState {
-	timers := make(map[sm.TimerID]bool, len(ns.Timers))
-	for t, ok := range ns.Timers {
-		if ok {
-			timers[t] = true
-		}
-	}
-	return &NodeState{Svc: ns.Svc.Clone(), Timers: timers}
-}
-
-// finalize computes and caches the canonical encoding segments plus the two
+// finalize freezes ns — whose Svc is final — with the pending-timer set
+// timers, computing and caching the canonical encoding segments plus the two
 // hashes derived from them: the global-fingerprint component hash and the
 // consequence-prediction local hash. It must be called exactly once, by the
 // goroutine constructing the enclosing GState, after all handler mutations
 // are applied and before the state is published to other workers — from
 // then on every access is a pure read, safe under -race.
 //
-// parent, when non-nil, is the node state this one was cloned from: a
-// segment that encodes byte-identically to the parent's shares the parent's
-// slice instead of copying (NodeStates are immutable, so sharing is always
-// safe). Both segments are encoded into sc's reusable buffer, so finalize
-// allocates only for segments that actually changed.
+// parent, when non-nil, is the node state this one succeeds: a segment that
+// is byte-identical to the parent's shares the parent's slice instead of
+// copying (NodeStates are immutable, so sharing is always safe). timers may
+// alias a working buffer; it is only read. A set equal to the parent's is
+// neither copied nor re-encoded — ns takes the parent's set and its timer
+// segment — and any other set costs one exact-size copy. The service is
+// encoded into sc's reusable buffer, so finalize allocates only for segments
+// that actually changed.
 //
 //crystal:hotpath
-func (ns *NodeState) finalize(id sm.NodeID, parent *NodeState, sc *scratch) {
+func (ns *NodeState) finalize(id sm.NodeID, timers sm.TimerSet, parent *NodeState, sc *scratch) {
 	e := &sc.enc
 	e.Reset()
 	ns.Svc.EncodeState(e)
-	svcLen := e.Len()
-	names := sc.names[:0]
-	for t, ok := range ns.Timers {
-		if ok {
-			names = append(names, string(t))
-		}
-	}
-	slices.Sort(names)
-	sc.names = names
-	e.Uint32(uint32(len(names)))
-	for _, t := range names {
-		e.String(t)
-	}
-	buf := e.Bytes()
-	svcSeg, tmSeg := buf[:svcLen], buf[svcLen:]
+	svcSeg := e.Bytes()
 	if parent != nil && bytes.Equal(parent.svcEnc, svcSeg) {
 		ns.svcEnc = parent.svcEnc
 	} else {
-		ns.svcEnc = append([]byte(nil), svcSeg...)
+		ns.svcEnc = slices.Clone(svcSeg)
 	}
-	if parent != nil && bytes.Equal(parent.tmEnc, tmSeg) {
-		ns.tmEnc, ns.timerNames = parent.tmEnc, parent.timerNames
+	if parent != nil && parent.Timers.Equal(timers) {
+		ns.Timers, ns.tmEnc = parent.Timers, parent.tmEnc
 	} else {
-		ns.tmEnc = append([]byte(nil), tmSeg...)
-		ns.timerNames = append([]string(nil), names...)
+		ns.Timers = slices.Clone(timers)
+		timers.Encode(e)
+		ns.tmEnc = slices.Clone(e.Bytes()[len(svcSeg):])
 	}
 	// The hashes run over the same bytes as ever: NodeID(id), then the
-	// length-prefixed concatenation of both segments — buf is exactly that
-	// concatenation, so no combined copy is materialised.
-	var hdr [8]byte
-	hdr[0] = byte(uint32(id) >> 24)
-	hdr[1] = byte(uint32(id) >> 16)
-	hdr[2] = byte(uint32(id) >> 8)
-	hdr[3] = byte(uint32(id))
-	hdr[4] = byte(uint32(len(buf)) >> 24)
-	hdr[5] = byte(uint32(len(buf)) >> 16)
-	hdr[6] = byte(uint32(len(buf)) >> 8)
-	hdr[7] = byte(uint32(len(buf)))
-	ns.chash = sm.Mix64(sm.FNV64aBytes(sm.FNV64aBytes(sm.FNV64aByte(sm.FNV64aInit, domainNode), hdr[:]), buf))
-	ns.lhash = sm.Mix64(sm.FNV64aBytes(sm.FNV64aBytes(sm.FNV64aInit, hdr[:]), buf))
+	// length-prefixed concatenation of both segments. FNV streams, so the two
+	// segments are folded in one after the other and no combined copy is
+	// materialised.
+	n := uint32(ns.encLen())
+	hdr := [8]byte{
+		byte(uint32(id) >> 24), byte(uint32(id) >> 16), byte(uint32(id) >> 8), byte(uint32(id)),
+		byte(n >> 24), byte(n >> 16), byte(n >> 8), byte(n),
+	}
+	ns.chash = sm.Mix64(sm.FNV64aBytes(sm.FNV64aBytes(sm.FNV64aBytes(sm.FNV64aByte(sm.FNV64aInit, domainNode), hdr[:]), ns.svcEnc), ns.tmEnc))
+	ns.lhash = sm.Mix64(sm.FNV64aBytes(sm.FNV64aBytes(sm.FNV64aBytes(sm.FNV64aInit, hdr[:]), ns.svcEnc), ns.tmEnc))
 }
 
 // localHash returns the hash of the node-local state (service state +
@@ -267,24 +249,18 @@ func NewGState() *GState { return &GState{hsum: resetsComp0} }
 
 // AddNode inserts a node's local state. The service's encoding and hashes
 // are captured here, so callers must finish mutating svc before AddNode.
-func (g *GState) AddNode(id sm.NodeID, svc sm.Service, timers map[sm.TimerID]bool) {
-	tm := make(map[sm.TimerID]bool, len(timers))
-	for t, ok := range timers {
-		if ok {
-			tm[t] = true
-		}
-	}
+func (g *GState) AddNode(id sm.NodeID, svc sm.Service, timers sm.TimerSet) {
 	sc := getScratch()
-	g.setNode(id, &NodeState{Svc: svc, Timers: tm}, sc)
+	g.setNode(id, svc, timers, sc)
 	putScratch(sc)
 }
 
-// setNode installs ns as id's local state, finalizing its encoding/hashes
-// and updating the fingerprint, footprint and sorted id list (removing any
-// previous state's contribution).
+// setNode installs (svc, timers) as id's local state, finalizing its
+// encoding/hashes and updating the fingerprint, footprint and sorted id list
+// (removing any previous state's contribution).
 //
 //crystal:hotpath
-func (g *GState) setNode(id sm.NodeID, ns *NodeState, sc *scratch) {
+func (g *GState) setNode(id sm.NodeID, svc sm.Service, timers sm.TimerSet, sc *scratch) {
 	i, present := g.index(id)
 	var old *NodeState
 	if present {
@@ -298,7 +274,8 @@ func (g *GState) setNode(id sm.NodeID, ns *NodeState, sc *scratch) {
 		g.ids = slices.Insert(slices.Clone(g.ids), i, id)
 		g.nodes = slices.Insert(g.nodes, i, nil)
 	}
-	ns.finalize(id, old, sc)
+	ns := &NodeState{Svc: svc}
+	ns.finalize(id, timers, old, sc)
 	g.hsum += ns.chash
 	g.encSize += 4 + ns.encLen()
 	g.nodes[i] = ns
@@ -561,22 +538,12 @@ func (g *GState) FullHash() uint64 {
 	return sum
 }
 
-// encodeTimers writes the canonical timer-set encoding; used only by the
-// from-scratch FullHash oracle (finalize encodes the segment inline).
-//
-//crystal:hotpath
-func encodeTimers(e *sm.Encoder, timers map[sm.TimerID]bool) {
-	names := make([]string, 0, len(timers))
-	for t, ok := range timers {
-		if ok {
-			names = append(names, string(t))
-		}
-	}
-	slices.Sort(names)
-	e.Uint32(uint32(len(names)))
-	for _, t := range names {
-		e.String(t)
-	}
+// encodeTimers writes the canonical timer-set encoding for the from-scratch
+// FullHash oracle. It trusts nothing finalize relies on: the names are sorted
+// and de-duplicated here, on a copy, so a set that lost its invariant hashes
+// differently through the two paths and the oracle says so.
+func encodeTimers(e *sm.Encoder, timers sm.TimerSet) {
+	sm.NewTimerSet(timers...).Encode(e)
 }
 
 // EncodedSize approximates the state's in-memory footprint for the memory

@@ -2,6 +2,7 @@ package mc
 
 import (
 	"math/rand"
+	"slices"
 
 	"crystalball/internal/sm"
 )
@@ -11,10 +12,25 @@ import (
 // The context lives in the per-worker scratch and is reset between events;
 // handlers use it only for the duration of one invocation.
 type mcContext struct {
-	self  sm.NodeID
-	ns    *NodeState // the cloned node state being mutated
-	sends []InFlight
-	rng   *rand.Rand
+	self sm.NodeID
+	svc  sm.Service // the cloned service the handler mutates
+	// timers is the handler's working copy of the pending-timer set: begin
+	// loads the parent's set into this scratch-owned buffer, the handler
+	// edits it in place, and NodeState.finalize reads it. The parent's set is
+	// never written.
+	timers sm.TimerSet
+	sends  []InFlight
+	rng    *rand.Rand
+}
+
+// begin readies the context for one handler invocation at self on svc,
+// starting from the pending-timer set timers.
+//
+//crystal:hotpath
+func (c *mcContext) begin(self sm.NodeID, svc sm.Service, timers sm.TimerSet, rng *rand.Rand) {
+	c.self, c.svc, c.rng = self, svc, rng
+	c.timers = append(c.timers[:0], timers...)
+	c.sends = c.sends[:0]
 }
 
 func (c *mcContext) Self() sm.NodeID { return c.self }
@@ -23,11 +39,11 @@ func (c *mcContext) Send(to sm.NodeID, msg sm.Message) {
 	c.sends = append(c.sends, InFlight{From: c.self, To: to, Msg: msg})
 }
 
-func (c *mcContext) SetTimer(t sm.TimerID, d sm.Duration) { c.ns.Timers[t] = true }
+func (c *mcContext) SetTimer(t sm.TimerID, d sm.Duration) { c.timers.Add(t) }
 
-func (c *mcContext) CancelTimer(t sm.TimerID) { delete(c.ns.Timers, t) }
+func (c *mcContext) CancelTimer(t sm.TimerID) { c.timers.Remove(t) }
 
-func (c *mcContext) TimerPending(t sm.TimerID) bool { return c.ns.Timers[t] }
+func (c *mcContext) TimerPending(t sm.TimerID) bool { return c.timers.Has(t) }
 
 func (c *mcContext) Rand() *rand.Rand { return c.rng }
 
@@ -133,9 +149,9 @@ func (s *Search) runHandler(g *GState, node sm.NodeID, ev sm.Event, consumed int
 	}
 	ns := g.nodes[i]
 	next := g.shallowClone()
-	cloned := ns.clone()
+	cloned := &NodeState{Svc: ns.Svc.Clone()}
 	ctx := &sc.ctx
-	ctx.self, ctx.ns, ctx.sends, ctx.rng = node, cloned, ctx.sends[:0], edgeRNG(s.cfg.Seed, ns, ev, sc)
+	ctx.begin(node, cloned.Svc, ns.Timers, edgeRNG(s.cfg.Seed, ns, ev, sc))
 	run(ctx)
 	if room := len(ctx.sends); consumed >= 0 {
 		next.removeMsgAt(consumed, room, sc)
@@ -143,10 +159,10 @@ func (s *Search) runHandler(g *GState, node sm.NodeID, ev sm.Event, consumed int
 		next.msgs = append(make([]*InFlight, 0, len(g.msgs)+room), g.msgs...)
 	}
 	s.dispatchSends(next, ctx, sc)
-	// All mutations applied: freeze the clone's encoding/hashes (sharing
-	// any segment the handler left unchanged with the parent) and swap it
-	// into the fingerprint.
-	cloned.finalize(node, ns, sc)
+	// All mutations applied: freeze the clone's timer set and encoding/hashes
+	// (sharing whatever the handler left unchanged with the parent) and swap
+	// it into the fingerprint.
+	cloned.finalize(node, ctx.timers, ns, sc)
 	next.swapNode(i, cloned)
 	return next
 }
@@ -159,28 +175,28 @@ func (s *Search) applyMessage(g *GState, e sm.MsgEvent, sc *scratch) *GState {
 	}
 	msg := g.msgs[i].Msg
 	return s.runHandler(g, e.To, e, i, sc, func(ctx *mcContext) {
-		ctx.ns.Svc.HandleMessage(ctx, e.From, msg)
+		ctx.svc.HandleMessage(ctx, e.From, msg)
 	})
 }
 
 //crystal:hotpath
 func (s *Search) applyTimer(g *GState, e sm.TimerEvent, sc *scratch) *GState {
 	ns := g.Node(e.At)
-	if ns == nil || !ns.Timers[e.Timer] {
+	if ns == nil || !ns.Timers.Has(e.Timer) {
 		return nil
 	}
 	return s.runHandler(g, e.At, e, -1, sc, func(ctx *mcContext) {
 		// One-shot semantics: the timer is consumed before the
 		// handler runs; periodic services re-arm inside the handler.
-		delete(ctx.ns.Timers, e.Timer)
-		ctx.ns.Svc.HandleTimer(ctx, e.Timer)
+		ctx.timers.Remove(e.Timer)
+		ctx.svc.HandleTimer(ctx, e.Timer)
 	})
 }
 
 //crystal:hotpath
 func (s *Search) applyApp(g *GState, e sm.AppEvent, sc *scratch) *GState {
 	return s.runHandler(g, e.At, e, -1, sc, func(ctx *mcContext) {
-		ctx.ns.Svc.HandleApp(ctx, e.Call)
+		ctx.svc.HandleApp(ctx, e.Call)
 	})
 }
 
@@ -191,7 +207,7 @@ func (s *Search) applyError(g *GState, e sm.ErrorEvent, sc *scratch) *GState {
 		return nil
 	}
 	return s.runHandler(g, e.At, e, i, sc, func(ctx *mcContext) {
-		ctx.ns.Svc.HandleTransportError(ctx, e.Peer)
+		ctx.svc.HandleTransportError(ctx, e.Peer)
 	})
 }
 
@@ -264,126 +280,132 @@ func (s *Search) applyReset(g *GState, e sm.ResetEvent, sc *scratch) *GState {
 	if ss, ok := ns.Svc.(sm.StableStore); ok {
 		stable = ss.StableBytes()
 	}
-	fresh := &NodeState{Svc: s.cfg.Factory(e.At), Timers: make(map[sm.TimerID]bool)}
+	fresh := &NodeState{Svc: s.cfg.Factory(e.At)}
 	if ss, ok := fresh.Svc.(sm.StableStore); ok && stable != nil {
 		ss.RestoreStable(stable)
 	}
 	ctx := &sc.ctx
-	ctx.self, ctx.ns, ctx.sends, ctx.rng = e.At, fresh, ctx.sends[:0], edgeRNG(s.cfg.Seed, ns, e, sc)
+	ctx.begin(e.At, fresh.Svc, nil, edgeRNG(s.cfg.Seed, ns, e, sc))
 	fresh.Svc.Init(ctx)
 	s.dispatchSends(next, ctx, sc)
-	fresh.finalize(e.At, ns, sc)
+	fresh.finalize(e.At, ctx.timers, ns, sc)
 	next.swapNode(at, fresh)
 	return next
 }
 
-// msgKey identifies an in-flight (from, to, type) triple for delivery
-// deduplication; rst distinguishes RST notifications from service messages.
-type msgKey struct {
-	from, to sm.NodeID
-	typ      string
-	rst      bool
-}
-
 // eventBuf is the reusable enumeration workspace owned by one worker (or
-// one walk): the network/internal event slices and the message-dedup set
-// are recycled across states, so steady-state enumeration does not
-// allocate. The slices handed out by enabledInto alias the buffer and are
-// valid only until its next use.
+// one walk): the network and internal event slices are recycled across
+// states, so steady-state enumeration allocates only the boxed events
+// themselves. The slices handed out by networkInto and
+// internalInto alias the buffer and are valid only until its next use.
 type eventBuf struct {
 	network  []sm.Event
-	internal [][]sm.Event
-	seen     map[msgKey]struct{}
+	internal []sm.Event // one node's internal actions at a time
 	all      []sm.Event // random-walk candidate buffer
 }
 
-// enabledInto enumerates the transitions available from g into buf,
-// returning the message-handler events (the paper's H_M: deliveries, error
-// notifications, RST drops), the sorted node ids, and the internal-action
-// events per node (H_A: timers, application calls, resets) aligned with the
-// ids. Consequence prediction prunes only the latter. It only reads g, so
-// concurrent workers may enumerate a shared state freely (each through its
-// own buffer). Enumeration order is deterministic — in-flight slice order
-// for H_M, sorted timer ids then model app calls, reset and conn-break
-// events for H_A — so same-seed explorations pick the same transitions
-// every run.
+// Enumeration of the transitions available from a state comes in two parts:
+// networkInto lists the message-handler events (the paper's H_M: deliveries,
+// error notifications, RST drops) and internalAt one node's internal actions
+// (H_A: timers, application calls, resets, conn breaks). Consequence
+// prediction prunes only the latter, per node, and asks for them per node.
+// Both only read g, so concurrent workers may enumerate a shared state freely
+// (each through its own buffer). Enumeration order is deterministic —
+// in-flight slice order for H_M; the sorted timer set, then model app calls,
+// reset and conn-break events for H_A — so same-seed explorations pick the
+// same transitions every run.
+
+// networkInto enumerates g's message-handler events into buf. Only the head
+// of each (from, to, type) queue is deliverable — FIFO per pair keeps the
+// state count down and matches live TCP ordering — and identical RSTs
+// collapse the same way; an item's queue position is part of the item (it is
+// hashed: see addMsg), so the head is simply the item at position 0.
 //
 //crystal:hotpath
-func (s *Search) enabledInto(g *GState, buf *eventBuf) (network []sm.Event, ids []sm.NodeID, internal [][]sm.Event) {
-	if buf.seen == nil {
-		buf.seen = make(map[msgKey]struct{})
-	} else {
-		clear(buf.seen)
-	}
+func (s *Search) networkInto(g *GState, buf *eventBuf) []sm.Event {
 	buf.network = buf.network[:0]
 	for _, m := range g.msgs {
+		if m.pos != 0 {
+			continue
+		}
 		if m.RST() {
-			key := msgKey{from: m.From, to: m.To, rst: true}
-			if _, dup := buf.seen[key]; dup {
-				continue // identical RSTs collapse
-			}
-			buf.seen[key] = struct{}{}
 			buf.network = append(buf.network,
 				sm.ErrorEvent{At: m.To, Peer: m.From},
 				sm.DropEvent{From: m.From, To: m.To})
 			continue
 		}
-		// Deliver only the first in-flight instance of identical
-		// (from,to,type) triples; FIFO-per-pair keeps the state count
-		// down and matches live TCP ordering.
-		key := msgKey{from: m.From, to: m.To, typ: m.Msg.MsgType()}
-		if _, dup := buf.seen[key]; dup {
-			continue
-		}
-		buf.seen[key] = struct{}{}
 		buf.network = append(buf.network, sm.MsgEvent{From: m.From, To: m.To, Msg: m.Msg})
 	}
-	ids = g.ids
-	if cap(buf.internal) < len(ids) {
-		buf.internal = make([][]sm.Event, len(ids))
-	}
-	buf.internal = buf.internal[:len(ids)]
-	for i, id := range ids {
-		ns := g.nodes[i]
-		evs := buf.internal[i][:0]
-		// timerNames is precomputed sorted by finalize: map iteration
-		// order cannot leak into the transition order same-seed runs
-		// replay.
-		for _, t := range ns.timerNames {
-			evs = append(evs, sm.TimerEvent{At: id, Timer: sm.TimerID(t)})
+	return buf.network
+}
+
+// internalAt walks the internal actions enabled at g's i-th node in their
+// canonical order and returns how many there are. With out non-nil it also
+// appends them to *out; with out nil it builds nothing — no event is boxed —
+// which is all the consequence rule needs for a (node, local state) it has
+// already claimed.
+//
+//crystal:hotpath
+func (s *Search) internalAt(g *GState, i int, out *[]sm.Event) (n int) {
+	id, ns := g.ids[i], g.nodes[i]
+	// The set is sorted by construction: no iteration order can leak into
+	// the transition order same-seed runs replay.
+	n = len(ns.Timers)
+	if out != nil {
+		for _, t := range ns.Timers {
+			*out = append(*out, sm.TimerEvent{At: id, Timer: t})
 		}
-		if ma, ok := ns.Svc.(sm.ModelActions); ok {
-			for _, call := range ma.ModelAppCalls() {
-				evs = append(evs, sm.AppEvent{At: id, Call: call})
+	}
+	if ma, ok := ns.Svc.(sm.ModelActions); ok {
+		calls := ma.ModelAppCalls()
+		n += len(calls)
+		if out != nil {
+			for _, call := range calls {
+				*out = append(*out, sm.AppEvent{At: id, Call: call})
 			}
 		}
-		if s.cfg.ExploreResets && g.resets < s.cfg.MaxResetsPerPath {
-			evs = append(evs, sm.ResetEvent{At: id})
+	}
+	if s.cfg.ExploreResets && g.resets < s.cfg.MaxResetsPerPath {
+		n++
+		if out != nil {
+			*out = append(*out, sm.ResetEvent{At: id})
 		}
-		if s.cfg.ExploreConnBreaks {
-			for _, nb := range ns.Svc.Neighbors() {
-				if _, known := g.index(nb); known {
-					evs = append(evs, sm.ErrorEvent{At: id, Peer: nb})
+	}
+	if s.cfg.ExploreConnBreaks {
+		for _, nb := range ns.Svc.Neighbors() {
+			if _, known := g.index(nb); known {
+				n++
+				if out != nil {
+					*out = append(*out, sm.ErrorEvent{At: id, Peer: nb})
 				}
 			}
 		}
-		buf.internal[i] = evs
 	}
-	return buf.network, ids, buf.internal
+	return n
+}
+
+// internalInto lists the internal actions of g's i-th node into buf.
+//
+//crystal:hotpath
+func (s *Search) internalInto(g *GState, i int, buf *eventBuf) []sm.Event {
+	buf.internal = buf.internal[:0]
+	s.internalAt(g, i, &buf.internal)
+	return buf.internal
 }
 
 // EnabledEvents enumerates the transitions available from g, split into
 // message-handler events and internal-action events per node. It is the
-// allocating convenience form of enabledInto for tests, tools and custom
-// strategies; the returned containers are freshly allocated and owned by
-// the caller.
+// allocating convenience form of networkInto and internalAt for tests, tools
+// and custom strategies; the returned containers are freshly allocated and
+// owned by the caller.
 func (s *Search) EnabledEvents(g *GState) (network []sm.Event, internal map[sm.NodeID][]sm.Event) {
 	var buf eventBuf
-	net, ids, internalBuf := s.enabledInto(g, &buf)
-	network = append([]sm.Event(nil), net...)
-	internal = make(map[sm.NodeID][]sm.Event, len(ids))
-	for i, id := range ids {
-		internal[id] = append([]sm.Event(nil), internalBuf[i]...)
+	network = slices.Clone(s.networkInto(g, &buf))
+	internal = make(map[sm.NodeID][]sm.Event, len(g.ids))
+	for i, id := range g.ids {
+		var evs []sm.Event
+		s.internalAt(g, i, &evs)
+		internal[id] = evs
 	}
 	return network, internal
 }

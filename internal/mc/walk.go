@@ -104,11 +104,9 @@ func runWalk(s *Search, start *GState, walk int, bdg *budget, coll *collector,
 				}
 			}
 		}
-		network, _, internal := s.enabledInto(node.state, &x.evb)
-		all := x.evb.all[:0]
-		all = append(all, network...)
-		for i := range internal {
-			all = append(all, internal[i]...)
+		all := append(x.evb.all[:0], s.networkInto(node.state, &x.evb)...)
+		for i := range node.state.ids {
+			s.internalAt(node.state, i, &all)
 		}
 		x.evb.all = all
 		if len(all) == 0 {

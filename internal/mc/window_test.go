@@ -78,8 +78,8 @@ func TestShallowerViolationBeatsCheckedLeaf(t *testing.T) {
 		g := NewGState()
 		late := newToy(2).(*toy)
 		late.counter = 2
-		g.AddNode(1, newToy(1), map[sm.TimerID]bool{"tick": true})
-		g.AddNode(2, late, map[sm.TimerID]bool{"tick": true})
+		g.AddNode(1, newToy(1), sm.TimerSet{"tick"})
+		g.AddNode(2, late, sm.TimerSet{"tick"})
 		return g
 	}
 	for _, window := range []int{1, claimWindow} {

@@ -19,11 +19,11 @@ import (
 // includes "the status of timers").
 type NodeView struct {
 	Svc    sm.Service
-	Timers map[sm.TimerID]bool
+	Timers sm.TimerSet // shared with whoever filled the view: read-only
 }
 
 // TimerPending reports whether the named timer is scheduled.
-func (v NodeView) TimerPending(t sm.TimerID) bool { return v.Timers[t] }
+func (v NodeView) TimerPending(t sm.TimerID) bool { return v.Timers.Has(t) }
 
 // View is a consistent (possibly partial) snapshot of the system: the
 // neighborhood snapshot fed to the model checker, or the full system in
@@ -59,10 +59,7 @@ func (v *View) Reset() {
 }
 
 // Add inserts a node's view, replacing any existing entry for id.
-func (v *View) Add(id sm.NodeID, svc sm.Service, timers map[sm.TimerID]bool) {
-	if timers == nil {
-		timers = map[sm.TimerID]bool{}
-	}
+func (v *View) Add(id sm.NodeID, svc sm.Service, timers sm.TimerSet) {
 	nv := NodeView{Svc: svc, Timers: timers}
 	i, present := slices.BinarySearch(v.ids, id)
 	if present {

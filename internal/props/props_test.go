@@ -33,7 +33,7 @@ func TestViewBasics(t *testing.T) {
 	if v.Has(1) {
 		t.Fatal("empty view has node")
 	}
-	v.Add(2, &fakeSvc{self: 2}, map[sm.TimerID]bool{"t": true})
+	v.Add(2, &fakeSvc{self: 2}, sm.TimerSet{"t"})
 	v.Add(1, &fakeSvc{self: 1}, nil)
 	if !v.Has(1) || !v.Has(2) {
 		t.Fatal("nodes missing")
@@ -128,7 +128,7 @@ func TestViewAddAnyOrder(t *testing.T) {
 		for _, i := range order {
 			v.Add(ids[i], &fakeSvc{self: ids[i], val: round}, nil)
 		}
-		v.Add(5, &fakeSvc{self: 5, val: 100 + round}, map[sm.TimerID]bool{"t": true}) // replaces
+		v.Add(5, &fakeSvc{self: 5, val: 100 + round}, sm.TimerSet{"t"}) // replaces
 		if got := v.IDs(); !reflect.DeepEqual(got, want) {
 			t.Fatalf("round %d: IDs = %v, want %v", round, got, want)
 		}

@@ -21,6 +21,7 @@ package runtime
 
 import (
 	"math/rand"
+	"slices"
 	"time"
 
 	"crystalball/internal/props"
@@ -127,17 +128,19 @@ func NewNode(s *sim.Simulator, net *simnet.Network, id sm.NodeID, factory sm.Fac
 // Service returns the live service instance (read-only use by harnesses).
 func (n *Node) Service() sm.Service { return n.svc }
 
-// TimerSet returns the currently pending timer names.
-func (n *Node) TimerSet() map[sm.TimerID]bool {
-	out := make(map[sm.TimerID]bool, len(n.timers))
+// TimerSet returns the currently pending timer names, as a set of the
+// caller's own.
+func (n *Node) TimerSet() sm.TimerSet {
+	out := make(sm.TimerSet, 0, len(n.timers))
 	for t := range n.timers {
-		out[t] = true
+		out = append(out, t)
 	}
+	slices.Sort(out)
 	return out
 }
 
 // View returns the node's (service, timers) pair for property evaluation.
-func (n *Node) View() (sm.Service, map[sm.TimerID]bool) { return n.svc, n.TimerSet() }
+func (n *Node) View() (sm.Service, sm.TimerSet) { return n.svc, n.TimerSet() }
 
 // SetCheckpointHook attaches the snapshot manager.
 func (n *Node) SetCheckpointHook(h CheckpointHook) { n.ckpt = h }
@@ -370,7 +373,7 @@ func (n *Node) iscBlocks(ev sm.Event) bool {
 	case sm.MsgEvent:
 		spec.svc.HandleMessage(spec, e.From, e.Msg)
 	case sm.TimerEvent:
-		delete(spec.timers, e.Timer)
+		spec.timers.Remove(e.Timer)
 		spec.svc.HandleTimer(spec, e.Timer)
 	case sm.AppEvent:
 		spec.svc.HandleApp(spec, e.Call)
@@ -429,13 +432,13 @@ func (n *Node) iscBlocks(ev sm.Event) bool {
 type specContext struct {
 	self   sm.NodeID
 	svc    sm.Service
-	timers map[sm.TimerID]bool
+	timers sm.TimerSet // the context's own copy (Node.TimerSet), edited in place
 	rng    *rand.Rand
 }
 
 func (c *specContext) Self() sm.NodeID                      { return c.self }
 func (c *specContext) Send(to sm.NodeID, msg sm.Message)    {}
-func (c *specContext) SetTimer(t sm.TimerID, d sm.Duration) { c.timers[t] = true }
-func (c *specContext) CancelTimer(t sm.TimerID)             { delete(c.timers, t) }
-func (c *specContext) TimerPending(t sm.TimerID) bool       { return c.timers[t] }
+func (c *specContext) SetTimer(t sm.TimerID, d sm.Duration) { c.timers.Add(t) }
+func (c *specContext) CancelTimer(t sm.TimerID)             { c.timers.Remove(t) }
+func (c *specContext) TimerPending(t sm.TimerID) bool       { return c.timers.Has(t) }
 func (c *specContext) Rand() *rand.Rand                     { return c.rng }

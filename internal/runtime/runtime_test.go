@@ -50,7 +50,7 @@ func TestTimersRunPeriodically(t *testing.T) {
 func TestTimerSetTracksPending(t *testing.T) {
 	_, _, nodes := deploy(t, 1)
 	ts := nodes[0].TimerSet()
-	if !ts[testsvc.TimerGossip] {
+	if !ts.Has(testsvc.TimerGossip) {
 		t.Fatalf("gossip timer not pending after Init: %v", ts)
 	}
 }
@@ -138,7 +138,7 @@ func TestResetReinitialisesService(t *testing.T) {
 		t.Fatal("reset not counted")
 	}
 	// The fresh instance scheduled its gossip timer.
-	if !nodes[0].TimerSet()[testsvc.TimerGossip] {
+	if !nodes[0].TimerSet().Has(testsvc.TimerGossip) {
 		t.Fatal("timers not rescheduled after reset")
 	}
 }

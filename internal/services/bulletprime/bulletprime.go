@@ -592,13 +592,13 @@ func (b *Bullet) DecodeState(d *sm.Decoder) error {
 	b.Shadow = decodePeerBlocks(d)
 	b.Advertised = decodePeerBlocks(d)
 	b.FileMaps = decodePeerBlocks(d)
-	n := int(d.Uint32())
+	n := d.Count(12)
 	b.Outstanding = make(map[sm.NodeID]int, n)
 	for i := 0; i < n && d.Err() == nil; i++ {
 		id := d.NodeID()
 		b.Outstanding[id] = d.Int()
 	}
-	nr := int(d.Uint32())
+	nr := d.Count(16)
 	b.Requested = make(map[int]int, nr)
 	for i := 0; i < nr && d.Err() == nil; i++ {
 		blk := d.Int()
@@ -609,7 +609,7 @@ func (b *Bullet) DecodeState(d *sm.Decoder) error {
 }
 
 func decodeIntSet(d *sm.Decoder) map[int]bool {
-	n := int(d.Uint32())
+	n := d.Count(8)
 	out := make(map[int]bool, n)
 	for i := 0; i < n && d.Err() == nil; i++ {
 		out[d.Int()] = true
@@ -618,7 +618,7 @@ func decodeIntSet(d *sm.Decoder) map[int]bool {
 }
 
 func decodePeerBlocks(d *sm.Decoder) map[sm.NodeID]map[int]bool {
-	n := int(d.Uint32())
+	n := d.Count(8)
 	out := make(map[sm.NodeID]map[int]bool, n)
 	for i := 0; i < n && d.Err() == nil; i++ {
 		id := d.NodeID()

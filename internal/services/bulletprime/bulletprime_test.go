@@ -16,21 +16,21 @@ import (
 type testCtx struct {
 	self     sm.NodeID
 	sends    []sm.MsgEvent
-	timerSet map[sm.TimerID]bool
+	timerSet sm.TimerSet
 	rng      *rand.Rand
 }
 
 func newCtx(self sm.NodeID) *testCtx {
-	return &testCtx{self: self, timerSet: map[sm.TimerID]bool{}, rng: rand.New(rand.NewSource(1))}
+	return &testCtx{self: self, rng: rand.New(rand.NewSource(1))}
 }
 
 func (c *testCtx) Self() sm.NodeID { return c.self }
 func (c *testCtx) Send(to sm.NodeID, msg sm.Message) {
 	c.sends = append(c.sends, sm.MsgEvent{From: c.self, To: to, Msg: msg})
 }
-func (c *testCtx) SetTimer(t sm.TimerID, d sm.Duration) { c.timerSet[t] = true }
-func (c *testCtx) CancelTimer(t sm.TimerID)             { delete(c.timerSet, t) }
-func (c *testCtx) TimerPending(t sm.TimerID) bool       { return c.timerSet[t] }
+func (c *testCtx) SetTimer(t sm.TimerID, d sm.Duration) { c.timerSet.Add(t) }
+func (c *testCtx) CancelTimer(t sm.TimerID)             { c.timerSet.Remove(t) }
+func (c *testCtx) TimerPending(t sm.TimerID) bool       { return c.timerSet.Has(t) }
 func (c *testCtx) Rand() *rand.Rand                     { return c.rng }
 
 func mkCfg(fixes Fix, members ...sm.NodeID) Config {
@@ -274,7 +274,7 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 	b.Outstanding[2] = 3
 	b.Requested[4] = 2
 	b.Complete = true
-	data := sm.EncodeFullState(b, map[sm.TimerID]bool{TimerDiff: true})
+	data := sm.EncodeFullState(b, sm.TimerSet{TimerDiff})
 	svc, timers, err := sm.DecodeFullState(New(cfg), 1, data)
 	if err != nil {
 		t.Fatal(err)
@@ -286,7 +286,7 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 	if !q.Shadow[2][5] || !q.Advertised[2][1] || !q.FileMaps[3][2] || q.Outstanding[2] != 3 || q.Requested[4] != 2 || !q.Complete {
 		t.Fatalf("state lost in round trip: %+v", q)
 	}
-	if !timers[TimerDiff] {
+	if !timers.Has(TimerDiff) {
 		t.Fatal("timers lost")
 	}
 }

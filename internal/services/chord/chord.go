@@ -22,6 +22,8 @@
 package chord
 
 import (
+	"slices"
+
 	"crystalball/internal/sm"
 )
 
@@ -445,16 +447,23 @@ func (r *Ring) HandleTransportError(ctx sm.Context, peer sm.NodeID) {
 // paper's "a distributed hash table node keeps track of O(log n) other
 // nodes".
 func (r *Ring) Neighbors() []sm.NodeID {
-	set := make(map[sm.NodeID]bool)
+	// Ascending and duplicate-free, built in place — each candidate goes
+	// straight to its position — in a buffer that lives on the stack for any
+	// realistic successor list; the result is an exact-size copy.
+	var buf [8]sm.NodeID
+	out := buf[:0]
 	if r.Pred != sm.NoNode && r.Pred != r.Self {
-		set[r.Pred] = true
+		out = append(out, r.Pred)
 	}
 	for _, s := range r.Succs {
-		if s != r.Self {
-			set[s] = true
+		if s == r.Self {
+			continue
+		}
+		if i, present := slices.BinarySearch(out, s); !present {
+			out = slices.Insert(out, i, s)
 		}
 	}
-	return sm.SortedNodes(set)
+	return slices.Clone(out)
 }
 
 // Clone implements sm.Service.

@@ -2,6 +2,7 @@ package chord
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
@@ -17,21 +18,21 @@ import (
 type testCtx struct {
 	self     sm.NodeID
 	sends    []sm.MsgEvent
-	timerSet map[sm.TimerID]bool
+	timerSet sm.TimerSet
 	rng      *rand.Rand
 }
 
 func newCtx(self sm.NodeID) *testCtx {
-	return &testCtx{self: self, timerSet: map[sm.TimerID]bool{}, rng: rand.New(rand.NewSource(1))}
+	return &testCtx{self: self, rng: rand.New(rand.NewSource(1))}
 }
 
 func (c *testCtx) Self() sm.NodeID { return c.self }
 func (c *testCtx) Send(to sm.NodeID, msg sm.Message) {
 	c.sends = append(c.sends, sm.MsgEvent{From: c.self, To: to, Msg: msg})
 }
-func (c *testCtx) SetTimer(t sm.TimerID, d sm.Duration) { c.timerSet[t] = true }
-func (c *testCtx) CancelTimer(t sm.TimerID)             { delete(c.timerSet, t) }
-func (c *testCtx) TimerPending(t sm.TimerID) bool       { return c.timerSet[t] }
+func (c *testCtx) SetTimer(t sm.TimerID, d sm.Duration) { c.timerSet.Add(t) }
+func (c *testCtx) CancelTimer(t sm.TimerID)             { c.timerSet.Remove(t) }
+func (c *testCtx) TimerPending(t sm.TimerID) bool       { return c.timerSet.Has(t) }
 func (c *testCtx) Rand() *rand.Rand                     { return c.rng }
 
 func mk(self sm.NodeID, fixes Fix, bootstrap ...sm.NodeID) *Ring {
@@ -249,9 +250,9 @@ func TestConsequencePredictionFindsFigure10(t *testing.T) {
 	d.Succs = []sm.NodeID{1, 3, 5}
 
 	g := mc.NewGState()
-	g.AddNode(1, a, map[sm.TimerID]bool{TimerStabilize: true})
-	g.AddNode(3, c, map[sm.TimerID]bool{TimerStabilize: true})
-	g.AddNode(5, d, map[sm.TimerID]bool{TimerStabilize: true})
+	g.AddNode(1, a, sm.TimerSet{TimerStabilize})
+	g.AddNode(3, c, sm.TimerSet{TimerStabilize})
+	g.AddNode(5, d, sm.TimerSet{TimerStabilize})
 
 	s := mc.NewSearch(mc.Config{
 		Props:             props.Set{PropPredSelfImpliesSuccSelf},
@@ -302,7 +303,7 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 	a.Joined = true
 	a.Pred = 5
 	a.Succs = []sm.NodeID{8, 9, 7}
-	data := sm.EncodeFullState(a, map[sm.TimerID]bool{TimerStabilize: true})
+	data := sm.EncodeFullState(a, sm.TimerSet{TimerStabilize})
 	factory := New(Config{Bootstrap: []sm.NodeID{1}, Fixes: FixOrdering})
 	svc, timers, err := sm.DecodeFullState(factory, 7, data)
 	if err != nil {
@@ -312,7 +313,7 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 	if b.Pred != 5 || len(b.Succs) != 3 || b.Succs[0] != 8 || !b.Joined {
 		t.Fatalf("round trip lost state: %+v", b)
 	}
-	if !timers[TimerStabilize] {
+	if !timers.Has(TimerStabilize) {
 		t.Fatal("timer set lost")
 	}
 	if sm.HashService(a) != sm.HashService(b) {
@@ -338,5 +339,36 @@ func TestCapListDedupes(t *testing.T) {
 	}
 	if !found {
 		t.Fatal("self missing from capped list")
+	}
+}
+
+// neighborsViaSet is Neighbors as it was before it built its slice in place:
+// collect into a map, then sort the keys.
+func neighborsViaSet(r *Ring) []sm.NodeID {
+	set := make(map[sm.NodeID]bool)
+	if r.Pred != sm.NoNode && r.Pred != r.Self {
+		set[r.Pred] = true
+	}
+	for _, s := range r.Succs {
+		if s != r.Self {
+			set[s] = true
+		}
+	}
+	return sm.SortedNodes(set)
+}
+
+// TestNeighborsMatchesSetImplementation pins Neighbors against the map-and-
+// sort implementation it replaced, on random rings: ids from a small range so
+// that the predecessor, the node itself and repeated successors all collide.
+func TestNeighborsMatchesSetImplementation(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for i := 0; i < 5000; i++ {
+		r := &Ring{Self: sm.NodeID(rng.Intn(8)), Pred: sm.NodeID(rng.Intn(9) - 1)}
+		for n := rng.Intn(7); n > 0; n-- {
+			r.Succs = append(r.Succs, sm.NodeID(rng.Intn(8)))
+		}
+		if got, want := r.Neighbors(), neighborsViaSet(r); !slices.Equal(got, want) {
+			t.Fatalf("self %v pred %v succs %v: Neighbors %v, the set implementation %v", r.Self, r.Pred, r.Succs, got, want)
+		}
 	}
 }

@@ -251,7 +251,7 @@ func (l *opLog) encode(e *sm.Encoder) {
 
 func (l *opLog) decode(d *sm.Decoder) {
 	l.Seq = d.Uint32()
-	n := int(d.Uint32())
+	n := d.Count(8)
 	l.Delivered = make(map[OpID]bool, n)
 	for i := 0; i < n; i++ {
 		id := OpID{Origin: d.NodeID(), Seq: d.Uint32()}

@@ -70,7 +70,7 @@ func encodeCounts(e *sm.Encoder, m map[sm.NodeID]int64) {
 }
 
 func decodeCounts(d *sm.Decoder) map[sm.NodeID]int64 {
-	n := int(d.Uint32())
+	n := d.Count(12)
 	out := make(map[sm.NodeID]int64, n)
 	for i := 0; i < n; i++ {
 		id := d.NodeID()

@@ -225,7 +225,7 @@ func (m *Map) DecodeState(d *sm.Decoder) error {
 	m.Members = d.NodeSlice()
 	m.opLog.decode(d)
 	m.Clock = d.Uint64()
-	n := int(d.Uint32())
+	n := d.Count(24)
 	m.Entries = make(map[string]entry, n)
 	for i := 0; i < n; i++ {
 		k := d.String()

@@ -302,18 +302,18 @@ func (s *Set) DecodeState(d *sm.Decoder) error {
 	s.Fixed = d.Bool()
 	s.Members = d.NodeSlice()
 	s.opLog.decode(d)
-	nElems := int(d.Uint32())
+	nElems := d.Count(8)
 	s.Live = make(map[string]map[OpID]bool, nElems)
 	for i := 0; i < nElems; i++ {
 		elem := d.String()
-		nTags := int(d.Uint32())
+		nTags := d.Count(8)
 		m := make(map[OpID]bool, nTags)
 		for j := 0; j < nTags; j++ {
 			m[OpID{Origin: d.NodeID(), Seq: d.Uint32()}] = true
 		}
 		s.Live[elem] = m
 	}
-	nTombs := int(d.Uint32())
+	nTombs := d.Count(8)
 	s.Tombs = make(map[OpID]bool, nTombs)
 	for i := 0; i < nTombs; i++ {
 		s.Tombs[OpID{Origin: d.NodeID(), Seq: d.Uint32()}] = true

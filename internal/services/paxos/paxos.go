@@ -455,7 +455,7 @@ func (p *Paxos) DecodeState(d *sm.Decoder) error {
 	p.Proposing = d.Bool()
 	p.ProposeVal = d.Int64()
 	p.AcceptSent = d.Bool()
-	n := int(d.Uint32())
+	n := d.Count(21)
 	p.Promises = nil
 	for i := 0; i < n && d.Err() == nil; i++ {
 		p.Promises = append(p.Promises, promiseInfo{
@@ -465,11 +465,11 @@ func (p *Paxos) DecodeState(d *sm.Decoder) error {
 			HasAccepted:   d.Bool(),
 		})
 	}
-	nr := int(d.Uint32())
+	nr := d.Count(12)
 	p.Learns = make(map[uint64]map[sm.NodeID]int64, nr)
 	for i := 0; i < nr && d.Err() == nil; i++ {
 		r := d.Uint64()
-		ns := int(d.Uint32())
+		ns := d.Count(12)
 		senders := make(map[sm.NodeID]int64, ns)
 		for j := 0; j < ns && d.Err() == nil; j++ {
 			id := d.NodeID()
@@ -477,7 +477,7 @@ func (p *Paxos) DecodeState(d *sm.Decoder) error {
 		}
 		p.Learns[r] = senders
 	}
-	nc := int(d.Uint32())
+	nc := d.Count(8)
 	p.ChosenVals = nil
 	for i := 0; i < nc && d.Err() == nil; i++ {
 		p.ChosenVals = append(p.ChosenVals, d.Int64())

@@ -19,15 +19,14 @@ import (
 type testCtx struct {
 	self     sm.NodeID
 	sends    []sm.MsgEvent
-	timerSet map[sm.TimerID]bool
+	timerSet sm.TimerSet
 	rng      *rand.Rand
 }
 
 func newRealCtx(self sm.NodeID) *testCtx {
 	return &testCtx{
-		self:     self,
-		timerSet: map[sm.TimerID]bool{},
-		rng:      rand.New(rand.NewSource(1)),
+		self: self,
+		rng:  rand.New(rand.NewSource(1)),
 	}
 }
 
@@ -35,9 +34,9 @@ func (c *testCtx) Self() sm.NodeID { return c.self }
 func (c *testCtx) Send(to sm.NodeID, msg sm.Message) {
 	c.sends = append(c.sends, sm.MsgEvent{From: c.self, To: to, Msg: msg})
 }
-func (c *testCtx) SetTimer(t sm.TimerID, d sm.Duration) { c.timerSet[t] = true }
-func (c *testCtx) CancelTimer(t sm.TimerID)             { delete(c.timerSet, t) }
-func (c *testCtx) TimerPending(t sm.TimerID) bool       { return c.timerSet[t] }
+func (c *testCtx) SetTimer(t sm.TimerID, d sm.Duration) { c.timerSet.Add(t) }
+func (c *testCtx) CancelTimer(t sm.TimerID)             { c.timerSet.Remove(t) }
+func (c *testCtx) TimerPending(t sm.TimerID) bool       { return c.timerSet.Has(t) }
 func (c *testCtx) Rand() *rand.Rand                     { return c.rng }
 
 func mk(self sm.NodeID, fixes Fix, bootstrap ...sm.NodeID) *Tree {
@@ -142,7 +141,7 @@ func TestBug5SelfJoinSchedulesNoTimer(t *testing.T) {
 	if !a.Joined || !a.IsRoot {
 		t.Fatal("self-join failed")
 	}
-	if ctx.timerSet[TimerRecovery] {
+	if ctx.timerSet.Has(TimerRecovery) {
 		t.Fatal("buggy self-join should not schedule the recovery timer")
 	}
 	// The violation manifests once the peer list becomes non-empty: a
@@ -161,7 +160,7 @@ func TestBug5SelfJoinSchedulesNoTimer(t *testing.T) {
 	f := mk(3, FixJoinSelfTimer)
 	ctx2 := newRealCtx(3)
 	f.HandleApp(ctx2, AppJoin{})
-	if !ctx2.timerSet[TimerRecovery] {
+	if !ctx2.timerSet.Has(TimerRecovery) {
 		t.Fatal("fixed self-join should schedule the recovery timer")
 	}
 }
@@ -340,9 +339,9 @@ func figure2Start(fixes Fix) (*mc.GState, sm.Factory) {
 	n13.Peers[9] = true
 
 	g := mc.NewGState()
-	g.AddNode(1, n1, map[sm.TimerID]bool{TimerRecovery: true})
-	g.AddNode(9, n9, map[sm.TimerID]bool{TimerRecovery: true})
-	g.AddNode(13, n13, map[sm.TimerID]bool{TimerRecovery: true})
+	g.AddNode(1, n1, sm.TimerSet{TimerRecovery})
+	g.AddNode(9, n9, sm.TimerSet{TimerRecovery})
+	g.AddNode(13, n13, sm.TimerSet{TimerRecovery})
 	return g, factory
 }
 
@@ -421,7 +420,7 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 	a.Children[3] = true
 	a.Siblings[4] = true
 	a.Peers[5] = true
-	data := sm.EncodeFullState(a, map[sm.TimerID]bool{TimerRecovery: true})
+	data := sm.EncodeFullState(a, sm.TimerSet{TimerRecovery})
 	factory := New(Config{Bootstrap: []sm.NodeID{1, 2}, Fixes: FixNewRootChild})
 	svc, timers, err := sm.DecodeFullState(factory, 7, data)
 	if err != nil {
@@ -431,7 +430,7 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 	if b.Root != 1 || b.Parent != 2 || !b.Children[3] || !b.Siblings[4] || !b.Peers[5] || !b.Joined {
 		t.Fatalf("round trip lost state: %+v", b)
 	}
-	if !timers[TimerRecovery] {
+	if !timers.Has(TimerRecovery) {
 		t.Fatal("timer set lost")
 	}
 	if sm.HashService(a) != sm.HashService(b) {

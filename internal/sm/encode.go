@@ -276,13 +276,27 @@ func (d *Decoder) Bytes2() []byte {
 	return out
 }
 
+// Count reads an element count written by Encoder.Uint32 and bounds it by
+// what is left of the buffer, every element taking at least min bytes: the
+// bytes may come from a peer, and a decoder that sizes a map or a slice from
+// an unchecked count can be made to allocate gigabytes by four of them. A
+// count the buffer cannot hold is a decode error and reads as 0, so the
+// caller's loop does not run.
+func (d *Decoder) Count(min int) int {
+	n := int(d.Uint32())
+	if d.err == nil && (n < 0 || n > d.Remaining()/min) {
+		d.err = fmt.Errorf("sm: bad count %d for %d bytes left", n, d.Remaining())
+	}
+	if d.err != nil {
+		return 0
+	}
+	return n
+}
+
 // NodeSet reads a set written by Encoder.NodeSet.
 func (d *Decoder) NodeSet() map[NodeID]bool {
-	n := int(d.Uint32())
-	if d.err != nil || n < 0 || n > d.Remaining()/4 {
-		if d.err == nil {
-			d.err = fmt.Errorf("sm: bad set length %d", n)
-		}
+	n := d.Count(4)
+	if d.err != nil {
 		return nil
 	}
 	set := make(map[NodeID]bool, n)
@@ -294,11 +308,8 @@ func (d *Decoder) NodeSet() map[NodeID]bool {
 
 // NodeSlice reads a slice written by Encoder.NodeSlice.
 func (d *Decoder) NodeSlice() []NodeID {
-	n := int(d.Uint32())
-	if d.err != nil || n < 0 || n > d.Remaining()/4 {
-		if d.err == nil {
-			d.err = fmt.Errorf("sm: bad slice length %d", n)
-		}
+	n := d.Count(4)
+	if d.err != nil {
 		return nil
 	}
 	ids := make([]NodeID, n)

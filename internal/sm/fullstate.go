@@ -1,43 +1,27 @@
 package sm
 
-import "sort"
+import "slices"
 
 // EncodeFullState serialises a node's complete checkable state — service
 // state plus the pending-timer set — into the stable form stored inside
 // checkpoints and fed to the model checker.
-func EncodeFullState(svc Service, timers map[TimerID]bool) []byte {
+func EncodeFullState(svc Service, timers TimerSet) []byte {
 	e := NewEncoder()
 	svc.EncodeState(e)
-	names := make([]string, 0, len(timers))
-	for t, ok := range timers {
-		if ok {
-			names = append(names, string(t))
-		}
-	}
-	sort.Strings(names)
-	e.Uint32(uint32(len(names)))
-	for _, t := range names {
-		e.String(t)
-	}
-	out := make([]byte, e.Len())
-	copy(out, e.Bytes())
-	return out
+	timers.Encode(e)
+	return slices.Clone(e.Bytes())
 }
 
 // DecodeFullState reconstructs a service instance (via factory) and timer
 // set from EncodeFullState output.
-func DecodeFullState(factory Factory, id NodeID, data []byte) (Service, map[TimerID]bool, error) {
+func DecodeFullState(factory Factory, id NodeID, data []byte) (Service, TimerSet, error) {
 	svc := factory(id)
 	d := NewDecoder(data)
 	if err := svc.DecodeState(d); err != nil {
 		return nil, nil, err
 	}
-	n := int(d.Uint32())
-	timers := make(map[TimerID]bool, n)
-	for i := 0; i < n; i++ {
-		timers[TimerID(d.String())] = true
-	}
-	if err := d.Err(); err != nil {
+	timers, err := DecodeTimerSet(d)
+	if err != nil {
 		return nil, nil, err
 	}
 	return svc, timers, nil

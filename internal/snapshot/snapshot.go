@@ -15,6 +15,7 @@
 package snapshot
 
 import (
+	"bufio"
 	"bytes"
 	"compress/lzw"
 	"fmt"
@@ -168,6 +169,8 @@ type Manager struct {
 	lastSent      map[sm.NodeID]uint64
 	lastSentState map[sm.NodeID][]byte
 	lastRecv      map[sm.NodeID][]byte
+
+	lzw coder // reused across every payload this manager compresses or expands
 
 	// bandwidth window
 	windowStart sim.Time
@@ -374,7 +377,7 @@ func (m *Manager) handleRequest(from sm.NodeID, req ckptRequest) {
 	}
 	data := ck.State
 	if m.cfg.Compress {
-		data = compress(data)
+		data = m.lzw.compress(data)
 	}
 	// Diff transfer: when the peer holds our previous checkpoint and the
 	// chunk diff is smaller than the (compressed) full state, send only
@@ -455,7 +458,7 @@ func (m *Manager) handleResponse(from sm.NodeID, resp ckptResponse) {
 		state = resp.Data
 		if m.cfg.Compress {
 			var err error
-			state, err = decompress(state)
+			state, err = m.lzw.decompress(state)
 			if err != nil {
 				col.missing = append(col.missing, from)
 				m.maybeFinish()
@@ -537,23 +540,44 @@ func hashBytes(b []byte) uint64 {
 	return h.Sum64()
 }
 
-// compress applies LZW (the algorithm the paper's implementation uses).
-func compress(data []byte) []byte {
+// coder is a Manager's LZW state (the algorithm the paper's implementation
+// uses): one writer and one reader, Reset for every payload instead of built
+// anew — a fresh writer carries a 64 KB table and a fresh reader about 20 KB,
+// which at one checkpoint per response was a sixth of everything a live
+// deployment allocated. Reset restores exactly the state of a new coder, so
+// the bytes are those a fresh one produces. The zero value is ready to use.
+type coder struct {
+	w  *lzw.Writer
+	bw *bufio.Writer // the writer's output stage: without one of its own, Reset builds a new one per payload
+	r  *lzw.Reader
+}
+
+// compress returns data's LZW encoding, in a buffer of the caller's own.
+func (c *coder) compress(data []byte) []byte {
 	var buf bytes.Buffer
-	w := lzw.NewWriter(&buf, lzw.LSB, 8)
-	if _, err := w.Write(data); err != nil {
+	if c.w == nil {
+		c.bw = bufio.NewWriter(&buf)
+		c.w = lzw.NewWriter(c.bw, lzw.LSB, 8).(*lzw.Writer)
+	} else {
+		c.bw.Reset(&buf)
+		c.w.Reset(c.bw, lzw.LSB, 8)
+	}
+	if _, err := c.w.Write(data); err != nil {
 		// Compression of in-memory buffers cannot fail; fall back to
 		// raw if it somehow does.
 		return append([]byte(nil), data...)
 	}
-	w.Close()
+	c.w.Close()
 	return buf.Bytes()
 }
 
-func decompress(data []byte) ([]byte, error) {
-	r := lzw.NewReader(bytes.NewReader(data), lzw.LSB, 8)
-	defer r.Close()
-	out, err := io.ReadAll(r)
+func (c *coder) decompress(data []byte) ([]byte, error) {
+	if c.r == nil {
+		c.r = lzw.NewReader(bytes.NewReader(data), lzw.LSB, 8).(*lzw.Reader)
+	} else {
+		c.r.Reset(bytes.NewReader(data), lzw.LSB, 8)
+	}
+	out, err := io.ReadAll(c.r)
 	if err != nil {
 		return nil, fmt.Errorf("snapshot: decompress: %w", err)
 	}

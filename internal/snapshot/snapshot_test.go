@@ -2,6 +2,7 @@ package snapshot
 
 import (
 	"bytes"
+	"math/rand"
 	"testing"
 	"testing/quick"
 	"time"
@@ -104,7 +105,7 @@ func TestCollectNeighborhoodSnapshot(t *testing.T) {
 		if svc.(*testsvc.Svc).Self != id {
 			t.Fatalf("decoded wrong node state")
 		}
-		if !timers[testsvc.TimerGossip] {
+		if !timers.Has(testsvc.TimerGossip) {
 			t.Fatalf("decoded timer set missing gossip timer")
 		}
 	}
@@ -199,8 +200,9 @@ func TestBandwidthLimitNegativeResponse(t *testing.T) {
 
 func TestCompressionRoundTrip(t *testing.T) {
 	f := func(data []byte) bool {
-		c := compress(data)
-		out, err := decompress(c)
+		var lzw coder
+		c := lzw.compress(data)
+		out, err := lzw.decompress(c)
 		if err != nil {
 			return false
 		}
@@ -214,9 +216,56 @@ func TestCompressionRoundTrip(t *testing.T) {
 	}
 }
 
+// TestReusedCoderEqualsFreshCoder: one coder carried across many payloads —
+// random, redundant, empty, and a corrupt one that leaves the reader in an
+// error state — compresses each to the bytes a coder built for that payload
+// alone produces, and expands them to the same result.
+func TestReusedCoderEqualsFreshCoder(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	var reused coder
+	for i := 0; i < 500; i++ {
+		var data []byte
+		switch i % 4 {
+		case 0:
+			data = make([]byte, rng.Intn(5000))
+			rng.Read(data)
+		case 1:
+			data = bytes.Repeat([]byte{byte(i), byte(i >> 3), 7}, rng.Intn(3000))
+		case 2:
+			// Long enough on a small alphabet to fill and clear the code table.
+			data = make([]byte, 20000+rng.Intn(20000))
+			for j := range data {
+				data[j] = byte(rng.Intn(4))
+			}
+		}
+		var fresh coder
+		want := fresh.compress(data)
+		got := reused.compress(data)
+		if !bytes.Equal(got, want) {
+			t.Fatalf("payload %d (%d B): reused coder wrote %d B that differ from a fresh coder's %d B", i, len(data), len(got), len(want))
+		}
+		if i%7 == 3 && len(got) > 4 {
+			// A truncated or damaged payload must not poison the next one.
+			bad := append([]byte(nil), got[:len(got)/2]...)
+			bad[len(bad)/2] ^= 0xff
+			fresh = coder{}
+			wantOut, wantErr := fresh.decompress(bad)
+			gotOut, gotErr := reused.decompress(bad)
+			if (gotErr == nil) != (wantErr == nil) || !bytes.Equal(gotOut, wantOut) {
+				t.Fatalf("payload %d damaged: reused coder (%d B, %v), fresh coder (%d B, %v)", i, len(gotOut), gotErr, len(wantOut), wantErr)
+			}
+		}
+		out, err := reused.decompress(got)
+		if err != nil || !bytes.Equal(out, data) {
+			t.Fatalf("payload %d: reused coder expands to %d B (%v), want the %d B that went in", i, len(out), err, len(data))
+		}
+	}
+}
+
 func TestCompressionShrinksRedundantData(t *testing.T) {
 	data := bytes.Repeat([]byte("abcdefgh"), 200)
-	c := compress(data)
+	var lzw coder
+	c := lzw.compress(data)
 	if len(c) >= len(data) {
 		t.Fatalf("LZW did not shrink redundant data: %d -> %d", len(data), len(c))
 	}

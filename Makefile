@@ -15,7 +15,10 @@ test:
 # view are ordered by construction (sorted slices, no maps), so a
 # //crystal:allow there is never the answer and fails the lint outright;
 # so does a pending-timer set held as a map anywhere in the tree — there is
-# one representation, sm.TimerSet.
+# one representation, sm.TimerSet. And there is one place an event becomes a
+# handler call or a crashed node gets its disk back — sm.Deliver / sm.Restart
+# (internal/sm/exec.go): a handler invoked from anywhere else is a second
+# executor in the making.
 # The CI lint job runs exactly this target.
 lint:
 	@fmtout=$$(gofmt -l cmd internal examples bench); \
@@ -24,6 +27,9 @@ lint:
 	echo "//crystal:allow is not accepted under internal/mc or internal/props: make the order structural"; exit 1; fi
 	@if grep -rn --include='*.go' -e 'map\[sm\.TimerID\]bool' -e 'map\[TimerID\]bool' .; then \
 	echo "a timer set is an sm.TimerSet, never a map"; exit 1; fi
+	@if grep -rn --include='*.go' -e '\.HandleMessage(' -e '\.HandleTimer(' -e '\.HandleApp(' -e '\.HandleTransportError(' -e 'RestoreStable(' cmd internal examples \
+	| grep -v -e '_test\.go' -e '^internal/sm/' -e '^internal/services/'; then \
+	echo "handlers run through sm.Deliver and sm.Restart only"; exit 1; fi
 	$(GO) vet ./...
 	$(GO) run ./cmd/crystalvet ./...
 

@@ -104,7 +104,7 @@ type Config struct {
 	// violations — it just executes fewer handler calls to get there —
 	// so predictions, filters and the virtual round latency (which is
 	// charged per explored state) are unchanged; only host wall time
-	// drops. Scenario.Reduction is the per-scenario default.
+	// drops. Every scenario deployment sets it.
 	Reduce bool
 	// EnableISC turns on the immediate safety check as a fallback.
 	EnableISC bool

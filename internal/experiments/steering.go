@@ -99,7 +99,7 @@ func RandTreeSteering(cfg SteeringConfig, mode SteeringMode) SteeringResult {
 		// The ISC-only arm runs the immediate safety check under a
 		// debugging controller with no meaningful prediction budget.
 		opts.Control = scenario.Debug
-		opts.ISC = scenario.On
+		opts.ISC = true
 		opts.MCStates = 1
 	default:
 		opts.Control = scenario.Bare

@@ -378,35 +378,16 @@ func (e *Engine) claim(n *Node) bool {
 	// (the start state, or a state that arrived without its event) records
 	// every node. The union over all claims is every local state of every
 	// claimed state either way.
-	if id, ok := eventNode(n.event); ok {
-		if ns := n.state.Node(id); ns != nil {
+	if n.event == nil {
+		for _, ns := range n.state.nodes {
 			e.locals[ns.localHash()] = struct{}{}
 		}
-	} else if n.event == nil {
-		for _, ns := range n.state.nodes {
+	} else if _, drop := n.event.(sm.DropEvent); !drop { // a drop touches no node
+		if ns := n.state.Node(n.event.Node()); ns != nil {
 			e.locals[ns.localHash()] = struct{}{}
 		}
 	}
 	return true
-}
-
-// eventNode returns the node whose local state an event's handler mutates
-// (drops touch no node; they only remove an in-flight RST).
-func eventNode(ev sm.Event) (sm.NodeID, bool) {
-	switch e := ev.(type) {
-	case sm.MsgEvent:
-		return e.To, true
-	case sm.TimerEvent:
-		return e.At, true
-	case sm.AppEvent:
-		return e.At, true
-	case sm.ResetEvent:
-		return e.At, true
-	case sm.ErrorEvent:
-		return e.At, true
-	default:
-		return 0, false
-	}
 }
 
 // Drain expands the frontier, lowest depth bucket first and each bucket a

@@ -10,14 +10,14 @@ import (
 
 // scratch is the per-worker reusable workspace for successor construction:
 // one encoder for component hashing (finalize/addMsg/staleComp/resetsComp),
-// the handler context with its working timer set, and a re-seedable random
-// stream for edgeRNG. A scratch is checked out of scratchPool for
-// the duration of one ApplyEvent (or one public GState mutator) and never
-// escapes it: nothing constructed on the scratch is reachable from the
-// returned state except bytes explicitly copied out.
+// the buffering handler context with its working timer set, and a
+// re-seedable random stream for edgeRNG. A scratch is checked out of
+// scratchPool for the duration of one ApplyEvent (or one public GState
+// mutator) and never escapes it: nothing constructed on the scratch is
+// reachable from the returned state except bytes explicitly copied out.
 type scratch struct {
 	enc sm.Encoder
-	ctx mcContext
+	fx  sm.Effects
 	rnd *rand.Rand // re-seeded per edge; identical stream to a fresh sm.NewRand
 }
 
@@ -27,10 +27,7 @@ var scratchPool = sync.Pool{New: func() any {
 
 func getScratch() *scratch { return scratchPool.Get().(*scratch) }
 
-func putScratch(sc *scratch) {
-	sc.ctx = mcContext{sends: sc.ctx.sends[:0], timers: sc.ctx.timers[:0]}
-	scratchPool.Put(sc)
-}
+func putScratch(sc *scratch) { scratchPool.Put(sc) }
 
 // edgeSeed derives the deterministic per-edge random seed for executing
 // event ev at a node whose local-state hash is lhash:

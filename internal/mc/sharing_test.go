@@ -358,7 +358,9 @@ func TestTimerSetSharedUntilChanged(t *testing.T) {
 				if succ == nil {
 					continue
 				}
-				at, ran := eventNode(ev)
+				at := ev.Node()
+				_, drop := ev.(sm.DropEvent)
+				ran := !drop
 				for i, id := range g.ids {
 					p, c := g.nodes[i], succ.nodes[i]
 					if !ran || id != at {

@@ -49,7 +49,7 @@ const (
 // nobody writes afterwards: a successor whose handler left the set equal to
 // its parent's (untouched, or a periodic timer consumed and re-armed) holds
 // the parent's very slice and timer segment. Handlers edit the scratch's
-// working copy (mcContext.timers), never this field.
+// working copy (sm.Effects.Timers), never this field.
 type NodeState struct {
 	Svc    sm.Service
 	Timers sm.TimerSet

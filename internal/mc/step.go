@@ -7,46 +7,6 @@ import (
 	"crystalball/internal/sm"
 )
 
-// mcContext implements sm.Context for handler execution inside the checker.
-// Sends and timer changes are captured and folded into the successor state.
-// The context lives in the per-worker scratch and is reset between events;
-// handlers use it only for the duration of one invocation.
-type mcContext struct {
-	self sm.NodeID
-	svc  sm.Service // the cloned service the handler mutates
-	// timers is the handler's working copy of the pending-timer set: begin
-	// loads the parent's set into this scratch-owned buffer, the handler
-	// edits it in place, and NodeState.finalize reads it. The parent's set is
-	// never written.
-	timers sm.TimerSet
-	sends  []InFlight
-	rng    *rand.Rand
-}
-
-// begin readies the context for one handler invocation at self on svc,
-// starting from the pending-timer set timers.
-//
-//crystal:hotpath
-func (c *mcContext) begin(self sm.NodeID, svc sm.Service, timers sm.TimerSet, rng *rand.Rand) {
-	c.self, c.svc, c.rng = self, svc, rng
-	c.timers = append(c.timers[:0], timers...)
-	c.sends = c.sends[:0]
-}
-
-func (c *mcContext) Self() sm.NodeID { return c.self }
-
-func (c *mcContext) Send(to sm.NodeID, msg sm.Message) {
-	c.sends = append(c.sends, InFlight{From: c.self, To: to, Msg: msg})
-}
-
-func (c *mcContext) SetTimer(t sm.TimerID, d sm.Duration) { c.timers.Add(t) }
-
-func (c *mcContext) CancelTimer(t sm.TimerID) { c.timers.Remove(t) }
-
-func (c *mcContext) TimerPending(t sm.TimerID) bool { return c.timers.Has(t) }
-
-func (c *mcContext) Rand() *rand.Rand { return c.rng }
-
 // edgeRNG returns sc's re-seedable random stream seeded for executing event
 // ev from state g, so exploration (and replay) is reproducible: the paper
 // notes "we deterministically replay pseudo-random number generation". The
@@ -69,24 +29,38 @@ func edgeRNG(seed int64, ns *NodeState, ev sm.Event, sc *scratch) *rand.Rand {
 // Hash is ready in O(changed components) when apply returns. All transient
 // workspace (encoders, handler context, random stream) comes from sc.
 //
+// Here an event is only tested for being enabled and matched to the
+// in-flight item it consumes; which handler it runs is sm.Deliver's business.
+//
 //crystal:hotpath
 func (s *Search) apply(g *GState, ev sm.Event, sc *scratch) *GState {
+	consumed := -1
 	switch e := ev.(type) {
 	case sm.MsgEvent:
-		return s.applyMessage(g, e, sc)
+		if consumed = findMsg(g, e.From, e.To, e.Msg.MsgType(), false); consumed < 0 {
+			return nil
+		}
+		// The handler sees the in-flight item's payload, not the event's: a
+		// replayed path names a message by (from, to, type) only.
+		e.Msg = g.msgs[consumed].Msg
+		ev = e
 	case sm.TimerEvent:
-		return s.applyTimer(g, e, sc)
-	case sm.AppEvent:
-		return s.applyApp(g, e, sc)
+		if ns := g.Node(e.At); ns == nil || !ns.Timers.Has(e.Timer) {
+			return nil
+		}
+	case sm.AppEvent: // always enabled
+	case sm.ErrorEvent:
+		if consumed = findMsg(g, e.Peer, e.At, "", true); consumed < 0 && !s.cfg.ExploreConnBreaks {
+			return nil
+		}
 	case sm.ResetEvent:
 		return s.applyReset(g, e, sc)
-	case sm.ErrorEvent:
-		return s.applyError(g, e, sc)
 	case sm.DropEvent:
 		return s.applyDrop(g, e, sc)
 	default:
 		return nil
 	}
+	return s.runHandler(g, ev, consumed, sc)
 }
 
 // findMsg locates the first in-flight item matching the event.
@@ -116,24 +90,24 @@ func findMsg(g *GState, from, to sm.NodeID, msgType string, rst bool) int {
 // back to the sender, mirroring the live transport.
 //
 //crystal:hotpath
-func (s *Search) dispatchSends(next *GState, ctx *mcContext, sc *scratch) {
-	for _, sd := range ctx.sends {
+func (s *Search) dispatchSends(next *GState, from sm.NodeID, sc *scratch) {
+	for _, sd := range sc.fx.Sends {
 		if _, known := next.index(sd.To); !known {
 			s.dummyRedirects.Add(1)
 			continue
 		}
-		if next.clearStale(pair{sd.From, sd.To}, sc) {
+		if next.clearStale(pair{from, sd.To}, sc) {
 			// Stale socket discovered: message lost, sender will
 			// observe a transport error; the pair is fresh again
 			// afterwards (next send reconnects).
-			next.addMsg(InFlight{From: sd.To, To: sd.From, Msg: nil}, sc)
+			next.addMsg(InFlight{From: sd.To, To: from, Msg: nil}, sc)
 			continue
 		}
-		next.addMsg(sd, sc)
+		next.addMsg(InFlight{From: from, To: sd.To, Msg: sd.Msg}, sc)
 	}
 }
 
-// runHandler builds the successor of g for a handler executed at node:
+// runHandler builds the successor of g for the handler ev runs at its node:
 // consumed is the index of the in-flight item the event delivers (negative
 // when it delivers none). The successor's in-flight container is built after
 // the handler ran, once, at the size the consumed item and the captured
@@ -142,7 +116,8 @@ func (s *Search) dispatchSends(next *GState, ctx *mcContext, sc *scratch) {
 // container shared.
 //
 //crystal:hotpath
-func (s *Search) runHandler(g *GState, node sm.NodeID, ev sm.Event, consumed int, sc *scratch, run func(ctx *mcContext)) *GState {
+func (s *Search) runHandler(g *GState, ev sm.Event, consumed int, sc *scratch) *GState {
+	node := ev.Node()
 	i, known := g.index(node)
 	if !known {
 		return nil
@@ -150,65 +125,21 @@ func (s *Search) runHandler(g *GState, node sm.NodeID, ev sm.Event, consumed int
 	ns := g.nodes[i]
 	next := g.shallowClone()
 	cloned := &NodeState{Svc: ns.Svc.Clone()}
-	ctx := &sc.ctx
-	ctx.begin(node, cloned.Svc, ns.Timers, edgeRNG(s.cfg.Seed, ns, ev, sc))
-	run(ctx)
-	if room := len(ctx.sends); consumed >= 0 {
+	fx := &sc.fx
+	fx.Begin(node, ns.Timers, edgeRNG(s.cfg.Seed, ns, ev, sc))
+	sm.Deliver(cloned.Svc, fx, ev)
+	if room := len(fx.Sends); consumed >= 0 {
 		next.removeMsgAt(consumed, room, sc)
 	} else if room > 0 {
 		next.msgs = append(make([]*InFlight, 0, len(g.msgs)+room), g.msgs...)
 	}
-	s.dispatchSends(next, ctx, sc)
+	s.dispatchSends(next, node, sc)
 	// All mutations applied: freeze the clone's timer set and encoding/hashes
 	// (sharing whatever the handler left unchanged with the parent) and swap
 	// it into the fingerprint.
-	cloned.finalize(node, ctx.timers, ns, sc)
+	cloned.finalize(node, fx.Timers, ns, sc)
 	next.swapNode(i, cloned)
 	return next
-}
-
-//crystal:hotpath
-func (s *Search) applyMessage(g *GState, e sm.MsgEvent, sc *scratch) *GState {
-	i := findMsg(g, e.From, e.To, e.Msg.MsgType(), false)
-	if i < 0 {
-		return nil
-	}
-	msg := g.msgs[i].Msg
-	return s.runHandler(g, e.To, e, i, sc, func(ctx *mcContext) {
-		ctx.svc.HandleMessage(ctx, e.From, msg)
-	})
-}
-
-//crystal:hotpath
-func (s *Search) applyTimer(g *GState, e sm.TimerEvent, sc *scratch) *GState {
-	ns := g.Node(e.At)
-	if ns == nil || !ns.Timers.Has(e.Timer) {
-		return nil
-	}
-	return s.runHandler(g, e.At, e, -1, sc, func(ctx *mcContext) {
-		// One-shot semantics: the timer is consumed before the
-		// handler runs; periodic services re-arm inside the handler.
-		ctx.timers.Remove(e.Timer)
-		ctx.svc.HandleTimer(ctx, e.Timer)
-	})
-}
-
-//crystal:hotpath
-func (s *Search) applyApp(g *GState, e sm.AppEvent, sc *scratch) *GState {
-	return s.runHandler(g, e.At, e, -1, sc, func(ctx *mcContext) {
-		ctx.svc.HandleApp(ctx, e.Call)
-	})
-}
-
-//crystal:hotpath
-func (s *Search) applyError(g *GState, e sm.ErrorEvent, sc *scratch) *GState {
-	i := findMsg(g, e.Peer, e.At, "", true)
-	if i < 0 && !s.cfg.ExploreConnBreaks {
-		return nil
-	}
-	return s.runHandler(g, e.At, e, i, sc, func(ctx *mcContext) {
-		ctx.svc.HandleTransportError(ctx, e.Peer)
-	})
 }
 
 //crystal:hotpath
@@ -276,19 +207,12 @@ func (s *Search) applyReset(g *GState, e sm.ResetEvent, sc *scratch) *GState {
 	// The reset node has no stale knowledge of anyone.
 	next.clearStaleFrom(e.At, sc)
 	// Fresh service, re-initialised; disk contents survive the crash.
-	var stable []byte
-	if ss, ok := ns.Svc.(sm.StableStore); ok {
-		stable = ss.StableBytes()
-	}
-	fresh := &NodeState{Svc: s.cfg.Factory(e.At)}
-	if ss, ok := fresh.Svc.(sm.StableStore); ok && stable != nil {
-		ss.RestoreStable(stable)
-	}
-	ctx := &sc.ctx
-	ctx.begin(e.At, fresh.Svc, nil, edgeRNG(s.cfg.Seed, ns, e, sc))
-	fresh.Svc.Init(ctx)
-	s.dispatchSends(next, ctx, sc)
-	fresh.finalize(e.At, ctx.timers, ns, sc)
+	fresh := &NodeState{Svc: sm.Restart(s.cfg.Factory, e.At, ns.Svc)}
+	fx := &sc.fx
+	fx.Begin(e.At, nil, edgeRNG(s.cfg.Seed, ns, e, sc))
+	fresh.Svc.Init(fx)
+	s.dispatchSends(next, e.At, sc)
+	fresh.finalize(e.At, fx.Timers, ns, sc)
 	next.swapNode(at, fresh)
 	return next
 }

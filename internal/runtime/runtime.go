@@ -2,7 +2,8 @@
 // the "Runtime" box of the paper's Figure 7.
 //
 // The runtime demultiplexes network messages, fires timers and forwards
-// application calls into the service's handlers; it also implements the two
+// application calls into the service's handlers — through sm.Deliver, the
+// executor the model checker runs them with; it also implements the two
 // enforcement mechanisms of CrystalBall's execution steering mode:
 //
 //   - event filters (paper section 3.3), which temporarily block a handler:
@@ -91,10 +92,11 @@ type Node struct {
 	iscProps props.Set
 	iscView  func() *props.View
 	iscOn    bool
-	// iscPost/iscPre are the speculative-execution evaluation views,
-	// reused across every ISC check this node performs (the check runs on
-	// the single simulator goroutine). Only the NodeView containers are
-	// reused; the service/timer references are refilled per check.
+	// iscFx buffers the speculative execution's effects and iscPost/iscPre
+	// are its evaluation views, all reused across every ISC check this node
+	// performs (the check runs on the single simulator goroutine). Only the
+	// containers are reused; their contents are refilled per check.
+	iscFx   sm.Effects
 	iscPost *props.View
 	iscPre  *props.View
 
@@ -184,14 +186,7 @@ func (n *Node) Reset(silent bool) {
 	}
 	n.timers = make(map[sm.TimerID]*sim.Timer)
 	// Disk contents survive the crash; everything else is lost.
-	var stable []byte
-	if ss, ok := n.svc.(sm.StableStore); ok {
-		stable = ss.StableBytes()
-	}
-	n.svc = n.factory(n.ID)
-	if ss, ok := n.svc.(sm.StableStore); ok && stable != nil {
-		ss.RestoreStable(stable)
-	}
+	n.svc = sm.Restart(n.factory, n.ID, n.svc)
 	n.svc.Init(n.liveCtx())
 }
 
@@ -218,7 +213,7 @@ func (n *Node) App(call sm.AppCall) {
 	if n.iscBlocks(ev) {
 		return
 	}
-	n.dispatch(ev, func(ctx sm.Context) { n.svc.HandleApp(ctx, call) })
+	n.dispatch(ev)
 }
 
 // HandleDeliver implements simnet.Handler.
@@ -247,7 +242,7 @@ func (n *Node) HandleDeliver(from sm.NodeID, payload any) {
 			n.net.BreakConn(n.ID, from, true)
 			return
 		}
-		n.dispatch(ev, func(ctx sm.Context) { n.svc.HandleMessage(ctx, from, env.Msg) })
+		n.dispatch(ev)
 	}
 }
 
@@ -257,13 +252,14 @@ func (n *Node) HandleConnError(peer sm.NodeID) {
 	if n.ckpt != nil {
 		n.ckpt.PeerError(peer)
 	}
-	ev := sm.ErrorEvent{At: n.ID, Peer: peer}
-	n.dispatch(ev, func(ctx sm.Context) { n.svc.HandleTransportError(ctx, peer) })
+	n.dispatch(sm.ErrorEvent{At: n.ID, Peer: peer})
 }
 
-// fireTimer runs when a scheduled timer expires.
+// fireTimer runs when a scheduled timer expires. The timer stays in the
+// pending set until its handler really runs (sm.Deliver consumes it), so the
+// ISC's pre-state still holds it; the deferring paths schedule over the fired
+// entry.
 func (n *Node) fireTimer(t sm.TimerID) {
-	delete(n.timers, t)
 	ev := sm.TimerEvent{At: n.ID, Timer: t}
 	if _, ok := n.filterFor(ev); ok {
 		// Filtered timers are rescheduled, not dropped (paper
@@ -276,13 +272,14 @@ func (n *Node) fireTimer(t sm.TimerID) {
 		n.scheduleTimer(t, n.FilterDeferDelay)
 		return
 	}
-	n.dispatch(ev, func(ctx sm.Context) { n.svc.HandleTimer(ctx, t) })
+	n.dispatch(ev)
 }
 
-func (n *Node) dispatch(ev sm.Event, run func(sm.Context)) {
+// dispatch executes ev's handler for real.
+func (n *Node) dispatch(ev sm.Event) {
 	n.eventSeq++
 	n.Stats.ActionsExecuted++
-	run(n.liveCtx())
+	sm.Deliver(n.svc, n.liveCtx(), ev)
 	if n.OnEvent != nil {
 		n.OnEvent(ev)
 	}
@@ -363,21 +360,15 @@ func (n *Node) iscBlocks(ev sm.Event) bool {
 		return false
 	}
 	n.Stats.ISCChecks++
-	spec := &specContext{
-		self:   n.ID,
-		svc:    n.svc.Clone(),
-		timers: n.TimerSet(),
-		rng:    n.invocationRNG(),
-	}
-	switch e := ev.(type) {
-	case sm.MsgEvent:
-		spec.svc.HandleMessage(spec, e.From, e.Msg)
-	case sm.TimerEvent:
-		spec.timers.Remove(e.Timer)
-		spec.svc.HandleTimer(spec, e.Timer)
-	case sm.AppEvent:
-		spec.svc.HandleApp(spec, e.Call)
-	default:
+	// The speculative run's sends are held back (paper: "holds the
+	// transmission of messages until the successful completion of the
+	// consistency check") and then simply discarded: the real execution
+	// re-runs the handler with an identical random stream and re-issues them.
+	pending := n.TimerSet()
+	spec := &n.iscFx
+	spec.Begin(n.ID, pending, n.invocationRNG())
+	specSvc := n.svc.Clone()
+	if !sm.Deliver(specSvc, spec, ev) {
 		return false
 	}
 	// Evaluate the properties on the last known neighborhood snapshot
@@ -404,13 +395,13 @@ func (n *Node) iscBlocks(ev sm.Event) bool {
 		return view
 	}
 	post := neighborhood(n.iscPost)
-	post.Add(n.ID, spec.svc, spec.timers)
+	post.Add(n.ID, specSvc, spec.Timers)
 	violatedPost := n.iscProps.Check(post)
 	if len(violatedPost) == 0 {
 		return false
 	}
 	pre := neighborhood(n.iscPre)
-	pre.Add(n.ID, n.svc, n.TimerSet())
+	pre.Add(n.ID, n.svc, pending)
 	violatedPre := make(map[string]bool)
 	for _, p := range n.iscProps.Check(pre) {
 		violatedPre[p] = true
@@ -423,22 +414,3 @@ func (n *Node) iscBlocks(ev sm.Event) bool {
 	}
 	return false
 }
-
-// specContext buffers all effects of a speculative execution: sends are
-// held back (paper: "holds the transmission of messages until the
-// successful completion of the consistency check") and simply discarded
-// here because the real execution re-runs the handler with an identical
-// random stream and re-issues them.
-type specContext struct {
-	self   sm.NodeID
-	svc    sm.Service
-	timers sm.TimerSet // the context's own copy (Node.TimerSet), edited in place
-	rng    *rand.Rand
-}
-
-func (c *specContext) Self() sm.NodeID                      { return c.self }
-func (c *specContext) Send(to sm.NodeID, msg sm.Message)    {}
-func (c *specContext) SetTimer(t sm.TimerID, d sm.Duration) { c.timers.Add(t) }
-func (c *specContext) CancelTimer(t sm.TimerID)             { c.timers.Remove(t) }
-func (c *specContext) TimerPending(t sm.TimerID) bool       { return c.timers.Has(t) }
-func (c *specContext) Rand() *rand.Rand                     { return c.rng }

@@ -180,6 +180,46 @@ func TestISCBlocksUnsafeHandler(t *testing.T) {
 	}
 }
 
+// quitter is a testsvc node whose gossip handler never re-arms its timer.
+type quitter struct{ *testsvc.Svc }
+
+func (q quitter) HandleTimer(ctx sm.Context, t sm.TimerID) { q.Gossips++ }
+func (q quitter) Clone() sm.Service                        { return quitter{q.Svc.Clone().(*testsvc.Svc)} }
+
+// TestISCVetoesTimerHandlerThatDropsItsTimer: the ISC judges a timer event
+// against the state the handler starts from, in which the firing timer is
+// still pending. A handler that fails to re-arm a timer a property requires
+// therefore introduces the violation and is vetoed and rescheduled; with the
+// timer consumed before the check, the violation read as pre-existing and
+// the handler ran.
+func TestISCVetoesTimerHandlerThatDropsItsTimer(t *testing.T) {
+	s := sim.New(11)
+	net := simnet.New(s, simnet.UniformPath{Latency: 5 * time.Millisecond, BwBps: 1e9})
+	n := NewNode(s, net, 1, func(id sm.NodeID) sm.Service { return quitter{testsvc.New(id).(*testsvc.Svc)} })
+	gossipPending := props.Property{
+		Name: "GossipTimerPending",
+		Check: func(v *props.View) bool {
+			for _, id := range v.IDs() {
+				if !v.Get(id).TimerPending(testsvc.TimerGossip) {
+					return false
+				}
+			}
+			return true
+		},
+	}
+	n.EnableISC(props.Set{gossipPending}, nil)
+	s.RunFor(3 * time.Second)
+	if n.Stats.ISCBlocks == 0 {
+		t.Fatalf("ISC let the timer handler drop the gossip timer: %d checks, 0 blocks", n.Stats.ISCChecks)
+	}
+	if g := n.Service().(quitter).Gossips; g != 0 {
+		t.Fatalf("vetoed handler ran for real %d times", g)
+	}
+	if !n.TimerSet().Has(testsvc.TimerGossip) {
+		t.Fatal("vetoed timer was not rescheduled")
+	}
+}
+
 func viewOf(n *Node) *props.View {
 	v := props.NewView()
 	svc, timers := n.View()

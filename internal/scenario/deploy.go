@@ -27,16 +27,6 @@ const (
 	Steering
 )
 
-// Toggle is a three-state option: the zero value keeps the default.
-type Toggle int
-
-// Toggle states.
-const (
-	Auto Toggle = iota
-	On
-	Off
-)
-
 // LANPath is the uniform 20 ms / 100 Mbps path model the staged scenarios
 // and CLIs deploy on by default.
 func LANPath() simnet.UniformPath {
@@ -87,12 +77,9 @@ type DeployOptions struct {
 	Workers int
 	// PerStateCost overrides the virtual checker latency per state.
 	PerStateCost time.Duration
-	// ISC toggles the immediate safety check (Auto = on iff steering).
-	ISC Toggle
-	// Reduce toggles sleep-set partial-order reduction in the
-	// controllers' consequence-prediction rounds (Auto = the scenario's
-	// Reduction default).
-	Reduce Toggle
+	// ISC turns the immediate safety check on under a debugging
+	// controller too; a steering deployment always runs it.
+	ISC bool
 	// Faults overrides the scenario's checker fault model.
 	Faults *Faults
 	// Checkpoints attaches standalone snapshot managers to Bare

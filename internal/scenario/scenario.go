@@ -129,17 +129,6 @@ type Scenario struct {
 	// Faults is the default fault model for the checker.
 	Faults Faults
 
-	// Reduction enables sleep-set partial-order reduction
-	// (mc.Config.Reduce) for this scenario's searches — offline checking
-	// and live consequence-prediction rounds alike. Sound whenever the
-	// scenario's properties are over states, not event orderings: the
-	// reduced search claims the identical state set, local-state set and
-	// violation set, just through fewer handler executions (the
-	// differential oracle in reduction_oracle_test.go pins this). Leave
-	// it off for scenarios whose checkers instrument message-arrival
-	// order itself.
-	Reduction bool
-
 	// CheckerPolicy declares the per-round exploration budget policy for
 	// live controllers: the kind ("fixed", "scaled", "adaptive") plus
 	// the base budget and tuning. The zero value means a FixedPolicy
@@ -206,7 +195,12 @@ func (sc *Scenario) SearchConfig(o Options) (mc.Config, error) {
 		ExploreResets:     sc.Faults.ExploreResets,
 		ExploreConnBreaks: sc.Faults.ExploreConnBreaks,
 		MaxResetsPerPath:  sc.Faults.MaxResetsPerPath,
-		Reduce:            sc.Reduction,
+		// Every registered scenario's properties are over states, not event
+		// orderings, so its searches — offline and live rounds alike — run
+		// with the sleep-set reduction: the identical state, local-state and
+		// violation sets through fewer handler executions
+		// (reduction_oracle_test.go pins this against the unreduced search).
+		Reduce: true,
 	}, nil
 }
 
@@ -260,15 +254,9 @@ func (sc *Scenario) ControllerConfig(o DeployOptions) (controller.Config, error)
 		cfg.Mode = controller.DeepOnlineDebugging
 	}
 	// The immediate safety check intervenes in the execution, so it is
-	// on only when the deployment steers — unless explicitly toggled
-	// (the ISC-only experiment arm runs it under a debugging controller).
-	cfg.EnableISC = o.Control == Steering
-	switch o.ISC {
-	case On:
-		cfg.EnableISC = true
-	case Off:
-		cfg.EnableISC = false
-	}
+	// on only when the deployment steers — unless asked for (the ISC-only
+	// experiment arm runs it under a debugging controller).
+	cfg.EnableISC = o.Control == Steering || o.ISC
 	faults := sc.Faults
 	if o.Faults != nil {
 		faults = *o.Faults
@@ -276,13 +264,7 @@ func (sc *Scenario) ControllerConfig(o DeployOptions) (controller.Config, error)
 	cfg.ExploreResets = faults.ExploreResets
 	cfg.ExploreConnBreaks = faults.ExploreConnBreaks
 	cfg.MaxResetsPerPath = faults.MaxResetsPerPath
-	cfg.Reduce = sc.Reduction
-	switch o.Reduce {
-	case On:
-		cfg.Reduce = true
-	case Off:
-		cfg.Reduce = false
-	}
+	cfg.Reduce = true // as in SearchConfig
 	spec, err := sc.resolvePolicySpec(o)
 	if err != nil {
 		return controller.Config{}, fmt.Errorf("scenario %s: %w", sc.Name, err)

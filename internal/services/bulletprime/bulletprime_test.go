@@ -12,26 +12,12 @@ import (
 	"crystalball/internal/sm"
 )
 
-// testCtx implements sm.Context for handler-level tests.
-type testCtx struct {
-	self     sm.NodeID
-	sends    []sm.MsgEvent
-	timerSet sm.TimerSet
-	rng      *rand.Rand
+// newCtx returns the buffering context (sm.Effects) for direct handler tests.
+func newCtx(self sm.NodeID) *sm.Effects {
+	fx := new(sm.Effects)
+	fx.Begin(self, nil, rand.New(rand.NewSource(1)))
+	return fx
 }
-
-func newCtx(self sm.NodeID) *testCtx {
-	return &testCtx{self: self, rng: rand.New(rand.NewSource(1))}
-}
-
-func (c *testCtx) Self() sm.NodeID { return c.self }
-func (c *testCtx) Send(to sm.NodeID, msg sm.Message) {
-	c.sends = append(c.sends, sm.MsgEvent{From: c.self, To: to, Msg: msg})
-}
-func (c *testCtx) SetTimer(t sm.TimerID, d sm.Duration) { c.timerSet.Add(t) }
-func (c *testCtx) CancelTimer(t sm.TimerID)             { c.timerSet.Remove(t) }
-func (c *testCtx) TimerPending(t sm.TimerID) bool       { return c.timerSet.Has(t) }
-func (c *testCtx) Rand() *rand.Rand                     { return c.rng }
 
 func mkCfg(fixes Fix, members ...sm.NodeID) Config {
 	return Config{
@@ -52,7 +38,7 @@ func TestBug1ShadowClearedOnRefusedEnqueue(t *testing.T) {
 	src.Outstanding[2] = cfg.Window       // transport queue full
 	ctx := newCtx(1)
 	src.sendDiff(ctx, 2)
-	if len(ctx.sends) != 0 {
+	if len(ctx.Sends) != 0 {
 		t.Fatal("refused enqueue must not transmit")
 	}
 	if len(src.Shadow[2]) != 0 {
@@ -89,10 +75,10 @@ func TestBug1RetrySucceedsAfterFix(t *testing.T) {
 	src.sendDiff(ctx, 2) // refused
 	src.Outstanding[2] = 0
 	src.sendDiff(ctx, 2) // retried
-	if len(ctx.sends) != 1 {
-		t.Fatalf("retry should transmit exactly one diff, got %d", len(ctx.sends))
+	if len(ctx.Sends) != 1 {
+		t.Fatalf("retry should transmit exactly one diff, got %d", len(ctx.Sends))
 	}
-	diff := ctx.sends[0].Msg.(Diff)
+	diff := ctx.Sends[0].Msg.(Diff)
 	if len(diff.Blocks) != 8 {
 		t.Fatalf("diff lost blocks: %v", diff.Blocks)
 	}
@@ -226,15 +212,15 @@ func TestRarestRandomPrefersRareBlocks(t *testing.T) {
 	ctx := newCtx(3)
 	b.cfg.MaxOutstandingRequests = 1 // force a single choice
 	b.issueRequests(ctx)
-	if len(ctx.sends) != 1 {
-		t.Fatalf("sends = %d, want 1", len(ctx.sends))
+	if len(ctx.Sends) != 1 {
+		t.Fatalf("sends = %d, want 1", len(ctx.Sends))
 	}
-	req := ctx.sends[0].Msg.(Request)
+	req := ctx.Sends[0].Msg.(Request)
 	if req.Block != 1 {
 		t.Fatalf("requested block %d, want the rarer block 1", req.Block)
 	}
-	if ctx.sends[0].To != 1 {
-		t.Fatalf("requested from %v, want the only holder 1", ctx.sends[0].To)
+	if ctx.Sends[0].To != 1 {
+		t.Fatalf("requested from %v, want the only holder 1", ctx.Sends[0].To)
 	}
 }
 
@@ -247,7 +233,7 @@ func TestWindowLimitsOutstandingData(t *testing.T) {
 		src.HandleMessage(ctx, 2, Request{Block: i})
 	}
 	dataCount := 0
-	for _, s := range ctx.sends {
+	for _, s := range ctx.Sends {
 		if _, ok := s.Msg.(Data); ok {
 			dataCount++
 		}
@@ -258,7 +244,7 @@ func TestWindowLimitsOutstandingData(t *testing.T) {
 	// Acks drain the queue and allow more.
 	src.HandleMessage(ctx, 2, Ack{})
 	src.HandleMessage(ctx, 2, Request{Block: 7})
-	last := ctx.sends[len(ctx.sends)-1]
+	last := ctx.Sends[len(ctx.Sends)-1]
 	if _, ok := last.Msg.(Data); !ok {
 		t.Fatal("ack did not free a queue slot")
 	}

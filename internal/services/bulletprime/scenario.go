@@ -39,7 +39,6 @@ func init() {
 		Check:      scenario.Tuning{Nodes: 4, Blocks: 8, BlockSize: 16 << 10},
 		Live:       scenario.Tuning{Nodes: 8, Blocks: 32, BlockSize: 64 << 10},
 		Faults:     scenario.Faults{ExploreResets: true},
-		Reduction:  true,
 		CheckerPolicy: mc.PolicySpec{
 			Kind: mc.PolicyFixed,
 			Base: mc.Budget{States: 6000},

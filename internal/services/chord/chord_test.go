@@ -14,26 +14,12 @@ import (
 	"crystalball/internal/sm"
 )
 
-// testCtx implements sm.Context for handler-level tests.
-type testCtx struct {
-	self     sm.NodeID
-	sends    []sm.MsgEvent
-	timerSet sm.TimerSet
-	rng      *rand.Rand
+// newCtx returns the buffering context (sm.Effects) for direct handler tests.
+func newCtx(self sm.NodeID) *sm.Effects {
+	fx := new(sm.Effects)
+	fx.Begin(self, nil, rand.New(rand.NewSource(1)))
+	return fx
 }
-
-func newCtx(self sm.NodeID) *testCtx {
-	return &testCtx{self: self, rng: rand.New(rand.NewSource(1))}
-}
-
-func (c *testCtx) Self() sm.NodeID { return c.self }
-func (c *testCtx) Send(to sm.NodeID, msg sm.Message) {
-	c.sends = append(c.sends, sm.MsgEvent{From: c.self, To: to, Msg: msg})
-}
-func (c *testCtx) SetTimer(t sm.TimerID, d sm.Duration) { c.timerSet.Add(t) }
-func (c *testCtx) CancelTimer(t sm.TimerID)             { c.timerSet.Remove(t) }
-func (c *testCtx) TimerPending(t sm.TimerID) bool       { return c.timerSet.Has(t) }
-func (c *testCtx) Rand() *rand.Rand                     { return c.rng }
 
 func mk(self sm.NodeID, fixes Fix, bootstrap ...sm.NodeID) *Ring {
 	return New(Config{Bootstrap: bootstrap, Fixes: fixes})(self).(*Ring)

@@ -31,7 +31,6 @@ func init() {
 		Check:       scenario.Tuning{Nodes: 5},
 		Live:        scenario.Tuning{Nodes: 12},
 		Faults:      scenario.Faults{ExploreResets: true, ExploreConnBreaks: true},
-		Reduction:   true,
 		// Declared as a policy spec (fixed, 12000 states/round — the
 		// long-standing value); Chord's live states grow with the
 		// successor lists, so -policy scaled is the natural retune.

@@ -8,25 +8,12 @@ import (
 	"crystalball/internal/sm"
 )
 
-// testCtx implements sm.Context for handler-level tests, capturing sends.
-type testCtx struct {
-	self  sm.NodeID
-	sends []sm.MsgEvent
-	rng   *rand.Rand
+// newCtx returns the buffering context (sm.Effects) for direct handler tests.
+func newCtx(self sm.NodeID) *sm.Effects {
+	fx := new(sm.Effects)
+	fx.Begin(self, nil, rand.New(rand.NewSource(1)))
+	return fx
 }
-
-func newCtx(self sm.NodeID) *testCtx {
-	return &testCtx{self: self, rng: rand.New(rand.NewSource(1))}
-}
-
-func (c *testCtx) Self() sm.NodeID { return c.self }
-func (c *testCtx) Send(to sm.NodeID, msg sm.Message) {
-	c.sends = append(c.sends, sm.MsgEvent{From: c.self, To: to, Msg: msg})
-}
-func (c *testCtx) SetTimer(t sm.TimerID, d sm.Duration) {}
-func (c *testCtx) CancelTimer(t sm.TimerID)             {}
-func (c *testCtx) TimerPending(t sm.TimerID) bool       { return false }
-func (c *testCtx) Rand() *rand.Rand                     { return c.rng }
 
 var oracleMembers = []sm.NodeID{1, 2, 3}
 
@@ -38,9 +25,8 @@ type op struct {
 
 // lastOp returns the operation the last HandleApp call broadcast (every
 // peer receives identical content, so one send suffices).
-func lastOp(ctx *testCtx) op {
-	ev := ctx.sends[len(ctx.sends)-1]
-	return op{from: ev.From, msg: ev.Msg}
+func lastOp(ctx *sm.Effects) op {
+	return op{from: ctx.Self(), msg: ctx.Sends[len(ctx.Sends)-1].Msg}
 }
 
 // scriptOps drives the scenario's op script on writer replicas built by
@@ -54,7 +40,7 @@ func scriptOps(t *testing.T, factory sm.Factory, calls func(n int) sm.AppCall) [
 	b, bctx := factory(2), newCtx(2)
 	var ops []op
 	a.HandleApp(actx, calls(0))
-	if len(actx.sends) == 0 {
+	if len(actx.Sends) == 0 {
 		t.Fatal("member 0 first op not broadcast")
 	}
 	first := lastOp(actx)
@@ -63,7 +49,7 @@ func scriptOps(t *testing.T, factory sm.Factory, calls func(n int) sm.AppCall) [
 	a.HandleApp(actx, calls(1))
 	ops = append(ops, lastOp(actx))
 	b.HandleApp(bctx, calls(2))
-	if len(bctx.sends) == 0 {
+	if len(bctx.Sends) == 0 {
 		t.Fatal("member 1 op not broadcast")
 	}
 	ops = append(ops, lastOp(bctx))

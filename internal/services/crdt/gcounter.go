@@ -231,7 +231,6 @@ func init() {
 		GlobalProps:   props.GlobalSet{PropConverged("ReplicaConvergence")},
 		Check:         scenario.Tuning{Nodes: 3},
 		Live:          scenario.Tuning{Nodes: 5},
-		Reduction:     true,
 		CheckerPolicy: mc.PolicySpec{Kind: mc.PolicyFixed, Base: mc.Budget{States: 8000}},
 		Join:          func() sm.AppCall { return AppInc{} },
 	})

@@ -15,29 +15,12 @@ import (
 
 // --- handler-level unit tests ----------------------------------------------
 
-// testCtx implements sm.Context capturing sends for direct handler tests.
-type testCtx struct {
-	self     sm.NodeID
-	sends    []sm.MsgEvent
-	timerSet sm.TimerSet
-	rng      *rand.Rand
+// newRealCtx returns the buffering context (sm.Effects) for direct handler tests.
+func newRealCtx(self sm.NodeID) *sm.Effects {
+	fx := new(sm.Effects)
+	fx.Begin(self, nil, rand.New(rand.NewSource(1)))
+	return fx
 }
-
-func newRealCtx(self sm.NodeID) *testCtx {
-	return &testCtx{
-		self: self,
-		rng:  rand.New(rand.NewSource(1)),
-	}
-}
-
-func (c *testCtx) Self() sm.NodeID { return c.self }
-func (c *testCtx) Send(to sm.NodeID, msg sm.Message) {
-	c.sends = append(c.sends, sm.MsgEvent{From: c.self, To: to, Msg: msg})
-}
-func (c *testCtx) SetTimer(t sm.TimerID, d sm.Duration) { c.timerSet.Add(t) }
-func (c *testCtx) CancelTimer(t sm.TimerID)             { c.timerSet.Remove(t) }
-func (c *testCtx) TimerPending(t sm.TimerID) bool       { return c.timerSet.Has(t) }
-func (c *testCtx) Rand() *rand.Rand                     { return c.rng }
 
 func mk(self sm.NodeID, fixes Fix, bootstrap ...sm.NodeID) *Tree {
 	return New(Config{Bootstrap: bootstrap, Fixes: fixes})(self).(*Tree)
@@ -141,7 +124,7 @@ func TestBug5SelfJoinSchedulesNoTimer(t *testing.T) {
 	if !a.Joined || !a.IsRoot {
 		t.Fatal("self-join failed")
 	}
-	if ctx.timerSet.Has(TimerRecovery) {
+	if ctx.Timers.Has(TimerRecovery) {
 		t.Fatal("buggy self-join should not schedule the recovery timer")
 	}
 	// The violation manifests once the peer list becomes non-empty: a
@@ -152,7 +135,7 @@ func TestBug5SelfJoinSchedulesNoTimer(t *testing.T) {
 		t.Fatal("handover should have populated the peer list")
 	}
 	v := props.NewView()
-	v.Add(3, a, ctx.timerSet)
+	v.Add(3, a, ctx.Timers)
 	if PropRecoveryTimer.Check(v) {
 		t.Fatal("RecoveryTimerRuns should be violated")
 	}
@@ -160,7 +143,7 @@ func TestBug5SelfJoinSchedulesNoTimer(t *testing.T) {
 	f := mk(3, FixJoinSelfTimer)
 	ctx2 := newRealCtx(3)
 	f.HandleApp(ctx2, AppJoin{})
-	if !ctx2.timerSet.Has(TimerRecovery) {
+	if !ctx2.Timers.Has(TimerRecovery) {
 		t.Fatal("fixed self-join should schedule the recovery timer")
 	}
 }

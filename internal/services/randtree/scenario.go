@@ -26,11 +26,10 @@ func init() {
 			}
 			return New(Config{Bootstrap: ids[:1], MaxChildren: o.Degree, Fixes: fixes}), nil
 		},
-		Props:     Properties,
-		Check:     scenario.Tuning{Nodes: 5},
-		Live:      scenario.Tuning{Nodes: 12, Degree: 3},
-		Faults:    scenario.Faults{ExploreResets: true},
-		Reduction: true,
+		Props:  Properties,
+		Check:  scenario.Tuning{Nodes: 5},
+		Live:   scenario.Tuning{Nodes: 12, Degree: 3},
+		Faults: scenario.Faults{ExploreResets: true},
 		// Declared as a policy spec (fixed, 8000 states/round — the
 		// long-standing value); -policy scaled|adaptive retunes the
 		// same base at deploy time.

@@ -18,7 +18,10 @@ test:
 # one representation, sm.TimerSet. And there is one place an event becomes a
 # handler call or a crashed node gets its disk back — sm.Deliver / sm.Restart
 # (internal/sm/exec.go): a handler invoked from anywhere else is a second
-# executor in the making.
+# executor in the making. Likewise an event's identity — its text, its bug
+# class, its sleep and wire key — is derived in one place, sm.KeyOf
+# (internal/sm/key.go): outside sm only the checker's enabledness test
+# (internal/mc/step.go) switches over the event kinds.
 # The CI lint job runs exactly this target.
 lint:
 	@fmtout=$$(gofmt -l cmd internal examples bench); \
@@ -30,6 +33,9 @@ lint:
 	@if grep -rn --include='*.go' -e '\.HandleMessage(' -e '\.HandleTimer(' -e '\.HandleApp(' -e '\.HandleTransportError(' -e 'RestoreStable(' cmd internal examples \
 	| grep -v -e '_test\.go' -e '^internal/sm/' -e '^internal/services/'; then \
 	echo "handlers run through sm.Deliver and sm.Restart only"; exit 1; fi
+	@if grep -rn --include='*.go' -e 'case sm\.MsgEvent' cmd internal examples \
+	| grep -v -e '_test\.go' -e '^internal/mc/step\.go'; then \
+	echo "an event's identity comes from sm.KeyOf: no switch over the event kinds outside internal/sm and internal/mc/step.go"; exit 1; fi
 	$(GO) vet ./...
 	$(GO) run ./cmd/crystalvet ./...
 

@@ -60,6 +60,11 @@ func sampleMsgs() []Msg {
 	}
 }
 
+// badKind is a forwarded state whose path names an event of no kind.
+var badKind = Batch{From: 0, To: 1, States: []ForwardState{
+	{Hash: 0x10, Depth: 1, Path: []EventDesc{{Kind: 'X', From: 1, Node: 2, Name: "Join"}}},
+}}
+
 // TestDecodeRejectsInvalid pins that the decoder refuses structurally valid
 // frames carrying out-of-range fields — loudly, not by truncating or
 // clamping. (The fuzz harness found silent acceptance here once; these are
@@ -86,6 +91,7 @@ func TestDecodeRejectsInvalid(t *testing.T) {
 		RoundAbort{Round: -1},
 		AbortAck{Shard: -1, Round: 1},
 		AbortAck{Shard: 0, Round: 0},
+		badKind,
 	}
 	for _, m := range bad {
 		enc := sm.NewEncoder()
@@ -175,6 +181,12 @@ func FuzzCodec(f *testing.F) {
 	// range the decoder's sign check guards.
 	enc := sm.NewEncoder()
 	if err := encodeMsg(enc, ShardReport{PeakBytes: math.MaxInt64}); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(append([]byte(nil), enc.Bytes()...))
+	// A path whose one event has a kind byte outside MTAERD: refused.
+	enc.Reset()
+	if err := encodeMsg(enc, badKind); err != nil {
 		f.Fatal(err)
 	}
 	f.Add(append([]byte(nil), enc.Bytes()...))

@@ -78,8 +78,6 @@ type Coordinator struct {
 	rejoin chan rejoinReq
 	done   chan struct{}
 	round  int
-	exp    *mc.Expander // lazy replay workspace (wire-mode violations)
-	enc    *sm.Encoder
 }
 
 // NewCoordinator wraps one connection per shard (index = shard id) and
@@ -587,14 +585,22 @@ func (c *Coordinator) mergeViolations(reports []ShardReport) ([]mc.Violation, er
 		return strings.Join(kept[i].Props, "|") < strings.Join(kept[j].Props, "|")
 	})
 	out := make([]mc.Violation, len(kept))
+	var x *mc.Expander // replay workspace: only wire-mode violations need one
+	enc := sm.NewEncoder()
 	for i, v := range kept {
 		path := v.events
 		if path == nil && len(v.Path) > 0 && c.cfg.Search != nil && c.cfg.Root != nil {
-			var err error
-			path, _, err = replayDescs(c.cfg.Search, c.replayExpander(), c.replayScratch(), c.cfg.Root, v.Path, true)
+			if x == nil {
+				x = c.cfg.Search.NewExpander()
+			}
+			events, g, err := replayDescs(c.cfg.Search, x, enc, c.cfg.Root, v.Path, true)
 			if err != nil {
 				return nil, errorf("materializing violation path: %w", err)
 			}
+			if g.Hash() != v.StateHash {
+				return nil, errorf("violation path replays to state hash %#x, shard reported %#x — diverged configurations?", g.Hash(), v.StateHash)
+			}
+			path = events
 		}
 		out[i] = mc.Violation{
 			Properties: v.Props,
@@ -604,22 +610,6 @@ func (c *Coordinator) mergeViolations(reports []ShardReport) ([]mc.Violation, er
 		}
 	}
 	return out, nil
-}
-
-// replayExpander / replayScratch lazily build the coordinator's replay
-// workspace (only wire-mode sessions with violations ever need one).
-func (c *Coordinator) replayExpander() *mc.Expander {
-	if c.exp == nil {
-		c.exp = c.cfg.Search.NewExpander()
-	}
-	return c.exp
-}
-
-func (c *Coordinator) replayScratch() *sm.Encoder {
-	if c.enc == nil {
-		c.enc = sm.NewEncoder()
-	}
-	return c.enc
 }
 
 // usableSlots returns how many of n shards budget b can occupy. A zero

@@ -377,20 +377,25 @@ func replayDescs(s *mc.Search, x *mc.Expander, scratch *sm.Encoder, root *mc.GSt
 	return events, g, nil
 }
 
+// resolveDesc finds the enabled event desc names: the one with desc's key —
+// whole, so two same-named app calls at one node resolve by their argument
+// fingerprints — whose payload, for a delivery, is the one the sender saw.
 func resolveDesc(x *mc.Expander, scratch *sm.Encoder, g *mc.GState, desc *EventDesc) (sm.Event, error) {
+	want := *desc
+	if want.Kind == 'M' {
+		want.Arg = 0
+	}
 	var found sm.Event
 	x.Events(g, func(ev sm.Event) {
-		if found == nil && desc.matches(ev) {
+		if found == nil && sm.KeyOf(ev, scratch) == want {
 			found = ev
 		}
 	})
 	if found == nil {
-		return nil, errorf("no enabled event matches descriptor %c %s->%s %q", desc.Kind, desc.From, desc.Node, desc.Name)
+		return nil, errorf("no enabled event is %q (arg %#x)", desc, desc.Arg)
 	}
-	if desc.Kind == 'M' || desc.Kind == 'A' {
-		if got := DescribeEvent(found, scratch); got.Arg != desc.Arg {
-			return nil, errorf("descriptor %c %q payload fingerprint mismatch", desc.Kind, desc.Name)
-		}
+	if desc.Kind == 'M' && payloadHash(found, scratch) != desc.Arg {
+		return nil, errorf("%q: payload fingerprint mismatch", desc)
 	}
 	return found, nil
 }

@@ -10,22 +10,17 @@ import (
 	"crystalball/internal/mc"
 )
 
-// TestTCPSmoke runs a two-shard search over real TCP sockets on loopback
-// and checks the claimed-state set against the serial engine. Wire mode
-// exercises the parts the in-process transport skips: codec framing, path
-// materialization on forward, and replay-with-hash-verification on ingest.
-func TestTCPSmoke(t *testing.T) {
+// tcpRound runs one two-shard round over real TCP sockets on loopback and
+// returns what the coordinator merged. Wire mode exercises the parts the
+// in-process transport skips: codec framing, path materialization on
+// forward, replay-with-hash-verification on ingest and on violation paths.
+func tcpRound(t *testing.T, g *mc.GState, cfg mc.Config, b mc.Budget, record bool) (*Result, error) {
+	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Skipf("loopback listen unavailable: %v", err)
 	}
 	defer ln.Close()
-
-	g, cfg := chordStart(t)
-	cfg.RecordClaimedStates = true
-	serialCfg := cfg
-	serialCfg.Budget = mc.Budget{Depth: 4, Workers: 1}
-	serial := mc.NewSearch(serialCfg).Run(g)
 
 	const shards = 2
 	shardErrs := make(chan error, shards)
@@ -65,19 +60,30 @@ func TestTCPSmoke(t *testing.T) {
 		conns[h.Shard] = conn
 	}
 
-	probe := mc.NewSearch(cfg)
-	coord := NewCoordinator(conns, CoordinatorConfig{Search: probe, Root: g})
-	res, err := coord.RunRound(mc.Budget{Depth: 4, Workers: 1}, true)
-	if err != nil {
-		t.Fatalf("tcp round: %v", err)
-	}
+	coord := NewCoordinator(conns, CoordinatorConfig{Search: mc.NewSearch(cfg), Root: g})
+	res, rerr := coord.RunRound(b, record)
 	coord.Shutdown()
 	for i := 0; i < shards; i++ {
-		if serr := <-shardErrs; serr != nil && serr != ErrClosed {
+		if serr := <-shardErrs; serr != nil && serr != ErrClosed && rerr == nil {
 			t.Errorf("shard exited with: %v", serr)
 		}
 	}
+	return res, rerr
+}
 
+// TestTCPSmoke checks a two-shard search over TCP against the serial
+// engine's claimed-state set.
+func TestTCPSmoke(t *testing.T) {
+	g, cfg := chordStart(t)
+	cfg.RecordClaimedStates = true
+	serialCfg := cfg
+	serialCfg.Budget = mc.Budget{Depth: 4, Workers: 1}
+	serial := mc.NewSearch(serialCfg).Run(g)
+
+	res, err := tcpRound(t, g, cfg, mc.Budget{Depth: 4, Workers: 1}, true)
+	if err != nil {
+		t.Fatalf("tcp round: %v", err)
+	}
 	if !reflect.DeepEqual(res.Checker.ClaimedStates, serial.ClaimedStates) {
 		t.Errorf("tcp claimed set diverges from serial (%d vs %d states)",
 			len(res.Checker.ClaimedStates), len(serial.ClaimedStates))

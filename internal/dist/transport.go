@@ -115,65 +115,29 @@ type AbortAck struct {
 
 func (AbortAck) kind() byte { return kindAbortAck }
 
-// EventDesc is the transport form of one sm.Event: enough identity to
-// re-resolve the event against the enabled set of the state it executed in.
-// The engine's enumeration makes each descriptor unique among enabled
-// events — message deliveries are deduped by (from, to, type), timers are
-// keyed by (node, timer id), app calls by (node, name, argument
-// fingerprint) — so replaying a descriptor path from the root
-// reconstructs exactly the sender's state.
-type EventDesc struct {
-	Kind byte      // 'M' msg, 'T' timer, 'A' app call, 'R' reset, 'E' conn error, 'D' RST drop
-	From sm.NodeID // M, D: sender; E: peer
-	Node sm.NodeID // executing node
-	Name string    // M: message type, T: timer id, A: call name
-	Arg  uint64    // M, A: payload fingerprint (checked at replay)
-}
+// EventDesc is an event as it travels in a forwarded or reported path: its
+// sm.EventKey, which the receiver re-resolves against the enabled set of the
+// state the event executed in. On the wire a delivery's Arg additionally
+// carries the fingerprint of the message payload the sender consumed — not
+// part of the delivery's identity (the FIFO head is), but checked at every
+// replayed step so diverged configurations fail at the first wrong payload.
+type EventDesc = sm.EventKey
 
 // DescribeEvent captures ev as a transportable descriptor. enc is scratch
-// for payload fingerprints.
+// for the fingerprints.
 func DescribeEvent(ev sm.Event, enc *sm.Encoder) EventDesc {
-	switch e := ev.(type) {
-	case sm.MsgEvent:
-		enc.Reset()
-		e.Msg.EncodeMsg(enc)
-		return EventDesc{Kind: 'M', From: e.From, Node: e.To, Name: e.Msg.MsgType(), Arg: enc.Hash()}
-	case sm.TimerEvent:
-		return EventDesc{Kind: 'T', Node: e.At, Name: string(e.Timer)}
-	case sm.AppEvent:
-		enc.Reset()
-		e.Call.EncodeCall(enc)
-		return EventDesc{Kind: 'A', Node: e.At, Name: e.Call.CallName(), Arg: enc.Hash()}
-	case sm.ResetEvent:
-		return EventDesc{Kind: 'R', Node: e.At}
-	case sm.ErrorEvent:
-		return EventDesc{Kind: 'E', Node: e.At, From: e.Peer}
-	default:
-		d := ev.(sm.DropEvent)
-		return EventDesc{Kind: 'D', From: d.From, Node: d.To}
+	desc := sm.KeyOf(ev, enc)
+	if desc.Kind == 'M' {
+		desc.Arg = payloadHash(ev, enc)
 	}
+	return desc
 }
 
-// matches reports whether ev is the event this descriptor captured,
-// ignoring the payload fingerprint (which the caller verifies separately
-// to distinguish "no such event" from "diverged payload").
-func (d EventDesc) matches(ev sm.Event) bool {
-	switch e := ev.(type) {
-	case sm.MsgEvent:
-		return d.Kind == 'M' && e.From == d.From && e.To == d.Node && e.Msg.MsgType() == d.Name
-	case sm.TimerEvent:
-		return d.Kind == 'T' && e.At == d.Node && string(e.Timer) == d.Name
-	case sm.AppEvent:
-		return d.Kind == 'A' && e.At == d.Node && e.Call.CallName() == d.Name
-	case sm.ResetEvent:
-		return d.Kind == 'R' && e.At == d.Node
-	case sm.ErrorEvent:
-		return d.Kind == 'E' && e.At == d.Node && e.Peer == d.From
-	case sm.DropEvent:
-		return d.Kind == 'D' && e.From == d.From && e.To == d.Node
-	default:
-		return false
-	}
+// payloadHash fingerprints the message a delivery carries.
+func payloadHash(ev sm.Event, enc *sm.Encoder) uint64 {
+	enc.Reset()
+	ev.(sm.MsgEvent).Msg.EncodeMsg(enc)
+	return enc.Hash()
 }
 
 // ForwardState is one successor handed to its owner shard. In process it
@@ -513,22 +477,6 @@ func validBudget(b mc.Budget) error {
 	return nil
 }
 
-func encodeDesc(e *sm.Encoder, desc *EventDesc) {
-	e.Byte(desc.Kind)
-	e.NodeID(desc.From)
-	e.NodeID(desc.Node)
-	e.String(desc.Name)
-	e.Uint64(desc.Arg)
-}
-
-func decodeDesc(d *sm.Decoder, desc *EventDesc) {
-	desc.Kind = d.Byte()
-	desc.From = d.NodeID()
-	desc.Node = d.NodeID()
-	desc.Name = d.String()
-	desc.Arg = d.Uint64()
-}
-
 func encodeStrings(e *sm.Encoder, ss []string) {
 	e.Uint32(uint32(len(ss)))
 	for _, s := range ss {
@@ -570,7 +518,7 @@ func decodeHashes(d *sm.Decoder) []uint64 {
 func encodeDescPath(e *sm.Encoder, path []EventDesc) {
 	e.Uint32(uint32(len(path)))
 	for i := range path {
-		encodeDesc(e, &path[i])
+		e.EventKey(path[i])
 	}
 }
 
@@ -581,7 +529,7 @@ func decodeDescPath(d *sm.Decoder) []EventDesc {
 	}
 	path := make([]EventDesc, n)
 	for i := range path {
-		decodeDesc(d, &path[i])
+		path[i] = d.EventKey()
 	}
 	return path
 }

@@ -5,8 +5,8 @@ import (
 	"time"
 
 	"crystalball/internal/controller"
-	"crystalball/internal/mc"
 	"crystalball/internal/scenario"
+	"crystalball/internal/sm"
 	"crystalball/internal/stats"
 )
 
@@ -113,5 +113,5 @@ func lastKind(f controller.Finding) string {
 	if len(f.Path) == 0 {
 		return "?"
 	}
-	return mc.EventKind(f.Path[len(f.Path)-1])
+	return sm.KeyOf(f.Path[len(f.Path)-1], nil).Class()
 }

@@ -281,27 +281,46 @@ func TestSearchBytesPerTransitionFlatInCarriedItems(t *testing.T) {
 	}
 }
 
-// TestFNVEventMatchesDescribe pins edgeSeed's streaming event hash to the
-// rendered Describe string for every event kind: the per-edge random
-// streams — and so the whole exploration — stay byte-identical to the
-// implementation that hashed ev.Describe() directly.
-func TestFNVEventMatchesDescribe(t *testing.T) {
+// TestEdgeSeedAndSleepLookupAllocFree: what the engine does with an event's
+// key per transition — derive it (fingerprinting an app call on the worker's
+// encoder), fold its text into the edge seed, look it up in a sleep set —
+// allocates nothing, and the seed is the one hashing ev.Describe() gave.
+func TestEdgeSeedAndSleepLookupAllocFree(t *testing.T) {
 	events := []sm.Event{
 		sm.MsgEvent{From: 1, To: 2, Msg: ping{N: 7}},
-		sm.MsgEvent{From: sm.NoNode, To: 0, Msg: ping{N: 0}},
 		sm.TimerEvent{At: 3, Timer: "tick"},
-		sm.TimerEvent{At: 2147483647, Timer: ""},
 		sm.AppEvent{At: 4, Call: kick{}},
 		sm.ResetEvent{At: 5},
 		sm.ErrorEvent{At: 6, Peer: 7},
-		sm.ErrorEvent{At: 0, Peer: sm.NoNode},
 		sm.DropEvent{From: 8, To: 9},
 	}
+	enc := sm.NewEncoder()
+	var slept sleepSet
+	for _, ev := range events[:3] {
+		slept = append(slept, sm.KeyOf(ev, enc))
+	}
+	const lhash uint64 = 0x0123456789abcdef
 	for _, ev := range events {
-		want := sm.FNV64aString(sm.FNV64aInit, ev.Describe())
-		if got := fnvEvent(sm.FNV64aInit, ev); got != want {
-			t.Errorf("fnvEvent(%q) = %#x, want %#x (hash of Describe)", ev.Describe(), got, want)
+		h := sm.FNV64aInit
+		for i := 0; i < 8; i++ {
+			h = sm.FNV64aByte(h, byte(lhash>>(8*i)))
 		}
+		if got, want := edgeSeed(9, lhash, ev), 9^int64(sm.FNV64aString(h, ev.Describe())); got != want {
+			t.Errorf("edgeSeed(%q) = %#x, want %#x (seed ^ FNV of hash bytes and Describe)", ev.Describe(), got, want)
+		}
+	}
+	hits := 0
+	if n := testing.AllocsPerRun(100, func() {
+		for _, ev := range events {
+			if edgeSeed(9, lhash, ev) != 0 && slept.contains(sm.KeyOf(ev, enc)) {
+				hits++
+			}
+		}
+	}); n != 0 {
+		t.Errorf("key + edge seed + sleep lookup allocate %.0f times per six events, want 0", n)
+	}
+	if hits%3 != 0 || hits == 0 {
+		t.Errorf("%d sleep hits, want three per pass", hits)
 	}
 }
 

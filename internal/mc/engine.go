@@ -258,9 +258,9 @@ type Expander struct {
 	s      *Search
 	view   *props.View
 	evb    eventBuf
-	sibs   []sleepKey  // explored-sibling descriptors (reduction)
-	enc    *sm.Encoder // app-call fingerprint scratch (reduction)
-	claims []uint64    // consequence (node, local state) claims awaiting the end of the bucket
+	sibs   []sm.EventKey // explored siblings (reduction)
+	enc    *sm.Encoder   // app-call fingerprint scratch (reduction)
+	claims []uint64      // consequence (node, local state) claims awaiting the end of the bucket
 }
 
 // NewExpander returns a fresh workspace bound to the search.
@@ -650,10 +650,10 @@ func (e *Engine) expand(node *Node, x *Expander) []*Node {
 		children = append(children, child)
 		return child, true
 	}
-	// promise expands the classified transition k: its child, if one is
-	// proposed, carries the sleep set inherited through k, and once its
-	// handler ran k joins the explored siblings later children sleep on.
-	promise := func(ev sm.Event, k sleepKey) {
+	// promise expands the transition k: its child, if one is proposed,
+	// carries the sleep set inherited through k, and once its handler ran k
+	// joins the explored siblings later children sleep on.
+	promise := func(ev sm.Event, k sm.EventKey) {
 		child, ran := expand(ev)
 		if child != nil && !leaves {
 			child.sleep = childSleep(node.sleep, sibs, k)
@@ -671,13 +671,7 @@ func (e *Engine) expand(node *Node, x *Expander) []*Node {
 			expand(ev)
 			continue
 		}
-		k, ok := classify(ev)
-		if !ok {
-			// Unclassified network transition: never slept, and its
-			// effects are unknown, so children start a fresh sleep set.
-			expand(ev)
-			continue
-		}
+		k := sm.KeyOf(ev, x.enc)
 		if node.sleep.contains(k) {
 			e.ctr.sleepHits.Add(1)
 			continue
@@ -685,29 +679,20 @@ func (e *Engine) expand(node *Node, x *Expander) []*Node {
 		promise(ev, k)
 	}
 	// H_A: internal actions, pruned per (node, local state) in
-	// consequence mode (Figure 8 lines 16-20). In exhaustive mode,
-	// classified internal transitions (timers, conn-breaks, app calls)
-	// participate in the reduction exactly like deliveries: each executes
-	// at one node and its enabledness is a function of that node's state
-	// alone, so it commutes with every transition of a different class.
-	// App calls are classified structurally — ModelAppCalls(n) depends
-	// only on n's service state, and the (call name, EncodeCall
-	// fingerprint) pair pins the exact call so aliasing between same-named
-	// calls is impossible. Any other unclassified internal transition is
-	// never slept and never promises, but still passes the inherited
-	// entries it commutes with through to its children; resets invalidate
-	// in-flight messages wholesale and clear the set (reduce.go).
+	// consequence mode (Figure 8 lines 16-20). In exhaustive mode, timers,
+	// conn-breaks and app calls participate in the reduction exactly like
+	// deliveries: each executes at one node and its enabledness is a
+	// function of that node's state alone, so it commutes with every
+	// transition at another node. ModelAppCalls(n) depends only on n's
+	// service state, and the key's EncodeCall fingerprint pins the exact
+	// call, so same-named calls never alias. A reset is never slept and
+	// never promises: it invalidates in-flight messages wholesale, so its
+	// child starts an empty sleep set (reduce.go).
 	//
-	// In consequence mode (e.prune), sleep promises must not cross H_A
-	// edges: a promise's commuting-square closure replays the entering
-	// edge from the sibling state, and an H_A edge is expanded only at the
-	// FIRST state claiming its (node, local state) — by the time the
-	// sibling's subtree reaches the commuted state, the local state is
-	// claimed and the closure edge is pruned, never closing the square.
-	// So under the consequence rule, H_A-entered children start with empty
-	// sleep sets and H_A expansions never promise; H_A transitions may
-	// still BE slept (their closure replays only the H_M edges the entry
-	// survived). The differential oracle pins set-equality for both modes.
+	// In consequence mode (e.prune) an H_A expansion promises nothing and its
+	// child starts an empty sleep set, though the transition may itself BE
+	// slept: a promise riding on an edge the (node, local state) rule prunes
+	// globally could never close its square (reduce.go's header).
 	//
 	// The claim is tested before anything is enumerated: of a claimed (node,
 	// local state) the rule needs only the number of actions it prunes, and
@@ -733,34 +718,12 @@ func (e *Engine) expand(node *Node, x *Expander) []*Node {
 				expand(ev)
 				continue
 			}
-			if _, isReset := ev.(sm.ResetEvent); isReset {
-				expand(ev)
-				continue
-			}
-			k, ok := classify(ev)
-			if !ok {
-				if ae, isApp := ev.(sm.AppEvent); isApp {
-					x.enc.Reset()
-					ae.Call.EncodeCall(x.enc)
-					k = sleepKey{to: ae.At, typ: ae.Call.CallName(), arg: x.enc.Hash(), kind: sleepApp}
-					ok = true
-				}
-			}
-			if !ok {
-				// Unclassified internal transition: effects unknown, so
-				// its children start a fresh sleep set.
-				expand(ev)
-				continue
-			}
-			if node.sleep.contains(k) {
+			switch k := sm.KeyOf(ev, x.enc); {
+			case node.sleep.contains(k): // never a reset: none is ever promised
 				e.ctr.sleepHits.Add(1)
-				continue
-			}
-			// Consequence mode: the child starts an empty sleep set and
-			// the expansion promises nothing (see above).
-			if e.prune {
+			case k.Kind == 'R' || e.prune:
 				expand(ev)
-			} else {
+			default:
 				promise(ev, k)
 			}
 		}

@@ -32,7 +32,7 @@ import "crystalball/internal/sm"
 // the same node, or they consume the same (from, to) RST queue. A delivery
 // (f→r) removes one in-flight item addressed to r, mutates r's local state
 // and appends sends originating at r; per-(from,to,type) FIFO delivery
-// means appends never change which in-flight instance an event descriptor
+// means appends never change which in-flight instance an event key
 // resolves to, so transitions touching disjoint recipients commute exactly
 // and can neither enable nor disable one another. Timers and application
 // calls participate too — they mutate exactly their own node. Anything
@@ -58,72 +58,15 @@ import "crystalball/internal/sm"
 // instrumentation counting orderings — must run with Reduce off. The
 // README's "Partial-order reduction" section documents this boundary.
 
-// sleepKind distinguishes the transition flavours that can enter a sleep
-// set; transitions of different kinds never alias.
-type sleepKind uint8
-
-const (
-	sleepMsg   sleepKind = iota // message delivery
-	sleepErr                    // transport-error notification (RST-derived or conn-break)
-	sleepDrop                   // RST drop
-	sleepTimer                  // timer firing
-	sleepApp                    // application call (classified by the engine, not by classify)
-)
-
-// sleepKey names one transition independently of the state it is enabled
-// in: FIFO-per-(from,to,type) delivery guarantees a delivery descriptor
-// resolves to the same in-flight item in every state a sleep entry survives
-// to, and a (node, timer) pair names the same pending timer for as long as
-// no edge touches the node — so skipping by descriptor skips exactly the
-// promised transition. The `to` field is always the dependence class (the
-// node whose local state the transition mutates); `arg` carries the
-// EncodeCall fingerprint for app calls (whose name alone need not identify
-// a transition) and is zero otherwise.
-type sleepKey struct {
-	from, to sm.NodeID
-	typ      string
-	arg      uint64
-	kind     sleepKind
-}
-
-// classify is the independence oracle behind Config.Reduce: it maps a
-// transition to its sleep descriptor, whose (kind, from, to) fields feed
-// the dependent() relation — transitions with independent descriptors
-// commute exactly and neither enable nor disable one another. Transitions
-// are classified by the node they execute at, so deliveries to — and timers
-// and transport errors at — distinct nodes are independent, and RST drops
-// (which touch no node state) are dependent only on errors and drops of
-// the same (from, to) RST queue. ok=false exempts an event from reduction:
-// it is never slept, never promises anything, and its children start fresh
-// sleep sets (its effects are unknown). Application calls and resets are
-// handled structurally by the engine before classify is consulted: app
-// calls are classified by (node, call name, EncodeCall fingerprint), and
-// resets clear sleep sets rather than participate in them.
-func classify(ev sm.Event) (sleepKey, bool) {
-	switch e := ev.(type) {
-	case sm.MsgEvent:
-		return sleepKey{from: e.From, to: e.To, typ: e.Msg.MsgType(), kind: sleepMsg}, true
-	case sm.ErrorEvent:
-		// The handler runs at e.At; an in-flight (Peer→At) RST, if any,
-		// is consumed — either way the node touched is At. RST-derived
-		// errors and spontaneous conn-breaks of the same pair share a
-		// descriptor because they are literally the same transition.
-		return sleepKey{from: e.Peer, to: e.At, kind: sleepErr}, true
-	case sm.DropEvent:
-		return sleepKey{from: e.From, to: e.To, kind: sleepDrop}, true
-	case sm.TimerEvent:
-		return sleepKey{to: e.At, typ: string(e.Timer), kind: sleepTimer}, true
-	default:
-		return sleepKey{}, false
-	}
-}
-
-// sleepSet is an immutable set of slept transitions carried on a
-// Node. Sets are tiny (bounded by the enabled network transitions of
+// sleepSet is an immutable set of slept transitions carried on a Node, each
+// named by its sm.EventKey: the key resolves to the same transition in every
+// state an entry survives to (no edge on the way touched its node), so
+// skipping by key skips exactly the promised transition. A reset's key never
+// enters a set. Sets are tiny (bounded by the enabled network transitions of
 // one ancestor chain), so linear scans beat any map.
-type sleepSet []sleepKey
+type sleepSet []sm.EventKey
 
-func (s sleepSet) contains(k sleepKey) bool {
+func (s sleepSet) contains(k sm.EventKey) bool {
 	for i := range s {
 		if s[i] == k {
 			return true
@@ -174,20 +117,20 @@ func intersectSleep(a, b sleepSet) sleepSet {
 // handler appending to a queue commutes with a drop removing that queue's
 // head (the head is the same item either way, and the position-aware
 // fingerprint makes both orders hash-identical).
-func dependent(a, b sleepKey) bool {
-	if a.kind != sleepDrop && b.kind != sleepDrop && a.to == b.to {
+func dependent(a, b sm.EventKey) bool {
+	if a.Kind != 'D' && b.Kind != 'D' && a.Node == b.Node {
 		return true
 	}
-	aq := a.kind == sleepDrop || a.kind == sleepErr
-	bq := b.kind == sleepDrop || b.kind == sleepErr
-	return aq && bq && a.from == b.from && a.to == b.to
+	aq := a.Kind == 'D' || a.Kind == 'E'
+	bq := b.Kind == 'D' || b.Kind == 'E'
+	return aq && bq && a.From == b.From && a.Node == b.Node
 }
 
 // childSleep builds the sleep set for a child entered through the
 // transition named by enter: inherited entries and earlier explored
 // siblings survive iff they are independent of the entering transition.
 // A nil result means the empty set.
-func childSleep(inherited sleepSet, siblings []sleepKey, enter sleepKey) sleepSet {
+func childSleep(inherited sleepSet, siblings []sm.EventKey, enter sm.EventKey) sleepSet {
 	n := 0
 	for i := range inherited {
 		if !dependent(inherited[i], enter) {

@@ -134,9 +134,9 @@ type Violation struct {
 }
 
 // Signature identifies the violation's bug class for deduplication: the
-// violated properties plus the kind of the path's final event (the handler
-// at fault), with node identities stripped so the same bug reached along
-// different interleavings — or at different nodes — counts once.
+// violated properties plus the class of the path's final event (the handler
+// at fault, sm.EventKey.Class), with node identities stripped so the same bug
+// reached along different interleavings — or at different nodes — counts once.
 func (v Violation) Signature() string {
 	var last sm.Event
 	if n := len(v.Path); n > 0 {
@@ -153,30 +153,9 @@ func signature(properties []string, last sm.Event) string {
 		sig += p + "|"
 	}
 	if last != nil {
-		sig += EventKind(last)
+		sig += sm.KeyOf(last, nil).Class()
 	}
 	return sig
-}
-
-// EventKind renders an event's identity-free kind ("msg:Join",
-// "timer:recovery", "reset", ...).
-func EventKind(ev sm.Event) string {
-	switch e := ev.(type) {
-	case sm.MsgEvent:
-		return "msg:" + e.Msg.MsgType()
-	case sm.TimerEvent:
-		return "timer:" + string(e.Timer)
-	case sm.AppEvent:
-		return "app:" + e.Call.CallName()
-	case sm.ResetEvent:
-		return "reset"
-	case sm.ErrorEvent:
-		return "error"
-	case sm.DropEvent:
-		return "drop"
-	default:
-		return "unknown"
-	}
 }
 
 // Result summarises a search. Violations are deduplicated by Signature and

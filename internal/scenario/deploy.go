@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"crystalball/internal/controller"
-	"crystalball/internal/mc"
 	"crystalball/internal/props"
 	"crystalball/internal/runtime"
 	"crystalball/internal/sim"
@@ -65,10 +64,6 @@ type DeployOptions struct {
 	// "scaled", "adaptive"; "" = scenario's CheckerPolicy kind, then
 	// fixed). See Scenario.resolvePolicySpec for the full precedence.
 	Policy string
-	// PolicySpec, when non-nil, replaces the scenario's CheckerPolicy
-	// wholesale before the per-field options (Policy, MCStates, Workers)
-	// apply on top.
-	PolicySpec *mc.PolicySpec
 	// MCStates bounds each consequence-prediction round (0 = policy /
 	// scenario suggestion, then controller default).
 	MCStates int

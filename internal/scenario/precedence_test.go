@@ -12,7 +12,6 @@ import (
 // TestPolicyPrecedence pins the one documented resolution order for the
 // checker budget policy (Scenario.resolvePolicySpec):
 //
-//	spec source   o.PolicySpec  >  sc.CheckerPolicy  >  zero (FixedPolicy)
 //	kind          o.Policy      >  spec.Kind         >  "fixed"
 //	states        o.MCStates    >  spec.Base.States  >  controller default
 //	workers       o.Workers     >  spec.Base.Workers >  GOMAXPROCS
@@ -58,28 +57,6 @@ func TestPolicyPrecedence(t *testing.T) {
 			opts:       scenario.DeployOptions{Policy: mc.PolicyAdaptive},
 			wantKind:   mc.PolicyAdaptive,
 			wantStates: 9000,
-		},
-		{
-			label:    "DeployOptions.PolicySpec replaces the scenario spec wholesale",
-			scPolicy: mc.PolicySpec{Kind: mc.PolicyScaled, Base: mc.Budget{States: 9000, Workers: 3}},
-			opts: scenario.DeployOptions{PolicySpec: &mc.PolicySpec{
-				Kind: mc.PolicyAdaptive, Base: mc.Budget{States: 400},
-			}},
-			wantKind:   mc.PolicyAdaptive,
-			wantStates: 400,
-		},
-		{
-			label:    "per-field options apply on top of PolicySpec override",
-			scPolicy: mc.PolicySpec{Kind: mc.PolicyScaled, Base: mc.Budget{States: 9000}},
-			opts: scenario.DeployOptions{
-				PolicySpec: &mc.PolicySpec{Kind: mc.PolicyAdaptive, Base: mc.Budget{States: 400}},
-				Policy:     mc.PolicyFixed,
-				MCStates:   55,
-				Workers:    2,
-			},
-			wantKind:    mc.PolicyFixed,
-			wantStates:  55,
-			wantWorkers: 2,
 		},
 		{
 			label:       "DeployOptions.Workers beats scenario spec workers",

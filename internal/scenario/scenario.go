@@ -285,20 +285,16 @@ func (sc *Scenario) ControllerConfig(o DeployOptions) (controller.Config, error)
 // resolvePolicySpec is the ONE place the checker budget policy for a
 // deployment is decided. Precedence, highest first, per field:
 //
-//	spec source   o.PolicySpec  >  sc.CheckerPolicy  >  zero (FixedPolicy)
 //	kind          o.Policy      >  spec.Kind         >  "fixed"
 //	states        o.MCStates    >  spec.Base.States  >  controller default
 //	workers       o.Workers     >  spec.Base.Workers >  GOMAXPROCS
 //
-// All other spec fields (depth, wall, violations, adaptive/scaled tuning)
-// come from the winning spec source; an unset violation quota falls to the
-// controller default (Config.policySpec). TestPolicyPrecedence pins this
-// table.
+// where spec is the scenario's CheckerPolicy, which also supplies every
+// other field (depth, wall, violations, adaptive/scaled tuning); an unset
+// violation quota falls to the controller default (Config.policySpec).
+// TestPolicyPrecedence pins this table.
 func (sc *Scenario) resolvePolicySpec(o DeployOptions) (mc.PolicySpec, error) {
 	spec := sc.CheckerPolicy
-	if o.PolicySpec != nil {
-		spec = *o.PolicySpec
-	}
 	if o.Policy != "" {
 		spec.Kind = o.Policy
 	}

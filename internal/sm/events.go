@@ -8,7 +8,8 @@ import "fmt"
 type Event interface {
 	// Node returns the node at which the event executes.
 	Node() NodeID
-	// Describe renders the event for traces and reports.
+	// Describe renders the event for traces and reports: the text form of
+	// its EventKey.
 	Describe() string
 	isEvent()
 }
@@ -24,10 +25,8 @@ type MsgEvent struct {
 func (e MsgEvent) Node() NodeID { return e.To }
 
 // Describe implements Event.
-func (e MsgEvent) Describe() string {
-	return fmt.Sprintf("%s: deliver %s from %s", e.To, e.Msg.MsgType(), e.From)
-}
-func (MsgEvent) isEvent() {}
+func (e MsgEvent) Describe() string { return KeyOf(e, nil).String() }
+func (MsgEvent) isEvent()           {}
 
 // TimerEvent is the firing of a timer at a node.
 type TimerEvent struct {
@@ -39,7 +38,7 @@ type TimerEvent struct {
 func (e TimerEvent) Node() NodeID { return e.At }
 
 // Describe implements Event.
-func (e TimerEvent) Describe() string { return fmt.Sprintf("%s: timer %s", e.At, e.Timer) }
+func (e TimerEvent) Describe() string { return KeyOf(e, nil).String() }
 func (TimerEvent) isEvent()           {}
 
 // AppEvent is an application call arriving at a node.
@@ -52,7 +51,7 @@ type AppEvent struct {
 func (e AppEvent) Node() NodeID { return e.At }
 
 // Describe implements Event.
-func (e AppEvent) Describe() string { return fmt.Sprintf("%s: app %s", e.At, e.Call.CallName()) }
+func (e AppEvent) Describe() string { return KeyOf(e, nil).String() }
 func (AppEvent) isEvent()           {}
 
 // ResetEvent is a node crash+restart (the low-probability fault the paper's
@@ -65,7 +64,7 @@ type ResetEvent struct {
 func (e ResetEvent) Node() NodeID { return e.At }
 
 // Describe implements Event.
-func (e ResetEvent) Describe() string { return fmt.Sprintf("%s: reset", e.At) }
+func (e ResetEvent) Describe() string { return KeyOf(e, nil).String() }
 func (ResetEvent) isEvent()           {}
 
 // ErrorEvent is the observation of a broken transport connection at At
@@ -79,10 +78,8 @@ type ErrorEvent struct {
 func (e ErrorEvent) Node() NodeID { return e.At }
 
 // Describe implements Event.
-func (e ErrorEvent) Describe() string {
-	return fmt.Sprintf("%s: transport error for %s", e.At, e.Peer)
-}
-func (ErrorEvent) isEvent() {}
+func (e ErrorEvent) Describe() string { return KeyOf(e, nil).String() }
+func (ErrorEvent) isEvent()           {}
 
 // DropEvent is the loss of an in-flight RST notification; only RST-like
 // control notifications can be dropped in the model (TCP payloads cannot),
@@ -97,10 +94,8 @@ type DropEvent struct {
 func (e DropEvent) Node() NodeID { return e.To }
 
 // Describe implements Event.
-func (e DropEvent) Describe() string {
-	return fmt.Sprintf("drop RST %s->%s", e.From, e.To)
-}
-func (DropEvent) isEvent() {}
+func (e DropEvent) Describe() string { return KeyOf(e, nil).String() }
+func (DropEvent) isEvent()           {}
 
 // Filter is an event filter installed by execution steering (paper section
 // 3.3): it temporarily blocks the invocation of a state-machine handler.
@@ -137,34 +132,25 @@ const (
 	FilterApp
 )
 
-// Matches reports whether the filter blocks the given event at its node.
+// Matches reports whether the filter blocks the given event at its node:
+// whether it is, BreakConn aside, the filter FilterForEvent derives for it.
 func (f Filter) Matches(ev Event) bool {
-	if ev.Node() != f.Node {
-		return false
-	}
-	switch e := ev.(type) {
-	case MsgEvent:
-		return f.Kind == FilterMessage && e.From == f.From && e.Msg.MsgType() == f.MsgType
-	case TimerEvent:
-		return f.Kind == FilterTimer && e.Timer == f.Timer
-	case AppEvent:
-		return f.Kind == FilterApp && e.Call.CallName() == f.Call
-	default:
-		return false
-	}
+	g, ok := FilterForEvent(ev)
+	g.BreakConn = f.BreakConn
+	return ok && g == f
 }
 
 // FilterForEvent derives the filter that would block ev, or ok=false when
 // the event is not filterable (resets and transport errors are environment
 // faults, not handler invocations).
 func FilterForEvent(ev Event) (Filter, bool) {
-	switch e := ev.(type) {
-	case MsgEvent:
-		return Filter{Kind: FilterMessage, Node: e.To, From: e.From, MsgType: e.Msg.MsgType(), BreakConn: true}, true
-	case TimerEvent:
-		return Filter{Kind: FilterTimer, Node: e.At, Timer: e.Timer}, true
-	case AppEvent:
-		return Filter{Kind: FilterApp, Node: e.At, Call: e.Call.CallName()}, true
+	switch k := KeyOf(ev, nil); k.Kind {
+	case 'M':
+		return Filter{Kind: FilterMessage, Node: k.Node, From: k.From, MsgType: k.Name, BreakConn: true}, true
+	case 'T':
+		return Filter{Kind: FilterTimer, Node: k.Node, Timer: TimerID(k.Name)}, true
+	case 'A':
+		return Filter{Kind: FilterApp, Node: k.Node, Call: k.Name}, true
 	default:
 		return Filter{}, false
 	}

@@ -1,0 +1,131 @@
+package sm
+
+import (
+	"fmt"
+	"strings"
+)
+
+// EventKey is an event's identity: what a trace prints, what a sleep set
+// and a forwarded path hold, and what a violation's bug class is read from.
+// It names a transition independently of the state it is enabled in —
+// per-(from, to, type) FIFO delivery makes a delivery's key resolve to the
+// queue head, a (node, timer) pair names the one pending timer, and an app
+// call is pinned by its argument fingerprint — so among the events enabled in
+// one state every key is distinct, and two events with equal keys are the
+// same transition. Keys are comparable with ==.
+type EventKey struct {
+	Kind byte   // 'M' delivery, 'T' timer, 'A' app call, 'R' reset, 'E' transport error, 'D' RST drop
+	From NodeID // M, D: sender; E: peer
+	Node NodeID // the node the event executes at
+	Name string // M: message type; T: timer id; A: call name
+	Arg  uint64 // A: EncodeCall fingerprint (the name alone does not pin the call)
+}
+
+// KeyOf returns ev's key. enc is scratch for an app call's fingerprint and is
+// touched for no other kind; with a nil enc Arg stays zero, which is all the
+// text form and the bug class read.
+func KeyOf(ev Event, enc *Encoder) EventKey {
+	switch e := ev.(type) {
+	case MsgEvent:
+		return EventKey{Kind: 'M', From: e.From, Node: e.To, Name: e.Msg.MsgType()}
+	case TimerEvent:
+		return EventKey{Kind: 'T', Node: e.At, Name: string(e.Timer)}
+	case AppEvent:
+		k := EventKey{Kind: 'A', Node: e.At, Name: e.Call.CallName()}
+		if enc != nil {
+			enc.Reset()
+			e.Call.EncodeCall(enc)
+			k.Arg = enc.Hash()
+		}
+		return k
+	case ResetEvent:
+		return EventKey{Kind: 'R', Node: e.At}
+	case ErrorEvent:
+		// An RST-derived error and a spontaneous conn-break of the same
+		// pair share a key: they are the same transition.
+		return EventKey{Kind: 'E', From: e.Peer, Node: e.At}
+	default:
+		d := ev.(DropEvent) // the interface is sealed: nothing else is left
+		return EventKey{Kind: 'D', From: d.From, Node: d.To}
+	}
+}
+
+// appendTo appends the key's text form: the one rendering behind
+// Event.Describe, every edge seed (Fold) and every printed trace.
+func (k EventKey) appendTo(b []byte) []byte {
+	if k.Kind == 'D' {
+		b = append(b, "drop RST "...)
+		b = k.From.appendTo(b)
+		b = append(b, "->"...)
+		return k.Node.appendTo(b)
+	}
+	b = k.Node.appendTo(b)
+	switch k.Kind {
+	case 'M':
+		b = append(b, ": deliver "...)
+		b = append(b, k.Name...)
+		b = append(b, " from "...)
+		return k.From.appendTo(b)
+	case 'T':
+		return append(append(b, ": timer "...), k.Name...)
+	case 'A':
+		return append(append(b, ": app "...), k.Name...)
+	case 'R':
+		return append(b, ": reset"...)
+	default:
+		return k.From.appendTo(append(b, ": transport error for "...))
+	}
+}
+
+// String returns the key's text form, e.g. "n2: deliver Join from n1".
+func (k EventKey) String() string {
+	var buf [64]byte
+	return string(k.appendTo(buf[:0]))
+}
+
+// Fold folds the text form into the FNV-64a state h. Nothing is allocated
+// unless the text outgrows the stack buffer.
+func (k EventKey) Fold(h uint64) uint64 {
+	var buf [64]byte
+	return FNV64aBytes(h, k.appendTo(buf[:0]))
+}
+
+// Class names the key's bug class, with node identities stripped so the same
+// handler at fault counts once wherever it ran: "msg:Join", "timer:recovery",
+// "app:propose", "reset", "error", "drop".
+func (k EventKey) Class() string {
+	switch k.Kind {
+	case 'M':
+		return "msg:" + k.Name
+	case 'T':
+		return "timer:" + k.Name
+	case 'A':
+		return "app:" + k.Name
+	case 'R':
+		return "reset"
+	case 'E':
+		return "error"
+	default:
+		return "drop"
+	}
+}
+
+// EventKey appends k's wire form.
+func (e *Encoder) EventKey(k EventKey) {
+	e.Byte(k.Kind)
+	e.NodeID(k.From)
+	e.NodeID(k.Node)
+	e.String(k.Name)
+	e.Uint64(k.Arg)
+}
+
+// EventKey reads a key written by Encoder.EventKey. The bytes may come from
+// a peer: a kind that is none of the six is a decode error here, not a "no
+// enabled event matches" at some later replay.
+func (d *Decoder) EventKey() EventKey {
+	k := EventKey{Kind: d.Byte(), From: d.NodeID(), Node: d.NodeID(), Name: d.String(), Arg: d.Uint64()}
+	if d.err == nil && strings.IndexByte("MTAERD", k.Kind) < 0 {
+		d.err = fmt.Errorf("sm: bad event kind %q", k.Kind)
+	}
+	return k
+}

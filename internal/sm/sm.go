@@ -10,7 +10,10 @@
 // (internal/mc), which is exactly how MaceMC executed real Mace handler code.
 package sm
 
-import "math/rand"
+import (
+	"math/rand"
+	"strconv"
+)
 
 // NodeID identifies a node. In the paper node identifiers are IP addresses
 // and their numeric order matters (e.g. RandTree elects the smallest address
@@ -22,32 +25,16 @@ const NoNode NodeID = -1
 
 // String renders the id as "n<k>".
 func (n NodeID) String() string {
-	if n == NoNode {
-		return "n?"
-	}
-	return "n" + itoa(int64(n))
+	var buf [12]byte
+	return string(n.appendTo(buf[:0]))
 }
 
-func itoa(v int64) string {
-	if v == 0 {
-		return "0"
+// appendTo appends String's bytes to b.
+func (n NodeID) appendTo(b []byte) []byte {
+	if n == NoNode {
+		return append(b, "n?"...)
 	}
-	neg := v < 0
-	if neg {
-		v = -v
-	}
-	var buf [20]byte
-	i := len(buf)
-	for v > 0 {
-		i--
-		buf[i] = byte('0' + v%10)
-		v /= 10
-	}
-	if neg {
-		i--
-		buf[i] = '-'
-	}
-	return string(buf[i:])
+	return strconv.AppendInt(append(b, 'n'), int64(n), 10)
 }
 
 // TimerID names a timer within a service (e.g. "recovery", "stabilize").

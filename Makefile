@@ -21,7 +21,8 @@ test:
 # executor in the making. Likewise an event's identity — its text, its bug
 # class, its sleep and wire key — is derived in one place, sm.KeyOf
 # (internal/sm/key.go): outside sm only the checker's enabledness test
-# (internal/mc/step.go) switches over the event kinds.
+# (internal/mc/step.go) switches over the event kinds. And a round's budget
+# is an mc.Budget value: nothing plans it, so no policy type comes back.
 # The CI lint job runs exactly this target.
 lint:
 	@fmtout=$$(gofmt -l cmd internal examples bench); \
@@ -36,6 +37,8 @@ lint:
 	@if grep -rn --include='*.go' -e 'case sm\.MsgEvent' cmd internal examples \
 	| grep -v -e '_test\.go' -e '^internal/mc/step\.go'; then \
 	echo "an event's identity comes from sm.KeyOf: no switch over the event kinds outside internal/sm and internal/mc/step.go"; exit 1; fi
+	@if grep -rn --include='*.go' -e 'PolicySpec' -e 'mc\.Policy\b' -e 'RoundReport' cmd internal examples; then \
+	echo "a round's budget is an mc.Budget value: no policy layer"; exit 1; fi
 	$(GO) vet ./...
 	$(GO) run ./cmd/crystalvet ./...
 

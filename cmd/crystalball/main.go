@@ -14,6 +14,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 	"strings"
 	"time"
 
@@ -54,11 +55,16 @@ func main() {
 		os.Exit(2)
 	}
 
-	control := scenario.Debug
-	ctrlMode := controller.DeepOnlineDebugging
-	if *mode == "steering" {
-		control = scenario.Steering
-		ctrlMode = controller.ExecutionSteering
+	var control scenario.Control
+	var ctrlMode controller.Mode
+	switch *mode {
+	case "debug":
+		control, ctrlMode = scenario.Debug, controller.DeepOnlineDebugging
+	case "steering":
+		control, ctrlMode = scenario.Steering, controller.ExecutionSteering
+	default:
+		fmt.Fprintf(os.Stderr, "unknown mode %q (want debug|steering)\n", *mode)
+		os.Exit(2)
 	}
 
 	d, err := sc.Deploy(scenario.DeployOptions{
@@ -90,20 +96,32 @@ func main() {
 			}
 		}
 	}
-	var filters, unhelpful, rounds, states int64
+	var filters, unhelpful, rounds, searched, states int64
+	// Why the rounds that searched stopped: stops[states=N] is how many of
+	// them the state budget bound.
+	stops := map[string]int64{"frontier-empty": 0, "states": 0, "violations": 0}
 	for _, c := range d.Ctrls {
 		filters += c.Stats.FiltersInstalled
 		unhelpful += c.Stats.SteeringUnhelpful
 		rounds += c.Stats.Rounds
 		states += c.Stats.StatesExplored
+		for reason, n := range c.Stats.Stops {
+			stops[reason] += n
+			searched += n
+		}
 	}
+	var stopText []string
+	for reason, n := range stops {
+		stopText = append(stopText, fmt.Sprintf("%s=%d", reason, n))
+	}
+	slices.Sort(stopText)
 	var actions, blocked int64
 	for _, node := range d.Nodes {
 		actions += node.Stats.ActionsExecuted
-		blocked += node.Stats.MessagesDropped + node.Stats.ISCBlocks
+		blocked += node.Stats.ActionsChanged()
 	}
-	fmt.Printf("\nrounds=%d statesExplored=%d filtersInstalled=%d unhelpful=%d\n",
-		rounds, states, filters, unhelpful)
+	fmt.Printf("\nrounds=%d searched=%d stops[%s] statesExplored=%d filtersInstalled=%d unhelpful=%d\n",
+		rounds, searched, strings.Join(stopText, " "), states, filters, unhelpful)
 	fmt.Printf("actions=%d blocked=%d\n", actions, blocked)
 	if ok := d.Props.Holds(d.View()); ok {
 		fmt.Println("final global state: consistent")

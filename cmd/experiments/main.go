@@ -6,14 +6,10 @@
 //	experiments -exp all                 # everything, default scales
 //	experiments -exp fig14 -runs 100     # Figure 14 at paper scale
 //	experiments -exp table1 -duration 30m
-//	experiments -exp sweep               # scenario x workers x policy matrix
+//	experiments -exp sweep               # scenario x workers x shards x reduction matrix
 //
 // Experiments: table1, fig12, fig15, fig16, depths, randtree-steering,
 // fig14, fig17, overhead, sweep, all.
-//
-// -policy selects the controllers' per-round budget policy
-// (fixed|scaled|adaptive) for the deployment-based experiments; sweep
-// iterates all three.
 package main
 
 import (
@@ -26,6 +22,17 @@ import (
 	"crystalball/internal/experiments"
 )
 
+// render turns a harness's (result, error) into its table, formatting only a
+// result that exists.
+func render[T any](format func(T) string) func(T, error) (string, error) {
+	return func(v T, err error) (string, error) {
+		if err != nil {
+			return "", err
+		}
+		return format(v), nil
+	}
+}
+
 func main() {
 	var (
 		exp      = flag.String("exp", "all", "experiment id (table1|fig12|fig15|fig16|depths|randtree-steering|fig14|fig17|overhead|sweep|all)")
@@ -36,60 +43,64 @@ func main() {
 		depth    = flag.Int("depth", 0, "max depth for fig12/fig15")
 		budget   = flag.Duration("budget", 2*time.Second, "wall budget for the depths comparison")
 		workers  = flag.Int("workers", 0, "checker worker goroutines (0 = GOMAXPROCS)")
-		policy   = flag.String("policy", "", "checker budget policy (fixed|scaled|adaptive; empty = scenario default)")
-		states   = flag.Int("states", 0, "sweep: base per-round state budget (0 = 4000)")
-		rounds   = flag.Int("rounds", 0, "sweep: planning rounds per cell (0 = 3)")
+		states   = flag.Int("states", 0, "sweep: state budget per cell (0 = 4000)")
 		reduce   = flag.String("reduce", "", "sweep: restrict the partial-order-reduction axis (on|off; empty = sweep both)")
 		shards   = flag.Int("shards", 0, "sweep: add a distributed-search axis at this shard count (0 = single engine only)")
 		faults   = flag.String("faults", "", "sweep: fault-plan spec injected into distributed cells (see mcheck -faults)")
 	)
 	flag.Parse()
 
+	plan, err := dist.ParseFaultPlan(*faults)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "bad -faults spec: %v\n", err)
+		os.Exit(2)
+	}
+
 	run := func(name string) {
+		var out string
+		var err error
 		switch name {
 		case "table1":
-			cfg := experiments.Table1Config{Seed: *seed, Nodes: *nodes, Duration: *duration, Workers: *workers, Policy: *policy}
-			fmt.Print(experiments.FormatTable1(experiments.Table1(cfg)))
+			cfg := experiments.Table1Config{Seed: *seed, Nodes: *nodes, Duration: *duration, Workers: *workers}
+			out, err = render(experiments.FormatTable1)(experiments.Table1(cfg))
 		case "fig12":
 			cfg := experiments.Fig12Config{Seed: *seed, MaxDepth: *depth, MaxStates: 2_000_000, MaxWall: 30 * time.Second, Workers: *workers}
-			pts := experiments.Fig12Exhaustive(cfg)
-			fmt.Print(experiments.FormatDepthPoints("Figure 12: exhaustive search time vs depth (RandTree, 5 nodes)", pts))
+			out, err = render(func(pts []experiments.DepthPoint) string {
+				return experiments.FormatDepthPoints("Figure 12: exhaustive search time vs depth (RandTree, 5 nodes)", pts)
+			})(experiments.Fig12Exhaustive(cfg))
 		case "fig15", "fig16":
 			cfg := experiments.Fig15Config{Seed: *seed, MaxDepth: *depth, MaxStates: 2_000_000, Workers: *workers}
 			pts := experiments.Fig15Memory(cfg)
-			fmt.Print(experiments.FormatDepthPoints("Figures 15/16: consequence-prediction memory vs depth", pts))
+			out = experiments.FormatDepthPoints("Figures 15/16: consequence-prediction memory vs depth", pts)
 		case "depths":
 			counts := []int{5, 20}
 			if *nodes > 0 {
 				counts = []int{*nodes}
 			}
-			rows := experiments.DepthComparison(*seed, *budget, counts, *workers)
-			fmt.Print(experiments.FormatDepthComparison(rows, *budget))
+			out, err = render(func(rows []experiments.DepthBudgetRow) string {
+				return experiments.FormatDepthComparison(rows, *budget)
+			})(experiments.DepthComparison(*seed, *budget, counts, *workers))
 		case "randtree-steering":
-			cfg := experiments.SteeringConfig{Seed: *seed, Nodes: *nodes, Duration: *duration, Workers: *workers, Policy: *policy}
-			results := []experiments.SteeringResult{
-				experiments.RandTreeSteering(cfg, experiments.NoProtection),
-				experiments.RandTreeSteering(cfg, experiments.ISCOnly),
-				experiments.RandTreeSteering(cfg, experiments.SteeringAndISC),
+			cfg := experiments.SteeringConfig{Seed: *seed, Nodes: *nodes, Duration: *duration, Workers: *workers}
+			var results []experiments.SteeringResult
+			for _, arm := range []experiments.SteeringMode{experiments.NoProtection, experiments.ISCOnly, experiments.SteeringAndISC} {
+				var res experiments.SteeringResult
+				if res, err = experiments.RandTreeSteering(cfg, arm); err != nil {
+					break
+				}
+				results = append(results, res)
 			}
-			fmt.Print(experiments.FormatSteering(results))
+			out = experiments.FormatSteering(results)
 		case "fig14":
-			cfg := experiments.Fig14Config{Seed: *seed, Runs: *runs, Workers: *workers, Policy: *policy}
-			fmt.Print(experiments.FormatFig14(experiments.Fig14Paxos(cfg)))
+			cfg := experiments.Fig14Config{Seed: *seed, Runs: *runs, Workers: *workers}
+			out, err = render(experiments.FormatFig14)(experiments.Fig14Paxos(cfg))
 		case "fig17":
-			cfg := experiments.Fig17Config{Seed: *seed, Nodes: *nodes, Deadline: *duration, Workers: *workers, Policy: *policy}
-			fmt.Print(experiments.FormatFig17(experiments.Fig17Bullet(cfg)))
+			cfg := experiments.Fig17Config{Seed: *seed, Nodes: *nodes, Deadline: *duration, Workers: *workers}
+			out, err = render(experiments.FormatFig17)(experiments.Fig17Bullet(cfg))
 		case "sweep":
-			if _, err := dist.ParseFaultPlan(*faults); err != nil {
-				fmt.Fprintf(os.Stderr, "bad -faults spec: %v\n", err)
-				os.Exit(2)
-			}
-			cfg := experiments.SweepConfig{Seed: *seed, States: *states, Rounds: *rounds, Faults: *faults}
+			cfg := experiments.SweepConfig{Seed: *seed, States: *states, Faults: plan}
 			if *workers > 0 {
 				cfg.Workers = []int{*workers}
-			}
-			if *policy != "" {
-				cfg.Policies = []string{*policy}
 			}
 			switch *reduce {
 			case "on":
@@ -104,15 +115,19 @@ func main() {
 			if *shards > 1 {
 				cfg.Shards = []int{1, *shards}
 			}
-			fmt.Print(experiments.FormatSweep(experiments.Sweep(cfg)))
+			out, err = render(experiments.FormatSweep)(experiments.Sweep(cfg))
 		case "overhead":
 			cfg := experiments.OverheadConfig{Seed: *seed, Nodes: *nodes, Duration: *duration}
-			fmt.Print(experiments.FormatOverhead(experiments.Overhead(cfg)))
+			out, err = render(experiments.FormatOverhead)(experiments.Overhead(cfg))
 		default:
 			fmt.Fprintf(os.Stderr, "unknown experiment %q\n", name)
 			os.Exit(2)
 		}
-		fmt.Println()
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "%s: %v\n", name, err)
+			os.Exit(1)
+		}
+		fmt.Println(out)
 	}
 
 	if *exp == "all" {

@@ -10,7 +10,6 @@
 //	mcheck -service chord -mode consequence -resets -states 200000
 //	mcheck -service paxos -variant bug1 -mode random-walk -walks 500
 //	mcheck -service bulletprime -nodes 3 -mode exhaustive -states 50000
-//	mcheck -service chord -policy scaled -states 20000
 //	mcheck -service paxos -mode exhaustive -reduce=false
 //	mcheck -service chord -mode exhaustive -shards 4 -maxdepth 6
 //
@@ -24,11 +23,6 @@
 // search claims the same states and reports the same violations while
 // executing fewer handler calls. Turn it off to measure the unreduced
 // transition count or when instrumenting message-arrival order itself.
-//
-// -policy selects the budget policy that plans the search budget from the
-// flag-provided base (fixed = the flags verbatim; scaled = states scaled by
-// the initial state's encoded size; adaptive = fixed on the first round —
-// adaptation needs round feedback, which only live controllers have).
 //
 // -cpuprofile and -memprofile write runtime/pprof profiles covering exactly
 // the search (not scenario set-up or result printing), so a real-size run
@@ -70,7 +64,6 @@ func main() {
 		walkDepth  = flag.Int("walkdepth", 60, "random walk depth")
 		maxViol    = flag.Int("violations", 3, "stop after this many violations")
 		workers    = flag.Int("workers", 0, "exploration worker goroutines (0 = GOMAXPROCS)")
-		policy     = flag.String("policy", "fixed", "budget policy planning the search budget (fixed|scaled|adaptive)")
 		seed       = flag.Int64("seed", 1, "random seed")
 		fixed      = flag.Bool("fixed", false, "check the bug-fixed service variants")
 		shards     = flag.Int("shards", 0, "distributed in-process search with this many shards (0 = single engine; exhaustive mode only)")
@@ -118,32 +111,14 @@ func main() {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
-	// The flags form the base budget; the selected policy plans the
-	// actual search budget from the initial state's footprint. The
-	// default FixedPolicy returns the base verbatim, so default output
-	// is byte-identical to the pre-policy checker.
-	spec := mc.PolicySpec{
-		Kind: *policy,
-		Base: mc.Budget{
-			States:     *maxStates,
-			Depth:      *maxDepth,
-			Wall:       *maxWall,
-			Violations: *maxViol,
-			Workers:    *workers,
-		},
-	}
-	pol, err := spec.New()
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
-	}
 	cfg.Mode = m
-	cfg.Budget = pol.Plan(mc.RoundInfo{
-		Round:         1,
-		SnapshotBytes: g.EncodedSize(),
-		SnapshotNodes: len(g.Nodes()),
-		Interval:      *maxWall,
-	})
+	cfg.Budget = mc.Budget{
+		States:     *maxStates,
+		Depth:      *maxDepth,
+		Wall:       *maxWall,
+		Violations: *maxViol,
+		Workers:    *workers,
+	}
 	cfg.ExploreResets = *resets
 	cfg.ExploreConnBreaks = *connBreaks
 	cfg.Reduce = *reduce
@@ -196,10 +171,6 @@ func main() {
 	}
 
 	fmt.Printf("mode=%s service=%s nodes=%d workers=%d\n", m, sc.Name, *nodes, res.Workers)
-	if *policy != "fixed" {
-		fmt.Printf("policy=%s planned states=%d workers=%d (snapshot %dB)\n",
-			*policy, cfg.Budget.States, res.Workers, g.EncodedSize())
-	}
 	// Why the search ended; a sharded result does not say yet.
 	stop := ""
 	if res.StopReason != "" {

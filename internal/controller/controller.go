@@ -77,15 +77,11 @@ type Config struct {
 	// SnapshotInterval is the gap between model-checking rounds
 	// (paper: checkpointing interval 10 s).
 	SnapshotInterval time.Duration
-	// Policy declares the per-round exploration budget policy: the
-	// controller builds one fresh Policy instance from this spec,
-	// consults Plan before every consequence-prediction round (snapshot
-	// size, round number, snapshot interval) and feeds Observe the
-	// round's report afterwards. Policy.Base is the per-round budget
-	// template (states, depth, workers; Workers 0 = GOMAXPROCS), and the
-	// filter-safety recheck runs under the same plan. A zero Kind is the
-	// fixed policy: every round gets Base verbatim.
-	Policy mc.PolicySpec
+	// Budget is what every consequence-prediction round may spend
+	// (states, depth, workers; Workers 0 = GOMAXPROCS); the filter-safety
+	// recheck runs on half its states. A zero Violations means
+	// defaultMaxViolations.
+	Budget mc.Budget
 	// PerStateCost is the virtual model-checking time charged per
 	// explored state; the report arrives only after the total latency.
 	PerStateCost time.Duration
@@ -137,7 +133,7 @@ func DefaultConfig(ps props.Set, factory sm.Factory) Config {
 		Props:             ps,
 		Factory:           factory,
 		SnapshotInterval:  10 * time.Second,
-		Policy:            mc.PolicySpec{Base: mc.Budget{States: 20000}},
+		Budget:            mc.Budget{States: 20000},
 		PerStateCost:      300 * time.Microsecond,
 		ExploreResets:     true,
 		EnableISC:         true,
@@ -147,19 +143,9 @@ func DefaultConfig(ps props.Set, factory sm.Factory) Config {
 	}
 }
 
-// defaultMaxViolations is the per-round violation quota every policy base
-// inherits unless it sets its own.
+// defaultMaxViolations is the per-round violation quota a Config.Budget
+// gets unless it sets its own.
 const defaultMaxViolations = 8
-
-// policySpec resolves the controller's budget-policy spec: the declared
-// spec with the default violation quota filled in.
-func (c *Config) policySpec() mc.PolicySpec {
-	spec := c.Policy
-	if spec.Base.Violations == 0 {
-		spec.Base.Violations = defaultMaxViolations
-	}
-	return spec
-}
 
 // Finding is one recorded violation prediction.
 type Finding struct {
@@ -208,9 +194,11 @@ type Stats struct {
 	// conservative mode (the failing round and every subsequent round
 	// until a checker run succeeds again).
 	ConservativeRounds int64
-	// LastBudget is the budget the policy planned for the most recent
-	// (non-skipped) round.
-	LastBudget mc.Budget
+	// Stops counts the rounds that searched by why the search ended
+	// (mc.Result.StopReason; a failed checker round counts under "error"):
+	// Stops["states"] is how many rounds the state budget bound. Nil until
+	// a round searches.
+	Stops map[string]int64
 	// PredictionsDelivered counts predictions handed to steering-aware
 	// services (sm.SteeringAware) instead of generic filters.
 	PredictionsDelivered int64
@@ -222,9 +210,6 @@ type Controller struct {
 	node *runtime.Node
 	mgr  *snapshot.Manager
 	cfg  Config
-	// policy plans each round's exploration budget and absorbs the
-	// round reports; one private, stateful instance per controller.
-	policy mc.Policy
 
 	lastView *props.View
 	findings []Finding
@@ -246,19 +231,14 @@ type Controller struct {
 // (snapCfg) and, if cfg.EnableISC, the immediate safety check wired to the
 // controller's latest neighborhood snapshot.
 func New(s *sim.Simulator, node *runtime.Node, cfg Config, snapCfg snapshot.Config) *Controller {
-	policy, err := cfg.policySpec().New()
-	if err != nil {
-		// An unresolvable policy kind is a configuration programming
-		// error (Deploy validates user-facing paths before reaching
-		// here), like registering a scenario without a factory.
-		panic(fmt.Sprintf("controller: %v", err))
+	if cfg.Budget.Violations == 0 {
+		cfg.Budget.Violations = defaultMaxViolations
 	}
 	c := &Controller{
-		sim:    s,
-		node:   node,
-		mgr:    snapshot.NewManager(s, node, snapCfg),
-		cfg:    cfg,
-		policy: policy,
+		sim:  s,
+		node: node,
+		mgr:  snapshot.NewManager(s, node, snapCfg),
+		cfg:  cfg,
 	}
 	if cfg.EnableISC {
 		node.EnableISC(cfg.Props, func() *props.View { return c.lastView })
@@ -327,9 +307,7 @@ func (c *Controller) onSnapshot(snap *snapshot.Snapshot) {
 	// A snapshot identical to the last fully-searched one cannot yield
 	// new predictions, so the full model-checking run is skipped — and
 	// since filters are removed "after every model checking run", a
-	// skipped run leaves the installed filters in place. The policy
-	// neither plans nor observes a skipped round: nothing is explored,
-	// so Plan calls correspond 1:1 with rounds that actually search.
+	// skipped run leaves the installed filters in place.
 	if h := start.Hash(); h == c.lastHash {
 		if c.conservative {
 			// A skipped run also leaves the stale filters in place, so
@@ -341,23 +319,12 @@ func (c *Controller) onSnapshot(snap *snapshot.Snapshot) {
 		return
 	}
 
-	// The policy plans this round's exploration budget from what is
-	// known before the search: the round number, the snapshot's encoded
-	// size and the interval the round must fit inside — the paper's
-	// adaptive StopCriterion seam.
-	plan := c.policy.Plan(mc.RoundInfo{
-		Round:         int(c.Stats.Rounds),
-		SnapshotBytes: start.EncodedSize(),
-		SnapshotNodes: len(start.Nodes()),
-		Interval:      c.cfg.SnapshotInterval,
-	})
-	c.Stats.LastBudget = plan
 	searchCfg := mc.Config{
 		Props:             c.cfg.Props,
 		GlobalProps:       c.cfg.GlobalProps,
 		Factory:           c.cfg.Factory,
 		Mode:              mc.Consequence,
-		Budget:            plan,
+		Budget:            c.cfg.Budget,
 		ExploreResets:     c.cfg.ExploreResets,
 		ExploreConnBreaks: c.cfg.ExploreConnBreaks,
 		MaxResetsPerPath:  c.cfg.MaxResetsPerPath,
@@ -379,6 +346,7 @@ func (c *Controller) onSnapshot(snap *snapshot.Snapshot) {
 		cerr = fmt.Errorf("checker returned no report")
 	}
 	if cerr != nil {
+		c.countStop("error")
 		c.Stats.CheckerFailures++
 		c.Stats.ConservativeRounds++
 		c.conservative = true
@@ -425,27 +393,10 @@ func (c *Controller) onSnapshot(snap *snapshot.Snapshot) {
 	// its report is delivered only after the virtual model-checking
 	// latency, reproducing the checker/system race.
 	c.Stats.StatesExplored += int64(res.StatesExplored)
+	c.countStop(res.StopReason)
 	c.observeCounters(res)
 	mcLatency := replayLatency + time.Duration(res.StatesExplored)*c.cfg.PerStateCost
 	c.Stats.MCVirtualTime += mcLatency
-	// Feed the policy the round report. Elapsed is the virtual checker
-	// latency of the run itself (the clock the checker/system race is
-	// measured in), not host wall time, so adaptive planning is
-	// deterministic under simulation. Workers carries the pool size the
-	// engine actually resolved (a planned 0 means GOMAXPROCS) so
-	// per-worker throughput estimates divide by the real count — and
-	// since this virtual clock is worker-independent, the estimate then
-	// makes adaptive worker growth a planned-capacity no-op here, while
-	// a wall-clock deployment would see the real speedup.
-	ranWith := plan
-	ranWith.Workers = res.Workers
-	c.policy.Observe(mc.RoundReport{
-		Budget:     ranWith,
-		States:     res.StatesExplored,
-		Violations: len(res.Violations),
-		Pruned:     res.TransitionsPruned,
-		Elapsed:    time.Duration(res.StatesExplored) * c.cfg.PerStateCost,
-	})
 	c.sim.After(mcLatency, func() {
 		c.processReport(start, searchCfg, res)
 		c.busy = false
@@ -552,12 +503,20 @@ func (c *Controller) filterIsSafe(start *mc.GState, searchCfg mc.Config, f sm.Fi
 	cfg.Filters = []sm.Filter{f}
 	cfg.Budget.Violations = 1
 	// The safety check is a second, cheaper pass on half the round's
-	// planned state budget.
+	// state budget.
 	cfg.Budget.States = searchCfg.Budget.States / 2
 	res := mc.NewSearch(cfg).Run(start)
 	c.Stats.StatesExplored += int64(res.StatesExplored)
 	c.observeCounters(res)
 	return len(res.Violations) == 0
+}
+
+// countStop records why one round's search ended.
+func (c *Controller) countStop(reason string) {
+	if c.Stats.Stops == nil {
+		c.Stats.Stops = make(map[string]int64)
+	}
+	c.Stats.Stops[reason]++
 }
 
 // observeCounters folds one search's reduction counters into the

@@ -49,7 +49,7 @@ func deployWithController(t *testing.T, n int, cfg Config) (*sim.Simulator, []*C
 func debugCfg(limit int) Config {
 	cfg := DefaultConfig(props.Set{testsvc.CounterBelow(limit)}, nil)
 	cfg.SnapshotInterval = 2 * time.Second
-	cfg.Policy.Base.States = 3000
+	cfg.Budget.States = 3000
 	cfg.PerStateCost = 100 * time.Microsecond
 	cfg.ExploreResets = false
 	cfg.EnableISC = false
@@ -84,7 +84,7 @@ func TestDebuggingModePredictsFutureViolation(t *testing.T) {
 
 func TestRoundsAndSnapshotsProceed(t *testing.T) {
 	cfg := debugCfg(1000)
-	cfg.Policy.Base.States = 300 // liveness of the round loop, not search depth
+	cfg.Budget.States = 300 // liveness of the round loop, not search depth
 	s, ctrls := deployWithController(t, 3, cfg)
 	s.RunFor(15 * time.Second)
 	for i, c := range ctrls {
@@ -141,7 +141,7 @@ func TestFilterSafetyCheckVetoesUselessFilter(t *testing.T) {
 func TestVirtualMCLatencyDelaysReport(t *testing.T) {
 	cfg := debugCfg(2)
 	cfg.PerStateCost = 10 * time.Millisecond // expensive checker
-	cfg.Policy.Base.States = 1000
+	cfg.Budget.States = 1000
 	s, ctrls := deployWithController(t, 2, cfg)
 
 	var predictionTimes []sim.Time
@@ -179,7 +179,7 @@ func TestDistinctFindingsDedup(t *testing.T) {
 
 func TestControllerSurvivesNodeResets(t *testing.T) {
 	cfg := debugCfg(1000)
-	cfg.Policy.Base.States = 300
+	cfg.Budget.States = 300
 	s, ctrls := deployWithController(t, 3, cfg)
 	s.After(5*time.Second, func() { ctrls[1].Node().Reset(true) })
 	s.After(12*time.Second, func() { ctrls[2].Node().Reset(false) })
@@ -218,7 +218,9 @@ func TestCheckerFailureDegradesConservative(t *testing.T) {
 	cfg.Mode = ExecutionSteering
 	cfg.CheckFilterSafety = false
 	fail := false
+	var searched int64
 	cfg.CheckRound = func(mcfg mc.Config, start *mc.GState) (*mc.Result, error) {
+		searched++
 		if fail {
 			return nil, errors.New("checker process crashed")
 		}
@@ -260,6 +262,12 @@ func TestCheckerFailureDegradesConservative(t *testing.T) {
 		if c.Stats.CheckerFailures == 0 {
 			t.Errorf("controller %d recorded no checker failures", i)
 		}
+		if got := c.Stats.Stops["error"]; got != c.Stats.CheckerFailures {
+			t.Errorf("controller %d: Stops[error]=%d, CheckerFailures=%d", i, got, c.Stats.CheckerFailures)
+		}
+		for _, n := range c.Stats.Stops {
+			searched -= n
+		}
 		if c.Stats.ConservativeRounds < c.Stats.CheckerFailures {
 			t.Errorf("controller %d: ConservativeRounds=%d < CheckerFailures=%d",
 				i, c.Stats.ConservativeRounds, c.Stats.CheckerFailures)
@@ -270,6 +278,24 @@ func TestCheckerFailureDegradesConservative(t *testing.T) {
 		if c.Stats.Rounds <= during[i].rounds {
 			t.Errorf("controller %d: snapshot loop stalled after the failure window (%d rounds, %d during)",
 				i, c.Stats.Rounds, during[i].rounds)
+		}
+	}
+	if searched != 0 {
+		t.Errorf("Stats.Stops is off by %d from the rounds that crossed CheckRound", searched)
+	}
+}
+
+// TestStopsSayWhetherTheBudgetBound: every round that searches is counted
+// under the reason its search ended, and a state budget too small for the
+// reachable space shows up as "states".
+func TestStopsSayWhetherTheBudgetBound(t *testing.T) {
+	cfg := debugCfg(1 << 30)
+	cfg.Budget.States = 50
+	s, ctrls := deployWithController(t, 2, cfg)
+	s.RunFor(15 * time.Second)
+	for i, c := range ctrls {
+		if c.Stats.Stops["states"] == 0 {
+			t.Errorf("controller %d: stops = %v, want rounds bound by the 50-state budget", i, c.Stats.Stops)
 		}
 	}
 }

@@ -58,7 +58,7 @@ func TestSteeringAwareServiceReceivesPredictions(t *testing.T) {
 	cfg := DefaultConfig(props.Set{counterBelow}, factory)
 	cfg.Mode = ExecutionSteering
 	cfg.SnapshotInterval = 2 * time.Second
-	cfg.Policy.Base.States = 2000
+	cfg.Budget.States = 2000
 	cfg.PerStateCost = 50 * time.Microsecond
 	cfg.EnableISC = false
 	var ctrls []*Controller

@@ -219,9 +219,6 @@ type Result struct {
 	// memory accounting, and — on RecordStates rounds — the unioned
 	// claimed-fingerprint dump.
 	Checker mc.Result
-	// Round is the merged per-round report in the shape the controller's
-	// budget policies Observe.
-	Round mc.RoundReport
 	// Stats sums the shards' frontier-exchange counters.
 	Stats Stats
 	// PerShard keeps each slot's raw report (telemetry; per-shard
@@ -392,7 +389,7 @@ func (c *Coordinator) runAttempt(assign []int, b mc.Budget, recordStates bool, b
 			return nil, deaths, nil
 		}
 	}
-	res, err = c.merge(b, shares[0].Workers, reports, began)
+	res, err = c.merge(shares[0].Workers, reports, began)
 	return res, nil, err
 }
 
@@ -482,12 +479,6 @@ func (c *Coordinator) serialRound(b mc.Budget, recordStates bool, began time.Tim
 	r := mc.NewSearch(cfg).Run(c.cfg.Root)
 	res := &Result{Checker: *r}
 	res.Checker.Elapsed = c.cfg.Now().Sub(began)
-	res.Round = mc.RoundReport{
-		Budget:     b,
-		States:     res.Checker.StatesExplored,
-		Violations: len(res.Checker.Violations),
-		Elapsed:    res.Checker.Elapsed,
-	}
 	return res, nil
 }
 
@@ -500,8 +491,8 @@ func deathSummary(deaths []ShardDeath) string {
 	return "shard(s) " + strings.Join(parts, ", ")
 }
 
-// merge folds the shard reports into the single result/round-report pair.
-func (c *Coordinator) merge(planned mc.Budget, workers int, reports []ShardReport, began time.Time) (*Result, error) {
+// merge folds the shard reports into the single result.
+func (c *Coordinator) merge(workers int, reports []ShardReport, began time.Time) (*Result, error) {
 	res := &Result{PerShard: reports}
 	var claimed, locals []uint64
 	recorded := false
@@ -544,13 +535,6 @@ func (c *Coordinator) merge(planned mc.Budget, workers int, reports []ShardRepor
 		return nil, err
 	}
 	res.Checker.Violations = vios
-
-	res.Round = mc.RoundReport{
-		Budget:     planned,
-		States:     res.Checker.StatesExplored,
-		Violations: len(vios),
-		Elapsed:    res.Checker.Elapsed,
-	}
 	return res, nil
 }
 

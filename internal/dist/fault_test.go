@@ -232,9 +232,6 @@ func TestSerialFallback(t *testing.T) {
 		t.Errorf("fallback claimed set diverges from serial (%d vs %d states)",
 			len(res.Checker.ClaimedStates), len(serial.ClaimedStates))
 	}
-	if res.Round.States != res.Checker.StatesExplored {
-		t.Errorf("round report states %d != checker states %d", res.Round.States, res.Checker.StatesExplored)
-	}
 
 	// Without a local engine the same cascade is an error, not a hang.
 	conns = nil
@@ -284,8 +281,5 @@ func TestLocalMatchesSerial(t *testing.T) {
 	}
 	if res.Stats.StatesForwarded == 0 || res.Stats.BatchFlushes == 0 {
 		t.Errorf("two shards exchanged no states: %+v", res.Stats)
-	}
-	if res.Round.States != res.Checker.StatesExplored {
-		t.Errorf("round report states %d != checker states %d", res.Round.States, res.Checker.StatesExplored)
 	}
 }

@@ -201,7 +201,7 @@ func parseFaultRule(item string) (faultRule, error) {
 		r.count = n
 	case strings.HasPrefix(target, "~"):
 		f, err := strconv.ParseFloat(target[1:], 64)
-		if err != nil || f < 0 || f > 1 {
+		if err != nil || !(f >= 0 && f <= 1) { // NaN parses, and fails both tests
 			return r, errorf("fault spec: bad probability in %q", item)
 		}
 		r.prob = f

@@ -48,6 +48,7 @@ func TestFaultSpecParse(t *testing.T) {
 		"drop@s0m0",      // counts are 1-based
 		"drop@s0r0m1",    // rounds are 1-based
 		"drop@s0~2",      // probability out of range
+		"drop@s0~NaN",    // NaN is not in [0, 1], though no comparison says so
 		"drop@s-1m1",     // negative shard
 		"seed=banana",    // unparsable seed
 		"kill@s1r1m2 m3", // trailing junk
@@ -56,6 +57,30 @@ func TestFaultSpecParse(t *testing.T) {
 			t.Errorf("spec %q parsed without error", bad)
 		}
 	}
+}
+
+// FuzzParseFaultPlan: the -faults grammar is typed by users, so the parser
+// never panics and what it accepts is in range — every probability in [0, 1],
+// every delay hold positive, every shard non-negative.
+func FuzzParseFaultPlan(f *testing.F) {
+	for _, spec := range []string{
+		"seed=9, kill@s1r1m2, send:dup@s0r1m3, drop@s1~0.05, delay3@s0r2m1",
+		"", "sever@s0m1", "recv:corrupt@s0r1m1", "send:drop@s0~0.01",
+		"kill", "explode@s0m1", "delay0@s0m1", "drop@s0~2", "drop@s0~NaN", "drop@s-1m1", "seed=banana",
+	} {
+		f.Add(spec)
+	}
+	f.Fuzz(func(t *testing.T, spec string) {
+		p, err := ParseFaultPlan(spec)
+		if err != nil {
+			return
+		}
+		for _, r := range p.rules {
+			if !(r.prob >= 0 && r.prob <= 1) || r.shard < 0 || (r.op == opDelay && r.hold <= 0) {
+				t.Fatalf("spec %q accepted as %+v", spec, r)
+			}
+		}
+	})
 }
 
 // faultPair wires a plan-wrapped end a (as shard `shard`) to a bare end b,

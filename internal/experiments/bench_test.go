@@ -23,9 +23,9 @@ import (
 // BenchmarkTable1BugsFound runs the deep-online-debugging hunt (scaled).
 func BenchmarkTable1BugsFound(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		results := Table1(Table1Config{
+		results := must(Table1(Table1Config{
 			Seed: int64(i + 1), Nodes: 8, Duration: 3 * time.Minute, MCStates: 4000,
-		})
+		}))
 		var distinct int
 		for _, r := range results {
 			distinct += len(r.Distinct)
@@ -37,9 +37,9 @@ func BenchmarkTable1BugsFound(b *testing.B) {
 // BenchmarkFig12ExhaustiveDepth measures the exhaustive-search depth sweep.
 func BenchmarkFig12ExhaustiveDepth(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		pts := Fig12Exhaustive(Fig12Config{
+		pts := must(Fig12Exhaustive(Fig12Config{
 			Seed: 1, Nodes: 5, MaxDepth: 5, MaxStates: 500000,
-		})
+		}))
 		b.ReportMetric(float64(pts[len(pts)-1].States), "states-at-max-depth")
 	}
 }
@@ -59,7 +59,7 @@ func BenchmarkFig15SearchMemory(b *testing.B) {
 // BenchmarkDepthComparison measures the section 5.3 comparison.
 func BenchmarkDepthComparison(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows := DepthComparison(1, time.Second, []int{5}, 0)
+		rows := must(DepthComparison(1, time.Second, []int{5}, 0))
 		for _, r := range rows {
 			if r.Start == "live-snapshot" && r.Mode == "consequence" {
 				b.ReportMetric(float64(r.States), "cp-states-to-violation")
@@ -71,10 +71,10 @@ func BenchmarkDepthComparison(b *testing.B) {
 // BenchmarkRandTreeSteering runs one protected churn window (section 5.4.1).
 func BenchmarkRandTreeSteering(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res := RandTreeSteering(SteeringConfig{
+		res := must(RandTreeSteering(SteeringConfig{
 			Seed: int64(i + 1), Nodes: 10, Duration: 5 * time.Minute,
 			ChurnGap: 45 * time.Second, MCStates: 4000,
-		}, SteeringAndISC)
+		}, SteeringAndISC))
 		b.ReportMetric(float64(res.InconsistentStates), "inconsistent-states")
 		b.ReportMetric(float64(res.FiltersInstalled), "filters")
 	}
@@ -83,9 +83,9 @@ func BenchmarkRandTreeSteering(b *testing.B) {
 // BenchmarkFig14PaxosSteering runs the staged Paxos scenarios (scaled).
 func BenchmarkFig14PaxosSteering(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		results := Fig14Paxos(Fig14Config{
+		results := must(Fig14Paxos(Fig14Config{
 			Seed: int64(i + 1), Runs: 4, MaxGap: 20 * time.Second, MCStates: 8000,
-		})
+		}))
 		var avoided, violated int
 		for _, r := range results {
 			avoided += r.Steering + r.ISC
@@ -100,10 +100,10 @@ func BenchmarkFig14PaxosSteering(b *testing.B) {
 // without CrystalBall.
 func BenchmarkFig17BulletOverhead(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r := Fig17Bullet(Fig17Config{
+		r := must(Fig17Bullet(Fig17Config{
 			Seed: int64(i + 1), Nodes: 5, Blocks: 12, BlockSize: 32 << 10,
 			Deadline: 8 * time.Minute,
-		})
+		}))
 		b.ReportMetric(100*r.MeanSlowdown, "slowdown-%")
 	}
 }
@@ -111,9 +111,9 @@ func BenchmarkFig17BulletOverhead(b *testing.B) {
 // BenchmarkCheckpointSizes measures section 5.5's checkpoint costs.
 func BenchmarkCheckpointSizes(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows := Overhead(OverheadConfig{
+		rows := must(Overhead(OverheadConfig{
 			Seed: int64(i + 1), Nodes: 8, Duration: 40 * time.Second,
-		})
+		}))
 		for _, r := range rows {
 			if r.System == "RandTree" {
 				b.ReportMetric(r.MeanCheckpointRaw, "randtree-ckpt-bytes")
@@ -156,7 +156,7 @@ func BenchmarkAblationLocalPruning(b *testing.B) {
 	for _, mode := range []mc.Mode{mc.Consequence, mc.Exhaustive} {
 		b.Run(mode.String(), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				rows := DepthComparison(1, 5*time.Second, []int{7}, 0)
+				rows := must(DepthComparison(1, 5*time.Second, []int{7}, 0))
 				for _, r := range rows {
 					if r.Start == "live-snapshot" && r.Mode == mode.String() {
 						b.ReportMetric(float64(r.States), "states-to-violation")
@@ -267,30 +267,6 @@ func steeringArm(seed int64, checkFilterSafety, replay bool) struct {
 		out.FiltersInstalled += c.Stats.FiltersInstalled
 	}
 	return out
-}
-
-// BenchmarkAdaptiveRounds measures the budget-policy round-trip the
-// controller pays per model-checking round: one Plan from the round info
-// plus one Observe of the report. The policy contract requires both to be
-// allocation-free (internal/mc's TestPolicyPlanObserveAllocFree pins 0
-// allocs); this benchmark records the time floor so policy logic never
-// creeps into round-scheduling cost.
-func BenchmarkAdaptiveRounds(b *testing.B) {
-	b.ReportAllocs()
-	pol := &mc.AdaptivePolicy{
-		Base:       mc.Budget{States: 20000, Workers: 2, Violations: 8},
-		MaxWorkers: 8,
-	}
-	info := mc.RoundInfo{SnapshotBytes: 4096, SnapshotNodes: 12, Interval: 10 * time.Second}
-	for i := 0; i < b.N; i++ {
-		info.Round = i + 1
-		plan := pol.Plan(info)
-		pol.Observe(mc.RoundReport{
-			Budget:  plan,
-			States:  plan.States,
-			Elapsed: time.Duration(plan.States) * 300 * time.Microsecond,
-		})
-	}
 }
 
 // BenchmarkISCSpeculation measures the immediate safety check's per-event

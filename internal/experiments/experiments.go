@@ -46,7 +46,7 @@ type Fig12Config struct {
 // Fig12Exhaustive reproduces Figure 12: elapsed time of exhaustive search
 // on RandTree from the initial state, as a function of depth. The shape to
 // reproduce is exponential growth that makes depths beyond ~12 infeasible.
-func Fig12Exhaustive(cfg Fig12Config) []DepthPoint {
+func Fig12Exhaustive(cfg Fig12Config) ([]DepthPoint, error) {
 	if cfg.Nodes == 0 {
 		cfg.Nodes = 5
 	}
@@ -55,7 +55,10 @@ func Fig12Exhaustive(cfg Fig12Config) []DepthPoint {
 	}
 	var out []DepthPoint
 	for d := 1; d <= cfg.MaxDepth; d++ {
-		res := runRandTreeSearch(cfg.Seed, cfg.Nodes, mc.Exhaustive, d, cfg.MaxStates, cfg.MaxWall, false, cfg.Workers)
+		res, err := runRandTreeSearch(cfg.Seed, cfg.Nodes, mc.Exhaustive, d, cfg.MaxStates, cfg.MaxWall, false, cfg.Workers)
+		if err != nil {
+			return nil, err
+		}
 		out = append(out, DepthPoint{
 			Depth:        d,
 			States:       res.StatesExplored,
@@ -67,21 +70,21 @@ func Fig12Exhaustive(cfg Fig12Config) []DepthPoint {
 			break // the next depth would only run into the same wall
 		}
 	}
-	return out
+	return out, nil
 }
 
 // runRandTreeSearch builds an n-node RandTree initial state (all nodes
 // unjoined, ready to issue Join app calls) and runs one search over it.
-func runRandTreeSearch(seed int64, n int, mode mc.Mode, maxDepth, maxStates int, maxWall time.Duration, resets bool, workers int) *mc.Result {
+func runRandTreeSearch(seed int64, n int, mode mc.Mode, maxDepth, maxStates int, maxWall time.Duration, resets bool, workers int) (*mc.Result, error) {
 	g, cfg, err := scenario.InitialState("randtree", scenario.Options{Nodes: n})
 	if err != nil {
-		panic(err)
+		return nil, err
 	}
 	cfg.Mode = mode
 	cfg.Budget = mc.Budget{States: maxStates, Depth: maxDepth, Wall: maxWall, Workers: workers}
 	cfg.ExploreResets = resets
 	cfg.Seed = seed
-	return mc.NewSearch(cfg).Run(g)
+	return mc.NewSearch(cfg).Run(g), nil
 }
 
 // FormatDepthPoints renders a depth sweep as a table.
@@ -212,11 +215,14 @@ type DepthBudgetRow struct {
 //   - From a *live snapshot* (a formed tree), consequence prediction finds
 //     the Figure 2-class violation within a small fraction of the states
 //     and time exhaustive search needs, and the gap widens with scale.
-func DepthComparison(seed int64, budget time.Duration, nodeCounts []int, workers int) []DepthBudgetRow {
+func DepthComparison(seed int64, budget time.Duration, nodeCounts []int, workers int) ([]DepthBudgetRow, error) {
 	var rows []DepthBudgetRow
 	for _, n := range nodeCounts {
 		for _, mode := range []mc.Mode{mc.Exhaustive, mc.Consequence} {
-			res := runRandTreeSearch(seed, n, mode, 0, 0, budget, true, workers)
+			res, err := runRandTreeSearch(seed, n, mode, 0, 0, budget, true, workers)
+			if err != nil {
+				return nil, err
+			}
 			rows = append(rows, DepthBudgetRow{
 				Start:      "initial",
 				Nodes:      n,
@@ -252,7 +258,7 @@ func DepthComparison(seed int64, budget time.Duration, nodeCounts []int, workers
 			})
 		}
 	}
-	return rows
+	return rows, nil
 }
 
 // FormatDepthComparison renders the comparison table.

@@ -4,10 +4,12 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"crystalball/internal/scenario"
 )
 
 func TestFig12ExhaustiveGrowth(t *testing.T) {
-	pts := Fig12Exhaustive(Fig12Config{Seed: 1, Nodes: 4, MaxDepth: 5, MaxStates: 200000})
+	pts := must(Fig12Exhaustive(Fig12Config{Seed: 1, Nodes: 4, MaxDepth: 5, MaxStates: 200000}))
 	if len(pts) != 5 {
 		t.Fatalf("points = %d, want 5", len(pts))
 	}
@@ -43,7 +45,7 @@ func TestDepthComparisonConsequenceWins(t *testing.T) {
 	if testing.Short() {
 		budget = 500 * time.Millisecond
 	}
-	rows := DepthComparison(1, budget, []int{5}, 0)
+	rows := must(DepthComparison(1, budget, []int{5}, 0))
 	if len(rows) != 4 {
 		t.Fatalf("rows = %d, want 4", len(rows))
 	}
@@ -73,7 +75,7 @@ func TestTable1FindsBugsQuick(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
-	results := Table1(Table1Config{Seed: 3, Nodes: 8, Duration: 4 * time.Minute, MCStates: 6000})
+	results := must(Table1(Table1Config{Seed: 3, Nodes: 8, Duration: 4 * time.Minute, MCStates: 6000}))
 	var total int
 	for _, r := range results {
 		total += len(r.Distinct)
@@ -92,8 +94,8 @@ func TestSteeringArmsQuick(t *testing.T) {
 		t.Skip("short mode")
 	}
 	cfg := SteeringConfig{Seed: 5, Nodes: 10, Duration: 6 * time.Minute, ChurnGap: 45 * time.Second, MCStates: 4000}
-	bare := RandTreeSteering(cfg, NoProtection)
-	protected := RandTreeSteering(cfg, SteeringAndISC)
+	bare := must(RandTreeSteering(cfg, NoProtection))
+	protected := must(RandTreeSteering(cfg, SteeringAndISC))
 	if bare.ActionsExecuted == 0 || protected.ActionsExecuted == 0 {
 		t.Fatal("no actions executed")
 	}
@@ -113,7 +115,7 @@ func TestFig14Quick(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
-	res := Fig14Paxos(Fig14Config{Seed: 7, Runs: 6, MaxGap: 30 * time.Second, MCStates: 8000})
+	res := must(Fig14Paxos(Fig14Config{Seed: 7, Runs: 6, MaxGap: 30 * time.Second, MCStates: 8000}))
 	if len(res) != 2 {
 		t.Fatalf("results = %d", len(res))
 	}
@@ -133,7 +135,7 @@ func TestFig17Quick(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
-	r := Fig17Bullet(Fig17Config{Seed: 9, Nodes: 6, Blocks: 16, BlockSize: 32 << 10, Deadline: 10 * time.Minute})
+	r := must(Fig17Bullet(Fig17Config{Seed: 9, Nodes: 6, Blocks: 16, BlockSize: 32 << 10, Deadline: 10 * time.Minute}))
 	if r.Completed[0] == 0 || r.Completed[1] == 0 {
 		t.Fatalf("downloads did not complete: %+v", r.Completed)
 	}
@@ -148,7 +150,7 @@ func TestOverheadQuick(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
-	rows := Overhead(OverheadConfig{Seed: 11, Nodes: 10, Duration: time.Minute})
+	rows := must(Overhead(OverheadConfig{Seed: 11, Nodes: 10, Duration: time.Minute}))
 	if len(rows) != 3 {
 		t.Fatalf("rows = %d", len(rows))
 	}
@@ -161,4 +163,36 @@ func TestOverheadQuick(t *testing.T) {
 		}
 	}
 	_ = FormatOverhead(rows)
+}
+
+// TestSweepOneSearchPerCell: the matrix has one row per scenario x workers x
+// shards x reduction cell (reduction collapses for sharded cells), and within
+// a scenario the reduced cell claims what the unreduced one does through no
+// more transitions.
+func TestSweepOneSearchPerCell(t *testing.T) {
+	rows := must(Sweep(SweepConfig{Seed: 1, Workers: []int{1}, Shards: []int{1, 2}, States: 300}))
+	if want := 3 * len(scenario.Names()); len(rows) != want {
+		t.Fatalf("%d rows, want %d (off, on, sharded per scenario)", len(rows), want)
+	}
+	for i := 0; i < len(rows); i += 3 {
+		off, on, sharded := rows[i], rows[i+1], rows[i+2]
+		if off.Reduce || !on.Reduce || sharded.Shards != 2 || sharded.Reduce {
+			t.Fatalf("%s: cells out of order: %+v %+v %+v", off.Scenario, off, on, sharded)
+		}
+		if on.States != off.States || on.DistinctLocals != off.DistinctLocals || on.Transitions > off.Transitions {
+			t.Errorf("%s: reduction changed coverage: off %+v, on %+v", off.Scenario, off, on)
+		}
+		if sharded.States == 0 {
+			t.Errorf("%s: sharded cell explored nothing", off.Scenario)
+		}
+	}
+}
+
+// must unwraps a harness result; a harness error fails the test or
+// benchmark that asked for it.
+func must[T any](v T, err error) T {
+	if err != nil {
+		panic(err)
+	}
+	return v
 }

@@ -20,9 +20,6 @@ type Fig14Config struct {
 	MCStates int
 	// Workers is the checker's worker-pool size (0 = GOMAXPROCS).
 	Workers int
-	// Policy selects the per-round budget policy kind ("" = scenario
-	// default, then fixed).
-	Policy string
 	// PerStateCost is the virtual checker latency per state; it creates
 	// the race between prediction and the live bug (paper: the checker
 	// needed ~6 s, so short gaps beat it and fall through to the ISC).
@@ -62,7 +59,7 @@ type Fig14Result struct {
 // 2) or by the immediate safety check (when it does not). The paper
 // reports 87%/85% steering, 11% ISC and 2%/5% violations over 100 runs per
 // bug.
-func Fig14Paxos(cfg Fig14Config) []Fig14Result {
+func Fig14Paxos(cfg Fig14Config) ([]Fig14Result, error) {
 	if cfg.Runs == 0 {
 		cfg.Runs = 100
 	}
@@ -84,7 +81,11 @@ func Fig14Paxos(cfg Fig14Config) []Fig14Result {
 		for i := 0; i < cfg.Runs; i++ {
 			seed := cfg.Seed + int64(i)*7919
 			gap := time.Duration(float64(cfg.MaxGap) * sim.New(seed).RNG("gap").Float64())
-			switch runPaxosScenario(seed, bug, gap, cfg) {
+			outcome, err := runPaxosScenario(seed, bug, gap, cfg)
+			if err != nil {
+				return nil, err
+			}
+			switch outcome {
 			case AvoidedBySteering:
 				r.Steering++
 			case AvoidedByISC:
@@ -97,19 +98,18 @@ func Fig14Paxos(cfg Fig14Config) []Fig14Result {
 		}
 		out = append(out, r)
 	}
-	return out
+	return out, nil
 }
 
 // runPaxosScenario stages one Figure 13 run under full CrystalBall
 // protection and classifies the outcome. The bug under test is the paxos
 // scenario's variant; resets are only worth exploring for bug 2 (the
 // lost-promise bug), so the scenario's fault model is overridden per bug.
-func runPaxosScenario(seed int64, bug string, gap time.Duration, cfg Fig14Config) Fig14Outcome {
+func runPaxosScenario(seed int64, bug string, gap time.Duration, cfg Fig14Config) (Fig14Outcome, error) {
 	d, err := scenario.Deploy("paxos", scenario.DeployOptions{
 		Seed:             seed,
 		Service:          scenario.Options{Variant: bug},
 		Control:          scenario.Steering,
-		Policy:           cfg.Policy,
 		MCStates:         cfg.MCStates,
 		Workers:          cfg.Workers,
 		PerStateCost:     cfg.PerStateCost,
@@ -117,7 +117,7 @@ func runPaxosScenario(seed int64, bug string, gap time.Duration, cfg Fig14Config
 		SnapshotInterval: 3 * time.Second,
 	})
 	if err != nil {
-		panic(err)
+		return NoViolation, err
 	}
 	s := d.Sim
 	a, b, c := d.Nodes[0], d.Nodes[1], d.Nodes[2]
@@ -144,7 +144,7 @@ func runPaxosScenario(seed int64, bug string, gap time.Duration, cfg Fig14Config
 	// call, a message delivery, or a timer ("steer the execution as
 	// early as possible").
 	if !paxos.Properties.Holds(d.View()) {
-		return Violated
+		return Violated, nil
 	}
 	var filtersHit, iscBlocks int64
 	for _, node := range d.Nodes {
@@ -152,12 +152,12 @@ func runPaxosScenario(seed int64, bug string, gap time.Duration, cfg Fig14Config
 		iscBlocks += node.Stats.ISCBlocks
 	}
 	if filtersHit > 0 {
-		return AvoidedBySteering
+		return AvoidedBySteering, nil
 	}
 	if iscBlocks > 0 {
-		return AvoidedByISC
+		return AvoidedByISC, nil
 	}
-	return NoViolation
+	return NoViolation, nil
 }
 
 // FormatFig14 renders the outcome bars with the paper's reference numbers.

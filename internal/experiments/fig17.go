@@ -24,9 +24,6 @@ type Fig17Config struct {
 	MCStates int
 	// Workers is the checker's worker-pool size (0 = GOMAXPROCS).
 	Workers int
-	// Policy selects the per-round budget policy kind ("" = scenario
-	// default, then fixed).
-	Policy string
 }
 
 // Fig17Result carries both arms' download-time CDFs plus the checkpoint
@@ -48,7 +45,7 @@ type Fig17Result struct {
 // Fig17Bullet reproduces Figure 17: the download-time CDF of a Bullet′
 // swarm with and without CrystalBall monitoring. The shape to reproduce:
 // the two CDFs nearly overlap, with CrystalBall costing less than ~10%.
-func Fig17Bullet(cfg Fig17Config) Fig17Result {
+func Fig17Bullet(cfg Fig17Config) (Fig17Result, error) {
 	if cfg.Nodes == 0 {
 		cfg.Nodes = 16
 	}
@@ -65,17 +62,20 @@ func Fig17Bullet(cfg Fig17Config) Fig17Result {
 		cfg.MCStates = 3000
 	}
 	res := Fig17Result{Nodes: cfg.Nodes}
-	res.Baseline, res.Completed[0], _ = runBulletArm(cfg, false)
-	var bps float64
-	res.CrystalBall, res.Completed[1], bps = runBulletArm(cfg, true)
-	res.CheckpointBps = bps
+	var err error
+	if res.Baseline, res.Completed[0], _, err = runBulletArm(cfg, false); err != nil {
+		return res, err
+	}
+	if res.CrystalBall, res.Completed[1], res.CheckpointBps, err = runBulletArm(cfg, true); err != nil {
+		return res, err
+	}
 	if res.Baseline.N() > 0 && res.CrystalBall.N() > 0 {
 		res.MeanSlowdown = res.CrystalBall.Mean()/res.Baseline.Mean() - 1
 	}
-	return res
+	return res, nil
 }
 
-func runBulletArm(cfg Fig17Config, withCB bool) (*stats.Sample, int, float64) {
+func runBulletArm(cfg Fig17Config, withCB bool) (*stats.Sample, int, float64, error) {
 	n := cfg.Nodes + 1 // plus the source
 	control := scenario.Bare
 	if withCB {
@@ -97,13 +97,12 @@ func runBulletArm(cfg Fig17Config, withCB bool) (*stats.Sample, int, float64) {
 		// The overhead arms measure the monitored download, not the
 		// debugging property set's transient phantom-block reports.
 		Props:            bulletprime.Properties,
-		Policy:           cfg.Policy,
 		MCStates:         cfg.MCStates,
 		Workers:          cfg.Workers,
 		SnapshotInterval: 10 * time.Second,
 	})
 	if err != nil {
-		panic(err)
+		return nil, 0, 0, err
 	}
 	s := d.Sim
 
@@ -133,7 +132,7 @@ func runBulletArm(cfg Fig17Config, withCB bool) (*stats.Sample, int, float64) {
 		total := d.Net.TotalBytesOut(simnet.KindCheckpoint)
 		bps = stats.Rate(total, time.Duration(s.Now())) / float64(n)
 	}
-	return times, len(done), bps
+	return times, len(done), bps, nil
 }
 
 // FormatFig17 renders both CDFs plus the overhead summary.

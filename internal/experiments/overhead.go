@@ -32,7 +32,7 @@ type OverheadRow struct {
 // the three data-plane services with snapshots collected every 10 s. Every
 // service is its fixed (bug-free) variant deployed bare with standalone
 // snapshot managers — the cost of checkpointing alone, no controllers.
-func Overhead(cfg OverheadConfig) []OverheadRow {
+func Overhead(cfg OverheadConfig) ([]OverheadRow, error) {
 	if cfg.Nodes == 0 {
 		cfg.Nodes = 30
 	}
@@ -43,28 +43,37 @@ func Overhead(cfg OverheadConfig) []OverheadRow {
 	if bulletNodes > 12 {
 		bulletNodes = 12
 	}
-	rows := []OverheadRow{
-		overheadRun("randtree", "RandTree", cfg.Seed,
-			scenario.Options{Nodes: cfg.Nodes, Degree: 4, Fixed: true},
-			20*time.Second, cfg.Duration),
-		overheadRun("chord", "Chord", cfg.Seed+1,
-			scenario.Options{Nodes: cfg.Nodes, Fixed: true},
-			time.Duration(cfg.Nodes)*700*time.Millisecond+10*time.Second, cfg.Duration),
-		overheadRun("bulletprime", "Bullet'", cfg.Seed+2,
-			scenario.Options{Nodes: bulletNodes, Blocks: 48, BlockSize: 32 << 10, Fixed: true},
-			10*time.Second, cfg.Duration),
+	runs := []struct {
+		name, system string
+		opts         scenario.Options
+		warmup       time.Duration
+		paperBytes   int
+		paperBps     float64
+	}{
+		{"randtree", "RandTree", scenario.Options{Nodes: cfg.Nodes, Degree: 4, Fixed: true},
+			20 * time.Second, 176, 803},
+		{"chord", "Chord", scenario.Options{Nodes: cfg.Nodes, Fixed: true},
+			time.Duration(cfg.Nodes)*700*time.Millisecond + 10*time.Second, 1028, 8224},
+		{"bulletprime", "Bullet'", scenario.Options{Nodes: bulletNodes, Blocks: 48, BlockSize: 32 << 10, Fixed: true},
+			10 * time.Second, 3000, 30000},
 	}
-	rows[0].PaperCkptBytes, rows[0].PaperBps = 176, 803
-	rows[1].PaperCkptBytes, rows[1].PaperBps = 1028, 8224
-	rows[2].PaperCkptBytes, rows[2].PaperBps = 3000, 30000
-	return rows
+	var rows []OverheadRow
+	for i, r := range runs {
+		row, err := overheadRun(r.name, r.system, cfg.Seed+int64(i), r.opts, r.warmup, cfg.Duration)
+		if err != nil {
+			return nil, err
+		}
+		row.PaperCkptBytes, row.PaperBps = r.paperBytes, r.paperBps
+		rows = append(rows, row)
+	}
+	return rows, nil
 }
 
 // overheadRun deploys the scenario bare with checkpoint managers, lets the
 // overlay form for warmup, then gathers every node's neighborhood snapshot
 // every 10 s — like the controller would — and reports sizes and
 // bandwidth.
-func overheadRun(name, system string, seed int64, opts scenario.Options, warmup, duration time.Duration) OverheadRow {
+func overheadRun(name, system string, seed int64, opts scenario.Options, warmup, duration time.Duration) (OverheadRow, error) {
 	d, err := scenario.Deploy(name, scenario.DeployOptions{
 		Seed:        seed,
 		Service:     opts,
@@ -73,7 +82,7 @@ func overheadRun(name, system string, seed int64, opts scenario.Options, warmup,
 		Workload:    true,
 	})
 	if err != nil {
-		panic(err)
+		return OverheadRow{}, err
 	}
 	s := d.Sim
 	s.RunFor(warmup) // let the overlay form
@@ -108,7 +117,7 @@ func overheadRun(name, system string, seed int64, opts scenario.Options, warmup,
 		MeanCheckpointRaw:  raw.Mean(),
 		MeanCheckpointWire: wire.Mean(),
 		PerNodeBps:         bps,
-	}
+	}, nil
 }
 
 // FormatOverhead renders the section 5.5 table.

@@ -21,9 +21,6 @@ type SteeringConfig struct {
 	MCStates int
 	// Workers is the checker's worker-pool size (0 = GOMAXPROCS).
 	Workers int
-	// Policy selects the per-round budget policy kind ("" = scenario
-	// default, then fixed).
-	Policy string
 }
 
 // SteeringMode selects which protections are active.
@@ -71,7 +68,7 @@ type SteeringResult struct {
 // RandTreeSteering runs one arm of the section 5.4.1 experiment: a 25-node
 // RandTree under churn with the documented bugs present, protected (or
 // not) by CrystalBall.
-func RandTreeSteering(cfg SteeringConfig, mode SteeringMode) SteeringResult {
+func RandTreeSteering(cfg SteeringConfig, mode SteeringMode) (SteeringResult, error) {
 	if cfg.Nodes == 0 {
 		cfg.Nodes = 25
 	}
@@ -87,7 +84,6 @@ func RandTreeSteering(cfg SteeringConfig, mode SteeringMode) SteeringResult {
 	opts := scenario.DeployOptions{
 		Seed:             cfg.Seed,
 		Service:          scenario.Options{Nodes: cfg.Nodes},
-		Policy:           cfg.Policy,
 		Workers:          cfg.Workers,
 		SnapshotInterval: 10 * time.Second,
 	}
@@ -106,7 +102,7 @@ func RandTreeSteering(cfg SteeringConfig, mode SteeringMode) SteeringResult {
 	}
 	d, err := scenario.Deploy("randtree", opts)
 	if err != nil {
-		panic(err)
+		return SteeringResult{}, err
 	}
 	s := d.Sim
 
@@ -158,8 +154,7 @@ func RandTreeSteering(cfg SteeringConfig, mode SteeringMode) SteeringResult {
 
 	for _, node := range d.Nodes {
 		res.ActionsExecuted += node.Stats.ActionsExecuted
-		res.ActionsChanged += node.Stats.MessagesDropped + node.Stats.TimersDeferred +
-			node.Stats.AppsBlocked + node.Stats.ISCBlocks
+		res.ActionsChanged += node.Stats.ActionsChanged()
 		res.ISCChecks += node.Stats.ISCChecks
 		res.ISCBlocks += node.Stats.ISCBlocks
 	}
@@ -172,7 +167,7 @@ func RandTreeSteering(cfg SteeringConfig, mode SteeringMode) SteeringResult {
 		res.MeanJoinTime = time.Duration(join.Mean() * float64(time.Second))
 		res.JoinSamples = join.N()
 	}
-	return res
+	return res, nil
 }
 
 // FormatSteering renders the three-arm comparison.

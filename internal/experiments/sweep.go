@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"time"
 
 	"crystalball/internal/dist"
 	"crystalball/internal/mc"
@@ -10,16 +9,13 @@ import (
 	"crystalball/internal/stats"
 )
 
-// SweepConfig parameterises the scenario x workers x policy x reduction
+// SweepConfig parameterises the scenario x workers x shards x reduction
 // coverage matrix (the MET-style sweep the scenario registry was built
 // for).
 type SweepConfig struct {
 	Seed int64
 	// Workers lists the worker-pool sizes to sweep (nil = 1, 2, 4).
 	Workers []int
-	// Policies lists the budget-policy kinds to sweep (nil = all
-	// built-ins).
-	Policies []string
 	// Reduce lists the partial-order-reduction settings to sweep (nil =
 	// off then on, so each cell's coverage gain is visible in adjacent
 	// rows).
@@ -30,52 +26,41 @@ type SweepConfig struct {
 	// consequence prediction — reduction does not apply there, so the
 	// reduce axis collapses for those cells.
 	Shards []int
-	// States is the base per-round state budget every policy plans from
-	// (0 = 4000).
+	// States is every cell's state budget (0 = 4000).
 	States int
-	// Rounds is how many planning rounds each cell runs; policies with
-	// feedback (adaptive) show their round-2+ behavior (0 = 3).
-	Rounds int
-	// Interval is the nominal snapshot interval fed to Plan (0 = 10 s).
-	Interval time.Duration
-	// Faults is a dist.FaultPlan spec injected into every distributed cell
-	// (shards > 1), so the sweep can measure recovery cost: the Retries
-	// and ShardsLost columns show what the fault plan did to each cell.
-	// Empty = fault-free. Single-engine cells ignore it.
-	Faults string
+	// Faults is injected into every distributed cell (shards > 1), so the
+	// sweep can measure recovery cost: the Retries and ShardsLost columns
+	// show what the fault plan did to each cell. Nil = fault-free.
+	// Single-engine cells ignore it.
+	Faults *dist.FaultPlan
 }
 
-// SweepRow is one cell of the matrix: a scenario checked offline under one
-// (policy, workers, reduce) combination for cfg.Rounds planning rounds.
+// SweepRow is one cell of the matrix: one search from a scenario's initial
+// state under one (workers, shards, reduce) combination.
 type SweepRow struct {
 	Scenario string
-	Policy   string
 	Workers  int
 	// Reduce records whether the cell ran with sleep-set partial-order
 	// reduction.
-	Reduce bool
-	// PlannedStates is the last round's planned state budget.
-	PlannedStates int
-	// States and Transitions aggregate over all rounds.
+	Reduce      bool
 	States      int
 	Transitions int
-	// Pruned aggregates the transitions the checker skipped as provably
-	// redundant (sleep-set hits plus local-state prunes).
+	// Pruned is the transitions the checker skipped as provably redundant
+	// (sleep-set hits plus local-state prunes).
 	Pruned int
 	// Shards is the distributed-search shard count (1 = single engine).
 	Shards int
-	// Forwarded/Received/RemoteDeduped/BatchFlushes aggregate the
-	// frontier-exchange counters over rounds (zero for shards = 1).
+	// Forwarded/Received/RemoteDeduped/BatchFlushes are the
+	// frontier-exchange counters (zero for shards = 1).
 	Forwarded     int64
 	Received      int64
 	RemoteDeduped int64
 	BatchFlushes  int64
-	// DistinctLocals counts the distinct node-local states reached,
-	// summed over rounds (each round reports its own distinct set).
+	// DistinctLocals counts the distinct node-local states reached.
 	DistinctLocals int
-	// Retries and ShardsLost aggregate the recovery telemetry over rounds
-	// when SweepConfig.Faults injects failures into distributed cells:
-	// rounds re-run after a shard death, and shard deaths observed.
+	// Retries and ShardsLost are the recovery telemetry when
+	// SweepConfig.Faults injects failures into distributed cells: rounds
+	// re-run after a shard death, and shard deaths observed.
 	Retries    int
 	ShardsLost int
 	// Coverage is the sweep's quality metric — distinct local states
@@ -85,21 +70,17 @@ type SweepRow struct {
 	// checker budget buys, which is what consequence prediction's
 	// lookahead actually depends on.
 	Coverage float64
-	// Distinct counts distinct violation signatures seen across rounds.
+	// Distinct counts distinct violation signatures.
 	Distinct int
 }
 
 // Sweep runs the matrix: every registered scenario x every worker count x
-// every policy kind x reduction off/on. Each cell explores the scenario's
-// initial state with consequence prediction for cfg.Rounds rounds, letting
-// the policy re-plan between rounds from the previous round's wall-clock
-// report — the same Plan/Observe loop live controllers run, driven offline.
-func Sweep(cfg SweepConfig) []SweepRow {
+// every shard count x reduction off/on, one search from the scenario's
+// initial state per cell — consequence prediction on the single engine, the
+// sharded exhaustive search when shards > 1.
+func Sweep(cfg SweepConfig) ([]SweepRow, error) {
 	if len(cfg.Workers) == 0 {
 		cfg.Workers = []int{1, 2, 4}
-	}
-	if len(cfg.Policies) == 0 {
-		cfg.Policies = mc.PolicyKinds()
 	}
 	if len(cfg.Reduce) == 0 {
 		cfg.Reduce = []bool{false, true}
@@ -107,106 +88,73 @@ func Sweep(cfg SweepConfig) []SweepRow {
 	if cfg.States == 0 {
 		cfg.States = 4000
 	}
-	if cfg.Rounds == 0 {
-		cfg.Rounds = 3
-	}
-	if cfg.Interval == 0 {
-		cfg.Interval = 10 * time.Second
-	}
 	if len(cfg.Shards) == 0 {
 		cfg.Shards = []int{1}
 	}
 	var rows []SweepRow
 	for _, name := range scenario.Names() {
-		for _, policy := range cfg.Policies {
-			for _, workers := range cfg.Workers {
-				for _, shards := range cfg.Shards {
-					for _, reduce := range cfg.Reduce {
-						if shards > 1 && reduce {
-							continue // reduction does not apply to dist cells
-						}
-						rows = append(rows, sweepCell(cfg, name, policy, workers, shards, reduce))
+		for _, workers := range cfg.Workers {
+			for _, shards := range cfg.Shards {
+				for _, reduce := range cfg.Reduce {
+					if shards > 1 && reduce {
+						continue // reduction does not apply to dist cells
 					}
+					row, err := sweepCell(cfg, name, workers, shards, reduce)
+					if err != nil {
+						return nil, fmt.Errorf("sweep %s workers=%d shards=%d: %w", name, workers, shards, err)
+					}
+					rows = append(rows, row)
 				}
 			}
 		}
 	}
-	return rows
+	return rows, nil
 }
 
-func sweepCell(cfg SweepConfig, name, policy string, workers, shards int, reduce bool) SweepRow {
-	row := SweepRow{Scenario: name, Policy: policy, Workers: workers, Shards: shards, Reduce: reduce}
-	pol := mc.PolicySpec{
-		Kind: policy,
-		Base: mc.Budget{States: cfg.States, Violations: 8, Workers: workers},
-	}.MustNew()
-	distinct := map[string]bool{}
-	budgeted := 0
-	for round := 1; round <= cfg.Rounds; round++ {
-		g, searchCfg, err := scenario.InitialState(name, scenario.Options{})
-		if err != nil {
-			panic(err)
-		}
-		plan := pol.Plan(mc.RoundInfo{
-			Round:         round,
-			SnapshotBytes: g.EncodedSize(),
-			SnapshotNodes: len(g.Nodes()),
-			Interval:      cfg.Interval,
+func sweepCell(cfg SweepConfig, name string, workers, shards int, reduce bool) (SweepRow, error) {
+	row := SweepRow{Scenario: name, Workers: workers, Shards: shards, Reduce: reduce}
+	g, searchCfg, err := scenario.InitialState(name, scenario.Options{})
+	if err != nil {
+		return row, err
+	}
+	searchCfg.Budget = mc.Budget{States: cfg.States, Violations: 8, Workers: workers}
+	searchCfg.Seed = cfg.Seed
+	var res *mc.Result
+	if shards > 1 {
+		searchCfg.Mode = mc.Exhaustive
+		dres, err := dist.Local(dist.LocalConfig{
+			Shards: shards,
+			Search: searchCfg,
+			Root:   g,
+			Budget: searchCfg.Budget,
+			Faults: cfg.Faults,
 		})
-		searchCfg.Budget = plan
-		searchCfg.Seed = cfg.Seed + int64(round)
-		var res *mc.Result
-		var report mc.RoundReport
-		if shards > 1 {
-			// Distributed cells run the sharded exhaustive search; the
-			// coordinator's merged round report feeds the policy.
-			searchCfg.Mode = mc.Exhaustive
-			dres, err := dist.Local(dist.LocalConfig{
-				Shards: shards,
-				Search: searchCfg,
-				Root:   g,
-				Budget: plan,
-				Faults: dist.MustFaultPlan(cfg.Faults),
-			})
-			if err != nil {
-				panic(err)
-			}
-			res = &dres.Checker
-			report = dres.Round
-			row.Forwarded += dres.Stats.StatesForwarded
-			row.Received += dres.Stats.StatesReceived
-			row.RemoteDeduped += dres.Stats.RemoteDeduped
-			row.BatchFlushes += dres.Stats.BatchFlushes
-			row.Retries += dres.Recovery.Retries
-			row.ShardsLost += len(dres.Recovery.Deaths)
-		} else {
-			searchCfg.Mode = mc.Consequence
-			searchCfg.Reduce = reduce
-			res = mc.NewSearch(searchCfg).Run(g)
-			report = mc.RoundReport{
-				Budget:     plan,
-				States:     res.StatesExplored,
-				Violations: len(res.Violations),
-				Pruned:     res.TransitionsPruned,
-				Elapsed:    res.Elapsed,
-			}
+		if err != nil {
+			return row, err
 		}
-		pol.Observe(report)
-		for _, v := range res.Violations {
-			distinct[v.Signature()] = true
-		}
-		row.PlannedStates = plan.States
-		row.States += res.StatesExplored
-		row.Transitions += res.Transitions
-		row.Pruned += res.TransitionsPruned
-		row.DistinctLocals += res.DistinctLocalStates
-		budgeted += plan.States
+		res = &dres.Checker
+		row.Forwarded = dres.Stats.StatesForwarded
+		row.Received = dres.Stats.StatesReceived
+		row.RemoteDeduped = dres.Stats.RemoteDeduped
+		row.BatchFlushes = dres.Stats.BatchFlushes
+		row.Retries = dres.Recovery.Retries
+		row.ShardsLost = len(dres.Recovery.Deaths)
+	} else {
+		searchCfg.Mode = mc.Consequence
+		searchCfg.Reduce = reduce
+		res = mc.NewSearch(searchCfg).Run(g)
 	}
-	if budgeted > 0 {
-		row.Coverage = 1000 * float64(row.DistinctLocals) / float64(budgeted)
+	distinct := map[string]bool{}
+	for _, v := range res.Violations {
+		distinct[v.Signature()] = true
 	}
+	row.States = res.StatesExplored
+	row.Transitions = res.Transitions
+	row.Pruned = res.TransitionsPruned
+	row.DistinctLocals = res.DistinctLocalStates
+	row.Coverage = 1000 * float64(row.DistinctLocals) / float64(cfg.States)
 	row.Distinct = len(distinct)
-	return row
+	return row, nil
 }
 
 // FormatSweep renders the matrix as a locals-per-budget coverage table;
@@ -214,14 +162,12 @@ func sweepCell(cfg SweepConfig, name, policy string, workers, shards int, reduce
 // exchange counters.
 func FormatSweep(rows []SweepRow) string {
 	t := stats.Table{
-		Title: "Scenario x workers x shards x policy x reduction sweep (per-cell rounds with feedback)",
-		Header: []string{"scenario", "policy", "workers", "shards", "reduce", "planned-states",
-			"states", "transitions", "pruned", "fwd", "rcvd", "rdedup", "flushes",
-			"retries", "lost", "locals", "locals/1k-budget", "distinct-bugs"},
+		Title: "Scenario x workers x shards x reduction sweep (one search per cell)",
+		Header: []string{"scenario", "workers", "shards", "reduce", "states", "transitions", "pruned",
+			"fwd", "rcvd", "rdedup", "flushes", "retries", "lost", "locals", "locals/1k-budget", "distinct-bugs"},
 	}
 	for _, r := range rows {
-		t.Add(r.Scenario, r.Policy, r.Workers, r.Shards, onOff(r.Reduce), r.PlannedStates,
-			r.States, r.Transitions, r.Pruned,
+		t.Add(r.Scenario, r.Workers, r.Shards, onOff(r.Reduce), r.States, r.Transitions, r.Pruned,
 			r.Forwarded, r.Received, r.RemoteDeduped, r.BatchFlushes,
 			r.Retries, r.ShardsLost,
 			r.DistinctLocals, fmt.Sprintf("%.1f", r.Coverage), r.Distinct)

@@ -23,9 +23,6 @@ type Table1Config struct {
 	MCStates int
 	// Workers is the checker's worker-pool size (0 = GOMAXPROCS).
 	Workers int
-	// Policy selects the per-round budget policy kind ("" = scenario
-	// default, then fixed).
-	Policy string
 }
 
 // Table1Result reports distinct bug classes found per system.
@@ -41,7 +38,7 @@ type Table1Result struct {
 // inconsistency classes predicted (paper: RandTree 7, Chord 3, Bullet′ 3).
 // All three deployments are the same scenario.Deploy call with a
 // different registry name.
-func Table1(cfg Table1Config) []Table1Result {
+func Table1(cfg Table1Config) ([]Table1Result, error) {
 	if cfg.Nodes == 0 {
 		cfg.Nodes = 12
 	}
@@ -55,27 +52,37 @@ func Table1(cfg Table1Config) []Table1Result {
 	if bulletNodes > 10 {
 		bulletNodes = 10 // Bullet′ state is heavy; the paper's run found its bug within minutes
 	}
-	return []Table1Result{
-		table1Run("randtree", "RandTree", cfg, cfg.Seed,
-			scenario.Options{Nodes: cfg.Nodes}, cfg.MCStates, 60*time.Second),
-		table1Run("chord", "Chord", cfg, cfg.Seed+1,
-			scenario.Options{Nodes: cfg.Nodes}, cfg.MCStates, 60*time.Second),
+	runs := []struct {
+		name, system string
+		opts         scenario.Options
+		mcStates     int
+		churn        time.Duration
+	}{
+		{"randtree", "RandTree", scenario.Options{Nodes: cfg.Nodes}, cfg.MCStates, 60 * time.Second},
+		{"chord", "Chord", scenario.Options{Nodes: cfg.Nodes}, cfg.MCStates, 60 * time.Second},
 		// Half the state budget for Bullet′: its states are large.
-		table1Run("bulletprime", "Bullet'", cfg, cfg.Seed+2,
-			scenario.Options{Nodes: bulletNodes, Blocks: 24, BlockSize: 32 << 10},
-			cfg.MCStates/2, 90*time.Second),
+		{"bulletprime", "Bullet'", scenario.Options{Nodes: bulletNodes, Blocks: 24, BlockSize: 32 << 10},
+			cfg.MCStates / 2, 90 * time.Second},
 	}
+	var out []Table1Result
+	for i, r := range runs {
+		res, err := table1Run(r.name, r.system, cfg, cfg.Seed+int64(i), r.opts, r.mcStates, r.churn)
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, res)
+	}
+	return out, nil
 }
 
 // table1Run deploys one scenario in deep-online-debugging mode under churn
 // and collects its findings. Debugging observes, never intervenes: the
 // immediate safety check stays off (the scenario's Control default).
-func table1Run(name, system string, cfg Table1Config, seed int64, opts scenario.Options, mcStates int, churn time.Duration) Table1Result {
+func table1Run(name, system string, cfg Table1Config, seed int64, opts scenario.Options, mcStates int, churn time.Duration) (Table1Result, error) {
 	d, err := scenario.Deploy(name, scenario.DeployOptions{
 		Seed:             seed,
 		Service:          opts,
 		Control:          scenario.Debug,
-		Policy:           cfg.Policy,
 		MCStates:         mcStates,
 		Workers:          cfg.Workers,
 		SnapshotInterval: 15 * time.Second,
@@ -83,11 +90,11 @@ func table1Run(name, system string, cfg Table1Config, seed int64, opts scenario.
 		Churn:            churn,
 	})
 	if err != nil {
-		panic(err)
+		return Table1Result{}, err
 	}
 	d.Sim.RunFor(cfg.Duration)
 	all := d.TotalFindings()
-	return Table1Result{System: system, Findings: all, Distinct: controller.DistinctFindings(all)}
+	return Table1Result{System: system, Findings: all, Distinct: controller.DistinctFindings(all)}, nil
 }
 
 // FormatTable1 renders Table 1 alongside the paper's numbers.

@@ -54,8 +54,7 @@ type Config struct {
 	// Mode selects the algorithm.
 	Mode Mode
 	// Budget is the search's resource envelope: states, depth, wall
-	// clock, violations, transitions and workers in one value — what a
-	// Policy plans per round and what the engine consumes. With
+	// clock, violations, transitions and workers in one value. With
 	// Budget.Workers == 1 the breadth-first modes reproduce the serial
 	// search of the paper exactly.
 	Budget Budget
@@ -203,9 +202,9 @@ type Result struct {
 	// "frontier-empty" when the breadth-first engine ran out of states and
 	// "walks" when random-walk mode ran all its walks. Under a wall or
 	// violations stop at the depth bound, leaves already checked at their
-	// claim but not yet admitted are not in StatesExplored. Sharded results
-	// (internal/dist) and controller.Stats do not carry it yet: that is the
-	// rest of ROADMAP direction 3, and no wire field exists for it.
+	// claim but not yet admitted are not in StatesExplored. controller.Stats
+	// counts its rounds by it (Stats.Stops); sharded results (internal/dist)
+	// do not carry it yet, and no wire field exists for it.
 	StopReason string
 }
 

@@ -18,6 +18,32 @@ type counters struct {
 	peakBytes     atomic.Int64
 }
 
+// Budget is the resource envelope for one exploration — the paper's
+// StopCriterion plus the worker count that spends it: the search stops when
+// any non-zero bound is reached, and Workers goroutines spend the budget.
+// The zero value of a field means unbounded (Workers: GOMAXPROCS).
+type Budget struct {
+	// States bounds explored states.
+	States int
+	// Depth bounds search depth.
+	Depth int
+	// Wall bounds wall-clock time.
+	Wall time.Duration
+	// Violations stops the search after this many distinct violating
+	// states; the reported list is additionally deduplicated by
+	// Signature.
+	Violations int
+	// Transitions bounds executed handler invocations — a deterministic
+	// stand-in for wall clock (per-state cost is dominated by handler
+	// execution), and the axis partial-order reduction stretches: at an
+	// equal transition budget a reduced search penetrates deeper.
+	Transitions int
+	// Workers is the exploration worker-pool size (0 = GOMAXPROCS). With
+	// one worker the breadth-first strategies reproduce the paper's
+	// serial search exactly.
+	Workers int
+}
+
 // budget is the shared, atomically-updated accounting of one search run
 // against its Budget — the paper's StopCriterion, which the runtime hands to
 // consequence prediction so a round always finishes within a snapshot

@@ -75,6 +75,13 @@ type Stats struct {
 	TransportErrors int64 // ConnError events delivered to the service
 }
 
+// ActionsChanged is how many of the node's actions steering altered: the
+// messages, timer firings and app calls its filters held back plus the
+// handler executions the immediate safety check suppressed.
+func (s Stats) ActionsChanged() int64 {
+	return s.MessagesDropped + s.TimersDeferred + s.AppsBlocked + s.ISCBlocks
+}
+
 // Node binds one service instance to the simulated network.
 type Node struct {
 	ID       sm.NodeID

@@ -60,15 +60,11 @@ type DeployOptions struct {
 	// SnapshotInterval overrides both the checkpoint interval and the
 	// controller's model-checking round interval.
 	SnapshotInterval time.Duration
-	// Policy selects the per-round checker budget policy kind ("fixed",
-	// "scaled", "adaptive"; "" = scenario's CheckerPolicy kind, then
-	// fixed). See Scenario.resolvePolicySpec for the full precedence.
-	Policy string
-	// MCStates bounds each consequence-prediction round (0 = policy /
-	// scenario suggestion, then controller default).
+	// MCStates bounds each consequence-prediction round (0 = the
+	// scenario's RoundBudget, then the controller default).
 	MCStates int
-	// Workers is the checker worker-pool size (0 = policy suggestion,
-	// then GOMAXPROCS).
+	// Workers is the checker worker-pool size (0 = the scenario's
+	// RoundBudget, then GOMAXPROCS).
 	Workers int
 	// PerStateCost overrides the virtual checker latency per state.
 	PerStateCost time.Duration
@@ -141,12 +137,6 @@ func (sc *Scenario) Deploy(o DeployOptions) (*Deployment, error) {
 		cfg := *o.Controller
 		if cfg.Props == nil {
 			cfg.Props = sc.PropsFor(o.Control == Debug)
-		}
-		// The verbatim config bypasses resolvePolicySpec, so validate
-		// its policy kind here: a typo should be a Deploy error, not a
-		// controller.New panic mid-deployment.
-		if _, err := cfg.Policy.New(); err != nil {
-			return nil, fmt.Errorf("scenario %s: controller config: %w", sc.Name, err)
 		}
 		ctrlCfg = &cfg
 	case o.Control != Bare:

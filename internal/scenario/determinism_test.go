@@ -79,81 +79,15 @@ func TestWorkerCountDeterminismMatrix(t *testing.T) {
 	}
 }
 
-// TestFixedPolicyMatchesLegacyConfigMatrix: for every registered scenario
-// and worker count, a search whose budget was planned by a FixedPolicy is
-// the *same search* as one handed the budget directly — same states, same
-// transitions, same violations. Combined with the engine's worker-count
-// determinism above, this pins that mcheck under the default FixedPolicy
-// runs exactly the budget its flags spell out, at every worker count.
-func TestFixedPolicyMatchesLegacyConfigMatrix(t *testing.T) {
-	for _, name := range scenario.Names() {
-		name := name
-		t.Run(name, func(t *testing.T) {
-			for _, workers := range []int{1, 2, 4} {
-				run := func(usePolicy bool) *mc.Result {
-					g, cfg, err := scenario.InitialState(name, scenario.Options{Nodes: 3})
-					if err != nil {
-						t.Fatal(err)
-					}
-					cfg.Mode = mc.Exhaustive
-					cfg.Seed = 42
-					if usePolicy {
-						pol := mc.PolicySpec{
-							Kind: mc.PolicyFixed,
-							Base: mc.Budget{Depth: 4, Workers: workers},
-						}.MustNew()
-						cfg.Budget = pol.Plan(mc.RoundInfo{
-							Round:         1,
-							SnapshotBytes: g.EncodedSize(),
-							SnapshotNodes: len(g.Nodes()),
-						})
-					} else {
-						cfg.Budget = mc.Budget{Depth: 4, Workers: workers}
-					}
-					return mc.NewSearch(cfg).Run(g)
-				}
-				legacy, policy := run(false), run(true)
-				if legacy.StatesExplored != policy.StatesExplored ||
-					legacy.Transitions != policy.Transitions ||
-					len(legacy.Violations) != len(policy.Violations) {
-					t.Fatalf("workers=%d: legacy %d/%d/%d vs policy %d/%d/%d",
-						workers, legacy.StatesExplored, legacy.Transitions, len(legacy.Violations),
-						policy.StatesExplored, policy.Transitions, len(policy.Violations))
-				}
-				for i := range legacy.Violations {
-					a, b := legacy.Violations[i], policy.Violations[i]
-					if a.StateHash != b.StateHash || a.Depth != b.Depth {
-						t.Fatalf("workers=%d: violation %d differs", workers, i)
-					}
-				}
-			}
-		})
-	}
-}
-
 // TestSameSeedDeploymentDeterminism: two deployments with identical options
 // evolve identically — same per-node action counts and the same global
 // fingerprint of every node's state encoding.
 func TestSameSeedDeploymentDeterminism(t *testing.T) {
-	testSameSeedDeploymentDeterminism(t, "")
-}
-
-// TestSameSeedAdaptiveDeploymentDeterminism: the adaptive policy keeps
-// same-seed deployments deterministic — its round reports carry the
-// *virtual* checker latency (states x per-state cost), never host wall
-// time, so the planned budget sequence is a pure function of the
-// simulation.
-func TestSameSeedAdaptiveDeploymentDeterminism(t *testing.T) {
-	testSameSeedDeploymentDeterminism(t, "adaptive")
-}
-
-func testSameSeedDeploymentDeterminism(t *testing.T, policy string) {
 	run := func() []int64 {
 		d, err := scenario.Deploy("randtree", scenario.DeployOptions{
 			Seed:     9,
 			Service:  scenario.Options{Nodes: 6},
 			Control:  scenario.Debug,
-			Policy:   policy,
 			MCStates: 500,
 			Workers:  1,
 			Workload: true,

@@ -129,12 +129,10 @@ type Scenario struct {
 	// Faults is the default fault model for the checker.
 	Faults Faults
 
-	// CheckerPolicy declares the per-round exploration budget policy for
-	// live controllers: the kind ("fixed", "scaled", "adaptive") plus
-	// the base budget and tuning. The zero value means a FixedPolicy
-	// over the controller default budget. See resolvePolicySpec for how
-	// DeployOptions override it.
-	CheckerPolicy mc.PolicySpec
+	// RoundBudget is what each consequence-prediction round of a live
+	// controller may spend; zero fields fall to the controller defaults.
+	// See roundBudget for how DeployOptions override it.
+	RoundBudget mc.Budget
 
 	// Join returns a fresh application call that makes a node enter the
 	// workload; nil when the scenario has no join call (paxos, Bullet').
@@ -265,14 +263,7 @@ func (sc *Scenario) ControllerConfig(o DeployOptions) (controller.Config, error)
 	cfg.ExploreConnBreaks = faults.ExploreConnBreaks
 	cfg.MaxResetsPerPath = faults.MaxResetsPerPath
 	cfg.Reduce = true // as in SearchConfig
-	spec, err := sc.resolvePolicySpec(o)
-	if err != nil {
-		return controller.Config{}, fmt.Errorf("scenario %s: %w", sc.Name, err)
-	}
-	if spec.Base.States == 0 {
-		spec.Base.States = cfg.Policy.Base.States // the controller default
-	}
-	cfg.Policy = spec
+	cfg.Budget = sc.roundBudget(o, cfg.Budget.States)
 	if o.PerStateCost > 0 {
 		cfg.PerStateCost = o.PerStateCost
 	}
@@ -282,32 +273,24 @@ func (sc *Scenario) ControllerConfig(o DeployOptions) (controller.Config, error)
 	return cfg, nil
 }
 
-// resolvePolicySpec is the ONE place the checker budget policy for a
-// deployment is decided. Precedence, highest first, per field:
+// roundBudget is the ONE place a deployment's per-round checker budget is
+// decided. Precedence, highest first:
 //
-//	kind          o.Policy      >  spec.Kind         >  "fixed"
-//	states        o.MCStates    >  spec.Base.States  >  controller default
-//	workers       o.Workers     >  spec.Base.Workers >  GOMAXPROCS
+//	states        o.MCStates    >  RoundBudget.States   >  controller default
+//	workers       o.Workers     >  RoundBudget.Workers  >  GOMAXPROCS
 //
-// where spec is the scenario's CheckerPolicy, which also supplies every
-// other field (depth, wall, violations, adaptive/scaled tuning); an unset
-// violation quota falls to the controller default (Config.policySpec).
-// TestPolicyPrecedence pins this table.
-func (sc *Scenario) resolvePolicySpec(o DeployOptions) (mc.PolicySpec, error) {
-	spec := sc.CheckerPolicy
-	if o.Policy != "" {
-		spec.Kind = o.Policy
-	}
+// Every other field is the scenario's RoundBudget's; an unset violation
+// quota falls to the controller default. TestBudgetPrecedence pins this.
+func (sc *Scenario) roundBudget(o DeployOptions, defaultStates int) mc.Budget {
+	b := sc.RoundBudget
 	if o.MCStates > 0 {
-		spec.Base.States = o.MCStates
+		b.States = o.MCStates
+	}
+	if b.States == 0 {
+		b.States = defaultStates
 	}
 	if o.Workers > 0 {
-		spec.Base.Workers = o.Workers
+		b.Workers = o.Workers
 	}
-	// Validate the kind here so a bad -policy string is a Deploy error,
-	// not a controller panic mid-deployment.
-	if _, err := spec.New(); err != nil {
-		return mc.PolicySpec{}, err
-	}
-	return spec, nil
+	return b
 }

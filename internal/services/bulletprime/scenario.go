@@ -34,14 +34,11 @@ func init() {
 				Fixes:     fixes,
 			}), nil
 		},
-		Props:      Properties,
-		DebugProps: DebugProperties,
-		Check:      scenario.Tuning{Nodes: 4, Blocks: 8, BlockSize: 16 << 10},
-		Live:       scenario.Tuning{Nodes: 8, Blocks: 32, BlockSize: 64 << 10},
-		Faults:     scenario.Faults{ExploreResets: true},
-		CheckerPolicy: mc.PolicySpec{
-			Kind: mc.PolicyFixed,
-			Base: mc.Budget{States: 6000},
-		},
+		Props:       Properties,
+		DebugProps:  DebugProperties,
+		Check:       scenario.Tuning{Nodes: 4, Blocks: 8, BlockSize: 16 << 10},
+		Live:        scenario.Tuning{Nodes: 8, Blocks: 32, BlockSize: 64 << 10},
+		Faults:      scenario.Faults{ExploreResets: true},
+		RoundBudget: mc.Budget{States: 6000},
 	})
 }

@@ -31,11 +31,8 @@ func init() {
 		Check:       scenario.Tuning{Nodes: 5},
 		Live:        scenario.Tuning{Nodes: 12},
 		Faults:      scenario.Faults{ExploreResets: true, ExploreConnBreaks: true},
-		// Declared as a policy spec (fixed, 12000 states/round — the
-		// long-standing value); Chord's live states grow with the
-		// successor lists, so -policy scaled is the natural retune.
-		CheckerPolicy: mc.PolicySpec{Kind: mc.PolicyFixed, Base: mc.Budget{States: 12000}},
-		Join:          func() sm.AppCall { return AppJoin{} },
-		JoinStagger:   700 * time.Millisecond,
+		RoundBudget: mc.Budget{States: 12000},
+		Join:        func() sm.AppCall { return AppJoin{} },
+		JoinStagger: 700 * time.Millisecond,
 	})
 }

@@ -303,10 +303,10 @@ func init() {
 			}
 			return NewMap(ids, o.Fixed), nil
 		},
-		GlobalProps:   props.GlobalSet{PropConverged("ReplicaConvergence")},
-		Check:         scenario.Tuning{Nodes: 3},
-		Live:          scenario.Tuning{Nodes: 5},
-		CheckerPolicy: mc.PolicySpec{Kind: mc.PolicyFixed, Base: mc.Budget{States: 8000}},
-		Join:          func() sm.AppCall { return AppPut{Key: mapKey} },
+		GlobalProps: props.GlobalSet{PropConverged("ReplicaConvergence")},
+		Check:       scenario.Tuning{Nodes: 3},
+		Live:        scenario.Tuning{Nodes: 5},
+		RoundBudget: mc.Budget{States: 8000},
+		Join:        func() sm.AppCall { return AppPut{Key: mapKey} },
 	})
 }

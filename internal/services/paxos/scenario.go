@@ -35,10 +35,7 @@ func init() {
 		Live:        scenario.Tuning{Nodes: 3},
 		// Bug 2 is a lost-promise bug: it only materialises when the
 		// checker explores node resets.
-		Faults: scenario.Faults{ExploreResets: true},
-		CheckerPolicy: mc.PolicySpec{
-			Kind: mc.PolicyFixed,
-			Base: mc.Budget{States: 15000},
-		},
+		Faults:      scenario.Faults{ExploreResets: true},
+		RoundBudget: mc.Budget{States: 15000},
 	})
 }

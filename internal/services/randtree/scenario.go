@@ -26,14 +26,11 @@ func init() {
 			}
 			return New(Config{Bootstrap: ids[:1], MaxChildren: o.Degree, Fixes: fixes}), nil
 		},
-		Props:  Properties,
-		Check:  scenario.Tuning{Nodes: 5},
-		Live:   scenario.Tuning{Nodes: 12, Degree: 3},
-		Faults: scenario.Faults{ExploreResets: true},
-		// Declared as a policy spec (fixed, 8000 states/round — the
-		// long-standing value); -policy scaled|adaptive retunes the
-		// same base at deploy time.
-		CheckerPolicy: mc.PolicySpec{Kind: mc.PolicyFixed, Base: mc.Budget{States: 8000}},
-		Join:          func() sm.AppCall { return AppJoin{} },
+		Props:       Properties,
+		Check:       scenario.Tuning{Nodes: 5},
+		Live:        scenario.Tuning{Nodes: 12, Degree: 3},
+		Faults:      scenario.Faults{ExploreResets: true},
+		RoundBudget: mc.Budget{States: 8000},
+		Join:        func() sm.AppCall { return AppJoin{} },
 	})
 }

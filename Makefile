@@ -22,7 +22,9 @@ test:
 # class, its sleep and wire key — is derived in one place, sm.KeyOf
 # (internal/sm/key.go): outside sm only the checker's enabledness test
 # (internal/mc/step.go) switches over the event kinds. And a round's budget
-# is an mc.Budget value: nothing plans it, so no policy type comes back.
+# is an mc.Budget value: nothing plans it, so no policy type comes back —
+# and it sits in the mc.Config the controller holds (Config.Check): a checker
+# setting declared again as a controller field is a second copy to keep equal.
 # The CI lint job runs exactly this target.
 lint:
 	@fmtout=$$(gofmt -l cmd internal examples bench); \
@@ -39,6 +41,8 @@ lint:
 	echo "an event's identity comes from sm.KeyOf: no switch over the event kinds outside internal/sm and internal/mc/step.go"; exit 1; fi
 	@if grep -rn --include='*.go' -e 'PolicySpec' -e 'mc\.Policy\b' -e 'RoundReport' cmd internal examples; then \
 	echo "a round's budget is an mc.Budget value: no policy layer"; exit 1; fi
+	@if grep -rnE --include='*.go' '^[[:space:]]+(ExploreResets|ExploreConnBreaks|MaxResetsPerPath|GlobalProps|Reduce)[[:space:]]+[][*.[:alnum:]]+[[:space:]]*(//.*)?$$' internal/controller; then \
+	echo "a round's configuration is an mc.Config value (controller.Config.Check): no mirror fields"; exit 1; fi
 	$(GO) vet ./...
 	$(GO) run ./cmd/crystalvet ./...
 

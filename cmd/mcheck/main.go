@@ -67,7 +67,6 @@ func main() {
 		seed       = flag.Int64("seed", 1, "random seed")
 		fixed      = flag.Bool("fixed", false, "check the bug-fixed service variants")
 		shards     = flag.Int("shards", 0, "distributed in-process search with this many shards (0 = single engine; exhaustive mode only)")
-		batchSize  = flag.Int("batch", 0, "forwarded-state batch size for -shards (0 = default)")
 		faults     = flag.String("faults", "", "fault-plan spec for -shards, e.g. 'kill@s1r1m2, send:drop@s0~0.01' (ops: kill|sever|drop|dup|corrupt|delayN)")
 		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile of the search to this file")
 		memProfile = flag.String("memprofile", "", "write an allocation profile of the search to this file")
@@ -145,12 +144,11 @@ func main() {
 			os.Exit(2)
 		}
 		dres, err := dist.Local(dist.LocalConfig{
-			Shards:    *shards,
-			Search:    cfg,
-			Root:      g,
-			Budget:    cfg.Budget,
-			BatchSize: *batchSize,
-			Faults:    plan,
+			Shards: *shards,
+			Search: cfg,
+			Root:   g,
+			Budget: cfg.Budget,
+			Faults: plan,
 		})
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)

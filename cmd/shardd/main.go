@@ -62,7 +62,6 @@ func main() {
 		maxWall     = flag.Duration("wall", time.Minute, "wall-clock budget")
 		maxViol     = flag.Int("violations", 3, "per-shard violation quota")
 		workers     = flag.Int("workers", 1, "expansion workers per shard")
-		batchSize   = flag.Int("batch", 0, "forwarded-state batch size (0 = default)")
 		peerTimeout = flag.Duration("peer-timeout", dist.DefaultPeerTimeout, "declare a silent TCP peer dead after this long (negative disables)")
 		connTimeout = flag.Duration("connect-timeout", 30*time.Second, "worker mode: give up dialing the coordinator after this long")
 		maxRetries  = flag.Int("retries", dist.DefaultMaxRetries, "coordinator mode: round retries after shard deaths (negative = never retry)")
@@ -76,23 +75,18 @@ func main() {
 		var err error
 		faults, err = dist.ParseFaultPlan(*faultSpec)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			usage(fmt.Errorf("bad -faults spec: %v", err))
 		}
+	}
+	if *shards <= 0 {
+		usage(fmt.Errorf("-shards must be positive"))
 	}
 	topt := dist.TCPOptions{PeerTimeout: *peerTimeout}
 
 	var err error
 	switch {
 	case *listen != "" && *connect == "":
-		err = coordinate(coordOpts{
-			addr:       *listen,
-			shards:     *shards,
-			tcp:        topt,
-			faults:     faults,
-			maxRetries: *maxRetries,
-			stall:      *stall,
-		}, dist.Setup{
+		su := dist.Setup{
 			Scenario:   *service,
 			Nodes:      *nodes,
 			Variant:    *variant,
@@ -100,9 +94,20 @@ func main() {
 			Seed:       *seed,
 			Resets:     *resets,
 			ConnBreaks: *connBreaks,
-			Workers:    *workers,
-			BatchSize:  *batchSize,
-		}, mc.Budget{
+		}
+		// Validate the scenario locally before any worker connects.
+		g, cfg, berr := buildScenario(su)
+		if berr != nil {
+			usage(berr)
+		}
+		err = coordinate(coordOpts{
+			addr:       *listen,
+			shards:     *shards,
+			tcp:        topt,
+			faults:     faults,
+			maxRetries: *maxRetries,
+			stall:      *stall,
+		}, su, g, cfg, mc.Budget{
 			States:     *maxStates,
 			Depth:      *maxDepth,
 			Wall:       *maxWall,
@@ -119,12 +124,19 @@ func main() {
 			connTimeout: *connTimeout,
 		})
 	default:
-		err = fmt.Errorf("exactly one of -listen (coordinator) or -connect (worker) is required")
+		usage(fmt.Errorf("exactly one of -listen (coordinator) or -connect (worker) is required"))
 	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
+}
+
+// usage reports a command-line mistake and exits 2, as mcheck, crystalball
+// and experiments do; failures of a run that started exit 1.
+func usage(err error) {
+	fmt.Fprintln(os.Stderr, err)
+	os.Exit(2)
 }
 
 // buildScenario constructs the search configuration a Setup describes —
@@ -155,17 +167,9 @@ type coordOpts struct {
 	stall      time.Duration
 }
 
-func coordinate(o coordOpts, su dist.Setup, budget mc.Budget) error {
-	if o.shards <= 0 {
-		return fmt.Errorf("-shards must be positive")
-	}
-	// Validate the scenario locally before any worker connects. The probe
-	// doubles as the merge's violation-replay engine and as the serial
-	// fallback should every worker die.
-	g, cfg, err := buildScenario(su)
-	if err != nil {
-		return err
-	}
+func coordinate(o coordOpts, su dist.Setup, g *mc.GState, cfg mc.Config, budget mc.Budget) error {
+	// The probe doubles as the merge's violation-replay engine and as the
+	// serial fallback should every worker die.
 	probe := mc.NewSearch(cfg)
 
 	ln, err := net.Listen("tcp", o.addr)
@@ -336,11 +340,10 @@ func session(o workOpts, conn dist.Conn) error {
 	}
 	fmt.Printf("worker %d/%d: searching %s\n", o.shard, o.shards, su.Scenario)
 	return dist.RunShard(conn, dist.ShardConfig{
-		Index:     o.shard,
-		Shards:    o.shards,
-		Search:    cfg,
-		Root:      g,
-		BatchSize: su.BatchSize,
+		Index:  o.shard,
+		Shards: o.shards,
+		Search: cfg,
+		Root:   g,
 	})
 }
 

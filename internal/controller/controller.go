@@ -62,46 +62,25 @@ func (m Mode) String() string {
 
 // Config parameterises a controller.
 type Config struct {
-	Mode  Mode
-	Props props.Set
-	// GlobalProps are cross-node properties checked by every
-	// consequence-prediction round alongside Props. A global violation
-	// (diverged replicas, conflicting decisions) derives corrective
-	// filters and steers the execution exactly as a local one does. The
-	// immediate safety check stays on Props alone: ISC consults a
-	// neighborhood view that is partial by construction, while global
-	// properties earn their keep on the checker's complete views.
-	GlobalProps props.GlobalSet
-	// Factory rebuilds service instances from checkpoints.
-	Factory sm.Factory
+	Mode Mode
+	// Check is the search every consequence-prediction round runs, as the
+	// checker takes it: properties, factory, fault model, reduction, seed
+	// and budget (the filter-safety recheck runs on half Budget.States; a
+	// zero Budget.Violations means defaultMaxViolations). The controller
+	// forces Mode to mc.Consequence and sets Filters for that recheck,
+	// nothing else — so rounds run with Check.Seed, which is 0 unless the
+	// caller sets it (crystalball -seed seeds the simulator only).
+	// Check.Factory also rebuilds service instances from checkpoints.
+	// The immediate safety check reads Check.Props alone: it consults a
+	// neighborhood view that is partial by construction, while
+	// Check.GlobalProps earn their keep on the checker's complete views.
+	Check mc.Config
 	// SnapshotInterval is the gap between model-checking rounds
 	// (paper: checkpointing interval 10 s).
 	SnapshotInterval time.Duration
-	// Budget is what every consequence-prediction round may spend
-	// (states, depth, workers; Workers 0 = GOMAXPROCS); the filter-safety
-	// recheck runs on half its states. A zero Violations means
-	// defaultMaxViolations.
-	Budget mc.Budget
 	// PerStateCost is the virtual model-checking time charged per
 	// explored state; the report arrives only after the total latency.
 	PerStateCost time.Duration
-	// ExploreResets lets the checker consider node-reset faults.
-	ExploreResets bool
-	// ExploreConnBreaks lets the checker consider spontaneous
-	// connection-break faults (the Chord Figure 10 class hinges on
-	// them).
-	ExploreConnBreaks bool
-	// MaxResetsPerPath bounds resets along one predicted path (0 =
-	// checker default).
-	MaxResetsPerPath int
-	// Reduce enables sleep-set partial-order reduction in the
-	// consequence-prediction rounds (mc.Config.Reduce). The reduced
-	// search claims the identical state set and reports the identical
-	// violations — it just executes fewer handler calls to get there —
-	// so predictions, filters and the virtual round latency (which is
-	// charged per explored state) are unchanged; only host wall time
-	// drops. Every scenario deployment sets it.
-	Reduce bool
 	// EnableISC turns on the immediate safety check as a fallback.
 	EnableISC bool
 	// CheckFilterSafety re-runs consequence prediction with a candidate
@@ -113,8 +92,6 @@ type Config struct {
 	ReplayPaths bool
 	// MaxStoredPaths bounds remembered error paths.
 	MaxStoredPaths int
-	// Seed drives checker determinism.
-	Seed int64
 	// CheckRound, if set, replaces the embedded consequence-prediction
 	// engine for the full per-round run (the filter-safety recheck and
 	// path replay still use the embedded engine). It exists so the round
@@ -126,16 +103,17 @@ type Config struct {
 	CheckRound func(mc.Config, *mc.GState) (*mc.Result, error)
 }
 
-// DefaultConfig returns the configuration used across the experiments.
-func DefaultConfig(ps props.Set, factory sm.Factory) Config {
+// DefaultConfig returns the configuration used across the experiments for
+// rounds that run check; a zero check.Budget.States means 20000.
+func DefaultConfig(check mc.Config) Config {
+	if check.Budget.States == 0 {
+		check.Budget.States = 20000
+	}
 	return Config{
 		Mode:              DeepOnlineDebugging,
-		Props:             ps,
-		Factory:           factory,
+		Check:             check,
 		SnapshotInterval:  10 * time.Second,
-		Budget:            mc.Budget{States: 20000},
 		PerStateCost:      300 * time.Microsecond,
-		ExploreResets:     true,
 		EnableISC:         true,
 		CheckFilterSafety: true,
 		ReplayPaths:       true,
@@ -143,7 +121,7 @@ func DefaultConfig(ps props.Set, factory sm.Factory) Config {
 	}
 }
 
-// defaultMaxViolations is the per-round violation quota a Config.Budget
+// defaultMaxViolations is the per-round violation quota Config.Check.Budget
 // gets unless it sets its own.
 const defaultMaxViolations = 8
 
@@ -231,8 +209,9 @@ type Controller struct {
 // (snapCfg) and, if cfg.EnableISC, the immediate safety check wired to the
 // controller's latest neighborhood snapshot.
 func New(s *sim.Simulator, node *runtime.Node, cfg Config, snapCfg snapshot.Config) *Controller {
-	if cfg.Budget.Violations == 0 {
-		cfg.Budget.Violations = defaultMaxViolations
+	cfg.Check.Mode = mc.Consequence
+	if cfg.Check.Budget.Violations == 0 {
+		cfg.Check.Budget.Violations = defaultMaxViolations
 	}
 	c := &Controller{
 		sim:  s,
@@ -241,7 +220,7 @@ func New(s *sim.Simulator, node *runtime.Node, cfg Config, snapCfg snapshot.Conf
 		cfg:  cfg,
 	}
 	if cfg.EnableISC {
-		node.EnableISC(cfg.Props, func() *props.View { return c.lastView })
+		node.EnableISC(cfg.Check.Props, func() *props.View { return c.lastView })
 	}
 	return c
 }
@@ -293,7 +272,7 @@ func (c *Controller) onSnapshot(snap *snapshot.Snapshot) {
 	start := mc.NewGState()
 	view := props.NewView()
 	for id, data := range snap.States {
-		svc, timers, err := sm.DecodeFullState(c.cfg.Factory, id, data)
+		svc, timers, err := sm.DecodeFullState(c.cfg.Check.Factory, id, data)
 		if err != nil {
 			continue
 		}
@@ -319,19 +298,6 @@ func (c *Controller) onSnapshot(snap *snapshot.Snapshot) {
 		return
 	}
 
-	searchCfg := mc.Config{
-		Props:             c.cfg.Props,
-		GlobalProps:       c.cfg.GlobalProps,
-		Factory:           c.cfg.Factory,
-		Mode:              mc.Consequence,
-		Budget:            c.cfg.Budget,
-		ExploreResets:     c.cfg.ExploreResets,
-		ExploreConnBreaks: c.cfg.ExploreConnBreaks,
-		MaxResetsPerPath:  c.cfg.MaxResetsPerPath,
-		Reduce:            c.cfg.Reduce,
-		Seed:              c.cfg.Seed,
-	}
-
 	// The full consequence-prediction run executes synchronously here, in
 	// host time, *before* any filter-expiry scheduling — the run consumes
 	// no virtual time itself (its report is delivered after the virtual
@@ -341,7 +307,7 @@ func (c *Controller) onSnapshot(snap *snapshot.Snapshot) {
 	// run"; a run that errored never completed, so the node degrades to
 	// conservative mode — keeping the last successful round's filters —
 	// rather than dropping its protection or blocking the snapshot loop.
-	res, cerr := c.checkRound(searchCfg, start)
+	res, cerr := c.checkRound(start)
 	if cerr == nil && res == nil {
 		cerr = fmt.Errorf("checker returned no report")
 	}
@@ -364,7 +330,7 @@ func (c *Controller) onSnapshot(snap *snapshot.Snapshot) {
 	var reinstall []sm.Filter
 	replayStates := 0
 	if c.cfg.ReplayPaths && c.cfg.Mode == ExecutionSteering {
-		replayer := mc.NewSearch(searchCfg)
+		replayer := mc.NewSearch(c.cfg.Check)
 		for _, f := range c.paths {
 			if f.Filter == nil {
 				continue
@@ -398,13 +364,13 @@ func (c *Controller) onSnapshot(snap *snapshot.Snapshot) {
 	mcLatency := replayLatency + time.Duration(res.StatesExplored)*c.cfg.PerStateCost
 	c.Stats.MCVirtualTime += mcLatency
 	c.sim.After(mcLatency, func() {
-		c.processReport(start, searchCfg, res)
+		c.processReport(start, res)
 		c.busy = false
 		c.scheduleRound(c.cfg.SnapshotInterval)
 	})
 }
 
-func (c *Controller) processReport(start *mc.GState, searchCfg mc.Config, res *mc.Result) {
+func (c *Controller) processReport(start *mc.GState, res *mc.Result) {
 	// Different violations in one report often derive the same corrective
 	// filter (one bad handler reached along several interleavings); the
 	// safety verdict is cached per filter so each is checked — and
@@ -444,7 +410,7 @@ func (c *Controller) processReport(start *mc.GState, searchCfg mc.Config, res *m
 				key := f.String()
 				safe, checked := verdicts[key]
 				if !checked {
-					safe = !c.cfg.CheckFilterSafety || c.filterIsSafe(start, searchCfg, f)
+					safe = !c.cfg.CheckFilterSafety || c.filterIsSafe(start, f)
 					verdicts[key] = safe
 				}
 				switch {
@@ -487,28 +453,33 @@ func (c *Controller) correctiveFilter(path []sm.Event) (sm.Filter, bool) {
 
 // checkRound runs one full consequence-prediction round through the
 // configured seam, defaulting to the embedded engine (which cannot fail).
-func (c *Controller) checkRound(cfg mc.Config, start *mc.GState) (*mc.Result, error) {
+func (c *Controller) checkRound(start *mc.GState) (*mc.Result, error) {
 	if c.cfg.CheckRound != nil {
-		return c.cfg.CheckRound(cfg, start)
+		return c.cfg.CheckRound(c.cfg.Check, start)
 	}
-	return mc.NewSearch(cfg).Run(start), nil
+	return mc.NewSearch(c.cfg.Check).Run(start), nil
 }
 
 // filterIsSafe re-runs consequence prediction with the candidate filter's
 // corrective action applied; the filter is safe when no violation remains
 // reachable within the budget (paper, "Ensuring Safety of Event Filter
 // Actions").
-func (c *Controller) filterIsSafe(start *mc.GState, searchCfg mc.Config, f sm.Filter) bool {
-	cfg := searchCfg
-	cfg.Filters = []sm.Filter{f}
-	cfg.Budget.Violations = 1
-	// The safety check is a second, cheaper pass on half the round's
-	// state budget.
-	cfg.Budget.States = searchCfg.Budget.States / 2
-	res := mc.NewSearch(cfg).Run(start)
+func (c *Controller) filterIsSafe(start *mc.GState, f sm.Filter) bool {
+	res := mc.NewSearch(c.recheckConfig(f)).Run(start)
 	c.Stats.StatesExplored += int64(res.StatesExplored)
 	c.observeCounters(res)
 	return len(res.Violations) == 0
+}
+
+// recheckConfig is the round's search with f assumed installed: a second,
+// cheaper pass on half the round's state budget that stops at the first
+// violation.
+func (c *Controller) recheckConfig(f sm.Filter) mc.Config {
+	cfg := c.cfg.Check
+	cfg.Filters = []sm.Filter{f}
+	cfg.Budget.Violations = 1
+	cfg.Budget.States /= 2
+	return cfg
 }
 
 // countStop records why one round's search ended.

@@ -2,6 +2,7 @@ package controller
 
 import (
 	"errors"
+	"reflect"
 	"testing"
 	"time"
 
@@ -35,7 +36,7 @@ func deployWithController(t *testing.T, n int, cfg Config) (*sim.Simulator, []*C
 		ids[i] = sm.NodeID(i + 1)
 	}
 	factory := testsvc.NewWithPeers(ids...)
-	cfg.Factory = factory
+	cfg.Check.Factory = factory
 	var ctrls []*Controller
 	for _, id := range ids {
 		node := runtime.NewNode(s, net, id, factory)
@@ -47,11 +48,12 @@ func deployWithController(t *testing.T, n int, cfg Config) (*sim.Simulator, []*C
 }
 
 func debugCfg(limit int) Config {
-	cfg := DefaultConfig(props.Set{testsvc.CounterBelow(limit)}, nil)
+	cfg := DefaultConfig(mc.Config{
+		Props:  props.Set{testsvc.CounterBelow(limit)},
+		Budget: mc.Budget{States: 3000},
+	})
 	cfg.SnapshotInterval = 2 * time.Second
-	cfg.Budget.States = 3000
 	cfg.PerStateCost = 100 * time.Microsecond
-	cfg.ExploreResets = false
 	cfg.EnableISC = false
 	return cfg
 }
@@ -84,7 +86,7 @@ func TestDebuggingModePredictsFutureViolation(t *testing.T) {
 
 func TestRoundsAndSnapshotsProceed(t *testing.T) {
 	cfg := debugCfg(1000)
-	cfg.Budget.States = 300 // liveness of the round loop, not search depth
+	cfg.Check.Budget.States = 300 // liveness of the round loop, not search depth
 	s, ctrls := deployWithController(t, 3, cfg)
 	s.RunFor(15 * time.Second)
 	for i, c := range ctrls {
@@ -141,7 +143,7 @@ func TestFilterSafetyCheckVetoesUselessFilter(t *testing.T) {
 func TestVirtualMCLatencyDelaysReport(t *testing.T) {
 	cfg := debugCfg(2)
 	cfg.PerStateCost = 10 * time.Millisecond // expensive checker
-	cfg.Budget.States = 1000
+	cfg.Check.Budget.States = 1000
 	s, ctrls := deployWithController(t, 2, cfg)
 
 	var predictionTimes []sim.Time
@@ -179,7 +181,7 @@ func TestDistinctFindingsDedup(t *testing.T) {
 
 func TestControllerSurvivesNodeResets(t *testing.T) {
 	cfg := debugCfg(1000)
-	cfg.Budget.States = 300
+	cfg.Check.Budget.States = 300
 	s, ctrls := deployWithController(t, 3, cfg)
 	s.After(5*time.Second, func() { ctrls[1].Node().Reset(true) })
 	s.After(12*time.Second, func() { ctrls[2].Node().Reset(false) })
@@ -290,7 +292,7 @@ func TestCheckerFailureDegradesConservative(t *testing.T) {
 // reachable space shows up as "states".
 func TestStopsSayWhetherTheBudgetBound(t *testing.T) {
 	cfg := debugCfg(1 << 30)
-	cfg.Budget.States = 50
+	cfg.Check.Budget.States = 50
 	s, ctrls := deployWithController(t, 2, cfg)
 	s.RunFor(15 * time.Second)
 	for i, c := range ctrls {
@@ -316,4 +318,61 @@ func TestModeStringReportsUnknown(t *testing.T) {
 	if got := Mode(-1).String(); got != "unknown-mode(-1)" {
 		t.Fatalf("Mode(-1) = %q, want unknown-mode(-1)", got)
 	}
+}
+
+// sameSearch fails unless got is want field for field: the function-valued
+// fields by identity, everything else — fields mc.Config grows later
+// included — by value.
+func sameSearch(t *testing.T, what string, got, want mc.Config) {
+	t.Helper()
+	if reflect.ValueOf(got.Factory).Pointer() != reflect.ValueOf(want.Factory).Pointer() {
+		t.Errorf("%s: not the configured factory", what)
+	}
+	if len(got.Props) != len(want.Props) || len(got.Props) > 0 && &got.Props[0] != &want.Props[0] {
+		t.Errorf("%s: not the configured property set", what)
+	}
+	got.Factory, got.Props, want.Factory, want.Props = nil, nil, nil, nil
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("%s: ran\n%+v\nwant\n%+v", what, got, want)
+	}
+}
+
+// TestRoundsRunTheConfiguredSearch: a round's configuration is cfg.Check —
+// the CheckRound seam receives it with only the mode forced and the
+// violation quota defaulted, and the filter-safety recheck is that same
+// value with the filter assumed installed, half the states and a quota of
+// one. Nothing is rebuilt per round, so nothing can be dropped on the way.
+func TestRoundsRunTheConfiguredSearch(t *testing.T) {
+	cfg := debugCfg(2)
+	cfg.Check.ExploreResets = true
+	cfg.Check.ExploreConnBreaks = true
+	cfg.Check.MaxResetsPerPath = 2
+	cfg.Check.Reduce = true
+	cfg.Check.Seed = 99
+	cfg.Check.Budget = mc.Budget{States: 3001, Depth: 7, Workers: 1}
+	cfg.Check.Mode = mc.RandomWalk // the controller overrides it
+	var seen []mc.Config
+	cfg.CheckRound = func(mcfg mc.Config, start *mc.GState) (*mc.Result, error) {
+		seen = append(seen, mcfg)
+		return mc.NewSearch(mcfg).Run(start), nil
+	}
+	s, ctrls := deployWithController(t, 2, cfg)
+	s.RunFor(10 * time.Second)
+	if len(seen) == 0 {
+		t.Fatal("no round crossed the CheckRound seam")
+	}
+
+	want := cfg.Check
+	want.Factory = ctrls[0].cfg.Check.Factory // deployWithController's
+	want.Mode = mc.Consequence
+	want.Budget.Violations = defaultMaxViolations
+	for _, got := range seen {
+		sameSearch(t, "round", got, want)
+	}
+
+	f := sm.Filter{Kind: sm.FilterTimer, Node: 1, Timer: "t"}
+	want.Filters = []sm.Filter{f}
+	want.Budget.Violations = 1
+	want.Budget.States = 1500
+	sameSearch(t, "filter recheck", ctrls[0].recheckConfig(f), want)
 }

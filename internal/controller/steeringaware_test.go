@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"crystalball/internal/mc"
 	"crystalball/internal/props"
 	"crystalball/internal/runtime"
 	"crystalball/internal/sim"
@@ -55,10 +56,14 @@ func TestSteeringAwareServiceReceivesPredictions(t *testing.T) {
 			return true
 		},
 	}
-	cfg := DefaultConfig(props.Set{counterBelow}, factory)
+	cfg := DefaultConfig(mc.Config{
+		Props:         props.Set{counterBelow},
+		Factory:       factory,
+		ExploreResets: true,
+		Budget:        mc.Budget{States: 2000},
+	})
 	cfg.Mode = ExecutionSteering
 	cfg.SnapshotInterval = 2 * time.Second
-	cfg.Budget.States = 2000
 	cfg.PerStateCost = 50 * time.Microsecond
 	cfg.EnableISC = false
 	var ctrls []*Controller

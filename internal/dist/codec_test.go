@@ -26,7 +26,7 @@ func sampleMsgs() []Msg {
 		Hello{Shard: 1, Shards: 4},
 		Setup{
 			Scenario: "chord", Nodes: 5, Variant: "bug1", Fixed: true,
-			Seed: -3, Resets: true, ConnBreaks: true, Workers: 2, BatchSize: 64,
+			Seed: -3, Resets: true, ConnBreaks: true,
 		},
 		RoundStart{
 			Round: 3, Slot: 1, Slots: 4,
@@ -75,7 +75,6 @@ func TestDecodeRejectsInvalid(t *testing.T) {
 		Hello{Shard: 4, Shards: 4},
 		Hello{Shard: 0, Shards: maxShards + 1},
 		Setup{Scenario: "chord", Nodes: -1},
-		Setup{Scenario: "chord", Workers: -2},
 		RoundStart{Round: 0, Slot: 0, Slots: 1},
 		RoundStart{Round: 1, Slot: -1, Slots: 2},
 		RoundStart{Round: 1, Slot: 2, Slots: 2},

@@ -25,8 +25,6 @@ type LocalConfig struct {
 	// per-shard worker count and defaults to 1 — shards already run in
 	// parallel with each other.
 	Budget mc.Budget
-	// BatchSize overrides the forwarded-batch flush threshold.
-	BatchSize int
 	// RecordStates asks every shard for its claimed-fingerprint dump
 	// (merged sorted into Result.Checker.ClaimedStates).
 	RecordStates bool
@@ -74,11 +72,10 @@ func Local(cfg LocalConfig) (*Result, error) {
 		go func(i int, conn Conn) {
 			defer wg.Done()
 			errs[i] = RunShard(conn, ShardConfig{
-				Index:     i,
-				Shards:    cfg.Shards,
-				Search:    cfg.Search,
-				Root:      cfg.Root,
-				BatchSize: cfg.BatchSize,
+				Index:  i,
+				Shards: cfg.Shards,
+				Search: cfg.Search,
+				Root:   cfg.Root,
 			})
 		}(i, shardSide)
 	}

@@ -23,8 +23,9 @@ type ShardConfig struct {
 	Search mc.Config
 	// Root is the shared start state.
 	Root *mc.GState
-	// BatchSize is the forwarded-batch flush threshold (0 =
-	// DefaultBatchSize).
+	// BatchSize is the forwarded-batch flush threshold. Every caller but
+	// a test leaves it 0 = DefaultBatchSize; tcp_test.go sets 8 to force a
+	// multi-batch exchange on a tiny search.
 	BatchSize int
 }
 

@@ -63,8 +63,6 @@ type Setup struct {
 	Seed       int64
 	Resets     bool
 	ConnBreaks bool
-	Workers    int
-	BatchSize  int
 }
 
 func (Setup) kind() byte { return kindSetup }
@@ -259,8 +257,6 @@ func encodeMsg(e *sm.Encoder, m Msg) error {
 		e.Int64(v.Seed)
 		e.Bool(v.Resets)
 		e.Bool(v.ConnBreaks)
-		e.Int(v.Workers)
-		e.Int(v.BatchSize)
 	case RoundStart:
 		e.Int(v.Round)
 		e.Int(v.Slot)
@@ -339,11 +335,9 @@ func decodeMsg(d *sm.Decoder) (Msg, error) {
 			Seed:       d.Int64(),
 			Resets:     d.Bool(),
 			ConnBreaks: d.Bool(),
-			Workers:    d.Int(),
-			BatchSize:  d.Int(),
 		}
-		if d.Err() == nil && (su.Nodes < 0 || su.Workers < 0 || su.BatchSize < 0) {
-			return nil, errorf("decode: setup with negative sizing (nodes=%d workers=%d batch=%d)", su.Nodes, su.Workers, su.BatchSize)
+		if d.Err() == nil && su.Nodes < 0 {
+			return nil, errorf("decode: setup with negative node count %d", su.Nodes)
 		}
 		m = su
 	case kindRoundStart:

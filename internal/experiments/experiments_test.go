@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -129,6 +130,38 @@ func TestFig14Quick(t *testing.T) {
 		}
 	}
 	_ = FormatFig14(res)
+}
+
+// TestTweakedControllerConfigsReachTheController pins same-seed outcomes
+// recorded on the commit before the harnesses moved from DeployOptions
+// fields to editing ControllerConfig's result: Figure 14's per-bug fault
+// model (the two bugs' rows swap when it is lost), its checker latency (at
+// 3 ms per state bug 1's predictions arrive too late and the ISC catches
+// it), and the ISC under the ISC-only arm's debugging controller.
+func TestTweakedControllerConfigsReachTheController(t *testing.T) {
+	if testing.Short() {
+		t.Skip("short mode")
+	}
+	base := Fig14Config{Seed: 7, Runs: 3, MaxGap: 10 * time.Second, MCStates: 3000, Workers: 1}
+	slow := base
+	slow.PerStateCost = 3 * time.Millisecond
+	fig14 := []struct {
+		cfg  Fig14Config
+		want []Fig14Result
+	}{
+		{base, []Fig14Result{{Bug: "bug1", Steering: 2, Violated: 1, Runs: 3}, {Bug: "bug2", ISC: 2, Violated: 1, Runs: 3}}},
+		{slow, []Fig14Result{{Bug: "bug1", ISC: 2, Violated: 1, Runs: 3}, {Bug: "bug2", ISC: 2, Violated: 1, Runs: 3}}},
+	}
+	for _, tc := range fig14 {
+		if got := must(Fig14Paxos(tc.cfg)); !reflect.DeepEqual(got, tc.want) {
+			t.Errorf("Fig14Paxos(%+v) = %+v, want %+v", tc.cfg, got, tc.want)
+		}
+	}
+	cfg := SteeringConfig{Seed: 5, Nodes: 10, Duration: 6 * time.Minute, ChurnGap: 45 * time.Second, MCStates: 4000, Workers: 1}
+	want := SteeringResult{Mode: ISCOnly, ActionsExecuted: 3192, ActionsChanged: 1594, ISCChecks: 3189, ISCBlocks: 1594}
+	if got := must(RandTreeSteering(cfg, ISCOnly)); got != want {
+		t.Errorf("ISC-only arm = %+v, want %+v", got, want)
+	}
 }
 
 func TestFig17Quick(t *testing.T) {

@@ -106,16 +106,23 @@ func Fig14Paxos(cfg Fig14Config) ([]Fig14Result, error) {
 // scenario's variant; resets are only worth exploring for bug 2 (the
 // lost-promise bug), so the scenario's fault model is overridden per bug.
 func runPaxosScenario(seed int64, bug string, gap time.Duration, cfg Fig14Config) (Fig14Outcome, error) {
-	d, err := scenario.Deploy("paxos", scenario.DeployOptions{
+	sc := scenario.MustLookup("paxos")
+	opts := scenario.DeployOptions{
 		Seed:             seed,
 		Service:          scenario.Options{Variant: bug},
 		Control:          scenario.Steering,
 		MCStates:         cfg.MCStates,
 		Workers:          cfg.Workers,
-		PerStateCost:     cfg.PerStateCost,
-		Faults:           &scenario.Faults{ExploreResets: bug == "bug2"},
 		SnapshotInterval: 3 * time.Second,
-	})
+	}
+	ctrl, err := sc.ControllerConfig(opts)
+	if err != nil {
+		return NoViolation, err
+	}
+	ctrl.PerStateCost = cfg.PerStateCost
+	ctrl.Check.ExploreResets = bug == "bug2"
+	opts.Controller = &ctrl
+	d, err := sc.Deploy(opts)
 	if err != nil {
 		return NoViolation, err
 	}

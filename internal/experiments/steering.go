@@ -81,6 +81,7 @@ func RandTreeSteering(cfg SteeringConfig, mode SteeringMode) (SteeringResult, er
 	if cfg.MCStates == 0 {
 		cfg.MCStates = 8000
 	}
+	sc := scenario.MustLookup("randtree")
 	opts := scenario.DeployOptions{
 		Seed:             cfg.Seed,
 		Service:          scenario.Options{Nodes: cfg.Nodes},
@@ -95,12 +96,17 @@ func RandTreeSteering(cfg SteeringConfig, mode SteeringMode) (SteeringResult, er
 		// The ISC-only arm runs the immediate safety check under a
 		// debugging controller with no meaningful prediction budget.
 		opts.Control = scenario.Debug
-		opts.ISC = true
 		opts.MCStates = 1
+		ctrl, err := sc.ControllerConfig(opts)
+		if err != nil {
+			return SteeringResult{}, err
+		}
+		ctrl.EnableISC = true
+		opts.Controller = &ctrl
 	default:
 		opts.Control = scenario.Bare
 	}
-	d, err := scenario.Deploy("randtree", opts)
+	d, err := sc.Deploy(opts)
 	if err != nil {
 		return SteeringResult{}, err
 	}

@@ -182,8 +182,7 @@ type Result struct {
 	// partial-order reduction (0 unless Config.Reduce).
 	SleepHits int
 	// TransitionsPruned is the total expansions avoided: SleepHits plus
-	// LocalPrunes. Controllers report it per round so budget policies see
-	// honest per-state work.
+	// LocalPrunes (controller.Stats sums it over a deployment's rounds).
 	TransitionsPruned int
 	// DistinctLocalStates counts distinct node-local states over all
 	// claimed states — the ROADMAP's coverage metric ("distinct local

@@ -35,9 +35,7 @@ func LANPath() simnet.UniformPath {
 // DeployOptions assembles a live deployment behind one struct; the zero
 // value deploys the scenario's Live defaults bare on a fresh seed-0 clock.
 type DeployOptions struct {
-	// Sim is the simulated clock to deploy on; nil creates sim.New(Seed).
-	Sim *sim.Simulator
-	// Seed seeds the created simulator (ignored when Sim is set).
+	// Seed seeds the deployment's simulated clock.
 	Seed int64
 	// Path is the network path model (nil = LANPath).
 	Path simnet.PathModel
@@ -46,7 +44,7 @@ type DeployOptions struct {
 	Service Options
 	// Control selects bare, debugging or steering supervision.
 	Control Control
-	// Controller, when set, is installed verbatim (its Factory is
+	// Controller, when set, is installed verbatim (its Check.Factory is
 	// replaced by the deployment's); use ControllerConfig to derive a
 	// baseline to tweak. All controller-shaping fields below are then
 	// ignored.
@@ -66,13 +64,6 @@ type DeployOptions struct {
 	// Workers is the checker worker-pool size (0 = the scenario's
 	// RoundBudget, then GOMAXPROCS).
 	Workers int
-	// PerStateCost overrides the virtual checker latency per state.
-	PerStateCost time.Duration
-	// ISC turns the immediate safety check on under a debugging
-	// controller too; a steering deployment always runs it.
-	ISC bool
-	// Faults overrides the scenario's checker fault model.
-	Faults *Faults
 	// Checkpoints attaches standalone snapshot managers to Bare
 	// deployments (the overhead experiments measure them without
 	// controllers); deployments with controllers always checkpoint.
@@ -115,10 +106,7 @@ func (sc *Scenario) Deploy(o DeployOptions) (*Deployment, error) {
 	if err != nil {
 		return nil, err
 	}
-	s := o.Sim
-	if s == nil {
-		s = sim.New(o.Seed)
-	}
+	s := sim.New(o.Seed)
 	path := o.Path
 	if path == nil {
 		path = LANPath()
@@ -135,8 +123,8 @@ func (sc *Scenario) Deploy(o DeployOptions) (*Deployment, error) {
 	switch {
 	case o.Controller != nil:
 		cfg := *o.Controller
-		if cfg.Props == nil {
-			cfg.Props = sc.PropsFor(o.Control == Debug)
+		if cfg.Check.Props == nil {
+			cfg.Check.Props = sc.PropsFor(o.Control == Debug)
 		}
 		ctrlCfg = &cfg
 	case o.Control != Bare:
@@ -155,16 +143,15 @@ func (sc *Scenario) Deploy(o DeployOptions) (*Deployment, error) {
 		Net:      simnet.New(s, path),
 	}
 	if ctrlCfg != nil {
-		d.Props = ctrlCfg.Props
+		ctrlCfg.Check.Factory = factory
+		d.Props = ctrlCfg.Check.Props
 	}
 	for _, id := range IDs(opts.Nodes) {
 		node := runtime.NewNode(s, d.Net, id, factory)
 		d.Nodes = append(d.Nodes, node)
 		switch {
 		case ctrlCfg != nil:
-			cfg := *ctrlCfg
-			cfg.Factory = factory
-			c := controller.New(s, node, cfg, snapCfg)
+			c := controller.New(s, node, *ctrlCfg, snapCfg)
 			c.Start()
 			d.Ctrls = append(d.Ctrls, c)
 		case o.Checkpoints:

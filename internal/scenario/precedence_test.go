@@ -1,9 +1,11 @@
 package scenario_test
 
 import (
+	"slices"
 	"testing"
 
 	"crystalball/internal/mc"
+	"crystalball/internal/props"
 	"crystalball/internal/scenario"
 	_ "crystalball/internal/scenario/all"
 )
@@ -64,12 +66,58 @@ func TestBudgetPrecedence(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if cfg.Budget.States != tc.wantStates {
-				t.Errorf("states = %d, want %d", cfg.Budget.States, tc.wantStates)
+			if cfg.Check.Budget.States != tc.wantStates {
+				t.Errorf("states = %d, want %d", cfg.Check.Budget.States, tc.wantStates)
 			}
-			if cfg.Budget.Workers != tc.wantWorkers {
-				t.Errorf("workers = %d, want %d", cfg.Budget.Workers, tc.wantWorkers)
+			if cfg.Check.Budget.Workers != tc.wantWorkers {
+				t.Errorf("workers = %d, want %d", cfg.Check.Budget.Workers, tc.wantWorkers)
 			}
 		})
 	}
+}
+
+// TestLiveRoundsCheckWhatMcheckChecks: a scenario's declaration becomes an
+// mc.Config in one function, so the search a deployed controller's rounds
+// run (ControllerConfig(o).Check) and the one mcheck runs offline
+// (SearchConfig) agree on everything but the property set's purpose, the
+// tuning the factory is built on and the budget.
+func TestLiveRoundsCheckWhatMcheckChecks(t *testing.T) {
+	for _, name := range scenario.Names() {
+		sc := scenario.MustLookup(name)
+		offline, err := sc.SearchConfig(scenario.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, control := range []scenario.Control{scenario.Debug, scenario.Steering} {
+			cfg, err := sc.ControllerConfig(scenario.DeployOptions{Control: control})
+			if err != nil {
+				t.Fatal(err)
+			}
+			live := cfg.Check
+			if got, want := globalNames(live.GlobalProps), globalNames(offline.GlobalProps); !slices.Equal(got, want) {
+				t.Errorf("%s/%d: global properties %v live, %v offline", name, control, got, want)
+			}
+			type shape struct {
+				resets, connBreaks, reduce bool
+				maxResets                  int
+				seed                       int64
+			}
+			got := shape{live.ExploreResets, live.ExploreConnBreaks, live.Reduce, live.MaxResetsPerPath, live.Seed}
+			want := shape{offline.ExploreResets, offline.ExploreConnBreaks, offline.Reduce, offline.MaxResetsPerPath, offline.Seed}
+			if got != want {
+				t.Errorf("%s/%d: live rounds run %+v, mcheck runs %+v", name, control, got, want)
+			}
+			if !live.Reduce || live.ExploreResets != sc.Faults.ExploreResets || live.ExploreConnBreaks != sc.Faults.ExploreConnBreaks {
+				t.Errorf("%s/%d: %+v does not carry the scenario's declaration %+v", name, control, got, sc.Faults)
+			}
+		}
+	}
+}
+
+func globalNames(gs props.GlobalSet) []string {
+	var out []string
+	for _, g := range gs {
+		out = append(out, g.Name)
+	}
+	return out
 }

@@ -89,9 +89,6 @@ type Faults struct {
 	// ExploreConnBreaks enables spontaneous connection-break
 	// transitions.
 	ExploreConnBreaks bool
-	// MaxResetsPerPath bounds resets along one path (0 = checker
-	// default).
-	MaxResetsPerPath int
 }
 
 // Scenario declaratively describes one service workload: everything the
@@ -176,23 +173,21 @@ func (sc *Scenario) Factory(o Options) (sm.Factory, error) {
 	return f, nil
 }
 
-// SearchConfig returns the scenario's checker defaults — properties,
-// factory and fault model — with o resolved against the Check tuning.
-// Callers set the search mode and budgets on the result; examples that
-// stage hand-built start states use this to stay on scenario defaults.
-func (sc *Scenario) SearchConfig(o Options) (mc.Config, error) {
-	o = sc.CheckOptions(o)
+// checkConfig is the ONE place a scenario's declaration becomes an
+// mc.Config: the search mcheck runs offline and the search a live
+// controller's rounds run are both this value, so they check the same
+// thing. o is already resolved; callers set the mode and budget.
+func (sc *Scenario) checkConfig(ps props.Set, o Options) (mc.Config, error) {
 	factory, err := sc.Factory(o)
 	if err != nil {
 		return mc.Config{}, err
 	}
 	return mc.Config{
-		Props:             sc.PropsFor(true),
+		Props:             ps,
 		GlobalProps:       sc.GlobalProps,
 		Factory:           factory,
 		ExploreResets:     sc.Faults.ExploreResets,
 		ExploreConnBreaks: sc.Faults.ExploreConnBreaks,
-		MaxResetsPerPath:  sc.Faults.MaxResetsPerPath,
 		// Every registered scenario's properties are over states, not event
 		// orderings, so its searches — offline and live rounds alike — run
 		// with the sleep-set reduction: the identical state, local-state and
@@ -200,6 +195,14 @@ func (sc *Scenario) SearchConfig(o Options) (mc.Config, error) {
 		// (reduction_oracle_test.go pins this against the unreduced search).
 		Reduce: true,
 	}, nil
+}
+
+// SearchConfig returns the scenario's checker defaults — properties,
+// factory and fault model — with o resolved against the Check tuning.
+// Callers set the search mode and budgets on the result; examples that
+// stage hand-built start states use this to stay on scenario defaults.
+func (sc *Scenario) SearchConfig(o Options) (mc.Config, error) {
+	return sc.checkConfig(sc.PropsFor(true), sc.CheckOptions(o))
 }
 
 // InitialState builds the offline model checker's start state — every node
@@ -228,45 +231,33 @@ func InitialState(service string, o Options) (*mc.GState, mc.Config, error) {
 	return sc.InitialState(o)
 }
 
-// ControllerConfig derives the controller configuration Deploy would
-// install for o, so callers can tweak rarely-used fields (filter-safety
-// ablations, replay policy) and pass the result back via o.Controller.
+// ControllerConfig derives the controller configuration Deploy installs
+// for o: cfg.Check is the scenario's search (the SearchConfig value, on the
+// Live tuning and the control mode's property set) with the round budget,
+// the rest are the controller defaults. Callers that need anything else —
+// another fault model, checker latency, the ISC under a debugging
+// controller, a filter-safety ablation — edit the result and pass it back
+// via o.Controller.
 func (sc *Scenario) ControllerConfig(o DeployOptions) (controller.Config, error) {
 	if o.Control == Bare {
 		return controller.Config{}, fmt.Errorf("scenario %s: no controller in Bare deployments", sc.Name)
-	}
-	opts := sc.LiveOptions(o.Service)
-	factory, err := sc.Factory(opts)
-	if err != nil {
-		return controller.Config{}, err
 	}
 	ps := o.Props
 	if ps == nil {
 		ps = sc.PropsFor(o.Control == Debug)
 	}
-	cfg := controller.DefaultConfig(ps, factory)
-	cfg.GlobalProps = sc.GlobalProps
+	check, err := sc.checkConfig(ps, sc.LiveOptions(o.Service))
+	if err != nil {
+		return controller.Config{}, err
+	}
+	check.Budget = sc.roundBudget(o)
+	cfg := controller.DefaultConfig(check)
 	if o.Control == Steering {
 		cfg.Mode = controller.ExecutionSteering
-	} else {
-		cfg.Mode = controller.DeepOnlineDebugging
 	}
 	// The immediate safety check intervenes in the execution, so it is
-	// on only when the deployment steers — unless asked for (the ISC-only
-	// experiment arm runs it under a debugging controller).
-	cfg.EnableISC = o.Control == Steering || o.ISC
-	faults := sc.Faults
-	if o.Faults != nil {
-		faults = *o.Faults
-	}
-	cfg.ExploreResets = faults.ExploreResets
-	cfg.ExploreConnBreaks = faults.ExploreConnBreaks
-	cfg.MaxResetsPerPath = faults.MaxResetsPerPath
-	cfg.Reduce = true // as in SearchConfig
-	cfg.Budget = sc.roundBudget(o, cfg.Budget.States)
-	if o.PerStateCost > 0 {
-		cfg.PerStateCost = o.PerStateCost
-	}
+	// on only when the deployment steers.
+	cfg.EnableISC = o.Control == Steering
 	if o.SnapshotInterval > 0 {
 		cfg.SnapshotInterval = o.SnapshotInterval
 	}
@@ -280,14 +271,12 @@ func (sc *Scenario) ControllerConfig(o DeployOptions) (controller.Config, error)
 //	workers       o.Workers     >  RoundBudget.Workers  >  GOMAXPROCS
 //
 // Every other field is the scenario's RoundBudget's; an unset violation
-// quota falls to the controller default. TestBudgetPrecedence pins this.
-func (sc *Scenario) roundBudget(o DeployOptions, defaultStates int) mc.Budget {
+// quota or state bound falls to the controller default (DefaultConfig,
+// controller.New). TestBudgetPrecedence pins this.
+func (sc *Scenario) roundBudget(o DeployOptions) mc.Budget {
 	b := sc.RoundBudget
 	if o.MCStates > 0 {
 		b.States = o.MCStates
-	}
-	if b.States == 0 {
-		b.States = defaultStates
 	}
 	if o.Workers > 0 {
 		b.Workers = o.Workers

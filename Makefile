@@ -47,9 +47,10 @@ lint:
 	$(GO) run ./cmd/crystalvet ./...
 
 # The CI race job runs exactly this target (the scenario matrices run under
-# -race in their own CI jobs). dist is here because a forwarded node changes
-# hands between shard goroutines: the shard that expands it lets go of its
-# state.
+# -race in their own CI jobs). dist is here because a forwarded state changes
+# hands between shard goroutines, and with it a reference into the sender's
+# search tree that the receiver may walk while the sender keeps appending
+# (mc's TestPathOracleAcrossEngines is that walk on purpose).
 race:
 	$(GO) test -race ./internal/mc ./internal/controller ./internal/dist
 

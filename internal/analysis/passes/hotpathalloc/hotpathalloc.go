@@ -17,6 +17,15 @@
 //     buckets per call (NodeState.clone rebuilt the pending-timer map for
 //     every handler run for sixteen PRs; a sorted slice shared with the
 //     parent took its place)
+//   - a heap object per child: &entry{...}, &proposal{...} or new of either
+//     (name-driven, so the golden tests can model it). The search tree's
+//     entries live in slabs and a worker's proposals in its reused buffer,
+//     both stored by value — the pointerful Node per proposed child this
+//     replaced was 106 B of every claimed state and the collector's largest
+//     scan
+//   - append, in a loop, of a struct value to a slice of interfaces: one box
+//     per element (event enumeration boxed an sm.Event per enabled
+//     transition, slept or not, until it listed keys instead)
 package hotpathalloc
 
 import (
@@ -38,6 +47,19 @@ var Analyzer = &analysis.Analyzer{
 var fmtAllocFuncs = map[string]bool{
 	"Sprintf": true, "Sprint": true, "Sprintln": true,
 	"Errorf": true, "Appendf": true,
+}
+
+// slabTypes are the per-child values that are stored by value, never as a
+// heap object each.
+var slabTypes = map[string]bool{"entry": true, "proposal": true}
+
+// slabType returns the name of t if it is one of slabTypes.
+func slabType(t types.Type) (string, bool) {
+	named, ok := t.(*types.Named)
+	if !ok || !slabTypes[named.Obj().Name()] {
+		return "", false
+	}
+	return named.Obj().Name(), true
 }
 
 func run(pass *analysis.Pass) error {
@@ -63,6 +85,12 @@ func checkFunc(pass *analysis.Pass, fd *ast.FuncDecl) {
 		case *ast.CompositeLit:
 			if _, isMap := info.TypeOf(e).Underlying().(*types.Map); isMap {
 				pass.Reportf(e.Pos(), "map literal builds a map on a hot path; keep a sorted slice, or reuse a map the caller owns")
+			}
+		case *ast.UnaryExpr:
+			if lit, ok := e.X.(*ast.CompositeLit); ok && e.Op == token.AND {
+				if name, ok := slabType(info.TypeOf(lit)); ok {
+					pass.Reportf(e.Pos(), "&%s{} heap-allocates one %s per child on a hot path; store it by value in its slab or buffer", name, name)
+				}
 			}
 		case *ast.FuncLit:
 			if analysis.InAny(loops, e.Pos()) && capturesOuter(info, fd, e) {
@@ -94,8 +122,15 @@ func checkCall(pass *analysis.Pass, fd *ast.FuncDecl, call *ast.CallExpr, loops 
 			return
 		}
 	}
+	if analysis.IsBuiltinCall(info, call, "new") && len(call.Args) == 1 {
+		if name, ok := slabType(info.TypeOf(call.Args[0])); ok {
+			pass.Reportf(call.Pos(), "new(%s) heap-allocates one %s per child on a hot path; store it by value in its slab or buffer", name, name)
+			return
+		}
+	}
 	if analysis.IsBuiltinCall(info, call, "append") && analysis.InAny(loops, call.Pos()) {
 		checkAppend(pass, fd, call)
+		checkAppendBoxing(pass, call)
 		return
 	}
 	checkBoxing(pass, call)
@@ -129,6 +164,28 @@ func checkAppend(pass *analysis.Pass, fd *ast.FuncDecl, call *ast.CallExpr) {
 	}
 	pass.Reportf(call.Pos(),
 		"append to un-preallocated slice %s in a loop on a hot path; make(..., 0, n) it or reuse a buffer (buf[:0])", dest.Name)
+}
+
+// checkAppendBoxing flags append(dst, v...) in a loop where dst is a slice of
+// a (non-empty) interface type and some v is a struct value: every element
+// is boxed into a one-value heap object.
+func checkAppendBoxing(pass *analysis.Pass, call *ast.CallExpr) {
+	info := pass.Pkg.TypesInfo
+	if len(call.Args) < 2 || call.Ellipsis != token.NoPos {
+		return
+	}
+	slice, ok := info.TypeOf(call.Args[0]).Underlying().(*types.Slice)
+	if !ok {
+		return
+	}
+	if _, isIface := slice.Elem().Underlying().(*types.Interface); !isIface {
+		return
+	}
+	for _, arg := range call.Args[1:] {
+		if _, isStruct := info.TypeOf(arg).Underlying().(*types.Struct); isStruct {
+			pass.Reportf(arg.Pos(), "append boxes a struct into a slice of interfaces once per iteration on a hot path; list plain values and box the ones that are used")
+		}
+	}
 }
 
 // preallocated reports whether any assignment to obj in the function gives

@@ -107,6 +107,73 @@ func reuseSet(seen map[string]bool, ks []string) []string {
 	return out
 }
 
+// entry and proposal model the search tree's slab values: stored by value,
+// never a heap object per child.
+type entry struct {
+	hash   uint64
+	parent int32
+}
+
+type proposal struct {
+	hash uint64
+	sibs int32
+}
+
+type other struct{ n int }
+
+// store models the engine: a slab and a reused buffer it owns.
+type store struct {
+	tree  []entry
+	props []proposal
+}
+
+//crystal:hotpath
+func (s *store) perChild(hashes []uint64) *other {
+	for _, h := range hashes {
+		e := &entry{hash: h} // want `&entry\{\} heap-allocates one entry per child`
+		p := new(proposal)   // want `new\(proposal\) heap-allocates one proposal per child`
+		q := &proposal{}     // want `&proposal\{\} heap-allocates one proposal per child`
+		p.hash, q.hash = e.hash, h
+		// By value, into storage the engine owns: the slab layout.
+		s.tree = append(s.tree, entry{hash: h})
+		s.props = append(s.props, proposal{hash: h}, *p, *q)
+	}
+	return &other{n: len(hashes)} // some other type: not a slab value
+}
+
+type event interface{ node() int }
+
+type delivery struct{ to int }
+
+func (d delivery) node() int { return d.to }
+
+type timer struct{ at int }
+
+func (t *timer) node() int { return t.at }
+
+// enumerate boxes one event per enabled transition, wanted or not.
+//
+//crystal:hotpath
+func enumerate(buf []event, tos []int) []event {
+	buf = buf[:0]
+	for _, to := range tos {
+		buf = append(buf, delivery{to: to}) // want `append boxes a struct into a slice of interfaces once per iteration`
+		buf = append(buf, &timer{at: to})   // a pointer fits the interface word (and is its own finding elsewhere if it must not allocate)
+	}
+	return buf
+}
+
+// enumerateKeys lists plain values; the caller boxes the ones it executes.
+//
+//crystal:hotpath
+func enumerateKeys(buf []delivery, tos []int) []delivery {
+	buf = buf[:0]
+	for _, to := range tos {
+		buf = append(buf, delivery{to: to})
+	}
+	return buf
+}
+
 // cold is unannotated: the same constructs draw no findings.
 func cold(xs []int) string {
 	var out []int
@@ -115,7 +182,11 @@ func cold(xs []int) string {
 	}
 	seen := make(map[int]bool)
 	seen[len(map[int]bool{1: true})] = true
-	return fmt.Sprintf("%d", len(out)+len(seen))
+	evs := []event{}
+	for _, x := range xs {
+		evs = append(evs, delivery{to: x})
+	}
+	return fmt.Sprintf("%d", len(out)+len(seen)+len(evs)+int((&entry{}).parent)+int(new(proposal).sibs))
 }
 
 // warm allocates knowingly; the func-doc directive covers the whole body.

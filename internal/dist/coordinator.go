@@ -20,12 +20,11 @@ type CoordinatorConfig struct {
 	// injected so round timing is testable like the engine's.
 	Now func() time.Time
 	// Search and Root, when set, let the coordinator materialize real
-	// event paths for violations that arrived as wire descriptors (TCP
-	// shards), and — the fault-tolerance floor — run the round on the
-	// local serial engine when every shard has died. Without them such
-	// violations keep a nil path and a zero-survivor round is an error.
-	// In-process shards hand real events through, so dist.Local never
-	// needs the replay.
+	// event paths for violations — they arrive as descriptors, from
+	// in-process and TCP shards alike — and, the fault-tolerance floor, run
+	// the round on the local serial engine when every shard has died.
+	// Without them violations keep a nil path and a zero-survivor round is
+	// an error.
 	Search *mc.Search
 	Root   *mc.GState
 	// MaxRetries bounds aborted-attempt retries per round
@@ -569,15 +568,14 @@ func (c *Coordinator) mergeViolations(reports []ShardReport) ([]mc.Violation, er
 		return strings.Join(kept[i].Props, "|") < strings.Join(kept[j].Props, "|")
 	})
 	out := make([]mc.Violation, len(kept))
-	var x *mc.Expander // replay workspace: only wire-mode violations need one
-	enc := sm.NewEncoder()
+	var x *mc.Expander // replay workspace
 	for i, v := range kept {
-		path := v.events
-		if path == nil && len(v.Path) > 0 && c.cfg.Search != nil && c.cfg.Root != nil {
+		var path []sm.Event
+		if len(v.Path) > 0 && c.cfg.Search != nil && c.cfg.Root != nil {
 			if x == nil {
 				x = c.cfg.Search.NewExpander()
 			}
-			events, g, err := replayDescs(c.cfg.Search, x, enc, c.cfg.Root, v.Path, true)
+			events, g, err := c.cfg.Search.ReplayKeys(x, c.cfg.Root, v.Path, true)
 			if err != nil {
 				return nil, errorf("materializing violation path: %w", err)
 			}

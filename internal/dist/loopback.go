@@ -9,7 +9,8 @@ import (
 // Send never blocks, so two shards exchanging large batches through the hub
 // cannot deadlock, and the shard loop's TryRecv greediness works without a
 // window protocol. Messages are passed by value (no encoding), which is what
-// lets in-process forwards carry pointers into the sender's path tree.
+// lets an in-process forward carry the state itself and a reference into the
+// sender's search tree.
 
 // ErrClosed is returned by Conn operations after the peer (or this side)
 // closed the connection and the queue has drained.

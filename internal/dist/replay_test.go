@@ -78,7 +78,7 @@ func TestReplayResolvesSameNamedCallsByArgument(t *testing.T) {
 			t.Fatal(err)
 		}
 		fs := m.(Batch).States[0]
-		_, got, err := replayDescs(s, x, enc, g, fs.Path, false)
+		_, got, err := s.ReplayKeys(x, g, fs.Path, false)
 		if err != nil {
 			t.Fatalf("%v: forwarded path does not replay: %v", ev.(sm.AppEvent).Call, err)
 		}

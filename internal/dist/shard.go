@@ -1,9 +1,6 @@
 package dist
 
-import (
-	"crystalball/internal/mc"
-	"crystalball/internal/sm"
-)
+import "crystalball/internal/mc"
 
 // ShardConfig parameterises one shard of an n-way distributed search.
 type ShardConfig struct {
@@ -29,16 +26,20 @@ type ShardConfig struct {
 	BatchSize int
 }
 
-// descPath returns the full descriptor path from the search root to n:
-// prefix (the wire path of n's chain root, nil when the chain never crossed
-// a process boundary) followed by the in-process events re-described.
-// scratch is the fingerprint encoder.
-func descPath(prefix []EventDesc, n *mc.Node, scratch *sm.Encoder) []EventDesc {
-	events := n.Path()
-	out := make([]EventDesc, 0, len(prefix)+len(events))
-	out = append(out, prefix...)
-	for _, ev := range events {
-		out = append(out, DescribeEvent(ev, scratch))
+// descPath returns the full descriptor path from the search root to the
+// state that desc leads to from parent: prefix (the wire path of parent's
+// chain root, nil when the chain never crossed a process boundary), then the
+// descriptors the trees hold — parent's own tree and, through forwarded chain
+// roots, the trees of the in-process shards before it — then desc (omitted
+// when it is the zero key: the path to parent itself). Tree entries are
+// written before their state is handed over and never rewritten, so the walk
+// needs no lock while their shards keep searching.
+func descPath(prefix []EventDesc, parent mc.Ref, desc EventDesc) []EventDesc {
+	keys := parent.Keys()
+	out := make([]EventDesc, 0, len(prefix)+len(keys)+1)
+	out = append(append(out, prefix...), keys...)
+	if desc.Kind != 0 {
+		out = append(out, desc)
 	}
 	return out
 }
@@ -54,15 +55,16 @@ type shard struct {
 	rng     mc.HashRange
 	search  *mc.Search
 	conn    Conn
-	scratch *sm.Encoder
 	replayX *mc.Expander // path-replay workspace
 
 	// eng is the round's engine over rng (nil outside a round).
 	eng *mc.Engine
 	// prefix holds, per chain root injected from a wire batch, the
 	// descriptor path from the search root to it: what violation reports
-	// and onward forwarding splice in front of the in-process events.
-	prefix map[*mc.Node][]EventDesc
+	// and onward forwarding splice in front of the trees' own descriptors.
+	// (A root forwarded in process needs none: the engine's tree links it to
+	// the entry it came from.)
+	prefix map[mc.Ref][]EventDesc
 	// fwd is the sender-side forward cache: fingerprint → minimal depth
 	// already forwarded, so a successor is re-forwarded only when
 	// strictly shallower.
@@ -96,7 +98,6 @@ func newShard(conn Conn, cfg ShardConfig) (*shard, error) {
 		rng:     mc.ShardRange(cfg.Index, cfg.Shards),
 		search:  search,
 		conn:    conn,
-		scratch: sm.NewEncoder(),
 		replayX: search.NewExpander(),
 	}, nil
 }
@@ -188,7 +189,7 @@ func (sh *shard) startRound(rs RoundStart) error {
 	}
 	sh.rng = mc.ShardRange(sh.slot, sh.slots)
 	sh.eng = sh.search.NewEngine(rs.Budget, sh.rng, sh.route)
-	sh.prefix = make(map[*mc.Node][]EventDesc)
+	sh.prefix = make(map[mc.Ref][]EventDesc)
 	sh.fwd = make(map[uint64]int32)
 	sh.out = make([][]ForwardState, sh.slots)
 	sh.received = 0
@@ -196,7 +197,7 @@ func (sh *shard) startRound(rs RoundStart) error {
 	sh.st = Stats{}
 
 	if sh.rng.Contains(sh.cfg.Root.Hash()) {
-		sh.eng.Inject(mc.NewNode(sh.cfg.Root, 0))
+		sh.eng.Inject(mc.Forward{State: sh.cfg.Root})
 	}
 	return nil
 }
@@ -259,15 +260,15 @@ func (sh *shard) pollBatches(pending *Msg) error {
 
 // route is the engine's sink: a proposed successor this shard's range does
 // not own is batched for its owner.
-func (sh *shard) route(child *mc.Node) error {
-	h, depth := child.Hash(), int32(child.Depth())
+func (sh *shard) route(child mc.Forward) error {
+	h, depth := child.State.Hash(), int32(child.Depth)
 	if prior, ok := sh.fwd[h]; ok && prior <= depth {
 		return nil
 	}
 	sh.fwd[h] = depth
-	fs := ForwardState{Hash: h, Depth: depth, node: child}
+	fs := ForwardState{Hash: h, Depth: depth, fwd: child}
 	if len(sh.prefix) > 0 {
-		fs.prefix = sh.prefix[child.Root()]
+		fs.prefix = sh.prefix[child.Parent.Root()]
 	}
 	owner := mc.ShardOwner(h, sh.slots)
 	sh.out[owner] = append(sh.out[owner], fs)
@@ -321,91 +322,41 @@ func (sh *shard) ingest(b Batch) error {
 			sh.st.RemoteDeduped++
 			continue
 		}
-		n := fs.node
-		if n == nil {
-			if len(fs.Path) == 0 {
-				return errorf("shard %d: forwarded state %#x has no path", sh.cfg.Index, fs.Hash)
-			}
-			g, err := sh.replay(fs.Path)
-			if err != nil {
-				return err
-			}
-			if g.Hash() != fs.Hash {
-				return errorf("shard %d: replayed state hash %#x, sender claimed %#x — diverged configurations?", sh.cfg.Index, g.Hash(), fs.Hash)
-			}
-			n = mc.NewNode(g, int(fs.Depth))
-			sh.prefix[n] = fs.Path
+		if fs.fwd.State != nil {
+			sh.eng.Inject(fs.fwd)
+			continue
 		}
-		sh.eng.Inject(n)
+		if len(fs.Path) == 0 {
+			return errorf("shard %d: forwarded state %#x has no path", sh.cfg.Index, fs.Hash)
+		}
+		g, err := sh.replay(fs.Path)
+		if err != nil {
+			return err
+		}
+		if g.Hash() != fs.Hash {
+			return errorf("shard %d: replayed state hash %#x, sender claimed %#x — diverged configurations?", sh.cfg.Index, g.Hash(), fs.Hash)
+		}
+		if root, claimed := sh.eng.Inject(mc.Forward{State: g, Depth: int(fs.Depth)}); claimed {
+			sh.prefix[root] = fs.Path
+		}
 	}
 	return nil
 }
 
 // replay reconstructs a state from its descriptor path.
 func (sh *shard) replay(path []EventDesc) (*mc.GState, error) {
-	_, g, err := replayDescs(sh.search, sh.replayX, sh.scratch, sh.cfg.Root, path, false)
+	_, g, err := sh.search.ReplayKeys(sh.replayX, sh.cfg.Root, path, false)
 	if err != nil {
 		return nil, errorf("shard %d: %w", sh.cfg.Index, err)
 	}
 	return g, nil
 }
 
-// replayDescs re-executes a descriptor path from root, resolving each
-// descriptor against the enabled events of the state it executed in — the
-// engine's enumeration makes the match unique — and applying it. With
-// wantEvents it also returns the resolved real events (violation-path
-// materialization at the coordinator).
-func replayDescs(s *mc.Search, x *mc.Expander, scratch *sm.Encoder, root *mc.GState, path []EventDesc, wantEvents bool) ([]sm.Event, *mc.GState, error) {
-	g := root
-	var events []sm.Event
-	if wantEvents {
-		events = make([]sm.Event, 0, len(path))
-	}
-	for i := range path {
-		ev, err := resolveDesc(x, scratch, g, &path[i])
-		if err != nil {
-			return nil, nil, errorf("replay step %d: %w", i, err)
-		}
-		next := s.ApplyEvent(g, ev)
-		if next == nil {
-			return nil, nil, errorf("replay step %d: event %s not applicable", i, ev.Describe())
-		}
-		if wantEvents {
-			events = append(events, ev)
-		}
-		g = next
-	}
-	return events, g, nil
-}
-
-// resolveDesc finds the enabled event desc names: the one with desc's key —
-// whole, so two same-named app calls at one node resolve by their argument
-// fingerprints — whose payload, for a delivery, is the one the sender saw.
-func resolveDesc(x *mc.Expander, scratch *sm.Encoder, g *mc.GState, desc *EventDesc) (sm.Event, error) {
-	want := *desc
-	if want.Kind == 'M' {
-		want.Arg = 0
-	}
-	var found sm.Event
-	x.Events(g, func(ev sm.Event) {
-		if found == nil && sm.KeyOf(ev, scratch) == want {
-			found = ev
-		}
-	})
-	if found == nil {
-		return nil, errorf("no enabled event is %q (arg %#x)", desc, desc.Arg)
-	}
-	if desc.Kind == 'M' && payloadHash(found, scratch) != desc.Arg {
-		return nil, errorf("%q: payload fingerprint mismatch", desc)
-	}
-	return found, nil
-}
-
 // report assembles this shard's round report. Shard carries the *slot* the
 // report covers (like Batch.From and Idle.Shard), so the coordinator can
 // index reports by partition after a repartitioned retry. Violation paths
-// travel as descriptors; chains that never crossed a wire also keep their
-// real events, sparing the coordinator the replay.
+// travel as descriptors, in process too: the coordinator replays them from
+// the root, which is how a tree's path becomes events anywhere.
 func (sh *shard) report() ShardReport {
 	res := sh.eng.Result()
 	findings := sh.eng.Findings()
@@ -422,17 +373,12 @@ func (sh *shard) report() ShardReport {
 		Locals:      sh.eng.LocalStates(),
 	}
 	for i, f := range findings {
-		prefix := sh.prefix[f.Node.Root()]
-		v := Violation{
+		r.Violations[i] = Violation{
 			Props:     f.Props,
-			Depth:     int32(f.Node.Depth()),
-			StateHash: f.Node.Hash(),
-			Path:      descPath(prefix, f.Node, sh.scratch),
+			Depth:     int32(f.Ref.Depth()),
+			StateHash: f.Ref.Hash(),
+			Path:      descPath(sh.prefix[f.Ref.Root()], f.Ref, EventDesc{}),
 		}
-		if prefix == nil {
-			v.events = f.Node.Path()
-		}
-		r.Violations[i] = v
 	}
 	if sh.record {
 		r.Claimed = sh.eng.ClaimedStates()

@@ -123,34 +123,21 @@ type EventDesc = sm.EventKey
 
 // DescribeEvent captures ev as a transportable descriptor. enc is scratch
 // for the fingerprints.
-func DescribeEvent(ev sm.Event, enc *sm.Encoder) EventDesc {
-	desc := sm.KeyOf(ev, enc)
-	if desc.Kind == 'M' {
-		desc.Arg = payloadHash(ev, enc)
-	}
-	return desc
-}
-
-// payloadHash fingerprints the message a delivery carries.
-func payloadHash(ev sm.Event, enc *sm.Encoder) uint64 {
-	enc.Reset()
-	ev.(sm.MsgEvent).Msg.EncodeMsg(enc)
-	return enc.Hash()
-}
+func DescribeEvent(ev sm.Event, enc *sm.Encoder) EventDesc { return sm.DescOf(ev, enc) }
 
 // ForwardState is one successor handed to its owner shard. In process it
-// travels as a pointer into the sender's search tree (node, plus the wire
-// prefix of that chain's root when the sender itself received it over a
-// wire); on the wire it travels as the descriptor path from the root, which
-// the receiver replays. Hash and Depth describe the state either way, so
-// the receiver deduplicates against its visited set before paying for a
-// replay.
+// travels as the engine's own mc.Forward — the state itself plus a reference
+// into the sender's search tree (fwd, with the wire prefix of that chain's
+// root when the sender itself received it over a wire); on the wire it
+// travels as the descriptor path from the root, which the receiver replays.
+// Hash and Depth describe the state either way, so the receiver deduplicates
+// against its visited set before paying for a replay.
 type ForwardState struct {
 	Hash   uint64
 	Depth  int32
 	Path   []EventDesc // wire form (nil in-process)
-	node   *mc.Node    // in-process form (nil on the wire)
-	prefix []EventDesc // wire path of node's chain root (in-process form)
+	fwd    mc.Forward  // in-process form (zero on the wire)
+	prefix []EventDesc // wire path of fwd.Parent's chain root (in-process form)
 }
 
 // Batch carries forwarded states from slot From to owner slot To (round
@@ -184,14 +171,12 @@ type RoundEnd struct{}
 func (RoundEnd) kind() byte { return kindRoundEnd }
 
 // Violation is one deduplicated property violation found by a shard. The
-// path travels as descriptors; in process the original events ride along so
-// the coordinator can skip the replay.
+// path travels as descriptors; the coordinator replays it into events.
 type Violation struct {
 	Props     []string
 	Depth     int32
 	StateHash uint64
 	Path      []EventDesc
-	events    []sm.Event // in-process only
 }
 
 // ShardReport is a shard's contribution to the round's merged report.
@@ -267,9 +252,8 @@ func encodeMsg(e *sm.Encoder, m Msg) error {
 		e.Int(v.From)
 		e.Int(v.To)
 		e.Uint32(uint32(len(v.States)))
-		scratch := sm.NewEncoder()
 		for i := range v.States {
-			if err := encodeForwardState(e, &v.States[i], scratch); err != nil {
+			if err := encodeForwardState(e, &v.States[i]); err != nil {
 				return err
 			}
 		}
@@ -529,15 +513,14 @@ func decodeDescPath(d *sm.Decoder) []EventDesc {
 }
 
 // encodeForwardState writes fs, materializing the descriptor path from the
-// in-process node chain if it has not crossed a wire yet. scratch is the
-// payload-fingerprint encoder.
-func encodeForwardState(e *sm.Encoder, fs *ForwardState, scratch *sm.Encoder) error {
+// sender's search tree if it has not crossed a wire yet.
+func encodeForwardState(e *sm.Encoder, fs *ForwardState) error {
 	path := fs.Path
 	if path == nil {
-		if fs.node == nil {
+		if !fs.fwd.Parent.Valid() {
 			return errorf("encode: forwarded state has neither path nor node")
 		}
-		path = descPath(fs.prefix, fs.node, scratch)
+		path = descPath(fs.prefix, fs.fwd.Parent, fs.fwd.Desc)
 	}
 	e.Uint64(fs.Hash)
 	e.Uint32(uint32(fs.Depth))

@@ -35,8 +35,9 @@ func TestFig15MemoryGrowsAndPerStateStabilises(t *testing.T) {
 	if last.MemBytes <= pts[0].MemBytes {
 		t.Fatalf("memory did not grow with depth: %+v", pts)
 	}
-	// Figure 16's shape: per-state cost settles in the hundreds of bytes.
-	if last.PerStateByte < 20 || last.PerStateByte > 5000 {
+	// Figure 16's shape: per-state cost settles in the hundreds of bytes —
+	// tree, tables and frontier counted at what they allocate.
+	if last.PerStateByte < 100 || last.PerStateByte > 1000 {
 		t.Fatalf("per-state bytes implausible: %v", last.PerStateByte)
 	}
 }

@@ -2,7 +2,9 @@ package mc
 
 import (
 	"runtime"
+	"slices"
 	"testing"
+	"unsafe"
 
 	"crystalball/internal/props"
 	"crystalball/internal/sm"
@@ -47,35 +49,37 @@ func TestReusedViewCheckZeroAllocs(t *testing.T) {
 }
 
 // TestEnabledEventsReusedBufferAllocBound: enumeration through a reused
-// eventBuf allocates at most one boxing per enumerated event (storing a
-// struct in an sm.Event interface) — the buffers themselves contribute
-// nothing once warm — and the count-only mode,
-// which the consequence rule runs on every (node, local state) it has
+// eventBuf boxes nothing — a candidate is a key and a payload, by value — so
+// once the buffers are warm it allocates nothing at all; and the count-only
+// mode, which the consequence rule runs on every (node, local state) it has
 // already claimed, reports the same number of internal actions without
-// allocating at all.
+// building even the keys. Every candidate's key is the key of the event it
+// boxes to: enumeration writes keys out by hand, and sm.KeyOf stays the one
+// definition of them.
 func TestEnabledEventsReusedBufferAllocBound(t *testing.T) {
 	s := NewSearch(Config{Props: poisonAt(1000), Factory: newToy, ExploreResets: true})
 	g := multiTimerStart()
 	var buf eventBuf
+	enc := sm.NewEncoder()
 	var network, internal int
 	enumerate := func() {
 		network, internal = len(s.networkInto(g, &buf)), 0
-		for i := range g.ids {
-			internal += len(s.internalInto(g, i, &buf))
+		for i := range g.nodes {
+			internal += len(s.internalInto(g, i, &buf, enc))
 		}
 	}
 	enumerate() // warm + count
 	if network == 0 || internal == 0 {
 		t.Fatalf("%d network and %d internal events enumerated, want some of each", network, internal)
 	}
-	if avg := testing.AllocsPerRun(1000, enumerate); avg > float64(network+internal) {
-		t.Fatalf("reused-buffer enumeration allocates %.2f/op for %d events, want <= one boxing per event", avg, network+internal)
+	if avg := testing.AllocsPerRun(1000, enumerate); avg != 0 {
+		t.Fatalf("reused-buffer enumeration allocates %.2f/op for %d events, want 0: is an event boxed before it is executed?", avg, network+internal)
 	}
 	counted := 0
 	count := func() {
 		counted = 0
-		for i := range g.ids {
-			counted += s.internalAt(g, i, nil)
+		for i := range g.nodes {
+			counted += s.internalAt(g, i, nil, nil)
 		}
 	}
 	if count(); counted != internal {
@@ -83,6 +87,35 @@ func TestEnabledEventsReusedBufferAllocBound(t *testing.T) {
 	}
 	if avg := testing.AllocsPerRun(1000, count); avg != 0 {
 		t.Fatalf("count-only enumeration allocates %.2f/op, want 0", avg)
+	}
+
+	// All six kinds: an RST in flight gives the error and the drop, conn
+	// breaks give the spontaneous error.
+	s = NewSearch(Config{Props: poisonAt(1000), Factory: newToy, ExploreResets: true, ExploreConnBreaks: true})
+	g = multiTimerStart()
+	sc := getScratch()
+	g.addMsg(InFlight{From: 2, To: 1}, sc)
+	putScratch(sc)
+	kinds := map[byte]bool{}
+	keyed := func(cs []cand) {
+		t.Helper()
+		for i := range cs {
+			ev := cs[i].event()
+			kinds[cs[i].key.Kind] = true
+			if got := sm.KeyOf(ev, enc); got != cs[i].key {
+				t.Fatalf("candidate key %+v boxes to an event with key %+v", cs[i].key, got)
+			}
+			if got, want := cs[i].desc(enc), sm.DescOf(ev, enc); got != want || (got.Kind == 'M') != (got != cs[i].key) {
+				t.Fatalf("candidate %+v has descriptor %+v, its event %+v", cs[i].key, got, want)
+			}
+		}
+	}
+	keyed(s.networkInto(g, &buf))
+	for i := range g.nodes {
+		keyed(s.internalInto(g, i, &buf, enc))
+	}
+	if len(kinds) != 6 {
+		t.Fatalf("enumerated kinds %v, want all six", kinds)
 	}
 }
 
@@ -97,7 +130,8 @@ func TestEnabledEventsReusedBufferAllocBound(t *testing.T) {
 // parent's in-flight container; "tick" bumps the counter and re-arms itself,
 // which leaves the timer set equal to the parent's: 8 allocations (11 while
 // the set was a map cloned per handler run, 12 with the value-slice layout,
-// ~30 before the scratch). "idle" only re-arms and "zap" only expires, so the
+// ~30 before the scratch; the GState is 96 bytes now, not 128, at the same
+// count). "idle" only re-arms and "zap" only expires, so the
 // two differ in nothing but the timer set: a changed set costs exactly its
 // exact-size copy and its encoded segment, an equal one nothing.
 // TestShallowCloneAllocBound and TestSuccessorSendAllocBound pin the
@@ -111,7 +145,7 @@ func TestSuccessorAllocBound(t *testing.T) {
 	allocs := func(timer sm.TimerID) float64 {
 		ev := sm.TimerEvent{At: 1, Timer: timer}
 		return testing.AllocsPerRun(500, func() {
-			if cloneSink = s.apply(g, ev, sc); cloneSink == nil {
+			if cloneSink = s.apply(g, ev, true, sc); cloneSink == nil {
 				t.Fatalf("timer %q not applicable", timer)
 			}
 		})
@@ -147,7 +181,7 @@ func successorWithSends(t *testing.T, peers, inherited int) (allocs, bytes float
 	defer putScratch(sc)
 	ev := sm.AppEvent{At: 1, Call: kick{}}
 	build := func() {
-		if cloneSink = s.apply(g, ev, sc); cloneSink == nil || len(cloneSink.msgs) != inherited+peers {
+		if cloneSink = s.apply(g, ev, true, sc); cloneSink == nil || len(cloneSink.msgs) != inherited+peers {
 			t.Fatal("kick did not send one item per peer")
 		}
 	}
@@ -182,25 +216,38 @@ func TestSuccessorSendAllocBound(t *testing.T) {
 }
 
 // TestShallowCloneAllocBound: copying a state's containers is one
-// allocation for the GState plus one per non-empty slice it copies (nodes,
-// stale) — the id list and the in-flight container are shared. A
-// per-successor map costs at least two (header and buckets) and fails this
-// bound.
+// allocation for the GState plus one for the node container — the in-flight
+// container and the stale pairs are shared (their mutators copy before they
+// write), and there is no id list. A per-successor map costs at least two
+// (header and buckets) and fails this bound; so does a GState that outgrew
+// the 96-byte size class.
 var cloneSink *GState
 
 func TestShallowCloneAllocBound(t *testing.T) {
 	g := multiTimerStart()
-	for _, tc := range []struct {
-		name string
-		want float64
-	}{{"nodes+msgs", 2}, {"nodes+msgs+stale", 3}} {
+	for _, name := range []string{"nodes+msgs", "nodes+msgs+stale"} {
 		// Exactly, not at most: fewer would mean the clone stopped escaping
 		// and the bound stopped measuring anything.
-		if avg := testing.AllocsPerRun(1000, func() { cloneSink = g.shallowClone() }); avg != tc.want {
-			t.Errorf("%s: shallowClone allocates %.1f/op, want %.0f", tc.name, avg, tc.want)
+		if avg := testing.AllocsPerRun(1000, func() { cloneSink = g.shallowClone() }); avg != 2 {
+			t.Errorf("%s: shallowClone allocates %.1f/op, want 2", name, avg)
 		}
 		g.MarkStale(1, 2)
 		g.MarkStale(2, 1)
+	}
+	if size := unsafe.Sizeof(GState{}); size > 96 {
+		t.Errorf("GState is %d bytes, want <= 96 (the size class below 112)", size)
+	}
+	// Sharing is safe because the three mutators write copies: a successor
+	// that sets and clears pairs leaves its parent's slice as it was.
+	sc := getScratch()
+	defer putScratch(sc)
+	want := slices.Clone(g.stale)
+	next := g.shallowClone()
+	next.setStale(pair{1, 3}, sc)
+	next.clearStale(pair{1, 2}, sc)
+	next.clearStaleFrom(2, sc)
+	if !slices.Equal(g.stale, want) || len(next.stale) != 1 || next.Hash() != next.FullHash() || g.Hash() != g.FullHash() {
+		t.Errorf("stale mutators wrote the shared slice: parent %v (was %v), successor %v", g.stale, want, next.stale)
 	}
 }
 
@@ -295,9 +342,10 @@ func TestEdgeSeedAndSleepLookupAllocFree(t *testing.T) {
 		sm.DropEvent{From: 8, To: 9},
 	}
 	enc := sm.NewEncoder()
-	var slept sleepSet
+	tree := newTree(false)
+	var resolved []*sm.EventKey
 	for _, ev := range events[:3] {
-		slept = append(slept, sm.KeyOf(ev, enc))
+		resolved = append(resolved, tree.keys.at(int(tree.intern(sm.KeyOf(ev, enc)))))
 	}
 	const lhash uint64 = 0x0123456789abcdef
 	for _, ev := range events {
@@ -312,7 +360,7 @@ func TestEdgeSeedAndSleepLookupAllocFree(t *testing.T) {
 	hits := 0
 	if n := testing.AllocsPerRun(100, func() {
 		for _, ev := range events {
-			if edgeSeed(9, lhash, ev) != 0 && slept.contains(sm.KeyOf(ev, enc)) {
+			if k := sm.KeyOf(ev, enc); edgeSeed(9, lhash, ev) != 0 && slept(resolved, &k) {
 				hits++
 			}
 		}

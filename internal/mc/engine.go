@@ -2,10 +2,12 @@ package mc
 
 import (
 	"cmp"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
+	"unsafe"
 
 	"crystalball/internal/props"
 	"crystalball/internal/sm"
@@ -22,18 +24,18 @@ func atomicMax(v *atomic.Int64, x int64) {
 }
 
 // Finding is one collected violation class before its path is rendered: the
-// violated properties and the representative node. A single-range search
-// renders Node.Path() into Result.Violations; a sharded search splices the
-// wire prefix of Node.Root() in front.
+// violated properties and the representative state. A single-range search
+// resolves Ref.Path() into Result.Violations; a sharded search sends
+// Ref.Keys() behind the wire prefix of Ref.Root().
 type Finding struct {
 	Props []string
-	Node  *Node
+	Ref   Ref
 	sig   string
 }
 
 // collector gathers violations from all workers, deduplicating by a
 // caller-supplied bug-class signature and keeping, per signature, the
-// representative node with the smallest (depth, state hash). For runs
+// representative state with the smallest (depth, state hash). For runs
 // bounded only by depth or exhaustion the reported set is therefore
 // identical no matter how worker interleavings ordered the discoveries;
 // under a Budget.Violations cutoff, which violating states fill the quota
@@ -60,22 +62,23 @@ func newCollector(max int) *collector {
 // less orders findings by (depth, state hash, signature): a total order
 // independent of discovery interleaving.
 func (f *Finding) less(o *Finding) bool {
-	if f.Node.depth != o.Node.depth {
-		return f.Node.depth < o.Node.depth
+	a, b := f.Ref.entry(), o.Ref.entry()
+	if a.depth != b.depth {
+		return a.depth < b.depth
 	}
-	if f.Node.hash != o.Node.hash {
-		return f.Node.hash < o.Node.hash
+	if a.hash != b.hash {
+		return a.hash < b.hash
 	}
 	return f.sig < o.sig
 }
 
 // record merges one violating state into the collection and reports whether
 // the violation quota is now (or already was) filled.
-func (c *collector) record(sig string, properties []string, n *Node) (quotaFilled bool) {
+func (c *collector) record(sig string, properties []string, r Ref) (quotaFilled bool) {
 	if c.filled.Load() {
 		return true
 	}
-	f := Finding{Props: properties, Node: n, sig: sig}
+	f := Finding{Props: properties, Ref: r, sig: sig}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.max > 0 && c.recorded >= c.max {
@@ -107,61 +110,81 @@ func (c *collector) findings() []Finding {
 	return out
 }
 
-// violations renders the findings with each representative's path from its
-// chain root.
-func (c *collector) violations() []Violation {
+// violations renders the findings, resolving each representative's path by
+// replaying its descriptors from root — the state every chain of the search
+// starts at. A path that does not replay to the state it was recorded for
+// means a handler is not a function of (seed, local state, event), which the
+// whole checker rests on; the violation is then reported without a path
+// rather than with a wrong one.
+func (c *collector) violations(s *Search, root *GState) []Violation {
 	findings := c.findings()
 	out := make([]Violation, len(findings))
+	x := s.NewExpander()
 	for i, f := range findings {
-		out[i] = Violation{
-			Properties: f.Props,
-			Path:       f.Node.Path(),
-			StateHash:  f.Node.hash,
-			Depth:      f.Node.depth,
+		out[i] = Violation{Properties: f.Props, StateHash: f.Ref.Hash(), Depth: f.Ref.Depth()}
+		if path, g, err := f.Ref.Path(s, x, root); err == nil && g.Hash() == out[i].StateHash {
+			out[i].Path = path
 		}
 	}
 	return out
+}
+
+// held is a claimed state the engine still has to expand (or, at the depth
+// bound, only to admit): the one place a *GState and a sleep set are kept.
+// The workers clear state the moment the entry is expanded or found a
+// consistent leaf; sleep is read by the claim pass that follows (its
+// children's promises inherit from it) and dropped there.
+type held struct {
+	state *GState
+	sleep []uint32 // reduce.go
+	idx   int32    // the state's tree entry
 }
 
 // frontier is the engine's depth-bucketed work pool, drained lowest bucket
 // first. For one range with no injected arrivals a bucket is exactly a BFS
 // level; in a sharded search states arrive at any depth, and draining
 // shallow work first keeps expansion near breadth-first order, which
-// minimizes re-expansions (a state re-arrives shallower less often).
+// minimizes re-expansions (a state re-arrives shallower less often). A
+// bucket is a slab: queueing a level of a million states copies nothing and
+// a level of ten costs ten entries.
 type frontier struct {
-	buckets [][]*Node
+	buckets []*slab[held]
 	low     int
 	count   int
 }
 
-func (f *frontier) push(n *Node) {
-	for n.depth >= len(f.buckets) {
+// push queues h at depth and returns its position in the bucket.
+func (f *frontier) push(depth int, h held) int {
+	for depth >= len(f.buckets) {
 		f.buckets = append(f.buckets, nil)
 	}
-	f.buckets[n.depth] = append(f.buckets[n.depth], n)
-	if f.count == 0 || n.depth < f.low {
-		f.low = n.depth
+	if f.buckets[depth] == nil {
+		f.buckets[depth] = &slab[held]{shift: heldShift}
+	}
+	if f.count == 0 || depth < f.low {
+		f.low = depth
 	}
 	f.count++
+	return f.buckets[depth].push(h)
 }
 
-// at returns the nodes queued at depth.
-func (f *frontier) at(depth int) []*Node {
-	if depth >= len(f.buckets) {
-		return nil
+// len returns the number of states queued at depth.
+func (f *frontier) len(depth int) int {
+	if depth >= len(f.buckets) || f.buckets[depth] == nil {
+		return 0
 	}
-	return f.buckets[depth]
+	return f.buckets[depth].n
 }
 
-// popBucket removes and returns the lowest non-empty bucket.
-func (f *frontier) popBucket() []*Node {
-	for len(f.buckets[f.low]) == 0 {
+// popBucket removes and returns the lowest non-empty bucket and its depth.
+func (f *frontier) popBucket() (*slab[held], int) {
+	for f.len(f.low) == 0 {
 		f.low++
 	}
 	b := f.buckets[f.low]
 	f.buckets[f.low] = nil
-	f.count -= len(b)
-	return b
+	f.count -= b.n
+	return b, f.low
 }
 
 // Engine is the one breadth-first search loop: the paper's Figure 5
@@ -183,33 +206,50 @@ func (f *frontier) popBucket() []*Node {
 // size, the proposals alive at once never exceed one window's, and the
 // tables — written only between windows — need no locks. Once per bucket
 // stays what must not see the bucket's own effects: the consequence (node,
-// local state) merge, the reduction's arrivals table and the between hook.
-// With one worker the engine reproduces the serial breadth-first search of
-// the paper exactly, including expansion order.
+// local state) merge and the between hook. With one worker the engine
+// reproduces the serial breadth-first search of the paper exactly, including
+// expansion order.
+//
+// Who owns what. A claimed state is an entry of the engine's Tree (search.go)
+// and, until it is expanded, a held entry of the frontier; nothing else is
+// kept per state. During a sweep the workers read the tree, the tables and
+// the bucket being drained, and each writes only its own Expander's buffers
+// (proposals, explored sibling keys — values, reused every window), the
+// window slot of the position it expands, and the state field of the held
+// entry it expands or checks. Between sweeps the draining goroutine alone
+// writes: the claim pass appends tree entries, interns event descriptors
+// (the only place that happens, with Inject), builds sleep sets, queues held
+// entries and updates the tables. A proposal the claim pass rejects leaves
+// nothing behind; a held state is released by the worker that expands it
+// (or finds it a consistent leaf) and its sleep set by the claim pass after
+// it.
 //
 // Two kinds of claimed child are never held. A child at Budget.Depth is only
 // ever property-checked, so the workers check it right after the claim pass
-// that claimed it: a consistent one is queued as (parent, event, hash,
-// depth), a violating one keeps its state; either way it is admitted,
-// reported and counted when its bucket is drained, where an unchecked leaf
-// would be. And a child with at least as many nodes queued ahead of it as
-// Budget.States has units left can never be admitted: it enters the tables
-// but not the queue, and the engine ends Exhausted once that queue drains.
+// that claimed it: a consistent one stays queued without its state, a
+// violating one keeps it; either way it is admitted, reported and counted
+// when its bucket is drained, where an unchecked leaf would be. And a child
+// with at least as many states queued ahead of it as Budget.States has units
+// left can never be admitted: it enters the tables and the tree but not the
+// queue, and the engine ends Exhausted once that queue drains.
 //
-// visited maps a fingerprint to the minimal depth it was claimed at; a
-// strictly shallower arrival re-claims and re-expands, which restores
-// exactly the subtree a depth-bounded BFS explores. Within one range that
-// never fires (buckets drain in depth order); it is what makes a sharded
-// search, where states arrive from other shards at any depth, claim the
-// same set as the serial one.
+// visited maps a fingerprint to the tree entry that claimed it, whose depth
+// is the minimal depth it was claimed at; a strictly shallower arrival
+// re-claims (a new entry) and re-expands, which restores exactly the subtree
+// a depth-bounded BFS explores. Within one range that never fires (buckets
+// drain in depth order); it is what makes a sharded search, where states
+// arrive from other shards at any depth, claim the same set as the serial
+// one.
 //
 // With Config.Reduce on, expansion runs the sleep-set partial-order
-// reduction of reduce.go: network transitions slept by the claimed node's
+// reduction of reduce.go: network transitions slept by the claimed state's
 // sleep set are skipped (their targets are commuting-square duplicates of
 // states the sibling branch claims at the same level), and children carry
-// the filtered, extended sleep sets. Because the claim passes are
-// deterministic, the sleep set attached to a claimed state — and therefore
-// the whole reduced exploration — is also identical at every worker count.
+// the filtered, extended sleep sets; a same-level duplicate proposal finds
+// the claimed child through visited and narrows its set (intersectSleep).
+// Because the claim passes are deterministic, the sleep set attached to a
+// claimed state — and therefore the whole reduced exploration — is also
+// identical at every worker count.
 type Engine struct {
 	s       *Search
 	workers int
@@ -218,49 +258,74 @@ type Engine struct {
 	own     HashRange
 	// forward receives each proposed successor own does not contain (nil
 	// when the engine owns the whole space).
-	forward func(*Node) error
+	forward func(Forward) error
 	bdg     *budget
-	visited map[uint64]int32    // fingerprint → minimal claimed depth
+	tree    *Tree
+	visited map[uint64]int32    // fingerprint → the tree entry that claimed it (at its minimal depth)
 	local   map[uint64]struct{} // consequence-prediction dedup table
 	locals  map[uint64]struct{} // distinct node-local states over claimed states
 	coll    *collector
 	fr      frontier
 	// window is claimWindow (a field so tests can show the search does not
-	// depend on it); outs holds the current window's proposed children per
-	// window position, cursor hands the window's positions to the workers
-	// (wg waits for them), proposals counts the children the claim passes have handled (the wall
-	// deadline is read every claimClockEvery of them), and capped records
-	// that the state budget kept a claimed child out of the queue.
+	// depend on it); outs holds what each position of the current window
+	// proposed, cursor hands the window's positions to the workers (wg waits
+	// for them), proposals counts the children the claim passes have handled
+	// (the wall deadline is read every claimClockEvery of them), sibIDs is
+	// the claim pass's cache of one parent's interned sibling keys, and
+	// capped records that the state budget kept a claimed child out of the
+	// queue.
 	window    int
-	outs      [][]*Node
+	outs      []expansion
 	cursor    atomic.Int64
 	wg        sync.WaitGroup
 	proposals int
+	sibIDs    []uint32
 	capped    bool
-	// arrivals maps state hash → the child claimed from the current bucket
-	// (reduction only): duplicate same-level proposals intersect their
-	// sleep sets into the claimed child's, restoring the promises state
-	// matching would otherwise break (see intersectSleep).
-	arrivals map[uint64]*Node
 	// ws holds one reusable workspace per worker (index 0 doubles as the
 	// serial path's).
 	ws  []*Expander
 	ctr counters
 }
 
+// proposal is a successor a worker built and the claim pass has yet to
+// judge. It is a value in the worker's buffer, reused every window: a
+// rejected proposal costs its state and nothing else.
+type proposal struct {
+	state *GState
+	desc  sm.EventKey // the transition from the parent (sm.DescOf)
+	// sibs is how many of the parent's explored siblings the child sleeps on
+	// if they are independent of desc (reduce.go); negative when the child
+	// starts with an empty sleep set.
+	sibs int32
+}
+
+// expansion is what expanding one window position left for the claim pass:
+// the proposals and explored sibling keys, as ranges of the expanding
+// worker's buffers, and the violated set the children inherit. The zero
+// value is a position the budget did not admit.
+type expansion struct {
+	x            *Expander
+	lo, hi       int32 // x.props[lo:hi]
+	sibLo, sibHi int32 // x.sibs[sibLo:sibHi]
+	violated     uint64
+}
+
 // Expander is one worker's reusable per-state workspace: the property-check
 // view and the event-enumeration buffers are recycled across every state
-// the worker processes, so the per-state path allocates only for the
-// successors it actually keeps. Check and Events expose the same two steps
-// to callers outside the engine (path replay in internal/dist, the
-// benchmark's layer probes). An Expander is not safe for concurrent use.
+// the worker processes, and what it proposes for a window lives in buffers
+// recycled across windows, so the per-state path allocates only for the
+// successors themselves. Check and Events expose the same two steps to
+// callers outside the engine (path replay in internal/dist, the benchmark's
+// layer probes). An Expander is not safe for concurrent use.
 type Expander struct {
 	s      *Search
 	view   *props.View
 	evb    eventBuf
-	sibs   []sm.EventKey // explored siblings (reduction)
-	enc    *sm.Encoder   // app-call fingerprint scratch (reduction)
-	claims []uint64      // consequence (node, local state) claims awaiting the end of the bucket
+	enc    *sm.Encoder    // app-call and payload fingerprint scratch
+	props  []proposal     // this window's proposals
+	sibs   []sm.EventKey  // this window's explored siblings, per parent in order (reduction)
+	sleep  []*sm.EventKey // the expanding state's sleep set, resolved (reduction)
+	claims []uint64       // consequence (node, local state) claims awaiting the end of the bucket
 }
 
 // NewExpander returns a fresh workspace bound to the search.
@@ -284,12 +349,27 @@ func (x *Expander) Check(g *GState) []string {
 // must not reenter Events on the same Expander: the enumeration buffer is
 // recycled per call.
 func (x *Expander) Events(g *GState, emit func(sm.Event)) {
-	for _, ev := range x.s.networkInto(g, &x.evb) {
-		emit(ev)
+	x.each(g, func(c *cand) bool {
+		emit(c.event())
+		return true
+	})
+}
+
+// each visits the transitions enabled at g in Events' order, unboxed, until
+// visit returns false; a candidate is valid until the next one is visited.
+func (x *Expander) each(g *GState, visit func(*cand) bool) {
+	cs := x.s.networkInto(g, &x.evb)
+	for i := range cs {
+		if !visit(&cs[i]) {
+			return
+		}
 	}
-	for i := range g.ids {
-		for _, ev := range x.s.internalInto(g, i, &x.evb) {
-			emit(ev)
+	for n := range g.nodes {
+		cs = x.s.internalInto(g, n, &x.evb, x.enc)
+		for i := range cs {
+			if !visit(&cs[i]) {
+				return
+			}
 		}
 	}
 }
@@ -305,7 +385,7 @@ func (x *Expander) Events(g *GState, emit func(sm.Event)) {
 // sorted set of violated properties and deduplicates by that set alone —
 // a pure function of the claimed states, hence identical at any shard and
 // worker count; representative paths remain scheduling telemetry.
-func (s *Search) NewEngine(b Budget, own HashRange, forward func(*Node) error) *Engine {
+func (s *Search) NewEngine(b Budget, own HashRange, forward func(Forward) error) *Engine {
 	if b.Workers < 1 {
 		b.Workers = 1
 	}
@@ -317,6 +397,7 @@ func (s *Search) NewEngine(b Budget, own HashRange, forward func(*Node) error) *
 		own:     own,
 		forward: forward,
 		bdg:     newBudget(b, s.cfg.Now),
+		tree:    newTree(forward != nil),
 		visited: make(map[uint64]int32),
 		local:   make(map[uint64]struct{}),
 		locals:  make(map[uint64]struct{}),
@@ -327,67 +408,68 @@ func (s *Search) NewEngine(b Budget, own HashRange, forward func(*Node) error) *
 	for w := range e.ws {
 		e.ws[w] = s.NewExpander()
 	}
-	if e.reduce {
-		e.arrivals = make(map[uint64]*Node)
-	}
 	return e
 }
 
 // Seen reports whether fingerprint h is already claimed at depth or
 // shallower — whether injecting such a state would be a duplicate. A
 // sharded search asks before paying for a wire arrival's path replay.
-func (e *Engine) Seen(h uint64, depth int) bool {
-	prior, ok := e.visited[h]
-	return ok && int(prior) <= depth
-}
-
-// Inject claims n into the engine's range and queues it for expansion,
-// unless its state is already claimed at n's depth or shallower. n must
-// still hold its state: a node some engine has expanded or found a
-// consistent leaf (n.State() == nil) cannot be claimed again. Inject must not
-// be called while Drain is expanding (the between-buckets hook is the place
-// to inject mid-drain).
-func (e *Engine) Inject(n *Node) bool {
-	if !e.claim(n) {
-		return false
-	}
-	e.hold(n)
-	return true
-}
-
-// hold queues a claimed node, state attached, and accounts the state's bytes
-// until the node is expanded or found a consistent leaf.
-func (e *Engine) hold(n *Node) {
-	atomicMax(&e.ctr.peakBytes, e.ctr.frontierBytes.Add(int64(n.state.EncodedSize())))
-	e.fr.push(n)
-}
-
-// claim enters a state this engine owns in its tables: record its minimal
-// depth and fold the node-local state its event produced into the coverage
-// set. Every write to the tables happens here, between windows on the
-// goroutine driving Drain, which is why they are plain maps.
 //
 //crystal:hotpath
-func (e *Engine) claim(n *Node) bool {
-	if e.Seen(n.hash, n.depth) {
-		return false
+func (e *Engine) Seen(h uint64, depth int) bool {
+	idx, ok := e.visited[h]
+	return ok && int(e.tree.entries.at(int(idx)).depth) <= depth
+}
+
+// Inject claims f.State into the engine's range as a chain root at f.Depth
+// and queues it for expansion, unless the state is already claimed at that
+// depth or shallower. It returns the root's Ref and whether it was claimed.
+// Inject must not be called while Drain is expanding (the between-buckets
+// hook is the place to inject mid-drain).
+func (e *Engine) Inject(f Forward) (Ref, bool) {
+	if e.Seen(f.State.Hash(), f.Depth) {
+		return Ref{}, false
 	}
-	e.visited[n.hash] = int32(n.depth)
+	idx := e.tree.root(f)
+	e.claim(idx, f.State)
+	e.hold(idx, f.State, nil)
+	return Ref{e.tree, idx}, true
+}
+
+// hold queues a claimed state and accounts its bytes until it is expanded or
+// found a consistent leaf.
+//
+//crystal:hotpath
+func (e *Engine) hold(idx int32, g *GState, sleep []uint32) {
+	atomicMax(&e.ctr.peakBytes, e.ctr.frontierBytes.Add(int64(g.EncodedSize())+heldEntryBytes+4*int64(len(sleep))))
+	ent := e.tree.entries.at(int(idx))
+	ent.pos = int32(e.fr.push(int(ent.depth), held{state: g, sleep: sleep, idx: idx}))
+}
+
+// claim enters the state g of tree entry idx in the engine's tables: record
+// which entry claimed its fingerprint and fold the node-local state its
+// event produced into the coverage set. Every write to the tables happens
+// here, between windows on the goroutine driving Drain, which is why they
+// are plain maps.
+//
+//crystal:hotpath
+func (e *Engine) claim(idx int32, g *GState) {
+	ent := e.tree.entries.at(int(idx))
+	e.visited[ent.hash] = idx
 	// A successor differs from its parent in at most the node its event
-	// executed at, so a claim records that one local state; a chain root
-	// (the start state, or a state that arrived without its event) records
-	// every node. The union over all claims is every local state of every
-	// claimed state either way.
-	if n.event == nil {
-		for _, ns := range n.state.nodes {
+	// executed at, so a claim records that one local state; a chain root (the
+	// start state, or a state that arrived from another engine) records every
+	// node. The union over all claims is every local state of every claimed
+	// state either way.
+	if ent.parent < 0 {
+		for _, ns := range g.nodes {
 			e.locals[ns.localHash()] = struct{}{}
 		}
-	} else if _, drop := n.event.(sm.DropEvent); !drop { // a drop touches no node
-		if ns := n.state.Node(n.event.Node()); ns != nil {
+	} else if k := e.tree.keys.at(int(ent.event)); k.Kind != 'D' { // a drop touches no node
+		if ns := g.Node(k.Node); ns != nil {
 			e.locals[ns.localHash()] = struct{}{}
 		}
 	}
-	return true
 }
 
 // Drain expands the frontier, lowest depth bucket first and each bucket a
@@ -397,11 +479,11 @@ func (e *Engine) claim(n *Node) bool {
 // error from the sink or from between stops the drain.
 func (e *Engine) Drain(between func() error) error {
 	for e.fr.count > 0 && !e.bdg.exhausted() {
-		bucket := e.fr.popBucket()
-		for lo := 0; lo < len(bucket) && !e.bdg.exhausted(); lo += e.window {
-			hi := min(lo+e.window, len(bucket))
-			e.expandWindow(bucket[lo:hi])
-			if err := e.claimPass(bucket[lo].depth+1, len(bucket)-hi); err != nil {
+		bucket, depth := e.fr.popBucket()
+		for lo := 0; lo < bucket.n && !e.bdg.exhausted(); lo += e.window {
+			n := min(e.window, bucket.n-lo)
+			e.expandWindow(bucket, lo, n)
+			if err := e.claimPass(bucket, lo, depth+1, bucket.n-lo-n); err != nil {
 				return err
 			}
 		}
@@ -414,7 +496,6 @@ func (e *Engine) Drain(between func() error) error {
 			}
 			x.claims = x.claims[:0]
 		}
-		clear(e.arrivals)
 		if between != nil {
 			if err := between(); err != nil {
 				return err
@@ -431,112 +512,161 @@ func (e *Engine) Drain(between func() error) error {
 	return nil
 }
 
-// sweep runs work over nodes on up to Budget.Workers workers, each with its
-// own workspace, and returns when all are done. work pulls positions from
-// e.cursor; with a single worker (or a single node) it runs inline, in
-// order — the paper's FIFO search.
+// sweep runs work over n positions of bucket from lo on up to Budget.Workers
+// workers, each with its own workspace, and returns when all are done. work
+// pulls positions from e.cursor; with a single worker (or a single position)
+// it runs inline, in order — the paper's FIFO search.
 //
 //crystal:hotpath
-func (e *Engine) sweep(nodes []*Node, work func(*Engine, []*Node, *Expander)) {
+func (e *Engine) sweep(bucket *slab[held], lo, n int, work func(*Engine, *slab[held], int, int, *Expander)) {
 	e.cursor.Store(0)
-	workers := min(e.workers, len(nodes))
+	workers := min(e.workers, n)
 	if workers <= 1 {
-		work(e, nodes, e.ws[0])
+		work(e, bucket, lo, n, e.ws[0])
 		return
 	}
 	e.wg.Add(workers)
 	for _, x := range e.ws[:workers] {
-		go e.share(nodes, work, x)
+		go e.share(bucket, lo, n, work, x)
 	}
 	e.wg.Wait()
 }
 
 // share is one worker's goroutine in a sweep.
-func (e *Engine) share(nodes []*Node, work func(*Engine, []*Node, *Expander), x *Expander) {
+func (e *Engine) share(bucket *slab[held], lo, n int, work func(*Engine, *slab[held], int, int, *Expander), x *Expander) {
 	defer e.wg.Done()
-	work(e, nodes, x)
+	work(e, bucket, lo, n, x)
 }
 
-// expandWindow expands one window of a depth bucket, leaving the proposed
-// children per window position in e.outs (nil for a position the budget did
-// not admit).
+// expandWindow expands the n positions of bucket from lo, leaving what each
+// proposed in e.outs (the zero expansion for a position the budget did not
+// admit).
 //
 //crystal:hotpath
-func (e *Engine) expandWindow(win []*Node) {
-	if cap(e.outs) < len(win) {
-		e.outs = make([][]*Node, len(win))
+func (e *Engine) expandWindow(bucket *slab[held], lo, n int) {
+	if cap(e.outs) < n {
+		e.outs = make([]expansion, n)
 	}
-	e.outs = e.outs[:len(win)]
+	e.outs = e.outs[:n]
 	clear(e.outs)
-	e.sweep(win, (*Engine).expandNodes)
+	for _, x := range e.ws {
+		x.props, x.sibs = x.props[:0], x.sibs[:0]
+	}
+	e.sweep(bucket, lo, n, (*Engine).expandNodes)
 }
 
-// expandNodes is one worker's share of expandWindow. A node lets go of its
-// state and sleep set the moment its expansion returns: from then on the
-// search needs only its (parent, event, hash, depth) — paths replay from
-// events — so the retained tree never pins an expanded GState.
+// expandNodes is one worker's share of expandWindow. A held entry lets go of
+// its state the moment its expansion returns: from then on the search needs
+// only the tree entry — paths replay from descriptors — so nothing retained
+// pins an expanded GState.
 //
 //crystal:hotpath
-func (e *Engine) expandNodes(win []*Node, x *Expander) {
+func (e *Engine) expandNodes(bucket *slab[held], lo, n int, x *Expander) {
 	for {
 		i := int(e.cursor.Add(1)) - 1
-		if i >= len(win) || e.bdg.exhausted() || !e.bdg.admitState() {
+		if i >= n || e.bdg.exhausted() || !e.bdg.admitState() {
 			return
 		}
-		e.outs[i] = e.expand(win[i], x)
-		win[i].state, win[i].sleep = nil, nil
+		h := bucket.at(lo + i)
+		e.outs[i] = e.expand(h, x)
+		h.state = nil
 	}
 }
 
 // claimPass is the deterministic claim pass that follows a window's
-// expansion: e.outs proposes children at depth, and rest positions of the
-// bucket being drained lie beyond the window. Proposed children are claimed —
-// or, outside the owned range, handed to the sink — in (bucket position,
-// sibling) order, exactly the serial search's order, so the surviving next
-// level, each state's representative parent path and each state's sleep set
-// are worker-count and window independent. A claimed child is queued unless
-// the state budget cannot reach it: rest + the nodes already queued at its
-// depth are admitted before it (several workers may admit up to workers-1
-// positions out of order, which the cap forgoes). Children claimed at the
-// depth bound are then checked by the workers.
+// expansion: e.outs proposes children at depth for the positions of bucket
+// from lo, and rest positions of the bucket lie beyond the window. Proposed
+// children are claimed — or, outside the owned range, handed to the sink —
+// in (bucket position, sibling) order, exactly the serial search's order, so
+// the surviving next level, each state's representative parent path and each
+// state's sleep set are worker-count and window independent. A claimed child
+// is queued unless the state budget cannot reach it: rest + the states
+// already queued at its depth are admitted before it (several workers may
+// admit up to workers-1 positions out of order, which the cap forgoes).
+// Children claimed at the depth bound are then checked by the workers.
 //
 //crystal:hotpath
-func (e *Engine) claimPass(depth, rest int) error {
-	first := len(e.fr.at(depth))
-	for _, children := range e.outs {
-		for _, child := range children {
+func (e *Engine) claimPass(bucket *slab[held], lo, depth, rest int) error {
+	first := e.fr.len(depth)
+	leaves := depth == e.bdg.lim.Depth
+	for i := range e.outs {
+		out := &e.outs[i]
+		if out.x == nil {
+			continue
+		}
+		parent := bucket.at(lo + i)
+		sibs := out.x.sibs[out.sibLo:out.sibHi]
+		e.sibIDs = append(e.sibIDs[:0], make([]uint32, len(sibs))...)
+		for j := out.lo; j < out.hi; j++ {
 			// Past the wall deadline nothing claimed here would ever be
 			// expanded: stop claiming, checking every few thousand children.
 			if e.proposals++; e.proposals%claimClockEvery == 0 && e.bdg.expired() {
 				return nil
 			}
-			h := child.hash
+			p := &out.x.props[j]
+			h := p.state.Hash()
 			if !e.own.Contains(h) {
-				if err := e.forward(child); err != nil {
+				if err := e.forward(Forward{State: p.state, Depth: depth, Parent: Ref{e.tree, parent.idx}, Desc: p.desc}); err != nil {
 					return err
 				}
 				continue
 			}
-			if !e.claim(child) {
-				if prior, ok := e.arrivals[h]; ok {
-					prior.sleep = intersectSleep(prior.sleep, child.sleep)
+			promised := promise{inherited: parent.sleep, enter: p.desc}
+			if p.sibs >= 0 {
+				promised.siblings = sibs[:p.sibs]
+			}
+			if prior, ok := e.visited[h]; ok && int(e.tree.entries.at(int(prior)).depth) <= depth {
+				if e.reduce {
+					e.narrow(prior, depth, promised, p.sibs >= 0)
 				}
 				continue
 			}
-			if e.bdg.lim.States > 0 && rest+len(e.fr.at(depth)) >= e.bdg.statesLeft() {
+			idx := e.tree.child(parent.idx, p.desc, h, depth, out.violated)
+			e.claim(idx, p.state)
+			if e.bdg.lim.States > 0 && rest+e.fr.len(depth) >= e.bdg.statesLeft() {
 				e.capped = true
 				continue
 			}
-			if e.reduce {
-				e.arrivals[h] = child
+			// A child at the depth bound is checked but never expanded, so
+			// its sleep set would never be read.
+			var sleep []uint32
+			if p.sibs >= 0 && !leaves {
+				sleep = e.tree.childSleep(promised, e.sibIDs)
 			}
-			e.hold(child)
+			e.hold(idx, p.state, sleep)
 		}
+		parent.sleep = nil
 	}
-	if depth == e.bdg.lim.Depth {
-		e.sweep(e.fr.at(depth)[first:], (*Engine).checkLeaves)
+	// The buffers outlive the window: drop their claim on the states.
+	for _, x := range e.ws {
+		clear(x.props)
+	}
+	if n := e.fr.len(depth) - first; leaves && n > 0 {
+		e.sweep(e.fr.buckets[depth], first, n, (*Engine).checkLeaves)
 	}
 	return nil
+}
+
+// narrow is what a duplicate arrival does to the state it duplicates: if
+// prior was claimed at this very depth and is still queued there — claimed
+// from the bucket being drained, that is — its sleep set keeps only what the
+// arrival's promised set (the empty one unless promises) holds too.
+func (e *Engine) narrow(prior int32, depth int, promised promise, promises bool) {
+	ent := e.tree.entries.at(int(prior))
+	if int(ent.depth) != depth || ent.pos < 0 || int(ent.pos) >= e.fr.len(depth) {
+		return
+	}
+	q := e.fr.buckets[depth].at(int(ent.pos))
+	if q.idx != prior || len(q.sleep) == 0 {
+		return
+	}
+	was := len(q.sleep)
+	if promises {
+		q.sleep = e.tree.intersectSleep(q.sleep, promised)
+	} else {
+		q.sleep = nil
+	}
+	e.ctr.frontierBytes.Add(-4 * int64(was-len(q.sleep)))
 }
 
 // checkLeaves is one worker's share of checking the children a claim pass
@@ -545,138 +675,126 @@ func (e *Engine) claimPass(depth, rest int) error {
 // is drained.
 //
 //crystal:hotpath
-func (e *Engine) checkLeaves(leaves []*Node, x *Expander) {
+func (e *Engine) checkLeaves(bucket *slab[held], lo, n int, x *Expander) {
 	for {
 		i := int(e.cursor.Add(1)) - 1
-		if i >= len(leaves) {
+		if i >= n {
 			return
 		}
-		if n := leaves[i]; len(x.Check(n.state)) == 0 {
-			e.ctr.frontierBytes.Add(-int64(n.state.EncodedSize()))
-			n.state = nil
+		h := bucket.at(lo + i)
+		h.state.FillView(x.view)
+		if e.s.violatedBits(x.view) == 0 {
+			e.ctr.frontierBytes.Add(-int64(h.state.EncodedSize()))
+			h.state = nil
 		}
 	}
 }
 
-// reportViolation records the violation found at n and returns the violated
-// set its children inherit (see NewEngine for the two recording rules).
-func (e *Engine) reportViolation(n *Node, violated []string) map[string]bool {
+// reportViolation records the violation found at the state r names — bits is
+// what x's view violates — and returns the violated set its children inherit
+// (see NewEngine for the two recording rules).
+func (e *Engine) reportViolation(r Ref, bits uint64, x *Expander) uint64 {
 	if e.forward != nil {
+		violated := e.s.propNames(bits, x.view)
 		sort.Strings(violated)
-		if e.coll.record(strings.Join(violated, "|"), violated, n) {
+		if e.coll.record(strings.Join(violated, "|"), violated, r) {
 			e.bdg.halt(stopViolations)
 		}
-		return nil
+		return 0
 	}
 	// Report the *onset* of each violation — properties violated here but
 	// not on the path so far — then keep exploring, as the paper's search
 	// does: a start state that already violates one property must not
 	// mask deeper, different bugs.
-	onset := make([]string, 0, len(violated))
-	for _, p := range violated {
-		if !n.violated[p] {
-			onset = append(onset, p)
-		}
+	path := r.entry().violated
+	if bits&^path == 0 {
+		return path
 	}
-	if len(onset) == 0 {
-		return n.violated
-	}
-	if e.coll.record(signature(onset, n.event), onset, n) {
+	onset := e.s.propNames(bits&^path, x.view)
+	if e.coll.record(signature(onset, r.last()), onset, r) {
 		e.bdg.halt(stopViolations)
 	}
-	next := make(map[string]bool, len(n.violated)+len(onset))
-	for p := range n.violated {
-		next[p] = true
-	}
-	for _, p := range onset {
-		next[p] = true
-	}
-	return next
+	return path | bits
 }
 
 // expand explores one admitted state: check properties, expand successors
 // (cloning before every handler invocation, so the shared predecessor state
-// is never written), and return the proposed children — the window's claim
-// pass claims them. A leaf found consistent when it was claimed has no state
-// and nothing left to do. Consequence (node, local state) claims go to
-// x.claims for the merge at the end of the bucket. With reduction on, network
-// transitions slept by the node's sleep set are skipped and each child
-// carries its inherited-and-extended sleep set (reduce.go).
+// is never written), and leave the proposed children in x's buffers — the
+// window's claim pass claims them. A leaf found consistent when it was
+// claimed has no state and nothing left to do. Consequence (node, local
+// state) claims go to x.claims for the merge at the end of the bucket. With
+// reduction on, network transitions slept by the state's sleep set are
+// skipped — recognised from the enumerated key, before any event is boxed —
+// and each proposal records the sleep set it is promised (reduce.go).
 //
 //crystal:hotpath
-func (e *Engine) expand(node *Node, x *Expander) []*Node {
-	atomicMax(&e.ctr.maxDepth, int64(node.depth))
-	if node.state == nil {
-		return nil
+func (e *Engine) expand(h *held, x *Expander) expansion {
+	r := Ref{e.tree, h.idx}
+	depth := r.Depth()
+	atomicMax(&e.ctr.maxDepth, int64(depth))
+	e.ctr.frontierBytes.Add(-heldEntryBytes - 4*int64(len(h.sleep)))
+	state := h.state
+	if state == nil {
+		return expansion{}
 	}
-	e.ctr.frontierBytes.Add(-int64(node.state.EncodedSize()))
+	e.ctr.frontierBytes.Add(-int64(state.EncodedSize()))
 
-	pathViolated := node.violated
-	if violated := x.Check(node.state); len(violated) > 0 {
-		pathViolated = e.reportViolation(node, violated)
+	out := expansion{x: x, lo: int32(len(x.props)), sibLo: int32(len(x.sibs)), violated: r.entry().violated}
+	state.FillView(x.view)
+	if bits := e.s.violatedBits(x.view); bits != 0 {
+		out.violated = e.reportViolation(r, bits, x)
 	}
-	if e.bdg.lim.Depth > 0 && node.depth >= e.bdg.lim.Depth {
-		return nil
+	if e.bdg.lim.Depth > 0 && depth >= e.bdg.lim.Depth {
+		return expansion{}
 	}
 
-	// A child at the depth bound is checked but never expanded, so its sleep
-	// set would never be read.
-	leaves := e.bdg.lim.Depth > 0 && node.depth+1 >= e.bdg.lim.Depth
-	var children []*Node
-	sibs := x.sibs[:0]
-	// expand executes ev and reports whether its handler ran. The successor
-	// becomes a proposed child unless the visited table, which no one writes
-	// during expansion, already holds its fingerprint at this node's depth or
-	// shallower: the claim pass would have to reject such a child, so no Node
+	// run executes c and reports whether its handler ran. The successor
+	// becomes a proposal unless the visited table, which no one writes during
+	// expansion, already holds its fingerprint at this state's depth or
+	// shallower: the claim pass would have to reject such a child, so nothing
 	// is built for it. A fingerprint claimed at the child's own depth — by an
 	// earlier window, say — still goes to the claim pass (intersectSleep needs
 	// the arrival), as does one this engine does not own (visited holds only
-	// owned fingerprints).
-	expand := func(ev sm.Event) (child *Node, ran bool) {
+	// owned fingerprints). With promise the child sleeps on the siblings
+	// explored so far, and once its handler ran c joins them.
+	run := func(c *cand, promise bool) {
 		if !e.bdg.admitTransition() {
-			return nil, false
+			return
 		}
-		next := e.s.ApplyEvent(node.state, ev)
+		next := e.s.applyEvent(state, c.event(), true)
 		if next == nil {
 			e.bdg.refundTransition()
-			return nil, false
+			return
 		}
 		e.ctr.transitions.Add(1)
-		if e.Seen(next.Hash(), node.depth) {
-			return nil, true
+		if !e.Seen(next.Hash(), depth) {
+			sibs := int32(-1)
+			if promise {
+				sibs = int32(len(x.sibs)) - out.sibLo
+			}
+			x.props = append(x.props, proposal{state: next, desc: c.desc(x.enc), sibs: sibs})
 		}
-		child = node.child(next, ev)
-		child.violated = pathViolated
-		children = append(children, child)
-		return child, true
-	}
-	// promise expands the transition k: its child, if one is proposed,
-	// carries the sleep set inherited through k, and once its handler ran k
-	// joins the explored siblings later children sleep on.
-	promise := func(ev sm.Event, k sm.EventKey) {
-		child, ran := expand(ev)
-		if child != nil && !leaves {
-			child.sleep = childSleep(node.sleep, sibs, k)
-		}
-		if ran {
-			sibs = append(sibs, k)
+		if promise {
+			x.sibs = append(x.sibs, c.key)
 		}
 	}
 
 	// H_M: always process all network handlers (Figure 8 line 13) — minus,
-	// under reduction, the transitions this node's sleep set proves are
+	// under reduction, the transitions this state's sleep set proves are
 	// commuting-square duplicates of a sibling branch.
-	for _, ev := range e.s.networkInto(node.state, &x.evb) {
-		if !e.reduce {
-			expand(ev)
-			continue
-		}
-		k := sm.KeyOf(ev, x.enc)
-		if node.sleep.contains(k) {
+	x.sleep = x.sleep[:0]
+	for _, id := range h.sleep {
+		x.sleep = append(x.sleep, e.tree.keys.at(int(id)))
+	}
+	network := e.s.networkInto(state, &x.evb)
+	for i := range network {
+		if c := &network[i]; !e.reduce {
+			run(c, false)
+		} else if slept(x.sleep, &c.key) {
 			e.ctr.sleepHits.Add(1)
-			continue
+		} else {
+			run(c, true)
 		}
-		promise(ev, k)
 	}
 	// H_A: internal actions, pruned per (node, local state) in
 	// consequence mode (Figure 8 lines 16-20). In exhaustive mode, timers,
@@ -697,39 +815,34 @@ func (e *Engine) expand(node *Node, x *Expander) []*Node {
 	// The claim is tested before anything is enumerated: of a claimed (node,
 	// local state) the rule needs only the number of actions it prunes, and
 	// most nodes of most states are claimed.
-	for i, ns := range node.state.nodes {
+	for n, ns := range state.nodes {
 		claimed := false
 		if e.prune {
 			_, claimed = e.local[ns.localHash()]
 		}
 		if claimed {
-			e.ctr.localPrunes.Add(int64(e.s.internalAt(node.state, i, nil)))
+			e.ctr.localPrunes.Add(int64(e.s.internalAt(state, n, nil, nil)))
 			continue
 		}
-		evs := e.s.internalInto(node.state, i, &x.evb)
-		if len(evs) == 0 {
+		internal := e.s.internalInto(state, n, &x.evb, x.enc)
+		if len(internal) == 0 {
 			continue
 		}
 		if e.prune {
 			x.claims = append(x.claims, ns.localHash())
 		}
-		for _, ev := range evs {
-			if !e.reduce {
-				expand(ev)
-				continue
-			}
-			switch k := sm.KeyOf(ev, x.enc); {
-			case node.sleep.contains(k): // never a reset: none is ever promised
+		for i := range internal {
+			if c := &internal[i]; !e.reduce {
+				run(c, false)
+			} else if slept(x.sleep, &c.key) { // never a reset: none is ever promised
 				e.ctr.sleepHits.Add(1)
-			case k.Kind == 'R' || e.prune:
-				expand(ev)
-			default:
-				promise(ev, k)
+			} else {
+				run(c, c.key.Kind != 'R' && !e.prune)
 			}
 		}
 	}
-	x.sibs = sibs
-	return children
+	out.hi, out.sibHi = int32(len(x.props)), int32(len(x.sibs))
+	return out
 }
 
 // Exhausted reports whether a budget bound (or the violation quota) has
@@ -753,7 +866,7 @@ func sortedKeys[V any](m map[uint64]V) []uint64 {
 	for h := range m {
 		out = append(out, h)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }
 
@@ -761,11 +874,15 @@ func sortedKeys[V any](m map[uint64]V) []uint64 {
 // hash, signature).
 func (e *Engine) Findings() []Finding { return e.coll.findings() }
 
-// Result summarises the search so far. Violation paths run from each
-// representative's chain root.
+// Violations renders the findings with each representative's event path from
+// root, the state every chain of this engine starts at (a single-range
+// search's start state).
+func (e *Engine) Violations(root *GState) []Violation { return e.coll.violations(e.s, root) }
+
+// Result summarises the search so far, all but the violations: their paths
+// are replayed from the start state, which Violations takes.
 func (e *Engine) Result() *Result {
 	res := &Result{
-		Violations:          e.coll.violations(),
 		StatesExplored:      e.bdg.statesAdmitted(),
 		Transitions:         int(e.ctr.transitions.Load()),
 		MaxDepthReached:     int(e.ctr.maxDepth.Load()),
@@ -782,11 +899,34 @@ func (e *Engine) Result() *Result {
 	if e.s.cfg.RecordClaimedStates {
 		res.ClaimedStates = e.ClaimedStates()
 	}
-	// Hash-set entries cost roughly 16 bytes (8-byte key + bucket
-	// overhead amortised); held states dominate at shallow depths.
-	res.PeakMemoryBytes = e.ctr.peakBytes.Load() + int64(len(e.visited)+len(e.local))*16
+	// What the engine allocated itself it knows exactly — the tree's slabs,
+	// the frontier's entries and sleep sets at their peak — and the runtime's
+	// tables it knows by their size; only the held states are an estimate
+	// (their encoded footprint, Figure 15's measure).
+	res.PeakMemoryBytes = e.ctr.peakBytes.Load() + e.tree.bytes() +
+		tableBytes(len(e.visited)) + tableBytes(len(e.local)) + tableBytes(len(e.locals))
 	if res.StatesExplored > 0 {
 		res.PerStateBytes = float64(res.PeakMemoryBytes) / float64(res.StatesExplored)
 	}
 	return res
+}
+
+// heldEntryBytes is what a queued state costs beside its GState and sleep
+// set: its held entry in the bucket's slab.
+const heldEntryBytes = int64(unsafe.Sizeof(held{}))
+
+// tableBytes estimates the heap bytes of one of the runtime's hash tables
+// holding n entries of up to 16 bytes (visited, local, locals): groups of
+// eight slots and a control word, filled to 7/8 at most and doubled when
+// full — 18 bytes a slot, measured over tables grown by insertion to 3·10²…
+// 8·10⁶ entries (24–38 B an entry, depending on how recently it doubled).
+func tableBytes(n int) int64 {
+	if n == 0 {
+		return 0
+	}
+	slots := 8
+	for slots*7 < n*8 {
+		slots <<= 1
+	}
+	return int64(slots) * 18
 }

@@ -49,7 +49,7 @@ func TestMinDepthClaimRule(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if !e.Inject(NewNode(S, 4)) {
+	if _, claimed := e.Inject(Forward{State: S, Depth: 4}); !claimed {
 		t.Fatal("first arrival of S not claimed")
 	}
 	drain()
@@ -60,7 +60,7 @@ func TestMinDepthClaimRule(t *testing.T) {
 	}
 
 	for _, d := range []int{4, 5} {
-		if e.Inject(NewNode(S, d)) {
+		if _, claimed := e.Inject(Forward{State: S, Depth: d}); claimed {
 			t.Fatalf("S re-arriving at depth %d was claimed again", d)
 		}
 	}
@@ -70,7 +70,7 @@ func TestMinDepthClaimRule(t *testing.T) {
 			got.StatesExplored, e.Claimed(), deep.StatesExplored, len(deep.ClaimedStates))
 	}
 
-	if !e.Inject(NewNode(S, 2)) {
+	if _, claimed := e.Inject(Forward{State: S, Depth: 2}); !claimed {
 		t.Fatal("S re-arriving two levels shallower was not re-claimed")
 	}
 	drain()
@@ -83,7 +83,7 @@ func TestMinDepthClaimRule(t *testing.T) {
 			len(shallow.ClaimedStates), len(deep.ClaimedStates))
 	}
 
-	e.Inject(NewNode(root, 0))
+	e.Inject(Forward{State: root})
 	drain()
 	if got := e.ClaimedStates(); !reflect.DeepEqual(got, want.ClaimedStates) {
 		t.Fatalf("claimed set is not the depth-bounded BFS set: %d states, BFS has %d", len(got), len(want.ClaimedStates))

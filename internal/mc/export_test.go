@@ -30,7 +30,7 @@ func CheckWindowIndependence(t *testing.T, cfg Config, start *GState, spans ...M
 		s := NewSearch(c)
 		e := s.NewEngine(c.Budget, HashRange{}, nil)
 		e.window = window
-		e.Inject(NewNode(start, 0))
+		e.Inject(Forward{State: start})
 		claimed := e.Claimed()
 		if err := e.Drain(func() error {
 			widest = max(widest, e.Claimed()-claimed)
@@ -40,6 +40,7 @@ func CheckWindowIndependence(t *testing.T, cfg Config, start *GState, spans ...M
 			t.Fatal(err)
 		}
 		res = e.Result()
+		res.Violations = e.Violations(start)
 		// What legitimately depends on the window (the peak of what is held)
 		// or on the clock.
 		res.PeakMemoryBytes, res.PerStateBytes, res.Elapsed = 0, 0, 0
@@ -93,7 +94,7 @@ func StateBudgetRun(t *testing.T, cfg Config, start *GState, states, depth, work
 	cfg.Budget = Budget{States: states, Depth: depth, Workers: workers}
 	s := NewSearch(cfg)
 	e := s.NewEngine(cfg.Budget, HashRange{}, nil)
-	e.Inject(NewNode(start, 0))
+	e.Inject(Forward{State: start})
 	if err := e.Drain(func() error {
 		if left := states - e.bdg.statesAdmitted(); e.fr.count > left+workers-1 {
 			t.Fatalf("States=%d workers=%d: %d nodes queued with %d units of the budget left", states, workers, e.fr.count, left)
@@ -103,6 +104,7 @@ func StateBudgetRun(t *testing.T, cfg Config, start *GState, states, depth, work
 		t.Fatal(err)
 	}
 	res := e.Result()
+	res.Violations = e.Violations(start)
 	if cut := e.Claimed() > res.StatesExplored; cut != e.Exhausted() || cut != (res.StopReason == "states") || (cut && res.StatesExplored != states) {
 		t.Fatalf("States=%d workers=%d: claimed %d, explored %d, exhausted %v, stop %q", states, workers, e.Claimed(), res.StatesExplored, e.Exhausted(), res.StopReason)
 	}
@@ -119,8 +121,54 @@ func StateBudgetRun(t *testing.T, cfg Config, start *GState, states, depth, work
 // CountInternal is the enumeration's count-only mode over every node of g:
 // the number of internal actions enabled there, with no event built.
 func (s *Search) CountInternal(g *GState) (n int) {
-	for i := range g.ids {
-		n += s.internalAt(g, i, nil)
+	for i := range g.nodes {
+		n += s.internalAt(g, i, nil, nil)
 	}
 	return n
+}
+
+// queuedAt calls visit for every state queued at depth, in queue order.
+func (e *Engine) queuedAt(depth int, visit func(r Ref, h *held)) {
+	for i, n := 0, e.fr.len(depth); i < n; i++ {
+		h := e.fr.buckets[depth].at(i)
+		visit(Ref{e.tree, h.idx}, h)
+	}
+}
+
+// CheckPathOracle is the path oracle over every claimed state, not only the
+// violating ones: cfg, bounded by depth only, runs from start at 1 and 2
+// workers with the claim window at 1, 7 and the default, and after each run
+// every entry of the engine's tree — there must be exactly one per claimed
+// state — has a Path that resolves from start, holds Depth() events, and
+// reaches the entry's hash. It returns the number of states claimed.
+func CheckPathOracle(t *testing.T, cfg Config, start *GState) int {
+	t.Helper()
+	claimed := 0
+	for _, workers := range []int{1, 2} {
+		for _, window := range []int{1, 7, claimWindow} {
+			cfg.Budget.Workers = workers
+			s := NewSearch(cfg)
+			e := s.NewEngine(cfg.Budget, HashRange{}, nil)
+			e.window = window
+			e.Inject(Forward{State: start})
+			if err := e.Drain(nil); err != nil {
+				t.Fatal(err)
+			}
+			if claimed = e.Claimed(); e.tree.entries.n != claimed || e.Exhausted() {
+				t.Fatalf("workers=%d window=%d: %d tree entries for %d claimed states (exhausted: %v)", workers, window, e.tree.entries.n, claimed, e.Exhausted())
+			}
+			x := s.NewExpander()
+			for i := 0; i < e.tree.entries.n; i++ {
+				r := Ref{e.tree, int32(i)}
+				path, g, err := r.Path(s, x, start)
+				if err != nil {
+					t.Fatalf("workers=%d window=%d: entry %d at depth %d: %v", workers, window, i, r.Depth(), err)
+				}
+				if len(path) != r.Depth() || g.Hash() != r.Hash() {
+					t.Fatalf("workers=%d window=%d: entry %d: %d-event path reaches %#x, entry is %#x at depth %d", workers, window, i, len(path), g.Hash(), r.Hash(), r.Depth())
+				}
+			}
+		}
+	}
+	return claimed
 }

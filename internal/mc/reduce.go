@@ -1,6 +1,10 @@
 package mc
 
-import "crystalball/internal/sm"
+import (
+	"slices"
+
+	"crystalball/internal/sm"
+)
 
 // Dynamic partial-order reduction.
 //
@@ -58,43 +62,100 @@ import "crystalball/internal/sm"
 // instrumentation counting orderings — must run with Reduce off. The
 // README's "Partial-order reduction" section documents this boundary.
 
-// sleepSet is an immutable set of slept transitions carried on a Node, each
-// named by its sm.EventKey: the key resolves to the same transition in every
-// state an entry survives to (no edge on the way touched its node), so
-// skipping by key skips exactly the promised transition. A reset's key never
-// enters a set. Sets are tiny (bounded by the enabled network transitions of
-// one ancestor chain), so linear scans beat any map.
-type sleepSet []sm.EventKey
+// Representation. A sleep set is a []uint32 of indices into the engine tree's
+// interned key table, held by the frontier entry of a claimed, not yet
+// expanded state and by nothing else. An entry names a transition by its
+// sm.EventKey: the key resolves to the same transition in every state an
+// entry survives to (no edge on the way touched its node), so skipping by key
+// skips exactly the promised transition. A reset's key never enters a set.
+// Sets are tiny (bounded by the enabled network transitions of one ancestor
+// chain), so linear scans beat any map, and four bytes an entry instead of
+// the key's forty is what a level of a million held states pays.
+//
+// Keys are interned only in the serial claim pass, so a set is built there
+// too, from what the worker left behind: the parent's own set, the keys of
+// the siblings the parent explored before the child (Expander.sibs — keys,
+// since a sibling may not have an index yet) and the child's entering
+// transition. A worker only reads: slept tests an enumerated key against the
+// expanding state's set — resolved to its keys once per expansion — before
+// the transition is even boxed.
 
-func (s sleepSet) contains(k sm.EventKey) bool {
-	for i := range s {
-		if s[i] == k {
+// slept reports whether the key k is in sleep, a set resolved to its keys
+// (Engine.expand looks a state's set up once, not once per enumerated key).
+//
+//crystal:hotpath
+func slept(sleep []*sm.EventKey, k *sm.EventKey) bool {
+	for _, s := range sleep {
+		if *s == *k {
 			return true
 		}
 	}
 	return false
 }
 
-// intersectSleep returns the entries common to a and b, filtering a in
-// place (childSleep allocates each child its own slice, so the claimed
-// child's set is never shared). When several same-level paths propose one
-// state with different sleep sets, only transitions *every* arrival slept
-// may stay slept: a promise delegates to a sibling proposal, and that
-// proposal is itself a same-level arrival at some matched state whose
-// sleep set enters the intersection there — keeping the delegation chain
-// grounded. Without this, state matching breaks sleep-set completeness
-// (the first arrival's set wins and can sleep a transition a later
-// arrival's subtree needed explored); claimPass applies the intersection
-// in the claim passes of the parents' bucket, before the child is ever
-// expanded.
-func intersectSleep(a, b sleepSet) sleepSet {
-	if len(a) == 0 || len(b) == 0 {
+// promise is a proposed child's sleep set before it is built: the parent's
+// set, the explored siblings that preceded the child, and the transition
+// that enters it. An inherited entry or a sibling survives into the child's
+// set iff it is independent of the entering transition.
+type promise struct {
+	inherited []uint32
+	siblings  []sm.EventKey
+	enter     sm.EventKey
+}
+
+// childSleep builds the promised set; ids[j], when non-zero, caches the
+// interned index of siblings[j] across the children of one parent. A nil
+// result is the empty set.
+func (t *Tree) childSleep(p promise, ids []uint32) []uint32 {
+	n := 0
+	for _, id := range p.inherited {
+		if !dependent(t.keys.at(int(id)), &p.enter) {
+			n++
+		}
+	}
+	for j := range p.siblings {
+		if !dependent(&p.siblings[j], &p.enter) {
+			n++
+		}
+	}
+	if n == 0 {
 		return nil
 	}
-	out := a[:0]
-	for i := range a {
-		if b.contains(a[i]) {
-			out = append(out, a[i])
+	out := make([]uint32, 0, n)
+	for _, id := range p.inherited {
+		if !dependent(t.keys.at(int(id)), &p.enter) {
+			out = append(out, id)
+		}
+	}
+	for j := range p.siblings {
+		if !dependent(&p.siblings[j], &p.enter) {
+			if ids[j] == 0 {
+				ids[j] = t.intern(p.siblings[j])
+			}
+			out = append(out, ids[j])
+		}
+	}
+	return out
+}
+
+// intersectSleep returns the entries of sleep that the promised set p also
+// holds, filtering sleep in place (childSleep allocates each child its own
+// slice, so the claimed child's set is never shared) and without building
+// p's set. When several same-level paths propose one state with different
+// sleep sets, only transitions *every* arrival slept may stay slept: a
+// promise delegates to a sibling proposal, and that proposal is itself a
+// same-level arrival at some matched state whose sleep set enters the
+// intersection there — keeping the delegation chain grounded. Without this,
+// state matching breaks sleep-set completeness (the first arrival's set wins
+// and can sleep a transition a later arrival's subtree needed explored);
+// claimPass applies the intersection in the claim passes of the parents'
+// bucket, before the child is ever expanded.
+func (t *Tree) intersectSleep(sleep []uint32, p promise) []uint32 {
+	out := sleep[:0]
+	for _, id := range sleep {
+		k := t.keys.at(int(id))
+		if !dependent(k, &p.enter) && (slices.Contains(p.inherited, id) || slices.Contains(p.siblings, *k)) {
+			out = append(out, id)
 		}
 	}
 	if len(out) == 0 {
@@ -117,44 +178,11 @@ func intersectSleep(a, b sleepSet) sleepSet {
 // handler appending to a queue commutes with a drop removing that queue's
 // head (the head is the same item either way, and the position-aware
 // fingerprint makes both orders hash-identical).
-func dependent(a, b sm.EventKey) bool {
+func dependent(a, b *sm.EventKey) bool {
 	if a.Kind != 'D' && b.Kind != 'D' && a.Node == b.Node {
 		return true
 	}
 	aq := a.Kind == 'D' || a.Kind == 'E'
 	bq := b.Kind == 'D' || b.Kind == 'E'
 	return aq && bq && a.From == b.From && a.Node == b.Node
-}
-
-// childSleep builds the sleep set for a child entered through the
-// transition named by enter: inherited entries and earlier explored
-// siblings survive iff they are independent of the entering transition.
-// A nil result means the empty set.
-func childSleep(inherited sleepSet, siblings []sm.EventKey, enter sm.EventKey) sleepSet {
-	n := 0
-	for i := range inherited {
-		if !dependent(inherited[i], enter) {
-			n++
-		}
-	}
-	for i := range siblings {
-		if !dependent(siblings[i], enter) {
-			n++
-		}
-	}
-	if n == 0 {
-		return nil
-	}
-	out := make(sleepSet, 0, n)
-	for i := range inherited {
-		if !dependent(inherited[i], enter) {
-			out = append(out, inherited[i])
-		}
-	}
-	for i := range siblings {
-		if !dependent(siblings[i], enter) {
-			out = append(out, siblings[i])
-		}
-	}
-	return out
 }

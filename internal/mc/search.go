@@ -1,7 +1,9 @@
 package mc
 
 import (
+	"fmt"
 	"runtime"
+	"slices"
 	"sync/atomic"
 	"time"
 
@@ -137,22 +139,22 @@ type Violation struct {
 // at fault, sm.EventKey.Class), with node identities stripped so the same bug
 // reached along different interleavings — or at different nodes — counts once.
 func (v Violation) Signature() string {
-	var last sm.Event
+	var last sm.EventKey
 	if n := len(v.Path); n > 0 {
-		last = v.Path[n-1]
+		last = sm.KeyOf(v.Path[n-1], nil)
 	}
 	return signature(v.Properties, last)
 }
 
 // signature renders the bug-class key of a violation whose path ends in last
-// (nil for the start state).
-func signature(properties []string, last sm.Event) string {
+// (the zero key for the start state).
+func signature(properties []string, last sm.EventKey) string {
 	sig := ""
 	for _, p := range properties {
 		sig += p + "|"
 	}
-	if last != nil {
-		sig += sm.KeyOf(last, nil).Class()
+	if last.Kind != 0 {
+		sig += last.Class()
 	}
 	return sig
 }
@@ -225,78 +227,242 @@ func NewSearch(cfg Config) *Search {
 // Config returns the search's (defaulted) configuration.
 func (s *Search) Config() Config { return s.cfg }
 
-// Node is an entry of the search tree; parent links reconstruct violation
-// paths. A node carries its state (and, under reduction, its sleep set) only
-// while the engine still has to expand it: the engine clears both the moment
-// expansion returns, and a child claimed at Budget.Depth — never expanded,
-// only checked — gives its state up right after the claim pass that claimed
-// it unless the check found a violation, so a queued leaf may hold no state.
-// What the tree retains per state is (parent, event, hash, depth), and a path
-// is replayed from its events, never read off retained states. parent, event,
-// depth, hash and violated are immutable once the node is created; sleep is
-// narrowed only in a claim pass, and state and sleep are cleared only by the
-// worker that expanded the node or checked it as a leaf — in a sharded
-// search, a worker of the shard that claimed a forwarded node — so workers
-// and other shards may traverse parent chains and read hashes freely. A node
-// without a state has nothing left to claim: it must never be injected again.
-type Node struct {
-	state  *GState // nil once expanded, or checked as a consistent leaf
-	hash   uint64  // state's fingerprint, kept after state is let go
-	parent *Node
-	event  sm.Event
-	depth  int
-	// violated carries the properties already violated along this path,
-	// so the search reports each violation's *onset* exactly once and
-	// keeps exploring (the paper's Figures 5 and 8 likewise continue
-	// past states added to the error set).
-	violated map[string]bool
-	// sleep is the node's sleep set under partial-order reduction: the
-	// network transitions this path has proven redundant (nil when
-	// reduction is off or nothing is slept).
-	sleep sleepSet
+// Tree is the search tree of one engine: every state the engine claimed, as
+// fixed-size pointer-free entries in a slab, plus the table of interned event
+// descriptors the entries' edges and the sleep sets name by index. Nothing in
+// it is a heap object per state and nothing in an entry is a pointer, so a
+// tree of millions of states is a few dozen chunks the collector never looks
+// inside. A claimed state's GState is not here: it sits in the engine's
+// frontier until the state is expanded and is then let go; a path is replayed
+// from its descriptors (Ref.Path), never read off retained states.
+//
+// Ownership. The tree is written only by the goroutine driving its engine's
+// Drain, between sweeps: entries are appended and descriptors interned in the
+// claim pass (and by Inject), and an entry's pos changes when its state is
+// queued. So the engine's workers read it during a sweep without a lock, and
+// an entry's hash, parent, event, depth and violated never change once
+// written. Another engine is handed indices only through a Forward, after the
+// entry was written: a sharded engine's tree pins its directories (slab.pin),
+// and a walk that starts from a forwarded Ref touches only values pushed
+// before the hand-off — which is all a Ref can reach, parents being older
+// than children. (A random-walk worker's tree is pinned for the same reason:
+// the collector compares its findings with other workers'.)
+type Tree struct {
+	entries slab[entry]
+	keys    slab[sm.EventKey] // interned descriptors; index 0 is "no event"
+	ids     map[sm.EventKey]uint32
+	origins slab[Ref] // where a forwarded chain root came from
 }
 
-// NewNode returns a chain root: a node with no parent, standing for state g
-// at the given search depth. Run seeds the search with one at depth 0; a
-// sharded search makes one per state that arrived over a wire.
-func NewNode(g *GState, depth int) *Node { return &Node{state: g, hash: g.Hash(), depth: depth} }
-
-// child returns the node for next, the successor ev leads to from n. NewNode
-// and child are the only places a Node is built, so hash is never left unset.
-func (n *Node) child(next *GState, ev sm.Event) *Node {
-	return &Node{state: next, hash: next.Hash(), parent: n, event: ev, depth: n.depth + 1}
+// entry is one claimed state.
+type entry struct {
+	hash uint64 // the state's fingerprint
+	// violated is the set of properties already violated along the path
+	// (Search.violatedBits' encoding), so the search reports each violation's
+	// onset exactly once and keeps exploring, as the paper's Figures 5 and 8
+	// continue past states added to the error set.
+	violated uint64
+	// parent is the entry this state succeeds; a chain root has none: -1 for
+	// a state injected bare (the start state, a wire arrival), -2-i for one
+	// forwarded from the entry origins[i] names in another engine's tree.
+	parent int32
+	event  uint32 // interned descriptor of the transition from the parent (0 at a bare root)
+	depth  int32
+	pos    int32 // position in its depth's frontier bucket (-1: never queued)
 }
 
-// State returns the node's state, or nil once the node has been expanded or
-// checked as a consistent leaf at the depth bound.
-func (n *Node) State() *GState { return n.state }
+// Slab geometry: the first chunk of each table, as a shift. Constants, derived
+// from nothing a user sets — a 300-state round pays for a few hundred
+// entries, and of what a 10⁷-state search allocates at most a third is unused.
+const (
+	entryShift  = 6
+	keyShift    = 4
+	originShift = 4
+	heldShift   = 3
+)
 
-// Hash returns the fingerprint of the node's state; unlike State it stays
-// available after expansion.
-func (n *Node) Hash() uint64 { return n.hash }
-
-// Depth returns the node's search depth.
-func (n *Node) Depth() int { return n.depth }
-
-// Root returns the chain root n descends from (n itself for a root).
-func (n *Node) Root() *Node {
-	for n.parent != nil {
-		n = n.parent
+// newTree returns an empty tree; shared pins it for readers on other
+// goroutines than its writer's (another engine, another walk worker).
+func newTree(shared bool) *Tree {
+	t := &Tree{ids: make(map[sm.EventKey]uint32)}
+	t.entries.shift, t.keys.shift, t.origins.shift = entryShift, keyShift, originShift
+	if shared {
+		t.entries.pin()
+		t.keys.pin()
+		t.origins.pin()
 	}
-	return n
+	t.keys.push(sm.EventKey{})
+	return t
 }
 
-// Path returns the events leading from n's chain root to n.
-func (n *Node) Path() []sm.Event {
-	var rev []sm.Event
-	for cur := n; cur.parent != nil; cur = cur.parent {
-		rev = append(rev, cur.event)
+// intern returns k's index in the descriptor table, adding it if new.
+func (t *Tree) intern(k sm.EventKey) uint32 {
+	if id, ok := t.ids[k]; ok {
+		return id
 	}
-	out := make([]sm.Event, len(rev))
-	for i := range rev {
-		out[i] = rev[len(rev)-1-i]
+	id := uint32(t.keys.push(k))
+	t.ids[k] = id
+	return id
+}
+
+// child appends the entry of a state that succeeds parent through desc and
+// returns its index.
+func (t *Tree) child(parent int32, desc sm.EventKey, hash uint64, depth int, violated uint64) int32 {
+	return int32(t.entries.push(entry{
+		hash: hash, violated: violated, parent: parent, event: t.intern(desc), depth: int32(depth), pos: -1,
+	}))
+}
+
+// root appends a chain root for f.State — forwarded from f.Parent through
+// f.Desc, or bare.
+func (t *Tree) root(f Forward) int32 {
+	e := entry{hash: f.State.Hash(), parent: -1, depth: int32(f.Depth), pos: -1}
+	if f.Parent.t != nil {
+		e.parent = int32(-2 - t.origins.push(f.Parent))
+		e.event = t.intern(f.Desc)
 	}
-	return out
+	return int32(t.entries.push(e))
+}
+
+// bytes returns the heap bytes the tree holds: slab chunks plus the intern
+// map (measured: 90 B a descriptor).
+func (t *Tree) bytes() int64 {
+	return t.entries.bytes() + t.keys.bytes() + t.origins.bytes() + int64(len(t.ids))*90
+}
+
+// Ref names one claimed state: an entry of an engine's tree. The zero Ref
+// names nothing.
+type Ref struct {
+	t *Tree
+	i int32
+}
+
+// Forward is a state on its way into an engine: what an engine's sink
+// receives for a proposed successor outside the engine's range, and what
+// Inject takes. Parent and Desc say where it came from — the claimed state it
+// succeeds, in the proposing engine's tree, and the transition between them;
+// the zero Parent makes it a bare chain root (the start state, or a state
+// that arrived as a wire path its receiver replayed).
+type Forward struct {
+	State  *GState
+	Depth  int
+	Parent Ref
+	Desc   sm.EventKey
+}
+
+// Valid reports whether r names an entry.
+func (r Ref) Valid() bool { return r.t != nil }
+
+func (r Ref) entry() *entry { return r.t.entries.at(int(r.i)) }
+
+// Hash returns the fingerprint of the state r names.
+func (r Ref) Hash() uint64 { return r.entry().hash }
+
+// Depth returns the search depth r was claimed at.
+func (r Ref) Depth() int { return int(r.entry().depth) }
+
+// up returns the entry r succeeds — in r's tree, or in the tree a forwarded
+// chain root came from — and false at a bare root.
+func (r Ref) up() (Ref, bool) {
+	switch p := r.entry().parent; {
+	case p >= 0:
+		return Ref{r.t, p}, true
+	case p == -1:
+		return r, false
+	default:
+		return *r.t.origins.at(int(-2 - p)), true
+	}
+}
+
+// Root returns the bare chain root r descends from, following forwarded
+// roots into the trees they came from.
+func (r Ref) Root() Ref {
+	for {
+		p, ok := r.up()
+		if !ok {
+			return r
+		}
+		r = p
+	}
+}
+
+// last returns the descriptor of the transition into r (the zero key at a
+// bare root).
+func (r Ref) last() sm.EventKey { return *r.t.keys.at(int(r.entry().event)) }
+
+// Keys returns the descriptors of the transitions leading from Root() to r:
+// the form the path takes on a wire, and what Path resolves.
+func (r Ref) Keys() []sm.EventKey {
+	var rev []sm.EventKey
+	for {
+		p, ok := r.up()
+		if !ok {
+			slices.Reverse(rev)
+			return rev
+		}
+		rev = append(rev, r.last())
+		r = p
+	}
+}
+
+// Path resolves Keys() into events by replaying them from root, the state
+// Root() names, and returns them with the state they reach.
+func (r Ref) Path(s *Search, x *Expander, root *GState) ([]sm.Event, *GState, error) {
+	return s.ReplayKeys(x, root, r.Keys(), true)
+}
+
+// resolve returns the event enabled at g that desc names: the one with
+// desc's key — whole, so two same-named app calls at one node resolve by
+// their argument fingerprints — whose payload, for a delivery, is the one
+// the describer saw.
+func (x *Expander) resolve(g *GState, desc sm.EventKey) (sm.Event, error) {
+	want := desc
+	if want.Kind == 'M' {
+		want.Arg = 0
+	}
+	var c *cand
+	x.each(g, func(at *cand) bool {
+		if at.key == want {
+			c = at
+		}
+		return c == nil
+	})
+	if c == nil {
+		return nil, fmt.Errorf("no enabled event is %q (arg %#x)", desc, desc.Arg)
+	}
+	if desc.Kind == 'M' && sm.PayloadHash(c.msg, x.enc) != desc.Arg {
+		return nil, fmt.Errorf("%q: payload fingerprint mismatch", desc)
+	}
+	return c.event(), nil
+}
+
+// ReplayKeys re-executes a descriptor path from root, resolving each
+// descriptor against the events enabled in the state it executed in — the
+// enumeration makes the match unique — and applying it. It returns the state
+// the path reaches and, with wantEvents, the resolved events. This is the one
+// way a stored path becomes events again: a tree's (Ref.Path), a forwarded
+// state's and a wire violation's (internal/dist).
+func (s *Search) ReplayKeys(x *Expander, root *GState, path []sm.EventKey, wantEvents bool) ([]sm.Event, *GState, error) {
+	g := root
+	var events []sm.Event
+	if wantEvents {
+		events = make([]sm.Event, 0, len(path))
+	}
+	for i := range path {
+		ev, err := x.resolve(g, path[i])
+		if err != nil {
+			return nil, nil, fmt.Errorf("replay step %d: %w", i, err)
+		}
+		next := s.applyEvent(g, ev, true)
+		if next == nil {
+			return nil, nil, fmt.Errorf("replay step %d: event %s not applicable", i, ev.Describe())
+		}
+		if wantEvents {
+			events = append(events, ev)
+		}
+		g = next
+	}
+	return events, g, nil
 }
 
 // filterFor returns the first installed filter matching ev, if any.
@@ -342,13 +508,19 @@ func (s *Search) applyFiltered(g *GState, ev sm.Event, f sm.Filter, sc *scratch)
 // scratch encoder, handler context, per-edge random stream — comes from a
 // pooled scratch that is released before returning, so nothing reachable
 // from the successor aliases it.
-func (s *Search) ApplyEvent(g *GState, ev sm.Event) *GState {
+func (s *Search) ApplyEvent(g *GState, ev sm.Event) *GState { return s.applyEvent(g, ev, false) }
+
+// applyEvent is ApplyEvent. enumerated says ev was enumerated at g itself (the
+// engine's expansion, a walk's step, a replay's resolved descriptor): a
+// delivery then already carries the queue head's payload and need not be
+// boxed a second time to be given it.
+func (s *Search) applyEvent(g *GState, ev sm.Event, enumerated bool) *GState {
 	sc := getScratch()
 	var next *GState
 	if f, ok := s.filterFor(ev); ok {
 		next = s.applyFiltered(g, ev, f, sc)
 	} else {
-		next = s.apply(g, ev, sc)
+		next = s.apply(g, ev, enumerated, sc)
 	}
 	putScratch(sc)
 	return next
@@ -362,10 +534,11 @@ func (s *Search) Run(start *GState) *Result {
 	switch s.cfg.Mode {
 	case Exhaustive, Consequence:
 		e := s.NewEngine(s.cfg.Budget, HashRange{}, nil)
-		e.Inject(NewNode(start, 0))
+		e.Inject(Forward{State: start})
 		// Without a sink nothing in the drain can fail.
 		_ = e.Drain(nil)
 		res = e.Result()
+		res.Violations = e.Violations(start)
 	default:
 		res = s.randomWalks(start)
 	}
@@ -377,15 +550,59 @@ func (s *Search) Run(start *GState) *Result {
 // checkProps evaluates the local property set and then, when configured,
 // the global (cross-node) set against the same filled view, returning the
 // combined violated names — locals first, globals after, each in
-// declaration order. Every property-evaluation site in the checker (engine
-// expansion, random walks, replay, Expander.Check) funnels through this one
-// helper.
+// declaration order — or nil when all hold. Replay and Expander.Check report
+// through it; the engine and the random walks, which must also remember what
+// a path has violated, keep the set form below and render names only for an
+// onset.
 func (s *Search) checkProps(v *props.View) []string {
-	violated := s.cfg.Props.Check(v)
-	if len(s.cfg.GlobalProps) > 0 {
-		violated = s.cfg.GlobalProps.AppendViolated(violated, props.Global(v))
+	bits := s.violatedBits(v)
+	if bits == 0 {
+		return nil
 	}
-	return violated
+	return s.propNames(bits, v)
+}
+
+// tailBit is the bit every property from the 64th on shares: a path set is
+// one word, so such a configuration is handled, not refused — its first 63
+// properties report their onsets exactly, and the rest report one onset
+// between them per path (the names are those violated where it happened).
+const tailBit = 63
+
+// holds evaluates property i (locals, then globals, in declaration order).
+func (s *Search) holds(i int, v *props.View) bool {
+	if i < len(s.cfg.Props) {
+		return s.cfg.Props[i].Check(v)
+	}
+	return s.cfg.GlobalProps[i-len(s.cfg.Props)].Check(props.Global(v))
+}
+
+// violatedBits evaluates every property on v: bit min(i, tailBit) is set when
+// property i is violated. This is the one place a property is evaluated.
+func (s *Search) violatedBits(v *props.View) (bits uint64) {
+	for i, n := 0, len(s.cfg.Props)+len(s.cfg.GlobalProps); i < n; i++ {
+		if !s.holds(i, v) {
+			bits |= 1 << min(i, tailBit)
+		}
+	}
+	return bits
+}
+
+// propNames renders bits — a subset of violatedBits(v) — as property names
+// in declaration order; the properties sharing tailBit are evaluated again
+// to say which of them it stands for.
+func (s *Search) propNames(bits uint64, v *props.View) []string {
+	names := make([]string, 0, 1)
+	for i, n := 0, len(s.cfg.Props)+len(s.cfg.GlobalProps); i < n; i++ {
+		if bits&(1<<min(i, tailBit)) == 0 || (i >= tailBit && s.holds(i, v)) {
+			continue
+		}
+		if i < len(s.cfg.Props) {
+			names = append(names, s.cfg.Props[i].Name)
+		} else {
+			names = append(names, s.cfg.GlobalProps[i-len(s.cfg.Props)].Name)
+		}
+	}
+	return names
 }
 
 // Replay re-executes a previously discovered error path from a (new) start

@@ -6,11 +6,15 @@ package mc_test
 
 import (
 	"reflect"
+	"runtime"
 	"sort"
+	"sync"
 	"testing"
 
 	"crystalball/internal/mc"
 	"crystalball/internal/props"
+	"crystalball/internal/scenario"
+	_ "crystalball/internal/scenario/all"
 	"crystalball/internal/services/chord"
 	"crystalball/internal/services/crdt"
 	"crystalball/internal/services/paxos"
@@ -354,5 +358,108 @@ func TestCountOnlyMatchesEnumeration(t *testing.T) {
 		if len(seen) < 200 || listed == 0 {
 			t.Fatalf("%s: walked %d states and %d internal actions; the comparison is vacuous", tc.name, len(seen), listed)
 		}
+	}
+}
+
+// benchInput builds a registered scenario's start state and checker
+// configuration the way the benchmark's offline workloads (and mcheck's
+// default flags) do: resets on, reduction on, one worker.
+func benchInput(t *testing.T, service string, nodes int, mode mc.Mode, b mc.Budget) (mc.Config, *mc.GState) {
+	t.Helper()
+	g, cfg, err := scenario.InitialState(service, scenario.Options{Nodes: nodes})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.Mode, cfg.Budget = mode, b
+	cfg.ExploreResets, cfg.Reduce = true, true
+	cfg.Budget.Workers = 1
+	return cfg, g
+}
+
+// skipUnlessPooling skips a whole-search allocation bound when sync.Pool does
+// not keep what it is given: under the race detector Put drops a quarter of
+// its items on purpose, so every so often ApplyEvent builds a fresh scratch
+// and the count measures the detector, not the checker.
+func skipUnlessPooling(t *testing.T) {
+	t.Helper()
+	var p sync.Pool
+	for i := 0; i < 64; i++ {
+		p.Put(new(int))
+		if p.Get() == nil {
+			t.Skip("sync.Pool is dropping items (race detector): allocation counts are not the checker's")
+		}
+	}
+}
+
+// TestPathOraclePaxos and TestPathOracleChord run the path oracle over every
+// claimed state (mc.CheckPathOracle) on the benchmark's two smoke inputs:
+// paxos to depth 4 and chord, six nodes, to depth 6.
+func TestPathOraclePaxos(t *testing.T) {
+	cfg, start := benchInput(t, "paxos", 5, mc.Exhaustive, mc.Budget{Depth: 4})
+	if n := mc.CheckPathOracle(t, cfg, start); n < 5000 {
+		t.Fatalf("only %d states claimed", n)
+	}
+}
+
+func TestPathOracleChord(t *testing.T) {
+	cfg, start := benchInput(t, "chord", 6, mc.Exhaustive, mc.Budget{Depth: 6})
+	if n := mc.CheckPathOracle(t, cfg, start); n < 1000 {
+		t.Fatalf("only %d states claimed", n)
+	}
+}
+
+// TestAllocsPerTransitionPaxosSmoke pins the whole search's allocation count
+// on the benchmark's paxos smoke input: everything a transition costs —
+// clone, handler, successor, proposal, claim, tree entry, frontier entry,
+// sleep set — and nothing per enumerated-but-slept event. 16.6 before the
+// tree was slabs (a Node, a boxed event per enumerated event, a re-boxed
+// delivery, a sleep-set slice of keys, per-call maps and sort closures in the
+// service); measured 9.7.
+func TestAllocsPerTransitionPaxosSmoke(t *testing.T) {
+	skipUnlessPooling(t)
+	cfg, start := benchInput(t, "paxos", 5, mc.Exhaustive, mc.Budget{Depth: 4})
+	var res *mc.Result
+	allocs := testing.AllocsPerRun(2, func() { res = mc.NewSearch(cfg).Run(start) })
+	per := allocs / float64(res.Transitions)
+	t.Logf("%d states, %d transitions, %.2f allocations per transition", res.StatesExplored, res.Transitions, per)
+	if res.SleepHits == 0 || res.Transitions < 5000 {
+		t.Fatalf("%d transitions, %d sleep hits: the input exercises too little", res.Transitions, res.SleepHits)
+	}
+	if per > 12 {
+		t.Fatalf("%.2f allocations per transition, want <= 12", per)
+	}
+}
+
+// TestSmallRoundCostsNoMoreThanBefore: a live deployment runs the checker as
+// thousands of cold rounds of a few hundred states, so what an engine costs
+// before it has claimed anything counts — the slabs start with small chunks.
+// A 300-state consequence round on the live workload's service (from the
+// Figure 10 ring) allocates no more than it did with one heap Node per child (the parent commit's figure,
+// measured by this test there: 321 kB; 296 kB now).
+func TestSmallRoundCostsNoMoreThanBefore(t *testing.T) {
+	skipUnlessPooling(t)
+	factory, start := chordFigure10Start()
+	cfg := mc.Config{
+		Props: props.Set{chord.PropPredSelfImpliesSuccSelf}, Factory: factory, Mode: mc.Consequence,
+		ExploreResets: true, ExploreConnBreaks: true, Reduce: true,
+		Budget: mc.Budget{States: 300, Workers: 1},
+	}
+	mc.NewSearch(cfg).Run(start) // warm the scratch pool
+	const rounds = 20
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	var res *mc.Result
+	for i := 0; i < rounds; i++ {
+		res = mc.NewSearch(cfg).Run(start)
+	}
+	runtime.ReadMemStats(&after)
+	perRound := float64(after.TotalAlloc-before.TotalAlloc) / rounds
+	t.Logf("%d states, %d transitions, %.0f B per round", res.StatesExplored, res.Transitions, perRound)
+	if res.StatesExplored != 300 {
+		t.Fatalf("round explored %d states, want 300", res.StatesExplored)
+	}
+	const parentBytes = 321000
+	if perRound > parentBytes {
+		t.Fatalf("a 300-state round allocates %.0f B, %d at the parent commit", perRound, parentBytes)
 	}
 }

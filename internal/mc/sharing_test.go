@@ -125,11 +125,12 @@ func applyPath(t *testing.T, s *Search, start *GState, path []sm.Event) *GState 
 	return g
 }
 
-// TestExpandedNodesLetGoOfState: every node the engine has expanded holds
-// neither state nor sleep set afterwards, still answers Hash with the
-// fingerprint it was claimed under (a leaf queued without its state answers
-// with what its path replays to), and a reported violation's path — events
-// only — leads from the start state to the reported state hash.
+// TestExpandedNodesLetGoOfState: every frontier entry the engine has
+// expanded holds neither state nor sleep set afterwards, its tree entry still
+// answers Hash with the fingerprint it was claimed under (a leaf queued
+// without its state answers with what its path replays to), and a reported
+// violation's path — resolved from descriptors — leads from the start state
+// to the reported state hash.
 func TestExpandedNodesLetGoOfState(t *testing.T) {
 	for _, reduce := range []bool{false, true} {
 		s := NewSearch(Config{
@@ -137,24 +138,32 @@ func TestExpandedNodesLetGoOfState(t *testing.T) {
 			Budget: Budget{Depth: 6, Workers: 2},
 		})
 		start := twoNodeStart()
+		x := s.NewExpander()
 		e := s.NewEngine(s.Config().Budget, HashRange{}, nil)
-		e.Inject(NewNode(start, 0))
-		// Every claimed node sits in the frontier between two buckets:
-		// remember each with the hash it was claimed under — its state's, or,
-		// for a leaf already checked and queued without one, the hash of the
-		// state its path replays to.
-		claimedUnder := map[*Node]uint64{}
+		e.Inject(Forward{State: start})
+		// Every claimed state sits in the frontier between two buckets:
+		// remember each entry with the hash it was claimed under — its
+		// state's, or, for a leaf already checked and queued without one, the
+		// hash of the state its path replays to. (A held entry never moves,
+		// so its address outlives the bucket's place in the frontier.)
+		claimedUnder := map[*held]uint64{}
+		slept := 0
 		remember := func() error {
 			for _, bucket := range e.fr.buckets {
-				for _, n := range bucket {
-					g := n.state
+				for i := 0; bucket != nil && i < bucket.n; i++ {
+					h := bucket.at(i)
+					g := h.state
 					if g == nil {
-						if n.depth != 6 {
-							t.Fatalf("node queued at depth %d without its state", n.depth)
+						if depth := (Ref{e.tree, h.idx}).Depth(); depth != 6 {
+							t.Fatalf("state queued at depth %d without its state", depth)
 						}
-						g = applyPath(t, s, start, n.Path())
+						var err error
+						if _, g, err = (Ref{e.tree, h.idx}).Path(s, x, start); err != nil {
+							t.Fatal(err)
+						}
 					}
-					claimedUnder[n] = g.Hash()
+					slept += len(h.sleep)
+					claimedUnder[h] = g.Hash()
 				}
 			}
 			return nil
@@ -163,24 +172,28 @@ func TestExpandedNodesLetGoOfState(t *testing.T) {
 		if err := e.Drain(remember); err != nil {
 			t.Fatal(err)
 		}
-		if len(claimedUnder) != e.Claimed() || e.Claimed() < 100 {
-			t.Fatalf("remembered %d nodes of %d claimed", len(claimedUnder), e.Claimed())
+		if len(claimedUnder) != e.Claimed() || e.Claimed() < 100 || e.tree.entries.n != e.Claimed() {
+			t.Fatalf("remembered %d entries of %d claimed (%d in the tree)", len(claimedUnder), e.Claimed(), e.tree.entries.n)
 		}
-		for n, h := range claimedUnder {
-			if n.state != nil || n.State() != nil || n.sleep != nil {
-				t.Fatalf("reduce=%v: expanded node at depth %d still holds state %v / sleep %v", reduce, n.depth, n.state, n.sleep)
+		if reduce == (slept == 0) {
+			t.Fatalf("reduce=%v: %d sleep entries seen in the frontier", reduce, slept)
+		}
+		for h, hash := range claimedUnder {
+			r := Ref{e.tree, h.idx}
+			if h.state != nil || h.sleep != nil {
+				t.Fatalf("reduce=%v: expanded entry at depth %d still holds state %v / sleep %v", reduce, r.Depth(), h.state, h.sleep)
 			}
-			if n.Hash() != h {
-				t.Fatalf("reduce=%v: node hash %#x, claimed under %#x", reduce, n.Hash(), h)
+			if r.Hash() != hash {
+				t.Fatalf("reduce=%v: tree entry hash %#x, claimed under %#x", reduce, r.Hash(), hash)
 			}
 		}
-		res := e.Result()
-		if len(res.Violations) == 0 {
+		vs := e.Violations(start)
+		if len(vs) == 0 {
 			t.Fatal("no violation to replay")
 		}
-		for _, v := range res.Violations {
-			if got := applyPath(t, s, start, v.Path).Hash(); got != v.StateHash {
-				t.Fatalf("reduce=%v: path replays to %#x, violation reports %#x", reduce, got, v.StateHash)
+		for _, v := range vs {
+			if got := applyPath(t, s, start, v.Path).Hash(); got != v.StateHash || len(v.Path) != v.Depth {
+				t.Fatalf("reduce=%v: path of %d events replays to %#x, violation reports %#x at depth %d", reduce, len(v.Path), got, v.StateHash, v.Depth)
 			}
 		}
 	}
@@ -212,43 +225,56 @@ func TestRandomWalkViolationsCarryTheirStateHash(t *testing.T) {
 }
 
 // TestRetainedHeapPerClaimedState pins what a finished search keeps alive
-// per claimed state. The model is one node ticking a counter: a chain of
-// states whose last one violates, so the engine — through the finding's
-// node and its parent links — retains the whole tree. An un-pinned node is
-// (parent, event, hash, depth) plus its visited entry; the same chain with
-// states pinned measures 815 B per state.
+// per claimed state, in bytes and in heap objects. The model is one node
+// ticking a counter: a chain of states whose last one violates. What stays
+// per state is a 32-byte tree entry and its visited and local-state table
+// entries — slab chunks and hash-table groups, not an object per state; the
+// same chain with states pinned measures 815 B per state, and the pointerful
+// Node tree this replaced 207 B and two objects.
 func TestRetainedHeapPerClaimedState(t *testing.T) {
-	const depth = 4000
+	const depth = 20000
 	g := NewGState()
 	g.AddNode(1, newToy(1), sm.TimerSet{"tick"})
 	s := NewSearch(Config{
 		Props: poisonAt(depth), Factory: newToy, Mode: Exhaustive,
 		Budget: Budget{Depth: depth, Workers: 1},
 	})
-	heap := func() uint64 {
+	heap := func() (bytes, objects uint64) {
 		runtime.GC()
 		runtime.GC()
 		var ms runtime.MemStats
 		runtime.ReadMemStats(&ms)
-		return ms.HeapAlloc
+		return ms.HeapAlloc, ms.HeapObjects
 	}
-	before := heap()
+	bytesBefore, objectsBefore := heap()
 	e := s.NewEngine(s.Config().Budget, HashRange{}, nil)
-	e.Inject(NewNode(g, 0))
+	e.Inject(Forward{State: g})
 	if err := e.Drain(nil); err != nil {
 		t.Fatal(err)
 	}
-	after := heap()
+	bytesAfter, objectsAfter := heap()
 	if e.Claimed() != depth+1 || len(e.Findings()) != 1 {
 		t.Fatalf("claimed %d states with %d findings, want a %d-state chain ending in one", e.Claimed(), len(e.Findings()), depth+1)
 	}
-	perState := float64(int64(after)-int64(before)) / float64(e.Claimed())
-	t.Logf("retained %.0f B per claimed state", perState)
-	// Measured 207 B: the 80-byte Node, its boxed event, and the visited and
-	// local-state table entries.
-	const maxPerState = 320
+	perState := float64(int64(bytesAfter)-int64(bytesBefore)) / float64(e.Claimed())
+	objects := float64(int64(objectsAfter)-int64(objectsBefore)) / float64(e.Claimed())
+	t.Logf("retained %.0f B and %.4f heap objects per claimed state", perState, objects)
+	const maxPerState, maxObjects = 130, 0.05
 	if perState > maxPerState {
-		t.Fatalf("search retains %.0f B per claimed state, want <= %d: is an expanded node pinning its state again?", perState, maxPerState)
+		t.Fatalf("search retains %.0f B per claimed state, want <= %d: is an expanded state pinned again?", perState, maxPerState)
+	}
+	if objects > maxObjects {
+		t.Fatalf("search retains %.4f heap objects per claimed state, want <= %.2f: the tree is slabs, not objects", objects, maxObjects)
+	}
+	// And the engine's own account of what it keeps — slab chunks at their
+	// size, the runtime's tables at their measured cost (Result's mem=) — is
+	// what the heap says, not a guess at a flat 16 bytes an entry.
+	accounted := e.tree.bytes() + tableBytes(len(e.visited)) + tableBytes(len(e.locals))
+	if ratio := float64(accounted) / float64(int64(bytesAfter)-int64(bytesBefore)); ratio < 0.75 || ratio > 1.25 {
+		t.Fatalf("engine accounts %d B retained, the heap holds %d (ratio %.2f)", accounted, int64(bytesAfter)-int64(bytesBefore), ratio)
+	}
+	if vs := e.Violations(g); len(vs[0].Path) != depth {
+		t.Fatalf("the violation's path has %d events, want %d", len(vs[0].Path), depth)
 	}
 	runtime.KeepAlive(e)
 }
@@ -281,9 +307,10 @@ func TestSelfLoopIsCountedNotProposed(t *testing.T) {
 	s := NewSearch(cfg)
 	start := selfLoopStart()
 	e := s.NewEngine(cfg.Budget, HashRange{}, nil)
-	e.Inject(NewNode(start, 0))
-	e.expandWindow(e.fr.popBucket())
-	children := e.outs[0]
+	e.Inject(Forward{State: start})
+	bucket, _ := e.fr.popBucket()
+	e.expandWindow(bucket, 0, 1)
+	children := e.ws[0].props[e.outs[0].lo:e.outs[0].hi]
 	network, internal := s.EnabledEvents(start)
 	enabled := len(network)
 	for _, evs := range internal {
@@ -296,8 +323,8 @@ func TestSelfLoopIsCountedNotProposed(t *testing.T) {
 		t.Fatalf("%d children proposed for %d transitions, want all but the self-loop", len(children), enabled)
 	}
 	for _, c := range children {
-		if c.Hash() == start.Hash() {
-			t.Fatalf("self-loop proposed as a child through %s", c.event.Describe())
+		if c.state.Hash() == start.Hash() {
+			t.Fatalf("self-loop proposed as a child through %s", c.desc)
 		}
 	}
 
@@ -361,8 +388,9 @@ func TestTimerSetSharedUntilChanged(t *testing.T) {
 				at := ev.Node()
 				_, drop := ev.(sm.DropEvent)
 				ran := !drop
-				for i, id := range g.ids {
+				for i := range g.nodes {
 					p, c := g.nodes[i], succ.nodes[i]
+					id := p.id
 					if !ran || id != at {
 						if p != c {
 							t.Fatalf("%s: node %v, which the event did not run at, was rebuilt", ev.Describe(), id)

@@ -54,10 +54,11 @@ type NodeState struct {
 	Svc    sm.Service
 	Timers sm.TimerSet
 
-	svcEnc []byte // canonical encoding of Svc, set by finalize
-	tmEnc  []byte // canonical encoding of Timers, set by finalize
-	chash  uint64 // domain-tagged component hash, set by finalize
-	lhash  uint64 // consequence-prediction local hash, set by finalize
+	id     sm.NodeID // the node this is a state of, set by finalize (it is hashed in)
+	svcEnc []byte    // canonical encoding of Svc, set by finalize
+	tmEnc  []byte    // canonical encoding of Timers, set by finalize
+	chash  uint64    // domain-tagged component hash, set by finalize
+	lhash  uint64    // consequence-prediction local hash, set by finalize
 }
 
 // encLen is the length of the node's canonical encoding (both segments).
@@ -82,6 +83,7 @@ func (ns *NodeState) encLen() int { return len(ns.svcEnc) + len(ns.tmEnc) }
 //
 //crystal:hotpath
 func (ns *NodeState) finalize(id sm.NodeID, timers sm.TimerSet, parent *NodeState, sc *scratch) {
+	ns.id = id
 	e := &sc.enc
 	e.Reset()
 	ns.Svc.EncodeState(e)
@@ -221,26 +223,42 @@ var resetsComp0 = func() uint64 {
 // re-encoding of every node. The encoded footprint (EncodedSize) is
 // maintained the same way, so it never re-walks the state per query.
 //
-// The layout is four slices and no map: a state holds a handful of nodes
+// The layout is three slices and no map: a state holds a handful of nodes
 // and at most a few stale pairs, so id lookup is one binary search (index)
 // and every walk — FullHash, FillView, event enumeration, reset handling —
 // runs in ascending id / pair order by construction. Enumeration order is
-// therefore a function of the state, not of map iteration.
+// therefore a function of the state, not of map iteration. A node's id is in
+// its NodeState, not in a parallel id list: the list would be the same slice
+// in every state of a search, and its header 24 bytes of every one of them.
+//
+// nodes is the state's own (a successor swaps one element); msgs and stale
+// are shared with the parent until an event changes them — removeMsgAt and
+// applyReset build the successor its own in-flight container, and the three
+// stale mutators copy before they write.
 type GState struct {
-	ids     []sm.NodeID  // sorted node ids; shared with successors (nodes are never removed)
-	nodes   []*NodeState // local states, parallel to ids
+	nodes   []*NodeState // local states, ascending by id
 	msgs    []*InFlight  // shared immutable items; the container is never written once the state is published
-	stale   []pair       // sorted (sender, peer) pairs: sender holds a stale socket to peer
+	stale   []pair       // sorted (sender, peer) pairs: sender holds a stale socket to peer; never written in place
 	resets  int          // reset events taken on this path (bounds fault depth)
 	hsum    uint64       // incrementally maintained commutative fingerprint
 	encSize int          // incrementally maintained EncodedSize
 }
 
-// index returns id's position in ids (and nodes) and whether it is present;
-// for an absent id, the position it would be inserted at.
+// index returns id's position in nodes and whether it is present; for an
+// absent id, the position it would be inserted at.
 //
 //crystal:hotpath
-func (g *GState) index(id sm.NodeID) (int, bool) { return slices.BinarySearch(g.ids, id) }
+func (g *GState) index(id sm.NodeID) (int, bool) {
+	lo, hi := 0, len(g.nodes)
+	for lo < hi {
+		if mid := int(uint(lo+hi) >> 1); g.nodes[mid].id < id {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo, lo < len(g.nodes) && g.nodes[lo].id == id
+}
 
 // NewGState builds a global state from per-node services and timer sets.
 // The services are used as-is (not cloned); callers that keep using their
@@ -268,10 +286,8 @@ func (g *GState) setNode(id sm.NodeID, svc sm.Service, timers sm.TimerSet, sc *s
 		g.hsum -= old.chash // every installed node is finalized
 		g.encSize -= 4 + old.encLen()
 	} else {
-		// The ids slice may be shared with predecessor states, so insert
-		// into a copy. Insertion only happens at state-construction time
-		// (exploration never adds nodes).
-		g.ids = slices.Insert(slices.Clone(g.ids), i, id)
+		// Insertion only happens at state-construction time (exploration
+		// never adds nodes).
 		g.nodes = slices.Insert(g.nodes, i, nil)
 	}
 	ns := &NodeState{Svc: svc}
@@ -376,12 +392,18 @@ func (g *GState) removeMsgAt(i, room int, sc *scratch) {
 	g.msgs = own
 }
 
-// setStale records a stale pair, updating the totals if it was absent.
+// setStale records a stale pair, updating the totals if it was absent. Like
+// clearStale and clearStaleFrom it writes a copy: the slice it found may be
+// the parent's.
 //
 //crystal:hotpath
 func (g *GState) setStale(p pair, sc *scratch) {
 	if i, present := slices.BinarySearchFunc(g.stale, p, comparePair); !present {
-		g.stale = slices.Insert(g.stale, i, p)
+		own := make([]pair, len(g.stale)+1)
+		copy(own, g.stale[:i])
+		own[i] = p
+		copy(own[i+1:], g.stale[i:])
+		g.stale = own
 		g.hsum += staleComp(p, sc)
 		g.encSize += 16
 	}
@@ -394,7 +416,7 @@ func (g *GState) setStale(p pair, sc *scratch) {
 func (g *GState) clearStale(p pair, sc *scratch) bool {
 	i, present := slices.BinarySearchFunc(g.stale, p, comparePair)
 	if present {
-		g.stale = slices.Delete(g.stale, i, i+1)
+		g.stale = slices.Delete(slices.Clone(g.stale), i, i+1)
 		g.hsum -= staleComp(p, sc)
 		g.encSize -= 16
 	}
@@ -402,11 +424,14 @@ func (g *GState) clearStale(p pair, sc *scratch) bool {
 }
 
 // clearStaleFrom removes every stale pair whose sender is a, updating the
-// totals; filtering in place keeps the survivors sorted.
+// totals; filtering in order keeps the survivors sorted.
 //
 //crystal:hotpath
 func (g *GState) clearStaleFrom(a sm.NodeID, sc *scratch) {
-	kept := g.stale[:0]
+	if !slices.ContainsFunc(g.stale, func(p pair) bool { return p.a == a }) {
+		return
+	}
+	kept := make([]pair, 0, len(g.stale)-1)
 	for _, p := range g.stale {
 		if p.a != a {
 			kept = append(kept, p)
@@ -427,10 +452,15 @@ func (g *GState) bumpResets(sc *scratch) {
 	g.hsum += resetsComp(g.resets, sc)
 }
 
-// Nodes returns the node ids present, ascending. The slice is maintained
-// incrementally and shared with successor states: callers must treat it as
-// read-only.
-func (g *GState) Nodes() []sm.NodeID { return g.ids }
+// Nodes returns the node ids present, ascending, in a slice of the caller's
+// own (the checker itself walks nodes and never asks).
+func (g *GState) Nodes() []sm.NodeID {
+	ids := make([]sm.NodeID, len(g.nodes))
+	for i, ns := range g.nodes {
+		ids[i] = ns.id
+	}
+	return ids
+}
 
 // Node returns the local state of id, or nil if absent from the snapshot.
 func (g *GState) Node(id sm.NodeID) *NodeState {
@@ -459,9 +489,8 @@ func (g *GState) View() *props.View {
 //crystal:hotpath
 func (g *GState) FillView(v *props.View) {
 	v.Reset()
-	for i, id := range g.ids {
-		ns := g.nodes[i]
-		v.Add(id, ns.Svc, ns.Timers)
+	for _, ns := range g.nodes {
+		v.Add(ns.id, ns.Svc, ns.Timers)
 	}
 }
 
@@ -500,12 +529,12 @@ func (g *GState) Hash() uint64 {
 // checker's mutators.
 func (g *GState) FullHash() uint64 {
 	var sum uint64
-	for i, ns := range g.nodes {
+	for _, ns := range g.nodes {
 		ne := sm.NewEncoder()
 		ns.Svc.EncodeState(ne)
 		encodeTimers(ne, ns.Timers)
 		e := sm.NewEncoder()
-		e.NodeID(g.ids[i])
+		e.NodeID(ns.id)
 		e.Bytes2(ne.Bytes())
 		sum += e.DomainHash(domainNode)
 	}
@@ -567,17 +596,18 @@ func (g *GState) fullEncodedSize() int {
 	return n + 16*len(g.stale)
 }
 
-// shallowClone copies the node and stale containers but shares all node
-// states, the sorted id list and — until removeMsgAt or applyReset builds the
-// successor its own — the parent's in-flight container, clipped to its
-// length so that an append can only copy, never write into room a sibling
-// shares. Callers then replace what the event changes, keeping the inherited
-// fingerprint and footprint in sync through the mutation helpers.
+// shallowClone copies the node container and shares everything else: the
+// node states, the stale pairs (their mutators copy before writing) and —
+// until removeMsgAt or applyReset builds the successor its own — the parent's
+// in-flight container, clipped to its length so that an append can only copy,
+// never write into room a sibling shares. Callers then replace what the event
+// changes, keeping the inherited fingerprint and footprint in sync through
+// the mutation helpers.
 //
 //crystal:hotpath
 func (g *GState) shallowClone() *GState {
 	return &GState{
-		ids: g.ids, nodes: slices.Clone(g.nodes), msgs: slices.Clip(g.msgs), stale: slices.Clone(g.stale),
+		nodes: slices.Clone(g.nodes), msgs: slices.Clip(g.msgs), stale: g.stale,
 		resets: g.resets, hsum: g.hsum, encSize: g.encSize,
 	}
 }

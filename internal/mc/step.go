@@ -2,7 +2,6 @@ package mc
 
 import (
 	"math/rand"
-	"slices"
 
 	"crystalball/internal/sm"
 )
@@ -33,7 +32,7 @@ func edgeRNG(seed int64, ns *NodeState, ev sm.Event, sc *scratch) *rand.Rand {
 // in-flight item it consumes; which handler it runs is sm.Deliver's business.
 //
 //crystal:hotpath
-func (s *Search) apply(g *GState, ev sm.Event, sc *scratch) *GState {
+func (s *Search) apply(g *GState, ev sm.Event, enumerated bool, sc *scratch) *GState {
 	consumed := -1
 	switch e := ev.(type) {
 	case sm.MsgEvent:
@@ -41,9 +40,12 @@ func (s *Search) apply(g *GState, ev sm.Event, sc *scratch) *GState {
 			return nil
 		}
 		// The handler sees the in-flight item's payload, not the event's: a
-		// replayed path names a message by (from, to, type) only.
-		e.Msg = g.msgs[consumed].Msg
-		ev = e
+		// replayed path names a message by (from, to, type) only. An event
+		// enumerated at g holds that very payload already.
+		if !enumerated {
+			e.Msg = g.msgs[consumed].Msg
+			ev = e
+		}
 	case sm.TimerEvent:
 		if ns := g.Node(e.At); ns == nil || !ns.Timers.Has(e.Timer) {
 			return nil
@@ -179,7 +181,7 @@ func (s *Search) applyReset(g *GState, e sm.ResetEvent, sc *scratch) *GState {
 	// count exactly their same-queue predecessors, and no rehash is needed.
 	// The survivors go into a container of the successor's own, sized for
 	// the case that all survive and every peer is sent an RST below.
-	next.msgs = make([]*InFlight, 0, len(g.msgs)+len(g.ids)-1)
+	next.msgs = make([]*InFlight, 0, len(g.msgs)+len(g.nodes)-1)
 	for _, m := range g.msgs {
 		if m.From != e.At && m.To != e.At {
 			next.msgs = append(next.msgs, m)
@@ -192,14 +194,14 @@ func (s *Search) applyReset(g *GState, e sm.ResetEvent, sc *scratch) *GState {
 	// Iterate in sorted node order: the append order becomes the
 	// successor's in-flight order, which event enumeration (and so
 	// same-seed random walks) must see identically every run.
-	for i, id := range next.ids {
-		if id == e.At {
+	for _, peer := range next.nodes {
+		if peer.id == e.At {
 			continue
 		}
-		for _, nb := range next.nodes[i].Svc.Neighbors() {
+		for _, nb := range peer.Svc.Neighbors() {
 			if nb == e.At {
-				next.setStale(pair{id, e.At}, sc)
-				next.addMsg(InFlight{From: e.At, To: id, Msg: nil}, sc)
+				next.setStale(pair{peer.id, e.At}, sc)
+				next.addMsg(InFlight{From: e.At, To: peer.id, Msg: nil}, sc)
 				break
 			}
 		}
@@ -217,15 +219,38 @@ func (s *Search) applyReset(g *GState, e sm.ResetEvent, sc *scratch) *GState {
 	return next
 }
 
+// cand is an enabled transition as enumeration finds it, before anything is
+// boxed: its key and, where the event carries one, its payload. The engine
+// decides from the key alone whether a transition is slept, so only the ones
+// it executes are ever turned into an sm.Event.
+type cand struct {
+	key  sm.EventKey
+	msg  sm.Message // 'M': the queue head's payload
+	call sm.AppCall // 'A'
+}
+
+// event boxes c as the event it stands for.
+func (c *cand) event() sm.Event { return c.key.Event(c.msg, c.call) }
+
+// desc returns c's descriptor (sm.DescOf of its event), fingerprinting a
+// delivery's payload on enc.
+func (c *cand) desc(enc *sm.Encoder) sm.EventKey {
+	k := c.key
+	if k.Kind == 'M' {
+		k.Arg = sm.PayloadHash(c.msg, enc)
+	}
+	return k
+}
+
 // eventBuf is the reusable enumeration workspace owned by one worker (or
-// one walk): the network and internal event slices are recycled across
-// states, so steady-state enumeration allocates only the boxed events
-// themselves. The slices handed out by networkInto and
-// internalInto alias the buffer and are valid only until its next use.
+// one walk): the network and internal candidate slices are recycled across
+// states, so steady-state enumeration allocates nothing. The slices handed
+// out by networkInto and internalInto alias the buffer and are valid only
+// until its next use.
 type eventBuf struct {
-	network  []sm.Event
-	internal []sm.Event // one node's internal actions at a time
-	all      []sm.Event // random-walk candidate buffer
+	network  []cand
+	internal []cand // one node's internal actions at a time
+	all      []cand // random-walk candidate buffer
 }
 
 // Enumeration of the transitions available from a state comes in two parts:
@@ -246,7 +271,7 @@ type eventBuf struct {
 // hashed: see addMsg), so the head is simply the item at position 0.
 //
 //crystal:hotpath
-func (s *Search) networkInto(g *GState, buf *eventBuf) []sm.Event {
+func (s *Search) networkInto(g *GState, buf *eventBuf) []cand {
 	buf.network = buf.network[:0]
 	for _, m := range g.msgs {
 		if m.pos != 0 {
@@ -254,30 +279,31 @@ func (s *Search) networkInto(g *GState, buf *eventBuf) []sm.Event {
 		}
 		if m.RST() {
 			buf.network = append(buf.network,
-				sm.ErrorEvent{At: m.To, Peer: m.From},
-				sm.DropEvent{From: m.From, To: m.To})
+				cand{key: sm.EventKey{Kind: 'E', From: m.From, Node: m.To}},
+				cand{key: sm.EventKey{Kind: 'D', From: m.From, Node: m.To}})
 			continue
 		}
-		buf.network = append(buf.network, sm.MsgEvent{From: m.From, To: m.To, Msg: m.Msg})
+		buf.network = append(buf.network, cand{key: sm.EventKey{Kind: 'M', From: m.From, Node: m.To, Name: m.Msg.MsgType()}, msg: m.Msg})
 	}
 	return buf.network
 }
 
 // internalAt walks the internal actions enabled at g's i-th node in their
 // canonical order and returns how many there are. With out non-nil it also
-// appends them to *out; with out nil it builds nothing — no event is boxed —
-// which is all the consequence rule needs for a (node, local state) it has
-// already claimed.
+// appends them to *out, fingerprinting each app call on enc so its key pins
+// the call; with out nil it builds nothing, which is all the consequence rule
+// needs for a (node, local state) it has already claimed.
 //
 //crystal:hotpath
-func (s *Search) internalAt(g *GState, i int, out *[]sm.Event) (n int) {
-	id, ns := g.ids[i], g.nodes[i]
+func (s *Search) internalAt(g *GState, i int, out *[]cand, enc *sm.Encoder) (n int) {
+	ns := g.nodes[i]
+	id := ns.id
 	// The set is sorted by construction: no iteration order can leak into
 	// the transition order same-seed runs replay.
 	n = len(ns.Timers)
 	if out != nil {
 		for _, t := range ns.Timers {
-			*out = append(*out, sm.TimerEvent{At: id, Timer: t})
+			*out = append(*out, cand{key: sm.EventKey{Kind: 'T', Node: id, Name: string(t)}})
 		}
 	}
 	if ma, ok := ns.Svc.(sm.ModelActions); ok {
@@ -285,14 +311,16 @@ func (s *Search) internalAt(g *GState, i int, out *[]sm.Event) (n int) {
 		n += len(calls)
 		if out != nil {
 			for _, call := range calls {
-				*out = append(*out, sm.AppEvent{At: id, Call: call})
+				enc.Reset()
+				call.EncodeCall(enc)
+				*out = append(*out, cand{key: sm.EventKey{Kind: 'A', Node: id, Name: call.CallName(), Arg: enc.Hash()}, call: call})
 			}
 		}
 	}
 	if s.cfg.ExploreResets && g.resets < s.cfg.MaxResetsPerPath {
 		n++
 		if out != nil {
-			*out = append(*out, sm.ResetEvent{At: id})
+			*out = append(*out, cand{key: sm.EventKey{Kind: 'R', Node: id}})
 		}
 	}
 	if s.cfg.ExploreConnBreaks {
@@ -300,7 +328,7 @@ func (s *Search) internalAt(g *GState, i int, out *[]sm.Event) (n int) {
 			if _, known := g.index(nb); known {
 				n++
 				if out != nil {
-					*out = append(*out, sm.ErrorEvent{At: id, Peer: nb})
+					*out = append(*out, cand{key: sm.EventKey{Kind: 'E', From: nb, Node: id}})
 				}
 			}
 		}
@@ -311,9 +339,9 @@ func (s *Search) internalAt(g *GState, i int, out *[]sm.Event) (n int) {
 // internalInto lists the internal actions of g's i-th node into buf.
 //
 //crystal:hotpath
-func (s *Search) internalInto(g *GState, i int, buf *eventBuf) []sm.Event {
+func (s *Search) internalInto(g *GState, i int, buf *eventBuf, enc *sm.Encoder) []cand {
 	buf.internal = buf.internal[:0]
-	s.internalAt(g, i, &buf.internal)
+	s.internalAt(g, i, &buf.internal, enc)
 	return buf.internal
 }
 
@@ -324,12 +352,21 @@ func (s *Search) internalInto(g *GState, i int, buf *eventBuf) []sm.Event {
 // owned by the caller.
 func (s *Search) EnabledEvents(g *GState) (network []sm.Event, internal map[sm.NodeID][]sm.Event) {
 	var buf eventBuf
-	network = slices.Clone(s.networkInto(g, &buf))
-	internal = make(map[sm.NodeID][]sm.Event, len(g.ids))
-	for i, id := range g.ids {
-		var evs []sm.Event
-		s.internalAt(g, i, &evs)
-		internal[id] = evs
+	enc := sm.NewEncoder()
+	box := func(cs []cand) (evs []sm.Event) {
+		if len(cs) == 0 {
+			return nil
+		}
+		evs = make([]sm.Event, len(cs))
+		for i := range cs {
+			evs[i] = cs[i].event()
+		}
+		return evs
+	}
+	network = box(s.networkInto(g, &buf))
+	internal = make(map[sm.NodeID][]sm.Event, len(g.nodes))
+	for i, ns := range g.nodes {
+		internal[ns.id] = box(s.internalInto(g, i, &buf, enc))
 	}
 	return network, internal
 }

@@ -117,7 +117,7 @@ func TestWallDeadlineReadInsideClaimPass(t *testing.T) {
 			return fc.Now()
 		}
 		e = NewSearch(c).NewEngine(Budget{Wall: wall, Depth: 6, Workers: 1}, HashRange{}, nil)
-		e.Inject(NewNode(wideStart(), 0))
+		e.Inject(Forward{State: wideStart()})
 		if err := e.Drain(nil); err != nil {
 			t.Fatal(err)
 		}

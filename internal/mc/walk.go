@@ -51,19 +51,23 @@ func (s *Search) randomWalks(start *GState) *Result {
 			// Per-worker reusable workspace, shared by all walks this
 			// goroutine runs.
 			x := s.NewExpander()
+			// This worker's walks, as chains. Shared: the collector compares
+			// findings across workers, so another worker reads entries this
+			// one recorded (before it reported them) while it keeps appending.
+			tree := newTree(true)
 			for {
 				walk := int(nextWalk.Add(1)) - 1
 				if walk >= s.cfg.Walks || bdg.exhausted() {
 					return
 				}
-				runWalk(s, start, walk, bdg, coll, seen, &transitions, &maxDepth, x)
+				runWalk(s, start, walk, bdg, coll, seen, &transitions, &maxDepth, x, tree)
 			}
 		}()
 	}
 	wg.Wait()
 
 	return &Result{
-		Violations:      coll.violations(),
+		Violations:      coll.violations(s, start),
 		StatesExplored:  bdg.statesAdmitted(),
 		Transitions:     int(transitions.Load()),
 		MaxDepthReached: int(maxDepth.Load()),
@@ -73,41 +77,38 @@ func (s *Search) randomWalks(start *GState) *Result {
 }
 
 // runWalk performs one random walk of up to cfg.WalkDepth steps, using
-// x's reusable view and enumeration buffers.
+// x's reusable view and enumeration buffers and recording the walk in tree
+// as a chain from a root of its own, so a finding names its path the way an
+// engine's does.
 func runWalk(s *Search, start *GState, walk int, bdg *budget, coll *collector,
-	seen *walkSeen, transitions, maxDepth *atomic.Int64, x *Expander) {
+	seen *walkSeen, transitions, maxDepth *atomic.Int64, x *Expander, tree *Tree) {
 	// A fixed odd multiplier spreads walk indices across seed space
 	// (splitmix64's golden-ratio increment).
 	rng := sm.NewRand(s.cfg.Seed ^ int64(walk+1)*-0x61c8864680b583eb)
-	node := NewNode(start, 0)
-	walkViolated := make(map[string]bool)
+	g, at := start, Ref{tree, tree.root(Forward{State: start})}
+	var walkViolated uint64
 	for depth := 0; depth < s.cfg.WalkDepth; depth++ {
 		if !bdg.admitState() {
 			return
 		}
 		atomicMax(maxDepth, int64(depth))
-		if violated := x.Check(node.state); len(violated) > 0 {
-			var onset []string
-			for _, p := range violated {
-				if !walkViolated[p] {
-					onset = append(onset, p)
-					walkViolated[p] = true
-				}
-			}
-			if len(onset) > 0 {
-				sig := signature(onset, node.event)
-				sigHash := fnv.New64a()
-				sigHash.Write([]byte(sig))
-				if seen.add(node.hash^sigHash.Sum64()) && coll.record(sig, onset, node) {
-					bdg.halt(stopViolations)
-					return
-				}
+		g.FillView(x.view)
+		if bits := s.violatedBits(x.view); bits&^walkViolated != 0 {
+			onset := s.propNames(bits&^walkViolated, x.view)
+			walkViolated |= bits
+			sig := signature(onset, at.last())
+			sigHash := fnv.New64a()
+			sigHash.Write([]byte(sig))
+			if seen.add(at.Hash()^sigHash.Sum64()) && coll.record(sig, onset, at) {
+				bdg.halt(stopViolations)
+				return
 			}
 		}
-		all := append(x.evb.all[:0], s.networkInto(node.state, &x.evb)...)
-		for i := range node.state.ids {
-			s.internalAt(node.state, i, &all)
-		}
+		all := x.evb.all[:0]
+		x.each(g, func(c *cand) bool {
+			all = append(all, *c)
+			return true
+		})
 		x.evb.all = all
 		if len(all) == 0 {
 			return
@@ -115,10 +116,10 @@ func runWalk(s *Search, start *GState, walk int, bdg *budget, coll *collector,
 		// Try events in random order until one applies.
 		perm := rng.Perm(len(all))
 		var next *GState
-		var chosen sm.Event
+		var chosen *cand
 		for _, i := range perm {
-			if next = s.ApplyEvent(node.state, all[i]); next != nil {
-				chosen = all[i]
+			if next = s.applyEvent(g, all[i].event(), true); next != nil {
+				chosen = &all[i]
 				break
 			}
 		}
@@ -126,6 +127,7 @@ func runWalk(s *Search, start *GState, walk int, bdg *budget, coll *collector,
 			return
 		}
 		transitions.Add(1)
-		node = node.child(next, chosen)
+		at = Ref{tree, tree.child(at.i, chosen.desc(x.enc), next.Hash(), depth+1, 0)}
+		g = next
 	}
 }

@@ -36,31 +36,38 @@ func TestLeavesAreCheckedWhenClaimed(t *testing.T) {
 		})
 		start := twoNodeStart()
 		e := s.NewEngine(s.Config().Budget, HashRange{}, nil)
-		e.Inject(NewNode(start, 0))
-		x := s.NewExpander()
-		held, let := 0, 0
+		e.Inject(Forward{State: start})
+		x, px := s.NewExpander(), s.NewExpander()
+		kept, let := 0, 0
 		if err := e.Drain(func() error {
-			for _, n := range e.fr.at(depth) {
-				violated := x.Check(applyPath(t, s, start, n.Path()))
-				if (n.State() != nil) != (len(violated) > 0) {
-					t.Fatalf("reduce=%v: queued leaf holds state: %v, its path replays to a state violating %v", reduce, n.State() != nil, violated)
+			e.queuedAt(depth, func(r Ref, h *held) {
+				_, g, err := r.Path(s, px, start)
+				if err != nil {
+					t.Fatal(err)
 				}
-				if n.State() != nil {
-					held++
+				violated := x.Check(g)
+				if (h.state != nil) != (len(violated) > 0) {
+					t.Fatalf("reduce=%v: queued leaf holds state: %v, its path replays to a state violating %v", reduce, h.state != nil, violated)
+				}
+				if h.sleep != nil {
+					t.Fatalf("reduce=%v: a leaf was given a sleep set", reduce)
+				}
+				if h.state != nil {
+					kept++
 				} else {
 					let++
 				}
-			}
+			})
 			return nil
 		}); err != nil {
 			t.Fatal(err)
 		}
-		if held == 0 || let <= held {
-			t.Fatalf("reduce=%v: %d leaves held, %d let go: the test needs both, mostly the latter", reduce, held, let)
+		if kept == 0 || let <= kept {
+			t.Fatalf("reduce=%v: %d leaves held, %d let go: the test needs both, mostly the latter", reduce, kept, let)
 		}
 		res := e.Result()
-		if res.StatesExplored != e.Claimed() || res.MaxDepthReached != depth || len(res.Violations) == 0 {
-			t.Fatalf("reduce=%v: explored %d of %d claimed to depth %d, %d violations", reduce, res.StatesExplored, e.Claimed(), res.MaxDepthReached, len(res.Violations))
+		if res.StatesExplored != e.Claimed() || res.MaxDepthReached != depth || len(e.Violations(start)) == 0 {
+			t.Fatalf("reduce=%v: explored %d of %d claimed to depth %d, %d violations", reduce, res.StatesExplored, e.Claimed(), res.MaxDepthReached, len(e.Violations(start)))
 		}
 	}
 }
@@ -86,19 +93,17 @@ func TestShallowerViolationBeatsCheckedLeaf(t *testing.T) {
 		s := NewSearch(Config{Props: poisonAt(3), Factory: newToy, Mode: Exhaustive, Budget: Budget{Depth: 2, Violations: 1, Workers: 1}})
 		e := s.NewEngine(s.Config().Budget, HashRange{}, nil)
 		e.window = window
-		e.Inject(NewNode(start(), 0))
+		e.Inject(Forward{State: start()})
 		leafHeld := false
 		if err := e.Drain(func() error {
-			for _, n := range e.fr.at(2) {
-				leafHeld = leafHeld || n.State() != nil
-			}
+			e.queuedAt(2, func(_ Ref, h *held) { leafHeld = leafHeld || h.state != nil })
 			return nil
 		}); err != nil {
 			t.Fatal(err)
 		}
-		res := e.Result()
-		if len(res.Violations) != 1 || res.Violations[0].Depth != 1 || res.StopReason != "violations" {
-			t.Fatalf("window=%d: violations %+v, stop %q; want the one at depth 1", window, res.Violations, res.StopReason)
+		res, vs := e.Result(), e.Violations(start())
+		if len(vs) != 1 || vs[0].Depth != 1 || len(vs[0].Path) != 1 || res.StopReason != "violations" {
+			t.Fatalf("window=%d: violations %+v, stop %q; want the one at depth 1", window, vs, res.StopReason)
 		}
 		if window == 1 && !leafHeld {
 			t.Fatal("window=1: no violating leaf was queued before the depth-1 violation stopped the search: the test is vacuous")
@@ -128,7 +133,7 @@ func TestLiveHeapFollowsWidestExpandedBucket(t *testing.T) {
 	}
 	before := heap()
 	e := s.NewEngine(s.Config().Budget, HashRange{}, nil)
-	e.Inject(NewNode(wideStart(), 0))
+	e.Inject(Forward{State: wideStart()})
 	// The sample with the widest expanded bucket queued, and the one with the
 	// leaf bucket queued.
 	var widest, leaves struct {
@@ -137,7 +142,7 @@ func TestLiveHeapFollowsWidestExpandedBucket(t *testing.T) {
 	}
 	if err := e.Drain(func() error {
 		live := heap() - before
-		if len(e.fr.at(depth)) > 0 {
+		if e.fr.len(depth) > 0 {
 			leaves.heap, leaves.queued, leaves.claimed = live, e.fr.count, e.Claimed()
 		} else if e.fr.count > widest.queued {
 			widest.heap, widest.queued, widest.claimed = live, e.fr.count, e.Claimed()

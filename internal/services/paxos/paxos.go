@@ -26,7 +26,7 @@
 package paxos
 
 import (
-	"sort"
+	"slices"
 
 	"crystalball/internal/sm"
 )
@@ -43,16 +43,40 @@ type Config struct {
 
 // New returns an sm.Factory producing Paxos instances.
 func New(cfg Config) sm.Factory {
-	members := append([]sm.NodeID(nil), cfg.Members...)
-	sort.Slice(members, func(i, j int) bool { return members[i] < members[j] })
-	cfg.Members = members
-	return func(self sm.NodeID) sm.Service {
-		return &Paxos{
-			Self:   self,
-			Learns: make(map[uint64]map[sm.NodeID]int64),
-			cfg:    cfg,
+	cfg.Members = slices.Clone(cfg.Members)
+	slices.Sort(cfg.Members)
+	// What a node's instances share never changes — the configuration, its
+	// peer list, the one call ModelAppCalls offers — so it is built once per
+	// member, here (three arrays for all of them), and every instance, restart
+	// and clone of that node points at it.
+	n := len(cfg.Members)
+	members := make([]member, n)
+	peers := make([]sm.NodeID, 0, n*max(n-1, 0))
+	calls := make([]sm.AppCall, n)
+	for i, self := range cfg.Members {
+		lo := len(peers)
+		for _, m := range cfg.Members {
+			if m != self {
+				peers = append(peers, m)
+			}
 		}
+		calls[i] = Propose{Val: int64(self)}
+		members[i] = member{Config: cfg, peers: peers[lo:len(peers):len(peers)], propose: calls[i : i+1 : i+1]}
 	}
+	return func(self sm.NodeID) sm.Service {
+		if i, ok := slices.BinarySearch(cfg.Members, self); ok {
+			return &Paxos{Self: self, cfg: &members[i]}
+		}
+		// Not a member: everyone is a peer.
+		return &Paxos{Self: self, cfg: &member{Config: cfg, peers: cfg.Members, propose: []sm.AppCall{Propose{Val: int64(self)}}}}
+	}
+}
+
+// member is what every instance of one node shares, read-only after New.
+type member struct {
+	Config
+	peers   []sm.NodeID  // every member but the node itself, ascending
+	propose []sm.AppCall // what ModelAppCalls offers
 }
 
 // promiseInfo records one received Promise in arrival order (arrival order
@@ -87,7 +111,7 @@ type Paxos struct {
 	// (more than one entry is itself a local violation).
 	ChosenVals []int64
 
-	cfg Config
+	cfg *member
 }
 
 // Majority returns the quorum size.
@@ -308,6 +332,9 @@ func (p *Paxos) handleAccept(ctx sm.Context, from sm.NodeID, m Accept) {
 func (p *Paxos) handleLearn(ctx sm.Context, from sm.NodeID, m Learn) {
 	senders := p.Learns[m.Round]
 	if senders == nil {
+		if p.Learns == nil { // most states have learned nothing: the map waits for the first Learn
+			p.Learns = make(map[uint64]map[sm.NodeID]int64)
+		}
 		senders = make(map[sm.NodeID]int64)
 		p.Learns[m.Round] = senders
 	}
@@ -338,15 +365,7 @@ func (p *Paxos) HandleTransportError(ctx sm.Context, peer sm.NodeID) {}
 
 // Neighbors implements sm.Service: the full member list — consensus
 // properties span every participant.
-func (p *Paxos) Neighbors() []sm.NodeID {
-	var out []sm.NodeID
-	for _, m := range p.cfg.Members {
-		if m != p.Self {
-			out = append(out, m)
-		}
-	}
-	return out
-}
+func (p *Paxos) Neighbors() []sm.NodeID { return p.cfg.peers }
 
 // StableBytes implements sm.StableStore: a correct acceptor persists its
 // promise and accepted value; with Bug2 nothing reaches the disk.
@@ -375,13 +394,16 @@ func (p *Paxos) RestoreStable(data []byte) {
 
 // Clone implements sm.Service.
 func (p *Paxos) Clone() sm.Service {
-	learns := make(map[uint64]map[sm.NodeID]int64, len(p.Learns))
-	for r, senders := range p.Learns {
-		cp := make(map[sm.NodeID]int64, len(senders))
-		for n, v := range senders {
-			cp[n] = v
+	var learns map[uint64]map[sm.NodeID]int64
+	if len(p.Learns) > 0 {
+		learns = make(map[uint64]map[sm.NodeID]int64, len(p.Learns))
+		for r, senders := range p.Learns {
+			cp := make(map[sm.NodeID]int64, len(senders))
+			for n, v := range senders {
+				cp[n] = v
+			}
+			learns[r] = cp
 		}
-		learns[r] = cp
 	}
 	return &Paxos{
 		Self:          p.Self,
@@ -418,20 +440,22 @@ func (p *Paxos) EncodeState(e *sm.Encoder) {
 		e.Int64(pi.AcceptedVal)
 		e.Bool(pi.HasAccepted)
 	}
-	rounds := make([]uint64, 0, len(p.Learns))
+	var roundBuf [4]uint64 // on the stack for any realistic learner
+	rounds := roundBuf[:0]
 	for r := range p.Learns {
 		rounds = append(rounds, r)
 	}
-	sort.Slice(rounds, func(i, j int) bool { return rounds[i] < rounds[j] })
+	slices.Sort(rounds)
 	e.Uint32(uint32(len(rounds)))
 	for _, r := range rounds {
 		e.Uint64(r)
 		senders := p.Learns[r]
-		ids := make([]sm.NodeID, 0, len(senders))
+		var idBuf [8]sm.NodeID
+		ids := idBuf[:0]
 		for n := range senders {
 			ids = append(ids, n)
 		}
-		sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+		slices.Sort(ids)
 		e.Uint32(uint32(len(ids)))
 		for _, n := range ids {
 			e.NodeID(n)
@@ -466,7 +490,10 @@ func (p *Paxos) DecodeState(d *sm.Decoder) error {
 		})
 	}
 	nr := d.Count(12)
-	p.Learns = make(map[uint64]map[sm.NodeID]int64, nr)
+	p.Learns = nil
+	if nr > 0 {
+		p.Learns = make(map[uint64]map[sm.NodeID]int64, nr)
+	}
 	for i := 0; i < nr && d.Err() == nil; i++ {
 		r := d.Uint64()
 		ns := d.Count(12)
@@ -496,5 +523,5 @@ func (p *Paxos) ModelAppCalls() []sm.AppCall {
 	if p.Proposing || p.AcceptSent {
 		return nil
 	}
-	return []sm.AppCall{Propose{Val: int64(p.Self)}}
+	return p.cfg.propose
 }

@@ -278,7 +278,15 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 func TestCloneIndependence(t *testing.T) {
 	factory := New(Config{Members: members})
 	p := factory(1).(*Paxos)
-	p.Learns[1] = map[sm.NodeID]int64{2: 7}
+	// A node that has learned nothing carries no map, nor does its clone: the
+	// first Learn makes one.
+	if p.Learns != nil || p.Clone().(*Paxos).Learns != nil {
+		t.Fatal("a fresh node (or its clone) allocates an empty learns map")
+	}
+	p.HandleMessage(&sm.Effects{}, 2, Learn{Round: 1, Val: 7})
+	if p.Learns[1][2] != 7 {
+		t.Fatalf("first Learn not recorded: %v", p.Learns)
+	}
 	q := p.Clone().(*Paxos)
 	q.Learns[1][3] = 8
 	if _, ok := p.Learns[1][3]; ok {

@@ -50,6 +50,49 @@ func KeyOf(ev Event, enc *Encoder) EventKey {
 	}
 }
 
+// DescOf returns ev's descriptor: its key plus, for a delivery, the
+// fingerprint of the message it carries. That is the form a path takes
+// wherever it is stored without its events — a search tree's edges, a sleep
+// promise's entering transition, a forwarded path on a wire. The payload is
+// no part of the delivery's identity (the FIFO head is), so a descriptor with
+// Arg cleared is the key again; the fingerprint is there to be checked when
+// the path is replayed.
+func DescOf(ev Event, enc *Encoder) EventKey {
+	k := KeyOf(ev, enc)
+	if k.Kind == 'M' {
+		k.Arg = PayloadHash(ev.(MsgEvent).Msg, enc)
+	}
+	return k
+}
+
+// PayloadHash fingerprints the message a delivery carries.
+func PayloadHash(msg Message, enc *Encoder) uint64 {
+	enc.Reset()
+	msg.EncodeMsg(enc)
+	return enc.Hash()
+}
+
+// Event returns the event k names, given the payload a key does not hold:
+// msg is what an 'M' delivers and call what an 'A' makes (both unused by the
+// other kinds). It is KeyOf's inverse: KeyOf(k.Event(msg, call), enc) is k
+// with Arg as KeyOf derives it.
+func (k EventKey) Event(msg Message, call AppCall) Event {
+	switch k.Kind {
+	case 'M':
+		return MsgEvent{From: k.From, To: k.Node, Msg: msg}
+	case 'T':
+		return TimerEvent{At: k.Node, Timer: TimerID(k.Name)}
+	case 'A':
+		return AppEvent{At: k.Node, Call: call}
+	case 'R':
+		return ResetEvent{At: k.Node}
+	case 'E':
+		return ErrorEvent{At: k.Node, Peer: k.From}
+	default:
+		return DropEvent{From: k.From, To: k.Node}
+	}
+}
+
 // appendTo appends the key's text form: the one rendering behind
 // Event.Describe, every edge seed (Fold) and every printed trace.
 func (k EventKey) appendTo(b []byte) []byte {

@@ -6,6 +6,8 @@ package a
 import (
 	"fmt"
 	"hash/fnv"
+	"slices"
+	"sort"
 )
 
 //crystal:hotpath
@@ -174,8 +176,37 @@ func enumerateKeys(buf []delivery, tos []int) []delivery {
 	return buf
 }
 
+// byTo is a sort.Interface over deliveries.
+type byTo []delivery
+
+func (b byTo) Len() int           { return len(b) }
+func (b byTo) Less(i, j int) bool { return b[i].to < b[j].to }
+func (b byTo) Swap(i, j int)      { b[i], b[j] = b[j], b[i] }
+
+// encodeSorted is the shape a map-backed state encoder had: collect the keys,
+// then sort them, on every call.
+//
+//crystal:hotpath
+func encodeSorted(ids []int, ds []delivery) int {
+	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })          // want `sort.Slice allocates per call on a hot path`
+	sort.SliceStable(ds, func(i, j int) bool { return ds[i].to < ds[j].to }) // want `sort.SliceStable allocates per call on a hot path`
+	sort.Sort(byTo(ds))                                                      // want `sort.Sort allocates per call on a hot path`
+	return ids[0] + ds[0].to
+}
+
+// encodeOrdered sorts a slice of an ordered type in place, and searches one
+// that is kept sorted: neither allocates.
+//
+//crystal:hotpath
+func encodeOrdered(ids []int, want int) int {
+	slices.Sort(ids)
+	sort.Ints(ids)
+	return sort.SearchInts(ids, want)
+}
+
 // cold is unannotated: the same constructs draw no findings.
 func cold(xs []int) string {
+	sort.Slice(xs, func(i, j int) bool { return xs[i] < xs[j] })
 	var out []int
 	for _, x := range xs {
 		out = append(out, x)

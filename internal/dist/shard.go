@@ -271,6 +271,11 @@ func (sh *shard) route(child mc.Forward) error {
 		fs.prefix = sh.prefix[child.Parent.Root()]
 	}
 	owner := mc.ShardOwner(h, sh.slots)
+	if sh.out[owner] == nil {
+		// A batch is handed to the connection whole, so each one is a new
+		// slice: sized once, not regrown by doubling up to the threshold.
+		sh.out[owner] = make([]ForwardState, 0, sh.cfg.BatchSize)
+	}
 	sh.out[owner] = append(sh.out[owner], fs)
 	sh.st.StatesForwarded++
 	if len(sh.out[owner]) >= sh.cfg.BatchSize {

@@ -121,19 +121,19 @@ func TestEnabledEventsReusedBufferAllocBound(t *testing.T) {
 
 // TestSuccessorAllocBound bounds the full apply+hash cost of one successor.
 // The remaining allocations are the successor's own storage (GState and
-// NodeState containers, the service clone, the changed encoding segment) —
-// the transient workspace (encoders, handler context with its working timer
-// set, random stream, hash state) is the scratch's and must not count. The
+// NodeState containers, the service clone) — the transient workspace
+// (encoders, handler context with its working timer set, random stream, hash
+// state) is the scratch's and must not count, and neither does the node's
+// encoding: finalize hashes it in the scratch and keeps its length. The
 // scratch is the test's own, so the counts are exact under -race too.
 //
 // A timer event neither consumes nor sends, so the successor shares its
 // parent's in-flight container; "tick" bumps the counter and re-arms itself,
-// which leaves the timer set equal to the parent's: 8 allocations (11 while
-// the set was a map cloned per handler run, 12 with the value-slice layout,
-// ~30 before the scratch; the GState is 96 bytes now, not 128, at the same
-// count). "idle" only re-arms and "zap" only expires, so the
-// two differ in nothing but the timer set: a changed set costs exactly its
-// exact-size copy and its encoded segment, an equal one nothing.
+// which leaves the timer set equal to the parent's: 7 allocations (8 while a
+// NodeState kept a copy of its service encoding, 11 while the set was a map
+// cloned per handler run, ~30 before the scratch). "idle" only re-arms and
+// "zap" only expires, so the two differ in nothing but the timer set: a
+// changed set costs exactly its exact-size copy, an equal one nothing.
 // TestShallowCloneAllocBound and TestSuccessorSendAllocBound pin the
 // containers and the in-flight items.
 func TestSuccessorAllocBound(t *testing.T) {
@@ -150,12 +150,41 @@ func TestSuccessorAllocBound(t *testing.T) {
 			}
 		})
 	}
-	const maxAllocs = 8
+	const maxAllocs = 7
 	if tick := allocs("tick"); tick > maxAllocs {
 		t.Errorf("successor construction allocates %.1f/op, want <= %d", tick, maxAllocs)
 	}
-	if idle, zap := allocs("idle"), allocs("zap"); zap != idle+2 {
-		t.Errorf("a successor with a changed timer set allocates %.1f/op and one with an equal set %.1f/op, want exactly two apart (the set and its segment)", zap, idle)
+	if idle, zap := allocs("idle"), allocs("zap"); zap != idle+1 {
+		t.Errorf("a successor with a changed timer set allocates %.1f/op and one with an equal set %.1f/op, want exactly one apart (the set)", zap, idle)
+	}
+}
+
+// TestFinalizeAllocBound: freezing a node state is one encoding pass into
+// the scratch and two hashes streamed from it. Nothing of the encoding is
+// kept, so finalize allocates only when the timer set differs from the
+// parent's — its exact-size copy — and a NodeState stays in the 64-byte
+// class: two words of service, three of timer set, the id with the encoding's
+// length, and the two hashes.
+func TestFinalizeAllocBound(t *testing.T) {
+	if size := unsafe.Sizeof(NodeState{}); size > 64 {
+		t.Errorf("NodeState is %d bytes, want <= 64", size)
+	}
+	g := multiTimerStart()
+	parent := g.Node(1)
+	sc := getScratch()
+	defer putScratch(sc)
+	ns := &NodeState{Svc: parent.Svc}
+	ns.finalize(1, parent.Timers, parent, sc) // size the scratch encoder
+	if ns.chash != parent.chash || ns.lhash != parent.lhash || ns.encLen != parent.encLen {
+		t.Fatal("finalizing the same service and timers again gave another hash or length")
+	}
+	same := slices.Clone(parent.Timers) // equal to the parent's, not the parent's
+	if avg := testing.AllocsPerRun(500, func() { ns.finalize(1, same, parent, sc) }); avg != 0 {
+		t.Errorf("finalize with the parent's timer set allocates %.1f/op, want 0", avg)
+	}
+	changed := parent.Timers.With("extra")
+	if avg := testing.AllocsPerRun(500, func() { ns.finalize(1, changed, parent, sc) }); avg != 1 {
+		t.Errorf("finalize with a changed timer set allocates %.1f/op, want 1 (the set's copy)", avg)
 	}
 }
 

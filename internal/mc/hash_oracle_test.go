@@ -109,75 +109,70 @@ func TestHashMatchesFullHashOnConstruction(t *testing.T) {
 	}
 }
 
-// sameBacking reports whether two byte slices share a backing array (the
-// segment-sharing contract: equal segments are aliased, not copied).
-func sameBacking(a, b []byte) bool {
-	return len(a) > 0 && len(b) > 0 && &a[0] == &b[0]
+// sameSet reports whether two timer sets are the same slice (the sharing
+// contract: a set equal to the parent's is taken, not copied).
+func sameSet(a, b sm.TimerSet) bool {
+	return len(a) == len(b) && (len(a) == 0 || &a[0] == &b[0])
 }
 
-// TestSplitEncodingSegmentSharing covers the service/timer encoding split:
-// a successor whose handler left one segment byte-identical must share that
-// segment's storage with its parent, and the recombined hashes must still
-// match the from-scratch FullHash oracle (which re-encodes both segments as
-// one buffer, bypassing the split entirely).
+// TestSplitEncodingSegmentSharing covers the three ways a handler can leave
+// the (service, timers) encoding relative to its parent's — only the timers
+// changed, only the service changed, and a chain of both — none of which
+// keeps a byte of it: the hashes finalize streams from its one encoding pass
+// must match the from-scratch FullHash oracle each time, and the timer set
+// itself is still shared with the parent exactly when it is equal.
 func TestSplitEncodingSegmentSharing(t *testing.T) {
 	s := NewSearch(Config{Props: poisonAt(1000), Factory: newToy})
 	g := multiTimerStart()
 	parent := g.Node(1)
 
-	// "boom" has no handler logic: only the timer set changes, so the
-	// service segment must be shared with the parent.
+	// "boom" has no handler logic: only the timer set changes.
 	next := s.ApplyEvent(g, sm.TimerEvent{At: 1, Timer: "boom"})
 	if next == nil {
 		t.Fatal("boom timer not applicable")
 	}
 	child := next.Node(1)
-	if !sameBacking(parent.svcEnc, child.svcEnc) {
-		t.Error("timer-only successor did not share the parent's service encoding")
-	}
-	if sameBacking(parent.tmEnc, child.tmEnc) {
-		t.Error("timer segment changed but was shared")
+	if sameSet(parent.Timers, child.Timers) {
+		t.Error("timer set changed but was shared")
 	}
 	if got, want := next.Hash(), next.FullHash(); got != want {
 		t.Fatalf("timer-only successor: incremental %#x != from-scratch %#x", got, want)
 	}
 
 	// "tick" increments the counter and re-arms itself: the service
-	// segment changes, the timer set does not — the timer segment (and the
-	// sorted name list) must be shared.
+	// changes, the timer set does not — the sorted name list must be shared.
 	next = s.ApplyEvent(g, sm.TimerEvent{At: 1, Timer: "tick"})
 	if next == nil {
 		t.Fatal("tick timer not applicable")
 	}
 	child = next.Node(1)
-	if sameBacking(parent.svcEnc, child.svcEnc) {
-		t.Error("service segment changed but was shared")
+	if !sameSet(parent.Timers, child.Timers) {
+		t.Error("service-only successor did not share the parent's timer set")
 	}
-	if !sameBacking(parent.tmEnc, child.tmEnc) {
-		t.Error("service-only successor did not share the parent's timer encoding")
+	if child.encLen != parent.encLen || child.chash == parent.chash {
+		t.Errorf("service-only successor: encoding length %d and hash %#x against the parent's %d and %#x, want the same length and another hash",
+			child.encLen, child.chash, parent.encLen, parent.chash)
 	}
 	if got, want := next.Hash(), next.FullHash(); got != want {
 		t.Fatalf("service-only successor: incremental %#x != from-scratch %#x", got, want)
 	}
 
-	// Sharing must also survive a chain: grandchild via another no-op
-	// timer still aliases the original service segment.
+	// And along a chain: a grandchild via another no-op timer.
 	next2 := s.ApplyEvent(next, sm.TimerEvent{At: 1, Timer: "zap"})
 	if next2 == nil {
 		t.Fatal("zap timer not applicable")
 	}
-	if !sameBacking(next.Node(1).svcEnc, next2.Node(1).svcEnc) {
-		t.Error("segment sharing broke across a successor chain")
-	}
 	if got, want := next2.Hash(), next2.FullHash(); got != want {
 		t.Fatalf("chained successor: incremental %#x != from-scratch %#x", got, want)
 	}
+	if got, want := next2.EncodedSize(), next2.fullEncodedSize(); got != want {
+		t.Fatalf("chained successor: incremental footprint %d != from-scratch %d", got, want)
+	}
 }
 
-// TestSplitEncodingLocalHash: the consequence-prediction local hash derived
-// from the split segments must equal the hash of the old combined encoding
-// (NodeID, length-prefixed service||timers), for both shared and copied
-// segments.
+// TestSplitEncodingLocalHash: the two hashes finalize streams (header, then
+// the scratch's service||timers bytes) equal the hashes of the one combined
+// encoding (NodeID, length-prefixed service||timers) built here.
 func TestSplitEncodingLocalHash(t *testing.T) {
 	g := multiTimerStart()
 	for _, id := range g.Nodes() {

@@ -414,7 +414,8 @@ func TestPathOracleChord(t *testing.T) {
 // sleep set — and nothing per enumerated-but-slept event. 16.6 before the
 // tree was slabs (a Node, a boxed event per enumerated event, a re-boxed
 // delivery, a sleep-set slice of keys, per-call maps and sort closures in the
-// service); measured 9.7.
+// service), 9.86 while every NodeState kept a copy of its service encoding;
+// measured 9.17.
 func TestAllocsPerTransitionPaxosSmoke(t *testing.T) {
 	skipUnlessPooling(t)
 	cfg, start := benchInput(t, "paxos", 5, mc.Exhaustive, mc.Budget{Depth: 4})
@@ -425,8 +426,8 @@ func TestAllocsPerTransitionPaxosSmoke(t *testing.T) {
 	if res.SleepHits == 0 || res.Transitions < 5000 {
 		t.Fatalf("%d transitions, %d sleep hits: the input exercises too little", res.Transitions, res.SleepHits)
 	}
-	if per > 12 {
-		t.Fatalf("%.2f allocations per transition, want <= 12", per)
+	if per > 10 {
+		t.Fatalf("%.2f allocations per transition, want <= 10", per)
 	}
 }
 

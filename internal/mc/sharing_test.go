@@ -360,15 +360,11 @@ func TestSelfLoopIsCountedNotProposed(t *testing.T) {
 // deliveries, self-re-arming and one-shot timers, application calls, resets —
 // and checks the timer set's sharing rule on each: a successor whose handler
 // left the set equal to its parent's (never touched it, or consumed a timer
-// and re-armed it) holds the parent's very set and encoded timer segment,
-// and one whose handler changed it holds an exact-size set of its own that
-// aliases neither. Every node the event did not execute at stays the
+// and re-armed it) holds the parent's very set, and one whose handler
+// changed it holds an exact-size set of its own that does not alias it. Every node the event did not execute at stays the
 // parent's *NodeState. All three cases must occur, or the walk shows nothing.
 func TestTimerSetSharedUntilChanged(t *testing.T) {
 	s := NewSearch(Config{Props: poisonAt(1000), Factory: newToy, ExploreResets: true, MaxResetsPerPath: 1})
-	sameSet := func(a, b sm.TimerSet) bool {
-		return len(a) == len(b) && (len(a) == 0 || &a[0] == &b[0])
-	}
 	var untouched, rearmed, changed int
 	seen := map[uint64]bool{}
 	level := []*GState{multiTimerStart()}
@@ -397,18 +393,18 @@ func TestTimerSetSharedUntilChanged(t *testing.T) {
 						}
 						continue
 					}
-					shared := sameSet(p.Timers, c.Timers) && &p.tmEnc[0] == &c.tmEnc[0]
+					shared := sameSet(p.Timers, c.Timers)
 					switch _, fired := ev.(sm.TimerEvent); {
 					case !p.Timers.Equal(c.Timers):
 						changed++
-						if (len(c.Timers) > 0 && len(p.Timers) > 0 && &c.Timers[0] == &p.Timers[0]) || &p.tmEnc[0] == &c.tmEnc[0] {
+						if len(c.Timers) > 0 && len(p.Timers) > 0 && &c.Timers[0] == &p.Timers[0] {
 							t.Fatalf("%s: timer set changed from %v to %v but still aliases the parent's", ev.Describe(), p.Timers, c.Timers)
 						}
 						if cap(c.Timers) != len(c.Timers) {
 							t.Fatalf("%s: changed timer set %v has capacity %d, want an exact-size copy", ev.Describe(), c.Timers, cap(c.Timers))
 						}
 					case !shared:
-						t.Fatalf("%s: timer set %v equals the parent's but was copied or re-encoded", ev.Describe(), c.Timers)
+						t.Fatalf("%s: timer set %v equals the parent's but was copied", ev.Describe(), c.Timers)
 					case fired:
 						rearmed++
 					default:

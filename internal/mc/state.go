@@ -13,7 +13,6 @@
 package mc
 
 import (
-	"bytes"
 	"cmp"
 	"slices"
 
@@ -35,82 +34,65 @@ const (
 // NodeState is one node's local state inside the checker: the service state
 // machine plus the pending-timer set. NodeState values are immutable once
 // placed in a GState; successor states clone before mutating. Because of
-// that immutability, the canonical encoding and the derived hashes are
-// computed once — by the constructing goroutine, before the state is shared
-// — and reused by every global state the node state appears in.
-//
-// The canonical encoding is held as two segments, service then timers,
-// whose concatenation is the single encoding earlier revisions stored. A
-// successor that changed only one segment shares the other segment's bytes
-// with its parent, so the common timer-only and send-only handlers never copy
-// the unchanged segment.
+// that immutability, what the checker needs of the canonical encoding
+// (service then timers) is computed once — by the constructing goroutine,
+// before the state is shared — and reused by every global state the node state
+// appears in: its length, for the footprint, and the two hashes over it. The
+// bytes themselves are never kept: nothing reads an encoding twice, and
+// FullHash re-encodes from Svc and Timers on purpose.
 //
 // Timers is an sm.TimerSet — sorted, duplicate-free — that finalize sets and
 // nobody writes afterwards: a successor whose handler left the set equal to
 // its parent's (untouched, or a periodic timer consumed and re-armed) holds
-// the parent's very slice and timer segment. Handlers edit the scratch's
-// working copy (sm.Effects.Timers), never this field.
+// the parent's very slice. Handlers edit the scratch's working copy
+// (sm.Effects.Timers), never this field.
 type NodeState struct {
 	Svc    sm.Service
 	Timers sm.TimerSet
 
 	id     sm.NodeID // the node this is a state of, set by finalize (it is hashed in)
-	svcEnc []byte    // canonical encoding of Svc, set by finalize
-	tmEnc  []byte    // canonical encoding of Timers, set by finalize
+	encLen int32     // length of the canonical encoding, set by finalize
 	chash  uint64    // domain-tagged component hash, set by finalize
 	lhash  uint64    // consequence-prediction local hash, set by finalize
 }
 
-// encLen is the length of the node's canonical encoding (both segments).
-func (ns *NodeState) encLen() int { return len(ns.svcEnc) + len(ns.tmEnc) }
-
 // finalize freezes ns — whose Svc is final — with the pending-timer set
-// timers, computing and caching the canonical encoding segments plus the two
-// hashes derived from them: the global-fingerprint component hash and the
-// consequence-prediction local hash. It must be called exactly once, by the
-// goroutine constructing the enclosing GState, after all handler mutations
-// are applied and before the state is published to other workers — from
-// then on every access is a pure read, safe under -race.
+// timers: one encoding pass, service then timers, into sc's reusable buffer,
+// and the two hashes over it — the global-fingerprint component hash and the
+// consequence-prediction local hash — streamed from that buffer, which is
+// then the next caller's. It must be called exactly once, by the goroutine
+// constructing the enclosing GState, after all handler mutations are applied
+// and before the state is published to other workers — from then on every
+// access is a pure read, safe under -race.
 //
-// parent, when non-nil, is the node state this one succeeds: a segment that
-// is byte-identical to the parent's shares the parent's slice instead of
-// copying (NodeStates are immutable, so sharing is always safe). timers may
-// alias a working buffer; it is only read. A set equal to the parent's is
-// neither copied nor re-encoded — ns takes the parent's set and its timer
-// segment — and any other set costs one exact-size copy. The service is
-// encoded into sc's reusable buffer, so finalize allocates only for segments
-// that actually changed.
+// parent, when non-nil, is the node state this one succeeds. timers may alias
+// a working buffer; it is only read. A set equal to the parent's is not
+// copied — ns takes the parent's (NodeStates are immutable, so sharing is
+// always safe) — and any other set costs one exact-size copy: the only
+// allocation finalize makes.
 //
 //crystal:hotpath
 func (ns *NodeState) finalize(id sm.NodeID, timers sm.TimerSet, parent *NodeState, sc *scratch) {
 	ns.id = id
+	if parent != nil && parent.Timers.Equal(timers) {
+		ns.Timers = parent.Timers
+	} else {
+		ns.Timers = slices.Clone(timers)
+	}
 	e := &sc.enc
 	e.Reset()
 	ns.Svc.EncodeState(e)
-	svcSeg := e.Bytes()
-	if parent != nil && bytes.Equal(parent.svcEnc, svcSeg) {
-		ns.svcEnc = parent.svcEnc
-	} else {
-		ns.svcEnc = slices.Clone(svcSeg)
-	}
-	if parent != nil && parent.Timers.Equal(timers) {
-		ns.Timers, ns.tmEnc = parent.Timers, parent.tmEnc
-	} else {
-		ns.Timers = slices.Clone(timers)
-		timers.Encode(e)
-		ns.tmEnc = slices.Clone(e.Bytes()[len(svcSeg):])
-	}
-	// The hashes run over the same bytes as ever: NodeID(id), then the
-	// length-prefixed concatenation of both segments. FNV streams, so the two
-	// segments are folded in one after the other and no combined copy is
-	// materialised.
-	n := uint32(ns.encLen())
+	timers.Encode(e)
+	enc := e.Bytes()
+	ns.encLen = int32(len(enc))
+	// The hashes run over NodeID(id), then the length-prefixed encoding.
+	n := uint32(len(enc))
 	hdr := [8]byte{
 		byte(uint32(id) >> 24), byte(uint32(id) >> 16), byte(uint32(id) >> 8), byte(uint32(id)),
 		byte(n >> 24), byte(n >> 16), byte(n >> 8), byte(n),
 	}
-	ns.chash = sm.Mix64(sm.FNV64aBytes(sm.FNV64aBytes(sm.FNV64aBytes(sm.FNV64aByte(sm.FNV64aInit, domainNode), hdr[:]), ns.svcEnc), ns.tmEnc))
-	ns.lhash = sm.Mix64(sm.FNV64aBytes(sm.FNV64aBytes(sm.FNV64aBytes(sm.FNV64aInit, hdr[:]), ns.svcEnc), ns.tmEnc))
+	ns.chash = sm.Mix64(sm.FNV64aBytes(sm.FNV64aBytes(sm.FNV64aByte(sm.FNV64aInit, domainNode), hdr[:]), enc))
+	ns.lhash = sm.Mix64(sm.FNV64aBytes(sm.FNV64aBytes(sm.FNV64aInit, hdr[:]), enc))
 }
 
 // localHash returns the hash of the node-local state (service state +
@@ -284,7 +266,7 @@ func (g *GState) setNode(id sm.NodeID, svc sm.Service, timers sm.TimerSet, sc *s
 	if present {
 		old = g.nodes[i]
 		g.hsum -= old.chash // every installed node is finalized
-		g.encSize -= 4 + old.encLen()
+		g.encSize -= 4 + int(old.encLen)
 	} else {
 		// Insertion only happens at state-construction time (exploration
 		// never adds nodes).
@@ -293,7 +275,7 @@ func (g *GState) setNode(id sm.NodeID, svc sm.Service, timers sm.TimerSet, sc *s
 	ns := &NodeState{Svc: svc}
 	ns.finalize(id, timers, old, sc)
 	g.hsum += ns.chash
-	g.encSize += 4 + ns.encLen()
+	g.encSize += 4 + int(ns.encLen)
 	g.nodes[i] = ns
 }
 
@@ -304,7 +286,7 @@ func (g *GState) setNode(id sm.NodeID, svc sm.Service, timers sm.TimerSet, sc *s
 func (g *GState) swapNode(i int, nw *NodeState) {
 	old := g.nodes[i]
 	g.hsum += nw.chash - old.chash
-	g.encSize += nw.encLen() - old.encLen()
+	g.encSize += int(nw.encLen - old.encLen)
 	g.nodes[i] = nw
 }
 
@@ -522,8 +504,8 @@ func (g *GState) Hash() uint64 {
 }
 
 // FullHash recomputes the fingerprint from scratch — re-encoding every
-// service, message and stale pair, bypassing all cached encodings and
-// segment sharing — and must always equal Hash. It is the slow-path oracle
+// service, message and stale pair, bypassing every cached hash — and must
+// always equal Hash. It is the slow-path oracle
 // the differential property tests check the incremental maintenance
 // against, and a fallback for tooling that constructs states outside the
 // checker's mutators.
@@ -585,7 +567,7 @@ func (g *GState) EncodedSize() int { return g.encSize }
 func (g *GState) fullEncodedSize() int {
 	n := 0
 	for _, ns := range g.nodes {
-		n += 4 + ns.encLen()
+		n += 4 + int(ns.encLen)
 	}
 	for _, m := range g.msgs {
 		n += 13

@@ -27,10 +27,37 @@
 //     fresh shadow map empty instead of seeding it with every held block;
 //  3. a receiver keeps its stale per-sender file map across a transport
 //     error, leaving phantom blocks that skew the rarest-random policy.
+//
+// # State layout
+//
+// The checker clones a node's state once per executed transition and keeps
+// one per claimed state, so the state is flat: a block set is a bitset over
+// [0, cfg.Blocks) — (cfg.Blocks+63)/64 words — and all of them live in one
+// arena, Have first and then three sets (shadow, advertised, file map) per
+// entry of one peer table sorted by id. A request in flight is a
+// {block, ttl} pair in a slice sorted by block. A clone is the struct and
+// three slice copies; cfg is one value shared by every instance a factory
+// makes.
+//
+// Presence is state. The wire form (EncodeState) lists the peers that have a
+// shadow set, an advertised set, a file map and an outstanding count
+// separately, and an empty set or a zero count still encodes: an Outstanding
+// entry that fell back to 0, or the file map that outlives its peering under
+// bug 3, distinguishes two states. A table entry therefore carries one
+// presence bit per list, lives as long as any bit is set, and keeps the
+// words of an absent set (and an absent count) at zero.
+//
+// Determinism is "ascending order everywhere": the table is walked in id
+// order and a set in bit order, which is the order the encoder, every
+// Send and every Rand draw see. No iteration order is left to chance, and
+// the encoder has nothing to sort.
 package bulletprime
 
 import (
-	"sort"
+	"cmp"
+	"fmt"
+	"math/bits"
+	"slices"
 
 	"crystalball/internal/sm"
 )
@@ -118,52 +145,179 @@ func (c *Config) defaults() {
 func New(cfg Config) sm.Factory {
 	cfg.defaults()
 	return func(self sm.NodeID) sm.Service {
-		b := &Bullet{
-			Self:        self,
-			Have:        make(map[int]bool),
-			Shadow:      make(map[sm.NodeID]map[int]bool),
-			Advertised:  make(map[sm.NodeID]map[int]bool),
-			FileMaps:    make(map[sm.NodeID]map[int]bool),
-			Outstanding: make(map[sm.NodeID]int),
-			Requested:   make(map[int]int),
-			cfg:         cfg,
-		}
+		b := &Bullet{Self: self, cfg: &cfg}
+		b.arena = make([]uint64, b.words())
 		if self == cfg.Source {
-			for i := 0; i < cfg.Blocks; i++ {
-				b.Have[i] = true
+			have := b.have()
+			for blk := 0; blk < cfg.Blocks; blk++ {
+				have.add(blk)
 			}
 		}
 		return b
 	}
 }
 
-// Bullet is the per-node Bullet′ state machine.
+// blockSet is a set of block ids: block b is bit b%64 of word b/64. Walking
+// the words upward and each word from its lowest bit visits the blocks in
+// ascending order.
+type blockSet []uint64
+
+func (s blockSet) has(blk int) bool { return s[blk>>6]&(1<<(blk&63)) != 0 }
+func (s blockSet) add(blk int)      { s[blk>>6] |= 1 << (blk & 63) }
+
+func (s blockSet) empty() bool {
+	for _, w := range s {
+		if w != 0 {
+			return false
+		}
+	}
+	return true
+}
+
+func (s blockSet) count() int {
+	n := 0
+	for _, w := range s {
+		n += bits.OnesCount64(w)
+	}
+	return n
+}
+
+// appendTo appends the blocks of s to dst in ascending order.
+func (s blockSet) appendTo(dst []int) []int {
+	for i, w := range s {
+		for ; w != 0; w &= w - 1 {
+			dst = append(dst, i<<6+bits.TrailingZeros64(w))
+		}
+	}
+	return dst
+}
+
+func (s blockSet) encode(e *sm.Encoder) {
+	e.Uint32(uint32(s.count()))
+	for i, w := range s {
+		for ; w != 0; w &= w - 1 {
+			e.Int(i<<6 + bits.TrailingZeros64(w))
+		}
+	}
+}
+
+// The three block sets a table entry owns in the arena, in arena order. Bit
+// 1<<k of peer.present says set k exists (the peer has an entry in what used
+// to be the Shadow, Advertised or FileMaps map); hasOutstanding says the same
+// of its count.
+const (
+	shadowSet = iota // blocks not yet told to this receiver; present == mesh peer
+	advertisedSet
+	fileMapSet // blocks this sender advertised to us
+	setsPerPeer
+
+	hasOutstanding = 1 << setsPerPeer
+)
+
+// peer is one row of the peer table.
+type peer struct {
+	id      sm.NodeID
+	present uint8
+	// outstanding counts unacked messages to id (the bounded transport
+	// queue).
+	outstanding int
+}
+
+func (p *peer) peered() bool { return p.present&(1<<shadowSet) != 0 }
+
+// request is an outstanding block request and the request-timer ticks left
+// before it expires and the block becomes eligible again (senders with full
+// windows drop requests silently, so receivers must retry).
+type request struct{ block, ttl int }
+
+// Bullet is the per-node Bullet′ state machine; the package comment
+// describes the layout.
 type Bullet struct {
 	Self sm.NodeID
-	// Have is this node's file map.
-	Have map[int]bool
-	// Shadow maps receiver -> blocks not yet told to that receiver.
-	Shadow map[sm.NodeID]map[int]bool
-	// Advertised maps receiver -> blocks included in delivered diffs.
-	Advertised map[sm.NodeID]map[int]bool
-	// FileMaps maps sender -> blocks that sender advertised to us.
-	FileMaps map[sm.NodeID]map[int]bool
-	// Outstanding counts unacked messages per peer (the bounded
-	// transport queue).
-	Outstanding map[sm.NodeID]int
-	// Requested maps a block with an outstanding request to the
-	// remaining request-timer ticks before the request expires and the
-	// block becomes eligible again (senders with full windows drop
-	// requests silently, so receivers must retry).
-	Requested map[int]int
-	// DoneAt is >= 0 once the download completed (set by the harness via
-	// Completed; kept in state so checkpoints capture progress).
+	// Complete is set once the download completed (kept in state so
+	// checkpoints capture progress).
 	Complete bool
 
-	cfg Config
+	cfg *Config // shared by every instance of one factory; never written
+
+	table     []peer    // ascending by id
+	arena     []uint64  // Have, then setsPerPeer sets per table entry
+	requested []request // ascending by block
+	// mesh is the ids of the peered entries, ascending: what Neighbors
+	// returns. It is rebuilt, never edited, when a peering comes or goes, so
+	// clones share it.
+	mesh []sm.NodeID
 }
 
 func (b *Bullet) fixed(f Fix) bool { return b.cfg.Fixes&f != 0 }
+
+// words is the length of one block set.
+func (b *Bullet) words() int { return (b.cfg.Blocks + 63) >> 6 }
+
+func (b *Bullet) inRange(blk int) bool { return blk >= 0 && blk < b.cfg.Blocks }
+
+// have is this node's own file map.
+func (b *Bullet) have() blockSet { return b.arena[:b.words()] }
+
+// set returns set k of table entry i.
+func (b *Bullet) set(i, k int) blockSet {
+	w := b.words()
+	at := w * (1 + setsPerPeer*i + k)
+	return b.arena[at : at+w]
+}
+
+// find returns id's position in the table and whether it is there; for an
+// absent id, the position it would be inserted at.
+func (b *Bullet) find(id sm.NodeID) (int, bool) {
+	return slices.BinarySearchFunc(b.table, id, func(p peer, id sm.NodeID) int { return cmp.Compare(p.id, id) })
+}
+
+// entry returns the position of id's table entry, inserting an empty one
+// (nothing present, all words zero) if there is none.
+func (b *Bullet) entry(id sm.NodeID) int {
+	i, ok := b.find(id)
+	if !ok {
+		b.table = slices.Insert(b.table, i, peer{id: id})
+		n := setsPerPeer * b.words()
+		at := len(b.have()) + n*i
+		b.arena = slices.Grow(b.arena, n)[:len(b.arena)+n]
+		copy(b.arena[at+n:], b.arena[at:])
+		clear(b.arena[at : at+n])
+	}
+	return i
+}
+
+// forget clears what of table entry i the mask names — zeroing the sets and
+// the count that stop being present — and drops the entry once nothing of it
+// is.
+func (b *Bullet) forget(i int, mask uint8) {
+	p := &b.table[i]
+	for k := 0; k < setsPerPeer; k++ {
+		if mask&(1<<k) != 0 {
+			clear(b.set(i, k))
+		}
+	}
+	if mask&hasOutstanding != 0 {
+		p.outstanding = 0
+	}
+	if p.present &^= mask; p.present == 0 {
+		n := setsPerPeer * b.words()
+		at := len(b.have()) + n*i
+		b.arena = slices.Delete(b.arena, at, at+n)
+		b.table = slices.Delete(b.table, i, i+1)
+	}
+}
+
+// remesh rebuilds mesh from the table.
+func (b *Bullet) remesh() {
+	mesh := make([]sm.NodeID, 0, len(b.table))
+	for i := range b.table {
+		if b.table[i].peered() {
+			mesh = append(mesh, b.table[i].id)
+		}
+	}
+	b.mesh = mesh
+}
 
 // Messages.
 
@@ -255,35 +409,24 @@ func (b *Bullet) Init(ctx sm.Context) {
 	ctx.SetTimer(TimerRequest, b.cfg.RequestInterval)
 }
 
-// peers returns the current mesh peers (nodes with a shadow entry).
-func (b *Bullet) peers() []sm.NodeID {
-	ids := make([]sm.NodeID, 0, len(b.Shadow))
-	for id := range b.Shadow {
-		ids = append(ids, id)
+// addPeer installs sender- and receiver-side state for a new mesh peer and
+// returns its table position.
+func (b *Bullet) addPeer(id sm.NodeID) int {
+	i := b.entry(id)
+	p := &b.table[i]
+	if p.peered() {
+		return i
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	return ids
-}
-
-// addPeer installs sender- and receiver-side state for a new mesh peer.
-func (b *Bullet) addPeer(peer sm.NodeID) {
-	if _, ok := b.Shadow[peer]; ok {
-		return
-	}
-	shadow := make(map[int]bool)
+	// A file map that outlived an earlier peering (bug 3) is kept as it is.
+	p.present |= 1<<shadowSet | 1<<advertisedSet | 1<<fileMapSet
 	if b.fixed(FixShadowOnPeering) {
 		// Bug 2: a fresh shadow map must advertise everything we
 		// already hold; the buggy path starts empty, so pre-existing
 		// blocks are never announced to this receiver.
-		for blk := range b.Have {
-			shadow[blk] = true
-		}
+		copy(b.set(i, shadowSet), b.have())
 	}
-	b.Shadow[peer] = shadow
-	b.Advertised[peer] = make(map[int]bool)
-	if _, ok := b.FileMaps[peer]; !ok {
-		b.FileMaps[peer] = make(map[int]bool)
-	}
+	b.remesh()
+	return i
 }
 
 // HandleTimer implements sm.Service.
@@ -293,8 +436,10 @@ func (b *Bullet) HandleTimer(ctx sm.Context, t sm.TimerID) {
 		b.maintainMesh(ctx)
 		ctx.SetTimer(TimerPeer, 2*sm.Second)
 	case TimerDiff:
-		for _, peer := range b.peers() {
-			b.sendDiff(ctx, peer)
+		for i := range b.table {
+			if b.table[i].peered() {
+				b.sendDiff(ctx, i)
+			}
 		}
 		ctx.SetTimer(TimerDiff, b.cfg.DiffInterval)
 	case TimerRequest:
@@ -303,41 +448,46 @@ func (b *Bullet) HandleTimer(ctx sm.Context, t sm.TimerID) {
 	}
 }
 
-func (b *Bullet) maintainMesh(ctx sm.Context) {
-	if len(b.Shadow) >= b.cfg.MaxPeers {
-		return
-	}
-	// Invite random members we are not yet peered with.
-	candidates := make([]sm.NodeID, 0, len(b.cfg.Members))
-	for _, m := range b.cfg.Members {
-		if m == b.Self {
-			continue
-		}
-		if _, ok := b.Shadow[m]; ok {
-			continue
-		}
-		candidates = append(candidates, m)
-	}
-	if len(candidates) == 0 {
-		return
-	}
-	pick := candidates[ctx.Rand().Intn(len(candidates))]
-	ctx.Send(pick, Peering{})
+// candidate reports whether m may be invited into the mesh.
+func (b *Bullet) candidate(m sm.NodeID) bool {
+	return m != b.Self && !slices.Contains(b.mesh, m)
 }
 
-// sendDiff computes and (maybe) transmits the pending diff for peer. This
-// is the paper's buggy code path.
-func (b *Bullet) sendDiff(ctx sm.Context, peer sm.NodeID) {
-	shadow := b.Shadow[peer]
-	if len(shadow) == 0 {
+func (b *Bullet) maintainMesh(ctx sm.Context) {
+	if len(b.mesh) >= b.cfg.MaxPeers {
 		return
 	}
-	blocks := make([]int, 0, len(shadow))
-	for blk := range shadow {
-		blocks = append(blocks, blk)
+	// Invite a random member we are not yet peered with.
+	n := 0
+	for _, m := range b.cfg.Members {
+		if b.candidate(m) {
+			n++
+		}
 	}
-	sort.Ints(blocks)
-	if b.Outstanding[peer] >= b.cfg.Window {
+	if n == 0 {
+		return
+	}
+	pick := ctx.Rand().Intn(n)
+	for _, m := range b.cfg.Members {
+		if !b.candidate(m) {
+			continue
+		}
+		if pick == 0 {
+			ctx.Send(m, Peering{})
+			return
+		}
+		pick--
+	}
+}
+
+// sendDiff computes and (maybe) transmits the pending diff for the peer at
+// table position i. This is the paper's buggy code path.
+func (b *Bullet) sendDiff(ctx sm.Context, i int) {
+	p, shadow := &b.table[i], b.set(i, shadowSet)
+	if shadow.empty() {
+		return
+	}
+	if p.outstanding >= b.cfg.Window {
 		// The bounded transport refuses the enqueue.
 		if !b.fixed(FixShadowOnRefusal) {
 			// Bug 1 (paper): the shadow map is cleared even though
@@ -345,83 +495,86 @@ func (b *Bullet) sendDiff(ctx sm.Context, peer sm.NodeID) {
 			// advertised to this receiver again. (The historical
 			// "fix" retried the send later but kept this clearing
 			// code, so the retry had nothing to send.)
-			b.Shadow[peer] = make(map[int]bool)
+			clear(shadow)
 		}
 		return
 	}
 	// Successful enqueue: blocks move from shadow to advertised.
-	b.Shadow[peer] = make(map[int]bool)
-	adv := b.Advertised[peer]
-	for _, blk := range blocks {
-		adv[blk] = true
+	blocks := shadow.appendTo(make([]int, 0, shadow.count()))
+	adv := b.set(i, advertisedSet)
+	for w := range shadow {
+		adv[w] |= shadow[w]
 	}
-	b.Outstanding[peer]++
-	ctx.Send(peer, Diff{Blocks: blocks})
+	clear(shadow)
+	p.present |= 1<<advertisedSet | hasOutstanding
+	p.outstanding++
+	ctx.Send(p.id, Diff{Blocks: blocks})
+}
+
+// holders counts the mesh peers whose file map lists blk.
+func (b *Bullet) holders(blk int) int {
+	n := 0
+	for i := range b.table {
+		if b.table[i].peered() && b.set(i, fileMapSet).has(blk) {
+			n++
+		}
+	}
+	return n
 }
 
 // issueRequests applies the rarest-random policy: among missing blocks
 // advertised by at least one sender, request those with the fewest holders
-// first, breaking ties randomly.
+// first (lower block first among equally rare ones), from a random holder.
 func (b *Bullet) issueRequests(ctx sm.Context) {
 	// Age outstanding requests; expired ones become eligible again.
-	for blk, ttl := range b.Requested {
-		if ttl <= 1 {
-			delete(b.Requested, blk)
-		} else {
-			b.Requested[blk] = ttl - 1
+	kept := b.requested[:0]
+	for _, r := range b.requested {
+		if r.ttl > 1 {
+			kept = append(kept, request{r.block, r.ttl - 1})
 		}
 	}
-	if b.outstandingRequests() >= b.cfg.MaxOutstandingRequests {
-		return
-	}
-	type cand struct {
-		block   int
-		holders []sm.NodeID
-	}
-	var cands []cand
-	for blk := 0; blk < b.cfg.Blocks; blk++ {
-		if b.Have[blk] {
-			continue
-		}
-		if _, pending := b.Requested[blk]; pending {
-			continue
-		}
-		var holders []sm.NodeID
-		for _, peer := range b.peers() {
-			if b.FileMaps[peer][blk] {
-				holders = append(holders, peer)
+	b.requested = kept
+	budget := b.cfg.MaxOutstandingRequests - len(b.requested)
+	have := b.have()
+	// One pass per rarity: a block requested in the pass of its own holder
+	// count is in no other, so the requests made along the way hide nothing.
+	for rarity := 1; rarity <= len(b.mesh); rarity++ {
+		for blk := 0; blk < b.cfg.Blocks; blk++ {
+			if budget <= 0 {
+				return
+			}
+			if have.has(blk) || b.holders(blk) != rarity {
+				continue
+			}
+			at, pending := b.findRequest(blk)
+			if pending {
+				continue
+			}
+			pick := ctx.Rand().Intn(rarity)
+			for i := range b.table {
+				if !b.table[i].peered() || !b.set(i, fileMapSet).has(blk) {
+					continue
+				}
+				if pick == 0 {
+					b.requested = slices.Insert(b.requested, at, request{blk, requestTTL})
+					ctx.Send(b.table[i].id, Request{Block: blk})
+					budget--
+					break
+				}
+				pick--
 			}
 		}
-		if len(holders) > 0 {
-			cands = append(cands, cand{block: blk, holders: holders})
-		}
-	}
-	if len(cands) == 0 {
-		return
-	}
-	// Rarest first; shuffle within equal rarity via random tie-break.
-	rng := ctx.Rand()
-	sort.Slice(cands, func(i, j int) bool {
-		if len(cands[i].holders) != len(cands[j].holders) {
-			return len(cands[i].holders) < len(cands[j].holders)
-		}
-		return cands[i].block < cands[j].block
-	})
-	budget := b.cfg.MaxOutstandingRequests - b.outstandingRequests()
-	for _, c := range cands {
-		if budget == 0 {
-			return
-		}
-		holder := c.holders[rng.Intn(len(c.holders))]
-		b.Requested[c.block] = requestTTL
-		ctx.Send(holder, Request{Block: c.block})
-		budget--
 	}
 }
 
-func (b *Bullet) outstandingRequests() int { return len(b.Requested) }
+// findRequest returns blk's position in requested and whether it is there;
+// for an absent block, the position it would be inserted at.
+func (b *Bullet) findRequest(blk int) (int, bool) {
+	return slices.BinarySearchFunc(b.requested, blk, func(r request, blk int) int { return cmp.Compare(r.block, blk) })
+}
 
-// HandleMessage implements sm.Service.
+// HandleMessage implements sm.Service. A block id outside the file that
+// arrives in a message is ignored: no set can hold it.
 func (b *Bullet) HandleMessage(ctx sm.Context, from sm.NodeID, msg sm.Message) {
 	switch m := msg.(type) {
 	case Peering:
@@ -430,26 +583,36 @@ func (b *Bullet) HandleMessage(ctx sm.Context, from sm.NodeID, msg sm.Message) {
 	case PeeringAck:
 		b.addPeer(from)
 	case Diff:
-		b.addPeer(from)
-		fm := b.FileMaps[from]
+		i := b.addPeer(from)
+		b.table[i].present |= 1 << fileMapSet
+		fm := b.set(i, fileMapSet)
 		for _, blk := range m.Blocks {
-			fm[blk] = true
+			if b.inRange(blk) {
+				fm.add(blk)
+			}
 		}
 		ctx.Send(from, Ack{})
 	case Request:
-		if b.Have[m.Block] && b.Outstanding[from] < b.cfg.Window {
-			b.Outstanding[from]++
+		if !b.inRange(m.Block) || !b.have().has(m.Block) {
+			return
+		}
+		if i, ok := b.find(from); !ok || b.table[i].outstanding < b.cfg.Window {
+			p := &b.table[b.entry(from)]
+			p.present |= hasOutstanding
+			p.outstanding++
 			ctx.Send(from, Data{Block: m.Block, Bytes: b.cfg.BlockSize})
 		}
 	case Data:
-		delete(b.Requested, m.Block)
-		if !b.Have[m.Block] {
+		if i, pending := b.findRequest(m.Block); pending {
+			b.requested = slices.Delete(b.requested, i, i+1)
+		}
+		if b.inRange(m.Block) && !b.have().has(m.Block) {
 			b.receiveBlock(m.Block)
 		}
 		ctx.Send(from, Ack{})
 	case Ack:
-		if b.Outstanding[from] > 0 {
-			b.Outstanding[from]--
+		if i, ok := b.find(from); ok && b.table[i].outstanding > 0 {
+			b.table[i].outstanding--
 		}
 	}
 }
@@ -457,11 +620,13 @@ func (b *Bullet) HandleMessage(ctx sm.Context, from sm.NodeID, msg sm.Message) {
 // receiveBlock installs a new block and queues it on every receiver's
 // shadow map.
 func (b *Bullet) receiveBlock(blk int) {
-	b.Have[blk] = true
-	for _, peer := range b.peers() {
-		b.Shadow[peer][blk] = true
+	b.have().add(blk)
+	for i := range b.table {
+		if b.table[i].peered() {
+			b.set(i, shadowSet).add(blk)
+		}
 	}
-	if len(b.Have) == b.cfg.Blocks {
+	if b.Progress() == b.cfg.Blocks {
 		b.Complete = true
 	}
 }
@@ -470,161 +635,159 @@ func (b *Bullet) receiveBlock(blk int) {
 func (b *Bullet) HandleApp(ctx sm.Context, call sm.AppCall) {}
 
 // HandleTransportError implements sm.Service: drop the peering.
-func (b *Bullet) HandleTransportError(ctx sm.Context, peer sm.NodeID) {
-	delete(b.Shadow, peer)
-	delete(b.Advertised, peer)
-	delete(b.Outstanding, peer)
+func (b *Bullet) HandleTransportError(ctx sm.Context, id sm.NodeID) {
+	i, ok := b.find(id)
+	if !ok {
+		return
+	}
+	var gone uint8 = 1<<shadowSet | 1<<advertisedSet | hasOutstanding
 	if b.fixed(FixStaleFileMap) {
 		// Bug 3: the stale per-sender file map survives the error,
 		// leaving phantom blocks that skew rarest-random requests
 		// toward a dead or amnesiac sender.
-		delete(b.FileMaps, peer)
+		gone |= 1 << fileMapSet
+	}
+	wasPeered := b.table[i].peered()
+	b.forget(i, gone)
+	if wasPeered {
+		b.remesh()
 	}
 }
 
-// Neighbors implements sm.Service: the mesh peers.
-func (b *Bullet) Neighbors() []sm.NodeID { return b.peers() }
+// Neighbors implements sm.Service: the mesh peers, ascending. The slice is
+// shared with every clone of b; callers only read it.
+func (b *Bullet) Neighbors() []sm.NodeID { return b.mesh }
 
 // Progress reports how many blocks the node holds.
-func (b *Bullet) Progress() int { return len(b.Have) }
+func (b *Bullet) Progress() int { return b.have().count() }
 
-// Clone implements sm.Service.
+// Clone implements sm.Service: the struct and the three slices a handler
+// writes (mesh is replaced, never written, and cfg is read-only).
+//
+//crystal:hotpath
 func (b *Bullet) Clone() sm.Service {
-	cp := &Bullet{
-		Self:        b.Self,
-		Have:        cloneIntSet(b.Have),
-		Shadow:      clonePeerBlocks(b.Shadow),
-		Advertised:  clonePeerBlocks(b.Advertised),
-		FileMaps:    clonePeerBlocks(b.FileMaps),
-		Outstanding: make(map[sm.NodeID]int, len(b.Outstanding)),
-		Requested:   make(map[int]int, len(b.Requested)),
-		Complete:    b.Complete,
-		cfg:         b.cfg,
-	}
-	for k, v := range b.Outstanding {
-		cp.Outstanding[k] = v
-	}
-	for k, v := range b.Requested {
-		cp.Requested[k] = v
-	}
-	return cp
+	cp := *b
+	cp.table = slices.Clone(b.table)
+	cp.arena = slices.Clone(b.arena)
+	cp.requested = slices.Clone(b.requested)
+	return &cp
 }
 
-func cloneIntSet(s map[int]bool) map[int]bool {
-	out := make(map[int]bool, len(s))
-	for k, v := range s {
-		if v {
-			out[k] = true
-		}
-	}
-	return out
-}
-
-func clonePeerBlocks(m map[sm.NodeID]map[int]bool) map[sm.NodeID]map[int]bool {
-	out := make(map[sm.NodeID]map[int]bool, len(m))
-	for k, v := range m {
-		out[k] = cloneIntSet(v)
-	}
-	return out
-}
-
-// EncodeState implements sm.Service.
+// EncodeState implements sm.Service. The wire form is the one the six maps
+// of earlier revisions encoded to: Have, then the peers and sets of Shadow,
+// Advertised and FileMaps, then Outstanding and Requested, everything in
+// ascending order.
+//
+//crystal:hotpath
 func (b *Bullet) EncodeState(e *sm.Encoder) {
 	e.NodeID(b.Self)
-	encodeIntSet(e, b.Have)
-	encodePeerBlocks(e, b.Shadow)
-	encodePeerBlocks(e, b.Advertised)
-	encodePeerBlocks(e, b.FileMaps)
-	ids := make([]sm.NodeID, 0, len(b.Outstanding))
-	for id := range b.Outstanding {
-		ids = append(ids, id)
+	b.have().encode(e)
+	for k := 0; k < setsPerPeer; k++ {
+		e.Uint32(uint32(b.countPresent(1 << k)))
+		for i := range b.table {
+			if b.table[i].present&(1<<k) != 0 {
+				e.NodeID(b.table[i].id)
+				b.set(i, k).encode(e)
+			}
+		}
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	e.Uint32(uint32(len(ids)))
-	for _, id := range ids {
-		e.NodeID(id)
-		e.Int(b.Outstanding[id])
+	e.Uint32(uint32(b.countPresent(hasOutstanding)))
+	for i := range b.table {
+		if p := &b.table[i]; p.present&hasOutstanding != 0 {
+			e.NodeID(p.id)
+			e.Int(p.outstanding)
+		}
 	}
-	blocks := make([]int, 0, len(b.Requested))
-	for blk := range b.Requested {
-		blocks = append(blocks, blk)
-	}
-	sort.Ints(blocks)
-	e.Uint32(uint32(len(blocks)))
-	for _, blk := range blocks {
-		e.Int(blk)
-		e.Int(b.Requested[blk])
+	e.Uint32(uint32(len(b.requested)))
+	for _, r := range b.requested {
+		e.Int(r.block)
+		e.Int(r.ttl)
 	}
 	e.Bool(b.Complete)
 }
 
-func encodeIntSet(e *sm.Encoder, s map[int]bool) {
-	blocks := make([]int, 0, len(s))
-	for blk, ok := range s {
-		if ok {
-			blocks = append(blocks, blk)
+// countPresent counts the table entries that have bit set.
+func (b *Bullet) countPresent(bit uint8) int {
+	n := 0
+	for i := range b.table {
+		if b.table[i].present&bit != 0 {
+			n++
 		}
 	}
-	sort.Ints(blocks)
-	e.Uint32(uint32(len(blocks)))
-	for _, blk := range blocks {
-		e.Int(blk)
-	}
+	return n
 }
 
-func encodePeerBlocks(e *sm.Encoder, m map[sm.NodeID]map[int]bool) {
-	ids := make([]sm.NodeID, 0, len(m))
-	for id := range m {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	e.Uint32(uint32(len(ids)))
-	for _, id := range ids {
-		e.NodeID(id)
-		encodeIntSet(e, m[id])
-	}
-}
-
-// DecodeState implements sm.Service.
+// DecodeState implements sm.Service. The bytes may come from a peer: a block
+// id outside [0, cfg.Blocks) or an id listed twice is an error, not a state.
+// Entries in any order are accepted and held sorted.
 func (b *Bullet) DecodeState(d *sm.Decoder) error {
 	b.Self = d.NodeID()
-	b.Have = decodeIntSet(d)
-	b.Shadow = decodePeerBlocks(d)
-	b.Advertised = decodePeerBlocks(d)
-	b.FileMaps = decodePeerBlocks(d)
-	n := d.Count(12)
-	b.Outstanding = make(map[sm.NodeID]int, n)
-	for i := 0; i < n && d.Err() == nil; i++ {
-		id := d.NodeID()
-		b.Outstanding[id] = d.Int()
+	b.table, b.requested = nil, nil
+	b.arena = make([]uint64, b.words())
+	if err := b.decodeSet(d, b.have()); err != nil {
+		return err
 	}
-	nr := d.Count(16)
-	b.Requested = make(map[int]int, nr)
-	for i := 0; i < nr && d.Err() == nil; i++ {
-		blk := d.Int()
-		b.Requested[blk] = d.Int()
+	for k := 0; k < setsPerPeer; k++ {
+		for n := d.Count(8); n > 0; n-- {
+			i, err := b.decodeEntry(d, 1<<k)
+			if err != nil {
+				return err
+			}
+			if err := b.decodeSet(d, b.set(i, k)); err != nil {
+				return err
+			}
+		}
+	}
+	for n := d.Count(12); n > 0; n-- {
+		i, err := b.decodeEntry(d, hasOutstanding)
+		if err != nil {
+			return err
+		}
+		b.table[i].outstanding = d.Int()
+	}
+	for n := d.Count(16); n > 0; n-- {
+		blk, ttl := d.Int(), d.Int()
+		if d.Err() != nil {
+			return d.Err()
+		}
+		i, dup := b.findRequest(blk)
+		if dup || !b.inRange(blk) {
+			return fmt.Errorf("bulletprime: decode: request for block %d repeated or outside [0, %d)", blk, b.cfg.Blocks)
+		}
+		b.requested = slices.Insert(b.requested, i, request{blk, ttl})
 	}
 	b.Complete = d.Bool()
+	b.remesh()
 	return d.Err()
 }
 
-func decodeIntSet(d *sm.Decoder) map[int]bool {
-	n := d.Count(8)
-	out := make(map[int]bool, n)
-	for i := 0; i < n && d.Err() == nil; i++ {
-		out[d.Int()] = true
+// decodeEntry reads a peer id and marks bit present in its table entry.
+func (b *Bullet) decodeEntry(d *sm.Decoder, bit uint8) (int, error) {
+	id := d.NodeID()
+	if d.Err() != nil {
+		return 0, d.Err()
 	}
-	return out
+	i := b.entry(id)
+	if b.table[i].present&bit != 0 {
+		return 0, fmt.Errorf("bulletprime: decode: peer %v listed twice", id)
+	}
+	b.table[i].present |= bit
+	return i, nil
 }
 
-func decodePeerBlocks(d *sm.Decoder) map[sm.NodeID]map[int]bool {
-	n := d.Count(8)
-	out := make(map[sm.NodeID]map[int]bool, n)
-	for i := 0; i < n && d.Err() == nil; i++ {
-		id := d.NodeID()
-		out[id] = decodeIntSet(d)
+// decodeSet reads a block set into s.
+func (b *Bullet) decodeSet(d *sm.Decoder, s blockSet) error {
+	for n := d.Count(8); n > 0; n-- {
+		blk := d.Int()
+		if d.Err() != nil {
+			return d.Err()
+		}
+		if !b.inRange(blk) {
+			return fmt.Errorf("bulletprime: decode: block %d outside [0, %d)", blk, b.cfg.Blocks)
+		}
+		s.add(blk)
 	}
-	return out
+	return d.Err()
 }
 
 // ServiceName implements sm.Service.

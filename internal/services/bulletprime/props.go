@@ -29,11 +29,14 @@ var PropFileMapConsistency = props.Property{
 			if s == nil {
 				continue
 			}
-			for _, rid := range s.peers() {
-				shadow := s.Shadow[rid]
-				adv := s.Advertised[rid]
-				for blk := range s.Have {
-					if !shadow[blk] && !adv[blk] {
+			have := s.have()
+			for i := range s.table {
+				if !s.table[i].peered() {
+					continue
+				}
+				shadow, adv := s.set(i, shadowSet), s.set(i, advertisedSet)
+				for w := range have {
+					if have[w]&^(shadow[w]|adv[w]) != 0 {
 						return false // never advertised, never will be
 					}
 				}
@@ -58,13 +61,15 @@ var PropNoPhantomBlocks = props.Property{
 			if r == nil {
 				continue
 			}
-			for sid, fm := range r.FileMaps {
-				s := bulletOf(v, sid)
+			for i := range r.table {
+				s := bulletOf(v, r.table[i].id)
 				if s == nil {
 					continue
 				}
-				for blk := range fm {
-					if !s.Have[blk] {
+				// An absent file map is all zero words.
+				fm, have := r.set(i, fileMapSet), s.have()
+				for w := range fm {
+					if fm[w]&^have[w] != 0 {
 						return false
 					}
 				}

@@ -479,6 +479,8 @@ func (r *Ring) Clone() sm.Service {
 }
 
 // EncodeState implements sm.Service.
+//
+//crystal:hotpath
 func (r *Ring) EncodeState(e *sm.Encoder) {
 	e.NodeID(r.Self)
 	e.Bool(r.Joined)

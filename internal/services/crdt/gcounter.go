@@ -187,6 +187,8 @@ func (c *Counter) Clone() sm.Service {
 }
 
 // EncodeState implements sm.Service.
+//
+//crystal:hotpath
 func (c *Counter) EncodeState(e *sm.Encoder) {
 	e.NodeID(c.Self)
 	e.Bool(c.Fixed)

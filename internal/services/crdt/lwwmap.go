@@ -201,6 +201,8 @@ func (m *Map) sortedKeys() []string {
 }
 
 // EncodeState implements sm.Service.
+//
+//crystal:hotpath
 func (m *Map) EncodeState(e *sm.Encoder) {
 	e.NodeID(m.Self)
 	e.Bool(m.Fixed)

@@ -268,6 +268,8 @@ func (s *Set) sortedElems() []string {
 }
 
 // EncodeState implements sm.Service.
+//
+//crystal:hotpath
 func (s *Set) EncodeState(e *sm.Encoder) {
 	e.NodeID(s.Self)
 	e.Bool(s.Fixed)

@@ -3,6 +3,7 @@ package paxos
 import (
 	"testing"
 	"time"
+	"unsafe"
 
 	"crystalball/internal/mc"
 	"crystalball/internal/props"
@@ -291,5 +292,15 @@ func TestCloneIndependence(t *testing.T) {
 	q.Learns[1][3] = 8
 	if _, ok := p.Learns[1][3]; ok {
 		t.Fatal("clone shares learns map")
+	}
+}
+
+// TestPaxosStructSize: the checker clones a Paxos per executed transition, so
+// its size class is a per-transition cost. 112 bytes with Self and the three
+// flags in one word; a bool between two words takes a word of its own, and
+// three of them did (136 bytes, the 144-byte class).
+func TestPaxosStructSize(t *testing.T) {
+	if size := unsafe.Sizeof(Paxos{}); size > 112 {
+		t.Fatalf("Paxos is %d bytes, want <= 112: keep the small fields together", size)
 	}
 }

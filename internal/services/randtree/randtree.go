@@ -531,6 +531,8 @@ func (t *Tree) Clone() sm.Service {
 }
 
 // EncodeState implements sm.Service.
+//
+//crystal:hotpath
 func (t *Tree) EncodeState(e *sm.Encoder) {
 	e.NodeID(t.Self)
 	e.Bool(t.Joined)

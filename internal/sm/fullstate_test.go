@@ -115,10 +115,48 @@ func TestDecodeFullStateRejectsCorruptTimerCount(t *testing.T) {
 	}
 }
 
+// bulletSeeds returns bulletprime checkpoints no node could have written: a
+// block set is a bitset over the file's blocks and the peer table has one
+// entry per id, so the decoder must refuse (not build, not panic on) a block
+// id past the file, a peer listed twice in one list and a set count the
+// buffer cannot hold. Each is the fresh node 1 of the corpus (Have, three
+// peer lists, Outstanding, Requested, Complete, then no timers) with one
+// list replaced.
+func bulletSeeds() [][]byte {
+	state := func(have func(e *sm.Encoder), shadow func(e *sm.Encoder)) []byte {
+		e := sm.NewEncoder()
+		e.NodeID(1)
+		have(e)
+		shadow(e)
+		e.Uint32(0) // Advertised
+		e.Uint32(0) // FileMaps
+		e.Uint32(0) // Outstanding
+		e.Uint32(0) // Requested
+		e.Bool(false)
+		e.Uint32(0) // timers
+		return slices.Clone(e.Bytes())
+	}
+	none := func(e *sm.Encoder) { e.Uint32(0) }
+	return [][]byte{
+		state(func(e *sm.Encoder) { e.Uint32(2); e.Int(0); e.Int(1 << 20) }, none),
+		state(func(e *sm.Encoder) { e.Uint32(1); e.Int(-1) }, none),
+		state(none, func(e *sm.Encoder) {
+			e.Uint32(2)
+			for i := 0; i < 2; i++ {
+				e.NodeID(2)
+				e.Uint32(1)
+				e.Int(0)
+			}
+		}),
+		state(func(e *sm.Encoder) { e.Uint32(0x7fffffff); e.Int(0) }, none),
+		state(none, func(e *sm.Encoder) { e.Uint32(1); e.NodeID(2); e.Uint32(0x7fffffff) }),
+	}
+}
+
 // FuzzDecodeFullState feeds mutated checkpoints to every registered
 // scenario's decoder (which picks the scenario). Seeds: the real node states
-// of fullStateCorpus, and each scenario's first state with the timer count
-// that used to exhaust memory.
+// of fullStateCorpus, each scenario's first state with the timer count that
+// used to exhaust memory, and bulletSeeds for the bulletprime decoder.
 func FuzzDecodeFullState(f *testing.F) {
 	factories, states := fullStateCorpus(f)
 	for i := range factories {
@@ -126,6 +164,13 @@ func FuzzDecodeFullState(f *testing.F) {
 			f.Add(uint8(i), enc)
 		}
 		f.Add(uint8(i), corruptTimerCount(states[i][0], 0x7fffffff))
+	}
+	bullet := slices.Index(scenario.Names(), "bulletprime")
+	for _, enc := range bulletSeeds() {
+		if _, _, err := sm.DecodeFullState(factories[bullet], 1, enc); err == nil {
+			f.Errorf("bulletprime decoded the unrepresentable state %x without error", enc)
+		}
+		f.Add(uint8(bullet), enc)
 	}
 	f.Fuzz(func(t *testing.T, which uint8, data []byte) {
 		checkDecodeFullState(t, factories[int(which)%len(factories)], data)

@@ -25,6 +25,8 @@ test:
 # is an mc.Budget value: nothing plans it, so no policy type comes back —
 # and it sits in the mc.Config the controller holds (Config.Check): a checker
 # setting declared again as a controller field is a second copy to keep equal.
+# The one benchmark is `go run ./bench`: a testing.B benchmark under cmd,
+# internal or examples is a second measuring surface whose numbers nothing records.
 # The CI lint job runs exactly this target.
 lint:
 	@fmtout=$$(gofmt -l cmd internal examples bench); \
@@ -43,6 +45,8 @@ lint:
 	echo "a round's budget is an mc.Budget value: no policy layer"; exit 1; fi
 	@if grep -rnE --include='*.go' '^[[:space:]]+(ExploreResets|ExploreConnBreaks|MaxResetsPerPath|GlobalProps|Reduce)[[:space:]]+[][*.[:alnum:]]+[[:space:]]*(//.*)?$$' internal/controller; then \
 	echo "a round's configuration is an mc.Config value (controller.Config.Check): no mirror fields"; exit 1; fi
+	@if grep -rn --include='*.go' -e 'func Benchmark' cmd internal examples; then \
+	echo "the one benchmark is go run ./bench: no testing.B benchmarks"; exit 1; fi
 	$(GO) vet ./...
 	$(GO) run ./cmd/crystalvet ./...
 

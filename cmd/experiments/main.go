@@ -6,10 +6,9 @@
 //	experiments -exp all                 # everything, default scales
 //	experiments -exp fig14 -runs 100     # Figure 14 at paper scale
 //	experiments -exp table1 -duration 30m
-//	experiments -exp sweep               # scenario x workers x shards x reduction matrix
 //
 // Experiments: table1, fig12, fig15, fig16, depths, randtree-steering,
-// fig14, fig17, overhead, sweep, all.
+// fig14, fig17, overhead, all.
 package main
 
 import (
@@ -18,7 +17,6 @@ import (
 	"os"
 	"time"
 
-	"crystalball/internal/dist"
 	"crystalball/internal/experiments"
 )
 
@@ -35,7 +33,7 @@ func render[T any](format func(T) string) func(T, error) (string, error) {
 
 func main() {
 	var (
-		exp      = flag.String("exp", "all", "experiment id (table1|fig12|fig15|fig16|depths|randtree-steering|fig14|fig17|overhead|sweep|all)")
+		exp      = flag.String("exp", "all", "experiment id (table1|fig12|fig15|fig16|depths|randtree-steering|fig14|fig17|overhead|all)")
 		seed     = flag.Int64("seed", 42, "root random seed")
 		runs     = flag.Int("runs", 30, "runs per bug for fig14 (paper: 100)")
 		nodes    = flag.Int("nodes", 0, "node count override (0 = experiment default)")
@@ -43,18 +41,8 @@ func main() {
 		depth    = flag.Int("depth", 0, "max depth for fig12/fig15")
 		budget   = flag.Duration("budget", 2*time.Second, "wall budget for the depths comparison")
 		workers  = flag.Int("workers", 0, "checker worker goroutines (0 = GOMAXPROCS)")
-		states   = flag.Int("states", 0, "sweep: state budget per cell (0 = 4000)")
-		reduce   = flag.String("reduce", "", "sweep: restrict the partial-order-reduction axis (on|off; empty = sweep both)")
-		shards   = flag.Int("shards", 0, "sweep: add a distributed-search axis at this shard count (0 = single engine only)")
-		faults   = flag.String("faults", "", "sweep: fault-plan spec injected into distributed cells (see mcheck -faults)")
 	)
 	flag.Parse()
-
-	plan, err := dist.ParseFaultPlan(*faults)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "bad -faults spec: %v\n", err)
-		os.Exit(2)
-	}
 
 	run := func(name string) {
 		var out string
@@ -97,25 +85,6 @@ func main() {
 		case "fig17":
 			cfg := experiments.Fig17Config{Seed: *seed, Nodes: *nodes, Deadline: *duration, Workers: *workers}
 			out, err = render(experiments.FormatFig17)(experiments.Fig17Bullet(cfg))
-		case "sweep":
-			cfg := experiments.SweepConfig{Seed: *seed, States: *states, Faults: plan}
-			if *workers > 0 {
-				cfg.Workers = []int{*workers}
-			}
-			switch *reduce {
-			case "on":
-				cfg.Reduce = []bool{true}
-			case "off":
-				cfg.Reduce = []bool{false}
-			case "":
-			default:
-				fmt.Fprintf(os.Stderr, "unknown -reduce %q (want on|off)\n", *reduce)
-				os.Exit(2)
-			}
-			if *shards > 1 {
-				cfg.Shards = []int{1, *shards}
-			}
-			out, err = render(experiments.FormatSweep)(experiments.Sweep(cfg))
 		case "overhead":
 			cfg := experiments.OverheadConfig{Seed: *seed, Nodes: *nodes, Duration: *duration}
 			out, err = render(experiments.FormatOverhead)(experiments.Overhead(cfg))

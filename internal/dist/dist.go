@@ -51,8 +51,7 @@ import (
 )
 
 // Stats counts one shard's frontier-exchange traffic; the coordinator sums
-// them into the round's totals. cmd/experiments -exp sweep reports these
-// alongside the checker's pruning telemetry.
+// them into the round's totals.
 type Stats struct {
 	// StatesForwarded counts successors handed to a remote owner shard.
 	StatesForwarded int64
@@ -105,16 +104,6 @@ type RecoveryStats struct {
 	// FinalShards is the number of live shards the successful attempt ran
 	// on (0 when SerialFallback).
 	FinalShards int
-}
-
-// add folds another round's recovery telemetry in (used by sweeps).
-func (r *RecoveryStats) add(o RecoveryStats) {
-	r.Retries += o.Retries
-	r.Deaths = append(r.Deaths, o.Deaths...)
-	if o.SerialFallback {
-		r.SerialFallback = true
-	}
-	r.FinalShards = o.FinalShards
 }
 
 // String renders the telemetry canonically, e.g.

@@ -1,9 +1,9 @@
 // Package experiments implements one harness per table and figure of the
 // CrystalBall paper's evaluation (section 5). Each harness returns a
 // structured result plus a plain-text rendering with the same rows or
-// series the paper reports; cmd/experiments prints them and bench_test.go
-// wraps them as benchmarks. All harnesses are deterministic for a fixed
-// seed and scale with their parameters, so benchmarks can run scaled-down
+// series the paper reports; cmd/experiments prints them and the package's
+// tests assert their claims. All harnesses are deterministic for a fixed
+// seed and scale with their parameters, so the tests run scaled-down
 // versions of the same code paths.
 package experiments
 
@@ -272,8 +272,3 @@ func FormatDepthComparison(rows []DepthBudgetRow, budget time.Duration) string {
 	}
 	return t.String()
 }
-
-// The shared deployment helper that used to live here (Deployment, Deploy,
-// Churn, SnapCfg) is now the scenario package's deployment builder: every
-// harness below describes its deployment with scenario.DeployOptions and
-// the registry supplies the stack.

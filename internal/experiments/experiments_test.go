@@ -7,6 +7,8 @@ import (
 	"time"
 
 	"crystalball/internal/scenario"
+	"crystalball/internal/simnet"
+	"crystalball/internal/snapshot"
 )
 
 func TestFig12ExhaustiveGrowth(t *testing.T) {
@@ -199,31 +201,44 @@ func TestOverheadQuick(t *testing.T) {
 	_ = FormatOverhead(rows)
 }
 
-// TestSweepOneSearchPerCell: the matrix has one row per scenario x workers x
-// shards x reduction cell (reduction collapses for sharded cells), and within
-// a scenario the reduced cell claims what the unreduced one does through no
-// more transitions.
-func TestSweepOneSearchPerCell(t *testing.T) {
-	rows := must(Sweep(SweepConfig{Seed: 1, Workers: []int{1}, Shards: []int{1, 2}, States: 300}))
-	if want := 3 * len(scenario.Names()); len(rows) != want {
-		t.Fatalf("%d rows, want %d (off, on, sharded per scenario)", len(rows), want)
+// TestCheckpointCompressionShrinksWireBytes: the same chord deployment and
+// seed, collecting the same snapshots, puts fewer checkpoint bytes on the
+// wire with LZW compression and duplicate suppression than without.
+func TestCheckpointCompressionShrinksWireBytes(t *testing.T) {
+	ckptBytes := func(compress bool) int64 {
+		snapCfg := snapshot.DefaultConfig()
+		snapCfg.Compress = compress
+		d, err := scenario.Deploy("chord", scenario.DeployOptions{
+			Seed:        1,
+			Service:     scenario.Options{Nodes: 8, Fixed: true},
+			Path:        simnet.UniformPath{Latency: 5 * time.Millisecond, BwBps: 1e9},
+			Control:     scenario.Bare,
+			Snapshot:    &snapCfg,
+			Checkpoints: true,
+			Workload:    true,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		d.Sim.RunFor(15 * time.Second)
+		for k := 0; k < 5; k++ {
+			d.Mgrs[0].Collect(d.Nodes[0].Service().Neighbors(), func(*snapshot.Snapshot) {})
+			d.Sim.RunFor(3 * time.Second)
+		}
+		return d.Net.TotalBytesOut(simnet.KindCheckpoint)
 	}
-	for i := 0; i < len(rows); i += 3 {
-		off, on, sharded := rows[i], rows[i+1], rows[i+2]
-		if off.Reduce || !on.Reduce || sharded.Shards != 2 || sharded.Reduce {
-			t.Fatalf("%s: cells out of order: %+v %+v %+v", off.Scenario, off, on, sharded)
-		}
-		if on.States != off.States || on.DistinctLocals != off.DistinctLocals || on.Transitions > off.Transitions {
-			t.Errorf("%s: reduction changed coverage: off %+v, on %+v", off.Scenario, off, on)
-		}
-		if sharded.States == 0 {
-			t.Errorf("%s: sharded cell explored nothing", off.Scenario)
-		}
+	lzw, raw := ckptBytes(true), ckptBytes(false)
+	if raw == 0 {
+		t.Fatal("no checkpoint bytes sent")
 	}
+	if lzw >= raw {
+		t.Fatalf("compressed checkpoints sent %d bytes, raw %d", lzw, raw)
+	}
+	t.Logf("checkpoint bytes: lzw %d, raw %d", lzw, raw)
 }
 
-// must unwraps a harness result; a harness error fails the test or
-// benchmark that asked for it.
+// must unwraps a harness result; a harness error fails the test that asked
+// for it.
 func must[T any](v T, err error) T {
 	if err != nil {
 		panic(err)

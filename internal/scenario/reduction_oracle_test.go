@@ -178,10 +178,9 @@ func TestReductionOracleConsequence(t *testing.T) {
 
 // TestReductionOracleWarmConsequence runs the consequence-mode oracle from
 // a warmed chord state — nodes joined and some join traffic delivered, the
-// state shape live controllers actually predict from (and the shape the
-// BenchmarkReducedSearch chord entry measures). Cold chord consequence is
-// degenerate (a handful of enabled internal actions), so this is the
-// configuration where the H_A promise restriction earns its keep.
+// state shape live controllers actually predict from. Cold chord
+// consequence is degenerate (a handful of enabled internal actions), so this
+// is the configuration where the H_A promise restriction earns its keep.
 func TestReductionOracleWarmConsequence(t *testing.T) {
 	g, cfg, err := scenario.InitialState("chord", scenario.Options{Nodes: 5})
 	if err != nil {

@@ -18,7 +18,7 @@
 //
 // Three seeded bugs ship enabled by default (Table 1 reports 3 Bullet′
 // bugs). Bug 1 is the paper's documented inconsistency; bugs 2 and 3 are
-// reconstructed members of the same class (see DESIGN.md section 5):
+// reconstructed members of the same class:
 //
 //  1. when a diff cannot be enqueued, the shadow map is cleared anyway, so
 //     affected blocks are never re-advertised ("the programmer left the

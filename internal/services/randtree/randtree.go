@@ -34,7 +34,7 @@ const (
 	TimerJoin sm.TimerID = "join-retry"
 )
 
-// Fix flags: each disables one of the seeded bugs (see DESIGN.md section 5).
+// Fix flags: each disables one of the seeded bugs.
 type Fix uint32
 
 // Fixes for the seven seeded RandTree bugs.

@@ -1,6 +1,6 @@
 // Package stats provides the small statistics and formatting helpers
-// shared by the experiment harnesses: counters, duration samples, CDFs and
-// plain-text tables matching the rows/series the paper reports.
+// shared by the experiment harnesses: duration samples and plain-text tables
+// matching the rows/series the paper reports.
 package stats
 
 import (
@@ -36,34 +36,6 @@ func (s *Sample) Mean() float64 {
 	return total / float64(len(s.values))
 }
 
-// Min returns the smallest observation (0 when empty).
-func (s *Sample) Min() float64 {
-	if len(s.values) == 0 {
-		return 0
-	}
-	m := s.values[0]
-	for _, v := range s.values[1:] {
-		if v < m {
-			m = v
-		}
-	}
-	return m
-}
-
-// Max returns the largest observation (0 when empty).
-func (s *Sample) Max() float64 {
-	if len(s.values) == 0 {
-		return 0
-	}
-	m := s.values[0]
-	for _, v := range s.values[1:] {
-		if v > m {
-			m = v
-		}
-	}
-	return m
-}
-
 // Percentile returns the p-th percentile (0 <= p <= 100) by
 // nearest-rank; 0 when empty.
 func (s *Sample) Percentile(p float64) float64 {
@@ -86,27 +58,6 @@ func (s *Sample) Percentile(p float64) float64 {
 		rank = len(sorted) - 1
 	}
 	return sorted[rank]
-}
-
-// CDF returns (value, fraction<=value) points suitable for plotting the
-// paper's Figure 17 series.
-func (s *Sample) CDF() []CDFPoint {
-	if len(s.values) == 0 {
-		return nil
-	}
-	sorted := append([]float64(nil), s.values...)
-	sort.Float64s(sorted)
-	out := make([]CDFPoint, len(sorted))
-	for i, v := range sorted {
-		out[i] = CDFPoint{Value: v, Fraction: float64(i+1) / float64(len(sorted))}
-	}
-	return out
-}
-
-// CDFPoint is one point of an empirical CDF.
-type CDFPoint struct {
-	Value    float64
-	Fraction float64
 }
 
 // Table renders experiment rows as aligned plain text.
@@ -168,13 +119,6 @@ func (t *Table) String() string {
 		line(row)
 	}
 	return b.String()
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 // Rate renders a count as bits/second over a window.

@@ -27,6 +27,7 @@ test:
 # setting declared again as a controller field is a second copy to keep equal.
 # The one benchmark is `go run ./bench`: a testing.B benchmark under cmd,
 # internal or examples is a second measuring surface whose numbers nothing records.
+# A checkpoint manager has one transfer path, and the requester says what it holds.
 # The CI lint job runs exactly this target.
 lint:
 	@fmtout=$$(gofmt -l cmd internal examples bench); \
@@ -47,6 +48,8 @@ lint:
 	echo "a round's configuration is an mc.Config value (controller.Config.Check): no mirror fields"; exit 1; fi
 	@if grep -rn --include='*.go' -e 'func Benchmark' cmd internal examples; then \
 	echo "the one benchmark is go run ./bench: no testing.B benchmarks"; exit 1; fi
+	@if grep -rn --include='*.go' -e 'snapshot\.Config' -e 'BandwidthLimitBps' -e 'computeDiff' -e 'lastSent' cmd internal examples; then \
+	echo "a checkpoint manager has one transfer path, and the requester says what it holds"; exit 1; fi
 	$(GO) vet ./...
 	$(GO) run ./cmd/crystalvet ./...
 

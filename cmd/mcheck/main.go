@@ -147,7 +147,6 @@ func main() {
 			Shards: *shards,
 			Search: cfg,
 			Root:   g,
-			Budget: cfg.Budget,
 			Faults: plan,
 		})
 		if err != nil {

@@ -75,8 +75,8 @@ type Config struct {
 	// neighborhood view that is partial by construction, while
 	// Check.GlobalProps earn their keep on the checker's complete views.
 	Check mc.Config
-	// SnapshotInterval is the gap between model-checking rounds
-	// (paper: checkpointing interval 10 s).
+	// SnapshotInterval is both the node's periodic checkpoint interval and
+	// the gap between model-checking rounds (paper: 10 s).
 	SnapshotInterval time.Duration
 	// PerStateCost is the virtual model-checking time charged per
 	// explored state; the report arrives only after the total latency.
@@ -87,11 +87,6 @@ type Config struct {
 	// filter before installing it (ablation: disable to measure the
 	// paper's safety argument).
 	CheckFilterSafety bool
-	// ReplayPaths replays previously found error paths at the start of
-	// each round to quickly reinstall still-relevant filters.
-	ReplayPaths bool
-	// MaxStoredPaths bounds remembered error paths.
-	MaxStoredPaths int
 	// CheckRound, if set, replaces the embedded consequence-prediction
 	// engine for the full per-round run (the filter-safety recheck and
 	// path replay still use the embedded engine). It exists so the round
@@ -116,14 +111,17 @@ func DefaultConfig(check mc.Config) Config {
 		PerStateCost:      300 * time.Microsecond,
 		EnableISC:         true,
 		CheckFilterSafety: true,
-		ReplayPaths:       true,
-		MaxStoredPaths:    16,
 	}
 }
 
 // defaultMaxViolations is the per-round violation quota Config.Check.Budget
 // gets unless it sets its own.
 const defaultMaxViolations = 8
+
+// maxStoredPaths bounds the remembered error paths; a steering controller
+// replays them at the start of each round to reinstall still-relevant
+// filters.
+const maxStoredPaths = 16
 
 // Finding is one recorded violation prediction.
 type Finding struct {
@@ -206,9 +204,10 @@ type Controller struct {
 }
 
 // New attaches a controller to a node. The node gets a checkpoint manager
-// (snapCfg) and, if cfg.EnableISC, the immediate safety check wired to the
-// controller's latest neighborhood snapshot.
-func New(s *sim.Simulator, node *runtime.Node, cfg Config, snapCfg snapshot.Config) *Controller {
+// that checkpoints every cfg.SnapshotInterval and, if cfg.EnableISC, the
+// immediate safety check wired to the controller's latest neighborhood
+// snapshot.
+func New(s *sim.Simulator, node *runtime.Node, cfg Config) *Controller {
 	cfg.Check.Mode = mc.Consequence
 	if cfg.Check.Budget.Violations == 0 {
 		cfg.Check.Budget.Violations = defaultMaxViolations
@@ -216,7 +215,7 @@ func New(s *sim.Simulator, node *runtime.Node, cfg Config, snapCfg snapshot.Conf
 	c := &Controller{
 		sim:  s,
 		node: node,
-		mgr:  snapshot.NewManager(s, node, snapCfg),
+		mgr:  snapshot.NewManager(s, node, cfg.SnapshotInterval),
 		cfg:  cfg,
 	}
 	if cfg.EnableISC {
@@ -329,7 +328,7 @@ func (c *Controller) onSnapshot(snap *snapshot.Snapshot) {
 	// for paths that still violate are reinstalled near-instantly.
 	var reinstall []sm.Filter
 	replayStates := 0
-	if c.cfg.ReplayPaths && c.cfg.Mode == ExecutionSteering {
+	if c.cfg.Mode == ExecutionSteering {
 		replayer := mc.NewSearch(c.cfg.Check)
 		for _, f := range c.paths {
 			if f.Filter == nil {
@@ -501,8 +500,8 @@ func (c *Controller) recordFinding(f Finding) {
 	c.findings = append(c.findings, f)
 	if f.Filter != nil || c.cfg.Mode == DeepOnlineDebugging {
 		c.paths = append(c.paths, f)
-		if len(c.paths) > c.cfg.MaxStoredPaths {
-			c.paths = c.paths[len(c.paths)-c.cfg.MaxStoredPaths:]
+		if len(c.paths) > maxStoredPaths {
+			c.paths = c.paths[len(c.paths)-maxStoredPaths:]
 		}
 	}
 }

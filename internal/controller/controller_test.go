@@ -12,19 +12,8 @@ import (
 	"crystalball/internal/sim"
 	"crystalball/internal/simnet"
 	"crystalball/internal/sm"
-	"crystalball/internal/snapshot"
 	"crystalball/internal/testsvc"
 )
-
-func snapCfg() snapshot.Config {
-	return snapshot.Config{
-		Interval:       time.Second,
-		Quota:          50,
-		CollectTimeout: time.Second,
-		Compress:       true,
-		MaxRetries:     1,
-	}
-}
 
 // deployWithController brings up n nodes, each with a controller.
 func deployWithController(t *testing.T, n int, cfg Config) (*sim.Simulator, []*Controller) {
@@ -40,7 +29,7 @@ func deployWithController(t *testing.T, n int, cfg Config) (*sim.Simulator, []*C
 	var ctrls []*Controller
 	for _, id := range ids {
 		node := runtime.NewNode(s, net, id, factory)
-		c := New(s, node, cfg, snapCfg())
+		c := New(s, node, cfg)
 		c.Start()
 		ctrls = append(ctrls, c)
 	}

@@ -69,7 +69,7 @@ func TestSteeringAwareServiceReceivesPredictions(t *testing.T) {
 	var ctrls []*Controller
 	for _, id := range []sm.NodeID{1, 2} {
 		node := runtime.NewNode(s, net, id, factory)
-		c := New(s, node, cfg, snapCfg())
+		c := New(s, node, cfg)
 		c.Start()
 		ctrls = append(ctrls, c)
 	}

@@ -265,7 +265,6 @@ func TestLocalMatchesSerial(t *testing.T) {
 		Shards:       2,
 		Search:       cfg,
 		Root:         g,
-		Budget:       mc.Budget{Depth: 4, Workers: 1},
 		RecordStates: true,
 	})
 	if err != nil {

@@ -3,7 +3,6 @@ package dist
 import (
 	"errors"
 	"sync"
-	"time"
 
 	"crystalball/internal/mc"
 )
@@ -16,15 +15,12 @@ type LocalConfig struct {
 	// whole space).
 	Shards int
 	// Search is the checker configuration every shard runs (Exhaustive
-	// mode only; see ShardConfig.Search).
+	// mode only; see ShardConfig.Search). Search.Budget is the round budget
+	// the coordinator splits; its Workers is the per-shard worker count and
+	// defaults to 1 — shards already run in parallel with each other.
 	Search mc.Config
 	// Root is the start state.
 	Root *mc.GState
-	// Budget is the round budget the coordinator splits. The zero value
-	// falls back to Search's resolved budget. Budget.Workers is the
-	// per-shard worker count and defaults to 1 — shards already run in
-	// parallel with each other.
-	Budget mc.Budget
 	// RecordStates asks every shard for its claimed-fingerprint dump
 	// (merged sorted into Result.Checker.ClaimedStates).
 	RecordStates bool
@@ -33,15 +29,6 @@ type LocalConfig struct {
 	// kills are recovered from by the coordinator's retry machinery and
 	// reported in Result.Recovery.
 	Faults *FaultPlan
-	// MaxRetries is CoordinatorConfig.MaxRetries
-	// (0 = DefaultMaxRetries, negative = never retry).
-	MaxRetries int
-	// StallTimeout is CoordinatorConfig.StallTimeout (0 = disabled; the
-	// loopback transport surfaces real deaths as connection errors, so
-	// only wedge-style fault tests need it).
-	StallTimeout time.Duration
-	// After is the injected stall timer (nil = time.After).
-	After func(time.Duration) <-chan time.Time
 }
 
 // Local runs one distributed exhaustive round in process and returns the
@@ -51,10 +38,7 @@ func Local(cfg LocalConfig) (*Result, error) {
 		cfg.Shards = 1
 	}
 	probe := mc.NewSearch(cfg.Search)
-	budget := cfg.Budget
-	if budget == (mc.Budget{}) {
-		budget = probe.Config().Budget
-	}
+	budget := cfg.Search.Budget
 	if budget.Workers <= 0 {
 		budget.Workers = 1
 	}
@@ -81,12 +65,9 @@ func Local(cfg LocalConfig) (*Result, error) {
 	}
 
 	coord := NewCoordinator(hubConns, CoordinatorConfig{
-		Now:          probe.Config().Now,
-		Search:       probe,
-		Root:         cfg.Root,
-		MaxRetries:   cfg.MaxRetries,
-		StallTimeout: cfg.StallTimeout,
-		After:        cfg.After,
+		Now:    probe.Config().Now,
+		Search: probe,
+		Root:   cfg.Root,
 	})
 	res, err := coord.RunRound(budget, cfg.RecordStates)
 	coord.Shutdown()

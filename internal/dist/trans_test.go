@@ -11,12 +11,8 @@ import (
 // short-circuit around the atomic add once silently zeroed both).
 func TestUnbudgetedCountersTick(t *testing.T) {
 	g, cfg := chordStart(t)
-	res, err := Local(LocalConfig{
-		Shards: 2,
-		Search: cfg,
-		Root:   g,
-		Budget: mc.Budget{Depth: 4, Workers: 1},
-	})
+	cfg.Budget = mc.Budget{Depth: 4, Workers: 1}
+	res, err := Local(LocalConfig{Shards: 2, Search: cfg, Root: g})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,8 +37,8 @@ func TestShardedStatesWithinBudget(t *testing.T) {
 	for _, shards := range []int{1, 2, 4} {
 		for _, workers := range []int{1, 4} {
 			for _, states := range []int{4, 7, 150} {
-				b := mc.Budget{States: states, Workers: workers}
-				res, err := Local(LocalConfig{Shards: shards, Search: cfg, Root: g, Budget: b})
+				cfg.Budget = mc.Budget{States: states, Workers: workers}
+				res, err := Local(LocalConfig{Shards: shards, Search: cfg, Root: g})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -86,7 +82,8 @@ func TestSplitBudgetNeverSharesZeroOfABound(t *testing.T) {
 	}
 
 	g, cfg := chordStart(t)
-	res, err := Local(LocalConfig{Shards: 4, Search: cfg, Root: g, Budget: mc.Budget{States: 2, Workers: 1}})
+	cfg.Budget = mc.Budget{States: 2, Workers: 1}
+	res, err := Local(LocalConfig{Shards: 4, Search: cfg, Root: g})
 	if err != nil {
 		t.Fatal(err)
 	}

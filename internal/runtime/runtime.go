@@ -48,6 +48,9 @@ type ControlEnvelope struct {
 // envelopeHeader approximates the wire overhead of the CN stamp.
 const envelopeHeader = 8
 
+// filterDeferDelay is how long a filtered or ISC-blocked timer is pushed back.
+const filterDeferDelay = 500 * time.Millisecond
+
 // CheckpointHook lets the snapshot manager participate in message flow.
 type CheckpointHook interface {
 	// OutgoingCN returns the checkpoint number to stamp on messages.
@@ -110,8 +113,6 @@ type Node struct {
 	// OnEvent, if set, runs after every executed handler; experiment
 	// harnesses use it to evaluate ground-truth properties per action.
 	OnEvent func(ev sm.Event)
-	// FilterDeferDelay is how long a filtered timer is pushed back.
-	FilterDeferDelay time.Duration
 
 	Stats Stats
 }
@@ -120,13 +121,12 @@ type Node struct {
 // service.
 func NewNode(s *sim.Simulator, net *simnet.Network, id sm.NodeID, factory sm.Factory) *Node {
 	n := &Node{
-		ID:               id,
-		sim:              s,
-		net:              net,
-		factory:          factory,
-		timers:           make(map[sm.TimerID]*sim.Timer),
-		seed:             s.Seed() ^ (int64(id) << 20),
-		FilterDeferDelay: 500 * time.Millisecond,
+		ID:      id,
+		sim:     s,
+		net:     net,
+		factory: factory,
+		timers:  make(map[sm.TimerID]*sim.Timer),
+		seed:    s.Seed() ^ (int64(id) << 20),
 	}
 	net.Register(id, n)
 	n.svc = factory(id)
@@ -272,11 +272,11 @@ func (n *Node) fireTimer(t sm.TimerID) {
 		// Filtered timers are rescheduled, not dropped (paper
 		// section 4, "Event Filtering for Execution steering").
 		n.Stats.TimersDeferred++
-		n.scheduleTimer(t, n.FilterDeferDelay)
+		n.scheduleTimer(t, filterDeferDelay)
 		return
 	}
 	if n.iscBlocks(ev) {
-		n.scheduleTimer(t, n.FilterDeferDelay)
+		n.scheduleTimer(t, filterDeferDelay)
 		return
 	}
 	n.dispatch(ev)

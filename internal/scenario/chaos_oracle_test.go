@@ -79,7 +79,6 @@ func TestChaosOracleMatrix(t *testing.T) {
 								Shards:       shards,
 								Search:       cfg,
 								Root:         g,
-								Budget:       mc.Budget{Depth: d, Workers: 1},
 								RecordStates: true,
 								Faults:       dist.MustFaultPlan(f.spec),
 							})
@@ -89,8 +88,7 @@ func TestChaosOracleMatrix(t *testing.T) {
 							return res
 						}
 						clean, err := dist.Local(dist.LocalConfig{
-							Shards: shards, Search: cfg, Root: g,
-							Budget: mc.Budget{Depth: d, Workers: 1}, RecordStates: true,
+							Shards: shards, Search: cfg, Root: g, RecordStates: true,
 						})
 						if err != nil {
 							t.Fatalf("fault-free reference at shards=%d: %v", shards, err)

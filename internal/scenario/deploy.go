@@ -52,11 +52,9 @@ type DeployOptions struct {
 	// Props overrides the property set controllers check (nil =
 	// scenario default for the control mode).
 	Props props.Set
-	// Snapshot overrides the checkpointing configuration (nil =
-	// snapshot.DefaultConfig).
-	Snapshot *snapshot.Config
-	// SnapshotInterval overrides both the checkpoint interval and the
-	// controller's model-checking round interval.
+	// SnapshotInterval is the one interval at which nodes checkpoint and
+	// controllers run model-checking rounds (0 = 10 s, the paper's); an
+	// installed Controller carries its own.
 	SnapshotInterval time.Duration
 	// MCStates bounds each consequence-prediction round (0 = the
 	// scenario's RoundBudget, then the controller default).
@@ -111,13 +109,6 @@ func (sc *Scenario) Deploy(o DeployOptions) (*Deployment, error) {
 	if path == nil {
 		path = LANPath()
 	}
-	snapCfg := snapshot.DefaultConfig()
-	if o.Snapshot != nil {
-		snapCfg = *o.Snapshot
-	}
-	if o.SnapshotInterval > 0 {
-		snapCfg.Interval = o.SnapshotInterval
-	}
 
 	var ctrlCfg *controller.Config
 	switch {
@@ -151,11 +142,11 @@ func (sc *Scenario) Deploy(o DeployOptions) (*Deployment, error) {
 		d.Nodes = append(d.Nodes, node)
 		switch {
 		case ctrlCfg != nil:
-			c := controller.New(s, node, *ctrlCfg, snapCfg)
+			c := controller.New(s, node, *ctrlCfg)
 			c.Start()
 			d.Ctrls = append(d.Ctrls, c)
 		case o.Checkpoints:
-			d.Mgrs = append(d.Mgrs, snapshot.NewManager(s, node, snapCfg))
+			d.Mgrs = append(d.Mgrs, snapshot.NewManager(s, node, o.SnapshotInterval))
 		}
 	}
 	if o.Workload {

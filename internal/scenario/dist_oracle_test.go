@@ -95,11 +95,12 @@ func TestDistOracleMatrix(t *testing.T) {
 			var ref *mc.Result
 			for _, shards := range []int{1, 2, 4} {
 				for _, workers := range []int{1, 2} {
+					search := cfg
+					search.Budget.Workers = workers
 					res, err := dist.Local(dist.LocalConfig{
 						Shards:       shards,
-						Search:       cfg,
+						Search:       search,
 						Root:         g,
-						Budget:       mc.Budget{Depth: d, Workers: workers},
 						RecordStates: true,
 					})
 					if err != nil {
@@ -148,12 +149,12 @@ func TestDistDeterminism(t *testing.T) {
 	}
 	cfg.Mode = mc.Exhaustive
 	cfg.Seed = 7
+	cfg.Budget = mc.Budget{Depth: 5, Workers: 2}
 	run := func() *mc.Result {
 		res, err := dist.Local(dist.LocalConfig{
 			Shards:       3,
 			Search:       cfg,
 			Root:         g,
-			Budget:       mc.Budget{Depth: 5, Workers: 2},
 			RecordStates: true,
 		})
 		if err != nil {
@@ -190,7 +191,7 @@ func TestViolationPathsReachReportedState(t *testing.T) {
 		cfg.Mode = mc.Exhaustive
 		cfg.Seed = 42
 		cfg.Budget = mc.Budget{Depth: 6, Workers: 2}
-		sharded, err := dist.Local(dist.LocalConfig{Shards: 2, Search: cfg, Root: g, Budget: cfg.Budget})
+		sharded, err := dist.Local(dist.LocalConfig{Shards: 2, Search: cfg, Root: g})
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}

@@ -186,12 +186,6 @@ func (s *Simulator) RunFor(d Duration) { s.RunUntil(s.now.Add(d)) }
 // Stop halts the simulation; Run and RunUntil return promptly.
 func (s *Simulator) Stop() { s.stopped = true }
 
-// Stopped reports whether Stop has been called.
-func (s *Simulator) Stopped() bool { return s.stopped }
-
-// Pending reports the number of scheduled (possibly cancelled) events.
-func (s *Simulator) Pending() int { return len(s.queue) }
-
 func (s *Simulator) peek() *Timer {
 	for len(s.queue) > 0 {
 		if s.queue[0].cancelled {

@@ -1,5 +1,5 @@
-// Package simnet is an in-memory network substrate with TCP-like and
-// UDP-like semantics, driven by the discrete-event simulator.
+// Package simnet is an in-memory network substrate with TCP-like
+// semantics, driven by the discrete-event simulator.
 //
 // It reproduces the transport behaviours the CrystalBall paper's bug
 // scenarios depend on:
@@ -46,7 +46,6 @@ type PathModel interface {
 // UniformPath is a PathModel with identical characteristics for all pairs.
 type UniformPath struct {
 	Latency time.Duration
-	Jitter  time.Duration // uniform extra delay in [0, Jitter)
 	Loss    float64
 	BwBps   float64
 }
@@ -120,23 +119,26 @@ type nodeState struct {
 	incarnation uint64
 	lastTxEnd   sim.Time
 	bytesOut    map[Kind]int64
-	bytesIn     map[Kind]int64
 	msgsOut     int64
 }
 
 // Network simulates the transport layer among a set of nodes.
 type Network struct {
-	sim      *sim.Simulator
-	paths    PathModel
-	nodes    map[sm.NodeID]*nodeState
-	conns    map[connKey]*conn
-	parts    map[connKey]bool // severed pairs
-	rng      rngSource
-	ErrDelay time.Duration // delay before a ConnError reaches the caller
-	// RTO is the extra delay charged when a TCP segment is "lost" and
-	// retransmitted (loss never drops TCP payloads, it delays them).
-	RTO time.Duration
+	sim   *sim.Simulator
+	paths PathModel
+	nodes map[sm.NodeID]*nodeState
+	conns map[connKey]*conn
+	parts map[connKey]bool // severed pairs
+	rng   rngSource
 }
+
+const (
+	// errDelay is the delay before a ConnError reaches the caller.
+	errDelay = 2 * time.Millisecond
+	// rto is the extra delay charged when a TCP segment is "lost" and
+	// retransmitted (loss never drops TCP payloads, it delays them).
+	rto = 200 * time.Millisecond
+)
 
 type rngSource interface {
 	Float64() float64
@@ -146,14 +148,12 @@ type rngSource interface {
 // New creates a network on the simulator with the given path model.
 func New(s *sim.Simulator, paths PathModel) *Network {
 	return &Network{
-		sim:      s,
-		paths:    paths,
-		nodes:    make(map[sm.NodeID]*nodeState),
-		conns:    make(map[connKey]*conn),
-		parts:    make(map[connKey]bool),
-		rng:      s.RNG("simnet"),
-		ErrDelay: 2 * time.Millisecond,
-		RTO:      200 * time.Millisecond,
+		sim:   s,
+		paths: paths,
+		nodes: make(map[sm.NodeID]*nodeState),
+		conns: make(map[connKey]*conn),
+		parts: make(map[connKey]bool),
+		rng:   s.RNG("simnet"),
 	}
 }
 
@@ -170,17 +170,10 @@ func (n *Network) state(id sm.NodeID) *nodeState {
 		st = &nodeState{
 			alive:    false,
 			bytesOut: make(map[Kind]int64),
-			bytesIn:  make(map[Kind]int64),
 		}
 		n.nodes[id] = st
 	}
 	return st
-}
-
-// Alive reports whether the node is up.
-func (n *Network) Alive(id sm.NodeID) bool {
-	st, ok := n.nodes[id]
-	return ok && st.alive
 }
 
 // Incarnation reports the node's current incarnation number (bumped on
@@ -224,9 +217,6 @@ func (n *Network) nodeIDs() []sm.NodeID {
 	slices.Sort(ids)
 	return ids
 }
-
-// Partitioned reports whether the pair is currently severed.
-func (n *Network) Partitioned(a, b sm.NodeID) bool { return n.parts[keyFor(a, b)] }
 
 // Reset simulates a node crash+restart: its incarnation bumps (so all of its
 // connections become stale) and, unless silent, an RST notification is sent
@@ -316,7 +306,6 @@ func (n *Network) Send(from, to sm.NodeID, payload any, size int, kind Kind) {
 		inc := src.incarnation
 		n.sim.After(LoopbackLatency, func() {
 			if src.alive && src.incarnation == inc && src.handler != nil {
-				src.bytesIn[kind] += int64(size)
 				src.handler.HandleDeliver(from, payload)
 			}
 		})
@@ -374,7 +363,7 @@ func (n *Network) Send(from, to sm.NodeID, payload any, size int, kind Kind) {
 	delay := end.Sub(n.sim.Now()) + lat
 	// TCP does not drop payloads; loss manifests as retransmission delay.
 	for n.rng.Float64() < loss {
-		delay += n.RTO
+		delay += rto
 	}
 	arrival := n.sim.Now().Add(delay)
 	if la := c.lastArrival[to]; arrival < la {
@@ -392,37 +381,6 @@ func (n *Network) Send(from, to sm.NodeID, payload any, size int, kind Kind) {
 		if n.parts[k] {
 			return
 		}
-		ds.bytesIn[kind] += int64(size)
-		if ds.handler != nil {
-			ds.handler.HandleDeliver(from, payload)
-		}
-	})
-}
-
-// SendUDP transmits a datagram: no connection, no error signals, dropped
-// with the path loss probability.
-func (n *Network) SendUDP(from, to sm.NodeID, payload any, size int, kind Kind) {
-	src := n.state(from)
-	if !src.alive {
-		return
-	}
-	src.bytesOut[kind] += int64(size)
-	src.msgsOut++
-	if n.parts[keyFor(from, to)] {
-		return
-	}
-	lat, loss, bw := n.paths.Path(from, to)
-	if n.rng.Float64() < loss {
-		return
-	}
-	txTime := time.Duration(float64(size*8) / bw * float64(time.Second))
-	destInc := n.state(to).incarnation
-	n.sim.After(lat+txTime, func() {
-		ds := n.state(to)
-		if !ds.alive || ds.incarnation != destInc {
-			return
-		}
-		ds.bytesIn[kind] += int64(size)
 		if ds.handler != nil {
 			ds.handler.HandleDeliver(from, payload)
 		}
@@ -432,7 +390,7 @@ func (n *Network) SendUDP(from, to sm.NodeID, payload any, size int, kind Kind) 
 // deliverError schedules a ConnError(to) at node from.
 func (n *Network) deliverError(from, to sm.NodeID) {
 	inc := n.state(from).incarnation
-	n.sim.After(n.ErrDelay, func() {
+	n.sim.After(errDelay, func() {
 		fs := n.state(from)
 		if fs.alive && fs.incarnation == inc && fs.handler != nil {
 			fs.handler.HandleConnError(to)
@@ -475,9 +433,6 @@ func (n *Network) Connected(a, b sm.NodeID) bool {
 
 // BytesOut reports bytes sent by id for the given kind.
 func (n *Network) BytesOut(id sm.NodeID, kind Kind) int64 { return n.state(id).bytesOut[kind] }
-
-// BytesIn reports bytes received by id for the given kind.
-func (n *Network) BytesIn(id sm.NodeID, kind Kind) int64 { return n.state(id).bytesIn[kind] }
 
 // TotalBytesOut sums sent bytes for a kind across all nodes.
 func (n *Network) TotalBytesOut(kind Kind) int64 {

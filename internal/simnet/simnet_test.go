@@ -51,9 +51,6 @@ func TestBasicDelivery(t *testing.T) {
 	if got := n.BytesOut(1, KindService); got != 100 {
 		t.Fatalf("BytesOut = %d", got)
 	}
-	if got := n.BytesIn(2, KindService); got != 100 {
-		t.Fatalf("BytesIn = %d", got)
-	}
 }
 
 func TestFIFOPerConnection(t *testing.T) {
@@ -199,23 +196,6 @@ func TestPartitionNode(t *testing.T) {
 	s.Run()
 	if len(recs[3].delivered) != 1 {
 		t.Fatal("healed node did not receive")
-	}
-}
-
-func TestUDPLoss(t *testing.T) {
-	s := sim.New(3)
-	n := New(s, UniformPath{Latency: time.Millisecond, Loss: 0.5, BwBps: 1e9})
-	r := &recorder{}
-	n.Register(1, &recorder{})
-	n.Register(2, r)
-	const total = 1000
-	for i := 0; i < total; i++ {
-		n.SendUDP(1, 2, i, 10, KindService)
-	}
-	s.Run()
-	got := len(r.delivered)
-	if got < total/3 || got > total*2/3 {
-		t.Fatalf("UDP deliveries = %d of %d, want roughly half", got, total)
 	}
 }
 

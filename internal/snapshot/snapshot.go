@@ -1,8 +1,7 @@
 // Package snapshot implements CrystalBall's checkpoint manager: per-node
 // checkpointing on a logical clock, the consistent neighborhood-snapshot
-// collection protocol, checkpoint storage quotas, LZW compression with
-// duplicate suppression, and bandwidth accounting (paper sections 2.3, 3.1
-// and 4).
+// collection protocol, a checkpoint storage quota, and LZW-compressed
+// transfers with duplicate suppression (paper sections 2.3, 3.1 and 4).
 //
 // The consistency mechanism follows the algorithm the paper adopts from
 // Manivannan and Singhal: every node keeps a checkpoint number cn (a form
@@ -12,6 +11,13 @@
 // relation among the checkpoints with any given stamp. A snapshot
 // requester bumps its cn, checkpoints itself, and asks each neighborhood
 // member for its checkpoint at that stamp.
+//
+// A request names the copy of the responder's checkpoint the requester
+// already holds (by hash); the responder answers with a bare duplicate
+// marker when that copy is the checkpoint it would send, and with the
+// compressed checkpoint otherwise. The responder keeps nothing per
+// requester, so a response lost in flight never leaves the two sides
+// disagreeing about what the requester holds.
 package snapshot
 
 import (
@@ -27,6 +33,17 @@ import (
 	"crystalball/internal/runtime"
 	"crystalball/internal/sim"
 	"crystalball/internal/sm"
+)
+
+const (
+	// defaultInterval is the periodic checkpoint interval when none is
+	// given (paper: 10 s).
+	defaultInterval = 10 * time.Second
+	// quota is the number of stored checkpoints; older ones are pruned
+	// first.
+	quota = 32
+	// collectTimeout bounds one collection round.
+	collectTimeout = 2 * time.Second
 )
 
 // sortedIDs returns the keys of a NodeID-keyed map in sorted order, so that
@@ -55,8 +72,8 @@ type Snapshot struct {
 	Origin sm.NodeID
 	// States maps node id to its full-state encoding (self included).
 	States map[sm.NodeID][]byte
-	// Missing lists neighbors that failed to contribute (dead peers,
-	// bandwidth-limited peers, pruned checkpoints after retry).
+	// Missing lists neighbors that failed to contribute (dead or
+	// unreachable peers, undecodable payloads).
 	Missing []sm.NodeID
 	At      sim.Time
 }
@@ -66,25 +83,22 @@ type Snapshot struct {
 type ckptRequest struct {
 	CR  uint64
 	Seq uint64 // collection round id, echoed in the response
-	// Full asks for a complete state transfer: the requester holds no
-	// cached copy, so neither a Dup marker nor a diff would resolve.
-	Full bool
+	// Have is the hash of the requester's cached copy of the responder's
+	// checkpoint (0 = none).
+	Have uint64
 }
 
 type ckptResponse struct {
 	Seq  uint64
-	OK   bool
-	CN   uint64 // responder's cn (for negative responses / retry hint)
-	Dup  bool   // data identical to the last checkpoint sent to requester
-	Data []byte // LZW-compressed full state (when OK && !Dup && !IsDiff)
-	Raw  int    // uncompressed size, for stats
+	Hash uint64 // hash of the responder's checkpoint at the requested cut
+	Dup  bool   // the requester's copy (ckptRequest.Have) is that checkpoint
+	Data []byte // LZW-compressed full state (when !Dup)
+}
 
-	// Diff transfer (paper section 3.1): only the chunks changed since
-	// the last checkpoint this requester received.
-	IsDiff   bool
-	Diffs    []chunkDiff
-	PrevHash uint64 // hash of the base state the diff applies to
-	FullHash uint64 // hash of the reconstructed state, for validation
+// received is a requester's cached copy of one peer's checkpoint.
+type received struct {
+	state []byte
+	hash  uint64
 }
 
 // Stats counts checkpoint-manager activity.
@@ -94,66 +108,28 @@ type Stats struct {
 	SnapshotsCollected int64
 	SnapshotsFailed    int64
 	ResponsesSent      int64
-	NegativeResponses  int64
 	DupSuppressed      int64
-	DiffsSent          int64
 	BytesSentRaw       int64
 	BytesSentWire      int64
-	Retries            int64
-}
-
-// Config parameterises a Manager.
-type Config struct {
-	// Interval between periodic local checkpoints (paper: 10 s).
-	Interval time.Duration
-	// Quota is the maximum number of stored checkpoints; older ones are
-	// pruned first.
-	Quota int
-	// CollectTimeout bounds one collection round.
-	CollectTimeout time.Duration
-	// Compress enables LZW compression of checkpoint payloads.
-	Compress bool
-	// Diffs enables chunk-level diff transfers against the last
-	// checkpoint each peer received (paper section 3.1).
-	Diffs bool
-	// BandwidthLimitBps, when positive, makes the manager answer
-	// negatively while its checkpoint traffic exceeds the limit.
-	BandwidthLimitBps float64
-	// MaxRetries bounds collection retries after negative responses.
-	MaxRetries int
-}
-
-// DefaultConfig mirrors the paper's deployment values.
-func DefaultConfig() Config {
-	return Config{
-		Interval:       10 * time.Second,
-		Quota:          32,
-		CollectTimeout: 2 * time.Second,
-		Compress:       true,
-		MaxRetries:     1,
-	}
 }
 
 // collection tracks one in-progress snapshot gather.
 type collection struct {
-	seq      uint64
-	cr       uint64
-	want     map[sm.NodeID]bool
-	states   map[sm.NodeID][]byte
-	missing  []sm.NodeID
-	maxSeen  uint64 // max cn from negative responses, for the retry round
-	negative bool
-	retries  int
-	done     func(*Snapshot)
-	timeout  *sim.Timer
+	seq     uint64
+	cr      uint64
+	want    map[sm.NodeID]bool
+	states  map[sm.NodeID][]byte
+	missing []sm.NodeID
+	done    func(*Snapshot)
+	timeout *sim.Timer
 }
 
 // Manager is the per-node checkpoint manager. It implements
 // runtime.CheckpointHook.
 type Manager struct {
-	node *runtime.Node
-	sim  *sim.Simulator
-	cfg  Config
+	node     *runtime.Node
+	sim      *sim.Simulator
+	interval time.Duration
 
 	cn     uint64
 	store  []Checkpoint
@@ -161,46 +137,29 @@ type Manager struct {
 
 	col *collection
 	seq uint64
-	// lastSent tracks, per requester, the hash of the last checkpoint
-	// payload sent, enabling duplicate suppression; lastSentState keeps
-	// the bytes themselves as the diff base; lastRecv caches, per
-	// responder, the last payload received so Dup and diff responses
-	// resolve.
-	lastSent      map[sm.NodeID]uint64
-	lastSentState map[sm.NodeID][]byte
-	lastRecv      map[sm.NodeID][]byte
+	// lastRecv caches, per responder, the last checkpoint received, so a
+	// Dup response resolves.
+	lastRecv map[sm.NodeID]received
 
 	lzw coder // reused across every payload this manager compresses or expands
-
-	// bandwidth window
-	windowStart sim.Time
-	windowBytes int64
 
 	Stats Stats
 }
 
 // NewManager attaches a checkpoint manager to a node and starts periodic
-// checkpointing.
-func NewManager(s *sim.Simulator, node *runtime.Node, cfg Config) *Manager {
-	if cfg.Interval <= 0 {
-		cfg.Interval = 10 * time.Second
-	}
-	if cfg.Quota <= 0 {
-		cfg.Quota = 32
-	}
-	if cfg.CollectTimeout <= 0 {
-		cfg.CollectTimeout = 2 * time.Second
+// checkpointing every interval (10 s when interval <= 0).
+func NewManager(s *sim.Simulator, node *runtime.Node, interval time.Duration) *Manager {
+	if interval <= 0 {
+		interval = defaultInterval
 	}
 	m := &Manager{
-		node:          node,
-		sim:           s,
-		cfg:           cfg,
-		lastSent:      make(map[sm.NodeID]uint64),
-		lastSentState: make(map[sm.NodeID][]byte),
-		lastRecv:      make(map[sm.NodeID][]byte),
+		node:     node,
+		sim:      s,
+		interval: interval,
+		lastRecv: make(map[sm.NodeID]received),
 	}
 	node.SetCheckpointHook(m)
-	m.ticker = s.After(cfg.Interval, m.periodic)
+	m.ticker = s.After(interval, m.periodic)
 	return m
 }
 
@@ -225,16 +184,19 @@ func (m *Manager) periodic() {
 	// incremented, which happens periodically").
 	m.cn++
 	m.takeCheckpoint(m.cn)
-	m.ticker = m.sim.After(m.cfg.Interval, m.periodic)
+	m.ticker = m.sim.After(m.interval, m.periodic)
 }
 
+// takeCheckpoint stores the node's state stamped with stamp. Every caller
+// passes the cn it has just set, so the newest stored checkpoint always
+// carries m.cn.
 func (m *Manager) takeCheckpoint(stamp uint64) {
 	svc, timers := m.node.View()
 	ck := Checkpoint{CN: stamp, State: sm.EncodeFullState(svc, timers), Taken: m.sim.Now()}
 	m.store = append(m.store, ck)
 	m.Stats.CheckpointsTaken++
 	// Enforce the storage quota, oldest first.
-	if over := len(m.store) - m.cfg.Quota; over > 0 {
+	if over := len(m.store) - quota; over > 0 {
 		m.store = append([]Checkpoint(nil), m.store[over:]...)
 	}
 }
@@ -263,9 +225,8 @@ func (m *Manager) PeerError(peer sm.NodeID) {
 }
 
 // Collect gathers a consistent snapshot of the given neighborhood and
-// invokes done (possibly after retries). Only one collection runs at a
-// time; a new request while one is pending is ignored and done is called
-// with nil.
+// invokes done. Only one collection runs at a time; a new request while one
+// is pending is ignored and done is called with nil.
 func (m *Manager) Collect(neighbors []sm.NodeID, done func(*Snapshot)) {
 	if m.col != nil {
 		done(nil)
@@ -273,18 +234,13 @@ func (m *Manager) Collect(neighbors []sm.NodeID, done func(*Snapshot)) {
 	}
 	m.cn++
 	m.takeCheckpoint(m.cn)
-	m.startRound(neighbors, m.cn, 0, done)
-}
-
-func (m *Manager) startRound(neighbors []sm.NodeID, cr uint64, retries int, done func(*Snapshot)) {
 	m.seq++
 	col := &collection{
-		seq:     m.seq,
-		cr:      cr,
-		want:    make(map[sm.NodeID]bool),
-		states:  make(map[sm.NodeID][]byte),
-		retries: retries,
-		done:    done,
+		seq:    m.seq,
+		cr:     m.cn,
+		want:   make(map[sm.NodeID]bool),
+		states: make(map[sm.NodeID][]byte),
+		done:   done,
 	}
 	for _, nb := range neighbors {
 		if nb != m.node.ID {
@@ -292,11 +248,8 @@ func (m *Manager) startRound(neighbors []sm.NodeID, cr uint64, retries int, done
 		}
 	}
 	m.col = col
-	// Self-checkpoint at the cut: the earliest stored checkpoint with
-	// CN >= cr (we just took one at cr in Collect).
-	if ck, ok := m.findCheckpoint(cr); ok {
-		col.states[m.node.ID] = ck.State
-	}
+	// Self-checkpoint at the cut: the one just taken.
+	col.states[m.node.ID] = m.store[len(m.store)-1].State
 	if len(col.want) == 0 {
 		m.maybeFinish()
 		return
@@ -304,9 +257,9 @@ func (m *Manager) startRound(neighbors []sm.NodeID, cr uint64, retries int, done
 	// Request order must not depend on map iteration order: control sends
 	// enter the simulated network in program order.
 	for _, nb := range sortedIDs(col.want) {
-		m.node.SendControl(nb, ckptRequest{CR: cr, Seq: col.seq, Full: m.lastRecv[nb] == nil}, 16)
+		m.node.SendControl(nb, ckptRequest{CR: col.cr, Seq: col.seq, Have: m.lastRecv[nb].hash}, 16)
 	}
-	col.timeout = m.sim.After(m.cfg.CollectTimeout, func() {
+	col.timeout = m.sim.After(collectTimeout, func() {
 		if m.col != col {
 			return
 		}
@@ -316,15 +269,16 @@ func (m *Manager) startRound(neighbors []sm.NodeID, cr uint64, retries int, done
 	})
 }
 
-// findCheckpoint returns the earliest stored checkpoint with CN >= cr
-// (paper section 2.3, case 2).
-func (m *Manager) findCheckpoint(cr uint64) (Checkpoint, bool) {
+// checkpointAt returns the earliest stored checkpoint with CN >= cr (paper
+// section 2.3, case 2). The newest checkpoint carries m.cn, so for every
+// cr <= m.cn one exists.
+func (m *Manager) checkpointAt(cr uint64) Checkpoint {
 	for _, ck := range m.store {
 		if ck.CN >= cr {
-			return ck, true
+			return ck
 		}
 	}
-	return Checkpoint{}, false
+	panic(fmt.Sprintf("snapshot: no checkpoint at or after %d (cn %d)", cr, m.cn))
 }
 
 // HandleControl implements runtime.CheckpointHook.
@@ -338,77 +292,27 @@ func (m *Manager) HandleControl(from sm.NodeID, payload any) {
 }
 
 func (m *Manager) handleRequest(from sm.NodeID, req ckptRequest) {
-	// Bandwidth limiting: above the cap, answer negatively; the
-	// requester temporarily removes us from the snapshot.
-	if m.cfg.BandwidthLimitBps > 0 && m.overBudget() {
-		m.Stats.NegativeResponses++
-		m.node.SendControl(from, ckptResponse{Seq: req.Seq, OK: false, CN: m.cn}, 24)
-		return
-	}
-	var ck Checkpoint
 	if req.CR > m.cn {
 		// Case 1: request is ahead of anything seen; checkpoint now
 		// at the requested stamp.
 		m.cn = req.CR
 		m.takeCheckpoint(req.CR)
-		ck = m.store[len(m.store)-1]
-	} else {
-		// Case 2: a checkpoint from the past; earliest with CN >= CR.
-		var ok bool
-		ck, ok = m.findCheckpoint(req.CR)
-		if !ok {
-			// Pruned out of range: negative response carrying our
-			// cn so the requester can retry at a feasible stamp.
-			m.Stats.NegativeResponses++
-			m.node.SendControl(from, ckptResponse{Seq: req.Seq, OK: false, CN: m.cn}, 24)
-			return
-		}
 	}
+	// Case 2 (and case 1's fresh checkpoint): the earliest with CN >= CR.
+	ck := m.checkpointAt(req.CR)
 	m.Stats.ResponsesSent++
-	resp := ckptResponse{Seq: req.Seq, OK: true, CN: ck.CN, Raw: len(ck.State)}
-	// Duplicate suppression: skip the payload if identical to the last
-	// checkpoint sent to this requester.
-	h := hashBytes(ck.State)
-	if !req.Full && m.lastSent[from] == h {
+	resp := ckptResponse{Seq: req.Seq, Hash: hashBytes(ck.State)}
+	// Duplicate suppression: the requester already holds these bytes.
+	if req.Have == resp.Hash {
 		resp.Dup = true
 		m.Stats.DupSuppressed++
 		m.node.SendControl(from, resp, 24)
 		return
 	}
-	data := ck.State
-	if m.cfg.Compress {
-		data = m.lzw.compress(data)
-	}
-	// Diff transfer: when the peer holds our previous checkpoint and the
-	// chunk diff is smaller than the (compressed) full state, send only
-	// the changed chunks.
-	if m.cfg.Diffs && !req.Full {
-		if prev, ok := m.lastSentState[from]; ok {
-			if diffs, applicable := computeDiff(prev, ck.State); applicable {
-				if wire := diffWireSize(diffs); wire < len(data) {
-					resp.IsDiff = true
-					resp.Diffs = diffs
-					resp.PrevHash = hashBytes(prev)
-					resp.FullHash = h
-					m.lastSent[from] = h
-					m.lastSentState[from] = ck.State
-					m.Stats.DiffsSent++
-					m.Stats.BytesSentRaw += int64(len(ck.State))
-					m.Stats.BytesSentWire += int64(wire)
-					m.accountBytes(int64(wire))
-					m.node.SendControl(from, resp, wire+24)
-					return
-				}
-			}
-		}
-	}
-	m.lastSent[from] = h
-	m.lastSentState[from] = ck.State
-	resp.Data = data
+	resp.Data = m.lzw.compress(ck.State)
 	m.Stats.BytesSentRaw += int64(len(ck.State))
-	m.Stats.BytesSentWire += int64(len(data))
-	m.accountBytes(int64(len(data)))
-	m.node.SendControl(from, resp, len(data)+24)
+	m.Stats.BytesSentWire += int64(len(resp.Data))
+	m.node.SendControl(from, resp, len(resp.Data)+24)
 }
 
 func (m *Manager) handleResponse(from sm.NodeID, resp ckptResponse) {
@@ -417,57 +321,22 @@ func (m *Manager) handleResponse(from sm.NodeID, resp ckptResponse) {
 		return
 	}
 	delete(col.want, from)
-	if !resp.OK {
-		col.negative = true
-		if resp.CN > col.maxSeen {
-			col.maxSeen = resp.CN
-		}
-		col.missing = append(col.missing, from)
-		m.maybeFinish()
-		return
-	}
 	var state []byte
 	if resp.Dup {
-		state = m.lastRecv[from]
-		if state == nil {
-			// We have no cached copy; treat as missing.
-			col.missing = append(col.missing, from)
-			m.maybeFinish()
-			return
+		if c := m.lastRecv[from]; c.state != nil && c.hash == resp.Hash {
+			state = c.state
 		}
-	} else if resp.IsDiff {
-		prev := m.lastRecv[from]
-		if prev == nil || hashBytes(prev) != resp.PrevHash {
-			// Our base diverged from the sender's; the state cannot
-			// be reconstructed. Treat as missing (a later full
-			// transfer resynchronises).
-			delete(m.lastRecv, from)
-			col.missing = append(col.missing, from)
-			m.maybeFinish()
-			return
-		}
-		state = applyDiff(prev, resp.Diffs)
-		if hashBytes(state) != resp.FullHash {
-			delete(m.lastRecv, from)
-			col.missing = append(col.missing, from)
-			m.maybeFinish()
-			return
-		}
-		m.lastRecv[from] = state
-	} else {
-		state = resp.Data
-		if m.cfg.Compress {
-			var err error
-			state, err = m.lzw.decompress(state)
-			if err != nil {
-				col.missing = append(col.missing, from)
-				m.maybeFinish()
-				return
-			}
-		}
-		m.lastRecv[from] = state
+	} else if data, err := m.lzw.decompress(resp.Data); err == nil {
+		state = data
+		m.lastRecv[from] = received{state: state, hash: resp.Hash}
 	}
-	col.states[from] = state
+	if state == nil {
+		// No cached copy matches the Dup, or the payload does not
+		// expand: the peer is missing from this cut.
+		col.missing = append(col.missing, from)
+	} else {
+		col.states[from] = state
+	}
 	m.maybeFinish()
 }
 
@@ -480,27 +349,6 @@ func (m *Manager) maybeFinish() {
 		col.timeout.Cancel()
 	}
 	m.col = nil
-	// Negative responses trigger one retry at the greatest cn seen
-	// (paper: "the requestor chooses the greatest among the R.cn
-	// received, and initiates another snapshot round").
-	if col.negative && col.retries < m.cfg.MaxRetries && col.maxSeen > 0 {
-		m.Stats.Retries++
-		cr := col.maxSeen
-		if cr <= m.cn {
-			cr = m.cn + 1
-		}
-		m.cn = cr
-		m.takeCheckpoint(cr)
-		var neighbors []sm.NodeID
-		for _, nb := range sortedIDs(col.states) {
-			if nb != m.node.ID {
-				neighbors = append(neighbors, nb)
-			}
-		}
-		neighbors = append(neighbors, col.missing...)
-		m.startRound(neighbors, cr, col.retries+1, col.done)
-		return
-	}
 	snap := &Snapshot{
 		CN:      col.cr,
 		Origin:  m.node.ID,
@@ -514,24 +362,6 @@ func (m *Manager) maybeFinish() {
 		m.Stats.SnapshotsCollected++
 	}
 	col.done(snap)
-}
-
-func (m *Manager) overBudget() bool {
-	now := m.sim.Now()
-	if now.Sub(m.windowStart) > time.Second {
-		m.windowStart = now
-		m.windowBytes = 0
-	}
-	return float64(m.windowBytes*8) > m.cfg.BandwidthLimitBps
-}
-
-func (m *Manager) accountBytes(n int64) {
-	now := m.sim.Now()
-	if now.Sub(m.windowStart) > time.Second {
-		m.windowStart = now
-		m.windowBytes = 0
-	}
-	m.windowBytes += n
 }
 
 func hashBytes(b []byte) uint64 {

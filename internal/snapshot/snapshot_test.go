@@ -21,7 +21,7 @@ type fixture struct {
 	mgrs  []*Manager
 }
 
-func setup(t *testing.T, n int, cfg Config) *fixture {
+func setup(t *testing.T, n int, interval time.Duration) *fixture {
 	t.Helper()
 	s := sim.New(21)
 	net := simnet.New(s, simnet.UniformPath{Latency: 5 * time.Millisecond, BwBps: 1e9})
@@ -34,13 +34,13 @@ func setup(t *testing.T, n int, cfg Config) *fixture {
 	for _, id := range ids {
 		node := runtime.NewNode(s, net, id, factory)
 		f.nodes = append(f.nodes, node)
-		f.mgrs = append(f.mgrs, NewManager(s, node, cfg))
+		f.mgrs = append(f.mgrs, NewManager(s, node, interval))
 	}
 	return f
 }
 
 func TestPeriodicCheckpoints(t *testing.T) {
-	f := setup(t, 1, Config{Interval: time.Second, Quota: 100})
+	f := setup(t, 1, time.Second)
 	f.sim.RunFor(5500 * time.Millisecond)
 	if got := f.mgrs[0].Stats.CheckpointsTaken; got < 5 {
 		t.Fatalf("checkpoints taken = %d, want >= 5", got)
@@ -51,10 +51,17 @@ func TestPeriodicCheckpoints(t *testing.T) {
 }
 
 func TestQuotaPrunesOldest(t *testing.T) {
-	f := setup(t, 1, Config{Interval: 100 * time.Millisecond, Quota: 3})
-	f.sim.RunFor(2 * time.Second)
-	if got := f.mgrs[0].StoredCheckpoints(); got > 3 {
-		t.Fatalf("stored = %d, quota 3", got)
+	f := setup(t, 1, 100*time.Millisecond)
+	f.sim.RunFor(5 * time.Second) // 50 periodic checkpoints
+	m := f.mgrs[0]
+	if m.Stats.CheckpointsTaken <= quota {
+		t.Fatalf("only %d checkpoints taken, want more than the quota %d", m.Stats.CheckpointsTaken, quota)
+	}
+	if got := m.StoredCheckpoints(); got != quota {
+		t.Fatalf("stored = %d, quota %d", got, quota)
+	}
+	if oldest := m.store[0].CN; oldest != m.CN()-quota+1 {
+		t.Fatalf("oldest stored cn = %d, want %d: pruning did not drop the oldest", oldest, m.CN()-quota+1)
 	}
 }
 
@@ -67,8 +74,8 @@ func TestForcedCheckpointOnHigherCN(t *testing.T) {
 	factory := testsvc.NewWithPeers(1, 2)
 	a := runtime.NewNode(s, net, 1, factory)
 	b := runtime.NewNode(s, net, 2, factory)
-	ma := NewManager(s, a, Config{Interval: 200 * time.Millisecond, Quota: 100})
-	mb := NewManager(s, b, Config{Interval: time.Hour, Quota: 100})
+	ma := NewManager(s, a, 200*time.Millisecond)
+	mb := NewManager(s, b, time.Hour)
 	_ = ma
 	s.RunFor(3200 * time.Millisecond) // node 1's gossip (1s period) carries growing cn
 	if mb.Stats.ForcedCheckpoints == 0 {
@@ -82,7 +89,7 @@ func TestForcedCheckpointOnHigherCN(t *testing.T) {
 }
 
 func TestCollectNeighborhoodSnapshot(t *testing.T) {
-	f := setup(t, 3, Config{Interval: time.Second, Quota: 100, CollectTimeout: time.Second, Compress: true})
+	f := setup(t, 3, time.Second)
 	f.sim.RunFor(2 * time.Second)
 	var got *Snapshot
 	f.mgrs[0].Collect([]sm.NodeID{2, 3}, func(s *Snapshot) { got = s })
@@ -120,7 +127,7 @@ func TestCollectSnapshotConsistentCut(t *testing.T) {
 	// checkpoint happens before processing. We verify the observable
 	// half: every collection completes with states stamped at CN >= cr,
 	// and a later collection never yields an older cut.
-	f := setup(t, 4, Config{Interval: 500 * time.Millisecond, Quota: 100, CollectTimeout: time.Second})
+	f := setup(t, 4, 500*time.Millisecond)
 	f.nodes[0].App(testsvc.Bump{})
 	f.sim.RunFor(2 * time.Second)
 	var first, second *Snapshot
@@ -137,7 +144,7 @@ func TestCollectSnapshotConsistentCut(t *testing.T) {
 }
 
 func TestCollectWithDeadNeighbor(t *testing.T) {
-	f := setup(t, 3, Config{Interval: time.Second, Quota: 100, CollectTimeout: 500 * time.Millisecond})
+	f := setup(t, 3, time.Second)
 	f.sim.RunFor(time.Second)
 	f.net.Kill(3)
 	var got *Snapshot
@@ -159,7 +166,7 @@ func TestDuplicateSuppression(t *testing.T) {
 	// response from each neighbor should be a Dup.
 	// Collections run 200 ms apart, before the 1 s gossip timer can
 	// change node 2's state, so its checkpoint bytes are identical.
-	f := setup(t, 2, Config{Interval: time.Hour, Quota: 100, CollectTimeout: time.Second})
+	f := setup(t, 2, time.Hour)
 	f.sim.RunFor(100 * time.Millisecond)
 	var s1, s2 *Snapshot
 	f.mgrs[0].Collect([]sm.NodeID{2}, func(s *Snapshot) { s1 = s })
@@ -177,24 +184,108 @@ func TestDuplicateSuppression(t *testing.T) {
 	}
 }
 
-func TestBandwidthLimitNegativeResponse(t *testing.T) {
-	cfg := Config{Interval: time.Hour, Quota: 100, CollectTimeout: 500 * time.Millisecond,
-		BandwidthLimitBps: 1} // effectively zero budget
-	f := setup(t, 2, cfg)
+// TestDupNeverResolvesToAStaleCopy: a payload response lost in flight must not
+// leave the requester holding an older copy that a later Dup would resolve
+// to. Node 2 changes state, its response to the second collection is dropped
+// by a partition, and the third collection, with node 2's checkpoint
+// unchanged since, must hold those current bytes — not the first
+// collection's.
+func TestDupNeverResolvesToAStaleCopy(t *testing.T) {
+	f := setup(t, 2, time.Hour)
+	requester, responder := f.mgrs[0], f.mgrs[1]
+	// Everything below happens before the first gossip timer (1 s), so node
+	// 2's state changes only where the test changes it.
 	f.sim.RunFor(100 * time.Millisecond)
-	// The first collection passes (empty window) and charges the
-	// responder's budget; the second follows within the same 1 s window
-	// and must be refused.
-	var last *Snapshot
-	f.mgrs[0].Collect([]sm.NodeID{2}, func(s *Snapshot) { last = s })
-	f.sim.RunFor(300 * time.Millisecond)
-	f.mgrs[0].Collect([]sm.NodeID{2}, func(s *Snapshot) { last = s })
-	f.sim.RunFor(2 * time.Second)
-	if last == nil {
-		t.Fatal("collection did not complete")
+	var s1, s2, s3 *Snapshot
+	requester.Collect([]sm.NodeID{2}, func(s *Snapshot) { s1 = s })
+	f.sim.RunFor(50 * time.Millisecond)
+	if s1 == nil || len(s1.Missing) != 0 {
+		t.Fatalf("first collection: %+v", s1)
 	}
-	if f.mgrs[1].Stats.NegativeResponses == 0 {
-		t.Fatal("bandwidth limit never produced a negative response")
+	stale := s1.States[2]
+
+	f.nodes[1].App(testsvc.Bump{})
+	f.sim.RunFor(50 * time.Millisecond)
+	requester.Collect([]sm.NodeID{2}, func(s *Snapshot) { s2 = s })
+	// The request lands after 5 ms and the response would after 10 ms:
+	// sever the pair while the response travels, and let node 1's next
+	// send to node 2 fail so the collection ends with node 2 missing.
+	f.sim.RunFor(7 * time.Millisecond)
+	f.net.Partition(1, 2, true)
+	f.nodes[0].App(testsvc.Bump{})
+	f.sim.RunFor(10 * time.Millisecond)
+	if s2 == nil || len(s2.Missing) != 1 || s2.Missing[0] != 2 {
+		t.Fatalf("second collection should miss node 2: %+v", s2)
+	}
+	f.net.Partition(1, 2, false)
+
+	requester.Collect([]sm.NodeID{2}, func(s *Snapshot) { s3 = s })
+	f.sim.RunFor(50 * time.Millisecond)
+	if s3 == nil || len(s3.Missing) != 0 {
+		t.Fatalf("third collection: %+v", s3)
+	}
+	current := responder.store[len(responder.store)-1].State
+	if bytes.Equal(current, stale) {
+		t.Fatal("node 2's checkpoint never changed: the test exercises nothing")
+	}
+	if !bytes.Equal(s3.States[2], current) {
+		t.Fatalf("snapshot holds %d B for node 2, not its current %d B checkpoint (stale copy: %v)",
+			len(s3.States[2]), len(current), bytes.Equal(s3.States[2], stale))
+	}
+}
+
+// TestNewestCheckpointCarriesCN: every write of a manager's cn takes a
+// checkpoint stamped with it, so the newest stored checkpoint always carries
+// CN() — which is why a request at any CR <= CN() always finds a checkpoint
+// and no negative response exists. Checked after every simulator event and
+// every direct step: periodic ticks, forced checkpoints, requests ahead of
+// and behind CN(), and collections well past the storage quota.
+func TestNewestCheckpointCarriesCN(t *testing.T) {
+	f := setup(t, 3, 70*time.Millisecond)
+	check := func(step string) {
+		t.Helper()
+		for i, m := range f.mgrs {
+			if m.CN() == 0 {
+				continue
+			}
+			if len(m.store) == 0 {
+				t.Fatalf("%s: node %d at cn %d stores no checkpoint", step, i+1, m.CN())
+			}
+			if got := m.store[len(m.store)-1].CN; got != m.CN() {
+				t.Fatalf("%s: node %d's newest checkpoint carries cn %d, CN() = %d", step, i+1, got, m.CN())
+			}
+		}
+	}
+	events := func(n int) {
+		for i := 0; i < n && f.sim.Step(); i++ {
+			check("simulator event")
+		}
+	}
+	for round := 0; round < 3*quota; round++ {
+		events(20)
+		switch round % 4 {
+		case 0:
+			f.mgrs[1].IncomingCN(f.mgrs[1].CN() + 2)
+			check("forced checkpoint")
+		case 1:
+			f.mgrs[2].HandleControl(1, ckptRequest{CR: f.mgrs[2].CN() + 3, Seq: 1 << 40})
+			check("request ahead of CN()")
+		case 2:
+			f.mgrs[2].HandleControl(1, ckptRequest{CR: 1, Seq: 1 << 40})
+			check("request behind CN()")
+		case 3:
+			f.mgrs[0].Collect([]sm.NodeID{2, 3}, func(*Snapshot) {})
+			check("collection")
+		}
+	}
+	events(200)
+	for i, m := range f.mgrs {
+		if m.StoredCheckpoints() != quota {
+			t.Fatalf("node %d stores %d checkpoints: the run never went past the quota %d", i+1, m.StoredCheckpoints(), quota)
+		}
+	}
+	if f.mgrs[0].Stats.SnapshotsCollected == 0 {
+		t.Fatal("no collection completed")
 	}
 }
 
@@ -272,7 +363,7 @@ func TestCompressionShrinksRedundantData(t *testing.T) {
 }
 
 func TestOnlyOneCollectionAtATime(t *testing.T) {
-	f := setup(t, 2, Config{Interval: time.Hour, Quota: 100, CollectTimeout: time.Second})
+	f := setup(t, 2, time.Hour)
 	var second *Snapshot
 	secondCalled := false
 	f.mgrs[0].Collect([]sm.NodeID{2}, func(s *Snapshot) {})
@@ -283,7 +374,7 @@ func TestOnlyOneCollectionAtATime(t *testing.T) {
 }
 
 func TestCheckpointSizeReporting(t *testing.T) {
-	f := setup(t, 1, Config{Interval: 100 * time.Millisecond, Quota: 10})
+	f := setup(t, 1, 100*time.Millisecond)
 	f.sim.RunFor(time.Second)
 	if f.mgrs[0].LatestCheckpointSize() == 0 {
 		t.Fatal("no checkpoint size reported")

@@ -28,6 +28,7 @@ test:
 # The one benchmark is `go run ./bench`: a testing.B benchmark under cmd,
 # internal or examples is a second measuring surface whose numbers nothing records.
 # A checkpoint manager has one transfer path, and the requester says what it holds.
+# A successor is built in scratch and published once: no state is cloned to be edited.
 # The CI lint job runs exactly this target.
 lint:
 	@fmtout=$$(gofmt -l cmd internal examples bench); \
@@ -50,6 +51,8 @@ lint:
 	echo "the one benchmark is go run ./bench: no testing.B benchmarks"; exit 1; fi
 	@if grep -rn --include='*.go' -e 'snapshot\.Config' -e 'BandwidthLimitBps' -e 'computeDiff' -e 'lastSent' cmd internal examples; then \
 	echo "a checkpoint manager has one transfer path, and the requester says what it holds"; exit 1; fi
+	@if grep -rn --include='*.go' -e 'shallowClone' cmd internal; then \
+	echo "a successor is built in scratch and published once"; exit 1; fi
 	$(GO) vet ./...
 	$(GO) run ./cmd/crystalvet ./...
 

@@ -177,7 +177,7 @@ func main() {
 		res.StatesExplored, res.Transitions, res.MaxDepthReached, res.Elapsed.Round(time.Millisecond),
 		res.PeakMemoryBytes, res.PerStateBytes,
 		float64(res.StatesExplored)/res.Elapsed.Seconds(), stop)
-	fmt.Printf("pruned=%d (sleep-hits=%d)\n", res.TransitionsPruned, res.SleepHits)
+	fmt.Printf("pruned=%d (sleep-hits=%d) unbuilt=%d\n", res.TransitionsPruned, res.SleepHits, res.Unbuilt)
 	if *shards > 0 {
 		fmt.Printf("shards=%d forwarded=%d received=%d remote-deduped=%d batch-flushes=%d\n",
 			*shards, dstats.StatesForwarded, dstats.StatesReceived, dstats.RemoteDeduped, dstats.BatchFlushes)

@@ -93,9 +93,7 @@ func TestEnabledEventsReusedBufferAllocBound(t *testing.T) {
 	// breaks give the spontaneous error.
 	s = NewSearch(Config{Props: poisonAt(1000), Factory: newToy, ExploreResets: true, ExploreConnBreaks: true})
 	g = multiTimerStart()
-	sc := getScratch()
-	g.addMsg(InFlight{From: 2, To: 1}, sc)
-	putScratch(sc)
+	g.AddMessage(2, 1, nil) // an RST
 	kinds := map[byte]bool{}
 	keyed := func(cs []cand) {
 		t.Helper()
@@ -119,13 +117,15 @@ func TestEnabledEventsReusedBufferAllocBound(t *testing.T) {
 	}
 }
 
-// TestSuccessorAllocBound bounds the full apply+hash cost of one successor.
-// The remaining allocations are the successor's own storage (GState and
-// NodeState containers, the service clone) — the transient workspace
+// TestSuccessorAllocBound bounds the full cost of one published successor:
+// built in the scratch, hashed, and published. The remaining allocations are
+// the successor's own storage (the GState, its node container and the
+// executed node's NodeState, the service clone) — the transient workspace
 // (encoders, handler context with its working timer set, random stream, hash
-// state) is the scratch's and must not count, and neither does the node's
-// encoding: finalize hashes it in the scratch and keeps its length. The
-// scratch is the test's own, so the counts are exact under -race too.
+// state, the successor under construction) is the scratch's and must not
+// count, and neither does the node's encoding: finalize hashes it in the
+// scratch and keeps its length. The scratch is the test's own, so the counts
+// are exact under -race too.
 //
 // A timer event neither consumes nor sends, so the successor shares its
 // parent's in-flight container; "tick" bumps the counter and re-arms itself,
@@ -133,9 +133,12 @@ func TestEnabledEventsReusedBufferAllocBound(t *testing.T) {
 // NodeState kept a copy of its service encoding, 11 while the set was a map
 // cloned per handler run, ~30 before the scratch). "idle" only re-arms and
 // "zap" only expires, so the two differ in nothing but the timer set: a
-// changed set costs exactly its exact-size copy, an equal one nothing.
-// TestShallowCloneAllocBound and TestSuccessorSendAllocBound pin the
-// containers and the in-flight items.
+// changed set costs exactly publish's exact-size copy, an equal one nothing.
+// TestSuccessorSendAllocBound pins the in-flight items, and
+// TestUnbuiltSuccessorAllocBound what a successor costs that is never
+// published. A GState stays in the 96-byte size class.
+var cloneSink *GState
+
 func TestSuccessorAllocBound(t *testing.T) {
 	s := NewSearch(Config{Props: poisonAt(1000), Factory: newToy})
 	g := multiTimerStart()
@@ -145,10 +148,13 @@ func TestSuccessorAllocBound(t *testing.T) {
 	allocs := func(timer sm.TimerID) float64 {
 		ev := sm.TimerEvent{At: 1, Timer: timer}
 		return testing.AllocsPerRun(500, func() {
-			if cloneSink = s.apply(g, ev, true, sc); cloneSink == nil {
+			if cloneSink = s.applyEvent(g, ev, true, sc); cloneSink == nil {
 				t.Fatalf("timer %q not applicable", timer)
 			}
 		})
+	}
+	if size := unsafe.Sizeof(GState{}); size > 96 {
+		t.Errorf("GState is %d bytes, want <= 96 (the size class below 112)", size)
 	}
 	const maxAllocs = 7
 	if tick := allocs("tick"); tick > maxAllocs {
@@ -161,10 +167,10 @@ func TestSuccessorAllocBound(t *testing.T) {
 
 // TestFinalizeAllocBound: freezing a node state is one encoding pass into
 // the scratch and two hashes streamed from it. Nothing of the encoding is
-// kept, so finalize allocates only when the timer set differs from the
-// parent's — its exact-size copy — and a NodeState stays in the 64-byte
-// class: two words of service, three of timer set, the id with the encoding's
-// length, and the two hashes.
+// kept and the timer set is kept as given — publish, not finalize, gives a
+// changed set its copy (TestSuccessorAllocBound) — so finalize allocates
+// nothing, and a NodeState stays in the 64-byte class: two words of service,
+// three of timer set, the id with the encoding's length, and the two hashes.
 func TestFinalizeAllocBound(t *testing.T) {
 	if size := unsafe.Sizeof(NodeState{}); size > 64 {
 		t.Errorf("NodeState is %d bytes, want <= 64", size)
@@ -174,17 +180,16 @@ func TestFinalizeAllocBound(t *testing.T) {
 	sc := getScratch()
 	defer putScratch(sc)
 	ns := &NodeState{Svc: parent.Svc}
-	ns.finalize(1, parent.Timers, parent, sc) // size the scratch encoder
+	ns.finalize(1, parent.Timers, sc) // size the scratch encoder
 	if ns.chash != parent.chash || ns.lhash != parent.lhash || ns.encLen != parent.encLen {
 		t.Fatal("finalizing the same service and timers again gave another hash or length")
 	}
 	same := slices.Clone(parent.Timers) // equal to the parent's, not the parent's
-	if avg := testing.AllocsPerRun(500, func() { ns.finalize(1, same, parent, sc) }); avg != 0 {
-		t.Errorf("finalize with the parent's timer set allocates %.1f/op, want 0", avg)
-	}
 	changed := parent.Timers.With("extra")
-	if avg := testing.AllocsPerRun(500, func() { ns.finalize(1, changed, parent, sc) }); avg != 1 {
-		t.Errorf("finalize with a changed timer set allocates %.1f/op, want 1 (the set's copy)", avg)
+	for name, timers := range map[string]sm.TimerSet{"the parent's timer set": same, "a changed timer set": changed} {
+		if avg := testing.AllocsPerRun(500, func() { ns.finalize(1, timers, sc) }); avg != 0 {
+			t.Errorf("finalize with %s allocates %.1f/op, want 0", name, avg)
+		}
 	}
 }
 
@@ -210,7 +215,7 @@ func successorWithSends(t *testing.T, peers, inherited int) (allocs, bytes float
 	defer putScratch(sc)
 	ev := sm.AppEvent{At: 1, Call: kick{}}
 	build := func() {
-		if cloneSink = s.apply(g, ev, true, sc); cloneSink == nil || len(cloneSink.msgs) != inherited+peers {
+		if cloneSink = s.applyEvent(g, ev, true, sc); cloneSink == nil || len(cloneSink.msgs) != inherited+peers {
 			t.Fatal("kick did not send one item per peer")
 		}
 	}
@@ -224,13 +229,18 @@ func successorWithSends(t *testing.T, peers, inherited int) (allocs, bytes float
 	return allocs, float64(after.TotalAlloc-before.TotalAlloc) / (runs + 1)
 }
 
-// TestSuccessorSendAllocBound: a successor pays one allocation per item its
-// event sends and none per item it inherits — inherited items are shared,
-// and the container that points at them is allocated once, at its final
-// size. In bytes an inherited item costs its pointer slot; copying item
-// values again (48 B each, and a regrown container on top) fails the bound.
+// TestSuccessorSendAllocBound: a published successor pays one allocation per
+// item its event sends and none per item it inherits — inherited items are
+// shared, and publish allocates the container that points at them once, at
+// its final size. In bytes an inherited item costs its pointer slot; copying
+// item values again (48 B each, and a regrown container on top) fails the
+// bound. With one send a successor allocates at most TestSuccessorAllocBound's
+// 7 plus two: its own in-flight container and the sent item.
 func TestSuccessorSendAllocBound(t *testing.T) {
 	base, baseBytes := successorWithSends(t, 1, 2)
+	if base > 7+2 {
+		t.Errorf("a successor that sends one item allocates %.1f/op, want <= 9", base)
+	}
 	if threePeers, _ := successorWithSends(t, 3, 2); threePeers != base+2 {
 		t.Errorf("two more sends cost %.1f allocations (%.1f against %.1f), want 2: one per new item", threePeers-base, threePeers, base)
 	}
@@ -244,41 +254,50 @@ func TestSuccessorSendAllocBound(t *testing.T) {
 	}
 }
 
-// TestShallowCloneAllocBound: copying a state's containers is one
-// allocation for the GState plus one for the node container — the in-flight
-// container and the stale pairs are shared (their mutators copy before they
-// write), and there is no id list. A per-successor map costs at least two
-// (header and buckets) and fails this bound; so does a GState that outgrew
-// the 96-byte size class.
-var cloneSink *GState
-
-func TestShallowCloneAllocBound(t *testing.T) {
-	g := multiTimerStart()
-	for _, name := range []string{"nodes+msgs", "nodes+msgs+stale"} {
-		// Exactly, not at most: fewer would mean the clone stopped escaping
-		// and the bound stopped measuring anything.
-		if avg := testing.AllocsPerRun(1000, func() { cloneSink = g.shallowClone() }); avg != 2 {
-			t.Errorf("%s: shallowClone allocates %.1f/op, want 2", name, avg)
+// TestUnbuiltSuccessorAllocBound: a successor whose fingerprint is already
+// claimed is built in the worker's scratch, looked up and dropped, and
+// allocates exactly what the executed node's service clone allocates —
+// nothing of the engine's: no GState, no containers, no node state, no
+// in-flight items. The event is boxed once, outside the measurement (the
+// engine boxes it per transition; that allocation is the enumeration's). A
+// "tick" leaves the timer set as it was, a "zap" changes it and a "kick"
+// sends one item per peer: none of them costs an unbuilt successor anything
+// beyond the clone.
+func TestUnbuiltSuccessorAllocBound(t *testing.T) {
+	g := NewGState()
+	k := newToy(1).(*toy)
+	for p := sm.NodeID(2); p <= 4; p++ {
+		k.peers[p] = true
+		g.AddNode(p, newToy(p), nil)
+	}
+	g.AddNode(1, k, sm.TimerSet{"tick", "zap"})
+	g.AddMessage(2, 1, note{K: 1})
+	s := NewSearch(Config{Props: poisonAt(1000), Factory: newToy})
+	svc := g.Node(1).Svc
+	clone := testing.AllocsPerRun(500, func() { svcSink = svc.Clone() })
+	if clone == 0 {
+		t.Fatal("the toy's Clone allocates nothing: the bound measures nothing")
+	}
+	for _, ev := range []sm.Event{sm.TimerEvent{At: 1, Timer: "tick"}, sm.TimerEvent{At: 1, Timer: "zap"}, sm.AppEvent{At: 1, Call: kick{}}} {
+		e := s.NewEngine(Budget{Workers: 1}, HashRange{}, nil)
+		x := e.ws[0]
+		e.Inject(Forward{State: g})
+		if _, claimed := e.Inject(Forward{State: s.ApplyEvent(g, ev)}); !claimed {
+			t.Fatalf("%s: successor not claimed", ev.Describe())
 		}
-		g.MarkStale(1, 2)
-		g.MarkStale(2, 1)
-	}
-	if size := unsafe.Sizeof(GState{}); size > 96 {
-		t.Errorf("GState is %d bytes, want <= 96 (the size class below 112)", size)
-	}
-	// Sharing is safe because the three mutators write copies: a successor
-	// that sets and clears pairs leaves its parent's slice as it was.
-	sc := getScratch()
-	defer putScratch(sc)
-	want := slices.Clone(g.stale)
-	next := g.shallowClone()
-	next.setStale(pair{1, 3}, sc)
-	next.clearStale(pair{1, 2}, sc)
-	next.clearStaleFrom(2, sc)
-	if !slices.Equal(g.stale, want) || len(next.stale) != 1 || next.Hash() != next.FullHash() || g.Hash() != g.FullHash() {
-		t.Errorf("stale mutators wrote the shared slice: parent %v (was %v), successor %v", g.stale, want, next.stale)
+		unbuilt := testing.AllocsPerRun(500, func() {
+			next := s.apply(g, ev, true, x.sc)
+			if publish, propose := e.fate(next.Hash(), 0, x); publish || propose {
+				t.Fatalf("%s: a successor claimed at depth 0 is proposed (published: %v)", ev.Describe(), publish)
+			}
+		})
+		if unbuilt != clone {
+			t.Errorf("%s: an unbuilt successor allocates %.1f/op, the service clone %.1f/op: want exactly the clone", ev.Describe(), unbuilt, clone)
+		}
 	}
 }
+
+var svcSink sm.Service
 
 // TestReductionCountersAllocBound: the reduction counters are pre-allocated
 // atomics on the engine — bumping them costs no allocation — and the sleep-set bookkeeping itself adds at most a small

@@ -2,6 +2,7 @@ package mc
 
 import (
 	"cmp"
+	"fmt"
 	"slices"
 	"sort"
 	"strings"
@@ -214,15 +215,23 @@ func (f *frontier) popBucket() (*slab[held], int) {
 // and, until it is expanded, a held entry of the frontier; nothing else is
 // kept per state. During a sweep the workers read the tree, the tables and
 // the bucket being drained, and each writes only its own Expander's buffers
-// (proposals, explored sibling keys — values, reused every window), the
-// window slot of the position it expands, and the state field of the held
-// entry it expands or checks. Between sweeps the draining goroutine alone
-// writes: the claim pass appends tree entries, interns event descriptors
-// (the only place that happens, with Inject), builds sleep sets, queues held
-// entries and updates the tables. A proposal the claim pass rejects leaves
-// nothing behind; a held state is released by the worker that expands it
-// (or finds it a consistent leaf) and its sleep set by the claim pass after
-// it.
+// (proposals, explored sibling keys, the proposed set — values, reused every
+// window — and the scratch it builds successors in), the window slot of the
+// position it expands, and the state field of the held entry it expands or
+// checks. Between sweeps the draining goroutine alone writes: the claim pass
+// appends tree entries, interns event descriptors (the only place that
+// happens, with Inject), builds sleep sets, queues held entries and updates
+// the tables. A proposal the claim pass rejects leaves nothing behind; a held
+// state is released by the worker that expands it (or finds it a consistent
+// leaf) and its sleep set by the claim pass after it.
+//
+// A successor is built in its worker's scratch (scratch.go) and published to
+// the heap only if the claim pass can claim it. Its fingerprint is exact
+// before it is published, and expand looks it up first: one the visited
+// table already holds at the parent's depth or shallower is dropped unbuilt,
+// and one held at the child's own depth — or proposed by the same worker
+// earlier in the window — is proposed without a state, for the claim pass to
+// narrow (see fate).
 //
 // Two kinds of claimed child are never held. A child at Budget.Depth is only
 // ever property-checked, so the workers check it right after the claim pass
@@ -267,20 +276,22 @@ type Engine struct {
 	coll    *collector
 	fr      frontier
 	// window is claimWindow (a field so tests can show the search does not
-	// depend on it); outs holds what each position of the current window
+	// depend on it), and windowDone, when set, runs after every claim pass
+	// (a test seam too); outs holds what each position of the current window
 	// proposed, cursor hands the window's positions to the workers (wg waits
 	// for them), proposals counts the children the claim passes have handled
 	// (the wall deadline is read every claimClockEvery of them), sibIDs is
 	// the claim pass's cache of one parent's interned sibling keys, and
 	// capped records that the state budget kept a claimed child out of the
 	// queue.
-	window    int
-	outs      []expansion
-	cursor    atomic.Int64
-	wg        sync.WaitGroup
-	proposals int
-	sibIDs    []uint32
-	capped    bool
+	window     int
+	windowDone func()
+	outs       []expansion
+	cursor     atomic.Int64
+	wg         sync.WaitGroup
+	proposals  int
+	sibIDs     []uint32
+	capped     bool
 	// ws holds one reusable workspace per worker (index 0 doubles as the
 	// serial path's).
 	ws  []*Expander
@@ -289,9 +300,13 @@ type Engine struct {
 
 // proposal is a successor a worker built and the claim pass has yet to
 // judge. It is a value in the worker's buffer, reused every window: a
-// rejected proposal costs its state and nothing else.
+// rejected proposal costs its state and nothing else. state is nil when the
+// worker knew the claim pass could not claim the successor (Engine.fate): it
+// is proposed only so that the claim pass narrows the state that holds its
+// fingerprint.
 type proposal struct {
 	state *GState
+	hash  uint64      // the successor's fingerprint
 	desc  sm.EventKey // the transition from the parent (sm.DescOf)
 	// sibs is how many of the parent's explored siblings the child sleeps on
 	// if they are independent of desc (reduce.go); negative when the child
@@ -311,26 +326,82 @@ type expansion struct {
 }
 
 // Expander is one worker's reusable per-state workspace: the property-check
-// view and the event-enumeration buffers are recycled across every state
-// the worker processes, and what it proposes for a window lives in buffers
-// recycled across windows, so the per-state path allocates only for the
-// successors themselves. Check and Events expose the same two steps to
-// callers outside the engine (path replay in internal/dist, the benchmark's
-// layer probes). An Expander is not safe for concurrent use.
+// view, the event-enumeration buffers and the scratch successors are built in
+// are recycled across every state the worker processes, and what it proposes
+// for a window lives in buffers recycled across windows, so the per-state
+// path allocates only for the successors it publishes. Check and Events
+// expose the same two steps to callers outside the engine (path replay in
+// internal/dist, the benchmark's layer probes). An Expander is not safe for
+// concurrent use.
 type Expander struct {
 	s      *Search
 	view   *props.View
 	evb    eventBuf
-	enc    *sm.Encoder    // app-call and payload fingerprint scratch
+	sc     *scratch       // where successors are built (scratch.go)
+	enc    *sm.Encoder    // app-call and payload fingerprint scratch: sc's encoder, used between builds
 	props  []proposal     // this window's proposals
 	sibs   []sm.EventKey  // this window's explored siblings, per parent in order (reduction)
 	sleep  []*sm.EventKey // the expanding state's sleep set, resolved (reduction)
 	claims []uint64       // consequence (node, local state) claims awaiting the end of the bucket
+	// proposed is the set of fingerprints this worker proposed in the current
+	// window: open addressing with linear probing over a power-of-two table,
+	// 0 marking a free slot (Hash is never 0), allocated on the first
+	// proposal and kept at most half full; nproposed counts its entries.
+	proposed  []uint64
+	nproposed int
 }
 
 // NewExpander returns a fresh workspace bound to the search.
 func (s *Search) NewExpander() *Expander {
-	return &Expander{s: s, view: props.NewView(), enc: sm.NewEncoder()}
+	sc := newScratch()
+	return &Expander{s: s, view: props.NewView(), sc: sc, enc: &sc.enc}
+}
+
+// propose adds h to the window's proposed set and reports whether it was
+// absent.
+//
+//crystal:hotpath
+func (x *Expander) propose(h uint64) bool {
+	if 2*(x.nproposed+1) > len(x.proposed) {
+		x.growProposed()
+	}
+	mask := uint64(len(x.proposed) - 1)
+	for i := h & mask; ; i = (i + 1) & mask {
+		switch x.proposed[i] {
+		case h:
+			return false
+		case 0:
+			x.proposed[i] = h
+			x.nproposed++
+			return true
+		}
+	}
+}
+
+// growProposed doubles the proposed set's table (64 slots the first time)
+// and re-inserts its entries.
+//
+//crystal:hotpath
+func (x *Expander) growProposed() {
+	old := x.proposed
+	x.proposed = make([]uint64, max(64, 2*len(old)))
+	x.nproposed = 0
+	for _, h := range old {
+		if h != 0 {
+			x.propose(h)
+		}
+	}
+}
+
+// forgetProposed empties the proposed set for the next window, keeping its
+// table.
+//
+//crystal:hotpath
+func (x *Expander) forgetProposed() {
+	if x.nproposed > 0 {
+		clear(x.proposed)
+		x.nproposed = 0
+	}
 }
 
 // Check evaluates the search's property set — local and global — on g
@@ -486,6 +557,9 @@ func (e *Engine) Drain(between func() error) error {
 			if err := e.claimPass(bucket, lo, depth+1, bucket.n-lo-n); err != nil {
 				return err
 			}
+			if e.windowDone != nil {
+				e.windowDone()
+			}
 		}
 		// The consequence (node, local state) claims the workers gathered are
 		// merged once the whole bucket is expanded, so the pruning table
@@ -551,6 +625,7 @@ func (e *Engine) expandWindow(bucket *slab[held], lo, n int) {
 	clear(e.outs)
 	for _, x := range e.ws {
 		x.props, x.sibs = x.props[:0], x.sibs[:0]
+		x.forgetProposed()
 	}
 	e.sweep(bucket, lo, n, (*Engine).expandNodes)
 }
@@ -585,6 +660,11 @@ func (e *Engine) expandNodes(bucket *slab[held], lo, n int, x *Expander) {
 // admit up to workers-1 positions out of order, which the cap forgoes).
 // Children claimed at the depth bound are then checked by the workers.
 //
+// A proposal without a state (Engine.fate) must find its fingerprint claimed
+// here: its worker proposed it knowing it is already claimed or is claimed
+// by an earlier proposal of its own. If it is not, the claim pass fails the
+// drain rather than claim a state it does not have.
+//
 //crystal:hotpath
 func (e *Engine) claimPass(bucket *slab[held], lo, depth, rest int) error {
 	first := e.fr.len(depth)
@@ -604,7 +684,7 @@ func (e *Engine) claimPass(bucket *slab[held], lo, depth, rest int) error {
 				return nil
 			}
 			p := &out.x.props[j]
-			h := p.state.Hash()
+			h := p.hash
 			if !e.own.Contains(h) {
 				if err := e.forward(Forward{State: p.state, Depth: depth, Parent: Ref{e.tree, parent.idx}, Desc: p.desc}); err != nil {
 					return err
@@ -620,6 +700,9 @@ func (e *Engine) claimPass(bucket *slab[held], lo, depth, rest int) error {
 					e.narrow(prior, depth, promised, p.sibs >= 0)
 				}
 				continue
+			}
+			if p.state == nil {
+				return errUnclaimed(h, depth)
 			}
 			idx := e.tree.child(parent.idx, p.desc, h, depth, out.violated)
 			e.claim(idx, p.state)
@@ -645,6 +728,12 @@ func (e *Engine) claimPass(bucket *slab[held], lo, depth, rest int) error {
 		e.sweep(e.fr.buckets[depth], first, n, (*Engine).checkLeaves)
 	}
 	return nil
+}
+
+// errUnclaimed is the claim pass's report of a proposal without a state whose
+// fingerprint h nothing claimed at depth.
+func errUnclaimed(h uint64, depth int) error {
+	return fmt.Errorf("mc: a successor proposed without its state (fingerprint %#x, depth %d) is not claimed", h, depth)
 }
 
 // narrow is what a duplicate arrival does to the state it duplicates: if
@@ -748,31 +837,35 @@ func (e *Engine) expand(h *held, x *Expander) expansion {
 		return expansion{}
 	}
 
-	// run executes c and reports whether its handler ran. The successor
-	// becomes a proposal unless the visited table, which no one writes during
-	// expansion, already holds its fingerprint at this state's depth or
-	// shallower: the claim pass would have to reject such a child, so nothing
-	// is built for it. A fingerprint claimed at the child's own depth — by an
-	// earlier window, say — still goes to the claim pass (intersectSleep needs
-	// the arrival), as does one this engine does not own (visited holds only
-	// owned fingerprints). With promise the child sleeps on the siblings
-	// explored so far, and once its handler ran c joins them.
+	// run executes c, building the successor in x's scratch; fate says
+	// whether it is proposed and whether it is published. With promise the
+	// child sleeps on the siblings explored so far, and once its handler ran
+	// c joins them.
+	sc := x.sc
 	run := func(c *cand, promise bool) {
 		if !e.bdg.admitTransition() {
 			return
 		}
-		next := e.s.applyEvent(state, c.event(), true)
+		next := e.s.apply(state, c.event(), true, sc)
 		if next == nil {
 			e.bdg.refundTransition()
 			return
 		}
 		e.ctr.transitions.Add(1)
-		if !e.Seen(next.Hash(), depth) {
-			sibs := int32(-1)
+		h := next.Hash()
+		publish, propose := e.fate(h, depth, x)
+		if !publish {
+			e.ctr.unbuilt.Add(1)
+		}
+		if propose {
+			p := proposal{hash: h, desc: c.desc(x.enc), sibs: -1}
 			if promise {
-				sibs = int32(len(x.sibs)) - out.sibLo
+				p.sibs = int32(len(x.sibs)) - out.sibLo
 			}
-			x.props = append(x.props, proposal{state: next, desc: c.desc(x.enc), sibs: sibs})
+			if publish {
+				p.state = sc.publish(state)
+			}
+			x.props = append(x.props, p)
 		}
 		if promise {
 			x.sibs = append(x.sibs, c.key)
@@ -845,6 +938,42 @@ func (e *Engine) expand(h *held, x *Expander) expansion {
 	return out
 }
 
+// fate decides what becomes of a successor with fingerprint h that x built
+// from a state at depth: whether it is proposed to the claim pass and, if
+// so, whether it is published for it. The visited table is not written
+// during expansion, so what it says holds for the claim pass too.
+//
+//   - Outside the owned range the successor is published and proposed: the
+//     sink sends the state.
+//   - Claimed at depth or shallower, the claim pass would reject it and
+//     narrow nothing: it is dropped.
+//   - Claimed at the child's depth (by an earlier window), or proposed by x
+//     earlier in this window, it is proposed without a state: the claim pass
+//     only narrows the state that holds h. A worker takes window positions in
+//     increasing order and the claim pass walks them in order, so x's first
+//     proposal of h is judged before this one and leaves h claimed at the
+//     child's depth — claimed children enter visited even when the state
+//     budget keeps them out of the queue, and a wall-deadline stop ends the
+//     pass before any later proposal is judged.
+//   - Otherwise — new to x and not claimed, or claimed only deeper (a
+//     sharded search re-claims it shallower) — it is published and proposed.
+//
+//crystal:hotpath
+func (e *Engine) fate(h uint64, depth int, x *Expander) (publish, propose bool) {
+	if !e.own.Contains(h) {
+		return true, true
+	}
+	if prior, ok := e.visited[h]; ok {
+		switch d := int(e.tree.entries.at(int(prior)).depth); {
+		case d <= depth:
+			return false, false
+		case d == depth+1:
+			return false, true
+		}
+	}
+	return x.propose(h), true
+}
+
 // Exhausted reports whether a budget bound (or the violation quota) has
 // stopped the search; a drained frontier alone does not count.
 func (e *Engine) Exhausted() bool { return e.bdg.exhausted() }
@@ -887,6 +1016,7 @@ func (e *Engine) Result() *Result {
 		Transitions:         int(e.ctr.transitions.Load()),
 		MaxDepthReached:     int(e.ctr.maxDepth.Load()),
 		LocalPrunes:         int(e.ctr.localPrunes.Load()),
+		Unbuilt:             int(e.ctr.unbuilt.Load()),
 		SleepHits:           int(e.ctr.sleepHits.Load()),
 		DistinctLocalStates: len(e.locals),
 		Elapsed:             e.bdg.elapsed(),

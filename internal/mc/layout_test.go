@@ -33,17 +33,19 @@ func TestStalePermutationsCanonical(t *testing.T) {
 	var want *GState
 	rng := rand.New(rand.NewSource(1))
 	for trial := 0; trial < 50; trial++ {
-		g := sparseStart()
+		start := sparseStart()
 		sc := getScratch()
+		next := sc.begin(start, 0)
 		for _, i := range rng.Perm(len(set)) {
-			g.setStale(set[i], sc)
-			g.setStale(set[i], sc) // idempotent
+			next.setStale(set[i], sc)
+			next.setStale(set[i], sc) // idempotent
 		}
 		for _, i := range rng.Perm(len(drop)) {
-			if present := g.clearStale(drop[i], sc); present != (drop[i] != pair{1, 2}) {
+			if present := next.clearStale(drop[i], sc); present != (drop[i] != pair{1, 2}) {
 				t.Fatalf("clearStale(%v) reported present=%v", drop[i], present)
 			}
 		}
+		g := sc.publish(start)
 		putScratch(sc)
 		if got, full := g.Hash(), g.FullHash(); got != full {
 			t.Fatalf("trial %d: incremental %#x != from-scratch %#x", trial, got, full)
@@ -68,11 +70,10 @@ func TestStalePermutationsCanonical(t *testing.T) {
 	}
 	// Clearing one sender's pairs wholesale (what a reset does) agrees with
 	// clearing them one by one, and a successor never writes its parent.
-	sc := getScratch()
-	defer putScratch(sc)
-	a, b := want.shallowClone(), want.shallowClone()
-	a.clearStaleFrom(7, sc)
-	b.clearStale(pair{7, 12}, sc)
+	sa, sb := newScratch(), newScratch()
+	sa.begin(want, 0).clearStaleFrom(7, sa)
+	sb.begin(want, 0).clearStale(pair{7, 12}, sb)
+	a, b := sa.publish(want), sb.publish(want)
 	if a.Hash() != b.Hash() || a.Hash() != a.FullHash() || !slices.Equal(a.stale, b.stale) {
 		t.Fatalf("clearStaleFrom diverged: %v vs %v", a.stale, b.stale)
 	}

@@ -2,31 +2,138 @@ package mc
 
 import (
 	"math/rand"
+	"slices"
 	"sync"
 
 	"crystalball/internal/sm"
 )
 
-// scratch is the per-worker reusable workspace for successor construction:
-// one encoder for component hashing (finalize/addMsg/staleComp/resetsComp),
-// the buffering handler context with its working timer set, and a
-// re-seedable random stream for edgeRNG. A scratch is checked out of
-// scratchPool for the duration of one ApplyEvent (or one public GState
-// mutator) and never escapes it: nothing constructed on the scratch is
-// reachable from the returned state except bytes explicitly copied out.
+// scratch is the reusable workspace successor construction runs in: one
+// encoder for component hashing (finalize/addMsg/staleComp/resetsComp), the
+// buffering handler context with its working timer set, a re-seedable random
+// stream for edgeRNG, and the successor under construction.
+//
+// A successor is built in the scratch and published once. begin makes next a
+// copy of the parent whose containers are the scratch's own buffers; the
+// constructors (step.go) run the event's handler and edit next through the
+// GState mutation helpers, which keep its fingerprint and footprint exact, so
+// next.Hash() is the successor's fingerprint before anything of it is on the
+// heap. publish then copies next to the heap at exact size. Nothing a
+// published state holds points into the scratch, and a successor the caller
+// does not publish — a duplicate — costs no allocation of the engine's.
+//
+// Every Expander owns one scratch (an engine's worker, a walk's, a replay's);
+// ApplyEvent and the GState construction API check one out of scratchPool
+// for the duration of one call.
 type scratch struct {
 	enc sm.Encoder
 	fx  sm.Effects
 	rnd *rand.Rand // re-seeded per edge; identical stream to a fresh sm.NewRand
+
+	// next is the successor being built. Its nodes, msgs and stale slices
+	// are buffers reused across builds.
+	next GState
+	// items holds the in-flight items next gained — sent by the event, or a
+	// queue-mate moved one position toward the head — in the order next.msgs
+	// points at them. Its capacity is reserved by begin, before any pointer
+	// into it is taken, so it never moves during a build.
+	items []InFlight
+	// node is the executed node's new local state, at next.nodes[at] (at is
+	// -1 when no node changed). Its Timers alias fx.Timers until publish.
+	node NodeState
+	at   int
 }
 
-var scratchPool = sync.Pool{New: func() any {
-	return &scratch{rnd: sm.NewRand(0)}
-}}
+func newScratch() *scratch { return &scratch{rnd: sm.NewRand(0)} }
+
+var scratchPool = sync.Pool{New: func() any { return newScratch() }}
 
 func getScratch() *scratch { return scratchPool.Get().(*scratch) }
 
 func putScratch(sc *scratch) { scratchPool.Put(sc) }
+
+// begin starts building a successor of g in sc and returns it: a copy of g
+// in the scratch's buffers, with room for items new in-flight items.
+//
+//crystal:hotpath
+func (sc *scratch) begin(g *GState, items int) *GState {
+	next := &sc.next
+	next.nodes = append(next.nodes[:0], g.nodes...)
+	next.msgs = append(next.msgs[:0], g.msgs...)
+	next.stale = append(next.stale[:0], g.stale...)
+	next.resets, next.hsum, next.encSize = g.resets, g.hsum, g.encSize
+	sc.items = slices.Grow(sc.items[:0], items)
+	sc.at = -1
+	return next
+}
+
+// newItem stores m as a new in-flight item of next and returns its place in
+// the item buffer. The buffer never grows here: pointers into it are already
+// in next.msgs.
+//
+//crystal:hotpath
+func (sc *scratch) newItem(m *InFlight) *InFlight {
+	if len(sc.items) == cap(sc.items) {
+		panic("mc: in-flight item buffer full: begin reserved too little")
+	}
+	sc.items = append(sc.items, *m)
+	return &sc.items[len(sc.items)-1]
+}
+
+// publish copies the successor sc built from parent to the heap and returns
+// it. It allocates the GState, its node container and the executed node's
+// NodeState. That node's timer set is copied only when it differs from the
+// set it replaces; otherwise the node shares it. The in-flight container is
+// the parent's, clipped, when the event neither removed nor added an item, and
+// an exact-size copy otherwise, in which each new or moved item is a heap item
+// of its own. The stale pairs are copied only when they changed.
+//
+//crystal:hotpath
+func (sc *scratch) publish(parent *GState) *GState {
+	next := &sc.next
+	nodes := make([]*NodeState, len(next.nodes))
+	copy(nodes, next.nodes)
+	if sc.at >= 0 {
+		ns := new(NodeState)
+		*ns = sc.node
+		if was := parent.Node(ns.id); was != nil && was.Timers.Equal(ns.Timers) {
+			ns.Timers = was.Timers
+		} else {
+			ns.Timers = exactCopy(ns.Timers)
+		}
+		nodes[sc.at] = ns
+	}
+	msgs := slices.Clip(parent.msgs) // nothing added and nothing removed: the very same items
+	if len(sc.items) > 0 || len(next.msgs) != len(parent.msgs) {
+		msgs = make([]*InFlight, len(next.msgs))
+		k := 0
+		for j, m := range next.msgs {
+			if k < len(sc.items) && m == &sc.items[k] {
+				item := sc.items[k]
+				m = &item
+				k++
+			}
+			msgs[j] = m
+		}
+		if k != len(sc.items) {
+			panic("mc: a new in-flight item is missing from the successor's container")
+		}
+	}
+	stale := parent.stale
+	if !slices.Equal(next.stale, parent.stale) {
+		stale = exactCopy(next.stale)
+	}
+	return &GState{nodes: nodes, msgs: msgs, stale: stale, resets: next.resets, hsum: next.hsum, encSize: next.encSize}
+}
+
+// exactCopy returns a copy of s that shares nothing with it (nil when s is
+// empty: even a zero-capacity slice of a scratch buffer points into it).
+func exactCopy[T any](s []T) []T {
+	if len(s) == 0 {
+		return nil
+	}
+	return slices.Clone(s)
+}
 
 // edgeSeed derives the deterministic per-edge random seed for executing
 // event ev at a node whose local-state hash is lhash:

@@ -186,6 +186,10 @@ type Result struct {
 	// TransitionsPruned is the total expansions avoided: SleepHits plus
 	// LocalPrunes (controller.Stats sums it over a deployment's rounds).
 	TransitionsPruned int
+	// Unbuilt counts successors the breadth-first engine built in scratch
+	// but never published, because their fingerprint was already claimed or
+	// already proposed (Engine.fate). Sharded results do not carry it yet.
+	Unbuilt int
 	// DistinctLocalStates counts distinct node-local states over all
 	// claimed states — the ROADMAP's coverage metric ("distinct local
 	// states reached per budget").
@@ -453,7 +457,7 @@ func (s *Search) ReplayKeys(x *Expander, root *GState, path []sm.EventKey, wantE
 		if err != nil {
 			return nil, nil, fmt.Errorf("replay step %d: %w", i, err)
 		}
-		next := s.applyEvent(g, ev, true)
+		next := s.applyEvent(g, ev, true, x.sc)
 		if next == nil {
 			return nil, nil, fmt.Errorf("replay step %d: event %s not applicable", i, ev.Describe())
 		}
@@ -475,9 +479,9 @@ func (s *Search) filterFor(ev sm.Event) (sm.Filter, bool) {
 	return sm.Filter{}, false
 }
 
-// applyFiltered executes the corrective action of filter f instead of ev:
-// a filtered message is dropped and, if BreakConn, an RST notification is
-// queued to the sender; filtered timers are rescheduled (no state change,
+// applyFiltered builds in sc the corrective action of filter f instead of
+// ev: a filtered message is dropped and, if BreakConn, an RST notification
+// is queued to the sender; filtered timers are rescheduled (no state change,
 // so no successor); filtered app calls are suppressed.
 func (s *Search) applyFiltered(g *GState, ev sm.Event, f sm.Filter, sc *scratch) *GState {
 	me, ok := ev.(sm.MsgEvent)
@@ -488,8 +492,8 @@ func (s *Search) applyFiltered(g *GState, ev sm.Event, f sm.Filter, sc *scratch)
 	if i < 0 {
 		return nil
 	}
-	next := g.shallowClone()
-	next.removeMsgAt(i, 1, sc) // room for the one RST below
+	next := sc.begin(g, len(g.msgs)) // the moved queue-mates, or the one RST below
+	next.removeMsgAt(i, sc)
 	if f.BreakConn {
 		if _, known := next.index(me.From); known {
 			next.addMsg(InFlight{From: me.To, To: me.From, Msg: nil}, sc)
@@ -504,26 +508,27 @@ func (s *Search) applyFiltered(g *GState, ev sm.Event, f sm.Filter, sc *scratch)
 // and hash caches are populated at state construction, so ApplyEvent is
 // safe to call from concurrent workers on a shared predecessor. The
 // successor's fingerprint is maintained incrementally during construction,
-// so its Hash is ready in O(changed components). All transient workspace —
-// scratch encoder, handler context, per-edge random stream — comes from a
-// pooled scratch that is released before returning, so nothing reachable
-// from the successor aliases it.
-func (s *Search) ApplyEvent(g *GState, ev sm.Event) *GState { return s.applyEvent(g, ev, false) }
-
-// applyEvent is ApplyEvent. enumerated says ev was enumerated at g itself (the
-// engine's expansion, a walk's step, a replay's resolved descriptor): a
-// delivery then already carries the queue head's payload and need not be
-// boxed a second time to be given it.
-func (s *Search) applyEvent(g *GState, ev sm.Event, enumerated bool) *GState {
+// so its Hash is ready in O(changed components). The successor is built in a
+// pooled scratch and published before the scratch is released, so nothing
+// reachable from it aliases the scratch.
+func (s *Search) ApplyEvent(g *GState, ev sm.Event) *GState {
 	sc := getScratch()
-	var next *GState
-	if f, ok := s.filterFor(ev); ok {
-		next = s.applyFiltered(g, ev, f, sc)
-	} else {
-		next = s.apply(g, ev, enumerated, sc)
-	}
+	next := s.applyEvent(g, ev, false, sc)
 	putScratch(sc)
 	return next
+}
+
+// applyEvent builds ev's successor of g in sc and publishes it. enumerated
+// says ev was enumerated at g itself (the engine's expansion, a walk's step,
+// a replay's resolved descriptor): a delivery then already carries the queue
+// head's payload and need not be boxed a second time to be given it.
+//
+//crystal:hotpath
+func (s *Search) applyEvent(g *GState, ev sm.Event, enumerated bool, sc *scratch) *GState {
+	if s.apply(g, ev, enumerated, sc) == nil {
+		return nil
+	}
+	return sc.publish(g)
 }
 
 // Run explores from the start state and returns the result. The start
@@ -535,8 +540,11 @@ func (s *Search) Run(start *GState) *Result {
 	case Exhaustive, Consequence:
 		e := s.NewEngine(s.cfg.Budget, HashRange{}, nil)
 		e.Inject(Forward{State: start})
-		// Without a sink nothing in the drain can fail.
-		_ = e.Drain(nil)
+		// Without a sink only the claim pass's check of the engine's own
+		// invariant can fail the drain: a bug, not a budget.
+		if err := e.Drain(nil); err != nil {
+			panic(err)
+		}
 		res = e.Result()
 		res.Violations = e.Violations(start)
 	default:

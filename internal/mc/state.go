@@ -33,7 +33,7 @@ const (
 
 // NodeState is one node's local state inside the checker: the service state
 // machine plus the pending-timer set. NodeState values are immutable once
-// placed in a GState; successor states clone before mutating. Because of
+// published in a GState; successor states clone before mutating. Because of
 // that immutability, what the checker needs of the canonical encoding
 // (service then timers) is computed once — by the constructing goroutine,
 // before the state is shared — and reused by every global state the node state
@@ -41,11 +41,12 @@ const (
 // bytes themselves are never kept: nothing reads an encoding twice, and
 // FullHash re-encodes from Svc and Timers on purpose.
 //
-// Timers is an sm.TimerSet — sorted, duplicate-free — that finalize sets and
-// nobody writes afterwards: a successor whose handler left the set equal to
-// its parent's (untouched, or a periodic timer consumed and re-armed) holds
-// the parent's very slice. Handlers edit the scratch's working copy
-// (sm.Effects.Timers), never this field.
+// Timers is an sm.TimerSet — sorted, duplicate-free — that nobody writes once
+// the node state is published: a successor whose handler left the set equal
+// to its parent's (untouched, or a periodic timer consumed and re-armed)
+// holds the parent's very slice, and any other set is publish's exact-size
+// copy. Handlers edit the scratch's working copy (sm.Effects.Timers), never
+// this field.
 type NodeState struct {
 	Svc    sm.Service
 	Timers sm.TimerSet
@@ -61,24 +62,17 @@ type NodeState struct {
 // and the two hashes over it — the global-fingerprint component hash and the
 // consequence-prediction local hash — streamed from that buffer, which is
 // then the next caller's. It must be called exactly once, by the goroutine
-// constructing the enclosing GState, after all handler mutations are applied
-// and before the state is published to other workers — from then on every
-// access is a pure read, safe under -race.
+// building the enclosing GState, after all handler mutations are applied
+// and before the state is published — from then on every access is a pure
+// read, safe under -race.
 //
-// parent, when non-nil, is the node state this one succeeds. timers may alias
-// a working buffer; it is only read. A set equal to the parent's is not
-// copied — ns takes the parent's (NodeStates are immutable, so sharing is
-// always safe) — and any other set costs one exact-size copy: the only
-// allocation finalize makes.
+// ns keeps timers as given: it may alias a working buffer (sm.Effects.Timers),
+// and publish is what gives the published node state a set of its own. So
+// finalize allocates nothing.
 //
 //crystal:hotpath
-func (ns *NodeState) finalize(id sm.NodeID, timers sm.TimerSet, parent *NodeState, sc *scratch) {
-	ns.id = id
-	if parent != nil && parent.Timers.Equal(timers) {
-		ns.Timers = parent.Timers
-	} else {
-		ns.Timers = slices.Clone(timers)
-	}
+func (ns *NodeState) finalize(id sm.NodeID, timers sm.TimerSet, sc *scratch) {
+	ns.id, ns.Timers = id, timers
 	e := &sc.enc
 	e.Reset()
 	ns.Svc.EncodeState(e)
@@ -98,22 +92,22 @@ func (ns *NodeState) finalize(id sm.NodeID, timers sm.TimerSet, parent *NodeStat
 // localHash returns the hash of the node-local state (service state +
 // timers); the consequence-prediction pruning keys its localExplored set on
 // this. The value is precomputed by finalize — every NodeState reaches a
-// GState through setNode, runHandler or applyReset, all of which finalize
-// before publishing — so this is a pure read on shared states.
+// GState through setNode, which finalizes it before it is published — so
+// this is a pure read on shared states.
 func (ns *NodeState) localHash() uint64 { return ns.lhash }
 
 // InFlight is one in-flight network item: a service message, or (when Msg
 // is nil) an RST notification telling To that its connection to From broke.
 //
-// An item is immutable from the moment addMsg stores it, and every state
-// that still holds it shares the one value: a successor's container is a
-// slice of pointers to its parent's items plus the items its own event sent.
-// The queue position, component hash and footprint size are therefore
-// written exactly once, by the goroutine constructing the item (addMsg for a
-// new item, removeMsgAt for the private copy of a queue-mate that moves one
-// position toward the head), before the state holding it is published — so
-// hashing, enumeration and successor construction never write to an item
-// another state can see.
+// An item is built in the scratch and published once, and every state that
+// still holds it shares the one heap value: a successor's container is a
+// slice of pointers to its parent's items plus the items its own event added.
+// The queue position, component hash and footprint size are written exactly
+// once, in the scratch of the goroutine building the item (addMsg for a new
+// item, removeMsgAt for the copy of a queue-mate that moves one position
+// toward the head); publish copies it to the heap and nothing writes it
+// again — so hashing, enumeration and successor construction never write to
+// an item another state can see.
 type InFlight struct {
 	From  sm.NodeID
 	To    sm.NodeID
@@ -191,7 +185,7 @@ var resetsComp0 = func() uint64 {
 
 // GState is a global system state: the paper's (L, I) plus transport
 // bookkeeping. GStates are persistent: successors share unmodified node
-// states and copy only what an event changes.
+// states and in-flight items and copy only what an event changes.
 //
 // The state fingerprint (Hash) is maintained incrementally: hsum is the
 // wrapping sum of the component hashes of every node, in-flight item and
@@ -213,14 +207,20 @@ var resetsComp0 = func() uint64 {
 // its NodeState, not in a parallel id list: the list would be the same slice
 // in every state of a search, and its header 24 bytes of every one of them.
 //
-// nodes is the state's own (a successor swaps one element); msgs and stale
-// are shared with the parent until an event changes them — removeMsgAt and
-// applyReset build the successor its own in-flight container, and the three
-// stale mutators copy before they write.
+// Ownership has one rule: a state is built in a scratch and published once.
+// The mutation helpers below write only the state a scratch is building
+// (scratch.begin gave it containers of the scratch's own, so they edit in
+// place); publish copies it to the heap, and what a published state holds is
+// never written again — its in-flight container, stale pairs, node states and
+// items are shared freely with its successors. The construction API writes
+// the state it is called on: AddMessage and MarkStale are the same build and
+// publish, over that state, and AddNode installs a heap node state in its
+// node container — the one container no other state shares, since every
+// publish makes its own.
 type GState struct {
 	nodes   []*NodeState // local states, ascending by id
-	msgs    []*InFlight  // shared immutable items; the container is never written once the state is published
-	stale   []pair       // sorted (sender, peer) pairs: sender holds a stale socket to peer; never written in place
+	msgs    []*InFlight  // in-flight items, shared with every state that holds them
+	stale   []pair       // sorted (sender, peer) pairs: sender holds a stale socket to peer
 	resets  int          // reset events taken on this path (bounds fault depth)
 	hsum    uint64       // incrementally maintained commutative fingerprint
 	encSize int          // incrementally maintained EncodedSize
@@ -242,65 +242,77 @@ func (g *GState) index(id sm.NodeID) (int, bool) {
 	return lo, lo < len(g.nodes) && g.nodes[lo].id == id
 }
 
-// NewGState builds a global state from per-node services and timer sets.
-// The services are used as-is (not cloned); callers that keep using their
-// copies must clone first.
+// NewGState returns an empty global state: no nodes, nothing in flight, no
+// stale pairs, no resets. AddNode, AddMessage and MarkStale fill it in.
 func NewGState() *GState { return &GState{hsum: resetsComp0} }
 
-// AddNode inserts a node's local state. The service's encoding and hashes
-// are captured here, so callers must finish mutating svc before AddNode.
-func (g *GState) AddNode(id sm.NodeID, svc sm.Service, timers sm.TimerSet) {
+// edit is how the construction API changes g's in-flight items and stale
+// pairs, the way every successor is made: f edits a scratch copy of g and the
+// result is published over g.
+func (g *GState) edit(items int, f func(next *GState, sc *scratch)) {
 	sc := getScratch()
-	g.setNode(id, svc, timers, sc)
+	f(sc.begin(g, items), sc)
+	*g = *sc.publish(g)
 	putScratch(sc)
 }
 
-// setNode installs (svc, timers) as id's local state, finalizing its
-// encoding/hashes and updating the fingerprint, footprint and sorted id list
-// (removing any previous state's contribution).
+// AddNode inserts a node's local state. The service is used as-is (not
+// cloned) and its encoding and hashes are captured here, so callers must
+// finish mutating svc before AddNode and clone it first if they keep using
+// it. The node state is built on the heap, timer set copied, and installed
+// in g's node container directly (see GState): a start state of n nodes is
+// built without n copies of the container.
+func (g *GState) AddNode(id sm.NodeID, svc sm.Service, timers sm.TimerSet) {
+	sc := getScratch()
+	ns := &NodeState{Svc: svc}
+	ns.finalize(id, exactCopy(timers), sc)
+	putScratch(sc)
+	g.installNode(ns)
+}
+
+// setNode makes (svc, timers) the local state of node id in g, the state sc
+// is building: sc.node is finalized with them and takes the node's place.
+// At most one node changes per build.
 //
 //crystal:hotpath
 func (g *GState) setNode(id sm.NodeID, svc sm.Service, timers sm.TimerSet, sc *scratch) {
-	i, present := g.index(id)
-	var old *NodeState
+	ns := &sc.node
+	*ns = NodeState{Svc: svc}
+	ns.finalize(id, timers, sc)
+	sc.at = g.installNode(ns)
+}
+
+// installNode makes the finalized ns the local state of its node in g — at
+// a new position for an id g lacks, which only construction adds — trading
+// the old state's contribution to the fingerprint and footprint for ns's,
+// and returns its position.
+//
+//crystal:hotpath
+func (g *GState) installNode(ns *NodeState) int {
+	i, present := g.index(ns.id)
 	if present {
-		old = g.nodes[i]
+		old := g.nodes[i]
 		g.hsum -= old.chash // every installed node is finalized
 		g.encSize -= 4 + int(old.encLen)
 	} else {
-		// Insertion only happens at state-construction time (exploration
-		// never adds nodes).
 		g.nodes = slices.Insert(g.nodes, i, nil)
 	}
-	ns := &NodeState{Svc: svc}
-	ns.finalize(id, timers, old, sc)
 	g.hsum += ns.chash
 	g.encSize += 4 + int(ns.encLen)
 	g.nodes[i] = ns
-}
-
-// swapNode replaces the already-finalized local state at position i with
-// the finalized nw, adjusting fingerprint and footprint.
-//
-//crystal:hotpath
-func (g *GState) swapNode(i int, nw *NodeState) {
-	old := g.nodes[i]
-	g.hsum += nw.chash - old.chash
-	g.encSize += int(nw.encLen - old.encLen)
-	g.nodes[i] = nw
+	return i
 }
 
 // AddMessage inserts an in-flight service message.
 func (g *GState) AddMessage(from, to sm.NodeID, msg sm.Message) {
-	sc := getScratch()
-	g.addMsg(InFlight{From: from, To: to, Msg: msg}, sc)
-	putScratch(sc)
+	g.edit(1, func(next *GState, sc *scratch) { next.addMsg(InFlight{From: from, To: to, Msg: msg}, sc) })
 }
 
-// addMsg appends an in-flight item, computing its queue position, component
-// hash and size at construction time and folding them into the running
-// totals. This is the one allocation a new item costs: m is stored by
-// pointer and shared, never copied, by every descendant that inherits it.
+// addMsg appends an in-flight item to g, the state sc is building, computing
+// its queue position, component hash and size and folding them into the
+// running totals. The item lives in sc's item buffer until publish gives it
+// the one heap allocation a new item costs; from then on it is shared, never
+// copied, by every descendant that inherits it.
 //
 // The component hash covers the item's queue position — the number of
 // same-queue items already in flight — not just its content. The
@@ -327,7 +339,7 @@ func (g *GState) addMsg(m InFlight, sc *scratch) {
 	}
 	g.hsum += m.chash
 	g.encSize += m.sz
-	g.msgs = append(g.msgs, &m)
+	g.msgs = append(g.msgs, sc.newItem(&m))
 }
 
 // msgComp returns the fingerprint component hash of one in-flight item:
@@ -342,50 +354,40 @@ func msgComp(m *InFlight, sc *scratch) uint64 {
 	return e.DomainHash(domainMsg)
 }
 
-// removeMsgAt removes the i-th in-flight item of g — a successor still
-// sharing its parent's container after shallowClone — by building the
-// container g keeps: the parent's items without the i-th, allocated once with
-// room for the items g's event goes on to send.
-//
-// Later items in the removed item's queue shift one position toward the
-// head. Items are shared with every other state that holds them, so such a
-// queue-mate is copied and the copy gets the new position and component
-// hash; the original is never written (queues longer than one item are rare,
-// so the copy almost never happens).
+// removeMsgAt removes the i-th in-flight item of g, the state sc is
+// building. Later items in the removed item's queue shift one position
+// toward the head. Items are shared with every other state that holds them,
+// so such a queue-mate is copied into sc's item buffer and the copy gets the
+// new position and component hash; the original is never written (queues
+// longer than one item are rare, so the copy almost never happens).
 //
 //crystal:hotpath
-func (g *GState) removeMsgAt(i, room int, sc *scratch) {
-	parent := g.msgs
-	removed := parent[i]
+func (g *GState) removeMsgAt(i int, sc *scratch) {
+	removed := g.msgs[i]
 	g.hsum -= removed.chash
 	g.encSize -= removed.sz
-	own := make([]*InFlight, len(parent)-1, len(parent)-1+room)
-	copy(own, parent[:i])
-	for j, m := range parent[i+1:] {
+	for j, m := range g.msgs[i+1:] {
 		if sameQueue(m, removed) {
-			moved := *m
+			moved := sc.newItem(m)
 			moved.pos--
-			moved.chash = msgComp(&moved, sc)
+			moved.chash = msgComp(moved, sc)
 			g.hsum += moved.chash - m.chash
-			m = &moved
+			m = moved
 		}
-		own[i+j] = m
+		g.msgs[i+j] = m
 	}
-	g.msgs = own
+	g.msgs = g.msgs[:len(g.msgs)-1]
 }
 
-// setStale records a stale pair, updating the totals if it was absent. Like
-// clearStale and clearStaleFrom it writes a copy: the slice it found may be
-// the parent's.
+// setStale records a stale pair in g, the state sc is building, updating the
+// totals if it was absent. Like clearStale and clearStaleFrom it writes in
+// place: the pairs are the scratch's copy (publish decides whether the
+// published state needs one of its own).
 //
 //crystal:hotpath
 func (g *GState) setStale(p pair, sc *scratch) {
 	if i, present := slices.BinarySearchFunc(g.stale, p, comparePair); !present {
-		own := make([]pair, len(g.stale)+1)
-		copy(own, g.stale[:i])
-		own[i] = p
-		copy(own[i+1:], g.stale[i:])
-		g.stale = own
+		g.stale = slices.Insert(g.stale, i, p)
 		g.hsum += staleComp(p, sc)
 		g.encSize += 16
 	}
@@ -398,7 +400,7 @@ func (g *GState) setStale(p pair, sc *scratch) {
 func (g *GState) clearStale(p pair, sc *scratch) bool {
 	i, present := slices.BinarySearchFunc(g.stale, p, comparePair)
 	if present {
-		g.stale = slices.Delete(slices.Clone(g.stale), i, i+1)
+		g.stale = slices.Delete(g.stale, i, i+1)
 		g.hsum -= staleComp(p, sc)
 		g.encSize -= 16
 	}
@@ -410,10 +412,7 @@ func (g *GState) clearStale(p pair, sc *scratch) bool {
 //
 //crystal:hotpath
 func (g *GState) clearStaleFrom(a sm.NodeID, sc *scratch) {
-	if !slices.ContainsFunc(g.stale, func(p pair) bool { return p.a == a }) {
-		return
-	}
-	kept := make([]pair, 0, len(g.stale)-1)
+	kept := g.stale[:0]
 	for _, p := range g.stale {
 		if p.a != a {
 			kept = append(kept, p)
@@ -578,28 +577,10 @@ func (g *GState) fullEncodedSize() int {
 	return n + 16*len(g.stale)
 }
 
-// shallowClone copies the node container and shares everything else: the
-// node states, the stale pairs (their mutators copy before writing) and —
-// until removeMsgAt or applyReset builds the successor its own — the parent's
-// in-flight container, clipped to its length so that an append can only copy,
-// never write into room a sibling shares. Callers then replace what the event
-// changes, keeping the inherited fingerprint and footprint in sync through
-// the mutation helpers.
-//
-//crystal:hotpath
-func (g *GState) shallowClone() *GState {
-	return &GState{
-		nodes: slices.Clone(g.nodes), msgs: slices.Clip(g.msgs), stale: g.stale,
-		resets: g.resets, hsum: g.hsum, encSize: g.encSize,
-	}
-}
-
 // MarkStale records that `from` holds a stale socket to `peer` (peer reset
 // while from was connected); exported for tests and snapshot integration.
 func (g *GState) MarkStale(from, peer sm.NodeID) {
-	sc := getScratch()
-	g.setStale(pair{from, peer}, sc)
-	putScratch(sc)
+	g.edit(0, func(next *GState, sc *scratch) { next.setStale(pair{from, peer}, sc) })
 }
 
 // Stale reports whether from's socket to peer is stale.

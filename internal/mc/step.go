@@ -19,20 +19,25 @@ func edgeRNG(seed int64, ns *NodeState, ev sm.Event, sc *scratch) *rand.Rand {
 	return sc.rnd
 }
 
-// apply executes event ev on state g and returns the successor state, or
-// nil when the event is not applicable (e.g. delivering a message that is
-// not in flight). g itself is never mutated. Every successor constructor
-// below maintains the state fingerprint incrementally: the mutation helpers
-// (addMsg/removeMsgAt/setStale/clearStale/bumpResets) and the node swap in
-// runHandler each adjust the commutative hash sum in O(1), so a successor's
-// Hash is ready in O(changed components) when apply returns. All transient
-// workspace (encoders, handler context, random stream) comes from sc.
+// apply builds the successor of g under event ev in sc — honoring installed
+// event filters — and returns it, or nil when the event is not applicable
+// (e.g. delivering a message that is not in flight). The successor is sc's
+// working state (scratch.begin): its fingerprint is exact when apply returns,
+// because every constructor below edits it through the mutation helpers
+// (setNode/addMsg/removeMsgAt/setStale/clearStale/bumpResets), each of which
+// adjusts the commutative hash sum in O(1); but it lives in sc until
+// sc.publish copies it to the heap, and the next build overwrites it. g
+// itself is never written. This is the one successor constructor: the engine,
+// random walks, path replay and ApplyEvent all build here.
 //
 // Here an event is only tested for being enabled and matched to the
 // in-flight item it consumes; which handler it runs is sm.Deliver's business.
 //
 //crystal:hotpath
 func (s *Search) apply(g *GState, ev sm.Event, enumerated bool, sc *scratch) *GState {
+	if f, ok := s.filterFor(ev); ok {
+		return s.applyFiltered(g, ev, f, sc)
+	}
 	consumed := -1
 	switch e := ev.(type) {
 	case sm.MsgEvent:
@@ -111,11 +116,9 @@ func (s *Search) dispatchSends(next *GState, from sm.NodeID, sc *scratch) {
 
 // runHandler builds the successor of g for the handler ev runs at its node:
 // consumed is the index of the in-flight item the event delivers (negative
-// when it delivers none). The successor's in-flight container is built after
-// the handler ran, once, at the size the consumed item and the captured
-// sends leave it with (a send the dummy node swallows leaves its slot
-// unused); a handler that neither consumes nor sends leaves the parent's
-// container shared.
+// when it delivers none). The handler runs first, on a clone of the node's
+// service, so the successor is begun knowing how many items it can gain: one
+// per send, and one per queue-mate of the consumed item that moves up.
 //
 //crystal:hotpath
 func (s *Search) runHandler(g *GState, ev sm.Event, consumed int, sc *scratch) *GState {
@@ -125,22 +128,18 @@ func (s *Search) runHandler(g *GState, ev sm.Event, consumed int, sc *scratch) *
 		return nil
 	}
 	ns := g.nodes[i]
-	next := g.shallowClone()
-	cloned := &NodeState{Svc: ns.Svc.Clone()}
+	svc := ns.Svc.Clone()
 	fx := &sc.fx
 	fx.Begin(node, ns.Timers, edgeRNG(s.cfg.Seed, ns, ev, sc))
-	sm.Deliver(cloned.Svc, fx, ev)
-	if room := len(fx.Sends); consumed >= 0 {
-		next.removeMsgAt(consumed, room, sc)
-	} else if room > 0 {
-		next.msgs = append(make([]*InFlight, 0, len(g.msgs)+room), g.msgs...)
+	sm.Deliver(svc, fx, ev)
+	next := sc.begin(g, len(g.msgs)+len(fx.Sends))
+	if consumed >= 0 {
+		next.removeMsgAt(consumed, sc)
 	}
 	s.dispatchSends(next, node, sc)
-	// All mutations applied: freeze the clone's timer set and encoding/hashes
-	// (sharing whatever the handler left unchanged with the parent) and swap
-	// it into the fingerprint.
-	cloned.finalize(node, fx.Timers, ns, sc)
-	next.swapNode(i, cloned)
+	// All mutations applied: freeze the clone with the handler's timer set
+	// and swap it into the fingerprint.
+	next.setNode(node, svc, fx.Timers, sc)
 	return next
 }
 
@@ -150,8 +149,8 @@ func (s *Search) applyDrop(g *GState, e sm.DropEvent, sc *scratch) *GState {
 	if i < 0 {
 		return nil
 	}
-	next := g.shallowClone()
-	next.removeMsgAt(i, 0, sc)
+	next := sc.begin(g, len(g.msgs))
+	next.removeMsgAt(i, sc)
 	return next
 }
 
@@ -166,6 +165,10 @@ func (s *Search) applyDrop(g *GState, e sm.DropEvent, sc *scratch) *GState {
 //   - the node restarts from its initial state (Init runs, possibly
 //     scheduling timers and sends).
 //
+// Init runs first — it reads nothing of the global state — so the successor
+// is begun knowing how many items it can gain: an RST per peer and one per
+// send.
+//
 //crystal:hotpath
 func (s *Search) applyReset(g *GState, e sm.ResetEvent, sc *scratch) *GState {
 	at, known := g.index(e.At)
@@ -173,23 +176,27 @@ func (s *Search) applyReset(g *GState, e sm.ResetEvent, sc *scratch) *GState {
 		return nil
 	}
 	ns := g.nodes[at]
-	next := g.shallowClone()
+	// Fresh service, re-initialised; disk contents survive the crash.
+	fresh := sm.Restart(s.cfg.Factory, e.At, ns.Svc)
+	fx := &sc.fx
+	fx.Begin(e.At, nil, edgeRNG(s.cfg.Seed, ns, e, sc))
+	fresh.Init(fx)
+	next := sc.begin(g, len(g.nodes)-1+len(fx.Sends))
 	next.bumpResets(sc)
 	// Drop in-flight traffic touching the node. The predicate depends only
 	// on the endpoints, so it removes whole (from,to,type) queues: the
 	// queue positions baked into surviving items' component hashes still
 	// count exactly their same-queue predecessors, and no rehash is needed.
-	// The survivors go into a container of the successor's own, sized for
-	// the case that all survive and every peer is sent an RST below.
-	next.msgs = make([]*InFlight, 0, len(g.msgs)+len(g.nodes)-1)
-	for _, m := range g.msgs {
+	kept := next.msgs[:0]
+	for _, m := range next.msgs {
 		if m.From != e.At && m.To != e.At {
-			next.msgs = append(next.msgs, m)
+			kept = append(kept, m)
 		} else {
 			next.hsum -= m.chash
 			next.encSize -= m.sz
 		}
 	}
+	next.msgs = kept
 	// Peers that knew the node hold stale sockets and receive racing RSTs.
 	// Iterate in sorted node order: the append order becomes the
 	// successor's in-flight order, which event enumeration (and so
@@ -208,14 +215,8 @@ func (s *Search) applyReset(g *GState, e sm.ResetEvent, sc *scratch) *GState {
 	}
 	// The reset node has no stale knowledge of anyone.
 	next.clearStaleFrom(e.At, sc)
-	// Fresh service, re-initialised; disk contents survive the crash.
-	fresh := &NodeState{Svc: sm.Restart(s.cfg.Factory, e.At, ns.Svc)}
-	fx := &sc.fx
-	fx.Begin(e.At, nil, edgeRNG(s.cfg.Seed, ns, e, sc))
-	fresh.Svc.Init(fx)
 	s.dispatchSends(next, e.At, sc)
-	fresh.finalize(e.At, fx.Timers, ns, sc)
-	next.swapNode(at, fresh)
+	next.setNode(e.At, fresh, fx.Timers, sc)
 	return next
 }
 

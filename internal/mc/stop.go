@@ -7,12 +7,13 @@ import (
 
 // counters is the engine's shared telemetry block: exact atomic tallies of
 // work done (transitions executed) and work avoided (consequence local
-// prunes, sleep-set hits), plus the frontier's byte accounting. All are
+// prunes, sleep-set hits, successors never published), plus the frontier's byte accounting. All are
 // updated by expansion workers, hence atomic.
 type counters struct {
 	transitions   atomic.Int64
 	localPrunes   atomic.Int64
 	sleepHits     atomic.Int64
+	unbuilt       atomic.Int64
 	maxDepth      atomic.Int64
 	frontierBytes atomic.Int64
 	peakBytes     atomic.Int64

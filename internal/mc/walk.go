@@ -118,7 +118,7 @@ func runWalk(s *Search, start *GState, walk int, bdg *budget, coll *collector,
 		var next *GState
 		var chosen *cand
 		for _, i := range perm {
-			if next = s.applyEvent(g, all[i].event(), true); next != nil {
+			if next = s.applyEvent(g, all[i].event(), true, x.sc); next != nil {
 				chosen = &all[i]
 				break
 			}

@@ -29,6 +29,7 @@ test:
 # internal or examples is a second measuring surface whose numbers nothing records.
 # A checkpoint manager has one transfer path, and the requester says what it holds.
 # A successor is built in scratch and published once: no state is cloned to be edited.
+# A search is mc.Engine's, and a prediction steers only through a vetted event filter.
 # The CI lint job runs exactly this target.
 lint:
 	@fmtout=$$(gofmt -l cmd internal examples bench); \
@@ -53,6 +54,8 @@ lint:
 	echo "a checkpoint manager has one transfer path, and the requester says what it holds"; exit 1; fi
 	@if grep -rn --include='*.go' -e 'shallowClone' cmd internal; then \
 	echo "a successor is built in scratch and published once"; exit 1; fi
+	@if grep -rn --include='*.go' -e 'RandomWalk' -e 'randomWalks' -e 'SteeringAware' -e 'HandlePredictedInconsistency' -e 'NotifyPrediction' cmd internal examples; then \
+	echo "a search is mc.Engine's, and a prediction steers only through a vetted event filter"; exit 1; fi
 	$(GO) vet ./...
 	$(GO) run ./cmd/crystalvet ./...
 

@@ -1,14 +1,13 @@
 // Command mcheck is the offline model checker (the MaceMC-equivalent
 // baseline): it explores a registered scenario from its initial state with
-// exhaustive search, consequence prediction, or random walks, and reports
-// any safety violations it finds with their event paths.
+// exhaustive search or consequence prediction, and reports any safety
+// violations it finds with their event paths.
 //
 // Usage:
 //
 //	mcheck -list
 //	mcheck -service randtree -nodes 5 -mode exhaustive -maxdepth 8
 //	mcheck -service chord -mode consequence -resets -states 200000
-//	mcheck -service paxos -variant bug1 -mode random-walk -walks 500
 //	mcheck -service bulletprime -nodes 3 -mode exhaustive -states 50000
 //	mcheck -service paxos -mode exhaustive -reduce=false
 //	mcheck -service chord -mode exhaustive -shards 4 -maxdepth 6
@@ -53,15 +52,13 @@ func main() {
 		list       = flag.Bool("list", false, "list registered scenarios and exit")
 		variant    = flag.String("variant", "", "scenario variant (e.g. paxos: bug1|bug2)")
 		nodes      = flag.Int("nodes", 5, "number of nodes in the initial state")
-		mode       = flag.String("mode", "consequence", "search mode (exhaustive|consequence|random-walk)")
+		mode       = flag.String("mode", "consequence", "search mode (exhaustive|consequence)")
 		maxDepth   = flag.Int("maxdepth", 0, "depth bound (0 = unbounded)")
 		maxStates  = flag.Int("states", 500000, "state budget")
 		maxWall    = flag.Duration("wall", time.Minute, "wall-clock budget")
 		resets     = flag.Bool("resets", true, "explore node resets")
 		connBreaks = flag.Bool("connbreaks", false, "explore spontaneous connection breaks")
 		reduce     = flag.Bool("reduce", true, "sleep-set partial-order reduction (same states and violations, fewer transitions)")
-		walks      = flag.Int("walks", 200, "random walks (random-walk mode)")
-		walkDepth  = flag.Int("walkdepth", 60, "random walk depth")
 		maxViol    = flag.Int("violations", 3, "stop after this many violations")
 		workers    = flag.Int("workers", 0, "exploration worker goroutines (0 = GOMAXPROCS)")
 		seed       = flag.Int64("seed", 1, "random seed")
@@ -94,8 +91,6 @@ func main() {
 		m = mc.Exhaustive
 	case "consequence":
 		m = mc.Consequence
-	case "random-walk":
-		m = mc.RandomWalk
 	default:
 		fmt.Fprintf(os.Stderr, "unknown mode %q\n", *mode)
 		os.Exit(2)
@@ -121,8 +116,6 @@ func main() {
 	cfg.ExploreResets = *resets
 	cfg.ExploreConnBreaks = *connBreaks
 	cfg.Reduce = *reduce
-	cfg.Walks = *walks
-	cfg.WalkDepth = *walkDepth
 	cfg.Seed = *seed
 
 	stopProfiles, err := startProfiles(*cpuProfile, *memProfile)

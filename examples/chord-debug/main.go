@@ -7,7 +7,8 @@
 // The staged start states are built by hand (they reproduce a specific
 // moment of a live execution); the checker configuration — factory,
 // properties, fault model — comes from the chord scenario's registry
-// entry, overridden per figure.
+// entry, overridden per figure: each figure checks its one property, so the
+// scenario's global ring properties are dropped too.
 //
 //	go run ./examples/chord-debug
 package main
@@ -62,6 +63,7 @@ func figure10() {
 	g.AddNode(5, mkRing(cfg.Factory, 5, 3, 1, 3, 5), sm.TimerSet{chord.TimerStabilize})
 
 	cfg.Props = props.Set{chord.PropPredSelfImpliesSuccSelf}
+	cfg.GlobalProps = nil
 	cfg.Mode = mc.Consequence
 	cfg.Budget.States = 150000
 	cfg.Budget.Violations = 1
@@ -80,6 +82,7 @@ func figure11() {
 	g.AddNode(3, mkRing(cfg.Factory, 3, 2, 1, 3), sm.TimerSet{chord.TimerStabilize})
 
 	cfg.Props = props.Set{chord.PropNodeOrdering}
+	cfg.GlobalProps = nil
 	cfg.Mode = mc.Consequence
 	cfg.ExploreResets = false
 	cfg.ExploreConnBreaks = false

@@ -175,9 +175,6 @@ type Stats struct {
 	// Stops["states"] is how many rounds the state budget bound. Nil until
 	// a round searches.
 	Stops map[string]int64
-	// PredictionsDelivered counts predictions handed to steering-aware
-	// services (sm.SteeringAware) instead of generic filters.
-	PredictionsDelivered int64
 }
 
 // Controller drives CrystalBall for one node.
@@ -189,7 +186,7 @@ type Controller struct {
 
 	lastView *props.View
 	findings []Finding
-	paths    []Finding // stored error paths for replay (with filters)
+	paths    []Finding // findings with a filter, whose paths a steering round replays
 	busy     bool
 	lastHash uint64 // hash of the last fully-searched snapshot
 	// conservative is set while the node is coasting on the previous
@@ -331,9 +328,6 @@ func (c *Controller) onSnapshot(snap *snapshot.Snapshot) {
 	if c.cfg.Mode == ExecutionSteering {
 		replayer := mc.NewSearch(c.cfg.Check)
 		for _, f := range c.paths {
-			if f.Filter == nil {
-				continue
-			}
 			replayStates += len(f.Path)
 			if violated := replayer.Replay(start, f.Path); len(violated) > 0 {
 				reinstall = append(reinstall, *f.Filter)
@@ -385,26 +379,6 @@ func (c *Controller) processReport(start *mc.GState, res *mc.Result) {
 			FoundAt:    c.sim.Now(),
 		}
 		if c.cfg.Mode == ExecutionSteering {
-			// A steering-aware service gets the prediction directly
-			// (the paper's "special programming language exception"
-			// path) and applies its own policy; otherwise fall back
-			// to the generic event-filter mechanism.
-			if _, aware := c.node.Service().(sm.SteeringAware); aware {
-				var culprit sm.Event
-				for _, ev := range v.Path {
-					if ev.Node() == c.node.ID {
-						culprit = ev
-						break
-					}
-				}
-				c.node.NotifyPrediction(v.Properties, culprit)
-				c.Stats.PredictionsDelivered++
-				c.recordFinding(finding)
-				if c.OnViolation != nil {
-					c.OnViolation(finding)
-				}
-				continue
-			}
 			if f, ok := c.correctiveFilter(v.Path); ok {
 				key := f.String()
 				safe, checked := verdicts[key]
@@ -498,7 +472,7 @@ func (c *Controller) observeCounters(res *mc.Result) {
 
 func (c *Controller) recordFinding(f Finding) {
 	c.findings = append(c.findings, f)
-	if f.Filter != nil || c.cfg.Mode == DeepOnlineDebugging {
+	if f.Filter != nil {
 		c.paths = append(c.paths, f)
 		if len(c.paths) > maxStoredPaths {
 			c.paths = c.paths[len(c.paths)-maxStoredPaths:]

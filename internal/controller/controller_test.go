@@ -339,7 +339,7 @@ func TestRoundsRunTheConfiguredSearch(t *testing.T) {
 	cfg.Check.Reduce = true
 	cfg.Check.Seed = 99
 	cfg.Check.Budget = mc.Budget{States: 3001, Depth: 7, Workers: 1}
-	cfg.Check.Mode = mc.RandomWalk // the controller overrides it
+	cfg.Check.Mode = mc.Exhaustive // the controller overrides it
 	var seen []mc.Config
 	cfg.CheckRound = func(mcfg mc.Config, start *mc.GState) (*mc.Result, error) {
 		seen = append(seen, mcfg)

@@ -302,18 +302,21 @@ func TestWallClockBound(t *testing.T) {
 	}
 }
 
-func TestRandomWalkFindsViolation(t *testing.T) {
-	s := NewSearch(Config{
-		Props:     poisonAt(3),
-		Factory:   newToy,
-		Mode:      RandomWalk,
-		Walks:     100,
-		WalkDepth: 20,
-		Seed:      1,
-	})
-	res := s.Run(twoNodeStart())
-	if len(res.Violations) == 0 {
-		t.Fatal("random walk missed an easily reachable violation")
+// TestModeStringReportsUnknown: the two modes render their names and any
+// other value is reported explicitly instead of masquerading as a mode, as
+// controller.Mode does.
+func TestModeStringReportsUnknown(t *testing.T) {
+	if got := Exhaustive.String(); got != "exhaustive" {
+		t.Fatalf("Exhaustive = %q", got)
+	}
+	if got := Consequence.String(); got != "consequence" {
+		t.Fatalf("Consequence = %q", got)
+	}
+	if got := Mode(7).String(); got != "unknown-mode(7)" {
+		t.Fatalf("Mode(7) = %q, want unknown-mode(7)", got)
+	}
+	if got := Mode(-1).String(); got != "unknown-mode(-1)" {
+		t.Fatalf("Mode(-1) = %q, want unknown-mode(-1)", got)
 	}
 }
 

@@ -74,32 +74,6 @@ func TestParallelViolationsSortedDeterministically(t *testing.T) {
 	}
 }
 
-// TestParallelRandomWalk: walks derive their randomness from the walk
-// index, so the walk count and discovered signatures are stable across
-// worker counts.
-func TestParallelRandomWalk(t *testing.T) {
-	run := func(workers int) *Result {
-		s := NewSearch(Config{
-			Props:     poisonAt(3),
-			Factory:   newToy,
-			Mode:      RandomWalk,
-			Walks:     60,
-			WalkDepth: 20,
-			Budget:    Budget{Workers: workers},
-			Seed:      1,
-		})
-		return s.Run(twoNodeStart())
-	}
-	serial := run(1)
-	if len(serial.Violations) == 0 {
-		t.Fatal("serial walks missed the violation")
-	}
-	parallel := run(4)
-	if got, want := distinctSignatures(parallel), distinctSignatures(serial); !reflect.DeepEqual(got, want) {
-		t.Fatalf("workers=4 signatures %v, serial %v", got, want)
-	}
-}
-
 // --- Replay and filter-application coverage ---------------------------------
 
 // TestReplayStopsAtFirstViolation: Replay returns the violated properties

@@ -22,7 +22,7 @@ import (
 // published state holds points into the scratch, and a successor the caller
 // does not publish — a duplicate — costs no allocation of the engine's.
 //
-// Every Expander owns one scratch (an engine's worker, a walk's, a replay's);
+// Every Expander owns one scratch (an engine's worker's, a replay's);
 // ApplyEvent and the GState construction API check one out of scratchPool
 // for the duration of one call.
 type scratch struct {

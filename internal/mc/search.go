@@ -23,10 +23,6 @@ const (
 	// Figure 8: breadth-first, but internal actions of a (node, local
 	// state) pair are explored at most once across the entire search.
 	Consequence
-	// RandomWalk repeatedly walks random enabled transitions to a depth
-	// bound (MaceMC's random-walk mode, used in the paper's section 5.3
-	// comparison).
-	RandomWalk
 )
 
 func (m Mode) String() string {
@@ -36,7 +32,7 @@ func (m Mode) String() string {
 	case Consequence:
 		return "consequence"
 	default:
-		return "random-walk"
+		return fmt.Sprintf("unknown-mode(%d)", int(m))
 	}
 }
 
@@ -57,8 +53,8 @@ type Config struct {
 	Mode Mode
 	// Budget is the search's resource envelope: states, depth, wall
 	// clock, violations, transitions and workers in one value. With
-	// Budget.Workers == 1 the breadth-first modes reproduce the serial
-	// search of the paper exactly.
+	// Budget.Workers == 1 both modes reproduce the serial search of the
+	// paper exactly.
 	Budget Budget
 	// ExploreResets enables node-reset fault transitions.
 	ExploreResets bool
@@ -76,9 +72,6 @@ type Config struct {
 	// inconsistency, we allow consequence prediction to pursue actions
 	// that an event filter could perform").
 	Filters []sm.Filter
-	// WalkDepth and Walks parameterise RandomWalk mode.
-	WalkDepth int
-	Walks     int
 	// Seed drives deterministic handler randomness.
 	Seed int64
 	// Reduce enables dynamic partial-order reduction: sleep sets over
@@ -87,8 +80,8 @@ type Config struct {
 	// targets are provably duplicates of states a sibling branch reaches
 	// at the same BFS level. The claimed-state set, the violations and
 	// the distinct local-state set are identical to the unreduced search;
-	// only redundant handler executions are skipped. Applies to the
-	// breadth-first strategies (Exhaustive, Consequence).
+	// only redundant handler executions are skipped. Applies to both
+	// modes.
 	Reduce bool
 	// RecordLocalStates asks the breadth-first engine to return the
 	// sorted set of distinct node-local state hashes it claimed
@@ -110,12 +103,6 @@ type Config struct {
 func (c *Config) defaults() {
 	if c.MaxResetsPerPath == 0 {
 		c.MaxResetsPerPath = 1
-	}
-	if c.WalkDepth == 0 {
-		c.WalkDepth = 60
-	}
-	if c.Walks == 0 {
-		c.Walks = 200
 	}
 	if c.Now == nil {
 		c.Now = time.Now
@@ -204,8 +191,7 @@ type Result struct {
 	Workers int
 	// StopReason says why the search ended: the first budget bound that
 	// tripped ("states", "wall", "violations", "transitions"), or
-	// "frontier-empty" when the breadth-first engine ran out of states and
-	// "walks" when random-walk mode ran all its walks. Under a wall or
+	// "frontier-empty" when the engine ran out of states. Under a wall or
 	// violations stop at the depth bound, leaves already checked at their
 	// claim but not yet admitted are not in StatesExplored. controller.Stats
 	// counts its rounds by it (Stats.Stops); sharded results (internal/dist)
@@ -249,8 +235,7 @@ func (s *Search) Config() Config { return s.cfg }
 // entry was written: a sharded engine's tree pins its directories (slab.pin),
 // and a walk that starts from a forwarded Ref touches only values pushed
 // before the hand-off — which is all a Ref can reach, parents being older
-// than children. (A random-walk worker's tree is pinned for the same reason:
-// the collector compares its findings with other workers'.)
+// than children.
 type Tree struct {
 	entries slab[entry]
 	keys    slab[sm.EventKey] // interned descriptors; index 0 is "no event"
@@ -286,7 +271,7 @@ const (
 )
 
 // newTree returns an empty tree; shared pins it for readers on other
-// goroutines than its writer's (another engine, another walk worker).
+// goroutines than its writer's (another engine).
 func newTree(shared bool) *Tree {
 	t := &Tree{ids: make(map[sm.EventKey]uint32)}
 	t.entries.shift, t.keys.shift, t.origins.shift = entryShift, keyShift, originShift
@@ -519,8 +504,8 @@ func (s *Search) ApplyEvent(g *GState, ev sm.Event) *GState {
 }
 
 // applyEvent builds ev's successor of g in sc and publishes it. enumerated
-// says ev was enumerated at g itself (the engine's expansion, a walk's step,
-// a replay's resolved descriptor): a delivery then already carries the queue
+// says ev was enumerated at g itself (the engine's expansion or a replay's
+// resolved descriptor): a delivery then already carries the queue
 // head's payload and need not be boxed a second time to be given it.
 //
 //crystal:hotpath
@@ -535,21 +520,15 @@ func (s *Search) applyEvent(g *GState, ev sm.Event, enumerated bool, sc *scratch
 // state is not mutated.
 func (s *Search) Run(start *GState) *Result {
 	s.dummyRedirects.Store(0)
-	var res *Result
-	switch s.cfg.Mode {
-	case Exhaustive, Consequence:
-		e := s.NewEngine(s.cfg.Budget, HashRange{}, nil)
-		e.Inject(Forward{State: start})
-		// Without a sink only the claim pass's check of the engine's own
-		// invariant can fail the drain: a bug, not a budget.
-		if err := e.Drain(nil); err != nil {
-			panic(err)
-		}
-		res = e.Result()
-		res.Violations = e.Violations(start)
-	default:
-		res = s.randomWalks(start)
+	e := s.NewEngine(s.cfg.Budget, HashRange{}, nil)
+	e.Inject(Forward{State: start})
+	// Without a sink only the claim pass's check of the engine's own
+	// invariant can fail the drain: a bug, not a budget.
+	if err := e.Drain(nil); err != nil {
+		panic(err)
 	}
+	res := e.Result()
+	res.Violations = e.Violations(start)
 	res.DummyRedirects = int(s.dummyRedirects.Load())
 	res.Workers = s.cfg.Budget.Workers
 	return res
@@ -559,9 +538,8 @@ func (s *Search) Run(start *GState) *Result {
 // the global (cross-node) set against the same filled view, returning the
 // combined violated names — locals first, globals after, each in
 // declaration order — or nil when all hold. Replay and Expander.Check report
-// through it; the engine and the random walks, which must also remember what
-// a path has violated, keep the set form below and render names only for an
-// onset.
+// through it; the engine, which must also remember what a path has violated,
+// keeps the set form below and renders names only for an onset.
 func (s *Search) checkProps(v *props.View) []string {
 	bits := s.violatedBits(v)
 	if bits == 0 {

@@ -199,31 +199,6 @@ func TestExpandedNodesLetGoOfState(t *testing.T) {
 	}
 }
 
-// TestRandomWalkViolationsCarryTheirStateHash: walk nodes store their
-// fingerprint like engine nodes do, so each reported path — events only —
-// leads from the start state to the reported state hash.
-func TestRandomWalkViolationsCarryTheirStateHash(t *testing.T) {
-	for _, workers := range []int{1, 4} {
-		s := NewSearch(Config{
-			Props: poisonAt(3), Factory: newToy, Mode: RandomWalk, ExploreResets: true,
-			Walks: 60, WalkDepth: 20, Seed: 1, Budget: Budget{Workers: workers},
-		})
-		start := twoNodeStart()
-		res := s.Run(start)
-		if len(res.Violations) == 0 {
-			t.Fatal("no violation to replay")
-		}
-		for _, v := range res.Violations {
-			if len(v.Path) == 0 {
-				t.Fatalf("workers=%d: violation at the start state; the test needs a walked one", workers)
-			}
-			if got := applyPath(t, s, start, v.Path).Hash(); got != v.StateHash {
-				t.Fatalf("workers=%d: path replays to %#x, violation reports %#x", workers, got, v.StateHash)
-			}
-		}
-	}
-}
-
 // TestRetainedHeapPerClaimedState pins what a finished search keeps alive
 // per claimed state, in bytes and in heap objects. The model is one node
 // ticking a counter: a chain of states whose last one violates. What stays

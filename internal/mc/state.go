@@ -1,8 +1,8 @@
 // Package mc implements the model checker at the heart of CrystalBall: the
 // baseline exhaustive breadth-first search (paper Figure 5), the
-// consequence-prediction algorithm (paper Figure 8), a random-walk mode (the
-// MaceMC comparison baseline), replay of previously discovered error paths,
-// and the event-filter safety check used by execution steering.
+// consequence-prediction algorithm (paper Figure 8), both run by one engine
+// (mc.Engine), replay of previously discovered error paths, and the
+// event-filter safety check used by execution steering.
 //
 // The checker executes real service handler code on cloned states, exactly
 // as MaceMC executed real Mace/C++ handlers; the global state is the (L, I)

@@ -28,7 +28,7 @@ func edgeRNG(seed int64, ns *NodeState, ev sm.Event, sc *scratch) *rand.Rand {
 // adjusts the commutative hash sum in O(1); but it lives in sc until
 // sc.publish copies it to the heap, and the next build overwrites it. g
 // itself is never written. This is the one successor constructor: the engine,
-// random walks, path replay and ApplyEvent all build here.
+// path replay and ApplyEvent all build here.
 //
 // Here an event is only tested for being enabled and matched to the
 // in-flight item it consumes; which handler it runs is sm.Deliver's business.
@@ -200,7 +200,7 @@ func (s *Search) applyReset(g *GState, e sm.ResetEvent, sc *scratch) *GState {
 	// Peers that knew the node hold stale sockets and receive racing RSTs.
 	// Iterate in sorted node order: the append order becomes the
 	// successor's in-flight order, which event enumeration (and so
-	// same-seed random walks) must see identically every run.
+	// same-seed searches) must see identically every run.
 	for _, peer := range next.nodes {
 		if peer.id == e.At {
 			continue
@@ -243,15 +243,14 @@ func (c *cand) desc(enc *sm.Encoder) sm.EventKey {
 	return k
 }
 
-// eventBuf is the reusable enumeration workspace owned by one worker (or
-// one walk): the network and internal candidate slices are recycled across
+// eventBuf is the reusable enumeration workspace owned by one worker: the
+// network and internal candidate slices are recycled across
 // states, so steady-state enumeration allocates nothing. The slices handed
 // out by networkInto and internalInto alias the buffer and are valid only
 // until its next use.
 type eventBuf struct {
 	network  []cand
 	internal []cand // one node's internal actions at a time
-	all      []cand // random-walk candidate buffer
 }
 
 // Enumeration of the transitions available from a state comes in two parts:

@@ -194,14 +194,11 @@ func TestStopReason(t *testing.T) {
 		{"transitions", Exhaustive, Budget{States: 5000, Transitions: 40}},
 		{"violations", Exhaustive, Budget{States: 5000, Violations: 1}},
 		{"wall", Exhaustive, Budget{Wall: 20 * time.Millisecond, States: 5000}},
-		{"walks", RandomWalk, Budget{}},
-		{"violations", RandomWalk, Budget{Violations: 1}},
 	} {
 		for _, workers := range []int{1, 4} {
 			cfg := base
 			cfg.Mode, cfg.Budget = tc.mode, tc.budget
 			cfg.Budget.Workers = workers
-			cfg.Walks, cfg.WalkDepth = 20, 12
 			cfg.Now = (&fakeClock{step: time.Millisecond}).Now
 			if got := NewSearch(cfg).Run(twoNodeStart()).StopReason; got != tc.want {
 				t.Errorf("%v %+v: stop reason %q, want %q", tc.mode, cfg.Budget, got, tc.want)

@@ -197,19 +197,6 @@ func (n *Node) Reset(silent bool) {
 	n.svc.Init(n.liveCtx())
 }
 
-// NotifyPrediction delivers a predicted inconsistency to a steering-aware
-// service (sm.SteeringAware); it reports whether the service accepted it.
-func (n *Node) NotifyPrediction(properties []string, culprit sm.Event) bool {
-	aware, ok := n.svc.(sm.SteeringAware)
-	if !ok {
-		return false
-	}
-	n.eventSeq++
-	n.Stats.ActionsExecuted++
-	aware.HandlePredictedInconsistency(n.liveCtx(), properties, culprit)
-	return true
-}
-
 // App delivers an application call to the service (e.g. "join the overlay").
 func (n *Node) App(call sm.AppCall) {
 	ev := sm.AppEvent{At: n.ID, Call: call}

@@ -147,20 +147,6 @@ type ModelActions interface {
 // node restarts.
 type Factory func(self NodeID) Service
 
-// SteeringAware is implemented by services designed with execution steering
-// in mind. The paper (section 3.3) sketches this as future work: "the
-// runtime system could report a predicted inconsistency as a special
-// programming language exception, and allow the service to react to the
-// problem using a service-specific policy". When a service implements this
-// interface, the CrystalBall controller delivers predicted inconsistencies
-// here instead of installing a generic event filter.
-type SteeringAware interface {
-	// HandlePredictedInconsistency reacts to a predicted violation of
-	// the named properties; culprit is the earliest event of the
-	// predicted path that this node controls (nil when none).
-	HandlePredictedInconsistency(ctx Context, properties []string, culprit Event)
-}
-
 // StableStore is implemented by services that keep part of their state on
 // disk. On a node reset, the runtime (and the model checker's reset
 // transition) extracts the stable bytes from the dying instance and

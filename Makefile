@@ -30,6 +30,8 @@ test:
 # A checkpoint manager has one transfer path, and the requester says what it holds.
 # A successor is built in scratch and published once: no state is cloned to be edited.
 # A search is mc.Engine's, and a prediction steers only through a vetted event filter.
+# A setting needs a caller: the checker is one command (mcheck, whose -listen /
+# -connect roles replaced cmd/shardd), and a config field nothing sets goes.
 # The CI lint job runs exactly this target.
 lint:
 	@fmtout=$$(gofmt -l cmd internal examples bench); \
@@ -56,6 +58,9 @@ lint:
 	echo "a successor is built in scratch and published once"; exit 1; fi
 	@if grep -rn --include='*.go' -e 'RandomWalk' -e 'randomWalks' -e 'SteeringAware' -e 'HandlePredictedInconsistency' -e 'NotifyPrediction' cmd internal examples; then \
 	echo "a search is mc.Engine's, and a prediction steers only through a vetted event filter"; exit 1; fi
+	@if [ -d cmd/shardd ] && echo cmd/shardd || grep -rn --include='*.go' -e 'admitTransition' -e 'stopTransitions' cmd internal examples \
+	|| grep -rnE --include='*.go' '^[[:space:]]+(Heartbeat|BatchSize)[[:space:]]+[][*.[:alnum:]]+[[:space:]]*(//.*)?$$' cmd internal examples; then \
+	echo "a setting needs a caller: one checker command, and no config field nothing sets"; exit 1; fi
 	$(GO) vet ./...
 	$(GO) run ./cmd/crystalvet ./...
 

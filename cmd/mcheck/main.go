@@ -1,22 +1,45 @@
-// Command mcheck is the offline model checker (the MaceMC-equivalent
-// baseline): it explores a registered scenario from its initial state with
-// exhaustive search or consequence prediction, and reports any safety
-// violations it finds with their event paths.
+// Command mcheck is the model checker (the MaceMC-equivalent baseline): it
+// explores a registered scenario from its initial state with exhaustive
+// search or consequence prediction, and reports any safety violations it
+// finds with their event paths.
 //
 // Usage:
 //
 //	mcheck -list
 //	mcheck -service randtree -nodes 5 -mode exhaustive -maxdepth 8
-//	mcheck -service chord -mode consequence -resets -states 200000
+//	mcheck -service chord -mode consequence -resets=false -states 200000
 //	mcheck -service bulletprime -nodes 3 -mode exhaustive -states 50000
 //	mcheck -service paxos -mode exhaustive -reduce=false
 //	mcheck -service chord -mode exhaustive -shards 4 -maxdepth 6
+//	mcheck -service chord -mode exhaustive -shards 2 -maxdepth 6 -listen :7070
+//	mcheck -connect host:7070 -shard 0 -shards 2
 //
-// -shards N runs the distributed sharded search in-process: N shard
-// goroutines each own a slice of the fingerprint space and exchange
-// out-of-range successors in batches through a coordinator (see
-// internal/dist). Exhaustive mode only; the claimed state set is identical
-// to the single-process engine's. For a real multi-process run, use shardd.
+// The search checks the scenario's own fault model (scenario.Faults): -resets
+// and -connbreaks override it only when they are given.
+//
+// -shards N runs the distributed sharded search (see internal/dist): N
+// shards each own a slice of the fingerprint space and exchange
+// out-of-range successors in batches through a coordinator. Exhaustive mode
+// only; the claimed state set is identical to the single-process engine's.
+// Alone, -shards runs the N shards as goroutines of this process. With
+// -listen addr this process coordinates N worker processes over TCP: it
+// waits for every worker's Hello, sends each the Setup (scenario, nodes,
+// variant, seed and the resolved fault model), runs one round and prints
+// the merged report. With -connect addr -shard i it is worker i: it builds
+// the search from the coordinator's Setup — its own scenario and budget
+// flags are not used — and serves rounds until the coordinator ends the
+// session.
+//
+// Over TCP every connection runs heartbeats and read/write deadlines
+// (-peer-timeout), so a dead worker is detected within the timeout; the
+// coordinator then aborts, repartitions over the survivors and retries, at
+// most -retries times (-stall catches a worker whose connection lives while
+// its round loop went silent). Workers dial with capped jittered backoff
+// until -connect-timeout, and a worker that loses its coordinator redials
+// and re-handshakes; the coordinator keeps accepting and adopts a rejoined
+// worker at the next retry boundary. -faults installs a deterministic
+// fault-injection plan (grammar: internal/dist/faults.go) in any sharded
+// role.
 //
 // -reduce (default on) runs the sleep-set partial-order reduction: the
 // search claims the same states and reports the same violations while
@@ -29,6 +52,8 @@
 //
 //	mcheck -service paxos -mode exhaustive -maxdepth 6 -workers 1 -memprofile mem.prof
 //	go tool pprof -sample_index=alloc_space -top mcheck mem.prof
+//
+// A command-line mistake exits 2; a run that started and failed exits 1.
 package main
 
 import (
@@ -48,25 +73,32 @@ import (
 
 func main() {
 	var (
-		service    = flag.String("service", "randtree", "scenario to check (see -list)")
-		list       = flag.Bool("list", false, "list registered scenarios and exit")
-		variant    = flag.String("variant", "", "scenario variant (e.g. paxos: bug1|bug2)")
-		nodes      = flag.Int("nodes", 5, "number of nodes in the initial state")
-		mode       = flag.String("mode", "consequence", "search mode (exhaustive|consequence)")
-		maxDepth   = flag.Int("maxdepth", 0, "depth bound (0 = unbounded)")
-		maxStates  = flag.Int("states", 500000, "state budget")
-		maxWall    = flag.Duration("wall", time.Minute, "wall-clock budget")
-		resets     = flag.Bool("resets", true, "explore node resets")
-		connBreaks = flag.Bool("connbreaks", false, "explore spontaneous connection breaks")
-		reduce     = flag.Bool("reduce", true, "sleep-set partial-order reduction (same states and violations, fewer transitions)")
-		maxViol    = flag.Int("violations", 3, "stop after this many violations")
-		workers    = flag.Int("workers", 0, "exploration worker goroutines (0 = GOMAXPROCS)")
-		seed       = flag.Int64("seed", 1, "random seed")
-		fixed      = flag.Bool("fixed", false, "check the bug-fixed service variants")
-		shards     = flag.Int("shards", 0, "distributed in-process search with this many shards (0 = single engine; exhaustive mode only)")
-		faults     = flag.String("faults", "", "fault-plan spec for -shards, e.g. 'kill@s1r1m2, send:drop@s0~0.01' (ops: kill|sever|drop|dup|corrupt|delayN)")
-		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile of the search to this file")
-		memProfile = flag.String("memprofile", "", "write an allocation profile of the search to this file")
+		service     = flag.String("service", "randtree", "scenario to check (see -list)")
+		list        = flag.Bool("list", false, "list registered scenarios and exit")
+		variant     = flag.String("variant", "", "scenario variant (e.g. paxos: bug1|bug2)")
+		nodes       = flag.Int("nodes", 5, "number of nodes in the initial state")
+		mode        = flag.String("mode", "consequence", "search mode (exhaustive|consequence)")
+		maxDepth    = flag.Int("maxdepth", 0, "depth bound (0 = unbounded)")
+		maxStates   = flag.Int("states", 500000, "state budget")
+		maxWall     = flag.Duration("wall", time.Minute, "wall-clock budget")
+		resets      = flag.Bool("resets", false, "explore node resets (default: the scenario's fault model)")
+		connBreaks  = flag.Bool("connbreaks", false, "explore spontaneous connection breaks (default: the scenario's fault model)")
+		reduce      = flag.Bool("reduce", true, "sleep-set partial-order reduction (same states and violations, fewer transitions)")
+		maxViol     = flag.Int("violations", 3, "stop after this many violations")
+		workers     = flag.Int("workers", 0, "exploration worker goroutines (0 = GOMAXPROCS; per shard with -shards, 0 = 1)")
+		seed        = flag.Int64("seed", 1, "random seed")
+		fixed       = flag.Bool("fixed", false, "check the bug-fixed service variants")
+		shards      = flag.Int("shards", 0, "sharded search over this many shards (0 = single engine; exhaustive mode only): in process, or over TCP with -listen / -connect")
+		faults      = flag.String("faults", "", "fault-plan spec for a sharded run, e.g. 'kill@s1r1m2, send:drop@s0~0.01' (ops: kill|sever|drop|dup|corrupt|delayN)")
+		listen      = flag.String("listen", "", "coordinate -shards worker processes over TCP, listening on this address (e.g. :7070)")
+		connect     = flag.String("connect", "", "serve shard -shard of -shards for the coordinator at this address")
+		shard       = flag.Int("shard", 0, "with -connect: this worker's shard slot")
+		peerTimeout = flag.Duration("peer-timeout", dist.DefaultPeerTimeout, "TCP: declare a silent peer dead after this long (negative disables)")
+		connTimeout = flag.Duration("connect-timeout", 30*time.Second, "with -connect: give up dialing the coordinator after this long")
+		maxRetries  = flag.Int("retries", dist.DefaultMaxRetries, "with -listen: round retries after shard deaths (negative = never retry)")
+		stall       = flag.Duration("stall", time.Minute, "with -listen: declare unresponsive shards dead after this much protocol silence (0 disables)")
+		cpuProfile  = flag.String("cpuprofile", "", "write a CPU profile of the search to this file")
+		memProfile  = flag.String("memprofile", "", "write an allocation profile of the search to this file")
 	)
 	flag.Parse()
 
@@ -78,11 +110,40 @@ func main() {
 		return
 	}
 
+	plan, err := dist.ParseFaultPlan(*faults)
+	if err != nil {
+		usage(fmt.Errorf("bad -faults spec: %v", err))
+	}
+	if *faults != "" && *shards <= 0 {
+		usage(fmt.Errorf("-faults requires -shards"))
+	}
+	tcp := dist.TCPOptions{PeerTimeout: *peerTimeout}
+
+	if *connect != "" {
+		if *listen != "" {
+			usage(fmt.Errorf("-listen (coordinator) and -connect (worker) exclude each other"))
+		}
+		if *shard < 0 || *shard >= *shards {
+			usage(fmt.Errorf("-connect needs -shards N and a -shard slot in 0..N-1"))
+		}
+		err := work(workOpts{
+			addr:        *connect,
+			shard:       *shard,
+			shards:      *shards,
+			tcp:         tcp,
+			faults:      plan,
+			connTimeout: *connTimeout,
+		})
+		if err != nil {
+			fmt.Fprintln(os.Stderr, err)
+			os.Exit(1)
+		}
+		return
+	}
+
 	sc, ok := scenario.Lookup(*service)
 	if !ok {
-		fmt.Fprintf(os.Stderr, "unknown service %q (registered: %s)\n",
-			*service, strings.Join(scenario.Names(), ", "))
-		os.Exit(2)
+		usage(fmt.Errorf("unknown service %q (registered: %s)", *service, strings.Join(scenario.Names(), ", ")))
 	}
 
 	var m mc.Mode
@@ -92,18 +153,36 @@ func main() {
 	case "consequence":
 		m = mc.Consequence
 	default:
-		fmt.Fprintf(os.Stderr, "unknown mode %q\n", *mode)
-		os.Exit(2)
+		usage(fmt.Errorf("unknown mode %q", *mode))
+	}
+	if *listen != "" && *shards <= 0 {
+		usage(fmt.Errorf("-listen requires -shards"))
+	}
+	if *shards > 0 && m != mc.Exhaustive {
+		usage(fmt.Errorf("-shards requires -mode exhaustive"))
 	}
 
-	g, cfg, err := sc.InitialState(scenario.Options{
-		Nodes:   *nodes,
-		Fixed:   *fixed,
-		Variant: *variant,
+	// The fault model is the scenario's unless a flag spells it.
+	su := dist.Setup{
+		Scenario:   sc.Name,
+		Nodes:      *nodes,
+		Variant:    *variant,
+		Fixed:      *fixed,
+		Seed:       *seed,
+		Resets:     sc.Faults.ExploreResets,
+		ConnBreaks: sc.Faults.ExploreConnBreaks,
+	}
+	flag.Visit(func(f *flag.Flag) {
+		switch f.Name {
+		case "resets":
+			su.Resets = *resets
+		case "connbreaks":
+			su.ConnBreaks = *connBreaks
+		}
 	})
+	g, cfg, err := buildScenario(su)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
+		usage(err)
 	}
 	cfg.Mode = m
 	cfg.Budget = mc.Budget{
@@ -113,69 +192,57 @@ func main() {
 		Violations: *maxViol,
 		Workers:    *workers,
 	}
-	cfg.ExploreResets = *resets
-	cfg.ExploreConnBreaks = *connBreaks
 	cfg.Reduce = *reduce
-	cfg.Seed = *seed
 
 	stopProfiles, err := startProfiles(*cpuProfile, *memProfile)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
+		usage(err)
 	}
 	var res *mc.Result
-	var dstats dist.Stats
-	var drec dist.RecoveryStats
-	if *shards > 0 {
-		if m != mc.Exhaustive {
-			fmt.Fprintln(os.Stderr, "-shards requires -mode exhaustive")
-			os.Exit(2)
-		}
-		plan, err := dist.ParseFaultPlan(*faults)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "bad -faults spec: %v\n", err)
-			os.Exit(2)
-		}
-		dres, err := dist.Local(dist.LocalConfig{
+	var dres *dist.Result
+	switch {
+	case *listen != "":
+		dres, err = coordinate(coordOpts{
+			addr:       *listen,
+			shards:     *shards,
+			tcp:        tcp,
+			faults:     plan,
+			maxRetries: *maxRetries,
+			stall:      *stall,
+		}, su, g, cfg)
+	case *shards > 0:
+		dres, err = dist.Local(dist.LocalConfig{
 			Shards: *shards,
 			Search: cfg,
 			Root:   g,
 			Faults: plan,
 		})
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		res = &dres.Checker
-		dstats = dres.Stats
-		drec = dres.Recovery
-	} else if *faults != "" {
-		fmt.Fprintln(os.Stderr, "-faults requires -shards")
-		os.Exit(2)
-	} else {
+	default:
 		res = mc.NewSearch(cfg).Run(g)
+	}
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
 	}
 	if err := stopProfiles(); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
+	if dres != nil {
+		res = &dres.Checker
+	}
 
 	fmt.Printf("mode=%s service=%s nodes=%d workers=%d\n", m, sc.Name, *nodes, res.Workers)
-	// Why the search ended; a sharded result does not say yet.
-	stop := ""
-	if res.StopReason != "" {
-		stop = " stop=" + res.StopReason
-	}
-	fmt.Printf("states=%d transitions=%d depth=%d elapsed=%v mem=%dB (%.0f B/state) states/sec=%.0f%s\n",
+	fmt.Printf("states=%d transitions=%d depth=%d elapsed=%v mem=%dB (%.0f B/state) states/sec=%.0f stop=%s\n",
 		res.StatesExplored, res.Transitions, res.MaxDepthReached, res.Elapsed.Round(time.Millisecond),
 		res.PeakMemoryBytes, res.PerStateBytes,
-		float64(res.StatesExplored)/res.Elapsed.Seconds(), stop)
+		float64(res.StatesExplored)/res.Elapsed.Seconds(), res.StopReason)
 	fmt.Printf("pruned=%d (sleep-hits=%d) unbuilt=%d\n", res.TransitionsPruned, res.SleepHits, res.Unbuilt)
-	if *shards > 0 {
+	if dres != nil {
 		fmt.Printf("shards=%d forwarded=%d received=%d remote-deduped=%d batch-flushes=%d\n",
-			*shards, dstats.StatesForwarded, dstats.StatesReceived, dstats.RemoteDeduped, dstats.BatchFlushes)
-		if drec.Retries > 0 || len(drec.Deaths) > 0 || drec.SerialFallback {
-			fmt.Printf("recovery: %s\n", drec.String())
+			*shards, dres.Stats.StatesForwarded, dres.Stats.StatesReceived, dres.Stats.RemoteDeduped, dres.Stats.BatchFlushes)
+		if rec := dres.Recovery; rec.Retries > 0 || len(rec.Deaths) > 0 || rec.SerialFallback {
+			fmt.Printf("recovery: %s\n", rec)
 		}
 	}
 	if len(res.Violations) == 0 {
@@ -188,6 +255,33 @@ func main() {
 			fmt.Printf("  %s\n", ev.Describe())
 		}
 	}
+}
+
+// usage reports a command-line mistake and exits 2; failures of a run that
+// started exit 1.
+func usage(err error) {
+	fmt.Fprintln(os.Stderr, err)
+	os.Exit(2)
+}
+
+// buildScenario builds the start state and search configuration a Setup
+// describes — the one path from flags to mc.Config, which every role takes:
+// a TCP worker from the Setup it receives, every other role from the Setup
+// its flags resolve to, so all shards search a bit-identical configuration.
+// Mode, budget and reduction are the caller's.
+func buildScenario(su dist.Setup) (*mc.GState, mc.Config, error) {
+	g, cfg, err := scenario.InitialState(su.Scenario, scenario.Options{
+		Nodes:   su.Nodes,
+		Fixed:   su.Fixed,
+		Variant: su.Variant,
+	})
+	if err != nil {
+		return nil, mc.Config{}, err
+	}
+	cfg.Seed = su.Seed
+	cfg.ExploreResets = su.Resets
+	cfg.ExploreConnBreaks = su.ConnBreaks
+	return g, cfg, nil
 }
 
 // startProfiles starts the CPU profile (when cpu names a file) and returns

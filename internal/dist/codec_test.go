@@ -32,7 +32,7 @@ func sampleMsgs() []Msg {
 			Round: 3, Slot: 1, Slots: 4,
 			Budget: mc.Budget{
 				States: 1000, Depth: 12, Wall: 5 * time.Second,
-				Violations: 8, Transitions: 9000, Workers: 2,
+				Violations: 8, Workers: 2,
 			},
 			RecordStates: true,
 		},
@@ -44,7 +44,7 @@ func sampleMsgs() []Msg {
 		RoundEnd{},
 		ShardReport{
 			Shard: 1, States: 400, Expansions: 390, Transitions: 2200,
-			MaxDepth: 12, Exhausted: true, PeakBytes: 1 << 20,
+			MaxDepth: 12, Stop: "states", PeakBytes: 1 << 20,
 			Violations: []Violation{
 				{Props: []string{"ring", "safety"}, Depth: 4, StateHash: 0xabc, Path: path[:2]},
 			},
@@ -84,9 +84,10 @@ func TestDecodeRejectsInvalid(t *testing.T) {
 		Batch{From: 0, To: maxShards},
 		Idle{Shard: -2, Received: 0},
 		Idle{Shard: 0, Received: -1},
-		ShardReport{Shard: -1},
-		ShardReport{Shard: 0, States: -4},
-		ShardReport{Shard: 0, PeakBytes: -1},
+		ShardReport{Shard: -1, Stop: mc.FrontierEmpty},
+		ShardReport{Shard: 0, States: -4, Stop: mc.FrontierEmpty},
+		ShardReport{Shard: 0, PeakBytes: -1, Stop: mc.FrontierEmpty},
+		ShardReport{Shard: 0, Stop: "transitions"},
 		RoundAbort{Round: -1},
 		AbortAck{Shard: -1, Round: 1},
 		AbortAck{Shard: 0, Round: 0},
@@ -179,10 +180,19 @@ func FuzzCodec(f *testing.F) {
 	// A report that is nothing but its memory field, at the top of the
 	// range the decoder's sign check guards.
 	enc := sm.NewEncoder()
-	if err := encodeMsg(enc, ShardReport{PeakBytes: math.MaxInt64}); err != nil {
+	if err := encodeMsg(enc, ShardReport{PeakBytes: math.MaxInt64, Stop: mc.FrontierEmpty}); err != nil {
 		f.Fatal(err)
 	}
 	f.Add(append([]byte(nil), enc.Bytes()...))
+	// A report that stopped on a bound, and one naming no stop reason a
+	// search has: refused.
+	for _, stop := range []string{"wall", "transitions"} {
+		enc.Reset()
+		if err := encodeMsg(enc, ShardReport{Shard: 1, States: 3, Stop: stop}); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(append([]byte(nil), enc.Bytes()...))
+	}
 	// A path whose one event has a kind byte outside MTAERD: refused.
 	enc.Reset()
 	if err := encodeMsg(enc, badKind); err != nil {

@@ -125,7 +125,7 @@ func (c *Coordinator) pump(shard int, conn Conn) {
 }
 
 // Rejoin hands the coordinator a replacement connection for a dead shard.
-// Safe to call from any goroutine (cmd/shardd's accept loop); the
+// Safe to call from any goroutine (mcheck -listen's accept loop); the
 // connection is adopted at the next attempt boundary — never mid-attempt,
 // so a rejoining shard cannot disturb a round in flight. Rejoining a shard
 // that is still live is refused (the live connection keeps the slot).
@@ -493,6 +493,7 @@ func deathSummary(deaths []ShardDeath) string {
 // merge folds the shard reports into the single result.
 func (c *Coordinator) merge(workers int, reports []ShardReport, began time.Time) (*Result, error) {
 	res := &Result{PerShard: reports}
+	res.Checker.StopReason = mc.FrontierEmpty
 	var claimed, locals []uint64
 	recorded := false
 	for i := range reports {
@@ -507,6 +508,11 @@ func (c *Coordinator) merge(workers int, reports []ShardReport, began time.Time)
 		res.Checker.PeakMemoryBytes += r.PeakBytes
 		if int(r.MaxDepth) > res.Checker.MaxDepthReached {
 			res.Checker.MaxDepthReached = int(r.MaxDepth)
+		}
+		// The round stopped for the first bound a shard reports, in slot
+		// order; it ran out of states only if every shard did.
+		if res.Checker.StopReason == mc.FrontierEmpty {
+			res.Checker.StopReason = r.Stop
 		}
 		res.Stats.add(r.Stats)
 		locals = append(locals, r.Locals...)
@@ -596,31 +602,28 @@ func (c *Coordinator) mergeViolations(reports []ShardReport) ([]mc.Violation, er
 
 // usableSlots returns how many of n shards budget b can occupy. A zero
 // share would read as *unbounded* (mc.Budget's zero), so a non-zero States
-// or Transitions bound smaller than n occupies only that many slots: every
-// share of a bounded dimension is then at least 1.
+// bound smaller than n occupies only that many slots: every share is then
+// at least 1.
 func usableSlots(b mc.Budget, n int) int {
-	for _, bound := range []int{b.States, b.Transitions} {
-		if bound > 0 && bound < n {
-			n = bound
-		}
+	if b.States > 0 && b.States < n {
+		return b.States
 	}
 	return n
 }
 
 // SplitBudget divides a round's budget across usableSlots(b, n) shards:
-// States and Transitions split near-evenly (low shards take the
-// remainder); Depth and Wall bound each shard identically; Workers is the
-// per-shard worker count; Violations gives every shard the full quota —
-// the merged report deduplicates, so a distributed round may record up to
-// n× the quota before all shards halt (quota rounds trade exactness for an
-// early stop, as the serial engine's do under >1 worker).
+// States splits near-evenly (low shards take the remainder); Depth and Wall
+// bound each shard identically; Workers is the per-shard worker count;
+// Violations gives every shard the full quota — the merged report
+// deduplicates, so a distributed round may record up to n× the quota before
+// all shards halt (quota rounds trade exactness for an early stop, as the
+// serial engine's do under >1 worker).
 func SplitBudget(b mc.Budget, n int) []mc.Budget {
 	n = usableSlots(b, n)
 	shares := make([]mc.Budget, n)
 	for i := range shares {
 		s := b
 		s.States = splitShare(b.States, i, n)
-		s.Transitions = splitShare(b.Transitions, i, n)
 		shares[i] = s
 	}
 	return shares

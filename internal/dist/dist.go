@@ -7,14 +7,14 @@
 // expands and claims exactly as Search.Run's does, hands every proposed
 // successor outside the range to the shard's sink — which accumulates
 // per-owner batches and forwards them over a Transport (an in-process
-// loopback for deterministic tests and single-binary runs, mcheck -shards;
-// length-prefixed binary TCP for real multi-process runs, cmd/shardd) —
-// and between depth buckets lets the shard flush batches and inject the
-// arrivals queued meanwhile. What lives here is protocol: rounds and
-// budgets (coordinator.go), the batch/idle/report messages and their codec
-// (transport.go), path replay for states that crossed a wire (shard.go),
-// quiescence (termination.go) and failure recovery (coordinator.go,
-// faults.go).
+// loopback for deterministic tests and single-process runs, mcheck -shards;
+// length-prefixed binary TCP for multi-process runs, mcheck's -listen and
+// -connect roles) — and between depth buckets lets the shard flush batches
+// and inject the arrivals queued meanwhile. What lives here is protocol:
+// rounds, budgets and the merged stop reason (coordinator.go), the
+// batch/idle/report messages and their codec (transport.go), path replay
+// for states that crossed a wire (shard.go), quiescence (termination.go)
+// and failure recovery (coordinator.go, faults.go).
 //
 // All traffic flows through the coordinator hub (a star topology):
 // shard-to-shard batches are relayed by the coordinator, which lets it run

@@ -112,7 +112,7 @@ func TestShardFaultSurfaces(t *testing.T) {
 	}()
 	// Drive the shard directly: a batch carrying a corrupt forwarded state
 	// (no node, no path) trips the shard's ingest validation.
-	if err := hub0.Send(RoundStart{Round: 1, Budget: mc.Budget{Depth: 2, Workers: 1}}); err != nil {
+	if err := hub0.Send(RoundStart{Round: 1, Slot: 0, Slots: 1, Budget: mc.Budget{Depth: 2, Workers: 1}}); err != nil {
 		t.Fatal(err)
 	}
 	if err := hub0.Send(Batch{From: 0, To: 0, States: []ForwardState{{Hash: 1, Depth: 1}}}); err != nil {

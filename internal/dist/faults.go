@@ -11,7 +11,7 @@ import (
 // Deterministic fault injection for the shard-merge protocol. A FaultPlan
 // is a parsed schedule of transport faults — drop, delay, duplicate,
 // corrupt, sever — that a test or operator wraps around shard connections
-// (LocalConfig.Faults, mcheck -faults, shardd -faults). Faults trigger on
+// (LocalConfig.Faults, mcheck -faults in any sharded role). Faults trigger on
 // (round, per-connection message count), never on the wall clock, and
 // probabilistic rules draw from an RNG seeded by (plan seed, shard,
 // direction), so the same spec and seed produce the identical fault
@@ -39,8 +39,8 @@ import (
 //	delay3@s0r2m1      hold shard 0's 1st message of round 2 behind the next 3
 //
 // 'kill' and 'sever' are aliases: both cut the connection. In process the
-// shard goroutine then exits (a kill); over TCP the socket closes and a
-// shardd worker survives to reconnect (a sever). 'corrupt' fires on the
+// shard goroutine then exits (a kill); over TCP the socket closes and an
+// mcheck -connect worker survives to reconnect (a sever). 'corrupt' fires on the
 // first Batch at or after the scheduled count and mangles one forwarded
 // state so the receiver's validation trips loudly — exercising the
 // Fault-message recovery path rather than silent divergence.

@@ -6,8 +6,8 @@ import "time"
 // transport-level mechanisms that together bound detection latency without
 // touching the round protocol:
 //
-//   - every connection emits a Ping frame each heartbeat interval from a
-//     dedicated writer goroutine, so a healthy peer produces traffic even
+//   - every connection emits a Ping frame each heartbeat interval
+//     (PeerTimeout / 4) from a dedicated writer goroutine, so a healthy peer produces traffic even
 //     while its protocol loop is deep in an expansion bucket;
 //   - every read is armed with a deadline of PeerTimeout: if no frame (Ping
 //     included) arrives for that long, the connection is declared dead and
@@ -27,19 +27,16 @@ import "time"
 const DefaultPeerTimeout = 10 * time.Second
 
 // TCPOptions parameterise failure detection on one framed TCP connection.
-// The zero value gets DefaultPeerTimeout with a heartbeat at a quarter of
-// it — safe for production; tests shrink PeerTimeout to keep failure cases
-// fast. A negative PeerTimeout disables deadlines and heartbeats entirely
-// (the pre-fault-tolerance behavior; useful to reproduce hangs in tests).
+// The zero value gets DefaultPeerTimeout — safe for production; tests
+// shrink PeerTimeout to keep failure cases fast. The heartbeat is always a
+// quarter of PeerTimeout, comfortably inside it. A negative PeerTimeout
+// disables deadlines and heartbeats entirely (the pre-fault-tolerance
+// behavior; useful to reproduce hangs in tests).
 type TCPOptions struct {
 	// PeerTimeout bounds peer silence: reads are armed with this deadline
 	// and writes must complete within it. 0 = DefaultPeerTimeout,
 	// negative = disabled.
 	PeerTimeout time.Duration
-	// Heartbeat is the Ping emission interval; it must be comfortably
-	// below PeerTimeout or healthy idle connections get declared dead
-	// (0 = PeerTimeout / 4).
-	Heartbeat time.Duration
 	// Now is the injected wall clock (nil = time.Now).
 	Now func() time.Time
 	// After is the injected timer (nil = time.After).
@@ -50,9 +47,6 @@ type TCPOptions struct {
 func (o TCPOptions) resolved() TCPOptions {
 	if o.PeerTimeout == 0 {
 		o.PeerTimeout = DefaultPeerTimeout
-	}
-	if o.Heartbeat == 0 && o.PeerTimeout > 0 {
-		o.Heartbeat = o.PeerTimeout / 4
 	}
 	if o.Now == nil {
 		o.Now = time.Now
@@ -74,7 +68,7 @@ func (c *tcpConn) heartbeatLoop() {
 		select {
 		case <-c.stop:
 			return
-		case <-c.opt.After(c.opt.Heartbeat):
+		case <-c.opt.After(c.opt.PeerTimeout / 4):
 			if err := c.Send(Ping{}); err != nil {
 				return
 			}

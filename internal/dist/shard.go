@@ -8,8 +8,7 @@ type ShardConfig struct {
 	// session's worker connections it is. The hash range it owns is a
 	// per-round assignment (RoundStart.Slot/Slots) — after a failure the
 	// coordinator repartitions over the survivors, so identity and slot
-	// are distinct concepts. A RoundStart with zero Slots defaults to the
-	// identity partition.
+	// are distinct concepts.
 	Index  int
 	Shards int
 	// Search is the scenario's checker configuration. Mode must be
@@ -20,10 +19,6 @@ type ShardConfig struct {
 	Search mc.Config
 	// Root is the shared start state.
 	Root *mc.GState
-	// BatchSize is the forwarded-batch flush threshold. Every caller but
-	// a test leaves it 0 = DefaultBatchSize; tcp_test.go sets 8 to force a
-	// multi-batch exchange on a tiny search.
-	BatchSize int
 }
 
 // descPath returns the full descriptor path from the search root to the
@@ -87,9 +82,6 @@ func newShard(conn Conn, cfg ShardConfig) (*shard, error) {
 		return nil, errorf("shard %d: nil root state", cfg.Index)
 	}
 	cfg.Search.Reduce = false
-	if cfg.BatchSize <= 0 {
-		cfg.BatchSize = DefaultBatchSize
-	}
 	search := mc.NewSearch(cfg.Search)
 	return &shard{
 		cfg:     cfg,
@@ -103,8 +95,8 @@ func newShard(conn Conn, cfg ShardConfig) (*shard, error) {
 }
 
 // RunShard serves one shard over conn until Shutdown or a connection
-// error. It is the body of every shard goroutine (dist.Local) and of a
-// shardd worker once configured.
+// error. It is the body of every shard goroutine (dist.Local) and of an
+// mcheck -connect worker once configured.
 func RunShard(conn Conn, cfg ShardConfig) error {
 	sh, err := newShard(conn, cfg)
 	if err != nil {
@@ -181,9 +173,6 @@ func (sh *shard) fault(err error) error {
 // and seeds the root if the slot's range owns its fingerprint.
 func (sh *shard) startRound(rs RoundStart) error {
 	sh.slot, sh.slots = rs.Slot, rs.Slots
-	if rs.Slots == 0 {
-		sh.slot, sh.slots = sh.cfg.Index, sh.cfg.Shards
-	}
 	if sh.slots <= 0 || sh.slot < 0 || sh.slot >= sh.slots {
 		return errorf("shard %d: round start assigns slot %d of %d", sh.cfg.Index, rs.Slot, rs.Slots)
 	}
@@ -274,11 +263,11 @@ func (sh *shard) route(child mc.Forward) error {
 	if sh.out[owner] == nil {
 		// A batch is handed to the connection whole, so each one is a new
 		// slice: sized once, not regrown by doubling up to the threshold.
-		sh.out[owner] = make([]ForwardState, 0, sh.cfg.BatchSize)
+		sh.out[owner] = make([]ForwardState, 0, DefaultBatchSize)
 	}
 	sh.out[owner] = append(sh.out[owner], fs)
 	sh.st.StatesForwarded++
-	if len(sh.out[owner]) >= sh.cfg.BatchSize {
+	if len(sh.out[owner]) >= DefaultBatchSize {
 		return sh.flush(owner)
 	}
 	return nil
@@ -371,7 +360,7 @@ func (sh *shard) report() ShardReport {
 		Expansions:  int64(res.StatesExplored),
 		Transitions: int64(res.Transitions),
 		MaxDepth:    int32(res.MaxDepthReached),
-		Exhausted:   sh.eng.Exhausted(),
+		Stop:        res.StopReason,
 		PeakBytes:   res.PeakMemoryBytes,
 		Violations:  make([]Violation, len(findings)),
 		Stats:       sh.st,

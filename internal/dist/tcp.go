@@ -74,7 +74,7 @@ func (c *tcpConn) readLoop() {
 	for {
 		// Arm the peer-silence deadline before every frame. The heartbeat
 		// writer on the other side guarantees at least one frame per
-		// Heartbeat interval from a healthy peer, so an expired deadline
+		// heartbeat interval from a healthy peer, so an expired deadline
 		// means the peer (or the path to it) is gone.
 		if !c.opt.disabled() {
 			_ = c.nc.SetReadDeadline(c.opt.Now().Add(c.opt.PeerTimeout))

@@ -37,7 +37,7 @@ func tcpRound(t *testing.T, g *mc.GState, cfg mc.Config, b mc.Budget, record boo
 				return
 			}
 			shardErrs <- RunShard(conn, ShardConfig{
-				Index: i, Shards: shards, Search: cfg, Root: g, BatchSize: 8,
+				Index: i, Shards: shards, Search: cfg, Root: g,
 			})
 		}()
 	}
@@ -72,7 +72,8 @@ func tcpRound(t *testing.T, g *mc.GState, cfg mc.Config, b mc.Budget, record boo
 }
 
 // TestTCPSmoke checks a two-shard search over TCP against the serial
-// engine's claimed-state set.
+// engine's claimed-state set, with more than one batch per shard on the
+// wire.
 func TestTCPSmoke(t *testing.T) {
 	g, cfg := chordStart(t)
 	cfg.RecordClaimedStates = true
@@ -97,6 +98,11 @@ func TestTCPSmoke(t *testing.T) {
 	}
 	if res.Stats.StatesReceived == 0 {
 		t.Errorf("no states crossed the wire: %+v", res.Stats)
+	}
+	// Batches flush at every depth bucket as well as at DefaultBatchSize,
+	// so four levels are enough for several batches per shard.
+	if res.Stats.BatchFlushes <= 2 {
+		t.Errorf("%d batch flushes over 2 shards: the exchange never went past one batch each", res.Stats.BatchFlushes)
 	}
 }
 

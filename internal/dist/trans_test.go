@@ -61,20 +61,20 @@ func TestShardedStatesWithinBudget(t *testing.T) {
 // TestSplitBudgetNeverSharesZeroOfABound pins the fix for bounds smaller
 // than the shard count: mc.Budget reads 0 as unbounded, so a zero share of
 // a non-zero bound would let that shard run free. Such a budget yields
-// fewer shares instead, and a 4-shard round on it stays inside the bound.
+// fewer shares instead, and a 4-shard round on it stays inside the bound
+// and says it stopped there.
 func TestSplitBudgetNeverSharesZeroOfABound(t *testing.T) {
-	for _, b := range []mc.Budget{{States: 2}, {Transitions: 3}, {States: 5, Transitions: 2}, {States: 9}, {Depth: 3}} {
+	for _, b := range []mc.Budget{{States: 2}, {States: 9}, {Depth: 3}} {
 		shares := SplitBudget(b, 4)
-		var states, transitions int
+		var states int
 		for _, s := range shares {
-			if (b.States > 0 && s.States == 0) || (b.Transitions > 0 && s.Transitions == 0) {
+			if b.States > 0 && s.States == 0 {
 				t.Errorf("%+v: share %+v leaves a bounded dimension unbounded", b, s)
 			}
 			states += s.States
-			transitions += s.Transitions
 		}
-		if states != b.States || transitions != b.Transitions {
-			t.Errorf("%+v: shares sum to states=%d transitions=%d", b, states, transitions)
+		if states != b.States {
+			t.Errorf("%+v: shares sum to states=%d", b, states)
 		}
 	}
 	if n := len(SplitBudget(mc.Budget{Depth: 3}, 4)); n != 4 {
@@ -90,5 +90,8 @@ func TestSplitBudgetNeverSharesZeroOfABound(t *testing.T) {
 	if res.Checker.StatesExplored > 2 || res.Recovery.FinalShards != 2 {
 		t.Errorf("4 shards, States=2: explored %d states on %d slots, want <= 2 on 2",
 			res.Checker.StatesExplored, res.Recovery.FinalShards)
+	}
+	if res.Checker.StopReason != "states" {
+		t.Errorf("4 shards, States=2: stop=%q, want states", res.Checker.StopReason)
 	}
 }

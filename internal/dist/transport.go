@@ -42,8 +42,8 @@ const (
 // above it is a corrupt or hostile frame, not a plausible deployment.
 const maxShards = 1 << 16
 
-// Hello is the first message a shardd worker sends after dialing the
-// coordinator: which shard slot it wants and how many shards it expects.
+// Hello is the first message an mcheck -connect worker sends after dialing
+// the coordinator: which shard slot it wants and how many shards it expects.
 type Hello struct {
 	Shard  int
 	Shards int
@@ -51,10 +51,11 @@ type Hello struct {
 
 func (Hello) kind() byte { return kindHello }
 
-// Setup tells a shardd worker which scenario to build and with what
-// overrides, so every shard constructs a bit-identical search configuration
-// from its own scenario registry. In-process runs construct mc.Config
-// directly and never send Setup.
+// Setup tells an mcheck -connect worker which scenario to build and with
+// what seed and fault model — the coordinator's resolved values, so every
+// shard constructs a bit-identical search configuration from its own
+// scenario registry. In-process runs construct mc.Config directly and never
+// send Setup.
 type Setup struct {
 	Scenario   string
 	Nodes      int
@@ -183,14 +184,15 @@ type Violation struct {
 // States (the claimed-set size), MaxDepth, Violations, Claimed and Locals
 // are deterministic for a given seed and shard count; Expansions,
 // Transitions, PeakBytes and Stats are scheduling telemetry (re-expansion
-// counts vary with batch arrival order).
+// counts vary with batch arrival order). Stop is the shard engine's
+// mc.Result.StopReason.
 type ShardReport struct {
 	Shard       int
 	States      int64 // states claimed into the visited set
 	Expansions  int64 // states admitted for expansion (exact: never above the budget share)
 	Transitions int64
 	MaxDepth    int32
-	Exhausted   bool  // stopped by budget, not by frontier exhaustion
+	Stop        string
 	PeakBytes   int64 // the shard engine's mc.Result.PeakMemoryBytes
 	Violations  []Violation
 	Stats       Stats
@@ -267,7 +269,7 @@ func encodeMsg(e *sm.Encoder, m Msg) error {
 		e.Int64(v.Expansions)
 		e.Int64(v.Transitions)
 		e.Uint32(uint32(v.MaxDepth))
-		e.Bool(v.Exhausted)
+		e.String(v.Stop)
 		e.Int64(v.PeakBytes)
 		e.Uint32(uint32(len(v.Violations)))
 		for i := range v.Violations {
@@ -373,11 +375,14 @@ func decodeMsg(d *sm.Decoder) (Msg, error) {
 			Expansions:  d.Int64(),
 			Transitions: d.Int64(),
 			MaxDepth:    int32(d.Uint32()),
-			Exhausted:   d.Bool(),
+			Stop:        d.String(),
 			PeakBytes:   d.Int64(),
 		}
 		if d.Err() == nil && (r.Shard < 0 || r.Shard >= maxShards || r.States < 0 || r.Expansions < 0 || r.Transitions < 0 || r.PeakBytes < 0) {
 			return nil, errorf("decode: report with impossible counters (shard=%d)", r.Shard)
+		}
+		if d.Err() == nil && !mc.IsStopReason(r.Stop) {
+			return nil, errorf("decode: report with unknown stop reason %q", r.Stop)
 		}
 		n := int(d.Uint32())
 		if d.Err() != nil || n < 0 || n > d.Remaining() {
@@ -431,25 +436,23 @@ func encodeBudget(e *sm.Encoder, b mc.Budget) {
 	e.Int(b.Depth)
 	e.Int64(int64(b.Wall))
 	e.Int(b.Violations)
-	e.Int(b.Transitions)
 	e.Int(b.Workers)
 }
 
 func decodeBudget(d *sm.Decoder) mc.Budget {
 	return mc.Budget{
-		States:      d.Int(),
-		Depth:       d.Int(),
-		Wall:        time.Duration(d.Int64()),
-		Violations:  d.Int(),
-		Transitions: d.Int(),
-		Workers:     d.Int(),
+		States:     d.Int(),
+		Depth:      d.Int(),
+		Wall:       time.Duration(d.Int64()),
+		Violations: d.Int(),
+		Workers:    d.Int(),
 	}
 }
 
 // validBudget rejects decoded budgets no planner can produce (every budget
 // dimension is a non-negative quota; 0 means unlimited).
 func validBudget(b mc.Budget) error {
-	if b.States < 0 || b.Depth < 0 || b.Wall < 0 || b.Violations < 0 || b.Transitions < 0 || b.Workers < 0 {
+	if b.States < 0 || b.Depth < 0 || b.Wall < 0 || b.Violations < 0 || b.Workers < 0 {
 		return errorf("decode: budget with negative quota %+v", b)
 	}
 	return nil

@@ -1,7 +1,6 @@
 package mc
 
 import (
-	"cmp"
 	"fmt"
 	"slices"
 	"sort"
@@ -843,12 +842,12 @@ func (e *Engine) expand(h *held, x *Expander) expansion {
 	// c joins them.
 	sc := x.sc
 	run := func(c *cand, promise bool) {
-		if !e.bdg.admitTransition() {
+		// Once any bound trips, the rest of this expansion is skipped.
+		if e.bdg.exhausted() {
 			return
 		}
 		next := e.s.apply(state, c.event(), true, sc)
 		if next == nil {
-			e.bdg.refundTransition()
 			return
 		}
 		e.ctr.transitions.Add(1)
@@ -1020,7 +1019,7 @@ func (e *Engine) Result() *Result {
 		SleepHits:           int(e.ctr.sleepHits.Load()),
 		DistinctLocalStates: len(e.locals),
 		Elapsed:             e.bdg.elapsed(),
-		StopReason:          cmp.Or(e.bdg.stopReason(), "frontier-empty"),
+		StopReason:          e.bdg.stopReason(),
 	}
 	res.TransitionsPruned = res.SleepHits + res.LocalPrunes
 	if e.s.cfg.RecordLocalStates {

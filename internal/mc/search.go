@@ -52,7 +52,7 @@ type Config struct {
 	// Mode selects the algorithm.
 	Mode Mode
 	// Budget is the search's resource envelope: states, depth, wall
-	// clock, violations, transitions and workers in one value. With
+	// clock, violations and workers in one value. With
 	// Budget.Workers == 1 both modes reproduce the serial search of the
 	// paper exactly.
 	Budget Budget
@@ -190,12 +190,12 @@ type Result struct {
 	// Workers is the worker-pool size the search ran with.
 	Workers int
 	// StopReason says why the search ended: the first budget bound that
-	// tripped ("states", "wall", "violations", "transitions"), or
-	// "frontier-empty" when the engine ran out of states. Under a wall or
-	// violations stop at the depth bound, leaves already checked at their
-	// claim but not yet admitted are not in StatesExplored. controller.Stats
-	// counts its rounds by it (Stats.Stops); sharded results (internal/dist)
-	// do not carry it yet, and no wire field exists for it.
+	// tripped ("states", "wall", "violations"), or "frontier-empty" when
+	// the engine ran out of states. Under a wall or violations stop at the
+	// depth bound, leaves already checked at their claim but not yet
+	// admitted are not in StatesExplored. controller.Stats counts its
+	// rounds by it (Stats.Stops); a sharded round (internal/dist) merges
+	// its shards' reasons.
 	StopReason string
 }
 

@@ -1,6 +1,7 @@
 package mc
 
 import (
+	"slices"
 	"sync/atomic"
 	"time"
 )
@@ -34,11 +35,6 @@ type Budget struct {
 	// states; the reported list is additionally deduplicated by
 	// Signature.
 	Violations int
-	// Transitions bounds executed handler invocations — a deterministic
-	// stand-in for wall clock (per-state cost is dominated by handler
-	// execution), and the axis partial-order reduction stretches: at an
-	// equal transition budget a reduced search penetrates deeper.
-	Transitions int
 	// Workers is the exploration worker-pool size (0 = GOMAXPROCS). With
 	// one worker the breadth-first strategies reproduce the paper's
 	// serial search exactly.
@@ -52,12 +48,11 @@ type Budget struct {
 // are exact (a rejected admission is rolled back), so bounded runs never
 // overshoot regardless of worker count.
 type budget struct {
-	lim         Budget
-	now         func() time.Time // injected clock (Config.Now)
-	began       time.Time
-	deadline    time.Time // zero when Wall is unbounded
-	states      atomic.Int64
-	transitions atomic.Int64
+	lim      Budget
+	now      func() time.Time // injected clock (Config.Now)
+	began    time.Time
+	deadline time.Time // zero when Wall is unbounded
+	states   atomic.Int64
 	// halted is zero while the search runs and then the first bound that
 	// tripped (an index into stopNames); later halts do not overwrite it.
 	halted atomic.Int32
@@ -68,10 +63,16 @@ const (
 	stopStates = iota + 1
 	stopWall
 	stopViolations
-	stopTransitions
 )
 
-var stopNames = [...]string{stopStates: "states", stopWall: "wall", stopViolations: "violations", stopTransitions: "transitions"}
+// FrontierEmpty is the StopReason of a search no bound stopped: it ran out
+// of states.
+const FrontierEmpty = "frontier-empty"
+
+var stopNames = [...]string{0: FrontierEmpty, stopStates: "states", stopWall: "wall", stopViolations: "violations"}
+
+// IsStopReason reports whether s is a StopReason a search can end with.
+func IsStopReason(s string) bool { return slices.Contains(stopNames[:], s) }
 
 // newBudget starts the accounting clock by reading now once; the same
 // injected clock serves the Wall deadline checks and Result.Elapsed, so a
@@ -119,41 +120,14 @@ func (b *budget) admitState() bool {
 	return true
 }
 
-// admitTransition atomically claims one unit of the transition budget; it
-// returns false when Budget.Transitions is exhausted (after rolling the claim
-// back, so the count is exact). Serial runs stop at a deterministic
-// transition prefix; with several workers which expansions land inside the
-// budget varies with scheduling, like every non-depth cutoff.
-func (b *budget) admitTransition() bool {
-	if b.lim.Transitions <= 0 {
-		return !b.exhausted()
-	}
-	if b.exhausted() {
-		return false
-	}
-	if n := b.transitions.Add(1); n > int64(b.lim.Transitions) {
-		b.transitions.Add(-1)
-		b.halt(stopTransitions)
-		return false
-	}
-	return true
-}
-
-// refundTransition returns one admitted unit (the event turned out to be
-// inapplicable — no handler ran).
-func (b *budget) refundTransition() {
-	if b.lim.Transitions > 0 {
-		b.transitions.Add(-1)
-	}
-}
-
 // halt marks the budget exhausted by bound why (one of the stop constants).
 func (b *budget) halt(why int32) { b.halted.CompareAndSwap(0, why) }
 
 // exhausted reports whether some bound tripped.
 func (b *budget) exhausted() bool { return b.halted.Load() != 0 }
 
-// stopReason names the bound that stopped the search ("" when none did).
+// stopReason names the bound that stopped the search (FrontierEmpty when
+// none did).
 func (b *budget) stopReason() string { return stopNames[b.halted.Load()] }
 
 // statesAdmitted returns the number of states admitted so far.

@@ -188,10 +188,8 @@ func TestStopReason(t *testing.T) {
 		budget Budget
 	}{
 		{"frontier-empty", Exhaustive, Budget{Depth: 4}},
-		{"frontier-empty", Consequence, Budget{Depth: 4, States: 100000, Transitions: 1000000, Violations: 100}},
+		{"frontier-empty", Consequence, Budget{Depth: 4, States: 100000, Violations: 100}},
 		{"states", Exhaustive, Budget{States: 50}},
-		{"states", Exhaustive, Budget{States: 50, Transitions: 100000}},
-		{"transitions", Exhaustive, Budget{States: 5000, Transitions: 40}},
 		{"violations", Exhaustive, Budget{States: 5000, Violations: 1}},
 		{"wall", Exhaustive, Budget{Wall: 20 * time.Millisecond, States: 5000}},
 	} {

@@ -53,10 +53,11 @@ func violatedNames(vs []mc.Violation) []string {
 // every registered scenario, a depth-bounded distributed exhaustive round
 // must claim the *identical* state set as the single-process engine — at
 // shards 1, 2 and 4, and at any per-shard worker count — along with the
-// identical state count and distinct local-state set. The distributed
-// violation reports (full violated-set semantics, see internal/dist) are
-// additionally pinned to be identical across every shard/worker
-// combination, since they are a pure function of the claimed set.
+// identical state count, distinct local-state set and stop reason
+// (frontier-empty, as the serial run's). The distributed violation reports
+// (full violated-set semantics, see internal/dist) are additionally pinned
+// to be identical across every shard/worker combination, since they are a
+// pure function of the claimed set.
 func TestDistOracleMatrix(t *testing.T) {
 	depth := map[string]int{
 		"randtree":    5,
@@ -91,6 +92,9 @@ func TestDistOracleMatrix(t *testing.T) {
 			if serial.StatesExplored == 0 {
 				t.Fatalf("serial search explored no states")
 			}
+			if serial.StopReason != mc.FrontierEmpty {
+				t.Fatalf("depth-bounded serial search stopped on %q", serial.StopReason)
+			}
 
 			var ref *mc.Result
 			for _, shards := range []int{1, 2, 4} {
@@ -114,6 +118,10 @@ func TestDistOracleMatrix(t *testing.T) {
 					if got.StatesExplored != serial.StatesExplored {
 						t.Errorf("shards=%d workers=%d: StatesExplored=%d, serial %d",
 							shards, workers, got.StatesExplored, serial.StatesExplored)
+					}
+					if got.StopReason != serial.StopReason {
+						t.Errorf("shards=%d workers=%d: stop=%s, serial %s",
+							shards, workers, got.StopReason, serial.StopReason)
 					}
 					if got.MaxDepthReached != serial.MaxDepthReached {
 						t.Errorf("shards=%d workers=%d: MaxDepthReached=%d, serial %d",

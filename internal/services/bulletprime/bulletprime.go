@@ -76,6 +76,12 @@ const (
 	TimerPeer sm.TimerID = "peer"
 )
 
+// The periods of the two periodic loops.
+const (
+	diffInterval    = sm.Second
+	requestInterval = sm.Second / 2
+)
+
 // Fix flags disabling the seeded bugs.
 type Fix uint32
 
@@ -112,9 +118,6 @@ type Config struct {
 	MaxOutstandingRequests int
 	// Fixes disables seeded bugs.
 	Fixes Fix
-	// DiffInterval and RequestInterval drive the two periodic loops.
-	DiffInterval    sm.Duration
-	RequestInterval sm.Duration
 }
 
 func (c *Config) defaults() {
@@ -132,12 +135,6 @@ func (c *Config) defaults() {
 	}
 	if c.MaxOutstandingRequests == 0 {
 		c.MaxOutstandingRequests = 6
-	}
-	if c.DiffInterval == 0 {
-		c.DiffInterval = sm.Second
-	}
-	if c.RequestInterval == 0 {
-		c.RequestInterval = sm.Second / 2
 	}
 }
 
@@ -405,8 +402,8 @@ func (Ack) EncodeMsg(e *sm.Encoder) {}
 // Init implements sm.Service: start mesh construction and the two loops.
 func (b *Bullet) Init(ctx sm.Context) {
 	ctx.SetTimer(TimerPeer, sm.Second/4)
-	ctx.SetTimer(TimerDiff, b.cfg.DiffInterval)
-	ctx.SetTimer(TimerRequest, b.cfg.RequestInterval)
+	ctx.SetTimer(TimerDiff, diffInterval)
+	ctx.SetTimer(TimerRequest, requestInterval)
 }
 
 // addPeer installs sender- and receiver-side state for a new mesh peer and
@@ -441,10 +438,10 @@ func (b *Bullet) HandleTimer(ctx sm.Context, t sm.TimerID) {
 				b.sendDiff(ctx, i)
 			}
 		}
-		ctx.SetTimer(TimerDiff, b.cfg.DiffInterval)
+		ctx.SetTimer(TimerDiff, diffInterval)
 	case TimerRequest:
 		b.issueRequests(ctx)
-		ctx.SetTimer(TimerRequest, b.cfg.RequestInterval)
+		ctx.SetTimer(TimerRequest, requestInterval)
 	}
 }
 

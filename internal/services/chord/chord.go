@@ -33,6 +33,12 @@ const TimerStabilize sm.TimerID = "stabilize"
 // TimerJoin retries joining while not joined.
 const TimerJoin sm.TimerID = "join-retry"
 
+// The stabilize and join retry periods.
+const (
+	stabilizeInterval = 5 * sm.Second
+	joinRetryInterval = 2 * sm.Second
+)
+
 // Fix flags disabling the seeded bugs.
 type Fix uint32
 
@@ -61,21 +67,11 @@ type Config struct {
 	SuccListLen int
 	// Fixes disables seeded bugs.
 	Fixes Fix
-	// StabilizeInterval is the stabilize period (default 5 s).
-	StabilizeInterval sm.Duration
-	// JoinRetryInterval is the join retry period (default 2 s).
-	JoinRetryInterval sm.Duration
 }
 
 func (c *Config) defaults() {
 	if c.SuccListLen == 0 {
 		c.SuccListLen = 4
-	}
-	if c.StabilizeInterval == 0 {
-		c.StabilizeInterval = 5 * sm.Second
-	}
-	if c.JoinRetryInterval == 0 {
-		c.JoinRetryInterval = 2 * sm.Second
 	}
 }
 
@@ -209,12 +205,12 @@ func (r *Ring) HandleApp(ctx sm.Context, call sm.AppCall) {
 		r.Joined = true
 		r.Pred = r.Self
 		r.Succs = []sm.NodeID{r.Self}
-		ctx.SetTimer(TimerStabilize, r.cfg.StabilizeInterval)
+		ctx.SetTimer(TimerStabilize, stabilizeInterval)
 		return
 	}
 	r.Joining = true
 	ctx.Send(target, FindPred{Origin: r.Self})
-	ctx.SetTimer(TimerJoin, r.cfg.JoinRetryInterval)
+	ctx.SetTimer(TimerJoin, joinRetryInterval)
 }
 
 func (r *Ring) pickBootstrap(ctx sm.Context) sm.NodeID {
@@ -240,7 +236,7 @@ func (r *Ring) HandleTimer(ctx sm.Context, t sm.TimerID) {
 		if target := r.pickBootstrap(ctx); target != sm.NoNode {
 			r.Joining = true
 			ctx.Send(target, FindPred{Origin: r.Self})
-			ctx.SetTimer(TimerJoin, r.cfg.JoinRetryInterval)
+			ctx.SetTimer(TimerJoin, joinRetryInterval)
 		} else {
 			r.HandleApp(ctx, AppJoin{})
 		}
@@ -248,7 +244,7 @@ func (r *Ring) HandleTimer(ctx sm.Context, t sm.TimerID) {
 		if s := r.firstSucc(); s != sm.NoNode && s != r.Self {
 			ctx.Send(s, GetPred{})
 		}
-		ctx.SetTimer(TimerStabilize, r.cfg.StabilizeInterval)
+		ctx.SetTimer(TimerStabilize, stabilizeInterval)
 	}
 }
 
@@ -312,7 +308,7 @@ func (r *Ring) handleFindPredReply(ctx sm.Context, from sm.NodeID, m FindPredRep
 	}
 	r.Succs = r.capList(append(succs, r.Self))
 	ctx.CancelTimer(TimerJoin)
-	ctx.SetTimer(TimerStabilize, r.cfg.StabilizeInterval)
+	ctx.SetTimer(TimerStabilize, stabilizeInterval)
 	if s := r.firstSucc(); s != sm.NoNode {
 		ctx.Send(s, UpdatePred{})
 	}
@@ -439,7 +435,7 @@ func (r *Ring) HandleTransportError(ctx sm.Context, peer sm.NodeID) {
 	}
 	r.Succs = out
 	if !r.Joined {
-		ctx.SetTimer(TimerJoin, r.cfg.JoinRetryInterval)
+		ctx.SetTimer(TimerJoin, joinRetryInterval)
 	}
 }
 

@@ -34,6 +34,12 @@ const (
 	TimerJoin sm.TimerID = "join-retry"
 )
 
+// The recovery probe and join retry periods.
+const (
+	recoveryInterval  = 5 * sm.Second
+	joinRetryInterval = 2 * sm.Second
+)
+
 // Fix flags: each disables one of the seeded bugs.
 type Fix uint32
 
@@ -74,21 +80,11 @@ type Config struct {
 	MaxChildren int
 	// Fixes disables seeded bugs.
 	Fixes Fix
-	// RecoveryInterval is the probe period (default 5 s).
-	RecoveryInterval sm.Duration
-	// JoinRetryInterval is the join retry period (default 2 s).
-	JoinRetryInterval sm.Duration
 }
 
 func (c *Config) defaults() {
 	if c.MaxChildren == 0 {
 		c.MaxChildren = 4
-	}
-	if c.RecoveryInterval == 0 {
-		c.RecoveryInterval = 5 * sm.Second
-	}
-	if c.JoinRetryInterval == 0 {
-		c.JoinRetryInterval = 2 * sm.Second
 	}
 }
 
@@ -238,13 +234,13 @@ func (t *Tree) HandleApp(ctx sm.Context, call sm.AppCall) {
 		t.Root = t.Self
 		t.Parent = sm.NoNode
 		if t.fixed(FixJoinSelfTimer) {
-			ctx.SetTimer(TimerRecovery, t.cfg.RecoveryInterval)
+			ctx.SetTimer(TimerRecovery, recoveryInterval)
 		}
 		return
 	}
 	t.Joining = true
 	ctx.Send(target, Join{Origin: t.Self})
-	ctx.SetTimer(TimerJoin, t.cfg.JoinRetryInterval)
+	ctx.SetTimer(TimerJoin, joinRetryInterval)
 }
 
 func (t *Tree) pickBootstrap(ctx sm.Context) sm.NodeID {
@@ -275,7 +271,7 @@ func (t *Tree) HandleTimer(ctx sm.Context, timer sm.TimerID) {
 			t.HandleApp(ctx, AppJoin{})
 			return
 		}
-		ctx.SetTimer(TimerJoin, t.cfg.JoinRetryInterval)
+		ctx.SetTimer(TimerJoin, joinRetryInterval)
 	case TimerRecovery:
 		// Probe peer-list members to keep the view fresh (paper:
 		// "vital for the tree's consistency").
@@ -284,7 +280,7 @@ func (t *Tree) HandleTimer(ctx sm.Context, timer sm.TimerID) {
 				ctx.Send(p, Probe{})
 			}
 		}
-		ctx.SetTimer(TimerRecovery, t.cfg.RecoveryInterval)
+		ctx.SetTimer(TimerRecovery, recoveryInterval)
 	}
 }
 
@@ -325,7 +321,7 @@ func (t *Tree) handleJoin(ctx sm.Context, from sm.NodeID, m Join) {
 		t.Root = t.Self
 		t.Parent = sm.NoNode
 		ctx.CancelTimer(TimerJoin)
-		ctx.SetTimer(TimerRecovery, t.cfg.RecoveryInterval)
+		ctx.SetTimer(TimerRecovery, recoveryInterval)
 		t.accept(ctx, origin)
 		return
 	}
@@ -409,7 +405,7 @@ func (t *Tree) handleJoinReply(ctx sm.Context, from sm.NodeID, m JoinReply) {
 		t.Peers[m.Root] = true
 	}
 	ctx.CancelTimer(TimerJoin)
-	ctx.SetTimer(TimerRecovery, t.cfg.RecoveryInterval)
+	ctx.SetTimer(TimerRecovery, recoveryInterval)
 	if t.fixed(FixJoinReplyStale) {
 		// Bug 2: stale children/sibling entries for the new parent
 		// and root survive a rejoin.
@@ -474,7 +470,7 @@ func (t *Tree) HandleTransportError(ctx sm.Context, peer sm.NodeID) {
 	delete(t.Peers, peer)
 	if !t.Joined {
 		// The join target died: retry soon via the join timer.
-		ctx.SetTimer(TimerJoin, t.cfg.JoinRetryInterval)
+		ctx.SetTimer(TimerJoin, joinRetryInterval)
 		return
 	}
 	if wasParent {

@@ -3,6 +3,7 @@ package passes
 
 import (
 	"crystalball/internal/analysis"
+	"crystalball/internal/analysis/passes/cloneinto"
 	"crystalball/internal/analysis/passes/globalrand"
 	"crystalball/internal/analysis/passes/hashmaint"
 	"crystalball/internal/analysis/passes/hotpathalloc"
@@ -17,6 +18,7 @@ var All = []*analysis.Analyzer{
 	globalrand.Analyzer,
 	hotpathalloc.Analyzer,
 	hashmaint.Analyzer,
+	cloneinto.Analyzer,
 }
 
 // ByName resolves a comma-separated pass selection ("" = all).

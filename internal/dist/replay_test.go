@@ -25,7 +25,13 @@ func newAdder(self sm.NodeID) sm.Service {
 	return adder{testsvc.NewWithPeers(1, 2)(self).(*testsvc.Svc)}
 }
 
-func (a adder) Clone() sm.Service { return adder{a.Svc.Clone().(*testsvc.Svc)} }
+func (a adder) Clone() sm.Service { return a.CloneInto(nil) }
+
+// CloneInto keeps the copy an adder: the embedded Svc's would return it bare.
+func (a adder) CloneInto(dst sm.Service) sm.Service {
+	d, _ := dst.(adder)
+	return adder{a.Svc.CloneInto(d.Svc).(*testsvc.Svc)}
+}
 
 func (a adder) ModelAppCalls() []sm.AppCall {
 	if a.N >= 4 {

@@ -31,6 +31,7 @@ type DepthPoint struct {
 	// MemBytes approximates the search-tree footprint (Figures 15/16).
 	MemBytes     int64
 	PerStateByte float64
+	Stop         string // mc.Result.StopReason
 }
 
 // Fig12Config parameterises the exhaustive depth sweep.
@@ -38,8 +39,8 @@ type Fig12Config struct {
 	Seed      int64
 	Nodes     int           // paper: 5
 	MaxDepth  int           // paper reaches 12-13 in hours
-	MaxStates int           // per-depth safety bound
-	MaxWall   time.Duration // per-depth wall bound
+	MaxStates int           // per-depth safety bound: a depth it stops ends the sweep
+	MaxWall   time.Duration // per-depth wall bound: a depth it stops ends the sweep
 	Workers   int           // checker worker-pool size (0 = GOMAXPROCS)
 }
 
@@ -65,9 +66,10 @@ func Fig12Exhaustive(cfg Fig12Config) ([]DepthPoint, error) {
 			Elapsed:      res.Elapsed,
 			MemBytes:     res.PeakMemoryBytes,
 			PerStateByte: res.PerStateBytes,
+			Stop:         res.StopReason,
 		})
-		if cfg.MaxWall > 0 && res.Elapsed > cfg.MaxWall {
-			break // the next depth would only run into the same wall
+		if res.StopReason != mc.FrontierEmpty {
+			break // every deeper depth would run into the same bound
 		}
 	}
 	return out, nil
@@ -89,9 +91,9 @@ func runRandTreeSearch(seed int64, n int, mode mc.Mode, maxDepth, maxStates int,
 
 // FormatDepthPoints renders a depth sweep as a table.
 func FormatDepthPoints(title string, pts []DepthPoint) string {
-	t := stats.Table{Title: title, Header: []string{"depth", "states", "elapsed", "mem-bytes", "bytes/state"}}
+	t := stats.Table{Title: title, Header: []string{"depth", "states", "elapsed", "mem-bytes", "bytes/state", "stop"}}
 	for _, p := range pts {
-		t.Add(p.Depth, p.States, p.Elapsed, p.MemBytes, p.PerStateByte)
+		t.Add(p.Depth, p.States, p.Elapsed, p.MemBytes, p.PerStateByte, p.Stop)
 	}
 	return t.String()
 }
@@ -134,6 +136,7 @@ func Fig15Memory(cfg Fig15Config) []DepthPoint {
 			Elapsed:      res.Elapsed,
 			MemBytes:     res.PeakMemoryBytes,
 			PerStateByte: res.PerStateBytes,
+			Stop:         res.StopReason,
 		})
 	}
 	return out
@@ -200,6 +203,7 @@ type DepthBudgetRow struct {
 	States     int
 	Elapsed    time.Duration
 	Violations int
+	Stop       string // mc.Result.StopReason
 }
 
 // DepthComparison reproduces the section 5.3 comparison along both of the
@@ -231,6 +235,7 @@ func DepthComparison(seed int64, budget time.Duration, nodeCounts []int, workers
 				States:     res.StatesExplored,
 				Elapsed:    res.Elapsed,
 				Violations: len(res.Violations),
+				Stop:       res.StopReason,
 			})
 		}
 	}
@@ -255,6 +260,7 @@ func DepthComparison(seed int64, budget time.Duration, nodeCounts []int, workers
 				States:     res.StatesExplored,
 				Elapsed:    res.Elapsed,
 				Violations: len(res.Violations),
+				Stop:       res.StopReason,
 			})
 		}
 	}
@@ -265,10 +271,10 @@ func DepthComparison(seed int64, budget time.Duration, nodeCounts []int, workers
 func FormatDepthComparison(rows []DepthBudgetRow, budget time.Duration) string {
 	t := stats.Table{
 		Title:  fmt.Sprintf("Section 5.3: exhaustive vs consequence prediction (budget %v)", budget),
-		Header: []string{"start", "nodes", "mode", "depth", "states", "elapsed", "violations"},
+		Header: []string{"start", "nodes", "mode", "depth", "states", "elapsed", "violations", "stop"},
 	}
 	for _, r := range rows {
-		t.Add(r.Start, r.Nodes, r.Mode, r.Depth, r.States, r.Elapsed, r.Violations)
+		t.Add(r.Start, r.Nodes, r.Mode, r.Depth, r.States, r.Elapsed, r.Violations, r.Stop)
 	}
 	return t.String()
 }

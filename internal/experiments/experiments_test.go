@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"crystalball/internal/mc"
 	"crystalball/internal/scenario"
 	"crystalball/internal/simnet"
 	"crystalball/internal/snapshot"
@@ -28,6 +29,25 @@ func TestFig12ExhaustiveGrowth(t *testing.T) {
 	}
 	if !strings.Contains(FormatDepthPoints("x", pts), "depth") {
 		t.Fatal("formatting broken")
+	}
+}
+
+// TestFig12EndsAtTheFirstBoundDepth: a depth the state bound stops is the
+// last of the sweep — every deeper one would run the same capped search —
+// and the table says why each depth ended.
+func TestFig12EndsAtTheFirstBoundDepth(t *testing.T) {
+	pts := must(Fig12Exhaustive(Fig12Config{Seed: 1, Nodes: 4, MaxDepth: 8, MaxStates: 500}))
+	last := pts[len(pts)-1]
+	if last.Stop != "states" || len(pts) == 8 {
+		t.Fatalf("the sweep ran %d depths and the last stopped on %q: want it to end at the first depth the 500-state bound stops", len(pts), last.Stop)
+	}
+	for _, p := range pts[:len(pts)-1] {
+		if p.Stop != mc.FrontierEmpty {
+			t.Fatalf("depth %d stopped on %q and the sweep went on: %+v", p.Depth, p.Stop, pts)
+		}
+	}
+	if table := FormatDepthPoints("x", pts); !strings.Contains(table, "stop") || !strings.Contains(table, "states") {
+		t.Fatalf("the table does not print the stop reason:\n%s", table)
 	}
 }
 

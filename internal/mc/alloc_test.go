@@ -124,8 +124,10 @@ func TestEnabledEventsReusedBufferAllocBound(t *testing.T) {
 // (encoders, handler context with its working timer set, random stream, hash
 // state, the successor under construction) is the scratch's and must not
 // count, and neither does the node's encoding: finalize hashes it in the
-// scratch and keeps its length. The scratch is the test's own, so the counts
-// are exact under -race too.
+// scratch and keeps its length. The service clone is the scratch's spare,
+// which publish hands to the successor, so each build clones into a fresh
+// one: a published successor still pays for its clone exactly once. The
+// scratch is the test's own, so the counts are exact under -race too.
 //
 // A timer event neither consumes nor sends, so the successor shares its
 // parent's in-flight container; "tick" bumps the counter and re-arms itself,
@@ -256,13 +258,14 @@ func TestSuccessorSendAllocBound(t *testing.T) {
 
 // TestUnbuiltSuccessorAllocBound: a successor whose fingerprint is already
 // claimed is built in the worker's scratch, looked up and dropped, and
-// allocates exactly what the executed node's service clone allocates —
-// nothing of the engine's: no GState, no containers, no node state, no
-// in-flight items. The event is boxed once, outside the measurement (the
-// engine boxes it per transition; that allocation is the enumeration's). A
-// "tick" leaves the timer set as it was, a "zap" changes it and a "kick"
-// sends one item per peer: none of them costs an unbuilt successor anything
-// beyond the clone.
+// allocates nothing once one build has warmed the scratch: no GState, no
+// containers, no node state, no in-flight items, and no service — the
+// handler ran on the scratch's spare, which the next build refills. The
+// toy's Clone does allocate, so the zero is the spare's. The event is boxed
+// once, outside the measurement (the engine boxes it per transition; that
+// allocation is the enumeration's). A "tick" leaves the timer set as it was,
+// a "zap" changes it and a "kick" sends one item per peer: none of them
+// costs an unbuilt successor anything.
 func TestUnbuiltSuccessorAllocBound(t *testing.T) {
 	g := NewGState()
 	k := newToy(1).(*toy)
@@ -274,8 +277,7 @@ func TestUnbuiltSuccessorAllocBound(t *testing.T) {
 	g.AddMessage(2, 1, note{K: 1})
 	s := NewSearch(Config{Props: poisonAt(1000), Factory: newToy})
 	svc := g.Node(1).Svc
-	clone := testing.AllocsPerRun(500, func() { svcSink = svc.Clone() })
-	if clone == 0 {
+	if clone := testing.AllocsPerRun(500, func() { svcSink = svc.Clone() }); clone == 0 {
 		t.Fatal("the toy's Clone allocates nothing: the bound measures nothing")
 	}
 	for _, ev := range []sm.Event{sm.TimerEvent{At: 1, Timer: "tick"}, sm.TimerEvent{At: 1, Timer: "zap"}, sm.AppEvent{At: 1, Call: kick{}}} {
@@ -285,14 +287,15 @@ func TestUnbuiltSuccessorAllocBound(t *testing.T) {
 		if _, claimed := e.Inject(Forward{State: s.ApplyEvent(g, ev)}); !claimed {
 			t.Fatalf("%s: successor not claimed", ev.Describe())
 		}
+		// AllocsPerRun's own warm-up call is the build that fills the spare.
 		unbuilt := testing.AllocsPerRun(500, func() {
 			next := s.apply(g, ev, true, x.sc)
 			if publish, propose := e.fate(next.Hash(), 0, x); publish || propose {
 				t.Fatalf("%s: a successor claimed at depth 0 is proposed (published: %v)", ev.Describe(), publish)
 			}
 		})
-		if unbuilt != clone {
-			t.Errorf("%s: an unbuilt successor allocates %.1f/op, the service clone %.1f/op: want exactly the clone", ev.Describe(), unbuilt, clone)
+		if unbuilt != 0 {
+			t.Errorf("%s: an unbuilt successor allocates %.1f/op, want 0", ev.Describe(), unbuilt)
 		}
 	}
 }

@@ -88,8 +88,17 @@ func (t *toy) HandleTransportError(ctx sm.Context, peer sm.NodeID) {
 
 func (t *toy) Neighbors() []sm.NodeID { return sm.SortedNodes(t.peers) }
 
-func (t *toy) Clone() sm.Service {
-	return &toy{self: t.self, counter: t.counter, peers: sm.CloneNodeSet(t.peers), errs: t.errs}
+func (t *toy) Clone() sm.Service { return t.CloneInto(nil) }
+
+func (t *toy) CloneInto(dst sm.Service) sm.Service {
+	out, ok := dst.(*toy)
+	if !ok {
+		out = new(toy)
+	}
+	peers := out.peers
+	*out = *t
+	out.peers = sm.CopyNodeSet(peers, t.peers)
+	return out
 }
 
 func (t *toy) EncodeState(e *sm.Encoder) {

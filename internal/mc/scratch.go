@@ -11,7 +11,8 @@ import (
 // scratch is the reusable workspace successor construction runs in: one
 // encoder for component hashing (finalize/addMsg/staleComp/resetsComp), the
 // buffering handler context with its working timer set, a re-seedable random
-// stream for edgeRNG, and the successor under construction.
+// stream for edgeRNG, the spare service handlers run on, and the successor
+// under construction.
 //
 // A successor is built in the scratch and published once. begin makes next a
 // copy of the parent whose containers are the scratch's own buffers; the
@@ -20,7 +21,13 @@ import (
 // next.Hash() is the successor's fingerprint before anything of it is on the
 // heap. publish then copies next to the heap at exact size. Nothing a
 // published state holds points into the scratch, and a successor the caller
-// does not publish — a duplicate — costs no allocation of the engine's.
+// does not publish — a duplicate — allocates nothing.
+//
+// The handler runs on the scratch's spare service (svc), which runHandler
+// refills from the executed node's with CloneInto. publish hands the spare to
+// the successor and the next build clones into a fresh one, so every
+// transition copies its service exactly once and a duplicate's copy is
+// overwritten by the next build.
 //
 // Every Expander owns one scratch (an engine's worker's, a replay's);
 // ApplyEvent and the GState construction API check one out of scratchPool
@@ -29,6 +36,12 @@ type scratch struct {
 	enc sm.Encoder
 	fx  sm.Effects
 	rnd *rand.Rand // re-seeded per edge; identical stream to a fresh sm.NewRand
+
+	// svc is the spare service: nil, or the copy the last handler ran on
+	// in a successor that was not published. onSpare says next's executed
+	// node holds it (runHandler), not a fresh service (applyReset).
+	svc     sm.Service
+	onSpare bool
 
 	// next is the successor being built. Its nodes, msgs and stale slices
 	// are buffers reused across builds.
@@ -63,7 +76,7 @@ func (sc *scratch) begin(g *GState, items int) *GState {
 	next.stale = append(next.stale[:0], g.stale...)
 	next.resets, next.hsum, next.encSize = g.resets, g.hsum, g.encSize
 	sc.items = slices.Grow(sc.items[:0], items)
-	sc.at = -1
+	sc.at, sc.onSpare = -1, false
 	return next
 }
 
@@ -82,7 +95,8 @@ func (sc *scratch) newItem(m *InFlight) *InFlight {
 
 // publish copies the successor sc built from parent to the heap and returns
 // it. It allocates the GState, its node container and the executed node's
-// NodeState. That node's timer set is copied only when it differs from the
+// NodeState, which keeps the spare service it holds: the scratch gives the
+// spare up. That node's timer set is copied only when it differs from the
 // set it replaces; otherwise the node shares it. The in-flight container is
 // the parent's, clipped, when the event neither removed nor added an item, and
 // an exact-size copy otherwise, in which each new or moved item is a heap item
@@ -96,6 +110,9 @@ func (sc *scratch) publish(parent *GState) *GState {
 	if sc.at >= 0 {
 		ns := new(NodeState)
 		*ns = sc.node
+		if sc.onSpare {
+			sc.svc, sc.onSpare = nil, false
+		}
 		if was := parent.Node(ns.id); was != nil && was.Timers.Equal(ns.Timers) {
 			ns.Timers = was.Timers
 		} else {

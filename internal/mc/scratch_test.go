@@ -9,11 +9,11 @@ import (
 
 // poisonScratch overwrites everything in sc that a successor under
 // construction points into — the item buffer, the node, in-flight and stale
-// containers up to their capacity, the executed node's state and the
-// handler's working timer set — with values no search produces. The next
-// build overwrites them all again, so poisoning between builds is harmless to
-// the search; a published state that still points into the scratch reads the
-// poison.
+// containers up to their capacity, the executed node's state, the
+// handler's working timer set and the spare service — with values no search
+// produces. The next build overwrites them all again, so poisoning between
+// builds is harmless to the search; a published state that still points into
+// the scratch, or still shares its spare service, reads the poison.
 func poisonScratch(sc *scratch) {
 	bad := newToy(97).(*toy)
 	bad.counter = 1 << 20
@@ -35,6 +35,10 @@ func poisonScratch(sc *scratch) {
 		timers[i] = "poison"
 	}
 	sc.node = *node
+	if spare, ok := sc.svc.(*toy); ok {
+		*spare = *bad
+		spare.peers[97] = true
+	}
 }
 
 // TestPublishedStatesNeverAliasScratch is the scratch-aliasing oracle. A

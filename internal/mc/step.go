@@ -116,9 +116,10 @@ func (s *Search) dispatchSends(next *GState, from sm.NodeID, sc *scratch) {
 
 // runHandler builds the successor of g for the handler ev runs at its node:
 // consumed is the index of the in-flight item the event delivers (negative
-// when it delivers none). The handler runs first, on a clone of the node's
-// service, so the successor is begun knowing how many items it can gain: one
-// per send, and one per queue-mate of the consumed item that moves up.
+// when it delivers none). The handler runs first, on the node's service
+// cloned into the scratch's spare, so the successor is begun knowing how many
+// items it can gain: one per send, and one per queue-mate of the consumed
+// item that moves up.
 //
 //crystal:hotpath
 func (s *Search) runHandler(g *GState, ev sm.Event, consumed int, sc *scratch) *GState {
@@ -128,7 +129,8 @@ func (s *Search) runHandler(g *GState, ev sm.Event, consumed int, sc *scratch) *
 		return nil
 	}
 	ns := g.nodes[i]
-	svc := ns.Svc.Clone()
+	svc := ns.Svc.CloneInto(sc.svc)
+	sc.svc = svc
 	fx := &sc.fx
 	fx.Begin(node, ns.Timers, edgeRNG(s.cfg.Seed, ns, ev, sc))
 	sm.Deliver(svc, fx, ev)
@@ -140,6 +142,7 @@ func (s *Search) runHandler(g *GState, ev sm.Event, consumed int, sc *scratch) *
 	// All mutations applied: freeze the clone with the handler's timer set
 	// and swap it into the fingerprint.
 	next.setNode(node, svc, fx.Timers, sc)
+	sc.onSpare = true
 	return next
 }
 

@@ -19,8 +19,16 @@ func (f *fakeSvc) HandleTimer(sm.Context, sm.TimerID)              {}
 func (f *fakeSvc) HandleApp(sm.Context, sm.AppCall)                {}
 func (f *fakeSvc) HandleTransportError(sm.Context, sm.NodeID)      {}
 func (f *fakeSvc) Neighbors() []sm.NodeID                          { return nil }
-func (f *fakeSvc) Clone() sm.Service                               { return &fakeSvc{self: f.self, val: f.val} }
-func (f *fakeSvc) EncodeState(e *sm.Encoder)                       { e.NodeID(f.self); e.Int(f.val) }
+func (f *fakeSvc) Clone() sm.Service                               { return f.CloneInto(nil) }
+func (f *fakeSvc) CloneInto(dst sm.Service) sm.Service {
+	out, ok := dst.(*fakeSvc)
+	if !ok {
+		out = new(fakeSvc)
+	}
+	*out = *f
+	return out
+}
+func (f *fakeSvc) EncodeState(e *sm.Encoder) { e.NodeID(f.self); e.Int(f.val) }
 func (f *fakeSvc) DecodeState(d *sm.Decoder) error {
 	f.self = d.NodeID()
 	f.val = d.Int()

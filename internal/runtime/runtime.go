@@ -102,13 +102,15 @@ type Node struct {
 	iscProps props.Set
 	iscView  func() *props.View
 	iscOn    bool
-	// iscFx buffers the speculative execution's effects and iscPost/iscPre
-	// are its evaluation views, all reused across every ISC check this node
+	// iscFx buffers the speculative execution's effects, iscSpare is the
+	// service copy the handler runs on, and iscPost/iscPre are its
+	// evaluation views, all reused across every ISC check this node
 	// performs (the check runs on the single simulator goroutine). Only the
 	// containers are reused; their contents are refilled per check.
-	iscFx   sm.Effects
-	iscPost *props.View
-	iscPre  *props.View
+	iscFx    sm.Effects
+	iscSpare sm.Service
+	iscPost  *props.View
+	iscPre   *props.View
 
 	// OnEvent, if set, runs after every executed handler; experiment
 	// harnesses use it to evaluate ground-truth properties per action.
@@ -342,8 +344,9 @@ func (n *Node) SendControl(to sm.NodeID, payload any, size int) {
 		size+envelopeHeader, simnet.KindCheckpoint)
 }
 
-// iscBlocks speculatively executes ev's handler on a cloned state machine
-// and reports whether the immediate safety check vetoes the real execution.
+// iscBlocks speculatively executes ev's handler on a copy of the state
+// machine and reports whether the immediate safety check vetoes the real
+// execution.
 // The veto applies only to violations the handler would *introduce*:
 // properties already violated before the handler runs (a pre-existing
 // inconsistency the protocol may be in the middle of repairing) do not
@@ -361,7 +364,10 @@ func (n *Node) iscBlocks(ev sm.Event) bool {
 	pending := n.TimerSet()
 	spec := &n.iscFx
 	spec.Begin(n.ID, pending, n.invocationRNG())
-	specSvc := n.svc.Clone()
+	// The copy is the node's spare: the previous check's post view still
+	// references it, but that view is Reset before it is filled again.
+	specSvc := n.svc.CloneInto(n.iscSpare)
+	n.iscSpare = specSvc
 	if !sm.Deliver(specSvc, spec, ev) {
 		return false
 	}

@@ -184,7 +184,13 @@ func TestISCBlocksUnsafeHandler(t *testing.T) {
 type quitter struct{ *testsvc.Svc }
 
 func (q quitter) HandleTimer(ctx sm.Context, t sm.TimerID) { q.Gossips++ }
-func (q quitter) Clone() sm.Service                        { return quitter{q.Svc.Clone().(*testsvc.Svc)} }
+func (q quitter) Clone() sm.Service                        { return q.CloneInto(nil) }
+
+// CloneInto keeps the copy a quitter: the embedded Svc's would return it bare.
+func (q quitter) CloneInto(dst sm.Service) sm.Service {
+	d, _ := dst.(quitter)
+	return quitter{q.Svc.CloneInto(d.Svc).(*testsvc.Svc)}
+}
 
 // TestISCVetoesTimerHandlerThatDropsItsTimer: the ISC judges a timer event
 // against the state the handler starts from, in which the firing timer is

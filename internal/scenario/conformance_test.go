@@ -149,7 +149,13 @@ func (f fuse) HandleTimer(ctx sm.Context, t sm.TimerID) {
 	}
 	f.Gossips++
 }
-func (f fuse) Clone() sm.Service { return fuse{f.Svc.Clone().(*testsvc.Svc)} }
+func (f fuse) Clone() sm.Service { return f.CloneInto(nil) }
+
+// CloneInto keeps the copy a fuse: the embedded Svc's would return it bare.
+func (f fuse) CloneInto(dst sm.Service) sm.Service {
+	d, _ := dst.(fuse)
+	return fuse{f.Svc.CloneInto(d.Svc).(*testsvc.Svc)}
+}
 
 // TestCheckerMatchesRuntimeOnTimers: none of the randomness-free scenarios
 // above sets a timer, so the one-shot rule — a fired timer is gone unless its

@@ -658,16 +658,25 @@ func (b *Bullet) Neighbors() []sm.NodeID { return b.mesh }
 // Progress reports how many blocks the node holds.
 func (b *Bullet) Progress() int { return b.have().count() }
 
-// Clone implements sm.Service: the struct and the three slices a handler
-// writes (mesh is replaced, never written, and cfg is read-only).
+// Clone implements sm.Service.
+func (b *Bullet) Clone() sm.Service { return b.CloneInto(nil) }
+
+// CloneInto implements sm.Service: the struct and the three slices a handler
+// writes, into dst's (mesh is replaced, never written, and cfg is
+// read-only, so both are shared).
 //
 //crystal:hotpath
-func (b *Bullet) Clone() sm.Service {
-	cp := *b
-	cp.table = slices.Clone(b.table)
-	cp.arena = slices.Clone(b.arena)
-	cp.requested = slices.Clone(b.requested)
-	return &cp
+func (b *Bullet) CloneInto(dst sm.Service) sm.Service {
+	out, ok := dst.(*Bullet)
+	if !ok {
+		out = new(Bullet)
+	}
+	table, arena, requested := out.table, out.arena, out.requested
+	*out = *b
+	out.table = append(table[:0], b.table...)
+	out.arena = append(arena[:0], b.arena...)
+	out.requested = append(requested[:0], b.requested...)
+	return out
 }
 
 // EncodeState implements sm.Service. The wire form is the one the six maps

@@ -463,15 +463,19 @@ func (r *Ring) Neighbors() []sm.NodeID {
 }
 
 // Clone implements sm.Service.
-func (r *Ring) Clone() sm.Service {
-	return &Ring{
-		Self:    r.Self,
-		Joined:  r.Joined,
-		Joining: r.Joining,
-		Pred:    r.Pred,
-		Succs:   sm.CloneNodeSlice(r.Succs),
-		cfg:     r.cfg,
+func (r *Ring) Clone() sm.Service { return r.CloneInto(nil) }
+
+// CloneInto implements sm.Service: dst's struct and successor list are
+// reused.
+func (r *Ring) CloneInto(dst sm.Service) sm.Service {
+	out, ok := dst.(*Ring)
+	if !ok {
+		out = new(Ring)
 	}
+	succs := out.Succs
+	*out = *r
+	out.Succs = append(succs[:0], r.Succs...)
+	return out
 }
 
 // EncodeState implements sm.Service.

@@ -220,12 +220,9 @@ func (l *opLog) DeliveredSum() uint64 {
 	return s
 }
 
-func (l *opLog) clone() opLog {
-	out := opLog{Seq: l.Seq, Delivered: make(map[OpID]bool, len(l.Delivered))}
-	for id := range l.Delivered {
-		out.Delivered[id] = true
-	}
-	return out
+// cloneInto returns a copy of l whose delivered set is dst's, refilled.
+func (l *opLog) cloneInto(dst opLog) opLog {
+	return opLog{Seq: l.Seq, Delivered: sm.CopyMap(dst.Delivered, l.Delivered)}
 }
 
 // sortedOps returns the delivered ops in (origin, seq) order for stable

@@ -172,17 +172,20 @@ func (c *Counter) ModelAppCalls() []sm.AppCall {
 func (c *Counter) Neighbors() []sm.NodeID { return others(c.Members, c.Self) }
 
 // Clone implements sm.Service.
-func (c *Counter) Clone() sm.Service {
-	out := &Counter{
-		opLog:   c.opLog.clone(),
-		Self:    c.Self,
-		Members: sm.CloneNodeSlice(c.Members),
-		Fixed:   c.Fixed,
-		Counts:  make(map[sm.NodeID]int64, len(c.Counts)),
+func (c *Counter) Clone() sm.Service { return c.CloneInto(nil) }
+
+// CloneInto implements sm.Service: dst's struct, delivered set, member list
+// and count vector are reused.
+func (c *Counter) CloneInto(dst sm.Service) sm.Service {
+	out, ok := dst.(*Counter)
+	if !ok {
+		out = new(Counter)
 	}
-	for n, v := range c.Counts {
-		out.Counts[n] = v
-	}
+	log, members, counts := out.opLog, out.Members, out.Counts
+	*out = *c
+	out.opLog = c.opLog.cloneInto(log)
+	out.Members = append(members[:0], c.Members...)
+	out.Counts = sm.CopyMap(counts, c.Counts)
 	return out
 }
 

@@ -176,18 +176,20 @@ func (m *Map) ModelAppCalls() []sm.AppCall {
 func (m *Map) Neighbors() []sm.NodeID { return others(m.Members, m.Self) }
 
 // Clone implements sm.Service.
-func (m *Map) Clone() sm.Service {
-	out := &Map{
-		opLog:   m.opLog.clone(),
-		Self:    m.Self,
-		Members: sm.CloneNodeSlice(m.Members),
-		Fixed:   m.Fixed,
-		Clock:   m.Clock,
-		Entries: make(map[string]entry, len(m.Entries)),
+func (m *Map) Clone() sm.Service { return m.CloneInto(nil) }
+
+// CloneInto implements sm.Service: dst's struct, delivered set, member list
+// and entries are reused.
+func (m *Map) CloneInto(dst sm.Service) sm.Service {
+	out, ok := dst.(*Map)
+	if !ok {
+		out = new(Map)
 	}
-	for k, e := range m.Entries {
-		out.Entries[k] = e
-	}
+	log, members, entries := out.opLog, out.Members, out.Entries
+	*out = *m
+	out.opLog = m.opLog.cloneInto(log)
+	out.Members = append(members[:0], m.Members...)
+	out.Entries = sm.CopyMap(entries, m.Entries)
 	return out
 }
 

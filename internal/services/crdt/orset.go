@@ -235,26 +235,33 @@ func (s *Set) ModelAppCalls() []sm.AppCall {
 func (s *Set) Neighbors() []sm.NodeID { return others(s.Members, s.Self) }
 
 // Clone implements sm.Service.
-func (s *Set) Clone() sm.Service {
-	out := &Set{
-		opLog:   s.opLog.clone(),
-		Self:    s.Self,
-		Members: sm.CloneNodeSlice(s.Members),
-		Fixed:   s.Fixed,
-		Live:    make(map[string]map[OpID]bool, len(s.Live)),
-		Tombs:   make(map[OpID]bool, len(s.Tombs)),
+func (s *Set) Clone() sm.Service { return s.CloneInto(nil) }
+
+// CloneInto implements sm.Service: dst's struct, delivered set, member list,
+// tombstones and live map are reused; an element's tag set survives only
+// under the same element.
+func (s *Set) CloneInto(dst sm.Service) sm.Service {
+	out, ok := dst.(*Set)
+	if !ok {
+		out = new(Set)
 	}
-	//crystal:allow(maporder) deep-copies into maps keyed by the iterated elements; the copy is identical whatever the order
-	for elem, tags := range s.Live {
-		m := make(map[OpID]bool, len(tags))
-		for t := range tags {
-			m[t] = true
+	log, members, live, tombs := out.opLog, out.Members, out.Live, out.Tombs
+	*out = *s
+	out.opLog = s.opLog.cloneInto(log)
+	out.Members = append(members[:0], s.Members...)
+	out.Tombs = sm.CopyMap(tombs, s.Tombs)
+	if live == nil {
+		live = make(map[string]map[OpID]bool, len(s.Live))
+	}
+	for elem := range live {
+		if _, keep := s.Live[elem]; !keep {
+			delete(live, elem)
 		}
-		out.Live[elem] = m
 	}
-	for t := range s.Tombs {
-		out.Tombs[t] = true
+	for elem, tags := range s.Live {
+		live[elem] = sm.CopyMap(live[elem], tags)
 	}
+	out.Live = live
 	return out
 }
 

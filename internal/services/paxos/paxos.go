@@ -396,33 +396,36 @@ func (p *Paxos) RestoreStable(data []byte) {
 }
 
 // Clone implements sm.Service.
-func (p *Paxos) Clone() sm.Service {
-	var learns map[uint64]map[sm.NodeID]int64
+func (p *Paxos) Clone() sm.Service { return p.CloneInto(nil) }
+
+// CloneInto implements sm.Service: dst's struct, promise and chosen lists
+// and learn maps are reused; a round's sender map survives only under the
+// same round.
+func (p *Paxos) CloneInto(dst sm.Service) sm.Service {
+	out, ok := dst.(*Paxos)
+	if !ok {
+		out = new(Paxos)
+	}
+	promises, learns, chosen := out.Promises, out.Learns, out.ChosenVals
+	*out = *p
+	out.Promises = append(promises[:0], p.Promises...)
+	out.ChosenVals = append(chosen[:0], p.ChosenVals...)
+	out.Learns = nil
 	if len(p.Learns) > 0 {
-		learns = make(map[uint64]map[sm.NodeID]int64, len(p.Learns))
-		for r, senders := range p.Learns {
-			cp := make(map[sm.NodeID]int64, len(senders))
-			for n, v := range senders {
-				cp[n] = v
-			}
-			learns[r] = cp
+		if learns == nil {
+			learns = make(map[uint64]map[sm.NodeID]int64, len(p.Learns))
 		}
+		for r := range learns {
+			if _, keep := p.Learns[r]; !keep {
+				delete(learns, r)
+			}
+		}
+		for r, senders := range p.Learns {
+			learns[r] = sm.CopyMap(learns[r], senders)
+		}
+		out.Learns = learns
 	}
-	return &Paxos{
-		Self:          p.Self,
-		PromisedRound: p.PromisedRound,
-		AcceptedRound: p.AcceptedRound,
-		AcceptedVal:   p.AcceptedVal,
-		HasAccepted:   p.HasAccepted,
-		CurRound:      p.CurRound,
-		Proposing:     p.Proposing,
-		ProposeVal:    p.ProposeVal,
-		AcceptSent:    p.AcceptSent,
-		Promises:      append([]promiseInfo(nil), p.Promises...),
-		Learns:        learns,
-		ChosenVals:    append([]int64(nil), p.ChosenVals...),
-		cfg:           p.cfg,
-	}
+	return out
 }
 
 // EncodeState implements sm.Service.

@@ -511,19 +511,21 @@ func (t *Tree) Neighbors() []sm.NodeID {
 }
 
 // Clone implements sm.Service.
-func (t *Tree) Clone() sm.Service {
-	return &Tree{
-		Self:     t.Self,
-		Joined:   t.Joined,
-		Joining:  t.Joining,
-		IsRoot:   t.IsRoot,
-		Root:     t.Root,
-		Parent:   t.Parent,
-		Children: sm.CloneNodeSet(t.Children),
-		Siblings: sm.CloneNodeSet(t.Siblings),
-		Peers:    sm.CloneNodeSet(t.Peers),
-		cfg:      t.cfg,
+func (t *Tree) Clone() sm.Service { return t.CloneInto(nil) }
+
+// CloneInto implements sm.Service: dst's struct and three node sets are
+// reused.
+func (t *Tree) CloneInto(dst sm.Service) sm.Service {
+	out, ok := dst.(*Tree)
+	if !ok {
+		out = new(Tree)
 	}
+	children, siblings, peers := out.Children, out.Siblings, out.Peers
+	*out = *t
+	out.Children = sm.CopyNodeSet(children, t.Children)
+	out.Siblings = sm.CopyNodeSet(siblings, t.Siblings)
+	out.Peers = sm.CopyNodeSet(peers, t.Peers)
+	return out
 }
 
 // EncodeState implements sm.Service.

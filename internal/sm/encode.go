@@ -335,16 +335,36 @@ func HashService(s Service) uint64 {
 	return e.Hash()
 }
 
-// CloneNodeSet deep-copies a node set; a convenience for Service.Clone
+// CopyNodeSet makes dst a copy of set and returns it: dst is cleared and
+// refilled, or made when nil; a convenience for Service.CloneInto
 // implementations.
-func CloneNodeSet(set map[NodeID]bool) map[NodeID]bool {
-	out := make(map[NodeID]bool, len(set))
+func CopyNodeSet(dst, set map[NodeID]bool) map[NodeID]bool {
+	if dst == nil {
+		dst = make(map[NodeID]bool, len(set))
+	} else {
+		clear(dst)
+	}
 	for k, v := range set {
 		if v {
-			out[k] = true
+			dst[k] = true
 		}
 	}
-	return out
+	return dst
+}
+
+// CopyMap makes dst a copy of src and returns it: dst is cleared and
+// refilled, or made when nil; a convenience for Service.CloneInto
+// implementations.
+func CopyMap[K comparable, V any](dst, src map[K]V) map[K]V {
+	if dst == nil {
+		dst = make(map[K]V, len(src))
+	} else {
+		clear(dst)
+	}
+	for k, v := range src {
+		dst[k] = v
+	}
+	return dst
 }
 
 // CloneNodeSlice copies a node slice.

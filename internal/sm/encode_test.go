@@ -165,10 +165,14 @@ func TestSortedNodes(t *testing.T) {
 
 func TestCloneNodeSetIndependence(t *testing.T) {
 	orig := map[NodeID]bool{1: true, 2: true}
-	cp := CloneNodeSet(orig)
+	cp := CopyNodeSet(nil, orig)
 	cp[3] = true
 	delete(cp, 1)
 	if !orig[1] || orig[3] {
 		t.Fatal("clone mutated the original")
+	}
+	// Copied into a set that held other nodes, the copy keeps none of them.
+	if got := CopyNodeSet(cp, orig); !reflect.DeepEqual(got, orig) {
+		t.Fatalf("copy into a used set = %v, want %v", got, orig)
 	}
 }

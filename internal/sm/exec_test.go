@@ -43,8 +43,18 @@ func (p *probe) HandleApp(ctx Context, call AppCall) {
 func (p *probe) HandleTransportError(ctx Context, peer NodeID) {
 	p.calls = append(p.calls, "error "+peer.String())
 }
-func (p *probe) Neighbors() []NodeID          { return nil }
-func (p *probe) Clone() Service               { c := *p; return &c }
+func (p *probe) Neighbors() []NodeID { return nil }
+func (p *probe) Clone() Service      { return p.CloneInto(nil) }
+func (p *probe) CloneInto(dst Service) Service {
+	out, ok := dst.(*probe)
+	if !ok {
+		out = new(probe)
+	}
+	calls := out.calls
+	*out = *p
+	out.calls = append(calls[:0], p.calls...)
+	return out
+}
 func (p *probe) EncodeState(e *Encoder)       {}
 func (p *probe) DecodeState(d *Decoder) error { return nil }
 func (p *probe) ServiceName() string          { return "probe" }

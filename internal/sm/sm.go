@@ -119,9 +119,21 @@ type Service interface {
 	// its properties.
 	Neighbors() []NodeID
 
-	// Clone returns a deep copy sharing no mutable state; used by the
-	// model checker and the immediate safety check.
+	// Clone returns a deep copy sharing no mutable state. Every
+	// implementation is exactly `return x.CloneInto(nil)`, so a service
+	// has one copy body.
 	Clone() Service
+	// CloneInto writes a deep copy of the receiver into dst and returns it;
+	// the model checker and the immediate safety check run every handler on
+	// such a copy. dst is nil or a value the caller owns exclusively, and
+	// never the receiver. When dst has the receiver's concrete type its
+	// struct, slices and maps are reused; otherwise (nil included) the copy
+	// is allocated. The result shares no mutable state with the receiver
+	// and keeps nothing of dst's earlier contents: every map and slice is
+	// cleared before it is refilled. A type that embeds a service declares
+	// its own CloneInto, or the embedded one's is promoted and returns the
+	// bare embedded service (crystalvet's cloneinto pass).
+	CloneInto(dst Service) Service
 	// EncodeState writes the entire service state in a stable binary
 	// form; used for hashing and checkpoints.
 	EncodeState(e *Encoder)

@@ -115,15 +115,20 @@ func (s *Svc) HandleTransportError(ctx sm.Context, peer sm.NodeID) {
 func (s *Svc) Neighbors() []sm.NodeID { return sm.SortedNodes(s.Peers) }
 
 // Clone implements sm.Service.
-func (s *Svc) Clone() sm.Service {
-	return &Svc{
-		Self:    s.Self,
-		N:       s.N,
-		Peers:   sm.CloneNodeSet(s.Peers),
-		Errors:  s.Errors,
-		Inits:   s.Inits,
-		Gossips: s.Gossips,
+func (s *Svc) Clone() sm.Service { return s.CloneInto(nil) }
+
+// CloneInto implements sm.Service: dst's struct and peer set are reused. A
+// nil *Svc is accepted as dst, so a wrapper service can pass the *Svc it
+// holds, or its zero value's.
+func (s *Svc) CloneInto(dst sm.Service) sm.Service {
+	out, ok := dst.(*Svc)
+	if !ok || out == nil {
+		out = new(Svc)
 	}
+	peers := out.Peers
+	*out = *s
+	out.Peers = sm.CopyNodeSet(peers, s.Peers)
+	return out
 }
 
 // EncodeState implements sm.Service.

@@ -3,6 +3,7 @@ package mc
 import (
 	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -90,22 +91,41 @@ type CapRun struct {
 	Transitions, Violations int
 }
 
+// Checked is what a state-bounded serial search checked and found: the
+// states it admitted — their number and the wrapping sum of their
+// fingerprints — the depth it reached, and its violations' signatures in
+// report order.
+type Checked struct {
+	States     int
+	Sum        uint64
+	Depth      int
+	Signatures string
+}
+
 // StateBudgetRun runs cfg from start under Budget{States: states, Depth:
 // depth} and checks what holds at every worker count: after every bucket no
 // more nodes are queued than the budget can still admit (plus the workers-1
 // the engine may admit out of order), and a search the budget cut short
 // explored exactly states states and ends Exhausted for that reason — while
-// one that ran out of states first does not.
-func StateBudgetRun(t *testing.T, cfg Config, start *GState, states, depth, workers int) CapRun {
+// one that ran out of states first does not. It returns what the search
+// claimed and what it checked; with one worker every queued state is
+// admitted, so the states queued after each bucket are the states checked.
+func StateBudgetRun(t *testing.T, cfg Config, start *GState, states, depth, workers int) (CapRun, Checked) {
 	t.Helper()
 	cfg.Budget = Budget{States: states, Depth: depth, Workers: workers}
 	s := NewSearch(cfg)
 	e := s.NewEngine(cfg.Budget, HashRange{}, nil)
 	e.Inject(Forward{State: start})
+	checked, level := Checked{States: 1, Sum: start.Hash()}, 0
 	if err := e.Drain(func() error {
 		if left := states - e.bdg.statesAdmitted(); e.fr.count > left+workers-1 {
 			t.Fatalf("States=%d workers=%d: %d nodes queued with %d units of the budget left", states, workers, e.fr.count, left)
 		}
+		level++
+		e.queuedAt(level, func(r Ref, _ *held) {
+			checked.States++
+			checked.Sum += r.Hash()
+		})
 		return nil
 	}); err != nil {
 		t.Fatal(err)
@@ -115,6 +135,9 @@ func StateBudgetRun(t *testing.T, cfg Config, start *GState, states, depth, work
 	if cut := e.Claimed() > res.StatesExplored; cut != e.Exhausted() || cut != (res.StopReason == "states") || (cut && res.StatesExplored != states) {
 		t.Fatalf("States=%d workers=%d: claimed %d, explored %d, exhausted %v, stop %q", states, workers, e.Claimed(), res.StatesExplored, e.Exhausted(), res.StopReason)
 	}
+	if workers == 1 && checked.States != res.StatesExplored {
+		t.Fatalf("States=%d: %d states queued, %d explored", states, checked.States, res.StatesExplored)
+	}
 	run := CapRun{Claimed: e.Claimed(), Locals: res.DistinctLocalStates, Transitions: res.Transitions, Violations: len(res.Violations)}
 	for _, h := range e.ClaimedStates() {
 		run.ClaimedSum += h
@@ -122,7 +145,59 @@ func StateBudgetRun(t *testing.T, cfg Config, start *GState, states, depth, work
 	for _, h := range e.LocalStates() {
 		run.LocalSum += h
 	}
-	return run
+	checked.Depth = res.MaxDepthReached
+	sigs := make([]string, len(res.Violations))
+	for i, v := range res.Violations {
+		sigs[i] = v.Signature()
+	}
+	checked.Signatures = strings.Join(sigs, "; ")
+	return run, checked
+}
+
+// CheckCapStopsQueueing runs cfg from start under Budget{States: states} at
+// 1 and 4 workers with the claim window at 1, 7 and the default, and fails
+// if a claim pass after the one that first kept a claimed child out of the
+// queue (Engine.capped) queues a child: from then on no depth's queue grows.
+// Every run must be capped, and must end at the state budget.
+func CheckCapStopsQueueing(t *testing.T, cfg Config, start *GState, states int) {
+	t.Helper()
+	for _, workers := range []int{1, 4} {
+		for _, window := range []int{1, 7, claimWindow} {
+			cfg.Budget = Budget{States: states, Workers: workers}
+			s := NewSearch(cfg)
+			e := s.NewEngine(cfg.Budget, HashRange{}, nil)
+			e.window = window
+			e.Inject(Forward{State: start})
+			// Each depth's queue after the last claim pass; nil until capped.
+			var lens []int
+			e.windowDone = func() {
+				for d := range e.fr.buckets {
+					if lens == nil {
+						break
+					}
+					was := 0
+					if d < len(lens) {
+						was = lens[d]
+					}
+					if e.fr.len(d) > was {
+						t.Fatalf("workers=%d window=%d: a claim pass after the cap queued %d children at depth %d", workers, window, e.fr.len(d)-was, d)
+					}
+				}
+				if e.capped {
+					lens = make([]int, len(e.fr.buckets))
+					for d := range lens {
+						lens[d] = e.fr.len(d)
+					}
+				}
+			}
+			if err := e.Drain(nil); err != nil {
+				t.Fatal(err)
+			}
+			if res := e.Result(); !e.capped || res.StopReason != "states" || res.StatesExplored != states {
+				t.Fatalf("workers=%d window=%d: capped %v, %d states explored, stop %q: want a run the cap ends", workers, window, e.capped, res.StatesExplored, res.StopReason)
+			}
+		}
+	}
 }
 
 // CountInternal is the enumeration's count-only mode over every node of g:

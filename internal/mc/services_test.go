@@ -303,14 +303,68 @@ func TestStateBudgetCapsQueuePaxos(t *testing.T) {
 		{mc.Consequence, 1000, mc.CapRun{Claimed: 2453, Locals: 289, ClaimedSum: 0x8307813640014876, LocalSum: 0xdba4a26803baa063, Transitions: 3299, Violations: 0}},
 	} {
 		cfg.Mode = tc.mode
-		if got := mc.StateBudgetRun(t, cfg, start, tc.states, 0, 1); got != tc.want {
+		if got, _ := mc.StateBudgetRun(t, cfg, start, tc.states, 0, 1); got != tc.want {
 			t.Errorf("%v States=%d: %+v, recorded %+v", tc.mode, tc.states, got, tc.want)
 		}
 		mc.StateBudgetRun(t, cfg, start, tc.states, 0, 4)
 	}
 	cfg.Mode = mc.Exhaustive
-	if got := mc.StateBudgetRun(t, cfg, start, 100000, 4, 1); got.Claimed > 1000 {
+	if got, _ := mc.StateBudgetRun(t, cfg, start, 100000, 4, 1); got.Claimed > 1000 {
 		t.Fatalf("%d states within depth 4, want a space the budget does not cut", got.Claimed)
+	}
+}
+
+// TestCappedRunsCheckRecordedStates is the checked-set oracle on the
+// TestStateBudgetCapsQueuePaxos cases and on two capped inputs at benchmark
+// size — paxos-consequence at 150,000 states and bulletprime, three nodes,
+// exhaustive at 100,000: each serial run admits and checks exactly the states
+// it did before the cap stopped building children. Their number and
+// fingerprint sum, the depth reached and the violations' signatures were
+// recorded on the commit that still built them.
+func TestCappedRunsCheckRecordedStates(t *testing.T) {
+	paxosCfg, paxosStart := paxosExhaustiveStart()
+	paxosCfg.Reduce = true
+	type input struct {
+		cfg   mc.Config
+		start *mc.GState
+	}
+	paxosIn := func(mode mc.Mode) input {
+		cfg := paxosCfg
+		cfg.Mode = mode
+		return input{cfg, paxosStart}
+	}
+	scenarioIn := func(service string, nodes int, mode mc.Mode) input {
+		cfg, start := benchInput(t, service, nodes, mode, mc.Budget{})
+		return input{cfg, start}
+	}
+	for _, tc := range []struct {
+		name   string
+		in     input
+		states int
+		want   mc.Checked
+	}{
+		{"paxos exhaustive", paxosIn(mc.Exhaustive), 10, mc.Checked{States: 10, Sum: 0xa5a6216a715d4983, Depth: 2}},
+		{"paxos exhaustive", paxosIn(mc.Exhaustive), 100, mc.Checked{States: 100, Sum: 0xdebf6b18eb9ee7b8, Depth: 3}},
+		{"paxos exhaustive", paxosIn(mc.Exhaustive), 1000, mc.Checked{States: 1000, Sum: 0xf2a4e3b4e0aa20a5, Depth: 5}},
+		{"paxos consequence", paxosIn(mc.Consequence), 10, mc.Checked{States: 10, Sum: 0x8b1d0a3c741beb66, Depth: 2}},
+		{"paxos consequence", paxosIn(mc.Consequence), 100, mc.Checked{States: 100, Sum: 0x89b1a5e415732b5c, Depth: 4}},
+		{"paxos consequence", paxosIn(mc.Consequence), 1000, mc.Checked{States: 1000, Sum: 0x896802f16e2fbd83, Depth: 7}},
+		{"paxos-consequence", scenarioIn("paxos", 5, mc.Consequence), 150000, mc.Checked{States: 150000, Sum: 0xe4b5a5bc9d0c4144, Depth: 8}},
+		{"bulletprime exhaustive", scenarioIn("bulletprime", 3, mc.Exhaustive), 100000, mc.Checked{States: 100000, Sum: 0xc86b08699c2ec46a, Depth: 38, Signatures: "SenderReceiverFileMapsAgree|msg:Peering; SenderReceiverFileMapsAgree|msg:PeeringAck"}},
+	} {
+		if _, got := mc.StateBudgetRun(t, tc.in.cfg, tc.in.start, tc.states, 0, 1); got != tc.want {
+			t.Errorf("%s States=%d: checked %#v, recorded %#v", tc.name, tc.states, got, tc.want)
+		}
+	}
+}
+
+// TestCapStopsQueueingPaxos is TestCapStopsQueueingToy on paxos.
+func TestCapStopsQueueingPaxos(t *testing.T) {
+	cfg, start := paxosExhaustiveStart()
+	cfg.Reduce = true
+	for _, mode := range []mc.Mode{mc.Exhaustive, mc.Consequence} {
+		cfg.Mode = mode
+		mc.CheckCapStopsQueueing(t, cfg, start, 1000)
 	}
 }
 

@@ -226,7 +226,7 @@ func TestStateBudgetCapsQueueToy(t *testing.T) {
 		{Consequence, 1000, CapRun{Claimed: 3360, Locals: 15, ClaimedSum: 0x4738808334dc6cd2, LocalSum: 0x70db91f13440ae56, Transitions: 10132, Violations: 1}},
 	} {
 		cfg.Mode = tc.mode
-		if got := StateBudgetRun(t, cfg, wideStart(), tc.states, 0, 1); got != tc.want {
+		if got, _ := StateBudgetRun(t, cfg, wideStart(), tc.states, 0, 1); got != tc.want {
 			t.Errorf("%v States=%d: %+v, recorded %+v", tc.mode, tc.states, got, tc.want)
 		}
 		StateBudgetRun(t, cfg, wideStart(), tc.states, 0, 4)
@@ -234,9 +234,46 @@ func TestStateBudgetCapsQueueToy(t *testing.T) {
 	for _, mode := range []Mode{Exhaustive, Consequence} {
 		cfg.Mode = mode
 		for _, workers := range []int{1, 4} {
-			if got := StateBudgetRun(t, cfg, wideStart(), 100000, 4, workers); got.Claimed > 5000 {
+			if got, _ := StateBudgetRun(t, cfg, wideStart(), 100000, 4, workers); got.Claimed > 5000 {
 				t.Fatalf("%v: %d states within depth 4, want a space the budget does not cut", mode, got.Claimed)
 			}
 		}
+	}
+}
+
+// TestCappedRunsCheckRecordedStatesToy is the checked-set oracle on the
+// TestStateBudgetCapsQueueToy cases: each serial capped run admits and checks
+// exactly the states it did before the cap stopped building children — their
+// number and fingerprint sum, the depth reached and the violations'
+// signatures were recorded on the commit that still built them.
+func TestCappedRunsCheckRecordedStatesToy(t *testing.T) {
+	cfg := Config{Props: poisonAt(3), Factory: newToy, ExploreResets: true, Reduce: true}
+	for _, tc := range []struct {
+		mode   Mode
+		states int
+		want   Checked
+	}{
+		{Exhaustive, 10, Checked{States: 10, Sum: 0x45f456f78d8f9483, Depth: 1}},
+		{Exhaustive, 100, Checked{States: 100, Sum: 0x48073d225b4b5fab, Depth: 2}},
+		{Exhaustive, 1000, Checked{States: 1000, Sum: 0xd9ca054b1073d982, Depth: 4, Signatures: "CounterBelowLimit|msg:Ping"}},
+		{Consequence, 10, Checked{States: 10, Sum: 0x45f456f78d8f9483, Depth: 1}},
+		{Consequence, 100, Checked{States: 100, Sum: 0x61b500c74ea50a5d, Depth: 2}},
+		{Consequence, 1000, Checked{States: 1000, Sum: 0x24d28249dc8da1eb, Depth: 4, Signatures: "CounterBelowLimit|msg:Ping"}},
+	} {
+		cfg.Mode = tc.mode
+		if _, got := StateBudgetRun(t, cfg, wideStart(), tc.states, 0, 1); got != tc.want {
+			t.Errorf("%v States=%d: checked %#v, recorded %#v", tc.mode, tc.states, got, tc.want)
+		}
+	}
+}
+
+// TestCapStopsQueueingToy: once the state budget keeps a claimed child out of
+// the queue, no later claim pass queues one, at any worker count and claim
+// window (CheckCapStopsQueueing) — what lets a capped engine stop building.
+func TestCapStopsQueueingToy(t *testing.T) {
+	cfg := Config{Props: poisonAt(3), Factory: newToy, ExploreResets: true, Reduce: true}
+	for _, mode := range []Mode{Exhaustive, Consequence} {
+		cfg.Mode = mode
+		CheckCapStopsQueueing(t, cfg, wideStart(), 1000)
 	}
 }

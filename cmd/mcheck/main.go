@@ -79,7 +79,7 @@ func main() {
 		nodes       = flag.Int("nodes", 5, "number of nodes in the initial state")
 		mode        = flag.String("mode", "consequence", "search mode (exhaustive|consequence)")
 		maxDepth    = flag.Int("maxdepth", 0, "depth bound (0 = unbounded)")
-		maxStates   = flag.Int("states", 500000, "state budget")
+		maxStates   = flag.Int("states", 500000, "states to check")
 		maxWall     = flag.Duration("wall", time.Minute, "wall-clock budget")
 		resets      = flag.Bool("resets", false, "explore node resets (default: the scenario's fault model)")
 		connBreaks  = flag.Bool("connbreaks", false, "explore spontaneous connection breaks (default: the scenario's fault model)")

@@ -239,7 +239,14 @@ func (f *frontier) popBucket() (*slab[held], int) {
 // when its bucket is drained, where an unchecked leaf would be. And a child
 // with at least as many states queued ahead of it as Budget.States has units
 // left can never be admitted: it enters the tables and the tree but not the
-// queue, and the engine ends Exhausted once that queue drains.
+// queue, and the engine ends Exhausted once that queue drains. Nor can any
+// child claimed after it: each later admission spends one unit and takes one
+// state off what is queued ahead, and a queue never shrinks while its
+// bucket is claimed into, so the refusal holds for every later window and
+// bucket. A capped engine that owns the whole space therefore expands
+// nothing further: it admits, checks and reports every queued state and
+// builds no successor. A shard's cap is its own range's, so a sharded engine
+// keeps forwarding.
 //
 // visited maps a fingerprint to the tree entry that claimed it, whose depth
 // is the minimal depth it was claimed at; a strictly shallower arrival
@@ -282,7 +289,7 @@ type Engine struct {
 	// (the wall deadline is read every claimClockEvery of them), sibIDs is
 	// the claim pass's cache of one parent's interned sibling keys, and
 	// capped records that the state budget kept a claimed child out of the
-	// queue.
+	// queue (from then on a whole-space engine builds nothing).
 	window     int
 	windowDone func()
 	outs       []expansion
@@ -809,11 +816,13 @@ func (e *Engine) reportViolation(r Ref, bits uint64, x *Expander) uint64 {
 // (cloning before every handler invocation, so the shared predecessor state
 // is never written), and leave the proposed children in x's buffers — the
 // window's claim pass claims them. A leaf found consistent when it was
-// claimed has no state and nothing left to do. Consequence (node, local
-// state) claims go to x.claims for the merge at the end of the bucket. With
-// reduction on, network transitions slept by the state's sleep set are
-// skipped — recognised from the enumerated key, before any event is boxed —
-// and each proposal records the sleep set it is promised (reduce.go).
+// claimed has no state and nothing left to do, and a state admitted after
+// the state budget capped a whole-space engine is only checked. Consequence
+// (node, local state) claims go to x.claims for the merge at the end of the
+// bucket. With reduction on, network transitions slept by the state's sleep
+// set are skipped — recognised from the enumerated key, before any event is
+// boxed — and each proposal records the sleep set it is promised
+// (reduce.go).
 //
 //crystal:hotpath
 func (e *Engine) expand(h *held, x *Expander) expansion {
@@ -833,6 +842,10 @@ func (e *Engine) expand(h *held, x *Expander) expansion {
 		out.violated = e.reportViolation(r, bits, x)
 	}
 	if e.bdg.lim.Depth > 0 && depth >= e.bdg.lim.Depth {
+		return expansion{}
+	}
+	// No child claimed after the cap can be queued (see Engine).
+	if e.capped && e.forward == nil {
 		return expansion{}
 	}
 

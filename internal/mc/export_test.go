@@ -81,10 +81,10 @@ func CheckWindowIndependence(t *testing.T, cfg Config, start *GState, spans ...M
 	}
 }
 
-// CapRun is what a state-bounded serial search did, for comparison with the
-// constants recorded before the state budget capped the queue: the sizes and
-// wrapping sums of the claimed and local state sets, the transitions
-// executed and the violations reported.
+// CapRun is what a state-bounded serial search did, for comparison with
+// recorded constants: the sizes and wrapping sums of the claimed and local
+// state sets, the transitions executed and the violations reported. Checked
+// is what it checked, which the cap must never move.
 type CapRun struct {
 	Claimed, Locals         int
 	ClaimedSum, LocalSum    uint64

@@ -153,7 +153,12 @@ func signature(properties []string, last sm.EventKey) string {
 // the same states); under a states/wall/violations cutoff, which states
 // fall inside the budget can vary with more than one worker.
 type Result struct {
-	Violations      []Violation
+	Violations []Violation
+	// StatesExplored counts the states the search checked (mcheck's
+	// states=): each is admitted against Budget.States, its properties are
+	// checked and a violation is reported. After the state budget first
+	// keeps a claimed successor out of the queue, a single-range search only
+	// checks: the states it admits from then on are not expanded.
 	StatesExplored  int
 	Transitions     int
 	MaxDepthReached int

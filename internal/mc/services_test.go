@@ -285,8 +285,9 @@ func TestWindowIndependenceChord(t *testing.T) {
 }
 
 // TestStateBudgetCapsQueuePaxos is TestStateBudgetCapsQueueToy on paxos: the
-// serial state-bounded runs match the constants recorded at the parent
-// commit, where the queue was not capped.
+// serial state-bounded runs claim and execute what was recorded when capped
+// runs stopped building, and check what the uncapped queue did
+// (TestCappedRunsCheckRecordedStates).
 func TestStateBudgetCapsQueuePaxos(t *testing.T) {
 	cfg, start := paxosExhaustiveStart()
 	cfg.Reduce = true
@@ -295,12 +296,12 @@ func TestStateBudgetCapsQueuePaxos(t *testing.T) {
 		states int
 		want   mc.CapRun
 	}{
-		{mc.Exhaustive, 10, mc.CapRun{Claimed: 45, Locals: 18, ClaimedSum: 0xa92d18249c75876c, LocalSum: 0x348fbc28e5fcda8e, Transitions: 54, Violations: 0}},
-		{mc.Exhaustive, 100, mc.CapRun{Claimed: 366, Locals: 50, ClaimedSum: 0xfda90bab68afee24, LocalSum: 0xf49ec994a8c36225, Transitions: 505, Violations: 0}},
-		{mc.Exhaustive, 1000, mc.CapRun{Claimed: 2978, Locals: 130, ClaimedSum: 0x12d79a4dc4e1d39c, LocalSum: 0x91e8f1b9f8ff8122, Transitions: 4538, Violations: 0}},
-		{mc.Consequence, 10, mc.CapRun{Claimed: 30, Locals: 20, ClaimedSum: 0x7f33520e41302fca, LocalSum: 0x48ab05c3364645d1, Transitions: 40, Violations: 0}},
-		{mc.Consequence, 100, mc.CapRun{Claimed: 244, Locals: 72, ClaimedSum: 0xcd44c8696f9cbafc, LocalSum: 0xe0f68b11f9c32107, Transitions: 326, Violations: 0}},
-		{mc.Consequence, 1000, mc.CapRun{Claimed: 2453, Locals: 289, ClaimedSum: 0x8307813640014876, LocalSum: 0xdba4a26803baa063, Transitions: 3299, Violations: 0}},
+		{mc.Exhaustive, 10, mc.CapRun{Claimed: 30, Locals: 15, ClaimedSum: 0xec67f16e480deeaa, LocalSum: 0x6be814d744f01a7f, Transitions: 37, Violations: 0}},
+		{mc.Exhaustive, 100, mc.CapRun{Claimed: 121, Locals: 33, ClaimedSum: 0xfdb667d0445a0ebf, LocalSum: 0x1bc54a1205abfb9f, Transitions: 154, Violations: 0}},
+		{mc.Exhaustive, 1000, mc.CapRun{Claimed: 1312, Locals: 92, ClaimedSum: 0xbe3dbb444300e35b, LocalSum: 0xa641c0d316cc9688, Transitions: 1912, Violations: 0}},
+		{mc.Consequence, 10, mc.CapRun{Claimed: 20, Locals: 15, ClaimedSum: 0x96e7bdc91889410e, LocalSum: 0x6be814d744f01a7f, Transitions: 27, Violations: 0}},
+		{mc.Consequence, 100, mc.CapRun{Claimed: 132, Locals: 49, ClaimedSum: 0x8b1fa642443a5135, LocalSum: 0xc21d5be32f6282ba, Transitions: 172, Violations: 0}},
+		{mc.Consequence, 1000, mc.CapRun{Claimed: 1828, Locals: 256, ClaimedSum: 0x3c0ff0151d26ab35, LocalSum: 0xd713d03246bda1a4, Transitions: 2431, Violations: 0}},
 	} {
 		cfg.Mode = tc.mode
 		if got, _ := mc.StateBudgetRun(t, cfg, start, tc.states, 0, 1); got != tc.want {

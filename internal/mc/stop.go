@@ -25,7 +25,7 @@ type counters struct {
 // any non-zero bound is reached, and Workers goroutines spend the budget.
 // The zero value of a field means unbounded (Workers: GOMAXPROCS).
 type Budget struct {
-	// States bounds explored states.
+	// States bounds checked states (Result.StatesExplored).
 	States int
 	// Depth bounds search depth.
 	Depth int

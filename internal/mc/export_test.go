@@ -171,10 +171,7 @@ func CheckCapStopsQueueing(t *testing.T, cfg Config, start *GState, states int) 
 			// Each depth's queue after the last claim pass; nil until capped.
 			var lens []int
 			e.windowDone = func() {
-				for d := range e.fr.buckets {
-					if lens == nil {
-						break
-					}
+				for d := 0; lens != nil && d < len(e.fr.buckets); d++ {
 					was := 0
 					if d < len(lens) {
 						was = lens[d]

@@ -37,9 +37,11 @@
 // its round loop went silent). Workers dial with capped jittered backoff
 // until -connect-timeout, and a worker that loses its coordinator redials
 // and re-handshakes; the coordinator keeps accepting and adopts a rejoined
-// worker at the next retry boundary. -faults installs a deterministic
-// fault-injection plan (grammar: internal/dist/faults.go) in any sharded
-// role.
+// worker at the next retry boundary. If every worker dies, the coordinator
+// finishes the round on one in-process shard. -faults installs a
+// deterministic fault-injection plan in any sharded role: kill or sever a
+// shard's connection, or corrupt a batch it sends, at a counted message
+// (grammar: internal/dist/faults.go).
 //
 // -reduce (default on) runs the sleep-set partial-order reduction: the
 // search claims the same states and reports the same violations while
@@ -89,7 +91,7 @@ func main() {
 		seed        = flag.Int64("seed", 1, "random seed")
 		fixed       = flag.Bool("fixed", false, "check the bug-fixed service variants")
 		shards      = flag.Int("shards", 0, "sharded search over this many shards (0 = single engine; exhaustive mode only): in process, or over TCP with -listen / -connect")
-		faults      = flag.String("faults", "", "fault-plan spec for a sharded run, e.g. 'kill@s1r1m2, send:drop@s0~0.01' (ops: kill|sever|drop|dup|corrupt|delayN)")
+		faults      = flag.String("faults", "", "fault-plan spec for a sharded run, e.g. 'kill@s1r1m2, send:sever@s1r1m1, corrupt@s1r1m1' (ops: kill|sever|corrupt)")
 		listen      = flag.String("listen", "", "coordinate -shards worker processes over TCP, listening on this address (e.g. :7070)")
 		connect     = flag.String("connect", "", "serve shard -shard of -shards for the coordinator at this address")
 		shard       = flag.Int("shard", 0, "with -connect: this worker's shard slot")

@@ -29,7 +29,7 @@ type coordOpts struct {
 // builds plus the caller's mode, budget and reduction.
 func coordinate(o coordOpts, su dist.Setup, g *mc.GState, cfg mc.Config) (*dist.Result, error) {
 	// The probe doubles as the merge's violation-replay engine and as the
-	// serial fallback should every worker die.
+	// configuration of the in-process floor shard should every worker die.
 	probe := mc.NewSearch(cfg)
 	budget := cfg.Budget
 	if budget.Workers <= 0 {

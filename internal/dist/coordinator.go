@@ -1,6 +1,7 @@
 package dist
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 	"strings"
@@ -21,10 +22,12 @@ type CoordinatorConfig struct {
 	Now func() time.Time
 	// Search and Root, when set, let the coordinator materialize real
 	// event paths for violations — they arrive as descriptors, from
-	// in-process and TCP shards alike — and, the fault-tolerance floor, run
-	// the round on the local serial engine when every shard has died.
-	// Without them violations keep a nil path and a zero-survivor round is
-	// an error.
+	// in-process and TCP shards alike — and are the fault-tolerance floor:
+	// when every shard has died, the round runs as a one-slot round on an
+	// in-process shard built from them (Pipe + RunShard, merged like any
+	// other), so it reports what a sharded round reports. Search must then
+	// be an Exhaustive configuration, as every shard's is. Without them
+	// violations keep a nil path and a zero-survivor round is an error.
 	Search *mc.Search
 	Root   *mc.GState
 	// MaxRetries bounds aborted-attempt retries per round
@@ -67,7 +70,7 @@ type rejoinReq struct {
 // declared dead; the coordinator aborts the round on the survivors
 // (RoundAbort / AbortAck barrier), repartitions the hash space and the
 // budget over the shards still alive, and retries — up to MaxRetries
-// times, degrading all the way to the local serial engine when nobody
+// times, degrading all the way to a one-slot in-process round when nobody
 // survives. Every death and retry is recorded in Result.Recovery.
 type Coordinator struct {
 	cfg    CoordinatorConfig
@@ -232,8 +235,8 @@ type Result struct {
 // out, relay batches until quiescent, then collect and merge reports. A
 // shard dying mid-round (connection error, Fault, or stall) aborts the
 // attempt, repartitions over the survivors, and retries; only exhausting
-// MaxRetries — or losing every shard with no local engine configured —
-// surfaces as an error.
+// MaxRetries, losing every shard with no Search and Root configured, or a
+// failure of the floor round itself surfaces as an error.
 func (c *Coordinator) RunRound(b mc.Budget, recordStates bool) (*Result, error) {
 	c.round++
 	began := c.cfg.Now()
@@ -242,7 +245,7 @@ func (c *Coordinator) RunRound(b mc.Budget, recordStates bool) (*Result, error) 
 		c.adoptRejoins()
 		assign := c.liveShards()
 		if len(assign) == 0 {
-			res, err := c.serialRound(b, recordStates, began)
+			res, err := c.floorRound(b, recordStates, began)
 			if err != nil {
 				return nil, err
 			}
@@ -457,26 +460,37 @@ func (c *Coordinator) abortAttempt(assign []int, attempt int) (deaths []ShardDea
 	return deaths
 }
 
-// serialRound is the degradation floor: every shard is gone, so the round
-// runs on the coordinator's local engine (cfg.Search / cfg.Root — the same
-// pair wire-mode violation replay uses). The claimed-state and local-state
-// sets match what the shards would have produced (the differential oracle's
-// invariant); violations carry the serial engine's full paths.
-func (c *Coordinator) serialRound(b mc.Budget, recordStates bool, began time.Time) (*Result, error) {
+// floorRound is the degradation floor: every shard is gone, so the round
+// runs as one in-process slot — a Pipe whose far side serves RunShard over
+// cfg.Search and cfg.Root — through the same protocol and merge as any
+// other round, so it reports what a sharded round reports. It gets no
+// retries: a fault inside it is the round's error, never a second floor.
+func (c *Coordinator) floorRound(b mc.Budget, recordStates bool, began time.Time) (*Result, error) {
 	if c.cfg.Search == nil || c.cfg.Root == nil {
 		return nil, errorf("round %d: no live shards and no local engine to fall back to", c.round)
 	}
-	cfg := c.cfg.Search.Config()
-	cfg.Mode = mc.Exhaustive
-	cfg.Reduce = false
-	cfg.Budget = b
-	if cfg.Budget.Workers <= 0 {
-		cfg.Budget.Workers = 1
+	hub, side := Pipe()
+	done := make(chan error, 1)
+	go func() {
+		err := RunShard(side, ShardConfig{Index: 0, Shards: 1, Search: c.cfg.Search.Config(), Root: c.cfg.Root})
+		side.Close() // a shard that fails to start must not leave the hub waiting
+		done <- err
+	}()
+	floor := NewCoordinator([]Conn{hub}, CoordinatorConfig{
+		Now:        c.cfg.Now,
+		Search:     c.cfg.Search,
+		Root:       c.cfg.Root,
+		MaxRetries: -1,
+	})
+	floor.round = c.round - 1 // its RunRound numbers the round as ours
+	res, err := floor.RunRound(b, recordStates)
+	floor.Shutdown()
+	if serr := <-done; err != nil {
+		if serr != nil && !errors.Is(serr, ErrClosed) {
+			err = fmt.Errorf("%w: floor shard: %v", err, serr)
+		}
+		return nil, err
 	}
-	cfg.RecordClaimedStates = recordStates
-	cfg.RecordLocalStates = true
-	r := mc.NewSearch(cfg).Run(c.cfg.Root)
-	res := &Result{Checker: *r}
 	res.Checker.Elapsed = c.cfg.Now().Sub(began)
 	return res, nil
 }

@@ -99,7 +99,8 @@ type RecoveryStats struct {
 	// by attempt and then by shard index within an attempt.
 	Deaths []ShardDeath
 	// SerialFallback reports that every shard died and the round was
-	// finished by the coordinator's local serial engine.
+	// finished by the coordinator's floor: one in-process shard owning the
+	// whole space.
 	SerialFallback bool
 	// FinalShards is the number of live shards the successful attempt ran
 	// on (0 when SerialFallback).

@@ -1,8 +1,11 @@
 package dist
 
 import (
+	"errors"
+	"fmt"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -194,9 +197,27 @@ func TestStallTimeoutDeclaresDead(t *testing.T) {
 	}
 }
 
+// deadShards returns the hub ends of n "shards" that take the round start
+// and drop dead.
+func deadShards(n int) []Conn {
+	conns := make([]Conn, n)
+	for i := range conns {
+		hub, side := Pipe()
+		conns[i] = hub
+		go func() {
+			if _, err := side.Recv(); err != nil {
+				return
+			}
+			side.Close()
+		}()
+	}
+	return conns
+}
+
 // TestSerialFallback pins the degradation floor: when every shard dies, the
-// coordinator finishes the round on its local engine and the claimed set is
-// still exactly the serial engine's.
+// coordinator finishes the round as a one-slot in-process round, so the
+// claimed set is still exactly the serial engine's and the violations are
+// exactly what a clean sharded round reports.
 func TestSerialFallback(t *testing.T) {
 	g, cfg := chordStart(t)
 	serialCfg := cfg
@@ -204,22 +225,10 @@ func TestSerialFallback(t *testing.T) {
 	serialCfg.RecordClaimedStates = true
 	serial := mc.NewSearch(serialCfg).Run(g)
 
-	// Both "shards" take the round start and drop dead.
-	var conns []Conn
-	for i := 0; i < 2; i++ {
-		hub, side := Pipe()
-		conns = append(conns, hub)
-		go func(side Conn) {
-			if _, err := side.Recv(); err != nil {
-				return
-			}
-			side.Close()
-		}(side)
-	}
-	coord := NewCoordinator(conns, CoordinatorConfig{Search: mc.NewSearch(cfg), Root: g})
+	coord := NewCoordinator(deadShards(2), CoordinatorConfig{Search: mc.NewSearch(cfg), Root: g})
 	res, err := coord.RunRound(mc.Budget{Depth: 4, Workers: 1}, true)
 	if err != nil {
-		t.Fatalf("round did not fall back to serial: %v", err)
+		t.Fatalf("round did not fall back to the floor: %v", err)
 	}
 	coord.Shutdown()
 	if !res.Recovery.SerialFallback || res.Recovery.FinalShards != 0 {
@@ -233,24 +242,145 @@ func TestSerialFallback(t *testing.T) {
 			len(res.Checker.ClaimedStates), len(serial.ClaimedStates))
 	}
 
-	// Without a local engine the same cascade is an error, not a hang.
-	conns = nil
-	for i := 0; i < 2; i++ {
-		hub, side := Pipe()
-		conns = append(conns, hub)
-		go func(side Conn) {
-			if _, err := side.Recv(); err != nil {
-				return
-			}
-			side.Close()
-		}(side)
+	// Bullet' at depth 6 has one violated-property set reached at depths 4
+	// and 6: a sharded round dedups it by the set and reports it once, and
+	// so must the floor (the serial search's onset-and-event-class rule
+	// keeps both).
+	bg, bcfg, err := scenario.InitialState("bulletprime", scenario.Options{Nodes: 3})
+	if err != nil {
+		t.Fatal(err)
 	}
-	coord = NewCoordinator(conns, CoordinatorConfig{})
+	bcfg.Mode = mc.Exhaustive
+	bcfg.Seed = 1
+	bcfg.Budget = mc.Budget{Depth: 6, Workers: 1}
+	clean, err := Local(LocalConfig{Shards: 2, Search: bcfg, Root: bg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(clean.Checker.Violations) != 1 {
+		t.Fatalf("clean bulletprime round reports %d violations, want 1", len(clean.Checker.Violations))
+	}
+	coord = NewCoordinator(deadShards(2), CoordinatorConfig{Search: mc.NewSearch(bcfg), Root: bg})
+	res, err = coord.RunRound(bcfg.Budget, false)
+	if err != nil {
+		t.Fatalf("bulletprime round did not fall back to the floor: %v", err)
+	}
+	coord.Shutdown()
+	if !res.Recovery.SerialFallback {
+		t.Errorf("recovery = %q, want a serial fallback", res.Recovery.String())
+	}
+	if got, want := vioSummary(res.Checker.Violations), vioSummary(clean.Checker.Violations); !reflect.DeepEqual(got, want) {
+		t.Errorf("floor violations %v, clean round %v", got, want)
+	}
+	if res.Checker.StatesExplored != clean.Checker.StatesExplored || res.Checker.MaxDepthReached != clean.Checker.MaxDepthReached {
+		t.Errorf("floor explored %d states to depth %d, clean round %d to %d",
+			res.Checker.StatesExplored, res.Checker.MaxDepthReached, clean.Checker.StatesExplored, clean.Checker.MaxDepthReached)
+	}
+
+	// A floor whose shard fails is the round's error, not a second floor
+	// and not a hang: a consequence configuration cannot start a shard.
+	ccfg := cfg
+	ccfg.Mode = mc.Consequence
+	coord = NewCoordinator(deadShards(2), CoordinatorConfig{Search: mc.NewSearch(ccfg), Root: g})
+	if _, err := coord.RunRound(mc.Budget{Depth: 4, Workers: 1}, false); err == nil ||
+		!strings.Contains(err.Error(), "Exhaustive mode only") {
+		t.Errorf("failing floor: %v", err)
+	}
+	coord.Shutdown()
+
+	// Without a local engine the same cascade is an error, not a hang.
+	coord = NewCoordinator(deadShards(2), CoordinatorConfig{})
 	if _, err := coord.RunRound(mc.Budget{Depth: 4, Workers: 1}, false); err == nil ||
 		!strings.Contains(err.Error(), "no live shards") {
 		t.Errorf("zero survivors without an engine: %v", err)
 	}
 	coord.Shutdown()
+}
+
+// vioSummary is what a violation report says, paths aside: the violated
+// set, depth and state per violation.
+func vioSummary(vs []mc.Violation) []string {
+	out := make([]string, len(vs))
+	for i, v := range vs {
+		out[i] = fmt.Sprintf("%v@%d#%x", v.Properties, v.Depth, v.StateHash)
+	}
+	return out
+}
+
+// TestRejoin pins Coordinator.Rejoin: a shard killed in round 1 is handed
+// a fresh connection, and round 2 runs on both shards again and claims the
+// serial set. A rejoin offered for a live shard is refused by closing the
+// offered connection, and an unknown shard is an error.
+func TestRejoin(t *testing.T) {
+	g, cfg := chordStart(t)
+	serialCfg := cfg
+	serialCfg.Budget = mc.Budget{Depth: 4, Workers: 1}
+	serialCfg.RecordClaimedStates = true
+	serial := mc.NewSearch(serialCfg).Run(g)
+
+	var wg sync.WaitGroup
+	serve := func(index int) Conn {
+		hub, side := Pipe()
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			_ = RunShard(side, ShardConfig{Index: index, Shards: 2, Search: cfg, Root: g})
+		}()
+		return hub
+	}
+	plan := MustFaultPlan("kill@s1r1m2")
+	conns := []Conn{serve(0), plan.Wrap(1, serve(1))}
+	coord := NewCoordinator(conns, CoordinatorConfig{Search: mc.NewSearch(cfg), Root: g})
+	defer func() {
+		coord.Shutdown()
+		wg.Wait()
+	}()
+
+	res, err := coord.RunRound(mc.Budget{Depth: 4, Workers: 1}, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := res.Recovery.String(); got != "retries=1 final=1 deaths[r1a1s1:conn]" {
+		t.Errorf("round 1 recovery = %q", got)
+	}
+
+	if err := coord.Rejoin(1, serve(1)); err != nil {
+		t.Fatal(err)
+	}
+	res, err = coord.RunRound(mc.Budget{Depth: 4, Workers: 1}, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Recovery.FinalShards != 2 || res.Recovery.Retries != 0 {
+		t.Errorf("round 2 recovery = %q, want both shards back", res.Recovery.String())
+	}
+	if !reflect.DeepEqual(res.Checker.ClaimedStates, serial.ClaimedStates) {
+		t.Errorf("round 2 claimed set diverges from serial (%d vs %d states)",
+			len(res.Checker.ClaimedStates), len(serial.ClaimedStates))
+	}
+
+	// Shard 0 is live: the offered connection is closed at the next attempt
+	// boundary and the live one keeps the slot.
+	offered, far := Pipe()
+	if err := coord.Rejoin(0, offered); err != nil {
+		t.Fatal(err)
+	}
+	res, err = coord.RunRound(mc.Budget{Depth: 4, Workers: 1}, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Recovery.FinalShards != 2 {
+		t.Errorf("round 3 recovery = %q, want 2 shards", res.Recovery.String())
+	}
+	if _, err := far.Recv(); !errors.Is(err, ErrClosed) {
+		t.Errorf("rejoin of a live shard left the offered connection open: %v", err)
+	}
+
+	for _, bad := range []int{-1, 2} {
+		if err := coord.Rejoin(bad, offered); err == nil {
+			t.Errorf("Rejoin(%d) of a 2-shard session succeeded", bad)
+		}
+	}
 }
 
 // TestLocalMatchesSerial is the package-local smoke version of the

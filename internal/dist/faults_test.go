@@ -7,50 +7,41 @@ import (
 )
 
 func TestFaultSpecParse(t *testing.T) {
-	p, err := ParseFaultPlan("seed=9, kill@s1r1m2, send:dup@s0r1m3, drop@s1~0.05, delay3@s0r2m1")
+	p, err := ParseFaultPlan("kill@s1r1m2, send:sever@s1r1m1, corrupt@s0m3")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.Seed != 9 {
-		t.Errorf("seed = %d, want 9", p.Seed)
-	}
-	if got := p.TargetedShards(); !reflect.DeepEqual(got, []int{0, 1}) {
-		t.Errorf("targeted shards = %v, want [0 1]", got)
-	}
-	if p.Rules(0) != 2 || p.Rules(1) != 2 || p.Rules(7) != 0 {
-		t.Errorf("rule counts: s0=%d s1=%d s7=%d", p.Rules(0), p.Rules(1), p.Rules(7))
-	}
 	want := []faultRule{
 		{dir: dirRecv, op: opKill, shard: 1, round: 1, count: 2},
-		{dir: dirSend, op: opDup, shard: 0, round: 1, count: 3},
-		{dir: dirRecv, op: opDrop, shard: 1, prob: 0.05},
-		{dir: dirRecv, op: opDelay, hold: 3, shard: 0, round: 2, count: 1},
+		{dir: dirSend, op: opKill, shard: 1, round: 1, count: 1},
+		{dir: dirRecv, op: opCorrupt, shard: 0, count: 3},
 	}
 	if !reflect.DeepEqual(p.rules, want) {
 		t.Errorf("rules = %+v\nwant %+v", p.rules, want)
 	}
 
-	// An empty spec is a valid no-rule plan, and sever aliases kill.
+	// An empty spec is a valid no-rule plan, and a plan wraps only the
+	// shards its rules name.
 	if p, err := ParseFaultPlan(""); err != nil || len(p.rules) != 0 {
 		t.Errorf("empty spec: %v, %+v", err, p)
 	}
-	if p := MustFaultPlan("sever@s0m1"); p.rules[0].op != opKill {
-		t.Errorf("sever did not alias kill: %+v", p.rules[0])
+	if a, _ := Pipe(); p.Wrap(7, a) != a {
+		t.Errorf("a plan without rules for shard 7 wrapped its connection")
 	}
 
 	for _, bad := range []string{
 		"kill",           // no target
 		"explode@s0m1",   // unknown op
-		"delay@s0m1",     // delay without hold count
-		"delay0@s0m1",    // non-positive hold
-		"drop@x1m1",      // target must start with s
-		"drop@s0",        // neither count nor probability
-		"drop@s0m0",      // counts are 1-based
-		"drop@s0r0m1",    // rounds are 1-based
-		"drop@s0~2",      // probability out of range
-		"drop@s0~NaN",    // NaN is not in [0, 1], though no comparison says so
-		"drop@s-1m1",     // negative shard
-		"seed=banana",    // unparsable seed
+		"drop@s0m1",      // removed op
+		"dup@s0m1",       // removed op
+		"delay3@s0m1",    // removed op
+		"kill@s0~0.5",    // probabilistic rules are gone
+		"seed=9",         // and so is their seed
+		"kill@x1m1",      // target must start with s
+		"kill@s0",        // no count
+		"kill@s0m0",      // counts are 1-based
+		"kill@s0r0m1",    // rounds are 1-based
+		"kill@s-1m1",     // negative shard
 		"kill@s1r1m2 m3", // trailing junk
 	} {
 		if _, err := ParseFaultPlan(bad); err == nil {
@@ -60,13 +51,17 @@ func TestFaultSpecParse(t *testing.T) {
 }
 
 // FuzzParseFaultPlan: the -faults grammar is typed by users, so the parser
-// never panics and what it accepts is in range — every probability in [0, 1],
-// every delay hold positive, every shard non-negative.
+// never panics and what it accepts is in range — only kill or corrupt
+// rules, each with a positive count, a non-negative shard and a
+// non-negative round (0 = any).
 func FuzzParseFaultPlan(f *testing.F) {
 	for _, spec := range []string{
+		"kill@s1r1m2, send:sever@s1r1m1, corrupt@s1r1m1",
+		"", "sever@s0m1", "recv:corrupt@s0r1m1",
+		"kill", "explode@s0m1", "kill@s-1m1",
+		// Removed from the grammar: each must be rejected.
 		"seed=9, kill@s1r1m2, send:dup@s0r1m3, drop@s1~0.05, delay3@s0r2m1",
-		"", "sever@s0m1", "recv:corrupt@s0r1m1", "send:drop@s0~0.01",
-		"kill", "explode@s0m1", "delay0@s0m1", "drop@s0~2", "drop@s0~NaN", "drop@s-1m1", "seed=banana",
+		"send:drop@s0~0.01", "delay0@s0m1", "drop@s0~NaN", "seed=banana",
 	} {
 		f.Add(spec)
 	}
@@ -76,7 +71,7 @@ func FuzzParseFaultPlan(f *testing.F) {
 			return
 		}
 		for _, r := range p.rules {
-			if !(r.prob >= 0 && r.prob <= 1) || r.shard < 0 || (r.op == opDelay && r.hold <= 0) {
+			if (r.op != opKill && r.op != opCorrupt) || r.count < 1 || r.shard < 0 || r.round < 0 {
 				t.Fatalf("spec %q accepted as %+v", spec, r)
 			}
 		}
@@ -99,45 +94,6 @@ func faultPair(t *testing.T, spec string, shard int) (wrapped, peer Conn) {
 		t.Fatal(err)
 	}
 	return w, b
-}
-
-func TestFaultSendDupDropDelay(t *testing.T) {
-	// dup: the 1st counted send goes out twice.
-	w, b := faultPair(t, "send:dup@s0m1", 0)
-	if err := w.Send(Idle{Shard: 0, Received: 1}); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 2; i++ {
-		if m, err := b.Recv(); err != nil || m != (Idle{Shard: 0, Received: 1}) {
-			t.Fatalf("dup copy %d: %v %v", i, m, err)
-		}
-	}
-
-	// drop: the 1st counted send vanishes, the 2nd passes.
-	w, b = faultPair(t, "send:drop@s0m1", 0)
-	mustSend(t, w, Idle{Shard: 0, Received: 1})
-	mustSend(t, w, Idle{Shard: 0, Received: 2})
-	if m, err := b.Recv(); err != nil || m != (Idle{Shard: 0, Received: 2}) {
-		t.Fatalf("after drop got %v, %v", m, err)
-	}
-
-	// delay2: message 1 is held behind the next two, so arrival order is
-	// 2, 3, 1.
-	w, b = faultPair(t, "send:delay2@s0m1", 0)
-	for r := int64(1); r <= 3; r++ {
-		mustSend(t, w, Idle{Shard: 0, Received: r})
-	}
-	var got []int64
-	for i := 0; i < 3; i++ {
-		m, err := b.Recv()
-		if err != nil {
-			t.Fatal(err)
-		}
-		got = append(got, m.(Idle).Received)
-	}
-	if !reflect.DeepEqual(got, []int64{2, 3, 1}) {
-		t.Errorf("delayed order = %v, want [2 3 1]", got)
-	}
 }
 
 func TestFaultRecvKillAndCorrupt(t *testing.T) {
@@ -173,64 +129,29 @@ func TestFaultRecvKillAndCorrupt(t *testing.T) {
 	}
 }
 
-// TestFaultRoundScopingAndReset pins the determinism contract: counts are
-// per-round (a RoundStart — including a retry's — resets them), rules
-// scoped to round r fire only there, and a counted rule fires once per
-// session even if its trigger recurs.
+// TestFaultRoundScopingAndReset pins the determinism contract: a rule
+// scoped to round r never fires in another round, and counts are per-round
+// (a RoundStart resets them), so m1 of round 2 is the first message after
+// round 2's start however many round 1 carried.
 func TestFaultRoundScopingAndReset(t *testing.T) {
-	w, b := faultPair(t, "send:drop@s0r2m1", 0)
-	mustSend(t, w, Idle{Shard: 0, Received: 1}) // round 1: rule dormant
+	w, b := faultPair(t, "send:sever@s0r2m1", 0)
+	mustSend(t, w, Idle{Shard: 0, Received: 1}) // round 1 msg 1: rule dormant
+	mustSend(t, w, Idle{Shard: 0, Received: 2}) // round 1 msg 2
 	mustSend(t, w, RoundStart{Round: 2, Slot: 0, Slots: 1})
-	mustSend(t, w, Idle{Shard: 0, Received: 2}) // round 2 msg 1: dropped
-	mustSend(t, w, Idle{Shard: 0, Received: 3}) // spent: passes
-	mustSend(t, w, RoundStart{Round: 2, Slot: 0, Slots: 1})
-	mustSend(t, w, Idle{Shard: 0, Received: 4}) // retry msg 1: rule already spent
-	var got []int64
-	for i := 0; i < 5; i++ {
+	if err := w.Send(Idle{Shard: 0, Received: 3}); err == nil || !strings.Contains(err.Error(), "round 2") {
+		t.Fatalf("round 2 msg 1 did not sever: %v", err)
+	}
+	var got []Msg
+	for {
 		m, err := b.Recv()
 		if err != nil {
-			t.Fatal(err)
+			break
 		}
-		if id, ok := m.(Idle); ok {
-			got = append(got, id.Received)
-		}
+		got = append(got, m)
 	}
-	if !reflect.DeepEqual(got, []int64{1, 3, 4}) {
-		t.Errorf("delivered %v, want [1 3 4]", got)
-	}
-}
-
-// TestFaultProbDeterminism pins that probabilistic rules draw from the
-// seeded per-(shard, direction) stream: two identically-armed connections
-// produce the identical drop pattern.
-func TestFaultProbDeterminism(t *testing.T) {
-	pattern := func() []int64 {
-		w, b := faultPair(t, "seed=7, send:drop@s2~0.4", 2)
-		const n = 24
-		for r := int64(1); r <= n; r++ {
-			mustSend(t, w, Idle{Shard: 0, Received: r})
-		}
-		// RoundStart is the one message a plan never faults, so it is a
-		// safe end-of-stream sentinel even under a probabilistic drop.
-		mustSend(t, w, RoundStart{Round: 2, Slot: 0, Slots: 1})
-		var got []int64
-		for {
-			m, err := b.Recv()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if _, done := m.(RoundStart); done {
-				return got
-			}
-			got = append(got, m.(Idle).Received)
-		}
-	}
-	first := pattern()
-	if len(first) == 0 || len(first) == 24 {
-		t.Fatalf("drop pattern degenerate: %d of 24 delivered", len(first))
-	}
-	if again := pattern(); !reflect.DeepEqual(first, again) {
-		t.Errorf("same seed produced different drop patterns:\n%v\n%v", first, again)
+	want := []Msg{Idle{Shard: 0, Received: 1}, Idle{Shard: 0, Received: 2}, RoundStart{Round: 2, Slot: 0, Slots: 1}}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("delivered %v, want %v", got, want)
 	}
 }
 

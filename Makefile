@@ -32,6 +32,8 @@ test:
 # A search is mc.Engine's, and a prediction steers only through a vetted event filter.
 # A setting needs a caller: the checker is one command (mcheck, whose -listen /
 # -connect roles replaced cmd/shardd), and a config field nothing sets goes.
+# The coordinator waits in one place: nextArrival is called from one function
+# (Coordinator.wait), so relay, report and abort share one death rule.
 # The CI lint job runs exactly this target.
 lint:
 	@fmtout=$$(gofmt -l cmd internal examples bench); \
@@ -61,6 +63,9 @@ lint:
 	@if [ -d cmd/shardd ] && echo cmd/shardd || grep -rn --include='*.go' -e 'admitTransition' -e 'stopTransitions' cmd internal examples \
 	|| grep -rnE --include='*.go' '^[[:space:]]+(Heartbeat|BatchSize)[[:space:]]+[][*.[:alnum:]]+[[:space:]]*(//.*)?$$' cmd internal examples; then \
 	echo "a setting needs a caller: one checker command, and no config field nothing sets"; exit 1; fi
+	@callers=$$(awk '/^func /{fn=$$0} /nextArrival\(/ && !/^func /{print FILENAME ": " fn}' internal/dist/*.go | sort -u); \
+	if [ "$$(printf '%s\n' "$$callers" | grep -c .)" -ne 1 ]; then echo "$$callers"; \
+	echo "the coordinator waits in one place: nextArrival( is called from exactly one function in internal/dist"; exit 1; fi
 	$(GO) vet ./...
 	$(GO) run ./cmd/crystalvet ./...
 

@@ -1,14 +1,12 @@
 package dist
 
 import (
-	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 	"time"
 
 	"crystalball/internal/mc"
-	"crystalball/internal/sm"
 )
 
 // DefaultMaxRetries bounds how many times a round is aborted and retried on
@@ -23,11 +21,12 @@ type CoordinatorConfig struct {
 	// Search and Root, when set, let the coordinator materialize real
 	// event paths for violations — they arrive as descriptors, from
 	// in-process and TCP shards alike — and are the fault-tolerance floor:
-	// when every shard has died, the round runs as a one-slot round on an
-	// in-process shard built from them (Pipe + RunShard, merged like any
-	// other), so it reports what a sharded round reports. Search must then
-	// be an Exhaustive configuration, as every shard's is. Without them
-	// violations keep a nil path and a zero-survivor round is an error.
+	// when every shard has died, the round's last attempt runs on one
+	// in-process shard built from them (Pipe + RunShard), adopted as shard
+	// 0 for that attempt only, so it reports what a sharded round reports.
+	// Search must then be an Exhaustive configuration, as every shard's is.
+	// Without them violations keep a nil path and a zero-survivor round is
+	// an error.
 	Search *mc.Search
 	Root   *mc.GState
 	// MaxRetries bounds aborted-attempt retries per round
@@ -39,7 +38,8 @@ type CoordinatorConfig struct {
 	// the round is retried on the survivors. It catches peers whose
 	// transport stays alive while the protocol loop is stuck — the failure
 	// mode the TCP PeerTimeout cannot see. 0 disables it (in-process
-	// transports surface real deaths as connection errors already).
+	// transports surface real deaths as connection errors already), and
+	// the floor's attempt runs without it.
 	StallTimeout time.Duration
 	// After is the injected stall timer (nil = time.After).
 	After func(time.Duration) <-chan time.Time
@@ -82,9 +82,9 @@ type Coordinator struct {
 	round  int
 }
 
-// NewCoordinator wraps one connection per shard (index = shard id) and
-// starts a reader per connection, fanning messages into the coordinator's
-// inbox.
+// NewCoordinator wraps one connection per shard (index = shard id; at
+// least one, as the floor borrows slot 0) and starts a reader per
+// connection, fanning messages into the coordinator's inbox.
 func NewCoordinator(conns []Conn, cfg CoordinatorConfig) *Coordinator {
 	if cfg.Now == nil {
 		cfg.Now = time.Now
@@ -107,8 +107,7 @@ func NewCoordinator(conns []Conn, cfg CoordinatorConfig) *Coordinator {
 		done:   make(chan struct{}),
 	}
 	for i, conn := range conns {
-		c.live[i] = true
-		go c.pump(i, conn)
+		c.adopt(i, conn)
 	}
 	return c
 }
@@ -154,13 +153,34 @@ func (c *Coordinator) adoptRejoins() {
 				_ = r.conn.Close()
 				continue
 			}
-			c.conns[r.shard] = r.conn
-			c.live[r.shard] = true
-			go c.pump(r.shard, r.conn)
+			c.adopt(r.shard, r.conn)
 		default:
 			return
 		}
 	}
+}
+
+// adopt makes conn shard id's live connection and starts its reader.
+func (c *Coordinator) adopt(id int, conn Conn) {
+	c.conns[id] = conn
+	c.live[id] = true
+	go c.pump(id, conn)
+}
+
+// adoptFloor adopts, as shard 0, the degradation floor: an in-process shard
+// owning the whole space — a Pipe whose far side serves RunShard over
+// cfg.Search and cfg.Root — and returns the channel its exit error arrives
+// on. The caller drops it (kill) after the round.
+func (c *Coordinator) adoptFloor() <-chan error {
+	hub, side := Pipe()
+	done := make(chan error, 1)
+	go func() {
+		err := RunShard(side, ShardConfig{Index: 0, Shards: 1, Search: c.cfg.Search.Config(), Root: c.cfg.Root})
+		side.Close() // a shard that fails to start must not leave the hub waiting
+		done <- err
+	}()
+	c.adopt(0, hub)
+	return done
 }
 
 // kill declares shard id dead: its connection is closed (stopping its pump)
@@ -185,16 +205,16 @@ func (c *Coordinator) liveShards() []int {
 	return ids
 }
 
-// nextArrival blocks for the next fan-in message, bounded by StallTimeout
-// when configured. ok=false means the stall timer fired first.
-func (c *Coordinator) nextArrival() (arrival, bool) {
-	if c.cfg.StallTimeout <= 0 {
+// nextArrival blocks for the next fan-in message, bounded by stall when it
+// is positive. ok=false means the stall timer fired first.
+func (c *Coordinator) nextArrival(stall time.Duration) (arrival, bool) {
+	if stall <= 0 {
 		return <-c.inbox, true
 	}
 	select {
 	case a := <-c.inbox:
 		return a, true
-	case <-c.cfg.After(c.cfg.StallTimeout):
+	case <-c.cfg.After(stall):
 		return arrival{}, false
 	}
 }
@@ -233,19 +253,39 @@ type Result struct {
 
 // RunRound runs one distributed exhaustive round: split the budget, fan
 // out, relay batches until quiescent, then collect and merge reports. A
-// shard dying mid-round (connection error, Fault, or stall) aborts the
-// attempt, repartitions over the survivors, and retries; only exhausting
-// MaxRetries, losing every shard with no Search and Root configured, or a
-// failure of the floor round itself surfaces as an error.
+// shard dying mid-round (connection error, Fault, protocol breach or stall)
+// aborts the attempt, repartitions over the survivors, and retries. When
+// none survives, the round's last attempt runs on the floor (adoptFloor)
+// through the same loop, without retries. Only exhausting MaxRetries,
+// losing every shard with no Search and Root configured, or a failure of
+// the floor itself surfaces as an error.
 func (c *Coordinator) RunRound(b mc.Budget, recordStates bool) (*Result, error) {
 	c.round++
 	began := c.cfg.Now()
 	var rec RecoveryStats
-	for attempt := 1; ; attempt++ {
+	for n := 1; ; n++ {
 		c.adoptRejoins()
-		assign := c.liveShards()
-		if len(assign) == 0 {
-			res, err := c.floorRound(b, recordStates, began)
+		at := &attempt{n: n, assign: c.liveShards(), stall: c.cfg.StallTimeout}
+		var floor <-chan error
+		if len(at.assign) == 0 {
+			if c.cfg.Search == nil || c.cfg.Root == nil {
+				return nil, errorf("round %d: no live shards and no local engine to fall back to", c.round)
+			}
+			// A one-slot drain sends nothing until it is done, and an
+			// in-process shard cannot wedge behind a live transport: the
+			// floor runs without a stall timer.
+			floor = c.adoptFloor()
+			at.assign, at.stall = []int{0}, 0
+		}
+		// A bound smaller than the live shard count occupies only as many
+		// slots as it has units; the other shards sit the round out.
+		at.assign = at.assign[:usableSlots(b, len(at.assign))]
+		res, err := c.runAttempt(at, b, recordStates, began)
+		if floor != nil {
+			c.kill(0)
+			if serr := <-floor; err == nil && len(at.deaths) > 0 {
+				err = errorf("round %d: the floor lost %s: floor shard: %v", c.round, deathSummary(at.deaths), serr)
+			}
 			if err != nil {
 				return nil, err
 			}
@@ -253,246 +293,180 @@ func (c *Coordinator) RunRound(b mc.Budget, recordStates bool) (*Result, error) 
 			res.Recovery = rec
 			return res, nil
 		}
-		// A bound smaller than the live shard count occupies only as many
-		// slots as it has units; the other shards sit the round out.
-		assign = assign[:usableSlots(b, len(assign))]
-		res, deaths, err := c.runAttempt(assign, b, recordStates, began, attempt)
 		if err != nil {
 			return nil, err
 		}
-		if deaths == nil {
-			rec.FinalShards = len(assign)
+		if len(at.deaths) == 0 {
+			rec.FinalShards = len(at.assign)
 			res.Recovery = rec
 			return res, nil
 		}
-		rec.Deaths = append(rec.Deaths, deaths...)
-		rec.Deaths = append(rec.Deaths, c.abortAttempt(assign, attempt)...)
+		lost := at.deaths
+		c.abort(at)
+		rec.Deaths = append(rec.Deaths, at.deaths...)
 		if rec.Retries >= c.cfg.MaxRetries {
 			return nil, errorf("round %d: attempt %d lost %s and the retry budget (%d) is exhausted",
-				c.round, attempt, deathSummary(deaths), c.cfg.MaxRetries)
+				c.round, n, deathSummary(lost), c.cfg.MaxRetries)
 		}
 		rec.Retries++
 	}
 }
 
-// runAttempt fans one round attempt out over assign (slot i → connection
-// assign[i]) and relays until quiescent, then collects reports and merges.
-// A non-nil deaths return means the attempt failed: the listed shards were
-// declared dead and the caller must abort the survivors and retry. err is
-// reserved for coordinator-side failures no retry can fix.
-func (c *Coordinator) runAttempt(assign []int, b mc.Budget, recordStates bool, began time.Time, attempt int) (res *Result, deaths []ShardDeath, err error) {
-	slots := len(assign)
-	slotOf := make(map[int]int, slots)
-	for s, id := range assign {
-		slotOf[id] = s
-	}
-	shares := SplitBudget(b, slots)
-	die := func(id int, cause string) {
-		c.kill(id)
-		deaths = append(deaths, ShardDeath{Shard: id, Round: c.round, Attempt: attempt, Cause: cause})
-	}
+// attempt is one try at a round: slot s runs on connection assign[s].
+type attempt struct {
+	n      int // 1-based within the round
+	assign []int
+	stall  time.Duration // 0 = no stall timer
+	deaths []ShardDeath
+}
 
-	for s, id := range assign {
-		start := RoundStart{Round: c.round, Slot: s, Slots: slots, Budget: shares[s], RecordStates: recordStates}
-		if err := c.conns[id].Send(start); err != nil {
-			die(id, "conn")
-			return nil, deaths, nil
+// slot returns the slot shard id holds in the attempt, or -1.
+func (at *attempt) slot(id int) int {
+	for s, a := range at.assign {
+		if a == id {
+			return s
+		}
+	}
+	return -1
+}
+
+// die declares shard id dead of cause in attempt at.
+func (c *Coordinator) die(at *attempt, id int, cause string) {
+	c.kill(id)
+	at.deaths = append(at.deaths, ShardDeath{Shard: id, Round: c.round, Attempt: at.n, Cause: cause})
+}
+
+// send sends m to shard id; a shard that cannot be sent to dies of "conn".
+func (c *Coordinator) send(at *attempt, id int, m Msg) bool {
+	if err := c.conns[id].Send(m); err != nil {
+		c.die(at, id, "conn")
+		return false
+	}
+	return true
+}
+
+// wait is the one place the coordinator reads its shards. It takes arrivals
+// until no live slot of at is pending or a shard dies, and reports whether
+// it ended without a death. Arrivals from dead or replaced connections are
+// dropped; for the rest one death rule holds in every phase: a connection
+// error kills the sender of "conn", a Fault of "fault", and a message from
+// a shard outside the attempt or one step refuses of "protocol". When the
+// stall timer fires first, every shard still pending dies of "stall", in
+// id order.
+func (c *Coordinator) wait(at *attempt, pending func(slot int) bool, step func(slot int, m Msg) bool) bool {
+	waiting := func() bool {
+		for s, id := range at.assign {
+			if c.live[id] && pending(s) {
+				return true
+			}
+		}
+		return false
+	}
+	for dead := len(at.deaths); waiting(); {
+		a, ok := c.nextArrival(at.stall)
+		if !ok {
+			for s, id := range at.assign {
+				if c.live[id] && pending(s) {
+					c.die(at, id, "stall")
+				}
+			}
+			return false
+		}
+		if id := a.shard; c.live[id] && a.conn == c.conns[id] {
+			switch s := at.slot(id); {
+			case a.err != nil:
+				c.die(at, id, "conn")
+			case a.msg.kind() == kindFault:
+				c.die(at, id, "fault")
+			case s < 0 || !step(s, a.msg):
+				c.die(at, id, "protocol")
+			}
+		}
+		if len(at.deaths) > dead {
+			return false
+		}
+	}
+	return true
+}
+
+// runAttempt fans one round attempt out over at.assign and relays until
+// quiescent, then collects reports and merges. Deaths are recorded on at;
+// an attempt with deaths returns a nil result, and the caller must abort
+// the survivors and retry. err is reserved for coordinator-side failures
+// no retry can fix.
+func (c *Coordinator) runAttempt(at *attempt, b mc.Budget, recordStates bool, began time.Time) (*Result, error) {
+	slots := len(at.assign)
+	shares := SplitBudget(b, slots)
+	for s, id := range at.assign {
+		if !c.send(at, id, RoundStart{Round: c.round, Slot: s, Slots: slots, Budget: shares[s], RecordStates: recordStates}) {
+			return nil, nil
 		}
 	}
 
 	q := newQuiescence(slots)
-	for !q.quiescent() {
-		a, ok := c.nextArrival()
-		if !ok {
-			for s, id := range assign {
-				if c.live[id] && !q.settled[s] {
-					die(id, "stall")
-				}
-			}
-			return nil, deaths, nil
-		}
-		id := a.shard
-		if !c.live[id] || a.conn != c.conns[id] {
-			continue // stale arrival from a dead or replaced connection
-		}
-		if a.err != nil {
-			die(id, "conn")
-			return nil, deaths, nil
-		}
-		switch m := a.msg.(type) {
+	if !c.wait(at, func(s int) bool { return !q.settled[s] }, func(s int, m Msg) bool {
+		switch m := m.(type) {
 		case Batch:
-			if m.To < 0 || m.To >= slots || slotOf[id] != m.From {
-				die(id, "protocol")
-				return nil, deaths, nil
+			if m.To < 0 || m.To >= slots || m.From != s {
+				return false
 			}
 			q.relay(m.To)
-			if err := c.conns[assign[m.To]].Send(m); err != nil {
-				die(assign[m.To], "conn")
-				return nil, deaths, nil
-			}
+			c.send(at, at.assign[m.To], m)
+			return true
 		case Idle:
-			if m.Shard != slotOf[id] {
-				die(id, "protocol")
-				return nil, deaths, nil
-			}
-			if err := q.idle(m.Shard, m.Received); err != nil {
-				die(id, "protocol")
-				return nil, deaths, nil
-			}
-		case Fault:
-			die(id, "fault")
-			return nil, deaths, nil
-		default:
-			die(id, "protocol")
-			return nil, deaths, nil
+			return m.Shard == s && q.idle(s, m.Received) == nil
 		}
+		return false
+	}) {
+		return nil, nil
 	}
 
-	for _, id := range assign {
-		if err := c.conns[id].Send(RoundEnd{}); err != nil {
-			die(id, "conn")
-			return nil, deaths, nil
+	for _, id := range at.assign {
+		if !c.send(at, id, RoundEnd{}) {
+			return nil, nil
 		}
 	}
 	reports := make([]ShardReport, slots)
 	reported := make([]bool, slots)
-	for got := 0; got < slots; {
-		a, ok := c.nextArrival()
-		if !ok {
-			for s, id := range assign {
-				if c.live[id] && !reported[s] {
-					die(id, "stall")
-				}
-			}
-			return nil, deaths, nil
+	if !c.wait(at, func(s int) bool { return !reported[s] }, func(s int, m Msg) bool {
+		r, ok := m.(ShardReport)
+		if !ok || r.Shard != s || reported[s] {
+			return false
 		}
-		id := a.shard
-		if !c.live[id] || a.conn != c.conns[id] {
-			continue
-		}
-		if a.err != nil {
-			die(id, "conn")
-			return nil, deaths, nil
-		}
-		switch m := a.msg.(type) {
-		case ShardReport:
-			if m.Shard != slotOf[id] || reported[m.Shard] {
-				die(id, "protocol")
-				return nil, deaths, nil
-			}
-			reports[m.Shard] = m
-			reported[m.Shard] = true
-			got++
-		case Fault:
-			die(id, "fault")
-			return nil, deaths, nil
-		default:
-			die(id, "protocol")
-			return nil, deaths, nil
-		}
+		reports[s], reported[s] = r, true
+		return true
+	}) {
+		return nil, nil
 	}
-	res, err = c.merge(shares[0].Workers, reports, began)
-	return res, nil, err
+	return c.merge(shares[0].Workers, reports, recordStates, began)
 }
 
-// abortAttempt tears a failed attempt down on the survivors of assign: each
-// gets RoundAbort and must answer AbortAck. The ack is a FIFO barrier — the
-// coordinator relays nothing during the abort, so once a shard's ack is in,
-// no stale batch or idle from the aborted round can follow on that
-// connection; anything arriving before the ack is discarded here. Survivors
-// that error, fault, or stall during the abort die too (the retry loop will
-// simply repartition over fewer shards). Returns the deaths it caused.
-func (c *Coordinator) abortAttempt(assign []int, attempt int) (deaths []ShardDeath) {
-	die := func(id int, cause string) {
-		c.kill(id)
-		deaths = append(deaths, ShardDeath{Shard: id, Round: c.round, Attempt: attempt, Cause: cause})
+// abort tears a failed attempt down on its survivors: each gets RoundAbort
+// and must answer AbortAck. The ack is a FIFO barrier — the coordinator
+// relays nothing during the abort, so once a shard's ack is in, no stale
+// batch, idle or report from the aborted round can follow on that
+// connection; anything arriving before the ack is discarded. A survivor
+// that dies meanwhile is one more death of the attempt, and the abort goes
+// on waiting for the rest.
+func (c *Coordinator) abort(at *attempt) {
+	for _, id := range at.assign {
+		if c.live[id] {
+			c.send(at, id, RoundAbort{Round: c.round})
+		}
 	}
-	waiting := make(map[int]bool, len(assign))
-	for _, id := range assign {
-		if !c.live[id] {
-			continue
-		}
-		if err := c.conns[id].Send(RoundAbort{Round: c.round}); err != nil {
-			die(id, "conn")
-			continue
-		}
-		waiting[id] = true
-	}
-	for len(waiting) > 0 {
-		a, ok := c.nextArrival()
-		if !ok {
-			ids := make([]int, 0, len(waiting))
-			for id := range waiting {
-				ids = append(ids, id)
-			}
-			sort.Ints(ids)
-			for _, id := range ids {
-				die(id, "stall")
-			}
-			return deaths
-		}
-		id := a.shard
-		if !c.live[id] || a.conn != c.conns[id] || !waiting[id] {
-			continue
-		}
-		if a.err != nil {
-			die(id, "conn")
-			delete(waiting, id)
-			continue
-		}
-		switch m := a.msg.(type) {
+	acked := make([]bool, len(at.assign))
+	// A death ends a wait; the abort waits on for the others.
+	for !c.wait(at, func(s int) bool { return !acked[s] }, func(s int, m Msg) bool {
+		switch m := m.(type) {
 		case AbortAck:
-			if m.Shard != id || m.Round != c.round {
-				die(id, "protocol")
-			}
-			delete(waiting, id)
-		case Fault:
-			die(id, "fault")
-			delete(waiting, id)
+			acked[s] = true
+			return m.Shard == at.assign[s] && m.Round == c.round
 		case Batch, Idle, ShardReport:
-			// In-flight traffic from the aborted round racing the abort;
-			// FIFO order guarantees it predates the ack. Discard.
-		default:
-			die(id, "protocol")
-			delete(waiting, id)
+			return true
 		}
+		return false
+	}) {
 	}
-	return deaths
-}
-
-// floorRound is the degradation floor: every shard is gone, so the round
-// runs as one in-process slot — a Pipe whose far side serves RunShard over
-// cfg.Search and cfg.Root — through the same protocol and merge as any
-// other round, so it reports what a sharded round reports. It gets no
-// retries: a fault inside it is the round's error, never a second floor.
-func (c *Coordinator) floorRound(b mc.Budget, recordStates bool, began time.Time) (*Result, error) {
-	if c.cfg.Search == nil || c.cfg.Root == nil {
-		return nil, errorf("round %d: no live shards and no local engine to fall back to", c.round)
-	}
-	hub, side := Pipe()
-	done := make(chan error, 1)
-	go func() {
-		err := RunShard(side, ShardConfig{Index: 0, Shards: 1, Search: c.cfg.Search.Config(), Root: c.cfg.Root})
-		side.Close() // a shard that fails to start must not leave the hub waiting
-		done <- err
-	}()
-	floor := NewCoordinator([]Conn{hub}, CoordinatorConfig{
-		Now:        c.cfg.Now,
-		Search:     c.cfg.Search,
-		Root:       c.cfg.Root,
-		MaxRetries: -1,
-	})
-	floor.round = c.round - 1 // its RunRound numbers the round as ours
-	res, err := floor.RunRound(b, recordStates)
-	floor.Shutdown()
-	if serr := <-done; err != nil {
-		if serr != nil && !errors.Is(serr, ErrClosed) {
-			err = fmt.Errorf("%w: floor shard: %v", err, serr)
-		}
-		return nil, err
-	}
-	res.Checker.Elapsed = c.cfg.Now().Sub(began)
-	return res, nil
 }
 
 // deathSummary renders an attempt's deaths for error text.
@@ -505,11 +479,10 @@ func deathSummary(deaths []ShardDeath) string {
 }
 
 // merge folds the shard reports into the single result.
-func (c *Coordinator) merge(workers int, reports []ShardReport, began time.Time) (*Result, error) {
+func (c *Coordinator) merge(workers int, reports []ShardReport, recordStates bool, began time.Time) (*Result, error) {
 	res := &Result{PerShard: reports}
 	res.Checker.StopReason = mc.FrontierEmpty
 	var claimed, locals []uint64
-	recorded := false
 	for i := range reports {
 		r := &reports[i]
 		// A state is explored once it is both claimed and expanded. A
@@ -530,17 +503,14 @@ func (c *Coordinator) merge(workers int, reports []ShardReport, began time.Time)
 		}
 		res.Stats.add(r.Stats)
 		locals = append(locals, r.Locals...)
-		if r.Claimed != nil {
-			recorded = true
-			claimed = append(claimed, r.Claimed...)
-		}
+		claimed = append(claimed, r.Claimed...)
 	}
 	// Hash ranges partition the space, so claimed sets are disjoint;
 	// locals overlap and need deduplication.
-	locals = sortDedup(locals)
-	res.Checker.DistinctLocalStates = len(locals)
-	if recorded {
-		sort.Slice(claimed, func(i, j int) bool { return claimed[i] < claimed[j] })
+	slices.Sort(locals)
+	res.Checker.DistinctLocalStates = len(slices.Compact(locals))
+	if recordStates {
+		slices.Sort(claimed)
 		res.Checker.ClaimedStates = claimed
 	}
 	if res.Checker.StatesExplored > 0 {
@@ -557,59 +527,33 @@ func (c *Coordinator) merge(workers int, reports []ShardReport, began time.Time)
 	return res, nil
 }
 
-// mergeViolations deduplicates across shards by violated-property set,
-// keeping the minimal (depth, state hash) representative — the same rule
-// each shard applies locally — and materializes paths.
+// mergeViolations merges the shards' violations by mc's collector rule
+// (mc.Classes, keyed by the violated-property set as every shard keys its
+// own) and materializes each representative's path, which must reach the
+// state the shard reported.
 func (c *Coordinator) mergeViolations(reports []ShardReport) ([]mc.Violation, error) {
-	bySig := make(map[string]int)
-	var kept []Violation
+	var classes mc.Classes[Violation]
 	for i := range reports {
 		for _, v := range reports[i].Violations {
-			sig := strings.Join(v.Props, "|")
-			j, seen := bySig[sig]
-			if !seen {
-				bySig[sig] = len(kept)
-				kept = append(kept, v)
-				continue
-			}
-			old := kept[j]
-			if v.Depth < old.Depth || (v.Depth == old.Depth && v.StateHash < old.StateHash) {
-				kept[j] = v
-			}
+			classes.Add(strings.Join(v.Props, "|"), int(v.Depth), v.StateHash, v)
 		}
 	}
-	sort.Slice(kept, func(i, j int) bool {
-		if kept[i].Depth != kept[j].Depth {
-			return kept[i].Depth < kept[j].Depth
-		}
-		if kept[i].StateHash != kept[j].StateHash {
-			return kept[i].StateHash < kept[j].StateHash
-		}
-		return strings.Join(kept[i].Props, "|") < strings.Join(kept[j].Props, "|")
-	})
+	kept := classes.Sorted()
 	out := make([]mc.Violation, len(kept))
 	var x *mc.Expander // replay workspace
 	for i, v := range kept {
-		var path []sm.Event
-		if len(v.Path) > 0 && c.cfg.Search != nil && c.cfg.Root != nil {
-			if x == nil {
-				x = c.cfg.Search.NewExpander()
-			}
-			events, g, err := c.cfg.Search.ReplayKeys(x, c.cfg.Root, v.Path, true)
-			if err != nil {
-				return nil, errorf("materializing violation path: %w", err)
-			}
-			if g.Hash() != v.StateHash {
-				return nil, errorf("violation path replays to state hash %#x, shard reported %#x — diverged configurations?", g.Hash(), v.StateHash)
-			}
-			path = events
+		out[i] = mc.Violation{Properties: v.Props, StateHash: v.StateHash, Depth: int(v.Depth)}
+		if len(v.Path) == 0 || c.cfg.Search == nil || c.cfg.Root == nil {
+			continue
 		}
-		out[i] = mc.Violation{
-			Properties: v.Props,
-			Path:       path,
-			StateHash:  v.StateHash,
-			Depth:      int(v.Depth),
+		if x == nil {
+			x = c.cfg.Search.NewExpander()
 		}
+		path, err := c.cfg.Search.ReplayTo(x, c.cfg.Root, v.Path, v.StateHash)
+		if err != nil {
+			return nil, errorf("materializing violation path: %w", err)
+		}
+		out[i].Path = path
 	}
 	return out, nil
 }
@@ -644,27 +588,8 @@ func SplitBudget(b mc.Budget, n int) []mc.Budget {
 }
 
 func splitShare(total, i, n int) int {
-	if total == 0 {
-		return 0
+	if i < total%n {
+		return total/n + 1
 	}
-	q, r := total/n, total%n
-	if i < r {
-		return q + 1
-	}
-	return q
-}
-
-// sortDedup sorts hs and removes duplicates in place.
-func sortDedup(hs []uint64) []uint64 {
-	if len(hs) == 0 {
-		return hs
-	}
-	sort.Slice(hs, func(i, j int) bool { return hs[i] < hs[j] })
-	out := hs[:1]
-	for _, h := range hs[1:] {
-		if h != out[len(out)-1] {
-			out = append(out, h)
-		}
-	}
-	return out
+	return total / n
 }

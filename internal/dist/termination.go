@@ -10,7 +10,8 @@ package dist
 // *to* i this round. A shard sends Idle{Received: r} after every drain,
 // where r counts the batches it has processed. Shard i is settled when its
 // latest Idle matches the relay count exactly and nothing was relayed to it
-// since. The round is quiescent when every shard is settled:
+// since. The round is quiescent — the coordinator's relay wait ends — when
+// every shard is settled:
 //
 //   - settled(i) means shard i has processed every batch the coordinator
 //     ever sent it (credits repaid) and, having sent Idle after that
@@ -51,15 +52,4 @@ func (q *quiescence) idle(shard int, received int64) error {
 	}
 	q.settled[shard] = received == q.relayed[shard]
 	return nil
-}
-
-// quiescent reports whether every shard is settled: the round has
-// terminated and RoundEnd may be sent.
-func (q *quiescence) quiescent() bool {
-	for _, s := range q.settled {
-		if !s {
-			return false
-		}
-	}
-	return true
 }

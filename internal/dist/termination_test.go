@@ -1,6 +1,13 @@
 package dist
 
-import "testing"
+import (
+	"slices"
+	"testing"
+)
+
+// quiescent is the coordinator's relay-phase exit: no slot is still
+// pending, i.e. every shard is settled.
+func (q *quiescence) quiescent() bool { return !slices.Contains(q.settled, false) }
 
 // Credit-counting edge cases for the quiescence check. These are the
 // sequences the fault-tolerance work makes reachable: relays landing after

@@ -77,11 +77,8 @@ func Fig17Bullet(cfg Fig17Config) (Fig17Result, error) {
 
 func runBulletArm(cfg Fig17Config, withCB bool) (*stats.Sample, int, float64, error) {
 	n := cfg.Nodes + 1 // plus the source
-	control := scenario.Bare
-	if withCB {
-		control = scenario.Debug
-	}
-	d, err := scenario.Deploy("bulletprime", scenario.DeployOptions{
+	sc := scenario.MustLookup("bulletprime")
+	opts := scenario.DeployOptions{
 		Seed: cfg.Seed,
 		Service: scenario.Options{
 			Nodes:     n,
@@ -92,15 +89,23 @@ func runBulletArm(cfg Fig17Config, withCB bool) (*stats.Sample, int, float64, er
 		},
 		// Paper: 5 Mbps in / 1 Mbps out access links; model the shared
 		// bottleneck with a uniform path at the outbound rate.
-		Path:    simnet.UniformPath{Latency: 50 * time.Millisecond, BwBps: 1e6, Loss: 0.002},
-		Control: control,
-		// The overhead arms measure the monitored download, not the
-		// debugging property set's transient phantom-block reports.
-		Props:            bulletprime.Properties,
+		Path:             simnet.UniformPath{Latency: 50 * time.Millisecond, BwBps: 1e6, Loss: 0.002},
 		MCStates:         cfg.MCStates,
 		Workers:          cfg.Workers,
 		SnapshotInterval: 10 * time.Second,
-	})
+	}
+	if withCB {
+		opts.Control = scenario.Debug
+		// The overhead arms measure the monitored download, not the
+		// debugging property set's transient phantom-block reports.
+		ctrl, err := sc.ControllerConfig(opts)
+		if err != nil {
+			return nil, 0, 0, err
+		}
+		ctrl.Check.Props = bulletprime.Properties
+		opts.Controller = &ctrl
+	}
+	d, err := sc.Deploy(opts)
 	if err != nil {
 		return nil, 0, 0, err
 	}

@@ -1,6 +1,7 @@
 package mc
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 	"sort"
@@ -25,28 +26,75 @@ func atomicMax(v *atomic.Int64, x int64) {
 
 // Finding is one collected violation class before its path is rendered: the
 // violated properties and the representative state. A single-range search
-// resolves Ref.Path() into Result.Violations; a sharded search sends
-// Ref.Keys() behind the wire prefix of Ref.Root().
+// resolves Ref.Keys() into Result.Violations; a sharded search sends them
+// behind the wire prefix of Ref.Root().
 type Finding struct {
 	Props []string
 	Ref   Ref
-	sig   string
 }
 
-// collector gathers violations from all workers, deduplicating by a
-// caller-supplied bug-class signature and keeping, per signature, the
-// representative state with the smallest (depth, state hash). For runs
-// bounded only by depth or exhaustion the reported set is therefore
-// identical no matter how worker interleavings ordered the discoveries;
-// under a Budget.Violations cutoff, which violating states fill the quota
-// first — and so the reported membership — can still vary with >1 worker,
-// exactly as it varies with the processing order of the serial checker. The
-// quota counts violating *states* (every record call), not signatures: a
-// search stops quickly once violations pile up even when they share one.
+// Classes is the one rule that turns violating states into a report: one
+// representative per class key — the state with the least (depth, state
+// hash) — ordered by (depth, state hash, key). The result depends on the set
+// of states offered, never on their order, so engines at any worker count
+// and a coordinator merging any number of shard reports agree. The zero
+// value is empty and ready; it is not safe for concurrent use.
+type Classes[T any] struct {
+	byKey map[string]int
+	list  []class[T]
+}
+
+type class[T any] struct {
+	depth int
+	hash  uint64
+	key   string
+	v     T
+}
+
+// compare orders classes by (depth, state hash, key).
+func (a *class[T]) compare(b *class[T]) int {
+	return cmp.Or(cmp.Compare(a.depth, b.depth), cmp.Compare(a.hash, b.hash), strings.Compare(a.key, b.key))
+}
+
+// Add offers v, a violating state at (depth, hash) of class key.
+func (c *Classes[T]) Add(key string, depth int, hash uint64, v T) {
+	r := class[T]{depth: depth, hash: hash, key: key, v: v}
+	if i, seen := c.byKey[key]; seen {
+		if r.compare(&c.list[i]) < 0 {
+			c.list[i] = r
+		}
+		return
+	}
+	if c.byKey == nil {
+		c.byKey = make(map[string]int)
+	}
+	c.byKey[key] = len(c.list)
+	c.list = append(c.list, r)
+}
+
+// Sorted returns the representatives in (depth, state hash, key) order.
+func (c *Classes[T]) Sorted() []T {
+	list := slices.Clone(c.list)
+	slices.SortFunc(list, func(a, b class[T]) int { return a.compare(&b) })
+	out := make([]T, len(list))
+	for i := range list {
+		out[i] = list[i].v
+	}
+	return out
+}
+
+// collector gathers violations from all workers into Classes, keyed by a
+// caller-supplied bug-class signature. For runs bounded only by depth or
+// exhaustion the reported set is therefore identical no matter how worker
+// interleavings ordered the discoveries; under a Budget.Violations cutoff,
+// which violating states fill the quota first — and so the reported
+// membership — can still vary with >1 worker, exactly as it varies with the
+// processing order of the serial checker. The quota counts violating
+// *states* (every record call), not signatures: a search stops quickly once
+// violations pile up even when they share one.
 type collector struct {
 	mu       sync.Mutex
-	bySig    map[string]int
-	list     []Finding
+	classes  Classes[Finding]
 	recorded int // violating states seen, including signature duplicates
 	max      int // Budget.Violations (0 = unbounded)
 	// filled flips once the quota is reached; record's lock-free fast path
@@ -55,78 +103,24 @@ type collector struct {
 	filled atomic.Bool
 }
 
-func newCollector(max int) *collector {
-	return &collector{bySig: make(map[string]int), max: max}
-}
-
-// less orders findings by (depth, state hash, signature): a total order
-// independent of discovery interleaving.
-func (f *Finding) less(o *Finding) bool {
-	a, b := f.Ref.entry(), o.Ref.entry()
-	if a.depth != b.depth {
-		return a.depth < b.depth
-	}
-	if a.hash != b.hash {
-		return a.hash < b.hash
-	}
-	return f.sig < o.sig
-}
-
 // record merges one violating state into the collection and reports whether
 // the violation quota is now (or already was) filled.
 func (c *collector) record(sig string, properties []string, r Ref) (quotaFilled bool) {
 	if c.filled.Load() {
 		return true
 	}
-	f := Finding{Props: properties, Ref: r, sig: sig}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.max > 0 && c.recorded >= c.max {
 		return true
 	}
 	c.recorded++
-	if i, seen := c.bySig[sig]; seen {
-		if f.less(&c.list[i]) {
-			c.list[i] = f
-		}
-	} else {
-		c.bySig[sig] = len(c.list)
-		c.list = append(c.list, f)
-	}
+	c.classes.Add(sig, r.Depth(), r.Hash(), Finding{Props: properties, Ref: r})
 	if c.max > 0 && c.recorded >= c.max {
 		c.filled.Store(true)
 		return true
 	}
 	return false
-}
-
-// findings returns the deduplicated set in Finding.less order.
-func (c *collector) findings() []Finding {
-	c.mu.Lock()
-	out := make([]Finding, len(c.list))
-	copy(out, c.list)
-	c.mu.Unlock()
-	sort.Slice(out, func(i, j int) bool { return out[i].less(&out[j]) })
-	return out
-}
-
-// violations renders the findings, resolving each representative's path by
-// replaying its descriptors from root — the state every chain of the search
-// starts at. A path that does not replay to the state it was recorded for
-// means a handler is not a function of (seed, local state, event), which the
-// whole checker rests on; the violation is then reported without a path
-// rather than with a wrong one.
-func (c *collector) violations(s *Search, root *GState) []Violation {
-	findings := c.findings()
-	out := make([]Violation, len(findings))
-	x := s.NewExpander()
-	for i, f := range findings {
-		out[i] = Violation{Properties: f.Props, StateHash: f.Ref.Hash(), Depth: f.Ref.Depth()}
-		if path, g, err := f.Ref.Path(s, x, root); err == nil && g.Hash() == out[i].StateHash {
-			out[i].Path = path
-		}
-	}
-	return out
 }
 
 // held is a claimed state the engine still has to expand (or, at the depth
@@ -478,7 +472,7 @@ func (s *Search) NewEngine(b Budget, own HashRange, forward func(Forward) error)
 		visited: make(map[uint64]int32),
 		local:   make(map[uint64]struct{}),
 		locals:  make(map[uint64]struct{}),
-		coll:    newCollector(b.Violations),
+		coll:    &collector{max: b.Violations},
 		ws:      make([]*Expander, b.Workers),
 		window:  claimWindow,
 	}
@@ -1013,12 +1007,28 @@ func sortedKeys[V any](m map[uint64]V) []uint64 {
 
 // Findings returns the collected violation classes sorted by (depth, state
 // hash, signature).
-func (e *Engine) Findings() []Finding { return e.coll.findings() }
+func (e *Engine) Findings() []Finding {
+	e.coll.mu.Lock()
+	defer e.coll.mu.Unlock()
+	return e.coll.classes.Sorted()
+}
 
-// Violations renders the findings with each representative's event path from
-// root, the state every chain of this engine starts at (a single-range
-// search's start state).
-func (e *Engine) Violations(root *GState) []Violation { return e.coll.violations(e.s, root) }
+// Violations renders the findings with each representative's event path,
+// replayed from root — the state every chain of this engine starts at (a
+// single-range search's start state). A path that does not reach the state
+// it was recorded for means a handler is not a function of (seed, local
+// state, event), which the whole checker rests on; the violation is then
+// reported without a path rather than with a wrong one.
+func (e *Engine) Violations(root *GState) []Violation {
+	findings := e.Findings()
+	out := make([]Violation, len(findings))
+	x := e.s.NewExpander()
+	for i, f := range findings {
+		out[i] = Violation{Properties: f.Props, StateHash: f.Ref.Hash(), Depth: f.Ref.Depth()}
+		out[i].Path, _ = e.s.ReplayTo(x, root, f.Ref.Keys(), out[i].StateHash)
+	}
+	return out
+}
 
 // Result summarises the search so far, all but the violations: their paths
 // are replayed from the start state, which Violations takes.

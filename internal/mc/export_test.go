@@ -239,7 +239,7 @@ func CheckPathOracle(t *testing.T, cfg Config, start *GState) int {
 			x := s.NewExpander()
 			for i := 0; i < e.tree.entries.n; i++ {
 				r := Ref{e.tree, int32(i)}
-				path, g, err := r.Path(s, x, start)
+				path, g, err := s.ReplayKeys(x, start, r.Keys(), true)
 				if err != nil {
 					t.Fatalf("workers=%d window=%d: entry %d at depth %d: %v", workers, window, i, r.Depth(), err)
 				}

@@ -116,8 +116,6 @@ func (t *toy) DecodeState(d *sm.Decoder) error {
 	return d.Err()
 }
 
-func (t *toy) ServiceName() string { return "toy" }
-
 // kickCalls is shared by every toy: the checker only reads the list.
 var kickCalls = []sm.AppCall{kick{}}
 

@@ -229,7 +229,7 @@ func (s *Search) Config() Config { return s.cfg }
 // tree of millions of states is a few dozen chunks the collector never looks
 // inside. A claimed state's GState is not here: it sits in the engine's
 // frontier until the state is expanded and is then let go; a path is replayed
-// from its descriptors (Ref.Path), never read off retained states.
+// from its descriptors (Ref.Keys), never read off retained states.
 //
 // Ownership. The tree is written only by the goroutine driving its engine's
 // Drain, between sweeps: entries are appended and descriptors interned in the
@@ -399,12 +399,6 @@ func (r Ref) Keys() []sm.EventKey {
 	}
 }
 
-// Path resolves Keys() into events by replaying them from root, the state
-// Root() names, and returns them with the state they reach.
-func (r Ref) Path(s *Search, x *Expander, root *GState) ([]sm.Event, *GState, error) {
-	return s.ReplayKeys(x, root, r.Keys(), true)
-}
-
 // resolve returns the event enabled at g that desc names: the one with
 // desc's key — whole, so two same-named app calls at one node resolve by
 // their argument fingerprints — whose payload, for a delivery, is the one
@@ -434,7 +428,7 @@ func (x *Expander) resolve(g *GState, desc sm.EventKey) (sm.Event, error) {
 // descriptor against the events enabled in the state it executed in — the
 // enumeration makes the match unique — and applying it. It returns the state
 // the path reaches and, with wantEvents, the resolved events. This is the one
-// way a stored path becomes events again: a tree's (Ref.Path), a forwarded
+// way a stored path becomes events again: a tree's (Ref.Keys), a forwarded
 // state's and a wire violation's (internal/dist).
 func (s *Search) ReplayKeys(x *Expander, root *GState, path []sm.EventKey, wantEvents bool) ([]sm.Event, *GState, error) {
 	g := root
@@ -457,6 +451,21 @@ func (s *Search) ReplayKeys(x *Expander, root *GState, path []sm.EventKey, wantE
 		g = next
 	}
 	return events, g, nil
+}
+
+// ReplayTo replays a descriptor path from root and returns its events if it
+// reaches the state hash names, and an error otherwise: the one check a
+// violation's path passes before it is reported, from a search tree or from
+// a shard's report alike.
+func (s *Search) ReplayTo(x *Expander, root *GState, path []sm.EventKey, hash uint64) ([]sm.Event, error) {
+	events, g, err := s.ReplayKeys(x, root, path, true)
+	if err != nil {
+		return nil, err
+	}
+	if g.Hash() != hash {
+		return nil, fmt.Errorf("path replays to state hash %#x, not the reported %#x — diverged configurations?", g.Hash(), hash)
+	}
+	return events, nil
 }
 
 // filterFor returns the first installed filter matching ev, if any.

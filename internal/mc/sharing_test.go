@@ -158,7 +158,7 @@ func TestExpandedNodesLetGoOfState(t *testing.T) {
 							t.Fatalf("state queued at depth %d without its state", depth)
 						}
 						var err error
-						if _, g, err = (Ref{e.tree, h.idx}).Path(s, x, start); err != nil {
+						if _, g, err = s.ReplayKeys(x, start, Ref{e.tree, h.idx}.Keys(), true); err != nil {
 							t.Fatal(err)
 						}
 					}

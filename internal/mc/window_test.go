@@ -41,7 +41,7 @@ func TestLeavesAreCheckedWhenClaimed(t *testing.T) {
 		kept, let := 0, 0
 		if err := e.Drain(func() error {
 			e.queuedAt(depth, func(r Ref, h *held) {
-				_, g, err := r.Path(s, px, start)
+				_, g, err := s.ReplayKeys(px, start, r.Keys(), true)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -34,7 +34,6 @@ func (f *fakeSvc) DecodeState(d *sm.Decoder) error {
 	f.val = d.Int()
 	return d.Err()
 }
-func (f *fakeSvc) ServiceName() string { return "fake" }
 
 func TestViewBasics(t *testing.T) {
 	v := NewView()

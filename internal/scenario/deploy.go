@@ -49,9 +49,6 @@ type DeployOptions struct {
 	// baseline to tweak. All controller-shaping fields below are then
 	// ignored.
 	Controller *controller.Config
-	// Props overrides the property set controllers check (nil =
-	// scenario default for the control mode).
-	Props props.Set
 	// SnapshotInterval is the one interval at which nodes checkpoint and
 	// controllers run model-checking rounds (0 = 10 s, the paper's); an
 	// installed Controller carries its own.

@@ -233,8 +233,8 @@ func InitialState(service string, o Options) (*mc.GState, mc.Config, error) {
 
 // ControllerConfig derives the controller configuration Deploy installs
 // for o: cfg.Check is the scenario's search (the SearchConfig value, on the
-// Live tuning and the control mode's property set) with the round budget,
-// the rest are the controller defaults. Callers that need anything else —
+// Live tuning) checking the control mode's property set (PropsFor) with the
+// round budget, the rest are the controller defaults. Callers that need anything else —
 // another fault model, checker latency, the ISC under a debugging
 // controller, a filter-safety ablation — edit the result and pass it back
 // via o.Controller.
@@ -242,11 +242,7 @@ func (sc *Scenario) ControllerConfig(o DeployOptions) (controller.Config, error)
 	if o.Control == Bare {
 		return controller.Config{}, fmt.Errorf("scenario %s: no controller in Bare deployments", sc.Name)
 	}
-	ps := o.Props
-	if ps == nil {
-		ps = sc.PropsFor(o.Control == Debug)
-	}
-	check, err := sc.checkConfig(ps, sc.LiveOptions(o.Service))
+	check, err := sc.checkConfig(sc.PropsFor(o.Control == Debug), sc.LiveOptions(o.Service))
 	if err != nil {
 		return controller.Config{}, err
 	}

@@ -795,6 +795,3 @@ func (b *Bullet) decodeSet(d *sm.Decoder, s blockSet) error {
 	}
 	return d.Err()
 }
-
-// ServiceName implements sm.Service.
-func (b *Bullet) ServiceName() string { return "bulletprime" }

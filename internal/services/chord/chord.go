@@ -499,9 +499,6 @@ func (r *Ring) DecodeState(d *sm.Decoder) error {
 	return d.Err()
 }
 
-// ServiceName implements sm.Service.
-func (r *Ring) ServiceName() string { return "chord" }
-
 // ModelAppCalls implements sm.ModelActions.
 func (r *Ring) ModelAppCalls() []sm.AppCall {
 	if !r.Joined {

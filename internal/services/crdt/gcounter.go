@@ -210,9 +210,6 @@ func (c *Counter) DecodeState(d *sm.Decoder) error {
 	return d.Err()
 }
 
-// ServiceName implements sm.Service.
-func (c *Counter) ServiceName() string { return "gcounter" }
-
 // ConvergedSum implements Replica: a commutative fingerprint of the count
 // vector.
 func (c *Counter) ConvergedSum() uint64 {

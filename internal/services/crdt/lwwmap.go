@@ -238,9 +238,6 @@ func (m *Map) DecodeState(d *sm.Decoder) error {
 	return d.Err()
 }
 
-// ServiceName implements sm.Service.
-func (m *Map) ServiceName() string { return "lwwmap" }
-
 // ConvergedSum implements Replica: a commutative fingerprint of the map
 // entries including their write stamps.
 func (m *Map) ConvergedSum() uint64 {

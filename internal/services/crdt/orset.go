@@ -330,9 +330,6 @@ func (s *Set) DecodeState(d *sm.Decoder) error {
 	return d.Err()
 }
 
-// ServiceName implements sm.Service.
-func (s *Set) ServiceName() string { return "orset" }
-
 // ConvergedSum implements Replica: a commutative fingerprint of the live
 // (element, tag) pairs — the observable set value at tag granularity.
 func (s *Set) ConvergedSum() uint64 {

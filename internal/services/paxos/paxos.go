@@ -520,9 +520,6 @@ func (p *Paxos) DecodeState(d *sm.Decoder) error {
 	return d.Err()
 }
 
-// ServiceName implements sm.Service.
-func (p *Paxos) ServiceName() string { return "paxos" }
-
 // ModelAppCalls implements sm.ModelActions: any node that is not already
 // driving a proposal may become the next leader (the paper's Figure 13 has
 // B — a round-1 participant — propose round 2), so the checker explores a

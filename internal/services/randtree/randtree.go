@@ -557,9 +557,6 @@ func (t *Tree) DecodeState(d *sm.Decoder) error {
 	return d.Err()
 }
 
-// ServiceName implements sm.Service.
-func (t *Tree) ServiceName() string { return "randtree" }
-
 // ModelAppCalls implements sm.ModelActions: an unjoined node may attempt
 // to join.
 func (t *Tree) ModelAppCalls() []sm.AppCall {

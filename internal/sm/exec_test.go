@@ -57,7 +57,6 @@ func (p *probe) CloneInto(dst Service) Service {
 }
 func (p *probe) EncodeState(e *Encoder)       {}
 func (p *probe) DecodeState(d *Decoder) error { return nil }
-func (p *probe) ServiceName() string          { return "probe" }
 
 // diskProbe is a probe with stable storage.
 type diskProbe struct {

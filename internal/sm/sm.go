@@ -139,8 +139,6 @@ type Service interface {
 	EncodeState(e *Encoder)
 	// DecodeState restores state written by EncodeState.
 	DecodeState(d *Decoder) error
-	// ServiceName identifies the protocol ("randtree", "chord", ...).
-	ServiceName() string
 }
 
 // ModelActions is implemented by services to tell the model checker which

@@ -152,9 +152,6 @@ func (s *Svc) DecodeState(d *sm.Decoder) error {
 	return d.Err()
 }
 
-// ServiceName implements sm.Service.
-func (s *Svc) ServiceName() string { return "testsvc" }
-
 // ModelAppCalls implements sm.ModelActions.
 func (s *Svc) ModelAppCalls() []sm.AppCall { return []sm.AppCall{Bump{}} }
 

@@ -286,18 +286,15 @@ func (c *Coordinator) RunRound(b mc.Budget, recordStates bool) (*Result, error) 
 			if serr := <-floor; err == nil && len(at.deaths) > 0 {
 				err = errorf("round %d: the floor lost %s: floor shard: %v", c.round, deathSummary(at.deaths), serr)
 			}
-			if err != nil {
-				return nil, err
-			}
 			rec.SerialFallback = true
-			res.Recovery = rec
-			return res, nil
 		}
 		if err != nil {
 			return nil, err
 		}
 		if len(at.deaths) == 0 {
-			rec.FinalShards = len(at.assign)
+			if floor == nil {
+				rec.FinalShards = len(at.assign)
+			}
 			res.Recovery = rec
 			return res, nil
 		}

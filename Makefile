@@ -18,10 +18,12 @@ test:
 # one representation, sm.TimerSet. And there is one place an event becomes a
 # handler call or a crashed node gets its disk back — sm.Deliver / sm.Restart
 # (internal/sm/exec.go): a handler invoked from anywhere else is a second
-# executor in the making. Likewise an event's identity — its text, its bug
-# class, its sleep and wire key — is derived in one place, sm.KeyOf
-# (internal/sm/key.go): outside sm only the checker's enabledness test
-# (internal/mc/step.go) switches over the event kinds. And a round's budget
+# executor in the making. Likewise an event is one value, sm.Event: its key
+# (internal/sm/key.go — its text, bug class, sleep and wire key) plus its
+# payload, built by its kind's constructor (internal/sm/events.go). The
+# per-kind event types, sm.KeyOf and mc's cand do not come back, and outside
+# sm only the checker's enabledness test (internal/mc/step.go) switches over
+# the event kinds. And a round's budget
 # is an mc.Budget value: nothing plans it, so no policy type comes back —
 # and it sits in the mc.Config the controller holds (Config.Check): a checker
 # setting declared again as a controller field is a second copy to keep equal.
@@ -45,9 +47,11 @@ lint:
 	@if grep -rn --include='*.go' -e '\.HandleMessage(' -e '\.HandleTimer(' -e '\.HandleApp(' -e '\.HandleTransportError(' -e 'RestoreStable(' cmd internal examples \
 	| grep -v -e '_test\.go' -e '^internal/sm/' -e '^internal/services/'; then \
 	echo "handlers run through sm.Deliver and sm.Restart only"; exit 1; fi
-	@if grep -rn --include='*.go' -e 'case sm\.MsgEvent' cmd internal examples \
-	| grep -v -e '_test\.go' -e '^internal/mc/step\.go'; then \
-	echo "an event's identity comes from sm.KeyOf: no switch over the event kinds outside internal/sm and internal/mc/step.go"; exit 1; fi
+	@if grep -rnw --include='*.go' -e 'MsgEvent' -e 'TimerEvent' -e 'AppEvent' -e 'ResetEvent' -e 'ErrorEvent' -e 'DropEvent' -e 'KeyOf' -e 'cand' cmd internal examples; then \
+	echo "an event is one sm.Event value, its key plus its payload: no per-kind event type, no sm.KeyOf, no mc.cand"; exit 1; fi
+	@if grep -rnE --include='*.go' "case '[MTAERD]'" cmd internal examples \
+	| grep -v -e '^internal/sm/' -e '^internal/mc/step\.go'; then \
+	echo "an event's kind is switched on only in internal/sm and internal/mc/step.go"; exit 1; fi
 	@if grep -rn --include='*.go' -e 'PolicySpec' -e 'mc\.Policy\b' -e 'RoundReport' cmd internal examples; then \
 	echo "a round's budget is an mc.Budget value: no policy layer"; exit 1; fi
 	@if grep -rnE --include='*.go' '^[[:space:]]+(ExploreResets|ExploreConnBreaks|MaxResetsPerPath|GlobalProps|Reduce)[[:space:]]+[][*.[:alnum:]]+[[:space:]]*(//.*)?$$' internal/controller; then \

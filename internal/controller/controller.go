@@ -414,7 +414,7 @@ func (c *Controller) processReport(start *mc.GState, res *mc.Result) {
 // block: a message delivered to it, or one of its own timer/app events.
 func (c *Controller) correctiveFilter(path []sm.Event) (sm.Filter, bool) {
 	for _, ev := range path {
-		if ev.Node() != c.node.ID {
+		if ev.Node != c.node.ID {
 			continue
 		}
 		if f, ok := sm.FilterForEvent(ev); ok {

@@ -159,9 +159,9 @@ func TestVirtualMCLatencyDelaysReport(t *testing.T) {
 }
 
 func TestDistinctFindingsDedup(t *testing.T) {
-	a := Finding{Properties: []string{"P"}, Path: []sm.Event{sm.TimerEvent{At: 1, Timer: "t"}}}
-	b := Finding{Properties: []string{"P"}, Path: []sm.Event{sm.TimerEvent{At: 1, Timer: "t"}}}
-	c := Finding{Properties: []string{"Q"}, Path: []sm.Event{sm.TimerEvent{At: 1, Timer: "t"}}}
+	a := Finding{Properties: []string{"P"}, Path: []sm.Event{sm.TimerFiring(1, "t")}}
+	b := Finding{Properties: []string{"P"}, Path: []sm.Event{sm.TimerFiring(1, "t")}}
+	c := Finding{Properties: []string{"Q"}, Path: []sm.Event{sm.TimerFiring(1, "t")}}
 	got := DistinctFindings([]Finding{a, b, c})
 	if len(got) != 2 {
 		t.Fatalf("distinct = %d, want 2", len(got))

@@ -14,7 +14,7 @@ import (
 // sampleMsgs covers every protocol message type, with every field that can
 // be non-zero populated.
 func sampleMsgs() []Msg {
-	path := []EventDesc{
+	path := []sm.EventKey{
 		{Kind: 'M', From: 1, Node: 2, Name: "Join", Arg: 0xdeadbeef},
 		{Kind: 'T', Node: 3, Name: "recovery"},
 		{Kind: 'A', Node: 1, Name: "propose", Arg: 42},
@@ -62,7 +62,7 @@ func sampleMsgs() []Msg {
 
 // badKind is a forwarded state whose path names an event of no kind.
 var badKind = Batch{From: 0, To: 1, States: []ForwardState{
-	{Hash: 0x10, Depth: 1, Path: []EventDesc{{Kind: 'X', From: 1, Node: 2, Name: "Join"}}},
+	{Hash: 0x10, Depth: 1, Path: []sm.EventKey{{Kind: 'X', From: 1, Node: 2, Name: "Join"}}},
 }}
 
 // TestDecodeRejectsInvalid pins that the decoder refuses structurally valid

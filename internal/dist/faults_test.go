@@ -4,6 +4,8 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+
+	"crystalball/internal/sm"
 )
 
 func TestFaultSpecParse(t *testing.T) {
@@ -114,7 +116,7 @@ func TestFaultRecvKillAndCorrupt(t *testing.T) {
 	if m, err := w.Recv(); err != nil || m != (Idle{Shard: 0, Received: 1}) {
 		t.Fatalf("corrupt fired on a non-batch: %v %v", m, err)
 	}
-	orig := Batch{From: 0, To: 0, States: []ForwardState{{Hash: 0x10, Depth: 2, Path: []EventDesc{{Kind: 'R', Node: 1}}}}}
+	orig := Batch{From: 0, To: 0, States: []ForwardState{{Hash: 0x10, Depth: 2, Path: []sm.EventKey{{Kind: 'R', Node: 1}}}}}
 	mustSend(t, b, orig)
 	m, err := w.Recv()
 	if err != nil {

@@ -65,7 +65,7 @@ func TestReplayResolvesSameNamedCallsByArgument(t *testing.T) {
 	x, enc := s.NewExpander(), sm.NewEncoder()
 	var calls []sm.Event
 	x.Events(g, func(ev sm.Event) {
-		if ae, ok := ev.(sm.AppEvent); ok && ae.At == 1 {
+		if ev.Kind == 'A' && ev.Node == 1 {
 			calls = append(calls, ev)
 		}
 	})
@@ -75,7 +75,7 @@ func TestReplayResolvesSameNamedCallsByArgument(t *testing.T) {
 	for _, ev := range calls {
 		want := s.ApplyEvent(g, ev)
 		wire := sm.NewEncoder()
-		sent := Batch{States: []ForwardState{{Hash: want.Hash(), Depth: 1, Path: []EventDesc{DescribeEvent(ev, enc)}}}}
+		sent := Batch{States: []ForwardState{{Hash: want.Hash(), Depth: 1, Path: []sm.EventKey{DescribeEvent(ev, enc)}}}}
 		if err := encodeMsg(wire, sent); err != nil {
 			t.Fatal(err)
 		}
@@ -86,10 +86,10 @@ func TestReplayResolvesSameNamedCallsByArgument(t *testing.T) {
 		fs := m.(Batch).States[0]
 		_, got, err := s.ReplayKeys(x, g, fs.Path, false)
 		if err != nil {
-			t.Fatalf("%v: forwarded path does not replay: %v", ev.(sm.AppEvent).Call, err)
+			t.Fatalf("%v: forwarded path does not replay: %v", ev.Call, err)
 		}
 		if got.Hash() != fs.Hash {
-			t.Errorf("%v: forwarded path replays to %#x, sender reached %#x", ev.(sm.AppEvent).Call, got.Hash(), fs.Hash)
+			t.Errorf("%v: forwarded path replays to %#x, sender reached %#x", ev.Call, got.Hash(), fs.Hash)
 		}
 	}
 
@@ -147,17 +147,17 @@ func TestTCPViolationPathsReachReportedState(t *testing.T) {
 func TestMergeViolationsVerifiesReplayedHash(t *testing.T) {
 	g, cfg := adderStart()
 	s := mc.NewSearch(cfg)
-	ev := sm.AppEvent{At: 1, Call: add{N: 1}}
+	ev := sm.AppInvocation(1, add{N: 1}, sm.NewEncoder())
 	reached := s.ApplyEvent(g, ev).Hash()
 	report := func(hash uint64) []ShardReport {
 		return []ShardReport{{Violations: []Violation{{
 			Props: []string{"p"}, Depth: 1, StateHash: hash,
-			Path: []EventDesc{DescribeEvent(ev, sm.NewEncoder())},
+			Path: []sm.EventKey{DescribeEvent(ev, sm.NewEncoder())},
 		}}}}
 	}
 	c := NewCoordinator(nil, CoordinatorConfig{Search: s, Root: g})
 	vios, err := c.mergeViolations(report(reached))
-	if err != nil || len(vios) != 1 || len(vios[0].Path) != 1 || vios[0].Path[0] != sm.Event(ev) {
+	if err != nil || len(vios) != 1 || len(vios[0].Path) != 1 || vios[0].Path[0] != ev {
 		t.Fatalf("honest report: violations %+v, err %v", vios, err)
 	}
 	if _, err := c.mergeViolations(report(reached + 1)); err == nil || !strings.Contains(err.Error(), "diverged configurations?") {

@@ -1,6 +1,9 @@
 package dist
 
-import "crystalball/internal/mc"
+import (
+	"crystalball/internal/mc"
+	"crystalball/internal/sm"
+)
 
 // ShardConfig parameterises one shard of an n-way distributed search.
 type ShardConfig struct {
@@ -29,9 +32,9 @@ type ShardConfig struct {
 // when it is the zero key: the path to parent itself). Tree entries are
 // written before their state is handed over and never rewritten, so the walk
 // needs no lock while their shards keep searching.
-func descPath(prefix []EventDesc, parent mc.Ref, desc EventDesc) []EventDesc {
+func descPath(prefix []sm.EventKey, parent mc.Ref, desc sm.EventKey) []sm.EventKey {
 	keys := parent.Keys()
-	out := make([]EventDesc, 0, len(prefix)+len(keys)+1)
+	out := make([]sm.EventKey, 0, len(prefix)+len(keys)+1)
 	out = append(append(out, prefix...), keys...)
 	if desc.Kind != 0 {
 		out = append(out, desc)
@@ -59,7 +62,7 @@ type shard struct {
 	// and onward forwarding splice in front of the trees' own descriptors.
 	// (A root forwarded in process needs none: the engine's tree links it to
 	// the entry it came from.)
-	prefix map[mc.Ref][]EventDesc
+	prefix map[mc.Ref][]sm.EventKey
 	// fwd is the sender-side forward cache: fingerprint → minimal depth
 	// already forwarded, so a successor is re-forwarded only when
 	// strictly shallower.
@@ -178,7 +181,7 @@ func (sh *shard) startRound(rs RoundStart) error {
 	}
 	sh.rng = mc.ShardRange(sh.slot, sh.slots)
 	sh.eng = sh.search.NewEngine(rs.Budget, sh.rng, sh.route)
-	sh.prefix = make(map[mc.Ref][]EventDesc)
+	sh.prefix = make(map[mc.Ref][]sm.EventKey)
 	sh.fwd = make(map[uint64]int32)
 	sh.out = make([][]ForwardState, sh.slots)
 	sh.received = 0
@@ -338,7 +341,7 @@ func (sh *shard) ingest(b Batch) error {
 }
 
 // replay reconstructs a state from its descriptor path.
-func (sh *shard) replay(path []EventDesc) (*mc.GState, error) {
+func (sh *shard) replay(path []sm.EventKey) (*mc.GState, error) {
 	_, g, err := sh.search.ReplayKeys(sh.replayX, sh.cfg.Root, path, false)
 	if err != nil {
 		return nil, errorf("shard %d: %w", sh.cfg.Index, err)
@@ -371,7 +374,7 @@ func (sh *shard) report() ShardReport {
 			Props:     f.Props,
 			Depth:     int32(f.Ref.Depth()),
 			StateHash: f.Ref.Hash(),
-			Path:      descPath(sh.prefix[f.Ref.Root()], f.Ref, EventDesc{}),
+			Path:      descPath(sh.prefix[f.Ref.Root()], f.Ref, sm.EventKey{}),
 		}
 	}
 	if sh.record {

@@ -114,17 +114,14 @@ type AbortAck struct {
 
 func (AbortAck) kind() byte { return kindAbortAck }
 
-// EventDesc is an event as it travels in a forwarded or reported path: its
-// sm.EventKey, which the receiver re-resolves against the enabled set of the
-// state the event executed in. On the wire a delivery's Arg additionally
-// carries the fingerprint of the message payload the sender consumed — not
-// part of the delivery's identity (the FIFO head is), but checked at every
-// replayed step so diverged configurations fail at the first wrong payload.
-type EventDesc = sm.EventKey
-
-// DescribeEvent captures ev as a transportable descriptor. enc is scratch
-// for the fingerprints.
-func DescribeEvent(ev sm.Event, enc *sm.Encoder) EventDesc { return sm.DescOf(ev, enc) }
+// DescribeEvent captures ev as it travels in a forwarded or reported path:
+// its descriptor (sm.DescOf), which the receiver re-resolves against the
+// enabled set of the state the event executed in. A delivery's Arg carries
+// the fingerprint of the message payload the sender consumed — not part of
+// the delivery's identity (the FIFO head is), but checked at every replayed
+// step so diverged configurations fail at the first wrong payload. enc is
+// scratch for the fingerprint.
+func DescribeEvent(ev sm.Event, enc *sm.Encoder) sm.EventKey { return sm.DescOf(ev, enc) }
 
 // ForwardState is one successor handed to its owner shard. In process it
 // travels as the engine's own mc.Forward — the state itself plus a reference
@@ -136,9 +133,9 @@ func DescribeEvent(ev sm.Event, enc *sm.Encoder) EventDesc { return sm.DescOf(ev
 type ForwardState struct {
 	Hash   uint64
 	Depth  int32
-	Path   []EventDesc // wire form (nil in-process)
-	fwd    mc.Forward  // in-process form (zero on the wire)
-	prefix []EventDesc // wire path of fwd.Parent's chain root (in-process form)
+	Path   []sm.EventKey // wire form (nil in-process)
+	fwd    mc.Forward    // in-process form (zero on the wire)
+	prefix []sm.EventKey // wire path of fwd.Parent's chain root (in-process form)
 }
 
 // Batch carries forwarded states from slot From to owner slot To (round
@@ -177,7 +174,7 @@ type Violation struct {
 	Props     []string
 	Depth     int32
 	StateHash uint64
-	Path      []EventDesc
+	Path      []sm.EventKey
 }
 
 // ShardReport is a shard's contribution to the round's merged report.
@@ -496,19 +493,19 @@ func decodeHashes(d *sm.Decoder) []uint64 {
 	return hs
 }
 
-func encodeDescPath(e *sm.Encoder, path []EventDesc) {
+func encodeDescPath(e *sm.Encoder, path []sm.EventKey) {
 	e.Uint32(uint32(len(path)))
 	for i := range path {
 		e.EventKey(path[i])
 	}
 }
 
-func decodeDescPath(d *sm.Decoder) []EventDesc {
+func decodeDescPath(d *sm.Decoder) []sm.EventKey {
 	n := int(d.Uint32())
 	if d.Err() != nil || n <= 0 || n > d.Remaining() {
 		return nil
 	}
-	path := make([]EventDesc, n)
+	path := make([]sm.EventKey, n)
 	for i := range path {
 		path[i] = d.EventKey()
 	}

@@ -6,7 +6,6 @@ import (
 
 	"crystalball/internal/controller"
 	"crystalball/internal/scenario"
-	"crystalball/internal/sm"
 	"crystalball/internal/stats"
 )
 
@@ -120,5 +119,5 @@ func lastKind(f controller.Finding) string {
 	if len(f.Path) == 0 {
 		return "?"
 	}
-	return sm.KeyOf(f.Path[len(f.Path)-1], nil).Class()
+	return f.Path[len(f.Path)-1].Class()
 }

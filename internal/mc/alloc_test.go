@@ -49,13 +49,13 @@ func TestReusedViewCheckZeroAllocs(t *testing.T) {
 }
 
 // TestEnabledEventsReusedBufferAllocBound: enumeration through a reused
-// eventBuf boxes nothing — a candidate is a key and a payload, by value — so
+// eventBuf boxes nothing — an event is a key and a payload, by value — so
 // once the buffers are warm it allocates nothing at all; and the count-only
 // mode, which the consequence rule runs on every (node, local state) it has
 // already claimed, reports the same number of internal actions without
-// building even the keys. Every candidate's key is the key of the event it
-// boxes to: enumeration writes keys out by hand, and sm.KeyOf stays the one
-// definition of them.
+// building even the keys. Every kind is enumerated, and an enumerated app
+// call carries its EncodeCall fingerprint: the key that tells it from a
+// same-named call.
 func TestEnabledEventsReusedBufferAllocBound(t *testing.T) {
 	s := NewSearch(Config{Props: poisonAt(1000), Factory: newToy, ExploreResets: true})
 	g := multiTimerStart()
@@ -95,16 +95,12 @@ func TestEnabledEventsReusedBufferAllocBound(t *testing.T) {
 	g = multiTimerStart()
 	g.AddMessage(2, 1, nil) // an RST
 	kinds := map[byte]bool{}
-	keyed := func(cs []cand) {
+	keyed := func(evs []sm.Event) {
 		t.Helper()
-		for i := range cs {
-			ev := cs[i].event()
-			kinds[cs[i].key.Kind] = true
-			if got := sm.KeyOf(ev, enc); got != cs[i].key {
-				t.Fatalf("candidate key %+v boxes to an event with key %+v", cs[i].key, got)
-			}
-			if got, want := cs[i].desc(enc), sm.DescOf(ev, enc); got != want || (got.Kind == 'M') != (got != cs[i].key) {
-				t.Fatalf("candidate %+v has descriptor %+v, its event %+v", cs[i].key, got, want)
+		for _, ev := range evs {
+			kinds[ev.Kind] = true
+			if ev.Kind == 'A' && ev.Arg != sm.AppInvocation(ev.Node, ev.Call, sm.NewEncoder()).Arg {
+				t.Fatalf("enumerated app call %+v does not carry its call's fingerprint", ev.EventKey)
 			}
 		}
 	}
@@ -148,9 +144,9 @@ func TestSuccessorAllocBound(t *testing.T) {
 	sc := getScratch()
 	defer putScratch(sc)
 	allocs := func(timer sm.TimerID) float64 {
-		ev := sm.TimerEvent{At: 1, Timer: timer}
+		ev := sm.TimerFiring(1, timer)
 		return testing.AllocsPerRun(500, func() {
-			if cloneSink = s.applyEvent(g, ev, true, sc); cloneSink == nil {
+			if cloneSink = s.applyEvent(g, &ev, true, sc); cloneSink == nil {
 				t.Fatalf("timer %q not applicable", timer)
 			}
 		})
@@ -215,9 +211,9 @@ func successorWithSends(t *testing.T, peers, inherited int) (allocs, bytes float
 	s := NewSearch(Config{Props: poisonAt(1000), Factory: newToy})
 	sc := getScratch()
 	defer putScratch(sc)
-	ev := sm.AppEvent{At: 1, Call: kick{}}
+	ev := sm.AppInvocation(1, kick{}, nil)
 	build := func() {
-		if cloneSink = s.applyEvent(g, ev, true, sc); cloneSink == nil || len(cloneSink.msgs) != inherited+peers {
+		if cloneSink = s.applyEvent(g, &ev, true, sc); cloneSink == nil || len(cloneSink.msgs) != inherited+peers {
 			t.Fatal("kick did not send one item per peer")
 		}
 	}
@@ -261,11 +257,12 @@ func TestSuccessorSendAllocBound(t *testing.T) {
 // allocates nothing once one build has warmed the scratch: no GState, no
 // containers, no node state, no in-flight items, and no service — the
 // handler ran on the scratch's spare, which the next build refills. The
-// toy's Clone does allocate, so the zero is the spare's. The event is boxed
-// once, outside the measurement (the engine boxes it per transition; that
-// allocation is the enumeration's). A "tick" leaves the timer set as it was,
-// a "zap" changes it and a "kick" sends one item per peer: none of them
-// costs an unbuilt successor anything.
+// toy's Clone does allocate, so the zero is the spare's. Each successor is
+// driven the way Engine.expand drives it: the event is enumerated into the
+// worker's buffer and handed to apply where it lies, so the measurement
+// covers everything a transition costs before its fingerprint is looked up.
+// A "tick" leaves the timer set as it was, a "zap" changes it and a "kick"
+// sends one item per peer: none of them costs an unbuilt successor anything.
 func TestUnbuiltSuccessorAllocBound(t *testing.T) {
 	g := NewGState()
 	k := newToy(1).(*toy)
@@ -274,13 +271,13 @@ func TestUnbuiltSuccessorAllocBound(t *testing.T) {
 		g.AddNode(p, newToy(p), nil)
 	}
 	g.AddNode(1, k, sm.TimerSet{"tick", "zap"})
-	g.AddMessage(2, 1, note{K: 1})
+	g.AddMessage(2, 1, ping{N: 1}) // a constant type name: enumerating it allocates nothing
 	s := NewSearch(Config{Props: poisonAt(1000), Factory: newToy})
 	svc := g.Node(1).Svc
 	if clone := testing.AllocsPerRun(500, func() { svcSink = svc.Clone() }); clone == 0 {
 		t.Fatal("the toy's Clone allocates nothing: the bound measures nothing")
 	}
-	for _, ev := range []sm.Event{sm.TimerEvent{At: 1, Timer: "tick"}, sm.TimerEvent{At: 1, Timer: "zap"}, sm.AppEvent{At: 1, Call: kick{}}} {
+	for _, ev := range []sm.Event{sm.TimerFiring(1, "tick"), sm.TimerFiring(1, "zap"), sm.AppInvocation(1, kick{}, sm.NewEncoder())} {
 		e := s.NewEngine(Budget{Workers: 1}, HashRange{}, nil)
 		x := e.ws[0]
 		e.Inject(Forward{State: g})
@@ -288,12 +285,23 @@ func TestUnbuiltSuccessorAllocBound(t *testing.T) {
 			t.Fatalf("%s: successor not claimed", ev.Describe())
 		}
 		// AllocsPerRun's own warm-up call is the build that fills the spare.
+		built := 0
 		unbuilt := testing.AllocsPerRun(500, func() {
-			next := s.apply(g, ev, true, x.sc)
-			if publish, propose := e.fate(next.Hash(), 0, x); publish || propose {
-				t.Fatalf("%s: a successor claimed at depth 0 is proposed (published: %v)", ev.Describe(), publish)
-			}
+			x.each(g, func(at *sm.Event) bool {
+				if at.EventKey != ev.EventKey {
+					return true
+				}
+				next := s.apply(g, at, true, x.sc)
+				if publish, propose := e.fate(next.Hash(), 0, x); publish || propose {
+					t.Fatalf("%s: a successor claimed at depth 0 is proposed (published: %v)", ev.Describe(), publish)
+				}
+				built++
+				return false
+			})
 		})
+		if built != 501 {
+			t.Fatalf("%s: built %d times in 501 runs: not enumerated at the state", ev.Describe(), built)
+		}
 		if unbuilt != 0 {
 			t.Errorf("%s: an unbuilt successor allocates %.1f/op, want 0", ev.Describe(), unbuilt)
 		}
@@ -380,23 +388,23 @@ func TestSearchBytesPerTransitionFlatInCarriedItems(t *testing.T) {
 }
 
 // TestEdgeSeedAndSleepLookupAllocFree: what the engine does with an event's
-// key per transition — derive it (fingerprinting an app call on the worker's
-// encoder), fold its text into the edge seed, look it up in a sleep set —
-// allocates nothing, and the seed is the one hashing ev.Describe() gave.
+// key per transition — fold its text into the edge seed, look it up in a
+// sleep set — allocates nothing, and the seed is the one hashing
+// ev.Describe() gave.
 func TestEdgeSeedAndSleepLookupAllocFree(t *testing.T) {
-	events := []sm.Event{
-		sm.MsgEvent{From: 1, To: 2, Msg: ping{N: 7}},
-		sm.TimerEvent{At: 3, Timer: "tick"},
-		sm.AppEvent{At: 4, Call: kick{}},
-		sm.ResetEvent{At: 5},
-		sm.ErrorEvent{At: 6, Peer: 7},
-		sm.DropEvent{From: 8, To: 9},
-	}
 	enc := sm.NewEncoder()
+	events := []sm.Event{
+		sm.Delivery(1, 2, ping{N: 7}),
+		sm.TimerFiring(3, "tick"),
+		sm.AppInvocation(4, kick{}, enc),
+		sm.Reset(5),
+		sm.TransportError(6, 7),
+		sm.RSTDrop(8, 9),
+	}
 	tree := newTree(false)
 	var resolved []*sm.EventKey
 	for _, ev := range events[:3] {
-		resolved = append(resolved, tree.keys.at(int(tree.intern(sm.KeyOf(ev, enc)))))
+		resolved = append(resolved, tree.keys.at(int(tree.intern(ev.EventKey))))
 	}
 	const lhash uint64 = 0x0123456789abcdef
 	for _, ev := range events {
@@ -404,14 +412,14 @@ func TestEdgeSeedAndSleepLookupAllocFree(t *testing.T) {
 		for i := 0; i < 8; i++ {
 			h = sm.FNV64aByte(h, byte(lhash>>(8*i)))
 		}
-		if got, want := edgeSeed(9, lhash, ev), 9^int64(sm.FNV64aString(h, ev.Describe())); got != want {
+		if got, want := edgeSeed(9, lhash, &ev.EventKey), 9^int64(sm.FNV64aString(h, ev.Describe())); got != want {
 			t.Errorf("edgeSeed(%q) = %#x, want %#x (seed ^ FNV of hash bytes and Describe)", ev.Describe(), got, want)
 		}
 	}
 	hits := 0
 	if n := testing.AllocsPerRun(100, func() {
-		for _, ev := range events {
-			if k := sm.KeyOf(ev, enc); edgeSeed(9, lhash, ev) != 0 && slept(resolved, &k) {
+		for i := range events {
+			if k := &events[i].EventKey; edgeSeed(9, lhash, k) != 0 && slept(resolved, k) {
 				hits++
 			}
 		}

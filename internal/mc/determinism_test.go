@@ -88,8 +88,8 @@ func TestEnabledEventsDeterministicOrder(t *testing.T) {
 	// Timer events for node 1 must appear in sorted timer-id order.
 	var timerOrder []string
 	for _, ev := range internal[1] {
-		if te, ok := ev.(sm.TimerEvent); ok {
-			timerOrder = append(timerOrder, string(te.Timer))
+		if ev.Kind == 'T' {
+			timerOrder = append(timerOrder, ev.Name)
 		}
 	}
 	want := []string{"boom", "tick", "tock", "zap"}

@@ -420,25 +420,26 @@ func (x *Expander) Check(g *GState) []string {
 // must not reenter Events on the same Expander: the enumeration buffer is
 // recycled per call.
 func (x *Expander) Events(g *GState, emit func(sm.Event)) {
-	x.each(g, func(c *cand) bool {
-		emit(c.event())
+	x.each(g, func(ev *sm.Event) bool {
+		emit(*ev)
 		return true
 	})
 }
 
-// each visits the transitions enabled at g in Events' order, unboxed, until
-// visit returns false; a candidate is valid until the next one is visited.
-func (x *Expander) each(g *GState, visit func(*cand) bool) {
-	cs := x.s.networkInto(g, &x.evb)
-	for i := range cs {
-		if !visit(&cs[i]) {
+// each visits the transitions enabled at g in Events' order, in place in the
+// enumeration buffer, until visit returns false; an event is valid until the
+// next one is visited.
+func (x *Expander) each(g *GState, visit func(*sm.Event) bool) {
+	evs := x.s.networkInto(g, &x.evb)
+	for i := range evs {
+		if !visit(&evs[i]) {
 			return
 		}
 	}
 	for n := range g.nodes {
-		cs = x.s.internalInto(g, n, &x.evb, x.enc)
-		for i := range cs {
-			if !visit(&cs[i]) {
+		evs = x.s.internalInto(g, n, &x.evb, x.enc)
+		for i := range evs {
+			if !visit(&evs[i]) {
 				return
 			}
 		}
@@ -814,9 +815,8 @@ func (e *Engine) reportViolation(r Ref, bits uint64, x *Expander) uint64 {
 // the state budget capped a whole-space engine is only checked. Consequence
 // (node, local state) claims go to x.claims for the merge at the end of the
 // bucket. With reduction on, network transitions slept by the state's sleep
-// set are skipped — recognised from the enumerated key, before any event is
-// boxed — and each proposal records the sleep set it is promised
-// (reduce.go).
+// set are skipped — recognised from the enumerated key, before any handler
+// runs — and each proposal records the sleep set it is promised (reduce.go).
 //
 //crystal:hotpath
 func (e *Engine) expand(h *held, x *Expander) expansion {
@@ -843,17 +843,17 @@ func (e *Engine) expand(h *held, x *Expander) expansion {
 		return expansion{}
 	}
 
-	// run executes c, building the successor in x's scratch; fate says
+	// run executes ev, building the successor in x's scratch; fate says
 	// whether it is proposed and whether it is published. With promise the
 	// child sleeps on the siblings explored so far, and once its handler ran
-	// c joins them.
+	// ev joins them.
 	sc := x.sc
-	run := func(c *cand, promise bool) {
+	run := func(ev *sm.Event, promise bool) {
 		// Once any bound trips, the rest of this expansion is skipped.
 		if e.bdg.exhausted() {
 			return
 		}
-		next := e.s.apply(state, c.event(), true, sc)
+		next := e.s.apply(state, ev, true, sc)
 		if next == nil {
 			return
 		}
@@ -864,7 +864,7 @@ func (e *Engine) expand(h *held, x *Expander) expansion {
 			e.ctr.unbuilt.Add(1)
 		}
 		if propose {
-			p := proposal{hash: h, desc: c.desc(x.enc), sibs: -1}
+			p := proposal{hash: h, desc: sm.DescOf(*ev, x.enc), sibs: -1}
 			if promise {
 				p.sibs = int32(len(x.sibs)) - out.sibLo
 			}
@@ -874,7 +874,7 @@ func (e *Engine) expand(h *held, x *Expander) expansion {
 			x.props = append(x.props, p)
 		}
 		if promise {
-			x.sibs = append(x.sibs, c.key)
+			x.sibs = append(x.sibs, ev.EventKey)
 		}
 	}
 
@@ -887,12 +887,12 @@ func (e *Engine) expand(h *held, x *Expander) expansion {
 	}
 	network := e.s.networkInto(state, &x.evb)
 	for i := range network {
-		if c := &network[i]; !e.reduce {
-			run(c, false)
-		} else if slept(x.sleep, &c.key) {
+		if ev := &network[i]; !e.reduce {
+			run(ev, false)
+		} else if slept(x.sleep, &ev.EventKey) {
 			e.ctr.sleepHits.Add(1)
 		} else {
-			run(c, true)
+			run(ev, true)
 		}
 	}
 	// H_A: internal actions, pruned per (node, local state) in
@@ -931,12 +931,12 @@ func (e *Engine) expand(h *held, x *Expander) expansion {
 			x.claims = append(x.claims, ns.localHash())
 		}
 		for i := range internal {
-			if c := &internal[i]; !e.reduce {
-				run(c, false)
-			} else if slept(x.sleep, &c.key) { // never a reset: none is ever promised
+			if ev := &internal[i]; !e.reduce {
+				run(ev, false)
+			} else if slept(x.sleep, &ev.EventKey) { // never a reset: none is ever promised
 				e.ctr.sleepHits.Add(1)
 			} else {
-				run(c, c.key.Kind != 'R' && !e.prune)
+				run(ev, ev.Kind != 'R' && !e.prune)
 			}
 		}
 	}

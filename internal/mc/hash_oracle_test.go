@@ -73,7 +73,8 @@ func TestHashOracleFiltered(t *testing.T) {
 	for _, breakConn := range []bool{false, true} {
 		g := twoNodeStart()
 		s := NewSearch(Config{Props: poisonAt(1000), Factory: newToy})
-		next := s.applyFiltered(g, sm.MsgEvent{From: 1, To: 2, Msg: ping{N: 1}}, sm.Filter{
+		ev := sm.Delivery(1, 2, ping{N: 1})
+		next := s.applyFiltered(g, &ev, sm.Filter{
 			Kind: sm.FilterMessage, Node: 2, From: 1, MsgType: "Ping", BreakConn: breakConn,
 		}, getScratch())
 		if next == nil {
@@ -127,7 +128,7 @@ func TestSplitEncodingSegmentSharing(t *testing.T) {
 	parent := g.Node(1)
 
 	// "boom" has no handler logic: only the timer set changes.
-	next := s.ApplyEvent(g, sm.TimerEvent{At: 1, Timer: "boom"})
+	next := s.ApplyEvent(g, sm.TimerFiring(1, "boom"))
 	if next == nil {
 		t.Fatal("boom timer not applicable")
 	}
@@ -141,7 +142,7 @@ func TestSplitEncodingSegmentSharing(t *testing.T) {
 
 	// "tick" increments the counter and re-arms itself: the service
 	// changes, the timer set does not — the sorted name list must be shared.
-	next = s.ApplyEvent(g, sm.TimerEvent{At: 1, Timer: "tick"})
+	next = s.ApplyEvent(g, sm.TimerFiring(1, "tick"))
 	if next == nil {
 		t.Fatal("tick timer not applicable")
 	}
@@ -158,7 +159,7 @@ func TestSplitEncodingSegmentSharing(t *testing.T) {
 	}
 
 	// And along a chain: a grandchild via another no-op timer.
-	next2 := s.ApplyEvent(next, sm.TimerEvent{At: 1, Timer: "zap"})
+	next2 := s.ApplyEvent(next, sm.TimerFiring(1, "zap"))
 	if next2 == nil {
 		t.Fatal("zap timer not applicable")
 	}

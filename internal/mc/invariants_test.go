@@ -158,7 +158,7 @@ func TestFilteredSearchNeverExpandsFilteredEvent(t *testing.T) {
 	res := NewSearch(cfg).Run(twoNodeStart())
 	for _, v := range res.Violations {
 		for _, ev := range v.Path {
-			if me, ok := ev.(sm.MsgEvent); ok && filter.Matches(me) {
+			if filter.Matches(ev) {
 				t.Fatalf("filtered event executed in path: %v", describePath(v.Path))
 			}
 		}

@@ -100,7 +100,7 @@ func TestAbsentNodeLookup(t *testing.T) {
 		if g.Node(absent) != nil || g.View().Get(absent) != nil || g.View().Has(absent) {
 			t.Fatalf("absent node %d has a state or a view", absent)
 		}
-		if next := s.ApplyEvent(g, sm.TimerEvent{At: absent, Timer: "tick"}); next != nil {
+		if next := s.ApplyEvent(g, sm.TimerFiring(absent, "tick")); next != nil {
 			t.Fatalf("timer at absent node %d produced a successor", absent)
 		}
 		// Node 7 kicks with the absent id as its only peer.
@@ -110,7 +110,7 @@ func TestAbsentNodeLookup(t *testing.T) {
 		h.AddNode(7, k, nil)
 		h.AddNode(3, newToy(3), nil)
 		s.dummyRedirects.Store(0)
-		next := s.ApplyEvent(h, sm.AppEvent{At: 7, Call: kick{}})
+		next := s.ApplyEvent(h, sm.AppInvocation(7, kick{}, nil))
 		if next == nil || next.InFlightCount() != 0 || s.dummyRedirects.Load() != 1 {
 			t.Fatalf("send to absent node %d: successor %v, redirects %d, want 0 in flight and 1 redirect",
 				absent, next, s.dummyRedirects.Load())

@@ -87,7 +87,7 @@ func TestReplayStopsAtFirstViolation(t *testing.T) {
 	// Extending a violating path with junk events must not hide the
 	// violation: replay stops at the first violating state.
 	path := append(append([]sm.Event{}, res.Violations[0].Path...),
-		sm.TimerEvent{At: 1, Timer: "nonexistent"})
+		sm.TimerFiring(1, "nonexistent"))
 	if got := NewSearch(cfg).Replay(twoNodeStart(), path); len(got) == 0 {
 		t.Fatal("replay missed the violation on the extended path")
 	}
@@ -139,11 +139,12 @@ func TestFilterForPrecedence(t *testing.T) {
 	f1 := sm.Filter{Kind: sm.FilterMessage, Node: 2, From: 1, MsgType: "Ping"}
 	f2 := sm.Filter{Kind: sm.FilterMessage, Node: 2, From: 1, MsgType: "Ping", BreakConn: true}
 	s := NewSearch(Config{Props: poisonAt(3), Factory: newToy, Filters: []sm.Filter{f1, f2}})
-	got, ok := s.filterFor(sm.MsgEvent{From: 1, To: 2, Msg: ping{N: 1}})
+	covered, uncovered := sm.Delivery(1, 2, ping{N: 1}), sm.Delivery(2, 1, ping{N: 1})
+	got, ok := s.filterFor(&covered)
 	if !ok || got.BreakConn {
 		t.Fatalf("filterFor returned %+v ok=%v, want first filter", got, ok)
 	}
-	if _, ok := s.filterFor(sm.MsgEvent{From: 2, To: 1, Msg: ping{N: 1}}); ok {
+	if _, ok := s.filterFor(&uncovered); ok {
 		t.Fatal("filterFor matched an event no filter covers")
 	}
 }
@@ -153,8 +154,8 @@ func TestFilterForPrecedence(t *testing.T) {
 func TestApplyFilteredDropsMessage(t *testing.T) {
 	g := twoNodeStart()
 	s := NewSearch(Config{Props: poisonAt(3), Factory: newToy})
-	ev := sm.MsgEvent{From: 1, To: 2, Msg: ping{N: 1}}
-	next := s.applyFiltered(g, ev, sm.Filter{Kind: sm.FilterMessage, Node: 2, From: 1, MsgType: "Ping"}, getScratch())
+	ev := sm.Delivery(1, 2, ping{N: 1})
+	next := s.applyFiltered(g, &ev, sm.Filter{Kind: sm.FilterMessage, Node: 2, From: 1, MsgType: "Ping"}, getScratch())
 	if next == nil {
 		t.Fatal("filtered apply failed on an in-flight message")
 	}
@@ -174,8 +175,8 @@ func TestApplyFilteredDropsMessage(t *testing.T) {
 func TestApplyFilteredBreakConn(t *testing.T) {
 	g := twoNodeStart()
 	s := NewSearch(Config{Props: poisonAt(3), Factory: newToy})
-	ev := sm.MsgEvent{From: 1, To: 2, Msg: ping{N: 1}}
-	next := s.applyFiltered(g, ev, sm.Filter{
+	ev := sm.Delivery(1, 2, ping{N: 1})
+	next := s.applyFiltered(g, &ev, sm.Filter{
 		Kind: sm.FilterMessage, Node: 2, From: 1, MsgType: "Ping", BreakConn: true,
 	}, getScratch())
 	if next == nil {
@@ -185,7 +186,7 @@ func TestApplyFilteredBreakConn(t *testing.T) {
 		t.Fatalf("in-flight = %d, want 1 (the RST)", next.InFlightCount())
 	}
 	// The RST must be deliverable as a transport error at the sender.
-	after := s.ApplyEvent(next, sm.ErrorEvent{At: 1, Peer: 2})
+	after := s.ApplyEvent(next, sm.TransportError(1, 2))
 	if after == nil {
 		t.Fatal("queued RST not deliverable")
 	}
@@ -200,10 +201,11 @@ func TestApplyFilteredInapplicable(t *testing.T) {
 	g := twoNodeStart()
 	s := NewSearch(Config{Props: poisonAt(3), Factory: newToy})
 	f := sm.Filter{Kind: sm.FilterMessage, Node: 2, From: 1, MsgType: "Ping"}
-	if s.applyFiltered(g, sm.TimerEvent{At: 1, Timer: "tick"}, f, getScratch()) != nil {
+	timer, absent := sm.TimerFiring(1, "tick"), sm.Delivery(2, 1, ping{N: 9})
+	if s.applyFiltered(g, &timer, f, getScratch()) != nil {
 		t.Fatal("filtered a timer event into a successor")
 	}
-	if s.applyFiltered(g, sm.MsgEvent{From: 2, To: 1, Msg: ping{N: 9}}, f, getScratch()) != nil {
+	if s.applyFiltered(g, &absent, f, getScratch()) != nil {
 		t.Fatal("filtered a message that is not in flight")
 	}
 }

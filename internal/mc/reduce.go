@@ -78,7 +78,7 @@ import (
 // since a sibling may not have an index yet) and the child's entering
 // transition. A worker only reads: slept tests an enumerated key against the
 // expanding state's set — resolved to its keys once per expansion — before
-// the transition is even boxed.
+// the transition is executed.
 
 // slept reports whether the key k is in sleep, a set resolved to its keys
 // (Engine.expand looks a state's set up once, not once per enumerated key).

@@ -153,9 +153,9 @@ func exactCopy[T any](s []T) []T {
 }
 
 // edgeSeed derives the deterministic per-edge random seed for executing
-// event ev at a node whose local-state hash is lhash:
-// seed ^ FNV-64a(lhash bytes, ev.Describe() bytes), the text folded by the
-// event's key without building the string. Seeding from the *executing
+// the event keyed k at a node whose local-state hash is lhash:
+// seed ^ FNV-64a(lhash bytes, Describe() bytes), the text folded by the key
+// without building the string. Seeding from the *executing
 // node's* hash — not the global state hash — makes a handler's effect,
 // random draws included, a pure function of (node local state, event): the
 // property the partial-order reduction's commutation promises rest on
@@ -163,10 +163,10 @@ func exactCopy[T any](s []T) []T {
 // dice cannot depend on state it has never observed).
 //
 //crystal:hotpath
-func edgeSeed(seed int64, lhash uint64, ev sm.Event) int64 {
+func edgeSeed(seed int64, lhash uint64, k *sm.EventKey) int64 {
 	h := sm.FNV64aInit
 	for i := 0; i < 8; i++ {
 		h = sm.FNV64aByte(h, byte(lhash>>(8*i)))
 	}
-	return seed ^ int64(sm.KeyOf(ev, nil).Fold(h))
+	return seed ^ int64(k.Fold(h))
 }

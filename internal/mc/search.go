@@ -128,7 +128,7 @@ type Violation struct {
 func (v Violation) Signature() string {
 	var last sm.EventKey
 	if n := len(v.Path); n > 0 {
-		last = sm.KeyOf(v.Path[n-1], nil)
+		last = v.Path[n-1].EventKey
 	}
 	return signature(v.Properties, last)
 }
@@ -408,20 +408,20 @@ func (x *Expander) resolve(g *GState, desc sm.EventKey) (sm.Event, error) {
 	if want.Kind == 'M' {
 		want.Arg = 0
 	}
-	var c *cand
-	x.each(g, func(at *cand) bool {
-		if at.key == want {
-			c = at
+	var ev *sm.Event
+	x.each(g, func(at *sm.Event) bool {
+		if at.EventKey == want {
+			ev = at
 		}
-		return c == nil
+		return ev == nil
 	})
-	if c == nil {
-		return nil, fmt.Errorf("no enabled event is %q (arg %#x)", desc, desc.Arg)
+	if ev == nil {
+		return sm.Event{}, fmt.Errorf("no enabled event is %q (arg %#x)", desc, desc.Arg)
 	}
-	if desc.Kind == 'M' && sm.PayloadHash(c.msg, x.enc) != desc.Arg {
-		return nil, fmt.Errorf("%q: payload fingerprint mismatch", desc)
+	if desc.Kind == 'M' && sm.PayloadHash(ev.Msg, x.enc) != desc.Arg {
+		return sm.Event{}, fmt.Errorf("%q: payload fingerprint mismatch", desc)
 	}
-	return c.event(), nil
+	return *ev, nil
 }
 
 // ReplayKeys re-executes a descriptor path from root, resolving each
@@ -441,7 +441,7 @@ func (s *Search) ReplayKeys(x *Expander, root *GState, path []sm.EventKey, wantE
 		if err != nil {
 			return nil, nil, fmt.Errorf("replay step %d: %w", i, err)
 		}
-		next := s.applyEvent(g, ev, true, x.sc)
+		next := s.applyEvent(g, &ev, true, x.sc)
 		if next == nil {
 			return nil, nil, fmt.Errorf("replay step %d: event %s not applicable", i, ev.Describe())
 		}
@@ -469,9 +469,9 @@ func (s *Search) ReplayTo(x *Expander, root *GState, path []sm.EventKey, hash ui
 }
 
 // filterFor returns the first installed filter matching ev, if any.
-func (s *Search) filterFor(ev sm.Event) (sm.Filter, bool) {
+func (s *Search) filterFor(ev *sm.Event) (sm.Filter, bool) {
 	for _, f := range s.cfg.Filters {
-		if f.Matches(ev) {
+		if f.Matches(*ev) {
 			return f, true
 		}
 	}
@@ -482,20 +482,19 @@ func (s *Search) filterFor(ev sm.Event) (sm.Filter, bool) {
 // ev: a filtered message is dropped and, if BreakConn, an RST notification
 // is queued to the sender; filtered timers are rescheduled (no state change,
 // so no successor); filtered app calls are suppressed.
-func (s *Search) applyFiltered(g *GState, ev sm.Event, f sm.Filter, sc *scratch) *GState {
-	me, ok := ev.(sm.MsgEvent)
-	if !ok {
+func (s *Search) applyFiltered(g *GState, ev *sm.Event, f sm.Filter, sc *scratch) *GState {
+	if ev.Kind != 'M' {
 		return nil
 	}
-	i := findMsg(g, me.From, me.To, me.Msg.MsgType(), false)
+	i := findMsg(g, ev.From, ev.Node, ev.Name, false)
 	if i < 0 {
 		return nil
 	}
 	next := sc.begin(g, len(g.msgs)) // the moved queue-mates, or the one RST below
 	next.removeMsgAt(i, sc)
 	if f.BreakConn {
-		if _, known := next.index(me.From); known {
-			next.addMsg(InFlight{From: me.To, To: me.From, Msg: nil}, sc)
+		if _, known := next.index(ev.From); known {
+			next.addMsg(InFlight{From: ev.Node, To: ev.From, Msg: nil}, sc)
 		}
 	}
 	return next
@@ -512,18 +511,18 @@ func (s *Search) applyFiltered(g *GState, ev sm.Event, f sm.Filter, sc *scratch)
 // reachable from it aliases the scratch.
 func (s *Search) ApplyEvent(g *GState, ev sm.Event) *GState {
 	sc := getScratch()
-	next := s.applyEvent(g, ev, false, sc)
+	next := s.applyEvent(g, &ev, false, sc)
 	putScratch(sc)
 	return next
 }
 
 // applyEvent builds ev's successor of g in sc and publishes it. enumerated
 // says ev was enumerated at g itself (the engine's expansion or a replay's
-// resolved descriptor): a delivery then already carries the queue
-// head's payload and need not be boxed a second time to be given it.
+// resolved descriptor): a delivery then already carries the queue head's
+// payload.
 //
 //crystal:hotpath
-func (s *Search) applyEvent(g *GState, ev sm.Event, enumerated bool, sc *scratch) *GState {
+func (s *Search) applyEvent(g *GState, ev *sm.Event, enumerated bool, sc *scratch) *GState {
 	if s.apply(g, ev, enumerated, sc) == nil {
 		return nil
 	}

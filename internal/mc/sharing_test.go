@@ -58,7 +58,7 @@ func checkIntact(t *testing.T, what string, g *GState, wantPos []int) {
 func TestDeliveryNeverWritesSharedItems(t *testing.T) {
 	s := NewSearch(Config{Props: poisonAt(1000), Factory: newToy})
 	parent := longQueueStart()
-	sibling := s.ApplyEvent(parent, sm.MsgEvent{From: 2, To: 1, Msg: ping{N: 1}})
+	sibling := s.ApplyEvent(parent, sm.Delivery(2, 1, ping{N: 1}))
 	if sibling == nil {
 		t.Fatal("2→1 delivery not applicable")
 	}
@@ -70,7 +70,7 @@ func TestDeliveryNeverWritesSharedItems(t *testing.T) {
 		t.Fatal("sibling does not share its parent's items")
 	}
 
-	head := sm.MsgEvent{From: 1, To: 2, Msg: ping{N: 1}}
+	head := sm.Delivery(1, 2, ping{N: 1})
 	for round := 0; round < 2; round++ {
 		next := s.ApplyEvent(parent, head)
 		if next == nil {
@@ -356,9 +356,8 @@ func TestTimerSetSharedUntilChanged(t *testing.T) {
 				if succ == nil {
 					continue
 				}
-				at := ev.Node()
-				_, drop := ev.(sm.DropEvent)
-				ran := !drop
+				at := ev.Node
+				ran := ev.Kind != 'D'
 				for i := range g.nodes {
 					p, c := g.nodes[i], succ.nodes[i]
 					id := p.id
@@ -369,7 +368,7 @@ func TestTimerSetSharedUntilChanged(t *testing.T) {
 						continue
 					}
 					shared := sameSet(p.Timers, c.Timers)
-					switch _, fired := ev.(sm.TimerEvent); {
+					switch fired := ev.Kind == 'T'; {
 					case !p.Timers.Equal(c.Timers):
 						changed++
 						if len(c.Timers) > 0 && len(p.Timers) > 0 && &c.Timers[0] == &p.Timers[0] {

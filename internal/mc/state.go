@@ -490,7 +490,7 @@ func (g *GState) FillView(v *props.View) {
 // Unlike the pre-incremental scheme, the fingerprint includes the resets
 // counter: two states equal in (nodes, messages, stale pairs) but reached
 // with different reset budgets enable different transitions (EnabledEvents
-// gates ResetEvent on g.resets), so conflating them in the visited set
+// gates a reset on g.resets), so conflating them in the visited set
 // could prune reachable fault paths. This deliberately refines the
 // visited-set equivalence relation.
 //

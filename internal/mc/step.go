@@ -2,6 +2,7 @@ package mc
 
 import (
 	"math/rand"
+	"slices"
 
 	"crystalball/internal/sm"
 )
@@ -14,8 +15,8 @@ import (
 // scratch's Rand so the hot path allocates nothing.
 //
 //crystal:hotpath
-func edgeRNG(seed int64, ns *NodeState, ev sm.Event, sc *scratch) *rand.Rand {
-	sc.rnd.Seed(edgeSeed(seed, ns.localHash(), ev))
+func edgeRNG(seed int64, ns *NodeState, ev *sm.Event, sc *scratch) *rand.Rand {
+	sc.rnd.Seed(edgeSeed(seed, ns.localHash(), &ev.EventKey))
 	return sc.rnd
 }
 
@@ -32,38 +33,40 @@ func edgeRNG(seed int64, ns *NodeState, ev sm.Event, sc *scratch) *rand.Rand {
 //
 // Here an event is only tested for being enabled and matched to the
 // in-flight item it consumes; which handler it runs is sm.Deliver's business.
+// ev is only read: the engine hands over the enumerated event where it lies.
 //
 //crystal:hotpath
-func (s *Search) apply(g *GState, ev sm.Event, enumerated bool, sc *scratch) *GState {
+func (s *Search) apply(g *GState, ev *sm.Event, enumerated bool, sc *scratch) *GState {
 	if f, ok := s.filterFor(ev); ok {
 		return s.applyFiltered(g, ev, f, sc)
 	}
 	consumed := -1
-	switch e := ev.(type) {
-	case sm.MsgEvent:
-		if consumed = findMsg(g, e.From, e.To, e.Msg.MsgType(), false); consumed < 0 {
+	switch ev.Kind {
+	case 'M':
+		if consumed = findMsg(g, ev.From, ev.Node, ev.Name, false); consumed < 0 {
 			return nil
 		}
 		// The handler sees the in-flight item's payload, not the event's: a
 		// replayed path names a message by (from, to, type) only. An event
 		// enumerated at g holds that very payload already.
 		if !enumerated {
-			e.Msg = g.msgs[consumed].Msg
-			ev = e
+			head := *ev
+			head.Msg = g.msgs[consumed].Msg
+			ev = &head
 		}
-	case sm.TimerEvent:
-		if ns := g.Node(e.At); ns == nil || !ns.Timers.Has(e.Timer) {
+	case 'T':
+		if ns := g.Node(ev.Node); ns == nil || !ns.Timers.Has(sm.TimerID(ev.Name)) {
 			return nil
 		}
-	case sm.AppEvent: // always enabled
-	case sm.ErrorEvent:
-		if consumed = findMsg(g, e.Peer, e.At, "", true); consumed < 0 && !s.cfg.ExploreConnBreaks {
+	case 'A': // always enabled
+	case 'E':
+		if consumed = findMsg(g, ev.From, ev.Node, "", true); consumed < 0 && !s.cfg.ExploreConnBreaks {
 			return nil
 		}
-	case sm.ResetEvent:
-		return s.applyReset(g, e, sc)
-	case sm.DropEvent:
-		return s.applyDrop(g, e, sc)
+	case 'R':
+		return s.applyReset(g, ev, sc)
+	case 'D':
+		return s.applyDrop(g, ev, sc)
 	default:
 		return nil
 	}
@@ -122,8 +125,8 @@ func (s *Search) dispatchSends(next *GState, from sm.NodeID, sc *scratch) {
 // item that moves up.
 //
 //crystal:hotpath
-func (s *Search) runHandler(g *GState, ev sm.Event, consumed int, sc *scratch) *GState {
-	node := ev.Node()
+func (s *Search) runHandler(g *GState, ev *sm.Event, consumed int, sc *scratch) *GState {
+	node := ev.Node
 	i, known := g.index(node)
 	if !known {
 		return nil
@@ -133,7 +136,7 @@ func (s *Search) runHandler(g *GState, ev sm.Event, consumed int, sc *scratch) *
 	sc.svc = svc
 	fx := &sc.fx
 	fx.Begin(node, ns.Timers, edgeRNG(s.cfg.Seed, ns, ev, sc))
-	sm.Deliver(svc, fx, ev)
+	sm.Deliver(svc, fx, *ev)
 	next := sc.begin(g, len(g.msgs)+len(fx.Sends))
 	if consumed >= 0 {
 		next.removeMsgAt(consumed, sc)
@@ -147,8 +150,8 @@ func (s *Search) runHandler(g *GState, ev sm.Event, consumed int, sc *scratch) *
 }
 
 //crystal:hotpath
-func (s *Search) applyDrop(g *GState, e sm.DropEvent, sc *scratch) *GState {
-	i := findMsg(g, e.From, e.To, "", true)
+func (s *Search) applyDrop(g *GState, ev *sm.Event, sc *scratch) *GState {
+	i := findMsg(g, ev.From, ev.Node, "", true)
 	if i < 0 {
 		return nil
 	}
@@ -173,16 +176,17 @@ func (s *Search) applyDrop(g *GState, e sm.DropEvent, sc *scratch) *GState {
 // send.
 //
 //crystal:hotpath
-func (s *Search) applyReset(g *GState, e sm.ResetEvent, sc *scratch) *GState {
-	at, known := g.index(e.At)
+func (s *Search) applyReset(g *GState, ev *sm.Event, sc *scratch) *GState {
+	id := ev.Node
+	at, known := g.index(id)
 	if !known {
 		return nil
 	}
 	ns := g.nodes[at]
 	// Fresh service, re-initialised; disk contents survive the crash.
-	fresh := sm.Restart(s.cfg.Factory, e.At, ns.Svc)
+	fresh := sm.Restart(s.cfg.Factory, id, ns.Svc)
 	fx := &sc.fx
-	fx.Begin(e.At, nil, edgeRNG(s.cfg.Seed, ns, e, sc))
+	fx.Begin(id, nil, edgeRNG(s.cfg.Seed, ns, ev, sc))
 	fresh.Init(fx)
 	next := sc.begin(g, len(g.nodes)-1+len(fx.Sends))
 	next.bumpResets(sc)
@@ -192,7 +196,7 @@ func (s *Search) applyReset(g *GState, e sm.ResetEvent, sc *scratch) *GState {
 	// count exactly their same-queue predecessors, and no rehash is needed.
 	kept := next.msgs[:0]
 	for _, m := range next.msgs {
-		if m.From != e.At && m.To != e.At {
+		if m.From != id && m.To != id {
 			kept = append(kept, m)
 		} else {
 			next.hsum -= m.chash
@@ -205,55 +209,32 @@ func (s *Search) applyReset(g *GState, e sm.ResetEvent, sc *scratch) *GState {
 	// successor's in-flight order, which event enumeration (and so
 	// same-seed searches) must see identically every run.
 	for _, peer := range next.nodes {
-		if peer.id == e.At {
+		if peer.id == id {
 			continue
 		}
 		for _, nb := range peer.Svc.Neighbors() {
-			if nb == e.At {
-				next.setStale(pair{peer.id, e.At}, sc)
-				next.addMsg(InFlight{From: e.At, To: peer.id, Msg: nil}, sc)
+			if nb == id {
+				next.setStale(pair{peer.id, id}, sc)
+				next.addMsg(InFlight{From: id, To: peer.id, Msg: nil}, sc)
 				break
 			}
 		}
 	}
 	// The reset node has no stale knowledge of anyone.
-	next.clearStaleFrom(e.At, sc)
-	s.dispatchSends(next, e.At, sc)
-	next.setNode(e.At, fresh, fx.Timers, sc)
+	next.clearStaleFrom(id, sc)
+	s.dispatchSends(next, id, sc)
+	next.setNode(id, fresh, fx.Timers, sc)
 	return next
 }
 
-// cand is an enabled transition as enumeration finds it, before anything is
-// boxed: its key and, where the event carries one, its payload. The engine
-// decides from the key alone whether a transition is slept, so only the ones
-// it executes are ever turned into an sm.Event.
-type cand struct {
-	key  sm.EventKey
-	msg  sm.Message // 'M': the queue head's payload
-	call sm.AppCall // 'A'
-}
-
-// event boxes c as the event it stands for.
-func (c *cand) event() sm.Event { return c.key.Event(c.msg, c.call) }
-
-// desc returns c's descriptor (sm.DescOf of its event), fingerprinting a
-// delivery's payload on enc.
-func (c *cand) desc(enc *sm.Encoder) sm.EventKey {
-	k := c.key
-	if k.Kind == 'M' {
-		k.Arg = sm.PayloadHash(c.msg, enc)
-	}
-	return k
-}
-
 // eventBuf is the reusable enumeration workspace owned by one worker: the
-// network and internal candidate slices are recycled across
-// states, so steady-state enumeration allocates nothing. The slices handed
-// out by networkInto and internalInto alias the buffer and are valid only
-// until its next use.
+// network and internal event slices are recycled across states, and an
+// event is a value, so steady-state enumeration allocates nothing. The
+// slices handed out by networkInto and internalInto alias the buffer and are
+// valid only until its next use.
 type eventBuf struct {
-	network  []cand
-	internal []cand // one node's internal actions at a time
+	network  []sm.Event
+	internal []sm.Event // one node's internal actions at a time
 }
 
 // Enumeration of the transitions available from a state comes in two parts:
@@ -274,19 +255,17 @@ type eventBuf struct {
 // hashed: see addMsg), so the head is simply the item at position 0.
 //
 //crystal:hotpath
-func (s *Search) networkInto(g *GState, buf *eventBuf) []cand {
+func (s *Search) networkInto(g *GState, buf *eventBuf) []sm.Event {
 	buf.network = buf.network[:0]
 	for _, m := range g.msgs {
 		if m.pos != 0 {
 			continue
 		}
 		if m.RST() {
-			buf.network = append(buf.network,
-				cand{key: sm.EventKey{Kind: 'E', From: m.From, Node: m.To}},
-				cand{key: sm.EventKey{Kind: 'D', From: m.From, Node: m.To}})
+			buf.network = append(buf.network, sm.TransportError(m.To, m.From), sm.RSTDrop(m.From, m.To))
 			continue
 		}
-		buf.network = append(buf.network, cand{key: sm.EventKey{Kind: 'M', From: m.From, Node: m.To, Name: m.Msg.MsgType()}, msg: m.Msg})
+		buf.network = append(buf.network, sm.Delivery(m.From, m.To, m.Msg))
 	}
 	return buf.network
 }
@@ -298,7 +277,7 @@ func (s *Search) networkInto(g *GState, buf *eventBuf) []cand {
 // needs for a (node, local state) it has already claimed.
 //
 //crystal:hotpath
-func (s *Search) internalAt(g *GState, i int, out *[]cand, enc *sm.Encoder) (n int) {
+func (s *Search) internalAt(g *GState, i int, out *[]sm.Event, enc *sm.Encoder) (n int) {
 	ns := g.nodes[i]
 	id := ns.id
 	// The set is sorted by construction: no iteration order can leak into
@@ -306,7 +285,7 @@ func (s *Search) internalAt(g *GState, i int, out *[]cand, enc *sm.Encoder) (n i
 	n = len(ns.Timers)
 	if out != nil {
 		for _, t := range ns.Timers {
-			*out = append(*out, cand{key: sm.EventKey{Kind: 'T', Node: id, Name: string(t)}})
+			*out = append(*out, sm.TimerFiring(id, t))
 		}
 	}
 	if ma, ok := ns.Svc.(sm.ModelActions); ok {
@@ -314,16 +293,14 @@ func (s *Search) internalAt(g *GState, i int, out *[]cand, enc *sm.Encoder) (n i
 		n += len(calls)
 		if out != nil {
 			for _, call := range calls {
-				enc.Reset()
-				call.EncodeCall(enc)
-				*out = append(*out, cand{key: sm.EventKey{Kind: 'A', Node: id, Name: call.CallName(), Arg: enc.Hash()}, call: call})
+				*out = append(*out, sm.AppInvocation(id, call, enc))
 			}
 		}
 	}
 	if s.cfg.ExploreResets && g.resets < s.cfg.MaxResetsPerPath {
 		n++
 		if out != nil {
-			*out = append(*out, cand{key: sm.EventKey{Kind: 'R', Node: id}})
+			*out = append(*out, sm.Reset(id))
 		}
 	}
 	if s.cfg.ExploreConnBreaks {
@@ -331,7 +308,7 @@ func (s *Search) internalAt(g *GState, i int, out *[]cand, enc *sm.Encoder) (n i
 			if _, known := g.index(nb); known {
 				n++
 				if out != nil {
-					*out = append(*out, cand{key: sm.EventKey{Kind: 'E', From: nb, Node: id}})
+					*out = append(*out, sm.TransportError(id, nb))
 				}
 			}
 		}
@@ -342,7 +319,7 @@ func (s *Search) internalAt(g *GState, i int, out *[]cand, enc *sm.Encoder) (n i
 // internalInto lists the internal actions of g's i-th node into buf.
 //
 //crystal:hotpath
-func (s *Search) internalInto(g *GState, i int, buf *eventBuf, enc *sm.Encoder) []cand {
+func (s *Search) internalInto(g *GState, i int, buf *eventBuf, enc *sm.Encoder) []sm.Event {
 	buf.internal = buf.internal[:0]
 	s.internalAt(g, i, &buf.internal, enc)
 	return buf.internal
@@ -356,20 +333,11 @@ func (s *Search) internalInto(g *GState, i int, buf *eventBuf, enc *sm.Encoder) 
 func (s *Search) EnabledEvents(g *GState) (network []sm.Event, internal map[sm.NodeID][]sm.Event) {
 	var buf eventBuf
 	enc := sm.NewEncoder()
-	box := func(cs []cand) (evs []sm.Event) {
-		if len(cs) == 0 {
-			return nil
-		}
-		evs = make([]sm.Event, len(cs))
-		for i := range cs {
-			evs[i] = cs[i].event()
-		}
-		return evs
-	}
-	network = box(s.networkInto(g, &buf))
+	network = slices.Clip(s.networkInto(g, &buf))
 	internal = make(map[sm.NodeID][]sm.Event, len(g.nodes))
 	for i, ns := range g.nodes {
-		internal[ns.id] = box(s.internalInto(g, i, &buf, enc))
+		buf.internal = nil // each node's list is the caller's to keep
+		internal[ns.id] = s.internalInto(g, i, &buf, enc)
 	}
 	return network, internal
 }

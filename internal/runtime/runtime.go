@@ -201,7 +201,7 @@ func (n *Node) Reset(silent bool) {
 
 // App delivers an application call to the service (e.g. "join the overlay").
 func (n *Node) App(call sm.AppCall) {
-	ev := sm.AppEvent{At: n.ID, Call: call}
+	ev := sm.AppInvocation(n.ID, call, nil)
 	if _, ok := n.filterFor(ev); ok {
 		n.Stats.AppsBlocked++
 		return
@@ -224,7 +224,7 @@ func (n *Node) HandleDeliver(from sm.NodeID, payload any) {
 		if n.ckpt != nil {
 			n.ckpt.IncomingCN(env.CN)
 		}
-		ev := sm.MsgEvent{From: from, To: n.ID, Msg: env.Msg}
+		ev := sm.Delivery(from, n.ID, env.Msg)
 		if f, ok := n.filterFor(ev); ok {
 			n.Stats.MessagesDropped++
 			if f.BreakConn {
@@ -248,7 +248,7 @@ func (n *Node) HandleConnError(peer sm.NodeID) {
 	if n.ckpt != nil {
 		n.ckpt.PeerError(peer)
 	}
-	n.dispatch(sm.ErrorEvent{At: n.ID, Peer: peer})
+	n.dispatch(sm.TransportError(n.ID, peer))
 }
 
 // fireTimer runs when a scheduled timer expires. The timer stays in the
@@ -256,7 +256,7 @@ func (n *Node) HandleConnError(peer sm.NodeID) {
 // ISC's pre-state still holds it; the deferring paths schedule over the fired
 // entry.
 func (n *Node) fireTimer(t sm.TimerID) {
-	ev := sm.TimerEvent{At: n.ID, Timer: t}
+	ev := sm.TimerFiring(n.ID, t)
 	if _, ok := n.filterFor(ev); ok {
 		// Filtered timers are rescheduled, not dropped (paper
 		// section 4, "Event Filtering for Execution steering").

@@ -268,12 +268,8 @@ func TestOnEventCallback(t *testing.T) {
 	s.RunFor(1500 * time.Millisecond)
 	var sawMsg, sawTimer bool
 	for _, ev := range events {
-		switch ev.(type) {
-		case sm.MsgEvent:
-			sawMsg = true
-		case sm.TimerEvent:
-			sawTimer = true
-		}
+		sawMsg = sawMsg || ev.Kind == 'M'
+		sawTimer = sawTimer || ev.Kind == 'T'
 	}
 	if !sawMsg || !sawTimer {
 		t.Fatalf("OnEvent missed events: msg=%v timer=%v", sawMsg, sawTimer)

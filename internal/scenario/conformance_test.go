@@ -2,7 +2,7 @@ package scenario_test
 
 import (
 	"bytes"
-	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -65,8 +65,8 @@ func (c *conformance) preState(node *runtime.Node, ev sm.Event) *mc.GState {
 	}
 	g := mc.NewGState()
 	g.AddNode(node.ID, svc, timers)
-	if m, ok := ev.(sm.MsgEvent); ok {
-		g.AddMessage(m.From, m.To, m.Msg)
+	if ev.Kind == 'M' {
+		g.AddMessage(ev.From, ev.Node, ev.Msg)
 	}
 	return g
 }
@@ -76,7 +76,8 @@ func (c *conformance) preState(node *runtime.Node, ev sm.Event) *mc.GState {
 func (c *conformance) compare(node *runtime.Node, ev sm.Event, pre *mc.GState) {
 	c.t.Helper()
 	id := node.ID
-	c.seen[fmt.Sprintf("%T", ev)]++
+	kind, _, _ := strings.Cut(ev.Class(), ":")
+	c.seen[kind]++
 	want := sm.EncodeFullState(node.View())
 	c.prev[id] = want
 	succ := c.search.ApplyEvent(pre, ev)
@@ -109,12 +110,12 @@ func (c *conformance) run(s *sim.Simulator, nodes []*runtime.Node, start func())
 		})
 	}
 	s.RunFor(3 * time.Second)
-	victim, crash := nodes[len(nodes)-1], sm.ResetEvent{At: nodes[len(nodes)-1].ID}
+	victim, crash := nodes[len(nodes)-1], sm.Reset(nodes[len(nodes)-1].ID)
 	pre := c.preState(victim, crash)
 	victim.Reset(false)
 	c.compare(victim, crash, pre)
 	s.RunFor(3 * time.Second)
-	for _, kind := range []string{"sm.AppEvent", "sm.MsgEvent", "sm.ErrorEvent", "sm.ResetEvent"} {
+	for _, kind := range []string{"app", "msg", "error", "reset"} {
 		if c.seen[kind] == 0 {
 			c.t.Errorf("no %s executed: %v", kind, c.seen)
 		}
@@ -172,8 +173,8 @@ func TestCheckerMatchesRuntimeOnTimers(t *testing.T) {
 	}
 	c := newConformance(t, factory, nodes)
 	c.run(s, nodes, func() {})
-	if c.seen["sm.TimerEvent"] < 3*len(nodes) {
-		t.Errorf("%d timer events, want every node's timer to re-arm twice and burn out", c.seen["sm.TimerEvent"])
+	if c.seen["timer"] < 3*len(nodes) {
+		t.Errorf("%d timer events, want every node's timer to re-arm twice and burn out", c.seen["timer"])
 	}
 	if pending := nodes[0].TimerSet(); pending.Has(testsvc.TimerGossip) {
 		t.Errorf("node %s still has %v pending: the burn-out firing never ran", nodes[0].ID, pending)

@@ -7,7 +7,6 @@ import (
 	"crystalball/internal/mc"
 	"crystalball/internal/scenario"
 	_ "crystalball/internal/scenario/all"
-	"crystalball/internal/sm"
 )
 
 // claimedDigest runs one small depth-bounded single-worker search of a
@@ -34,7 +33,7 @@ func claimedDigest(t *testing.T, name string, mode mc.Mode, depth int, warm bool
 		_, internal := s.EnabledEvents(g)
 		for _, id := range g.Nodes() {
 			for _, ev := range internal[id] {
-				if _, isApp := ev.(sm.AppEvent); isApp {
+				if ev.Kind == 'A' {
 					if next := s.ApplyEvent(g, ev); next != nil {
 						g = next
 					}

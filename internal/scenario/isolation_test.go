@@ -165,12 +165,9 @@ func TestCloneIntoDirtySpare(t *testing.T) {
 					for _, id := range g.Nodes() {
 						n := node{id: id, svc: g.Node(id).Svc, timers: g.Node(id).Timers}
 						for _, ev := range append(network, internal[id]...) {
-							switch ev.(type) {
-							case sm.ResetEvent, sm.DropEvent: // no handler runs
-							default:
-								if ev.Node() == id {
-									n.events = append(n.events, ev)
-								}
+							// A reset or a drop runs no handler.
+							if ev.Kind != 'R' && ev.Kind != 'D' && ev.Node == id {
+								n.events = append(n.events, ev)
 							}
 						}
 						if len(n.events) == 0 {

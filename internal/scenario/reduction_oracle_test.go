@@ -201,7 +201,7 @@ func TestReductionOracleWarmConsequence(t *testing.T) {
 	sort.Ints(ids)
 	for _, id := range ids {
 		for _, ev := range internal[sm.NodeID(id)] {
-			if _, isApp := ev.(sm.AppEvent); !isApp {
+			if ev.Kind != 'A' {
 				continue
 			}
 			if next := s.ApplyEvent(g, ev); next != nil {

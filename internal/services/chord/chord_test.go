@@ -255,7 +255,7 @@ func TestConsequencePredictionFindsFigure10(t *testing.T) {
 	}
 	sawReset := false
 	for _, ev := range res.Violations[0].Path {
-		if r, ok := ev.(sm.ResetEvent); ok && r.At == 3 {
+		if ev.EventKey == sm.Reset(3).EventKey {
 			sawReset = true
 		}
 	}

@@ -346,7 +346,7 @@ func TestConsequencePredictionFindsFigure2(t *testing.T) {
 	// The discovered path must involve a reset of n13 (the trigger).
 	sawReset := false
 	for _, ev := range v.Path {
-		if r, ok := ev.(sm.ResetEvent); ok && r.At == 13 {
+		if ev.EventKey == sm.Reset(13).EventKey {
 			sawReset = true
 		}
 	}

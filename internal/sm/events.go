@@ -4,98 +4,87 @@ import "fmt"
 
 // Event is one step of a distributed-system execution: the unit in which
 // the model checker explores (paper Figure 4's transition relation), the
-// runtime executes, and violation reports are expressed.
-type Event interface {
-	// Node returns the node at which the event executes.
-	Node() NodeID
-	// Describe renders the event for traces and reports: the text form of
-	// its EventKey.
-	Describe() string
-	isEvent()
+// runtime executes, and violation reports are expressed. It is its key —
+// the event's identity (EventKey) — plus the payload a key does not hold:
+// the message a delivery carries and the call an app event makes. Build one
+// with the constructor of its kind, which keeps the key and the payload in
+// step: a delivery's Name is its Msg.MsgType(), an app call's its
+// Call.CallName().
+type Event struct {
+	EventKey
+	Msg  Message // 'M': the message delivered
+	Call AppCall // 'A': the call made
 }
 
-// MsgEvent is the delivery (and handling) of a network message at To.
-type MsgEvent struct {
-	From NodeID
-	To   NodeID
-	Msg  Message
+// Delivery is the delivery (and handling) at to of msg, sent by from. Its
+// key's Arg is zero: the payload is no part of a delivery's identity (DescOf).
+func Delivery(from, to NodeID, msg Message) Event {
+	return Event{EventKey: EventKey{Kind: 'M', From: from, Node: to, Name: msg.MsgType()}, Msg: msg}
 }
 
-// Node implements Event.
-func (e MsgEvent) Node() NodeID { return e.To }
-
-// Describe implements Event.
-func (e MsgEvent) Describe() string { return KeyOf(e, nil).String() }
-func (MsgEvent) isEvent()           {}
-
-// TimerEvent is the firing of a timer at a node.
-type TimerEvent struct {
-	At    NodeID
-	Timer TimerID
+// TimerFiring is the firing of timer t at a node.
+func TimerFiring(at NodeID, t TimerID) Event {
+	return Event{EventKey: EventKey{Kind: 'T', Node: at, Name: string(t)}}
 }
 
-// Node implements Event.
-func (e TimerEvent) Node() NodeID { return e.At }
-
-// Describe implements Event.
-func (e TimerEvent) Describe() string { return KeyOf(e, nil).String() }
-func (TimerEvent) isEvent()           {}
-
-// AppEvent is an application call arriving at a node.
-type AppEvent struct {
-	At   NodeID
-	Call AppCall
+// AppInvocation is call arriving at a node. enc fingerprints the call into
+// Arg, the part of the key that tells two same-named calls apart; with a nil
+// enc Arg stays zero, which is all an event that is only executed, printed
+// or filtered needs.
+func AppInvocation(at NodeID, call AppCall, enc *Encoder) Event {
+	ev := Event{EventKey: EventKey{Kind: 'A', Node: at, Name: call.CallName()}, Call: call}
+	if enc != nil {
+		enc.Reset()
+		call.EncodeCall(enc)
+		ev.Arg = enc.Hash()
+	}
+	return ev
 }
 
-// Node implements Event.
-func (e AppEvent) Node() NodeID { return e.At }
-
-// Describe implements Event.
-func (e AppEvent) Describe() string { return KeyOf(e, nil).String() }
-func (AppEvent) isEvent()           {}
-
-// ResetEvent is a node crash+restart (the low-probability fault the paper's
+// Reset is a node crash+restart (the low-probability fault the paper's
 // consequence prediction explores, e.g. "the Reset action on node n13").
-type ResetEvent struct {
-	At NodeID
+func Reset(at NodeID) Event { return Event{EventKey: EventKey{Kind: 'R', Node: at}} }
+
+// TransportError is the observation at a node of a broken transport
+// connection to peer (RST arrival or stale-socket discovery). An RST-derived
+// error and a spontaneous conn-break of the same pair are one transition.
+func TransportError(at, peer NodeID) Event {
+	return Event{EventKey: EventKey{Kind: 'E', From: peer, Node: at}}
 }
 
-// Node implements Event.
-func (e ResetEvent) Node() NodeID { return e.At }
-
-// Describe implements Event.
-func (e ResetEvent) Describe() string { return KeyOf(e, nil).String() }
-func (ResetEvent) isEvent()           {}
-
-// ErrorEvent is the observation of a broken transport connection at At
-// about Peer (RST arrival or stale-socket discovery).
-type ErrorEvent struct {
-	At   NodeID
-	Peer NodeID
+// RSTDrop is the loss of an in-flight RST notification from from to to;
+// only RST-like control notifications can be dropped in the model (TCP
+// payloads cannot), which keeps the branching factor small while still
+// covering the paper's "TCP RST packet ... is lost" scenarios.
+func RSTDrop(from, to NodeID) Event {
+	return Event{EventKey: EventKey{Kind: 'D', From: from, Node: to}}
 }
 
-// Node implements Event.
-func (e ErrorEvent) Node() NodeID { return e.At }
+// Describe renders the event for traces and reports: the text form of its
+// key.
+func (e Event) Describe() string { return e.EventKey.String() }
 
-// Describe implements Event.
-func (e ErrorEvent) Describe() string { return KeyOf(e, nil).String() }
-func (ErrorEvent) isEvent()           {}
-
-// DropEvent is the loss of an in-flight RST notification; only RST-like
-// control notifications can be dropped in the model (TCP payloads cannot),
-// which keeps the branching factor small while still covering the paper's
-// "TCP RST packet ... is lost" scenarios.
-type DropEvent struct {
-	From NodeID
-	To   NodeID
+// DescOf returns ev's descriptor: its key plus, for a delivery, the
+// fingerprint of the message it carries. That is the form a path takes
+// wherever it is stored without its events — a search tree's edges, a sleep
+// promise's entering transition, a forwarded path on a wire. The payload is
+// no part of the delivery's identity (the FIFO head is), so a descriptor with
+// Arg cleared is the key again; the fingerprint is there to be checked when
+// the path is replayed.
+func DescOf(ev Event, enc *Encoder) EventKey {
+	k := ev.EventKey
+	if k.Kind == 'M' {
+		k.Arg = PayloadHash(ev.Msg, enc)
+	}
+	return k
 }
 
-// Node implements Event.
-func (e DropEvent) Node() NodeID { return e.To }
-
-// Describe implements Event.
-func (e DropEvent) Describe() string { return KeyOf(e, nil).String() }
-func (DropEvent) isEvent()           {}
+// PayloadHash fingerprints the message a delivery carries.
+func PayloadHash(msg Message, enc *Encoder) uint64 {
+	enc.Reset()
+	msg.EncodeMsg(enc)
+	return enc.Hash()
+}
 
 // Filter is an event filter installed by execution steering (paper section
 // 3.3): it temporarily blocks the invocation of a state-machine handler.
@@ -144,13 +133,13 @@ func (f Filter) Matches(ev Event) bool {
 // the event is not filterable (resets and transport errors are environment
 // faults, not handler invocations).
 func FilterForEvent(ev Event) (Filter, bool) {
-	switch k := KeyOf(ev, nil); k.Kind {
+	switch ev.Kind {
 	case 'M':
-		return Filter{Kind: FilterMessage, Node: k.Node, From: k.From, MsgType: k.Name, BreakConn: true}, true
+		return Filter{Kind: FilterMessage, Node: ev.Node, From: ev.From, MsgType: ev.Name, BreakConn: true}, true
 	case 'T':
-		return Filter{Kind: FilterTimer, Node: k.Node, Timer: TimerID(k.Name)}, true
+		return Filter{Kind: FilterTimer, Node: ev.Node, Timer: TimerID(ev.Name)}, true
 	case 'A':
-		return Filter{Kind: FilterApp, Node: k.Node, Call: k.Name}, true
+		return Filter{Kind: FilterApp, Node: ev.Node, Call: ev.Name}, true
 	default:
 		return Filter{}, false
 	}

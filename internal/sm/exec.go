@@ -15,16 +15,16 @@ import "math/rand"
 //
 //crystal:hotpath
 func Deliver(svc Service, ctx Context, ev Event) bool {
-	switch e := ev.(type) {
-	case MsgEvent:
-		svc.HandleMessage(ctx, e.From, e.Msg)
-	case TimerEvent:
-		ctx.CancelTimer(e.Timer)
-		svc.HandleTimer(ctx, e.Timer)
-	case AppEvent:
-		svc.HandleApp(ctx, e.Call)
-	case ErrorEvent:
-		svc.HandleTransportError(ctx, e.Peer)
+	switch ev.Kind {
+	case 'M':
+		svc.HandleMessage(ctx, ev.From, ev.Msg)
+	case 'T':
+		ctx.CancelTimer(TimerID(ev.Name))
+		svc.HandleTimer(ctx, TimerID(ev.Name))
+	case 'A':
+		svc.HandleApp(ctx, ev.Call)
+	case 'E':
+		svc.HandleTransportError(ctx, ev.From)
 	default:
 		return false
 	}

@@ -73,12 +73,12 @@ func TestDeliverRunsTheHandlerTheEventNames(t *testing.T) {
 		ev   Event
 		want string // "" = no handler runs
 	}{
-		{MsgEvent{From: 2, To: 1, Msg: ping{}}, "msg Ping from n2"},
-		{TimerEvent{At: 1, Timer: "tick"}, "timer tick"},
-		{AppEvent{At: 1, Call: poke{}}, "app Poke"},
-		{ErrorEvent{At: 1, Peer: 3}, "error n3"},
-		{ResetEvent{At: 1}, ""},
-		{DropEvent{From: 2, To: 1}, ""},
+		{Delivery(2, 1, ping{}), "msg Ping from n2"},
+		{TimerFiring(1, "tick"), "timer tick"},
+		{AppInvocation(1, poke{}, nil), "app Poke"},
+		{TransportError(1, 3), "error n3"},
+		{Reset(1), ""},
+		{RSTDrop(2, 1), ""},
 	} {
 		var p probe
 		var fx Effects
@@ -98,7 +98,7 @@ func TestDeliverConsumesTheTimerBeforeItsHandler(t *testing.T) {
 		p := probe{rearm: rearm}
 		var fx Effects
 		fx.Begin(1, TimerSet{"other", "tick"}, nil)
-		Deliver(&p, &fx, TimerEvent{At: 1, Timer: "tick"})
+		Deliver(&p, &fx, TimerFiring(1, "tick"))
 		if p.sawPending {
 			t.Errorf("rearm=%v: the handler saw its own timer still pending", rearm)
 		}

@@ -27,7 +27,7 @@ func fullStateCorpus(tb testing.TB) (factories []sm.Factory, states [][][]byte) 
 		s := mc.NewSearch(cfg)
 		var encs [][]byte
 		for _, id := range g.Nodes() {
-			for _, st := range []*mc.GState{g, s.ApplyEvent(g, sm.ResetEvent{At: id})} {
+			for _, st := range []*mc.GState{g, s.ApplyEvent(g, sm.Reset(id))} {
 				if st != nil {
 					ns := st.Node(id)
 					encs = append(encs, sm.EncodeFullState(ns.Svc, ns.Timers))

@@ -21,78 +21,6 @@ type EventKey struct {
 	Arg  uint64 // A: EncodeCall fingerprint (the name alone does not pin the call)
 }
 
-// KeyOf returns ev's key. enc is scratch for an app call's fingerprint and is
-// touched for no other kind; with a nil enc Arg stays zero, which is all the
-// text form and the bug class read.
-func KeyOf(ev Event, enc *Encoder) EventKey {
-	switch e := ev.(type) {
-	case MsgEvent:
-		return EventKey{Kind: 'M', From: e.From, Node: e.To, Name: e.Msg.MsgType()}
-	case TimerEvent:
-		return EventKey{Kind: 'T', Node: e.At, Name: string(e.Timer)}
-	case AppEvent:
-		k := EventKey{Kind: 'A', Node: e.At, Name: e.Call.CallName()}
-		if enc != nil {
-			enc.Reset()
-			e.Call.EncodeCall(enc)
-			k.Arg = enc.Hash()
-		}
-		return k
-	case ResetEvent:
-		return EventKey{Kind: 'R', Node: e.At}
-	case ErrorEvent:
-		// An RST-derived error and a spontaneous conn-break of the same
-		// pair share a key: they are the same transition.
-		return EventKey{Kind: 'E', From: e.Peer, Node: e.At}
-	default:
-		d := ev.(DropEvent) // the interface is sealed: nothing else is left
-		return EventKey{Kind: 'D', From: d.From, Node: d.To}
-	}
-}
-
-// DescOf returns ev's descriptor: its key plus, for a delivery, the
-// fingerprint of the message it carries. That is the form a path takes
-// wherever it is stored without its events — a search tree's edges, a sleep
-// promise's entering transition, a forwarded path on a wire. The payload is
-// no part of the delivery's identity (the FIFO head is), so a descriptor with
-// Arg cleared is the key again; the fingerprint is there to be checked when
-// the path is replayed.
-func DescOf(ev Event, enc *Encoder) EventKey {
-	k := KeyOf(ev, enc)
-	if k.Kind == 'M' {
-		k.Arg = PayloadHash(ev.(MsgEvent).Msg, enc)
-	}
-	return k
-}
-
-// PayloadHash fingerprints the message a delivery carries.
-func PayloadHash(msg Message, enc *Encoder) uint64 {
-	enc.Reset()
-	msg.EncodeMsg(enc)
-	return enc.Hash()
-}
-
-// Event returns the event k names, given the payload a key does not hold:
-// msg is what an 'M' delivers and call what an 'A' makes (both unused by the
-// other kinds). It is KeyOf's inverse: KeyOf(k.Event(msg, call), enc) is k
-// with Arg as KeyOf derives it.
-func (k EventKey) Event(msg Message, call AppCall) Event {
-	switch k.Kind {
-	case 'M':
-		return MsgEvent{From: k.From, To: k.Node, Msg: msg}
-	case 'T':
-		return TimerEvent{At: k.Node, Timer: TimerID(k.Name)}
-	case 'A':
-		return AppEvent{At: k.Node, Call: call}
-	case 'R':
-		return ResetEvent{At: k.Node}
-	case 'E':
-		return ErrorEvent{At: k.Node, Peer: k.From}
-	default:
-		return DropEvent{From: k.From, To: k.Node}
-	}
-}
-
 // appendTo appends the key's text form: the one rendering behind
 // Event.Describe, every edge seed (Fold) and every printed trace.
 func (k EventKey) appendTo(b []byte) []byte {

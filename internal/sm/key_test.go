@@ -19,17 +19,17 @@ func TestEventKeyTextAndClass(t *testing.T) {
 		ev          Event
 		text, class string
 	}{
-		{MsgEvent{From: 1, To: 2, Msg: ping{}}, "n2: deliver Ping from n1", "msg:Ping"},
-		{MsgEvent{From: NoNode, To: 0, Msg: ping{}}, "n0: deliver Ping from n?", "msg:Ping"},
-		{TimerEvent{At: 3, Timer: "tick"}, "n3: timer tick", "timer:tick"},
-		{TimerEvent{At: 2147483647, Timer: ""}, "n2147483647: timer ", "timer:"},
-		{AppEvent{At: 4, Call: poke{}}, "n4: app Poke", "app:Poke"},
-		{ResetEvent{At: 5}, "n5: reset", "reset"},
-		{ErrorEvent{At: 6, Peer: 7}, "n6: transport error for n7", "error"},
-		{ErrorEvent{At: 0, Peer: NoNode}, "n0: transport error for n?", "error"},
-		{DropEvent{From: 8, To: 9}, "drop RST n8->n9", "drop"},
+		{Delivery(1, 2, ping{}), "n2: deliver Ping from n1", "msg:Ping"},
+		{Delivery(NoNode, 0, ping{}), "n0: deliver Ping from n?", "msg:Ping"},
+		{TimerFiring(3, "tick"), "n3: timer tick", "timer:tick"},
+		{TimerFiring(2147483647, ""), "n2147483647: timer ", "timer:"},
+		{AppInvocation(4, poke{}, nil), "n4: app Poke", "app:Poke"},
+		{Reset(5), "n5: reset", "reset"},
+		{TransportError(6, 7), "n6: transport error for n7", "error"},
+		{TransportError(0, NoNode), "n0: transport error for n?", "error"},
+		{RSTDrop(8, 9), "drop RST n8->n9", "drop"},
 	} {
-		k := KeyOf(c.ev, NewEncoder())
+		k := c.ev.EventKey
 		if got := c.ev.Describe(); got != c.text {
 			t.Errorf("Describe() = %q, want %q", got, c.text)
 		}
@@ -42,13 +42,10 @@ func TestEventKeyTextAndClass(t *testing.T) {
 		if got := k.Class(); got != c.class {
 			t.Errorf("%s: Class() = %q, want %q", c.text, got, c.class)
 		}
-		if k.Node != c.ev.Node() {
-			t.Errorf("%s: key executes at %s, event at %s", c.text, k.Node, c.ev.Node())
-		}
 	}
 	// A text longer than Fold's stack buffer still folds whole.
-	long := TimerEvent{At: 1, Timer: TimerID(strings.Repeat("x", 200))}
-	if got, want := KeyOf(long, nil).Fold(FNV64aInit), FNV64aString(FNV64aInit, long.Describe()); got != want {
+	long := TimerFiring(1, TimerID(strings.Repeat("x", 200)))
+	if got, want := long.Fold(FNV64aInit), FNV64aString(FNV64aInit, long.Describe()); got != want {
 		t.Errorf("long key: Fold = %#x, want %#x", got, want)
 	}
 }
@@ -59,22 +56,27 @@ func TestEventKeyTextAndClass(t *testing.T) {
 // is what gets delivered).
 func TestEventKeyEqualityIsTransitionIdentity(t *testing.T) {
 	enc := NewEncoder()
-	key := func(ev Event) EventKey { return KeyOf(ev, enc) }
-	if key(AppEvent{At: 1, Call: add{N: 1}}) == key(AppEvent{At: 1, Call: add{N: 2}}) {
+	key := func(at NodeID, call AppCall) EventKey { return AppInvocation(at, call, enc).EventKey }
+	if key(1, add{N: 1}) == key(1, add{N: 2}) {
 		t.Error("Add(1) and Add(2) at one node share a key")
 	}
-	if key(AppEvent{At: 1, Call: add{N: 1}}) != key(AppEvent{At: 1, Call: add{N: 1}}) {
+	if key(1, add{N: 1}) != key(1, add{N: 1}) {
 		t.Error("the same call has two keys")
 	}
-	if key(AppEvent{At: 1, Call: add{N: 1}}) == key(AppEvent{At: 2, Call: add{N: 1}}) {
+	if key(1, add{N: 1}) == key(2, add{N: 1}) {
 		t.Error("the same call at two nodes shares a key")
 	}
-	if got := KeyOf(AppEvent{At: 1, Call: add{N: 1}}, nil); got.Arg != 0 || got.String() != "n1: app Add" {
+	if got := AppInvocation(1, add{N: 1}, nil).EventKey; got.Arg != 0 || got.String() != "n1: app Add" {
 		t.Errorf("without an encoder the key is %+v, want the name with a zero Arg", got)
 	}
 	// A timer and an app call that spell the same name never alias.
-	if key(TimerEvent{At: 1, Timer: "Add"}) == KeyOf(AppEvent{At: 1, Call: add{}}, nil) {
+	if TimerFiring(1, "Add").EventKey == AppInvocation(1, add{}, nil).EventKey {
 		t.Error("a timer and an app call share a key")
+	}
+	// A delivery's key names the queue head, not what it carries: its Arg is
+	// zero, and its descriptor adds the payload's fingerprint.
+	if d := Delivery(1, 2, ping{}); d.Name != "Ping" || d.Arg != 0 || DescOf(d, enc).Arg != PayloadHash(ping{}, enc) {
+		t.Errorf("delivery key %+v, descriptor %+v", d.EventKey, DescOf(d, enc))
 	}
 }
 
@@ -106,30 +108,36 @@ func TestEventKeyCodec(t *testing.T) {
 	}
 }
 
-// TestEventKeyAllocs: building a key, folding its text and comparing keys
-// allocate nothing — the checker does all three per transition.
+// TestEventKeyAllocs: building an event (fingerprinting an app call on a
+// reused encoder), taking its descriptor, folding its text and comparing keys
+// allocate nothing — the checker does all of it per transition.
 func TestEventKeyAllocs(t *testing.T) {
 	enc := NewEncoder()
-	events := []Event{
-		MsgEvent{From: 1, To: 2, Msg: ping{}},
-		TimerEvent{At: 3, Timer: "tick"},
-		AppEvent{At: 4, Call: add{N: 3}},
-		ResetEvent{At: 5},
-		ErrorEvent{At: 6, Peer: 7},
-		DropEvent{From: 8, To: 9},
+	var msg Message = ping{}
+	var call AppCall = add{N: 3}
+	events := func() [6]Event {
+		return [6]Event{
+			Delivery(1, 2, msg),
+			TimerFiring(3, "tick"),
+			AppInvocation(4, call, enc),
+			Reset(5),
+			TransportError(6, 7),
+			RSTDrop(8, 9),
+		}
 	}
-	KeyOf(events[2], enc) // size the scratch buffer once
+	events() // size the scratch buffer once
 	var sink uint64
 	if n := testing.AllocsPerRun(100, func() {
-		for _, ev := range events {
-			k := KeyOf(ev, enc)
+		evs := events()
+		for _, ev := range evs {
+			k := DescOf(ev, enc)
 			sink += k.Fold(FNV64aInit)
-			if k == KeyOf(events[0], nil) {
+			if ev.EventKey == evs[0].EventKey {
 				sink++
 			}
 		}
 	}); n != 0 {
-		t.Errorf("key construction + fold allocates %.0f times per six events, want 0", n)
+		t.Errorf("event construction + descriptor + fold allocates %.0f times per six events, want 0", n)
 	}
 	_ = sink
 }

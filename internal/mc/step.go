@@ -305,7 +305,9 @@ func (s *Search) internalAt(g *GState, i int, out *[]sm.Event, enc *sm.Encoder) 
 	}
 	if s.cfg.ExploreConnBreaks {
 		for _, nb := range ns.Svc.Neighbors() {
-			if _, known := g.index(nb); known {
+			// An RST in flight from nb enables the same key in networkInto:
+			// the break and the RST's arrival are one transition.
+			if _, known := g.index(nb); known && findMsg(g, nb, id, "", true) < 0 {
 				n++
 				if out != nil {
 					*out = append(*out, sm.TransportError(id, nb))

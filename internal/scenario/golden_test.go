@@ -68,7 +68,10 @@ func claimedDigest(t *testing.T, name string, mode mc.Mode, depth int, warm bool
 // the pruning counts byte for byte where they were, and a digest re-derived
 // by the changed code could only ever agree with itself. A change that means
 // to move them (a new encoding, a new transition) replaces the table with
-// what the failing test prints and says so.
+// what the failing test prints and says so. Chord's warm consequence run
+// prunes 984, not 996: a conn break that an RST in flight already enables is
+// no longer enumerated a second time, so the consequence rule counts twelve
+// fewer pruned actions of claimed (node, local state)s; it claims the same.
 var goldenDigests = map[string][3]string{
 	"bulletprime": {
 		"claimed=37 sum=0xff1f9c76fb6cab2e locals=12 transitions=78 pruned=6",
@@ -78,7 +81,7 @@ var goldenDigests = map[string][3]string{
 	"chord": {
 		"claimed=134 sum=0xa43bec35058f1fcb locals=12 transitions=408 pruned=122",
 		"claimed=9 sum=0xc0a3f39c3b0e7cf8 locals=6 transitions=18 pruned=43",
-		"claimed=175 sum=0x8e0b51524d610398 locals=24 transitions=222 pruned=996",
+		"claimed=175 sum=0x8e0b51524d610398 locals=24 transitions=222 pruned=984",
 	},
 	"gcounter": {
 		"claimed=74 sum=0x903bb4e5f28c43d7 locals=20 transitions=79 pruned=52",

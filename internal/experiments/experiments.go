@@ -26,7 +26,7 @@ import (
 // DepthPoint is one point of a depth sweep.
 type DepthPoint struct {
 	Depth   int
-	States  int
+	States  int // states checked (mc.Result.StatesExplored)
 	Elapsed time.Duration
 	// MemBytes approximates the search-tree footprint (Figures 15/16).
 	MemBytes     int64
@@ -91,7 +91,7 @@ func runRandTreeSearch(seed int64, n int, mode mc.Mode, maxDepth, maxStates int,
 
 // FormatDepthPoints renders a depth sweep as a table.
 func FormatDepthPoints(title string, pts []DepthPoint) string {
-	t := stats.Table{Title: title, Header: []string{"depth", "states", "elapsed", "mem-bytes", "bytes/state", "stop"}}
+	t := stats.Table{Title: title, Header: []string{"depth", "checked-states", "elapsed", "mem-bytes", "bytes/state", "stop"}}
 	for _, p := range pts {
 		t.Add(p.Depth, p.States, p.Elapsed, p.MemBytes, p.PerStateByte, p.Stop)
 	}
@@ -200,7 +200,7 @@ type DepthBudgetRow struct {
 	Nodes      int
 	Mode       string
 	Depth      int
-	States     int
+	States     int // states checked (mc.Result.StatesExplored)
 	Elapsed    time.Duration
 	Violations int
 	Stop       string // mc.Result.StopReason
@@ -271,7 +271,7 @@ func DepthComparison(seed int64, budget time.Duration, nodeCounts []int, workers
 func FormatDepthComparison(rows []DepthBudgetRow, budget time.Duration) string {
 	t := stats.Table{
 		Title:  fmt.Sprintf("Section 5.3: exhaustive vs consequence prediction (budget %v)", budget),
-		Header: []string{"start", "nodes", "mode", "depth", "states", "elapsed", "violations", "stop"},
+		Header: []string{"start", "nodes", "mode", "depth", "checked-states", "elapsed", "violations", "stop"},
 	}
 	for _, r := range rows {
 		t.Add(r.Start, r.Nodes, r.Mode, r.Depth, r.States, r.Elapsed, r.Violations, r.Stop)

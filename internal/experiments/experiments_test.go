@@ -34,7 +34,8 @@ func TestFig12ExhaustiveGrowth(t *testing.T) {
 
 // TestFig12EndsAtTheFirstBoundDepth: a depth the state bound stops is the
 // last of the sweep — every deeper one would run the same capped search —
-// and the table says why each depth ended.
+// and the table says why each depth ended and that its states are the
+// ones checked.
 func TestFig12EndsAtTheFirstBoundDepth(t *testing.T) {
 	pts := must(Fig12Exhaustive(Fig12Config{Seed: 1, Nodes: 4, MaxDepth: 8, MaxStates: 500}))
 	last := pts[len(pts)-1]
@@ -46,8 +47,8 @@ func TestFig12EndsAtTheFirstBoundDepth(t *testing.T) {
 			t.Fatalf("depth %d stopped on %q and the sweep went on: %+v", p.Depth, p.Stop, pts)
 		}
 	}
-	if table := FormatDepthPoints("x", pts); !strings.Contains(table, "stop") || !strings.Contains(table, "states") {
-		t.Fatalf("the table does not print the stop reason:\n%s", table)
+	if table := FormatDepthPoints("x", pts); !strings.Contains(table, "stop") || !strings.Contains(table, "checked-states") {
+		t.Fatalf("the table does not print the stop reason and the checked states:\n%s", table)
 	}
 }
 

@@ -73,7 +73,7 @@ func TestEnabledEventsReusedBufferAllocBound(t *testing.T) {
 		t.Fatalf("%d network and %d internal events enumerated, want some of each", network, internal)
 	}
 	if avg := testing.AllocsPerRun(1000, enumerate); avg != 0 {
-		t.Fatalf("reused-buffer enumeration allocates %.2f/op for %d events, want 0: is an event boxed before it is executed?", avg, network+internal)
+		t.Fatalf("reused-buffer enumeration allocates %.2f/op for %d events, want 0: is an event boxed?", avg, network+internal)
 	}
 	counted := 0
 	count := func() {

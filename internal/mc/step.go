@@ -304,10 +304,16 @@ func (s *Search) internalAt(g *GState, i int, out *[]sm.Event, enc *sm.Encoder) 
 		}
 	}
 	if s.cfg.ExploreConnBreaks {
+		// An RST in flight from a neighbor enables the same key in
+		// networkInto: the break and the RST's arrival are one transition.
+		rsts := false
+		for _, m := range g.msgs {
+			if rsts = m.To == id && m.RST(); rsts {
+				break
+			}
+		}
 		for _, nb := range ns.Svc.Neighbors() {
-			// An RST in flight from nb enables the same key in networkInto:
-			// the break and the RST's arrival are one transition.
-			if _, known := g.index(nb); known && findMsg(g, nb, id, "", true) < 0 {
+			if _, known := g.index(nb); known && (!rsts || findMsg(g, nb, id, "", true) < 0) {
 				n++
 				if out != nil {
 					*out = append(*out, sm.TransportError(id, nb))

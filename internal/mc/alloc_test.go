@@ -65,7 +65,8 @@ func TestEnabledEventsReusedBufferAllocBound(t *testing.T) {
 	enumerate := func() {
 		network, internal = len(s.networkInto(g, &buf)), 0
 		for i := range g.nodes {
-			internal += len(s.internalInto(g, i, &buf, enc))
+			evs, _ := s.internalInto(g, i, &buf, enc)
+			internal += len(evs)
 		}
 	}
 	enumerate() // warm + count
@@ -79,7 +80,8 @@ func TestEnabledEventsReusedBufferAllocBound(t *testing.T) {
 	count := func() {
 		counted = 0
 		for i := range g.nodes {
-			counted += s.internalAt(g, i, nil, nil)
+			n, _ := s.internalAt(g, i, nil, nil)
+			counted += n
 		}
 	}
 	if count(); counted != internal {
@@ -106,7 +108,8 @@ func TestEnabledEventsReusedBufferAllocBound(t *testing.T) {
 	}
 	keyed(s.networkInto(g, &buf))
 	for i := range g.nodes {
-		keyed(s.internalInto(g, i, &buf, enc))
+		evs, _ := s.internalInto(g, i, &buf, enc)
+		keyed(evs)
 	}
 	if len(kinds) != 6 {
 		t.Fatalf("enumerated kinds %v, want all six", kinds)

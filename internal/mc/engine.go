@@ -270,11 +270,16 @@ type Engine struct {
 	forward func(Forward) error
 	bdg     *budget
 	tree    *Tree
-	visited map[uint64]int32    // fingerprint → the tree entry that claimed it (at its minimal depth)
-	local   map[uint64]struct{} // consequence-prediction dedup table
-	locals  map[uint64]struct{} // distinct node-local states over claimed states
-	coll    *collector
-	fr      frontier
+	visited map[uint64]int32 // fingerprint → the tree entry that claimed it (at its minimal depth)
+	// local is consequence prediction's claim table: a claimed (node, local
+	// state) fingerprint → the count of its internal actions that depends on
+	// the local state alone (localClaim). No event adds or removes a node, so
+	// the node set — all that count reads beside the local state — is fixed
+	// for the engine's lifetime.
+	local  map[uint64]int32
+	locals map[uint64]struct{} // distinct node-local states over claimed states
+	coll   *collector
+	fr     frontier
 	// window is claimWindow (a field so tests can show the search does not
 	// depend on it), and windowDone, when set, runs after every claim pass
 	// (a test seam too); outs holds what each position of the current window
@@ -314,6 +319,17 @@ type proposal struct {
 	sibs int32
 }
 
+// localClaim is a (node, local state) the consequence rule claims: its local
+// fingerprint and the number of its internal actions that are a function of
+// that local state and the engine's fixed node set alone — its timers, model
+// app calls and, with conn breaks on, the neighbours present in the state.
+// It is counted where expand enumerates the node's actions anyway; prunedAt
+// adds what varies from state to state.
+type localClaim struct {
+	hash  uint64
+	count int32
+}
+
 // expansion is what expanding one window position left for the claim pass:
 // the proposals and explored sibling keys, as ranges of the expanding
 // worker's buffers, and the violated set the children inherit. The zero
@@ -342,7 +358,8 @@ type Expander struct {
 	props  []proposal     // this window's proposals
 	sibs   []sm.EventKey  // this window's explored siblings, per parent in order (reduction)
 	sleep  []*sm.EventKey // the expanding state's sleep set, resolved (reduction)
-	claims []uint64       // consequence (node, local state) claims awaiting the end of the bucket
+	claims []localClaim   // consequence (node, local state) claims awaiting the end of the bucket
+	rsts   []sm.NodeID    // the nodes an RST is in flight to in the expanding state (consequence)
 	// proposed is the set of fingerprints this worker proposed in the current
 	// window: open addressing with linear probing over a power-of-two table,
 	// 0 marking a free slot (Hash is never 0), allocated on the first
@@ -437,7 +454,7 @@ func (x *Expander) each(g *GState, visit func(*sm.Event) bool) {
 		}
 	}
 	for n := range g.nodes {
-		evs = x.s.internalInto(g, n, &x.evb, x.enc)
+		evs, _ = x.s.internalInto(g, n, &x.evb, x.enc)
 		for i := range evs {
 			if !visit(&evs[i]) {
 				return
@@ -471,7 +488,7 @@ func (s *Search) NewEngine(b Budget, own HashRange, forward func(Forward) error)
 		bdg:     newBudget(b, s.cfg.Now),
 		tree:    newTree(forward != nil),
 		visited: make(map[uint64]int32),
-		local:   make(map[uint64]struct{}),
+		local:   make(map[uint64]int32),
 		locals:  make(map[uint64]struct{}),
 		coll:    &collector{max: b.Violations},
 		ws:      make([]*Expander, b.Workers),
@@ -566,8 +583,8 @@ func (e *Engine) Drain(between func() error) error {
 		// merged once the whole bucket is expanded, so the pruning table
 		// consults strictly earlier buckets.
 		for _, x := range e.ws {
-			for _, lh := range x.claims {
-				e.local[lh] = struct{}{}
+			for _, c := range x.claims {
+				e.local[c.hash] = c.count
 			}
 			x.claims = x.claims[:0]
 		}
@@ -913,22 +930,26 @@ func (e *Engine) expand(h *held, x *Expander) expansion {
 	//
 	// The claim is tested before anything is enumerated: of a claimed (node,
 	// local state) the rule needs only the number of actions it prunes, and
-	// most nodes of most states are claimed.
+	// most nodes of most states are claimed. That number is the claim's
+	// stored count plus the state's own terms (prunedAt), so a pruned node
+	// costs a table lookup, not a walk of its actions.
+	if e.prune {
+		x.rsts = rstTargets(state, x.rsts)
+	}
+	var pruned int64
 	for n, ns := range state.nodes {
-		claimed := false
 		if e.prune {
-			_, claimed = e.local[ns.localHash()]
+			if local, claimed := e.local[ns.localHash()]; claimed {
+				pruned += int64(e.s.prunedAt(state, n, int(local), slices.Contains(x.rsts, ns.id)))
+				continue
+			}
 		}
-		if claimed {
-			e.ctr.localPrunes.Add(int64(e.s.internalAt(state, n, nil, nil)))
-			continue
-		}
-		internal := e.s.internalInto(state, n, &x.evb, x.enc)
+		internal, local := e.s.internalInto(state, n, &x.evb, x.enc)
 		if len(internal) == 0 {
 			continue
 		}
 		if e.prune {
-			x.claims = append(x.claims, ns.localHash())
+			x.claims = append(x.claims, localClaim{ns.localHash(), int32(local)})
 		}
 		for i := range internal {
 			if ev := &internal[i]; !e.reduce {
@@ -939,6 +960,9 @@ func (e *Engine) expand(h *held, x *Expander) expansion {
 				run(ev, ev.Kind != 'R' && !e.prune)
 			}
 		}
+	}
+	if pruned > 0 {
+		e.ctr.localPrunes.Add(pruned)
 	}
 	out.hi, out.sibHi = int32(len(x.props)), int32(len(x.sibs))
 	return out

@@ -201,7 +201,8 @@ func CheckCapStopsQueueing(t *testing.T, cfg Config, start *GState, states int) 
 // the number of internal actions enabled there, with no event built.
 func (s *Search) CountInternal(g *GState) (n int) {
 	for i := range g.nodes {
-		n += s.internalAt(g, i, nil, nil)
+		k, _ := s.internalAt(g, i, nil, nil)
+		n += k
 	}
 	return n
 }

@@ -271,13 +271,15 @@ func (s *Search) networkInto(g *GState, buf *eventBuf) []sm.Event {
 }
 
 // internalAt walks the internal actions enabled at g's i-th node in their
-// canonical order and returns how many there are. With out non-nil it also
-// appends them to *out, fingerprinting each app call on enc so its key pins
-// the call; with out nil it builds nothing, which is all the consequence rule
-// needs for a (node, local state) it has already claimed.
+// canonical order and returns how many there are, n, and how many of them
+// the consequence rule may store with the node's local state, local (see
+// localClaim): n without the reset, and counting the conn break to every
+// neighbour present, whether or not an RST from it is in flight. With out
+// non-nil it also appends the actions to *out, fingerprinting each app call
+// on enc so its key pins the call; with out nil it builds nothing.
 //
 //crystal:hotpath
-func (s *Search) internalAt(g *GState, i int, out *[]sm.Event, enc *sm.Encoder) (n int) {
+func (s *Search) internalAt(g *GState, i int, out *[]sm.Event, enc *sm.Encoder) (n, local int) {
 	ns := g.nodes[i]
 	id := ns.id
 	// The set is sorted by construction: no iteration order can leak into
@@ -297,6 +299,7 @@ func (s *Search) internalAt(g *GState, i int, out *[]sm.Event, enc *sm.Encoder) 
 			}
 		}
 	}
+	local = n
 	if s.cfg.ExploreResets && g.resets < s.cfg.MaxResetsPerPath {
 		n++
 		if out != nil {
@@ -313,7 +316,11 @@ func (s *Search) internalAt(g *GState, i int, out *[]sm.Event, enc *sm.Encoder) 
 			}
 		}
 		for _, nb := range ns.Svc.Neighbors() {
-			if _, known := g.index(nb); known && (!rsts || findMsg(g, nb, id, "", true) < 0) {
+			if _, known := g.index(nb); !known {
+				continue
+			}
+			local++
+			if !rsts || findMsg(g, nb, id, "", true) < 0 {
 				n++
 				if out != nil {
 					*out = append(*out, sm.TransportError(id, nb))
@@ -321,16 +328,52 @@ func (s *Search) internalAt(g *GState, i int, out *[]sm.Event, enc *sm.Encoder) 
 			}
 		}
 	}
-	return n
+	return n, local
 }
 
-// internalInto lists the internal actions of g's i-th node into buf.
+// prunedAt returns how many internal actions internalAt enumerates at g's
+// i-th node, whose local state the consequence rule claimed with count
+// local; rst says whether an RST is in flight to the node (rstTargets). Of
+// what internalAt counts, only two terms are not a function of the local
+// state: the reset, enabled while the path has resets left, and the conn
+// breaks an in-flight RST enables as a delivery instead. The first is read
+// off g; the second needs the node's neighbours, so only a node with an RST
+// in flight to it takes the walk.
 //
 //crystal:hotpath
-func (s *Search) internalInto(g *GState, i int, buf *eventBuf, enc *sm.Encoder) []sm.Event {
+func (s *Search) prunedAt(g *GState, i, local int, rst bool) int {
+	if rst && s.cfg.ExploreConnBreaks {
+		n, _ := s.internalAt(g, i, nil, nil)
+		return n
+	}
+	if s.cfg.ExploreResets && g.resets < s.cfg.MaxResetsPerPath {
+		local++
+	}
+	return local
+}
+
+// rstTargets lists into buf the nodes an RST is in flight to in g, once per
+// RST, and returns it.
+//
+//crystal:hotpath
+func rstTargets(g *GState, buf []sm.NodeID) []sm.NodeID {
+	buf = buf[:0]
+	for _, m := range g.msgs {
+		if m.RST() {
+			buf = append(buf, m.To)
+		}
+	}
+	return buf
+}
+
+// internalInto lists the internal actions of g's i-th node into buf and
+// returns them with internalAt's local count.
+//
+//crystal:hotpath
+func (s *Search) internalInto(g *GState, i int, buf *eventBuf, enc *sm.Encoder) ([]sm.Event, int) {
 	buf.internal = buf.internal[:0]
-	s.internalAt(g, i, &buf.internal, enc)
-	return buf.internal
+	_, local := s.internalAt(g, i, &buf.internal, enc)
+	return buf.internal, local
 }
 
 // EnabledEvents enumerates the transitions available from g, split into
@@ -345,7 +388,7 @@ func (s *Search) EnabledEvents(g *GState) (network []sm.Event, internal map[sm.N
 	internal = make(map[sm.NodeID][]sm.Event, len(g.nodes))
 	for i, ns := range g.nodes {
 		buf.internal = nil // each node's list is the caller's to keep
-		internal[ns.id] = s.internalInto(g, i, &buf, enc)
+		internal[ns.id], _ = s.internalInto(g, i, &buf, enc)
 	}
 	return network, internal
 }

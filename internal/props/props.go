@@ -30,10 +30,12 @@ func (v NodeView) TimerPending(t sm.TimerID) bool { return v.Timers.Has(t) }
 // experiment harnesses.
 //
 // The layout is two parallel slices kept in ascending id order — ids and
-// the NodeView values aligned with it — and no map: a view holds a handful
-// of nodes, so lookup is one binary search and every walk is in id order by
-// construction. Filling ascending (GState.FillView) appends; filling out of
-// order (the controller, from a Go map) inserts in place.
+// the NodeView values aligned with it — and no map: every walk is in id
+// order by construction. A property walks the view by position, over IDs
+// and Nodes together; Get, one binary search, is for looking up a peer a
+// node names. Filling ascending (GState.FillView) takes Add's append path,
+// one comparison per node; filling out of order (the controller, from a Go
+// map) inserts in place.
 //
 // Views are reusable: Reset empties a view while keeping both slices'
 // storage, so a hot loop — the checker evaluating properties on every
@@ -41,7 +43,8 @@ func (v NodeView) TimerPending(t sm.TimerID) bool { return v.Timers.Has(t) }
 // view per worker instead of allocating per state.
 //
 // Ownership rules: the NodeViews belong to the view — do not retain a
-// *NodeView or the IDs slice across an Add of a new id or a Reset. A view
+// *NodeView, the IDs slice or the Nodes slice across an Add of a new id or a
+// Reset. A view
 // may be refilled and read by one goroutine at a time; concurrent workers
 // each use their own.
 type View struct {
@@ -58,9 +61,16 @@ func (v *View) Reset() {
 	v.ids, v.nodes = v.ids[:0], v.nodes[:0]
 }
 
-// Add inserts a node's view, replacing any existing entry for id.
+// Add inserts a node's view, replacing any existing entry for id. An id that
+// sorts after every id in the view is appended.
+//
+//crystal:hotpath
 func (v *View) Add(id sm.NodeID, svc sm.Service, timers sm.TimerSet) {
 	nv := NodeView{Svc: svc, Timers: timers}
+	if n := len(v.ids); n == 0 || v.ids[n-1] < id {
+		v.ids, v.nodes = append(v.ids, id), append(v.nodes, nv)
+		return
+	}
 	i, present := slices.BinarySearch(v.ids, id)
 	if present {
 		v.nodes[i] = nv
@@ -86,6 +96,12 @@ func (v *View) Get(id sm.NodeID) *NodeView {
 // own: callers must treat it as read-only and not retain it across an Add
 // of a new id or a Reset.
 func (v *View) IDs() []sm.NodeID { return v.ids }
+
+// Nodes returns the node views parallel to IDs: Nodes()[i] is the view of
+// IDs()[i]. The slice is the view's own, under the same rules as IDs.
+//
+//crystal:hotpath
+func (v *View) Nodes() []NodeView { return v.nodes }
 
 // Property is a user- or developer-specified safety property (paper Figure
 // 7: "Safety Properties" feed the consequence-prediction checker).

@@ -120,14 +120,16 @@ func TestPartialViewConvention(t *testing.T) {
 }
 
 // TestViewAddAnyOrder: the controller fills its view from a Go map, so ids
-// arrive in any order. Whatever the order, IDs() is ascending, Get returns
-// the entry filed under that id, a second Add of an id replaces the first,
-// absent ids are nil, and a Reset view refills the same way.
+// arrive in any order; GState.FillView adds them ascending, Add's append
+// path. Whatever the order, IDs() is ascending, Nodes() is aligned with it,
+// Get returns the entry filed under that id, a second Add of an id — the
+// last one included — replaces the first, absent ids are nil, and a Reset
+// view refills the same way.
 func TestViewAddAnyOrder(t *testing.T) {
 	ids := []sm.NodeID{9, 2, 14, 5, 11, 1, 7}
 	want := []sm.NodeID{1, 2, 5, 7, 9, 11, 14}
 	v := NewView()
-	for round, order := range [][]int{{0, 1, 2, 3, 4, 5, 6}, {6, 5, 4, 3, 2, 1, 0}, {3, 0, 6, 1, 5, 2, 4}} {
+	for round, order := range [][]int{{0, 1, 2, 3, 4, 5, 6}, {6, 5, 4, 3, 2, 1, 0}, {3, 0, 6, 1, 5, 2, 4}, {5, 1, 3, 6, 0, 4, 2}} {
 		v.Reset()
 		if len(v.IDs()) != 0 || v.Has(9) || v.Get(9) != nil {
 			t.Fatalf("round %d: Reset left entries behind", round)
@@ -136,8 +138,17 @@ func TestViewAddAnyOrder(t *testing.T) {
 			v.Add(ids[i], &fakeSvc{self: ids[i], val: round}, nil)
 		}
 		v.Add(5, &fakeSvc{self: 5, val: 100 + round}, sm.TimerSet{"t"}) // replaces
+		v.Add(14, &fakeSvc{self: 14, val: round}, nil)                  // replaces the last
 		if got := v.IDs(); !reflect.DeepEqual(got, want) {
 			t.Fatalf("round %d: IDs = %v, want %v", round, got, want)
+		}
+		if nodes := v.Nodes(); len(nodes) != len(want) {
+			t.Fatalf("round %d: %d node views for %d ids", round, len(nodes), len(want))
+		}
+		for i, nv := range v.Nodes() {
+			if nv.Svc.(*fakeSvc).self != want[i] || v.Get(want[i]).Svc != nv.Svc {
+				t.Fatalf("round %d: Nodes()[%d] holds node %d, IDs()[%d] is %d", round, i, nv.Svc.(*fakeSvc).self, i, want[i])
+			}
 		}
 		for _, id := range want {
 			nv := v.Get(id)

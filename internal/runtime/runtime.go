@@ -384,10 +384,10 @@ func (n *Node) iscBlocks(ev sm.Event) bool {
 		view.Reset()
 		if n.iscView != nil {
 			if nv := n.iscView(); nv != nil {
-				for _, id := range nv.IDs() {
+				nodes := nv.Nodes()
+				for i, id := range nv.IDs() {
 					if id != n.ID {
-						node := nv.Get(id)
-						view.Add(id, node.Svc, node.Timers)
+						view.Add(id, nodes[i].Svc, nodes[i].Timers)
 					}
 				}
 			}

@@ -5,12 +5,19 @@ import (
 	"crystalball/internal/sm"
 )
 
+// bulletOf returns the Bullet state of the named peer id, or nil.
 func bulletOf(v *props.View, id sm.NodeID) *Bullet {
 	nv := v.Get(id)
 	if nv == nil {
 		return nil
 	}
 	b, _ := nv.Svc.(*Bullet)
+	return b
+}
+
+// bulletAt returns the Bullet state of the view's i-th node, or nil.
+func bulletAt(nodes []props.NodeView, i int) *Bullet {
+	b, _ := nodes[i].Svc.(*Bullet)
 	return b
 }
 
@@ -24,8 +31,9 @@ func bulletOf(v *props.View, id sm.NodeID) *Bullet {
 var PropFileMapConsistency = props.Property{
 	Name: "SenderReceiverFileMapsAgree",
 	Check: func(v *props.View) bool {
-		for _, sid := range v.IDs() {
-			s := bulletOf(v, sid)
+		nodes := v.Nodes()
+		for i := range nodes {
+			s := bulletAt(nodes, i)
 			if s == nil {
 				continue
 			}
@@ -56,8 +64,9 @@ var PropFileMapConsistency = props.Property{
 var PropNoPhantomBlocks = props.Property{
 	Name: "NoPhantomBlocks",
 	Check: func(v *props.View) bool {
-		for _, rid := range v.IDs() {
-			r := bulletOf(v, rid)
+		nodes := v.Nodes()
+		for n := range nodes {
+			r := bulletAt(nodes, n)
 			if r == nil {
 				continue
 			}

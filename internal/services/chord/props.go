@@ -5,12 +5,9 @@ import (
 	"crystalball/internal/sm"
 )
 
-func ringOf(v *props.View, id sm.NodeID) *Ring {
-	nv := v.Get(id)
-	if nv == nil {
-		return nil
-	}
-	r, _ := nv.Svc.(*Ring)
+// ringAt returns the Ring of the view's i-th node, or nil.
+func ringAt(nodes []props.NodeView, i int) *Ring {
+	r, _ := nodes[i].Svc.(*Ring)
 	return r
 }
 
@@ -21,8 +18,9 @@ func ringOf(v *props.View, id sm.NodeID) *Ring {
 var PropPredSelfImpliesSuccSelf = props.Property{
 	Name: "PredSelfImpliesSuccSelf",
 	Check: func(v *props.View) bool {
-		for _, id := range v.IDs() {
-			r := ringOf(v, id)
+		nodes := v.Nodes()
+		for i := range nodes {
+			r := ringAt(nodes, i)
 			if r == nil || !r.Joined {
 				continue
 			}
@@ -45,8 +43,9 @@ var PropPredSelfImpliesSuccSelf = props.Property{
 var PropNodeOrdering = props.Property{
 	Name: "NodeOrderingConstraint",
 	Check: func(v *props.View) bool {
-		for _, id := range v.IDs() {
-			r := ringOf(v, id)
+		nodes := v.Nodes()
+		for i := range nodes {
+			r := ringAt(nodes, i)
 			if r == nil || !r.Joined || r.Pred == sm.NoNode || r.Pred == r.Self {
 				continue
 			}
@@ -70,8 +69,9 @@ var PropNodeOrdering = props.Property{
 var PropNoForeignSelfLoop = props.Property{
 	Name: "NoForeignSelfLoop",
 	Check: func(v *props.View) bool {
-		for _, id := range v.IDs() {
-			r := ringOf(v, id)
+		nodes := v.Nodes()
+		for i := range nodes {
+			r := ringAt(nodes, i)
 			if r == nil || !r.Joined || len(r.Succs) < 2 {
 				continue
 			}
@@ -104,27 +104,28 @@ const ringMaxNodes = 64
 var PropGlobalRingConsistency = props.GlobalProperty{
 	Name: "GlobalRingConsistency",
 	Check: func(v props.GlobalView) bool {
-		ids := v.IDs()
+		ids, nodes := v.IDs(), v.Nodes()
 		if len(ids) > ringMaxNodes {
 			return true
 		}
 		// Collect the joined nodes and their nearest-successor edges as
 		// indices; -1 marks a terminal edge.
 		var (
-			rid  [ringMaxNodes]sm.NodeID
-			succ [ringMaxNodes]int
+			rid   [ringMaxNodes]sm.NodeID
+			rings [ringMaxNodes]*Ring
+			succ  [ringMaxNodes]int
 		)
 		n := 0
-		for _, id := range ids {
-			r := ringOf(v.View, id)
+		for i, id := range ids {
+			r := ringAt(nodes, i)
 			if r == nil || !r.Joined || len(r.Succs) == 0 {
 				continue
 			}
-			rid[n] = id
+			rid[n], rings[n] = id, r
 			n++
 		}
 		for i := 0; i < n; i++ {
-			s := ringOf(v.View, rid[i]).Succs[0]
+			s := rings[i].Succs[0]
 			succ[i] = -1
 			for j := 0; j < n; j++ {
 				if rid[j] == s {

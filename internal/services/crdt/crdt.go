@@ -119,8 +119,8 @@ func PropConverged(name string) props.GlobalProperty {
 	return props.GlobalProperty{
 		Name: name,
 		Check: func(v props.GlobalView) bool {
-			ids := v.IDs()
-			if len(ids) > secMaxNodes {
+			nodes := v.Nodes()
+			if len(nodes) > secMaxNodes {
 				return true
 			}
 			var (
@@ -130,8 +130,8 @@ func PropConverged(name string) props.GlobalProperty {
 				csum [secMaxNodes]uint64
 			)
 			n := 0
-			for _, id := range ids {
-				r, ok := v.Get(id).Svc.(Replica)
+			for i := range nodes {
+				r, ok := nodes[i].Svc.(Replica)
 				if !ok {
 					continue
 				}

@@ -11,8 +11,8 @@ var PropAtMostOneChosen = props.Property{
 	Name: "AtMostOneValueChosen",
 	Check: func(v *props.View) bool {
 		var chosen []int64
-		for _, id := range v.IDs() {
-			p, _ := v.Get(id).Svc.(*Paxos)
+		for _, nv := range v.Nodes() {
+			p, _ := nv.Svc.(*Paxos)
 			if p == nil {
 				continue
 			}
@@ -43,14 +43,14 @@ var PropAtMostOneChosen = props.Property{
 var PropCrossNodeAgreement = props.GlobalProperty{
 	Name: "CrossNodeAgreement",
 	Check: func(v props.GlobalView) bool {
-		ids := v.IDs()
-		for i, a := range ids {
-			pa, _ := v.Get(a).Svc.(*Paxos)
+		nodes := v.Nodes()
+		for i := range nodes {
+			pa, _ := nodes[i].Svc.(*Paxos)
 			if pa == nil || len(pa.ChosenVals) == 0 {
 				continue
 			}
-			for _, b := range ids[i+1:] {
-				pb, _ := v.Get(b).Svc.(*Paxos)
+			for j := i + 1; j < len(nodes); j++ {
+				pb, _ := nodes[j].Svc.(*Paxos)
 				if pb == nil {
 					continue
 				}

@@ -1,17 +1,10 @@
 package randtree
 
-import (
-	"crystalball/internal/props"
-	"crystalball/internal/sm"
-)
+import "crystalball/internal/props"
 
-// treeOf extracts the Tree state from a node view, or nil.
-func treeOf(v *props.View, id sm.NodeID) *Tree {
-	nv := v.Get(id)
-	if nv == nil {
-		return nil
-	}
-	t, _ := nv.Svc.(*Tree)
+// treeAt returns the Tree state of the view's i-th node, or nil.
+func treeAt(nodes []props.NodeView, i int) *Tree {
+	t, _ := nodes[i].Svc.(*Tree)
 	return t
 }
 
@@ -20,8 +13,9 @@ func treeOf(v *props.View, id sm.NodeID) *Tree {
 var PropChildrenSiblingsDisjoint = props.Property{
 	Name: "ChildrenSiblingsDisjoint",
 	Check: func(v *props.View) bool {
-		for _, id := range v.IDs() {
-			t := treeOf(v, id)
+		nodes := v.Nodes()
+		for i := range nodes {
+			t := treeAt(nodes, i)
 			if t == nil {
 				continue
 			}
@@ -41,16 +35,17 @@ var PropChildrenSiblingsDisjoint = props.Property{
 var PropRootNotChildOrSibling = props.Property{
 	Name: "RootNotChildOrSibling",
 	Check: func(v *props.View) bool {
-		for _, rid := range v.IDs() {
-			r := treeOf(v, rid)
+		ids, nodes := v.IDs(), v.Nodes()
+		for i, rid := range ids {
+			r := treeAt(nodes, i)
 			if r == nil || !r.Joined || !r.IsRoot {
 				continue
 			}
-			for _, oid := range v.IDs() {
-				if oid == rid {
+			for j := range nodes {
+				if j == i {
 					continue
 				}
-				o := treeOf(v, oid)
+				o := treeAt(nodes, j)
 				if o == nil {
 					continue
 				}
@@ -67,8 +62,9 @@ var PropRootNotChildOrSibling = props.Property{
 var PropRootHasNoSiblings = props.Property{
 	Name: "RootHasNoSiblings",
 	Check: func(v *props.View) bool {
-		for _, id := range v.IDs() {
-			t := treeOf(v, id)
+		nodes := v.Nodes()
+		for i := range nodes {
+			t := treeAt(nodes, i)
 			if t == nil {
 				continue
 			}
@@ -86,8 +82,9 @@ var PropRootHasNoSiblings = props.Property{
 var PropRecoveryTimer = props.Property{
 	Name: "RecoveryTimerRuns",
 	Check: func(v *props.View) bool {
-		for _, id := range v.IDs() {
-			nv := v.Get(id)
+		nodes := v.Nodes()
+		for i := range nodes {
+			nv := &nodes[i]
 			t, _ := nv.Svc.(*Tree)
 			if t == nil {
 				continue

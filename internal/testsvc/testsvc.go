@@ -161,8 +161,8 @@ func CounterBelow(limit int) props.Property {
 	return props.Property{
 		Name: "CounterBelowLimit",
 		Check: func(v *props.View) bool {
-			for _, id := range v.IDs() {
-				if svc, ok := v.Get(id).Svc.(*Svc); ok && svc.N >= limit {
+			for _, nv := range v.Nodes() {
+				if svc, ok := nv.Svc.(*Svc); ok && svc.N >= limit {
 					return false
 				}
 			}

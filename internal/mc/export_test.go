@@ -3,6 +3,7 @@ package mc
 import (
 	"fmt"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -205,6 +206,34 @@ func (s *Search) CountInternal(g *GState) (n int) {
 		n += k
 	}
 	return n
+}
+
+// SplitCount is the consequence rule's two counts of the internal actions
+// enabled at g's i-th node: Full is internalAt's walk; Split is what a pruned
+// node adds — stored, the local count of whichever state first reached the
+// node's local state (claims records it by local fingerprint), plus
+// prunedAt's per-state terms. The two must agree on every state. ResetLeft
+// and RSTEnabled say which per-state terms the node has: a reset the path
+// may still take, and conn breaks an in-flight RST enables as deliveries.
+func (s *Search) SplitCount(g *GState, i int, claims map[uint64]int) (c struct {
+	Full, Split           int
+	ResetLeft, RSTEnabled bool
+}) {
+	full, local := s.internalAt(g, i, nil, nil)
+	lh := g.nodes[i].localHash()
+	stored, ok := claims[lh]
+	if !ok {
+		stored, claims[lh] = local, local
+	}
+	c.Full = full
+	c.Split = s.prunedAt(g, i, stored, slices.Contains(rstTargets(g, nil), g.nodes[i].id))
+	c.ResetLeft = s.cfg.ExploreResets && g.resets < s.cfg.MaxResetsPerPath
+	reset := 0
+	if c.ResetLeft {
+		reset = 1
+	}
+	c.RSTEnabled = full < local+reset
+	return c
 }
 
 // queuedAt calls visit for every state queued at depth, in queue order.

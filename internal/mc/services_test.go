@@ -417,6 +417,72 @@ func TestCountOnlyMatchesEnumeration(t *testing.T) {
 	}
 }
 
+// TestSplitCountMatchesWalk is the oracle for the consequence rule's
+// pruned-action count. A pruned node adds the count stored with its claimed
+// local state plus two per-state terms — the reset, while the path has
+// resets left, and minus the conn breaks an in-flight RST turns into
+// deliveries — instead of walking its internal actions. On every state of a
+// bounded BFS of every registered scenario, resets and conn breaks forced on,
+// that sum must equal the walk at every node, the stored count taken from
+// the first state that reached the local state. The run must meet both
+// terms: nodes with and without a reset left, and nodes whose conn break an
+// RST enables.
+func TestSplitCountMatchesWalk(t *testing.T) {
+	const maxStates, maxDepth = 3000, 6
+	var pairs, resetLeft, noResetLeft, rstEnabled int
+	for _, name := range scenario.Names() {
+		start, cfg, err := scenario.InitialState(name, scenario.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg.ExploreResets, cfg.ExploreConnBreaks = true, true
+		s := mc.NewSearch(cfg)
+		claims := map[uint64]int{}
+		seen := map[uint64]bool{start.Hash(): true}
+		level := []*mc.GState{start}
+		for depth := 0; depth <= maxDepth && len(level) > 0; depth++ {
+			var next []*mc.GState
+			for _, g := range level {
+				for i, id := range g.Nodes() {
+					c := s.SplitCount(g, i, claims)
+					if c.Full != c.Split {
+						t.Fatalf("%s, depth %d, node %d: the stored count plus the state's terms is %d, the walk counts %d (reset left %v, RST-enabled breaks %v)",
+							name, depth, id, c.Split, c.Full, c.ResetLeft, c.RSTEnabled)
+					}
+					pairs++
+					if c.ResetLeft {
+						resetLeft++
+					} else {
+						noResetLeft++
+					}
+					if c.RSTEnabled {
+						rstEnabled++
+					}
+				}
+				network, internal := s.EnabledEvents(g)
+				events := network
+				for _, id := range g.Nodes() {
+					events = append(events, internal[id]...)
+				}
+				for _, ev := range events {
+					if len(seen) == maxStates {
+						break
+					}
+					if succ := s.ApplyEvent(g, ev); succ != nil && !seen[succ.Hash()] {
+						seen[succ.Hash()] = true
+						next = append(next, succ)
+					}
+				}
+			}
+			level = next
+		}
+	}
+	t.Logf("%d (state, node) pairs: %d with a reset left, %d without, %d with RST-enabled conn breaks", pairs, resetLeft, noResetLeft, rstEnabled)
+	if resetLeft == 0 || noResetLeft == 0 || rstEnabled == 0 {
+		t.Fatalf("%d pairs, %d with a reset left, %d without, %d with RST-enabled conn breaks: a per-state term goes unchecked", pairs, resetLeft, noResetLeft, rstEnabled)
+	}
+}
+
 // benchInput builds a registered scenario's start state and checker
 // configuration the way the benchmark's offline workloads (and mcheck's
 // default flags) do: resets on, reduction on, one worker.

@@ -8,6 +8,17 @@
 //	crystalball -list
 //	crystalball -service randtree -nodes 25 -mode steering -duration 10m
 //	crystalball -service bulletprime -nodes 8 -mode debug -duration 20m
+//
+// The summary line counts the controllers' rounds: searched= those that ran
+// a search (stops[…] says why each ended), skipped= those whose snapshot was
+// identical to the last one searched, and pruned= the transitions their
+// searches avoided (controller.Stats.TransitionsPruned, rechecks included).
+//
+// -cpuprofile and -memprofile write runtime/pprof profiles covering the
+// simulated run (not deployment set-up or result printing):
+//
+//	crystalball -service chord -nodes 20 -mode steering -duration 60m -churn 30s -workers 1 -seed 43 -cpuprofile cpu.prof
+//	go tool pprof -top crystalball cpu.prof
 package main
 
 import (
@@ -19,6 +30,7 @@ import (
 	"time"
 
 	"crystalball/internal/controller"
+	"crystalball/internal/profile"
 	"crystalball/internal/scenario"
 	_ "crystalball/internal/scenario/all"
 )
@@ -37,6 +49,8 @@ func main() {
 		seed     = flag.Int64("seed", 42, "random seed")
 		fixed    = flag.Bool("fixed", false, "run the bug-fixed service variants")
 		verbose  = flag.Bool("v", false, "print each prediction's event path")
+		cpuProf  = flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
+		memProf  = flag.String("memprofile", "", "write an allocation profile of the run to this file")
 	)
 	flag.Parse()
 
@@ -83,7 +97,16 @@ func main() {
 
 	fmt.Printf("running %s with %d nodes for %v (mode=%s, fixed=%v)\n",
 		sc.Name, len(d.Nodes), *duration, ctrlMode, *fixed)
+	stopProfiles, err := profile.Start(*cpuProf, *memProf)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
+	}
 	d.Sim.RunFor(*duration)
+	if err := stopProfiles(); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
 
 	findings := d.TotalFindings()
 	distinct := controller.DistinctFindings(findings)
@@ -96,7 +119,7 @@ func main() {
 			}
 		}
 	}
-	var filters, unhelpful, rounds, searched, states int64
+	var filters, unhelpful, rounds, searched, skipped, states, pruned int64
 	// Why the rounds that searched stopped: stops[states=N] is how many of
 	// them the state budget bound.
 	stops := map[string]int64{"frontier-empty": 0, "states": 0, "violations": 0}
@@ -104,7 +127,9 @@ func main() {
 		filters += c.Stats.FiltersInstalled
 		unhelpful += c.Stats.SteeringUnhelpful
 		rounds += c.Stats.Rounds
+		skipped += c.Stats.Skipped
 		states += c.Stats.StatesExplored
+		pruned += c.Stats.TransitionsPruned
 		for reason, n := range c.Stats.Stops {
 			stops[reason] += n
 			searched += n
@@ -120,8 +145,8 @@ func main() {
 		actions += node.Stats.ActionsExecuted
 		blocked += node.Stats.ActionsChanged()
 	}
-	fmt.Printf("\nrounds=%d searched=%d stops[%s] statesExplored=%d filtersInstalled=%d unhelpful=%d\n",
-		rounds, searched, strings.Join(stopText, " "), states, filters, unhelpful)
+	fmt.Printf("\nrounds=%d searched=%d skipped=%d stops[%s] statesExplored=%d filtersInstalled=%d unhelpful=%d pruned=%d\n",
+		rounds, searched, skipped, strings.Join(stopText, " "), states, filters, unhelpful, pruned)
 	fmt.Printf("actions=%d blocked=%d\n", actions, blocked)
 	if ok := d.Props.Holds(d.View()); ok {
 		fmt.Println("final global state: consistent")

@@ -62,13 +62,12 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
-	"runtime/pprof"
 	"strings"
 	"time"
 
 	"crystalball/internal/dist"
 	"crystalball/internal/mc"
+	"crystalball/internal/profile"
 	"crystalball/internal/scenario"
 	_ "crystalball/internal/scenario/all"
 )
@@ -196,7 +195,7 @@ func main() {
 	}
 	cfg.Reduce = *reduce
 
-	stopProfiles, err := startProfiles(*cpuProfile, *memProfile)
+	stopProfiles, err := profile.Start(*cpuProfile, *memProfile)
 	if err != nil {
 		usage(err)
 	}
@@ -284,42 +283,4 @@ func buildScenario(su dist.Setup) (*mc.GState, mc.Config, error) {
 	cfg.ExploreResets = su.Resets
 	cfg.ExploreConnBreaks = su.ConnBreaks
 	return g, cfg, nil
-}
-
-// startProfiles starts the CPU profile (when cpu names a file) and returns
-// the function that stops it and writes the allocation profile (when mem
-// names a file): called right before and right after the search, the two
-// cover the search and nothing else.
-func startProfiles(cpu, mem string) (stop func() error, err error) {
-	var cpuFile *os.File
-	if cpu != "" {
-		if cpuFile, err = os.Create(cpu); err != nil {
-			return nil, err
-		}
-		if err := pprof.StartCPUProfile(cpuFile); err != nil {
-			cpuFile.Close()
-			return nil, fmt.Errorf("-cpuprofile: %w", err)
-		}
-	}
-	return func() error {
-		if cpuFile != nil {
-			pprof.StopCPUProfile()
-			if err := cpuFile.Close(); err != nil {
-				return err
-			}
-		}
-		if mem == "" {
-			return nil
-		}
-		f, err := os.Create(mem)
-		if err != nil {
-			return err
-		}
-		runtime.GC() // the profile reports allocations as of the last completed collection
-		if err := pprof.WriteHeapProfile(f); err != nil {
-			f.Close()
-			return fmt.Errorf("-memprofile: %w", err)
-		}
-		return f.Close()
-	}, nil
 }

@@ -175,6 +175,10 @@ type Stats struct {
 	// Stops["states"] is how many rounds the state budget bound. Nil until
 	// a round searches.
 	Stops map[string]int64
+	// Skipped counts the rounds that searched nothing because their
+	// snapshot was identical to the last fully-searched one. Every round
+	// either searches or is skipped: Rounds is Skipped plus the sum of Stops.
+	Skipped int64
 }
 
 // Controller drives CrystalBall for one node.
@@ -284,6 +288,7 @@ func (c *Controller) onSnapshot(snap *snapshot.Snapshot) {
 	// since filters are removed "after every model checking run", a
 	// skipped run leaves the installed filters in place.
 	if h := start.Hash(); h == c.lastHash {
+		c.Stats.Skipped++
 		if c.conservative {
 			// A skipped run also leaves the stale filters in place, so
 			// the coasting continues to be counted.

@@ -353,6 +353,41 @@ func TestDeploySmoke(t *testing.T) {
 	}
 }
 
+// TestRoundsSearchOrSkip: every controller round of a chord deployment
+// either searched — and is counted under why its search stopped — or was
+// skipped for an unchanged snapshot: Rounds is Skipped plus the sum of
+// Stops, and both kinds occur.
+func TestRoundsSearchOrSkip(t *testing.T) {
+	d, err := scenario.Deploy("chord", scenario.DeployOptions{
+		Seed:     43,
+		Service:  scenario.Options{Nodes: 8},
+		Control:  scenario.Steering,
+		MCStates: 500,
+		Workers:  1,
+		Workload: true,
+		Churn:    30 * time.Second,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	d.Sim.RunFor(5 * time.Minute)
+	var searched, skipped int64
+	for i, c := range d.Ctrls {
+		var stops int64
+		for _, n := range c.Stats.Stops {
+			stops += n
+		}
+		if c.Stats.Rounds != stops+c.Stats.Skipped {
+			t.Errorf("controller %d: %d rounds, %d stops %v and %d skipped", i, c.Stats.Rounds, stops, c.Stats.Stops, c.Stats.Skipped)
+		}
+		searched += stops
+		skipped += c.Stats.Skipped
+	}
+	if searched == 0 || skipped == 0 {
+		t.Fatalf("%d rounds searched and %d skipped: want both kinds", searched, skipped)
+	}
+}
+
 // TestDeployBareCheckpoints: a bare deployment with Checkpoints attaches
 // one standalone snapshot manager per node and no controllers.
 func TestDeployBareCheckpoints(t *testing.T) {

@@ -272,7 +272,7 @@ type Engine struct {
 	tree    *Tree
 	visited map[uint64]int32 // fingerprint → the tree entry that claimed it (at its minimal depth)
 	// local is consequence prediction's claim table: a claimed (node, local
-	// state) fingerprint → the count of its internal actions that depends on
+	// state) fingerprint → the count of its internal actions that depend on
 	// the local state alone (localClaim). No event adds or removes a node, so
 	// the node set — all that count reads beside the local state — is fixed
 	// for the engine's lifetime.
@@ -359,7 +359,7 @@ type Expander struct {
 	sibs   []sm.EventKey  // this window's explored siblings, per parent in order (reduction)
 	sleep  []*sm.EventKey // the expanding state's sleep set, resolved (reduction)
 	claims []localClaim   // consequence (node, local state) claims awaiting the end of the bucket
-	rsts   []sm.NodeID    // the nodes an RST is in flight to in the expanding state (consequence)
+	rsts   []sm.NodeID    // the nodes an RST is in flight to in the expanding state (consequence, conn breaks on)
 	// proposed is the set of fingerprints this worker proposed in the current
 	// window: open addressing with linear probing over a power-of-two table,
 	// 0 marking a free slot (Hash is never 0), allocated on the first
@@ -933,7 +933,7 @@ func (e *Engine) expand(h *held, x *Expander) expansion {
 	// most nodes of most states are claimed. That number is the claim's
 	// stored count plus the state's own terms (prunedAt), so a pruned node
 	// costs a table lookup, not a walk of its actions.
-	if e.prune {
+	if e.prune && e.s.cfg.ExploreConnBreaks {
 		x.rsts = rstTargets(state, x.rsts)
 	}
 	var pruned int64

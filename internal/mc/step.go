@@ -338,7 +338,7 @@ func (s *Search) internalAt(g *GState, i int, out *[]sm.Event, enc *sm.Encoder) 
 // state: the reset, enabled while the path has resets left, and the conn
 // breaks an in-flight RST enables as a delivery instead. The first is read
 // off g; the second needs the node's neighbours, so only a node with an RST
-// in flight to it takes the walk.
+// in flight to it (and conn breaks on) takes the walk.
 //
 //crystal:hotpath
 func (s *Search) prunedAt(g *GState, i, local int, rst bool) int {

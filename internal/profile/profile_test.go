@@ -15,11 +15,6 @@ func TestStartWritesBothProfiles(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sink := make([][]byte, 0, 64)
-	for i := 0; i < 64; i++ {
-		sink = append(sink, make([]byte, 4096))
-	}
-	_ = sink
 	if err := stop(); err != nil {
 		t.Fatal(err)
 	}

@@ -15,12 +15,6 @@ func bulletOf(v *props.View, id sm.NodeID) *Bullet {
 	return b
 }
 
-// bulletAt returns the Bullet state of the view's i-th node, or nil.
-func bulletAt(nodes []props.NodeView, i int) *Bullet {
-	b, _ := nodes[i].Svc.(*Bullet)
-	return b
-}
-
 // PropFileMapConsistency is the paper's Bullet′ property: "Sender's file
 // map and receivers view of it should be identical." The sound, sender-side
 // formulation: every block a sender holds must be either already advertised
@@ -33,7 +27,7 @@ var PropFileMapConsistency = props.Property{
 	Check: func(v *props.View) bool {
 		nodes := v.Nodes()
 		for i := range nodes {
-			s := bulletAt(nodes, i)
+			s, _ := nodes[i].Svc.(*Bullet)
 			if s == nil {
 				continue
 			}
@@ -66,7 +60,7 @@ var PropNoPhantomBlocks = props.Property{
 	Check: func(v *props.View) bool {
 		nodes := v.Nodes()
 		for n := range nodes {
-			r := bulletAt(nodes, n)
+			r, _ := nodes[n].Svc.(*Bullet)
 			if r == nil {
 				continue
 			}

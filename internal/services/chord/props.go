@@ -5,12 +5,6 @@ import (
 	"crystalball/internal/sm"
 )
 
-// ringAt returns the Ring of the view's i-th node, or nil.
-func ringAt(nodes []props.NodeView, i int) *Ring {
-	r, _ := nodes[i].Svc.(*Ring)
-	return r
-}
-
 // PropPredSelfImpliesSuccSelf is the paper's property "If Successor is
 // Self, So Is Predecessor" (stated in its contrapositive-friendly form): a
 // node whose predecessor points to itself must be alone, so its successor
@@ -20,7 +14,7 @@ var PropPredSelfImpliesSuccSelf = props.Property{
 	Check: func(v *props.View) bool {
 		nodes := v.Nodes()
 		for i := range nodes {
-			r := ringAt(nodes, i)
+			r, _ := nodes[i].Svc.(*Ring)
 			if r == nil || !r.Joined {
 				continue
 			}
@@ -45,7 +39,7 @@ var PropNodeOrdering = props.Property{
 	Check: func(v *props.View) bool {
 		nodes := v.Nodes()
 		for i := range nodes {
-			r := ringAt(nodes, i)
+			r, _ := nodes[i].Svc.(*Ring)
 			if r == nil || !r.Joined || r.Pred == sm.NoNode || r.Pred == r.Self {
 				continue
 			}
@@ -71,7 +65,7 @@ var PropNoForeignSelfLoop = props.Property{
 	Check: func(v *props.View) bool {
 		nodes := v.Nodes()
 		for i := range nodes {
-			r := ringAt(nodes, i)
+			r, _ := nodes[i].Svc.(*Ring)
 			if r == nil || !r.Joined || len(r.Succs) < 2 {
 				continue
 			}
@@ -117,7 +111,7 @@ var PropGlobalRingConsistency = props.GlobalProperty{
 		)
 		n := 0
 		for i, id := range ids {
-			r := ringAt(nodes, i)
+			r, _ := nodes[i].Svc.(*Ring)
 			if r == nil || !r.Joined || len(r.Succs) == 0 {
 				continue
 			}

@@ -2,12 +2,6 @@ package randtree
 
 import "crystalball/internal/props"
 
-// treeAt returns the Tree state of the view's i-th node, or nil.
-func treeAt(nodes []props.NodeView, i int) *Tree {
-	t, _ := nodes[i].Svc.(*Tree)
-	return t
-}
-
 // PropChildrenSiblingsDisjoint is the paper's first RandTree safety
 // property: "children and siblings are disjoint lists" (Figure 2).
 var PropChildrenSiblingsDisjoint = props.Property{
@@ -15,7 +9,7 @@ var PropChildrenSiblingsDisjoint = props.Property{
 	Check: func(v *props.View) bool {
 		nodes := v.Nodes()
 		for i := range nodes {
-			t := treeAt(nodes, i)
+			t, _ := nodes[i].Svc.(*Tree)
 			if t == nil {
 				continue
 			}
@@ -37,7 +31,7 @@ var PropRootNotChildOrSibling = props.Property{
 	Check: func(v *props.View) bool {
 		ids, nodes := v.IDs(), v.Nodes()
 		for i, rid := range ids {
-			r := treeAt(nodes, i)
+			r, _ := nodes[i].Svc.(*Tree)
 			if r == nil || !r.Joined || !r.IsRoot {
 				continue
 			}
@@ -45,7 +39,7 @@ var PropRootNotChildOrSibling = props.Property{
 				if j == i {
 					continue
 				}
-				o := treeAt(nodes, j)
+				o, _ := nodes[j].Svc.(*Tree)
 				if o == nil {
 					continue
 				}
@@ -64,7 +58,7 @@ var PropRootHasNoSiblings = props.Property{
 	Check: func(v *props.View) bool {
 		nodes := v.Nodes()
 		for i := range nodes {
-			t := treeAt(nodes, i)
+			t, _ := nodes[i].Svc.(*Tree)
 			if t == nil {
 				continue
 			}

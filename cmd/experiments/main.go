@@ -9,6 +9,12 @@
 //
 // Experiments: table1, fig12, fig15, fig16, depths, randtree-steering,
 // fig14, fig17, overhead, all.
+//
+// -cpuprofile and -memprofile write runtime/pprof profiles covering the
+// experiments run (not flag parsing):
+//
+//	experiments -exp depths -workers 1 -budget 300ms -cpuprofile cpu.prof
+//	go tool pprof -top experiments cpu.prof
 package main
 
 import (
@@ -18,6 +24,7 @@ import (
 	"time"
 
 	"crystalball/internal/experiments"
+	"crystalball/internal/profile"
 )
 
 // render turns a harness's (result, error) into its table, formatting only a
@@ -41,8 +48,25 @@ func main() {
 		depth    = flag.Int("depth", 0, "max depth for fig12/fig15")
 		budget   = flag.Duration("budget", 2*time.Second, "wall budget for the depths comparison")
 		workers  = flag.Int("workers", 0, "checker worker goroutines (0 = GOMAXPROCS)")
+		cpuProf  = flag.String("cpuprofile", "", "write a CPU profile of the experiments to this file")
+		memProf  = flag.String("memprofile", "", "write an allocation profile of the experiments to this file")
 	)
 	flag.Parse()
+
+	stopProfiles, err := profile.Start(*cpuProf, *memProf)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
+	}
+	// exit ends the run with code after writing the profiles, which would
+	// otherwise be lost with the process.
+	exit := func(code int) {
+		if err := stopProfiles(); err != nil {
+			fmt.Fprintln(os.Stderr, err)
+			code = max(code, 1)
+		}
+		os.Exit(code)
+	}
 
 	run := func(name string) {
 		var out string
@@ -90,11 +114,11 @@ func main() {
 			out, err = render(experiments.FormatOverhead)(experiments.Overhead(cfg))
 		default:
 			fmt.Fprintf(os.Stderr, "unknown experiment %q\n", name)
-			os.Exit(2)
+			exit(2)
 		}
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "%s: %v\n", name, err)
-			os.Exit(1)
+			exit(1)
 		}
 		fmt.Println(out)
 	}
@@ -105,7 +129,8 @@ func main() {
 			fmt.Printf("### %s\n", name)
 			run(name)
 		}
-		return
+	} else {
+		run(*exp)
 	}
-	run(*exp)
+	exit(0)
 }

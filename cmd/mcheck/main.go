@@ -239,6 +239,7 @@ func main() {
 		res.PeakMemoryBytes, res.PerStateBytes,
 		float64(res.StatesExplored)/res.Elapsed.Seconds(), res.StopReason)
 	fmt.Printf("pruned=%d (sleep-hits=%d) unbuilt=%d\n", res.TransitionsPruned, res.SleepHits, res.Unbuilt)
+	fmt.Printf("handlers=%d\n", res.HandlerRuns)
 	if dres != nil {
 		fmt.Printf("shards=%d forwarded=%d received=%d remote-deduped=%d batch-flushes=%d\n",
 			*shards, dres.Stats.StatesForwarded, dres.Stats.StatesReceived, dres.Stats.RemoteDeduped, dres.Stats.BatchFlushes)

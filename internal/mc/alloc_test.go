@@ -313,6 +313,51 @@ func TestUnbuiltSuccessorAllocBound(t *testing.T) {
 
 var svcSink sm.Service
 
+// TestMemoHitAllocBound: a published successor built from a memo hit
+// allocates no NodeState and no service. The handler runs once, in
+// AllocsPerRun's warm-up; every later build installs the memoized node state,
+// which the published successor shares, so it costs what a pooled build
+// (no memo) costs minus the NodeState and the service's clone. "tick" changes
+// the local state, so its effect is memoized when the warm-up publishes it;
+// "idle" and "kick" leave it as it was, so the memoized state is the
+// parent's own (kick also sends, and the sent item is still the successor's
+// to allocate).
+func TestMemoHitAllocBound(t *testing.T) {
+	s := NewSearch(Config{Props: poisonAt(1000), Factory: newToy})
+	g := multiTimerStart()
+	g.AddNode(1, g.Node(1).Svc, g.Node(1).Timers.With("idle"))
+	clone := testing.AllocsPerRun(500, func() { svcSink = g.Node(1).Svc.Clone() })
+	if clone == 0 {
+		t.Fatal("the toy's Clone allocates nothing: the bound measures nothing")
+	}
+	pooled := getScratch()
+	defer putScratch(pooled)
+	for _, ev := range []sm.Event{sm.TimerFiring(1, "tick"), sm.TimerFiring(1, "idle"), sm.AppInvocation(1, kick{}, sm.NewEncoder())} {
+		build := func(sc *scratch) float64 {
+			return testing.AllocsPerRun(500, func() {
+				if cloneSink = s.applyEvent(g, &ev, true, sc); cloneSink == nil {
+					t.Fatalf("%s: not applicable", ev.Describe())
+				}
+			})
+		}
+		x := s.NewExpander()
+		want := build(pooled) - 1 - clone
+		if hit := build(x.sc); hit != want {
+			t.Errorf("%s: a memo hit's published successor allocates %.1f/op, want %.1f: a pooled build's less the NodeState and the service clone", ev.Describe(), hit, want)
+		}
+		if x.sc.runs != 1 {
+			t.Errorf("%s: the handler ran %d times in 501 builds, want once", ev.Describe(), x.sc.runs)
+		}
+		memoized := x.sc.memo.find(g.Node(1).lhash, g.Node(1).chash, 0, &ev.EventKey)
+		if memoized == nil || cloneSink.Node(1) != memoized.ns {
+			t.Errorf("%s: the published successor does not share the memoized node state", ev.Describe())
+		}
+		if unchanged := ev.Name != "tick"; unchanged != (memoized != nil && memoized.ns == g.Node(1)) {
+			t.Errorf("%s: the memoized node state is the parent's: %v, want %v", ev.Describe(), !unchanged, unchanged)
+		}
+	}
+}
+
 // TestReductionCountersAllocBound: the reduction counters are pre-allocated
 // atomics on the engine — bumping them costs no allocation — and the sleep-set bookkeeping itself adds at most a small
 // constant per executed transition (one childSleep slice per expanded

@@ -371,6 +371,7 @@ type Expander struct {
 // NewExpander returns a fresh workspace bound to the search.
 func (s *Search) NewExpander() *Expander {
 	sc := newScratch()
+	sc.memo = new(memo)
 	return &Expander{s: s, view: props.NewView(), sc: sc, enc: &sc.enc}
 }
 
@@ -565,8 +566,14 @@ func (e *Engine) claim(idx int32, g *GState) {
 // window at a time, until it is empty or the budget is spent. between, when
 // non-nil, runs after every bucket's last claim pass: the place a sharded
 // search flushes its outgoing batches and injects queued arrivals. The first
-// error from the sink or from between stops the drain.
+// error from the sink or from between stops the drain. The workers' handler
+// memos live as long as the drain: what they pin is let go when it returns.
 func (e *Engine) Drain(between func() error) error {
+	defer func() {
+		for _, x := range e.ws {
+			x.sc.memo.drop()
+		}
+	}()
 	for e.fr.count > 0 && !e.bdg.exhausted() {
 		bucket, depth := e.fr.popBucket()
 		for lo := 0; lo < bucket.n && !e.bdg.exhausted(); lo += e.window {
@@ -1063,6 +1070,7 @@ func (e *Engine) Result() *Result {
 		MaxDepthReached:     int(e.ctr.maxDepth.Load()),
 		LocalPrunes:         int(e.ctr.localPrunes.Load()),
 		Unbuilt:             int(e.ctr.unbuilt.Load()),
+		HandlerRuns:         e.handlerRuns(),
 		SleepHits:           int(e.ctr.sleepHits.Load()),
 		DistinctLocalStates: len(e.locals),
 		Elapsed:             e.bdg.elapsed(),
@@ -1085,6 +1093,15 @@ func (e *Engine) Result() *Result {
 		res.PerStateBytes = float64(res.PeakMemoryBytes) / float64(res.StatesExplored)
 	}
 	return res
+}
+
+// handlerRuns sums the handlers the workers ran.
+func (e *Engine) handlerRuns() int {
+	n := int64(0)
+	for _, x := range e.ws {
+		n += x.sc.runs
+	}
+	return int(n)
 }
 
 // heldEntryBytes is what a queued state costs beside its GState and sleep

@@ -6,7 +6,20 @@ import (
 	"slices"
 	"strings"
 	"testing"
+
+	"crystalball/internal/sm"
 )
+
+// ApplyIn builds the successor of g under ev, an event enumerated at g, in
+// x's scratch — through x's handler memo — and publishes it: the memo-warm
+// side of the memo oracle, against ApplyEvent's pooled scratch, which never
+// memoizes.
+func (s *Search) ApplyIn(x *Expander, g *GState, ev sm.Event) *GState {
+	return s.applyEvent(g, &ev, true, x.sc)
+}
+
+// HandlerRuns returns how many handlers x's scratch has run.
+func (x *Expander) HandlerRuns() int { return int(x.sc.runs) }
 
 // wholeBucket is a claim window no bucket outgrows: the barrier the engine
 // had before it claimed in windows.
@@ -23,6 +36,8 @@ const wholeBucket = 1 << 30
 // Result.Unbuilt is the exception: a worker proposes a fingerprint it
 // proposed before without building it, but two workers both build theirs,
 // so it must equal the serial count at one worker and not exceed it at more.
+// Result.HandlerRuns must equal the serial count at one worker; at more it
+// depends on which worker's memo met which state first, and is not compared.
 // cfg must bound the search by depth only. In each mode named in spans the
 // widest bucket must hold at least three default windows, so the default
 // window is a many-window run there and not the whole-bucket run again.
@@ -70,7 +85,11 @@ func CheckWindowIndependence(t *testing.T, cfg Config, start *GState, spans ...M
 					if got.Unbuilt > want.Unbuilt || (workers == 1 && got.Unbuilt != want.Unbuilt) {
 						t.Errorf("%s window=%d workers=%d: %d successors unbuilt, serial whole-bucket run %d", name, window, workers, got.Unbuilt, want.Unbuilt)
 					}
-					if got.Unbuilt = want.Unbuilt; !reflect.DeepEqual(got, want) {
+					if workers == 1 && got.HandlerRuns != want.HandlerRuns {
+						t.Errorf("%s window=%d: %d handlers run, serial whole-bucket run %d", name, window, got.HandlerRuns, want.HandlerRuns)
+					}
+					got.Unbuilt, got.HandlerRuns = want.Unbuilt, want.HandlerRuns
+					if !reflect.DeepEqual(got, want) {
 						t.Errorf("%s window=%d workers=%d: %d claimed, %d local states, %d transitions, %d sleep hits, %d local prunes, %d explored, depth %d, %d violations; serial whole-bucket run: %d, %d, %d, %d, %d, %d, %d, %d",
 							name, window, workers,
 							len(got.ClaimedStates), len(got.LocalStates), got.Transitions, got.SleepHits, got.LocalPrunes, got.StatesExplored, got.MaxDepthReached, len(got.Violations),

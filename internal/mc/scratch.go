@@ -29,9 +29,11 @@ import (
 // transition copies its service exactly once and a duplicate's copy is
 // overwritten by the next build.
 //
-// Every Expander owns one scratch (an engine's worker's, a replay's);
-// ApplyEvent and the GState construction API check one out of scratchPool
-// for the duration of one call.
+// Every Expander owns one scratch (an engine's worker's, a replay's), and
+// with it a memo of handler effects (memo.go; runHandler); ApplyEvent and the
+// GState construction API check one out of scratchPool for the duration of one
+// call, and a pooled scratch never memoizes: the pool is shared by searches
+// with other seeds and factories, which the memo's key does not name.
 type scratch struct {
 	enc sm.Encoder
 	fx  sm.Effects
@@ -55,6 +57,15 @@ type scratch struct {
 	// -1 when no node changed). Its Timers alias fx.Timers until publish.
 	node NodeState
 	at   int
+
+	// memo is the Expander's handler-effect memo (nil in a pooled scratch),
+	// and pending the key of the effect the successor under construction is
+	// to memoize, which publish records with the node state it puts on the
+	// heap (pending.key.Kind is 0 when there is none). runs counts the
+	// handlers run in the scratch (Result.HandlerRuns).
+	memo    *memo
+	pending effect
+	runs    int64
 }
 
 func newScratch() *scratch { return &scratch{rnd: sm.NewRand(0)} }
@@ -76,7 +87,7 @@ func (sc *scratch) begin(g *GState, items int) *GState {
 	next.stale = append(next.stale[:0], g.stale...)
 	next.resets, next.hsum, next.encSize = g.resets, g.hsum, g.encSize
 	sc.items = slices.Grow(sc.items[:0], items)
-	sc.at, sc.onSpare = -1, false
+	sc.at, sc.onSpare, sc.pending.key.Kind = -1, false, 0
 	return next
 }
 
@@ -97,10 +108,15 @@ func (sc *scratch) newItem(m *InFlight) *InFlight {
 // it. It allocates the GState, its node container and the executed node's
 // NodeState, which keeps the spare service it holds: the scratch gives the
 // spare up. That node's timer set is copied only when it differs from the
-// set it replaces; otherwise the node shares it. The in-flight container is
-// the parent's, clipped, when the event neither removed nor added an item, and
-// an exact-size copy otherwise, in which each new or moved item is a heap item
-// of its own. The stale pairs are copied only when they changed.
+// set it replaces; otherwise the node shares it. A handler effect pending for
+// the memo is recorded with that NodeState, now that it is on the heap. A
+// successor whose executed node holds a heap state already — a memo hit, or a
+// handler that left the local state as it was — allocates no NodeState: its
+// node container shares that state like every other node's. The in-flight
+// container is the parent's, clipped, when the event neither removed nor added
+// an item, and an exact-size copy otherwise, in which each new or moved item
+// is a heap item of its own. The stale pairs are copied only when they
+// changed.
 //
 //crystal:hotpath
 func (sc *scratch) publish(parent *GState) *GState {
@@ -119,6 +135,11 @@ func (sc *scratch) publish(parent *GState) *GState {
 			ns.Timers = exactCopy(ns.Timers)
 		}
 		nodes[sc.at] = ns
+		if p := &sc.pending; p.key.Kind != 0 {
+			p.ns = ns
+			sc.memo.add(p, sc.fx.Sends)
+			*p = effect{}
+		}
 	}
 	msgs := slices.Clip(parent.msgs) // nothing added and nothing removed: the very same items
 	if len(sc.items) > 0 || len(next.msgs) != len(parent.msgs) {

@@ -182,6 +182,13 @@ type Result struct {
 	// but never published, because their fingerprint was already claimed or
 	// already proposed (Engine.fate). Sharded results do not carry it yet.
 	Unbuilt int
+	// HandlerRuns counts the event handlers (deliveries, timers, app calls,
+	// transport errors) the engine's workers actually ran: a transition whose
+	// (node local state, event, consumed item) a worker's memo already holds
+	// runs none (runHandler). Resets, RST drops and filtered events are not
+	// handler runs. Like Unbuilt it is exact with one worker and varies with
+	// more (each worker has its own memo); sharded results do not carry it.
+	HandlerRuns int
 	// DistinctLocalStates counts distinct node-local states over all
 	// claimed states — the ROADMAP's coverage metric ("distinct local
 	// states reached per budget").

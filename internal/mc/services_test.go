@@ -576,8 +576,9 @@ func TestEveryDuplicateIsUnbuilt(t *testing.T) {
 // delivery, a sleep-set slice of keys, per-call maps and sort closures in the
 // service), 9.86 while every NodeState kept a copy of its service encoding,
 // 9.17 while every successor was built on the heap before the visited table
-// was asked, 7.33 while every executed transition boxed its event; measured
-// 6.48.
+// was asked, 7.33 while every executed transition boxed its event, 6.48
+// while every transition ran its handler; measured 4.91, with each worker's
+// handler memo.
 func TestAllocsPerTransitionPaxosSmoke(t *testing.T) {
 	skipUnlessPooling(t)
 	cfg, start := benchInput(t, "paxos", 5, mc.Exhaustive, mc.Budget{Depth: 4})
@@ -588,8 +589,8 @@ func TestAllocsPerTransitionPaxosSmoke(t *testing.T) {
 	if res.SleepHits == 0 || res.Transitions < 5000 {
 		t.Fatalf("%d transitions, %d sleep hits: the input exercises too little", res.Transitions, res.SleepHits)
 	}
-	if per > 10 {
-		t.Fatalf("%.2f allocations per transition, want <= 10", per)
+	if per > 6 {
+		t.Fatalf("%.2f allocations per transition, want <= 6", per)
 	}
 }
 

@@ -100,8 +100,8 @@ func findMsg(g *GState, from, to sm.NodeID, msgType string, rst bool) int {
 // back to the sender, mirroring the live transport.
 //
 //crystal:hotpath
-func (s *Search) dispatchSends(next *GState, from sm.NodeID, sc *scratch) {
-	for _, sd := range sc.fx.Sends {
+func (s *Search) dispatchSends(next *GState, from sm.NodeID, sends []sm.Outgoing, sc *scratch) {
+	for _, sd := range sends {
 		if _, known := next.index(sd.To); !known {
 			s.dummyRedirects.Add(1)
 			continue
@@ -124,6 +124,18 @@ func (s *Search) dispatchSends(next *GState, from sm.NodeID, sc *scratch) {
 // items it can gain: one per send, and one per queue-mate of the consumed
 // item that moves up.
 //
+// A handler's effect on its node is a function of (node local state, event,
+// consumed item) — the premise edgeSeed and the reduction already rest on —
+// so a scratch with a memo runs each such triple's handler once. On a hit
+// nothing is cloned, run, seeded, encoded or hashed: the successor loses the
+// consumed item, gains the memoized sends (dispatched against g, since stale
+// sockets and dummy redirects depend on the global state) and installs the
+// memoized node state. An effect is memoized only where that costs nothing
+// extra: here when the handler left the local state as it was (its source
+// NodeState is then the result, and the spare stays the scratch's), and in
+// publish otherwise, once the new state is on the heap anyway. An unpublished
+// changed result is not moved to the heap for the memo's sake.
+//
 //crystal:hotpath
 func (s *Search) runHandler(g *GState, ev *sm.Event, consumed int, sc *scratch) *GState {
 	node := ev.Node
@@ -132,20 +144,49 @@ func (s *Search) runHandler(g *GState, ev *sm.Event, consumed int, sc *scratch) 
 		return nil
 	}
 	ns := g.nodes[i]
+	var item uint64
+	if consumed >= 0 {
+		item = g.msgs[consumed].chash
+	}
+	if sc.memo != nil {
+		if f := sc.memo.find(ns.lhash, ns.chash, item, &ev.EventKey); f != nil {
+			sends := sc.memo.sends[f.lo:f.hi]
+			next := sc.begin(g, len(g.msgs)+len(sends))
+			if consumed >= 0 {
+				next.removeMsgAt(consumed, sc)
+			}
+			s.dispatchSends(next, node, sends, sc)
+			next.installNode(f.ns)
+			return next
+		}
+	}
 	svc := ns.Svc.CloneInto(sc.svc)
 	sc.svc = svc
 	fx := &sc.fx
 	fx.Begin(node, ns.Timers, edgeRNG(s.cfg.Seed, ns, ev, sc))
 	sm.Deliver(svc, fx, *ev)
+	sc.runs++
 	next := sc.begin(g, len(g.msgs)+len(fx.Sends))
 	if consumed >= 0 {
 		next.removeMsgAt(consumed, sc)
 	}
-	s.dispatchSends(next, node, sc)
+	s.dispatchSends(next, node, fx.Sends, sc)
 	// All mutations applied: freeze the clone with the handler's timer set
 	// and swap it into the fingerprint.
 	next.setNode(node, svc, fx.Timers, sc)
 	sc.onSpare = true
+	if sc.memo == nil {
+		return next
+	}
+	sc.pending = effect{lhash: ns.lhash, chash: ns.chash, item: item, key: ev.EventKey}
+	if sc.node.chash == ns.chash && sc.node.lhash == ns.lhash {
+		// The local state is as it was: the source is the result.
+		next.installNode(ns)
+		sc.at, sc.onSpare = -1, false
+		sc.pending.ns = ns
+		sc.memo.add(&sc.pending, fx.Sends)
+		sc.pending = effect{}
+	}
 	return next
 }
 
@@ -222,7 +263,7 @@ func (s *Search) applyReset(g *GState, ev *sm.Event, sc *scratch) *GState {
 	}
 	// The reset node has no stale knowledge of anyone.
 	next.clearStaleFrom(id, sc)
-	s.dispatchSends(next, id, sc)
+	s.dispatchSends(next, id, fx.Sends, sc)
 	next.setNode(id, fresh, fx.Timers, sc)
 	return next
 }

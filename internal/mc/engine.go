@@ -371,7 +371,7 @@ type Expander struct {
 // NewExpander returns a fresh workspace bound to the search.
 func (s *Search) NewExpander() *Expander {
 	sc := newScratch()
-	sc.memo = new(memo)
+	sc.memo = newMemo()
 	return &Expander{s: s, view: props.NewView(), sc: sc, enc: &sc.enc}
 }
 
@@ -571,7 +571,7 @@ func (e *Engine) claim(idx int32, g *GState) {
 func (e *Engine) Drain(between func() error) error {
 	defer func() {
 		for _, x := range e.ws {
-			x.sc.memo.drop()
+			x.sc.memo.reset()
 		}
 	}()
 	for e.fr.count > 0 && !e.bdg.exhausted() {

@@ -2,12 +2,16 @@ package mc
 
 import "crystalball/internal/sm"
 
-// memoCap is the number of effects a memo holds before it is flushed. It
+// memoCap is the number of effects a memo holds before it is emptied. It
 // bounds what one worker's memo pins — node states and sent messages that
 // would otherwise be garbage — and is far above what the inputs the checker
 // runs repeat: tens of distinct effects on bulletprime, a few thousand on
 // paxos.
 const memoCap = 1 << 14
+
+// memoShift is the size of the effect slab's first chunk, as a shift: a live
+// round that memoizes a few dozen effects pays for a few dozen.
+const memoShift = 4
 
 // effect is the node-level result of one handler execution: the executing
 // node's state afterwards — finalized, on the heap, immutable, and shared by
@@ -31,13 +35,24 @@ type effect struct {
 // linear probing over a power-of-two slot array, the slot taken from the key's
 // fingerprint bits: a slot holds 1 + the effect's index (0 marks a free
 // slot), and the table is kept at most half full. It starts empty, doubles
-// from 64 slots, and is flushed — table and arena — once it holds memoCap
-// effects. The zero value is empty and ready.
+// from 64 slots, and is emptied — table, effects and arena — once it holds
+// memoCap effects. The effects are a slab, so a memo that grows copies none
+// of them: most memos live one short live round.
 type memo struct {
 	slots   []int32
-	effects []effect
+	effects slab[effect]
 	sends   []sm.Outgoing // every effect's sends, back to back
 }
+
+// newMemo returns an empty memo.
+func newMemo() *memo {
+	m := new(memo)
+	m.reset()
+	return m
+}
+
+// reset empties the memo and lets go of its storage.
+func (m *memo) reset() { *m = memo{effects: slab[effect]{shift: memoShift}} }
 
 // memoHash is the probe start of key k at a node whose local hash is lhash,
 // consuming the item with component hash item.
@@ -62,7 +77,7 @@ func (m *memo) find(lhash, chash, item uint64, k *sm.EventKey) *effect {
 		if j == 0 {
 			return nil
 		}
-		if f := &m.effects[j-1]; f.lhash == lhash && f.chash == chash && f.item == item && f.key == *k {
+		if f := m.effects.at(int(j - 1)); f.lhash == lhash && f.chash == chash && f.item == item && f.key == *k {
 			return f
 		}
 	}
@@ -75,25 +90,24 @@ func (m *memo) find(lhash, chash, item uint64, k *sm.EventKey) *effect {
 //
 //crystal:hotpath
 func (m *memo) add(f *effect, sends []sm.Outgoing) {
-	if len(m.effects) == memoCap {
-		m.flush()
+	if m.effects.n == memoCap {
+		m.reset()
 	}
-	if 2*(len(m.effects)+1) > len(m.slots) {
+	if 2*(m.effects.n+1) > len(m.slots) {
 		m.grow()
 	}
-	m.effects = append(m.effects, *f)
-	e := &m.effects[len(m.effects)-1]
+	e := *f
 	e.lo = int32(len(m.sends))
 	m.sends = append(m.sends, sends...)
 	e.hi = int32(len(m.sends))
-	m.place(len(m.effects) - 1)
+	m.place(m.effects.push(e))
 }
 
 // place puts the j-th effect in the first free slot of its probe sequence.
 //
 //crystal:hotpath
 func (m *memo) place(j int) {
-	f := &m.effects[j]
+	f := m.effects.at(j)
 	mask := uint64(len(m.slots) - 1)
 	i := memoHash(f.lhash, f.item, &f.key) & mask
 	for m.slots[i] != 0 {
@@ -106,19 +120,7 @@ func (m *memo) place(j int) {
 // effect.
 func (m *memo) grow() {
 	m.slots = make([]int32, max(64, 2*len(m.slots)))
-	for j := range m.effects {
+	for j := 0; j < m.effects.n; j++ {
 		m.place(j)
 	}
 }
-
-// flush empties the table and the arena, keeping their storage; what the
-// effects and sends pointed at is let go.
-func (m *memo) flush() {
-	clear(m.slots)
-	clear(m.effects)
-	clear(m.sends)
-	m.effects, m.sends = m.effects[:0], m.sends[:0]
-}
-
-// drop empties the memo and lets go of its storage too.
-func (m *memo) drop() { *m = memo{} }

@@ -6,13 +6,12 @@ import (
 	"crystalball/internal/sm"
 )
 
-// TestMemoTableFlushesAtCap: the memo finds every effect it holds by its whole
-// key, stays at most half full as it doubles, and once it holds memoCap
-// effects the next one flushes the table and the arena: the old effects are
-// gone, the new one and its sends are found, and nothing the flushed effects
-// pointed at stays reachable from the arena's storage.
-func TestMemoTableFlushesAtCap(t *testing.T) {
-	var m memo
+// TestMemoTableEmptiesAtCap: the memo finds every effect it holds by its
+// whole key, stays at most half full as it doubles, and once it holds
+// memoCap effects the next one empties it — table, effects and arena — so
+// the old effects are gone and the new one and its sends are found.
+func TestMemoTableEmptiesAtCap(t *testing.T) {
+	m := newMemo()
 	ns := &NodeState{}
 	key := func(i int) (lhash, chash, item uint64, k sm.EventKey) {
 		// Keys that differ in one field at a time share the others.
@@ -29,8 +28,8 @@ func TestMemoTableFlushesAtCap(t *testing.T) {
 	}
 	for i := 0; i < memoCap; i++ {
 		add(i)
-		if 2*len(m.effects) > len(m.slots) {
-			t.Fatalf("%d effects in %d slots: more than half full", len(m.effects), len(m.slots))
+		if 2*m.effects.n > len(m.slots) {
+			t.Fatalf("%d effects in %d slots: more than half full", m.effects.n, len(m.slots))
 		}
 	}
 	for i := 0; i < memoCap; i++ {
@@ -42,21 +41,11 @@ func TestMemoTableFlushesAtCap(t *testing.T) {
 		t.Fatal("a key differing only in chash found an effect")
 	}
 	add(memoCap)
-	if len(m.effects) != 1 || len(m.sends) != 1 || !found(memoCap) || found(0) {
-		t.Fatalf("after the flush: %d effects, %d sends, new one found %v, old one found %v", len(m.effects), len(m.sends), found(memoCap), found(0))
+	if m.effects.n != 1 || len(m.sends) != 1 || len(m.slots) != 64 || !found(memoCap) || found(0) {
+		t.Fatalf("after emptying: %d effects, %d sends, %d slots, new one found %v, old one found %v", m.effects.n, len(m.sends), len(m.slots), found(memoCap), found(0))
 	}
-	for _, s := range m.sends[1:cap(m.sends)] {
-		if s.Msg != nil {
-			t.Fatal("the flushed arena still points at a message")
-		}
-	}
-	for _, f := range m.effects[1:cap(m.effects)] {
-		if f.ns != nil {
-			t.Fatal("the flushed table still points at a node state")
-		}
-	}
-	m.drop()
-	if found(memoCap) || m.slots != nil || m.effects != nil || m.sends != nil {
-		t.Fatal("a dropped memo still holds its storage")
+	m.reset()
+	if found(memoCap) || m.slots != nil || m.effects.chunks != nil || m.sends != nil {
+		t.Fatal("a reset memo still holds its storage")
 	}
 }

@@ -1,15 +1,17 @@
 // Command crystalvet is the repo's static-analysis multichecker: it runs the
 // custom determinism, hot-path and fingerprint-maintenance passes of
-// internal/analysis/passes over the module and exits non-zero on any
-// unsuppressed finding. CI runs it as a blocking lint job; run it locally
-// with `make lint` or `go run ./cmd/crystalvet ./...`.
+// internal/analysis/passes, and the table of design rules, over the module
+// and exits non-zero on any unsuppressed finding. -list prints every pass
+// and every rule with its reason. CI runs it as a blocking lint job; run it
+// locally with `make lint` or `go run ./cmd/crystalvet ./...`.
 //
 // Findings are suppressed in source with
 //
 //	//crystal:allow(<pass>) <reason>
 //
 // on (or immediately above) the offending line, or in the function's doc
-// comment to cover the whole function. The reason is mandatory.
+// comment to cover the whole function. The reason is mandatory. The rules
+// pass takes no suppressions: its exceptions are its table's.
 package main
 
 import (
@@ -19,6 +21,7 @@ import (
 
 	"crystalball/internal/analysis"
 	"crystalball/internal/analysis/passes"
+	"crystalball/internal/analysis/passes/rules"
 )
 
 func main() {
@@ -35,6 +38,9 @@ func main() {
 	if *listPasses {
 		for _, a := range passes.All {
 			fmt.Printf("%-14s %s\n", a.Name, a.Doc)
+		}
+		for _, r := range rules.Table {
+			fmt.Printf("\nrules: %s\n", r)
 		}
 		return
 	}
@@ -56,7 +62,7 @@ func main() {
 
 	findings, suppressed := 0, 0
 	for _, pkg := range pkgs {
-		res, err := analysis.RunPackage(pkg, selected, true)
+		res, err := analysis.RunPackage(pkg, selected, passes.All, true)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "crystalvet: %v\n", err)
 			os.Exit(2)

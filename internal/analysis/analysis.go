@@ -10,7 +10,8 @@
 // simulation-deterministic code, no allocation-prone constructs on
 // //crystal:hotpath functions (the PR 4 surface), and no GState component
 // write without its paired incremental fingerprint update (the invariant the
-// FullHash oracle tests only at runtime).
+// FullHash oracle tests only at runtime). The rules pass holds the design
+// rules as a table: which objects and forms may appear where, and why.
 //
 // Two directives configure the passes in source:
 //
@@ -46,6 +47,10 @@ type Analyzer struct {
 	// applied by the driver; analysistest runs the pass unscoped so golden
 	// packages need no special import paths.
 	PackagePrefixes []string
+	// Unsuppressible passes take no //crystal:allow directive: their
+	// exceptions are stated in the pass itself, and a directive naming one
+	// is reported.
+	Unsuppressible bool
 	// Run executes the pass, reporting findings through pass.Report.
 	Run func(*Pass) error
 }
@@ -80,6 +85,28 @@ func (a *Analyzer) Matches(importPath string) bool {
 		}
 	}
 	return false
+}
+
+// DeterministicPackages are the import-path prefixes of the code that runs
+// inside the checker or a simulated deployment: the checker and its sharded
+// form, the state machine API, the properties, the services and their test
+// service, the simulator and its network, and the live stack (snapshot,
+// controller, runtime) the scenarios deploy. Same-seed replay, the handler
+// memo and the edge seeds all assume this code is a function of its inputs,
+// so the maporder and walltime passes are scoped to it.
+var DeterministicPackages = []string{
+	"crystalball/internal/controller",
+	"crystalball/internal/dist",
+	"crystalball/internal/mc",
+	"crystalball/internal/props",
+	"crystalball/internal/runtime",
+	"crystalball/internal/scenario",
+	"crystalball/internal/services",
+	"crystalball/internal/sim",
+	"crystalball/internal/simnet",
+	"crystalball/internal/sm",
+	"crystalball/internal/snapshot",
+	"crystalball/internal/testsvc",
 }
 
 // Directive names.

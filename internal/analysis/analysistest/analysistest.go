@@ -49,7 +49,7 @@ func Run(t *testing.T, a *analysis.Analyzer, dir string) analysis.Result {
 		t.Fatalf("analysistest: %s resolved to %d packages, want 1", dir, len(pkgs))
 	}
 	pkg := pkgs[0]
-	res, err := analysis.RunPackage(pkg, []*analysis.Analyzer{a}, false)
+	res, err := analysis.RunPackage(pkg, []*analysis.Analyzer{a}, []*analysis.Analyzer{a}, false)
 	if err != nil {
 		t.Fatalf("analysistest: running %s on %s: %v", a.Name, dir, err)
 	}
@@ -69,7 +69,8 @@ func Run(t *testing.T, a *analysis.Analyzer, dir string) analysis.Result {
 	return res
 }
 
-// collectWants parses every `// want "re"` comment in the package.
+// collectWants parses every `// want "re"` and `/* want "re" */` comment in
+// the package.
 func collectWants(t *testing.T, pkg *analysis.Package) []*expectation {
 	t.Helper()
 	var out []*expectation
@@ -78,7 +79,11 @@ func collectWants(t *testing.T, pkg *analysis.Package) []*expectation {
 			for _, c := range cg.List {
 				text, ok := strings.CutPrefix(c.Text, "// want ")
 				if !ok {
-					continue
+					// A block comment carries a want on a line that ends
+					// in a line comment, such as a directive.
+					if text, ok = strings.CutPrefix(c.Text, "/* want "); !ok {
+						continue
+					}
 				}
 				pos := pkg.Fset.Position(c.Pos())
 				for _, q := range wantRe.FindAllString(text, -1) {

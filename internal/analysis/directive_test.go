@@ -4,13 +4,15 @@ import (
 	"testing"
 
 	"crystalball/internal/analysis"
+	"crystalball/internal/analysis/passes"
 	"crystalball/internal/analysis/passes/maporder"
 )
 
 // TestDirectiveValidation pins the crystal:allow contract: an unknown pass
-// name and a missing reason are findings in their own right (pseudo-pass
-// "directive"), and such malformed directives do not suppress, while a
-// well-formed reasoned directive does.
+// name, a missing reason and a pass that takes no suppressions are findings
+// in their own right (pseudo-pass "directive"), and such malformed directives
+// do not suppress, while a well-formed reasoned directive does. A directive
+// naming a known pass that is not selected is left alone.
 func TestDirectiveValidation(t *testing.T) {
 	pkgs, err := analysis.Load("testdata/src/directive", ".")
 	if err != nil {
@@ -19,7 +21,7 @@ func TestDirectiveValidation(t *testing.T) {
 	if len(pkgs) != 1 {
 		t.Fatalf("got %d packages, want 1", len(pkgs))
 	}
-	res, err := analysis.RunPackage(pkgs[0], []*analysis.Analyzer{maporder.Analyzer}, false)
+	res, err := analysis.RunPackage(pkgs[0], []*analysis.Analyzer{maporder.Analyzer}, passes.All, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -27,8 +29,8 @@ func TestDirectiveValidation(t *testing.T) {
 	for _, d := range res.Diagnostics {
 		counts[d.AnalyzerName]++
 	}
-	if counts["directive"] != 2 {
-		t.Errorf("directive-validation findings = %d, want 2 (unknown pass, missing reason); diags: %+v",
+	if counts["directive"] != 3 {
+		t.Errorf("directive-validation findings = %d, want 3 (unknown pass, missing reason, unsuppressible pass); diags: %+v",
 			counts["directive"], res.Diagnostics)
 	}
 	if counts["maporder"] != 2 {

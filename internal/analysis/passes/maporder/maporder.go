@@ -18,22 +18,10 @@ import (
 
 // Analyzer flags non-deterministic map iteration in deterministic packages.
 var Analyzer = &analysis.Analyzer{
-	Name: "maporder",
-	Doc:  "flag range-over-map whose iteration order can leak into deterministic exploration",
-	PackagePrefixes: []string{
-		"crystalball/internal/dist",
-		"crystalball/internal/mc",
-		"crystalball/internal/props",
-		"crystalball/internal/sm",
-		"crystalball/internal/sim",
-		"crystalball/internal/simnet",
-		"crystalball/internal/snapshot",
-		// CRDT replica state is maps (delivered ops, count vectors,
-		// live tags); every fold the checker fingerprints must be
-		// commutative or sorted.
-		"crystalball/internal/services/crdt",
-	},
-	Run: run,
+	Name:            "maporder",
+	Doc:             "flag range-over-map whose iteration order can leak into deterministic exploration",
+	PackagePrefixes: analysis.DeterministicPackages,
+	Run:             run,
 }
 
 func run(pass *analysis.Pass) error {

@@ -2,12 +2,15 @@
 package passes
 
 import (
+	"strings"
+
 	"crystalball/internal/analysis"
 	"crystalball/internal/analysis/passes/cloneinto"
 	"crystalball/internal/analysis/passes/globalrand"
 	"crystalball/internal/analysis/passes/hashmaint"
 	"crystalball/internal/analysis/passes/hotpathalloc"
 	"crystalball/internal/analysis/passes/maporder"
+	"crystalball/internal/analysis/passes/rules"
 	"crystalball/internal/analysis/passes/walltime"
 )
 
@@ -19,6 +22,7 @@ var All = []*analysis.Analyzer{
 	hotpathalloc.Analyzer,
 	hashmaint.Analyzer,
 	cloneinto.Analyzer,
+	rules.Analyzer,
 }
 
 // ByName resolves a comma-separated pass selection ("" = all).
@@ -31,7 +35,7 @@ func ByName(names string) ([]*analysis.Analyzer, bool) {
 		index[a.Name] = a
 	}
 	var out []*analysis.Analyzer
-	for _, n := range splitComma(names) {
+	for _, n := range strings.FieldsFunc(names, func(r rune) bool { return r == ',' }) {
 		a, ok := index[n]
 		if !ok {
 			return nil, false
@@ -39,18 +43,4 @@ func ByName(names string) ([]*analysis.Analyzer, bool) {
 		out = append(out, a)
 	}
 	return out, true
-}
-
-func splitComma(s string) []string {
-	var out []string
-	start := 0
-	for i := 0; i <= len(s); i++ {
-		if i == len(s) || s[i] == ',' {
-			if i > start {
-				out = append(out, s[start:i])
-			}
-			start = i + 1
-		}
-	}
-	return out
 }

@@ -1,0 +1,98 @@
+// Package a exercises the rules table as it stands, from a package no row
+// allows anything in: each row's hits, including through an aliased import,
+// and the look-alikes that only share a name or a spelling with one.
+package a
+
+import (
+	"fmt"
+
+	s "crystalball/internal/sm"
+)
+
+// --- timer-set ---------------------------------------------------------------
+
+var pending map[s.TimerID]struct{} // want `timer-set: set of sm.TimerID held as a map`
+
+type timerAlias = s.TimerID
+
+var aliased = map[timerAlias]bool{} // want `timer-set`
+
+// Not a timer set: a map from a timer to what it scheduled, a set of another
+// type, and a local type that is only spelled TimerID.
+type TimerID string
+
+var (
+	scheduled = map[s.TimerID]int{}
+	names     = map[string]bool{}
+	local     = map[TimerID]bool{}
+	sorted    s.TimerSet
+)
+
+// --- one-executor ------------------------------------------------------------
+
+// echo implements s.Service through the embedded interface and overrides
+// one handler.
+type echo struct{ s.Service }
+
+func (echo) HandleMessage(ctx s.Context, from s.NodeID, msg s.Message) {}
+
+func run(svc s.Service, st s.StableStore, e echo, ctx s.Context, ev s.Event) {
+	svc.HandleMessage(ctx, ev.From, ev.Msg) // want `one-executor: use of sm.Service.HandleMessage`
+	fire := svc.HandleTimer                 // want `one-executor: use of sm.Service.HandleTimer`
+	fire(ctx, s.TimerID(ev.Name))
+	e.HandleMessage(ctx, ev.From, ev.Msg)    // want `one-executor: use of sm.Service.HandleMessage`
+	e.HandleApp(ctx, ev.Call)                // want `one-executor: use of sm.Service.HandleApp`
+	st.RestoreStable(nil)                    // want `one-executor: use of sm.StableStore.RestoreStable`
+	(*echo).HandleTransportError(&e, ctx, 2) // want `one-executor: use of sm.Service.HandleTransportError`
+	s.Deliver(svc, ctx, ev)
+}
+
+// notService has a handler's name but is no service.
+type notService struct{}
+
+func (notService) HandleMessage(n int) {}
+
+func lookalike() { notService{}.HandleMessage(1) }
+
+// --- one-event-switch --------------------------------------------------------
+
+func kinds(ev *s.Event, k s.EventKey, f s.Filter, b byte) {
+	switch ev.Kind { // want `one-event-switch: switch on sm.EventKey.Kind`
+	case 'M':
+	}
+	switch k.Kind { // want `one-event-switch`
+	case 'T':
+	}
+	// Not an event-kind switch: a filter's kind, a rune switch on another
+	// byte, a local struct's Kind.
+	switch f.Kind {
+	case s.FilterMessage:
+	}
+	switch b {
+	case 'M', 'T', 'A', 'E', 'R', 'D':
+	}
+	type key struct{ Kind byte }
+	switch (key{}).Kind {
+	case 'M':
+	}
+	if ev.Kind == 'M' {
+		return
+	}
+}
+
+// --- names the removed text rules matched --------------------------------------
+
+// cand, MsgEvent and RandomWalk are ordinary identifiers now.
+func cand() {
+	MsgEvent, RandomWalk := 1, 2
+	fmt.Println(MsgEvent + RandomWalk)
+}
+
+// --- ordered-state -----------------------------------------------------------
+
+// Outside internal/mc and internal/props a directive is not the ordered-state
+// row's business, but the rules pass itself takes no suppressions.
+func directive() {
+	/* want `cannot suppress "rules"` */ //crystal:allow(rules) a row's exceptions are its Allow sites
+	fmt.Println()
+}

@@ -28,19 +28,10 @@ var wallFuncs = map[string]bool{
 
 // Analyzer flags host-clock calls in simulation-deterministic packages.
 var Analyzer = &analysis.Analyzer{
-	Name: "walltime",
-	Doc:  "flag time.Now/time.Since/time.Sleep in simulation-deterministic code (virtual clocks only)",
-	PackagePrefixes: []string{
-		"crystalball/internal/dist",
-		"crystalball/internal/mc",
-		"crystalball/internal/props",
-		"crystalball/internal/sm",
-		"crystalball/internal/sim",
-		"crystalball/internal/simnet",
-		"crystalball/internal/snapshot",
-		"crystalball/internal/services/crdt",
-	},
-	Run: run,
+	Name:            "walltime",
+	Doc:             "flag time.Now/time.Since/time.Sleep in simulation-deterministic code (virtual clocks only)",
+	PackagePrefixes: analysis.DeterministicPackages,
+	Run:             run,
 }
 
 func run(pass *analysis.Pass) error {

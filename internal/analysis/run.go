@@ -19,14 +19,12 @@ type Result struct {
 
 // RunPackage executes the analyzers over pkg, applies package scoping (when
 // scoped is true) and //crystal:allow suppression, and returns the findings.
+// A directive may name any pass in known (a superset of analyzers), so
+// running a selection leaves the other passes' directives alone.
 // analysistest runs unscoped so golden packages need no special import
 // paths; the crystalvet driver runs scoped.
-func RunPackage(pkg *Package, analyzers []*Analyzer, scoped bool) (Result, error) {
+func RunPackage(pkg *Package, analyzers, known []*Analyzer, scoped bool) (Result, error) {
 	var res Result
-	known := make(map[string]bool, len(analyzers))
-	for _, a := range analyzers {
-		known[a.Name] = true
-	}
 	allows, dirDiags := collectAllowances(pkg, known)
 	res.Diagnostics = append(res.Diagnostics, dirDiags...)
 
@@ -61,8 +59,12 @@ func RunPackage(pkg *Package, analyzers []*Analyzer, scoped bool) (Result, error
 
 // collectAllowances gathers every //crystal:allow directive in the package,
 // together with validation findings for malformed ones (missing reason,
-// unknown pass name).
-func collectAllowances(pkg *Package, known map[string]bool) ([]*allowance, []Diagnostic) {
+// unknown or unsuppressible pass name).
+func collectAllowances(pkg *Package, known []*Analyzer) ([]*allowance, []Diagnostic) {
+	suppressible := make(map[string]bool, len(known))
+	for _, a := range known {
+		suppressible[a.Name] = !a.Unsuppressible
+	}
 	var allows []*allowance
 	var diags []Diagnostic
 	record := func(c *ast.Comment, funcPos, funcEnd token.Pos) {
@@ -70,12 +72,12 @@ func collectAllowances(pkg *Package, known map[string]bool) ([]*allowance, []Dia
 		if !ok {
 			return
 		}
-		if !known[name] {
-			diags = append(diags, Diagnostic{
-				Pos:          c.Pos(),
-				Message:      fmt.Sprintf("crystal:allow names unknown pass %q", name),
-				AnalyzerName: "directive",
-			})
+		if ok, isKnown := suppressible[name]; !ok {
+			msg := fmt.Sprintf("crystal:allow names unknown pass %q", name)
+			if isKnown {
+				msg = fmt.Sprintf("crystal:allow cannot suppress %q: the pass states its exceptions itself", name)
+			}
+			diags = append(diags, Diagnostic{Pos: c.Pos(), Message: msg, AnalyzerName: "directive"})
 			return
 		}
 		if reason == "" {

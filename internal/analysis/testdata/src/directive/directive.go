@@ -1,5 +1,6 @@
-// Package directive exercises crystal:allow validation: unknown pass names
-// and missing reasons are findings themselves, and neither suppresses.
+// Package directive exercises crystal:allow validation: unknown pass names,
+// missing reasons and unsuppressible passes are findings themselves, and
+// none suppresses.
 package directive
 
 import "fmt"
@@ -27,4 +28,17 @@ func good(m map[string]int) {
 	for k := range m {
 		fmt.Println(k)
 	}
+}
+
+// unselected's directive names a known pass the run did not select: it is
+// neither a finding nor a suppression.
+func unselected() {
+	//crystal:allow(walltime) a pass known to the suite but not run here
+	fmt.Println()
+}
+
+// rules' directive names a pass that takes no suppressions.
+func rules(m map[string]int) {
+	//crystal:allow(rules) its exceptions are in its own table
+	fmt.Println(len(m))
 }

@@ -271,6 +271,7 @@ func (c *Controller) onSnapshot(snap *snapshot.Snapshot) {
 	// the checker's start state and the ISC's evaluation context.
 	start := mc.NewGState()
 	view := props.NewView()
+	//crystal:allow(maporder) AddNode inserts by id and View.Add accepts any order, so the start state and the view are the same in every order
 	for id, data := range snap.States {
 		svc, timers, err := sm.DecodeFullState(c.cfg.Check.Factory, id, data)
 		if err != nil {

@@ -75,6 +75,7 @@ func TestDecodeRejectsInvalid(t *testing.T) {
 		Hello{Shard: 4, Shards: 4},
 		Hello{Shard: 0, Shards: maxShards + 1},
 		Setup{Scenario: "chord", Nodes: -1},
+		Setup{Scenario: "chord", Nodes: maxNodes + 1},
 		RoundStart{Round: 0, Slot: 0, Slots: 1},
 		RoundStart{Round: 1, Slot: -1, Slots: 2},
 		RoundStart{Round: 1, Slot: 2, Slots: 2},

@@ -42,6 +42,11 @@ const (
 // above it is a corrupt or hostile frame, not a plausible deployment.
 const maxShards = 1 << 16
 
+// maxNodes bounds a Setup's node count the same way: a worker builds n node
+// ids and paxos n·(n−1) peer ids from it. It is above every count the repo
+// runs (≤ 25) and the paper's largest deployment (100).
+const maxNodes = 1024
+
 // Hello is the first message an mcheck -connect worker sends after dialing
 // the coordinator: which shard slot it wants and how many shards it expects.
 type Hello struct {
@@ -319,8 +324,8 @@ func decodeMsg(d *sm.Decoder) (Msg, error) {
 			Resets:     d.Bool(),
 			ConnBreaks: d.Bool(),
 		}
-		if d.Err() == nil && su.Nodes < 0 {
-			return nil, errorf("decode: setup with negative node count %d", su.Nodes)
+		if d.Err() == nil && (su.Nodes < 0 || su.Nodes > maxNodes) {
+			return nil, errorf("decode: setup with node count %d outside 0..%d", su.Nodes, maxNodes)
 		}
 		m = su
 	case kindRoundStart:

@@ -275,7 +275,7 @@ func (t *Tree) HandleTimer(ctx sm.Context, timer sm.TimerID) {
 	case TimerRecovery:
 		// Probe peer-list members to keep the view fresh (paper:
 		// "vital for the tree's consistency").
-		for p := range t.Peers {
+		for _, p := range sm.SortedNodes(t.Peers) {
 			if p != t.Self && p != t.Parent && !t.Children[p] {
 				ctx.Send(p, Probe{})
 			}
@@ -367,7 +367,7 @@ func (t *Tree) accept(ctx sm.Context, origin sm.NodeID) {
 	}
 	ctx.Send(origin, JoinReply{Root: t.Root})
 	if t.IsRoot {
-		for c := range t.Children {
+		for _, c := range sm.SortedNodes(t.Children) {
 			if c != origin {
 				ctx.Send(c, UpdateSibling{Sibling: origin, Add: true})
 			}
@@ -383,7 +383,7 @@ func (t *Tree) handleJoinReply(ctx sm.Context, from sm.NodeID, m JoinReply) {
 		t.Parent = from
 		t.Root = m.Root
 		t.Peers[from] = true
-		for c := range t.Children {
+		for _, c := range sm.SortedNodes(t.Children) {
 			ctx.Send(c, NewRoot{Root: m.Root})
 		}
 		if t.fixed(FixRelinquishSiblings) {

@@ -2,6 +2,7 @@ package randtree
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
@@ -213,6 +214,30 @@ func TestBug2JoinReplyStaleEntries(t *testing.T) {
 	f.HandleMessage(ctx, 5, JoinReply{Root: 1})
 	if f.Children[5] {
 		t.Fatal("fixed JoinReply should purge the new parent from children")
+	}
+}
+
+// TestAcceptSendsInOneOrder pins that a handler's sends are a function of
+// (local state, event): the handler memo and the edge seeds assume it, and
+// the simulator draws each send's latency in send order. A root that ranged
+// over its children map sent its sibling updates in map order.
+func TestAcceptSendsInOneOrder(t *testing.T) {
+	var first []sm.Outgoing
+	for i := 0; i < 50; i++ {
+		root := mk(1, 0)
+		root.Joined, root.IsRoot, root.Root = true, true, 1
+		for _, c := range []sm.NodeID{2, 3, 4} {
+			root.Children[c] = true
+		}
+		ctx := newRealCtx(1)
+		root.accept(ctx, 5)
+		if i == 0 {
+			first = slices.Clone(ctx.Sends)
+			continue
+		}
+		if !slices.Equal(ctx.Sends, first) {
+			t.Fatalf("accept %d sent %v, accept 0 sent %v", i, ctx.Sends, first)
+		}
 	}
 }
 

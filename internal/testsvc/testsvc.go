@@ -88,7 +88,7 @@ func (s *Svc) HandleTimer(ctx sm.Context, t sm.TimerID) {
 		return
 	}
 	s.Gossips++
-	for p := range s.Peers {
+	for _, p := range sm.SortedNodes(s.Peers) {
 		ctx.Send(p, Counter{N: s.N})
 	}
 	ctx.SetTimer(TimerGossip, sm.Second)
@@ -100,7 +100,7 @@ func (s *Svc) HandleApp(ctx sm.Context, call sm.AppCall) {
 		return
 	}
 	s.N++
-	for p := range s.Peers {
+	for _, p := range sm.SortedNodes(s.Peers) {
 		ctx.Send(p, Counter{N: s.N})
 	}
 }

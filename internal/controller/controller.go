@@ -187,6 +187,7 @@ type Controller struct {
 	node *runtime.Node
 	mgr  *snapshot.Manager
 	cfg  Config
+	ws   *mc.Workspace // where the rounds and filter-safety rechecks search
 
 	lastView *props.View
 	findings []Finding
@@ -207,8 +208,10 @@ type Controller struct {
 // New attaches a controller to a node. The node gets a checkpoint manager
 // that checkpoints every cfg.SnapshotInterval and, if cfg.EnableISC, the
 // immediate safety check wired to the controller's latest neighborhood
-// snapshot.
-func New(s *sim.Simulator, node *runtime.Node, cfg Config) *Controller {
+// snapshot. The controller's searches — its rounds' and filter-safety
+// rechecks' — run in ws, one at a time on the simulator's goroutine, so the
+// controllers of one simulator may share one workspace.
+func New(s *sim.Simulator, node *runtime.Node, cfg Config, ws *mc.Workspace) *Controller {
 	cfg.Check.Mode = mc.Consequence
 	if cfg.Check.Budget.Violations == 0 {
 		cfg.Check.Budget.Violations = defaultMaxViolations
@@ -218,6 +221,7 @@ func New(s *sim.Simulator, node *runtime.Node, cfg Config) *Controller {
 		node: node,
 		mgr:  snapshot.NewManager(s, node, cfg.SnapshotInterval),
 		cfg:  cfg,
+		ws:   ws,
 	}
 	if cfg.EnableISC {
 		node.EnableISC(cfg.Check.Props, func() *props.View { return c.lastView })
@@ -436,7 +440,7 @@ func (c *Controller) checkRound(start *mc.GState) (*mc.Result, error) {
 	if c.cfg.CheckRound != nil {
 		return c.cfg.CheckRound(c.cfg.Check, start)
 	}
-	return mc.NewSearch(c.cfg.Check).Run(start), nil
+	return mc.NewSearch(c.cfg.Check).RunIn(c.ws, start), nil
 }
 
 // filterIsSafe re-runs consequence prediction with the candidate filter's
@@ -444,7 +448,7 @@ func (c *Controller) checkRound(start *mc.GState) (*mc.Result, error) {
 // reachable within the budget (paper, "Ensuring Safety of Event Filter
 // Actions").
 func (c *Controller) filterIsSafe(start *mc.GState, f sm.Filter) bool {
-	res := mc.NewSearch(c.recheckConfig(f)).Run(start)
+	res := mc.NewSearch(c.recheckConfig(f)).RunIn(c.ws, start)
 	c.Stats.StatesExplored += int64(res.StatesExplored)
 	c.observeCounters(res)
 	return len(res.Violations) == 0

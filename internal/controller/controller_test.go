@@ -27,9 +27,10 @@ func deployWithController(t *testing.T, n int, cfg Config) (*sim.Simulator, []*C
 	factory := testsvc.NewWithPeers(ids...)
 	cfg.Check.Factory = factory
 	var ctrls []*Controller
+	ws := mc.NewWorkspace()
 	for _, id := range ids {
 		node := runtime.NewNode(s, net, id, factory)
-		c := New(s, node, cfg)
+		c := New(s, node, cfg, ws)
 		c.Start()
 		ctrls = append(ctrls, c)
 	}

@@ -44,7 +44,7 @@ func sampleMsgs() []Msg {
 		RoundEnd{},
 		ShardReport{
 			Shard: 1, States: 400, Expansions: 390, Transitions: 2200,
-			MaxDepth: 12, Stop: "states", PeakBytes: 1 << 20,
+			Unbuilt: 1500, HandlerRuns: 35, MaxDepth: 12, Stop: "states", PeakBytes: 1 << 20,
 			Violations: []Violation{
 				{Props: []string{"ring", "safety"}, Depth: 4, StateHash: 0xabc, Path: path[:2]},
 			},
@@ -88,6 +88,8 @@ func TestDecodeRejectsInvalid(t *testing.T) {
 		ShardReport{Shard: -1, Stop: mc.FrontierEmpty},
 		ShardReport{Shard: 0, States: -4, Stop: mc.FrontierEmpty},
 		ShardReport{Shard: 0, PeakBytes: -1, Stop: mc.FrontierEmpty},
+		ShardReport{Shard: 0, Unbuilt: -1, Stop: mc.FrontierEmpty},
+		ShardReport{Shard: 0, HandlerRuns: -1, Stop: mc.FrontierEmpty},
 		ShardReport{Shard: 0, Stop: "transitions"},
 		RoundAbort{Round: -1},
 		AbortAck{Shard: -1, Round: 1},
@@ -197,6 +199,13 @@ func FuzzCodec(f *testing.F) {
 	// A path whose one event has a kind byte outside MTAERD: refused.
 	enc.Reset()
 	if err := encodeMsg(enc, badKind); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(append([]byte(nil), enc.Bytes()...))
+	// A report whose two scheduling counts sit at the top of the range the
+	// decoder's sign checks guard.
+	enc.Reset()
+	if err := encodeMsg(enc, ShardReport{Unbuilt: math.MaxInt64, HandlerRuns: math.MaxInt64, Stop: mc.FrontierEmpty}); err != nil {
 		f.Fatal(err)
 	}
 	f.Add(append([]byte(nil), enc.Bytes()...))

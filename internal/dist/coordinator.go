@@ -489,6 +489,8 @@ func (c *Coordinator) merge(workers int, reports []ShardReport, recordStates boo
 		// the depth bound, this is the claimed-set size.
 		res.Checker.StatesExplored += int(min(r.States, r.Expansions))
 		res.Checker.Transitions += int(r.Transitions)
+		res.Checker.Unbuilt += int(r.Unbuilt)
+		res.Checker.HandlerRuns += int(r.HandlerRuns)
 		res.Checker.PeakMemoryBytes += r.PeakBytes
 		if int(r.MaxDepth) > res.Checker.MaxDepthReached {
 			res.Checker.MaxDepthReached = int(r.MaxDepth)

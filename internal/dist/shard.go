@@ -362,6 +362,8 @@ func (sh *shard) report() ShardReport {
 		States:      int64(sh.eng.Claimed()),
 		Expansions:  int64(res.StatesExplored),
 		Transitions: int64(res.Transitions),
+		Unbuilt:     int64(res.Unbuilt),
+		HandlerRuns: int64(res.HandlerRuns),
 		MaxDepth:    int32(res.MaxDepthReached),
 		Stop:        res.StopReason,
 		PeakBytes:   res.PeakMemoryBytes,

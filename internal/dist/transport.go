@@ -185,14 +185,16 @@ type Violation struct {
 // ShardReport is a shard's contribution to the round's merged report.
 // States (the claimed-set size), MaxDepth, Violations, Claimed and Locals
 // are deterministic for a given seed and shard count; Expansions,
-// Transitions, PeakBytes and Stats are scheduling telemetry (re-expansion
-// counts vary with batch arrival order). Stop is the shard engine's
-// mc.Result.StopReason.
+// Transitions, Unbuilt, HandlerRuns, PeakBytes and Stats are scheduling
+// telemetry (re-expansion counts vary with batch arrival order). Stop is the
+// shard engine's mc.Result.StopReason.
 type ShardReport struct {
 	Shard       int
 	States      int64 // states claimed into the visited set
 	Expansions  int64 // states admitted for expansion (exact: never above the budget share)
 	Transitions int64
+	Unbuilt     int64 // the shard engine's mc.Result.Unbuilt
+	HandlerRuns int64 // the shard engine's mc.Result.HandlerRuns
 	MaxDepth    int32
 	Stop        string
 	PeakBytes   int64 // the shard engine's mc.Result.PeakMemoryBytes
@@ -270,6 +272,8 @@ func encodeMsg(e *sm.Encoder, m Msg) error {
 		e.Int64(v.States)
 		e.Int64(v.Expansions)
 		e.Int64(v.Transitions)
+		e.Int64(v.Unbuilt)
+		e.Int64(v.HandlerRuns)
 		e.Uint32(uint32(v.MaxDepth))
 		e.String(v.Stop)
 		e.Int64(v.PeakBytes)
@@ -376,11 +380,13 @@ func decodeMsg(d *sm.Decoder) (Msg, error) {
 			States:      d.Int64(),
 			Expansions:  d.Int64(),
 			Transitions: d.Int64(),
+			Unbuilt:     d.Int64(),
+			HandlerRuns: d.Int64(),
 			MaxDepth:    int32(d.Uint32()),
 			Stop:        d.String(),
 			PeakBytes:   d.Int64(),
 		}
-		if d.Err() == nil && (r.Shard < 0 || r.Shard >= maxShards || r.States < 0 || r.Expansions < 0 || r.Transitions < 0 || r.PeakBytes < 0) {
+		if d.Err() == nil && (r.Shard < 0 || r.Shard >= maxShards || r.States < 0 || r.Expansions < 0 || r.Transitions < 0 || r.Unbuilt < 0 || r.HandlerRuns < 0 || r.PeakBytes < 0) {
 			return nil, errorf("decode: report with impossible counters (shard=%d)", r.Shard)
 		}
 		if d.Err() == nil && !mc.IsStopReason(r.Stop) {

@@ -282,7 +282,7 @@ func TestUnbuiltSuccessorAllocBound(t *testing.T) {
 	}
 	for _, ev := range []sm.Event{sm.TimerFiring(1, "tick"), sm.TimerFiring(1, "zap"), sm.AppInvocation(1, kick{}, sm.NewEncoder())} {
 		e := s.NewEngine(Budget{Workers: 1}, HashRange{}, nil)
-		x := e.ws[0]
+		x := e.xs[0]
 		e.Inject(Forward{State: g})
 		if _, claimed := e.Inject(Forward{State: s.ApplyEvent(g, ev)}); !claimed {
 			t.Fatalf("%s: successor not claimed", ev.Describe())

@@ -140,9 +140,11 @@ type held struct {
 // shallow work first keeps expansion near breadth-first order, which
 // minimizes re-expansions (a state re-arrives shallower less often). A
 // bucket is a slab: queueing a level of a million states copies nothing and
-// a level of ten costs ten entries.
+// a level of ten costs ten entries. A bucket that is done with is emptied and
+// kept in spare for another depth to fill (recycle).
 type frontier struct {
 	buckets []*slab[held]
+	spare   []*slab[held]
 	low     int
 	count   int
 }
@@ -153,13 +155,42 @@ func (f *frontier) push(depth int, h held) int {
 		f.buckets = append(f.buckets, nil)
 	}
 	if f.buckets[depth] == nil {
-		f.buckets[depth] = &slab[held]{shift: heldShift}
+		f.buckets[depth] = f.newBucket()
 	}
 	if f.count == 0 || depth < f.low {
 		f.low = depth
 	}
 	f.count++
 	return f.buckets[depth].push(h)
+}
+
+// newBucket returns an empty bucket: a spare one if there is one.
+func (f *frontier) newBucket() *slab[held] {
+	if n := len(f.spare); n > 0 {
+		b := f.spare[n-1]
+		f.spare = f.spare[:n-1]
+		return b
+	}
+	return &slab[held]{shift: heldShift}
+}
+
+// recycle empties b, a bucket popBucket returned, and keeps it spare. What a
+// stop left in its entries — states and sleep sets — is let go.
+func (f *frontier) recycle(b *slab[held]) {
+	b.reset()
+	f.spare = append(f.spare, b)
+}
+
+// clear empties the frontier: nothing queued will ever be expanded, and
+// every bucket is kept spare.
+func (f *frontier) clear() {
+	for d, b := range f.buckets {
+		if b != nil {
+			f.recycle(b)
+			f.buckets[d] = nil
+		}
+	}
+	f.low, f.count = 0, 0
 }
 
 // len returns the number of states queued at depth.
@@ -260,6 +291,9 @@ func (f *frontier) popBucket() (*slab[held], int) {
 // claimed state — and therefore the whole reduced exploration — is also
 // identical at every worker count.
 type Engine struct {
+	// Workspace is the storage the engine borrowed: its Expanders, tree,
+	// claim tables, frontier and claim-pass buffers.
+	*Workspace
 	s       *Search
 	workers int
 	prune   bool // consequence prediction's (node, local state) rule
@@ -269,37 +303,23 @@ type Engine struct {
 	// when the engine owns the whole space).
 	forward func(Forward) error
 	bdg     *budget
-	tree    *Tree
-	visited map[uint64]int32 // fingerprint → the tree entry that claimed it (at its minimal depth)
-	// local is consequence prediction's claim table: a claimed (node, local
-	// state) fingerprint → the count of its internal actions that depend on
-	// the local state alone (localClaim). No event adds or removes a node, so
-	// the node set — all that count reads beside the local state — is fixed
-	// for the engine's lifetime.
-	local  map[uint64]int32
-	locals map[uint64]struct{} // distinct node-local states over claimed states
-	coll   *collector
-	fr     frontier
+	coll    *collector
 	// window is claimWindow (a field so tests can show the search does not
 	// depend on it), and windowDone, when set, runs after every claim pass
-	// (a test seam too); outs holds what each position of the current window
-	// proposed, cursor hands the window's positions to the workers (wg waits
-	// for them), proposals counts the children the claim passes have handled
-	// (the wall deadline is read every claimClockEvery of them), sibIDs is
-	// the claim pass's cache of one parent's interned sibling keys, and
-	// capped records that the state budget kept a claimed child out of the
-	// queue (from then on a whole-space engine builds nothing).
+	// (a test seam too); cursor hands the window's positions to the workers
+	// (wg waits for them), proposals counts the children the claim passes
+	// have handled (the wall deadline is read every claimClockEvery of them),
+	// and capped records that the state budget kept a claimed child out of
+	// the queue (from then on a whole-space engine builds nothing).
 	window     int
 	windowDone func()
-	outs       []expansion
 	cursor     atomic.Int64
 	wg         sync.WaitGroup
 	proposals  int
-	sibIDs     []uint32
 	capped     bool
-	// ws holds one reusable workspace per worker (index 0 doubles as the
-	// serial path's).
-	ws  []*Expander
+	// xs holds one Expander per worker (index 0 doubles as the serial path's
+	// and the violations' replay).
+	xs  []*Expander
 	ctr counters
 }
 
@@ -341,7 +361,7 @@ type expansion struct {
 	violated     uint64
 }
 
-// Expander is one worker's reusable per-state workspace: the property-check
+// Expander is one worker's reusable per-state storage: the property-check
 // view, the event-enumeration buffers and the scratch successors are built in
 // are recycled across every state the worker processes, and what it proposes
 // for a window lives in buffers recycled across windows, so the per-state
@@ -368,7 +388,7 @@ type Expander struct {
 	nproposed int
 }
 
-// NewExpander returns a fresh workspace bound to the search.
+// NewExpander returns a fresh Expander bound to the search.
 func (s *Search) NewExpander() *Expander {
 	sc := newScratch()
 	sc.memo = newMemo()
@@ -467,7 +487,9 @@ func (x *Expander) each(g *GState, visit func(*sm.Event) bool) {
 // NewEngine returns a search loop over the fingerprints in own, spending b.
 // Proposed successors outside own go to forward, which must be non-nil
 // unless own is the whole space; an error from it aborts Drain. The engine
-// starts empty: Inject the start state (and, sharded, every arrival).
+// starts empty: Inject the start state (and, sharded, every arrival). It is
+// built in a fresh Workspace, which it keeps: a Ref into its tree stays valid
+// as long as the engine.
 //
 // With a sink, which path first reaches a state depends on batch arrival
 // order, so a violation's onset along "the" path is not a function of the
@@ -476,29 +498,27 @@ func (x *Expander) each(g *GState, visit func(*sm.Event) bool) {
 // a pure function of the claimed states, hence identical at any shard and
 // worker count; representative paths remain scheduling telemetry.
 func (s *Search) NewEngine(b Budget, own HashRange, forward func(Forward) error) *Engine {
+	return s.newEngine(NewWorkspace(), b, own, forward)
+}
+
+// newEngine is NewEngine in w, which the engine borrows.
+func (s *Search) newEngine(w *Workspace, b Budget, own HashRange, forward func(Forward) error) *Engine {
 	if b.Workers < 1 {
 		b.Workers = 1
 	}
-	e := &Engine{
-		s:       s,
-		workers: b.Workers,
-		prune:   s.cfg.Mode == Consequence,
-		reduce:  s.cfg.Reduce,
-		own:     own,
-		forward: forward,
-		bdg:     newBudget(b, s.cfg.Now),
-		tree:    newTree(forward != nil),
-		visited: make(map[uint64]int32),
-		local:   make(map[uint64]int32),
-		locals:  make(map[uint64]struct{}),
-		coll:    &collector{max: b.Violations},
-		ws:      make([]*Expander, b.Workers),
-		window:  claimWindow,
+	return &Engine{
+		Workspace: w,
+		s:         s,
+		workers:   b.Workers,
+		prune:     s.cfg.Mode == Consequence,
+		reduce:    s.cfg.Reduce,
+		own:       own,
+		forward:   forward,
+		bdg:       newBudget(b, s.cfg.Now),
+		coll:      &collector{max: b.Violations},
+		xs:        w.borrow(s, b.Workers, forward != nil),
+		window:    claimWindow,
 	}
-	for w := range e.ws {
-		e.ws[w] = s.NewExpander()
-	}
-	return e
 }
 
 // Seen reports whether fingerprint h is already claimed at depth or
@@ -567,13 +587,23 @@ func (e *Engine) claim(idx int32, g *GState) {
 // non-nil, runs after every bucket's last claim pass: the place a sharded
 // search flushes its outgoing batches and injects queued arrivals. The first
 // error from the sink or from between stops the drain. The workers' handler
-// memos live as long as the drain: what they pin is let go when it returns.
+// memos live as long as the drain: what they pin, and their storage, is let
+// go when it returns, since the engine outlives it.
 func (e *Engine) Drain(between func() error) error {
 	defer func() {
-		for _, x := range e.ws {
+		for _, x := range e.xs {
 			x.sc.memo.reset()
 		}
 	}()
+	return e.drain(between, false)
+}
+
+// drain is Drain's loop. With reuse — a search that hands its workspace back
+// when it ends (Search.RunIn) — each drained bucket is emptied and kept spare
+// for a deeper one, and the memos are left for the workspace to empty.
+// Without, a drained bucket is let go, so the address of a held entry is
+// never another's while the engine lives.
+func (e *Engine) drain(between func() error, reuse bool) error {
 	for e.fr.count > 0 && !e.bdg.exhausted() {
 		bucket, depth := e.fr.popBucket()
 		for lo := 0; lo < bucket.n && !e.bdg.exhausted(); lo += e.window {
@@ -589,7 +619,7 @@ func (e *Engine) Drain(between func() error) error {
 		// The consequence (node, local state) claims the workers gathered are
 		// merged once the whole bucket is expanded, so the pruning table
 		// consults strictly earlier buckets.
-		for _, x := range e.ws {
+		for _, x := range e.xs {
 			for _, c := range x.claims {
 				e.local[c.hash] = c.count
 			}
@@ -600,13 +630,16 @@ func (e *Engine) Drain(between func() error) error {
 				return err
 			}
 		}
+		if reuse {
+			e.fr.recycle(bucket)
+		}
 	}
 	if e.capped {
 		e.bdg.halt(stopStates) // the queue ran dry because the budget capped it
 	}
 	if e.bdg.exhausted() {
 		// Nothing queued will ever be expanded; let the states go.
-		e.fr = frontier{}
+		e.fr.clear()
 	}
 	return nil
 }
@@ -621,11 +654,11 @@ func (e *Engine) sweep(bucket *slab[held], lo, n int, work func(*Engine, *slab[h
 	e.cursor.Store(0)
 	workers := min(e.workers, n)
 	if workers <= 1 {
-		work(e, bucket, lo, n, e.ws[0])
+		work(e, bucket, lo, n, e.xs[0])
 		return
 	}
 	e.wg.Add(workers)
-	for _, x := range e.ws[:workers] {
+	for _, x := range e.xs[:workers] {
 		go e.share(bucket, lo, n, work, x)
 	}
 	e.wg.Wait()
@@ -648,7 +681,7 @@ func (e *Engine) expandWindow(bucket *slab[held], lo, n int) {
 	}
 	e.outs = e.outs[:n]
 	clear(e.outs)
-	for _, x := range e.ws {
+	for _, x := range e.xs {
 		x.props, x.sibs = x.props[:0], x.sibs[:0]
 		x.forgetProposed()
 	}
@@ -746,7 +779,7 @@ func (e *Engine) claimPass(bucket *slab[held], lo, depth, rest int) error {
 		parent.sleep = nil
 	}
 	// The buffers outlive the window: drop their claim on the states.
-	for _, x := range e.ws {
+	for _, x := range e.xs {
 		clear(x.props)
 	}
 	if n := e.fr.len(depth) - first; leaves && n > 0 {
@@ -1049,11 +1082,12 @@ func (e *Engine) Findings() []Finding {
 // single-range search's start state). A path that does not reach the state
 // it was recorded for means a handler is not a function of (seed, local
 // state, event), which the whole checker rests on; the violation is then
-// reported without a path rather than with a wrong one.
+// reported without a path rather than with a wrong one. The paths replay on
+// the first worker's Expander.
 func (e *Engine) Violations(root *GState) []Violation {
 	findings := e.Findings()
 	out := make([]Violation, len(findings))
-	x := e.s.NewExpander()
+	x := e.xs[0]
 	for i, f := range findings {
 		out[i] = Violation{Properties: f.Props, StateHash: f.Ref.Hash(), Depth: f.Ref.Depth()}
 		out[i].Path, _ = e.s.ReplayTo(x, root, f.Ref.Keys(), out[i].StateHash)
@@ -1098,7 +1132,7 @@ func (e *Engine) Result() *Result {
 // handlerRuns sums the handlers the workers ran.
 func (e *Engine) handlerRuns() int {
 	n := int64(0)
-	for _, x := range e.ws {
+	for _, x := range e.xs {
 		n += x.sc.runs
 	}
 	return int(n)

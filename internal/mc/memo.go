@@ -54,6 +54,14 @@ func newMemo() *memo {
 // reset empties the memo and lets go of its storage.
 func (m *memo) reset() { *m = memo{effects: slab[effect]{shift: memoShift}} }
 
+// clear empties the memo and keeps its storage for the next effects: the
+// node states and messages the effects held are let go.
+func (m *memo) clear() {
+	clear(m.slots)
+	m.effects.reset()
+	m.sends = wipe(m.sends)
+}
+
 // memoHash is the probe start of key k at a node whose local hash is lhash,
 // consuming the item with component hash item.
 //

@@ -110,7 +110,7 @@ func TestPublishedStatesNeverAliasScratch(t *testing.T) {
 			windows, before := 0, checked
 			e.windowDone = func() {
 				windows++
-				for _, x := range e.ws {
+				for _, x := range e.xs {
 					poisonScratch(x.sc)
 				}
 				for depth := range e.fr.buckets {

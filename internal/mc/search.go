@@ -180,14 +180,14 @@ type Result struct {
 	TransitionsPruned int
 	// Unbuilt counts successors the breadth-first engine built in scratch
 	// but never published, because their fingerprint was already claimed or
-	// already proposed (Engine.fate). Sharded results do not carry it yet.
+	// already proposed (Engine.fate). A sharded result sums its shards'.
 	Unbuilt int
 	// HandlerRuns counts the event handlers (deliveries, timers, app calls,
 	// transport errors) the engine's workers actually ran: a transition whose
 	// (node local state, event, consumed item) a worker's memo already holds
 	// runs none (runHandler). Resets, RST drops and filtered events are not
 	// handler runs. Like Unbuilt it is exact with one worker and varies with
-	// more (each worker has its own memo); sharded results do not carry it.
+	// more (each worker has its own memo); a sharded result sums its shards'.
 	HandlerRuns int
 	// DistinctLocalStates counts distinct node-local states over all
 	// claimed states — the ROADMAP's coverage metric ("distinct local
@@ -294,6 +294,15 @@ func newTree(shared bool) *Tree {
 	}
 	t.keys.push(sm.EventKey{})
 	return t
+}
+
+// reset empties t for another search and keeps its storage.
+func (t *Tree) reset() {
+	t.entries.reset()
+	t.keys.reset()
+	t.origins.reset()
+	clear(t.ids)
+	t.keys.push(sm.EventKey{})
 }
 
 // intern returns k's index in the descriptor table, adding it if new.
@@ -536,15 +545,21 @@ func (s *Search) applyEvent(g *GState, ev *sm.Event, enumerated bool, sc *scratc
 	return sc.publish(g)
 }
 
-// Run explores from the start state and returns the result. The start
-// state is not mutated.
-func (s *Search) Run(start *GState) *Result {
+// Run explores from the start state in a fresh workspace and returns the
+// result. The start state is not mutated.
+func (s *Search) Run(start *GState) *Result { return s.RunIn(NewWorkspace(), start) }
+
+// RunIn is Run in w, which it borrows for the search and hands back cleared
+// (see Workspace): a caller that runs many searches one after another runs
+// them all in one workspace and gets the results Run would return.
+func (s *Search) RunIn(w *Workspace, start *GState) *Result {
 	s.dummyRedirects.Store(0)
-	e := s.NewEngine(s.cfg.Budget, HashRange{}, nil)
+	e := s.newEngine(w, s.cfg.Budget, HashRange{}, nil)
+	defer w.release()
 	e.Inject(Forward{State: start})
 	// Without a sink only the claim pass's check of the engine's own
 	// invariant can fail the drain: a bug, not a budget.
-	if err := e.Drain(nil); err != nil {
+	if err := e.drain(nil, true); err != nil {
 		panic(err)
 	}
 	res := e.Result()

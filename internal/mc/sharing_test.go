@@ -285,7 +285,7 @@ func TestSelfLoopIsCountedNotProposed(t *testing.T) {
 	e.Inject(Forward{State: start})
 	bucket, _ := e.fr.popBucket()
 	e.expandWindow(bucket, 0, 1)
-	children := e.ws[0].props[e.outs[0].lo:e.outs[0].hi]
+	children := e.xs[0].props[e.outs[0].lo:e.outs[0].hi]
 	network, internal := s.EnabledEvents(start)
 	enabled := len(network)
 	for _, evs := range internal {

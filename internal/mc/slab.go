@@ -13,6 +13,9 @@ import (
 // dozen values, a slab of millions wastes at most a third of itself, and the
 // directory stays a few dozen slice headers however large the slab gets.
 //
+// A slab that is reset keeps its chunks, and the values pushed next fill
+// them again; it accounts only the chunks its values occupy.
+//
 // A slab has one writer. pin sizes the directory once and for all, after
 // which push writes nothing a reader of earlier values looks at: another
 // goroutine may then read any value whose push happened before it was told
@@ -52,7 +55,7 @@ func (s *slab[T]) push(v T) int {
 	if c == len(s.chunks) {
 		s.chunks = append(s.chunks, nil)
 	}
-	if off == 0 {
+	if s.chunks[c] == nil {
 		s.chunks[c] = make([]T, 1<<(s.shift+uint(c)/2))
 	}
 	s.chunks[c][off] = v
@@ -60,11 +63,30 @@ func (s *slab[T]) push(v T) int {
 	return i
 }
 
-// bytes returns the heap bytes of the chunks allocated so far.
+// used returns the chunks that hold values: a fresh slab's every chunk, a
+// reset one's first few.
+func (s *slab[T]) used() [][]T {
+	if s.n == 0 {
+		return nil
+	}
+	last, _ := s.locate(s.n - 1)
+	return s.chunks[:last+1]
+}
+
+// reset empties the slab, zeroing what it held, and keeps its chunks.
+func (s *slab[T]) reset() {
+	for _, c := range s.used() {
+		clear(c)
+	}
+	s.n = 0
+}
+
+// bytes returns the heap bytes of the chunks that hold values: what a fresh
+// slab of the same values allocates.
 func (s *slab[T]) bytes() int64 {
 	var zero T
 	total := 0
-	for _, c := range s.chunks {
+	for _, c := range s.used() {
 		total += len(c)
 	}
 	return int64(total) * int64(unsafe.Sizeof(zero))

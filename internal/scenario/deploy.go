@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"crystalball/internal/controller"
+	"crystalball/internal/mc"
 	"crystalball/internal/props"
 	"crystalball/internal/runtime"
 	"crystalball/internal/sim"
@@ -130,16 +131,21 @@ func (sc *Scenario) Deploy(o DeployOptions) (*Deployment, error) {
 		Sim:      s,
 		Net:      simnet.New(s, path),
 	}
+	// Every controller searches in the deployment's one workspace: their
+	// rounds run one at a time on the simulator's goroutine, and a workspace
+	// per controller would hold one engine's storage per node for no speed.
+	var ws *mc.Workspace
 	if ctrlCfg != nil {
 		ctrlCfg.Check.Factory = factory
 		d.Props = ctrlCfg.Check.Props
+		ws = mc.NewWorkspace()
 	}
 	for _, id := range IDs(opts.Nodes) {
 		node := runtime.NewNode(s, d.Net, id, factory)
 		d.Nodes = append(d.Nodes, node)
 		switch {
 		case ctrlCfg != nil:
-			c := controller.New(s, node, *ctrlCfg)
+			c := controller.New(s, node, *ctrlCfg, ws)
 			c.Start()
 			d.Ctrls = append(d.Ctrls, c)
 		case o.Checkpoints:

@@ -63,11 +63,12 @@ func kinds(ev *s.Event, k s.EventKey, f s.Filter, b byte) {
 	switch k.Kind { // want `one-event-switch`
 	case 'T':
 	}
-	// Not an event-kind switch: a filter's kind, a rune switch on another
-	// byte, a local struct's Kind.
-	switch f.Kind {
-	case s.FilterMessage:
+	// A filter's key is an event key.
+	switch f.Key.Kind { // want `one-event-switch`
+	case 'A':
 	}
+	// Not an event-kind switch: a rune switch on another byte, a local
+	// struct's Kind.
 	switch b {
 	case 'M', 'T', 'A', 'E', 'R', 'D':
 	}

@@ -123,22 +123,15 @@ const defaultMaxViolations = 8
 // filters.
 const maxStoredPaths = 16
 
-// Finding is one recorded violation prediction.
+// Finding is one recorded violation prediction: the checker's violation,
+// when the report carrying it landed, and the corrective filter chosen (nil
+// when none exists or in debugging mode). Its Signature is the violation's,
+// so the same bug found at different nodes counts once here and in the
+// checker alike.
 type Finding struct {
-	Properties []string
-	Path       []sm.Event
-	Hash       uint64
-	FoundAt    sim.Time
-	// Filter is the corrective action chosen (nil when none exists or
-	// in debugging mode).
-	Filter *sm.Filter
-}
-
-// Signature identifies the finding's bug class for deduplication; it is
-// the checker's definition (mc.Violation.Signature), so the same bug found
-// at different nodes counts once here and there alike.
-func (f Finding) Signature() string {
-	return mc.Violation{Properties: f.Properties, Path: f.Path}.Signature()
+	mc.Violation
+	FoundAt sim.Time
+	Filter  *sm.Filter
 }
 
 // Stats counts controller activity; the steering experiments read these.
@@ -376,40 +369,30 @@ func (c *Controller) onSnapshot(snap *snapshot.Snapshot) {
 func (c *Controller) processReport(start *mc.GState, res *mc.Result) {
 	// Different violations in one report often derive the same corrective
 	// filter (one bad handler reached along several interleavings); the
-	// safety verdict is cached per filter so each is checked — and
+	// safety verdict is kept per filter so each is checked — and, if safe,
 	// installed — once per round.
-	verdicts := make(map[string]bool)
-	installed := make(map[string]bool)
+	verdicts := make(map[sm.Filter]bool)
 	for _, v := range res.Violations {
 		c.Stats.ViolationsPredicted++
-		finding := Finding{
-			Properties: v.Properties,
-			Path:       v.Path,
-			Hash:       v.StateHash,
-			FoundAt:    c.sim.Now(),
-		}
+		finding := Finding{Violation: v, FoundAt: c.sim.Now()}
 		if c.cfg.Mode == ExecutionSteering {
-			if f, ok := c.correctiveFilter(v.Path); ok {
-				key := f.String()
-				safe, checked := verdicts[key]
-				if !checked {
-					safe = !c.cfg.CheckFilterSafety || c.filterIsSafe(start, f)
-					verdicts[key] = safe
-				}
-				switch {
-				case !safe:
-					c.Stats.FilterUnsafe++
-					c.Stats.SteeringUnhelpful++
-				case installed[key]:
-					// Same filter already covers this violation.
-					finding.Filter = &f
-				default:
-					installed[key] = true
-					finding.Filter = &f
+			f, ok := c.correctiveFilter(v.Path)
+			safe, checked := verdicts[f]
+			if ok && !checked {
+				safe = !c.cfg.CheckFilterSafety || c.filterIsSafe(start, f)
+				verdicts[f] = safe
+				if safe {
 					c.Stats.FiltersInstalled++
 					c.node.InstallFilter(f)
 				}
-			} else {
+			}
+			switch {
+			case safe:
+				finding.Filter = &f
+			case ok:
+				c.Stats.FilterUnsafe++
+				c.Stats.SteeringUnhelpful++
+			default:
 				c.Stats.SteeringUnhelpful++
 			}
 		}

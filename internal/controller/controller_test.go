@@ -160,9 +160,9 @@ func TestVirtualMCLatencyDelaysReport(t *testing.T) {
 }
 
 func TestDistinctFindingsDedup(t *testing.T) {
-	a := Finding{Properties: []string{"P"}, Path: []sm.Event{sm.TimerFiring(1, "t")}}
-	b := Finding{Properties: []string{"P"}, Path: []sm.Event{sm.TimerFiring(1, "t")}}
-	c := Finding{Properties: []string{"Q"}, Path: []sm.Event{sm.TimerFiring(1, "t")}}
+	a := Finding{Violation: mc.Violation{Properties: []string{"P"}, Path: []sm.Event{sm.TimerFiring(1, "t")}}}
+	b := Finding{Violation: mc.Violation{Properties: []string{"P"}, Path: []sm.Event{sm.TimerFiring(1, "t")}}}
+	c := Finding{Violation: mc.Violation{Properties: []string{"Q"}, Path: []sm.Event{sm.TimerFiring(1, "t")}}}
 	got := DistinctFindings([]Finding{a, b, c})
 	if len(got) != 2 {
 		t.Fatalf("distinct = %d, want 2", len(got))
@@ -360,7 +360,7 @@ func TestRoundsRunTheConfiguredSearch(t *testing.T) {
 		sameSearch(t, "round", got, want)
 	}
 
-	f := sm.Filter{Kind: sm.FilterTimer, Node: 1, Timer: "t"}
+	f := sm.Filter{Key: sm.EventKey{Kind: 'T', Node: 1, Name: "t"}}
 	want.Filters = []sm.Filter{f}
 	want.Budget.Violations = 1
 	want.Budget.States = 1500

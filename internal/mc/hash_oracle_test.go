@@ -75,7 +75,7 @@ func TestHashOracleFiltered(t *testing.T) {
 		s := NewSearch(Config{Props: poisonAt(1000), Factory: newToy})
 		ev := sm.Delivery(1, 2, ping{N: 1})
 		next := s.applyFiltered(g, &ev, sm.Filter{
-			Kind: sm.FilterMessage, Node: 2, From: 1, MsgType: "Ping", BreakConn: breakConn,
+			Key: sm.EventKey{Kind: 'M', From: 1, Node: 2, Name: "Ping"}, BreakConn: breakConn,
 		}, getScratch())
 		if next == nil {
 			t.Fatal("filtered apply failed")

@@ -147,7 +147,7 @@ func TestPropertyViolationDepthMatchesPathLength(t *testing.T) {
 // TestFilteredSearchNeverExpandsFilteredEvent: with a filter installed, no
 // violation path may contain the filtered delivery.
 func TestFilteredSearchNeverExpandsFilteredEvent(t *testing.T) {
-	filter := sm.Filter{Kind: sm.FilterMessage, Node: 2, From: 1, MsgType: "Ping"}
+	filter := sm.Filter{Key: sm.EventKey{Kind: 'M', From: 1, Node: 2, Name: "Ping"}}
 	cfg := Config{
 		Props:   poisonAt(2),
 		Factory: newToy,

@@ -134,18 +134,23 @@ func TestReplayHonorsFilters(t *testing.T) {
 }
 
 // TestFilterForPrecedence: the first installed filter matching an event
-// wins.
+// wins — here the one that drops the message without breaking the
+// connection, so no RST is queued — and a filter blocks no other event.
 func TestFilterForPrecedence(t *testing.T) {
-	f1 := sm.Filter{Kind: sm.FilterMessage, Node: 2, From: 1, MsgType: "Ping"}
-	f2 := sm.Filter{Kind: sm.FilterMessage, Node: 2, From: 1, MsgType: "Ping", BreakConn: true}
-	s := NewSearch(Config{Props: poisonAt(3), Factory: newToy, Filters: []sm.Filter{f1, f2}})
-	covered, uncovered := sm.Delivery(1, 2, ping{N: 1}), sm.Delivery(2, 1, ping{N: 1})
-	got, ok := s.filterFor(&covered)
-	if !ok || got.BreakConn {
-		t.Fatalf("filterFor returned %+v ok=%v, want first filter", got, ok)
+	f1 := sm.Filter{Key: sm.EventKey{Kind: 'M', From: 1, Node: 2, Name: "Ping"}}
+	f2 := sm.Filter{Key: f1.Key, BreakConn: true}
+	for _, c := range []struct {
+		filters  []sm.Filter
+		inFlight int
+	}{{[]sm.Filter{f1, f2}, 0}, {[]sm.Filter{f2, f1}, 1}} {
+		s := NewSearch(Config{Props: poisonAt(3), Factory: newToy, Filters: c.filters})
+		next := s.ApplyEvent(twoNodeStart(), sm.Delivery(1, 2, ping{N: 1}))
+		if next == nil || next.InFlightCount() != c.inFlight {
+			t.Fatalf("filters %+v: successor %v, want the first filter's action (%d in flight)", c.filters, next, c.inFlight)
+		}
 	}
-	if _, ok := s.filterFor(&uncovered); ok {
-		t.Fatal("filterFor matched an event no filter covers")
+	if _, ok := sm.FilterFor([]sm.Filter{f1, f2}, sm.Delivery(2, 1, ping{N: 1})); ok {
+		t.Fatal("FilterFor matched an event no filter covers")
 	}
 }
 
@@ -155,7 +160,7 @@ func TestApplyFilteredDropsMessage(t *testing.T) {
 	g := twoNodeStart()
 	s := NewSearch(Config{Props: poisonAt(3), Factory: newToy})
 	ev := sm.Delivery(1, 2, ping{N: 1})
-	next := s.applyFiltered(g, &ev, sm.Filter{Kind: sm.FilterMessage, Node: 2, From: 1, MsgType: "Ping"}, getScratch())
+	next := s.applyFiltered(g, &ev, sm.Filter{Key: sm.EventKey{Kind: 'M', From: 1, Node: 2, Name: "Ping"}}, getScratch())
 	if next == nil {
 		t.Fatal("filtered apply failed on an in-flight message")
 	}
@@ -177,7 +182,7 @@ func TestApplyFilteredBreakConn(t *testing.T) {
 	s := NewSearch(Config{Props: poisonAt(3), Factory: newToy})
 	ev := sm.Delivery(1, 2, ping{N: 1})
 	next := s.applyFiltered(g, &ev, sm.Filter{
-		Kind: sm.FilterMessage, Node: 2, From: 1, MsgType: "Ping", BreakConn: true,
+		Key: sm.EventKey{Kind: 'M', From: 1, Node: 2, Name: "Ping"}, BreakConn: true,
 	}, getScratch())
 	if next == nil {
 		t.Fatal("filtered apply failed")
@@ -200,7 +205,7 @@ func TestApplyFilteredBreakConn(t *testing.T) {
 func TestApplyFilteredInapplicable(t *testing.T) {
 	g := twoNodeStart()
 	s := NewSearch(Config{Props: poisonAt(3), Factory: newToy})
-	f := sm.Filter{Kind: sm.FilterMessage, Node: 2, From: 1, MsgType: "Ping"}
+	f := sm.Filter{Key: sm.EventKey{Kind: 'M', From: 1, Node: 2, Name: "Ping"}}
 	timer, absent := sm.TimerFiring(1, "tick"), sm.Delivery(2, 1, ping{N: 9})
 	if s.applyFiltered(g, &timer, f, getScratch()) != nil {
 		t.Fatal("filtered a timer event into a successor")

@@ -93,7 +93,7 @@ func TestPublishedStatesNeverAliasScratch(t *testing.T) {
 				Budget: Budget{Depth: tc.depth, Workers: workers},
 			}
 			if tc.filter {
-				cfg.Filters = []sm.Filter{{Kind: sm.FilterMessage, Node: 2, From: 1, MsgType: "Ping", BreakConn: true}}
+				cfg.Filters = []sm.Filter{{Key: sm.EventKey{Kind: 'M', From: 1, Node: 2, Name: "Ping"}, BreakConn: true}}
 			}
 			s := NewSearch(cfg)
 			own, forward := HashRange{}, (func(Forward) error)(nil)

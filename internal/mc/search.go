@@ -484,16 +484,6 @@ func (s *Search) ReplayTo(x *Expander, root *GState, path []sm.EventKey, hash ui
 	return events, nil
 }
 
-// filterFor returns the first installed filter matching ev, if any.
-func (s *Search) filterFor(ev *sm.Event) (sm.Filter, bool) {
-	for _, f := range s.cfg.Filters {
-		if f.Matches(*ev) {
-			return f, true
-		}
-	}
-	return sm.Filter{}, false
-}
-
 // applyFiltered builds in sc the corrective action of filter f instead of
 // ev: a filtered message is dropped and, if BreakConn, an RST notification
 // is queued to the sender; filtered timers are rescheduled (no state change,

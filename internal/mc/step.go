@@ -37,7 +37,7 @@ func edgeRNG(seed int64, ns *NodeState, ev *sm.Event, sc *scratch) *rand.Rand {
 //
 //crystal:hotpath
 func (s *Search) apply(g *GState, ev *sm.Event, enumerated bool, sc *scratch) *GState {
-	if f, ok := s.filterFor(ev); ok {
+	if f, ok := sm.FilterFor(s.cfg.Filters, *ev); ok {
 		return s.applyFiltered(g, ev, f, sc)
 	}
 	consumed := -1

@@ -176,15 +176,6 @@ func (n *Node) ClearFilters() { n.filters = nil }
 // Filters returns the installed filters (for tests and reports).
 func (n *Node) Filters() []sm.Filter { return append([]sm.Filter(nil), n.filters...) }
 
-func (n *Node) filterFor(ev sm.Event) (sm.Filter, bool) {
-	for _, f := range n.filters {
-		if f.Matches(ev) {
-			return f, true
-		}
-	}
-	return sm.Filter{}, false
-}
-
 // Reset simulates a crash+restart of this node: fresh service state, all
 // timers gone, all connections broken (silently when silent is true).
 func (n *Node) Reset(silent bool) {
@@ -202,7 +193,7 @@ func (n *Node) Reset(silent bool) {
 // App delivers an application call to the service (e.g. "join the overlay").
 func (n *Node) App(call sm.AppCall) {
 	ev := sm.AppInvocation(n.ID, call, nil)
-	if _, ok := n.filterFor(ev); ok {
+	if _, ok := sm.FilterFor(n.filters, ev); ok {
 		n.Stats.AppsBlocked++
 		return
 	}
@@ -225,7 +216,7 @@ func (n *Node) HandleDeliver(from sm.NodeID, payload any) {
 			n.ckpt.IncomingCN(env.CN)
 		}
 		ev := sm.Delivery(from, n.ID, env.Msg)
-		if f, ok := n.filterFor(ev); ok {
+		if f, ok := sm.FilterFor(n.filters, ev); ok {
 			n.Stats.MessagesDropped++
 			if f.BreakConn {
 				n.net.BreakConn(n.ID, from, true)
@@ -257,7 +248,7 @@ func (n *Node) HandleConnError(peer sm.NodeID) {
 // entry.
 func (n *Node) fireTimer(t sm.TimerID) {
 	ev := sm.TimerFiring(n.ID, t)
-	if _, ok := n.filterFor(ev); ok {
+	if _, ok := sm.FilterFor(n.filters, ev); ok {
 		// Filtered timers are rescheduled, not dropped (paper
 		// section 4, "Event Filtering for Execution steering").
 		n.Stats.TimersDeferred++

@@ -58,7 +58,7 @@ func TestTimerSetTracksPending(t *testing.T) {
 func TestMessageFilterDrops(t *testing.T) {
 	s, _, nodes := deploy(t, 2)
 	nodes[1].InstallFilter(sm.Filter{
-		Kind: sm.FilterMessage, Node: 2, From: 1, MsgType: "Counter",
+		Key: sm.EventKey{Kind: 'M', From: 1, Node: 2, Name: "Counter"},
 	})
 	nodes[0].App(testsvc.Bump{})
 	s.RunFor(3 * time.Second)
@@ -82,7 +82,7 @@ func TestMessageFilterBreakConnSignalsSender(t *testing.T) {
 	nodes[0].App(testsvc.Bump{})
 	s.RunFor(time.Second)
 	nodes[1].InstallFilter(sm.Filter{
-		Kind: sm.FilterMessage, Node: 2, From: 1, MsgType: "Counter", BreakConn: true,
+		Key: sm.EventKey{Kind: 'M', From: 1, Node: 2, Name: "Counter"}, BreakConn: true,
 	})
 	before := nodes[0].Service().(*testsvc.Svc).Errors
 	nodes[0].App(testsvc.Bump{})
@@ -94,7 +94,7 @@ func TestMessageFilterBreakConnSignalsSender(t *testing.T) {
 
 func TestTimerFilterReschedules(t *testing.T) {
 	s, _, nodes := deploy(t, 2)
-	nodes[0].InstallFilter(sm.Filter{Kind: sm.FilterTimer, Node: 1, Timer: testsvc.TimerGossip})
+	nodes[0].InstallFilter(sm.Filter{Key: sm.EventKey{Kind: 'T', Node: 1, Name: string(testsvc.TimerGossip)}})
 	s.RunFor(5 * time.Second)
 	if nodes[0].Service().(*testsvc.Svc).Gossips != 0 {
 		t.Fatal("filtered timer handler ran")
@@ -112,7 +112,7 @@ func TestTimerFilterReschedules(t *testing.T) {
 
 func TestAppFilterBlocks(t *testing.T) {
 	s, _, nodes := deploy(t, 1)
-	nodes[0].InstallFilter(sm.Filter{Kind: sm.FilterApp, Node: 1, Call: "Bump"})
+	nodes[0].InstallFilter(sm.Filter{Key: sm.EventKey{Kind: 'A', Node: 1, Name: "Bump"}})
 	nodes[0].App(testsvc.Bump{})
 	s.RunFor(time.Second)
 	if nodes[0].Service().(*testsvc.Svc).N != 0 {

@@ -1,7 +1,5 @@
 package sm
 
-import "fmt"
-
 // Event is one step of a distributed-system execution: the unit in which
 // the model checker explores (paper Figure 4's transition relation), the
 // runtime executes, and violation reports are expressed. It is its key —
@@ -87,72 +85,49 @@ func PayloadHash(msg Message, enc *Encoder) uint64 {
 }
 
 // Filter is an event filter installed by execution steering (paper section
-// 3.3): it temporarily blocks the invocation of a state-machine handler.
-// For network messages the filter matches message type, source and
-// destination and the runtime drops the message (optionally breaking the
-// connection); for timer and application events it matches the handler
-// identity and the runtime reschedules rather than drops.
+// 3.3): it temporarily blocks the invocation of a state-machine handler, and
+// a handler invocation is what an event key names. Key is that key with Arg
+// zero — a filter names the handler, not the payload — so one filter blocks
+// every delivery of a message type from one sender, every firing of a timer
+// or every call of a name at Key.Node. The runtime drops a filtered message
+// and the checker takes it out of flight; with BreakConn both also reset the
+// connection, signalling the sender that something went wrong so it cleans
+// up its state. The runtime reschedules a filtered timer and the checker
+// leaves it pending. The runtime drops a filtered app call and the checker
+// suppresses it; neither reschedules it.
 type Filter struct {
-	// Kind discriminates what the filter blocks.
-	Kind FilterKind
-	// Node is the node at which the filter is installed.
-	Node NodeID
-	// From matches the message sender (message filters only).
-	From NodeID
-	// MsgType matches Message.MsgType (message filters only).
-	MsgType string
-	// Timer matches the timer id (timer filters only).
-	Timer TimerID
-	// Call matches AppCall.CallName (app filters only).
-	Call string
-	// BreakConn additionally resets the connection with the sender
-	// (message filters only), signalling the sender that something went
-	// wrong so it cleans up its state.
+	Key       EventKey
 	BreakConn bool
 }
 
-// FilterKind is the category of event a Filter blocks.
-type FilterKind int
-
-// Filter kinds.
-const (
-	FilterMessage FilterKind = iota
-	FilterTimer
-	FilterApp
-)
-
-// Matches reports whether the filter blocks the given event at its node:
-// whether it is, BreakConn aside, the filter FilterForEvent derives for it.
-func (f Filter) Matches(ev Event) bool {
-	g, ok := FilterForEvent(ev)
-	g.BreakConn = f.BreakConn
-	return ok && g == f
-}
-
-// FilterForEvent derives the filter that would block ev, or ok=false when
-// the event is not filterable (resets and transport errors are environment
-// faults, not handler invocations).
+// FilterForEvent derives the filter that blocks ev's handler — a message
+// filter breaks the connection — or ok=false when ev invokes none: resets,
+// transport errors and RST drops are environment faults.
 func FilterForEvent(ev Event) (Filter, bool) {
 	switch ev.Kind {
-	case 'M':
-		return Filter{Kind: FilterMessage, Node: ev.Node, From: ev.From, MsgType: ev.Name, BreakConn: true}, true
-	case 'T':
-		return Filter{Kind: FilterTimer, Node: ev.Node, Timer: TimerID(ev.Name)}, true
-	case 'A':
-		return Filter{Kind: FilterApp, Node: ev.Node, Call: ev.Name}, true
+	case 'M', 'T', 'A':
+		k := ev.EventKey
+		k.Arg = 0
+		return Filter{Key: k, BreakConn: ev.Kind == 'M'}, true
 	default:
 		return Filter{}, false
 	}
 }
 
-// String renders the filter.
-func (f Filter) String() string {
-	switch f.Kind {
-	case FilterMessage:
-		return fmt.Sprintf("filter{msg %s %s->%s break=%v}", f.MsgType, f.From, f.Node, f.BreakConn)
-	case FilterTimer:
-		return fmt.Sprintf("filter{timer %s@%s}", f.Timer, f.Node)
-	default:
-		return fmt.Sprintf("filter{app %s@%s}", f.Call, f.Node)
+// Matches reports whether f blocks ev: whether ev's key, Arg aside, is f's.
+func (f Filter) Matches(ev Event) bool {
+	k := ev.EventKey
+	k.Arg = 0
+	return k == f.Key
+}
+
+// FilterFor returns the first of fs that blocks ev, if any: the one rule by
+// which the runtime and the checker alike decide that ev is filtered.
+func FilterFor(fs []Filter, ev Event) (Filter, bool) {
+	for _, f := range fs {
+		if f.Matches(ev) {
+			return f, true
+		}
 	}
+	return Filter{}, false
 }

@@ -242,6 +242,15 @@ func (n *Node) HandleConnError(peer sm.NodeID) {
 	n.dispatch(sm.TransportError(n.ID, peer))
 }
 
+// HandleControlError implements simnet.Handler: a failure met by checkpoint
+// traffic, which has connections of its own, concerns the snapshot manager
+// alone and never reaches the service.
+func (n *Node) HandleControlError(peer sm.NodeID) {
+	if n.ckpt != nil {
+		n.ckpt.PeerError(peer)
+	}
+}
+
 // fireTimer runs when a scheduled timer expires. The timer stays in the
 // pending set until its handler really runs (sm.Deliver consumes it), so the
 // ISC's pre-state still holds it; the deferring paths schedule over the fired

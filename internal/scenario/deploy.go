@@ -38,8 +38,8 @@ func LANPath() simnet.UniformPath {
 type DeployOptions struct {
 	// Seed seeds the deployment's simulated clock.
 	Seed int64
-	// Path is the network path model (nil = LANPath).
-	Path simnet.PathModel
+	// Path is the network path model (zero = LANPath).
+	Path simnet.UniformPath
 	// Service parameterises the service factory; zero fields resolve
 	// against the scenario's Live tuning.
 	Service Options
@@ -104,7 +104,7 @@ func (sc *Scenario) Deploy(o DeployOptions) (*Deployment, error) {
 	}
 	s := sim.New(o.Seed)
 	path := o.Path
-	if path == nil {
+	if path == (simnet.UniformPath{}) {
 		path = LANPath()
 	}
 

@@ -15,11 +15,14 @@
 //     communicate with n13");
 //   - partitions that sever pairs of nodes (the Paxos scenario, Figure 13);
 //   - per-kind bandwidth accounting so checkpoint traffic can be reported
-//     separately from service traffic (paper section 5.5).
+//     separately from service traffic (paper section 5.5);
+//   - control connections of their own, so observing a node does not change
+//     what its service sees: a control send never opens, closes or finds
+//     stale a connection the service uses, and a failure it meets reaches
+//     Handler.HandleControlError, not the service.
 package simnet
 
 import (
-	"cmp"
 	"slices"
 	"time"
 
@@ -34,29 +37,18 @@ type Handler interface {
 	// HandleConnError is invoked when the TCP-like connection to peer is
 	// discovered broken (RST received, peer dead, or stale on send).
 	HandleConnError(peer sm.NodeID)
+	// HandleControlError is HandleConnError for the control connection to
+	// peer, the one non-service traffic travels on.
+	HandleControlError(peer sm.NodeID)
 }
 
-// PathModel supplies end-to-end path characteristics between two nodes.
-type PathModel interface {
-	// Path returns one-way latency, loss probability and bottleneck
-	// bandwidth in bits/s between a and b.
-	Path(a, b sm.NodeID) (latency time.Duration, loss float64, bwBps float64)
-}
-
-// UniformPath is a PathModel with identical characteristics for all pairs.
+// UniformPath is the network's path model: the same one-way latency, loss
+// probability and bottleneck bandwidth in bits/s (0 = 1 Gbps) between every
+// pair of nodes.
 type UniformPath struct {
 	Latency time.Duration
 	Loss    float64
 	BwBps   float64
-}
-
-// Path implements PathModel.
-func (u UniformPath) Path(a, b sm.NodeID) (time.Duration, float64, float64) {
-	bw := u.BwBps
-	if bw <= 0 {
-		bw = 1e9
-	}
-	return u.Latency, u.Loss, bw
 }
 
 // Kind labels traffic classes for bandwidth accounting.
@@ -69,22 +61,19 @@ const (
 	KindControl    Kind = "control"    // misc control traffic
 )
 
-// connKey orders the pair so both directions share one connection object.
-type connKey struct{ a, b sm.NodeID }
-
-func keyFor(x, y sm.NodeID) connKey {
-	if x < y {
-		return connKey{x, y}
-	}
-	return connKey{y, x}
+// connKey names a connection: the ordered pair, so both directions share
+// one connection object, and whether it carries control traffic (every kind
+// but KindService). A partition is keyed by the pair alone (ctl false).
+type connKey struct {
+	a, b sm.NodeID
+	ctl  bool
 }
 
-// other returns the endpoint of the pair that is not id.
-func (k connKey) other(id sm.NodeID) sm.NodeID {
-	if k.a == id {
-		return k.b
+func keyFor(x, y sm.NodeID, ctl bool) connKey {
+	if x < y {
+		return connKey{x, y, ctl}
 	}
-	return k.a
+	return connKey{y, x, ctl}
 }
 
 // conn is a TCP-like bidirectional connection. Each endpoint records the
@@ -125,11 +114,13 @@ type nodeState struct {
 // Network simulates the transport layer among a set of nodes.
 type Network struct {
 	sim   *sim.Simulator
-	paths PathModel
+	path  UniformPath
 	nodes map[sm.NodeID]*nodeState
 	conns map[connKey]*conn
 	parts map[connKey]bool // severed pairs
-	rng   rngSource
+	// rng draws service traffic's losses and ctlRng control traffic's, so
+	// control traffic leaves the service's draws alone.
+	rng, ctlRng rngSource
 }
 
 const (
@@ -146,14 +137,18 @@ type rngSource interface {
 }
 
 // New creates a network on the simulator with the given path model.
-func New(s *sim.Simulator, paths PathModel) *Network {
+func New(s *sim.Simulator, path UniformPath) *Network {
+	if path.BwBps <= 0 {
+		path.BwBps = 1e9
+	}
 	return &Network{
-		sim:   s,
-		paths: paths,
-		nodes: make(map[sm.NodeID]*nodeState),
-		conns: make(map[connKey]*conn),
-		parts: make(map[connKey]bool),
-		rng:   s.RNG("simnet"),
+		sim:    s,
+		path:   path,
+		nodes:  make(map[sm.NodeID]*nodeState),
+		conns:  make(map[connKey]*conn),
+		parts:  make(map[connKey]bool),
+		rng:    s.RNG("simnet"),
+		ctlRng: s.RNG("simnet-control"),
 	}
 }
 
@@ -184,14 +179,16 @@ func (n *Network) Incarnation(id sm.NodeID) uint64 { return n.state(id).incarnat
 // While severed, sends in either direction behave like a broken connection:
 // the sender gets a ConnError and the message is dropped.
 func (n *Network) Partition(a, b sm.NodeID, broken bool) {
-	k := keyFor(a, b)
+	k := keyFor(a, b, false)
 	if broken {
 		n.parts[k] = true
-		if c, ok := n.conns[k]; ok {
-			// Neither side is told; each discovers on next send
-			// (the partition check errors every send anyway).
-			c.close()
-			delete(n.conns, k)
+		for _, k := range []connKey{k, keyFor(a, b, true)} {
+			if c, ok := n.conns[k]; ok {
+				// Neither side is told; each discovers on next send
+				// (the partition check errors every send anyway).
+				c.close()
+				delete(n.conns, k)
+			}
 		}
 	} else {
 		delete(n.parts, k)
@@ -230,16 +227,17 @@ func (n *Network) Reset(id sm.NodeID, silent bool) {
 		peer sm.NodeID
 		c    *conn
 	}
+	// The RST fan-out below draws from the seeded rngs once per connection,
+	// so the connections go in (peer, service before control) order, never
+	// in map iteration order, or same-seed runs would diverge.
 	var peers []broken
-	for k, c := range n.conns {
-		if k.a == id || k.b == id {
-			peers = append(peers, broken{k.other(id), c})
+	for _, peer := range n.nodeIDs() {
+		for _, ctl := range []bool{false, true} {
+			if c, ok := n.conns[keyFor(id, peer, ctl)]; ok {
+				peers = append(peers, broken{peer, c})
+			}
 		}
 	}
-	// The RST fan-out below draws from the seeded rng once per peer, so the
-	// peer order must not depend on map iteration order or same-seed runs
-	// would diverge.
-	slices.SortFunc(peers, func(x, y broken) int { return cmp.Compare(x.peer, y.peer) })
 	for _, b := range peers {
 		// The resetting node is trivially "aware": its fresh
 		// incarnation knows nothing of the old socket and will
@@ -252,18 +250,17 @@ func (n *Network) Reset(id sm.NodeID, silent bool) {
 	}
 	for _, b := range peers {
 		b := b
-		lat, loss, _ := n.paths.Path(id, b.peer)
 		// The RST is a raw segment: it can be lost outright (paper
 		// Figure 9), in which case the peer only discovers the break
 		// on its next send attempt.
-		if n.rng.Float64() < loss {
+		if n.rngOf(b.c.key.ctl).Float64() < n.path.Loss {
 			continue
 		}
-		n.sim.After(lat, func() {
+		n.sim.After(n.path.Latency, func() {
 			b.c.aware[b.peer] = true
 			ps := n.state(b.peer)
 			if ps.alive && ps.handler != nil {
-				ps.handler.HandleConnError(id)
+				connError(ps.handler, id, b.c.key.ctl)
 			}
 		})
 	}
@@ -315,16 +312,17 @@ func (n *Network) Send(from, to sm.NodeID, payload any, size int, kind Kind) {
 	}
 	src.bytesOut[kind] += int64(size)
 	src.msgsOut++
-	if n.parts[keyFor(from, to)] {
-		n.deliverError(from, to)
+	ctl := kind != KindService
+	if n.parts[keyFor(from, to, false)] {
+		n.deliverError(from, to, ctl)
 		return
 	}
 	dst := n.state(to)
 	if !dst.alive {
-		n.deliverError(from, to)
+		n.deliverError(from, to, ctl)
 		return
 	}
-	k := keyFor(from, to)
+	k := keyFor(from, to, ctl)
 	c, ok := n.conns[k]
 	if ok {
 		// Stale if closed or either endpoint reset since establishment.
@@ -337,7 +335,7 @@ func (n *Network) Send(from, to sm.NodeID, payload any, size int, kind Kind) {
 			c.close()
 			delete(n.conns, k)
 			if !aware {
-				n.deliverError(from, to)
+				n.deliverError(from, to, ctl)
 				return
 			}
 			ok = false
@@ -351,18 +349,17 @@ func (n *Network) Send(from, to sm.NodeID, payload any, size int, kind Kind) {
 		}
 		n.conns[k] = c
 	}
-	lat, loss, bw := n.paths.Path(from, to)
 	// Outbound link serialization: transmissions queue behind each other.
-	txTime := time.Duration(float64(size*8) / bw * float64(time.Second))
+	txTime := time.Duration(float64(size*8) / n.path.BwBps * float64(time.Second))
 	start := n.sim.Now()
 	if src.lastTxEnd > start {
 		start = src.lastTxEnd
 	}
 	end := start.Add(txTime)
 	src.lastTxEnd = end
-	delay := end.Sub(n.sim.Now()) + lat
+	delay := end.Sub(n.sim.Now()) + n.path.Latency
 	// TCP does not drop payloads; loss manifests as retransmission delay.
-	for n.rng.Float64() < loss {
+	for n.rngOf(ctl).Float64() < n.path.Loss {
 		delay += rto
 	}
 	arrival := n.sim.Now().Add(delay)
@@ -378,7 +375,7 @@ func (n *Network) Send(from, to sm.NodeID, payload any, size int, kind Kind) {
 		if !ds.alive || ds.incarnation != destInc || n.conns[k] != c || c.closed {
 			return
 		}
-		if n.parts[k] {
+		if n.parts[keyFor(from, to, false)] {
 			return
 		}
 		if ds.handler != nil {
@@ -387,15 +384,34 @@ func (n *Network) Send(from, to sm.NodeID, payload any, size int, kind Kind) {
 	})
 }
 
-// deliverError schedules a ConnError(to) at node from.
-func (n *Network) deliverError(from, to sm.NodeID) {
+// deliverError schedules a ConnError(to) at node from, for its control
+// connection if ctl.
+func (n *Network) deliverError(from, to sm.NodeID, ctl bool) {
 	inc := n.state(from).incarnation
 	n.sim.After(errDelay, func() {
 		fs := n.state(from)
 		if fs.alive && fs.incarnation == inc && fs.handler != nil {
-			fs.handler.HandleConnError(to)
+			connError(fs.handler, to, ctl)
 		}
 	})
+}
+
+// connError tells h that its connection to peer broke: the service's, or
+// the control connection's if ctl.
+func connError(h Handler, peer sm.NodeID, ctl bool) {
+	if ctl {
+		h.HandleControlError(peer)
+	} else {
+		h.HandleConnError(peer)
+	}
+}
+
+// rngOf returns the loss stream of a connection's traffic class.
+func (n *Network) rngOf(ctl bool) rngSource {
+	if ctl {
+		return n.ctlRng
+	}
+	return n.rng
 }
 
 // BreakConn severs the current connection between a and b (if any) without
@@ -403,7 +419,7 @@ func (n *Network) deliverError(from, to sm.NodeID) {
 // sides get an immediate ConnError (like an application-initiated RST, which
 // execution steering uses as a corrective action).
 func (n *Network) BreakConn(a, b sm.NodeID, notify bool) {
-	k := keyFor(a, b)
+	k := keyFor(a, b, false)
 	c, ok := n.conns[k]
 	if !ok {
 		// No live connection object; still create a tombstone so the
@@ -413,10 +429,9 @@ func (n *Network) BreakConn(a, b sm.NodeID, notify bool) {
 	}
 	c.close(a) // the initiator knows
 	if notify {
-		lat, _, _ := n.paths.Path(a, b)
 		bs := n.state(b)
 		bInc := bs.incarnation
-		n.sim.After(lat, func() {
+		n.sim.After(n.path.Latency, func() {
 			c.aware[b] = true
 			if bs.alive && bs.incarnation == bInc && bs.handler != nil {
 				bs.handler.HandleConnError(a)
@@ -427,7 +442,7 @@ func (n *Network) BreakConn(a, b sm.NodeID, notify bool) {
 
 // Connected reports whether a live connection object exists between a and b.
 func (n *Network) Connected(a, b sm.NodeID) bool {
-	c, ok := n.conns[keyFor(a, b)]
+	c, ok := n.conns[keyFor(a, b, false)]
 	return ok && !c.closed
 }
 

@@ -12,6 +12,7 @@ import (
 type recorder struct {
 	delivered []delivery
 	errors    []sm.NodeID
+	ctlErrors []sm.NodeID
 }
 
 type delivery struct {
@@ -22,7 +23,8 @@ type delivery struct {
 func (r *recorder) HandleDeliver(from sm.NodeID, payload any) {
 	r.delivered = append(r.delivered, delivery{from, payload})
 }
-func (r *recorder) HandleConnError(peer sm.NodeID) { r.errors = append(r.errors, peer) }
+func (r *recorder) HandleConnError(peer sm.NodeID)    { r.errors = append(r.errors, peer) }
+func (r *recorder) HandleControlError(peer sm.NodeID) { r.ctlErrors = append(r.ctlErrors, peer) }
 
 func newNet(t *testing.T) (*sim.Simulator, *Network, map[sm.NodeID]*recorder) {
 	t.Helper()
@@ -132,6 +134,38 @@ func TestSilentResetDiscoveredOnNextSend(t *testing.T) {
 	s.Run()
 	if len(recs[2].delivered) != 2 {
 		t.Fatalf("reconnect failed: deliveries = %d, want 2", len(recs[2].delivered))
+	}
+}
+
+// TestControlTrafficHasItsOwnConnections: checkpoint traffic never opens,
+// closes or finds stale a service connection, and a failure it meets goes to
+// HandleControlError alone. A reset still breaks both connections.
+func TestControlTrafficHasItsOwnConnections(t *testing.T) {
+	s, n, recs := newNet(t)
+	n.Send(1, 2, "svc", 10, KindService)
+	n.Send(1, 2, "ctl", 10, KindCheckpoint)
+	s.Run()
+	n.Reset(2, true)
+	// The control send finds its own socket stale; the service's stays as
+	// it was, for the service to find on its own next send.
+	n.Send(1, 2, "ctl", 10, KindCheckpoint)
+	s.Run()
+	if len(recs[1].errors) != 0 || len(recs[1].ctlErrors) != 1 {
+		t.Fatalf("after a control send: service errors %v, control errors %v; want none, [2]", recs[1].errors, recs[1].ctlErrors)
+	}
+	n.Send(1, 2, "svc", 10, KindService)
+	s.Run()
+	if len(recs[1].errors) != 1 || recs[1].errors[0] != 2 {
+		t.Fatalf("service errors = %v, want [2]", recs[1].errors)
+	}
+	// A noisy reset sends an RST on each connection, to its own handler.
+	n.Send(1, 2, "svc", 10, KindService)
+	n.Send(1, 2, "ctl", 10, KindCheckpoint)
+	s.Run()
+	n.Reset(2, false)
+	s.Run()
+	if len(recs[1].errors) != 2 || len(recs[1].ctlErrors) != 2 {
+		t.Fatalf("after a noisy reset: service errors %v, control errors %v; want two each", recs[1].errors, recs[1].ctlErrors)
 	}
 }
 

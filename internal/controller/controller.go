@@ -275,9 +275,10 @@ func (c *Controller) onSnapshot(snap *snapshot.Snapshot) {
 			continue
 		}
 		start.AddNode(id, svc, timers)
-		// The view holds independent clones so later checker mutations
-		// cannot alias it.
-		view.Add(id, svc.Clone(), timers)
+		// The view shares the start state's services: the checker never
+		// writes a state it is handed (handlers run on copies), and the
+		// immediate safety check only reads the view.
+		view.Add(id, svc, timers)
 	}
 	c.lastView = view
 
@@ -285,7 +286,8 @@ func (c *Controller) onSnapshot(snap *snapshot.Snapshot) {
 	// new predictions, so the full model-checking run is skipped — and
 	// since filters are removed "after every model checking run", a
 	// skipped run leaves the installed filters in place.
-	if h := start.Hash(); h == c.lastHash {
+	hash := start.Hash()
+	if hash == c.lastHash {
 		c.Stats.Skipped++
 		if c.conservative {
 			// A skipped run also leaves the stale filters in place, so
@@ -349,7 +351,7 @@ func (c *Controller) onSnapshot(snap *snapshot.Snapshot) {
 		}
 	})
 
-	c.lastHash = start.Hash()
+	c.lastHash = hash
 
 	// Step 2: account the full run. The search already executed above but
 	// its report is delivered only after the virtual model-checking

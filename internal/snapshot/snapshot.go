@@ -195,9 +195,12 @@ func (m *Manager) takeCheckpoint(stamp uint64) {
 	ck := Checkpoint{CN: stamp, State: sm.EncodeFullState(svc, timers), Taken: m.sim.Now()}
 	m.store = append(m.store, ck)
 	m.Stats.CheckpointsTaken++
-	// Enforce the storage quota, oldest first.
+	// Enforce the storage quota, oldest first, in place: the store keeps
+	// its backing array, and the dropped tail slots let go of their states.
 	if over := len(m.store) - quota; over > 0 {
-		m.store = append([]Checkpoint(nil), m.store[over:]...)
+		n := copy(m.store, m.store[over:])
+		clear(m.store[n:])
+		m.store = m.store[:n]
 	}
 }
 

@@ -118,9 +118,7 @@ type Network struct {
 	nodes map[sm.NodeID]*nodeState
 	conns map[connKey]*conn
 	parts map[connKey]bool // severed pairs
-	// rng draws service traffic's losses and ctlRng control traffic's, so
-	// control traffic leaves the service's draws alone.
-	rng, ctlRng rngSource
+	rng   rngSource        // service traffic's losses (rngOf)
 }
 
 const (
@@ -142,13 +140,12 @@ func New(s *sim.Simulator, path UniformPath) *Network {
 		path.BwBps = 1e9
 	}
 	return &Network{
-		sim:    s,
-		path:   path,
-		nodes:  make(map[sm.NodeID]*nodeState),
-		conns:  make(map[connKey]*conn),
-		parts:  make(map[connKey]bool),
-		rng:    s.RNG("simnet"),
-		ctlRng: s.RNG("simnet-control"),
+		sim:   s,
+		path:  path,
+		nodes: make(map[sm.NodeID]*nodeState),
+		conns: make(map[connKey]*conn),
+		parts: make(map[connKey]bool),
+		rng:   s.RNG("simnet"),
 	}
 }
 
@@ -406,10 +403,13 @@ func connError(h Handler, peer sm.NodeID, ctl bool) {
 	}
 }
 
-// rngOf returns the loss stream of a connection's traffic class.
+// rngOf returns the loss stream of a connection's traffic class: control
+// traffic draws from a stream of its own, so it leaves the service's draws
+// alone. That stream is made on first use, so a network that carries no
+// control traffic never seeds it.
 func (n *Network) rngOf(ctl bool) rngSource {
 	if ctl {
-		return n.ctlRng
+		return n.sim.RNG("simnet-control")
 	}
 	return n.rng
 }

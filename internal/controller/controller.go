@@ -378,6 +378,7 @@ func (c *Controller) processReport(start *mc.GState, res *mc.Result) {
 		c.Stats.ViolationsPredicted++
 		finding := Finding{Violation: v, FoundAt: c.sim.Now()}
 		if c.cfg.Mode == ExecutionSteering {
+			// A path with no filterable event has no verdict: safe stays false.
 			f, ok := c.correctiveFilter(v.Path)
 			safe, checked := verdicts[f]
 			if ok && !checked {

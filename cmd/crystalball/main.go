@@ -87,12 +87,16 @@ func main() {
 		Control:  control,
 		MCStates: *mcStates,
 		Workers:  *workers,
-		Workload: true,
-		Churn:    *churn,
 	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
+	}
+	// The recorder goes in before the workload so the forming overlay counts.
+	truth := d.RecordGroundTruth()
+	d.StartWorkload()
+	if *churn > 0 {
+		d.StartChurn(*churn)
 	}
 
 	fmt.Printf("running %s with %d nodes for %v (mode=%s, fixed=%v)\n",
@@ -148,6 +152,7 @@ func main() {
 	fmt.Printf("\nrounds=%d searched=%d skipped=%d stops[%s] statesExplored=%d filtersInstalled=%d unhelpful=%d pruned=%d\n",
 		rounds, searched, skipped, strings.Join(stopText, " "), states, filters, unhelpful, pruned)
 	fmt.Printf("actions=%d blocked=%d\n", actions, blocked)
+	fmt.Println(truth)
 	if ok := d.Props.Holds(d.View()); ok {
 		fmt.Println("final global state: consistent")
 	} else {

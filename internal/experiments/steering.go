@@ -4,10 +4,8 @@ import (
 	"fmt"
 	"time"
 
-	"crystalball/internal/props"
 	"crystalball/internal/scenario"
 	"crystalball/internal/services/randtree"
-	"crystalball/internal/sm"
 	"crystalball/internal/stats"
 )
 
@@ -113,20 +111,7 @@ func RandTreeSteering(cfg SteeringConfig, mode SteeringMode) (SteeringResult, er
 	s := d.Sim
 
 	res := SteeringResult{Mode: mode}
-	// Ground truth: after every executed action anywhere, check the
-	// global state (the paper counts states containing inconsistencies).
-	// Hooks go in before the join workload starts so the forming tree is
-	// counted too. The view is refilled per event, not reallocated — the
-	// simulator is single-threaded, so one shared view is safe.
-	gt := props.NewView()
-	for _, node := range d.Nodes {
-		node.OnEvent = func(ev sm.Event) {
-			d.FillView(gt)
-			if !randtree.Properties.Holds(gt) {
-				res.InconsistentStates++
-			}
-		}
-	}
+	gt := d.RecordGroundTruth()
 	d.StartWorkload()
 
 	// Churn with join-time measurement.
@@ -158,6 +143,7 @@ func RandTreeSteering(cfg SteeringConfig, mode SteeringMode) (SteeringResult, er
 
 	s.RunFor(cfg.Duration)
 
+	res.InconsistentStates = gt.Inconsistent
 	for _, node := range d.Nodes {
 		res.ActionsExecuted += node.Stats.ActionsExecuted
 		res.ActionsChanged += node.Stats.ActionsChanged()

@@ -112,8 +112,9 @@ type Node struct {
 	iscPost  *props.View
 	iscPre   *props.View
 
-	// OnEvent, if set, runs after every executed handler; experiment
-	// harnesses use it to evaluate ground-truth properties per action.
+	// OnEvent, if set, runs after every executed handler. Outside tests
+	// only scenario.Deployment.RecordGroundTruth sets it, to evaluate the
+	// scenario's properties on the live system per action.
 	OnEvent func(ev sm.Event)
 
 	Stats Stats

@@ -65,8 +65,8 @@ type DeployOptions struct {
 	// controllers); deployments with controllers always checkpoint.
 	Checkpoints bool
 	// Workload issues the scenario's initial application-call workload
-	// (joins) as soon as the nodes exist; call StartWorkload for
-	// manual control, e.g. after installing OnEvent hooks.
+	// (joins) as soon as the nodes exist; call StartWorkload for manual
+	// control, e.g. after RecordGroundTruth so the forming overlay counts.
 	Workload bool
 	// Churn starts the built-in churn loop with this mean reset
 	// interval (0 = none).

@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"crystalball/internal/scenario"
-	"crystalball/internal/services/randtree"
 	"crystalball/internal/stats"
 )
 
@@ -108,42 +107,12 @@ func RandTreeSteering(cfg SteeringConfig, mode SteeringMode) (SteeringResult, er
 	if err != nil {
 		return SteeringResult{}, err
 	}
-	s := d.Sim
-
-	res := SteeringResult{Mode: mode}
-	gt := d.RecordGroundTruth()
+	truth := d.RecordGroundTruth()
 	d.StartWorkload()
+	d.StartChurn(cfg.ChurnGap)
+	d.Sim.RunFor(cfg.Duration)
 
-	// Churn with join-time measurement.
-	join := &stats.Sample{}
-	rng := s.RNG("steer-churn")
-	var churn func()
-	churn = func() {
-		node := d.Nodes[rng.Intn(len(d.Nodes))]
-		node.Reset(rng.Intn(2) == 0)
-		start := s.Now()
-		s.After(500*time.Millisecond, func() {
-			node.App(randtree.AppJoin{})
-			// Poll for join completion.
-			var poll func()
-			poll = func() {
-				if node.Service().(*randtree.Tree).Joined {
-					join.AddDuration(s.Now().Sub(start) - 500*time.Millisecond)
-					return
-				}
-				if s.Now().Sub(start) < 30*time.Second {
-					s.After(100*time.Millisecond, poll)
-				}
-			}
-			s.After(100*time.Millisecond, poll)
-		})
-		s.After(time.Duration(float64(cfg.ChurnGap)*scenario.ExpRand(rng.Float64())), churn)
-	}
-	s.After(cfg.ChurnGap, churn)
-
-	s.RunFor(cfg.Duration)
-
-	res.InconsistentStates = gt.Inconsistent
+	res := SteeringResult{Mode: mode, InconsistentStates: truth.Inconsistent}
 	for _, node := range d.Nodes {
 		res.ActionsExecuted += node.Stats.ActionsExecuted
 		res.ActionsChanged += node.Stats.ActionsChanged()
@@ -155,9 +124,9 @@ func RandTreeSteering(cfg SteeringConfig, mode SteeringMode) (SteeringResult, er
 		res.FiltersInstalled += c.Stats.FiltersInstalled
 		res.SteeringUnhelpful += c.Stats.SteeringUnhelpful
 	}
-	if join.N() > 0 {
-		res.MeanJoinTime = time.Duration(join.Mean() * float64(time.Second))
-		res.JoinSamples = join.N()
+	if n := d.JoinTimes.N(); n > 0 {
+		res.MeanJoinTime = time.Duration(d.JoinTimes.Mean() * float64(time.Second))
+		res.JoinSamples = n
 	}
 	return res, nil
 }

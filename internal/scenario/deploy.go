@@ -12,6 +12,7 @@ import (
 	"crystalball/internal/sim"
 	"crystalball/internal/simnet"
 	"crystalball/internal/snapshot"
+	"crystalball/internal/stats"
 )
 
 // Control selects what supervises the deployed nodes.
@@ -87,6 +88,9 @@ type Deployment struct {
 	Net   *simnet.Network
 	Nodes []*runtime.Node
 	Ctrls []*controller.Controller
+	// JoinTimes samples, for scenarios that declare Joined, how long each
+	// churned node took from its rejoin call to joined (StartChurn).
+	JoinTimes stats.Sample
 	// Mgrs are the standalone snapshot managers of a Bare deployment
 	// with Checkpoints on (indexed like Nodes); controller-supervised
 	// deployments keep their managers inside the controllers.
@@ -191,8 +195,10 @@ func (d *Deployment) StartWorkload() {
 }
 
 // StartChurn resets a random node (silently half the time) at exponential
-// intervals with the given mean, reissuing the scenario's join call after
-// each reset.
+// intervals with the given mean, reissuing the scenario's join call half a
+// second after each reset. For a scenario that declares Joined it then
+// polls the node every 100 ms, for up to 30 s, and samples the time to
+// join into JoinTimes.
 func (d *Deployment) StartChurn(mean time.Duration) {
 	rng := d.Sim.RNG("churn")
 	var tick func()
@@ -201,16 +207,36 @@ func (d *Deployment) StartChurn(mean time.Duration) {
 		node.Reset(rng.Intn(2) == 0)
 		if d.Scenario.Join != nil {
 			call := d.Scenario.Join()
-			d.Sim.After(500*time.Millisecond, func() { node.App(call) })
+			d.Sim.After(500*time.Millisecond, func() {
+				node.App(call)
+				if d.Scenario.Joined != nil {
+					d.timeJoin(node, d.Sim.Now())
+				}
+			})
 		}
-		d.Sim.After(time.Duration(float64(mean)*ExpRand(rng.Float64())), tick)
+		d.Sim.After(time.Duration(float64(mean)*expRand(rng.Float64())), tick)
 	}
-	d.Sim.After(time.Duration(float64(mean)*ExpRand(rng.Float64())), tick)
+	d.Sim.After(time.Duration(float64(mean)*expRand(rng.Float64())), tick)
 }
 
-// ExpRand converts a uniform sample into a unit-mean exponential sample,
+// timeJoin polls node, asked to join at asked, until it has joined or 30 s
+// have passed.
+func (d *Deployment) timeJoin(node *runtime.Node, asked sim.Time) {
+	var poll func()
+	poll = func() {
+		switch waited := d.Sim.Now().Sub(asked); {
+		case d.Scenario.Joined(node.Service()):
+			d.JoinTimes.AddDuration(waited)
+		case waited < 30*time.Second:
+			d.Sim.After(100*time.Millisecond, poll)
+		}
+	}
+	d.Sim.After(100*time.Millisecond, poll)
+}
+
+// expRand converts a uniform sample into a unit-mean exponential sample,
 // capped at 5 to avoid pathological gaps in short experiments.
-func ExpRand(u float64) float64 {
+func expRand(u float64) float64 {
 	if u <= 0 {
 		u = 1e-9
 	}

@@ -138,6 +138,9 @@ type Scenario struct {
 	// JoinStagger is the gap between successive nodes' initial joins
 	// (chord staggers joins so the ring forms; 0 = all at once).
 	JoinStagger time.Duration
+	// Joined reports whether a node's service has finished joining; when
+	// set, churn records how long each rejoin takes (Deployment.JoinTimes).
+	Joined func(sm.Service) bool
 }
 
 // PropsFor returns the property set for the given purpose: the debugging

@@ -412,3 +412,26 @@ func TestDeployBareCheckpoints(t *testing.T) {
 		t.Fatal("no checkpoint was taken")
 	}
 }
+
+// TestChurnTimesJoinsWhereDeclared: churn samples rejoin times for a
+// scenario that declares Joined (randtree) and for no other (chord).
+func TestChurnTimesJoinsWhereDeclared(t *testing.T) {
+	for _, c := range []struct {
+		name  string
+		times bool
+	}{{"randtree", true}, {"chord", false}} {
+		d, err := scenario.Deploy(c.name, scenario.DeployOptions{
+			Seed:     3,
+			Service:  scenario.Options{Nodes: 6},
+			Workload: true,
+			Churn:    20 * time.Second,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		d.Sim.RunFor(3 * time.Minute)
+		if got := d.JoinTimes.N() > 0; got != c.times {
+			t.Errorf("%s: %d join samples, want samples %v", c.name, d.JoinTimes.N(), c.times)
+		}
+	}
+}

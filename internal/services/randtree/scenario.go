@@ -32,5 +32,6 @@ func init() {
 		Faults:      scenario.Faults{ExploreResets: true},
 		RoundBudget: mc.Budget{States: 8000},
 		Join:        func() sm.AppCall { return AppJoin{} },
+		Joined:      func(s sm.Service) bool { return s.(*Tree).Joined },
 	})
 }

@@ -110,7 +110,7 @@ func main() {
 			cfg := experiments.Fig17Config{Seed: *seed, Nodes: *nodes, Deadline: *duration, Workers: *workers}
 			out, err = render(experiments.FormatFig17)(experiments.Fig17Bullet(cfg))
 		case "overhead":
-			cfg := experiments.OverheadConfig{Seed: *seed, Nodes: *nodes, Duration: *duration}
+			cfg := experiments.OverheadConfig{Seed: *seed, Nodes: *nodes, Duration: *duration, Workers: *workers}
 			out, err = render(experiments.FormatOverhead)(experiments.Overhead(cfg))
 		default:
 			fmt.Fprintf(os.Stderr, "unknown experiment %q\n", name)

@@ -9,7 +9,6 @@ import (
 	"crystalball/internal/mc"
 	"crystalball/internal/scenario"
 	"crystalball/internal/simnet"
-	"crystalball/internal/snapshot"
 )
 
 func TestFig12ExhaustiveGrowth(t *testing.T) {
@@ -226,30 +225,28 @@ func TestOverheadQuick(t *testing.T) {
 	_ = FormatOverhead(rows)
 }
 
-// TestCheckpointCompressionShrinksWireBytes: a chord deployment's checkpoint
-// managers, collecting snapshots of their neighborhoods, put fewer bytes on
-// the wire than the checkpoints they send hold: transfers are LZW-compressed.
+// TestCheckpointCompressionShrinksWireBytes: the checkpoint managers of a
+// chord deployment's debugging controllers, collecting snapshots of their
+// neighborhoods, put fewer bytes on the wire than the checkpoints they send
+// hold: transfers are LZW-compressed.
 func TestCheckpointCompressionShrinksWireBytes(t *testing.T) {
 	d, err := scenario.Deploy("chord", scenario.DeployOptions{
-		Seed:        1,
-		Service:     scenario.Options{Nodes: 8, Fixed: true},
-		Path:        simnet.UniformPath{Latency: 5 * time.Millisecond, BwBps: 1e9},
-		Control:     scenario.Bare,
-		Checkpoints: true,
-		Workload:    true,
+		Seed:     1,
+		Service:  scenario.Options{Nodes: 8, Fixed: true},
+		Path:     simnet.UniformPath{Latency: 5 * time.Millisecond, BwBps: 1e9},
+		Control:  scenario.Debug,
+		MCStates: 300,
+		Workers:  1,
+		Workload: true,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	d.Sim.RunFor(15 * time.Second)
-	for k := 0; k < 5; k++ {
-		d.Mgrs[0].Collect(d.Nodes[0].Service().Neighbors(), func(*snapshot.Snapshot) {})
-		d.Sim.RunFor(3 * time.Second)
-	}
+	d.Sim.RunFor(30 * time.Second)
 	var wire, raw int64
-	for _, m := range d.Mgrs {
-		wire += m.Stats.BytesSentWire
-		raw += m.Stats.BytesSentRaw
+	for _, c := range d.Ctrls {
+		wire += c.Manager().Stats.BytesSentWire
+		raw += c.Manager().Stats.BytesSentRaw
 	}
 	if raw == 0 {
 		t.Fatal("no checkpoint bytes sent")

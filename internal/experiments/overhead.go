@@ -5,7 +5,6 @@ import (
 
 	"crystalball/internal/scenario"
 	"crystalball/internal/simnet"
-	"crystalball/internal/snapshot"
 	"crystalball/internal/stats"
 )
 
@@ -14,6 +13,8 @@ type OverheadConfig struct {
 	Seed     int64
 	Nodes    int // paper: 100 logical nodes
 	Duration time.Duration
+	// Workers is the checker's worker-pool size (0 = GOMAXPROCS).
+	Workers int
 }
 
 // OverheadRow reports one service's checkpoint costs (paper section 5.5:
@@ -30,8 +31,8 @@ type OverheadRow struct {
 
 // Overhead measures checkpoint sizes and per-node checkpoint bandwidth for
 // the three data-plane services with snapshots collected every 10 s. Every
-// service is its fixed (bug-free) variant deployed bare with standalone
-// snapshot managers — the cost of checkpointing alone, no controllers.
+// service is its fixed (bug-free) variant under debugging controllers,
+// which checkpoint and collect their neighbourhoods as a deployment does.
 func Overhead(cfg OverheadConfig) ([]OverheadRow, error) {
 	if cfg.Nodes == 0 {
 		cfg.Nodes = 30
@@ -59,7 +60,7 @@ func Overhead(cfg OverheadConfig) ([]OverheadRow, error) {
 	}
 	var rows []OverheadRow
 	for i, r := range runs {
-		row, err := overheadRun(r.name, r.system, cfg.Seed+int64(i), r.opts, r.warmup, cfg.Duration)
+		row, err := overheadRun(r.name, r.system, cfg, cfg.Seed+int64(i), r.opts, r.warmup)
 		if err != nil {
 			return nil, err
 		}
@@ -69,54 +70,46 @@ func Overhead(cfg OverheadConfig) ([]OverheadRow, error) {
 	return rows, nil
 }
 
-// overheadRun deploys the scenario bare with checkpoint managers, lets the
-// overlay form for warmup, then gathers every node's neighborhood snapshot
-// every 10 s — like the controller would — and reports sizes and
-// bandwidth.
-func overheadRun(name, system string, seed int64, opts scenario.Options, warmup, duration time.Duration) (OverheadRow, error) {
+// overheadRun deploys the scenario under debugging controllers, lets the
+// overlay form for warmup, and reports the sizes of the checkpoints the
+// controllers' collection sent and its bandwidth over the cfg.Duration
+// after the warm-up.
+func overheadRun(name, system string, cfg OverheadConfig, seed int64, opts scenario.Options, warmup time.Duration) (OverheadRow, error) {
 	d, err := scenario.Deploy(name, scenario.DeployOptions{
-		Seed:        seed,
-		Service:     opts,
-		Control:     scenario.Bare,
-		Checkpoints: true,
-		Workload:    true,
+		Seed:             seed,
+		Service:          opts,
+		Control:          scenario.Debug,
+		SnapshotInterval: 10 * time.Second,
+		Workers:          cfg.Workers,
+		Workload:         true,
 	})
 	if err != nil {
 		return OverheadRow{}, err
 	}
-	s := d.Sim
-	s.RunFor(warmup) // let the overlay form
-	for i, node := range d.Nodes {
-		node := node
-		mgr := d.Mgrs[i]
-		var round func()
-		round = func() {
-			mgr.Collect(node.Service().Neighbors(), func(*snapshot.Snapshot) {})
-			s.After(10*time.Second, round)
-		}
-		s.After(10*time.Second+time.Duration(i)*50*time.Millisecond, round)
-	}
-	s.RunFor(duration)
+	d.Sim.RunFor(warmup) // let the overlay form
+	total := -d.Net.TotalBytesOut(simnet.KindCheckpoint)
+	d.Sim.RunFor(cfg.Duration)
+	total += d.Net.TotalBytesOut(simnet.KindCheckpoint)
 
-	// Mean checkpoint sizes: raw is the node's actual state-encoding
-	// size; wire averages only over payload-carrying responses
-	// (duplicate-suppressed responses transfer no state by design).
+	// Mean checkpoint sizes over the whole run: raw is the node's actual
+	// state-encoding size; wire averages only over payload-carrying
+	// responses (duplicate-suppressed responses transfer no state by
+	// design, and once the overlay is stable they are all there is).
 	raw, wire := &stats.Sample{}, &stats.Sample{}
-	for _, mgr := range d.Mgrs {
-		if sz := mgr.LatestCheckpointSize(); sz > 0 {
+	for _, c := range d.Ctrls {
+		m := c.Manager()
+		if sz := m.LatestCheckpointSize(); sz > 0 {
 			raw.Add(float64(sz))
 		}
-		if payload := mgr.Stats.ResponsesSent - mgr.Stats.DupSuppressed; payload > 0 {
-			wire.Add(float64(mgr.Stats.BytesSentWire) / float64(payload))
+		if payload := m.Stats.ResponsesSent - m.Stats.DupSuppressed; payload > 0 {
+			wire.Add(float64(m.Stats.BytesSentWire) / float64(payload))
 		}
 	}
-	total := d.Net.TotalBytesOut(simnet.KindCheckpoint)
-	bps := stats.Rate(total, duration) / float64(len(d.Nodes))
 	return OverheadRow{
 		System:             system,
 		MeanCheckpointRaw:  raw.Mean(),
 		MeanCheckpointWire: wire.Mean(),
-		PerNodeBps:         bps,
+		PerNodeBps:         stats.Rate(total, cfg.Duration) / float64(len(d.Nodes)),
 	}, nil
 }
 

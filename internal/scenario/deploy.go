@@ -11,7 +11,6 @@ import (
 	"crystalball/internal/runtime"
 	"crystalball/internal/sim"
 	"crystalball/internal/simnet"
-	"crystalball/internal/snapshot"
 	"crystalball/internal/stats"
 )
 
@@ -61,10 +60,6 @@ type DeployOptions struct {
 	// Workers is the checker worker-pool size (0 = the scenario's
 	// RoundBudget, then GOMAXPROCS).
 	Workers int
-	// Checkpoints attaches standalone snapshot managers to Bare
-	// deployments (the overhead experiments measure them without
-	// controllers); deployments with controllers always checkpoint.
-	Checkpoints bool
 	// Workload issues the scenario's initial application-call workload
 	// (joins) as soon as the nodes exist; call StartWorkload for manual
 	// control, e.g. after RecordGroundTruth so the forming overlay counts.
@@ -91,15 +86,12 @@ type Deployment struct {
 	// JoinTimes samples, for scenarios that declare Joined, how long each
 	// churned node took from its rejoin call to joined (StartChurn).
 	JoinTimes stats.Sample
-	// Mgrs are the standalone snapshot managers of a Bare deployment
-	// with Checkpoints on (indexed like Nodes); controller-supervised
-	// deployments keep their managers inside the controllers.
-	Mgrs []*snapshot.Manager
 }
 
 // Deploy assembles the full live stack for the scenario: simulated clock,
 // simulated network with a path model, one runtime node per member, and —
-// depending on o.Control — snapshot managers and CrystalBall controllers.
+// depending on o.Control — CrystalBall controllers, each with its node's
+// snapshot manager.
 func (sc *Scenario) Deploy(o DeployOptions) (*Deployment, error) {
 	opts := sc.LiveOptions(o.Service)
 	factory, err := sc.Factory(opts)
@@ -147,13 +139,10 @@ func (sc *Scenario) Deploy(o DeployOptions) (*Deployment, error) {
 	for _, id := range IDs(opts.Nodes) {
 		node := runtime.NewNode(s, d.Net, id, factory)
 		d.Nodes = append(d.Nodes, node)
-		switch {
-		case ctrlCfg != nil:
+		if ctrlCfg != nil {
 			c := controller.New(s, node, *ctrlCfg, ws)
 			c.Start()
 			d.Ctrls = append(d.Ctrls, c)
-		case o.Checkpoints:
-			d.Mgrs = append(d.Mgrs, snapshot.NewManager(s, node, o.SnapshotInterval))
 		}
 	}
 	if o.Workload {

@@ -388,31 +388,6 @@ func TestRoundsSearchOrSkip(t *testing.T) {
 	}
 }
 
-// TestDeployBareCheckpoints: a bare deployment with Checkpoints attaches
-// one standalone snapshot manager per node and no controllers.
-func TestDeployBareCheckpoints(t *testing.T) {
-	d, err := scenario.Deploy("randtree", scenario.DeployOptions{
-		Seed:        5,
-		Service:     scenario.Options{Nodes: 4},
-		Control:     scenario.Bare,
-		Checkpoints: true,
-		Workload:    true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(d.Ctrls) != 0 {
-		t.Fatalf("bare deployment got %d controllers", len(d.Ctrls))
-	}
-	if len(d.Mgrs) != 4 {
-		t.Fatalf("got %d snapshot managers, want 4", len(d.Mgrs))
-	}
-	d.Sim.RunFor(15 * time.Second)
-	if d.Mgrs[0].LatestCheckpointSize() == 0 {
-		t.Fatal("no checkpoint was taken")
-	}
-}
-
 // TestChurnTimesJoinsWhereDeclared: churn samples rejoin times for a
 // scenario that declares Joined (randtree) and for no other (chord).
 func TestChurnTimesJoinsWhereDeclared(t *testing.T) {

@@ -123,13 +123,14 @@ func main() {
 			}
 		}
 	}
-	var filters, unhelpful, rounds, searched, skipped, states, pruned int64
+	var filters, unhelpful, unsafe, rounds, searched, skipped, states, pruned int64
 	// Why the rounds that searched stopped: stops[states=N] is how many of
 	// them the state budget bound.
 	stops := map[string]int64{"frontier-empty": 0, "states": 0, "violations": 0}
 	for _, c := range d.Ctrls {
 		filters += c.Stats.FiltersInstalled
 		unhelpful += c.Stats.SteeringUnhelpful
+		unsafe += c.Stats.FilterUnsafe
 		rounds += c.Stats.Rounds
 		skipped += c.Stats.Skipped
 		states += c.Stats.StatesExplored
@@ -151,6 +152,18 @@ func main() {
 	}
 	fmt.Printf("\nrounds=%d searched=%d skipped=%d stops[%s] statesExplored=%d filtersInstalled=%d unhelpful=%d pruned=%d\n",
 		rounds, searched, skipped, strings.Join(stopText, " "), states, filters, unhelpful, pruned)
+	if ctrlMode == controller.ExecutionSteering {
+		// unhelpful= splits into filters the recheck rejected and findings
+		// with no event to filter; a path of length 0 starts in a state
+		// that already violates.
+		var atStart int
+		for _, f := range findings {
+			if f.Depth == 0 {
+				atStart++
+			}
+		}
+		fmt.Printf("unhelpful: filterUnsafe=%d unfilterable=%d (path length 0: %d)\n", unsafe, unhelpful-unsafe, atStart)
+	}
 	fmt.Printf("actions=%d blocked=%d\n", actions, blocked)
 	fmt.Println(truth)
 	if ok := d.Props.Holds(d.View()); ok {

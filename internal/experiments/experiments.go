@@ -60,19 +60,24 @@ func Fig12Exhaustive(cfg Fig12Config) ([]DepthPoint, error) {
 		if err != nil {
 			return nil, err
 		}
-		out = append(out, DepthPoint{
-			Depth:        d,
-			States:       res.StatesExplored,
-			Elapsed:      res.Elapsed,
-			MemBytes:     res.PeakMemoryBytes,
-			PerStateByte: res.PerStateBytes,
-			Stop:         res.StopReason,
-		})
+		out = append(out, depthPoint(d, res))
 		if res.StopReason != mc.FrontierEmpty {
 			break // every deeper depth would run into the same bound
 		}
 	}
 	return out, nil
+}
+
+// depthPoint is one search's row of a depth sweep.
+func depthPoint(depth int, res *mc.Result) DepthPoint {
+	return DepthPoint{
+		Depth:        depth,
+		States:       res.StatesExplored,
+		Elapsed:      res.Elapsed,
+		MemBytes:     res.PeakMemoryBytes,
+		PerStateByte: res.PerStateBytes,
+		Stop:         res.StopReason,
+	}
 }
 
 // runRandTreeSearch builds an n-node RandTree initial state (all nodes
@@ -129,15 +134,7 @@ func Fig15Memory(cfg Fig15Config) []DepthPoint {
 			ExploreResets: true,
 			Seed:          cfg.Seed,
 		})
-		res := s.Run(g)
-		out = append(out, DepthPoint{
-			Depth:        d,
-			States:       res.StatesExplored,
-			Elapsed:      res.Elapsed,
-			MemBytes:     res.PeakMemoryBytes,
-			PerStateByte: res.PerStateBytes,
-			Stop:         res.StopReason,
-		})
+		out = append(out, depthPoint(d, s.Run(g)))
 	}
 	return out
 }
@@ -221,22 +218,25 @@ type DepthBudgetRow struct {
 //     and time exhaustive search needs, and the gap widens with scale.
 func DepthComparison(seed int64, budget time.Duration, nodeCounts []int, workers int) ([]DepthBudgetRow, error) {
 	var rows []DepthBudgetRow
+	add := func(start string, n int, mode mc.Mode, res *mc.Result) {
+		rows = append(rows, DepthBudgetRow{
+			Start:      start,
+			Nodes:      n,
+			Mode:       mode.String(),
+			Depth:      res.MaxDepthReached,
+			States:     res.StatesExplored,
+			Elapsed:    res.Elapsed,
+			Violations: len(res.Violations),
+			Stop:       res.StopReason,
+		})
+	}
 	for _, n := range nodeCounts {
 		for _, mode := range []mc.Mode{mc.Exhaustive, mc.Consequence} {
 			res, err := runRandTreeSearch(seed, n, mode, 0, 0, budget, true, workers)
 			if err != nil {
 				return nil, err
 			}
-			rows = append(rows, DepthBudgetRow{
-				Start:      "initial",
-				Nodes:      n,
-				Mode:       mode.String(),
-				Depth:      res.MaxDepthReached,
-				States:     res.StatesExplored,
-				Elapsed:    res.Elapsed,
-				Violations: len(res.Violations),
-				Stop:       res.StopReason,
-			})
+			add("initial", n, mode, res)
 		}
 	}
 	for _, n := range nodeCounts {
@@ -251,17 +251,7 @@ func DepthComparison(seed int64, budget time.Duration, nodeCounts []int, workers
 				MaxResetsPerPath: 1,
 				Seed:             seed,
 			})
-			res := s.Run(g)
-			rows = append(rows, DepthBudgetRow{
-				Start:      "live-snapshot",
-				Nodes:      n,
-				Mode:       mode.String(),
-				Depth:      res.MaxDepthReached,
-				States:     res.StatesExplored,
-				Elapsed:    res.Elapsed,
-				Violations: len(res.Violations),
-				Stop:       res.StopReason,
-			})
+			add("live-snapshot", n, mode, s.Run(g))
 		}
 	}
 	return rows, nil

@@ -163,7 +163,7 @@ func TestFig14Quick(t *testing.T) {
 // it), and the ISC under the ISC-only arm's debugging controller. The
 // ISC-only row was re-recorded once when the steering experiment moved to
 // Deployment.StartChurn's churn stream (it read 3,192 actions, 1,594 ISC
-// blocks of 3,189 checks and no join sample on its own churn loop).
+// blocks of 3,189 checks and no join time on its own churn loop).
 func TestTweakedControllerConfigsReachTheController(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
@@ -185,7 +185,7 @@ func TestTweakedControllerConfigsReachTheController(t *testing.T) {
 	}
 	cfg := SteeringConfig{Seed: 5, Nodes: 10, Duration: 6 * time.Minute, ChurnGap: 45 * time.Second, MCStates: 4000, Workers: 1}
 	want := SteeringResult{Mode: ISCOnly, ActionsExecuted: 3190, ActionsChanged: 1593, ISCChecks: 3188, ISCBlocks: 1593,
-		MeanJoinTime: 100 * time.Millisecond, JoinSamples: 1}
+		MeanJoinTime: 100 * time.Millisecond}
 	if got := must(RandTreeSteering(cfg, ISCOnly)); got != want {
 		t.Errorf("ISC-only arm = %+v, want %+v", got, want)
 	}

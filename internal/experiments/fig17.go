@@ -89,10 +89,9 @@ func runBulletArm(cfg Fig17Config, withCB bool) (*stats.Sample, int, float64, er
 		},
 		// Paper: 5 Mbps in / 1 Mbps out access links; model the shared
 		// bottleneck with a uniform path at the outbound rate.
-		Path:             simnet.UniformPath{Latency: 50 * time.Millisecond, BwBps: 1e6, Loss: 0.002},
-		MCStates:         cfg.MCStates,
-		Workers:          cfg.Workers,
-		SnapshotInterval: 10 * time.Second,
+		Path:     simnet.UniformPath{Latency: 50 * time.Millisecond, BwBps: 1e6, Loss: 0.002},
+		MCStates: cfg.MCStates,
+		Workers:  cfg.Workers,
 	}
 	if withCB {
 		opts.Control = scenario.Debug
@@ -132,11 +131,8 @@ func runBulletArm(cfg Fig17Config, withCB bool) (*stats.Sample, int, float64, er
 	s.After(time.Second, poll)
 	s.RunFor(cfg.Deadline)
 
-	var bps float64
-	if withCB {
-		total := d.Net.TotalBytesOut(simnet.KindCheckpoint)
-		bps = stats.Rate(total, time.Duration(s.Now())) / float64(n)
-	}
+	// A bare arm sends no checkpoint bytes: its rate is 0.
+	bps := stats.Rate(d.Net.TotalBytesOut(simnet.KindCheckpoint), time.Duration(s.Now())) / float64(n)
 	return times, len(done), bps, nil
 }
 

@@ -40,10 +40,7 @@ func Overhead(cfg OverheadConfig) ([]OverheadRow, error) {
 	if cfg.Duration == 0 {
 		cfg.Duration = 3 * time.Minute
 	}
-	bulletNodes := cfg.Nodes
-	if bulletNodes > 12 {
-		bulletNodes = 12
-	}
+	bulletNodes := min(cfg.Nodes, 12)
 	runs := []struct {
 		name, system string
 		opts         scenario.Options
@@ -76,12 +73,11 @@ func Overhead(cfg OverheadConfig) ([]OverheadRow, error) {
 // after the warm-up.
 func overheadRun(name, system string, cfg OverheadConfig, seed int64, opts scenario.Options, warmup time.Duration) (OverheadRow, error) {
 	d, err := scenario.Deploy(name, scenario.DeployOptions{
-		Seed:             seed,
-		Service:          opts,
-		Control:          scenario.Debug,
-		SnapshotInterval: 10 * time.Second,
-		Workers:          cfg.Workers,
-		Workload:         true,
+		Seed:     seed,
+		Service:  opts,
+		Control:  scenario.Debug,
+		Workers:  cfg.Workers,
+		Workload: true,
 	})
 	if err != nil {
 		return OverheadRow{}, err

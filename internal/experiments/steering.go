@@ -15,7 +15,7 @@ type SteeringConfig struct {
 	Nodes    int           // paper: 25
 	Duration time.Duration // paper: 1.4 h of churn
 	ChurnGap time.Duration // paper: one leave+join per minute on average
-	MCStates int
+	MCStates int           // 0 = the scenario's round budget (8,000)
 	// Workers is the checker's worker-pool size (0 = GOMAXPROCS).
 	Workers int
 }
@@ -34,14 +34,7 @@ const (
 )
 
 func (m SteeringMode) String() string {
-	switch m {
-	case NoProtection:
-		return "no CrystalBall"
-	case ISCOnly:
-		return "ISC only"
-	default:
-		return "steering + ISC"
-	}
+	return [...]string{"no CrystalBall", "ISC only", "steering + ISC"}[m]
 }
 
 // SteeringResult reports one arm's counters (the paper's section 5.4.1
@@ -59,7 +52,6 @@ type SteeringResult struct {
 	FiltersInstalled    int64
 	SteeringUnhelpful   int64
 	MeanJoinTime        time.Duration
-	JoinSamples         int
 }
 
 // RandTreeSteering runs one arm of the section 5.4.1 experiment: a 25-node
@@ -75,15 +67,11 @@ func RandTreeSteering(cfg SteeringConfig, mode SteeringMode) (SteeringResult, er
 	if cfg.ChurnGap == 0 {
 		cfg.ChurnGap = time.Minute
 	}
-	if cfg.MCStates == 0 {
-		cfg.MCStates = 8000
-	}
 	sc := scenario.MustLookup("randtree")
 	opts := scenario.DeployOptions{
-		Seed:             cfg.Seed,
-		Service:          scenario.Options{Nodes: cfg.Nodes},
-		Workers:          cfg.Workers,
-		SnapshotInterval: 10 * time.Second,
+		Seed:    cfg.Seed,
+		Service: scenario.Options{Nodes: cfg.Nodes},
+		Workers: cfg.Workers,
 	}
 	switch mode {
 	case SteeringAndISC:
@@ -112,7 +100,11 @@ func RandTreeSteering(cfg SteeringConfig, mode SteeringMode) (SteeringResult, er
 	d.StartChurn(cfg.ChurnGap)
 	d.Sim.RunFor(cfg.Duration)
 
-	res := SteeringResult{Mode: mode, InconsistentStates: truth.Inconsistent}
+	res := SteeringResult{
+		Mode:               mode,
+		InconsistentStates: truth.Inconsistent,
+		MeanJoinTime:       time.Duration(d.JoinTimes.Mean() * float64(time.Second)),
+	}
 	for _, node := range d.Nodes {
 		res.ActionsExecuted += node.Stats.ActionsExecuted
 		res.ActionsChanged += node.Stats.ActionsChanged()
@@ -123,10 +115,6 @@ func RandTreeSteering(cfg SteeringConfig, mode SteeringMode) (SteeringResult, er
 		res.ViolationsPredicted += c.Stats.ViolationsPredicted
 		res.FiltersInstalled += c.Stats.FiltersInstalled
 		res.SteeringUnhelpful += c.Stats.SteeringUnhelpful
-	}
-	if n := d.JoinTimes.N(); n > 0 {
-		res.MeanJoinTime = time.Duration(d.JoinTimes.Mean() * float64(time.Second))
-		res.JoinSamples = n
 	}
 	return res, nil
 }

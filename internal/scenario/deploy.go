@@ -172,7 +172,6 @@ func (d *Deployment) StartWorkload() {
 		return
 	}
 	for i, node := range d.Nodes {
-		node := node
 		if d.Scenario.JoinStagger <= 0 {
 			node.App(d.Scenario.Join())
 			continue
@@ -225,16 +224,7 @@ func (d *Deployment) timeJoin(node *runtime.Node, asked sim.Time) {
 
 // expRand converts a uniform sample into a unit-mean exponential sample,
 // capped at 5 to avoid pathological gaps in short experiments.
-func expRand(u float64) float64 {
-	if u <= 0 {
-		u = 1e-9
-	}
-	x := -math.Log(u)
-	if x > 5 {
-		x = 5
-	}
-	return x
-}
+func expRand(u float64) float64 { return min(-math.Log(max(u, 1e-9)), 5) }
 
 // View builds the ground-truth global view of the deployment, allocating a
 // fresh view. Per-event harness loops use FillView with a reused view.

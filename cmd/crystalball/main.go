@@ -153,10 +153,7 @@ func main() {
 	fmt.Printf("\nrounds=%d searched=%d skipped=%d stops[%s] statesExplored=%d filtersInstalled=%d unhelpful=%d pruned=%d\n",
 		rounds, searched, skipped, strings.Join(stopText, " "), states, filters, unhelpful, pruned)
 	if ctrlMode == controller.ExecutionSteering {
-		// unhelpful= splits into filters the recheck rejected and findings
-		// with no event to filter; a path of length 0 starts in a state
-		// that already violates.
-		var atStart int
+		var atStart int // findings whose snapshot already violated
 		for _, f := range findings {
 			if f.Depth == 0 {
 				atStart++

@@ -26,7 +26,6 @@ type GroundTruth struct {
 	Episodes, Longest int64
 
 	props props.Set
-	view  *props.View
 	run   int64 // length of the episode in progress
 }
 
@@ -35,40 +34,33 @@ type GroundTruth struct {
 // the forming overlay is counted too. The hook only reads: a run executes
 // the same handlers with and without it.
 func (d *Deployment) RecordGroundTruth() *GroundTruth {
-	g := &GroundTruth{
-		Failed: make([]int64, len(d.Scenario.Props)),
-		props:  d.Scenario.Props,
-		view:   props.NewView(),
+	g := &GroundTruth{Failed: make([]int64, len(d.Scenario.Props)), props: d.Scenario.Props}
+	view := props.NewView() // refilled per event: the simulator is single-threaded
+	observe := func(sm.Event) {
+		d.FillView(view)
+		g.Events++
+		consistent := true
+		for i, p := range g.props {
+			if !p.Check(view) {
+				g.Failed[i]++
+				consistent = false
+			}
+		}
+		if consistent {
+			g.run = 0
+			return
+		}
+		g.Inconsistent++
+		if g.run == 0 {
+			g.Episodes++
+		}
+		g.run++
+		g.Longest = max(g.Longest, g.run)
 	}
 	for _, node := range d.Nodes {
-		node.OnEvent = func(sm.Event) {
-			d.FillView(g.view)
-			g.observe()
-		}
+		node.OnEvent = observe
 	}
 	return g
-}
-
-// observe counts one executed event against the refilled view.
-func (g *GroundTruth) observe() {
-	g.Events++
-	consistent := true
-	for i, p := range g.props {
-		if !p.Check(g.view) {
-			g.Failed[i]++
-			consistent = false
-		}
-	}
-	if consistent {
-		g.run = 0
-		return
-	}
-	g.Inconsistent++
-	if g.run == 0 {
-		g.Episodes++
-	}
-	g.run++
-	g.Longest = max(g.Longest, g.run)
 }
 
 // Share is the fraction of events after which the system was inconsistent.

@@ -2,9 +2,12 @@ package scenario_test
 
 import (
 	"bytes"
+	"reflect"
 	"testing"
 	"time"
 
+	"crystalball/internal/controller"
+	"crystalball/internal/runtime"
 	"crystalball/internal/scenario"
 	_ "crystalball/internal/scenario/all"
 	"crystalball/internal/sm"
@@ -47,6 +50,52 @@ func TestDebugObservesWithoutPerturbing(t *testing.T) {
 					t.Errorf("%s seed %d node %d: same %d events, different final state", c.name, seed, i+1, len(b.events))
 				}
 			}
+		}
+	}
+}
+
+// TestGroundTruthObservesWithoutPerturbing: the ground-truth recorder only
+// reads the system it judges, so a steered deployment ends with the same
+// runtime and controller counters with the recorder as without it. Steered,
+// a perturbation would move the rounds, the filters and the blocked actions
+// with everything the recorder compares bare against.
+func TestGroundTruthObservesWithoutPerturbing(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		run  time.Duration
+	}{{"chord", 20 * time.Minute}, {"randtree", 10 * time.Minute}} {
+		counters := func(record bool) ([]runtime.Stats, []controller.Stats) {
+			d, err := scenario.Deploy(c.name, scenario.DeployOptions{
+				Seed:     43,
+				Service:  scenario.Options{Nodes: 12},
+				Control:  scenario.Steering,
+				MCStates: 300,
+				Workers:  1,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if record {
+				d.RecordGroundTruth()
+			}
+			d.StartWorkload()
+			d.StartChurn(30 * time.Second)
+			d.Sim.RunFor(c.run)
+			var rs []runtime.Stats
+			var cs []controller.Stats
+			for i, node := range d.Nodes {
+				rs = append(rs, node.Stats)
+				cs = append(cs, d.Ctrls[i].Stats)
+			}
+			return rs, cs
+		}
+		rs, cs := counters(false)
+		recRS, recCS := counters(true)
+		if !reflect.DeepEqual(rs, recRS) {
+			t.Errorf("%s: runtime stats with the recorder %+v, without %+v", c.name, recRS, rs)
+		}
+		if !reflect.DeepEqual(cs, recCS) {
+			t.Errorf("%s: controller stats with the recorder %+v, without %+v", c.name, recCS, cs)
 		}
 	}
 }

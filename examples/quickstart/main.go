@@ -40,6 +40,7 @@ func main() {
 	// 2. Print every prediction as it lands: the violated properties and
 	//    the predicted event path from the live snapshot to the bug.
 	for _, c := range d.Ctrls {
+		c := c
 		c.OnViolation = func(f controller.Finding) {
 			fmt.Printf("[%v] node %v predicts violation of %v, %d steps ahead:\n",
 				d.Sim.Now(), c.Node().ID, f.Properties, len(f.Path))

@@ -47,7 +47,10 @@ func Table1(cfg Table1Config) ([]Table1Result, error) {
 	if cfg.MCStates == 0 {
 		cfg.MCStates = 12000
 	}
-	bulletNodes := min(cfg.Nodes, 10) // Bullet′ state is heavy; the paper's run found its bug within minutes
+	bulletNodes := cfg.Nodes
+	if bulletNodes > 10 {
+		bulletNodes = 10 // Bullet′ state is heavy; the paper's run found its bug within minutes
+	}
 	runs := []struct {
 		name, system string
 		opts         scenario.Options

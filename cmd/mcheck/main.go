@@ -11,35 +11,18 @@
 //	mcheck -service bulletprime -nodes 3 -mode exhaustive -states 50000
 //	mcheck -service paxos -mode exhaustive -reduce=false
 //	mcheck -service chord -mode exhaustive -shards 4 -maxdepth 6
-//	mcheck -service chord -mode exhaustive -shards 2 -maxdepth 6 -listen :7070
-//	mcheck -connect host:7070 -shard 0 -shards 2
 //
 // The search checks the scenario's own fault model (scenario.Faults): -resets
 // and -connbreaks override it only when they are given.
 //
-// -shards N runs the distributed sharded search (see internal/dist): N
-// shards each own a slice of the fingerprint space and exchange
-// out-of-range successors in batches through a coordinator. Exhaustive mode
-// only; the claimed state set is identical to the single-process engine's.
-// Alone, -shards runs the N shards as goroutines of this process. With
-// -listen addr this process coordinates N worker processes over TCP: it
-// waits for every worker's Hello, sends each the Setup (scenario, nodes,
-// variant, seed and the resolved fault model), runs one round and prints
-// the merged report. With -connect addr -shard i it is worker i: it builds
-// the search from the coordinator's Setup — its own scenario and budget
-// flags are not used — and serves rounds until the coordinator ends the
-// session.
-//
-// Over TCP every connection runs heartbeats and read/write deadlines
-// (-peer-timeout), so a dead worker is detected within the timeout; the
-// coordinator then aborts, repartitions over the survivors and retries, at
-// most -retries times (-stall catches a worker whose connection lives while
-// its round loop went silent). Workers dial with capped jittered backoff
-// until -connect-timeout, and a worker that loses its coordinator redials
-// and re-handshakes; the coordinator keeps accepting and adopts a rejoined
-// worker at the next retry boundary. If every worker dies, the coordinator
-// finishes the round on one in-process shard. -faults installs a
-// deterministic fault-injection plan in any sharded role: kill or sever a
+// -shards N runs the sharded search (see internal/dist): N shards, each a
+// goroutine of this process, own a slice of the fingerprint space and
+// exchange out-of-range successors in batches through a coordinator.
+// Exhaustive mode only; the claimed state set is identical to the
+// single-process engine's. A shard that dies mid-round is recovered from:
+// the coordinator aborts, repartitions over the survivors and retries, and
+// if every shard dies it finishes the round on one in-process shard.
+// -faults installs a deterministic fault-injection plan: kill or sever a
 // shard's connection, or corrupt a batch it sends, at a counted message
 // (grammar: internal/dist/faults.go).
 //
@@ -74,32 +57,25 @@ import (
 
 func main() {
 	var (
-		service     = flag.String("service", "randtree", "scenario to check (see -list)")
-		list        = flag.Bool("list", false, "list registered scenarios and exit")
-		variant     = flag.String("variant", "", "scenario variant (e.g. paxos: bug1|bug2)")
-		nodes       = flag.Int("nodes", 5, "number of nodes in the initial state")
-		mode        = flag.String("mode", "consequence", "search mode (exhaustive|consequence)")
-		maxDepth    = flag.Int("maxdepth", 0, "depth bound (0 = unbounded)")
-		maxStates   = flag.Int("states", 500000, "states to check")
-		maxWall     = flag.Duration("wall", time.Minute, "wall-clock budget")
-		resets      = flag.Bool("resets", false, "explore node resets (default: the scenario's fault model)")
-		connBreaks  = flag.Bool("connbreaks", false, "explore spontaneous connection breaks (default: the scenario's fault model)")
-		reduce      = flag.Bool("reduce", true, "sleep-set partial-order reduction (same states and violations, fewer transitions)")
-		maxViol     = flag.Int("violations", 3, "stop after this many violations")
-		workers     = flag.Int("workers", 0, "exploration worker goroutines (0 = GOMAXPROCS; per shard with -shards, 0 = 1)")
-		seed        = flag.Int64("seed", 1, "random seed")
-		fixed       = flag.Bool("fixed", false, "check the bug-fixed service variants")
-		shards      = flag.Int("shards", 0, "sharded search over this many shards (0 = single engine; exhaustive mode only): in process, or over TCP with -listen / -connect")
-		faults      = flag.String("faults", "", "fault-plan spec for a sharded run, e.g. 'kill@s1r1m2, send:sever@s1r1m1, corrupt@s1r1m1' (ops: kill|sever|corrupt)")
-		listen      = flag.String("listen", "", "coordinate -shards worker processes over TCP, listening on this address (e.g. :7070)")
-		connect     = flag.String("connect", "", "serve shard -shard of -shards for the coordinator at this address")
-		shard       = flag.Int("shard", 0, "with -connect: this worker's shard slot")
-		peerTimeout = flag.Duration("peer-timeout", dist.DefaultPeerTimeout, "TCP: declare a silent peer dead after this long (negative disables)")
-		connTimeout = flag.Duration("connect-timeout", 30*time.Second, "with -connect: give up dialing the coordinator after this long")
-		maxRetries  = flag.Int("retries", dist.DefaultMaxRetries, "with -listen: round retries after shard deaths (negative = never retry)")
-		stall       = flag.Duration("stall", time.Minute, "with -listen: declare unresponsive shards dead after this much protocol silence (0 disables)")
-		cpuProfile  = flag.String("cpuprofile", "", "write a CPU profile of the search to this file")
-		memProfile  = flag.String("memprofile", "", "write an allocation profile of the search to this file")
+		service    = flag.String("service", "randtree", "scenario to check (see -list)")
+		list       = flag.Bool("list", false, "list registered scenarios and exit")
+		variant    = flag.String("variant", "", "scenario variant (e.g. paxos: bug1|bug2)")
+		nodes      = flag.Int("nodes", 5, "number of nodes in the initial state")
+		mode       = flag.String("mode", "consequence", "search mode (exhaustive|consequence)")
+		maxDepth   = flag.Int("maxdepth", 0, "depth bound (0 = unbounded)")
+		maxStates  = flag.Int("states", 500000, "states to check")
+		maxWall    = flag.Duration("wall", time.Minute, "wall-clock budget")
+		resets     = flag.Bool("resets", false, "explore node resets (default: the scenario's fault model)")
+		connBreaks = flag.Bool("connbreaks", false, "explore spontaneous connection breaks (default: the scenario's fault model)")
+		reduce     = flag.Bool("reduce", true, "sleep-set partial-order reduction (same states and violations, fewer transitions)")
+		maxViol    = flag.Int("violations", 3, "stop after this many violations")
+		workers    = flag.Int("workers", 0, "exploration worker goroutines (0 = GOMAXPROCS; per shard with -shards, 0 = 1)")
+		seed       = flag.Int64("seed", 1, "random seed")
+		fixed      = flag.Bool("fixed", false, "check the bug-fixed service variants")
+		shards     = flag.Int("shards", 0, "sharded search over this many in-process shards (0 = single engine; exhaustive mode only)")
+		faults     = flag.String("faults", "", "fault-plan spec for a sharded run, e.g. 'kill@s1r1m2, send:sever@s1r1m1, corrupt@s1r1m1' (ops: kill|sever|corrupt)")
+		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile of the search to this file")
+		memProfile = flag.String("memprofile", "", "write an allocation profile of the search to this file")
 	)
 	flag.Parse()
 
@@ -118,29 +94,6 @@ func main() {
 	if *faults != "" && *shards <= 0 {
 		usage(fmt.Errorf("-faults requires -shards"))
 	}
-	tcp := dist.TCPOptions{PeerTimeout: *peerTimeout}
-
-	if *connect != "" {
-		if *listen != "" {
-			usage(fmt.Errorf("-listen (coordinator) and -connect (worker) exclude each other"))
-		}
-		if *shard < 0 || *shard >= *shards {
-			usage(fmt.Errorf("-connect needs -shards N and a -shard slot in 0..N-1"))
-		}
-		err := work(workOpts{
-			addr:        *connect,
-			shard:       *shard,
-			shards:      *shards,
-			tcp:         tcp,
-			faults:      plan,
-			connTimeout: *connTimeout,
-		})
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		return
-	}
 
 	sc, ok := scenario.Lookup(*service)
 	if !ok {
@@ -156,35 +109,24 @@ func main() {
 	default:
 		usage(fmt.Errorf("unknown mode %q", *mode))
 	}
-	if *listen != "" && *shards <= 0 {
-		usage(fmt.Errorf("-listen requires -shards"))
-	}
 	if *shards > 0 && m != mc.Exhaustive {
 		usage(fmt.Errorf("-shards requires -mode exhaustive"))
 	}
 
-	// The fault model is the scenario's unless a flag spells it.
-	su := dist.Setup{
-		Scenario:   sc.Name,
-		Nodes:      *nodes,
-		Variant:    *variant,
-		Fixed:      *fixed,
-		Seed:       *seed,
-		Resets:     sc.Faults.ExploreResets,
-		ConnBreaks: sc.Faults.ExploreConnBreaks,
-	}
-	flag.Visit(func(f *flag.Flag) {
-		switch f.Name {
-		case "resets":
-			su.Resets = *resets
-		case "connbreaks":
-			su.ConnBreaks = *connBreaks
-		}
-	})
-	g, cfg, err := buildScenario(su)
+	g, cfg, err := sc.InitialState(scenario.Options{Nodes: *nodes, Fixed: *fixed, Variant: *variant})
 	if err != nil {
 		usage(err)
 	}
+	cfg.Seed = *seed
+	// The fault model is the scenario's unless a flag spells it.
+	flag.Visit(func(f *flag.Flag) {
+		switch f.Name {
+		case "resets":
+			cfg.ExploreResets = *resets
+		case "connbreaks":
+			cfg.ExploreConnBreaks = *connBreaks
+		}
+	})
 	cfg.Mode = m
 	cfg.Budget = mc.Budget{
 		States:     *maxStates,
@@ -201,24 +143,14 @@ func main() {
 	}
 	var res *mc.Result
 	var dres *dist.Result
-	switch {
-	case *listen != "":
-		dres, err = coordinate(coordOpts{
-			addr:       *listen,
-			shards:     *shards,
-			tcp:        tcp,
-			faults:     plan,
-			maxRetries: *maxRetries,
-			stall:      *stall,
-		}, su, g, cfg)
-	case *shards > 0:
+	if *shards > 0 {
 		dres, err = dist.Local(dist.LocalConfig{
 			Shards: *shards,
 			Search: cfg,
 			Root:   g,
 			Faults: plan,
 		})
-	default:
+	} else {
 		res = mc.NewSearch(cfg).Run(g)
 	}
 	if err != nil {
@@ -264,24 +196,4 @@ func main() {
 func usage(err error) {
 	fmt.Fprintln(os.Stderr, err)
 	os.Exit(2)
-}
-
-// buildScenario builds the start state and search configuration a Setup
-// describes — the one path from flags to mc.Config, which every role takes:
-// a TCP worker from the Setup it receives, every other role from the Setup
-// its flags resolve to, so all shards search a bit-identical configuration.
-// Mode, budget and reduction are the caller's.
-func buildScenario(su dist.Setup) (*mc.GState, mc.Config, error) {
-	g, cfg, err := scenario.InitialState(su.Scenario, scenario.Options{
-		Nodes:   su.Nodes,
-		Fixed:   su.Fixed,
-		Variant: su.Variant,
-	})
-	if err != nil {
-		return nil, mc.Config{}, err
-	}
-	cfg.Seed = su.Seed
-	cfg.ExploreResets = su.Resets
-	cfg.ExploreConnBreaks = su.ConnBreaks
-	return g, cfg, nil
 }

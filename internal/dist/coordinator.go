@@ -19,35 +19,21 @@ type CoordinatorConfig struct {
 	// injected so round timing is testable like the engine's.
 	Now func() time.Time
 	// Search and Root, when set, let the coordinator materialize real
-	// event paths for violations — they arrive as descriptors, from
-	// in-process and TCP shards alike — and are the fault-tolerance floor:
-	// when every shard has died, the round's last attempt runs on one
-	// in-process shard built from them (Pipe + RunShard), adopted as shard
-	// 0 for that attempt only, so it reports what a sharded round reports.
-	// Search must then be an Exhaustive configuration, as every shard's is.
-	// Without them violations keep a nil path and a zero-survivor round is
-	// an error.
+	// event paths for violations — they arrive as descriptors — and are
+	// the fault-tolerance floor: when every shard has died, the round's
+	// last attempt runs on one in-process shard built from them (Pipe +
+	// RunShard), adopted as shard 0 for that attempt only, so it reports
+	// what a sharded round reports. Search must then be an Exhaustive
+	// configuration, as every shard's is. Without them violations keep a
+	// nil path and a zero-survivor round is an error.
 	Search *mc.Search
 	Root   *mc.GState
-	// MaxRetries bounds aborted-attempt retries per round
-	// (0 = DefaultMaxRetries, negative = never retry).
-	MaxRetries int
-	// StallTimeout is the application-level wedge detector: if no protocol
-	// message arrives for this long mid-round, every shard that has not
-	// yet settled (or reported, or acked the abort) is declared dead and
-	// the round is retried on the survivors. It catches peers whose
-	// transport stays alive while the protocol loop is stuck — the failure
-	// mode the TCP PeerTimeout cannot see. 0 disables it (in-process
-	// transports surface real deaths as connection errors already), and
-	// the floor's attempt runs without it.
-	StallTimeout time.Duration
-	// After is the injected stall timer (nil = time.After).
-	After func(time.Duration) <-chan time.Time
 }
 
 // arrival is one message fanned in from a shard connection. conn identifies
-// the generation: after a shard rejoins, stale arrivals pumped from its old
-// connection no longer match conns[shard] and are discarded.
+// the generation: once the floor takes slot 0 over, stale arrivals pumped
+// from the dead shard 0's connection no longer match conns[0] and are
+// discarded.
 type arrival struct {
 	shard int
 	conn  Conn
@@ -55,31 +41,25 @@ type arrival struct {
 	err   error
 }
 
-// rejoinReq is a replacement connection waiting to be adopted.
-type rejoinReq struct {
-	shard int
-	conn  Conn
-}
-
 // Coordinator is the hub of a distributed search session: it fans rounds
 // out, relays every inter-shard batch (counting credits for the quiescence
 // check), and merges shard reports into the one result the controller
 // consumes. Methods must be called from a single goroutine.
 //
-// Fault tolerance: a shard that errors, faults, or stalls mid-round is
-// declared dead; the coordinator aborts the round on the survivors
-// (RoundAbort / AbortAck barrier), repartitions the hash space and the
-// budget over the shards still alive, and retries — up to MaxRetries
-// times, degrading all the way to a one-slot in-process round when nobody
-// survives. Every death and retry is recorded in Result.Recovery.
+// Fault tolerance: a shard that errors, faults or breaks the protocol
+// mid-round is declared dead; the coordinator aborts the round on the
+// survivors (RoundAbort / AbortAck barrier), repartitions the hash space and
+// the budget over the shards still alive, and retries — up to
+// DefaultMaxRetries times, degrading all the way to a one-slot in-process
+// round when nobody survives. Every death and retry is recorded in
+// Result.Recovery.
 type Coordinator struct {
-	cfg    CoordinatorConfig
-	conns  []Conn
-	live   []bool
-	inbox  chan arrival
-	rejoin chan rejoinReq
-	done   chan struct{}
-	round  int
+	cfg   CoordinatorConfig
+	conns []Conn
+	live  []bool
+	inbox chan arrival
+	done  chan struct{}
+	round int
 }
 
 // NewCoordinator wraps one connection per shard (index = shard id; at
@@ -89,22 +69,12 @@ func NewCoordinator(conns []Conn, cfg CoordinatorConfig) *Coordinator {
 	if cfg.Now == nil {
 		cfg.Now = time.Now
 	}
-	if cfg.After == nil {
-		cfg.After = time.After
-	}
-	switch {
-	case cfg.MaxRetries == 0:
-		cfg.MaxRetries = DefaultMaxRetries
-	case cfg.MaxRetries < 0:
-		cfg.MaxRetries = 0
-	}
 	c := &Coordinator{
-		cfg:    cfg,
-		conns:  conns,
-		live:   make([]bool, len(conns)),
-		inbox:  make(chan arrival, 4*len(conns)+16),
-		rejoin: make(chan rejoinReq, len(conns)+4),
-		done:   make(chan struct{}),
+		cfg:   cfg,
+		conns: conns,
+		live:  make([]bool, len(conns)),
+		inbox: make(chan arrival, 4*len(conns)+16),
+		done:  make(chan struct{}),
 	}
 	for i, conn := range conns {
 		c.adopt(i, conn)
@@ -121,40 +91,6 @@ func (c *Coordinator) pump(shard int, conn Conn) {
 			return
 		}
 		if err != nil {
-			return
-		}
-	}
-}
-
-// Rejoin hands the coordinator a replacement connection for a dead shard.
-// Safe to call from any goroutine (mcheck -listen's accept loop); the
-// connection is adopted at the next attempt boundary — never mid-attempt,
-// so a rejoining shard cannot disturb a round in flight. Rejoining a shard
-// that is still live is refused (the live connection keeps the slot).
-func (c *Coordinator) Rejoin(shard int, conn Conn) error {
-	if shard < 0 || shard >= len(c.conns) {
-		return errorf("rejoin: unknown shard %d", shard)
-	}
-	select {
-	case c.rejoin <- rejoinReq{shard: shard, conn: conn}:
-		return nil
-	default:
-		return errorf("rejoin: queue full")
-	}
-}
-
-// adoptRejoins folds queued replacement connections in. Called only from
-// the round loop between attempts.
-func (c *Coordinator) adoptRejoins() {
-	for {
-		select {
-		case r := <-c.rejoin:
-			if c.live[r.shard] {
-				_ = r.conn.Close()
-				continue
-			}
-			c.adopt(r.shard, r.conn)
-		default:
 			return
 		}
 	}
@@ -184,7 +120,7 @@ func (c *Coordinator) adoptFloor() <-chan error {
 }
 
 // kill declares shard id dead: its connection is closed (stopping its pump)
-// and it takes no further part in the session unless it rejoins.
+// and it takes no further part in the session.
 func (c *Coordinator) kill(id int) {
 	if !c.live[id] {
 		return
@@ -205,19 +141,8 @@ func (c *Coordinator) liveShards() []int {
 	return ids
 }
 
-// nextArrival blocks for the next fan-in message, bounded by stall when it
-// is positive. ok=false means the stall timer fired first.
-func (c *Coordinator) nextArrival(stall time.Duration) (arrival, bool) {
-	if stall <= 0 {
-		return <-c.inbox, true
-	}
-	select {
-	case a := <-c.inbox:
-		return a, true
-	case <-c.cfg.After(stall):
-		return arrival{}, false
-	}
-}
+// nextArrival blocks for the next fan-in message.
+func (c *Coordinator) nextArrival() arrival { return <-c.inbox }
 
 // Shutdown ends the session: every live shard is asked to exit and all
 // connections are closed. Call exactly once, after the last round.
@@ -253,10 +178,10 @@ type Result struct {
 
 // RunRound runs one distributed exhaustive round: split the budget, fan
 // out, relay batches until quiescent, then collect and merge reports. A
-// shard dying mid-round (connection error, Fault, protocol breach or stall)
-// aborts the attempt, repartitions over the survivors, and retries. When
-// none survives, the round's last attempt runs on the floor (adoptFloor)
-// through the same loop, without retries. Only exhausting MaxRetries,
+// shard dying mid-round (connection error, Fault or protocol breach) aborts
+// the attempt, repartitions over the survivors, and retries. When none
+// survives, the round's last attempt runs on the floor (adoptFloor) through
+// the same loop, without retries. Only exhausting DefaultMaxRetries,
 // losing every shard with no Search and Root configured, or a failure of
 // the floor itself surfaces as an error.
 func (c *Coordinator) RunRound(b mc.Budget, recordStates bool) (*Result, error) {
@@ -264,18 +189,14 @@ func (c *Coordinator) RunRound(b mc.Budget, recordStates bool) (*Result, error) 
 	began := c.cfg.Now()
 	var rec RecoveryStats
 	for n := 1; ; n++ {
-		c.adoptRejoins()
-		at := &attempt{n: n, assign: c.liveShards(), stall: c.cfg.StallTimeout}
+		at := &attempt{n: n, assign: c.liveShards()}
 		var floor <-chan error
 		if len(at.assign) == 0 {
 			if c.cfg.Search == nil || c.cfg.Root == nil {
 				return nil, errorf("round %d: no live shards and no local engine to fall back to", c.round)
 			}
-			// A one-slot drain sends nothing until it is done, and an
-			// in-process shard cannot wedge behind a live transport: the
-			// floor runs without a stall timer.
 			floor = c.adoptFloor()
-			at.assign, at.stall = []int{0}, 0
+			at.assign = []int{0}
 		}
 		// A bound smaller than the live shard count occupies only as many
 		// slots as it has units; the other shards sit the round out.
@@ -301,9 +222,9 @@ func (c *Coordinator) RunRound(b mc.Budget, recordStates bool) (*Result, error) 
 		lost := at.deaths
 		c.abort(at)
 		rec.Deaths = append(rec.Deaths, at.deaths...)
-		if rec.Retries >= c.cfg.MaxRetries {
+		if rec.Retries >= DefaultMaxRetries {
 			return nil, errorf("round %d: attempt %d lost %s and the retry budget (%d) is exhausted",
-				c.round, n, deathSummary(lost), c.cfg.MaxRetries)
+				c.round, n, deathSummary(lost), DefaultMaxRetries)
 		}
 		rec.Retries++
 	}
@@ -313,7 +234,6 @@ func (c *Coordinator) RunRound(b mc.Budget, recordStates bool) (*Result, error) 
 type attempt struct {
 	n      int // 1-based within the round
 	assign []int
-	stall  time.Duration // 0 = no stall timer
 	deaths []ShardDeath
 }
 
@@ -347,9 +267,7 @@ func (c *Coordinator) send(at *attempt, id int, m Msg) bool {
 // it ended without a death. Arrivals from dead or replaced connections are
 // dropped; for the rest one death rule holds in every phase: a connection
 // error kills the sender of "conn", a Fault of "fault", and a message from
-// a shard outside the attempt or one step refuses of "protocol". When the
-// stall timer fires first, every shard still pending dies of "stall", in
-// id order.
+// a shard outside the attempt or one step refuses of "protocol".
 func (c *Coordinator) wait(at *attempt, pending func(slot int) bool, step func(slot int, m Msg) bool) bool {
 	waiting := func() bool {
 		for s, id := range at.assign {
@@ -360,15 +278,7 @@ func (c *Coordinator) wait(at *attempt, pending func(slot int) bool, step func(s
 		return false
 	}
 	for dead := len(at.deaths); waiting(); {
-		a, ok := c.nextArrival(at.stall)
-		if !ok {
-			for s, id := range at.assign {
-				if c.live[id] && pending(s) {
-					c.die(at, id, "stall")
-				}
-			}
-			return false
-		}
+		a := c.nextArrival()
 		if id := a.shard; c.live[id] && a.conn == c.conns[id] {
 			switch s := at.slot(id); {
 			case a.err != nil:

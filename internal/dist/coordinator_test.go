@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sync"
 	"testing"
-	"time"
 
 	"crystalball/internal/mc"
 )
@@ -13,15 +12,11 @@ import (
 // honest shard would").
 var quiet = []Msg{}
 
-// hangUp and wedge are scripted actions, not messages: the shard closes its
-// end of the pipe, or goes silent and fires the coordinator's stall timer.
-type (
-	hangUp struct{}
-	wedge  struct{}
-)
+// hangUp is a scripted action, not a message: the shard closes its end of
+// the pipe.
+type hangUp struct{}
 
 func (hangUp) kind() byte { return 0 }
-func (wedge) kind() byte  { return 0 }
 
 // refuse is a hub-side connection whose Send fails for one message kind.
 type refuse struct {
@@ -53,7 +48,7 @@ func inAttempt1(kind byte, reply ...Msg) script {
 // scripted serves the far side of a pipe like a shard that finds nothing:
 // it idles on every round start, reports on round end and acks every abort,
 // except where play says otherwise.
-func scripted(id int, side Conn, play script, armStall func()) {
+func scripted(id int, side Conn, play script) {
 	slot, n := 0, 0
 	for {
 		m, err := side.Recv()
@@ -78,13 +73,9 @@ func scripted(id int, side Conn, play script, armStall func()) {
 			}
 		}
 		for _, r := range replies {
-			switch r.(type) {
-			case hangUp:
+			if _, ok := r.(hangUp); ok {
 				side.Close()
 				return
-			case wedge:
-				armStall()
-				continue
 			}
 			if side.Send(r) != nil {
 				return
@@ -100,9 +91,8 @@ func reportsVio(slot int, depth int32, hash uint64, props ...string) script {
 }
 
 // TestDeathRules pins the coordinator's one death rule phase by phase: a
-// connection error is "conn", a Fault "fault", a message the phase refuses
-// "protocol", and on a stall every shard still pending dies of "stall", in
-// id order. Shard 1 (or both) is scripted; the other side of each pipe is a
+// connection error is "conn", a Fault "fault" and a message the phase
+// refuses "protocol". Shard 1 (or both) is scripted; the other side of each pipe is a
 // plain hub connection, so every row is deterministic. A round that loses
 // every shard finishes on the floor (chord, depth 2).
 func TestDeathRules(t *testing.T) {
@@ -112,7 +102,6 @@ func TestDeathRules(t *testing.T) {
 		name   string
 		play   map[int]script
 		refuse map[int]byte
-		stall  bool
 		want   string
 	}{
 		{name: "start: RoundStart send fails", refuse: map[int]byte{1: kindRoundStart},
@@ -135,16 +124,10 @@ func TestDeathRules(t *testing.T) {
 			want: "retries=1 final=1 deaths[r1a1s1:fault]"},
 		{name: "relay: conn error", play: map[int]script{1: inAttempt1(kindRoundStart, hangUp{})},
 			want: "retries=1 final=1 deaths[r1a1s1:conn]"},
-		{name: "relay: stall", stall: true, play: map[int]script{
-			0: inAttempt1(kindRoundStart, wedge{}), 1: inAttempt1(kindRoundStart, wedge{})},
-			want: "retries=1 serial final=0 deaths[r1a1s0:stall r1a1s1:stall]"},
 
 		{name: "round end: RoundEnd send fails", refuse: map[int]byte{1: kindRoundEnd},
 			want: "retries=1 final=1 deaths[r1a1s1:conn]"},
 
-		{name: "report: stall", stall: true, play: map[int]script{
-			0: inAttempt1(kindRoundEnd, wedge{}), 1: inAttempt1(kindRoundEnd, wedge{})},
-			want: "retries=1 serial final=0 deaths[r1a1s0:stall r1a1s1:stall]"},
 		{name: "report: conn error", play: map[int]script{1: inAttempt1(kindRoundEnd, hangUp{})},
 			want: "retries=1 final=1 deaths[r1a1s1:conn]"},
 		{name: "report: for another slot", play: map[int]script{1: inAttempt1(kindRoundEnd, ShardReport{Shard: 0})},
@@ -161,9 +144,6 @@ func TestDeathRules(t *testing.T) {
 		{name: "abort: RoundAbort send fails", refuse: map[int]byte{0: kindAbort},
 			play: map[int]script{1: faultAtStart},
 			want: "retries=1 serial final=0 deaths[r1a1s0:conn r1a1s1:fault]"},
-		{name: "abort: stall", stall: true, play: map[int]script{
-			0: inAttempt1(kindAbort, wedge{}), 1: faultAtStart},
-			want: "retries=1 serial final=0 deaths[r1a1s0:stall r1a1s1:fault]"},
 		{name: "abort: conn error", play: map[int]script{0: inAttempt1(kindAbort, hangUp{}), 1: faultAtStart},
 			want: "retries=1 serial final=0 deaths[r1a1s0:conn r1a1s1:fault]"},
 		{name: "abort: bad AbortAck", play: map[int]script{
@@ -173,7 +153,7 @@ func TestDeathRules(t *testing.T) {
 			0: inAttempt1(kindAbort, Fault{Shard: 0, Err: "boom"}), 1: faultAtStart},
 			want: "retries=1 serial final=0 deaths[r1a1s0:fault r1a1s1:fault]"},
 		{name: "abort: unexpected message", play: map[int]script{
-			0: inAttempt1(kindAbort, Hello{Shard: 0, Shards: 2}), 1: faultAtStart},
+			0: inAttempt1(kindAbort, RoundEnd{}), 1: faultAtStart},
 			want: "retries=1 serial final=0 deaths[r1a1s0:protocol r1a1s1:fault]"},
 		{name: "abort: stale Batch is discarded", play: map[int]script{
 			0: inAttempt1(kindAbort, Batch{From: 0, To: 1}, AbortAck{Shard: 0, Round: 1}), 1: faultAtStart},
@@ -195,8 +175,6 @@ func TestDeathRules(t *testing.T) {
 	for _, row := range rows {
 		t.Run(row.name, func(t *testing.T) {
 			var wg sync.WaitGroup
-			armed := make(chan time.Time)
-			var arm sync.Once
 			conns := make([]Conn, 2)
 			for id := range conns {
 				hub, side := Pipe()
@@ -207,15 +185,10 @@ func TestDeathRules(t *testing.T) {
 				wg.Add(1)
 				go func() {
 					defer wg.Done()
-					scripted(id, side, row.play[id], func() { arm.Do(func() { close(armed) }) })
+					scripted(id, side, row.play[id])
 				}()
 			}
-			cc := CoordinatorConfig{Search: mc.NewSearch(cfg), Root: g}
-			if row.stall {
-				cc.StallTimeout = time.Hour
-				cc.After = func(time.Duration) <-chan time.Time { return armed }
-			}
-			coord := NewCoordinator(conns, cc)
+			coord := NewCoordinator(conns, CoordinatorConfig{Search: mc.NewSearch(cfg), Root: g})
 			res, err := coord.RunRound(mc.Budget{Depth: 2, Workers: 1}, false)
 			coord.Shutdown()
 			wg.Wait()

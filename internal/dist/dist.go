@@ -1,20 +1,17 @@
-// Package dist is the distributed sharded state-space search: the protocol
-// that lets several ranges of the one search engine (mc.Engine) run in
-// different goroutines or processes. It declares no search loop of its own.
+// Package dist is the sharded state-space search: the protocol that lets
+// several ranges of the one search engine (mc.Engine) run as goroutines of
+// one process (mcheck -shards). It declares no search loop of its own.
 //
 // The fingerprint space is partitioned by hash range (mc.ShardRange). Each
 // shard drives one mc.Engine restricted to the range it owns: the engine
 // expands and claims exactly as Search.Run's does, hands every proposed
 // successor outside the range to the shard's sink — which accumulates
-// per-owner batches and forwards them over a Transport (an in-process
-// loopback for deterministic tests and single-process runs, mcheck -shards;
-// length-prefixed binary TCP for multi-process runs, mcheck's -listen and
-// -connect roles) — and between depth buckets lets the shard flush batches
-// and inject the arrivals queued meanwhile. What lives here is protocol:
-// rounds, budgets and the merged stop reason (coordinator.go), the
-// batch/idle/report messages and their codec (transport.go), path replay
-// for states that crossed a wire (shard.go), quiescence (termination.go)
-// and failure recovery (coordinator.go, faults.go).
+// per-owner batches and forwards them over an in-process pipe (Pipe) — and
+// between depth buckets lets the shard flush batches and inject the
+// arrivals queued meanwhile. What lives here is protocol: rounds, budgets
+// and the merged stop reason (coordinator.go), the batch/idle/report
+// messages (transport.go), forwarding (shard.go), quiescence
+// (termination.go) and failure recovery (coordinator.go, faults.go).
 //
 // All traffic flows through the coordinator hub (a star topology):
 // shard-to-shard batches are relayed by the coordinator, which lets it run
@@ -76,10 +73,9 @@ func (s *Stats) add(o Stats) {
 
 // ShardDeath records one detected shard failure: which connection identity
 // died, during which round and attempt (1-based within the round), and why.
-// Cause is one of "conn" (transport error or peer timeout), "fault" (the
-// shard reported its own engine fault), "stall" (protocol silence beyond
-// CoordinatorConfig.StallTimeout), or "protocol" (the shard violated the
-// round protocol and was expelled).
+// Cause is one of "conn" (a closed or failed connection), "fault" (the
+// shard reported its own engine fault) or "protocol" (the shard violated
+// the round protocol and was expelled).
 type ShardDeath struct {
 	Shard   int
 	Round   int
@@ -142,7 +138,7 @@ func (r RecoveryStats) String() string {
 
 // DefaultBatchSize is the forwarded-state batch flush threshold: batches
 // are sent when they reach this many states (and at every drain end), so
-// transport framing and hub relaying amortize over many states.
+// hub relaying amortizes over many states.
 const DefaultBatchSize = 128
 
 // errorf is fmt.Errorf with the package prefix every dist error carries.

@@ -1,13 +1,11 @@
 package dist
 
 import (
-	"errors"
 	"fmt"
 	"reflect"
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"crystalball/internal/mc"
 	"crystalball/internal/scenario"
@@ -83,21 +81,46 @@ func TestShardDropMidRound(t *testing.T) {
 	}
 }
 
-// TestShardDropRetryExhausted pins the bound: with retries disabled the
-// same death is a round error naming the dead shard, and the session still
-// shuts down cleanly (the abort barrier left the survivor consistent).
+// TestShardDropRetryExhausted pins the bound: a round that loses a shard in
+// every one of its DefaultMaxRetries+1 attempts is a round error naming the
+// last dead shard, and the session still shuts down cleanly (the abort
+// barrier left the survivor consistent). Shard 0 is real; shard i hangs up
+// at the round start of attempt i.
 func TestShardDropRetryExhausted(t *testing.T) {
 	g, cfg := chordStart(t)
-	conns, done := dropShardSession(t, g, cfg)
-	coord := NewCoordinator(conns, CoordinatorConfig{MaxRetries: -1})
+	const shards = DefaultMaxRetries + 2
+	hub0, side0 := Pipe()
+	done := make(chan error, 1)
+	go func() {
+		done <- RunShard(side0, ShardConfig{Index: 0, Shards: shards, Search: cfg, Root: g})
+	}()
+	conns := []Conn{hub0}
+	var wg sync.WaitGroup
+	for id := 1; id < shards; id++ {
+		hub, side := Pipe()
+		conns = append(conns, hub)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			scripted(id, side, func(n int, m Msg) []Msg {
+				if n == id && m.kind() == kindRoundStart {
+					return []Msg{hangUp{}}
+				}
+				return nil
+			})
+		}()
+	}
+	coord := NewCoordinator(conns, CoordinatorConfig{})
 	_, err := coord.RunRound(mc.Budget{Depth: 5, Workers: 1}, false)
 	if err == nil {
-		t.Fatalf("round with retries disabled reported success")
+		t.Fatalf("round that lost a shard in every attempt reported success")
 	}
-	if !strings.Contains(err.Error(), "shard(s) 1 (conn)") {
-		t.Errorf("error does not name the dropped shard: %v", err)
+	if want := fmt.Sprintf("attempt %d lost shard(s) %d (conn) and the retry budget (%d) is exhausted",
+		shards-1, shards-1, DefaultMaxRetries); !strings.Contains(err.Error(), want) {
+		t.Errorf("error %q does not contain %q", err, want)
 	}
 	coord.Shutdown()
+	wg.Wait()
 	if serr := <-done; serr != nil && serr != ErrClosed {
 		t.Errorf("surviving shard exited with: %v", serr)
 	}
@@ -142,59 +165,6 @@ func TestShardFaultSurfaces(t *testing.T) {
 		t.Errorf("faulting shard exited cleanly")
 	}
 	hub0.Close()
-}
-
-// TestStallTimeoutDeclaresDead pins the application-level wedge detector:
-// a shard whose transport stays healthy but whose protocol loop never
-// answers (accepts the round start, then silence) is declared dead after
-// StallTimeout, and the round recovers on the survivor.
-func TestStallTimeoutDeclaresDead(t *testing.T) {
-	g, cfg := chordStart(t)
-	serialCfg := cfg
-	serialCfg.Budget = mc.Budget{Depth: 4, Workers: 1}
-	serialCfg.RecordClaimedStates = true
-	serial := mc.NewSearch(serialCfg).Run(g)
-
-	hub0, side0 := Pipe()
-	hub1, side1 := Pipe()
-	done := make(chan error, 1)
-	go func() {
-		done <- RunShard(side0, ShardConfig{Index: 0, Shards: 2, Search: cfg, Root: g})
-	}()
-	go func() {
-		// Wedged: swallow everything, answer nothing, keep the conn open.
-		for {
-			if _, err := side1.Recv(); err != nil {
-				return
-			}
-		}
-	}()
-
-	coord := NewCoordinator([]Conn{hub0, hub1}, CoordinatorConfig{StallTimeout: time.Second})
-	res, err := coord.RunRound(mc.Budget{Depth: 4, Workers: 1}, true)
-	if err != nil {
-		t.Fatalf("round did not recover from the wedged shard: %v", err)
-	}
-	coord.Shutdown()
-	if serr := <-done; serr != nil && serr != ErrClosed {
-		t.Errorf("surviving shard exited with: %v", serr)
-	}
-	var stalled bool
-	for _, d := range res.Recovery.Deaths {
-		if d.Shard == 1 && d.Cause == "stall" {
-			stalled = true
-		}
-	}
-	if !stalled {
-		t.Errorf("wedged shard not recorded as a stall death: %q", res.Recovery.String())
-	}
-	if res.Recovery.Retries < 1 || res.Recovery.FinalShards != 1 {
-		t.Errorf("recovery = %q, want a retry finishing on 1 shard", res.Recovery.String())
-	}
-	if !reflect.DeepEqual(res.Checker.ClaimedStates, serial.ClaimedStates) {
-		t.Errorf("recovered claimed set diverges from serial (%d vs %d states)",
-			len(res.Checker.ClaimedStates), len(serial.ClaimedStates))
-	}
 }
 
 // deadShards returns the hub ends of n "shards" that take the round start
@@ -305,82 +275,6 @@ func vioSummary(vs []mc.Violation) []string {
 		out[i] = fmt.Sprintf("%v@%d#%x", v.Properties, v.Depth, v.StateHash)
 	}
 	return out
-}
-
-// TestRejoin pins Coordinator.Rejoin: a shard killed in round 1 is handed
-// a fresh connection, and round 2 runs on both shards again and claims the
-// serial set. A rejoin offered for a live shard is refused by closing the
-// offered connection, and an unknown shard is an error.
-func TestRejoin(t *testing.T) {
-	g, cfg := chordStart(t)
-	serialCfg := cfg
-	serialCfg.Budget = mc.Budget{Depth: 4, Workers: 1}
-	serialCfg.RecordClaimedStates = true
-	serial := mc.NewSearch(serialCfg).Run(g)
-
-	var wg sync.WaitGroup
-	serve := func(index int) Conn {
-		hub, side := Pipe()
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			_ = RunShard(side, ShardConfig{Index: index, Shards: 2, Search: cfg, Root: g})
-		}()
-		return hub
-	}
-	plan := MustFaultPlan("kill@s1r1m2")
-	conns := []Conn{serve(0), plan.Wrap(1, serve(1))}
-	coord := NewCoordinator(conns, CoordinatorConfig{Search: mc.NewSearch(cfg), Root: g})
-	defer func() {
-		coord.Shutdown()
-		wg.Wait()
-	}()
-
-	res, err := coord.RunRound(mc.Budget{Depth: 4, Workers: 1}, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := res.Recovery.String(); got != "retries=1 final=1 deaths[r1a1s1:conn]" {
-		t.Errorf("round 1 recovery = %q", got)
-	}
-
-	if err := coord.Rejoin(1, serve(1)); err != nil {
-		t.Fatal(err)
-	}
-	res, err = coord.RunRound(mc.Budget{Depth: 4, Workers: 1}, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Recovery.FinalShards != 2 || res.Recovery.Retries != 0 {
-		t.Errorf("round 2 recovery = %q, want both shards back", res.Recovery.String())
-	}
-	if !reflect.DeepEqual(res.Checker.ClaimedStates, serial.ClaimedStates) {
-		t.Errorf("round 2 claimed set diverges from serial (%d vs %d states)",
-			len(res.Checker.ClaimedStates), len(serial.ClaimedStates))
-	}
-
-	// Shard 0 is live: the offered connection is closed at the next attempt
-	// boundary and the live one keeps the slot.
-	offered, far := Pipe()
-	if err := coord.Rejoin(0, offered); err != nil {
-		t.Fatal(err)
-	}
-	res, err = coord.RunRound(mc.Budget{Depth: 4, Workers: 1}, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Recovery.FinalShards != 2 {
-		t.Errorf("round 3 recovery = %q, want 2 shards", res.Recovery.String())
-	}
-	if _, err := far.Recv(); !errors.Is(err, ErrClosed) {
-		t.Errorf("rejoin of a live shard left the offered connection open: %v", err)
-	}
-
-	for _, bad := range []int{-1, 2} {
-		if err := coord.Rejoin(bad, offered); err == nil {
-			t.Errorf("Rejoin(%d) of a 2-shard session succeeded", bad)
-		}
-	}
 }
 
 // TestLocalMatchesSerial is the package-local smoke version of the

@@ -10,10 +10,10 @@ import (
 // faults the coordinator's recovery detects and the chaos oracle
 // (internal/scenario) checks. A FaultPlan is a parsed schedule that a test
 // or operator wraps around shard connections (LocalConfig.Faults, mcheck
-// -faults in any sharded role). A rule fires on (round, per-connection
-// message count), never on the wall clock, so the same spec produces the
-// identical fault on every run — which is what lets the chaos oracle
-// require byte-identical recovery telemetry.
+// -faults). A rule fires on (round, per-connection message count), never on
+// the wall clock, so the same spec produces the identical fault on every
+// run — which is what lets the chaos oracle require byte-identical recovery
+// telemetry.
 //
 // Spec grammar (comma-separated rules):
 //
@@ -32,10 +32,9 @@ import (
 //	send:sever@s1r1m1  cut it at the 1st message sent to shard 1 in round 1
 //	corrupt@s1r1m1     mangle the first batch shard 1 sends in round 1
 //
-// 'kill' and 'sever' are aliases: both cut the connection, and the
-// triggering message is lost with it. In process the shard goroutine then
-// exits (a kill); over TCP the socket closes and an mcheck -connect worker
-// survives to reconnect (a sever). 'corrupt' fires on the first Batch at or
+// 'kill' and 'sever' are aliases: both cut the shard's in-process pipe, the
+// triggering message is lost with it, and the shard goroutine exits.
+// 'corrupt' fires on the first Batch at or
 // after the scheduled count and mangles one forwarded state so the
 // receiver's validation trips loudly — exercising the Fault-message
 // recovery path rather than silent divergence.
@@ -236,8 +235,7 @@ func (f *faultConn) apply(dir int, m Msg) (Msg, error) {
 
 // corruptBatch deterministically mangles one forwarded state so the
 // receiving shard's validation faults loudly: the state keeps its depth but
-// loses both its path and its in-process node, and its fingerprint flips
-// out of plausibility.
+// loses the state itself, and its fingerprint flips out of plausibility.
 func corruptBatch(b Batch) Batch {
 	states := make([]ForwardState, len(b.States))
 	copy(states, b.States)

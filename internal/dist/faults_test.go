@@ -5,7 +5,7 @@ import (
 	"strings"
 	"testing"
 
-	"crystalball/internal/sm"
+	"crystalball/internal/mc"
 )
 
 func TestFaultSpecParse(t *testing.T) {
@@ -110,23 +110,23 @@ func TestFaultRecvKillAndCorrupt(t *testing.T) {
 	}
 
 	// corrupt skips non-batches and mangles the first batch at-or-after its
-	// count: the state loses its path and its fingerprint flips.
+	// count: the state is dropped and its fingerprint flips.
 	w, b = faultPair(t, "corrupt@s0m1", 0)
 	mustSend(t, b, Idle{Shard: 0, Received: 1})
 	if m, err := w.Recv(); err != nil || m != (Idle{Shard: 0, Received: 1}) {
 		t.Fatalf("corrupt fired on a non-batch: %v %v", m, err)
 	}
-	orig := Batch{From: 0, To: 0, States: []ForwardState{{Hash: 0x10, Depth: 2, Path: []sm.EventKey{{Kind: 'R', Node: 1}}}}}
+	orig := Batch{From: 0, To: 0, States: []ForwardState{{Hash: 0x10, Depth: 2, fwd: mc.Forward{State: mc.NewGState(), Depth: 2}}}}
 	mustSend(t, b, orig)
 	m, err := w.Recv()
 	if err != nil {
 		t.Fatal(err)
 	}
 	cb := m.(Batch)
-	if cb.States[0].Path != nil || cb.States[0].Hash == orig.States[0].Hash || cb.States[0].Depth != 2 {
+	if cb.States[0].fwd.State != nil || cb.States[0].Hash == orig.States[0].Hash || cb.States[0].Depth != 2 {
 		t.Errorf("corrupted state = %+v", cb.States[0])
 	}
-	if orig.States[0].Path == nil {
+	if orig.States[0].fwd.State == nil {
 		t.Errorf("corruption mutated the sender's batch")
 	}
 }

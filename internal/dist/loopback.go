@@ -5,11 +5,11 @@ import (
 	"sync"
 )
 
-// In-process transport: a pair of unbounded FIFO queues. Unbounded matters —
-// Send never blocks, so two shards exchanging large batches through the hub
+// The transport: a pair of unbounded FIFO queues. Unbounded matters — Send
+// never blocks, so two shards exchanging large batches through the hub
 // cannot deadlock, and the shard loop's TryRecv greediness works without a
 // window protocol. Messages are passed by value (no encoding), which is what
-// lets an in-process forward carry the state itself and a reference into the
+// lets a forwarded state carry the state itself and a reference into the
 // sender's search tree.
 
 // ErrClosed is returned by Conn operations after the peer (or this side)

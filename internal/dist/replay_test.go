@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"crystalball/internal/mc"
-	"crystalball/internal/scenario"
 	"crystalball/internal/sm"
 	"crystalball/internal/testsvc"
 )
@@ -55,10 +54,10 @@ func adderStart() (*mc.GState, mc.Config) {
 }
 
 // TestReplayResolvesSameNamedCallsByArgument: two enabled calls with one
-// name at one node are two transitions, and a forwarded path names each by
+// name at one node are two transitions, and a reported path names each by
 // its whole key. (Matching on node and name alone resolved both to the first
 // and then failed the second on its argument fingerprint, so a valid path
-// could not cross a wire.)
+// could not be replayed.)
 func TestReplayResolvesSameNamedCallsByArgument(t *testing.T) {
 	g, cfg := adderStart()
 	s := mc.NewSearch(cfg)
@@ -74,76 +73,31 @@ func TestReplayResolvesSameNamedCallsByArgument(t *testing.T) {
 	}
 	for _, ev := range calls {
 		want := s.ApplyEvent(g, ev)
-		wire := sm.NewEncoder()
-		sent := Batch{States: []ForwardState{{Hash: want.Hash(), Depth: 1, Path: []sm.EventKey{DescribeEvent(ev, enc)}}}}
-		if err := encodeMsg(wire, sent); err != nil {
-			t.Fatal(err)
-		}
-		m, err := decodeMsg(sm.NewDecoder(wire.Bytes()))
+		_, got, err := s.ReplayKeys(x, g, []sm.EventKey{DescribeEvent(ev, enc)}, false)
 		if err != nil {
-			t.Fatal(err)
+			t.Fatalf("%v: described path does not replay: %v", ev.Call, err)
 		}
-		fs := m.(Batch).States[0]
-		_, got, err := s.ReplayKeys(x, g, fs.Path, false)
-		if err != nil {
-			t.Fatalf("%v: forwarded path does not replay: %v", ev.Call, err)
-		}
-		if got.Hash() != fs.Hash {
-			t.Errorf("%v: forwarded path replays to %#x, sender reached %#x", ev.Call, got.Hash(), fs.Hash)
+		if got.Hash() != want.Hash() {
+			t.Errorf("%v: described path replays to %#x, the event reached %#x", ev.Call, got.Hash(), want.Hash())
 		}
 	}
 
-	// And end to end: the sharded search over TCP claims the serial set.
+	// And end to end: the sharded search claims the serial set.
 	cfg.RecordClaimedStates = true
-	b := mc.Budget{Depth: 4, Workers: 1}
-	serialCfg := cfg
-	serialCfg.Budget = b
-	serial := mc.NewSearch(serialCfg).Run(g)
-	res, err := tcpRound(t, g, cfg, b, true)
+	cfg.Budget = mc.Budget{Depth: 4, Workers: 1}
+	serial := mc.NewSearch(cfg).Run(g)
+	res, err := Local(LocalConfig{Shards: 2, Search: cfg, Root: g, RecordStates: true})
 	if err != nil {
-		t.Fatalf("tcp round: %v", err)
+		t.Fatalf("sharded round: %v", err)
 	}
 	if !reflect.DeepEqual(res.Checker.ClaimedStates, serial.ClaimedStates) || res.Stats.StatesReceived == 0 {
-		t.Errorf("tcp claims %d states (%d crossed the wire), serial %d",
+		t.Errorf("sharded round claims %d states (%d crossed between shards), serial %d",
 			len(res.Checker.ClaimedStates), res.Stats.StatesReceived, len(serial.ClaimedStates))
 	}
 }
 
-// TestTCPViolationPathsReachReportedState is the wire half of the scenario
-// oracle of the same name: over TCP a violation path reaches the coordinator
-// as descriptors only, and every path it materialises, applied event by
-// event from the start state, reaches the reported hash.
-func TestTCPViolationPathsReachReportedState(t *testing.T) {
-	g, cfg, err := scenario.InitialState("gcounter", scenario.Options{Nodes: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg.Mode = mc.Exhaustive
-	cfg.Seed = 42
-	res, err := tcpRound(t, g, cfg, mc.Budget{Depth: 6, Workers: 1}, false)
-	if err != nil {
-		t.Fatalf("tcp round: %v", err)
-	}
-	if len(res.Checker.Violations) == 0 {
-		t.Fatal("no violation within depth 6")
-	}
-	s := mc.NewSearch(cfg)
-	for _, v := range res.Checker.Violations {
-		at := g
-		for i, ev := range v.Path {
-			if at = s.ApplyEvent(at, ev); at == nil {
-				t.Fatalf("path step %d (%s) not applicable", i, ev.Describe())
-			}
-		}
-		if at.Hash() != v.StateHash || len(v.Path) != v.Depth {
-			t.Errorf("%d-event path reaches %#x, violation reports %#x at depth %d", len(v.Path), at.Hash(), v.StateHash, v.Depth)
-		}
-	}
-}
-
-// TestMergeViolationsVerifiesReplayedHash: a wire violation whose path
-// replays to a state other than the one it reports fails the round, as a
-// forwarded state with the wrong hash fails shard.ingest.
+// TestMergeViolationsVerifiesReplayedHash: a reported violation whose path
+// replays to a state other than the one it reports fails the round.
 func TestMergeViolationsVerifiesReplayedHash(t *testing.T) {
 	g, cfg := adderStart()
 	s := mc.NewSearch(cfg)

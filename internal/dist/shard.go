@@ -1,14 +1,11 @@
 package dist
 
-import (
-	"crystalball/internal/mc"
-	"crystalball/internal/sm"
-)
+import "crystalball/internal/mc"
 
 // ShardConfig parameterises one shard of an n-way distributed search.
 type ShardConfig struct {
 	// Index and Shards are the shard's connection identity: which of the
-	// session's worker connections it is. The hash range it owns is a
+	// coordinator's connections it is. The hash range it owns is a
 	// per-round assignment (RoundStart.Slot/Slots) — after a failure the
 	// coordinator repartitions over the survivors, so identity and slot
 	// are distinct concepts.
@@ -16,30 +13,12 @@ type ShardConfig struct {
 	Shards int
 	// Search is the scenario's checker configuration. Mode must be
 	// Exhaustive and Reduce is forced off (package doc: both other rules
-	// need claims that cross shards). Every shard of a run must be built
-	// from a bit-identical configuration — same seed, same fault toggles —
-	// or the partitioned searches diverge.
+	// need claims that cross shards). Every shard of a run must be given
+	// the same configuration — same seed, same fault toggles — or the
+	// partitioned searches diverge.
 	Search mc.Config
 	// Root is the shared start state.
 	Root *mc.GState
-}
-
-// descPath returns the full descriptor path from the search root to the
-// state that desc leads to from parent: prefix (the wire path of parent's
-// chain root, nil when the chain never crossed a process boundary), then the
-// descriptors the trees hold — parent's own tree and, through forwarded chain
-// roots, the trees of the in-process shards before it — then desc (omitted
-// when it is the zero key: the path to parent itself). Tree entries are
-// written before their state is handed over and never rewritten, so the walk
-// needs no lock while their shards keep searching.
-func descPath(prefix []sm.EventKey, parent mc.Ref, desc sm.EventKey) []sm.EventKey {
-	keys := parent.Keys()
-	out := make([]sm.EventKey, 0, len(prefix)+len(keys)+1)
-	out = append(append(out, prefix...), keys...)
-	if desc.Kind != 0 {
-		out = append(out, desc)
-	}
-	return out
 }
 
 // shard is one partition's protocol state: this round's range of the search
@@ -47,22 +26,15 @@ func descPath(prefix []sm.EventKey, parent mc.Ref, desc sm.EventKey) []sm.EventK
 // the round bookkeeping. Everything is touched only from the shard's main
 // goroutine.
 type shard struct {
-	cfg     ShardConfig
-	slot    int // this round's partition slot
-	slots   int // this round's partition width
-	rng     mc.HashRange
-	search  *mc.Search
-	conn    Conn
-	replayX *mc.Expander // path-replay workspace
+	cfg    ShardConfig
+	slot   int // this round's partition slot
+	slots  int // this round's partition width
+	rng    mc.HashRange
+	search *mc.Search
+	conn   Conn
 
 	// eng is the round's engine over rng (nil outside a round).
 	eng *mc.Engine
-	// prefix holds, per chain root injected from a wire batch, the
-	// descriptor path from the search root to it: what violation reports
-	// and onward forwarding splice in front of the trees' own descriptors.
-	// (A root forwarded in process needs none: the engine's tree links it to
-	// the entry it came from.)
-	prefix map[mc.Ref][]sm.EventKey
 	// fwd is the sender-side forward cache: fingerprint → minimal depth
 	// already forwarded, so a successor is re-forwarded only when
 	// strictly shallower.
@@ -85,21 +57,19 @@ func newShard(conn Conn, cfg ShardConfig) (*shard, error) {
 		return nil, errorf("shard %d: nil root state", cfg.Index)
 	}
 	cfg.Search.Reduce = false
-	search := mc.NewSearch(cfg.Search)
 	return &shard{
-		cfg:     cfg,
-		slot:    cfg.Index,
-		slots:   cfg.Shards,
-		rng:     mc.ShardRange(cfg.Index, cfg.Shards),
-		search:  search,
-		conn:    conn,
-		replayX: search.NewExpander(),
+		cfg:    cfg,
+		slot:   cfg.Index,
+		slots:  cfg.Shards,
+		rng:    mc.ShardRange(cfg.Index, cfg.Shards),
+		search: mc.NewSearch(cfg.Search),
+		conn:   conn,
 	}, nil
 }
 
 // RunShard serves one shard over conn until Shutdown or a connection
-// error. It is the body of every shard goroutine (dist.Local) and of an
-// mcheck -connect worker once configured.
+// error. It is the body of every shard goroutine (dist.Local, the
+// coordinator's floor).
 func RunShard(conn Conn, cfg ShardConfig) error {
 	sh, err := newShard(conn, cfg)
 	if err != nil {
@@ -154,9 +124,6 @@ func (sh *shard) serve() error {
 			if err := sh.conn.Send(AbortAck{Shard: sh.cfg.Index, Round: v.Round}); err != nil {
 				return err
 			}
-		case Ping:
-			// Transport keepalive; the TCP reader normally swallows these
-			// before they reach the protocol loop.
 		case Shutdown:
 			return nil
 		default:
@@ -181,7 +148,6 @@ func (sh *shard) startRound(rs RoundStart) error {
 	}
 	sh.rng = mc.ShardRange(sh.slot, sh.slots)
 	sh.eng = sh.search.NewEngine(rs.Budget, sh.rng, sh.route)
-	sh.prefix = make(map[mc.Ref][]sm.EventKey)
 	sh.fwd = make(map[uint64]int32)
 	sh.out = make([][]ForwardState, sh.slots)
 	sh.received = 0
@@ -197,7 +163,7 @@ func (sh *shard) startRound(rs RoundStart) error {
 // endRound drops the round's engine and tables so their memory is
 // reclaimable between rounds.
 func (sh *shard) endRound() {
-	sh.eng, sh.prefix, sh.fwd, sh.out = nil, nil, nil, nil
+	sh.eng, sh.fwd, sh.out = nil, nil, nil
 }
 
 // drainAndIdle runs the engine to exhaustion (or budget), flushes every
@@ -259,9 +225,6 @@ func (sh *shard) route(child mc.Forward) error {
 	}
 	sh.fwd[h] = depth
 	fs := ForwardState{Hash: h, Depth: depth, fwd: child}
-	if len(sh.prefix) > 0 {
-		fs.prefix = sh.prefix[child.Parent.Root()]
-	}
 	owner := mc.ShardOwner(h, sh.slots)
 	if sh.out[owner] == nil {
 		// A batch is handed to the connection whole, so each one is a new
@@ -319,41 +282,19 @@ func (sh *shard) ingest(b Batch) error {
 			sh.st.RemoteDeduped++
 			continue
 		}
-		if fs.fwd.State != nil {
-			sh.eng.Inject(fs.fwd)
-			continue
+		if fs.fwd.State == nil {
+			return errorf("shard %d: forwarded state %#x has no state and no path", sh.cfg.Index, fs.Hash)
 		}
-		if len(fs.Path) == 0 {
-			return errorf("shard %d: forwarded state %#x has no path", sh.cfg.Index, fs.Hash)
-		}
-		g, err := sh.replay(fs.Path)
-		if err != nil {
-			return err
-		}
-		if g.Hash() != fs.Hash {
-			return errorf("shard %d: replayed state hash %#x, sender claimed %#x — diverged configurations?", sh.cfg.Index, g.Hash(), fs.Hash)
-		}
-		if root, claimed := sh.eng.Inject(mc.Forward{State: g, Depth: int(fs.Depth)}); claimed {
-			sh.prefix[root] = fs.Path
-		}
+		sh.eng.Inject(fs.fwd)
 	}
 	return nil
-}
-
-// replay reconstructs a state from its descriptor path.
-func (sh *shard) replay(path []sm.EventKey) (*mc.GState, error) {
-	_, g, err := sh.search.ReplayKeys(sh.replayX, sh.cfg.Root, path, false)
-	if err != nil {
-		return nil, errorf("shard %d: %w", sh.cfg.Index, err)
-	}
-	return g, nil
 }
 
 // report assembles this shard's round report. Shard carries the *slot* the
 // report covers (like Batch.From and Idle.Shard), so the coordinator can
 // index reports by partition after a repartitioned retry. Violation paths
-// travel as descriptors, in process too: the coordinator replays them from
-// the root, which is how a tree's path becomes events anywhere.
+// travel as descriptors: the coordinator replays them from the root, which
+// is how a tree's path becomes events anywhere.
 func (sh *shard) report() ShardReport {
 	res := sh.eng.Result()
 	findings := sh.eng.Findings()
@@ -376,7 +317,7 @@ func (sh *shard) report() ShardReport {
 			Props:     f.Props,
 			Depth:     int32(f.Ref.Depth()),
 			StateHash: f.Ref.Hash(),
-			Path:      descPath(sh.prefix[f.Ref.Root()], f.Ref, sm.EventKey{}),
+			Path:      f.Ref.Keys(),
 		}
 	}
 	if sh.record {

@@ -23,8 +23,8 @@ package dist
 //     either direction, or pending relay ⇒ no shard can ever become
 //     non-idle again. The round has terminated.
 //
-// Correctness leans only on per-connection FIFO order (both transports
-// provide it) and on every batch being hub-relayed (the topology).
+// Correctness leans only on per-connection FIFO order (the pipe provides
+// it) and on every batch being hub-relayed (the topology).
 type quiescence struct {
 	relayed []int64 // batches relayed to shard i this round
 	settled []bool  // shard i's latest Idle matched relayed[i]

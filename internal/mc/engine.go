@@ -26,8 +26,8 @@ func atomicMax(v *atomic.Int64, x int64) {
 
 // Finding is one collected violation class before its path is rendered: the
 // violated properties and the representative state. A single-range search
-// resolves Ref.Keys() into Result.Violations; a sharded search sends them
-// behind the wire prefix of Ref.Root().
+// resolves Ref.Keys() into Result.Violations; a sharded search reports
+// Ref.Keys() for its coordinator to replay.
 type Finding struct {
 	Props []string
 	Ref   Ref
@@ -523,7 +523,7 @@ func (s *Search) newEngine(w *Workspace, b Budget, own HashRange, forward func(F
 
 // Seen reports whether fingerprint h is already claimed at depth or
 // shallower — whether injecting such a state would be a duplicate. A
-// sharded search asks before paying for a wire arrival's path replay.
+// sharded search asks before injecting an arrival.
 //
 //crystal:hotpath
 func (e *Engine) Seen(h uint64, depth int) bool {

@@ -264,7 +264,7 @@ type entry struct {
 	// continue past states added to the error set.
 	violated uint64
 	// parent is the entry this state succeeds; a chain root has none: -1 for
-	// a state injected bare (the start state, a wire arrival), -2-i for one
+	// a state injected bare (the start state), -2-i for one
 	// forwarded from the entry origins[i] names in another engine's tree.
 	parent int32
 	event  uint32 // interned descriptor of the transition from the parent (0 at a bare root)
@@ -351,8 +351,7 @@ type Ref struct {
 // receives for a proposed successor outside the engine's range, and what
 // Inject takes. Parent and Desc say where it came from — the claimed state it
 // succeeds, in the proposing engine's tree, and the transition between them;
-// the zero Parent makes it a bare chain root (the start state, or a state
-// that arrived as a wire path its receiver replayed).
+// the zero Parent makes it a bare chain root (the start state).
 type Forward struct {
 	State  *GState
 	Depth  int
@@ -384,24 +383,13 @@ func (r Ref) up() (Ref, bool) {
 	}
 }
 
-// Root returns the bare chain root r descends from, following forwarded
-// roots into the trees they came from.
-func (r Ref) Root() Ref {
-	for {
-		p, ok := r.up()
-		if !ok {
-			return r
-		}
-		r = p
-	}
-}
-
 // last returns the descriptor of the transition into r (the zero key at a
 // bare root).
 func (r Ref) last() sm.EventKey { return *r.t.keys.at(int(r.entry().event)) }
 
-// Keys returns the descriptors of the transitions leading from Root() to r:
-// the form the path takes on a wire, and what Path resolves.
+// Keys returns the descriptors of the transitions leading from the bare
+// chain root r descends from — following forwarded roots into the trees they
+// came from — to r: the form a reported path takes, and what Path resolves.
 func (r Ref) Keys() []sm.EventKey {
 	var rev []sm.EventKey
 	for {
@@ -444,8 +432,8 @@ func (x *Expander) resolve(g *GState, desc sm.EventKey) (sm.Event, error) {
 // descriptor against the events enabled in the state it executed in — the
 // enumeration makes the match unique — and applying it. It returns the state
 // the path reaches and, with wantEvents, the resolved events. This is the one
-// way a stored path becomes events again: a tree's (Ref.Keys), a forwarded
-// state's and a wire violation's (internal/dist).
+// way a stored path becomes events again: a tree's (Ref.Keys) and a sharded
+// violation's (internal/dist).
 func (s *Search) ReplayKeys(x *Expander, root *GState, path []sm.EventKey, wantEvents bool) ([]sm.Event, *GState, error) {
 	g := root
 	var events []sm.Event

@@ -381,11 +381,8 @@ type Expander struct {
 	claims []localClaim   // consequence (node, local state) claims awaiting the end of the bucket
 	rsts   []sm.NodeID    // the nodes an RST is in flight to in the expanding state (consequence, conn breaks on)
 	// proposed is the set of fingerprints this worker proposed in the current
-	// window: open addressing with linear probing over a power-of-two table,
-	// 0 marking a free slot (Hash is never 0), allocated on the first
-	// proposal and kept at most half full; nproposed counts its entries.
-	proposed  []uint64
-	nproposed int
+	// window.
+	proposed table
 }
 
 // NewExpander returns a fresh Expander bound to the search.
@@ -393,53 +390,6 @@ func (s *Search) NewExpander() *Expander {
 	sc := newScratch()
 	sc.memo = newMemo()
 	return &Expander{s: s, view: props.NewView(), sc: sc, enc: &sc.enc}
-}
-
-// propose adds h to the window's proposed set and reports whether it was
-// absent.
-//
-//crystal:hotpath
-func (x *Expander) propose(h uint64) bool {
-	if 2*(x.nproposed+1) > len(x.proposed) {
-		x.growProposed()
-	}
-	mask := uint64(len(x.proposed) - 1)
-	for i := h & mask; ; i = (i + 1) & mask {
-		switch x.proposed[i] {
-		case h:
-			return false
-		case 0:
-			x.proposed[i] = h
-			x.nproposed++
-			return true
-		}
-	}
-}
-
-// growProposed doubles the proposed set's table (64 slots the first time)
-// and re-inserts its entries.
-//
-//crystal:hotpath
-func (x *Expander) growProposed() {
-	old := x.proposed
-	x.proposed = make([]uint64, max(64, 2*len(old)))
-	x.nproposed = 0
-	for _, h := range old {
-		if h != 0 {
-			x.propose(h)
-		}
-	}
-}
-
-// forgetProposed empties the proposed set for the next window, keeping its
-// table.
-//
-//crystal:hotpath
-func (x *Expander) forgetProposed() {
-	if x.nproposed > 0 {
-		clear(x.proposed)
-		x.nproposed = 0
-	}
 }
 
 // Check evaluates the search's property set — local and global — on g
@@ -527,8 +477,8 @@ func (s *Search) newEngine(w *Workspace, b Budget, own HashRange, forward func(F
 //
 //crystal:hotpath
 func (e *Engine) Seen(h uint64, depth int) bool {
-	idx, ok := e.visited[h]
-	return ok && int(e.tree.entries.at(int(idx)).depth) <= depth
+	_, ent := e.visited.get(h, e.tree)
+	return ent != nil && int(ent.depth) <= depth
 }
 
 // Inject claims f.State into the engine's range as a chain root at f.Depth
@@ -560,12 +510,12 @@ func (e *Engine) hold(idx int32, g *GState, sleep []uint32) {
 // which entry claimed its fingerprint and fold the node-local state its
 // event produced into the coverage set. Every write to the tables happens
 // here, between windows on the goroutine driving Drain, which is why they
-// are plain maps.
+// need no lock.
 //
 //crystal:hotpath
 func (e *Engine) claim(idx int32, g *GState) {
 	ent := e.tree.entries.at(int(idx))
-	e.visited[ent.hash] = idx
+	e.visited.put(ent.hash, idx, e.tree)
 	// A successor differs from its parent in at most the node its event
 	// executed at, so a claim records that one local state; a chain root (the
 	// start state, or a state that arrived from another engine) records every
@@ -573,11 +523,11 @@ func (e *Engine) claim(idx int32, g *GState) {
 	// state either way.
 	if ent.parent < 0 {
 		for _, ns := range g.nodes {
-			e.locals[ns.localHash()] = struct{}{}
+			e.locals.put(ns.localHash(), 0)
 		}
 	} else if k := e.tree.keys.at(int(ent.event)); k.Kind != 'D' { // a drop touches no node
 		if ns := g.Node(k.Node); ns != nil {
-			e.locals[ns.localHash()] = struct{}{}
+			e.locals.put(ns.localHash(), 0)
 		}
 	}
 }
@@ -621,7 +571,7 @@ func (e *Engine) drain(between func() error, reuse bool) error {
 		// consults strictly earlier buckets.
 		for _, x := range e.xs {
 			for _, c := range x.claims {
-				e.local[c.hash] = c.count
+				e.local.put(c.hash, c.count)
 			}
 			x.claims = x.claims[:0]
 		}
@@ -683,7 +633,7 @@ func (e *Engine) expandWindow(bucket *slab[held], lo, n int) {
 	clear(e.outs)
 	for _, x := range e.xs {
 		x.props, x.sibs = x.props[:0], x.sibs[:0]
-		x.forgetProposed()
+		x.proposed.clear()
 	}
 	e.sweep(bucket, lo, n, (*Engine).expandNodes)
 }
@@ -753,7 +703,7 @@ func (e *Engine) claimPass(bucket *slab[held], lo, depth, rest int) error {
 			if p.sibs >= 0 {
 				promised.siblings = sibs[:p.sibs]
 			}
-			if prior, ok := e.visited[h]; ok && int(e.tree.entries.at(int(prior)).depth) <= depth {
+			if prior, ent := e.visited.get(h, e.tree); ent != nil && int(ent.depth) <= depth {
 				if e.reduce {
 					e.narrow(prior, depth, promised, p.sibs >= 0)
 				}
@@ -979,7 +929,7 @@ func (e *Engine) expand(h *held, x *Expander) expansion {
 	var pruned int64
 	for n, ns := range state.nodes {
 		if e.prune {
-			if local, claimed := e.local[ns.localHash()]; claimed {
+			if local, claimed := e.local.get(ns.localHash()); claimed {
 				pruned += int64(e.s.prunedAt(state, n, int(local), slices.Contains(x.rsts, ns.id)))
 				continue
 			}
@@ -1033,15 +983,15 @@ func (e *Engine) fate(h uint64, depth int, x *Expander) (publish, propose bool) 
 	if !e.own.Contains(h) {
 		return true, true
 	}
-	if prior, ok := e.visited[h]; ok {
-		switch d := int(e.tree.entries.at(int(prior)).depth); {
+	if _, ent := e.visited.get(h, e.tree); ent != nil {
+		switch d := int(ent.depth); {
 		case d <= depth:
 			return false, false
 		case d == depth+1:
 			return false, true
 		}
 	}
-	return x.propose(h), true
+	return x.proposed.put(h, 0), true
 }
 
 // Exhausted reports whether a budget bound (or the violation quota) has
@@ -1049,25 +999,15 @@ func (e *Engine) fate(h uint64, depth int, x *Expander) (publish, propose bool) 
 func (e *Engine) Exhausted() bool { return e.bdg.exhausted() }
 
 // Claimed returns the number of distinct states claimed so far.
-func (e *Engine) Claimed() int { return len(e.visited) }
+func (e *Engine) Claimed() int { return e.visited.n }
 
 // ClaimedStates returns the sorted fingerprints of the claimed states
 // (differential oracles compare the sets).
-func (e *Engine) ClaimedStates() []uint64 { return sortedKeys(e.visited) }
+func (e *Engine) ClaimedStates() []uint64 { return e.visited.fingerprints(e.tree) }
 
 // LocalStates returns the sorted distinct node-local state fingerprints
 // over all claimed states.
-func (e *Engine) LocalStates() []uint64 { return sortedKeys(e.locals) }
-
-// sortedKeys returns m's keys in ascending order (collect, then sort).
-func sortedKeys[V any](m map[uint64]V) []uint64 {
-	out := make([]uint64, 0, len(m))
-	for h := range m {
-		out = append(out, h)
-	}
-	slices.Sort(out)
-	return out
-}
+func (e *Engine) LocalStates() []uint64 { return e.locals.sorted() }
 
 // Findings returns the collected violation classes sorted by (depth, state
 // hash, signature).
@@ -1106,7 +1046,7 @@ func (e *Engine) Result() *Result {
 		Unbuilt:             int(e.ctr.unbuilt.Load()),
 		HandlerRuns:         e.handlerRuns(),
 		SleepHits:           int(e.ctr.sleepHits.Load()),
-		DistinctLocalStates: len(e.locals),
+		DistinctLocalStates: e.locals.len(),
 		Elapsed:             e.bdg.elapsed(),
 		StopReason:          e.bdg.stopReason(),
 	}
@@ -1118,11 +1058,11 @@ func (e *Engine) Result() *Result {
 		res.ClaimedStates = e.ClaimedStates()
 	}
 	// What the engine allocated itself it knows exactly — the tree's slabs,
-	// the frontier's entries and sleep sets at their peak — and the runtime's
-	// tables it knows by their size; only the held states are an estimate
-	// (their encoded footprint, Figure 15's measure).
+	// the claim tables, the frontier's entries and sleep sets at their peak;
+	// only the held states are an estimate (their encoded footprint, Figure
+	// 15's measure).
 	res.PeakMemoryBytes = e.ctr.peakBytes.Load() + e.tree.bytes() +
-		tableBytes(len(e.visited)) + tableBytes(len(e.local)) + tableBytes(len(e.locals))
+		e.visited.bytes() + e.local.bytes() + e.locals.bytes()
 	if res.StatesExplored > 0 {
 		res.PerStateBytes = float64(res.PeakMemoryBytes) / float64(res.StatesExplored)
 	}
@@ -1141,19 +1081,3 @@ func (e *Engine) handlerRuns() int {
 // heldEntryBytes is what a queued state costs beside its GState and sleep
 // set: its held entry in the bucket's slab.
 const heldEntryBytes = int64(unsafe.Sizeof(held{}))
-
-// tableBytes estimates the heap bytes of one of the runtime's hash tables
-// holding n entries of up to 16 bytes (visited, local, locals): groups of
-// eight slots and a control word, filled to 7/8 at most and doubled when
-// full — 18 bytes a slot, measured over tables grown by insertion to 3·10²…
-// 8·10⁶ entries (24–38 B an entry, depending on how recently it doubled).
-func tableBytes(n int) int64 {
-	if n == 0 {
-		return 0
-	}
-	slots := 8
-	for slots*7 < n*8 {
-		slots <<= 1
-	}
-	return int64(slots) * 18
-}

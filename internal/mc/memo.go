@@ -31,7 +31,10 @@ type effect struct {
 }
 
 // memo maps (node local state, event, consumed item) to the effect the
-// handler had, for one Expander's scratch. The table is open addressing with
+// handler had, for one Expander's scratch. With each send it keeps the
+// itemPrefix of the item the send becomes (prefixes, parallel to sends; 0
+// until a successor first adds the item: dispatchSends), so a hit hashes
+// nothing but the items' queue positions. The table is open addressing with
 // linear probing over a power-of-two slot array, the slot taken from the key's
 // fingerprint bits: a slot holds 1 + the effect's index (0 marks a free
 // slot), and the table is kept at most half full. It starts empty, doubles
@@ -39,9 +42,10 @@ type effect struct {
 // memoCap effects. The effects are a slab, so a memo that grows copies none
 // of them: most memos live one short live round.
 type memo struct {
-	slots   []int32
-	effects slab[effect]
-	sends   []sm.Outgoing // every effect's sends, back to back
+	slots    []int32
+	effects  slab[effect]
+	sends    []sm.Outgoing // every effect's sends, back to back
+	prefixes []uint64      // the sends' item prefixes
 }
 
 // newMemo returns an empty memo.
@@ -60,6 +64,7 @@ func (m *memo) clear() {
 	clear(m.slots)
 	m.effects.reset()
 	m.sends = wipe(m.sends)
+	m.prefixes = m.prefixes[:0]
 }
 
 // memoHash is the probe start of key k at a node whose local hash is lhash,
@@ -92,12 +97,12 @@ func (m *memo) find(lhash, chash, item uint64, k *sm.EventKey) *effect {
 }
 
 // add records f — its key and its node state, which must be finalized, on
-// the heap and never written again — with the handler's sends, which are
-// copied into the arena. The caller has just missed f's key, so it is not in
-// the table.
+// the heap and never written again — with the handler's sends and their item
+// prefixes, which are copied into the arena. The caller has just missed f's
+// key, so it is not in the table.
 //
 //crystal:hotpath
-func (m *memo) add(f *effect, sends []sm.Outgoing) {
+func (m *memo) add(f *effect, sends []sm.Outgoing, prefixes []uint64) {
 	if m.effects.n == memoCap {
 		m.reset()
 	}
@@ -107,6 +112,7 @@ func (m *memo) add(f *effect, sends []sm.Outgoing) {
 	e := *f
 	e.lo = int32(len(m.sends))
 	m.sends = append(m.sends, sends...)
+	m.prefixes = append(m.prefixes, prefixes...)
 	e.hi = int32(len(m.sends))
 	m.place(m.effects.push(e))
 }

@@ -19,8 +19,11 @@ import (
 // ApplyEvent's: the same Hash, FullHash and EncodedSize. A memo key that
 // leaves out something a handler reads, or a service encoding that leaves
 // out a field a handler reads, lets a hit install an effect computed in
-// another state, and the fingerprints part. Every scenario must hit the memo,
-// so the oracle cannot pass without comparing anything.
+// another state, and the fingerprints part. A successor built on a hit hashes
+// each memoized send from the prefix the memo keeps with it, folding in only
+// the item's queue position, so its incremental Hash must also equal its own
+// from-scratch FullHash. Every scenario must hit the memo, and some hit must
+// send, so the oracle cannot pass without comparing anything.
 func TestMemoOracle(t *testing.T) {
 	const maxStates, maxDepth = 1000, 10
 	for _, name := range scenario.Names() {
@@ -36,7 +39,7 @@ func TestMemoOracle(t *testing.T) {
 				s := mc.NewSearch(cfg)
 				states := harvestBFS(s, start, maxStates, maxDepth)
 				x := s.NewExpander()
-				applied := 0
+				applied, sending := 0, 0
 				var events []sm.Event
 				for i, g := range states {
 					events = events[:0]
@@ -45,7 +48,9 @@ func TestMemoOracle(t *testing.T) {
 						if c := ev.Class(); c == "reset" || c == "drop" {
 							continue // no handler runs (a reset's Init is not memoized)
 						}
+						runs := x.HandlerRuns()
 						got, want := s.ApplyIn(x, g, ev), s.ApplyEvent(g, ev)
+						hit := x.HandlerRuns() == runs
 						if (got == nil) != (want == nil) {
 							t.Fatalf("state %d, %q: memo successor %v, reference %v", i, ev.Describe(), got != nil, want != nil)
 						}
@@ -57,12 +62,18 @@ func TestMemoOracle(t *testing.T) {
 							t.Fatalf("state %d, %q: memo successor hash %#x full %#x size %d, reference %#x full %#x size %d",
 								i, ev.Describe(), got.Hash(), got.FullHash(), got.EncodedSize(), want.Hash(), want.FullHash(), want.EncodedSize())
 						}
+						if hit && got.Hash() != got.FullHash() {
+							t.Fatalf("state %d, %q: memo hit's successor hashes %#x, from scratch %#x", i, ev.Describe(), got.Hash(), got.FullHash())
+						}
+						if hit && got.InFlightCount() > g.InFlightCount() {
+							sending++
+						}
 					}
 				}
 				hits := applied - x.HandlerRuns()
-				t.Logf("%d states, %d handler events, %d memo hits", len(states), applied, hits)
-				if hits <= 0 {
-					t.Fatalf("%d handler events over %d states and no memo hit: the oracle compared nothing", applied, len(states))
+				t.Logf("%d states, %d handler events, %d memo hits, %d of them sending", len(states), applied, hits, sending)
+				if hits <= 0 || sending == 0 {
+					t.Fatalf("%d handler events over %d states, %d memo hits, %d sending: the oracle compared nothing", applied, len(states), hits, sending)
 				}
 			})
 		}

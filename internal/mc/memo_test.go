@@ -19,7 +19,7 @@ func TestMemoTableEmptiesAtCap(t *testing.T) {
 	}
 	add := func(i int) {
 		lhash, chash, item, k := key(i)
-		m.add(&effect{lhash: lhash, chash: chash, item: item, key: k, ns: ns}, []sm.Outgoing{{To: sm.NodeID(i), Msg: ping{N: i}}})
+		m.add(&effect{lhash: lhash, chash: chash, item: item, key: k, ns: ns}, []sm.Outgoing{{To: sm.NodeID(i), Msg: ping{N: i}}}, []uint64{0})
 	}
 	found := func(i int) bool {
 		lhash, chash, item, k := key(i)

@@ -53,6 +53,9 @@ type scratch struct {
 	// points at them. Its capacity is reserved by begin, before any pointer
 	// into it is taken, so it never moves during a build.
 	items []InFlight
+	// prefixes holds the itemPrefix of each of the executed handler's sends
+	// (fx.Sends), 0 until dispatchSends computes it: what the memo keeps.
+	prefixes []uint64
 	// node is the executed node's new local state, at next.nodes[at] (at is
 	// -1 when no node changed). Its Timers alias fx.Timers until publish.
 	node NodeState
@@ -89,6 +92,15 @@ func (sc *scratch) begin(g *GState, items int) *GState {
 	sc.items = slices.Grow(sc.items[:0], items)
 	sc.at, sc.onSpare, sc.pending.key.Kind = -1, false, 0
 	return next
+}
+
+// unhashed returns sc's prefix buffer for n sends, every prefix unknown.
+//
+//crystal:hotpath
+func (sc *scratch) unhashed(n int) []uint64 {
+	sc.prefixes = slices.Grow(sc.prefixes[:0], n)[:n]
+	clear(sc.prefixes)
+	return sc.prefixes
 }
 
 // newItem stores m as a new in-flight item of next and returns its place in
@@ -137,7 +149,7 @@ func (sc *scratch) publish(parent *GState) *GState {
 		nodes[sc.at] = ns
 		if p := &sc.pending; p.key.Kind != 0 {
 			p.ns = ns
-			sc.memo.add(p, sc.fx.Sends)
+			sc.memo.add(p, sc.fx.Sends, sc.prefixes)
 			*p = effect{}
 		}
 	}

@@ -203,7 +203,7 @@ func TestExpandedNodesLetGoOfState(t *testing.T) {
 // per claimed state, in bytes and in heap objects. The model is one node
 // ticking a counter: a chain of states whose last one violates. What stays
 // per state is a 32-byte tree entry and its visited and local-state table
-// entries — slab chunks and hash-table groups, not an object per state; the
+// slots — slab chunks and flat tables, not an object per state; the
 // same chain with states pinned measures 815 B per state, and the pointerful
 // Node tree this replaced 207 B and two objects.
 func TestRetainedHeapPerClaimedState(t *testing.T) {
@@ -241,10 +241,10 @@ func TestRetainedHeapPerClaimedState(t *testing.T) {
 	if objects > maxObjects {
 		t.Fatalf("search retains %.4f heap objects per claimed state, want <= %.2f: the tree is slabs, not objects", objects, maxObjects)
 	}
-	// And the engine's own account of what it keeps — slab chunks at their
-	// size, the runtime's tables at their measured cost (Result's mem=) — is
-	// what the heap says, not a guess at a flat 16 bytes an entry.
-	accounted := e.tree.bytes() + tableBytes(len(e.visited)) + tableBytes(len(e.locals))
+	// And the engine's own account of what it keeps — slab chunks and claim
+	// tables at their exact size (Result's mem=) — is what the heap says, not
+	// a guess at a flat 16 bytes an entry.
+	accounted := e.tree.bytes() + e.visited.bytes() + e.locals.bytes()
 	if ratio := float64(accounted) / float64(int64(bytesAfter)-int64(bytesBefore)); ratio < 0.75 || ratio > 1.25 {
 		t.Fatalf("engine accounts %d B retained, the heap holds %d (ratio %.2f)", accounted, int64(bytesAfter)-int64(bytesBefore), ratio)
 	}

@@ -325,14 +325,20 @@ func (g *GState) AddMessage(from, to sm.NodeID, msg sm.Message) {
 // silently drop reachable states.
 //
 //crystal:hotpath
-func (g *GState) addMsg(m InFlight, sc *scratch) {
+func (g *GState) addMsg(m InFlight, sc *scratch) { g.addItem(m, itemPrefix(&m, sc), sc) }
+
+// addItem is addMsg for an item whose component hash up to its queue
+// position, prefix (itemPrefix), is known: a memoized send's.
+//
+//crystal:hotpath
+func (g *GState) addItem(m InFlight, prefix uint64, sc *scratch) {
 	m.pos = 0
 	for _, q := range g.msgs {
 		if sameQueue(q, &m) {
 			m.pos++
 		}
 	}
-	m.chash = msgComp(&m, sc)
+	m.chash = foldPos(prefix, m.pos)
 	m.sz = 13
 	if m.Msg != nil {
 		m.sz += m.Msg.Size()
@@ -342,16 +348,30 @@ func (g *GState) addMsg(m InFlight, sc *scratch) {
 	g.msgs = append(g.msgs, sc.newItem(&m))
 }
 
-// msgComp returns the fingerprint component hash of one in-flight item:
-// its encoding followed by its queue position, domain-tagged.
+// itemPrefix returns the FNV-64a state of m's component hash before its
+// queue position: the domain tag, then m's encoding. An item's component hash
+// is foldPos(itemPrefix, position). The prefix is a function of the item
+// alone, so the memo keeps it with each memoized send.
 //
 //crystal:hotpath
-func msgComp(m *InFlight, sc *scratch) uint64 {
+func itemPrefix(m *InFlight, sc *scratch) uint64 {
 	e := &sc.enc
 	e.Reset()
 	m.encode(e)
-	e.Int(m.pos)
-	return e.DomainHash(domainMsg)
+	return sm.FNV64aBytes(sm.FNV64aByte(sm.FNV64aInit, domainMsg), e.Bytes())
+}
+
+// foldPos finishes an item's component hash from its prefix: the queue
+// position's eight bytes (sm.Encoder.Int), then Mix64 — what DomainHash over
+// the item's encoding and position returns.
+//
+//crystal:hotpath
+func foldPos(prefix uint64, pos int) uint64 {
+	h := prefix
+	for i := 56; i >= 0; i -= 8 {
+		h = sm.FNV64aByte(h, byte(uint64(pos)>>i))
+	}
+	return sm.Mix64(h)
 }
 
 // removeMsgAt removes the i-th in-flight item of g, the state sc is
@@ -370,7 +390,7 @@ func (g *GState) removeMsgAt(i int, sc *scratch) {
 		if sameQueue(m, removed) {
 			moved := sc.newItem(m)
 			moved.pos--
-			moved.chash = msgComp(moved, sc)
+			moved.chash = foldPos(itemPrefix(moved, sc), moved.pos)
 			g.hsum += moved.chash - m.chash
 			m = moved
 		}

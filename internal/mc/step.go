@@ -97,11 +97,15 @@ func findMsg(g *GState, from, to sm.NodeID, msgType string, rst bool) int {
 // dispatchSends folds a handler's captured sends into the successor:
 // messages to nodes outside the snapshot go to the dummy node (dropped,
 // counted), and messages over a stale socket become an error notification
-// back to the sender, mirroring the live transport.
+// back to the sender, mirroring the live transport. prefixes[i] is the
+// itemPrefix of the item sends[i] becomes, or 0 where it is not known yet:
+// dispatchSends computes it there and keeps it, so a memoized send is
+// encoded and hashed once, by the first successor that adds it (a prefix
+// that is 0 itself is computed every time, which costs and changes nothing).
 //
 //crystal:hotpath
-func (s *Search) dispatchSends(next *GState, from sm.NodeID, sends []sm.Outgoing, sc *scratch) {
-	for _, sd := range sends {
+func (s *Search) dispatchSends(next *GState, from sm.NodeID, sends []sm.Outgoing, prefixes []uint64, sc *scratch) {
+	for i, sd := range sends {
 		if _, known := next.index(sd.To); !known {
 			s.dummyRedirects.Add(1)
 			continue
@@ -113,7 +117,11 @@ func (s *Search) dispatchSends(next *GState, from sm.NodeID, sends []sm.Outgoing
 			next.addMsg(InFlight{From: sd.To, To: from, Msg: nil}, sc)
 			continue
 		}
-		next.addMsg(InFlight{From: from, To: sd.To, Msg: sd.Msg}, sc)
+		m := InFlight{From: from, To: sd.To, Msg: sd.Msg}
+		if prefixes[i] == 0 {
+			prefixes[i] = itemPrefix(&m, sc)
+		}
+		next.addItem(m, prefixes[i], sc)
 	}
 }
 
@@ -127,9 +135,10 @@ func (s *Search) dispatchSends(next *GState, from sm.NodeID, sends []sm.Outgoing
 // A handler's effect on its node is a function of (node local state, event,
 // consumed item) — the premise edgeSeed and the reduction already rest on —
 // so a scratch with a memo runs each such triple's handler once. On a hit
-// nothing is cloned, run, seeded, encoded or hashed: the successor loses the
-// consumed item, gains the memoized sends (dispatched against g, since stale
-// sockets and dummy redirects depend on the global state) and installs the
+// nothing is cloned, run, seeded or encoded: the successor loses the consumed
+// item, gains the memoized sends (dispatched against g, since stale sockets
+// and dummy redirects depend on the global state; each item's hash is its
+// memoized prefix with the queue position folded in) and installs the
 // memoized node state. An effect is memoized only where that costs nothing
 // extra: here when the handler left the local state as it was (its source
 // NodeState is then the result, and the spare stays the scratch's), and in
@@ -155,7 +164,7 @@ func (s *Search) runHandler(g *GState, ev *sm.Event, consumed int, sc *scratch) 
 			if consumed >= 0 {
 				next.removeMsgAt(consumed, sc)
 			}
-			s.dispatchSends(next, node, sends, sc)
+			s.dispatchSends(next, node, sends, sc.memo.prefixes[f.lo:f.hi], sc)
 			next.installNode(f.ns)
 			return next
 		}
@@ -170,7 +179,7 @@ func (s *Search) runHandler(g *GState, ev *sm.Event, consumed int, sc *scratch) 
 	if consumed >= 0 {
 		next.removeMsgAt(consumed, sc)
 	}
-	s.dispatchSends(next, node, fx.Sends, sc)
+	s.dispatchSends(next, node, fx.Sends, sc.unhashed(len(fx.Sends)), sc)
 	// All mutations applied: freeze the clone with the handler's timer set
 	// and swap it into the fingerprint.
 	next.setNode(node, svc, fx.Timers, sc)
@@ -184,7 +193,7 @@ func (s *Search) runHandler(g *GState, ev *sm.Event, consumed int, sc *scratch) 
 		next.installNode(ns)
 		sc.at, sc.onSpare = -1, false
 		sc.pending.ns = ns
-		sc.memo.add(&sc.pending, fx.Sends)
+		sc.memo.add(&sc.pending, fx.Sends, sc.prefixes)
 		sc.pending = effect{}
 	}
 	return next
@@ -263,7 +272,7 @@ func (s *Search) applyReset(g *GState, ev *sm.Event, sc *scratch) *GState {
 	}
 	// The reset node has no stale knowledge of anyone.
 	next.clearStaleFrom(id, sc)
-	s.dispatchSends(next, id, fx.Sends, sc)
+	s.dispatchSends(next, id, fx.Sends, sc.unhashed(len(fx.Sends)), sc)
 	next.setNode(id, fresh, fx.Timers, sc)
 	return next
 }

@@ -25,10 +25,10 @@ type Workspace struct {
 	// actions that depend on the local state alone (localClaim). No event
 	// adds or removes a node, so the node set — all that count reads beside
 	// the local state — is fixed for a search. locals holds the distinct
-	// node-local states over claimed states.
-	visited map[uint64]int32
-	local   map[uint64]int32
-	locals  map[uint64]struct{}
+	// node-local states over claimed states (table.go).
+	visited visitedTable
+	local   table
+	locals  table
 	fr      frontier
 	// outs holds what each position of the current claim window proposed,
 	// and sibIDs is the claim pass's cache of one parent's interned sibling
@@ -39,13 +39,7 @@ type Workspace struct {
 }
 
 // NewWorkspace returns an empty workspace.
-func NewWorkspace() *Workspace {
-	return &Workspace{
-		visited: make(map[uint64]int32),
-		local:   make(map[uint64]int32),
-		locals:  make(map[uint64]struct{}),
-	}
-}
+func NewWorkspace() *Workspace { return new(Workspace) }
 
 // borrow readies w for a search of s on workers workers and returns their
 // Expanders; shared pins the tree w builds for readers on other goroutines
@@ -73,9 +67,9 @@ func (w *Workspace) release() {
 	for _, x := range w.expanders {
 		x.clear()
 	}
-	clear(w.visited)
-	clear(w.local)
-	clear(w.locals)
+	w.visited.clear()
+	w.local.clear()
+	w.locals.clear()
 	w.tree.reset()
 	w.fr.clear()
 	w.busy = false
@@ -89,7 +83,7 @@ func (x *Expander) clear() {
 	x.evb.network, x.evb.internal = wipe(x.evb.network), wipe(x.evb.internal)
 	x.props = wipe(x.props)
 	x.sibs, x.sleep, x.claims, x.rsts = x.sibs[:0], x.sleep[:0], x.claims[:0], x.rsts[:0]
-	x.forgetProposed()
+	x.proposed.clear()
 	x.sc.clear()
 }
 

@@ -96,6 +96,9 @@ type Node struct {
 	filters  []sm.Filter
 	seed     int64
 	eventSeq uint64
+	// rng is the node's one random stream, re-seeded per handler
+	// invocation (invocationRNG).
+	rng *rand.Rand
 
 	ckpt CheckpointHook
 
@@ -130,6 +133,7 @@ func NewNode(s *sim.Simulator, net *simnet.Network, id sm.NodeID, factory sm.Fac
 		factory: factory,
 		timers:  make(map[sm.TimerID]*sim.Timer),
 		seed:    s.Seed() ^ (int64(id) << 20),
+		rng:     sm.NewRand(0),
 	}
 	net.Register(id, n)
 	n.svc = factory(id)
@@ -284,9 +288,20 @@ func (n *Node) dispatch(ev sm.Event) {
 
 // invocationRNG returns the deterministic random stream for the current
 // handler invocation; speculative and real execution of the same event use
-// the same stream so they behave identically.
+// the same stream so they behave identically. It is the node's one Rand,
+// re-seeded: Seed resets all its state, so the stream is the one a fresh
+// sm.NewRand with the same seed draws. Each invocation re-seeds before its
+// handler runs and draws nothing after it returns (the ISC's speculative
+// run ends before the live run begins), so no two invocations share it.
 func (n *Node) invocationRNG() *rand.Rand {
-	return sm.NewRand(n.seed ^ int64(n.eventSeq+1)*0x9e3779b9)
+	n.rng.Seed(invocationSeed(n.seed, n.eventSeq))
+	return n.rng
+}
+
+// invocationSeed is the seed of the invocation that follows eventSeq
+// executed events at a node seeded with seed.
+func invocationSeed(seed int64, eventSeq uint64) int64 {
+	return seed ^ int64(eventSeq+1)*0x9e3779b9
 }
 
 // liveCtx returns a context that applies effects for real.

@@ -305,3 +305,39 @@ func TestSpeculationMatchesRealExecution(t *testing.T) {
 		t.Fatal("ISC speculation changed live behaviour")
 	}
 }
+
+// TestInvocationRNGMatchesFreshRand: a node re-seeds its one random stream
+// per handler invocation, and the stream must be the one a fresh
+// sm.NewRand(seed) draws — whatever the previous invocation left in it,
+// including a partly consumed Read — so the ISC's speculative run, the live
+// run and a replay all draw the same numbers.
+func TestInvocationRNGMatchesFreshRand(t *testing.T) {
+	s, _, nodes := deploy(t, 1)
+	n := nodes[0]
+	s.RunFor(5 * time.Second) // some events, so eventSeq is not 0
+	buf := make([]byte, 3)
+	for round := 0; round < 3; round++ {
+		dirty := n.invocationRNG()
+		dirty.Intn(1000)
+		dirty.Read(buf) // leaves the Rand's Read buffer half used
+		rng, want := n.invocationRNG(), sm.NewRand(invocationSeed(n.seed, n.eventSeq))
+		for i := 0; i < 300; i++ {
+			var got, exp uint64
+			switch i % 3 {
+			case 0:
+				got, exp = uint64(rng.Int63()), uint64(want.Int63())
+			case 1:
+				got, exp = uint64(rng.Intn(97)), uint64(want.Intn(97))
+			case 2:
+				rng.Read(buf[:1])
+				g := buf[0]
+				want.Read(buf[:1])
+				got, exp = uint64(g), uint64(buf[0])
+			}
+			if got != exp {
+				t.Fatalf("eventSeq %d, draw %d: re-seeded stream %d, fresh sm.NewRand %d", n.eventSeq, i, got, exp)
+			}
+		}
+		n.eventSeq++
+	}
+}

@@ -1,17 +1,12 @@
 // Command crystalvet is the repo's static-analysis multichecker: it runs the
-// custom determinism, hot-path and fingerprint-maintenance passes of
+// custom determinism, hot-path, fingerprint-maintenance and clone passes of
 // internal/analysis/passes, and the table of design rules, over the module
-// and exits non-zero on any unsuppressed finding. -list prints every pass
-// and every rule with its reason. CI runs it as a blocking lint job; run it
-// locally with `make lint` or `go run ./cmd/crystalvet ./...`.
+// and exits non-zero on any finding. -list prints every pass and every rule
+// with its reason. CI runs it as a blocking lint job; run it locally with
+// `make lint` or `go run ./cmd/crystalvet ./...`.
 //
-// Findings are suppressed in source with
-//
-//	//crystal:allow(<pass>) <reason>
-//
-// on (or immediately above) the offending line, or in the function's doc
-// comment to cover the whole function. The reason is mandatory. The rules
-// pass takes no suppressions: its exceptions are its table's.
+// No comment suppresses a finding: an exception is structural (a loop the
+// pass proves order-independent) or an Allow site of a rules row.
 package main
 
 import (
@@ -27,7 +22,6 @@ import (
 func main() {
 	listPasses := flag.Bool("list", false, "list the registered passes and exit")
 	sel := flag.String("passes", "", "comma-separated pass selection (default: all)")
-	verbose := flag.Bool("v", false, "also report suppressed findings (informational)")
 	flag.Usage = func() {
 		fmt.Fprintf(flag.CommandLine.Output(), "usage: crystalvet [flags] [package patterns]\n\n")
 		fmt.Fprintf(flag.CommandLine.Output(), "Runs the crystalball static-analysis suite (default patterns: ./...).\n\n")
@@ -60,27 +54,21 @@ func main() {
 		os.Exit(2)
 	}
 
-	findings, suppressed := 0, 0
+	findings := 0
 	for _, pkg := range pkgs {
-		res, err := analysis.RunPackage(pkg, selected, passes.All, true)
+		diags, err := analysis.RunPackage(pkg, selected, true)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "crystalvet: %v\n", err)
 			os.Exit(2)
 		}
-		for _, d := range res.Diagnostics {
+		for _, d := range diags {
 			fmt.Printf("%s: %s [%s]\n", pkg.Fset.Position(d.Pos), d.Message, d.AnalyzerName)
-			findings++
 		}
-		suppressed += len(res.Suppressed)
-		if *verbose {
-			for _, d := range res.Suppressed {
-				fmt.Printf("%s: suppressed: %s [%s]\n", pkg.Fset.Position(d.Pos), d.Message, d.AnalyzerName)
-			}
-		}
+		findings += len(diags)
 	}
 	if findings > 0 {
-		fmt.Fprintf(os.Stderr, "crystalvet: %d finding(s), %d suppressed\n", findings, suppressed)
+		fmt.Fprintf(os.Stderr, "crystalvet: %d finding(s)\n", findings)
 		os.Exit(1)
 	}
-	fmt.Fprintf(os.Stderr, "crystalvet: clean (%d finding(s) suppressed in-source)\n", suppressed)
+	fmt.Fprintln(os.Stderr, "crystalvet: clean")
 }

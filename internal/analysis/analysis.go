@@ -6,25 +6,23 @@
 // The passes machine-check the invariants CrystalBall's guarantees rest on
 // and which earlier PRs enforced only with runtime oracles after the bug had
 // already shipped: no map-iteration order leaking into deterministic
-// exploration (the PR 2 bug class), no wall clocks or global randomness in
-// simulation-deterministic code, no allocation-prone constructs on
+// exploration (the PR 2 bug class), no allocation-prone constructs on
 // //crystal:hotpath functions (the PR 4 surface), and no GState component
 // write without its paired incremental fingerprint update (the invariant the
 // FullHash oracle tests only at runtime). The rules pass holds the design
-// rules as a table: which objects and forms may appear where, and why.
+// rules as a table: which objects and forms may appear where, and why —
+// among them no wall clock in simulation-deterministic code and no draw from
+// the global random source anywhere.
 //
-// Two directives configure the passes in source:
+// One directive configures a pass in source:
 //
 //	//crystal:hotpath
 //	    in a function's doc comment, marks it hot-path: the hotpathalloc
 //	    pass flags allocation-prone constructs inside it.
 //
-//	//crystal:allow(<pass>) <reason>
-//	    suppresses <pass>'s findings on the directive's line (when it
-//	    trails code), on the next line (when it stands alone), or in the
-//	    whole function (when it appears in the function's doc comment).
-//	    The reason is mandatory: a suppression with no justification is
-//	    itself reported.
+// No comment suppresses a finding. A pass's exceptions are structural (a
+// loop maporder can prove order-independent) or stated once as an Allow
+// site of a rules row.
 package analysis
 
 import (
@@ -36,8 +34,7 @@ import (
 
 // An Analyzer describes one analysis pass.
 type Analyzer struct {
-	// Name identifies the pass in diagnostics and in
-	// //crystal:allow(<name>) directives.
+	// Name identifies the pass in diagnostics and in crystalvet -passes.
 	Name string
 	// Doc is a one-line description.
 	Doc string
@@ -47,10 +44,6 @@ type Analyzer struct {
 	// applied by the driver; analysistest runs the pass unscoped so golden
 	// packages need no special import paths.
 	PackagePrefixes []string
-	// Unsuppressible passes take no //crystal:allow directive: their
-	// exceptions are stated in the pass itself, and a directive naming one
-	// is reported.
-	Unsuppressible bool
 	// Run executes the pass, reporting findings through pass.Report.
 	Run func(*Pass) error
 }
@@ -93,7 +86,7 @@ func (a *Analyzer) Matches(importPath string) bool {
 // service, the simulator and its network, and the live stack (snapshot,
 // controller, runtime) the scenarios deploy. Same-seed replay, the handler
 // memo and the edge seeds all assume this code is a function of its inputs,
-// so the maporder and walltime passes are scoped to it.
+// so the maporder pass and the rules table's wall-clock row are scoped to it.
 var DeterministicPackages = []string{
 	"crystalball/internal/controller",
 	"crystalball/internal/dist",
@@ -109,11 +102,7 @@ var DeterministicPackages = []string{
 	"crystalball/internal/testsvc",
 }
 
-// Directive names.
-const (
-	allowDirective   = "//crystal:allow("
-	hotpathDirective = "//crystal:hotpath"
-)
+const hotpathDirective = "//crystal:hotpath"
 
 // IsHotpathDoc reports whether a function doc comment carries the
 // //crystal:hotpath directive.
@@ -127,31 +116,4 @@ func IsHotpathDoc(doc *ast.CommentGroup) bool {
 		}
 	}
 	return false
-}
-
-// allowance is one parsed //crystal:allow directive.
-type allowance struct {
-	pass   string
-	reason string
-	pos    token.Pos
-	// lines the allowance covers (inline: its own line; standalone: its
-	// own and the following line). Function-doc allowances instead cover
-	// the [funcPos, funcEnd] range.
-	lines            [2]int
-	funcPos, funcEnd token.Pos
-	used             bool
-}
-
-// parseAllow extracts the pass name and reason from one comment's text, or
-// ok=false if the comment is not an allow directive.
-func parseAllow(text string) (pass, reason string, ok bool) {
-	if !strings.HasPrefix(text, allowDirective) {
-		return "", "", false
-	}
-	rest := text[len(allowDirective):]
-	i := strings.IndexByte(rest, ')')
-	if i < 0 {
-		return "", "", false
-	}
-	return strings.TrimSpace(rest[:i]), strings.TrimSpace(rest[i+1:]), true
 }

@@ -33,9 +33,8 @@ type expectation struct {
 // Run loads the golden package rooted at dir (a path like "testdata/src/a",
 // relative to the calling test's package directory), runs the analyzer
 // unscoped, and reports any mismatch between the diagnostics and the
-// `// want` comments as test errors. Suppressed findings are not matched
-// against wants — assert on the returned Result's Suppressed list instead.
-func Run(t *testing.T, a *analysis.Analyzer, dir string) analysis.Result {
+// `// want` comments as test errors.
+func Run(t *testing.T, a *analysis.Analyzer, dir string) {
 	t.Helper()
 	abs, err := filepath.Abs(dir)
 	if err != nil {
@@ -49,13 +48,13 @@ func Run(t *testing.T, a *analysis.Analyzer, dir string) analysis.Result {
 		t.Fatalf("analysistest: %s resolved to %d packages, want 1", dir, len(pkgs))
 	}
 	pkg := pkgs[0]
-	res, err := analysis.RunPackage(pkg, []*analysis.Analyzer{a}, []*analysis.Analyzer{a}, false)
+	diags, err := analysis.RunPackage(pkg, []*analysis.Analyzer{a}, false)
 	if err != nil {
 		t.Fatalf("analysistest: running %s on %s: %v", a.Name, dir, err)
 	}
 
 	expects := collectWants(t, pkg)
-	for _, d := range res.Diagnostics {
+	for _, d := range diags {
 		pos := pkg.Fset.Position(d.Pos)
 		if !match(expects, pos.Filename, pos.Line, d.Message) {
 			t.Errorf("%s:%d: unexpected diagnostic: %s [%s]", filepath.Base(pos.Filename), pos.Line, d.Message, d.AnalyzerName)
@@ -66,11 +65,9 @@ func Run(t *testing.T, a *analysis.Analyzer, dir string) analysis.Result {
 			t.Errorf("%s:%d: no diagnostic matching %s", filepath.Base(e.file), e.line, e.raw)
 		}
 	}
-	return res
 }
 
-// collectWants parses every `// want "re"` and `/* want "re" */` comment in
-// the package.
+// collectWants parses every `// want "re"` comment in the package.
 func collectWants(t *testing.T, pkg *analysis.Package) []*expectation {
 	t.Helper()
 	var out []*expectation
@@ -79,11 +76,7 @@ func collectWants(t *testing.T, pkg *analysis.Package) []*expectation {
 			for _, c := range cg.List {
 				text, ok := strings.CutPrefix(c.Text, "// want ")
 				if !ok {
-					// A block comment carries a want on a line that ends
-					// in a line comment, such as a directive.
-					if text, ok = strings.CutPrefix(c.Text, "/* want "); !ok {
-						continue
-					}
+					continue
 				}
 				pos := pkg.Fset.Position(c.Pos())
 				for _, q := range wantRe.FindAllString(text, -1) {

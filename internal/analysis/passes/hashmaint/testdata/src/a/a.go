@@ -113,11 +113,9 @@ func literalWithGuard(ns []*NodeState, h uint64) *GState {
 	return &GState{nodes: ns, hsum: h}
 }
 
-// scrub resets components wholesale; the suppression documents why the zero
-// fingerprint is already correct.
-//
-//crystal:allow(hashmaint) wholesale reset: the zero value is the fingerprint of the empty state
+// scrub resets components wholesale without touching the fingerprint: both
+// writes are flagged, the whole-field reset and the plain counter alike.
 func (g *GState) scrub() {
-	g.msgs = nil
-	g.resets = 0
+	g.msgs = nil // want `scrub writes GState.msgs`
+	g.resets = 0 // want `scrub writes GState.resets`
 }

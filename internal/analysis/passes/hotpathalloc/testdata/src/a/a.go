@@ -219,11 +219,3 @@ func cold(xs []int) string {
 	}
 	return fmt.Sprintf("%d", len(out)+len(seen)+len(evs)+int((&entry{}).parent)+int(new(proposal).sibs))
 }
-
-// warm allocates knowingly; the func-doc directive covers the whole body.
-//
-//crystal:allow(hotpathalloc) cold branch: runs once per search, not per state
-//crystal:hotpath
-func warm(n int) string {
-	return fmt.Sprintf("run-%d", n)
-}

@@ -3,9 +3,10 @@
 // timer enumeration and RST fan-out and broke same-seed replay. A loop is
 // exempt when its effect is provably order-independent: a commutative fold
 // (each iteration only accumulates with commutative operators, inserts
-// keyed by the iterated element, or mutates loop-local state), or the
-// collect-then-sort idiom (the body only appends into a slice that is
-// passed to a sort.* / slices.* call later in the same function).
+// keyed by the iterated element, mutates loop-local state, or runs a nested
+// loop whose body is itself such a fold), or the collect-then-sort idiom
+// (the body only appends into a slice that is passed to a sort.* /
+// slices.* call later in the same function).
 package maporder
 
 import (
@@ -60,7 +61,7 @@ func checkFunc(pass *analysis.Pass, fd *ast.FuncDecl) {
 			return true
 		}
 		pass.Reportf(rs.For,
-			"iteration over map %s has non-deterministic order; iterate sorted keys, make the body a commutative fold, or annotate //crystal:allow(maporder) with a reason",
+			"iteration over map %s has non-deterministic order; iterate sorted keys or make the body a commutative fold",
 			types.TypeString(t, types.RelativeTo(pass.Pkg.Types)))
 		return true
 	})
@@ -76,6 +77,9 @@ type checker struct {
 	// rangeVars are the key/value objects bound by the range clause;
 	// writes keyed by them (m[k] = v) hit distinct elements and commute.
 	rangeVars map[types.Object]bool
+	// nested is set inside a nested loop, where a write keyed by a range
+	// variable hits the same element once per inner iteration.
+	nested bool
 }
 
 func (c *checker) loopVars(rs *ast.RangeStmt) {
@@ -124,7 +128,7 @@ func (c *checker) loopLocal(expr ast.Expr) bool {
 // mentions a range variable: writes to distinct keys commute.
 func (c *checker) keyedByRangeVar(expr ast.Expr) bool {
 	ix, ok := expr.(*ast.IndexExpr)
-	if !ok {
+	if !ok || c.nested {
 		return false
 	}
 	for obj := range c.rangeVars {
@@ -225,6 +229,15 @@ func (c *checker) commutativeStmt(s ast.Stmt) bool {
 		return true
 	case *ast.BlockStmt:
 		return c.commutativeBody(st)
+	case *ast.RangeStmt:
+		// A nested loop commutes when each of its iterations does. Its
+		// range variables must be new bindings and its operand call-free.
+		if st.Tok == token.ASSIGN || hasCalls(c.info, st.X) {
+			return false
+		}
+		inner := *c
+		inner.nested = true
+		return inner.commutativeBody(st.Body)
 	case *ast.BranchStmt:
 		// continue skips an element (order-independent); break/goto make
 		// the set of processed elements depend on iteration order.
@@ -232,8 +245,8 @@ func (c *checker) commutativeStmt(s ast.Stmt) bool {
 	case *ast.EmptyStmt:
 		return true
 	default:
-		// return, send, go, defer, nested loops over order-dependent
-		// state, ... — assume order-dependent.
+		// return, send, go, defer, for loops, ... — assume
+		// order-dependent.
 		return false
 	}
 }

@@ -1,6 +1,5 @@
-// Package a exercises the maporder pass: flagged map ranges, the
-// commutative-fold and collect-then-sort exemptions, and the suppression
-// directive.
+// Package a exercises the maporder pass: flagged map ranges and the
+// commutative-fold and collect-then-sort exemptions, nested loops included.
 package a
 
 import (
@@ -95,10 +94,38 @@ func sortedSubset(m map[string]int, limit int) []string {
 	return keys
 }
 
-// suppressed documents an intentionally order-dependent loop.
-func suppressed(m map[string]int) {
-	//crystal:allow(maporder) the sink is order-insensitive in this model
-	for k, v := range m {
-		fmt.Println(k, v)
+// nestedSum folds a map of sets: the inner loop's body is itself a
+// commutative fold, so neither loop's order reaches the sum.
+func nestedSum(m map[string]map[int]bool) uint64 {
+	var sum uint64
+	for k, set := range m {
+		for x := range set {
+			sum += uint64(len(k) * x)
+		}
 	}
+	return sum
+}
+
+// nestedLeak appends from the inner loop into an outer slice: both loops'
+// orders escape.
+func nestedLeak(m map[string]map[int]bool) []int {
+	var xs []int
+	for _, set := range m { // want `non-deterministic order`
+		for x := range set { // want `non-deterministic order`
+			xs = append(xs, x)
+		}
+	}
+	return xs
+}
+
+// nestedLastWins writes a key of the outer loop once per inner iteration:
+// the inner order picks the value that stays.
+func nestedLastWins(m map[string]map[int]bool) map[string]int {
+	out := make(map[string]int, len(m))
+	for k, set := range m { // want `non-deterministic order`
+		for x := range set { // want `non-deterministic order`
+			out[k] = x
+		}
+	}
+	return out
 }

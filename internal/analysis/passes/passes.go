@@ -6,19 +6,15 @@ import (
 
 	"crystalball/internal/analysis"
 	"crystalball/internal/analysis/passes/cloneinto"
-	"crystalball/internal/analysis/passes/globalrand"
 	"crystalball/internal/analysis/passes/hashmaint"
 	"crystalball/internal/analysis/passes/hotpathalloc"
 	"crystalball/internal/analysis/passes/maporder"
 	"crystalball/internal/analysis/passes/rules"
-	"crystalball/internal/analysis/passes/walltime"
 )
 
 // All is the crystalvet suite, in reporting order.
 var All = []*analysis.Analyzer{
 	maporder.Analyzer,
-	walltime.Analyzer,
-	globalrand.Analyzer,
 	hotpathalloc.Analyzer,
 	hashmaint.Analyzer,
 	cloneinto.Analyzer,

@@ -3,10 +3,8 @@
 // the packages it covers, the sites where the form is allowed, and why.
 // Forms are resolved through types.Info: an aliased import or a reformatted
 // line does not hide a hit, and a local identifier that only shares a name
-// is not one. `crystalvet -list` prints every row.
-//
-// The pass takes no //crystal:allow suppressions: a row's exceptions are its
-// Allow sites, stated once, in the table.
+// is not one. `crystalvet -list` prints every row. A row's exceptions are
+// its Allow sites, stated once, in the table.
 package rules
 
 import (
@@ -29,37 +27,39 @@ const (
 	controllerPkg = "crystalball/internal/controller"
 )
 
+// program is the module's code proper: the commands, the internal packages
+// and the examples. The benchmark harness (bench) is outside it.
+var program = []string{"crystalball/cmd", "crystalball/internal", "crystalball/examples"}
+
 // Table is the repository's design rules, one row each.
 var Table = []Rule{
 	{
-		Name:   "ordered-state",
-		Forbid: Directive("//crystal:allow"),
-		In:     []string{mcPkg, propsPkg},
-		Reason: "the checker's state and property view are ordered by construction (sorted slices, no maps): make the order structural instead of suppressing a finding",
-	},
-	{
 		Name:   "timer-set",
 		Forbid: MapSet{Pkg: smPkg, Type: "TimerID"},
+		In:     program,
 		Reason: "a set of pending timers is an sm.TimerSet, one sorted representation encoded one way",
 	},
 	{
 		Name: "one-executor",
-		Forbid: Uses{Pkg: smPkg, Methods: []string{
-			"Service.HandleMessage", "Service.HandleTimer", "Service.HandleApp",
-			"Service.HandleTransportError", "StableStore.RestoreStable",
-		}},
+		Forbid: Uses{
+			smPkg + ".Service.HandleMessage", smPkg + ".Service.HandleTimer", smPkg + ".Service.HandleApp",
+			smPkg + ".Service.HandleTransportError", smPkg + ".StableStore.RestoreStable",
+		},
+		In:     program,
 		Allow:  []string{smPkg, servicesPkg},
 		Reason: "an event becomes a handler call, and a crashed node gets its disk back, only in sm.Deliver and sm.Restart (a service may call its own handlers): a handler run anywhere else is a second executor",
 	},
 	{
 		Name:   "one-event-switch",
 		Forbid: Switch{Pkg: smPkg, Type: "EventKey", Field: "Kind"},
+		In:     program,
 		Allow:  []string{smPkg, mcPkg + ".(*Search).apply"},
 		Reason: "an event's kind selects its key text and handler in sm and its enabledness in the checker's one successor constructor; every other layer handles an sm.Event as one value",
 	},
 	{
 		Name:   "one-wait",
-		Forbid: Uses{Pkg: distPkg, Methods: []string{"Coordinator.nextArrival"}},
+		Forbid: Uses{distPkg + ".Coordinator.nextArrival"},
+		In:     program,
 		Allow:  []string{distPkg + ".(*Coordinator).wait"},
 		Reason: "the coordinator waits in one place, so relay, report and abort share one death rule",
 	},
@@ -69,6 +69,31 @@ var Table = []Rule{
 		In:     []string{controllerPkg},
 		Reason: "a round runs the mc.Config the controller holds (controller.Config.Check): a checker setting declared again as a controller field is a second copy to keep equal",
 	},
+	{
+		Name: "wall-clock",
+		Forbid: Uses{
+			"time.Now", "time.Since", "time.Until", "time.Sleep", "time.After",
+			"time.AfterFunc", "time.Tick", "time.NewTicker", "time.NewTimer",
+		},
+		In:     analysis.DeterministicPackages,
+		Allow:  []string{mcPkg + ".(*Config).defaults", distPkg + ".NewCoordinator"},
+		Reason: "simulated and checked code reads only virtual or injected clocks, so same-seed runs replay; a wall budget reads the injected Now that mc.Config and dist.CoordinatorConfig default to time.Now",
+	},
+	{
+		Name: "global-rand",
+		Forbid: Uses{
+			"math/rand.Seed", "math/rand.Read", "math/rand.Perm", "math/rand.Shuffle",
+			"math/rand.Int", "math/rand.Intn", "math/rand.Int31", "math/rand.Int31n",
+			"math/rand.Int63", "math/rand.Int63n", "math/rand.Uint32", "math/rand.Uint64",
+			"math/rand.Float32", "math/rand.Float64", "math/rand.ExpFloat64", "math/rand.NormFloat64",
+			"math/rand/v2.N", "math/rand/v2.Perm", "math/rand/v2.Shuffle",
+			"math/rand/v2.Int", "math/rand/v2.IntN", "math/rand/v2.Int32", "math/rand/v2.Int32N",
+			"math/rand/v2.Int64", "math/rand/v2.Int64N", "math/rand/v2.Uint", "math/rand/v2.UintN",
+			"math/rand/v2.Uint32", "math/rand/v2.Uint32N", "math/rand/v2.Uint64", "math/rand/v2.Uint64N",
+			"math/rand/v2.Float32", "math/rand/v2.Float64", "math/rand/v2.ExpFloat64", "math/rand/v2.NormFloat64",
+		},
+		Reason: "the process-global source is seeded once per process and shared by every goroutine, so a draw from it escapes same-seed replay: every draw comes from a seeded *rand.Rand (sm.NewRand, the checker's per-worker source)",
+	},
 }
 
 // Analyzer enforces Table.
@@ -76,10 +101,8 @@ var Analyzer = newAnalyzer(Table)
 
 func newAnalyzer(rows []Rule) *analysis.Analyzer {
 	return &analysis.Analyzer{
-		Name:            "rules",
-		Doc:             "enforce the design-rule table below: each row forbids objects or forms, resolved through types, outside its allowed sites",
-		PackagePrefixes: []string{"crystalball/cmd", "crystalball/internal", "crystalball/examples"},
-		Unsuppressible:  true,
+		Name: "rules",
+		Doc:  "enforce the design-rule table below: each row forbids objects or forms, resolved through types, outside its allowed sites",
 		Run: func(pass *analysis.Pass) error {
 			for _, r := range rows {
 				r.check(pass)
@@ -195,21 +218,6 @@ type Form interface {
 	find(pkg *analysis.Package, f *ast.File, report func(pos token.Pos, what string))
 }
 
-// Directive forbids a comment that starts with the given text.
-type Directive string
-
-func (d Directive) String() string { return "a " + string(d) + " comment" }
-
-func (d Directive) find(_ *analysis.Package, f *ast.File, report func(token.Pos, string)) {
-	for _, cg := range f.Comments {
-		for _, c := range cg.List {
-			if strings.HasPrefix(c.Text, string(d)) {
-				report(c.Pos(), string(d)+" directive")
-			}
-		}
-	}
-}
-
 // MapSet forbids a set of the named type Pkg.Type held as a map: a map
 // keyed by it whose value is bool or struct{}.
 type MapSet struct{ Pkg, Type string }
@@ -239,43 +247,59 @@ func isSetValue(t types.Type) bool {
 	return false
 }
 
-// Uses forbids any use — a call, a method value or a method expression — of
-// the methods of package Pkg, each written Type.Method. A method of an
-// interface stands for the method of that name on every type implementing
-// the interface.
-type Uses struct {
-	Pkg     string
-	Methods []string
-}
+// Uses forbids any use — a call, a function or method value, or a method
+// expression — of the listed package-level functions and methods, each
+// written as an Allow site writes a function: <import path>.<name> or
+// <import path>.<Type>.<Method>. A method of an interface stands for the
+// method of that name on every type implementing the interface.
+type Uses []string
 
 func (u Uses) String() string {
 	var names []string
-	for _, m := range u.Methods {
-		names = append(names, qualified(u.Pkg, m))
+	methods := false
+	for _, n := range u {
+		pkgPath, member := splitSite(n)
+		names = append(names, qualified(pkgPath, member))
+		methods = methods || strings.Contains(member, ".")
 	}
-	return "a use of " + strings.Join(names, ", ") + " (of an interface's method: of any implementation too)"
+	if methods {
+		return "a use of " + strings.Join(names, ", ") + " (of an interface's method: of any implementation too)"
+	}
+	return "a use of " + strings.Join(names, ", ")
 }
 
 func (u Uses) find(pkg *analysis.Package, f *ast.File, report func(token.Pos, string)) {
 	type target struct {
 		name, method string
-		iface        *types.Interface // nil for a concrete method, which is obj
+		iface        *types.Interface // nil for a function or concrete method, which is obj
 		obj          *types.Func
 	}
 	var targets []target
-	for _, m := range u.Methods {
-		typeName, method, _ := strings.Cut(m, ".")
-		named := lookupNamed(pkg.Types, u.Pkg, typeName)
-		if named == nil {
-			continue // the package cannot reach the type, so it uses none of its methods
+	for _, n := range u {
+		pkgPath, member := splitSite(n)
+		p := lookupPackage(pkg.Types, pkgPath)
+		if p == nil {
+			continue // the package cannot reach pkgPath, so it uses none of its objects
 		}
-		if iface, ok := named.Underlying().(*types.Interface); ok {
-			targets = append(targets, target{name: m, method: method, iface: iface})
+		name := qualified(pkgPath, member)
+		typeName, method, isMethod := strings.Cut(member, ".")
+		if !isMethod {
+			if fn, ok := p.Scope().Lookup(member).(*types.Func); ok {
+				targets = append(targets, target{name: name, obj: fn})
+			}
 			continue
 		}
-		obj, _, _ := types.LookupFieldOrMethod(types.NewPointer(named), false, named.Obj().Pkg(), method)
+		named := namedType(p, typeName)
+		if named == nil {
+			continue
+		}
+		if iface, ok := named.Underlying().(*types.Interface); ok {
+			targets = append(targets, target{name: name, method: method, iface: iface})
+			continue
+		}
+		obj, _, _ := types.LookupFieldOrMethod(types.NewPointer(named), false, p, method)
 		if fn, ok := obj.(*types.Func); ok {
-			targets = append(targets, target{name: m, method: method, obj: fn})
+			targets = append(targets, target{name: name, obj: fn})
 		}
 	}
 	if len(targets) == 0 {
@@ -292,12 +316,9 @@ func (u Uses) find(pkg *analysis.Package, f *ast.File, report func(token.Pos, st
 			return true
 		}
 		recv := fn.Type().(*types.Signature).Recv()
-		if recv == nil {
-			return true
-		}
 		for _, t := range targets {
-			if fn == t.obj || t.iface != nil && fn.Name() == t.method && implements(recv.Type(), t.iface) {
-				report(id.Pos(), "use of "+qualified(u.Pkg, t.name))
+			if fn.Origin() == t.obj || t.iface != nil && recv != nil && fn.Name() == t.method && implements(recv.Type(), t.iface) {
+				report(id.Pos(), "use of "+t.name)
 			}
 		}
 		return true
@@ -354,7 +375,11 @@ func (m Mirror) String() string {
 }
 
 func (m Mirror) find(pkg *analysis.Package, f *ast.File, report func(token.Pos, string)) {
-	named := lookupNamed(pkg.Types, m.Pkg, m.Type)
+	p := lookupPackage(pkg.Types, m.Pkg)
+	if p == nil {
+		return
+	}
+	named := namedType(p, m.Type)
 	if named == nil {
 		return
 	}
@@ -383,8 +408,14 @@ func (m Mirror) find(pkg *analysis.Package, f *ast.File, report func(token.Pos, 
 	})
 }
 
-// qualified writes name as its package's base name qualifies it: sm.TimerID.
-func qualified(pkgPath, name string) string { return path.Base(pkgPath) + "." + name }
+// qualified writes name qualified by its package: a package of this module
+// by its name (sm.TimerID), any other by its import path (math/rand/v2.IntN).
+func qualified(pkgPath, name string) string {
+	if strings.HasPrefix(pkgPath, "crystalball/") {
+		pkgPath = path.Base(pkgPath)
+	}
+	return pkgPath + "." + name
+}
 
 // isNamed reports whether t is the named type pkgPath.name.
 func isNamed(t types.Type, pkgPath, name string) bool {
@@ -399,20 +430,27 @@ func deref(t types.Type) types.Type {
 	return t
 }
 
-// lookupNamed finds the named type pkgPath.name among from and the packages
-// it imports, directly or not; nil when none of them is pkgPath.
-func lookupNamed(from *types.Package, pkgPath, name string) *types.Named {
+// namedType finds the named type name declared in p; nil when p declares
+// no such type.
+func namedType(p *types.Package, name string) *types.Named {
+	tn, _ := p.Scope().Lookup(name).(*types.TypeName)
+	if tn == nil {
+		return nil
+	}
+	n, _ := types.Unalias(tn.Type()).(*types.Named)
+	return n
+}
+
+// lookupPackage finds pkgPath among from and the packages it imports,
+// directly or not; nil when none of them is pkgPath.
+func lookupPackage(from *types.Package, pkgPath string) *types.Package {
 	seen := map[*types.Package]bool{from: true}
 	queue := []*types.Package{from}
 	for len(queue) > 0 {
 		p := queue[0]
 		queue = queue[1:]
 		if p.Path() == pkgPath {
-			if tn, ok := p.Scope().Lookup(name).(*types.TypeName); ok {
-				n, _ := types.Unalias(tn.Type()).(*types.Named)
-				return n
-			}
-			return nil
+			return p
 		}
 		for _, imp := range p.Imports() {
 			if !seen[imp] {

@@ -30,8 +30,7 @@ func TestRulesAtTheirSites(t *testing.T) {
 		r.Allow = movePaths(r.Allow, moved)
 		switch f := r.Forbid.(type) {
 		case Uses:
-			f.Pkg = movePath(f.Pkg, moved)
-			r.Forbid = f
+			r.Forbid = Uses(movePaths(f, moved))
 		case Mirror:
 			f.Pkg = movePath(f.Pkg, moved)
 			r.Forbid = f
@@ -64,10 +63,11 @@ func movePath(p string, moved []string) string {
 }
 
 // TestTableNamesLiveCode loads the packages the table names and checks that
-// every type, method, field and allowed function a row names exists: a row
-// whose object was renamed would otherwise match nothing, silently.
+// every type, function, method, field and allowed function a row names
+// exists: a row whose object was renamed would otherwise match nothing,
+// silently.
 func TestTableNamesLiveCode(t *testing.T) {
-	pkgs, err := analysis.Load("../../../..", smPkg, mcPkg, distPkg, controllerPkg)
+	pkgs, err := analysis.Load("../../../..", smPkg, mcPkg, distPkg, controllerPkg, "time", "math/rand", "math/rand/v2")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +81,7 @@ func TestTableNamesLiveCode(t *testing.T) {
 		if p == nil {
 			t.Fatalf("package %s not loaded", pkgPath)
 		}
-		n := lookupNamed(p, pkgPath, name)
+		n := namedType(p, name)
 		if n == nil {
 			t.Errorf("%s.%s does not exist", pkgPath, name)
 		}
@@ -100,12 +100,23 @@ func TestTableNamesLiveCode(t *testing.T) {
 			t.Errorf("%s has no field or method %s", n, name)
 		}
 	}
+	// function checks a site or Uses entry written as Allow sites write a
+	// function.
+	function := func(site string) {
+		t.Helper()
+		pkgPath, fn := splitSite(site)
+		recv, method, isMethod := strings.Cut(strings.NewReplacer("(*", "", ")", "").Replace(fn), ".")
+		if isMethod {
+			member(named(pkgPath, recv), method)
+		} else if _, ok := byPath[pkgPath].Scope().Lookup(fn).(*types.Func); !ok {
+			t.Errorf("%s is no function", site)
+		}
+	}
 	for _, r := range Table {
 		switch f := r.Forbid.(type) {
 		case Uses:
-			for _, m := range f.Methods {
-				typeName, method, _ := strings.Cut(m, ".")
-				member(named(f.Pkg, typeName), method)
+			for _, n := range f {
+				function(n)
 			}
 		case MapSet:
 			named(f.Pkg, f.Type)
@@ -115,15 +126,8 @@ func TestTableNamesLiveCode(t *testing.T) {
 			named(f.Pkg, f.Type)
 		}
 		for _, site := range r.Allow {
-			pkgPath, fn := splitSite(site)
-			if fn == "" {
-				continue
-			}
-			recv, method, isMethod := strings.Cut(strings.NewReplacer("(*", "", ")", "").Replace(fn), ".")
-			if isMethod {
-				member(named(pkgPath, recv), method)
-			} else if byPath[pkgPath].Scope().Lookup(fn) == nil {
-				t.Errorf("%s does not exist", site)
+			if _, fn := splitSite(site); fn != "" {
+				function(site)
 			}
 		}
 	}

@@ -5,6 +5,9 @@ package a
 
 import (
 	"fmt"
+	"math/rand"
+	randv2 "math/rand/v2"
+	"time"
 
 	s "crystalball/internal/sm"
 )
@@ -89,11 +92,42 @@ func cand() {
 	fmt.Println(MsgEvent + RandomWalk)
 }
 
-// --- ordered-state -----------------------------------------------------------
+// --- global-rand -------------------------------------------------------------
 
-// Outside internal/mc and internal/props a directive is not the ordered-state
-// row's business, but the rules pass itself takes no suppressions.
-func directive() {
-	/* want `cannot suppress "rules"` */ //crystal:allow(rules) a row's exceptions are its Allow sites
-	fmt.Println()
+func draw() int {
+	return rand.Intn(10) // want `global-rand: use of math/rand.Intn`
+}
+
+func shuffle(xs []int) {
+	rand.Shuffle(len(xs), func(i, j int) { // want `global-rand: use of math/rand.Shuffle`
+		xs[i], xs[j] = xs[j], xs[i]
+	})
+}
+
+func jitter() float64 {
+	return rand.Float64() // want `global-rand: use of math/rand.Float64`
+}
+
+func drawV2() (int, uint64) {
+	return randv2.IntN(10), randv2.N[uint64](7) // want `global-rand: use of math/rand/v2.IntN` `global-rand: use of math/rand/v2.N`
+}
+
+// draws is a value reference to the global source: a use, like a call.
+var draws = rand.Int63 // want `global-rand: use of math/rand.Int63`
+
+// seeded builds private sources: the constructors and the methods of a
+// *rand.Rand are no hit.
+func seeded(seed int64) int {
+	r := rand.New(rand.NewSource(seed))
+	r2 := randv2.New(randv2.NewPCG(1, 2))
+	return r.Intn(10) + r2.IntN(10)
+}
+
+// --- wall-clock ----------------------------------------------------------------
+
+// Package a is outside the deterministic packages the row covers: its wall
+// clock is no hit.
+func stamp() time.Duration {
+	t0 := time.Now()
+	return time.Since(t0)
 }

@@ -1,8 +1,26 @@
 // Package dist stands in for crystalball/internal/dist: the one-wait row
-// allows a use of (*Coordinator).nextArrival in (*Coordinator).wait alone.
+// allows a use of (*Coordinator).nextArrival in (*Coordinator).wait alone,
+// and the wall-clock row a use of time.Now in NewCoordinator.
 package dist
 
-type Coordinator struct{ arrivals []int }
+import "time"
+
+type Coordinator struct {
+	arrivals []int
+	now      func() time.Time
+}
+
+func NewCoordinator(now func() time.Time) *Coordinator {
+	if now == nil {
+		now = time.Now
+	}
+	return &Coordinator{now: now}
+}
+
+// newDefault is not the allowed site.
+func newDefault() *Coordinator {
+	return NewCoordinator(time.Now) // want `wall-clock: use of time.Now`
+}
 
 func (c *Coordinator) nextArrival() (int, bool) {
 	if len(c.arrivals) == 0 {

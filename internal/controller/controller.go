@@ -25,6 +25,7 @@ package controller
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"crystalball/internal/mc"
@@ -181,6 +182,7 @@ type Controller struct {
 	mgr  *snapshot.Manager
 	cfg  Config
 	ws   *mc.Workspace // where the rounds and filter-safety rechecks search
+	ids  []sm.NodeID   // a round's snapshot ids, sorted; reused across rounds
 
 	lastView *props.View
 	findings []Finding
@@ -264,13 +266,19 @@ func (c *Controller) onSnapshot(snap *snapshot.Snapshot) {
 		return
 	}
 	c.Stats.Rounds++
-	// Decode the checkpoints into service instances; this state is both
-	// the checker's start state and the ISC's evaluation context.
+	// Decode the checkpoints, in id order, into service instances; this
+	// state is both the checker's start state and the ISC's evaluation
+	// context.
+	ids := c.ids[:0]
+	for id := range snap.States {
+		ids = append(ids, id)
+	}
+	slices.Sort(ids)
+	c.ids = ids
 	start := mc.NewGState()
 	view := props.NewView()
-	//crystal:allow(maporder) AddNode inserts by id and View.Add accepts any order, so the start state and the view are the same in every order
-	for id, data := range snap.States {
-		svc, timers, err := sm.DecodeFullState(c.cfg.Check.Factory, id, data)
+	for _, id := range ids {
+		svc, timers, err := sm.DecodeFullState(c.cfg.Check.Factory, id, snap.States[id])
 		if err != nil {
 			continue
 		}

@@ -180,7 +180,8 @@ type Result struct {
 	TransitionsPruned int
 	// Unbuilt counts successors the breadth-first engine built in scratch
 	// but never published, because their fingerprint was already claimed or
-	// already proposed (Engine.fate). A sharded result sums its shards'.
+	// already proposed (Engine.fate). It is exact with one worker and varies
+	// with more; a sharded result sums its shards'.
 	Unbuilt int
 	// HandlerRuns counts the event handlers (deliveries, timers, app calls,
 	// transport errors) the engine's workers actually ran: a transition whose

@@ -334,7 +334,6 @@ func (s *Set) DecodeState(d *sm.Decoder) error {
 // (element, tag) pairs — the observable set value at tag granularity.
 func (s *Set) ConvergedSum() uint64 {
 	var sum uint64
-	//crystal:allow(maporder) nested commutative fold: per-tag hashes only accumulate by +, so iteration order cannot reach the fingerprint
 	for elem, tags := range s.Live {
 		for t := range tags {
 			sum += strHash(domSetTag, elem, uint64(uint32(t.Origin)), uint64(t.Seq), 0)

@@ -3,7 +3,7 @@
 // timer enumeration and RST fan-out and broke same-seed replay. A loop is
 // exempt when its effect is provably order-independent: a commutative fold
 // (each iteration only accumulates with commutative operators, inserts
-// keyed by the iterated element, mutates loop-local state, or runs a nested
+// keyed by the iterated key, mutates loop-local state, or runs a nested
 // loop whose body is itself such a fold), or the collect-then-sort idiom
 // (the body only appends into a slice that is passed to a sort.* /
 // slices.* call later in the same function).
@@ -74,9 +74,13 @@ type checker struct {
 	pass *analysis.Pass
 	info *types.Info
 	body analysis.PosRange
-	// rangeVars are the key/value objects bound by the range clause;
-	// writes keyed by them (m[k] = v) hit distinct elements and commute.
+	// rangeVars are the key/value objects bound by the range clause, and
+	// rangeKey the key's (nil when there is none): writes indexed by the key
+	// itself (out[k] = v) hit distinct elements and commute, while an index
+	// that merely mentions a range variable (out[v] = k) can name one
+	// element from two iterations.
 	rangeVars map[types.Object]bool
+	rangeKey  types.Object
 	// nested is set inside a nested loop, where a write keyed by a range
 	// variable hits the same element once per inner iteration.
 	nested bool
@@ -85,14 +89,25 @@ type checker struct {
 func (c *checker) loopVars(rs *ast.RangeStmt) {
 	c.rangeVars = make(map[types.Object]bool, 2)
 	for _, e := range []ast.Expr{rs.Key, rs.Value} {
-		if id, ok := e.(*ast.Ident); ok && id.Name != "_" {
-			if obj := c.info.Defs[id]; obj != nil {
-				c.rangeVars[obj] = true
-			} else if obj := c.info.Uses[id]; obj != nil {
-				c.rangeVars[obj] = true
+		if obj := c.object(e); obj != nil && obj.Name() != "_" {
+			c.rangeVars[obj] = true
+			if e == rs.Key {
+				c.rangeKey = obj
 			}
 		}
 	}
+}
+
+// object returns the variable expr names when it is an identifier, or nil.
+func (c *checker) object(expr ast.Expr) types.Object {
+	id, ok := ast.Unparen(expr).(*ast.Ident)
+	if !ok {
+		return nil
+	}
+	if obj := c.info.Defs[id]; obj != nil {
+		return obj
+	}
+	return c.info.Uses[id]
 }
 
 // loopLocal reports whether expr is rooted at a variable declared inside the
@@ -124,19 +139,11 @@ func (c *checker) loopLocal(expr ast.Expr) bool {
 	}
 }
 
-// keyedByRangeVar reports whether expr is an index expression whose index
-// mentions a range variable: writes to distinct keys commute.
-func (c *checker) keyedByRangeVar(expr ast.Expr) bool {
+// keyedByRangeKey reports whether expr is an index expression whose index
+// is the range key itself: the keys are distinct, so such writes commute.
+func (c *checker) keyedByRangeKey(expr ast.Expr) bool {
 	ix, ok := expr.(*ast.IndexExpr)
-	if !ok || c.nested {
-		return false
-	}
-	for obj := range c.rangeVars {
-		if analysis.MentionsObject(c.info, ix.Index, obj) {
-			return true
-		}
-	}
-	return false
+	return ok && !c.nested && c.rangeKey != nil && c.object(ix.Index) == c.rangeKey
 }
 
 func (c *checker) commutativeBody(body *ast.BlockStmt) bool {
@@ -168,7 +175,7 @@ func (c *checker) commutativeStmt(s ast.Stmt) bool {
 		}
 		// Plain assignment or declaration: every target must be
 		// loop-local, the blank identifier, or an element write keyed by
-		// a range variable (distinct keys -> commutes).
+		// the range key (distinct keys -> commutes).
 		for _, lhs := range st.Lhs {
 			if id, ok := lhs.(*ast.Ident); ok && id.Name == "_" {
 				continue
@@ -176,7 +183,7 @@ func (c *checker) commutativeStmt(s ast.Stmt) bool {
 			if st.Tok == token.DEFINE {
 				continue // new loop-local binding
 			}
-			if c.loopLocal(lhs) || c.keyedByRangeVar(lhs) {
+			if c.loopLocal(lhs) || c.keyedByRangeKey(lhs) {
 				continue
 			}
 			return false

@@ -54,11 +54,21 @@ func count(m map[string]int) int {
 	return n
 }
 
-// invert writes keyed by the range variable: distinct keys commute.
+// invert writes keyed by the range value: two keys with one value leave
+// whichever key the map order visits last.
 func invert(m map[string]int) map[int]string {
 	out := make(map[int]string, len(m))
-	for k, v := range m {
+	for k, v := range m { // want `non-deterministic order`
 		out[v] = k
+	}
+	return out
+}
+
+// clone writes keyed by the range key itself: distinct keys commute.
+func clone(m map[string]int) map[string]int {
+	out := make(map[string]int, len(m))
+	for k, v := range m {
+		out[k] = v
 	}
 	return out
 }

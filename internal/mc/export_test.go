@@ -21,6 +21,27 @@ func (s *Search) ApplyIn(x *Expander, g *GState, ev sm.Event) *GState {
 // HandlerRuns returns how many handlers x's scratch has run.
 func (x *Expander) HandlerRuns() int { return int(x.sc.runs) }
 
+// ItemFields is one in-flight item field for field: its endpoints, queue
+// position, component hash, footprint and message encoding (hex).
+type ItemFields struct {
+	From, To sm.NodeID
+	Pos      int
+	CHash    uint64
+	Size     int
+	Encoding string
+}
+
+// Items returns g's in-flight items, in container order, the container g's
+// own; fields describes each.
+func (g *GState) Items() (items []*InFlight, fields []ItemFields) {
+	for _, m := range g.msgs {
+		e := sm.NewEncoder()
+		m.encode(e)
+		fields = append(fields, ItemFields{From: m.From, To: m.To, Pos: m.pos, CHash: m.chash, Size: m.sz, Encoding: fmt.Sprintf("%x", e.Bytes())})
+	}
+	return g.msgs, fields
+}
+
 // wholeBucket is a claim window no bucket outgrows: the barrier the engine
 // had before it claimed in windows.
 const wholeBucket = 1 << 30

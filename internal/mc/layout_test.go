@@ -53,8 +53,10 @@ func TestStalePermutationsCanonical(t *testing.T) {
 		if got, full := g.EncodedSize(), g.fullEncodedSize(); got != full {
 			t.Fatalf("trial %d: incremental size %d != from-scratch %d", trial, got, full)
 		}
-		if !slices.IsSortedFunc(g.stale, comparePair) {
-			t.Fatalf("trial %d: stale slice not sorted: %v", trial, g.stale)
+		for i := 1; i < len(g.stale); i++ {
+			if !g.stale[i-1].less(g.stale[i]) {
+				t.Fatalf("trial %d: stale slice not sorted and duplicate-free: %v", trial, g.stale)
+			}
 		}
 		if want == nil {
 			want = g

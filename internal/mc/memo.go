@@ -34,18 +34,24 @@ type effect struct {
 // handler had, for one Expander's scratch. With each send it keeps the
 // itemPrefix of the item the send becomes (prefixes, parallel to sends; 0
 // until a successor first adds the item: dispatchSends), so a hit hashes
-// nothing but the items' queue positions. The table is open addressing with
-// linear probing over a power-of-two slot array, the slot taken from the key's
-// fingerprint bits: a slot holds 1 + the effect's index (0 marks a free
-// slot), and the table is kept at most half full. It starts empty, doubles
-// from 64 slots, and is emptied — table, effects and arena — once it holds
-// memoCap effects. The effects are a slab, so a memo that grows copies none
-// of them: most memos live one short live round.
+// nothing but the items' queue positions, and the heap item the send last
+// became (items, parallel to sends; nil until a successor that built it is
+// published), so a hit whose send lands at that item's queue position shares
+// the item instead of building another (addItem). A held item pins the block
+// its publish allocated (scratch.publish) and its message until the memo
+// empties. The table is open addressing with linear probing over a
+// power-of-two slot array, the slot taken from the key's fingerprint bits: a
+// slot holds 1 + the effect's index (0 marks a free slot), and the table is
+// kept at most half full. It starts empty, doubles from 64 slots, and is
+// emptied — table, effects and arenas — once it holds memoCap effects. The
+// effects are a slab, so a memo that grows copies none of them: most memos
+// live one short live round.
 type memo struct {
 	slots    []int32
 	effects  slab[effect]
 	sends    []sm.Outgoing // every effect's sends, back to back
 	prefixes []uint64      // the sends' item prefixes
+	items    []*InFlight   // the heap item each send last became
 }
 
 // newMemo returns an empty memo.
@@ -65,6 +71,7 @@ func (m *memo) clear() {
 	m.effects.reset()
 	m.sends = wipe(m.sends)
 	m.prefixes = m.prefixes[:0]
+	m.items = wipe(m.items)
 }
 
 // memoHash is the probe start of key k at a node whose local hash is lhash,
@@ -97,12 +104,13 @@ func (m *memo) find(lhash, chash, item uint64, k *sm.EventKey) *effect {
 }
 
 // add records f — its key and its node state, which must be finalized, on
-// the heap and never written again — with the handler's sends and their item
-// prefixes, which are copied into the arena. The caller has just missed f's
-// key, so it is not in the table.
+// the heap and never written again — with the handler's sends, their item
+// prefixes and their heap items, which are copied into the arenas, and
+// returns the effect's item slots. The caller has just missed f's key, so it
+// is not in the table.
 //
 //crystal:hotpath
-func (m *memo) add(f *effect, sends []sm.Outgoing, prefixes []uint64) {
+func (m *memo) add(f *effect, sends []sm.Outgoing, prefixes []uint64, items []*InFlight) []*InFlight {
 	if m.effects.n == memoCap {
 		m.reset()
 	}
@@ -113,8 +121,10 @@ func (m *memo) add(f *effect, sends []sm.Outgoing, prefixes []uint64) {
 	e.lo = int32(len(m.sends))
 	m.sends = append(m.sends, sends...)
 	m.prefixes = append(m.prefixes, prefixes...)
+	m.items = append(m.items, items...)
 	e.hi = int32(len(m.sends))
 	m.place(m.effects.push(e))
+	return m.items[e.lo:e.hi]
 }
 
 // place puts the j-th effect in the first free slot of its probe sequence.

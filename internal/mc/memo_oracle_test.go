@@ -2,6 +2,7 @@ package mc_test
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"crystalball/internal/mc"
@@ -22,8 +23,13 @@ import (
 // another state, and the fingerprints part. A successor built on a hit hashes
 // each memoized send from the prefix the memo keeps with it, folding in only
 // the item's queue position, so its incremental Hash must also equal its own
-// from-scratch FullHash. Every scenario must hit the memo, and some hit must
-// send, so the oracle cannot pass without comparing anything.
+// from-scratch FullHash. A hit shares the heap item a memoized send last
+// became when it sits at the queue position the send takes, so every item of
+// every successor must also equal, field for field, the item ApplyEvent builds
+// at the same index: endpoints, queue position, component hash, footprint and
+// message encoding. Every scenario must hit the memo, some hit must send, and
+// some sent item must be shared — the very item an earlier successor holds —
+// so the oracle cannot pass without comparing anything.
 func TestMemoOracle(t *testing.T) {
 	const maxStates, maxDepth = 1000, 10
 	for _, name := range scenario.Names() {
@@ -39,8 +45,12 @@ func TestMemoOracle(t *testing.T) {
 				s := mc.NewSearch(cfg)
 				states := harvestBFS(s, start, maxStates, maxDepth)
 				x := s.NewExpander()
-				applied, sending := 0, 0
+				applied, sending, shared := 0, 0, 0
 				var events []sm.Event
+				// Every item a successor gained, keyed by address: an
+				// item of a later successor found here is shared. The
+				// keys keep the items alive, so no address is reused.
+				gained := map[*mc.InFlight]bool{}
 				for i, g := range states {
 					events = events[:0]
 					x.Events(g, func(ev sm.Event) { events = append(events, ev) })
@@ -68,12 +78,27 @@ func TestMemoOracle(t *testing.T) {
 						if hit && got.InFlightCount() > g.InFlightCount() {
 							sending++
 						}
+						inherited, _ := g.Items()
+						items, fields := got.Items()
+						_, wantFields := want.Items()
+						for j, m := range items {
+							if fields[j] != wantFields[j] {
+								t.Fatalf("state %d, %q: item %d is %+v, the reference's %+v", i, ev.Describe(), j, fields[j], wantFields[j])
+							}
+							if slices.Contains(inherited, m) {
+								continue
+							}
+							if gained[m] {
+								shared++
+							}
+							gained[m] = true
+						}
 					}
 				}
 				hits := applied - x.HandlerRuns()
-				t.Logf("%d states, %d handler events, %d memo hits, %d of them sending", len(states), applied, hits, sending)
-				if hits <= 0 || sending == 0 {
-					t.Fatalf("%d handler events over %d states, %d memo hits, %d sending: the oracle compared nothing", applied, len(states), hits, sending)
+				t.Logf("%d states, %d handler events, %d memo hits, %d of them sending, %d shared items", len(states), applied, hits, sending, shared)
+				if hits <= 0 || sending == 0 || shared == 0 {
+					t.Fatalf("%d handler events over %d states, %d memo hits, %d sending, %d shared items: the oracle compared nothing", applied, len(states), hits, sending, shared)
 				}
 			})
 		}

@@ -19,7 +19,7 @@ func TestMemoTableEmptiesAtCap(t *testing.T) {
 	}
 	add := func(i int) {
 		lhash, chash, item, k := key(i)
-		m.add(&effect{lhash: lhash, chash: chash, item: item, key: k, ns: ns}, []sm.Outgoing{{To: sm.NodeID(i), Msg: ping{N: i}}}, []uint64{0})
+		m.add(&effect{lhash: lhash, chash: chash, item: item, key: k, ns: ns}, []sm.Outgoing{{To: sm.NodeID(i), Msg: ping{N: i}}}, []uint64{0}, []*InFlight{nil})
 	}
 	found := func(i int) bool {
 		lhash, chash, item, k := key(i)
@@ -41,11 +41,11 @@ func TestMemoTableEmptiesAtCap(t *testing.T) {
 		t.Fatal("a key differing only in chash found an effect")
 	}
 	add(memoCap)
-	if m.effects.n != 1 || len(m.sends) != 1 || len(m.slots) != 64 || !found(memoCap) || found(0) {
+	if m.effects.n != 1 || len(m.sends) != 1 || len(m.items) != 1 || len(m.slots) != 64 || !found(memoCap) || found(0) {
 		t.Fatalf("after emptying: %d effects, %d sends, %d slots, new one found %v, old one found %v", m.effects.n, len(m.sends), len(m.slots), found(memoCap), found(0))
 	}
 	m.reset()
-	if found(memoCap) || m.slots != nil || m.effects.chunks != nil || m.sends != nil {
+	if found(memoCap) || m.slots != nil || m.effects.chunks != nil || m.sends != nil || m.items != nil {
 		t.Fatal("a reset memo still holds its storage")
 	}
 }

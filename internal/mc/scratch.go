@@ -53,9 +53,20 @@ type scratch struct {
 	// points at them. Its capacity is reserved by begin, before any pointer
 	// into it is taken, so it never moves during a build.
 	items []InFlight
-	// prefixes holds the itemPrefix of each of the executed handler's sends
-	// (fx.Sends), 0 until dispatchSends computes it: what the memo keeps.
+	// sent, parallel to items, is the index of the send each item was built
+	// for (-1 for an RST or a moved queue-mate), and slots is where publish
+	// records the heap item of each such send: the memo's own slots on a hit,
+	// held otherwise (dispatchSends). added counts every item next gained,
+	// built or shared: a shared item is in next.msgs but not in items.
+	sent  []int32
+	slots []*InFlight
+	added int
+	// prefixes and held hold, parallel to the executed handler's sends
+	// (fx.Sends) on a memo miss, the itemPrefix of the item each send becomes
+	// (0 until dispatchSends computes it) and the heap item it becomes (nil
+	// until publish puts it on the heap): what the memo keeps.
 	prefixes []uint64
+	held     []*InFlight
 	// node is the executed node's new local state, at next.nodes[at] (at is
 	// -1 when no node changed). Its Timers alias fx.Timers until publish.
 	node NodeState
@@ -90,29 +101,34 @@ func (sc *scratch) begin(g *GState, items int) *GState {
 	next.stale = append(next.stale[:0], g.stale...)
 	next.resets, next.hsum, next.encSize = g.resets, g.hsum, g.encSize
 	sc.items = slices.Grow(sc.items[:0], items)
+	sc.sent, sc.slots, sc.added = sc.sent[:0], nil, 0
 	sc.at, sc.onSpare, sc.pending.key.Kind = -1, false, 0
 	return next
 }
 
-// unhashed returns sc's prefix buffer for n sends, every prefix unknown.
+// unknown returns sc's prefix and item buffers for n sends, every prefix
+// and every item unknown.
 //
 //crystal:hotpath
-func (sc *scratch) unhashed(n int) []uint64 {
+func (sc *scratch) unknown(n int) ([]uint64, []*InFlight) {
 	sc.prefixes = slices.Grow(sc.prefixes[:0], n)[:n]
 	clear(sc.prefixes)
-	return sc.prefixes
+	sc.held = slices.Grow(sc.held[:0], n)[:n]
+	clear(sc.held)
+	return sc.prefixes, sc.held
 }
 
-// newItem stores m as a new in-flight item of next and returns its place in
-// the item buffer. The buffer never grows here: pointers into it are already
-// in next.msgs.
+// newItem stores m, built for the send-th send (-1 for none), as a new
+// in-flight item of next and returns its place in the item buffer. The buffer
+// never grows here: pointers into it are already in next.msgs.
 //
 //crystal:hotpath
-func (sc *scratch) newItem(m *InFlight) *InFlight {
+func (sc *scratch) newItem(m *InFlight, send int) *InFlight {
 	if len(sc.items) == cap(sc.items) {
 		panic("mc: in-flight item buffer full: begin reserved too little")
 	}
 	sc.items = append(sc.items, *m)
+	sc.sent = append(sc.sent, int32(send))
 	return &sc.items[len(sc.items)-1]
 }
 
@@ -126,13 +142,36 @@ func (sc *scratch) newItem(m *InFlight) *InFlight {
 // handler that left the local state as it was — allocates no NodeState: its
 // node container shares that state like every other node's. The in-flight
 // container is the parent's, clipped, when the event neither removed nor added
-// an item, and an exact-size copy otherwise, in which each new or moved item
-// is a heap item of its own. The stale pairs are copied only when they
-// changed.
+// an item, and an exact-size copy otherwise. The items built in the scratch —
+// sent, or moved up their queue — are copied to the heap as one exact-size
+// block, and the heap item of each send is recorded in its slot for the memo;
+// a shared item is already on the heap. The stale pairs are copied only when
+// they changed.
 //
 //crystal:hotpath
 func (sc *scratch) publish(parent *GState) *GState {
 	next := &sc.next
+	msgs := slices.Clip(parent.msgs) // nothing added and nothing removed: the very same items
+	if sc.added > 0 || len(next.msgs) != len(parent.msgs) {
+		block := exactCopy(sc.items)
+		for k, send := range sc.sent {
+			if send >= 0 {
+				sc.slots[send] = &block[k]
+			}
+		}
+		msgs = make([]*InFlight, len(next.msgs))
+		k := 0
+		for j, m := range next.msgs {
+			if k < len(block) && m == &sc.items[k] {
+				m = &block[k]
+				k++
+			}
+			msgs[j] = m
+		}
+		if k != len(block) {
+			panic("mc: a new in-flight item is missing from the successor's container")
+		}
+	}
 	nodes := make([]*NodeState, len(next.nodes))
 	copy(nodes, next.nodes)
 	if sc.at >= 0 {
@@ -149,24 +188,8 @@ func (sc *scratch) publish(parent *GState) *GState {
 		nodes[sc.at] = ns
 		if p := &sc.pending; p.key.Kind != 0 {
 			p.ns = ns
-			sc.memo.add(p, sc.fx.Sends, sc.prefixes)
+			sc.memo.add(p, sc.fx.Sends, sc.prefixes, sc.held)
 			*p = effect{}
-		}
-	}
-	msgs := slices.Clip(parent.msgs) // nothing added and nothing removed: the very same items
-	if len(sc.items) > 0 || len(next.msgs) != len(parent.msgs) {
-		msgs = make([]*InFlight, len(next.msgs))
-		k := 0
-		for j, m := range next.msgs {
-			if k < len(sc.items) && m == &sc.items[k] {
-				item := sc.items[k]
-				m = &item
-				k++
-			}
-			msgs[j] = m
-		}
-		if k != len(sc.items) {
-			panic("mc: a new in-flight item is missing from the successor's container")
 		}
 	}
 	stale := parent.stale

@@ -577,8 +577,9 @@ func TestEveryDuplicateIsUnbuilt(t *testing.T) {
 // service), 9.86 while every NodeState kept a copy of its service encoding,
 // 9.17 while every successor was built on the heap before the visited table
 // was asked, 7.33 while every executed transition boxed its event, 6.48
-// while every transition ran its handler; measured 4.91, with each worker's
-// handler memo.
+// while every transition ran its handler, 4.91 while a memo hit built every
+// item it sent; measured 3.26, with each worker's handler memo and the items
+// it holds.
 func TestAllocsPerTransitionPaxosSmoke(t *testing.T) {
 	skipUnlessPooling(t)
 	cfg, start := benchInput(t, "paxos", 5, mc.Exhaustive, mc.Budget{Depth: 4})
@@ -589,8 +590,8 @@ func TestAllocsPerTransitionPaxosSmoke(t *testing.T) {
 	if res.SleepHits == 0 || res.Transitions < 5000 {
 		t.Fatalf("%d transitions, %d sleep hits: the input exercises too little", res.Transitions, res.SleepHits)
 	}
-	if per > 6 {
-		t.Fatalf("%.2f allocations per transition, want <= 6", per)
+	if per > 4 {
+		t.Fatalf("%.2f allocations per transition, want <= 4", per)
 	}
 }
 

@@ -13,7 +13,6 @@
 package mc
 
 import (
-	"cmp"
 	"slices"
 
 	"crystalball/internal/props"
@@ -102,6 +101,8 @@ func (ns *NodeState) localHash() uint64 { return ns.lhash }
 // An item is built in the scratch and published once, and every state that
 // still holds it shares the one heap value: a successor's container is a
 // slice of pointers to its parent's items plus the items its own event added.
+// A handler memo holds the items its sends became, and a later successor whose
+// memoized send lands at the same queue position shares that value too.
 // The queue position, component hash and footprint size are written exactly
 // once, in the scratch of the goroutine building the item (addMsg for a new
 // item, removeMsgAt for the copy of a queue-mate that moves one position
@@ -145,13 +146,26 @@ func (f *InFlight) encode(e *sm.Encoder) {
 
 type pair struct{ a, b sm.NodeID }
 
-// comparePair orders stale pairs by (sender, peer), the order GState.stale
-// is kept in.
-func comparePair(x, y pair) int {
-	if c := cmp.Compare(x.a, y.a); c != 0 {
-		return c
+// less orders stale pairs by (sender, peer), the order GState.stale is kept
+// in.
+func (x pair) less(y pair) bool { return x.a < y.a || x.a == y.a && x.b < y.b }
+
+// findPair returns p's position in the sorted pairs ps and whether it is
+// there; for an absent pair, the position it would be inserted at. A state
+// holds a few stale pairs at most, and most hold none or one, so the search
+// is written out over pair values: no callback per probe.
+//
+//crystal:hotpath
+func findPair(ps []pair, p pair) (int, bool) {
+	lo, hi := 0, len(ps)
+	for lo < hi {
+		if mid := int(uint(lo+hi) >> 1); ps[mid].less(p) {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
 	}
-	return cmp.Compare(x.b, y.b)
+	return lo, lo < len(ps) && ps[lo] == p
 }
 
 // staleComp returns the fingerprint component hash of one stale pair,
@@ -310,9 +324,9 @@ func (g *GState) AddMessage(from, to sm.NodeID, msg sm.Message) {
 
 // addMsg appends an in-flight item to g, the state sc is building, computing
 // its queue position, component hash and size and folding them into the
-// running totals. The item lives in sc's item buffer until publish gives it
-// the one heap allocation a new item costs; from then on it is shared, never
-// copied, by every descendant that inherits it.
+// running totals. The item lives in sc's item buffer until publish copies it
+// to the heap, in one block with the successor's other new items; from then
+// on it is shared, never copied, by every descendant that inherits it.
 //
 // The component hash covers the item's queue position — the number of
 // same-queue items already in flight — not just its content. The
@@ -325,18 +339,28 @@ func (g *GState) AddMessage(from, to sm.NodeID, msg sm.Message) {
 // silently drop reachable states.
 //
 //crystal:hotpath
-func (g *GState) addMsg(m InFlight, sc *scratch) { g.addItem(m, itemPrefix(&m, sc), sc) }
+func (g *GState) addMsg(m InFlight, sc *scratch) { g.addItem(m, itemPrefix(&m, sc), nil, -1, sc) }
 
-// addItem is addMsg for an item whose component hash up to its queue
-// position, prefix (itemPrefix), is known: a memoized send's.
+// addItem is addMsg for the send-th of a handler's sends, whose component
+// hash up to its queue position, prefix (itemPrefix), is known, and held the
+// heap item the send last became (nil if none): when held sits at the
+// position m takes, it is m — same endpoints, same message, same position,
+// so the same hash and size — and g shares it instead of building another.
 //
 //crystal:hotpath
-func (g *GState) addItem(m InFlight, prefix uint64, sc *scratch) {
+func (g *GState) addItem(m InFlight, prefix uint64, held *InFlight, send int, sc *scratch) {
 	m.pos = 0
 	for _, q := range g.msgs {
 		if sameQueue(q, &m) {
 			m.pos++
 		}
+	}
+	sc.added++
+	if held != nil && held.pos == m.pos {
+		g.hsum += held.chash
+		g.encSize += held.sz
+		g.msgs = append(g.msgs, held)
+		return
 	}
 	m.chash = foldPos(prefix, m.pos)
 	m.sz = 13
@@ -345,7 +369,7 @@ func (g *GState) addItem(m InFlight, prefix uint64, sc *scratch) {
 	}
 	g.hsum += m.chash
 	g.encSize += m.sz
-	g.msgs = append(g.msgs, sc.newItem(&m))
+	g.msgs = append(g.msgs, sc.newItem(&m, send))
 }
 
 // itemPrefix returns the FNV-64a state of m's component hash before its
@@ -388,7 +412,7 @@ func (g *GState) removeMsgAt(i int, sc *scratch) {
 	g.encSize -= removed.sz
 	for j, m := range g.msgs[i+1:] {
 		if sameQueue(m, removed) {
-			moved := sc.newItem(m)
+			moved := sc.newItem(m, -1)
 			moved.pos--
 			moved.chash = foldPos(itemPrefix(moved, sc), moved.pos)
 			g.hsum += moved.chash - m.chash
@@ -406,7 +430,7 @@ func (g *GState) removeMsgAt(i int, sc *scratch) {
 //
 //crystal:hotpath
 func (g *GState) setStale(p pair, sc *scratch) {
-	if i, present := slices.BinarySearchFunc(g.stale, p, comparePair); !present {
+	if i, present := findPair(g.stale, p); !present {
 		g.stale = slices.Insert(g.stale, i, p)
 		g.hsum += staleComp(p, sc)
 		g.encSize += 16
@@ -418,7 +442,7 @@ func (g *GState) setStale(p pair, sc *scratch) {
 //
 //crystal:hotpath
 func (g *GState) clearStale(p pair, sc *scratch) bool {
-	i, present := slices.BinarySearchFunc(g.stale, p, comparePair)
+	i, present := findPair(g.stale, p)
 	if present {
 		g.stale = slices.Delete(g.stale, i, i+1)
 		g.hsum -= staleComp(p, sc)
@@ -605,6 +629,6 @@ func (g *GState) MarkStale(from, peer sm.NodeID) {
 
 // Stale reports whether from's socket to peer is stale.
 func (g *GState) Stale(from, peer sm.NodeID) bool {
-	_, present := slices.BinarySearchFunc(g.stale, pair{from, peer}, comparePair)
+	_, present := findPair(g.stale, pair{from, peer})
 	return present
 }

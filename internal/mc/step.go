@@ -102,9 +102,13 @@ func findMsg(g *GState, from, to sm.NodeID, msgType string, rst bool) int {
 // dispatchSends computes it there and keeps it, so a memoized send is
 // encoded and hashed once, by the first successor that adds it (a prefix
 // that is 0 itself is computed every time, which costs and changes nothing).
+// slots[i] is the heap item sends[i] last became, or nil: addItem shares it
+// where it sits at the position the send takes, and publish records in slots
+// the heap copy of every item built here instead.
 //
 //crystal:hotpath
-func (s *Search) dispatchSends(next *GState, from sm.NodeID, sends []sm.Outgoing, prefixes []uint64, sc *scratch) {
+func (s *Search) dispatchSends(next *GState, from sm.NodeID, sends []sm.Outgoing, prefixes []uint64, slots []*InFlight, sc *scratch) {
+	sc.slots = slots
 	for i, sd := range sends {
 		if _, known := next.index(sd.To); !known {
 			s.dummyRedirects.Add(1)
@@ -121,7 +125,7 @@ func (s *Search) dispatchSends(next *GState, from sm.NodeID, sends []sm.Outgoing
 		if prefixes[i] == 0 {
 			prefixes[i] = itemPrefix(&m, sc)
 		}
-		next.addItem(m, prefixes[i], sc)
+		next.addItem(m, prefixes[i], slots[i], i, sc)
 	}
 }
 
@@ -138,8 +142,9 @@ func (s *Search) dispatchSends(next *GState, from sm.NodeID, sends []sm.Outgoing
 // nothing is cloned, run, seeded or encoded: the successor loses the consumed
 // item, gains the memoized sends (dispatched against g, since stale sockets
 // and dummy redirects depend on the global state; each item's hash is its
-// memoized prefix with the queue position folded in) and installs the
-// memoized node state. An effect is memoized only where that costs nothing
+// memoized prefix with the queue position folded in, and a send whose item
+// the memo holds at that position shares it) and installs the memoized node
+// state. An effect is memoized only where that costs nothing
 // extra: here when the handler left the local state as it was (its source
 // NodeState is then the result, and the spare stays the scratch's), and in
 // publish otherwise, once the new state is on the heap anyway. An unpublished
@@ -164,7 +169,7 @@ func (s *Search) runHandler(g *GState, ev *sm.Event, consumed int, sc *scratch) 
 			if consumed >= 0 {
 				next.removeMsgAt(consumed, sc)
 			}
-			s.dispatchSends(next, node, sends, sc.memo.prefixes[f.lo:f.hi], sc)
+			s.dispatchSends(next, node, sends, sc.memo.prefixes[f.lo:f.hi], sc.memo.items[f.lo:f.hi], sc)
 			next.installNode(f.ns)
 			return next
 		}
@@ -179,7 +184,8 @@ func (s *Search) runHandler(g *GState, ev *sm.Event, consumed int, sc *scratch) 
 	if consumed >= 0 {
 		next.removeMsgAt(consumed, sc)
 	}
-	s.dispatchSends(next, node, fx.Sends, sc.unhashed(len(fx.Sends)), sc)
+	prefixes, held := sc.unknown(len(fx.Sends))
+	s.dispatchSends(next, node, fx.Sends, prefixes, held, sc)
 	// All mutations applied: freeze the clone with the handler's timer set
 	// and swap it into the fingerprint.
 	next.setNode(node, svc, fx.Timers, sc)
@@ -193,7 +199,9 @@ func (s *Search) runHandler(g *GState, ev *sm.Event, consumed int, sc *scratch) 
 		next.installNode(ns)
 		sc.at, sc.onSpare = -1, false
 		sc.pending.ns = ns
-		sc.memo.add(&sc.pending, fx.Sends, sc.prefixes)
+		// The publish that puts the sent items on the heap records them
+		// in the memo's slots, not in held.
+		sc.slots = sc.memo.add(&sc.pending, fx.Sends, prefixes, held)
 		sc.pending = effect{}
 	}
 	return next
@@ -272,7 +280,8 @@ func (s *Search) applyReset(g *GState, ev *sm.Event, sc *scratch) *GState {
 	}
 	// The reset node has no stale knowledge of anyone.
 	next.clearStaleFrom(id, sc)
-	s.dispatchSends(next, id, fx.Sends, sc.unhashed(len(fx.Sends)), sc)
+	prefixes, held := sc.unknown(len(fx.Sends))
+	s.dispatchSends(next, id, fx.Sends, prefixes, held, sc)
 	next.setNode(id, fresh, fx.Timers, sc)
 	return next
 }

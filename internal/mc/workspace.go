@@ -95,7 +95,7 @@ func (sc *scratch) clear() {
 	sc.fx.Sends = wipe(sc.fx.Sends)
 	sc.svc, sc.onSpare = nil, false
 	sc.next = GState{nodes: wipe(sc.next.nodes), msgs: wipe(sc.next.msgs), stale: sc.next.stale[:0], hsum: resetsComp0}
-	sc.items = wipe(sc.items)
+	sc.items, sc.sent, sc.slots, sc.held = wipe(sc.items), sc.sent[:0], nil, wipe(sc.held)
 	sc.node, sc.pending = NodeState{}, effect{}
 	sc.memo.clear()
 	sc.runs = 0

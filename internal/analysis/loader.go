@@ -33,7 +33,6 @@ type listedPkg struct {
 	GoFiles    []string
 	Export     string
 	DepOnly    bool
-	Standard   bool
 	Error      *struct{ Err string }
 }
 

@@ -21,7 +21,6 @@ import (
 const (
 	smPkg         = "crystalball/internal/sm"
 	mcPkg         = "crystalball/internal/mc"
-	propsPkg      = "crystalball/internal/props"
 	distPkg       = "crystalball/internal/dist"
 	servicesPkg   = "crystalball/internal/services"
 	controllerPkg = "crystalball/internal/controller"

@@ -233,14 +233,6 @@ func (c *Controller) Manager() *snapshot.Manager { return c.mgr }
 // Findings returns all recorded violation predictions.
 func (c *Controller) Findings() []Finding { return c.findings }
 
-// LastView returns the most recent decoded neighborhood snapshot.
-func (c *Controller) LastView() *props.View { return c.lastView }
-
-// Conservative reports whether the controller is currently degraded to
-// conservative mode: its last checker round failed, so it is steering on
-// the filters of the last successful round instead of fresh predictions.
-func (c *Controller) Conservative() bool { return c.conservative }
-
 // Start begins periodic snapshot + model-checking rounds.
 func (c *Controller) Start() { c.scheduleRound(c.cfg.SnapshotInterval) }
 

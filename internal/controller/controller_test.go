@@ -83,7 +83,7 @@ func TestRoundsAndSnapshotsProceed(t *testing.T) {
 		if c.Stats.Rounds == 0 {
 			t.Fatalf("controller %d never completed a round", i)
 		}
-		if c.LastView() == nil {
+		if c.lastView == nil {
 			t.Fatalf("controller %d has no snapshot view", i)
 		}
 	}
@@ -231,7 +231,7 @@ func TestCheckerFailureDegradesConservative(t *testing.T) {
 	var during []probe
 	s.After(21*time.Second, func() {
 		for _, c := range ctrls {
-			during = append(during, probe{c.Conservative(), len(c.Node().Filters()), c.Stats.Rounds})
+			during = append(during, probe{c.conservative, len(c.Node().Filters()), c.Stats.Rounds})
 		}
 	})
 	s.After(22*time.Second, func() { fail = false })
@@ -264,7 +264,7 @@ func TestCheckerFailureDegradesConservative(t *testing.T) {
 			t.Errorf("controller %d: ConservativeRounds=%d < CheckerFailures=%d",
 				i, c.Stats.ConservativeRounds, c.Stats.CheckerFailures)
 		}
-		if c.Conservative() {
+		if c.conservative {
 			t.Errorf("controller %d still conservative after the checker recovered", i)
 		}
 		if c.Stats.Rounds <= during[i].rounds {

@@ -87,15 +87,6 @@ func ParseFaultPlan(spec string) (*FaultPlan, error) {
 	return p, nil
 }
 
-// MustFaultPlan is ParseFaultPlan for compiled-in test specs.
-func MustFaultPlan(spec string) *FaultPlan {
-	p, err := ParseFaultPlan(spec)
-	if err != nil {
-		panic(err)
-	}
-	return p
-}
-
 func parseFaultRule(item string) (faultRule, error) {
 	r := faultRule{dir: dirRecv}
 	rest := item

@@ -85,7 +85,11 @@ func FuzzParseFaultPlan(f *testing.F) {
 func faultPair(t *testing.T, spec string, shard int) (wrapped, peer Conn) {
 	t.Helper()
 	a, b := Pipe()
-	w := MustFaultPlan(spec).Wrap(shard, a)
+	plan, err := ParseFaultPlan(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := plan.Wrap(shard, a)
 	if w == a {
 		t.Fatalf("plan %q did not wrap shard %d", spec, shard)
 	}

@@ -143,7 +143,7 @@ var cloneSink *GState
 func TestSuccessorAllocBound(t *testing.T) {
 	s := NewSearch(Config{Props: poisonAt(1000), Factory: newToy})
 	g := multiTimerStart()
-	g.AddNode(1, g.Node(1).Svc, g.Node(1).Timers.With("idle"))
+	g.AddNode(1, g.Node(1).Svc, sm.NewTimerSet("tick", "tock", "boom", "zap", "idle"))
 	sc := getScratch()
 	defer putScratch(sc)
 	allocs := func(timer sm.TimerID) float64 {
@@ -186,7 +186,7 @@ func TestFinalizeAllocBound(t *testing.T) {
 		t.Fatal("finalizing the same service and timers again gave another hash or length")
 	}
 	same := slices.Clone(parent.Timers) // equal to the parent's, not the parent's
-	changed := parent.Timers.With("extra")
+	changed := sm.NewTimerSet(append(same, "extra")...)
 	for name, timers := range map[string]sm.TimerSet{"the parent's timer set": same, "a changed timer set": changed} {
 		if avg := testing.AllocsPerRun(500, func() { ns.finalize(1, timers, sc) }); avg != 0 {
 			t.Errorf("finalize with %s allocates %.1f/op, want 0", name, avg)
@@ -329,7 +329,7 @@ var svcSink sm.Service
 func TestMemoHitAllocBound(t *testing.T) {
 	s := NewSearch(Config{Props: poisonAt(1000), Factory: newToy})
 	g := multiTimerStart()
-	g.AddNode(1, g.Node(1).Svc, g.Node(1).Timers.With("idle"))
+	g.AddNode(1, g.Node(1).Svc, sm.NewTimerSet("tick", "tock", "boom", "zap", "idle"))
 	clone := testing.AllocsPerRun(500, func() { svcSink = g.Node(1).Svc.Clone() })
 	if clone == 0 {
 		t.Fatal("the toy's Clone allocates nothing: the bound measures nothing")

@@ -42,6 +42,37 @@ func (g *GState) Items() (items []*InFlight, fields []ItemFields) {
 	return g.msgs, fields
 }
 
+// InFlightCount reports the number of in-flight items.
+func (g *GState) InFlightCount() int { return len(g.msgs) }
+
+// fullEncodedSize recomputes EncodedSize from scratch; the differential
+// oracle for the incremental bookkeeping.
+func (g *GState) fullEncodedSize() int {
+	n := 0
+	for _, ns := range g.nodes {
+		n += 4 + int(ns.encLen)
+	}
+	for _, m := range g.msgs {
+		n += 13
+		if m.Msg != nil {
+			n += m.Msg.Size()
+		}
+	}
+	return n + 16*len(g.stale)
+}
+
+// MarkStale records that `from` holds a stale socket to `peer` (peer reset
+// while from was connected); the hash oracle's stand-in for a peer reset.
+func (g *GState) MarkStale(from, peer sm.NodeID) {
+	g.edit(0, func(next *GState, sc *scratch) { next.setStale(pair{from, peer}, sc) })
+}
+
+// Stale reports whether from's socket to peer is stale.
+func (g *GState) Stale(from, peer sm.NodeID) bool {
+	_, present := findPair(g.stale, pair{from, peer})
+	return present
+}
+
 // wholeBucket is a claim window no bucket outgrows: the barrier the engine
 // had before it claimed in windows.
 const wholeBucket = 1 << 30

@@ -5,6 +5,7 @@ import (
 	"slices"
 	"testing"
 
+	"crystalball/internal/props"
 	"crystalball/internal/sm"
 )
 
@@ -98,8 +99,10 @@ func TestAbsentNodeLookup(t *testing.T) {
 		}
 	}
 	s := NewSearch(Config{Props: poisonAt(1000), Factory: newToy})
+	v := props.NewView()
+	g.FillView(v)
 	for _, absent := range []sm.NodeID{1, 5, 9, 99} {
-		if g.Node(absent) != nil || g.View().Get(absent) != nil || g.View().Has(absent) {
+		if g.Node(absent) != nil || v.Get(absent) != nil {
 			t.Fatalf("absent node %d has a state or a view", absent)
 		}
 		if next := s.ApplyEvent(g, sm.TimerFiring(absent, "tick")); next != nil {

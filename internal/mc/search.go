@@ -360,9 +360,6 @@ type Forward struct {
 	Desc   sm.EventKey
 }
 
-// Valid reports whether r names an entry.
-func (r Ref) Valid() bool { return r.t != nil }
-
 func (r Ref) entry() *entry { return r.t.entries.at(int(r.i)) }
 
 // Hash returns the fingerprint of the state r names.

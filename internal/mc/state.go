@@ -227,10 +227,9 @@ var resetsComp0 = func() uint64 {
 // place); publish copies it to the heap, and what a published state holds is
 // never written again — its in-flight container, stale pairs, node states and
 // items are shared freely with its successors. The construction API writes
-// the state it is called on: AddMessage and MarkStale are the same build and
-// publish, over that state, and AddNode installs a heap node state in its
-// node container — the one container no other state shares, since every
-// publish makes its own.
+// the state it is called on: AddMessage is the same build and publish, over
+// that state, and AddNode installs a heap node state in its node container —
+// the one container no other state shares, since every publish makes its own.
 type GState struct {
 	nodes   []*NodeState // local states, ascending by id
 	msgs    []*InFlight  // in-flight items, shared with every state that holds them
@@ -257,7 +256,7 @@ func (g *GState) index(id sm.NodeID) (int, bool) {
 }
 
 // NewGState returns an empty global state: no nodes, nothing in flight, no
-// stale pairs, no resets. AddNode, AddMessage and MarkStale fill it in.
+// stale pairs, no resets. AddNode and AddMessage fill it in.
 func NewGState() *GState { return &GState{hsum: resetsComp0} }
 
 // edit is how the construction API changes g's in-flight items and stale
@@ -495,18 +494,6 @@ func (g *GState) Node(id sm.NodeID) *NodeState {
 	return nil
 }
 
-// InFlightCount reports the number of in-flight items.
-func (g *GState) InFlightCount() int { return len(g.msgs) }
-
-// View renders the state for property evaluation, allocating a fresh view.
-// Hot paths (the engine's property checks) use FillView with a reused view
-// instead.
-func (g *GState) View() *props.View {
-	v := props.NewView()
-	g.FillView(v)
-	return v
-}
-
 // FillView resets v and loads this state's nodes into it, reusing v's
 // storage. The view is filled in ascending node order, so View.IDs needs no
 // re-sort.
@@ -604,31 +591,3 @@ func encodeTimers(e *sm.Encoder, timers sm.TimerSet) {
 // experiments (paper Figures 15 and 16). It is maintained incrementally by
 // every mutation helper, so reading it is O(1).
 func (g *GState) EncodedSize() int { return g.encSize }
-
-// fullEncodedSize recomputes EncodedSize from scratch; the differential
-// oracle for the incremental bookkeeping.
-func (g *GState) fullEncodedSize() int {
-	n := 0
-	for _, ns := range g.nodes {
-		n += 4 + int(ns.encLen)
-	}
-	for _, m := range g.msgs {
-		n += 13
-		if m.Msg != nil {
-			n += m.Msg.Size()
-		}
-	}
-	return n + 16*len(g.stale)
-}
-
-// MarkStale records that `from` holds a stale socket to `peer` (peer reset
-// while from was connected); exported for tests and snapshot integration.
-func (g *GState) MarkStale(from, peer sm.NodeID) {
-	g.edit(0, func(next *GState, sc *scratch) { next.setStale(pair{from, peer}, sc) })
-}
-
-// Stale reports whether from's socket to peer is stale.
-func (g *GState) Stale(from, peer sm.NodeID) bool {
-	_, present := findPair(g.stale, pair{from, peer})
-	return present
-}

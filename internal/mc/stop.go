@@ -1,7 +1,6 @@
 package mc
 
 import (
-	"slices"
 	"sync/atomic"
 	"time"
 )
@@ -70,9 +69,6 @@ const (
 const FrontierEmpty = "frontier-empty"
 
 var stopNames = [...]string{0: FrontierEmpty, stopStates: "states", stopWall: "wall", stopViolations: "violations"}
-
-// IsStopReason reports whether s is a StopReason a search can end with.
-func IsStopReason(s string) bool { return slices.Contains(stopNames[:], s) }
 
 // newBudget starts the accounting clock by reading now once; the same
 // injected clock serves the Wall deadline checks and Result.Elapsed, so a

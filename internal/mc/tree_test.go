@@ -145,7 +145,7 @@ func TestPathOracleAcrossEngines(t *testing.T) {
 				defer wg.Done()
 				x := s.NewExpander()
 				for _, f := range sd.in {
-					if f.Parent.Valid() {
+					if f.Parent.t != nil {
 						keys := append(f.Parent.Keys(), f.Desc)
 						if _, g, err := s.ReplayKeys(x, start, keys, false); err != nil || g.Hash() != f.State.Hash() || len(keys) != f.Depth {
 							t.Errorf("arrival at depth %d: %d-key path, err %v", f.Depth, len(keys), err)

@@ -43,12 +43,6 @@ type GlobalProperty struct {
 // GlobalSet is an ordered collection of global properties.
 type GlobalSet []GlobalProperty
 
-// Check evaluates every property and returns the names of the violated
-// ones, in declaration order. It returns nil when all hold.
-func (s GlobalSet) Check(v GlobalView) []string {
-	return s.AppendViolated(nil, v)
-}
-
 // AppendViolated appends the names of the violated properties to dst and
 // returns it. The checker's hot path uses this to merge global violations
 // into the local set's result without an extra allocation when everything
@@ -60,23 +54,4 @@ func (s GlobalSet) AppendViolated(dst []string, v GlobalView) []string {
 		}
 	}
 	return dst
-}
-
-// Holds reports whether every property holds on v.
-func (s GlobalSet) Holds(v GlobalView) bool {
-	for _, p := range s {
-		if !p.Check(v) {
-			return false
-		}
-	}
-	return true
-}
-
-// Names returns the property names in declaration order.
-func (s GlobalSet) Names() []string {
-	names := make([]string, len(s))
-	for i, p := range s {
-		names[i] = p.Name
-	}
-	return names
 }

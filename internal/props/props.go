@@ -80,9 +80,6 @@ func (v *View) Add(id sm.NodeID, svc sm.Service, timers sm.TimerSet) {
 	v.nodes = slices.Insert(v.nodes, i, nv)
 }
 
-// Has reports whether the view contains node id.
-func (v *View) Has(id sm.NodeID) bool { _, ok := slices.BinarySearch(v.ids, id); return ok }
-
 // Get returns the node view or nil.
 func (v *View) Get(id sm.NodeID) *NodeView {
 	if i, ok := slices.BinarySearch(v.ids, id); ok {
@@ -136,13 +133,4 @@ func (s Set) Holds(v *View) bool {
 		}
 	}
 	return true
-}
-
-// Names lists the property names.
-func (s Set) Names() []string {
-	names := make([]string, len(s))
-	for i, p := range s {
-		names[i] = p.Name
-	}
-	return names
 }

@@ -167,9 +167,6 @@ func (n *Node) EnableISC(ps props.Set, view func() *props.View) {
 	n.iscProps, n.iscView, n.iscOn = ps, view, true
 }
 
-// DisableISC turns the immediate safety check off.
-func (n *Node) DisableISC() { n.iscOn = false }
-
 // InstallFilter adds an event filter (steering action).
 func (n *Node) InstallFilter(f sm.Filter) { n.filters = append(n.filters, f) }
 

@@ -147,8 +147,8 @@ func TestTransportErrorReachesService(t *testing.T) {
 	s, net, nodes := deploy(t, 2)
 	nodes[0].App(testsvc.Bump{})
 	s.RunFor(time.Second)
-	net.Kill(2)
-	nodes[0].App(testsvc.Bump{}) // send to dead node -> ConnError
+	net.PartitionNode(2, true)
+	nodes[0].App(testsvc.Bump{}) // send to a severed node -> ConnError
 	s.RunFor(time.Second)
 	svc := nodes[0].Service().(*testsvc.Svc)
 	if svc.Errors == 0 {
@@ -252,7 +252,7 @@ func TestISCAllowsSafeHandler(t *testing.T) {
 func TestISCDisable(t *testing.T) {
 	s, _, nodes := deploy(t, 2)
 	nodes[1].EnableISC(props.Set{testsvc.CounterBelow(1)}, nil)
-	nodes[1].DisableISC()
+	nodes[1].iscOn = false // the check off
 	nodes[0].App(testsvc.Bump{})
 	s.RunFor(3 * time.Second)
 	if nodes[1].Service().(*testsvc.Svc).N != 1 {

@@ -75,12 +75,16 @@ func TestChaosOracleMatrix(t *testing.T) {
 
 					for _, shards := range []int{2, 4} {
 						run := func() *dist.Result {
+							plan, err := dist.ParseFaultPlan(f.spec)
+							if err != nil {
+								t.Fatal(err)
+							}
 							res, err := dist.Local(dist.LocalConfig{
 								Shards:       shards,
 								Search:       cfg,
 								Root:         g,
 								RecordStates: true,
-								Faults:       dist.MustFaultPlan(f.spec),
+								Faults:       plan,
 							})
 							if err != nil {
 								t.Fatalf("shards=%d: %v", shards, err)

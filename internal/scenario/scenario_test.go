@@ -345,7 +345,7 @@ func TestDeploySmoke(t *testing.T) {
 			}
 			v := d.View()
 			for _, node := range d.Nodes {
-				if !v.Has(node.ID) {
+				if v.Get(node.ID) == nil {
 					t.Fatalf("view missing node %v", node.ID)
 				}
 			}

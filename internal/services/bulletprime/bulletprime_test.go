@@ -1,6 +1,7 @@
 package bulletprime
 
 import (
+	"bytes"
 	"encoding/hex"
 	"math/rand"
 	"runtime"
@@ -344,7 +345,7 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	q := svc.(*Bullet)
-	if sm.HashService(b) != sm.HashService(q) {
+	if !bytes.Equal(sm.EncodeService(b), sm.EncodeService(q)) {
 		t.Fatal("hash mismatch after round trip")
 	}
 	if !slices.Equal(shadowOf(q, 2), []int{5}) || !slices.Equal(advertisedOf(q, 2), []int{1}) || !slices.Equal(fileMapOf(q, 3), []int{2}) ||

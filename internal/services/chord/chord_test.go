@@ -1,6 +1,7 @@
 package chord
 
 import (
+	"bytes"
 	"math/rand"
 	"slices"
 	"testing"
@@ -302,7 +303,7 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 	if !timers.Has(TimerStabilize) {
 		t.Fatal("timer set lost")
 	}
-	if sm.HashService(a) != sm.HashService(b) {
+	if !bytes.Equal(sm.EncodeService(a), sm.EncodeService(b)) {
 		t.Fatal("hash mismatch")
 	}
 }

@@ -1,6 +1,7 @@
 package paxos
 
 import (
+	"bytes"
 	"testing"
 	"time"
 	"unsafe"
@@ -265,7 +266,7 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	q := svc.(*Paxos)
-	if sm.HashService(p) != sm.HashService(q) {
+	if !bytes.Equal(sm.EncodeService(p), sm.EncodeService(q)) {
 		t.Fatal("hash mismatch after round trip")
 	}
 	if len(q.Promises) != 1 || q.Promises[0].From != 1 {

@@ -1,6 +1,7 @@
 package randtree
 
 import (
+	"bytes"
 	"math/rand"
 	"slices"
 	"testing"
@@ -441,7 +442,7 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 	if !timers.Has(TimerRecovery) {
 		t.Fatal("timer set lost")
 	}
-	if sm.HashService(a) != sm.HashService(b) {
+	if !bytes.Equal(sm.EncodeService(a), sm.EncodeService(b)) {
 		t.Fatal("hash mismatch after round trip")
 	}
 }

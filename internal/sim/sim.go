@@ -40,18 +40,11 @@ type Timer struct {
 	seq       uint64
 	fn        func()
 	cancelled bool
-	index     int // heap index, -1 once popped
 }
-
-// At reports the virtual time at which the timer fires.
-func (t *Timer) At() Time { return t.at }
 
 // Cancel prevents the timer from firing. Cancelling an already-fired or
 // already-cancelled timer is a no-op.
 func (t *Timer) Cancel() { t.cancelled = true }
-
-// Cancelled reports whether Cancel was called.
-func (t *Timer) Cancelled() bool { return t.cancelled }
 
 type eventHeap []*Timer
 
@@ -62,22 +55,13 @@ func (h eventHeap) Less(i, j int) bool {
 	}
 	return h[i].seq < h[j].seq // FIFO among simultaneous events
 }
-func (h eventHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].index = i
-	h[j].index = j
-}
-func (h *eventHeap) Push(x any) {
-	t := x.(*Timer)
-	t.index = len(*h)
-	*h = append(*h, t)
-}
+func (h eventHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
+func (h *eventHeap) Push(x any)   { *h = append(*h, x.(*Timer)) }
 func (h *eventHeap) Pop() any {
 	old := *h
 	n := len(old)
 	t := old[n-1]
 	old[n-1] = nil
-	t.index = -1
 	*h = old[:n-1]
 	return t
 }
@@ -91,7 +75,6 @@ type Simulator struct {
 	queue   eventHeap
 	seed    int64
 	streams map[string]*rand.Rand
-	stopped bool
 }
 
 // New returns a simulator whose randomness derives from seed.
@@ -141,9 +124,9 @@ func (s *Simulator) At(t Time, fn func()) *Timer {
 }
 
 // Step executes the next pending event. It reports false when the queue is
-// empty or the simulator has been stopped.
+// empty.
 func (s *Simulator) Step() bool {
-	for len(s.queue) > 0 && !s.stopped {
+	for len(s.queue) > 0 {
 		tm := heap.Pop(&s.queue).(*Timer)
 		if tm.cancelled {
 			continue
@@ -155,17 +138,11 @@ func (s *Simulator) Step() bool {
 	return false
 }
 
-// Run executes events until the queue drains or Stop is called.
-func (s *Simulator) Run() {
-	for s.Step() {
-	}
-}
-
 // RunUntil executes events with timestamps <= t, then advances the clock to
 // t. Events scheduled during execution are processed if they fall within the
 // window.
 func (s *Simulator) RunUntil(t Time) {
-	for len(s.queue) > 0 && !s.stopped {
+	for len(s.queue) > 0 {
 		next := s.peek()
 		if next == nil {
 			break
@@ -175,16 +152,13 @@ func (s *Simulator) RunUntil(t Time) {
 		}
 		s.Step()
 	}
-	if !s.stopped && s.now < t {
+	if s.now < t {
 		s.now = t
 	}
 }
 
 // RunFor advances the simulation by d of virtual time.
 func (s *Simulator) RunFor(d Duration) { s.RunUntil(s.now.Add(d)) }
-
-// Stop halts the simulation; Run and RunUntil return promptly.
-func (s *Simulator) Stop() { s.stopped = true }
 
 func (s *Simulator) peek() *Timer {
 	for len(s.queue) > 0 {

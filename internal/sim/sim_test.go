@@ -45,8 +45,8 @@ func TestCancel(t *testing.T) {
 	if fired {
 		t.Fatal("cancelled timer fired")
 	}
-	if !tm.Cancelled() {
-		t.Fatal("Cancelled() = false after Cancel")
+	if !tm.cancelled {
+		t.Fatal("cancelled = false after Cancel")
 	}
 }
 
@@ -85,23 +85,6 @@ func TestNestedScheduling(t *testing.T) {
 	}
 	if s.Now() != Time(4*time.Second) {
 		t.Fatalf("clock = %v, want 4s", s.Now())
-	}
-}
-
-func TestStop(t *testing.T) {
-	s := New(1)
-	count := 0
-	for i := 0; i < 100; i++ {
-		s.After(time.Duration(i)*time.Millisecond, func() {
-			count++
-			if count == 10 {
-				s.Stop()
-			}
-		})
-	}
-	s.Run()
-	if count != 10 {
-		t.Fatalf("count = %d, want 10 (Stop should halt the run)", count)
 	}
 }
 

@@ -168,10 +168,6 @@ func (n *Network) state(id sm.NodeID) *nodeState {
 	return st
 }
 
-// Incarnation reports the node's current incarnation number (bumped on
-// every reset/restart); exported for tests.
-func (n *Network) Incarnation(id sm.NodeID) uint64 { return n.state(id).incarnation }
-
 // Partition severs (broken=true) or heals (broken=false) the pair a,b.
 // While severed, sends in either direction behave like a broken connection:
 // the sender gets a ConnError and the message is dropped.
@@ -261,25 +257,6 @@ func (n *Network) Reset(id sm.NodeID, silent bool) {
 			}
 		})
 	}
-}
-
-// Kill marks a node dead: connections break silently and subsequent sends to
-// it fail with ConnError at the sender.
-func (n *Network) Kill(id sm.NodeID) {
-	st := n.state(id)
-	st.alive = false
-	for k, c := range n.conns {
-		if k.a == id || k.b == id {
-			c.close(id)
-		}
-	}
-}
-
-// Restart brings a killed node back with a fresh incarnation.
-func (n *Network) Restart(id sm.NodeID) {
-	st := n.state(id)
-	st.incarnation++
-	st.alive = true
 }
 
 // LoopbackLatency is the delivery delay for a node's messages to itself:
@@ -439,15 +416,6 @@ func (n *Network) BreakConn(a, b sm.NodeID, notify bool) {
 		})
 	}
 }
-
-// Connected reports whether a live connection object exists between a and b.
-func (n *Network) Connected(a, b sm.NodeID) bool {
-	c, ok := n.conns[keyFor(a, b, false)]
-	return ok && !c.closed
-}
-
-// BytesOut reports bytes sent by id for the given kind.
-func (n *Network) BytesOut(id sm.NodeID, kind Kind) int64 { return n.state(id).bytesOut[kind] }
 
 // TotalBytesOut sums sent bytes for a kind across all nodes.
 func (n *Network) TotalBytesOut(kind Kind) int64 {

@@ -39,10 +39,16 @@ func newNet(t *testing.T) (*sim.Simulator, *Network, map[sm.NodeID]*recorder) {
 	return s, n, recs
 }
 
+// drain executes events until the simulator's queue is empty.
+func drain(s *sim.Simulator) {
+	for s.Step() {
+	}
+}
+
 func TestBasicDelivery(t *testing.T) {
 	s, n, recs := newNet(t)
 	n.Send(1, 2, "hello", 100, KindService)
-	s.Run()
+	drain(s)
 	if len(recs[2].delivered) != 1 {
 		t.Fatalf("deliveries = %d, want 1", len(recs[2].delivered))
 	}
@@ -50,7 +56,7 @@ func TestBasicDelivery(t *testing.T) {
 	if d.from != 1 || d.payload != "hello" {
 		t.Fatalf("bad delivery: %+v", d)
 	}
-	if got := n.BytesOut(1, KindService); got != 100 {
+	if got := n.state(1).bytesOut[KindService]; got != 100 {
 		t.Fatalf("BytesOut = %d", got)
 	}
 }
@@ -60,7 +66,7 @@ func TestFIFOPerConnection(t *testing.T) {
 	for i := 0; i < 50; i++ {
 		n.Send(1, 2, i, 10, KindService)
 	}
-	s.Run()
+	drain(s)
 	if len(recs[2].delivered) != 50 {
 		t.Fatalf("deliveries = %d, want 50", len(recs[2].delivered))
 	}
@@ -82,7 +88,7 @@ func TestFIFOUnderLoss(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		n.Send(1, 2, i, 10, KindService)
 	}
-	s.Run()
+	drain(s)
 	if len(r.delivered) != 100 {
 		t.Fatalf("deliveries = %d, want 100 (TCP must not drop)", len(r.delivered))
 	}
@@ -97,7 +103,7 @@ func TestSendToDeadNodeErrors(t *testing.T) {
 	s, n, recs := newNet(t)
 	n.Kill(2)
 	n.Send(1, 2, "x", 10, KindService)
-	s.Run()
+	drain(s)
 	if len(recs[2].delivered) != 0 {
 		t.Fatal("dead node received a message")
 	}
@@ -111,18 +117,18 @@ func TestSilentResetDiscoveredOnNextSend(t *testing.T) {
 	// the broken channel when it next attempts to communicate.
 	s, n, recs := newNet(t)
 	n.Send(1, 2, "pre", 10, KindService)
-	s.Run()
+	drain(s)
 	if !n.Connected(1, 2) {
 		t.Fatal("connection should exist")
 	}
 	n.Reset(2, true) // silent: no RST
-	s.Run()
+	drain(s)
 	if len(recs[1].errors) != 0 {
 		t.Fatal("silent reset must not notify the peer")
 	}
 	// Next send discovers the stale connection: error, no delivery.
 	n.Send(1, 2, "post", 10, KindService)
-	s.Run()
+	drain(s)
 	if len(recs[1].errors) != 1 || recs[1].errors[0] != 2 {
 		t.Fatalf("errors = %v, want [2]", recs[1].errors)
 	}
@@ -131,7 +137,7 @@ func TestSilentResetDiscoveredOnNextSend(t *testing.T) {
 	}
 	// A further send reconnects and succeeds.
 	n.Send(1, 2, "again", 10, KindService)
-	s.Run()
+	drain(s)
 	if len(recs[2].delivered) != 2 {
 		t.Fatalf("reconnect failed: deliveries = %d, want 2", len(recs[2].delivered))
 	}
@@ -144,26 +150,26 @@ func TestControlTrafficHasItsOwnConnections(t *testing.T) {
 	s, n, recs := newNet(t)
 	n.Send(1, 2, "svc", 10, KindService)
 	n.Send(1, 2, "ctl", 10, KindCheckpoint)
-	s.Run()
+	drain(s)
 	n.Reset(2, true)
 	// The control send finds its own socket stale; the service's stays as
 	// it was, for the service to find on its own next send.
 	n.Send(1, 2, "ctl", 10, KindCheckpoint)
-	s.Run()
+	drain(s)
 	if len(recs[1].errors) != 0 || len(recs[1].ctlErrors) != 1 {
 		t.Fatalf("after a control send: service errors %v, control errors %v; want none, [2]", recs[1].errors, recs[1].ctlErrors)
 	}
 	n.Send(1, 2, "svc", 10, KindService)
-	s.Run()
+	drain(s)
 	if len(recs[1].errors) != 1 || recs[1].errors[0] != 2 {
 		t.Fatalf("service errors = %v, want [2]", recs[1].errors)
 	}
 	// A noisy reset sends an RST on each connection, to its own handler.
 	n.Send(1, 2, "svc", 10, KindService)
 	n.Send(1, 2, "ctl", 10, KindCheckpoint)
-	s.Run()
+	drain(s)
 	n.Reset(2, false)
-	s.Run()
+	drain(s)
 	if len(recs[1].errors) != 2 || len(recs[1].ctlErrors) != 2 {
 		t.Fatalf("after a noisy reset: service errors %v, control errors %v; want two each", recs[1].errors, recs[1].ctlErrors)
 	}
@@ -172,9 +178,9 @@ func TestControlTrafficHasItsOwnConnections(t *testing.T) {
 func TestNoisyResetSendsRST(t *testing.T) {
 	s, n, recs := newNet(t)
 	n.Send(1, 2, "pre", 10, KindService)
-	s.Run()
+	drain(s)
 	n.Reset(2, false) // RST toward node 1 (loss=0 in this model)
-	s.Run()
+	drain(s)
 	if len(recs[1].errors) != 1 || recs[1].errors[0] != 2 {
 		t.Fatalf("errors = %v, want RST from 2", recs[1].errors)
 	}
@@ -187,7 +193,7 @@ func TestResetDropsInFlight(t *testing.T) {
 	// must be lost.
 	s.RunFor(time.Millisecond)
 	n.Reset(2, true)
-	s.Run()
+	drain(s)
 	if len(recs[2].delivered) != 0 {
 		t.Fatal("message survived a connection-destroying reset")
 	}
@@ -197,7 +203,7 @@ func TestPartition(t *testing.T) {
 	s, n, recs := newNet(t)
 	n.Partition(1, 2, true)
 	n.Send(1, 2, "x", 10, KindService)
-	s.Run()
+	drain(s)
 	if len(recs[2].delivered) != 0 {
 		t.Fatal("partitioned pair delivered")
 	}
@@ -206,7 +212,7 @@ func TestPartition(t *testing.T) {
 	}
 	n.Partition(1, 2, false)
 	n.Send(1, 2, "y", 10, KindService)
-	s.Run()
+	drain(s)
 	if len(recs[2].delivered) != 1 {
 		t.Fatal("healed partition did not deliver")
 	}
@@ -218,7 +224,7 @@ func TestPartitionNode(t *testing.T) {
 	n.Send(1, 3, "x", 10, KindService)
 	n.Send(2, 3, "y", 10, KindService)
 	n.Send(1, 2, "z", 10, KindService)
-	s.Run()
+	drain(s)
 	if len(recs[3].delivered) != 0 {
 		t.Fatal("partitioned node received")
 	}
@@ -227,7 +233,7 @@ func TestPartitionNode(t *testing.T) {
 	}
 	n.PartitionNode(3, false)
 	n.Send(1, 3, "again", 10, KindService)
-	s.Run()
+	drain(s)
 	if len(recs[3].delivered) != 1 {
 		t.Fatal("healed node did not receive")
 	}
@@ -244,7 +250,7 @@ func TestBandwidthPacing(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		n.Send(1, 2, i, 12500, KindService)
 	}
-	s.Run()
+	drain(s)
 	if len(r.delivered) != 10 {
 		t.Fatalf("deliveries = %d", len(r.delivered))
 	}
@@ -256,9 +262,9 @@ func TestBandwidthPacing(t *testing.T) {
 func TestBreakConnNotify(t *testing.T) {
 	s, n, recs := newNet(t)
 	n.Send(1, 2, "pre", 10, KindService)
-	s.Run()
+	drain(s)
 	n.BreakConn(1, 2, true) // steering-style RST: node 2 learns
-	s.Run()
+	drain(s)
 	if len(recs[2].errors) != 1 || recs[2].errors[0] != 1 {
 		t.Fatalf("peer errors = %v, want [1]", recs[2].errors)
 	}
@@ -269,9 +275,9 @@ func TestBreakConnNotify(t *testing.T) {
 
 func TestIncarnationBumpsOnReset(t *testing.T) {
 	_, n, _ := newNet(t)
-	before := n.Incarnation(2)
+	before := n.state(2).incarnation
 	n.Reset(2, true)
-	if n.Incarnation(2) != before+1 {
+	if n.state(2).incarnation != before+1 {
 		t.Fatal("incarnation did not bump")
 	}
 }
@@ -280,7 +286,7 @@ func TestDeadNodeDoesNotSend(t *testing.T) {
 	s, n, recs := newNet(t)
 	n.Kill(1)
 	n.Send(1, 2, "x", 10, KindService)
-	s.Run()
+	drain(s)
 	if len(recs[2].delivered) != 0 {
 		t.Fatal("dead node sent a message")
 	}
@@ -291,7 +297,7 @@ func TestRestartAfterKill(t *testing.T) {
 	n.Kill(2)
 	n.Restart(2)
 	n.Send(1, 2, "x", 10, KindService)
-	s.Run()
+	drain(s)
 	if len(recs[2].delivered) != 1 {
 		t.Fatal("restarted node did not receive")
 	}
@@ -302,7 +308,7 @@ func TestTotalBytesAccounting(t *testing.T) {
 	n.Send(1, 2, "a", 100, KindService)
 	n.Send(1, 3, "b", 50, KindCheckpoint)
 	n.Send(2, 3, "c", 25, KindCheckpoint)
-	s.Run()
+	drain(s)
 	if got := n.TotalBytesOut(KindCheckpoint); got != 75 {
 		t.Fatalf("checkpoint bytes = %d, want 75", got)
 	}

@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"math"
 	"slices"
 )
 
@@ -124,12 +123,6 @@ func (e *Encoder) Bool(v bool) {
 	}
 }
 
-// Float64 appends the IEEE-754 bits of v.
-func (e *Encoder) Float64(v float64) { e.Uint64(math.Float64bits(v)) }
-
-// Byte appends a single raw byte (tag bytes in framed encodings).
-func (e *Encoder) Byte(b byte) { e.buf = append(e.buf, b) }
-
 // NodeID appends a node identifier.
 func (e *Encoder) NodeID(n NodeID) { e.Uint32(uint32(n)) }
 
@@ -234,18 +227,6 @@ func (d *Decoder) Bool() bool {
 	return b != nil && b[0] == 1
 }
 
-// Float64 reads an IEEE-754 float.
-func (d *Decoder) Float64() float64 { return math.Float64frombits(d.Uint64()) }
-
-// Byte reads a single raw byte.
-func (d *Decoder) Byte() byte {
-	b := d.take(1)
-	if b == nil {
-		return 0
-	}
-	return b[0]
-}
-
 // NodeID reads a node identifier.
 func (d *Decoder) NodeID() NodeID { return NodeID(d.Uint32()) }
 
@@ -259,21 +240,6 @@ func (d *Decoder) String() string {
 		return ""
 	}
 	return string(d.take(n))
-}
-
-// Bytes2 reads a length-prefixed byte slice (copied).
-func (d *Decoder) Bytes2() []byte {
-	n := int(d.Uint32())
-	if d.err != nil || n < 0 || n > d.Remaining() {
-		if d.err == nil {
-			d.err = fmt.Errorf("sm: bad bytes length %d", n)
-		}
-		return nil
-	}
-	b := d.take(n)
-	out := make([]byte, len(b))
-	copy(out, b)
-	return out
 }
 
 // Count reads an element count written by Encoder.Uint32 and bounds it by
@@ -326,13 +292,6 @@ func EncodeService(s Service) []byte {
 	out := make([]byte, len(e.buf))
 	copy(out, e.buf)
 	return out
-}
-
-// HashService returns the FNV-64a hash of a service's encoded state.
-func HashService(s Service) uint64 {
-	e := NewEncoder()
-	s.EncodeState(e)
-	return e.Hash()
 }
 
 // CopyNodeSet makes dst a copy of set and returns it: dst is cleared and

@@ -15,7 +15,6 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 	e.Int(-9)
 	e.Bool(true)
 	e.Bool(false)
-	e.Float64(3.25)
 	e.NodeID(13)
 	e.String("hello")
 	e.Bytes2([]byte{1, 2, 3})
@@ -37,9 +36,6 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 	}
 	if !d.Bool() || d.Bool() {
 		t.Fatal("Bool round trip failed")
-	}
-	if got := d.Float64(); got != 3.25 {
-		t.Fatalf("Float64 = %v", got)
 	}
 	if got := d.NodeID(); got != 13 {
 		t.Fatalf("NodeID = %v", got)

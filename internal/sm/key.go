@@ -1,10 +1,5 @@
 package sm
 
-import (
-	"fmt"
-	"strings"
-)
-
 // EventKey is an event's identity: what a trace prints, what a sleep set
 // and a forwarded path hold, and what a violation's bug class is read from.
 // It names a transition independently of the state it is enabled in —
@@ -79,24 +74,4 @@ func (k EventKey) Class() string {
 	default:
 		return "drop"
 	}
-}
-
-// EventKey appends k's wire form.
-func (e *Encoder) EventKey(k EventKey) {
-	e.Byte(k.Kind)
-	e.NodeID(k.From)
-	e.NodeID(k.Node)
-	e.String(k.Name)
-	e.Uint64(k.Arg)
-}
-
-// EventKey reads a key written by Encoder.EventKey. The bytes may come from
-// a peer: a kind that is none of the six is a decode error here, not a "no
-// enabled event matches" at some later replay.
-func (d *Decoder) EventKey() EventKey {
-	k := EventKey{Kind: d.Byte(), From: d.NodeID(), Node: d.NodeID(), Name: d.String(), Arg: d.Uint64()}
-	if d.err == nil && strings.IndexByte("MTAERD", k.Kind) < 0 {
-		d.err = fmt.Errorf("sm: bad event kind %q", k.Kind)
-	}
-	return k
 }

@@ -80,34 +80,6 @@ func TestEventKeyEqualityIsTransitionIdentity(t *testing.T) {
 	}
 }
 
-// TestEventKeyCodec: a key survives the wire, and a kind byte that is none
-// of the six is refused by the decoder.
-func TestEventKeyCodec(t *testing.T) {
-	for _, k := range []EventKey{
-		{Kind: 'M', From: 1, Node: 2, Name: "Join", Arg: 7},
-		{Kind: 'T', Node: 3, Name: "recovery"},
-		{Kind: 'A', Node: 1, Name: "propose", Arg: 1 << 63},
-		{Kind: 'R', Node: 2},
-		{Kind: 'E', From: NoNode, Node: 1},
-		{Kind: 'D', From: 2, Node: 1},
-	} {
-		enc := NewEncoder()
-		enc.EventKey(k)
-		d := NewDecoder(enc.Bytes())
-		if got := d.EventKey(); got != k || d.Err() != nil || d.Remaining() != 0 {
-			t.Errorf("%+v decodes as %+v (err %v, %d bytes left)", k, got, d.Err(), d.Remaining())
-		}
-	}
-	for _, kind := range []byte{0, 'm', 'X', 0xff} {
-		enc := NewEncoder()
-		enc.EventKey(EventKey{Kind: kind, Node: 1})
-		d := NewDecoder(enc.Bytes())
-		if d.EventKey(); d.Err() == nil {
-			t.Errorf("decoder accepted kind %q", kind)
-		}
-	}
-}
-
 // TestEventKeyAllocs: building an event (fingerprinting an app call on a
 // reused encoder), taking its descriptor, folding its text and comparing keys
 // allocate nothing — the checker does all of it per transition.

@@ -89,11 +89,8 @@ type Context interface {
 // import time just for timer intervals.
 type Duration = int64
 
-// Common durations for service code readability.
-const (
-	Millisecond Duration = 1e6
-	Second      Duration = 1e9
-)
+// Second is a duration in service code's own units.
+const Second Duration = 1e9
 
 // Service is a distributed-service state machine (one per node). All state
 // a service keeps must be reachable from the Service value so that Clone,

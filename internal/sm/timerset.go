@@ -14,8 +14,8 @@ import (
 // else can see yet (a handler context's working copy, a set just built for a
 // start state) may edit it in place with Add and Remove. Once it is part of a
 // finalized checker state or a property view it is immutable and shared by
-// every successor that left it unchanged, so from then on nobody writes it;
-// With and Without return a set of their own and never touch the receiver.
+// every successor that left it unchanged, so from then on nobody writes it:
+// a changed set is a copy, edited before it is published.
 //
 // The zero value is the empty set.
 type TimerSet []TimerID
@@ -50,28 +50,6 @@ func (s *TimerSet) Remove(t TimerID) {
 	if i, present := slices.BinarySearch(*s, t); present {
 		*s = slices.Delete(*s, i, i+1)
 	}
-}
-
-// With returns the set s ∪ {t}. s is never written: the result is s itself
-// when t is already pending, otherwise a copy.
-func (s TimerSet) With(t TimerID) TimerSet {
-	i, present := slices.BinarySearch(s, t)
-	if present {
-		return s
-	}
-	out := make(TimerSet, 0, len(s)+1)
-	return append(append(append(out, s[:i]...), t), s[i:]...)
-}
-
-// Without returns the set s ∖ {t}. s is never written: the result is s itself
-// when t is not pending, otherwise a copy.
-func (s TimerSet) Without(t TimerID) TimerSet {
-	i, present := slices.BinarySearch(s, t)
-	if !present {
-		return s
-	}
-	out := make(TimerSet, 0, len(s)-1)
-	return append(append(out, s[:i]...), s[i+1:]...)
 }
 
 // Encode appends the set's canonical form — count, then each name in

@@ -62,7 +62,6 @@ func sortedIDs[V any](m map[sm.NodeID]V) []sm.NodeID {
 type Checkpoint struct {
 	CN    uint64
 	State []byte // sm.EncodeFullState output (uncompressed)
-	Taken sim.Time
 }
 
 // Snapshot is the result of a neighborhood collection: a consistent cut of
@@ -131,9 +130,8 @@ type Manager struct {
 	sim      *sim.Simulator
 	interval time.Duration
 
-	cn     uint64
-	store  []Checkpoint
-	ticker *sim.Timer
+	cn    uint64
+	store []Checkpoint
 
 	col *collection
 	seq uint64
@@ -159,15 +157,9 @@ func NewManager(s *sim.Simulator, node *runtime.Node, interval time.Duration) *M
 		lastRecv: make(map[sm.NodeID]received),
 	}
 	node.SetCheckpointHook(m)
-	m.ticker = s.After(interval, m.periodic)
+	s.After(interval, m.periodic)
 	return m
 }
-
-// CN returns the node's current checkpoint number.
-func (m *Manager) CN() uint64 { return m.cn }
-
-// StoredCheckpoints reports how many checkpoints are held.
-func (m *Manager) StoredCheckpoints() int { return len(m.store) }
 
 // LatestCheckpointSize returns the uncompressed size of the newest stored
 // checkpoint (0 when none), used by the overhead experiments.
@@ -184,7 +176,7 @@ func (m *Manager) periodic() {
 	// incremented, which happens periodically").
 	m.cn++
 	m.takeCheckpoint(m.cn)
-	m.ticker = m.sim.After(m.interval, m.periodic)
+	m.sim.After(m.interval, m.periodic)
 }
 
 // takeCheckpoint stores the node's state stamped with stamp. Every caller
@@ -192,7 +184,7 @@ func (m *Manager) periodic() {
 // carries m.cn.
 func (m *Manager) takeCheckpoint(stamp uint64) {
 	svc, timers := m.node.View()
-	ck := Checkpoint{CN: stamp, State: sm.EncodeFullState(svc, timers), Taken: m.sim.Now()}
+	ck := Checkpoint{CN: stamp, State: sm.EncodeFullState(svc, timers)}
 	m.store = append(m.store, ck)
 	m.Stats.CheckpointsTaken++
 	// Enforce the storage quota, oldest first, in place: the store keeps

@@ -45,8 +45,8 @@ func TestPeriodicCheckpoints(t *testing.T) {
 	if got := f.mgrs[0].Stats.CheckpointsTaken; got < 5 {
 		t.Fatalf("checkpoints taken = %d, want >= 5", got)
 	}
-	if f.mgrs[0].CN() < 5 {
-		t.Fatalf("cn = %d, want >= 5", f.mgrs[0].CN())
+	if f.mgrs[0].OutgoingCN() < 5 {
+		t.Fatalf("cn = %d, want >= 5", f.mgrs[0].OutgoingCN())
 	}
 }
 
@@ -57,11 +57,11 @@ func TestQuotaPrunesOldest(t *testing.T) {
 	if m.Stats.CheckpointsTaken <= quota {
 		t.Fatalf("only %d checkpoints taken, want more than the quota %d", m.Stats.CheckpointsTaken, quota)
 	}
-	if got := m.StoredCheckpoints(); got != quota {
+	if got := len(m.store); got != quota {
 		t.Fatalf("stored = %d, quota %d", got, quota)
 	}
-	if oldest := m.store[0].CN; oldest != m.CN()-quota+1 {
-		t.Fatalf("oldest stored cn = %d, want %d: pruning did not drop the oldest", oldest, m.CN()-quota+1)
+	if oldest := m.store[0].CN; oldest != m.OutgoingCN()-quota+1 {
+		t.Fatalf("oldest stored cn = %d, want %d: pruning did not drop the oldest", oldest, m.OutgoingCN()-quota+1)
 	}
 }
 
@@ -83,8 +83,8 @@ func TestForcedCheckpointOnHigherCN(t *testing.T) {
 	}
 	// b's clock must track a's to within one gossip period's worth of
 	// checkpoints (5 x 200ms) plus propagation.
-	if mb.CN()+6 < ma.CN() {
-		t.Fatalf("slow node's cn did not track: a=%d b=%d", ma.CN(), mb.CN())
+	if mb.OutgoingCN()+6 < ma.OutgoingCN() {
+		t.Fatalf("slow node's cn did not track: a=%d b=%d", ma.OutgoingCN(), mb.OutgoingCN())
 	}
 }
 
@@ -146,7 +146,7 @@ func TestCollectSnapshotConsistentCut(t *testing.T) {
 func TestCollectWithDeadNeighbor(t *testing.T) {
 	f := setup(t, 3, time.Second)
 	f.sim.RunFor(time.Second)
-	f.net.Kill(3)
+	f.net.PartitionNode(3, true)
 	var got *Snapshot
 	f.mgrs[0].Collect([]sm.NodeID{2, 3}, func(s *Snapshot) { got = s })
 	f.sim.RunFor(3 * time.Second)
@@ -245,14 +245,14 @@ func TestNewestCheckpointCarriesCN(t *testing.T) {
 	check := func(step string) {
 		t.Helper()
 		for i, m := range f.mgrs {
-			if m.CN() == 0 {
+			if m.OutgoingCN() == 0 {
 				continue
 			}
 			if len(m.store) == 0 {
-				t.Fatalf("%s: node %d at cn %d stores no checkpoint", step, i+1, m.CN())
+				t.Fatalf("%s: node %d at cn %d stores no checkpoint", step, i+1, m.OutgoingCN())
 			}
-			if got := m.store[len(m.store)-1].CN; got != m.CN() {
-				t.Fatalf("%s: node %d's newest checkpoint carries cn %d, CN() = %d", step, i+1, got, m.CN())
+			if got := m.store[len(m.store)-1].CN; got != m.OutgoingCN() {
+				t.Fatalf("%s: node %d's newest checkpoint carries cn %d, its cn is %d", step, i+1, got, m.OutgoingCN())
 			}
 		}
 	}
@@ -265,10 +265,10 @@ func TestNewestCheckpointCarriesCN(t *testing.T) {
 		events(20)
 		switch round % 4 {
 		case 0:
-			f.mgrs[1].IncomingCN(f.mgrs[1].CN() + 2)
+			f.mgrs[1].IncomingCN(f.mgrs[1].OutgoingCN() + 2)
 			check("forced checkpoint")
 		case 1:
-			f.mgrs[2].HandleControl(1, ckptRequest{CR: f.mgrs[2].CN() + 3, Seq: 1 << 40})
+			f.mgrs[2].HandleControl(1, ckptRequest{CR: f.mgrs[2].OutgoingCN() + 3, Seq: 1 << 40})
 			check("request ahead of CN()")
 		case 2:
 			f.mgrs[2].HandleControl(1, ckptRequest{CR: 1, Seq: 1 << 40})
@@ -280,8 +280,8 @@ func TestNewestCheckpointCarriesCN(t *testing.T) {
 	}
 	events(200)
 	for i, m := range f.mgrs {
-		if m.StoredCheckpoints() != quota {
-			t.Fatalf("node %d stores %d checkpoints: the run never went past the quota %d", i+1, m.StoredCheckpoints(), quota)
+		if len(m.store) != quota {
+			t.Fatalf("node %d stores %d checkpoints: the run never went past the quota %d", i+1, len(m.store), quota)
 		}
 	}
 	if f.mgrs[0].Stats.SnapshotsCollected == 0 {

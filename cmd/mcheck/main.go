@@ -19,12 +19,8 @@
 // goroutine of this process, own a slice of the fingerprint space and
 // exchange out-of-range successors in batches through a coordinator.
 // Exhaustive mode only; the claimed state set is identical to the
-// single-process engine's. A shard that dies mid-round is recovered from:
-// the coordinator aborts, repartitions over the survivors and retries, and
-// if every shard dies it finishes the round on one in-process shard.
-// -faults installs a deterministic fault-injection plan: kill or sever a
-// shard's connection, or corrupt a batch it sends, at a counted message
-// (grammar: internal/dist/faults.go).
+// single-process engine's. A shard failure is a bug, and the run fails
+// with an error naming the shard and the cause.
 //
 // -reduce (default on) runs the sleep-set partial-order reduction: the
 // search claims the same states and reports the same violations while
@@ -73,7 +69,6 @@ func main() {
 		seed       = flag.Int64("seed", 1, "random seed")
 		fixed      = flag.Bool("fixed", false, "check the bug-fixed service variants")
 		shards     = flag.Int("shards", 0, "sharded search over this many in-process shards (0 = single engine; exhaustive mode only)")
-		faults     = flag.String("faults", "", "fault-plan spec for a sharded run, e.g. 'kill@s1r1m2, send:sever@s1r1m1, corrupt@s1r1m1' (ops: kill|sever|corrupt)")
 		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile of the search to this file")
 		memProfile = flag.String("memprofile", "", "write an allocation profile of the search to this file")
 	)
@@ -85,14 +80,6 @@ func main() {
 			fmt.Printf("%-12s %s\n", name, sc.Description)
 		}
 		return
-	}
-
-	plan, err := dist.ParseFaultPlan(*faults)
-	if err != nil {
-		usage(fmt.Errorf("bad -faults spec: %v", err))
-	}
-	if *faults != "" && *shards <= 0 {
-		usage(fmt.Errorf("-faults requires -shards"))
 	}
 
 	sc, ok := scenario.Lookup(*service)
@@ -148,7 +135,6 @@ func main() {
 			Shards: *shards,
 			Search: cfg,
 			Root:   g,
-			Faults: plan,
 		})
 	} else {
 		res = mc.NewSearch(cfg).Run(g)
@@ -175,9 +161,6 @@ func main() {
 	if dres != nil {
 		fmt.Printf("shards=%d forwarded=%d received=%d remote-deduped=%d batch-flushes=%d\n",
 			*shards, dres.Stats.StatesForwarded, dres.Stats.StatesReceived, dres.Stats.RemoteDeduped, dres.Stats.BatchFlushes)
-		if rec := dres.Recovery; rec.Retries > 0 || len(rec.Deaths) > 0 || rec.SerialFallback {
-			fmt.Printf("recovery: %s\n", rec)
-		}
 	}
 	if len(res.Violations) == 0 {
 		fmt.Println("no violations found")

@@ -60,7 +60,7 @@ var Table = []Rule{
 		Forbid: Uses{distPkg + ".Coordinator.nextArrival"},
 		In:     program,
 		Allow:  []string{distPkg + ".(*Coordinator).wait"},
-		Reason: "the coordinator waits in one place, so relay, report and abort share one death rule",
+		Reason: "the coordinator waits in one place, so relay and report share one failure rule",
 	},
 	{
 		Name:   "one-check-config",

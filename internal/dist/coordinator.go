@@ -9,34 +9,21 @@ import (
 	"crystalball/internal/mc"
 )
 
-// DefaultMaxRetries bounds how many times a round is aborted and retried on
-// surviving shards before the coordinator gives up.
-const DefaultMaxRetries = 2
-
 // CoordinatorConfig parameterises the hub.
 type CoordinatorConfig struct {
 	// Now is the clock Result.Checker.Elapsed reads (nil = time.Now) —
 	// injected so round timing is testable like the engine's.
 	Now func() time.Time
 	// Search and Root, when set, let the coordinator materialize real
-	// event paths for violations — they arrive as descriptors — and are
-	// the fault-tolerance floor: when every shard has died, the round's
-	// last attempt runs on one in-process shard built from them (Pipe +
-	// RunShard), adopted as shard 0 for that attempt only, so it reports
-	// what a sharded round reports. Search must then be an Exhaustive
-	// configuration, as every shard's is. Without them violations keep a
-	// nil path and a zero-survivor round is an error.
+	// event paths for violations — they arrive as descriptors. Without
+	// them violations keep a nil path.
 	Search *mc.Search
 	Root   *mc.GState
 }
 
-// arrival is one message fanned in from a shard connection. conn identifies
-// the generation: once the floor takes slot 0 over, stale arrivals pumped
-// from the dead shard 0's connection no longer match conns[0] and are
-// discarded.
+// arrival is one message fanned in from a shard connection.
 type arrival struct {
 	shard int
-	conn  Conn
 	msg   Msg
 	err   error
 }
@@ -46,25 +33,22 @@ type arrival struct {
 // check), and merges shard reports into the one result the controller
 // consumes. Methods must be called from a single goroutine.
 //
-// Fault tolerance: a shard that errors, faults or breaks the protocol
-// mid-round is declared dead; the coordinator aborts the round on the
-// survivors (RoundAbort / AbortAck barrier), repartitions the hash space and
-// the budget over the shards still alive, and retries — up to
-// DefaultMaxRetries times, degrading all the way to a one-slot in-process
-// round when nobody survives. Every death and retry is recorded in
-// Result.Recovery.
+// Shards are goroutines of this process on in-process pipes: nothing
+// outside the program can close a pipe, and a panicking shard takes the
+// process with it. A shard failure is therefore a bug in the engine or the
+// protocol, and it ends the round with an error naming the shard and the
+// cause; the session is then over, and only Shutdown remains to call.
 type Coordinator struct {
 	cfg   CoordinatorConfig
 	conns []Conn
-	live  []bool
 	inbox chan arrival
 	done  chan struct{}
 	round int
 }
 
-// NewCoordinator wraps one connection per shard (index = shard id; at
-// least one, as the floor borrows slot 0) and starts a reader per
-// connection, fanning messages into the coordinator's inbox.
+// NewCoordinator wraps one connection per shard (index = shard id) and
+// starts a reader per connection, fanning messages into the coordinator's
+// inbox.
 func NewCoordinator(conns []Conn, cfg CoordinatorConfig) *Coordinator {
 	if cfg.Now == nil {
 		cfg.Now = time.Now
@@ -72,12 +56,11 @@ func NewCoordinator(conns []Conn, cfg CoordinatorConfig) *Coordinator {
 	c := &Coordinator{
 		cfg:   cfg,
 		conns: conns,
-		live:  make([]bool, len(conns)),
 		inbox: make(chan arrival, 4*len(conns)+16),
 		done:  make(chan struct{}),
 	}
 	for i, conn := range conns {
-		c.adopt(i, conn)
+		go c.pump(i, conn)
 	}
 	return c
 }
@@ -86,7 +69,7 @@ func (c *Coordinator) pump(shard int, conn Conn) {
 	for {
 		m, err := conn.Recv()
 		select {
-		case c.inbox <- arrival{shard: shard, conn: conn, msg: m, err: err}:
+		case c.inbox <- arrival{shard: shard, msg: m, err: err}:
 		case <-c.done:
 			return
 		}
@@ -96,61 +79,14 @@ func (c *Coordinator) pump(shard int, conn Conn) {
 	}
 }
 
-// adopt makes conn shard id's live connection and starts its reader.
-func (c *Coordinator) adopt(id int, conn Conn) {
-	c.conns[id] = conn
-	c.live[id] = true
-	go c.pump(id, conn)
-}
-
-// adoptFloor adopts, as shard 0, the degradation floor: an in-process shard
-// owning the whole space — a Pipe whose far side serves RunShard over
-// cfg.Search and cfg.Root — and returns the channel its exit error arrives
-// on. The caller drops it (kill) after the round.
-func (c *Coordinator) adoptFloor() <-chan error {
-	hub, side := Pipe()
-	done := make(chan error, 1)
-	go func() {
-		err := RunShard(side, ShardConfig{Index: 0, Shards: 1, Search: c.cfg.Search.Config(), Root: c.cfg.Root})
-		side.Close() // a shard that fails to start must not leave the hub waiting
-		done <- err
-	}()
-	c.adopt(0, hub)
-	return done
-}
-
-// kill declares shard id dead: its connection is closed (stopping its pump)
-// and it takes no further part in the session.
-func (c *Coordinator) kill(id int) {
-	if !c.live[id] {
-		return
-	}
-	c.live[id] = false
-	_ = c.conns[id].Close()
-}
-
-// liveShards returns the live connection identities in ascending order —
-// the next attempt's slot → identity assignment.
-func (c *Coordinator) liveShards() []int {
-	ids := make([]int, 0, len(c.conns))
-	for i, l := range c.live {
-		if l {
-			ids = append(ids, i)
-		}
-	}
-	return ids
-}
-
 // nextArrival blocks for the next fan-in message.
 func (c *Coordinator) nextArrival() arrival { return <-c.inbox }
 
-// Shutdown ends the session: every live shard is asked to exit and all
+// Shutdown ends the session: every shard is asked to exit and all
 // connections are closed. Call exactly once, after the last round.
 func (c *Coordinator) Shutdown() {
-	for i, conn := range c.conns {
-		if c.live[i] {
-			_ = conn.Send(Shutdown{})
-		}
+	for _, conn := range c.conns {
+		_ = conn.Send(Shutdown{})
 	}
 	close(c.done)
 	for _, conn := range c.conns {
@@ -168,221 +104,125 @@ type Result struct {
 	Checker mc.Result
 	// Stats sums the shards' frontier-exchange counters.
 	Stats Stats
-	// PerShard keeps each slot's raw report (telemetry; per-shard
+	// PerShard keeps each seated shard's raw report (telemetry; per-shard
 	// expansion counts are scheduling-dependent).
 	PerShard []ShardReport
-	// Recovery is the round's fault-tolerance telemetry: deaths detected,
-	// retries spent, and what the round finally ran on.
+	// Recovery is always zero (see RecoveryStats).
 	Recovery RecoveryStats
 }
 
 // RunRound runs one distributed exhaustive round: split the budget, fan
 // out, relay batches until quiescent, then collect and merge reports. A
-// shard dying mid-round (connection error, Fault or protocol breach) aborts
-// the attempt, repartitions over the survivors, and retries. When none
-// survives, the round's last attempt runs on the floor (adoptFloor) through
-// the same loop, without retries. Only exhausting DefaultMaxRetries,
-// losing every shard with no Search and Root configured, or a failure of
-// the floor itself surfaces as an error.
+// shard failure in any phase — a connection error, a Fault or a message
+// the phase refuses — ends the round with an error naming the round, the
+// shard and the cause.
 func (c *Coordinator) RunRound(b mc.Budget, recordStates bool) (*Result, error) {
 	c.round++
 	began := c.cfg.Now()
-	var rec RecoveryStats
-	for n := 1; ; n++ {
-		at := &attempt{n: n, assign: c.liveShards()}
-		var floor <-chan error
-		if len(at.assign) == 0 {
-			if c.cfg.Search == nil || c.cfg.Root == nil {
-				return nil, errorf("round %d: no live shards and no local engine to fall back to", c.round)
-			}
-			floor = c.adoptFloor()
-			at.assign = []int{0}
-		}
-		// A bound smaller than the live shard count occupies only as many
-		// slots as it has units; the other shards sit the round out.
-		at.assign = at.assign[:usableSlots(b, len(at.assign))]
-		res, err := c.runAttempt(at, b, recordStates, began)
-		if floor != nil {
-			c.kill(0)
-			if serr := <-floor; err == nil && len(at.deaths) > 0 {
-				err = errorf("round %d: the floor lost %s: floor shard: %v", c.round, deathSummary(at.deaths), serr)
-			}
-			rec.SerialFallback = true
-		}
-		if err != nil {
+	// A bound smaller than the shard count seats only as many shards as it
+	// has units; the others sit the round out.
+	slots := usableSlots(b, len(c.conns))
+	shares := SplitBudget(b, slots)
+	for s := range shares {
+		if err := c.send(s, RoundStart{Round: c.round, Slots: slots, Budget: shares[s], RecordStates: recordStates}); err != nil {
 			return nil, err
 		}
-		if len(at.deaths) == 0 {
-			if floor == nil {
-				rec.FinalShards = len(at.assign)
+	}
+
+	q := newQuiescence(slots)
+	err := c.wait(slots, func(s int) bool { return !q.settled[s] }, func(s int, m Msg) error {
+		switch m := m.(type) {
+		case Batch:
+			if m.To >= 0 && m.To < slots && m.From == s {
+				q.relay(m.To)
+				return c.send(m.To, m)
 			}
-			res.Recovery = rec
-			return res, nil
+		case Idle:
+			if m.Shard == s && q.idle(s, m.Received) == nil {
+				return nil
+			}
 		}
-		lost := at.deaths
-		c.abort(at)
-		rec.Deaths = append(rec.Deaths, at.deaths...)
-		if rec.Retries >= DefaultMaxRetries {
-			return nil, errorf("round %d: attempt %d lost %s and the retry budget (%d) is exhausted",
-				c.round, n, deathSummary(lost), DefaultMaxRetries)
-		}
-		rec.Retries++
+		return c.refuse(s, m)
+	})
+	if err != nil {
+		return nil, err
 	}
-}
 
-// attempt is one try at a round: slot s runs on connection assign[s].
-type attempt struct {
-	n      int // 1-based within the round
-	assign []int
-	deaths []ShardDeath
-}
-
-// slot returns the slot shard id holds in the attempt, or -1.
-func (at *attempt) slot(id int) int {
-	for s, a := range at.assign {
-		if a == id {
-			return s
+	for s := 0; s < slots; s++ {
+		if err := c.send(s, RoundEnd{}); err != nil {
+			return nil, err
 		}
 	}
-	return -1
+	reports := make([]ShardReport, slots)
+	reported := make([]bool, slots)
+	err = c.wait(slots, func(s int) bool { return !reported[s] }, func(s int, m Msg) error {
+		r, ok := m.(ShardReport)
+		if !ok || r.Shard != s || reported[s] {
+			return c.refuse(s, m)
+		}
+		reports[s], reported[s] = r, true
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	return c.merge(shares[0].Workers, reports, recordStates, began)
 }
 
-// die declares shard id dead of cause in attempt at.
-func (c *Coordinator) die(at *attempt, id int, cause string) {
-	c.kill(id)
-	at.deaths = append(at.deaths, ShardDeath{Shard: id, Round: c.round, Attempt: at.n, Cause: cause})
+// fail is the error that ends the round when shard fails of cause: "conn"
+// (its connection failed), "fault" (it reported its own error) or
+// "protocol" (it sent what the phase refuses).
+func (c *Coordinator) fail(shard int, cause string, detail any) error {
+	return errorf("round %d: shard %d: %s: %v", c.round, shard, cause, detail)
 }
 
-// send sends m to shard id; a shard that cannot be sent to dies of "conn".
-func (c *Coordinator) send(at *attempt, id int, m Msg) bool {
+// refuse is the protocol failure of a shard that sent m.
+func (c *Coordinator) refuse(shard int, m Msg) error {
+	return c.fail(shard, "protocol", fmt.Sprintf("refused %T", m))
+}
+
+// send sends m to shard id; a send that fails is the shard's "conn"
+// failure.
+func (c *Coordinator) send(id int, m Msg) error {
 	if err := c.conns[id].Send(m); err != nil {
-		c.die(at, id, "conn")
-		return false
+		return c.fail(id, "conn", err)
 	}
-	return true
+	return nil
 }
 
-// wait is the one place the coordinator reads its shards. It takes arrivals
-// until no live slot of at is pending or a shard dies, and reports whether
-// it ended without a death. Arrivals from dead or replaced connections are
-// dropped; for the rest one death rule holds in every phase: a connection
-// error kills the sender of "conn", a Fault of "fault", and a message from
-// a shard outside the attempt or one step refuses of "protocol".
-func (c *Coordinator) wait(at *attempt, pending func(slot int) bool, step func(slot int, m Msg) bool) bool {
+// wait is the one place the coordinator reads its shards. It takes
+// arrivals until no seated shard (slot < slots) is pending, and ends the
+// round at the first failure under one rule in every phase: a connection
+// error is "conn", a Fault is "fault", and a message from a shard the
+// round did not seat is "protocol". Every other message goes to step,
+// which fails the round by returning an error.
+func (c *Coordinator) wait(slots int, pending func(slot int) bool, step func(slot int, m Msg) error) error {
 	waiting := func() bool {
-		for s, id := range at.assign {
-			if c.live[id] && pending(s) {
+		for s := 0; s < slots; s++ {
+			if pending(s) {
 				return true
 			}
 		}
 		return false
 	}
-	for dead := len(at.deaths); waiting(); {
+	for waiting() {
 		a := c.nextArrival()
-		if id := a.shard; c.live[id] && a.conn == c.conns[id] {
-			switch s := at.slot(id); {
-			case a.err != nil:
-				c.die(at, id, "conn")
-			case a.msg.kind() == kindFault:
-				c.die(at, id, "fault")
-			case s < 0 || !step(s, a.msg):
-				c.die(at, id, "protocol")
-			}
+		var err error
+		switch f, isFault := a.msg.(Fault); {
+		case a.err != nil:
+			err = c.fail(a.shard, "conn", a.err)
+		case isFault:
+			err = c.fail(a.shard, "fault", f.Err)
+		case a.shard >= slots:
+			err = c.refuse(a.shard, a.msg)
+		default:
+			err = step(a.shard, a.msg)
 		}
-		if len(at.deaths) > dead {
-			return false
-		}
-	}
-	return true
-}
-
-// runAttempt fans one round attempt out over at.assign and relays until
-// quiescent, then collects reports and merges. Deaths are recorded on at;
-// an attempt with deaths returns a nil result, and the caller must abort
-// the survivors and retry. err is reserved for coordinator-side failures
-// no retry can fix.
-func (c *Coordinator) runAttempt(at *attempt, b mc.Budget, recordStates bool, began time.Time) (*Result, error) {
-	slots := len(at.assign)
-	shares := SplitBudget(b, slots)
-	for s, id := range at.assign {
-		if !c.send(at, id, RoundStart{Round: c.round, Slot: s, Slots: slots, Budget: shares[s], RecordStates: recordStates}) {
-			return nil, nil
+		if err != nil {
+			return err
 		}
 	}
-
-	q := newQuiescence(slots)
-	if !c.wait(at, func(s int) bool { return !q.settled[s] }, func(s int, m Msg) bool {
-		switch m := m.(type) {
-		case Batch:
-			if m.To < 0 || m.To >= slots || m.From != s {
-				return false
-			}
-			q.relay(m.To)
-			c.send(at, at.assign[m.To], m)
-			return true
-		case Idle:
-			return m.Shard == s && q.idle(s, m.Received) == nil
-		}
-		return false
-	}) {
-		return nil, nil
-	}
-
-	for _, id := range at.assign {
-		if !c.send(at, id, RoundEnd{}) {
-			return nil, nil
-		}
-	}
-	reports := make([]ShardReport, slots)
-	reported := make([]bool, slots)
-	if !c.wait(at, func(s int) bool { return !reported[s] }, func(s int, m Msg) bool {
-		r, ok := m.(ShardReport)
-		if !ok || r.Shard != s || reported[s] {
-			return false
-		}
-		reports[s], reported[s] = r, true
-		return true
-	}) {
-		return nil, nil
-	}
-	return c.merge(shares[0].Workers, reports, recordStates, began)
-}
-
-// abort tears a failed attempt down on its survivors: each gets RoundAbort
-// and must answer AbortAck. The ack is a FIFO barrier — the coordinator
-// relays nothing during the abort, so once a shard's ack is in, no stale
-// batch, idle or report from the aborted round can follow on that
-// connection; anything arriving before the ack is discarded. A survivor
-// that dies meanwhile is one more death of the attempt, and the abort goes
-// on waiting for the rest.
-func (c *Coordinator) abort(at *attempt) {
-	for _, id := range at.assign {
-		if c.live[id] {
-			c.send(at, id, RoundAbort{Round: c.round})
-		}
-	}
-	acked := make([]bool, len(at.assign))
-	// A death ends a wait; the abort waits on for the others.
-	for !c.wait(at, func(s int) bool { return !acked[s] }, func(s int, m Msg) bool {
-		switch m := m.(type) {
-		case AbortAck:
-			acked[s] = true
-			return m.Shard == at.assign[s] && m.Round == c.round
-		case Batch, Idle, ShardReport:
-			return true
-		}
-		return false
-	}) {
-	}
-}
-
-// deathSummary renders an attempt's deaths for error text.
-func deathSummary(deaths []ShardDeath) string {
-	parts := make([]string, len(deaths))
-	for i, d := range deaths {
-		parts[i] = fmt.Sprintf("%d (%s)", d.Shard, d.Cause)
-	}
-	return "shard(s) " + strings.Join(parts, ", ")
+	return nil
 }
 
 // merge folds the shard reports into the single result.

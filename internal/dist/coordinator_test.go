@@ -2,6 +2,7 @@ package dist
 
 import (
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 
@@ -31,44 +32,39 @@ func (r refuse) Send(m Msg) error {
 	return r.Conn.Send(m)
 }
 
-// script answers message m of attempt n (1-based, counted by round starts)
-// on a scripted shard; nil is an honest answer.
-type script func(n int, m Msg) []Msg
+// script answers message m on a scripted shard; nil is an honest answer.
+type script func(m Msg) []Msg
 
-// inAttempt1 scripts the reply to one message kind in the first attempt.
-func inAttempt1(kind byte, reply ...Msg) script {
-	return func(n int, m Msg) []Msg {
-		if n == 1 && m.kind() == kind {
+// on scripts the reply to one message kind.
+func on(kind byte, reply ...Msg) script {
+	return func(m Msg) []Msg {
+		if m.kind() == kind {
 			return reply
 		}
 		return nil
 	}
 }
 
-// scripted serves the far side of a pipe like a shard that finds nothing:
-// it idles on every round start, reports on round end and acks every abort,
-// except where play says otherwise.
+// scripted serves the far side of shard id's pipe like a shard that finds
+// nothing: it idles on every round start and reports on round end, except
+// where play says otherwise.
 func scripted(id int, side Conn, play script) {
-	slot, n := 0, 0
 	for {
 		m, err := side.Recv()
 		if err != nil {
 			return
 		}
 		var replies []Msg
-		switch v := m.(type) {
+		switch m.(type) {
 		case RoundStart:
-			slot, n = v.Slot, n+1
-			replies = []Msg{Idle{Shard: slot}}
+			replies = []Msg{Idle{Shard: id}}
 		case RoundEnd:
-			replies = []Msg{ShardReport{Shard: slot, Stop: mc.FrontierEmpty}}
-		case RoundAbort:
-			replies = []Msg{AbortAck{Shard: id, Round: v.Round}}
+			replies = []Msg{ShardReport{Shard: id, Stop: mc.FrontierEmpty}}
 		case Shutdown:
 			return
 		}
 		if play != nil {
-			if r := play(n, m); r != nil {
+			if r := play(m); r != nil {
 				replies = r
 			}
 		}
@@ -84,93 +80,75 @@ func scripted(id int, side Conn, play script) {
 	}
 }
 
-// reportsVio scripts the shard holding slot to report one violation of props.
-func reportsVio(slot int, depth int32, hash uint64, props ...string) script {
-	return inAttempt1(kindRoundEnd, ShardReport{Shard: slot, Stop: mc.FrontierEmpty,
+// reportsVio scripts shard id to report one violation of props.
+func reportsVio(id int, depth int32, hash uint64, props ...string) script {
+	return on(kindRoundEnd, ShardReport{Shard: id, Stop: mc.FrontierEmpty,
 		Violations: []Violation{{Props: props, Depth: depth, StateHash: hash}}})
 }
 
-// TestDeathRules pins the coordinator's one death rule phase by phase: a
-// connection error is "conn", a Fault "fault" and a message the phase
-// refuses "protocol". Shard 1 (or both) is scripted; the other side of each pipe is a
-// plain hub connection, so every row is deterministic. A round that loses
-// every shard finishes on the floor (chord, depth 2).
+// TestDeathRules is the failure table: the coordinator's one rule, phase
+// by phase. A connection error is "conn", a Fault "fault" and a message the
+// phase refuses "protocol", and each ends RunRound with an error naming
+// the round, the shard and the cause. Shard 1 (or both) is scripted; the
+// other side of each pipe is a plain hub connection, so every row is
+// deterministic, and a row that hangs fails the test's -timeout. The merge
+// rows are rounds that succeed, and pin the shard merge's violation rule.
 func TestDeathRules(t *testing.T) {
-	g, cfg := chordStart(t)
-	faultAtStart := inAttempt1(kindRoundStart, Fault{Shard: 1, Err: "boom"})
 	rows := []struct {
 		name   string
 		play   map[int]script
 		refuse map[int]byte
-		want   string
+		want   string // "shard N: cause" for a failed round, else the merged violations
 	}{
 		{name: "start: RoundStart send fails", refuse: map[int]byte{1: kindRoundStart},
-			want: "retries=1 final=1 deaths[r1a1s1:conn]"},
+			want: "shard 1: conn"},
 
-		{name: "relay: misrouted Batch", play: map[int]script{1: inAttempt1(kindRoundStart, Batch{From: 0, To: 0})},
-			want: "retries=1 final=1 deaths[r1a1s1:protocol]"},
-		{name: "relay: Batch for no slot", play: map[int]script{1: inAttempt1(kindRoundStart, Batch{From: 1, To: 2})},
-			want: "retries=1 final=1 deaths[r1a1s1:protocol]"},
+		{name: "relay: misrouted Batch", play: map[int]script{1: on(kindRoundStart, Batch{From: 0, To: 0})},
+			want: "shard 1: protocol"},
+		{name: "relay: Batch for no slot", play: map[int]script{1: on(kindRoundStart, Batch{From: 1, To: 2})},
+			want: "shard 1: protocol"},
 		{name: "relay: destination send fails", refuse: map[int]byte{0: kindBatch},
-			play: map[int]script{1: inAttempt1(kindRoundStart, Batch{From: 1, To: 0})},
-			want: "retries=1 final=1 deaths[r1a1s0:conn]"},
-		{name: "relay: Idle for another slot", play: map[int]script{1: inAttempt1(kindRoundStart, Idle{Shard: 0})},
-			want: "retries=1 final=1 deaths[r1a1s1:protocol]"},
-		{name: "relay: Idle overshoots the relay count", play: map[int]script{1: inAttempt1(kindRoundStart, Idle{Shard: 1, Received: 1})},
-			want: "retries=1 final=1 deaths[r1a1s1:protocol]"},
-		{name: "relay: unexpected message", play: map[int]script{1: inAttempt1(kindRoundStart, ShardReport{Shard: 1})},
-			want: "retries=1 final=1 deaths[r1a1s1:protocol]"},
-		{name: "relay: Fault", play: map[int]script{1: faultAtStart},
-			want: "retries=1 final=1 deaths[r1a1s1:fault]"},
-		{name: "relay: conn error", play: map[int]script{1: inAttempt1(kindRoundStart, hangUp{})},
-			want: "retries=1 final=1 deaths[r1a1s1:conn]"},
+			play: map[int]script{1: on(kindRoundStart, Batch{From: 1, To: 0})},
+			want: "shard 0: conn"},
+		{name: "relay: Idle for another slot", play: map[int]script{1: on(kindRoundStart, Idle{Shard: 0})},
+			want: "shard 1: protocol"},
+		{name: "relay: Idle overshoots the relay count", play: map[int]script{1: on(kindRoundStart, Idle{Shard: 1, Received: 1})},
+			want: "shard 1: protocol"},
+		{name: "relay: unexpected message", play: map[int]script{1: on(kindRoundStart, ShardReport{Shard: 1})},
+			want: "shard 1: protocol"},
+		{name: "relay: Fault", play: map[int]script{1: on(kindRoundStart, Fault{Shard: 1, Err: "boom"})},
+			want: "shard 1: fault"},
+		{name: "relay: conn error", play: map[int]script{1: on(kindRoundStart, hangUp{})},
+			want: "shard 1: conn"},
 
 		{name: "round end: RoundEnd send fails", refuse: map[int]byte{1: kindRoundEnd},
-			want: "retries=1 final=1 deaths[r1a1s1:conn]"},
+			want: "shard 1: conn"},
 
-		{name: "report: conn error", play: map[int]script{1: inAttempt1(kindRoundEnd, hangUp{})},
-			want: "retries=1 final=1 deaths[r1a1s1:conn]"},
-		{name: "report: for another slot", play: map[int]script{1: inAttempt1(kindRoundEnd, ShardReport{Shard: 0})},
-			want: "retries=1 final=1 deaths[r1a1s1:protocol]"},
+		{name: "report: conn error", play: map[int]script{1: on(kindRoundEnd, hangUp{})},
+			want: "shard 1: conn"},
+		{name: "report: for another slot", play: map[int]script{1: on(kindRoundEnd, ShardReport{Shard: 0})},
+			want: "shard 1: protocol"},
 		{name: "report: duplicate", play: map[int]script{
-			0: inAttempt1(kindRoundEnd, quiet...),
-			1: inAttempt1(kindRoundEnd, ShardReport{Shard: 1}, ShardReport{Shard: 1})},
-			want: "retries=1 final=1 deaths[r1a1s1:protocol]"},
-		{name: "report: Fault", play: map[int]script{1: inAttempt1(kindRoundEnd, Fault{Shard: 1, Err: "boom"})},
-			want: "retries=1 final=1 deaths[r1a1s1:fault]"},
-		{name: "report: unexpected message", play: map[int]script{1: inAttempt1(kindRoundEnd, Idle{Shard: 1})},
-			want: "retries=1 final=1 deaths[r1a1s1:protocol]"},
-
-		{name: "abort: RoundAbort send fails", refuse: map[int]byte{0: kindAbort},
-			play: map[int]script{1: faultAtStart},
-			want: "retries=1 serial final=0 deaths[r1a1s0:conn r1a1s1:fault]"},
-		{name: "abort: conn error", play: map[int]script{0: inAttempt1(kindAbort, hangUp{}), 1: faultAtStart},
-			want: "retries=1 serial final=0 deaths[r1a1s0:conn r1a1s1:fault]"},
-		{name: "abort: bad AbortAck", play: map[int]script{
-			0: inAttempt1(kindAbort, AbortAck{Shard: 0, Round: 7}), 1: faultAtStart},
-			want: "retries=1 serial final=0 deaths[r1a1s0:protocol r1a1s1:fault]"},
-		{name: "abort: Fault", play: map[int]script{
-			0: inAttempt1(kindAbort, Fault{Shard: 0, Err: "boom"}), 1: faultAtStart},
-			want: "retries=1 serial final=0 deaths[r1a1s0:fault r1a1s1:fault]"},
-		{name: "abort: unexpected message", play: map[int]script{
-			0: inAttempt1(kindAbort, RoundEnd{}), 1: faultAtStart},
-			want: "retries=1 serial final=0 deaths[r1a1s0:protocol r1a1s1:fault]"},
-		{name: "abort: stale Batch is discarded", play: map[int]script{
-			0: inAttempt1(kindAbort, Batch{From: 0, To: 1}, AbortAck{Shard: 0, Round: 1}), 1: faultAtStart},
-			want: "retries=1 final=1 deaths[r1a1s1:fault]"},
+			0: on(kindRoundEnd, quiet...),
+			1: on(kindRoundEnd, ShardReport{Shard: 1}, ShardReport{Shard: 1})},
+			want: "shard 1: protocol"},
+		{name: "report: Fault", play: map[int]script{1: on(kindRoundEnd, Fault{Shard: 1, Err: "boom"})},
+			want: "shard 1: fault"},
+		{name: "report: unexpected message", play: map[int]script{1: on(kindRoundEnd, Idle{Shard: 1})},
+			want: "shard 1: protocol"},
 
 		{name: "merge: the shallower of one set wins in slot 0", play: map[int]script{
 			0: reportsVio(0, 2, 4, "p"), 1: reportsVio(1, 3, 1, "p")},
-			want: "retries=0 final=2 [[p]@2#4]"},
+			want: "[[p]@2#4]"},
 		{name: "merge: the shallower of one set wins in slot 1", play: map[int]script{
 			0: reportsVio(0, 3, 2, "p"), 1: reportsVio(1, 2, 9, "p")},
-			want: "retries=0 final=2 [[p]@2#9]"},
+			want: "[[p]@2#9]"},
 		{name: "merge: equal depth, the smaller hash wins", play: map[int]script{
 			0: reportsVio(0, 2, 8, "p"), 1: reportsVio(1, 2, 3, "p")},
-			want: "retries=0 final=2 [[p]@2#3]"},
+			want: "[[p]@2#3]"},
 		{name: "merge: sets ordered by depth, then hash", play: map[int]script{
 			0: reportsVio(0, 2, 2, "p"), 1: reportsVio(1, 1, 7, "q")},
-			want: "retries=0 final=2 [[q]@1#7 [p]@2#2]"},
+			want: "[[q]@1#7 [p]@2#2]"},
 	}
 	for _, row := range rows {
 		t.Run(row.name, func(t *testing.T) {
@@ -188,18 +166,20 @@ func TestDeathRules(t *testing.T) {
 					scripted(id, side, row.play[id])
 				}()
 			}
-			coord := NewCoordinator(conns, CoordinatorConfig{Search: mc.NewSearch(cfg), Root: g})
+			coord := NewCoordinator(conns, CoordinatorConfig{})
 			res, err := coord.RunRound(mc.Budget{Depth: 2, Workers: 1}, false)
 			coord.Shutdown()
 			wg.Wait()
+			if strings.HasPrefix(row.want, "shard ") {
+				if want := "round 1: " + row.want + ": "; err == nil || !strings.Contains(err.Error(), want) {
+					t.Errorf("round error %v, want one naming %q", err, want)
+				}
+				return
+			}
 			if err != nil {
 				t.Fatalf("round error: %v", err)
 			}
-			got := res.Recovery.String()
-			if len(res.Checker.Violations) > 0 {
-				got += fmt.Sprint(" ", vioSummary(res.Checker.Violations))
-			}
-			if got != row.want {
+			if got := fmt.Sprint(vioSummary(res.Checker.Violations)); got != row.want {
 				t.Errorf("got  %s\nwant %s", got, row.want)
 			}
 		})

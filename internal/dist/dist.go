@@ -10,8 +10,10 @@
 // between depth buckets lets the shard flush batches and inject the
 // arrivals queued meanwhile. What lives here is protocol: rounds, budgets
 // and the merged stop reason (coordinator.go), the batch/idle/report
-// messages (transport.go), forwarding (shard.go), quiescence
-// (termination.go) and failure recovery (coordinator.go, faults.go).
+// messages (transport.go), forwarding (shard.go) and quiescence
+// (termination.go). A shard is a goroutine on an in-process pipe, so it
+// cannot fail alone: any shard failure is a bug, and it ends the round with
+// an error naming the shard and the cause (coordinator.go).
 //
 // All traffic flows through the coordinator hub (a star topology):
 // shard-to-shard batches are relayed by the coordinator, which lets it run
@@ -41,11 +43,7 @@
 // engine.
 package dist
 
-import (
-	"fmt"
-	"sort"
-	"strings"
-)
+import "fmt"
 
 // Stats counts one shard's frontier-exchange traffic; the coordinator sums
 // them into the round's totals.
@@ -71,70 +69,18 @@ func (s *Stats) add(o Stats) {
 	s.BatchFlushes += o.BatchFlushes
 }
 
-// ShardDeath records one detected shard failure: which connection identity
-// died, during which round and attempt (1-based within the round), and why.
-// Cause is one of "conn" (a closed or failed connection), "fault" (the
-// shard reported its own engine fault) or "protocol" (the shard violated
-// the round protocol and was expelled).
-type ShardDeath struct {
-	Shard   int
-	Round   int
-	Attempt int
-	Cause   string
-}
-
-// RecoveryStats is the fault-tolerance telemetry of one coordinator round:
-// how many times the round was aborted and retried, which shards were lost
-// along the way, and what the round finally ran on. With a deterministic
-// fault plan and a fixed seed the whole struct — including String() — is
-// byte-identical across runs, which the chaos oracle pins.
+// RecoveryStats is what a round recovered from, which is nothing: a shard
+// failure ends the round with an error (Coordinator). Retries is always 0
+// and SerialFallback always false; they and String remain because the
+// benchmark harness (bench/sharded.go) reads them and its tests write
+// Retries, and only a change to the benchmark may drop them.
 type RecoveryStats struct {
-	// Retries counts aborted attempts (0 = the round succeeded first try).
-	Retries int
-	// Deaths lists every shard failure detected during the round, ordered
-	// by attempt and then by shard index within an attempt.
-	Deaths []ShardDeath
-	// SerialFallback reports that every shard died and the round was
-	// finished by the coordinator's floor: one in-process shard owning the
-	// whole space.
+	Retries        int
 	SerialFallback bool
-	// FinalShards is the number of live shards the successful attempt ran
-	// on (0 when SerialFallback).
-	FinalShards int
 }
 
-// String renders the telemetry canonically, e.g.
-// "retries=1 final=3 deaths[r2a1s0:conn]" — the byte-identical form the
-// determinism tests compare.
-func (r RecoveryStats) String() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "retries=%d", r.Retries)
-	if r.SerialFallback {
-		b.WriteString(" serial")
-	}
-	fmt.Fprintf(&b, " final=%d", r.FinalShards)
-	if len(r.Deaths) > 0 {
-		deaths := append([]ShardDeath(nil), r.Deaths...)
-		sort.Slice(deaths, func(i, j int) bool {
-			if deaths[i].Round != deaths[j].Round {
-				return deaths[i].Round < deaths[j].Round
-			}
-			if deaths[i].Attempt != deaths[j].Attempt {
-				return deaths[i].Attempt < deaths[j].Attempt
-			}
-			return deaths[i].Shard < deaths[j].Shard
-		})
-		b.WriteString(" deaths[")
-		for i, d := range deaths {
-			if i > 0 {
-				b.WriteByte(' ')
-			}
-			fmt.Fprintf(&b, "r%da%ds%d:%s", d.Round, d.Attempt, d.Shard, d.Cause)
-		}
-		b.WriteByte(']')
-	}
-	return b.String()
-}
+// String renders the telemetry, e.g. "retries=0".
+func (r RecoveryStats) String() string { return fmt.Sprintf("retries=%d", r.Retries) }
 
 // DefaultBatchSize is the forwarded-state batch flush threshold: batches
 // are sent when they reach this many states (and at every drain end), so

@@ -24,15 +24,11 @@ type LocalConfig struct {
 	// RecordStates asks every shard for its claimed-fingerprint dump
 	// (merged sorted into Result.Checker.ClaimedStates).
 	RecordStates bool
-	// Faults, when set, wraps each shard's hub-side connection in the
-	// deterministic fault-injection plan (mcheck -faults). Shards the plan
-	// kills are recovered from by the coordinator's retry machinery and
-	// reported in Result.Recovery.
-	Faults *FaultPlan
 }
 
 // Local runs one distributed exhaustive round in process and returns the
-// merged result.
+// merged result. It fails with the round's error, or else with the first
+// shard error other than ErrClosed.
 func Local(cfg LocalConfig) (*Result, error) {
 	if cfg.Shards <= 0 {
 		cfg.Shards = 1
@@ -49,9 +45,6 @@ func Local(cfg LocalConfig) (*Result, error) {
 	for i := 0; i < cfg.Shards; i++ {
 		hub, shardSide := Pipe()
 		hubConns[i] = hub
-		if cfg.Faults != nil {
-			hubConns[i] = cfg.Faults.Wrap(i, hub)
-		}
 		wg.Add(1)
 		go func(i int, conn Conn) {
 			defer wg.Done()
@@ -75,16 +68,8 @@ func Local(cfg LocalConfig) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Shards the coordinator declared dead exited with whatever error
-	// killed them (severed pipe, corrupted batch, …) — the round already
-	// recovered from those; only an error from a shard that stayed in the
-	// session is a real failure.
-	dead := make(map[int]bool, len(res.Recovery.Deaths))
-	for _, d := range res.Recovery.Deaths {
-		dead[d.Shard] = true
-	}
-	for i, serr := range errs {
-		if serr != nil && !errors.Is(serr, ErrClosed) && !dead[i] {
+	for _, serr := range errs {
+		if serr != nil && !errors.Is(serr, ErrClosed) {
 			return nil, serr
 		}
 	}

@@ -18,7 +18,7 @@ func sampleMsgs() []Msg {
 	}
 	return []Msg{
 		RoundStart{
-			Round: 3, Slot: 1, Slots: 4,
+			Round: 3, Slots: 4,
 			Budget: mc.Budget{
 				States: 1000, Depth: 12, Wall: 5 * time.Second,
 				Violations: 8, Workers: 2,
@@ -43,8 +43,6 @@ func sampleMsgs() []Msg {
 		},
 		Shutdown{},
 		Fault{Shard: 3, Err: "boom"},
-		RoundAbort{Round: 2},
-		AbortAck{Shard: 1, Round: 2},
 	}
 }
 

@@ -4,11 +4,9 @@ import "crystalball/internal/mc"
 
 // ShardConfig parameterises one shard of an n-way distributed search.
 type ShardConfig struct {
-	// Index and Shards are the shard's connection identity: which of the
-	// coordinator's connections it is. The hash range it owns is a
-	// per-round assignment (RoundStart.Slot/Slots) — after a failure the
-	// coordinator repartitions over the survivors, so identity and slot
-	// are distinct concepts.
+	// Index and Shards place the shard: it is connection Index of the
+	// coordinator's Shards. A round that seats Slots of them (RoundStart)
+	// gives it mc.ShardRange(Index, Slots).
 	Index  int
 	Shards int
 	// Search is the scenario's checker configuration. Mode must be
@@ -27,7 +25,6 @@ type ShardConfig struct {
 // goroutine.
 type shard struct {
 	cfg    ShardConfig
-	slot   int // this round's partition slot
 	slots  int // this round's partition width
 	rng    mc.HashRange
 	search *mc.Search
@@ -59,17 +56,13 @@ func newShard(conn Conn, cfg ShardConfig) (*shard, error) {
 	cfg.Search.Reduce = false
 	return &shard{
 		cfg:    cfg,
-		slot:   cfg.Index,
-		slots:  cfg.Shards,
-		rng:    mc.ShardRange(cfg.Index, cfg.Shards),
 		search: mc.NewSearch(cfg.Search),
 		conn:   conn,
 	}, nil
 }
 
 // RunShard serves one shard over conn until Shutdown or a connection
-// error. It is the body of every shard goroutine (dist.Local, the
-// coordinator's floor).
+// error. It is the body of every shard goroutine (dist.Local).
 func RunShard(conn Conn, cfg ShardConfig) error {
 	sh, err := newShard(conn, cfg)
 	if err != nil {
@@ -116,14 +109,6 @@ func (sh *shard) serve() error {
 				return err
 			}
 			sh.endRound()
-		case RoundAbort:
-			// A peer shard died; drop all round state and acknowledge.
-			// The ack is the coordinator's barrier: FIFO order means no
-			// stale batch or idle from the aborted round can follow it.
-			sh.endRound()
-			if err := sh.conn.Send(AbortAck{Shard: sh.cfg.Index, Round: v.Round}); err != nil {
-				return err
-			}
 		case Shutdown:
 			return nil
 		default:
@@ -139,14 +124,14 @@ func (sh *shard) fault(err error) error {
 	return err
 }
 
-// startRound resets per-round state, takes this round's partition slot,
-// and seeds the root if the slot's range owns its fingerprint.
+// startRound resets per-round state, takes this round's range, and seeds
+// the root if the range owns its fingerprint.
 func (sh *shard) startRound(rs RoundStart) error {
-	sh.slot, sh.slots = rs.Slot, rs.Slots
-	if sh.slots <= 0 || sh.slot < 0 || sh.slot >= sh.slots {
-		return errorf("shard %d: round start assigns slot %d of %d", sh.cfg.Index, rs.Slot, rs.Slots)
+	sh.slots = rs.Slots
+	if sh.cfg.Index >= sh.slots {
+		return errorf("shard %d: round start seats %d shards", sh.cfg.Index, rs.Slots)
 	}
-	sh.rng = mc.ShardRange(sh.slot, sh.slots)
+	sh.rng = mc.ShardRange(sh.cfg.Index, sh.slots)
 	sh.eng = sh.search.NewEngine(rs.Budget, sh.rng, sh.route)
 	sh.fwd = make(map[uint64]int32)
 	sh.out = make([][]ForwardState, sh.slots)
@@ -189,7 +174,7 @@ func (sh *shard) drainAndIdle(pending *Msg) error {
 	if err := sh.flushAll(); err != nil {
 		return err
 	}
-	return sh.conn.Send(Idle{Shard: sh.slot, Received: sh.received})
+	return sh.conn.Send(Idle{Shard: sh.cfg.Index, Received: sh.received})
 }
 
 // pollBatches ingests every already-queued batch without blocking. A
@@ -246,7 +231,7 @@ func (sh *shard) flush(owner int) error {
 	}
 	sh.out[owner] = nil
 	sh.st.BatchFlushes++
-	return sh.conn.Send(Batch{From: sh.slot, To: owner, States: states})
+	return sh.conn.Send(Batch{From: sh.cfg.Index, To: owner, States: states})
 }
 
 func (sh *shard) flushAll() error {
@@ -266,8 +251,8 @@ func (sh *shard) ingest(b Batch) error {
 		return errorf("shard %d: batch outside a round", sh.cfg.Index)
 	}
 	sh.received++
-	if b.To != sh.slot {
-		return errorf("shard %d: misrouted batch for slot %d (holding slot %d)", sh.cfg.Index, b.To, sh.slot)
+	if b.To != sh.cfg.Index {
+		return errorf("shard %d: misrouted batch for shard %d", sh.cfg.Index, b.To)
 	}
 	sh.st.StatesReceived += int64(len(b.States))
 	if sh.eng.Exhausted() {
@@ -290,16 +275,14 @@ func (sh *shard) ingest(b Batch) error {
 	return nil
 }
 
-// report assembles this shard's round report. Shard carries the *slot* the
-// report covers (like Batch.From and Idle.Shard), so the coordinator can
-// index reports by partition after a repartitioned retry. Violation paths
-// travel as descriptors: the coordinator replays them from the root, which
-// is how a tree's path becomes events anywhere.
+// report assembles this shard's round report. Violation paths travel as
+// descriptors: the coordinator replays them from the root, which is how a
+// tree's path becomes events anywhere.
 func (sh *shard) report() ShardReport {
 	res := sh.eng.Result()
 	findings := sh.eng.Findings()
 	r := ShardReport{
-		Shard:       sh.slot,
+		Shard:       sh.cfg.Index,
 		States:      int64(sh.eng.Claimed()),
 		Expansions:  int64(res.StatesExplored),
 		Transitions: int64(res.Transitions),

@@ -9,10 +9,9 @@ import (
 // pending, i.e. every shard is settled.
 func (q *quiescence) quiescent() bool { return !slices.Contains(q.settled, false) }
 
-// Credit-counting edge cases for the quiescence check. These are the
-// sequences the fault-tolerance work makes reachable: relays landing after
-// a sender's idle, duplicate idles from a shard that reconnected, and
-// stale idles racing fresh relays.
+// Credit-counting edge cases for the quiescence check: relays landing
+// after a sender's idle, repeated idles, and stale idles racing fresh
+// relays.
 
 // TestQuiescenceBatchAfterIdle: a shard that has idled is un-settled the
 // moment another batch is relayed to it, and the round must not end until
@@ -40,9 +39,9 @@ func TestQuiescenceBatchAfterIdle(t *testing.T) {
 	}
 }
 
-// TestQuiescenceDuplicateIdle: a reconnect can replay the last idle report;
-// a duplicate matching the relay count is harmless and keeps the shard
-// settled.
+// TestQuiescenceDuplicateIdle: an idle report repeated with no relay in
+// between matches the relay count again, so it is harmless and keeps the
+// shard settled.
 func TestQuiescenceDuplicateIdle(t *testing.T) {
 	q := newQuiescence(1)
 	q.relay(0)

@@ -87,9 +87,9 @@ func TestSplitBudgetNeverSharesZeroOfABound(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Checker.StatesExplored > 2 || res.Recovery.FinalShards != 2 {
+	if res.Checker.StatesExplored > 2 || len(res.PerShard) != 2 {
 		t.Errorf("4 shards, States=2: explored %d states on %d slots, want <= 2 on 2",
-			res.Checker.StatesExplored, res.Recovery.FinalShards)
+			res.Checker.StatesExplored, len(res.PerShard))
 	}
 	if res.Checker.StopReason != "states" {
 		t.Errorf("4 shards, States=2: stop=%q, want states", res.Checker.StopReason)

@@ -24,45 +24,20 @@ const (
 	kindReport     = byte('R')
 	kindShutdown   = byte('Q')
 	kindFault      = byte('X')
-	kindAbort      = byte('A')
-	kindAbortAck   = byte('K')
 )
 
 // RoundStart fans one round out to a shard with its share of the planned
-// budget (see SplitBudget). Slot and Slots place the shard in *this
-// round's* partition: after a failure the coordinator repartitions the
-// fingerprint space over the survivors, so a shard's slot can differ from
-// its connection identity and can change between retries. A shard owns
-// mc.ShardRange(Slot, Slots) for the duration of the round.
+// budget (see SplitBudget). Slots is how many shards the round seats
+// (usableSlots: a small state bound seats fewer than exist); shard i owns
+// mc.ShardRange(i, Slots) for the duration of the round.
 type RoundStart struct {
 	Round        int
-	Slot         int
 	Slots        int
 	Budget       mc.Budget
 	RecordStates bool
 }
 
 func (RoundStart) kind() byte { return kindRoundStart }
-
-// RoundAbort tells a shard to abandon the in-flight round (a peer shard
-// died); the shard drops all round state and replies with AbortAck. Because
-// connections are FIFO and the coordinator stops relaying the moment it
-// starts an abort, the AbortAck doubles as a barrier: once it arrives,
-// no stale traffic from the aborted round can follow it.
-type RoundAbort struct {
-	Round int
-}
-
-func (RoundAbort) kind() byte { return kindAbort }
-
-// AbortAck acknowledges a RoundAbort; Shard is the shard's connection
-// identity (not its round slot — the aborted round's slots are dead).
-type AbortAck struct {
-	Shard int
-	Round int
-}
-
-func (AbortAck) kind() byte { return kindAbortAck }
 
 // DescribeEvent captures ev as it travels in a reported violation path:
 // its descriptor (sm.DescOf), which the receiver re-resolves against the
@@ -84,10 +59,9 @@ type ForwardState struct {
 	fwd   mc.Forward
 }
 
-// Batch carries forwarded states from slot From to owner slot To (round
-// slots, not connection identities); the coordinator relays it to the
-// connection holding slot To and counts the relay as an outstanding credit
-// against that slot.
+// Batch carries forwarded states from shard From to owner shard To; the
+// coordinator relays it to shard To and counts the relay as an outstanding
+// credit against that shard.
 type Batch struct {
 	From   int
 	To     int
@@ -98,9 +72,9 @@ func (Batch) kind() byte { return kindBatch }
 
 // Idle is a shard's report that it has drained its frontier, flushed its
 // outgoing batches, and has processed Received batches so far this round.
-// Shard is the sender's round slot. The coordinator compares Received
-// against its relay count to that slot: equality means no credit is
-// outstanding (termination.go).
+// Shard is the sender. The coordinator compares Received against its relay
+// count to that shard: equality means no credit is outstanding
+// (termination.go).
 type Idle struct {
 	Shard    int
 	Received int64
@@ -153,7 +127,7 @@ type Shutdown struct{}
 func (Shutdown) kind() byte { return kindShutdown }
 
 // Fault is a shard-side fatal error surfaced to the coordinator, which
-// aborts the round with it.
+// ends the round with it (cause "fault", Err as the detail).
 type Fault struct {
 	Shard int
 	Err   string

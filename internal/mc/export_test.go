@@ -64,7 +64,7 @@ func (g *GState) fullEncodedSize() int {
 // MarkStale records that `from` holds a stale socket to `peer` (peer reset
 // while from was connected); the hash oracle's stand-in for a peer reset.
 func (g *GState) MarkStale(from, peer sm.NodeID) {
-	g.edit(0, func(next *GState, sc *scratch) { next.setStale(pair{from, peer}, sc) })
+	g.edit(func(next *GState, sc *scratch) { next.setStale(pair{from, peer}, sc) })
 }
 
 // Stale reports whether from's socket to peer is stale.

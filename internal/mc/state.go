@@ -260,11 +260,11 @@ func (g *GState) index(id sm.NodeID) (int, bool) {
 func NewGState() *GState { return &GState{hsum: resetsComp0} }
 
 // edit is how the construction API changes g's in-flight items and stale
-// pairs, the way every successor is made: f edits a scratch copy of g and the
-// result is published over g.
-func (g *GState) edit(items int, f func(next *GState, sc *scratch)) {
+// pairs, the way every successor is made: f edits a scratch copy of g, with
+// room for one new in-flight item, and the result is published over g.
+func (g *GState) edit(f func(next *GState, sc *scratch)) {
 	sc := getScratch()
-	f(sc.begin(g, items), sc)
+	f(sc.begin(g, 1), sc)
 	*g = *sc.publish(g)
 	putScratch(sc)
 }
@@ -318,7 +318,7 @@ func (g *GState) installNode(ns *NodeState) int {
 
 // AddMessage inserts an in-flight service message.
 func (g *GState) AddMessage(from, to sm.NodeID, msg sm.Message) {
-	g.edit(1, func(next *GState, sc *scratch) { next.addMsg(InFlight{From: from, To: to, Msg: msg}, sc) })
+	g.edit(func(next *GState, sc *scratch) { next.addMsg(InFlight{From: from, To: to, Msg: msg}, sc) })
 }
 
 // addMsg appends an in-flight item to g, the state sc is building, computing

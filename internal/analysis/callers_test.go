@@ -8,6 +8,7 @@ import (
 	"slices"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -30,10 +31,7 @@ var callerlessAllowed = []struct{ name, why string }{
 // it, or rewrite the other package's test to use a non-test path; a row of
 // callerlessAllowed, with its reason, is the last resort.
 func TestEveryDeclarationHasACaller(t *testing.T) {
-	pkgs, err := Load("../..", "./...")
-	if err != nil {
-		t.Fatal(err)
-	}
+	pkgs := loadModule(t)
 	subject := func(path string) bool {
 		for _, dir := range []string{"cmd", "internal", "examples"} {
 			if strings.HasPrefix(path, "crystalball/"+dir+"/") {
@@ -60,6 +58,22 @@ func TestEveryDeclarationHasACaller(t *testing.T) {
 			t.Errorf("callerlessAllowed row %s matches no callerless declaration: drop it", r.name)
 		}
 	}
+}
+
+// module is the whole module, loaded once for every test that reads it.
+var module struct {
+	once sync.Once
+	pkgs []*Package
+	err  error
+}
+
+func loadModule(t *testing.T) []*Package {
+	t.Helper()
+	module.once.Do(func() { module.pkgs, module.err = Load(moduleRoot, "./...") })
+	if module.err != nil {
+		t.Fatal(module.err)
+	}
+	return module.pkgs
 }
 
 // TestCallerResolver runs the guard's resolver over a fixture whose every

@@ -99,8 +99,10 @@ type Config struct {
 	CheckRound func(mc.Config, *mc.GState) (*mc.Result, error)
 }
 
-// DefaultConfig returns the configuration used across the experiments for
-// rounds that run check; a zero check.Budget.States means 20000.
+// DefaultConfig returns the configuration every scenario deployment's
+// controllers start from (scenario.Scenario.ControllerConfig, which the
+// CLIs, experiments and benchmark deploy through) for rounds that run
+// check; a zero check.Budget.States means 20000.
 func DefaultConfig(check mc.Config) Config {
 	if check.Budget.States == 0 {
 		check.Budget.States = 20000
@@ -194,7 +196,8 @@ type Controller struct {
 	conservative bool
 
 	// OnViolation, if set, is called when a report with violations is
-	// processed (used by experiments to observe prediction timing).
+	// processed (examples/quickstart prints each prediction from it, and
+	// the controller's tests observe prediction timing).
 	OnViolation func(f Finding)
 
 	Stats Stats

@@ -1,33 +1,117 @@
 package experiments
 
 import (
+	"fmt"
+	"os"
 	"reflect"
+	"regexp"
+	"slices"
 	"strings"
 	"testing"
 	"time"
 
+	"crystalball/internal/controller"
 	"crystalball/internal/mc"
 	"crystalball/internal/scenario"
 	"crystalball/internal/simnet"
 )
 
+// goldenParams are the flags internal/experiments/testdata/all.golden was
+// recorded at: `experiments -exp all -nodes 6 -duration 3m -runs 2 -depth 5
+// -budget 300ms -workers 1`. That run's fig12 ignored -nodes and ran at
+// its default 5 nodes, so the golden test runs fig12 without Nodes.
+var goldenParams = Params{Seed: 42, Nodes: 6, Duration: 3 * time.Minute, Runs: 2, Depth: 5,
+	Budget: 300 * time.Millisecond, Workers: 1}
+
+// TestEveryExperimentMatchesItsGolden runs every entry of Experiments at
+// goldenParams and compares what `-exp all` prints with the golden, less
+// the wall-clock facts (deterministicLines). A row a wall budget stopped
+// in either output matches any row: how far a search gets in its budget
+// depends on the host (under the race detector, the live-snapshot
+// exhaustive search of depths runs into its 300 ms).
+func TestEveryExperimentMatchesItsGolden(t *testing.T) {
+	want, err := os.ReadFile("testdata/all.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got strings.Builder
+	for _, e := range Experiments {
+		p := goldenParams
+		if e.ID == "fig12" {
+			p.Nodes = 0
+		}
+		out, err := e.Run(p)
+		if err != nil {
+			t.Fatalf("%s: %v", e.ID, err)
+		}
+		fmt.Fprintf(&got, "### %s\n%s\n", e.ID, out)
+	}
+	g, w := deterministicLines(got.String()), deterministicLines(string(want))
+	for i := range max(len(g), len(w)) {
+		if i >= len(g) || i >= len(w) || g[i] != w[i] && g[i] != wallStopped && w[i] != wallStopped {
+			t.Fatalf("deterministic line %d differs from the golden\ngot:  %q\nwant: %q\nfull output:\n%s",
+				i, g[min(i, len(g)-1)], w[min(i, len(w)-1)], got.String())
+		}
+	}
+}
+
+// wallStopped stands for a table row whose search a wall budget stopped.
+const wallStopped = "(stopped by the wall budget)"
+
+// deterministicLines strips the wall-clock facts from experiment output:
+// the elapsed column of every table that has one, and the cells of such a
+// table's rows that a wall budget stopped (each becomes wallStopped).
+// Separator lines go, and cells are joined by one space, so column widths
+// do not matter.
+func deterministicLines(out string) []string {
+	var lines []string
+	elapsed := -1
+	for _, line := range strings.Split(out, "\n") {
+		f := strings.Fields(line)
+		switch {
+		case len(f) == 0:
+			elapsed = -1 // a table ends at its blank line
+			continue
+		case strings.Trim(line, "- ") == "":
+			continue
+		case slices.Contains(f, "elapsed"):
+			elapsed = slices.Index(f, "elapsed")
+		}
+		if elapsed >= 0 && len(f) > elapsed {
+			f = slices.Delete(f, elapsed, elapsed+1)
+			if f[len(f)-1] == "wall" {
+				f = []string{wallStopped}
+			}
+		}
+		lines = append(lines, strings.Join(f, " "))
+	}
+	return lines
+}
+
 func TestFig12ExhaustiveGrowth(t *testing.T) {
-	pts := must(Fig12Exhaustive(Fig12Config{Seed: 1, Nodes: 4, MaxDepth: 5, MaxStates: 200000}))
+	pts := must(fig12Exhaustive(Params{Seed: 1, Nodes: 4, Depth: 5, States: 200000}))
 	if len(pts) != 5 {
 		t.Fatalf("points = %d, want 5", len(pts))
 	}
 	// The hallmark of Figure 12: state counts (and so elapsed time) grow
 	// superlinearly with depth.
 	for i := 1; i < len(pts); i++ {
-		if pts[i].States < pts[i-1].States {
-			t.Fatalf("states shrank with depth: %+v", pts)
+		if pts[i].StatesExplored < pts[i-1].StatesExplored {
+			t.Fatalf("states shrank from %d at depth %d to %d", pts[i-1].StatesExplored, i, pts[i].StatesExplored)
 		}
 	}
-	if pts[4].States < 8*pts[1].States {
-		t.Fatalf("no exponential growth: depth2=%d depth5=%d", pts[1].States, pts[4].States)
+	if pts[4].StatesExplored < 8*pts[1].StatesExplored {
+		t.Fatalf("no exponential growth: depth2=%d depth5=%d", pts[1].StatesExplored, pts[4].StatesExplored)
 	}
-	if !strings.Contains(FormatDepthPoints("x", pts), "depth") {
-		t.Fatal("formatting broken")
+}
+
+// TestFig12RunsAtParamsNodes: Figure 12's node count is Params.Nodes, and
+// its title says so: depth 4 checks 100 states at 4 nodes, 191 at the
+// default 5.
+func TestFig12RunsAtParamsNodes(t *testing.T) {
+	out := must(table(fig12Exhaustive, formatFig12)(Params{Seed: 42, Nodes: 4, Depth: 4}))
+	if !strings.Contains(out, "(RandTree, 4 nodes)") || !regexp.MustCompile(`(?m)^4 +100 `).MatchString(out) {
+		t.Fatalf("want the 4-node sweep, 100 states at depth 4:\n%s", out)
 	}
 }
 
@@ -36,31 +120,31 @@ func TestFig12ExhaustiveGrowth(t *testing.T) {
 // and the table says why each depth ended and that its states are the
 // ones checked.
 func TestFig12EndsAtTheFirstBoundDepth(t *testing.T) {
-	pts := must(Fig12Exhaustive(Fig12Config{Seed: 1, Nodes: 4, MaxDepth: 8, MaxStates: 500}))
+	pts := must(fig12Exhaustive(Params{Seed: 1, Nodes: 4, Depth: 8, States: 500}))
 	last := pts[len(pts)-1]
-	if last.Stop != "states" || len(pts) == 8 {
-		t.Fatalf("the sweep ran %d depths and the last stopped on %q: want it to end at the first depth the 500-state bound stops", len(pts), last.Stop)
+	if last.StopReason != "states" || len(pts) == 8 {
+		t.Fatalf("the sweep ran %d depths and the last stopped on %q: want it to end at the first depth the 500-state bound stops", len(pts), last.StopReason)
 	}
-	for _, p := range pts[:len(pts)-1] {
-		if p.Stop != mc.FrontierEmpty {
-			t.Fatalf("depth %d stopped on %q and the sweep went on: %+v", p.Depth, p.Stop, pts)
+	for i, p := range pts[:len(pts)-1] {
+		if p.StopReason != mc.FrontierEmpty {
+			t.Fatalf("depth %d stopped on %q and the sweep went on", i+1, p.StopReason)
 		}
 	}
-	if table := FormatDepthPoints("x", pts); !strings.Contains(table, "stop") || !strings.Contains(table, "checked-states") {
+	if table := formatSweep("x", pts); !strings.Contains(table, "stop") || !strings.Contains(table, "checked-states") {
 		t.Fatalf("the table does not print the stop reason and the checked states:\n%s", table)
 	}
 }
 
 func TestFig15MemoryGrowsAndPerStateStabilises(t *testing.T) {
-	pts := Fig15Memory(Fig15Config{Seed: 1, MaxDepth: 5, MaxStates: 150000})
+	pts := must(fig15Memory(Params{Seed: 1, Depth: 5, States: 150000}))
 	last := pts[len(pts)-1]
-	if last.MemBytes <= pts[0].MemBytes {
-		t.Fatalf("memory did not grow with depth: %+v", pts)
+	if last.PeakMemoryBytes <= pts[0].PeakMemoryBytes {
+		t.Fatalf("memory did not grow with depth: %d bytes at depth 1, %d at depth %d", pts[0].PeakMemoryBytes, last.PeakMemoryBytes, len(pts))
 	}
 	// Figure 16's shape: per-state cost settles in the hundreds of bytes —
 	// tree, tables and frontier counted at what they allocate.
-	if last.PerStateByte < 100 || last.PerStateByte > 1000 {
-		t.Fatalf("per-state bytes implausible: %v", last.PerStateByte)
+	if last.PerStateBytes < 100 || last.PerStateBytes > 1000 {
+		t.Fatalf("per-state bytes implausible: %v", last.PerStateBytes)
 	}
 }
 
@@ -69,29 +153,20 @@ func TestDepthComparisonConsequenceWins(t *testing.T) {
 	if testing.Short() {
 		budget = 500 * time.Millisecond
 	}
-	rows := must(DepthComparison(1, budget, []int{5}, 0))
-	if len(rows) != 4 {
-		t.Fatalf("rows = %d, want 4", len(rows))
+	res := must(depthComparison(Params{Seed: 1, Nodes: 5, Budget: budget}))
+	if len(res) != 4 {
+		t.Fatalf("results = %d, want 4", len(res))
 	}
-	var exLive, cpLive DepthBudgetRow
-	for _, r := range rows {
-		if r.Start != "live-snapshot" {
-			continue
-		}
-		if r.Mode == "exhaustive" {
-			exLive = r
-		} else {
-			cpLive = r
-		}
-	}
+	// Initial then live snapshot, exhaustive then consequence.
+	exLive, cpLive := res[2], res[3]
 	// From the live snapshot, consequence prediction must find the
 	// Figure 2-class violation with no more states than exhaustive.
-	if cpLive.Violations == 0 {
+	if len(cpLive.Violations) == 0 {
 		t.Fatal("consequence prediction missed the live-snapshot violation")
 	}
-	if exLive.Violations > 0 && cpLive.States > exLive.States {
+	if len(exLive.Violations) > 0 && cpLive.StatesExplored > exLive.StatesExplored {
 		t.Fatalf("consequence needed more states (%d) than exhaustive (%d)",
-			cpLive.States, exLive.States)
+			cpLive.StatesExplored, exLive.StatesExplored)
 	}
 }
 
@@ -99,17 +174,12 @@ func TestTable1FindsBugsQuick(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
-	results := must(Table1(Table1Config{Seed: 3, Nodes: 8, Duration: 4 * time.Minute, MCStates: 6000}))
 	var total int
-	for _, r := range results {
-		total += len(r.Distinct)
+	for _, findings := range must(table1(Params{Seed: 3, Nodes: 8, Duration: 4 * time.Minute, States: 6000})) {
+		total += len(controller.DistinctFindings(findings))
 	}
 	if total == 0 {
 		t.Fatal("deep online debugging found nothing at all")
-	}
-	out := FormatTable1(results)
-	if !strings.Contains(out, "RandTree") {
-		t.Fatal("format broken")
 	}
 }
 
@@ -117,77 +187,67 @@ func TestSteeringArmsQuick(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
-	cfg := SteeringConfig{Seed: 5, Nodes: 10, Duration: 6 * time.Minute, ChurnGap: 45 * time.Second, MCStates: 4000}
-	bare := must(RandTreeSteering(cfg, NoProtection))
-	protected := must(RandTreeSteering(cfg, SteeringAndISC))
-	if bare.ActionsExecuted == 0 || protected.ActionsExecuted == 0 {
+	arms := must(randTreeSteering(Params{Seed: 5, Nodes: 10, Duration: 6 * time.Minute, ChurnGap: 45 * time.Second, States: 4000}))
+	bare, protected := arms[0], arms[2]
+	if bare.nodes.ActionsExecuted == 0 || protected.nodes.ActionsExecuted == 0 {
 		t.Fatal("no actions executed")
 	}
 	// The qualitative claim: protection reduces ground-truth
 	// inconsistencies.
-	if bare.InconsistentStates == 0 {
+	if bare.truth.Inconsistent == 0 {
 		t.Skip("churn too mild to trigger inconsistencies in this window")
 	}
-	if protected.InconsistentStates > bare.InconsistentStates {
+	if protected.truth.Inconsistent > bare.truth.Inconsistent {
 		t.Fatalf("protection increased inconsistencies: %d -> %d",
-			bare.InconsistentStates, protected.InconsistentStates)
+			bare.truth.Inconsistent, protected.truth.Inconsistent)
 	}
-	_ = FormatSteering([]SteeringResult{bare, protected})
 }
 
 func TestFig14Quick(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
-	res := must(Fig14Paxos(Fig14Config{Seed: 7, Runs: 6, MaxGap: 30 * time.Second, MCStates: 8000}))
+	res := must(fig14Paxos(Params{Seed: 7, Runs: 6, MaxGap: 30 * time.Second, States: 8000}))
 	if len(res) != 2 {
 		t.Fatalf("results = %d", len(res))
 	}
-	for _, r := range res {
-		if r.Steering+r.ISC+r.Violated+r.Clean != r.Runs {
-			t.Fatalf("outcomes do not sum to runs: %+v", r)
+	for b, r := range res {
+		if r[steered]+r[iscBlocked]+r[violated]+r[clean] != 6 {
+			t.Fatalf("outcomes do not sum to runs: %v", r)
 		}
 		// The headline claim: most runs avoid the violation.
-		if r.Violated > r.Runs/2 {
-			t.Fatalf("%s: more than half the runs violated: %+v", r.Bug, r)
+		if r[violated] > 3 {
+			t.Fatalf("%s: more than half the runs violated: %v", fig14Bugs[b].name, r)
 		}
 	}
-	_ = FormatFig14(res)
 }
 
 // TestTweakedControllerConfigsReachTheController pins same-seed outcomes
 // recorded on the commit before the harnesses moved from DeployOptions
 // fields to editing ControllerConfig's result: Figure 14's per-bug fault
-// model (the two bugs' rows swap when it is lost), its checker latency (at
-// 3 ms per state bug 1's predictions arrive too late and the ISC catches
-// it), and the ISC under the ISC-only arm's debugging controller. The
-// ISC-only row was re-recorded once when the steering experiment moved to
-// Deployment.StartChurn's churn stream (it read 3,192 actions, 1,594 ISC
-// blocks of 3,189 checks and no join time on its own churn loop).
+// model (the two bugs' rows swap when it is lost), and the ISC under the
+// ISC-only arm's debugging controller. The ISC-only row was re-recorded
+// once when the steering experiment moved to Deployment.StartChurn's churn
+// stream (it read 3,192 actions, 1,594 ISC blocks of 3,189 checks and no
+// join time on its own churn loop). Figure 14's checker latency is
+// controller.DefaultConfig's, whose effect on a report's arrival
+// controller's TestVirtualMCLatencyDelaysReport pins.
 func TestTweakedControllerConfigsReachTheController(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
-	base := Fig14Config{Seed: 7, Runs: 3, MaxGap: 10 * time.Second, MCStates: 3000, Workers: 1}
-	slow := base
-	slow.PerStateCost = 3 * time.Millisecond
-	fig14 := []struct {
-		cfg  Fig14Config
-		want []Fig14Result
-	}{
-		{base, []Fig14Result{{Bug: "bug1", Steering: 2, Violated: 1, Runs: 3}, {Bug: "bug2", ISC: 2, Violated: 1, Runs: 3}}},
-		{slow, []Fig14Result{{Bug: "bug1", ISC: 2, Violated: 1, Runs: 3}, {Bug: "bug2", ISC: 2, Violated: 1, Runs: 3}}},
+	fig14 := must(fig14Paxos(Params{Seed: 7, Runs: 3, MaxGap: 10 * time.Second, States: 3000, Workers: 1}))
+	// bug1: 2 steered, 1 violated; bug2: 2 blocked by the ISC, 1 violated.
+	if want := [][outcomes]int{{2, 0, 1, 0}, {0, 2, 1, 0}}; !reflect.DeepEqual(fig14, want) {
+		t.Errorf("fig14 outcomes = %v, want %v", fig14, want)
 	}
-	for _, tc := range fig14 {
-		if got := must(Fig14Paxos(tc.cfg)); !reflect.DeepEqual(got, tc.want) {
-			t.Errorf("Fig14Paxos(%+v) = %+v, want %+v", tc.cfg, got, tc.want)
-		}
-	}
-	cfg := SteeringConfig{Seed: 5, Nodes: 10, Duration: 6 * time.Minute, ChurnGap: 45 * time.Second, MCStates: 4000, Workers: 1}
-	want := SteeringResult{Mode: ISCOnly, ActionsExecuted: 3190, ActionsChanged: 1593, ISCChecks: 3188, ISCBlocks: 1593,
-		MeanJoinTime: 100 * time.Millisecond}
-	if got := must(RandTreeSteering(cfg, ISCOnly)); got != want {
-		t.Errorf("ISC-only arm = %+v, want %+v", got, want)
+	arms := must(randTreeSteering(Params{Seed: 5, Nodes: 10, Duration: 6 * time.Minute, ChurnGap: 45 * time.Second, States: 4000, Workers: 1}))
+	isc := arms[1]
+	got := []any{isc.truth.Inconsistent, isc.nodes.ActionsExecuted, isc.nodes.ActionsChanged(),
+		isc.nodes.ISCChecks, isc.nodes.ISCBlocks, isc.ctrls, isc.join}
+	want := []any{int64(0), int64(3190), int64(1593), int64(3188), int64(1593), controller.Stats{}, 100 * time.Millisecond}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("ISC-only arm (inconsistent, actions, changed, ISC checks, ISC blocks, controller stats, mean join) = %v, want %v", got, want)
 	}
 }
 
@@ -195,34 +255,33 @@ func TestFig17Quick(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
-	r := must(Fig17Bullet(Fig17Config{Seed: 9, Nodes: 6, Blocks: 16, BlockSize: 32 << 10, Deadline: 10 * time.Minute}))
-	if r.Completed[0] == 0 || r.Completed[1] == 0 {
-		t.Fatalf("downloads did not complete: %+v", r.Completed)
+	arms := must(fig17Bullet(Params{Seed: 9, Nodes: 6, Duration: 10 * time.Minute}))
+	bare, monitored := arms[0].times, arms[1].times
+	if bare.N() == 0 || monitored.N() == 0 {
+		t.Fatalf("downloads did not complete: %d bare, %d monitored", bare.N(), monitored.N())
 	}
 	// CrystalBall should not make it pathologically slower.
-	if r.MeanSlowdown > 0.5 {
-		t.Fatalf("slowdown %.0f%% too large", 100*r.MeanSlowdown)
+	if slowdown := monitored.Mean()/bare.Mean() - 1; slowdown > 0.5 {
+		t.Fatalf("slowdown %.0f%% too large", 100*slowdown)
 	}
-	_ = FormatFig17(r)
 }
 
 func TestOverheadQuick(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
-	rows := must(Overhead(OverheadConfig{Seed: 11, Nodes: 10, Duration: time.Minute}))
+	rows := must(overhead(Params{Seed: 11, Nodes: 10, Duration: time.Minute}))
 	if len(rows) != 3 {
 		t.Fatalf("rows = %d", len(rows))
 	}
-	for _, r := range rows {
-		if r.MeanCheckpointRaw <= 0 {
-			t.Fatalf("%s: no checkpoint size measured", r.System)
+	for i, r := range rows {
+		if r[0] <= 0 {
+			t.Fatalf("%s: no checkpoint size measured", overheadRuns[i].system)
 		}
-		if r.PerNodeBps <= 0 {
-			t.Fatalf("%s: no checkpoint bandwidth measured", r.System)
+		if r[2] <= 0 {
+			t.Fatalf("%s: no checkpoint bandwidth measured", overheadRuns[i].system)
 		}
 	}
-	_ = FormatOverhead(rows)
 }
 
 // TestCheckpointCompressionShrinksWireBytes: the checkpoint managers of a

@@ -5,6 +5,7 @@ package stats
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"strings"
 	"time"
@@ -36,28 +37,17 @@ func (s *Sample) Mean() float64 {
 	return total / float64(len(s.values))
 }
 
-// Percentile returns the p-th percentile (0 <= p <= 100) by
-// nearest-rank; 0 when empty.
+// Percentile returns the p-th percentile (0 <= p <= 100) by nearest
+// rank: the ⌈p·n/100⌉-th smallest of the n observations, and the smallest
+// for p = 0; 0 when empty.
 func (s *Sample) Percentile(p float64) float64 {
 	if len(s.values) == 0 {
 		return 0
 	}
 	sorted := append([]float64(nil), s.values...)
 	sort.Float64s(sorted)
-	if p <= 0 {
-		return sorted[0]
-	}
-	if p >= 100 {
-		return sorted[len(sorted)-1]
-	}
-	rank := int(p/100*float64(len(sorted))+0.5) - 1
-	if rank < 0 {
-		rank = 0
-	}
-	if rank >= len(sorted) {
-		rank = len(sorted) - 1
-	}
-	return sorted[rank]
+	rank := int(math.Ceil(p * float64(len(sorted)) / 100))
+	return sorted[min(max(rank, 1), len(sorted))-1]
 }
 
 // Table renders experiment rows as aligned plain text.

@@ -41,6 +41,28 @@ func TestPercentiles(t *testing.T) {
 	}
 }
 
+// TestPercentileIsNearestRank: the p-th percentile of n observations is the
+// ⌈p·n/100⌉-th smallest, counted by hand for each row.
+func TestPercentileIsNearestRank(t *testing.T) {
+	for _, tc := range []struct {
+		n    int
+		p    float64
+		rank int
+	}{
+		{1, 50, 1}, {6, 0, 1}, {6, 10, 1}, {6, 25, 2}, {6, 50, 3}, {6, 75, 5},
+		{6, 90, 6}, {6, 100, 6}, {10, 90, 9}, {10, 95, 10}, {16, 10, 2},
+		{16, 25, 4}, {16, 50, 8}, {16, 75, 12}, {16, 90, 15}, {16, 100, 16},
+	} {
+		var s Sample
+		for i := tc.n; i >= 1; i-- { // the i-th smallest is i
+			s.Add(float64(i))
+		}
+		if got := s.Percentile(tc.p); got != float64(tc.rank) {
+			t.Errorf("n=%d p=%v: got the %vth smallest, want the %dth", tc.n, tc.p, got, tc.rank)
+		}
+	}
+}
+
 // Property: Percentile never leaves the sorted input's ends and is
 // monotone in p.
 func TestPropertyPercentileMonotone(t *testing.T) {

@@ -315,6 +315,56 @@ func TestUnbuiltSuccessorAllocBound(t *testing.T) {
 
 var svcSink sm.Service
 
+// TestCleanLeafPublishesNothing: a child at the depth bound that holds every
+// property is checked in the scratch it was built in and never published.
+// multiTimerStart expanded under Budget.Depth 1 has only leaves for
+// children — timers that change the local state or only re-arm, a delivery
+// and app calls that send — and once the handler memo is warm (AllocsPerRun's
+// warm-up ran every handler once) the whole expansion allocates nothing:
+// measured 0 allocations per leaf transition, and 0 is the bound. The same
+// expansion under Budget.Depth 2 publishes every child; measured 2.3
+// allocations per child (the GState and its node container, and for a child
+// whose event sends or consumes an item the in-flight container), which a
+// leaf cost as well before leaves were checked where they are built. The
+// leaf mark takes what was a proposal's padding: a proposal stays 64 bytes.
+func TestCleanLeafPublishesNothing(t *testing.T) {
+	if size := unsafe.Sizeof(proposal{}); size > 64 {
+		t.Errorf("a proposal is %d bytes, want <= 64", size)
+	}
+	s := NewSearch(Config{Props: poisonAt(1000), Factory: newToy})
+	g := multiTimerStart()
+	expand := func(depth int) (allocs float64, props []proposal) {
+		e := s.NewEngine(Budget{Depth: depth, Workers: 1}, HashRange{}, nil)
+		x := e.xs[0]
+		e.Inject(Forward{State: g})
+		h := *e.fr.buckets[0].at(0)
+		allocs = testing.AllocsPerRun(200, func() {
+			x.props, x.leaves = x.props[:0], x.leaves[:0]
+			x.proposed.clear()
+			e.expand(&h, x)
+		})
+		return allocs, x.props
+	}
+	leaf, leaves := expand(1)
+	inner, children := expand(2)
+	if len(leaves) < 8 || len(leaves) != len(children) {
+		t.Fatalf("%d leaves and %d children proposed: the input exercises too little", len(leaves), len(children))
+	}
+	for i := range leaves {
+		if leaves[i].state != nil || leaves[i].leaf == 0 || children[i].state == nil || children[i].leaf != 0 {
+			t.Fatalf("child %d (%s): a leaf proposed with state %v as leaf %d, an inner child with state %v as leaf %d",
+				i, leaves[i].desc, leaves[i].state != nil, leaves[i].leaf, children[i].state != nil, children[i].leaf)
+		}
+	}
+	t.Logf("%d children: %.1f allocations per leaf, %.1f per published child", len(leaves), leaf/float64(len(leaves)), inner/float64(len(children)))
+	if leaf != 0 {
+		t.Errorf("expanding a state into %d clean leaves allocates %.1f/op, want 0", len(leaves), leaf)
+	}
+	if inner < 2*float64(len(children)) {
+		t.Errorf("publishing %d children allocates %.1f/op, want at least two per child: the bound compares nothing", len(children), inner)
+	}
+}
+
 // TestMemoHitAllocBound: a published successor built from a memo hit
 // allocates no NodeState, no service and no sent item. The handler runs once,
 // in AllocsPerRun's warm-up; every later build installs the memoized node

@@ -125,9 +125,10 @@ func (c *collector) record(sig string, properties []string, r Ref) (quotaFilled 
 
 // held is a claimed state the engine still has to expand (or, at the depth
 // bound, only to admit): the one place a *GState and a sleep set are kept.
-// The workers clear state the moment the entry is expanded or found a
-// consistent leaf; sleep is read by the claim pass that follows (its
-// children's promises inherit from it) and dropped there.
+// state is nil for a clean leaf, which was checked where it was built, and a
+// worker clears it the moment the entry is expanded; sleep is read by the
+// claim pass that follows (its children's promises inherit from it) and
+// dropped there.
 type held struct {
 	state *GState
 	sleep []uint32 // reduce.go
@@ -239,15 +240,15 @@ func (f *frontier) popBucket() (*slab[held], int) {
 // and, until it is expanded, a held entry of the frontier; nothing else is
 // kept per state. During a sweep the workers read the tree, the tables and
 // the bucket being drained, and each writes only its own Expander's buffers
-// (proposals, explored sibling keys, the proposed set — values, reused every
-// window — and the scratch it builds successors in), the window slot of the
-// position it expands, and the state field of the held entry it expands or
-// checks. Between sweeps the draining goroutine alone writes: the claim pass
-// appends tree entries, interns event descriptors (the only place that
-// happens, with Inject), builds sleep sets, queues held entries and updates
-// the tables. A proposal the claim pass rejects leaves nothing behind; a held
-// state is released by the worker that expands it (or finds it a consistent
-// leaf) and its sleep set by the claim pass after it.
+// (proposals, explored sibling keys, clean leaves' local hashes, the proposed
+// set — values, reused every window — and the scratch it builds successors
+// in), the window slot of the position it expands, and the state field of the
+// held entry it expands. Between sweeps the draining goroutine alone writes:
+// the claim pass appends tree entries, interns event descriptors (the only
+// place that happens, with Inject), builds sleep sets, queues held entries
+// and updates the tables. A proposal the claim pass rejects leaves nothing
+// behind; a held state is released by the worker that expands it and its
+// sleep set by the claim pass after it.
 //
 // A successor is built in its worker's scratch (scratch.go) and published to
 // the heap only if the claim pass can claim it. Its fingerprint is exact
@@ -257,21 +258,26 @@ func (f *frontier) popBucket() (*slab[held], int) {
 // earlier in the window — is proposed without a state, for the claim pass to
 // narrow (see fate).
 //
-// Two kinds of claimed child are never held. A child at Budget.Depth is only
-// ever property-checked, so the workers check it right after the claim pass
-// that claimed it: a consistent one stays queued without its state, a
-// violating one keeps it; either way it is admitted, reported and counted
-// when its bucket is drained, where an unchecked leaf would be. And a child
-// with at least as many states queued ahead of it as Budget.States has units
-// left can never be admitted: it enters the tables and the tree but not the
-// queue, and the engine ends Exhausted once that queue drains. Nor can any
-// child claimed after it: each later admission spends one unit and takes one
-// state off what is queued ahead, and a queue never shrinks while its
-// bucket is claimed into, so the refusal holds for every later window and
-// bucket. A capped engine that owns the whole space therefore expands
-// nothing further: it admits, checks and reports every queued state and
-// builds no successor. A shard's cap is its own range's, so a sharded engine
-// keeps forwarding.
+// A child at Budget.Depth holds a state only if it violates a property. It
+// is only ever property-checked, so the worker that builds it checks it
+// there, in its scratch, before anything of it is on the heap: a clean one is
+// never published — it is proposed with the local hash of the node its event
+// executed at, which the claim pass records, and queued as a bare entry — and
+// a violating one is published and queued with its state like any other
+// child. Either way it is admitted, reported and counted when its bucket is
+// drained, in the order an unchecked leaf would be. A leaf another range owns
+// is published, since the sink forwards the state.
+//
+// A child with at least as many states queued ahead of it as Budget.States
+// has units left is never held, since it can never be admitted: it enters the
+// tables and the tree but not the queue, and the engine ends Exhausted once
+// that queue drains. Nor can any child claimed after it: each later admission
+// spends one unit and takes one state off what is queued ahead, and a queue
+// never shrinks while its bucket is claimed into, so the refusal holds for
+// every later window and bucket. A capped engine that owns the whole space
+// therefore expands nothing further: it admits, checks and reports every
+// queued state and builds no successor. A shard's cap is its own range's, so
+// a sharded engine keeps forwarding.
 //
 // visited maps a fingerprint to the tree entry that claimed it, whose depth
 // is the minimal depth it was claimed at; a strictly shallower arrival
@@ -328,7 +334,8 @@ type Engine struct {
 // rejected proposal costs its state and nothing else. state is nil when the
 // worker knew the claim pass could not claim the successor (Engine.fate): it
 // is proposed only so that the claim pass narrows the state that holds its
-// fingerprint.
+// fingerprint. It is nil too for a clean leaf, which the claim pass claims
+// without a state.
 type proposal struct {
 	state *GState
 	hash  uint64      // the successor's fingerprint
@@ -337,6 +344,9 @@ type proposal struct {
 	// if they are independent of desc (reduce.go); negative when the child
 	// starts with an empty sleep set.
 	sibs int32
+	// leaf marks a clean leaf: 1 + the index in the worker's leaves of the
+	// local hash of the node its event executed at. 0 for any other proposal.
+	leaf int32
 }
 
 // localClaim is a (node, local state) the consequence rule claims: its local
@@ -377,6 +387,7 @@ type Expander struct {
 	enc    *sm.Encoder    // app-call and payload fingerprint scratch: sc's encoder, used between builds
 	props  []proposal     // this window's proposals
 	sibs   []sm.EventKey  // this window's explored siblings, per parent in order (reduction)
+	leaves []uint64       // this window's clean leaves: the executed node's local hash (proposal.leaf)
 	sleep  []*sm.EventKey // the expanding state's sleep set, resolved (reduction)
 	claims []localClaim   // consequence (node, local state) claims awaiting the end of the bucket
 	rsts   []sm.NodeID    // the nodes an RST is in flight to in the expanding state (consequence, conn breaks on)
@@ -491,45 +502,29 @@ func (e *Engine) Inject(f Forward) (Ref, bool) {
 		return Ref{}, false
 	}
 	idx := e.tree.root(f)
-	e.claim(idx, f.State)
+	e.visited.put(f.State.Hash(), idx, e.tree)
+	// A chain root (the start state, or a state that arrived from another
+	// engine) records every node's local state; a successor, only the one its
+	// event produced (claimPass).
+	for _, ns := range f.State.nodes {
+		e.locals.put(ns.localHash(), 0)
+	}
 	e.hold(idx, f.State, nil)
 	return Ref{e.tree, idx}, true
 }
 
-// hold queues a claimed state and accounts its bytes until it is expanded or
-// found a consistent leaf.
+// hold queues a claimed state — g nil for a clean leaf — and accounts its
+// bytes until it is expanded.
 //
 //crystal:hotpath
 func (e *Engine) hold(idx int32, g *GState, sleep []uint32) {
-	atomicMax(&e.ctr.peakBytes, e.ctr.frontierBytes.Add(int64(g.EncodedSize())+heldEntryBytes+4*int64(len(sleep))))
+	bytes := heldEntryBytes + 4*int64(len(sleep))
+	if g != nil {
+		bytes += int64(g.EncodedSize())
+	}
+	atomicMax(&e.ctr.peakBytes, e.ctr.frontierBytes.Add(bytes))
 	ent := e.tree.entries.at(int(idx))
 	ent.pos = int32(e.fr.push(int(ent.depth), held{state: g, sleep: sleep, idx: idx}))
-}
-
-// claim enters the state g of tree entry idx in the engine's tables: record
-// which entry claimed its fingerprint and fold the node-local state its
-// event produced into the coverage set. Every write to the tables happens
-// here, between windows on the goroutine driving Drain, which is why they
-// need no lock.
-//
-//crystal:hotpath
-func (e *Engine) claim(idx int32, g *GState) {
-	ent := e.tree.entries.at(int(idx))
-	e.visited.put(ent.hash, idx, e.tree)
-	// A successor differs from its parent in at most the node its event
-	// executed at, so a claim records that one local state; a chain root (the
-	// start state, or a state that arrived from another engine) records every
-	// node. The union over all claims is every local state of every claimed
-	// state either way.
-	if ent.parent < 0 {
-		for _, ns := range g.nodes {
-			e.locals.put(ns.localHash(), 0)
-		}
-	} else if k := e.tree.keys.at(int(ent.event)); k.Kind != 'D' { // a drop touches no node
-		if ns := g.Node(k.Node); ns != nil {
-			e.locals.put(ns.localHash(), 0)
-		}
-	}
 }
 
 // Drain expands the frontier, lowest depth bucket first and each bucket a
@@ -594,35 +589,12 @@ func (e *Engine) drain(between func() error, reuse bool) error {
 	return nil
 }
 
-// sweep runs work over n positions of bucket from lo on up to Budget.Workers
-// workers, each with its own workspace, and returns when all are done. work
-// pulls positions from e.cursor; with a single worker (or a single position)
-// it runs inline, in order — the paper's FIFO search.
-//
-//crystal:hotpath
-func (e *Engine) sweep(bucket *slab[held], lo, n int, work func(*Engine, *slab[held], int, int, *Expander)) {
-	e.cursor.Store(0)
-	workers := min(e.workers, n)
-	if workers <= 1 {
-		work(e, bucket, lo, n, e.xs[0])
-		return
-	}
-	e.wg.Add(workers)
-	for _, x := range e.xs[:workers] {
-		go e.share(bucket, lo, n, work, x)
-	}
-	e.wg.Wait()
-}
-
-// share is one worker's goroutine in a sweep.
-func (e *Engine) share(bucket *slab[held], lo, n int, work func(*Engine, *slab[held], int, int, *Expander), x *Expander) {
-	defer e.wg.Done()
-	work(e, bucket, lo, n, x)
-}
-
 // expandWindow expands the n positions of bucket from lo, leaving what each
 // proposed in e.outs (the zero expansion for a position the budget did not
-// admit).
+// admit). Up to Budget.Workers workers, each with its own Expander, sweep
+// the window, pulling positions from e.cursor (expandNodes); with a single
+// worker (or a single position) the sweep runs inline, in order — the
+// paper's FIFO search.
 //
 //crystal:hotpath
 func (e *Engine) expandWindow(bucket *slab[held], lo, n int) {
@@ -632,10 +604,26 @@ func (e *Engine) expandWindow(bucket *slab[held], lo, n int) {
 	e.outs = e.outs[:n]
 	clear(e.outs)
 	for _, x := range e.xs {
-		x.props, x.sibs = x.props[:0], x.sibs[:0]
+		x.props, x.sibs, x.leaves = x.props[:0], x.sibs[:0], x.leaves[:0]
 		x.proposed.clear()
 	}
-	e.sweep(bucket, lo, n, (*Engine).expandNodes)
+	e.cursor.Store(0)
+	workers := min(e.workers, n)
+	if workers <= 1 {
+		e.expandNodes(bucket, lo, n, e.xs[0])
+		return
+	}
+	e.wg.Add(workers)
+	for _, x := range e.xs[:workers] {
+		go e.share(bucket, lo, n, x)
+	}
+	e.wg.Wait()
+}
+
+// share is one worker's goroutine in a sweep.
+func (e *Engine) share(bucket *slab[held], lo, n int, x *Expander) {
+	defer e.wg.Done()
+	e.expandNodes(bucket, lo, n, x)
 }
 
 // expandNodes is one worker's share of expandWindow. A held entry lets go of
@@ -665,17 +653,20 @@ func (e *Engine) expandNodes(bucket *slab[held], lo, n int, x *Expander) {
 // state's sleep set are worker-count and window independent. A claimed child
 // is queued unless the state budget cannot reach it: rest + the states
 // already queued at its depth are admitted before it (several workers may
-// admit up to workers-1 positions out of order, which the cap forgoes).
-// Children claimed at the depth bound are then checked by the workers.
+// admit up to workers-1 positions out of order, which the cap forgoes). Every
+// claim enters the tables here, between windows on the goroutine driving
+// Drain, which is why they need no lock.
 //
-// A proposal without a state (Engine.fate) must find its fingerprint claimed
-// here: its worker proposed it knowing it is already claimed or is claimed
-// by an earlier proposal of its own. If it is not, the claim pass fails the
-// drain rather than claim a state it does not have.
+// A clean leaf (proposal.leaf) is claimed without a state: it enters visited
+// and the tree, its executed node's local hash enters locals, and it is
+// queued as a bare entry, which expand admits and counts. Any other proposal
+// without a state (Engine.fate) must find its fingerprint claimed here: its
+// worker proposed it knowing it is already claimed or is claimed by an
+// earlier proposal of its own. If it is not, the claim pass fails the drain
+// rather than claim a state it does not have.
 //
 //crystal:hotpath
 func (e *Engine) claimPass(bucket *slab[held], lo, depth, rest int) error {
-	first := e.fr.len(depth)
 	leaves := depth == e.bdg.lim.Depth
 	for i := range e.outs {
 		out := &e.outs[i]
@@ -709,11 +700,18 @@ func (e *Engine) claimPass(bucket *slab[held], lo, depth, rest int) error {
 				}
 				continue
 			}
-			if p.state == nil {
+			if p.state == nil && p.leaf == 0 {
 				return errUnclaimed(h, depth)
 			}
 			idx := e.tree.child(parent.idx, p.desc, h, depth, out.violated)
-			e.claim(idx, p.state)
+			e.visited.put(h, idx, e.tree)
+			// A successor differs from its parent in at most the node its
+			// event executed at, so its claim records that one local state (a
+			// drop executes at none); with the chain roots' (Inject), the
+			// union is every local state of every claimed state.
+			if p.desc.Kind != 'D' {
+				e.locals.put(out.x.local(p), 0)
+			}
 			if e.bdg.lim.States > 0 && rest+e.fr.len(depth) >= e.bdg.statesLeft() {
 				e.capped = true
 				continue
@@ -732,10 +730,16 @@ func (e *Engine) claimPass(bucket *slab[held], lo, depth, rest int) error {
 	for _, x := range e.xs {
 		clear(x.props)
 	}
-	if n := e.fr.len(depth) - first; leaves && n > 0 {
-		e.sweep(e.fr.buckets[depth], first, n, (*Engine).checkLeaves)
-	}
 	return nil
+}
+
+// local returns the local hash of the node p's event executed at, in the
+// successor p proposes; p's event is not a drop.
+func (x *Expander) local(p *proposal) uint64 {
+	if p.leaf > 0 {
+		return x.leaves[p.leaf-1]
+	}
+	return p.state.Node(p.desc.Node).localHash()
 }
 
 // errUnclaimed is the claim pass's report of a proposal without a state whose
@@ -764,27 +768,6 @@ func (e *Engine) narrow(prior int32, depth int, promised promise, promises bool)
 		q.sleep = nil
 	}
 	e.ctr.frontierBytes.Add(-4 * int64(was-len(q.sleep)))
-}
-
-// checkLeaves is one worker's share of checking the children a claim pass
-// claimed at the depth bound. A consistent leaf drops its state on the spot;
-// a violating one keeps it for expand, which reports it when the leaf bucket
-// is drained.
-//
-//crystal:hotpath
-func (e *Engine) checkLeaves(bucket *slab[held], lo, n int, x *Expander) {
-	for {
-		i := int(e.cursor.Add(1)) - 1
-		if i >= n {
-			return
-		}
-		h := bucket.at(lo + i)
-		h.state.FillView(x.view)
-		if e.s.violatedBits(x.view) == 0 {
-			e.ctr.frontierBytes.Add(-int64(h.state.EncodedSize()))
-			h.state = nil
-		}
-	}
 }
 
 // reportViolation records the violation found at the state r names — bits is
@@ -817,13 +800,17 @@ func (e *Engine) reportViolation(r Ref, bits uint64, x *Expander) uint64 {
 // expand explores one admitted state: check properties, expand successors
 // (cloning before every handler invocation, so the shared predecessor state
 // is never written), and leave the proposed children in x's buffers — the
-// window's claim pass claims them. A leaf found consistent when it was
-// claimed has no state and nothing left to do, and a state admitted after
-// the state budget capped a whole-space engine is only checked. Consequence
-// (node, local state) claims go to x.claims for the merge at the end of the
-// bucket. With reduction on, network transitions slept by the state's sleep
-// set are skipped — recognised from the enumerated key, before any handler
-// runs — and each proposal records the sleep set it is promised (reduce.go).
+// window's claim pass claims them. The children of a state one step above the
+// depth bound are leaves, and each one this engine owns and would publish is
+// property-checked where it is built, in x's scratch: a clean leaf is
+// proposed without a state (cleanLeaf), a violating one is published. So a
+// clean leaf arrives here with no state and nothing left to do, and a state
+// admitted after the state budget capped a whole-space engine is only
+// checked. Consequence (node, local state) claims go to x.claims for the
+// merge at the end of the bucket. With reduction on, network transitions
+// slept by the state's sleep set are skipped — recognised from the enumerated
+// key, before any handler runs — and each proposal records the sleep set it
+// is promised (reduce.go).
 //
 //crystal:hotpath
 func (e *Engine) expand(h *held, x *Expander) expansion {
@@ -851,10 +838,11 @@ func (e *Engine) expand(h *held, x *Expander) expansion {
 	}
 
 	// run executes ev, building the successor in x's scratch; fate says
-	// whether it is proposed and whether it is published. With promise the
-	// child sleeps on the siblings explored so far, and once its handler ran
-	// ev joins them.
+	// whether it is proposed and whether it is published, and a leaf is
+	// published only if it violates a property. With promise the child sleeps
+	// on the siblings explored so far, and once its handler ran ev joins them.
 	sc := x.sc
+	leaves := depth+1 == e.bdg.lim.Depth
 	run := func(ev *sm.Event, promise bool) {
 		// Once any bound trips, the rest of this expansion is skipped.
 		if e.bdg.exhausted() {
@@ -875,7 +863,11 @@ func (e *Engine) expand(h *held, x *Expander) expansion {
 			if promise {
 				p.sibs = int32(len(x.sibs)) - out.sibLo
 			}
-			if publish {
+			switch {
+			case !publish:
+			case leaves && e.own.Contains(h) && e.clean(next, x):
+				p.leaf = x.cleanLeaf(state, ev)
+			default:
 				p.state = sc.publish(state)
 			}
 			x.props = append(x.props, p)
@@ -956,6 +948,35 @@ func (e *Engine) expand(h *held, x *Expander) expansion {
 	}
 	out.hi, out.sibHi = int32(len(x.props)), int32(len(x.sibs))
 	return out
+}
+
+// clean reports whether next, a successor in x's scratch, holds every
+// property.
+//
+//crystal:hotpath
+func (e *Engine) clean(next *GState, x *Expander) bool {
+	next.FillView(x.view)
+	return e.s.violatedBits(x.view) == 0
+}
+
+// cleanLeaf keeps of a clean leaf, the successor x's scratch built from
+// parent through ev, what its claim needs: the local hash of the node ev
+// executed at (none for a drop) goes to x.leaves, and a handler effect
+// pending for the memo is recorded as publish would record it (heapNode). It
+// returns the leaf's proposal.leaf.
+//
+//crystal:hotpath
+func (x *Expander) cleanLeaf(parent *GState, ev *sm.Event) int32 {
+	sc := x.sc
+	var local uint64
+	if ev.Kind != 'D' {
+		local = sc.next.Node(ev.Node).localHash()
+	}
+	if sc.pending.key.Kind != 0 {
+		sc.heapNode(parent)
+	}
+	x.leaves = append(x.leaves, local)
+	return int32(len(x.leaves))
 }
 
 // fate decides what becomes of a successor with fingerprint h that x built

@@ -352,3 +352,99 @@ func CheckPathOracle(t *testing.T, cfg Config, start *GState) int {
 	}
 	return claimed
 }
+
+// CheckLeafOracle is the depth-bound differential oracle. A search bounded at
+// depth checks the states it builds at the bound in its scratch and publishes
+// only the violating ones; the same search bounded one level deeper
+// publishes, holds and expands every state at depth. At 1 and 2 workers,
+// cfg from start at both bounds must:
+//   - claim the same fingerprints down to depth (the shallower bound claims
+//     nothing deeper);
+//   - report the same violations down to depth: properties, depth, state
+//     hash and replayed path;
+//   - and the shallower bound's distinct local states must be those of the
+//     states it claimed, each rebuilt by replaying its tree entry's event
+//     from its parent's rebuilt state in a scratch without a memo.
+//
+// It returns the violations the shallower bound reports at depth itself.
+func CheckLeafOracle(t *testing.T, cfg Config, start *GState, depth int) (atBound []Violation) {
+	t.Helper()
+	for _, workers := range []int{1, 2} {
+		run := func(bound int) (*Engine, *Search, []Violation) {
+			c := cfg
+			c.Budget = Budget{Depth: bound, Workers: workers}
+			s := NewSearch(c)
+			e := s.NewEngine(c.Budget, HashRange{}, nil)
+			e.Inject(Forward{State: start})
+			if err := e.Drain(nil); err != nil {
+				t.Fatal(err)
+			}
+			if e.Exhausted() {
+				t.Fatalf("workers=%d depth %d: stopped by %q", workers, bound, e.bdg.stopReason())
+			}
+			return e, s, e.Violations(start)
+		}
+		bounded, s, got := run(depth)
+		deeper, _, all := run(depth + 1)
+		var want []uint64
+		for i := 0; i < deeper.tree.entries.n; i++ {
+			if ent := deeper.tree.entries.at(i); int(ent.depth) <= depth {
+				want = append(want, ent.hash)
+			}
+		}
+		slices.Sort(want)
+		if claimed := bounded.ClaimedStates(); !slices.Equal(claimed, want) {
+			t.Errorf("workers=%d: bounded at %d, %d states claimed; bounded at %d, %d claimed down to %d", workers, depth, len(claimed), depth+1, len(want), depth)
+		}
+		shallow := make([]Violation, 0, len(all))
+		for _, v := range all {
+			if v.Depth <= depth {
+				shallow = append(shallow, v)
+			}
+		}
+		if !reflect.DeepEqual(got, shallow) {
+			t.Errorf("workers=%d: bounded at %d, violations %v; bounded at %d, down to %d: %v", workers, depth, violationLines(got), depth+1, depth, violationLines(shallow))
+		}
+		states := make([]*GState, bounded.tree.entries.n)
+		var locals []uint64
+		x := s.NewExpander()
+		for i := range states {
+			r := Ref{bounded.tree, int32(i)}
+			if p, ok := r.up(); !ok {
+				states[i] = start
+			} else {
+				ev, err := x.resolve(states[p.i], r.last())
+				if err != nil {
+					t.Fatalf("workers=%d: entry %d: %v", workers, i, err)
+				}
+				states[i] = s.ApplyEvent(states[p.i], ev)
+			}
+			if states[i].Hash() != r.Hash() {
+				t.Fatalf("workers=%d: entry %d rebuilds to %#x, claimed as %#x", workers, i, states[i].Hash(), r.Hash())
+			}
+			for _, ns := range states[i].nodes {
+				locals = append(locals, ns.localHash())
+			}
+		}
+		slices.Sort(locals)
+		if wantLocals := slices.Compact(locals); !slices.Equal(bounded.LocalStates(), wantLocals) {
+			t.Errorf("workers=%d: bounded at %d, %d distinct local states recorded; its claimed states hold %d", workers, depth, len(bounded.LocalStates()), len(wantLocals))
+		}
+		atBound = atBound[:0]
+		for _, v := range got {
+			if v.Depth == depth {
+				atBound = append(atBound, v)
+			}
+		}
+	}
+	return atBound
+}
+
+// violationLines renders violations as "properties at depth d via path".
+func violationLines(vs []Violation) []string {
+	out := make([]string, len(vs))
+	for i, v := range vs {
+		out[i] = fmt.Sprintf("%v at depth %d via %d events", v.Properties, v.Depth, len(v.Path))
+	}
+	return out
+}

@@ -133,20 +133,16 @@ func (sc *scratch) newItem(m *InFlight, send int) *InFlight {
 }
 
 // publish copies the successor sc built from parent to the heap and returns
-// it. It allocates the GState, its node container and the executed node's
-// NodeState, which keeps the spare service it holds: the scratch gives the
-// spare up. That node's timer set is copied only when it differs from the
-// set it replaces; otherwise the node shares it. A handler effect pending for
-// the memo is recorded with that NodeState, now that it is on the heap. A
-// successor whose executed node holds a heap state already — a memo hit, or a
-// handler that left the local state as it was — allocates no NodeState: its
-// node container shares that state like every other node's. The in-flight
-// container is the parent's, clipped, when the event neither removed nor added
-// an item, and an exact-size copy otherwise. The items built in the scratch —
-// sent, or moved up their queue — are copied to the heap as one exact-size
-// block, and the heap item of each send is recorded in its slot for the memo;
-// a shared item is already on the heap. The stale pairs are copied only when
-// they changed.
+// it. It allocates the GState, its node container and, through heapNode, the
+// executed node's NodeState. A successor whose executed node holds a heap
+// state already — a memo hit, or a handler that left the local state as it
+// was — allocates no NodeState: its node container shares that state like
+// every other node's. The in-flight container is the parent's, clipped, when
+// the event neither removed nor added an item, and an exact-size copy
+// otherwise. The items built in the scratch — sent, or moved up their queue —
+// are copied to the heap as one exact-size block, and the heap item of each
+// send is recorded in its slot for the memo; a shared item is already on the
+// heap. The stale pairs are copied only when they changed.
 //
 //crystal:hotpath
 func (sc *scratch) publish(parent *GState) *GState {
@@ -175,28 +171,42 @@ func (sc *scratch) publish(parent *GState) *GState {
 	nodes := make([]*NodeState, len(next.nodes))
 	copy(nodes, next.nodes)
 	if sc.at >= 0 {
-		ns := new(NodeState)
-		*ns = sc.node
-		if sc.onSpare {
-			sc.svc, sc.onSpare = nil, false
-		}
-		if was := parent.Node(ns.id); was != nil && was.Timers.Equal(ns.Timers) {
-			ns.Timers = was.Timers
-		} else {
-			ns.Timers = exactCopy(ns.Timers)
-		}
-		nodes[sc.at] = ns
-		if p := &sc.pending; p.key.Kind != 0 {
-			p.ns = ns
-			sc.memo.add(p, sc.fx.Sends, sc.prefixes, sc.held)
-			*p = effect{}
-		}
+		nodes[sc.at] = sc.heapNode(parent)
 	}
 	stale := parent.stale
 	if !slices.Equal(next.stale, parent.stale) {
 		stale = exactCopy(next.stale)
 	}
 	return &GState{nodes: nodes, msgs: msgs, stale: stale, resets: next.resets, hsum: next.hsum, encSize: next.encSize}
+}
+
+// heapNode copies the executed node's new local state (sc.node, at sc.at) to
+// the heap and returns it. The NodeState keeps the spare service it holds:
+// the scratch gives the spare up. Its timer set is copied only when it
+// differs from the set it replaces in parent — a successor's node positions
+// are its parent's — and is otherwise shared. A handler effect pending for
+// the memo is recorded with the NodeState, now that it is on the heap: the
+// one place a miss's changed local state enters the memo, for a published
+// successor and a clean leaf alike.
+//
+//crystal:hotpath
+func (sc *scratch) heapNode(parent *GState) *NodeState {
+	ns := new(NodeState)
+	*ns = sc.node
+	if sc.onSpare {
+		sc.svc, sc.onSpare = nil, false
+	}
+	if was := parent.nodes[sc.at]; was.Timers.Equal(ns.Timers) {
+		ns.Timers = was.Timers
+	} else {
+		ns.Timers = exactCopy(ns.Timers)
+	}
+	if p := &sc.pending; p.key.Kind != 0 {
+		p.ns = ns
+		sc.memo.add(p, sc.fx.Sends, sc.prefixes, sc.held)
+		*p = effect{}
+	}
+	return ns
 }
 
 // exactCopy returns a copy of s that shares nothing with it (nil when s is

@@ -205,7 +205,7 @@ type Result struct {
 	// StopReason says why the search ended: the first budget bound that
 	// tripped ("states", "wall", "violations"), or "frontier-empty" when
 	// the engine ran out of states. Under a wall or violations stop at the
-	// depth bound, leaves already checked at their claim but not yet
+	// depth bound, leaves already checked where they were built but not yet
 	// admitted are not in StatesExplored. controller.Stats counts its
 	// rounds by it (Stats.Stops); a sharded round (internal/dist) merges
 	// its shards' reasons.

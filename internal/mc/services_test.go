@@ -578,8 +578,9 @@ func TestEveryDuplicateIsUnbuilt(t *testing.T) {
 // 9.17 while every successor was built on the heap before the visited table
 // was asked, 7.33 while every executed transition boxed its event, 6.48
 // while every transition ran its handler, 4.91 while a memo hit built every
-// item it sent; measured 3.26, with each worker's handler memo and the items
-// it holds.
+// item it sent, 3.26 while every clean leaf at the depth bound was published;
+// measured 0.77, with leaves checked in the scratch (5,440 of this input's
+// 6,331 claimed states are leaves).
 func TestAllocsPerTransitionPaxosSmoke(t *testing.T) {
 	skipUnlessPooling(t)
 	cfg, start := benchInput(t, "paxos", 5, mc.Exhaustive, mc.Budget{Depth: 4})
@@ -590,8 +591,8 @@ func TestAllocsPerTransitionPaxosSmoke(t *testing.T) {
 	if res.SleepHits == 0 || res.Transitions < 5000 {
 		t.Fatalf("%d transitions, %d sleep hits: the input exercises too little", res.Transitions, res.SleepHits)
 	}
-	if per > 4 {
-		t.Fatalf("%.2f allocations per transition, want <= 4", per)
+	if per > 1 {
+		t.Fatalf("%.2f allocations per transition, want <= 1", per)
 	}
 }
 

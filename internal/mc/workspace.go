@@ -82,7 +82,7 @@ func (x *Expander) clear() {
 	x.view.Reset()
 	x.evb.network, x.evb.internal = wipe(x.evb.network), wipe(x.evb.internal)
 	x.props = wipe(x.props)
-	x.sibs, x.sleep, x.claims, x.rsts = x.sibs[:0], x.sleep[:0], x.claims[:0], x.rsts[:0]
+	x.sibs, x.leaves, x.sleep, x.claims, x.rsts = x.sibs[:0], x.leaves[:0], x.sleep[:0], x.claims[:0], x.rsts[:0]
 	x.proposed.clear()
 	x.sc.clear()
 }

@@ -157,6 +157,11 @@ func TestSuccessorAllocBound(t *testing.T) {
 	if size := unsafe.Sizeof(GState{}); size > 96 {
 		t.Errorf("GState is %d bytes, want <= 96 (the size class below 112)", size)
 	}
+	// An item carries its type tag in the room its narrowed position and
+	// size left: a block of sent items stays 48 bytes an item.
+	if size := unsafe.Sizeof(InFlight{}); size > 48 {
+		t.Errorf("InFlight is %d bytes, want <= 48", size)
+	}
 	const maxAllocs = 7
 	if tick := allocs("tick"); tick > maxAllocs {
 		t.Errorf("successor construction allocates %.1f/op, want <= %d", tick, maxAllocs)
@@ -315,6 +320,93 @@ func TestUnbuiltSuccessorAllocBound(t *testing.T) {
 
 var svcSink sm.Service
 
+// TestUnpublishedResetAllocatesNothing: a reset restarts its node in the
+// worker's spare service — a copy of the node's pristine service, which the
+// search's factory built once, when the start state was injected — so a reset
+// successor that is a duplicate or a clean leaf allocates nothing once one
+// build has warmed the scratch: no service, no GState, no RST item — nothing
+// but what the peers' Neighbors allocate, which a reset asks for its RSTs
+// (the toy sorts its peer set into a new list per call). The toy's factory
+// does allocate, so the zero is the spare's. A duplicate is driven the way
+// Engine.expand drives it (see TestUnbuiltSuccessorAllocBound); a clean leaf
+// is a reset among the children of a state expanded one step above the depth
+// bound, whose other children allocate nothing (TestCleanLeafPublishesNothing).
+func TestUnpublishedResetAllocatesNothing(t *testing.T) {
+	if fresh := testing.AllocsPerRun(100, func() { svcSink = newToy(1) }); fresh == 0 {
+		t.Fatal("the toy's factory allocates nothing: the bound measures nothing")
+	}
+	s := NewSearch(Config{Props: poisonAt(1000), Factory: newToy, ExploreResets: true})
+	g := multiTimerStart()
+	// neighbors is what asking every node but id for its neighbours allocates.
+	neighbors := func(id sm.NodeID) float64 {
+		return testing.AllocsPerRun(100, func() {
+			for _, ns := range g.nodes {
+				if ns.id != id {
+					_ = ns.Svc.Neighbors()
+				}
+			}
+		})
+	}
+	all := 0.0
+	for _, id := range []sm.NodeID{1, 2} {
+		peers := neighbors(id)
+		all += peers
+		ev := sm.Reset(id)
+		e := s.NewEngine(Budget{Workers: 1}, HashRange{}, nil)
+		x := e.xs[0]
+		e.Inject(Forward{State: g})
+		if _, claimed := e.Inject(Forward{State: s.ApplyEvent(g, ev)}); !claimed {
+			t.Fatalf("%s: successor not claimed", ev.Describe())
+		}
+		built := 0
+		duplicate := testing.AllocsPerRun(200, func() {
+			x.each(g, func(at *sm.Event) bool {
+				if at.EventKey != ev.EventKey {
+					return true
+				}
+				next := s.apply(g, at, true, x.sc)
+				if publish, propose := e.fate(next.Hash(), 0, x); publish || propose {
+					t.Fatalf("%s: a successor claimed at depth 0 is proposed (published: %v)", ev.Describe(), publish)
+				}
+				built++
+				return false
+			})
+		})
+		if built != 201 {
+			t.Fatalf("%s: built %d times in 201 runs: not enumerated at the state", ev.Describe(), built)
+		}
+		if duplicate != peers {
+			t.Errorf("%s: a duplicate reset successor allocates %.1f/op, want the %.1f of its peers' Neighbors", ev.Describe(), duplicate, peers)
+		}
+	}
+
+	e := s.NewEngine(Budget{Depth: 1, Workers: 1}, HashRange{}, nil)
+	x := e.xs[0]
+	e.Inject(Forward{State: g})
+	h := *e.fr.buckets[0].held.at(0)
+	leaf := testing.AllocsPerRun(200, func() {
+		x.props.reset()
+		x.leaves = x.leaves[:0]
+		x.proposed.clear()
+		e.expand(&h, nil, x)
+	})
+	resets := 0
+	for i := 0; i < x.props.n; i++ {
+		if p := x.props.at(i); p.desc.Kind == 'R' {
+			if p.state != nil || p.leaf == 0 {
+				t.Fatalf("%s: proposed with state %v as leaf %d, want a clean leaf", p.desc, p.state != nil, p.leaf)
+			}
+			resets++
+		}
+	}
+	if resets != 2 {
+		t.Fatalf("%d reset leaves proposed, want one per node", resets)
+	}
+	if leaf != all {
+		t.Errorf("expanding a state into clean leaves, %d of them resets, allocates %.1f/op, want the %.1f of the peers' Neighbors", resets, leaf, all)
+	}
+}
+
 // TestCleanLeafPublishesNothing: a child at the depth bound that holds every
 // property is checked in the scratch it was built in and never published.
 // multiTimerStart expanded under Budget.Depth 1 has only leaves for
@@ -337,13 +429,17 @@ func TestCleanLeafPublishesNothing(t *testing.T) {
 		e := s.NewEngine(Budget{Depth: depth, Workers: 1}, HashRange{}, nil)
 		x := e.xs[0]
 		e.Inject(Forward{State: g})
-		h := *e.fr.buckets[0].at(0)
+		h := *e.fr.buckets[0].held.at(0)
 		allocs = testing.AllocsPerRun(200, func() {
-			x.props, x.leaves = x.props[:0], x.leaves[:0]
+			x.props.reset()
+			x.leaves = x.leaves[:0]
 			x.proposed.clear()
-			e.expand(&h, x)
+			e.expand(&h, nil, x)
 		})
-		return allocs, x.props
+		for i := 0; i < x.props.n; i++ {
+			props = append(props, *x.props.at(i))
+		}
+		return allocs, props
 	}
 	leaf, leaves := expand(1)
 	inner, children := expand(2)

@@ -124,15 +124,38 @@ func (c *collector) record(sig string, properties []string, r Ref) (quotaFilled 
 }
 
 // held is a claimed state the engine still has to expand (or, at the depth
-// bound, only to admit): the one place a *GState and a sleep set are kept.
-// state is nil for a clean leaf, which was checked where it was built, and a
-// worker clears it the moment the entry is expanded; sleep is read by the
-// claim pass that follows (its children's promises inherit from it) and
-// dropped there.
+// bound, only to admit): the one place a *GState and a sleep set are kept,
+// in 24 bytes. state is nil for a clean leaf, which was checked where it was
+// built, and a worker clears it the moment the entry is expanded. The sleep
+// set (reduce.go) is no slice of its own but a run of the bucket's sleep
+// storage, sleepLen values from sleepAt (bucket.sleepOf): the claim pass that
+// follows the entry's expansion reads it (its children's promises inherit
+// from it), and it is let go with the bucket.
 type held struct {
-	state *GState
-	sleep []uint32 // reduce.go
-	idx   int32    // the state's tree entry
+	state    *GState
+	sleepAt  uint32
+	sleepLen uint32
+	idx      int32 // the state's tree entry
+}
+
+// bucket is one depth's queue: its held entries and the storage their sleep
+// sets are runs of. Both are slabs, so queueing a level of a million states
+// copies nothing and a level of ten costs ten entries. A sleep set is written
+// once, by the claim pass that queues its state (Tree.childSleep reserves the
+// run, which never straddles a chunk), and only ever shrinks in place after
+// (Engine.narrow): an intersection is a subset.
+type bucket struct {
+	held  slab[held]
+	sleep slab[uint32]
+}
+
+// sleepOf returns h's sleep set, h an entry of b: a run of b's storage, nil
+// for the empty set.
+func (b *bucket) sleepOf(h *held) []uint32 {
+	if h.sleepLen == 0 {
+		return nil
+	}
+	return b.sleep.run(int(h.sleepAt), int(h.sleepLen))
 }
 
 // frontier is the engine's depth-bucketed work pool, drained lowest bucket
@@ -140,45 +163,49 @@ type held struct {
 // level; in a sharded search states arrive at any depth, and draining
 // shallow work first keeps expansion near breadth-first order, which
 // minimizes re-expansions (a state re-arrives shallower less often). A
-// bucket is a slab: queueing a level of a million states copies nothing and
-// a level of ten costs ten entries. A bucket that is done with is emptied and
-// kept in spare for another depth to fill (recycle).
+// bucket that is done with is emptied — entries and sleep storage alike —
+// and kept in spare for another depth to fill (recycle), so a search in a
+// reused workspace queues its states and their sleep sets in storage it
+// already has.
 type frontier struct {
-	buckets []*slab[held]
-	spare   []*slab[held]
+	buckets []*bucket
+	spare   []*bucket
 	low     int
 	count   int
 }
 
-// push queues h at depth and returns its position in the bucket.
-func (f *frontier) push(depth int, h held) int {
+// at returns depth's bucket, making an empty one (a spare one if there is
+// one) if depth has none.
+func (f *frontier) at(depth int) *bucket {
 	for depth >= len(f.buckets) {
 		f.buckets = append(f.buckets, nil)
 	}
 	if f.buckets[depth] == nil {
-		f.buckets[depth] = f.newBucket()
+		if n := len(f.spare); n > 0 {
+			f.buckets[depth] = f.spare[n-1]
+			f.spare = f.spare[:n-1]
+		} else {
+			f.buckets[depth] = &bucket{held: slab[held]{shift: heldShift}, sleep: slab[uint32]{shift: sleepShift}}
+		}
 	}
+	return f.buckets[depth]
+}
+
+// push queues h at depth and returns its position in the bucket.
+func (f *frontier) push(depth int, h held) int {
+	b := f.at(depth)
 	if f.count == 0 || depth < f.low {
 		f.low = depth
 	}
 	f.count++
-	return f.buckets[depth].push(h)
-}
-
-// newBucket returns an empty bucket: a spare one if there is one.
-func (f *frontier) newBucket() *slab[held] {
-	if n := len(f.spare); n > 0 {
-		b := f.spare[n-1]
-		f.spare = f.spare[:n-1]
-		return b
-	}
-	return &slab[held]{shift: heldShift}
+	return b.held.push(h)
 }
 
 // recycle empties b, a bucket popBucket returned, and keeps it spare. What a
-// stop left in its entries — states and sleep sets — is let go.
-func (f *frontier) recycle(b *slab[held]) {
-	b.reset()
+// stop left in its entries — states — is let go.
+func (f *frontier) recycle(b *bucket) {
+	b.held.reset()
+	b.sleep.reset()
 	f.spare = append(f.spare, b)
 }
 
@@ -199,17 +226,17 @@ func (f *frontier) len(depth int) int {
 	if depth >= len(f.buckets) || f.buckets[depth] == nil {
 		return 0
 	}
-	return f.buckets[depth].n
+	return f.buckets[depth].held.n
 }
 
 // popBucket removes and returns the lowest non-empty bucket and its depth.
-func (f *frontier) popBucket() (*slab[held], int) {
+func (f *frontier) popBucket() (*bucket, int) {
 	for f.len(f.low) == 0 {
 		f.low++
 	}
 	b := f.buckets[f.low]
 	f.buckets[f.low] = nil
-	f.count -= b.n
+	f.count -= b.held.n
 	return b, f.low
 }
 
@@ -245,10 +272,12 @@ func (f *frontier) popBucket() (*slab[held], int) {
 // in), the window slot of the position it expands, and the state field of the
 // held entry it expands. Between sweeps the draining goroutine alone writes:
 // the claim pass appends tree entries, interns event descriptors (the only
-// place that happens, with Inject), builds sleep sets, queues held entries
-// and updates the tables. A proposal the claim pass rejects leaves nothing
-// behind; a held state is released by the worker that expands it and its
-// sleep set by the claim pass after it.
+// place that happens, with Inject), builds sleep sets in the storage of the
+// bucket it queues into, queues held entries and updates the tables. A
+// proposal the claim pass rejects leaves nothing behind; a held state is
+// released by the worker that expands it, and its sleep set with its bucket.
+// The pristine services resets copy are built once, by the first Inject, and
+// only read from then on.
 //
 // A successor is built in its worker's scratch (scratch.go) and published to
 // the heap only if the claim pass can claim it. Its fingerprint is exact
@@ -366,7 +395,7 @@ type localClaim struct {
 // value is a position the budget did not admit.
 type expansion struct {
 	x            *Expander
-	lo, hi       int32 // x.props[lo:hi]
+	lo, hi       int32 // x.props' values lo to hi-1
 	sibLo, sibHi int32 // x.sibs[sibLo:sibHi]
 	violated     uint64
 }
@@ -375,7 +404,10 @@ type expansion struct {
 // view, the event-enumeration buffers and the scratch successors are built in
 // are recycled across every state the worker processes, and what it proposes
 // for a window lives in buffers recycled across windows, so the per-state
-// path allocates only for the successors it publishes. Check and Events
+// path allocates only for the successors it publishes. Those buffers grow
+// without copying what they hold: the proposals are a slab, and the sibling
+// keys — one contiguous run per parent, so a slice — are sized for each
+// window from the last one's (sizeSibs). Check and Events
 // expose the same two steps to callers outside the engine (path replay in
 // internal/dist, the benchmark's layer probes). An Expander is not safe for
 // concurrent use.
@@ -385,8 +417,8 @@ type Expander struct {
 	evb    eventBuf
 	sc     *scratch       // where successors are built (scratch.go)
 	enc    *sm.Encoder    // app-call and payload fingerprint scratch: sc's encoder, used between builds
-	props  []proposal     // this window's proposals
-	sibs   []sm.EventKey  // this window's explored siblings, per parent in order (reduction)
+	props  slab[proposal] // this window's proposals
+	sibs   []sm.EventKey  // this window's explored siblings, per parent in order (reduction; sizeSibs)
 	leaves []uint64       // this window's clean leaves: the executed node's local hash (proposal.leaf)
 	sleep  []*sm.EventKey // the expanding state's sleep set, resolved (reduction)
 	claims []localClaim   // consequence (node, local state) claims awaiting the end of the bucket
@@ -394,13 +426,30 @@ type Expander struct {
 	// proposed is the set of fingerprints this worker proposed in the current
 	// window.
 	proposed table
+	// expanded counts the positions the worker expanded in the current
+	// window, and sibRate is the room sizeSibs gives a position in sibs.
+	expanded, sibRate int
+}
+
+// sizeSibs empties sibs for a window of which x expands about n positions,
+// with room for them at a quarter above the sibling rate of x's last window.
+// A parent's siblings must be one run of sibs, so the buffer is a slice and
+// growing it copies; sized from the rate, a fresh Expander grows it about
+// once — at the first windows that fill up — instead of once per append
+// growth step.
+func (x *Expander) sizeSibs(n int) {
+	if x.expanded > 0 {
+		x.sibRate = (len(x.sibs)*5/4 + x.expanded - 1) / x.expanded
+	}
+	x.expanded = 0
+	x.sibs = slices.Grow(x.sibs[:0], x.sibRate*n)
 }
 
 // NewExpander returns a fresh Expander bound to the search.
 func (s *Search) NewExpander() *Expander {
 	sc := newScratch()
 	sc.memo = newMemo()
-	return &Expander{s: s, view: props.NewView(), sc: sc, enc: &sc.enc}
+	return &Expander{s: s, view: props.NewView(), sc: sc, enc: &sc.enc, props: slab[proposal]{shift: propShift}}
 }
 
 // Check evaluates the search's property set — local and global — on g
@@ -509,22 +558,31 @@ func (e *Engine) Inject(f Forward) (Ref, bool) {
 	for _, ns := range f.State.nodes {
 		e.locals.put(ns.localHash(), 0)
 	}
-	e.hold(idx, f.State, nil)
+	// No event adds or removes a node, so the first state injected names
+	// every node a reset will ever restart.
+	if e.s.cfg.ExploreResets && len(e.pristine) == 0 {
+		for _, ns := range f.State.nodes {
+			e.pristine[ns.id] = e.s.cfg.Factory(ns.id)
+		}
+	}
+	e.hold(idx, f.State, 0, 0)
 	return Ref{e.tree, idx}, true
 }
 
-// hold queues a claimed state — g nil for a clean leaf — and accounts its
-// bytes until it is expanded.
+// hold queues a claimed state — g nil for a clean leaf — whose sleep set is
+// the run of sleepLen values from sleepAt in its bucket's storage, and
+// accounts its bytes until it is expanded: the held entry, the run and the
+// state's encoded footprint.
 //
 //crystal:hotpath
-func (e *Engine) hold(idx int32, g *GState, sleep []uint32) {
-	bytes := heldEntryBytes + 4*int64(len(sleep))
+func (e *Engine) hold(idx int32, g *GState, sleepAt, sleepLen uint32) {
+	bytes := heldEntryBytes + 4*int64(sleepLen)
 	if g != nil {
 		bytes += int64(g.EncodedSize())
 	}
 	atomicMax(&e.ctr.peakBytes, e.ctr.frontierBytes.Add(bytes))
 	ent := e.tree.entries.at(int(idx))
-	ent.pos = int32(e.fr.push(int(ent.depth), held{state: g, sleep: sleep, idx: idx}))
+	ent.pos = int32(e.fr.push(int(ent.depth), held{state: g, sleepAt: sleepAt, sleepLen: sleepLen, idx: idx}))
 }
 
 // Drain expands the frontier, lowest depth bucket first and each bucket a
@@ -551,10 +609,10 @@ func (e *Engine) Drain(between func() error) error {
 func (e *Engine) drain(between func() error, reuse bool) error {
 	for e.fr.count > 0 && !e.bdg.exhausted() {
 		bucket, depth := e.fr.popBucket()
-		for lo := 0; lo < bucket.n && !e.bdg.exhausted(); lo += e.window {
-			n := min(e.window, bucket.n-lo)
+		for lo := 0; lo < bucket.held.n && !e.bdg.exhausted(); lo += e.window {
+			n := min(e.window, bucket.held.n-lo)
 			e.expandWindow(bucket, lo, n)
-			if err := e.claimPass(bucket, lo, depth+1, bucket.n-lo-n); err != nil {
+			if err := e.claimPass(bucket, lo, depth+1, bucket.held.n-lo-n); err != nil {
 				return err
 			}
 			if e.windowDone != nil {
@@ -597,18 +655,20 @@ func (e *Engine) drain(between func() error, reuse bool) error {
 // paper's FIFO search.
 //
 //crystal:hotpath
-func (e *Engine) expandWindow(bucket *slab[held], lo, n int) {
+func (e *Engine) expandWindow(bucket *bucket, lo, n int) {
 	if cap(e.outs) < n {
 		e.outs = make([]expansion, n)
 	}
 	e.outs = e.outs[:n]
 	clear(e.outs)
+	workers := min(e.workers, n)
 	for _, x := range e.xs {
-		x.props, x.sibs, x.leaves = x.props[:0], x.sibs[:0], x.leaves[:0]
+		x.props.reset()
+		x.sizeSibs((n + workers - 1) / workers)
+		x.leaves = x.leaves[:0]
 		x.proposed.clear()
 	}
 	e.cursor.Store(0)
-	workers := min(e.workers, n)
 	if workers <= 1 {
 		e.expandNodes(bucket, lo, n, e.xs[0])
 		return
@@ -621,7 +681,7 @@ func (e *Engine) expandWindow(bucket *slab[held], lo, n int) {
 }
 
 // share is one worker's goroutine in a sweep.
-func (e *Engine) share(bucket *slab[held], lo, n int, x *Expander) {
+func (e *Engine) share(bucket *bucket, lo, n int, x *Expander) {
 	defer e.wg.Done()
 	e.expandNodes(bucket, lo, n, x)
 }
@@ -632,14 +692,15 @@ func (e *Engine) share(bucket *slab[held], lo, n int, x *Expander) {
 // pins an expanded GState.
 //
 //crystal:hotpath
-func (e *Engine) expandNodes(bucket *slab[held], lo, n int, x *Expander) {
+func (e *Engine) expandNodes(bucket *bucket, lo, n int, x *Expander) {
 	for {
 		i := int(e.cursor.Add(1)) - 1
 		if i >= n || e.bdg.exhausted() || !e.bdg.admitState() {
 			return
 		}
-		h := bucket.at(lo + i)
-		e.outs[i] = e.expand(h, x)
+		h := bucket.held.at(lo + i)
+		x.expanded++
+		e.outs[i] = e.expand(h, bucket.sleepOf(h), x)
 		h.state = nil
 	}
 }
@@ -666,14 +727,15 @@ func (e *Engine) expandNodes(bucket *slab[held], lo, n int, x *Expander) {
 // rather than claim a state it does not have.
 //
 //crystal:hotpath
-func (e *Engine) claimPass(bucket *slab[held], lo, depth, rest int) error {
+func (e *Engine) claimPass(bucket *bucket, lo, depth, rest int) error {
 	leaves := depth == e.bdg.lim.Depth
 	for i := range e.outs {
 		out := &e.outs[i]
 		if out.x == nil {
 			continue
 		}
-		parent := bucket.at(lo + i)
+		parent := bucket.held.at(lo + i)
+		inherited := bucket.sleepOf(parent)
 		sibs := out.x.sibs[out.sibLo:out.sibHi]
 		e.sibIDs = append(e.sibIDs[:0], make([]uint32, len(sibs))...)
 		for j := out.lo; j < out.hi; j++ {
@@ -682,7 +744,7 @@ func (e *Engine) claimPass(bucket *slab[held], lo, depth, rest int) error {
 			if e.proposals++; e.proposals%claimClockEvery == 0 && e.bdg.expired() {
 				return nil
 			}
-			p := &out.x.props[j]
+			p := out.x.props.at(int(j))
 			h := p.hash
 			if !e.own.Contains(h) {
 				if err := e.forward(Forward{State: p.state, Depth: depth, Parent: Ref{e.tree, parent.idx}, Desc: p.desc}); err != nil {
@@ -690,7 +752,7 @@ func (e *Engine) claimPass(bucket *slab[held], lo, depth, rest int) error {
 				}
 				continue
 			}
-			promised := promise{inherited: parent.sleep, enter: p.desc}
+			promised := promise{inherited: inherited, enter: p.desc}
 			if p.sibs >= 0 {
 				promised.siblings = sibs[:p.sibs]
 			}
@@ -718,17 +780,18 @@ func (e *Engine) claimPass(bucket *slab[held], lo, depth, rest int) error {
 			}
 			// A child at the depth bound is checked but never expanded, so
 			// its sleep set would never be read.
-			var sleep []uint32
+			var at, n uint32
 			if p.sibs >= 0 && !leaves {
-				sleep = e.tree.childSleep(promised, e.sibIDs)
+				at, n = e.tree.childSleep(promised, e.sibIDs, &e.fr.at(depth).sleep)
 			}
-			e.hold(idx, p.state, sleep)
+			e.hold(idx, p.state, at, n)
 		}
-		parent.sleep = nil
+		// The parent's set is consumed; its run is let go with the bucket.
+		parent.sleepLen = 0
 	}
 	// The buffers outlive the window: drop their claim on the states.
 	for _, x := range e.xs {
-		clear(x.props)
+		x.props.reset()
 	}
 	return nil
 }
@@ -757,17 +820,18 @@ func (e *Engine) narrow(prior int32, depth int, promised promise, promises bool)
 	if int(ent.depth) != depth || ent.pos < 0 || int(ent.pos) >= e.fr.len(depth) {
 		return
 	}
-	q := e.fr.buckets[depth].at(int(ent.pos))
-	if q.idx != prior || len(q.sleep) == 0 {
+	b := e.fr.buckets[depth]
+	q := b.held.at(int(ent.pos))
+	if q.idx != prior || q.sleepLen == 0 {
 		return
 	}
-	was := len(q.sleep)
+	was := q.sleepLen
 	if promises {
-		q.sleep = e.tree.intersectSleep(q.sleep, promised)
+		q.sleepLen = uint32(len(e.tree.intersectSleep(b.sleepOf(q), promised)))
 	} else {
-		q.sleep = nil
+		q.sleepLen = 0
 	}
-	e.ctr.frontierBytes.Add(-4 * int64(was-len(q.sleep)))
+	e.ctr.frontierBytes.Add(-4 * int64(was-q.sleepLen))
 }
 
 // reportViolation records the violation found at the state r names — bits is
@@ -813,18 +877,18 @@ func (e *Engine) reportViolation(r Ref, bits uint64, x *Expander) uint64 {
 // is promised (reduce.go).
 //
 //crystal:hotpath
-func (e *Engine) expand(h *held, x *Expander) expansion {
+func (e *Engine) expand(h *held, sleep []uint32, x *Expander) expansion {
 	r := Ref{e.tree, h.idx}
 	depth := r.Depth()
 	atomicMax(&e.ctr.maxDepth, int64(depth))
-	e.ctr.frontierBytes.Add(-heldEntryBytes - 4*int64(len(h.sleep)))
+	e.ctr.frontierBytes.Add(-heldEntryBytes - 4*int64(len(sleep)))
 	state := h.state
 	if state == nil {
 		return expansion{}
 	}
 	e.ctr.frontierBytes.Add(-int64(state.EncodedSize()))
 
-	out := expansion{x: x, lo: int32(len(x.props)), sibLo: int32(len(x.sibs)), violated: r.entry().violated}
+	out := expansion{x: x, lo: int32(x.props.n), sibLo: int32(len(x.sibs)), violated: r.entry().violated}
 	state.FillView(x.view)
 	if bits := e.s.violatedBits(x.view); bits != 0 {
 		out.violated = e.reportViolation(r, bits, x)
@@ -870,7 +934,7 @@ func (e *Engine) expand(h *held, x *Expander) expansion {
 			default:
 				p.state = sc.publish(state)
 			}
-			x.props = append(x.props, p)
+			x.props.push(p)
 		}
 		if promise {
 			x.sibs = append(x.sibs, ev.EventKey)
@@ -881,7 +945,7 @@ func (e *Engine) expand(h *held, x *Expander) expansion {
 	// under reduction, the transitions this state's sleep set proves are
 	// commuting-square duplicates of a sibling branch.
 	x.sleep = x.sleep[:0]
-	for _, id := range h.sleep {
+	for _, id := range sleep {
 		x.sleep = append(x.sleep, e.tree.keys.at(int(id)))
 	}
 	network := e.s.networkInto(state, &x.evb)
@@ -946,7 +1010,7 @@ func (e *Engine) expand(h *held, x *Expander) expansion {
 	if pruned > 0 {
 		e.ctr.localPrunes.Add(pruned)
 	}
-	out.hi, out.sibHi = int32(len(x.props)), int32(len(x.sibs))
+	out.hi, out.sibHi = int32(x.props.n), int32(len(x.sibs))
 	return out
 }
 
@@ -1100,5 +1164,6 @@ func (e *Engine) handlerRuns() int {
 }
 
 // heldEntryBytes is what a queued state costs beside its GState and sleep
-// set: its held entry in the bucket's slab.
+// set: its held entry in the bucket's slab. Its sleep set costs four bytes an
+// entry of the bucket's storage.
 const heldEntryBytes = int64(unsafe.Sizeof(held{}))

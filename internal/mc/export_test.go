@@ -37,7 +37,7 @@ func (g *GState) Items() (items []*InFlight, fields []ItemFields) {
 	for _, m := range g.msgs {
 		e := sm.NewEncoder()
 		m.encode(e)
-		fields = append(fields, ItemFields{From: m.From, To: m.To, Pos: m.pos, CHash: m.chash, Size: m.sz, Encoding: fmt.Sprintf("%x", e.Bytes())})
+		fields = append(fields, ItemFields{From: m.From, To: m.To, Pos: int(m.pos), CHash: m.chash, Size: int(m.sz), Encoding: fmt.Sprintf("%x", e.Bytes())})
 	}
 	return g.msgs, fields
 }
@@ -310,7 +310,7 @@ func (s *Search) SplitCount(g *GState, i int, claims map[uint64]int) (c struct {
 // queuedAt calls visit for every state queued at depth, in queue order.
 func (e *Engine) queuedAt(depth int, visit func(r Ref, h *held)) {
 	for i, n := 0, e.fr.len(depth); i < n; i++ {
-		h := e.fr.buckets[depth].at(i)
+		h := e.fr.buckets[depth].held.at(i)
 		visit(Ref{e.tree, h.idx}, h)
 	}
 }

@@ -62,10 +62,11 @@ import (
 // instrumentation counting orderings — must run with Reduce off. The
 // README's "Partial-order reduction" section documents this boundary.
 
-// Representation. A sleep set is a []uint32 of indices into the engine tree's
-// interned key table, held by the frontier entry of a claimed, not yet
-// expanded state and by nothing else. An entry names a transition by its
-// sm.EventKey: the key resolves to the same transition in every state an
+// Representation. A sleep set is a run of uint32 indices into the engine
+// tree's interned key table, kept in the sleep storage of the frontier bucket
+// that holds the claimed, not yet expanded state, and named by that state's
+// held entry alone (an offset and a length). An entry names a transition by
+// its sm.EventKey: the key resolves to the same transition in every state an
 // entry survives to (no edge on the way touched its node), so skipping by key
 // skips exactly the promised transition. A reset's key never enters a set.
 // Sets are tiny (bounded by the enabled network transitions of one ancestor
@@ -103,11 +104,12 @@ type promise struct {
 	enter     sm.EventKey
 }
 
-// childSleep builds the promised set; ids[j], when non-zero, caches the
-// interned index of siblings[j] across the children of one parent. A nil
-// result is the empty set.
-func (t *Tree) childSleep(p promise, ids []uint32) []uint32 {
-	n := 0
+// childSleep writes the promised set into dst, the sleep storage of the
+// bucket the child is queued in, as one run, and returns the run's offset and
+// length (a length of 0 is the empty set, which takes no storage); ids[j],
+// when non-zero, caches the interned index of siblings[j] across the children
+// of one parent.
+func (t *Tree) childSleep(p promise, ids []uint32, dst *slab[uint32]) (at, n uint32) {
 	for _, id := range p.inherited {
 		if !dependent(t.keys.at(int(id)), &p.enter) {
 			n++
@@ -119,9 +121,10 @@ func (t *Tree) childSleep(p promise, ids []uint32) []uint32 {
 		}
 	}
 	if n == 0 {
-		return nil
+		return 0, 0
 	}
-	out := make([]uint32, 0, n)
+	i := dst.reserve(int(n))
+	out := dst.run(i, int(n))[:0]
 	for _, id := range p.inherited {
 		if !dependent(t.keys.at(int(id)), &p.enter) {
 			out = append(out, id)
@@ -135,14 +138,14 @@ func (t *Tree) childSleep(p promise, ids []uint32) []uint32 {
 			out = append(out, ids[j])
 		}
 	}
-	return out
+	return uint32(i), n
 }
 
 // intersectSleep returns the entries of sleep that the promised set p also
-// holds, filtering sleep in place (childSleep allocates each child its own
-// slice, so the claimed child's set is never shared) and without building
-// p's set. When several same-level paths propose one state with different
-// sleep sets, only transitions *every* arrival slept may stay slept: a
+// holds, filtering sleep in place (childSleep gives each child its own run,
+// so the claimed child's set is never shared) and without building p's set.
+// When several same-level paths propose one state with different sleep
+// sets, only transitions *every* arrival slept may stay slept: a
 // promise delegates to a sibling proposal, and that proposal is itself a
 // same-level arrival at some matched state whose sleep set enters the
 // intersection there — keeping the delegation chain grounded. Without this,

@@ -24,10 +24,11 @@ import (
 // does not publish — a duplicate — allocates nothing.
 //
 // The handler runs on the scratch's spare service (svc), which runHandler
-// refills from the executed node's with CloneInto. publish hands the spare to
-// the successor and the next build clones into a fresh one, so every
-// transition copies its service exactly once and a duplicate's copy is
-// overwritten by the next build.
+// refills from the executed node's with CloneInto, and a reset from the
+// node's pristine service (applyReset). publish hands the spare to the
+// successor and the next build clones into a fresh one, so every transition
+// copies its service exactly once and a duplicate's copy is overwritten by
+// the next build.
 //
 // Every Expander owns one scratch (an engine's worker's, a replay's), and
 // with it a memo of handler effects (memo.go; runHandler); ApplyEvent and the
@@ -39,11 +40,15 @@ type scratch struct {
 	fx  sm.Effects
 	rnd *rand.Rand // re-seeded per edge; identical stream to a fresh sm.NewRand
 
-	// svc is the spare service: nil, or the copy the last handler ran on
-	// in a successor that was not published. onSpare says next's executed
-	// node holds it (runHandler), not a fresh service (applyReset).
-	svc     sm.Service
-	onSpare bool
+	// svc is the spare service: nil, or the copy the last handler ran on (or
+	// the last reset restarted) in a successor that was not published.
+	// onSpare says next's executed node holds it, not a state of the parent's
+	// (runHandler's memo hit, or a handler that left the local state as it
+	// was). pristine is the borrowing search's table of pristine services
+	// (Workspace.pristine; nil outside a search, and in a pooled scratch).
+	svc      sm.Service
+	onSpare  bool
+	pristine map[sm.NodeID]sm.Service
 
 	// next is the successor being built. Its nodes, msgs and stale slices
 	// are buffers reused across builds.
@@ -130,6 +135,18 @@ func (sc *scratch) newItem(m *InFlight, send int) *InFlight {
 	sc.items = append(sc.items, *m)
 	sc.sent = append(sc.sent, int32(send))
 	return &sc.items[len(sc.items)-1]
+}
+
+// pristineOf returns a pre-Init service of node id, for a reset to copy:
+// the search's, built once per node (Engine.Inject), or one fresh from
+// factory for a scratch outside a search. It is only ever read.
+//
+//crystal:hotpath
+func (sc *scratch) pristineOf(factory sm.Factory, id sm.NodeID) sm.Service {
+	if svc, ok := sc.pristine[id]; ok {
+		return svc
+	}
+	return factory(id)
 }
 
 // publish copies the successor sc built from parent to the heap and returns

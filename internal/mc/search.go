@@ -281,6 +281,8 @@ const (
 	keyShift    = 4
 	originShift = 4
 	heldShift   = 3
+	sleepShift  = 6
+	propShift   = 5
 )
 
 // newTree returns an empty tree; shared pins it for readers on other

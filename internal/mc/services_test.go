@@ -5,6 +5,7 @@
 package mc_test
 
 import (
+	"fmt"
 	"reflect"
 	"runtime"
 	"slices"
@@ -578,9 +579,13 @@ func TestEveryDuplicateIsUnbuilt(t *testing.T) {
 // 9.17 while every successor was built on the heap before the visited table
 // was asked, 7.33 while every executed transition boxed its event, 6.48
 // while every transition ran its handler, 4.91 while a memo hit built every
-// item it sent, 3.26 while every clean leaf at the depth bound was published;
-// measured 0.77, with leaves checked in the scratch (5,440 of this input's
-// 6,331 claimed states are leaves).
+// item it sent, 3.26 while every clean leaf at the depth bound was published,
+// 0.77 while every reset built its service from the factory, every window
+// regrew its proposal and sibling buffers and every sleep set was a slice of
+// its own; measured 0.56 with resets restarted in the spare, proposals in a
+// slab and sleep sets in their bucket's storage (5,440 of this input's 6,331
+// claimed states are leaves). The bound is that figure plus a sixth, for what
+// a collection during the run can cost the pooled scratches.
 func TestAllocsPerTransitionPaxosSmoke(t *testing.T) {
 	skipUnlessPooling(t)
 	cfg, start := benchInput(t, "paxos", 5, mc.Exhaustive, mc.Budget{Depth: 4})
@@ -591,8 +596,8 @@ func TestAllocsPerTransitionPaxosSmoke(t *testing.T) {
 	if res.SleepHits == 0 || res.Transitions < 5000 {
 		t.Fatalf("%d transitions, %d sleep hits: the input exercises too little", res.Transitions, res.SleepHits)
 	}
-	if per > 1 {
-		t.Fatalf("%.2f allocations per transition, want <= 1", per)
+	if per > 0.65 {
+		t.Fatalf("%.2f allocations per transition, want <= 0.65", per)
 	}
 }
 
@@ -603,7 +608,8 @@ func TestAllocsPerTransitionPaxosSmoke(t *testing.T) {
 // Figure 10 ring) allocates no more than it did with one heap Node per child (the parent commit's figure,
 // measured by this test there: 321 kB; 296 kB while every successor was
 // built on the heap, 226 kB while every executed transition boxed its event,
-// 219 kB now).
+// 219 kB while every reset built its service from the factory and the
+// claim window's buffers grew by appending, 154 kB now).
 func TestSmallRoundCostsNoMoreThanBefore(t *testing.T) {
 	skipUnlessPooling(t)
 	factory, start := chordFigure10Start()
@@ -630,4 +636,98 @@ func TestSmallRoundCostsNoMoreThanBefore(t *testing.T) {
 	if perRound > parentBytes {
 		t.Fatalf("a 300-state round allocates %.0f B, %d at the parent commit", perRound, parentBytes)
 	}
+}
+
+// TestRestartIntoASpareEqualsRestartFresh: the checker's reset restarts its
+// node in a worker's spare service — a copy of the node's pristine service,
+// which the search's factory built once, written with CloneInto over whatever
+// service the spare last held — where the runtime restarts it fresh from the
+// factory. For every registered scenario, with its seeded bugs and fixed, and
+// every node of a state its handlers have run in, both restarts of the node's
+// service there, the spare a copy of a service that has run handlers too,
+// Init to the same bytes: EncodeFullState, the pending timers and the sends.
+// Paxos keeps a disk, so its restarts go through RestoreStable on both paths.
+func TestRestartIntoASpareEqualsRestartFresh(t *testing.T) {
+	restored, dirty, nodes := 0, 0, 0
+	for _, name := range scenario.Names() {
+		for _, fixed := range []bool{false, true} {
+			g, cfg, err := scenario.InitialState(name, scenario.Options{Fixed: fixed})
+			if err != nil {
+				t.Fatal(err)
+			}
+			s := mc.NewSearch(cfg)
+			lived := runHandlers(s, g, 8)
+			ids := g.Nodes()
+			for i, id := range ids {
+				old := lived.Node(id).Svc
+				if st, ok := old.(sm.StableStore); ok && st.StableBytes() != nil {
+					restored++
+				}
+				// The spare last held another node's service, one that has
+				// run handlers.
+				spare := lived.Node(ids[(i+1)%len(ids)]).Svc.Clone()
+				pristine := cfg.Factory(id)
+				before := sm.EncodeFullState(pristine, nil)
+				if nodes++; !slices.Equal(sm.EncodeFullState(spare, nil), before) {
+					dirty++
+				}
+				viaSpare := initBytes(sm.Restart(pristine.CloneInto(spare), old), id)
+				fresh := initBytes(sm.Restart(cfg.Factory(id), old), id)
+				if viaSpare != fresh {
+					t.Errorf("%s fixed=%v node %v: restarted in a spare, Init gives\n%s\nfresh from the factory\n%s", name, fixed, id, viaSpare, fresh)
+				}
+				if after := sm.EncodeFullState(pristine, nil); !slices.Equal(after, before) {
+					t.Errorf("%s fixed=%v node %v: copying the pristine service wrote it", name, fixed, id)
+				}
+			}
+		}
+	}
+	t.Logf("%d restarts, %d into a spare unlike the pristine service, %d with a disk", nodes, dirty, restored)
+	if restored == 0 || dirty < nodes/2 {
+		t.Fatalf("%d of %d spares differ from the pristine service, %d restarts carried stable storage: the test exercises too little", dirty, nodes, restored)
+	}
+}
+
+// runHandlers applies up to steps events from g — at each state the first
+// enabled delivery, or else the first internal action that is not a reset —
+// and returns the state reached.
+func runHandlers(s *mc.Search, g *mc.GState, steps int) *mc.GState {
+	for range steps {
+		network, internal := s.EnabledEvents(g)
+		events := network
+		for _, id := range g.Nodes() {
+			for _, ev := range internal[id] {
+				if ev.Kind != 'R' {
+					events = append(events, ev)
+				}
+			}
+		}
+		var next *mc.GState
+		for _, ev := range events {
+			if next = s.ApplyEvent(g, ev); next != nil {
+				break
+			}
+		}
+		if next == nil {
+			return g
+		}
+		g = next
+	}
+	return g
+}
+
+// initBytes runs Init on svc, a restarted service of node id, with a fixed
+// random stream, and renders what a successor keeps of it: the node's full
+// state, its pending timers and every send.
+func initBytes(svc sm.Service, id sm.NodeID) string {
+	var fx sm.Effects
+	fx.Begin(id, nil, sm.NewRand(7))
+	svc.Init(&fx)
+	e := sm.NewEncoder()
+	for _, sd := range fx.Sends {
+		e.NodeID(sd.To)
+		e.String(sd.Msg.MsgType())
+		sd.Msg.EncodeMsg(e)
+	}
+	return fmt.Sprintf("state %x timers %v sends %x", sm.EncodeFullState(svc, fx.Timers), fx.Timers, e.Bytes())
 }

@@ -42,7 +42,7 @@ func checkIntact(t *testing.T, what string, g *GState, wantPos []int) {
 	}
 	pos := make([]int, len(g.msgs))
 	for i, m := range g.msgs {
-		pos[i] = m.pos
+		pos[i] = int(m.pos)
 	}
 	if !reflect.DeepEqual(pos, wantPos) {
 		t.Errorf("%s: item positions %v, want %v", what, pos, wantPos)
@@ -150,8 +150,8 @@ func TestExpandedNodesLetGoOfState(t *testing.T) {
 		slept := 0
 		remember := func() error {
 			for _, bucket := range e.fr.buckets {
-				for i := 0; bucket != nil && i < bucket.n; i++ {
-					h := bucket.at(i)
+				for i := 0; bucket != nil && i < bucket.held.n; i++ {
+					h := bucket.held.at(i)
 					g := h.state
 					if g == nil {
 						if depth := (Ref{e.tree, h.idx}).Depth(); depth != 6 {
@@ -162,7 +162,7 @@ func TestExpandedNodesLetGoOfState(t *testing.T) {
 							t.Fatal(err)
 						}
 					}
-					slept += len(h.sleep)
+					slept += int(h.sleepLen)
 					claimedUnder[h] = g.Hash()
 				}
 			}
@@ -180,8 +180,8 @@ func TestExpandedNodesLetGoOfState(t *testing.T) {
 		}
 		for h, hash := range claimedUnder {
 			r := Ref{e.tree, h.idx}
-			if h.state != nil || h.sleep != nil {
-				t.Fatalf("reduce=%v: expanded entry at depth %d still holds state %v / sleep %v", reduce, r.Depth(), h.state, h.sleep)
+			if h.state != nil || h.sleepLen != 0 {
+				t.Fatalf("reduce=%v: expanded entry at depth %d still holds state %v / a sleep set of %d", reduce, r.Depth(), h.state, h.sleepLen)
 			}
 			if r.Hash() != hash {
 				t.Fatalf("reduce=%v: tree entry hash %#x, claimed under %#x", reduce, r.Hash(), hash)
@@ -285,7 +285,10 @@ func TestSelfLoopIsCountedNotProposed(t *testing.T) {
 	e.Inject(Forward{State: start})
 	bucket, _ := e.fr.popBucket()
 	e.expandWindow(bucket, 0, 1)
-	children := e.xs[0].props[e.outs[0].lo:e.outs[0].hi]
+	var children []proposal
+	for j := e.outs[0].lo; j < e.outs[0].hi; j++ {
+		children = append(children, *e.xs[0].props.at(int(j)))
+	}
 	network, internal := s.EnabledEvents(start)
 	enabled := len(network)
 	for _, evs := range internal {

@@ -52,15 +52,43 @@ func (s *slab[T]) at(i int) *T {
 func (s *slab[T]) push(v T) int {
 	i := s.n
 	c, off := s.locate(i)
-	if c == len(s.chunks) {
+	s.chunk(c)[off] = v
+	s.n++
+	return i
+}
+
+// chunk returns chunk c, making it if it is not there yet.
+func (s *slab[T]) chunk(c int) []T {
+	for c >= len(s.chunks) {
 		s.chunks = append(s.chunks, nil)
 	}
 	if s.chunks[c] == nil {
 		s.chunks[c] = make([]T, 1<<(s.shift+uint(c)/2))
 	}
-	s.chunks[c][off] = v
-	s.n++
-	return i
+	return s.chunks[c]
+}
+
+// reserve appends n > 0 zero values that lie in one chunk and returns the
+// first one's index, so run can hand them out as one slice. A chunk whose
+// tail is too short for them is left with that tail unused.
+func (s *slab[T]) reserve(n int) int {
+	for {
+		c, off := s.locate(s.n)
+		if size := 1 << (s.shift + uint(c)/2); off+n > size {
+			s.n += size - off
+			continue
+		}
+		s.chunk(c)
+		i := s.n
+		s.n += n
+		return i
+	}
+}
+
+// run returns the n values from index i, which one reserve put in one chunk.
+func (s *slab[T]) run(i, n int) []T {
+	c, off := s.locate(i)
+	return s.chunks[c][off : off+n : off+n]
 }
 
 // used returns the chunks that hold values: a fresh slab's every chunk, a

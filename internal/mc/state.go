@@ -103,7 +103,7 @@ func (ns *NodeState) localHash() uint64 { return ns.lhash }
 // slice of pointers to its parent's items plus the items its own event added.
 // A handler memo holds the items its sends became, and a later successor whose
 // memoized send lands at the same queue position shares that value too.
-// The queue position, component hash and footprint size are written exactly
+// The queue position, type tag, component hash and footprint size are written
 // once, in the scratch of the goroutine building the item (addMsg for a new
 // item, removeMsgAt for the copy of a queue-mate that moves one position
 // toward the head); publish copies it to the heap and nothing writes it
@@ -113,9 +113,22 @@ type InFlight struct {
 	From  sm.NodeID
 	To    sm.NodeID
 	Msg   sm.Message // nil => RST notification
-	pos   int        // position within the item's (From,To,type) FIFO queue
 	chash uint64     // domain-tagged component hash, set at construction
-	sz    int        // EncodedSize contribution, set at construction
+	pos   int32      // position within the item's (From,To,type) FIFO queue
+	sz    int32      // EncodedSize contribution, set at construction
+	typ   uint32     // typeTag(Msg), set at construction
+}
+
+// typeTag returns the tag addItem fixes on an item of msg when it builds it:
+// a hash of msg's type name (0 for an RST). Items of one queue share a tag, so
+// a queue walk compares names only where the tags agree (queueMate).
+//
+//crystal:hotpath
+func typeTag(msg sm.Message) uint32 {
+	if msg == nil {
+		return 0
+	}
+	return uint32(sm.FNV64aString(sm.FNV64aInit, msg.MsgType()))
 }
 
 // RST reports whether the item is a connection-break notification.
@@ -131,6 +144,14 @@ func sameQueue(a, b *InFlight) bool {
 	}
 	return a.RST() || a.Msg.MsgType() == b.Msg.MsgType()
 }
+
+// queueMate is sameQueue for two items whose tags are set: items whose tags
+// differ are never queue-mates, so the type names — an interface call each —
+// are compared only for items of one queue (or a tag collision, which the
+// names then tell apart). FullHash keeps sameQueue, which trusts no tag.
+//
+//crystal:hotpath
+func queueMate(a, b *InFlight) bool { return a.typ == b.typ && sameQueue(a, b) }
 
 func (f *InFlight) encode(e *sm.Encoder) {
 	e.NodeID(f.From)
@@ -348,26 +369,26 @@ func (g *GState) addMsg(m InFlight, sc *scratch) { g.addItem(m, itemPrefix(&m, s
 //
 //crystal:hotpath
 func (g *GState) addItem(m InFlight, prefix uint64, held *InFlight, send int, sc *scratch) {
-	m.pos = 0
+	m.pos, m.typ = 0, typeTag(m.Msg)
 	for _, q := range g.msgs {
-		if sameQueue(q, &m) {
+		if queueMate(q, &m) {
 			m.pos++
 		}
 	}
 	sc.added++
 	if held != nil && held.pos == m.pos {
 		g.hsum += held.chash
-		g.encSize += held.sz
+		g.encSize += int(held.sz)
 		g.msgs = append(g.msgs, held)
 		return
 	}
 	m.chash = foldPos(prefix, m.pos)
 	m.sz = 13
 	if m.Msg != nil {
-		m.sz += m.Msg.Size()
+		m.sz += int32(m.Msg.Size())
 	}
 	g.hsum += m.chash
-	g.encSize += m.sz
+	g.encSize += int(m.sz)
 	g.msgs = append(g.msgs, sc.newItem(&m, send))
 }
 
@@ -389,7 +410,7 @@ func itemPrefix(m *InFlight, sc *scratch) uint64 {
 // the item's encoding and position returns.
 //
 //crystal:hotpath
-func foldPos(prefix uint64, pos int) uint64 {
+func foldPos(prefix uint64, pos int32) uint64 {
 	h := prefix
 	for i := 56; i >= 0; i -= 8 {
 		h = sm.FNV64aByte(h, byte(uint64(pos)>>i))
@@ -408,9 +429,9 @@ func foldPos(prefix uint64, pos int) uint64 {
 func (g *GState) removeMsgAt(i int, sc *scratch) {
 	removed := g.msgs[i]
 	g.hsum -= removed.chash
-	g.encSize -= removed.sz
+	g.encSize -= int(removed.sz)
 	for j, m := range g.msgs[i+1:] {
-		if sameQueue(m, removed) {
+		if queueMate(m, removed) {
 			moved := sc.newItem(m, -1)
 			moved.pos--
 			moved.chash = foldPos(itemPrefix(moved, sc), moved.pos)

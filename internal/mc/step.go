@@ -229,9 +229,14 @@ func (s *Search) applyDrop(g *GState, ev *sm.Event, sc *scratch) *GState {
 //   - the node restarts from its initial state (Init runs, possibly
 //     scheduling timers and sends).
 //
-// Init runs first — it reads nothing of the global state — so the successor
-// is begun knowing how many items it can gain: an RST per peer and one per
-// send.
+// The restarted service is built where runHandler runs a handler: in the
+// scratch's spare, which a copy of the node's pristine service (the
+// Factory's, built once per search: scratch.pristineOf) overwrites before
+// sm.Restart gives it the dying service's disk. Like a handler's clone, it
+// reaches the heap only when publish hands the spare over, so a reset that is
+// a duplicate or a clean leaf allocates no service. Init runs first — it reads
+// nothing of the global state — so the successor is begun knowing how many
+// items it can gain: an RST per peer and one per send.
 //
 //crystal:hotpath
 func (s *Search) applyReset(g *GState, ev *sm.Event, sc *scratch) *GState {
@@ -241,8 +246,9 @@ func (s *Search) applyReset(g *GState, ev *sm.Event, sc *scratch) *GState {
 		return nil
 	}
 	ns := g.nodes[at]
-	// Fresh service, re-initialised; disk contents survive the crash.
-	fresh := sm.Restart(s.cfg.Factory, id, ns.Svc)
+	// A pristine service, re-initialised; disk contents survive the crash.
+	fresh := sm.Restart(sc.pristineOf(s.cfg.Factory, id).CloneInto(sc.svc), ns.Svc)
+	sc.svc = fresh
 	fx := &sc.fx
 	fx.Begin(id, nil, edgeRNG(s.cfg.Seed, ns, ev, sc))
 	fresh.Init(fx)
@@ -258,7 +264,7 @@ func (s *Search) applyReset(g *GState, ev *sm.Event, sc *scratch) *GState {
 			kept = append(kept, m)
 		} else {
 			next.hsum -= m.chash
-			next.encSize -= m.sz
+			next.encSize -= int(m.sz)
 		}
 	}
 	next.msgs = kept
@@ -283,6 +289,7 @@ func (s *Search) applyReset(g *GState, ev *sm.Event, sc *scratch) *GState {
 	prefixes, held := sc.unknown(len(fx.Sends))
 	s.dispatchSends(next, id, fx.Sends, prefixes, held, sc)
 	next.setNode(id, fresh, fx.Timers, sc)
+	sc.onSpare = true
 	return next
 }
 

@@ -47,6 +47,11 @@ func TestTreeEntryIsPointerFree(t *testing.T) {
 	if size := unsafe.Sizeof(entry{}); size > 32 {
 		t.Errorf("entry is %d bytes, want <= 32", size)
 	}
+	// A held entry names its sleep set by an offset and a length into its
+	// bucket's storage, not by a slice header of its own.
+	if size := unsafe.Sizeof(held{}); size > 24 {
+		t.Errorf("held is %d bytes, want <= 24", size)
+	}
 	if pointerFree(reflect.TypeOf(held{})) || pointerFree(reflect.TypeOf(sm.EventKey{})) {
 		t.Error("the walk calls a struct with a pointer or a string pointer-free")
 	}

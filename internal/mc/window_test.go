@@ -49,7 +49,7 @@ func TestLeavesAreCheckedWhenClaimed(t *testing.T) {
 				if (h.state != nil) != (len(violated) > 0) {
 					t.Fatalf("reduce=%v: queued leaf holds state: %v, its path replays to a state violating %v", reduce, h.state != nil, violated)
 				}
-				if h.sleep != nil {
+				if h.sleepLen != 0 {
 					t.Fatalf("reduce=%v: a leaf was given a sleep set", reduce)
 				}
 				if h.state != nil {

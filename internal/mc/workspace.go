@@ -1,19 +1,23 @@
 package mc
 
+import "crystalball/internal/sm"
+
 // Workspace is the storage a breadth-first search builds its engine in,
 // kept from one search to the next: the per-worker Expanders (scratch
 // buffers, random source, memo storage, event, proposal, sibling and claim
 // buffers, the proposed set and the view), the three claim tables, the
 // tree's slabs and intern table, the frontier's bucket slabs and the claim
-// window's buffer. A live deployment runs its checker as thousands of small
-// searches one after another; run in one workspace, each pays for the
-// states it claims and not for building an engine from nothing.
+// window's buffer; and, for one search at a time, its pristine services. A
+// live deployment runs its checker as thousands of small searches one after
+// another; run in one workspace, each pays for the states it claims and not
+// for building an engine from nothing.
 //
 // A search borrows the workspace for its whole run (Search.RunIn) and hands
 // it back cleared: the tables, tree and frontier are empty, and nothing it
 // keeps points at a state, service or message of the search before — the
-// memo's effects and the scratch's buffers and spare service included. So a
-// search in a used workspace does exactly what it does in a fresh one.
+// memo's effects, the scratch's buffers and spare service and the pristine
+// services included. So a search in a used workspace does exactly what it
+// does in a fresh one.
 // Search.Run is RunIn on a fresh workspace. A workspace serves one search at
 // a time; what it keeps is the capacity of the largest search it ran.
 type Workspace struct {
@@ -35,7 +39,14 @@ type Workspace struct {
 	// keys.
 	outs   []expansion
 	sibIDs []uint32
-	busy   bool // a search has borrowed the workspace
+	// pristine holds, when the search explores resets, one pre-Init service
+	// per node of its start state, built by the search's Factory when the
+	// start state is injected: what every reset of the node copies into its
+	// worker's spare (applyReset). The workers only read it. It belongs to
+	// the search, since another search may have another factory: release
+	// empties it.
+	pristine map[sm.NodeID]sm.Service
+	busy     bool // a search has borrowed the workspace
 }
 
 // NewWorkspace returns an empty workspace.
@@ -55,9 +66,13 @@ func (w *Workspace) borrow(s *Search, workers int, shared bool) []*Expander {
 	for len(w.expanders) < workers {
 		w.expanders = append(w.expanders, s.NewExpander())
 	}
+	if s.cfg.ExploreResets && w.pristine == nil {
+		w.pristine = make(map[sm.NodeID]sm.Service)
+	}
 	xs := w.expanders[:workers]
 	for _, x := range xs {
 		x.s = s
+		x.sc.pristine = w.pristine
 	}
 	return xs
 }
@@ -72,6 +87,7 @@ func (w *Workspace) release() {
 	w.locals.clear()
 	w.tree.reset()
 	w.fr.clear()
+	clear(w.pristine)
 	w.busy = false
 }
 
@@ -81,8 +97,9 @@ func (w *Workspace) release() {
 func (x *Expander) clear() {
 	x.view.Reset()
 	x.evb.network, x.evb.internal = wipe(x.evb.network), wipe(x.evb.internal)
-	x.props = wipe(x.props)
+	x.props.reset()
 	x.sibs, x.leaves, x.sleep, x.claims, x.rsts = x.sibs[:0], x.leaves[:0], x.sleep[:0], x.claims[:0], x.rsts[:0]
+	x.expanded = 0
 	x.proposed.clear()
 	x.sc.clear()
 }
@@ -93,7 +110,7 @@ func (x *Expander) clear() {
 // becomes the empty state, in the same buffers.
 func (sc *scratch) clear() {
 	sc.fx.Sends = wipe(sc.fx.Sends)
-	sc.svc, sc.onSpare = nil, false
+	sc.svc, sc.onSpare, sc.pristine = nil, false, nil
 	sc.next = GState{nodes: wipe(sc.next.nodes), msgs: wipe(sc.next.msgs), stale: sc.next.stale[:0], hsum: resetsComp0}
 	sc.items, sc.sent, sc.slots, sc.held = wipe(sc.items), sc.sent[:0], nil, wipe(sc.held)
 	sc.node, sc.pending = NodeState{}, effect{}

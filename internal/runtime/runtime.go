@@ -188,7 +188,7 @@ func (n *Node) Reset(silent bool) {
 	}
 	n.timers = make(map[sm.TimerID]*sim.Timer)
 	// Disk contents survive the crash; everything else is lost.
-	n.svc = sm.Restart(n.factory, n.ID, n.svc)
+	n.svc = sm.Restart(n.factory(n.ID), n.svc)
 	n.svc.Init(n.liveCtx())
 }
 

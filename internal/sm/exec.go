@@ -31,11 +31,15 @@ func Deliver(svc Service, ctx Context, ev Event) bool {
 	return true
 }
 
-// Restart returns the instance node id runs after a crash: fresh from
-// factory, with old's stable storage (if both keep any) restored, and not
-// yet Init-ed — the caller runs Init with its own context.
-func Restart(factory Factory, id NodeID, old Service) Service {
-	fresh := factory(id)
+// Restart returns the instance a node runs after a crash: fresh, a pre-Init
+// instance of the node's service that the caller owns exclusively, with old's
+// stable storage (if both keep any) restored into it, and not yet Init-ed —
+// the caller runs Init with its own context. fresh is new from the node's
+// Factory (the runtime), or a copy of one written over a spare instance with
+// CloneInto (the model checker, which builds the factory's instance once per
+// search and node); CloneInto keeps nothing of the spare, so the two are the
+// same instance.
+func Restart(fresh, old Service) Service {
 	if from, ok := old.(StableStore); ok {
 		if to, ok := fresh.(StableStore); ok {
 			if data := from.StableBytes(); data != nil {

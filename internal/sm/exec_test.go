@@ -117,24 +117,24 @@ func TestRestartCarriesStableStorageOnly(t *testing.T) {
 	disk := func(NodeID) Service { return &diskProbe{} }
 
 	old := &diskProbe{probe: probe{calls: []string{"lived"}}, disk: []byte("promise")}
-	fresh := Restart(disk, 1, old).(*diskProbe)
+	fresh := Restart(disk(1), old).(*diskProbe)
 	if string(fresh.disk) != "promise" || fresh.restores != 1 {
 		t.Errorf("stable storage not restored: disk=%q after %d restores", fresh.disk, fresh.restores)
 	}
 	if len(fresh.calls) != 0 || fresh.initialised {
 		t.Errorf("restarted instance is not fresh and pre-Init: calls=%q initialised=%v", fresh.calls, fresh.initialised)
 	}
-	if fresh := Restart(disk, 1, &diskProbe{}).(*diskProbe); fresh.restores != 0 {
+	if fresh := Restart(disk(1), &diskProbe{}).(*diskProbe); fresh.restores != 0 {
 		t.Error("RestoreStable called although nothing was persisted")
 	}
-	if _, ok := Restart(plain, 1, &probe{calls: []string{"lived"}}).(*probe); !ok {
+	if _, ok := Restart(plain(1), &probe{calls: []string{"lived"}}).(*probe); !ok {
 		t.Error("a service without stable storage did not restart from its factory")
 	}
 	// Storage on one side only: nothing to carry, nothing to carry it into.
-	if fresh := Restart(disk, 1, &probe{}).(*diskProbe); fresh.restores != 0 {
+	if fresh := Restart(disk(1), &probe{}).(*diskProbe); fresh.restores != 0 {
 		t.Error("restored from a service that keeps no stable storage")
 	}
-	if _, ok := Restart(plain, 1, old).(*probe); !ok {
+	if _, ok := Restart(plain(1), old).(*probe); !ok {
 		t.Error("a fresh instance without stable storage did not come from its factory")
 	}
 }

@@ -50,9 +50,8 @@ type Analyzer struct {
 
 // A Pass connects one analyzer run to one package.
 type Pass struct {
-	Analyzer *Analyzer
-	Pkg      *Package
-	Report   func(Diagnostic)
+	Pkg    *Package
+	Report func(Diagnostic)
 }
 
 // Reportf reports a finding at pos.

@@ -3,6 +3,7 @@ package analysis
 import (
 	"fmt"
 	"go/ast"
+	"go/token"
 	"go/types"
 	"reflect"
 	"slices"
@@ -12,13 +13,35 @@ import (
 	"testing"
 )
 
+// testSupport are the packages that exist for other packages' tests. Neither
+// guard holds their declarations or fields to a non-test user.
+var testSupport = []struct{ path, why string }{
+	{"crystalball/internal/testsvc", "the toy services the checker's, controller's and runtime's tests drive"},
+	{"crystalball/internal/analysis/analysistest", "the golden-file harness every crystalvet pass test runs"},
+}
+
+// subject reports whether the guards hold a package's declarations to a
+// non-test user: cmd/, internal/ and examples/ less testSupport. bench/
+// counts as a user, not as a subject.
+func subject(path string) bool {
+	for _, p := range testSupport {
+		if path == p.path {
+			return false
+		}
+	}
+	for _, dir := range []string{"cmd", "internal", "examples"} {
+		if strings.HasPrefix(path, "crystalball/"+dir+"/") {
+			return true
+		}
+	}
+	return false
+}
+
 // callerlessAllowed are the declarations the guard lets stand without a
-// non-test caller, each with its reason. A row names a whole package (its
-// import path) or one declaration (as the guard prints it). There is no
-// in-source marker: a declaration that must stay callerless is a row here.
+// non-test caller, each with its reason, named as the guard prints them.
+// There is no in-source marker: a declaration that must stay callerless is a
+// row here.
 var callerlessAllowed = []struct{ name, why string }{
-	{"crystalball/internal/testsvc", "test-support package: the toy services the checker's, controller's and runtime's tests drive"},
-	{"crystalball/internal/analysis/analysistest", "test-support package: the golden-file harness every crystalvet pass test runs"},
 	{"crystalball/internal/runtime.Node.Filters", "the controller's conservative-mode test counts the filters a node still holds; the runtime itself only consults them"},
 	{"crystalball/internal/services/crdt.TieStart", "the staged lwwmap start state from which consequence prediction reaches the timestamp tie, shared by the scenario and checker tests"},
 }
@@ -31,31 +54,47 @@ var callerlessAllowed = []struct{ name, why string }{
 // it, or rewrite the other package's test to use a non-test path; a row of
 // callerlessAllowed, with its reason, is the last resort.
 func TestEveryDeclarationHasACaller(t *testing.T) {
-	pkgs := loadModule(t)
-	subject := func(path string) bool {
-		for _, dir := range []string{"cmd", "internal", "examples"} {
-			if strings.HasPrefix(path, "crystalball/"+dir+"/") {
-				return true
-			}
-		}
-		return false
-	}
-	covers := func(row, name string) bool { return name == row || strings.HasPrefix(name, row+".") }
+	exceptRows(t, callerless(loadModule(t), subject), callerlessAllowed, "no non-test code references it")
+}
+
+// unreadAllowed are the struct fields the field guard lets stand without a
+// non-test reader, each with its reason, named as the guard prints them.
+var unreadAllowed = []struct{ name, why string }{
+	{"crystalball/internal/mc.Result.LocalStates", "the differential oracles' opt-in comparison set: a search records it only when a test asks"},
+	{"crystalball/internal/mc.Result.ClaimedStates", "the differential oracles' opt-in comparison set: a search records it only when a test asks"},
+}
+
+// TestEveryFieldIsRead loads the whole module and fails on every field of a
+// package-level struct type in the guard's subjects that no non-test code
+// reads. A write is not a read: the target of = or op=, the operand of ++
+// or --, and a composite-literal key. To mend a finding, delete the field
+// and whatever only it kept alive, or have a test assert the behaviour the
+// field recorded through what the program uses; a row of unreadAllowed, with
+// its reason, is the last resort.
+func TestEveryFieldIsRead(t *testing.T) {
+	exceptRows(t, unread(loadModule(t), subject), unreadAllowed, "no non-test code reads it")
+}
+
+// exceptRows fails on every finding that no row names, itself or as the
+// declaration it belongs to (a type's row covers its methods and fields), and
+// on every row that names no finding: a stale row is dropped, not kept.
+func exceptRows(t *testing.T, findings []string, rows []struct{ name, why string }, complaint string) {
+	t.Helper()
 	matched := map[string]bool{}
-	for _, name := range callerless(pkgs, subject) {
+	for _, name := range findings {
 		allowed := false
-		for _, r := range callerlessAllowed {
-			if covers(r.name, name) {
+		for _, r := range rows {
+			if name == r.name || strings.HasPrefix(name, r.name+".") {
 				matched[r.name], allowed = true, true
 			}
 		}
 		if !allowed {
-			t.Errorf("%s: no non-test code references it", name)
+			t.Errorf("%s: %s", name, complaint)
 		}
 	}
-	for _, r := range callerlessAllowed {
+	for _, r := range rows {
 		if !matched[r.name] {
-			t.Errorf("callerlessAllowed row %s matches no callerless declaration: drop it", r.name)
+			t.Errorf("row %s matches no finding: drop it", r.name)
 		}
 	}
 }
@@ -91,6 +130,23 @@ func TestCallerResolver(t *testing.T) {
 	want := []string{fixture + "/a.Callerless", fixture + "/a.Recursive", fixture + "/a.TestOnly"}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("callerless = %q, want %q", got, want)
+	}
+}
+
+// TestFieldResolver runs the field guard's resolver over the same fixture:
+// fields only assigned, incremented, set by a composite-literal key or read
+// from a test are reported; a field read directly, through an embedded one
+// or as part of a map key, and a generic type's field, are not.
+func TestFieldResolver(t *testing.T) {
+	const fixture = "crystalball/internal/analysis/testdata/callers"
+	pkgs, err := Load(".", "./testdata/callers/...")
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := unread(pkgs, func(path string) bool { return strings.HasPrefix(path, fixture+"/") })
+	want := []string{fixture + "/a.record.assigned", fixture + "/a.record.bumped", fixture + "/a.record.keyed", fixture + "/a.record.testRead"}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("unread = %q, want %q", got, want)
 	}
 }
 
@@ -356,4 +412,136 @@ func usedInterfaces(pkg *Package) []*types.Interface {
 		}
 	}
 	return out
+}
+
+// unread returns, sorted, every field of a subject package's package-level
+// struct type that no code in pkgs reads, named pkg.Type.Field. Any use of a
+// field is a read except the target of = or op=, the operand of ++ or --, and
+// a composite-literal key. A field reached through an embedded one reads the
+// embedded field, and a struct that keys a map type reads every field, its
+// nested structs' included, since the map compares keys whole.
+func unread(pkgs []*Package, subject func(path string) bool) []string {
+	// Each package is checked apart, so a field imported from export data
+	// is not the definer's types.Var: fields are indexed per types.Package,
+	// lazily, the first time one of its fields is met.
+	fields := map[*types.Var]declKey{}
+	indexed := map[*types.Package]bool{}
+	index := func(p *types.Package) {
+		if indexed[p] {
+			return
+		}
+		indexed[p] = true
+		scope := p.Scope()
+		for _, name := range scope.Names() {
+			tn, ok := scope.Lookup(name).(*types.TypeName)
+			if !ok || tn.IsAlias() {
+				continue
+			}
+			if st, ok := tn.Type().Underlying().(*types.Struct); ok {
+				for i := 0; i < st.NumFields(); i++ {
+					if f := st.Field(i); f.Name() != "_" {
+						fields[f] = declKey{p.Path(), name, f.Name()}
+					}
+				}
+			}
+		}
+	}
+	read := map[declKey]bool{}
+	markRead := func(obj types.Object) {
+		if v, ok := obj.(*types.Var); ok && v.IsField() && v.Pkg() != nil {
+			v = v.Origin()
+			index(v.Pkg())
+			if k, ok := fields[v]; ok {
+				read[k] = true
+			}
+		}
+	}
+	// A struct cannot hold itself by value, so the recursion ends.
+	var readWhole func(t types.Type)
+	readWhole = func(t types.Type) {
+		if st, ok := t.Underlying().(*types.Struct); ok {
+			for i := 0; i < st.NumFields(); i++ {
+				markRead(st.Field(i))
+				readWhole(st.Field(i).Type())
+			}
+		}
+	}
+	for _, pkg := range pkgs {
+		if subject(pkg.ImportPath) {
+			index(pkg.Types)
+		}
+		for _, f := range pkg.Files {
+			writes := written(f)
+			ast.Inspect(f, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.Ident:
+					if !writes[n] {
+						markRead(pkg.TypesInfo.Uses[n])
+					}
+				case *ast.SelectorExpr:
+					// x.f through an embedded e is x.e.f: e is read.
+					if sel := pkg.TypesInfo.Selections[n]; sel != nil {
+						t := sel.Recv()
+						for _, i := range sel.Index()[:len(sel.Index())-1] {
+							if p, ok := t.Underlying().(*types.Pointer); ok {
+								t = p.Elem()
+							}
+							e := t.Underlying().(*types.Struct).Field(i)
+							markRead(e)
+							t = e.Type()
+						}
+					}
+				}
+				return true
+			})
+		}
+		for _, tv := range pkg.TypesInfo.Types {
+			if m, ok := tv.Type.Underlying().(*types.Map); ok {
+				readWhole(m.Key())
+			}
+		}
+	}
+	var out []string
+	for _, k := range fields {
+		if subject(k.pkg) && !read[k] && !slices.Contains(out, k.String()) {
+			out = append(out, k.String())
+		}
+	}
+	sort.Strings(out)
+	return out
+}
+
+// written returns the identifiers of f that name a field only to write it:
+// the field selected by an assignment's target or an inc/dec operand, and a
+// composite literal's key. The set may hold identifiers that name no field
+// (a map literal's key); only fields are looked up in it.
+func written(f *ast.File) map[*ast.Ident]bool {
+	writes := map[*ast.Ident]bool{}
+	target := func(e ast.Expr) {
+		if sel, ok := e.(*ast.SelectorExpr); ok {
+			writes[sel.Sel] = true
+		}
+	}
+	ast.Inspect(f, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.AssignStmt:
+			if n.Tok != token.DEFINE {
+				for _, lhs := range n.Lhs {
+					target(lhs)
+				}
+			}
+		case *ast.IncDecStmt:
+			target(n.X)
+		case *ast.CompositeLit:
+			for _, elt := range n.Elts {
+				if kv, ok := elt.(*ast.KeyValueExpr); ok {
+					if id, ok := kv.Key.(*ast.Ident); ok {
+						writes[id] = true
+					}
+				}
+			}
+		}
+		return true
+	})
+	return writes
 }

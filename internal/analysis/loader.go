@@ -19,7 +19,6 @@ import (
 // the type information the analyzers consume.
 type Package struct {
 	ImportPath string
-	Dir        string
 	Files      []*ast.File
 	Fset       *token.FileSet
 	Types      *types.Package
@@ -119,7 +118,6 @@ func Load(dir string, patterns ...string) ([]*Package, error) {
 		}
 		out = append(out, &Package{
 			ImportPath: p.ImportPath,
-			Dir:        p.Dir,
 			Files:      files,
 			Fset:       fset,
 			Types:      pkg,

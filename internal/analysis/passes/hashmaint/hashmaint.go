@@ -57,7 +57,6 @@ type compWrite struct {
 
 // funcFacts summarises one function's relationship to the invariant.
 type funcFacts struct {
-	decl        *ast.FuncDecl
 	writesGuard bool
 	compWrites  []compWrite
 	sharedWrite []compWrite // writes through a pointer-held element
@@ -161,7 +160,7 @@ func lookupGState(pkg *types.Package) *types.Named {
 // and same-package callees.
 func collect(pass *analysis.Pass, gstate *types.Named, fd *ast.FuncDecl) *funcFacts {
 	info := pass.Pkg.TypesInfo
-	ff := &funcFacts{decl: fd, calls: make(map[*types.Func]bool)}
+	ff := &funcFacts{calls: make(map[*types.Func]bool)}
 
 	onGState := func(e ast.Expr) (string, bool) {
 		// Matches g.<field> (possibly through pointers/parens) for g of

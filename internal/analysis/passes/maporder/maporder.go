@@ -52,7 +52,7 @@ func checkFunc(pass *analysis.Pass, fd *ast.FuncDecl) {
 		if _, isMap := t.Underlying().(*types.Map); !isMap {
 			return true
 		}
-		c := &checker{pass: pass, info: info, body: analysis.PosRange{Pos: rs.Body.Pos(), End: rs.Body.End()}}
+		c := &checker{info: info, body: analysis.PosRange{Pos: rs.Body.Pos(), End: rs.Body.End()}}
 		c.loopVars(rs)
 		if c.commutativeBody(rs.Body) {
 			return true
@@ -71,7 +71,6 @@ func checkFunc(pass *analysis.Pass, fd *ast.FuncDecl) {
 // effect on state outside the loop depends on which iterations ran before
 // it.
 type checker struct {
-	pass *analysis.Pass
 	info *types.Info
 	body analysis.PosRange
 	// rangeVars are the key/value objects bound by the range clause, and

@@ -16,8 +16,7 @@ func RunPackage(pkg *Package, analyzers []*Analyzer, scoped bool) ([]Diagnostic,
 			continue
 		}
 		pass := &Pass{
-			Analyzer: a,
-			Pkg:      pkg,
+			Pkg: pkg,
 			Report: func(d Diagnostic) {
 				d.AnalyzerName = a.Name
 				diags = append(diags, d)

@@ -1,5 +1,6 @@
-// Package a is the fixture of TestCallerResolver: each declaration is a case
-// the callerless-declaration guard must or must not report.
+// Package a is the fixture of TestCallerResolver and TestFieldResolver: each
+// declaration is a case the callerless-declaration guard must or must not
+// report, and each field one the field guard must or must not report.
 package a
 
 import "container/heap"
@@ -41,11 +42,35 @@ func (q *queue) Pop() any {
 	return x
 }
 
-// Run pushes a boxed value through a heap.
+// record's fields are the field guard's cases.
+type record struct {
+	read     int // read by Run: not reported
+	assigned int // only the target of = and +=: reported
+	bumped   int // only incremented: reported
+	keyed    int // only a composite-literal key: reported
+	testRead int // read only from a_test.go: reported
+	inner        // read only through its promoted field: not reported
+}
+
+// inner's deep is read through record's embedded inner.
+type inner struct{ deep int }
+
+// pair keys a map, which compares both fields: neither is reported.
+type pair struct{ x, y int }
+
+// Run pushes a boxed value through a heap, then sums a record's fields.
 func Run() int {
 	b := &box[int]{v: 3}
 	q := &queue{}
 	heap.Init(q)
 	heap.Push(q, b.get())
-	return heap.Pop(q).(int)
+	r := record{read: 1, keyed: 2}
+	r.assigned = 3
+	r.assigned += 4
+	r.bumped++
+	seen := map[pair]bool{{1, 2}: true}
+	if seen[pair{1, 2}] {
+		r.deep = 5
+	}
+	return heap.Pop(q).(int) + r.read + r.deep
 }

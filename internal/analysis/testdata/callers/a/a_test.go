@@ -3,7 +3,7 @@ package a
 import "testing"
 
 func TestTestOnly(t *testing.T) {
-	if TestOnly() != 1 {
+	if TestOnly()+(record{}).testRead != 1 {
 		t.Fatal("TestOnly")
 	}
 }

@@ -147,11 +147,9 @@ type Stats struct {
 	FilterUnsafe        int64 // filters rejected by the safety recheck
 	ReplayReinstalls    int64
 	StatesExplored      int64
-	// TransitionsPruned and SleepHits aggregate the checker's
-	// partial-order-reduction counters over all rounds (including
-	// filter-safety rechecks).
+	// TransitionsPruned aggregates the checker's pruned transitions over
+	// all rounds (including filter-safety rechecks).
 	TransitionsPruned int64
-	SleepHits         int64
 	MCVirtualTime     time.Duration
 	// CheckerFailures counts checker rounds that returned an error (a
 	// crashed/timed-out checker process in the paper's deployment). Each
@@ -162,10 +160,6 @@ type Stats struct {
 	// completed. The next successful round clears and re-derives them as
 	// usual.
 	CheckerFailures int64
-	// ConservativeRounds counts rounds the controller spent in
-	// conservative mode (the failing round and every subsequent round
-	// until a checker run succeeds again).
-	ConservativeRounds int64
 	// Stops counts the rounds that searched by why the search ended
 	// (mc.Result.StopReason; a failed checker round counts under "error"):
 	// Stops["states"] is how many rounds the state budget bound. Nil until
@@ -191,9 +185,6 @@ type Controller struct {
 	paths    []Finding // findings with a filter, whose paths a steering round replays
 	busy     bool
 	lastHash uint64 // hash of the last fully-searched snapshot
-	// conservative is set while the node is coasting on the previous
-	// round's filters after a checker failure (Stats.CheckerFailures).
-	conservative bool
 
 	// OnViolation, if set, is called when a report with violations is
 	// processed (examples/quickstart prints each prediction from it, and
@@ -292,11 +283,6 @@ func (c *Controller) onSnapshot(snap *snapshot.Snapshot) {
 	hash := start.Hash()
 	if hash == c.lastHash {
 		c.Stats.Skipped++
-		if c.conservative {
-			// A skipped run also leaves the stale filters in place, so
-			// the coasting continues to be counted.
-			c.Stats.ConservativeRounds++
-		}
 		c.busy = false
 		c.scheduleRound(c.cfg.SnapshotInterval)
 		return
@@ -318,15 +304,12 @@ func (c *Controller) onSnapshot(snap *snapshot.Snapshot) {
 	if cerr != nil {
 		c.countStop("error")
 		c.Stats.CheckerFailures++
-		c.Stats.ConservativeRounds++
-		c.conservative = true
 		// lastHash stays at the last *successful* search, so the next
 		// snapshot is re-checked even if the state did not move.
 		c.busy = false
 		c.scheduleRound(c.cfg.SnapshotInterval)
 		return
 	}
-	c.conservative = false
 
 	// Step 1 (paper, "Rechecking Previously Discovered Violations"): the
 	// first thing the checker does is replay stored error paths; filters
@@ -462,11 +445,10 @@ func (c *Controller) countStop(reason string) {
 	c.Stats.Stops[reason]++
 }
 
-// observeCounters folds one search's reduction counters into the
+// observeCounters folds one search's pruned transitions into the
 // controller stats.
 func (c *Controller) observeCounters(res *mc.Result) {
 	c.Stats.TransitionsPruned += int64(res.TransitionsPruned)
-	c.Stats.SleepHits += int64(res.SleepHits)
 }
 
 func (c *Controller) recordFinding(f Finding) {

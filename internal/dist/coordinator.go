@@ -124,7 +124,7 @@ func (c *Coordinator) RunRound(b mc.Budget, recordStates bool) (*Result, error) 
 	slots := usableSlots(b, len(c.conns))
 	shares := SplitBudget(b, slots)
 	for s := range shares {
-		if err := c.send(s, RoundStart{Round: c.round, Slots: slots, Budget: shares[s], RecordStates: recordStates}); err != nil {
+		if err := c.send(s, RoundStart{Slots: slots, Budget: shares[s], RecordStates: recordStates}); err != nil {
 			return nil, err
 		}
 	}

@@ -116,7 +116,7 @@ func TestDeathRules(t *testing.T) {
 			want: "shard 1: protocol"},
 		{name: "relay: unexpected message", play: map[int]script{1: on(kindRoundStart, ShardReport{Shard: 1})},
 			want: "shard 1: protocol"},
-		{name: "relay: Fault", play: map[int]script{1: on(kindRoundStart, Fault{Shard: 1, Err: "boom"})},
+		{name: "relay: Fault", play: map[int]script{1: on(kindRoundStart, Fault{Err: "boom"})},
 			want: "shard 1: fault"},
 		{name: "relay: conn error", play: map[int]script{1: on(kindRoundStart, hangUp{})},
 			want: "shard 1: conn"},
@@ -132,7 +132,7 @@ func TestDeathRules(t *testing.T) {
 			0: on(kindRoundEnd, quiet...),
 			1: on(kindRoundEnd, ShardReport{Shard: 1}, ShardReport{Shard: 1})},
 			want: "shard 1: protocol"},
-		{name: "report: Fault", play: map[int]script{1: on(kindRoundEnd, Fault{Shard: 1, Err: "boom"})},
+		{name: "report: Fault", play: map[int]script{1: on(kindRoundEnd, Fault{Err: "boom"})},
 			want: "shard 1: fault"},
 		{name: "report: unexpected message", play: map[int]script{1: on(kindRoundEnd, Idle{Shard: 1})},
 			want: "shard 1: protocol"},

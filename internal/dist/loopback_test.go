@@ -18,7 +18,7 @@ func sampleMsgs() []Msg {
 	}
 	return []Msg{
 		RoundStart{
-			Round: 3, Slots: 4,
+			Slots: 4,
 			Budget: mc.Budget{
 				States: 1000, Depth: 12, Wall: 5 * time.Second,
 				Violations: 8, Workers: 2,
@@ -42,7 +42,7 @@ func sampleMsgs() []Msg {
 			Locals:  []uint64{7, 9},
 		},
 		Shutdown{},
-		Fault{Shard: 3, Err: "boom"},
+		Fault{Err: "boom"},
 	}
 }
 

@@ -73,7 +73,7 @@ func TestReplayResolvesSameNamedCallsByArgument(t *testing.T) {
 	}
 	for _, ev := range calls {
 		want := s.ApplyEvent(g, ev)
-		_, got, err := s.ReplayKeys(x, g, []sm.EventKey{DescribeEvent(ev, enc)}, false)
+		_, got, err := s.ReplayKeys(x, g, []sm.EventKey{DescribeEvent(ev, enc)})
 		if err != nil {
 			t.Fatalf("%v: described path does not replay: %v", ev.Call, err)
 		}

@@ -120,7 +120,7 @@ func (sh *shard) serve() error {
 // fault surfaces a shard-side fatal error to the coordinator and returns it.
 func (sh *shard) fault(err error) error {
 	// Best effort: the connection itself may be the problem.
-	_ = sh.conn.Send(Fault{Shard: sh.cfg.Index, Err: err.Error()})
+	_ = sh.conn.Send(Fault{Err: err.Error()})
 	return err
 }
 

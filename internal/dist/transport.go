@@ -31,7 +31,6 @@ const (
 // (usableSlots: a small state bound seats fewer than exist); shard i owns
 // mc.ShardRange(i, Slots) for the duration of the round.
 type RoundStart struct {
-	Round        int
 	Slots        int
 	Budget       mc.Budget
 	RecordStates bool
@@ -129,8 +128,7 @@ func (Shutdown) kind() byte { return kindShutdown }
 // Fault is a shard-side fatal error surfaced to the coordinator, which
 // ends the round with it (cause "fault", Err as the detail).
 type Fault struct {
-	Shard int
-	Err   string
+	Err string
 }
 
 func (Fault) kind() byte { return kindFault }

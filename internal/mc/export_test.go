@@ -340,7 +340,7 @@ func CheckPathOracle(t *testing.T, cfg Config, start *GState) int {
 			x := s.NewExpander()
 			for i := 0; i < e.tree.entries.n; i++ {
 				r := Ref{e.tree, int32(i)}
-				path, g, err := s.ReplayKeys(x, start, r.Keys(), true)
+				path, g, err := s.ReplayKeys(x, start, r.Keys())
 				if err != nil {
 					t.Fatalf("workers=%d window=%d: entry %d at depth %d: %v", workers, window, i, r.Depth(), err)
 				}

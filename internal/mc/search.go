@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"runtime"
 	"slices"
-	"sync/atomic"
 	"time"
 
 	"crystalball/internal/props"
@@ -166,9 +165,8 @@ type Result struct {
 	// frontier states plus hash-set entries (Figures 15/16).
 	PeakMemoryBytes int64
 	// PerStateBytes is PeakMemoryBytes / StatesExplored (Figure 16).
-	PerStateBytes  float64
-	Elapsed        time.Duration
-	DummyRedirects int
+	PerStateBytes float64
+	Elapsed       time.Duration
 	// LocalPrunes counts internal-action expansions skipped by the
 	// consequence-prediction rule (0 in exhaustive mode).
 	LocalPrunes int
@@ -215,10 +213,6 @@ type Result struct {
 // Search runs one exploration. Create with NewSearch, run with Run.
 type Search struct {
 	cfg Config
-	// dummyRedirects counts messages redirected to the dummy node (sends
-	// to nodes outside the snapshot); atomic because handler execution is
-	// spread across the worker pool.
-	dummyRedirects atomic.Int64
 }
 
 // NewSearch returns a Search for the given configuration.
@@ -431,15 +425,12 @@ func (x *Expander) resolve(g *GState, desc sm.EventKey) (sm.Event, error) {
 // ReplayKeys re-executes a descriptor path from root, resolving each
 // descriptor against the events enabled in the state it executed in — the
 // enumeration makes the match unique — and applying it. It returns the state
-// the path reaches and, with wantEvents, the resolved events. This is the one
-// way a stored path becomes events again: a tree's (Ref.Keys) and a sharded
-// violation's (internal/dist).
-func (s *Search) ReplayKeys(x *Expander, root *GState, path []sm.EventKey, wantEvents bool) ([]sm.Event, *GState, error) {
+// the path reaches and the resolved events. This is the one way a stored path
+// becomes events again: a tree's (Ref.Keys) and a sharded violation's
+// (internal/dist).
+func (s *Search) ReplayKeys(x *Expander, root *GState, path []sm.EventKey) ([]sm.Event, *GState, error) {
 	g := root
-	var events []sm.Event
-	if wantEvents {
-		events = make([]sm.Event, 0, len(path))
-	}
+	events := make([]sm.Event, 0, len(path))
 	for i := range path {
 		ev, err := x.resolve(g, path[i])
 		if err != nil {
@@ -449,9 +440,7 @@ func (s *Search) ReplayKeys(x *Expander, root *GState, path []sm.EventKey, wantE
 		if next == nil {
 			return nil, nil, fmt.Errorf("replay step %d: event %s not applicable", i, ev.Describe())
 		}
-		if wantEvents {
-			events = append(events, ev)
-		}
+		events = append(events, ev)
 		g = next
 	}
 	return events, g, nil
@@ -462,7 +451,7 @@ func (s *Search) ReplayKeys(x *Expander, root *GState, path []sm.EventKey, wantE
 // violation's path passes before it is reported, from a search tree or from
 // a shard's report alike.
 func (s *Search) ReplayTo(x *Expander, root *GState, path []sm.EventKey, hash uint64) ([]sm.Event, error) {
-	events, g, err := s.ReplayKeys(x, root, path, true)
+	events, g, err := s.ReplayKeys(x, root, path)
 	if err != nil {
 		return nil, err
 	}
@@ -531,7 +520,6 @@ func (s *Search) Run(start *GState) *Result { return s.RunIn(NewWorkspace(), sta
 // (see Workspace): a caller that runs many searches one after another runs
 // them all in one workspace and gets the results Run would return.
 func (s *Search) RunIn(w *Workspace, start *GState) *Result {
-	s.dummyRedirects.Store(0)
 	e := s.newEngine(w, s.cfg.Budget, HashRange{}, nil)
 	defer w.release()
 	e.Inject(Forward{State: start})
@@ -542,7 +530,6 @@ func (s *Search) RunIn(w *Workspace, start *GState) *Result {
 	}
 	res := e.Result()
 	res.Violations = e.Violations(start)
-	res.DummyRedirects = int(s.dummyRedirects.Load())
 	res.Workers = s.cfg.Budget.Workers
 	return res
 }

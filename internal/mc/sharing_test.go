@@ -158,7 +158,7 @@ func TestExpandedNodesLetGoOfState(t *testing.T) {
 							t.Fatalf("state queued at depth %d without its state", depth)
 						}
 						var err error
-						if _, g, err = s.ReplayKeys(x, start, Ref{e.tree, h.idx}.Keys(), true); err != nil {
+						if _, g, err = s.ReplayKeys(x, start, Ref{e.tree, h.idx}.Keys()); err != nil {
 							t.Fatal(err)
 						}
 					}

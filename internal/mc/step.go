@@ -95,8 +95,8 @@ func findMsg(g *GState, from, to sm.NodeID, msgType string, rst bool) int {
 }
 
 // dispatchSends folds a handler's captured sends into the successor:
-// messages to nodes outside the snapshot go to the dummy node (dropped,
-// counted), and messages over a stale socket become an error notification
+// messages to nodes outside the snapshot go to the dummy node (dropped),
+// and messages over a stale socket become an error notification
 // back to the sender, mirroring the live transport. prefixes[i] is the
 // itemPrefix of the item sends[i] becomes, or 0 where it is not known yet:
 // dispatchSends computes it there and keeps it, so a memoized send is
@@ -111,7 +111,6 @@ func (s *Search) dispatchSends(next *GState, from sm.NodeID, sends []sm.Outgoing
 	sc.slots = slots
 	for i, sd := range sends {
 		if _, known := next.index(sd.To); !known {
-			s.dummyRedirects.Add(1)
 			continue
 		}
 		if next.clearStale(pair{from, sd.To}, sc) {

@@ -152,7 +152,7 @@ func TestPathOracleAcrossEngines(t *testing.T) {
 				for _, f := range sd.in {
 					if f.Parent.t != nil {
 						keys := append(f.Parent.Keys(), f.Desc)
-						if _, g, err := s.ReplayKeys(x, start, keys, false); err != nil || g.Hash() != f.State.Hash() || len(keys) != f.Depth {
+						if _, g, err := s.ReplayKeys(x, start, keys); err != nil || g.Hash() != f.State.Hash() || len(keys) != f.Depth {
 							t.Errorf("arrival at depth %d: %d-key path, err %v", f.Depth, len(keys), err)
 						}
 					}
@@ -175,7 +175,7 @@ func TestPathOracleAcrossEngines(t *testing.T) {
 		claimed = append(claimed, sd.e.ClaimedStates()...)
 		for i := 0; i < sd.e.tree.entries.n; i++ {
 			r := Ref{sd.e.tree, int32(i)}
-			path, g, err := s.ReplayKeys(x, start, r.Keys(), true)
+			path, g, err := s.ReplayKeys(x, start, r.Keys())
 			if err != nil || len(path) != r.Depth() || g.Hash() != r.Hash() {
 				t.Fatalf("entry %d: %d-event path for depth %d reaches %v, entry is %#x (err %v)", i, len(path), r.Depth(), g, r.Hash(), err)
 			}

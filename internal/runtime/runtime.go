@@ -106,14 +106,13 @@ type Node struct {
 	iscView  func() *props.View
 	iscOn    bool
 	// iscFx buffers the speculative execution's effects, iscSpare is the
-	// service copy the handler runs on, and iscPost/iscPre are its
-	// evaluation views, all reused across every ISC check this node
-	// performs (the check runs on the single simulator goroutine). Only the
-	// containers are reused; their contents are refilled per check.
+	// service copy the handler runs on, and iscEval is its evaluation view,
+	// all reused across every ISC check this node performs (the check runs
+	// on the single simulator goroutine). Only the containers are reused;
+	// their contents are refilled per check.
 	iscFx    sm.Effects
 	iscSpare sm.Service
-	iscPost  *props.View
-	iscPre   *props.View
+	iscEval  *props.View
 
 	// OnEvent, if set, runs after every executed handler. Outside tests
 	// only scenario.Deployment.RecordGroundTruth sets it, to evaluate the
@@ -221,14 +220,14 @@ func (n *Node) HandleDeliver(from sm.NodeID, payload any) {
 		if f, ok := sm.FilterFor(n.filters, ev); ok {
 			n.Stats.MessagesDropped++
 			if f.BreakConn {
-				n.net.BreakConn(n.ID, from, true)
+				n.net.BreakConn(n.ID, from)
 			}
 			return
 		}
 		if n.iscBlocks(ev) {
 			// The ISC's corrective action mirrors a message filter:
 			// drop and reset the connection so the sender cleans up.
-			n.net.BreakConn(n.ID, from, true)
+			n.net.BreakConn(n.ID, from)
 			return
 		}
 		n.dispatch(ev)
@@ -283,15 +282,18 @@ func (n *Node) dispatch(ev sm.Event) {
 	}
 }
 
-// invocationRNG returns the deterministic random stream for the current
-// handler invocation; speculative and real execution of the same event use
-// the same stream so they behave identically. It is the node's one Rand,
-// re-seeded: Seed resets all its state, so the stream is the one a fresh
-// sm.NewRand with the same seed draws. Each invocation re-seeds before its
-// handler runs and draws nothing after it returns (the ISC's speculative
-// run ends before the live run begins), so no two invocations share it.
-func (n *Node) invocationRNG() *rand.Rand {
-	n.rng.Seed(invocationSeed(n.seed, n.eventSeq))
+// invocationRNG returns the deterministic random stream of the handler
+// invocation that runs once seq events have been counted. dispatch counts
+// an event before its handler runs, so the live handler draws the stream of
+// the incremented eventSeq; the ISC's speculative run of the same event
+// comes before that count and asks for eventSeq+1, so the two draw alike.
+// It is the node's one Rand, re-seeded: Seed resets all its state, so the
+// stream is the one a fresh sm.NewRand with the same seed draws. Each
+// invocation re-seeds before its handler runs and draws nothing after it
+// returns (the ISC's speculative run ends before the live run begins), so no
+// two invocations share it.
+func (n *Node) invocationRNG(seq uint64) *rand.Rand {
+	n.rng.Seed(invocationSeed(n.seed, seq))
 	return n.rng
 }
 
@@ -303,7 +305,7 @@ func invocationSeed(seed int64, eventSeq uint64) int64 {
 
 // liveCtx returns a context that applies effects for real.
 func (n *Node) liveCtx() sm.Context {
-	return &liveContext{node: n, rng: n.invocationRNG()}
+	return &liveContext{node: n, rng: n.invocationRNG(n.eventSeq)}
 }
 
 type liveContext struct {
@@ -373,11 +375,12 @@ func (n *Node) iscBlocks(ev sm.Event) bool {
 	// The speculative run's sends are held back (paper: "holds the
 	// transmission of messages until the successful completion of the
 	// consistency check") and then simply discarded: the real execution
-	// re-runs the handler with an identical random stream and re-issues them.
+	// re-runs the handler with an identical random stream (the one dispatch
+	// seeds after counting the event) and re-issues them.
 	pending := n.TimerSet()
 	spec := &n.iscFx
-	spec.Begin(n.ID, pending, n.invocationRNG())
-	// The copy is the node's spare: the previous check's post view still
+	spec.Begin(n.ID, pending, n.invocationRNG(n.eventSeq+1))
+	// The copy is the node's spare: the previous check's view still
 	// references it, but that view is Reset before it is filled again.
 	specSvc := n.svc.CloneInto(n.iscSpare)
 	n.iscSpare = specSvc
@@ -385,42 +388,33 @@ func (n *Node) iscBlocks(ev sm.Event) bool {
 		return false
 	}
 	// Evaluate the properties on the last known neighborhood snapshot
-	// with this node's entry replaced by the speculative post-state, and
-	// compare against the same view with the current (pre) state. The two
-	// evaluation views are owned by the node and refilled per check (Add
-	// copies the service/timer references into view-owned NodeViews, so
-	// the snapshot view is never aliased and reuse cannot corrupt it).
-	if n.iscPost == nil {
-		n.iscPost, n.iscPre = props.NewView(), props.NewView()
+	// with this node's entry replaced by the speculative post-state, then
+	// by the current (pre) state. The evaluation view is owned by the node
+	// and refilled per check (Add copies the service/timer references into
+	// view-owned NodeViews, so the snapshot view is never aliased and reuse
+	// cannot corrupt it).
+	if n.iscEval == nil {
+		n.iscEval = props.NewView()
 	}
-	neighborhood := func(view *props.View) *props.View {
-		view.Reset()
-		if n.iscView != nil {
-			if nv := n.iscView(); nv != nil {
-				nodes := nv.Nodes()
-				for i, id := range nv.IDs() {
-					if id != n.ID {
-						view.Add(id, nodes[i].Svc, nodes[i].Timers)
-					}
-				}
+	view := n.iscEval
+	view.Reset()
+	if n.iscView != nil {
+		if nv := n.iscView(); nv != nil {
+			nodes := nv.Nodes()
+			for i, id := range nv.IDs() {
+				view.Add(id, nodes[i].Svc, nodes[i].Timers)
 			}
 		}
-		return view
 	}
-	post := neighborhood(n.iscPost)
-	post.Add(n.ID, specSvc, spec.Timers)
-	violatedPost := n.iscProps.Check(post)
+	view.Add(n.ID, specSvc, spec.Timers)
+	violatedPost := n.iscProps.Check(view)
 	if len(violatedPost) == 0 {
 		return false
 	}
-	pre := neighborhood(n.iscPre)
-	pre.Add(n.ID, n.svc, pending)
-	violatedPre := make(map[string]bool)
-	for _, p := range n.iscProps.Check(pre) {
-		violatedPre[p] = true
-	}
+	view.Add(n.ID, n.svc, pending) // replaces the post-state
+	violatedPre := n.iscProps.Check(view)
 	for _, p := range violatedPost {
-		if !violatedPre[p] {
+		if !slices.Contains(violatedPre, p) {
 			n.Stats.ISCBlocks++
 			return true
 		}

@@ -226,6 +226,76 @@ func TestISCVetoesTimerHandlerThatDropsItsTimer(t *testing.T) {
 	}
 }
 
+// coin is a testsvc node whose gossip handler stores a draw of its
+// invocation's random stream in N and re-arms the timer. A second timer,
+// tick, fires more often and draws nothing: it moves the node's event count,
+// so a vetoed gossip firing's retry draws a new stream.
+type coin struct{ *testsvc.Svc }
+
+const tick sm.TimerID = "tick"
+
+func (c coin) Init(ctx sm.Context) {
+	c.Svc.Init(ctx)
+	ctx.SetTimer(tick, 3*sm.Second/10)
+}
+
+func (c coin) HandleTimer(ctx sm.Context, t sm.TimerID) {
+	if t == tick {
+		ctx.SetTimer(tick, 3*sm.Second/10)
+		return
+	}
+	c.N = ctx.Rand().Intn(2)
+	ctx.SetTimer(testsvc.TimerGossip, sm.Second)
+}
+func (c coin) Clone() sm.Service { return c.CloneInto(nil) }
+
+// CloneInto keeps the copy a coin: the embedded Svc's would return it bare.
+func (c coin) CloneInto(dst sm.Service) sm.Service {
+	d, _ := dst.(coin)
+	return coin{c.Svc.CloneInto(d.Svc).(*testsvc.Svc)}
+}
+
+// TestISCSpeculatesOnTheStreamTheHandlerDraws: the ISC's speculative run of
+// an event draws the random stream the executed handler then draws, so a
+// handler whose draw alone decides a violation is vetoed exactly when it
+// would violate. Speculating on another invocation's stream let such
+// firings through.
+func TestISCSpeculatesOnTheStreamTheHandlerDraws(t *testing.T) {
+	s := sim.New(11)
+	net := simnet.New(s, simnet.UniformPath{Latency: 5 * time.Millisecond, BwBps: 1e9})
+	n := NewNode(s, net, 1, func(id sm.NodeID) sm.Service { return coin{testsvc.New(id).(*testsvc.Svc)} })
+	drewZero := props.Property{
+		Name: "DrewZero",
+		Check: func(v *props.View) bool {
+			for _, nv := range v.Nodes() {
+				if nv.Svc.(coin).N != 0 {
+					return false
+				}
+			}
+			return true
+		},
+	}
+	n.EnableISC(props.Set{drewZero}, nil)
+	executed, through := 0, 0
+	n.OnEvent = func(ev sm.Event) {
+		if ev.Name != string(testsvc.TimerGossip) {
+			return
+		}
+		executed++
+		if n.Service().(coin).N != 0 {
+			through++
+		}
+	}
+	s.RunFor(10 * time.Minute)
+	if through != 0 {
+		t.Fatalf("%d of %d executed firings left the draw at 1 under the ISC (%d checks, %d blocks)", through, executed, n.Stats.ISCChecks, n.Stats.ISCBlocks)
+	}
+	if executed == 0 || n.Stats.ISCBlocks == 0 {
+		t.Fatalf("%d firings executed, %d vetoed: the test exercises nothing", executed, n.Stats.ISCBlocks)
+	}
+	t.Logf("%d firings executed, %d vetoed", executed, n.Stats.ISCBlocks)
+}
+
 func viewOf(n *Node) *props.View {
 	v := props.NewView()
 	svc, timers := n.View()
@@ -317,10 +387,10 @@ func TestInvocationRNGMatchesFreshRand(t *testing.T) {
 	s.RunFor(5 * time.Second) // some events, so eventSeq is not 0
 	buf := make([]byte, 3)
 	for round := 0; round < 3; round++ {
-		dirty := n.invocationRNG()
+		dirty := n.invocationRNG(n.eventSeq)
 		dirty.Intn(1000)
 		dirty.Read(buf) // leaves the Rand's Read buffer half used
-		rng, want := n.invocationRNG(), sm.NewRand(invocationSeed(n.seed, n.eventSeq))
+		rng, want := n.invocationRNG(n.eventSeq), sm.NewRand(invocationSeed(n.seed, n.eventSeq))
 		for i := 0; i < 300; i++ {
 			var got, exp uint64
 			switch i % 3 {

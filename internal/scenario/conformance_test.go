@@ -130,7 +130,8 @@ func TestCheckerMatchesRuntime(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			factory, err := d.Scenario.Factory(d.Service)
+			// The factory Deploy built: the scenario's Live options.
+			factory, err := d.Scenario.Factory(d.Scenario.LiveOptions(scenario.Options{}))
 			if err != nil {
 				t.Fatal(err)
 			}

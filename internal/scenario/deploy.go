@@ -73,9 +73,6 @@ type DeployOptions struct {
 // Scenario.Deploy.
 type Deployment struct {
 	Scenario *Scenario
-	// Service is the resolved service options the factory was built
-	// with.
-	Service Options
 	// Props is the property set supervising this deployment (what the
 	// controllers check, or the scenario set when bare).
 	Props props.Set
@@ -122,7 +119,6 @@ func (sc *Scenario) Deploy(o DeployOptions) (*Deployment, error) {
 
 	d := &Deployment{
 		Scenario: sc,
-		Service:  opts,
 		Props:    sc.Props,
 		Sim:      s,
 		Net:      simnet.New(s, path),

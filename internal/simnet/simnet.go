@@ -392,29 +392,26 @@ func (n *Network) rngOf(ctl bool) rngSource {
 }
 
 // BreakConn severs the current connection between a and b (if any) without
-// a partition: both sides will discover on next use; if notify is true, both
-// sides get an immediate ConnError (like an application-initiated RST, which
-// execution steering uses as a corrective action).
-func (n *Network) BreakConn(a, b sm.NodeID, notify bool) {
+// a partition, like an application-initiated RST, which execution steering
+// uses as a corrective action: a, the initiator, knows at once, and b gets a
+// ConnError one path latency later.
+func (n *Network) BreakConn(a, b sm.NodeID) {
 	k := keyFor(a, b, false)
 	c, ok := n.conns[k]
 	if !ok {
-		// No live connection object; still create a tombstone so the
-		// peer's next send can observe the break when notify is off.
+		// No live connection object; still create one to carry the break.
 		c = &conn{key: k, incarnation: map[sm.NodeID]uint64{}, lastArrival: map[sm.NodeID]sim.Time{}}
 		n.conns[k] = c
 	}
 	c.close(a) // the initiator knows
-	if notify {
-		bs := n.state(b)
-		bInc := bs.incarnation
-		n.sim.After(n.path.Latency, func() {
-			c.aware[b] = true
-			if bs.alive && bs.incarnation == bInc && bs.handler != nil {
-				bs.handler.HandleConnError(a)
-			}
-		})
-	}
+	bs := n.state(b)
+	bInc := bs.incarnation
+	n.sim.After(n.path.Latency, func() {
+		c.aware[b] = true
+		if bs.alive && bs.incarnation == bInc && bs.handler != nil {
+			bs.handler.HandleConnError(a)
+		}
+	})
 }
 
 // TotalBytesOut sums sent bytes for a kind across all nodes.

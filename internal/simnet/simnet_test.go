@@ -263,7 +263,7 @@ func TestBreakConnNotify(t *testing.T) {
 	s, n, recs := newNet(t)
 	n.Send(1, 2, "pre", 10, KindService)
 	drain(s)
-	n.BreakConn(1, 2, true) // steering-style RST: node 2 learns
+	n.BreakConn(1, 2) // steering-style RST: node 2 learns
 	drain(s)
 	if len(recs[2].errors) != 1 || recs[2].errors[0] != 1 {
 		t.Fatalf("peer errors = %v, want [1]", recs[2].errors)

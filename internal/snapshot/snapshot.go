@@ -47,8 +47,7 @@ const (
 )
 
 // sortedIDs returns the keys of a NodeID-keyed map in sorted order, so that
-// request fan-out and missing-peer bookkeeping never depend on Go's
-// randomized map iteration order.
+// request fan-out never depends on Go's randomized map iteration order.
 func sortedIDs[V any](m map[sm.NodeID]V) []sm.NodeID {
 	ids := make([]sm.NodeID, 0, len(m))
 	for id := range m {
@@ -65,16 +64,12 @@ type Checkpoint struct {
 }
 
 // Snapshot is the result of a neighborhood collection: a consistent cut of
-// the neighborhood at logical time CN.
+// the neighborhood at the collector's logical time.
 type Snapshot struct {
-	CN     uint64
-	Origin sm.NodeID
-	// States maps node id to its full-state encoding (self included).
+	// States maps node id to its full-state encoding (self included). A
+	// neighbor that failed to contribute (a dead or unreachable peer, an
+	// undecodable payload) has no entry.
 	States map[sm.NodeID][]byte
-	// Missing lists neighbors that failed to contribute (dead or
-	// unreachable peers, undecodable payloads).
-	Missing []sm.NodeID
-	At      sim.Time
 }
 
 // Protocol payloads carried in runtime.ControlEnvelope.
@@ -102,14 +97,9 @@ type received struct {
 
 // Stats counts checkpoint-manager activity.
 type Stats struct {
-	CheckpointsTaken   int64
-	ForcedCheckpoints  int64
-	SnapshotsCollected int64
-	SnapshotsFailed    int64
-	ResponsesSent      int64
-	DupSuppressed      int64
-	BytesSentRaw       int64
-	BytesSentWire      int64
+	ResponsesSent int64
+	DupSuppressed int64
+	BytesSentWire int64
 }
 
 // collection tracks one in-progress snapshot gather.
@@ -118,7 +108,6 @@ type collection struct {
 	cr      uint64
 	want    map[sm.NodeID]bool
 	states  map[sm.NodeID][]byte
-	missing []sm.NodeID
 	done    func(*Snapshot)
 	timeout *sim.Timer
 }
@@ -186,7 +175,6 @@ func (m *Manager) takeCheckpoint(stamp uint64) {
 	svc, timers := m.node.View()
 	ck := Checkpoint{CN: stamp, State: sm.EncodeFullState(svc, timers)}
 	m.store = append(m.store, ck)
-	m.Stats.CheckpointsTaken++
 	// Enforce the storage quota, oldest first, in place: the store keeps
 	// its backing array, and the dropped tail slots let go of their states.
 	if over := len(m.store) - quota; over > 0 {
@@ -202,7 +190,6 @@ func (m *Manager) OutgoingCN() uint64 { return m.cn }
 // IncomingCN implements runtime.CheckpointHook: the forced-checkpoint rule.
 func (m *Manager) IncomingCN(cn uint64) {
 	if cn > m.cn {
-		m.Stats.ForcedCheckpoints++
 		m.cn = cn
 		m.takeCheckpoint(cn)
 	}
@@ -215,7 +202,6 @@ func (m *Manager) PeerError(peer sm.NodeID) {
 		return
 	}
 	delete(m.col.want, peer)
-	m.col.missing = append(m.col.missing, peer)
 	m.maybeFinish()
 }
 
@@ -258,7 +244,6 @@ func (m *Manager) Collect(neighbors []sm.NodeID, done func(*Snapshot)) {
 		if m.col != col {
 			return
 		}
-		col.missing = append(col.missing, sortedIDs(col.want)...)
 		col.want = map[sm.NodeID]bool{}
 		m.maybeFinish()
 	})
@@ -305,7 +290,6 @@ func (m *Manager) handleRequest(from sm.NodeID, req ckptRequest) {
 		return
 	}
 	resp.Data = m.lzw.compress(ck.State)
-	m.Stats.BytesSentRaw += int64(len(ck.State))
 	m.Stats.BytesSentWire += int64(len(resp.Data))
 	m.node.SendControl(from, resp, len(resp.Data)+24)
 }
@@ -325,11 +309,9 @@ func (m *Manager) handleResponse(from sm.NodeID, resp ckptResponse) {
 		state = data
 		m.lastRecv[from] = received{state: state, hash: resp.Hash}
 	}
-	if state == nil {
-		// No cached copy matches the Dup, or the payload does not
-		// expand: the peer is missing from this cut.
-		col.missing = append(col.missing, from)
-	} else {
+	// No cached copy matches the Dup, or the payload does not expand: the
+	// peer is missing from this cut.
+	if state != nil {
 		col.states[from] = state
 	}
 	m.maybeFinish()
@@ -344,19 +326,7 @@ func (m *Manager) maybeFinish() {
 		col.timeout.Cancel()
 	}
 	m.col = nil
-	snap := &Snapshot{
-		CN:      col.cr,
-		Origin:  m.node.ID,
-		States:  col.states,
-		Missing: col.missing,
-		At:      m.sim.Now(),
-	}
-	if len(col.missing) > 0 {
-		m.Stats.SnapshotsFailed++
-	} else {
-		m.Stats.SnapshotsCollected++
-	}
-	col.done(snap)
+	col.done(&Snapshot{States: col.states})
 }
 
 func hashBytes(b []byte) uint64 {

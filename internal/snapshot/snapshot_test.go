@@ -42,8 +42,8 @@ func setup(t *testing.T, n int, interval time.Duration) *fixture {
 func TestPeriodicCheckpoints(t *testing.T) {
 	f := setup(t, 1, time.Second)
 	f.sim.RunFor(5500 * time.Millisecond)
-	if got := f.mgrs[0].Stats.CheckpointsTaken; got < 5 {
-		t.Fatalf("checkpoints taken = %d, want >= 5", got)
+	if got := len(f.mgrs[0].store); got < 5 {
+		t.Fatalf("checkpoints stored = %d, want >= 5", got)
 	}
 	if f.mgrs[0].OutgoingCN() < 5 {
 		t.Fatalf("cn = %d, want >= 5", f.mgrs[0].OutgoingCN())
@@ -54,8 +54,8 @@ func TestQuotaPrunesOldest(t *testing.T) {
 	f := setup(t, 1, 100*time.Millisecond)
 	f.sim.RunFor(5 * time.Second) // 50 periodic checkpoints
 	m := f.mgrs[0]
-	if m.Stats.CheckpointsTaken <= quota {
-		t.Fatalf("only %d checkpoints taken, want more than the quota %d", m.Stats.CheckpointsTaken, quota)
+	if m.OutgoingCN() <= quota {
+		t.Fatalf("only %d checkpoints taken, want more than the quota %d", m.OutgoingCN(), quota)
 	}
 	if got := len(m.store); got != quota {
 		t.Fatalf("stored = %d, quota %d", got, quota)
@@ -78,8 +78,11 @@ func TestForcedCheckpointOnHigherCN(t *testing.T) {
 	mb := NewManager(s, b, time.Hour)
 	_ = ma
 	s.RunFor(3200 * time.Millisecond) // node 1's gossip (1s period) carries growing cn
-	if mb.Stats.ForcedCheckpoints == 0 {
-		t.Fatal("no forced checkpoints at the slow node")
+	// Node 2's hour-long interval takes no periodic checkpoint in this run,
+	// which would be stamped 1: each one it stores was forced by a higher
+	// incoming cn and carries that cn.
+	if len(mb.store) == 0 || mb.store[0].CN <= 1 {
+		t.Fatalf("no forced checkpoints at the slow node: %d stored", len(mb.store))
 	}
 	// b's clock must track a's to within one gossip period's worth of
 	// checkpoints (5 x 200ms) plus propagation.
@@ -97,8 +100,8 @@ func TestCollectNeighborhoodSnapshot(t *testing.T) {
 	if got == nil {
 		t.Fatal("collection never completed")
 	}
-	if len(got.Missing) != 0 {
-		t.Fatalf("missing = %v", got.Missing)
+	if len(got.States) != 3 {
+		t.Fatalf("snapshot holds %d states, want 3", len(got.States))
 	}
 	for _, id := range []sm.NodeID{1, 2, 3} {
 		data, ok := got.States[id]
@@ -125,21 +128,29 @@ func TestCollectSnapshotConsistentCut(t *testing.T) {
 	// this surfaces as: decoded counters may differ, but any message in
 	// the cut carries cn <= snapshot CN, so a receiver's forced
 	// checkpoint happens before processing. We verify the observable
-	// half: every collection completes with states stamped at CN >= cr,
-	// and a later collection never yields an older cut.
+	// half: every collection completes with each node's earliest checkpoint
+	// stamped at CN >= cr, and a later collection cuts at a later cr.
 	f := setup(t, 4, 500*time.Millisecond)
 	f.nodes[0].App(testsvc.Bump{})
 	f.sim.RunFor(2 * time.Second)
-	var first, second *Snapshot
-	f.mgrs[0].Collect([]sm.NodeID{2, 3, 4}, func(s *Snapshot) { first = s })
-	f.sim.RunFor(2 * time.Second)
-	f.mgrs[0].Collect([]sm.NodeID{2, 3, 4}, func(s *Snapshot) { second = s })
-	f.sim.RunFor(2 * time.Second)
-	if first == nil || second == nil {
-		t.Fatal("collections did not complete")
-	}
-	if second.CN <= first.CN {
-		t.Fatalf("later snapshot has older cut: %d <= %d", second.CN, first.CN)
+	var last uint64
+	for round := 0; round < 2; round++ {
+		var got *Snapshot
+		f.mgrs[0].Collect([]sm.NodeID{2, 3, 4}, func(s *Snapshot) { got = s })
+		cr := f.mgrs[0].OutgoingCN()
+		f.sim.RunFor(2 * time.Second)
+		if got == nil || len(got.States) != 4 {
+			t.Fatalf("collection %d did not complete: %+v", round, got)
+		}
+		if cr <= last {
+			t.Fatalf("collection %d cuts at %d, not after the previous cut %d", round, cr, last)
+		}
+		last = cr
+		for i, m := range f.mgrs {
+			if want := m.checkpointAt(cr).State; !bytes.Equal(got.States[sm.NodeID(i+1)], want) {
+				t.Fatalf("collection %d: node %d's state is not its earliest checkpoint at or after %d", round, i+1, cr)
+			}
+		}
 	}
 }
 
@@ -153,11 +164,11 @@ func TestCollectWithDeadNeighbor(t *testing.T) {
 	if got == nil {
 		t.Fatal("collection never completed despite dead neighbor")
 	}
-	if len(got.Missing) != 1 || got.Missing[0] != 3 {
-		t.Fatalf("missing = %v, want [3]", got.Missing)
+	if _, ok := got.States[3]; ok {
+		t.Fatal("dead neighbor's state present")
 	}
-	if _, ok := got.States[2]; !ok {
-		t.Fatal("live neighbor's state absent")
+	if _, ok := got.States[2]; !ok || len(got.States) != 2 {
+		t.Fatalf("snapshot holds %d states, want its own and the live neighbor's", len(got.States))
 	}
 }
 
@@ -199,7 +210,7 @@ func TestDupNeverResolvesToAStaleCopy(t *testing.T) {
 	var s1, s2, s3 *Snapshot
 	requester.Collect([]sm.NodeID{2}, func(s *Snapshot) { s1 = s })
 	f.sim.RunFor(50 * time.Millisecond)
-	if s1 == nil || len(s1.Missing) != 0 {
+	if s1 == nil || s1.States[2] == nil {
 		t.Fatalf("first collection: %+v", s1)
 	}
 	stale := s1.States[2]
@@ -214,14 +225,14 @@ func TestDupNeverResolvesToAStaleCopy(t *testing.T) {
 	f.net.Partition(1, 2, true)
 	f.nodes[0].App(testsvc.Bump{})
 	f.sim.RunFor(10 * time.Millisecond)
-	if s2 == nil || len(s2.Missing) != 1 || s2.Missing[0] != 2 {
+	if s2 == nil || s2.States[2] != nil {
 		t.Fatalf("second collection should miss node 2: %+v", s2)
 	}
 	f.net.Partition(1, 2, false)
 
 	requester.Collect([]sm.NodeID{2}, func(s *Snapshot) { s3 = s })
 	f.sim.RunFor(50 * time.Millisecond)
-	if s3 == nil || len(s3.Missing) != 0 {
+	if s3 == nil || s3.States[2] == nil {
 		t.Fatalf("third collection: %+v", s3)
 	}
 	current := responder.store[len(responder.store)-1].State
@@ -242,6 +253,7 @@ func TestDupNeverResolvesToAStaleCopy(t *testing.T) {
 // and behind CN(), and collections well past the storage quota.
 func TestNewestCheckpointCarriesCN(t *testing.T) {
 	f := setup(t, 3, 70*time.Millisecond)
+	collected := 0
 	check := func(step string) {
 		t.Helper()
 		for i, m := range f.mgrs {
@@ -274,7 +286,11 @@ func TestNewestCheckpointCarriesCN(t *testing.T) {
 			f.mgrs[2].HandleControl(1, ckptRequest{CR: 1, Seq: 1 << 40})
 			check("request behind CN()")
 		case 3:
-			f.mgrs[0].Collect([]sm.NodeID{2, 3}, func(*Snapshot) {})
+			f.mgrs[0].Collect([]sm.NodeID{2, 3}, func(s *Snapshot) {
+				if s != nil {
+					collected++
+				}
+			})
 			check("collection")
 		}
 	}
@@ -284,7 +300,7 @@ func TestNewestCheckpointCarriesCN(t *testing.T) {
 			t.Fatalf("node %d stores %d checkpoints: the run never went past the quota %d", i+1, len(m.store), quota)
 		}
 	}
-	if f.mgrs[0].Stats.SnapshotsCollected == 0 {
+	if collected == 0 {
 		t.Fatal("no collection completed")
 	}
 }
@@ -350,6 +366,29 @@ func TestReusedCoderEqualsFreshCoder(t *testing.T) {
 		if err != nil || !bytes.Equal(out, data) {
 			t.Fatalf("payload %d: reused coder expands to %d B (%v), want the %d B that went in", i, len(out), err, len(data))
 		}
+	}
+}
+
+// TestResponseCarriesTheCompressedCheckpoint: a payload response puts on the
+// wire the requested checkpoint as the responder's own coder compresses it,
+// in fewer bytes than the checkpoint holds.
+func TestResponseCarriesTheCompressedCheckpoint(t *testing.T) {
+	f := setup(t, 2, time.Second)
+	f.sim.RunFor(5 * time.Second)
+	m := f.mgrs[1]
+	ck := m.checkpointAt(m.OutgoingCN())
+	before := m.Stats.BytesSentWire
+	m.HandleControl(1, ckptRequest{CR: ck.CN, Seq: 1 << 40})
+	sent := m.Stats.BytesSentWire - before
+	data := m.lzw.compress(ck.State)
+	if sent != int64(len(data)) {
+		t.Fatalf("response put %d B on the wire, the checkpoint compresses to %d B", sent, len(data))
+	}
+	if sent >= int64(len(ck.State)) {
+		t.Fatalf("a %d B checkpoint went on the wire as %d B", len(ck.State), sent)
+	}
+	if out, err := m.lzw.decompress(data); err != nil || !bytes.Equal(out, ck.State) {
+		t.Fatalf("the wire form expands to %d B (%v), not the checkpoint", len(out), err)
 	}
 }
 

@@ -419,6 +419,9 @@ func TestUnpublishedResetAllocatesNothing(t *testing.T) {
 // whose event sends or consumes an item the in-flight container), which a
 // leaf cost as well before leaves were checked where they are built. The
 // leaf mark takes what was a proposal's padding: a proposal stays 64 bytes.
+// And the claim pass at the bound keeps of each clean leaf its fingerprint,
+// in the leaf set, and a count in its bucket: no tree entry and no held
+// entry, while Claimed and the states explored count every one.
 func TestCleanLeafPublishesNothing(t *testing.T) {
 	if size := unsafe.Sizeof(proposal{}); size > 64 {
 		t.Errorf("a proposal is %d bytes, want <= 64", size)
@@ -458,6 +461,30 @@ func TestCleanLeafPublishesNothing(t *testing.T) {
 	}
 	if inner < 2*float64(len(children)) {
 		t.Errorf("publishing %d children allocates %.1f/op, want at least two per child: the bound compares nothing", len(children), inner)
+	}
+
+	distinct := map[uint64]bool{}
+	for _, p := range leaves {
+		distinct[p.hash] = true
+	}
+	e := s.NewEngine(Budget{Depth: 1, Workers: 1}, HashRange{}, nil)
+	e.Inject(Forward{State: g})
+	entries, clean := -1, -1
+	if err := e.Drain(func() error {
+		if b := e.fr.peek(1); b != nil {
+			entries, clean = b.held.n, b.clean
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	res := e.Result()
+	if e.tree.entries.n != 1 || entries != 0 || clean != len(distinct) || e.leafSet.len() != len(distinct) {
+		t.Errorf("%d distinct clean leaves claimed into %d tree entries but the root's, %d held entries, a count of %d and %d fingerprints",
+			len(distinct), e.tree.entries.n-1, entries, clean, e.leafSet.len())
+	}
+	if e.Claimed() != 1+len(distinct) || res.StatesExplored != e.Claimed() || res.MaxDepthReached != 1 {
+		t.Errorf("%d distinct clean leaves: %d claimed, %d explored to depth %d", len(distinct), e.Claimed(), res.StatesExplored, res.MaxDepthReached)
 	}
 }
 

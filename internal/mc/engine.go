@@ -124,13 +124,16 @@ func (c *collector) record(sig string, properties []string, r Ref) (quotaFilled 
 }
 
 // held is a claimed state the engine still has to expand (or, at the depth
-// bound, only to admit): the one place a *GState and a sleep set are kept,
-// in 24 bytes. state is nil for a clean leaf, which was checked where it was
-// built, and a worker clears it the moment the entry is expanded. The sleep
-// set (reduce.go) is no slice of its own but a run of the bucket's sleep
-// storage, sleepLen values from sleepAt (bucket.sleepOf): the claim pass that
-// follows the entry's expansion reads it (its children's promises inherit
-// from it), and it is let go with the bucket.
+// bound, only to check): the one place a *GState and a sleep set are kept,
+// in 24 bytes. A worker clears state the moment the entry is expanded. The
+// sleep set (reduce.go) is no slice of its own but a run of the bucket's
+// sleep storage, sleepLen values from sleepAt (bucket.sleepOf): the claim
+// pass that follows the entry's expansion reads it (its children's promises
+// inherit from it), and it is let go with the bucket. An entry whose sleep
+// set is empty has no use for sleepAt, which counts instead the clean leaves
+// queued in its bucket before it (frontier.push) — none but at the depth
+// bound, where every sleep set is empty. A clean leaf has no entry: it is a
+// fingerprint in the leaf set and a count in its bucket.
 type held struct {
 	state    *GState
 	sleepAt  uint32
@@ -143,10 +146,23 @@ type held struct {
 // copies nothing and a level of ten costs ten entries. A sleep set is written
 // once, by the claim pass that queues its state (Tree.childSleep reserves the
 // run, which never straddles a chunk), and only ever shrinks in place after
-// (Engine.narrow): an intersection is a subset.
+// (Engine.narrow): an intersection is a subset. clean counts the clean leaves
+// queued at the bucket's depth, the depth bound, which hold no entry; with
+// each entry's count of those before it, it is what admits them in the order
+// they were claimed (Engine.admitClean).
 type bucket struct {
 	held  slab[held]
 	sleep slab[uint32]
+	clean int
+}
+
+// cleanBefore returns how many clean leaves were queued in b before its
+// entry pos, or in all if pos is past the last entry.
+func (b *bucket) cleanBefore(pos int) int {
+	if pos < b.held.n {
+		return int(b.held.at(pos).sleepAt)
+	}
+	return b.clean
 }
 
 // sleepOf returns h's sleep set, h an entry of b: a run of b's storage, nil
@@ -191,14 +207,28 @@ func (f *frontier) at(depth int) *bucket {
 	return f.buckets[depth]
 }
 
-// push queues h at depth and returns its position in the bucket.
+// push queues h at depth and returns its position in the bucket. If h's
+// sleep set is empty, its sleepAt records the clean leaves queued at depth so
+// far.
 func (f *frontier) push(depth int, h held) int {
+	b := f.add(depth)
+	if h.sleepLen == 0 {
+		h.sleepAt = uint32(b.clean)
+	}
+	return b.held.push(h)
+}
+
+// pushClean queues a clean leaf at depth: a count, not an entry.
+func (f *frontier) pushClean(depth int) { f.add(depth).clean++ }
+
+// add counts one more state queued at depth and returns depth's bucket.
+func (f *frontier) add(depth int) *bucket {
 	b := f.at(depth)
 	if f.count == 0 || depth < f.low {
 		f.low = depth
 	}
 	f.count++
-	return b.held.push(h)
+	return b
 }
 
 // recycle empties b, a bucket popBucket returned, and keeps it spare. What a
@@ -206,6 +236,7 @@ func (f *frontier) push(depth int, h held) int {
 func (f *frontier) recycle(b *bucket) {
 	b.held.reset()
 	b.sleep.reset()
+	b.clean = 0
 	f.spare = append(f.spare, b)
 }
 
@@ -221,12 +252,21 @@ func (f *frontier) clear() {
 	f.low, f.count = 0, 0
 }
 
-// len returns the number of states queued at depth.
+// peek returns depth's bucket, nil if it has none.
+func (f *frontier) peek(depth int) *bucket {
+	if depth >= len(f.buckets) {
+		return nil
+	}
+	return f.buckets[depth]
+}
+
+// len returns the number of states queued at depth, clean leaves included.
 func (f *frontier) len(depth int) int {
-	if depth >= len(f.buckets) || f.buckets[depth] == nil {
+	b := f.peek(depth)
+	if b == nil {
 		return 0
 	}
-	return f.buckets[depth].held.n
+	return b.held.n + b.clean
 }
 
 // popBucket removes and returns the lowest non-empty bucket and its depth.
@@ -236,7 +276,7 @@ func (f *frontier) popBucket() (*bucket, int) {
 	}
 	b := f.buckets[f.low]
 	f.buckets[f.low] = nil
-	f.count -= b.held.n
+	f.count -= b.held.n + b.clean
 	return b, f.low
 }
 
@@ -264,16 +304,18 @@ func (f *frontier) popBucket() (*bucket, int) {
 // expansion order.
 //
 // Who owns what. A claimed state is an entry of the engine's Tree (search.go)
-// and, until it is expanded, a held entry of the frontier; nothing else is
-// kept per state. During a sweep the workers read the tree, the tables and
-// the bucket being drained, and each writes only its own Expander's buffers
-// (proposals, explored sibling keys, clean leaves' local hashes, the proposed
-// set — values, reused every window — and the scratch it builds successors
-// in), the window slot of the position it expands, and the state field of the
-// held entry it expands. Between sweeps the draining goroutine alone writes:
-// the claim pass appends tree entries, interns event descriptors (the only
-// place that happens, with Inject), builds sleep sets in the storage of the
-// bucket it queues into, queues held entries and updates the tables. A
+// and, until it is expanded, a held entry of the frontier — or, a clean leaf
+// at the depth bound, a fingerprint in the leaf set and a count in its
+// bucket; nothing else is kept per state. During a sweep the workers read
+// the tree, the tables and the bucket being drained, and each writes only its
+// own Expander's buffers (proposals, explored sibling keys, clean leaves'
+// local hashes, the proposed set — values, reused every window — and the
+// scratch it builds successors in), the window slot of the position it
+// expands, and the state field of the held entry it expands. Between sweeps
+// the draining goroutine alone writes: the claim pass appends tree entries,
+// interns event descriptors (the only place that happens, with Inject),
+// builds sleep sets in the storage of the bucket it queues into, queues held
+// entries and clean leaves, and updates the tables and the leaf set. A
 // proposal the claim pass rejects leaves nothing behind; a held state is
 // released by the worker that expands it, and its sleep set with its bucket.
 // The pristine services resets copy are built once, by the first Inject, and
@@ -287,15 +329,19 @@ func (f *frontier) popBucket() (*bucket, int) {
 // earlier in the window — is proposed without a state, for the claim pass to
 // narrow (see fate).
 //
-// A child at Budget.Depth holds a state only if it violates a property. It
-// is only ever property-checked, so the worker that builds it checks it
-// there, in its scratch, before anything of it is on the heap: a clean one is
-// never published — it is proposed with the local hash of the node its event
-// executed at, which the claim pass records, and queued as a bare entry — and
-// a violating one is published and queued with its state like any other
-// child. Either way it is admitted, reported and counted when its bucket is
-// drained, in the order an unchecked leaf would be. A leaf another range owns
-// is published, since the sink forwards the state.
+// A child at Budget.Depth is only ever property-checked, so the worker that
+// builds it checks it there, in its scratch, before anything of it is on the
+// heap. A clean one is never published and costs one fingerprint: it is
+// proposed with the local hash of the node its event executed at, which the
+// claim pass records, and claimed into the leaf set — no tree entry, no
+// interned descriptor, no held entry; its bucket counts it. That is hash
+// compaction (Stern and Dill) at the one level the search never expands, and
+// it loses nothing: visited, too, tells claimed states apart by their 64-bit
+// fingerprints alone. A violating leaf is published, claimed into the tree —
+// its path must replay — and queued with its state like any other child.
+// Either way a leaf is admitted, reported and counted when its bucket is
+// drained, in the order the claim pass claimed it (admitClean). A leaf
+// another range owns is published, since the sink forwards the state.
 //
 // A child with at least as many states queued ahead of it as Budget.States
 // has units left is never held, since it can never be admitted: it enters the
@@ -314,7 +360,9 @@ func (f *frontier) popBucket() (*bucket, int) {
 // a depth-bounded BFS explores. Within one range that never fires (buckets
 // drain in depth order); it is what makes a sharded search, where states
 // arrive from other shards at any depth, claim the same set as the serial
-// one.
+// one. A state claimed as a clean leaf and arriving shallower is claimed into
+// visited like any other and leaves the leaf set (claim), so every claimed
+// fingerprint is in exactly one of the two.
 //
 // With Config.Reduce on, expansion runs the sleep-set partial-order
 // reduction of reduce.go: network transitions slept by the claimed state's
@@ -364,7 +412,7 @@ type Engine struct {
 // worker knew the claim pass could not claim the successor (Engine.fate): it
 // is proposed only so that the claim pass narrows the state that holds its
 // fingerprint. It is nil too for a clean leaf, which the claim pass claims
-// without a state.
+// into the leaf set, a fingerprint with no tree entry.
 type proposal struct {
 	state *GState
 	hash  uint64      // the successor's fingerprint
@@ -425,7 +473,7 @@ type Expander struct {
 	rsts   []sm.NodeID    // the nodes an RST is in flight to in the expanding state (consequence, conn breaks on)
 	// proposed is the set of fingerprints this worker proposed in the current
 	// window.
-	proposed table
+	proposed hashSet
 	// expanded counts the positions the worker expanded in the current
 	// window, and sibRate is the room sizeSibs gives a position in sibs.
 	expanded, sibRate int
@@ -538,7 +586,24 @@ func (s *Search) newEngine(w *Workspace, b Budget, own HashRange, forward func(F
 //crystal:hotpath
 func (e *Engine) Seen(h uint64, depth int) bool {
 	_, ent := e.visited.get(h, e.tree)
-	return ent != nil && int(ent.depth) <= depth
+	return ent != nil && int(ent.depth) <= depth || e.leafAt(h, depth)
+}
+
+// leafAt reports whether h is claimed as a clean leaf at depth or shallower:
+// the leaf set's fingerprints were claimed at the depth bound.
+//
+//crystal:hotpath
+func (e *Engine) leafAt(h uint64, depth int) bool {
+	return depth >= e.bdg.lim.Depth && e.leafSet.has(h)
+}
+
+// claim records that tree entry idx claims h. In a sharded search h may have
+// been claimed as a clean leaf before, deeper; it leaves the leaf set.
+//
+//crystal:hotpath
+func (e *Engine) claim(h uint64, idx int32) {
+	e.visited.put(h, idx, e.tree)
+	e.leafSet.remove(h)
 }
 
 // Inject claims f.State into the engine's range as a chain root at f.Depth
@@ -551,12 +616,12 @@ func (e *Engine) Inject(f Forward) (Ref, bool) {
 		return Ref{}, false
 	}
 	idx := e.tree.root(f)
-	e.visited.put(f.State.Hash(), idx, e.tree)
+	e.claim(f.State.Hash(), idx)
 	// A chain root (the start state, or a state that arrived from another
 	// engine) records every node's local state; a successor, only the one its
 	// event produced (claimPass).
 	for _, ns := range f.State.nodes {
-		e.locals.put(ns.localHash(), 0)
+		e.locals.put(ns.localHash())
 	}
 	// No event adds or removes a node, so the first state injected names
 	// every node a reset will ever restart.
@@ -569,17 +634,13 @@ func (e *Engine) Inject(f Forward) (Ref, bool) {
 	return Ref{e.tree, idx}, true
 }
 
-// hold queues a claimed state — g nil for a clean leaf — whose sleep set is
-// the run of sleepLen values from sleepAt in its bucket's storage, and
-// accounts its bytes until it is expanded: the held entry, the run and the
-// state's encoded footprint.
+// hold queues a claimed state whose sleep set is the run of sleepLen values
+// from sleepAt in its bucket's storage, and accounts its bytes until it is
+// expanded: the held entry, the run and the state's encoded footprint.
 //
 //crystal:hotpath
 func (e *Engine) hold(idx int32, g *GState, sleepAt, sleepLen uint32) {
-	bytes := heldEntryBytes + 4*int64(sleepLen)
-	if g != nil {
-		bytes += int64(g.EncodedSize())
-	}
+	bytes := heldEntryBytes + 4*int64(sleepLen) + int64(g.EncodedSize())
 	atomicMax(&e.ctr.peakBytes, e.ctr.frontierBytes.Add(bytes))
 	ent := e.tree.entries.at(int(idx))
 	ent.pos = int32(e.fr.push(int(ent.depth), held{state: g, sleepAt: sleepAt, sleepLen: sleepLen, idx: idx}))
@@ -611,7 +672,7 @@ func (e *Engine) drain(between func() error, reuse bool) error {
 		bucket, depth := e.fr.popBucket()
 		for lo := 0; lo < bucket.held.n && !e.bdg.exhausted(); lo += e.window {
 			n := min(e.window, bucket.held.n-lo)
-			e.expandWindow(bucket, lo, n)
+			e.expandWindow(bucket, lo, n, depth)
 			if err := e.claimPass(bucket, lo, depth+1, bucket.held.n-lo-n); err != nil {
 				return err
 			}
@@ -619,6 +680,7 @@ func (e *Engine) drain(between func() error, reuse bool) error {
 				e.windowDone()
 			}
 		}
+		e.admitClean(bucket, bucket.held.n, depth) // the clean leaves after the last entry
 		// The consequence (node, local state) claims the workers gathered are
 		// merged once the whole bucket is expanded, so the pruning table
 		// consults strictly earlier buckets.
@@ -647,15 +709,15 @@ func (e *Engine) drain(between func() error, reuse bool) error {
 	return nil
 }
 
-// expandWindow expands the n positions of bucket from lo, leaving what each
-// proposed in e.outs (the zero expansion for a position the budget did not
-// admit). Up to Budget.Workers workers, each with its own Expander, sweep
-// the window, pulling positions from e.cursor (expandNodes); with a single
-// worker (or a single position) the sweep runs inline, in order — the
-// paper's FIFO search.
+// expandWindow expands the n positions of bucket, the one at depth, from lo,
+// leaving what each proposed in e.outs (the zero expansion for a position the
+// budget did not admit). Up to Budget.Workers workers, each with its own
+// Expander, sweep the window, pulling positions from e.cursor (expandNodes);
+// with a single worker (or a single position) the sweep runs inline, in
+// order — the paper's FIFO search.
 //
 //crystal:hotpath
-func (e *Engine) expandWindow(bucket *bucket, lo, n int) {
+func (e *Engine) expandWindow(bucket *bucket, lo, n, depth int) {
 	if cap(e.outs) < n {
 		e.outs = make([]expansion, n)
 	}
@@ -670,32 +732,33 @@ func (e *Engine) expandWindow(bucket *bucket, lo, n int) {
 	}
 	e.cursor.Store(0)
 	if workers <= 1 {
-		e.expandNodes(bucket, lo, n, e.xs[0])
+		e.expandNodes(bucket, lo, n, depth, e.xs[0])
 		return
 	}
 	e.wg.Add(workers)
 	for _, x := range e.xs[:workers] {
-		go e.share(bucket, lo, n, x)
+		go e.share(bucket, lo, n, depth, x)
 	}
 	e.wg.Wait()
 }
 
 // share is one worker's goroutine in a sweep.
-func (e *Engine) share(bucket *bucket, lo, n int, x *Expander) {
+func (e *Engine) share(bucket *bucket, lo, n, depth int, x *Expander) {
 	defer e.wg.Done()
-	e.expandNodes(bucket, lo, n, x)
+	e.expandNodes(bucket, lo, n, depth, x)
 }
 
-// expandNodes is one worker's share of expandWindow. A held entry lets go of
+// expandNodes is one worker's share of expandWindow: each position is
+// admitted after the clean leaves queued before it. A held entry lets go of
 // its state the moment its expansion returns: from then on the search needs
 // only the tree entry — paths replay from descriptors — so nothing retained
 // pins an expanded GState.
 //
 //crystal:hotpath
-func (e *Engine) expandNodes(bucket *bucket, lo, n int, x *Expander) {
+func (e *Engine) expandNodes(bucket *bucket, lo, n, depth int, x *Expander) {
 	for {
 		i := int(e.cursor.Add(1)) - 1
-		if i >= n || e.bdg.exhausted() || !e.bdg.admitState() {
+		if i >= n || e.bdg.exhausted() || !e.admitClean(bucket, lo+i, depth) || !e.bdg.admitState() {
 			return
 		}
 		h := bucket.held.at(lo + i)
@@ -703,6 +766,32 @@ func (e *Engine) expandNodes(bucket *bucket, lo, n int, x *Expander) {
 		e.outs[i] = e.expand(h, bucket.sleepOf(h), x)
 		h.state = nil
 	}
+}
+
+// admitClean admits, a state budget unit each, the clean leaves queued in b
+// (the bucket at depth) after its entry pos-1 and before its entry pos — past
+// the last entry if pos is b.held.n — and reports whether it admitted them
+// all. A clean leaf was checked where it was built, so admitting it is all
+// that is left: it counts in StatesExplored and MaxDepthReached, in the order
+// it was claimed among the entries that hold states.
+//
+//crystal:hotpath
+func (e *Engine) admitClean(b *bucket, pos, depth int) bool {
+	if b.clean == 0 {
+		return true
+	}
+	run := b.cleanBefore(pos)
+	if pos > 0 {
+		run -= b.cleanBefore(pos - 1)
+	}
+	admitted := 0
+	for admitted < run && e.bdg.admitState() {
+		admitted++
+	}
+	if admitted > 0 {
+		atomicMax(&e.ctr.maxDepth, int64(depth))
+	}
+	return admitted == run
 }
 
 // claimPass is the deterministic claim pass that follows a window's
@@ -718,13 +807,13 @@ func (e *Engine) expandNodes(bucket *bucket, lo, n int, x *Expander) {
 // claim enters the tables here, between windows on the goroutine driving
 // Drain, which is why they need no lock.
 //
-// A clean leaf (proposal.leaf) is claimed without a state: it enters visited
-// and the tree, its executed node's local hash enters locals, and it is
-// queued as a bare entry, which expand admits and counts. Any other proposal
-// without a state (Engine.fate) must find its fingerprint claimed here: its
-// worker proposed it knowing it is already claimed or is claimed by an
-// earlier proposal of its own. If it is not, the claim pass fails the drain
-// rather than claim a state it does not have.
+// A clean leaf (proposal.leaf) is claimed without a state: its fingerprint
+// enters the leaf set, its executed node's local hash enters locals, and its
+// bucket counts it, for admitClean to admit. It gets no tree entry and no
+// held entry. Any other proposal without a state (Engine.fate) must find its
+// fingerprint claimed here: its worker proposed it knowing it is already
+// claimed or is claimed by an earlier proposal of its own. If it is not, the
+// claim pass fails the drain rather than claim a state it does not have.
 //
 //crystal:hotpath
 func (e *Engine) claimPass(bucket *bucket, lo, depth, rest int) error {
@@ -762,20 +851,29 @@ func (e *Engine) claimPass(bucket *bucket, lo, depth, rest int) error {
 				}
 				continue
 			}
+			if e.leafAt(h, depth) {
+				continue // a clean leaf has no sleep set to narrow
+			}
 			if p.state == nil && p.leaf == 0 {
 				return errUnclaimed(h, depth)
 			}
-			idx := e.tree.child(parent.idx, p.desc, h, depth, out.violated)
-			e.visited.put(h, idx, e.tree)
 			// A successor differs from its parent in at most the node its
 			// event executed at, so its claim records that one local state (a
 			// drop executes at none); with the chain roots' (Inject), the
 			// union is every local state of every claimed state.
 			if p.desc.Kind != 'D' {
-				e.locals.put(out.x.local(p), 0)
+				e.locals.put(out.x.local(p))
 			}
-			if e.bdg.lim.States > 0 && rest+e.fr.len(depth) >= e.bdg.statesLeft() {
-				e.capped = true
+			if p.leaf > 0 {
+				e.leafSet.put(h)
+				if e.reachable(rest, depth) {
+					e.fr.pushClean(depth)
+				}
+				continue
+			}
+			idx := e.tree.child(parent.idx, p.desc, h, depth, out.violated)
+			e.claim(h, idx)
+			if !e.reachable(rest, depth) {
 				continue
 			}
 			// A child at the depth bound is checked but never expanded, so
@@ -794,6 +892,20 @@ func (e *Engine) claimPass(bucket *bucket, lo, depth, rest int) error {
 		x.props.reset()
 	}
 	return nil
+}
+
+// reachable reports whether the state budget can still admit a child the
+// claim pass claims at depth, with rest positions of the bucket being drained
+// and the states queued at depth admitted before it (see Engine). A child it
+// cannot reach caps the engine and is not queued.
+//
+//crystal:hotpath
+func (e *Engine) reachable(rest, depth int) bool {
+	if e.bdg.lim.States > 0 && rest+e.fr.len(depth) >= e.bdg.statesLeft() {
+		e.capped = true
+		return false
+	}
+	return true
 }
 
 // local returns the local hash of the node p's event executed at, in the
@@ -817,10 +929,10 @@ func errUnclaimed(h uint64, depth int) error {
 // arrival's promised set (the empty one unless promises) holds too.
 func (e *Engine) narrow(prior int32, depth int, promised promise, promises bool) {
 	ent := e.tree.entries.at(int(prior))
-	if int(ent.depth) != depth || ent.pos < 0 || int(ent.pos) >= e.fr.len(depth) {
+	b := e.fr.peek(depth)
+	if int(ent.depth) != depth || ent.pos < 0 || b == nil || int(ent.pos) >= b.held.n {
 		return
 	}
-	b := e.fr.buckets[depth]
 	q := b.held.at(int(ent.pos))
 	if q.idx != prior || q.sleepLen == 0 {
 		return
@@ -867,26 +979,21 @@ func (e *Engine) reportViolation(r Ref, bits uint64, x *Expander) uint64 {
 // window's claim pass claims them. The children of a state one step above the
 // depth bound are leaves, and each one this engine owns and would publish is
 // property-checked where it is built, in x's scratch: a clean leaf is
-// proposed without a state (cleanLeaf), a violating one is published. So a
-// clean leaf arrives here with no state and nothing left to do, and a state
-// admitted after the state budget capped a whole-space engine is only
-// checked. Consequence (node, local state) claims go to x.claims for the
-// merge at the end of the bucket. With reduction on, network transitions
-// slept by the state's sleep set are skipped — recognised from the enumerated
-// key, before any handler runs — and each proposal records the sleep set it
-// is promised (reduce.go).
+// proposed without a state (cleanLeaf) and never arrives here, a violating
+// one is published. A state admitted after the state budget capped a
+// whole-space engine is only checked. Consequence (node, local state) claims
+// go to x.claims for the merge at the end of the bucket. With reduction on,
+// network transitions slept by the state's sleep set are skipped —
+// recognised from the enumerated key, before any handler runs — and each
+// proposal records the sleep set it is promised (reduce.go).
 //
 //crystal:hotpath
 func (e *Engine) expand(h *held, sleep []uint32, x *Expander) expansion {
 	r := Ref{e.tree, h.idx}
 	depth := r.Depth()
 	atomicMax(&e.ctr.maxDepth, int64(depth))
-	e.ctr.frontierBytes.Add(-heldEntryBytes - 4*int64(len(sleep)))
 	state := h.state
-	if state == nil {
-		return expansion{}
-	}
-	e.ctr.frontierBytes.Add(-int64(state.EncodedSize()))
+	e.ctr.frontierBytes.Add(-heldEntryBytes - 4*int64(len(sleep)) - int64(state.EncodedSize()))
 
 	out := expansion{x: x, lo: int32(x.props.n), sibLo: int32(len(x.sibs)), violated: r.entry().violated}
 	state.FillView(x.view)
@@ -1050,8 +1157,9 @@ func (x *Expander) cleanLeaf(parent *GState, ev *sm.Event) int32 {
 //
 //   - Outside the owned range the successor is published and proposed: the
 //     sink sends the state.
-//   - Claimed at depth or shallower, the claim pass would reject it and
-//     narrow nothing: it is dropped.
+//   - Claimed at depth or shallower, or claimed as a clean leaf at the
+//     child's depth (the bound), the claim pass would reject it and narrow
+//     nothing: it is dropped.
 //   - Claimed at the child's depth (by an earlier window), or proposed by x
 //     earlier in this window, it is proposed without a state: the claim pass
 //     only narrows the state that holds h. A worker takes window positions in
@@ -1076,19 +1184,27 @@ func (e *Engine) fate(h uint64, depth int, x *Expander) (publish, propose bool) 
 			return false, true
 		}
 	}
-	return x.proposed.put(h, 0), true
+	if e.leafAt(h, depth+1) {
+		return false, false
+	}
+	return x.proposed.put(h), true
 }
 
 // Exhausted reports whether a budget bound (or the violation quota) has
 // stopped the search; a drained frontier alone does not count.
 func (e *Engine) Exhausted() bool { return e.bdg.exhausted() }
 
-// Claimed returns the number of distinct states claimed so far.
-func (e *Engine) Claimed() int { return e.visited.n }
+// Claimed returns the number of distinct states claimed so far, clean leaves
+// included.
+func (e *Engine) Claimed() int { return e.visited.n + e.leafSet.len() }
 
-// ClaimedStates returns the sorted fingerprints of the claimed states
-// (differential oracles compare the sets).
-func (e *Engine) ClaimedStates() []uint64 { return e.visited.fingerprints(e.tree) }
+// ClaimedStates returns the sorted fingerprints of the claimed states, clean
+// leaves included (differential oracles compare the sets).
+func (e *Engine) ClaimedStates() []uint64 {
+	out := append(e.visited.fingerprints(e.tree), e.leafSet.sorted()...)
+	slices.Sort(out)
+	return out
+}
 
 // LocalStates returns the sorted distinct node-local state fingerprints
 // over all claimed states.
@@ -1143,11 +1259,11 @@ func (e *Engine) Result() *Result {
 		res.ClaimedStates = e.ClaimedStates()
 	}
 	// What the engine allocated itself it knows exactly — the tree's slabs,
-	// the claim tables, the frontier's entries and sleep sets at their peak;
-	// only the held states are an estimate (their encoded footprint, Figure
-	// 15's measure).
+	// the claim tables and the leaf set, the frontier's entries and sleep sets
+	// at their peak; only the held states are an estimate (their encoded
+	// footprint, Figure 15's measure).
 	res.PeakMemoryBytes = e.ctr.peakBytes.Load() + e.tree.bytes() +
-		e.visited.bytes() + e.local.bytes() + e.locals.bytes()
+		e.visited.bytes() + e.leafSet.bytes() + e.local.bytes() + e.locals.bytes()
 	if res.StatesExplored > 0 {
 		res.PerStateBytes = float64(res.PeakMemoryBytes) / float64(res.StatesExplored)
 	}

@@ -2,6 +2,7 @@ package mc
 
 import (
 	"reflect"
+	"slices"
 	"testing"
 
 	"crystalball/internal/sm"
@@ -87,5 +88,58 @@ func TestMinDepthClaimRule(t *testing.T) {
 	drain()
 	if got := e.ClaimedStates(); !reflect.DeepEqual(got, want.ClaimedStates) {
 		t.Fatalf("claimed set is not the depth-bounded BFS set: %d states, BFS has %d", len(got), len(want.ClaimedStates))
+	}
+}
+
+// TestShallowerArrivalOfACleanLeaf: in a sharded search a state can be
+// claimed as a clean leaf at the depth bound — a fingerprint, no tree entry —
+// and then arrive from another shard shallower. It is claimed and expanded as
+// any shallower arrival is, and counted once: it leaves the leaf set for
+// visited, so Claimed does not move when it is claimed again and
+// ClaimedStates holds it once.
+func TestShallowerArrivalOfACleanLeaf(t *testing.T) {
+	cfg := Config{Props: poisonAt(1000), Factory: newToy, Mode: Exhaustive, ExploreResets: true, Budget: Budget{Depth: 2, Workers: 1}}
+	root := twoNodeStart()
+	s := NewSearch(cfg)
+	e := s.NewEngine(cfg.Budget, HashRange{}, nil)
+	e.Inject(Forward{State: root})
+	if err := e.Drain(nil); err != nil {
+		t.Fatal(err)
+	}
+	// A clean leaf: a grandchild of the root the engine claimed at depth 2
+	// without an entry.
+	var leaf *GState
+	x := s.NewExpander()
+	x.Events(root, func(ev sm.Event) {
+		child := s.ApplyEvent(root, ev)
+		x.Events(child, func(ev sm.Event) {
+			if g := s.ApplyEvent(child, ev); leaf == nil && g != nil && e.leafSet.has(g.Hash()) {
+				leaf = g
+			}
+		})
+	})
+	if leaf == nil {
+		t.Fatal("no clean leaf claimed at the bound")
+	}
+	h := leaf.Hash()
+	claimed, explored := e.Claimed(), e.Result().StatesExplored
+	if !e.Seen(h, 2) || e.Seen(h, 1) {
+		t.Fatalf("a clean leaf at depth 2: Seen at depth 2 %v, at depth 1 %v; want true, false", e.Seen(h, 2), e.Seen(h, 1))
+	}
+	if _, ok := e.Inject(Forward{State: leaf, Depth: 1}); !ok {
+		t.Fatal("a clean leaf arriving at depth 1 was not claimed")
+	}
+	if e.leafSet.has(h) || !e.Seen(h, 1) || e.Claimed() != claimed {
+		t.Fatalf("after the arrival: in the leaf set %v, Seen at depth 1 %v, %d claimed (%d before)", e.leafSet.has(h), e.Seen(h, 1), e.Claimed(), claimed)
+	}
+	if err := e.Drain(nil); err != nil {
+		t.Fatal(err)
+	}
+	if res := e.Result(); res.StatesExplored <= explored || e.Claimed() <= claimed {
+		t.Fatalf("the arrival was not expanded: %d explored (%d before), %d claimed (%d before)", res.StatesExplored, explored, e.Claimed(), claimed)
+	}
+	all := e.ClaimedStates()
+	if len(all) != e.Claimed() || len(slices.Compact(slices.Clone(all))) != len(all) {
+		t.Fatalf("%d fingerprints for %d claimed states, %d distinct", len(all), e.Claimed(), len(slices.Compact(slices.Clone(all))))
 	}
 }

@@ -73,6 +73,19 @@ func (g *GState) Stale(from, peer sm.NodeID) bool {
 	return present
 }
 
+// len returns the number of keys present.
+func (t *table) len() int {
+	if t.zero {
+		return t.n + 1
+	}
+	return t.n
+}
+
+// sorted returns the keys present in ascending order.
+func (t *table) sorted() []uint64 {
+	return (&hashSet{keys: t.keys, n: t.n, zero: t.zero}).sorted()
+}
+
 // wholeBucket is a claim window no bucket outgrows: the barrier the engine
 // had before it claimed in windows.
 const wholeBucket = 1 << 30
@@ -182,6 +195,8 @@ type Checked struct {
 // one that ran out of states first does not. It returns what the search
 // claimed and what it checked; with one worker every queued state is
 // admitted, so the states queued after each bucket are the states checked.
+// Checked.Sum covers the queued states that hold an entry: a depth-bounded
+// run's clean leaves are counted in Checked.States alone.
 func StateBudgetRun(t *testing.T, cfg Config, start *GState, states, depth, workers int) (CapRun, Checked) {
 	t.Helper()
 	cfg.Budget = Budget{States: states, Depth: depth, Workers: workers}
@@ -198,6 +213,7 @@ func StateBudgetRun(t *testing.T, cfg Config, start *GState, states, depth, work
 			checked.States++
 			checked.Sum += r.Hash()
 		})
+		checked.States += e.cleanAt(level)
 		return nil
 	}); err != nil {
 		t.Fatal(err)
@@ -307,20 +323,32 @@ func (s *Search) SplitCount(g *GState, i int, claims map[uint64]int) (c struct {
 	return c
 }
 
-// queuedAt calls visit for every state queued at depth, in queue order.
+// queuedAt calls visit for every held entry queued at depth, in queue order:
+// every queued state but the clean leaves, which have none.
 func (e *Engine) queuedAt(depth int, visit func(r Ref, h *held)) {
-	for i, n := 0, e.fr.len(depth); i < n; i++ {
-		h := e.fr.buckets[depth].held.at(i)
+	b := e.fr.peek(depth)
+	for i := 0; b != nil && i < b.held.n; i++ {
+		h := b.held.at(i)
 		visit(Ref{e.tree, h.idx}, h)
 	}
+}
+
+// cleanAt returns the number of clean leaves queued at depth.
+func (e *Engine) cleanAt(depth int) int {
+	if b := e.fr.peek(depth); b != nil {
+		return b.clean
+	}
+	return 0
 }
 
 // CheckPathOracle is the path oracle over every claimed state, not only the
 // violating ones: cfg, bounded by depth only, runs from start at 1 and 2
 // workers with the claim window at 1, 7 and the default, and after each run
 // every entry of the engine's tree — there must be exactly one per claimed
-// state — has a Path that resolves from start, holds Depth() events, and
-// reaches the entry's hash. It returns the number of states claimed.
+// state but the clean leaves — has a Path that resolves from start, holds
+// Depth() events, and reaches the entry's hash. A clean leaf has no entry and
+// no path: its fingerprint must be a successor's of an entry one level above
+// the bound. It returns the number of states claimed.
 func CheckPathOracle(t *testing.T, cfg Config, start *GState) int {
 	t.Helper()
 	claimed := 0
@@ -334,10 +362,11 @@ func CheckPathOracle(t *testing.T, cfg Config, start *GState) int {
 			if err := e.Drain(nil); err != nil {
 				t.Fatal(err)
 			}
-			if claimed = e.Claimed(); e.tree.entries.n != claimed || e.Exhausted() {
-				t.Fatalf("workers=%d window=%d: %d tree entries for %d claimed states (exhausted: %v)", workers, window, e.tree.entries.n, claimed, e.Exhausted())
+			if claimed = e.Claimed(); e.tree.entries.n+e.leafSet.len() != claimed || e.Exhausted() {
+				t.Fatalf("workers=%d window=%d: %d tree entries and %d clean leaves for %d claimed states (exhausted: %v)", workers, window, e.tree.entries.n, e.leafSet.len(), claimed, e.Exhausted())
 			}
 			x := s.NewExpander()
+			successors := map[uint64]bool{}
 			for i := 0; i < e.tree.entries.n; i++ {
 				r := Ref{e.tree, int32(i)}
 				path, g, err := s.ReplayKeys(x, start, r.Keys())
@@ -346,6 +375,18 @@ func CheckPathOracle(t *testing.T, cfg Config, start *GState) int {
 				}
 				if len(path) != r.Depth() || g.Hash() != r.Hash() {
 					t.Fatalf("workers=%d window=%d: entry %d: %d-event path reaches %#x, entry is %#x at depth %d", workers, window, i, len(path), g.Hash(), r.Hash(), r.Depth())
+				}
+				if r.Depth() == cfg.Budget.Depth-1 {
+					x.Events(g, func(ev sm.Event) {
+						if next := s.ApplyEvent(g, ev); next != nil {
+							successors[next.Hash()] = true
+						}
+					})
+				}
+			}
+			for _, h := range e.leafSet.sorted() {
+				if !successors[h] {
+					t.Fatalf("workers=%d window=%d: clean leaf %#x is no successor of a state at depth %d", workers, window, h, cfg.Budget.Depth-1)
 				}
 			}
 		}
@@ -363,8 +404,10 @@ func CheckPathOracle(t *testing.T, cfg Config, start *GState) int {
 //   - report the same violations down to depth: properties, depth, state
 //     hash and replayed path;
 //   - and the shallower bound's distinct local states must be those of the
-//     states it claimed, each rebuilt by replaying its tree entry's event
-//     from its parent's rebuilt state in a scratch without a memo.
+//     states it claimed: the deeper bound's states down to depth, each
+//     rebuilt by replaying its tree entry's event from its parent's rebuilt
+//     state in a scratch without a memo. The shallower bound's own tree —
+//     every state it claimed but the clean leaves — must rebuild the same way.
 //
 // It returns the violations the shallower bound reports at depth itself.
 func CheckLeafOracle(t *testing.T, cfg Config, start *GState, depth int) (atBound []Violation) {
@@ -405,27 +448,8 @@ func CheckLeafOracle(t *testing.T, cfg Config, start *GState, depth int) (atBoun
 		if !reflect.DeepEqual(got, shallow) {
 			t.Errorf("workers=%d: bounded at %d, violations %v; bounded at %d, down to %d: %v", workers, depth, violationLines(got), depth+1, depth, violationLines(shallow))
 		}
-		states := make([]*GState, bounded.tree.entries.n)
-		var locals []uint64
-		x := s.NewExpander()
-		for i := range states {
-			r := Ref{bounded.tree, int32(i)}
-			if p, ok := r.up(); !ok {
-				states[i] = start
-			} else {
-				ev, err := x.resolve(states[p.i], r.last())
-				if err != nil {
-					t.Fatalf("workers=%d: entry %d: %v", workers, i, err)
-				}
-				states[i] = s.ApplyEvent(states[p.i], ev)
-			}
-			if states[i].Hash() != r.Hash() {
-				t.Fatalf("workers=%d: entry %d rebuilds to %#x, claimed as %#x", workers, i, states[i].Hash(), r.Hash())
-			}
-			for _, ns := range states[i].nodes {
-				locals = append(locals, ns.localHash())
-			}
-		}
+		rebuild(t, fmt.Sprintf("workers=%d, bounded at %d", workers, depth), s, bounded.tree, start, depth)
+		locals := rebuild(t, fmt.Sprintf("workers=%d, bounded at %d", workers, depth+1), s, deeper.tree, start, depth)
 		slices.Sort(locals)
 		if wantLocals := slices.Compact(locals); !slices.Equal(bounded.LocalStates(), wantLocals) {
 			t.Errorf("workers=%d: bounded at %d, %d distinct local states recorded; its claimed states hold %d", workers, depth, len(bounded.LocalStates()), len(wantLocals))
@@ -438,6 +462,38 @@ func CheckLeafOracle(t *testing.T, cfg Config, start *GState, depth int) (atBoun
 		}
 	}
 	return atBound
+}
+
+// rebuild rebuilds the states of tree's entries down to depth, each by
+// replaying its entry's event from its parent's rebuilt state in a scratch
+// without a memo, fails (naming where) unless each has its entry's hash, and
+// returns their local hashes.
+func rebuild(t *testing.T, where string, s *Search, tree *Tree, start *GState, depth int) (locals []uint64) {
+	t.Helper()
+	states := make([]*GState, tree.entries.n)
+	x := s.NewExpander()
+	for i := range states {
+		r := Ref{tree, int32(i)}
+		if r.Depth() > depth {
+			continue
+		}
+		if p, ok := r.up(); !ok {
+			states[i] = start
+		} else {
+			ev, err := x.resolve(states[p.i], r.last())
+			if err != nil {
+				t.Fatalf("%s: entry %d: %v", where, i, err)
+			}
+			states[i] = s.ApplyEvent(states[p.i], ev)
+		}
+		if states[i].Hash() != r.Hash() {
+			t.Fatalf("%s: entry %d rebuilds to %#x, claimed as %#x", where, i, states[i].Hash(), r.Hash())
+		}
+		for _, ns := range states[i].nodes {
+			locals = append(locals, ns.localHash())
+		}
+	}
+	return locals
 }
 
 // violationLines renders violations as "properties at depth d via path".

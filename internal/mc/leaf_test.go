@@ -63,4 +63,41 @@ func TestLeafOracle(t *testing.T) {
 			}
 		}
 	}
+	// Two budgets that stop the search inside chord's leaf level, at one
+	// worker: the state budget past its violating leaf, the violation quota
+	// at it, with clean leaves claimed both before and after it. Admission
+	// order decides what is explored; the values were recorded on the commit
+	// that still queued every clean leaf as an entry of its own.
+	for _, row := range []struct {
+		name   string
+		budget mc.Budget
+		want   leafStop
+	}{
+		{"states inside the leaf level", mc.Budget{Depth: 5, States: 400, Workers: 1}, leafStop{400, 5, "states", 1}},
+		{"violation quota at a leaf", mc.Budget{Depth: 5, Violations: 1, Workers: 1}, leafStop{333, 5, "violations", 1}},
+	} {
+		t.Run("chord/"+row.name, func(t *testing.T) {
+			start, cfg, err := scenario.InitialState("chord", scenario.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			cfg.Mode, cfg.Budget = mc.Exhaustive, row.budget
+			res := mc.NewSearch(cfg).Run(start)
+			got := leafStop{res.StatesExplored, res.MaxDepthReached, res.StopReason, len(res.Violations)}
+			if got != row.want {
+				t.Fatalf("%+v, recorded %+v", got, row.want)
+			}
+			if v := res.Violations[0]; v.Depth != 5 || len(v.Path) != 5 {
+				t.Fatalf("violation %v at depth %d via %d events, want the leaf's", v.Properties, v.Depth, len(v.Path))
+			}
+		})
+	}
+}
+
+// leafStop is what a budget-stopped search explored: its states, depth and
+// stop reason, and the violations it reported.
+type leafStop struct {
+	states, depth int
+	stop          string
+	violations    int
 }

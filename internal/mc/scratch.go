@@ -76,6 +76,11 @@ type scratch struct {
 	// -1 when no node changed). Its Timers alias fx.Timers until publish.
 	node NodeState
 	at   int
+	// pairs is the chunk the stale pairs of published successors are cut
+	// from (keepPairs): append-only, so a cut is never written after it is
+	// published, and a chunk is let go with the last state that uses it. It
+	// holds values only, so a cleared scratch keeps it.
+	pairs []pair
 
 	// memo is the Expander's handler-effect memo (nil in a pooled scratch),
 	// and pending the key of the effect the successor under construction is
@@ -159,7 +164,8 @@ func (sc *scratch) pristineOf(factory sm.Factory, id sm.NodeID) sm.Service {
 // otherwise. The items built in the scratch — sent, or moved up their queue —
 // are copied to the heap as one exact-size block, and the heap item of each
 // send is recorded in its slot for the memo; a shared item is already on the
-// heap. The stale pairs are copied only when they changed.
+// heap. The stale pairs are copied only when they changed, to sc's chunk of
+// pairs.
 //
 //crystal:hotpath
 func (sc *scratch) publish(parent *GState) *GState {
@@ -192,7 +198,7 @@ func (sc *scratch) publish(parent *GState) *GState {
 	}
 	stale := parent.stale
 	if !slices.Equal(next.stale, parent.stale) {
-		stale = exactCopy(next.stale)
+		stale = sc.keepPairs(next.stale)
 	}
 	return &GState{nodes: nodes, msgs: msgs, stale: stale, resets: next.resets, hsum: next.hsum, encSize: next.encSize}
 }
@@ -224,6 +230,26 @@ func (sc *scratch) heapNode(parent *GState) *NodeState {
 		*p = effect{}
 	}
 	return ns
+}
+
+// pairChunk is how many stale pairs a chunk of keepPairs holds.
+const pairChunk = 128
+
+// keepPairs returns a copy of s that shares nothing with a scratch buffer,
+// cut from sc's chunk of pairs — clipped, so no later cut writes it — and
+// from a new chunk when this one's rest is too short (nil when s is empty).
+//
+//crystal:hotpath
+func (sc *scratch) keepPairs(s []pair) []pair {
+	if len(s) == 0 {
+		return nil
+	}
+	if cap(sc.pairs)-len(sc.pairs) < len(s) {
+		sc.pairs = make([]pair, 0, max(pairChunk, len(s)))
+	}
+	at := len(sc.pairs)
+	sc.pairs = append(sc.pairs, s...)
+	return slices.Clip(sc.pairs[at:])
 }
 
 // exactCopy returns a copy of s that shares nothing with it (nil when s is

@@ -582,10 +582,12 @@ func TestEveryDuplicateIsUnbuilt(t *testing.T) {
 // item it sent, 3.26 while every clean leaf at the depth bound was published,
 // 0.77 while every reset built its service from the factory, every window
 // regrew its proposal and sibling buffers and every sleep set was a slice of
-// its own; measured 0.56 with resets restarted in the spare, proposals in a
-// slab and sleep sets in their bucket's storage (5,440 of this input's 6,331
-// claimed states are leaves). The bound is that figure plus a sixth, for what
-// a collection during the run can cost the pooled scratches.
+// its own, 0.56 while every clean leaf took a tree entry and a held entry and
+// every changed set of stale pairs was a slice of its own; measured 0.51 with
+// a clean leaf a fingerprint in the leaf set and stale pairs cut from a chunk
+// (5,440 of this input's 6,331 claimed states are leaves). The bound is that
+// figure plus a sixth, for what a collection during the run can cost the
+// pooled scratches.
 func TestAllocsPerTransitionPaxosSmoke(t *testing.T) {
 	skipUnlessPooling(t)
 	cfg, start := benchInput(t, "paxos", 5, mc.Exhaustive, mc.Budget{Depth: 4})
@@ -596,8 +598,8 @@ func TestAllocsPerTransitionPaxosSmoke(t *testing.T) {
 	if res.SleepHits == 0 || res.Transitions < 5000 {
 		t.Fatalf("%d transitions, %d sleep hits: the input exercises too little", res.Transitions, res.SleepHits)
 	}
-	if per > 0.65 {
-		t.Fatalf("%.2f allocations per transition, want <= 0.65", per)
+	if per > 0.6 {
+		t.Fatalf("%.2f allocations per transition, want <= 0.6", per)
 	}
 }
 

@@ -138,42 +138,35 @@ func TestExpandedNodesLetGoOfState(t *testing.T) {
 			Budget: Budget{Depth: 6, Workers: 2},
 		})
 		start := twoNodeStart()
-		x := s.NewExpander()
 		e := s.NewEngine(s.Config().Budget, HashRange{}, nil)
 		e.Inject(Forward{State: start})
 		// Every claimed state sits in the frontier between two buckets:
-		// remember each entry with the hash it was claimed under — its
-		// state's, or, for a leaf already checked and queued without one, the
-		// hash of the state its path replays to. (A held entry never moves,
-		// so its address outlives the bucket's place in the frontier.)
+		// remember each entry with the hash it was claimed under, its
+		// state's, and the number of clean leaves at the bound, which are
+		// queued as a count. (A held entry never moves, so its address
+		// outlives the bucket's place in the frontier.)
 		claimedUnder := map[*held]uint64{}
-		slept := 0
+		slept, clean := 0, 0
 		remember := func() error {
 			for _, bucket := range e.fr.buckets {
 				for i := 0; bucket != nil && i < bucket.held.n; i++ {
 					h := bucket.held.at(i)
-					g := h.state
-					if g == nil {
-						if depth := (Ref{e.tree, h.idx}).Depth(); depth != 6 {
-							t.Fatalf("state queued at depth %d without its state", depth)
-						}
-						var err error
-						if _, g, err = s.ReplayKeys(x, start, Ref{e.tree, h.idx}.Keys()); err != nil {
-							t.Fatal(err)
-						}
+					if h.state == nil {
+						t.Fatalf("state queued at depth %d without its state", Ref{e.tree, h.idx}.Depth())
 					}
 					slept += int(h.sleepLen)
-					claimedUnder[h] = g.Hash()
+					claimedUnder[h] = h.state.Hash()
 				}
 			}
+			clean = max(clean, e.cleanAt(6))
 			return nil
 		}
 		_ = remember()
 		if err := e.Drain(remember); err != nil {
 			t.Fatal(err)
 		}
-		if len(claimedUnder) != e.Claimed() || e.Claimed() < 100 || e.tree.entries.n != e.Claimed() {
-			t.Fatalf("remembered %d entries of %d claimed (%d in the tree)", len(claimedUnder), e.Claimed(), e.tree.entries.n)
+		if len(claimedUnder)+clean != e.Claimed() || e.Claimed() < 100 || clean == 0 || e.tree.entries.n != len(claimedUnder) {
+			t.Fatalf("remembered %d entries and %d clean leaves of %d claimed (%d in the tree)", len(claimedUnder), clean, e.Claimed(), e.tree.entries.n)
 		}
 		if reduce == (slept == 0) {
 			t.Fatalf("reduce=%v: %d sleep entries seen in the frontier", reduce, slept)
@@ -283,8 +276,8 @@ func TestSelfLoopIsCountedNotProposed(t *testing.T) {
 	start := selfLoopStart()
 	e := s.NewEngine(cfg.Budget, HashRange{}, nil)
 	e.Inject(Forward{State: start})
-	bucket, _ := e.fr.popBucket()
-	e.expandWindow(bucket, 0, 1)
+	bucket, depth := e.fr.popBucket()
+	e.expandWindow(bucket, 0, 1, depth)
 	var children []proposal
 	for j := e.outs[0].lo; j < e.outs[0].hi; j++ {
 		children = append(children, *e.xs[0].props.at(int(j)))

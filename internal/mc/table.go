@@ -3,8 +3,8 @@ package mc
 import "slices"
 
 // The engine's claim tables are keyed by fingerprints, which are Mix64
-// avalanched already, so neither hashes its key again: the slot index is the
-// key's own low bits. Both are open addressing with linear probing over a
+// avalanched already, so none hashes its key again: the slot index is the
+// key's own low bits. Each is open addressing with linear probing over a
 // power-of-two slot array that starts at tableMin slots and doubles when an
 // insertion would fill it past 3/4. Nothing in a slot is a pointer, so the
 // collector never looks inside a table. A table that is cleared keeps its
@@ -137,10 +137,9 @@ func (v *visitedTable) fingerprints(t *Tree) []uint64 {
 }
 
 // table maps uint64 keys to int32 values — consequence prediction's (node,
-// local state) claims, the distinct local states, a worker's proposed
-// fingerprints — over parallel key and value arrays, a key of 0 marking a
-// free slot. Key 0 itself, which a local hash can be, lives in a side slot.
-// A set stores 0 for every value.
+// local state) claims — over parallel key and value arrays, a key of 0
+// marking a free slot. Key 0 itself, which a local hash can be, lives in a
+// side slot.
 type table struct {
 	keys    []uint64
 	vals    []int32
@@ -149,14 +148,15 @@ type table struct {
 	zeroVal int32
 }
 
-// probe returns the slot holding k, and true, or the free slot that ends k's
-// probe sequence, and false. k is not 0, and the table has slots.
+// probe returns the slot of keys holding k, and true, or the free slot that
+// ends k's probe sequence, and false: the lookup of table and hashSet. k is
+// not 0, and keys has slots.
 //
 //crystal:hotpath
-func (t *table) probe(k uint64) (uint64, bool) {
-	mask := uint64(len(t.keys) - 1)
+func probe(keys []uint64, k uint64) (uint64, bool) {
+	mask := uint64(len(keys) - 1)
 	for i := k & mask; ; i = (i + 1) & mask {
-		switch t.keys[i] {
+		switch keys[i] {
 		case k:
 			return i, true
 		case 0:
@@ -175,7 +175,7 @@ func (t *table) get(k uint64) (int32, bool) {
 	if t.n == 0 {
 		return 0, false
 	}
-	if i, ok := t.probe(k); ok {
+	if i, ok := probe(t.keys, k); ok {
 		return t.vals[i], true
 	}
 	return 0, false
@@ -193,14 +193,14 @@ func (t *table) put(k uint64, v int32) bool {
 	var i uint64
 	if len(t.keys) > 0 {
 		var ok bool
-		if i, ok = t.probe(k); ok {
+		if i, ok = probe(t.keys, k); ok {
 			t.vals[i] = v
 			return false
 		}
 	}
 	if full(t.n, len(t.keys)) {
 		t.grow()
-		i, _ = t.probe(k)
+		i, _ = probe(t.keys, k)
 	}
 	t.keys[i], t.vals[i] = k, v
 	t.n++
@@ -213,25 +213,12 @@ func (t *table) grow() {
 	keys, vals := t.keys, t.vals
 	t.keys = make([]uint64, max(tableMin, 2*len(keys)))
 	t.vals = make([]int32, len(t.keys))
-	mask := uint64(len(t.keys) - 1)
 	for j, k := range keys {
-		if k == 0 {
-			continue
+		if k != 0 {
+			i, _ := probe(t.keys, k)
+			t.keys[i], t.vals[i] = k, vals[j]
 		}
-		i := k & mask
-		for t.keys[i] != 0 {
-			i = (i + 1) & mask
-		}
-		t.keys[i], t.vals[i] = k, vals[j]
 	}
-}
-
-// len returns the number of keys present.
-func (t *table) len() int {
-	if t.zero {
-		return t.n + 1
-	}
-	return t.n
 }
 
 // clear empties the table and keeps its slots.
@@ -248,13 +235,124 @@ func (t *table) clear() {
 // bytes returns the heap bytes of a table grown from empty to t's keys.
 func (t *table) bytes() int64 { return 12 * int64(slotsFor(t.n)) }
 
+// hashSet is a set of uint64 keys — the fingerprints of the clean leaves an
+// engine claimed at its depth bound, the distinct local states, a worker's
+// proposed fingerprints — at one uint64 a slot: table's slots with no value
+// array. Key 0, which a local hash can be, lives in a side slot, as in table.
+type hashSet struct {
+	keys []uint64
+	n    int // keys in the slots
+	zero bool
+}
+
+// has reports whether k is in the set.
+//
+//crystal:hotpath
+func (s *hashSet) has(k uint64) bool {
+	if k == 0 {
+		return s.zero
+	}
+	if s.n == 0 {
+		return false
+	}
+	_, ok := probe(s.keys, k)
+	return ok
+}
+
+// put adds k and reports whether it was absent.
+//
+//crystal:hotpath
+func (s *hashSet) put(k uint64) bool {
+	if k == 0 {
+		added := !s.zero
+		s.zero = true
+		return added
+	}
+	var i uint64
+	if len(s.keys) > 0 {
+		var ok bool
+		if i, ok = probe(s.keys, k); ok {
+			return false
+		}
+	}
+	if full(s.n, len(s.keys)) {
+		s.grow()
+		i, _ = probe(s.keys, k)
+	}
+	s.keys[i] = k
+	s.n++
+	return true
+}
+
+// remove takes k out of the set, if it is there. The keys after k in its run
+// move back to where a set that never held k would hold them (backward-shift
+// deletion), so every probe sequence still ends at its first free slot.
+func (s *hashSet) remove(k uint64) {
+	if k == 0 {
+		s.zero = false
+		return
+	}
+	if s.n == 0 {
+		return
+	}
+	i, ok := probe(s.keys, k)
+	if !ok {
+		return
+	}
+	mask := uint64(len(s.keys) - 1)
+	for j := (i + 1) & mask; s.keys[j] != 0; j = (j + 1) & mask {
+		// The key at j may fill the hole at i unless its home slot lies
+		// cyclically after i, up to j.
+		if home := s.keys[j] & mask; (j-home)&mask >= (j-i)&mask {
+			s.keys[i], i = s.keys[j], j
+		}
+	}
+	s.keys[i] = 0
+	s.n--
+}
+
+// grow doubles the set (tableMin slots the first time) and re-places every
+// key.
+func (s *hashSet) grow() {
+	keys := s.keys
+	s.keys = make([]uint64, max(tableMin, 2*len(keys)))
+	for _, k := range keys {
+		if k != 0 {
+			i, _ := probe(s.keys, k)
+			s.keys[i] = k
+		}
+	}
+}
+
+// len returns the number of keys present.
+func (s *hashSet) len() int {
+	if s.zero {
+		return s.n + 1
+	}
+	return s.n
+}
+
+// clear empties the set and keeps its slots.
+//
+//crystal:hotpath
+func (s *hashSet) clear() {
+	if s.n > 0 {
+		clear(s.keys)
+		s.n = 0
+	}
+	s.zero = false
+}
+
+// bytes returns the heap bytes of a set grown from empty to s's keys.
+func (s *hashSet) bytes() int64 { return 8 * int64(slotsFor(s.n)) }
+
 // sorted returns the keys present in ascending order.
-func (t *table) sorted() []uint64 {
-	out := make([]uint64, 0, t.len())
-	if t.zero {
+func (s *hashSet) sorted() []uint64 {
+	out := make([]uint64, 0, s.len())
+	if s.zero {
 		out = append(out, 0)
 	}
-	for _, k := range t.keys {
+	for _, k := range s.keys {
 		if k != 0 {
 			out = append(out, k)
 		}

@@ -189,16 +189,106 @@ func TestVisitedMatchesMap(t *testing.T) {
 	}
 }
 
-// TestTableLookupAllocBound: a lookup in either table allocates nothing, hit
-// or miss, and neither does a put that needs no growth.
+// TestHashSetMatchesMap is the fingerprint-only set's differential oracle:
+// a hashSet and a Go map take the same puts — new keys, key 0 and keys
+// already present — and removals of every third key, some of them absent,
+// and must agree on every lookup, on keys never put, on len and on the
+// sorted key set, across growth and after the set is cleared and reused for
+// the next key set. Removals run inside the long probe runs of keys sharing
+// their low 16 bits, where a key after a removed one must still be found.
+// What a set accounts is what a set grown from empty to the same keys holds,
+// 8 bytes a slot: the same after reuse as fresh.
+func TestHashSetMatchesMap(t *testing.T) {
+	const n = 3000
+	var reused hashSet
+	for _, set := range tableKeySets(n) {
+		name, keys := set.name, set.keys
+		for _, hs := range []*hashSet{new(hashSet), &reused} {
+			hs.clear()
+			oracle := map[uint64]bool{}
+			check := func(stage string) {
+				t.Helper()
+				if hs.len() != len(oracle) {
+					t.Fatalf("%s, %s: len %d, map %d", name, stage, hs.len(), len(oracle))
+				}
+				var want []uint64
+				for k := range oracle {
+					want = append(want, k)
+				}
+				slices.Sort(want)
+				for _, k := range want {
+					if !hs.has(k) {
+						t.Fatalf("%s, %s: %#x is missing", name, stage, k)
+					}
+				}
+				if got := hs.sorted(); !slices.Equal(got, want) {
+					t.Fatalf("%s, %s: %d sorted keys differ from the map's %d", name, stage, len(got), len(want))
+				}
+				for _, k := range keys {
+					if absent := k ^ 1<<40; !oracle[absent] && hs.has(absent) {
+						t.Fatalf("%s, %s: has(%#x) finds a key never put", name, stage, absent)
+					}
+				}
+				fresh := new(hashSet)
+				for _, k := range want {
+					fresh.put(k)
+				}
+				if hs.bytes() != fresh.bytes() || fresh.bytes() != 8*int64(len(fresh.keys)) {
+					t.Fatalf("%s, %s: accounts %d B, a fresh set of the same keys %d B in %d slots", name, stage, hs.bytes(), fresh.bytes(), len(fresh.keys))
+				}
+				if 4*fresh.n > 3*len(fresh.keys) {
+					t.Fatalf("%s, %s: %d keys in %d slots, more than 3/4 full", name, stage, fresh.n, len(fresh.keys))
+				}
+			}
+			for i, k := range append([]uint64{0}, keys...) {
+				if added := hs.put(k); added == oracle[k] {
+					t.Fatalf("%s: put(%#x) reports added=%v, map had it: %v", name, k, added, oracle[k])
+				}
+				oracle[k] = true
+				if i%500 == 0 {
+					check("growing")
+				}
+			}
+			for _, k := range keys[:100] {
+				if hs.put(k) {
+					t.Fatalf("%s: putting %#x again reports it absent", name, k)
+				}
+			}
+			check("full")
+			for i, k := range append([]uint64{0}, keys...) {
+				if i%3 == 0 {
+					hs.remove(k)
+					hs.remove(k ^ 1<<40) // never put
+					delete(oracle, k)
+				}
+			}
+			check("removed")
+			for i, k := range keys {
+				if i%3 == 2 {
+					hs.put(k)
+					oracle[k] = true
+				}
+			}
+			check("put back")
+		}
+	}
+	if reused.clear(); reused.len() != 0 || reused.bytes() != 0 || reused.has(0) {
+		t.Fatalf("a cleared set holds %d keys (key 0: %v) and accounts %d B", reused.len(), reused.has(0), reused.bytes())
+	}
+}
+
+// TestTableLookupAllocBound: a lookup in any table or set allocates nothing,
+// hit or miss, and neither does a put that needs no growth.
 func TestTableLookupAllocBound(t *testing.T) {
 	tree := newTree(false)
 	var v visitedTable
 	var tb table
+	var hs hashSet
 	keys := tableKeySets(1000)[0].keys
 	for i, h := range keys {
 		v.put(h, int32(tree.entries.push(entry{hash: h})), tree)
 		tb.put(h, int32(i))
+		hs.put(h)
 	}
 	var sink int32
 	allocs := testing.AllocsPerRun(100, func() {
@@ -208,9 +298,13 @@ func TestTableLookupAllocBound(t *testing.T) {
 			miss, _ := v.get(h^1, tree)
 			_, _ = tb.get(h ^ 1)
 			sink += idx + val + miss
+			if hs.has(h) && !hs.has(h^1) {
+				sink++
+			}
 		}
 		tb.put(keys[0], sink)
 		v.put(keys[0], 0, tree)
+		hs.put(keys[0])
 	})
 	if allocs != 0 {
 		t.Fatalf("table lookups allocate %.1f/op, want 0", allocs)

@@ -24,8 +24,9 @@ func TestWindowIndependenceToy(t *testing.T) {
 }
 
 // TestLeavesAreCheckedWhenClaimed: once the bucket above the depth bound is
-// drained, every queued leaf has been checked — it holds a state exactly
-// when the state its path replays to violates a property — while the result
+// drained, every queued leaf has been checked — a leaf holds an entry and a
+// state exactly when it violates a property, which the state its path
+// replays to must do, and a clean one is a count — while the result
 // (admission, depth, violations) is what it is with unchecked leaves.
 func TestLeavesAreCheckedWhenClaimed(t *testing.T) {
 	const depth = 6
@@ -45,19 +46,15 @@ func TestLeavesAreCheckedWhenClaimed(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				violated := x.Check(g)
-				if (h.state != nil) != (len(violated) > 0) {
+				if violated := x.Check(g); h.state == nil || len(violated) == 0 {
 					t.Fatalf("reduce=%v: queued leaf holds state: %v, its path replays to a state violating %v", reduce, h.state != nil, violated)
 				}
 				if h.sleepLen != 0 {
 					t.Fatalf("reduce=%v: a leaf was given a sleep set", reduce)
 				}
-				if h.state != nil {
-					kept++
-				} else {
-					let++
-				}
+				kept++
 			})
+			let = max(let, e.cleanAt(depth))
 			return nil
 		}); err != nil {
 			t.Fatal(err)

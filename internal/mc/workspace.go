@@ -5,8 +5,8 @@ import "crystalball/internal/sm"
 // Workspace is the storage a breadth-first search builds its engine in,
 // kept from one search to the next: the per-worker Expanders (scratch
 // buffers, random source, memo storage, event, proposal, sibling and claim
-// buffers, the proposed set and the view), the three claim tables, the
-// tree's slabs and intern table, the frontier's bucket slabs and the claim
+// buffers, the proposed set and the view), the three claim tables and the
+// leaf set, the tree's slabs and intern table, the frontier's bucket slabs and the claim
 // window's buffer; and, for one search at a time, its pristine services. A
 // live deployment runs its checker as thousands of small searches one after
 // another; run in one workspace, each pays for the states it claims and not
@@ -29,10 +29,14 @@ type Workspace struct {
 	// actions that depend on the local state alone (localClaim). No event
 	// adds or removes a node, so the node set — all that count reads beside
 	// the local state — is fixed for a search. locals holds the distinct
-	// node-local states over claimed states (table.go).
+	// node-local states over claimed states (table.go). leafSet holds the
+	// fingerprints of the clean leaves claimed at the depth bound, which have
+	// no tree entry (Engine); a fingerprint is in visited or in leafSet, never
+	// in both.
 	visited visitedTable
+	leafSet hashSet
 	local   table
-	locals  table
+	locals  hashSet
 	fr      frontier
 	// outs holds what each position of the current claim window proposed,
 	// and sibIDs is the claim pass's cache of one parent's interned sibling
@@ -83,6 +87,7 @@ func (w *Workspace) release() {
 		x.clear()
 	}
 	w.visited.clear()
+	w.leafSet.clear()
 	w.local.clear()
 	w.locals.clear()
 	w.tree.reset()
